@@ -16,8 +16,7 @@ Pass families (see :mod:`repro.analysis.diagnostics` for the code table):
 * ``safety`` — R001/R002/R003, range restriction and schedulability;
 * ``stratification`` — R101/R102, with the offending cycle spelled out;
 * ``types`` — R201 arity clashes (errors), R202 type conflicts
-  (warnings; the core inference lives here and
-  :mod:`repro.workspace.typecheck` delegates to it);
+  (warnings; :meth:`Workspace.typecheck` reads the same inference);
 * ``deadcode`` — R301/R302/R303, informational;
 * ``attribution`` — R401, says-shipped predicates read unattributed;
 * ``placement`` — R501/R502, a placement dry-run without a cluster;
@@ -254,9 +253,10 @@ def compatible_types(a: str, b: str) -> bool:
 def infer_type_clashes(rule: Rule, catalog: Catalog) -> list[tuple]:
     """``(variable, (types...))`` for variables at incompatible positions.
 
-    This is the core inference behind
-    :func:`repro.workspace.typecheck.typecheck_rule`, which wraps the
-    result in its legacy ``TypeIssue`` shape.
+    Infers, for every variable of a rule, the set of declared types
+    implied by the positions it occupies, and reports variables pinned to
+    two incompatible ones.  Shared by the R202 pass and
+    :meth:`repro.workspace.workspace.Workspace.typecheck`.
     """
     var_types: dict[str, set] = {}
 

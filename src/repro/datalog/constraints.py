@@ -18,24 +18,19 @@ decides whether to abort a transaction or reject an imported message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .database import Database
 from .errors import SafetyError
 from .runtime import (
     Bindings,
     EvalContext,
-    build_plan,
-    cache_plan_bounded,
-    cardinality_band,
-    relation_sizes,
+    banded_plan,
+    positive_preds,
+    satisfiable,
     solve,
 )
 from .terms import Constraint
-
-#: FIFO bound on a workspace's constraint-plan cache (band-keyed entries
-#: go stale as relations move between cardinality bands).
-_MAX_CACHED_PLANS = 128
 
 
 @dataclass
@@ -59,30 +54,46 @@ def check_constraint(constraint: Constraint, db: Database,
                      plan_cache: Optional[dict] = None) -> list[Violation]:
     """All (or the first ``limit``) violations of one constraint.
 
-    ``plan_cache`` memoizes compiled LHS/RHS probe plans; every witness of
-    one LHS alternative binds the same variable names, so the RHS plan is
-    compiled once per (alternative, binding shape) instead of once per
+    ``plan_cache`` memoizes compiled LHS/RHS probe plans in the shared
+    band-keyed cache (:func:`repro.datalog.runtime.banded_plan`), keyed
+    by the conjunction itself and the binding shape it is probed under.
+    Every witness of one LHS alternative binds the same variable names,
+    so the RHS plans are resolved once per LHS alternative, not once per
     witness.  A caller-supplied cache (the workspace passes a long-lived
-    one) amortizes compilation across commits; it must be invalidated
-    whenever the constraint set changes, since entries are keyed by
-    constraint identity.
+    one) amortizes compilation across commits.
     """
     if constraint.is_declaration():
         return []
     violations: list[Violation] = []
     if plan_cache is None:
         plan_cache = {}
-    # The database is fixed for the duration of one check, so each
-    # alternative's size/band signature is computed once, not per witness.
-    size_memo: dict = {}
-    for witness in _lhs_witnesses(constraint, db, context, plan_cache,
-                                  size_memo):
-        if _rhs_satisfied(constraint, db, context, witness, plan_cache,
-                          size_memo):
-            continue
-        violations.append(Violation(constraint, witness))
-        if limit is not None and len(violations) >= limit:
-            break
+    for alternative in constraint.lhs:
+        try:
+            witnesses = solve(alternative, db, context, plan=_plan(
+                plan_cache, alternative, frozenset(), db, context))
+        except SafetyError as exc:
+            raise SafetyError(
+                f"constraint {constraint!r} has an unsafe left-hand side: {exc}"
+            ) from exc
+        rhs_plans = None
+        for witness in witnesses:
+            if rhs_plans is None:
+                shape = frozenset(witness)
+                try:
+                    rhs_plans = [
+                        (rhs, _plan(plan_cache, rhs, shape, db, context))
+                        for rhs in constraint.rhs]
+                except SafetyError as exc:
+                    raise SafetyError(
+                        f"constraint {constraint!r} has an unsafe right-hand "
+                        f"side: {exc}"
+                    ) from exc
+            if any(satisfiable(rhs, db, context, witness, plan)
+                   for rhs, plan in rhs_plans):
+                continue
+            violations.append(Violation(constraint, witness))
+            if limit is not None and len(violations) >= limit:
+                return violations
     return violations
 
 
@@ -100,78 +111,8 @@ def check_constraints(constraints: list, db: Database, context: EvalContext,
     return violations
 
 
-def _cached_plan(plan_cache: dict, key: tuple, alternative: tuple,
-                 shape: frozenset, db: Database, context: EvalContext,
-                 size_memo: dict):
-    # The key carries the cardinality-band signature of the alternative's
-    # body relations, so long-lived caches (the workspace keeps one across
-    # commits) re-plan with fresh cost estimates when some relation grows
-    # by an order of magnitude, mirroring EngineRule's band-keyed cache.
-    # ``size_memo`` (fresh per check_constraint call) makes the signature
-    # per-alternative, not per-witness.
-    memo_key = key[:3]  # (constraint id, side, alternative number)
-    memoized = size_memo.get(memo_key)
-    if memoized is None:
-        sizes = relation_sizes(alternative, db)
-        if sizes is None:
-            bands = None
-        else:
-            # values are live Relations (or 0 placeholders) since the
-            # distinct-count statistics landed; band on their cardinality
-            bands = tuple(
-                cardinality_band(source if source.__class__ is int
-                                 else len(source))
-                for source in sizes.values())
-        memoized = size_memo[memo_key] = (sizes, bands)
-    sizes, bands = memoized
-    key = key + (bands,)
-    plan = plan_cache.get(key)
-    if plan is None:
-        plan = build_plan(alternative, shape, builtins=context.builtins,
-                          sizes=sizes)
-        # FIFO bound, shared with EngineRule's plan cache: long-lived
-        # workspace caches otherwise accumulate one entry per band a
-        # relation ever passed through (deletion-heavy workloads walk
-        # bands downward and never revisit the old keys).
-        cache_plan_bounded(plan_cache, key, plan, _MAX_CACHED_PLANS,
-                           context.stats)
-        if context.stats is not None:
-            context.stats.plans_built += 1
-            if plan.reordered:
-                context.stats.reorder_wins += 1
-    elif context.stats is not None:
-        context.stats.plan_cache_hits += 1
-    return plan
-
-
-def _lhs_witnesses(constraint: Constraint, db: Database, context: EvalContext,
-                   plan_cache: dict, size_memo: dict) -> Iterator[Bindings]:
-    for number, alternative in enumerate(constraint.lhs):
-        try:
-            plan = _cached_plan(plan_cache, (id(constraint), "lhs", number),
-                                alternative, frozenset(), db, context,
-                                size_memo)
-            yield from solve(alternative, db, context, plan=plan)
-        except SafetyError as exc:
-            raise SafetyError(
-                f"constraint {constraint!r} has an unsafe left-hand side: {exc}"
-            ) from exc
-
-
-def _rhs_satisfied(constraint: Constraint, db: Database, context: EvalContext,
-                   witness: Bindings, plan_cache: dict,
-                   size_memo: dict) -> bool:
-    shape = frozenset(witness)
-    for number, alternative in enumerate(constraint.rhs):
-        try:
-            plan = _cached_plan(plan_cache,
-                                (id(constraint), "rhs", number, shape),
-                                alternative, shape, db, context, size_memo)
-        except SafetyError as exc:
-            raise SafetyError(
-                f"constraint {constraint!r} has an unsafe right-hand "
-                f"side: {exc}"
-            ) from exc
-        for _ in solve(alternative, db, context, bindings=witness, plan=plan):
-            return True
-    return False
+def _plan(plan_cache: dict, alternative: tuple, shape: frozenset,
+          db: Database, context: EvalContext):
+    return banded_plan(plan_cache, (alternative, shape), alternative,
+                       positive_preds(alternative), db, context,
+                       initially_bound=shape)

@@ -21,67 +21,40 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, ClassVar, Iterable, Iterator, Optional
+from typing import Callable, ClassVar, Iterable, Iterator, Optional
 
 from .database import Database, Relation, set_index_stats
 from .errors import SafetyError
 from .runtime import (
-    Bindings,
+    HEAD_COMPUTED,
+    HEAD_CONST,
+    HEAD_SLOT,
     EvalContext,
+    FlatPlan,
     Plan,
-    build_plan,
-    cache_plan_bounded,
+    banded_plan,
     cardinality_band,
-    instantiate_head,
+    compile_head,
+    eval_term,
+    positive_preds,
     run_flat,
     solve,
 )
 from .stratify import Stratum, stratify
-from .terms import Aggregate, Atom, Constant, Literal, Rule, Variable
+from .terms import Aggregate, Atom, Literal, Rule, Variable
 
 #: pred -> set of tuples; the currency of incremental propagation.
 FactSet = dict[str, set]
-
-
-def _compile_head(atom: Atom):
-    """A fast ground-tuple constructor for an all-const/var head, else None."""
-    spec = []
-    for term in atom.all_args:
-        if isinstance(term, Variable):
-            spec.append((True, term.name))
-        elif isinstance(term, Constant):
-            spec.append((False, term.value))
-        else:
-            return None  # quotes / expressions need the generic path
-    spec = tuple(spec)
-    pred = atom.pred
-
-    def construct(bindings: Bindings) -> tuple:
-        try:
-            return tuple([bindings[payload] if is_var else payload
-                          for is_var, payload in spec])
-        except KeyError as exc:
-            raise SafetyError(
-                f"head variable {exc.args[0]!r} of {pred} is not bound by the body"
-            ) from None
-
-    return construct
 
 
 @dataclass
 class EngineRule:
     """A normalized single-head rule plus its cached join plans.
 
-    Plans are cached per ``(delta_position, cardinality bands)``: the band
-    signature maps each positive body relation's live size through
-    :func:`repro.datalog.runtime.cardinality_band` (empty / small / one
-    band per power of *four*), so a cached plan is reused until some
-    input relation grows or shrinks past a band boundary — coarse enough
-    to keep rebuilds rare, fine enough that the cost model reacts to
-    order-of-magnitude cardinality shifts.
+    Plans are cached per ``(delta_position, cardinality bands)`` by
+    :func:`repro.datalog.runtime.banded_plan`, the band signature running
+    over :func:`~repro.datalog.runtime.positive_preds` of the body.
     """
-
-    MAX_CACHED_PLANS: ClassVar[int] = 128
 
     head: Atom
     body: tuple
@@ -90,7 +63,6 @@ class EngineRule:
     source: Optional[Rule] = None
     _plans: dict = field(default_factory=dict, repr=False)
     _size_preds: Optional[tuple] = field(default=None, repr=False)
-    _head_ctor: Any = field(default=False, repr=False)
     _positive_positions: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -98,66 +70,14 @@ class EngineRule:
         # Shape-compatibility with terms.Rule for stratify().
         return (self.head,)
 
-    def head_ctor(self):
-        """Compiled head instantiator, or None when the head needs quotes."""
-        if self._head_ctor is False:
-            self._head_ctor = _compile_head(self.head)
-        return self._head_ctor
-
     def plan(self, context: EvalContext, delta_position: Optional[int],
              db: Optional[Database] = None,
              stats: Optional["EvalStats"] = None) -> Plan:
-        if stats is None:
-            stats = context.stats
-        sizes = None
         preds = self._size_preds
         if preds is None:
-            preds = self._size_preds = tuple(dict.fromkeys(
-                item.atom.pred for item in self.body
-                if isinstance(item, Literal) and not item.negated))
-        sized = False
-        if db is None or len(preds) <= 1:
-            # One distinct positive predicate: every candidate literal has
-            # the same cardinality, so the cost model cannot change the
-            # order — don't let size churn invalidate the cached plan.
-            key = (delta_position, None)
-        else:
-            relations = db.relations
-            signature = []
-            for pred in preds:
-                relation = relations.get(pred)
-                signature.append(cardinality_band(
-                    len(relation) if relation is not None else 0))
-            if max(signature) <= 1:
-                # Everything is small: any order is fine, so share one
-                # greedy plan instead of churning sized plans while the
-                # relations fill up.
-                key = (delta_position, None)
-            else:
-                sized = True
-                key = (delta_position, tuple(signature))
-        plan = self._plans.get(key)
-        if plan is None:
-            if sized:
-                # The live relations go to the cost model (they answer
-                # per-column distinct counts); built only on a cache
-                # miss — the hot path is a band-keyed hit.
-                relations = db.relations
-                sizes = {
-                    pred: relations.get(pred) if pred in relations else 0
-                    for pred in preds
-                }
-            plan = build_plan(self.body, first=delta_position,
-                              builtins=context.builtins, sizes=sizes)
-            cache_plan_bounded(self._plans, key, plan,
-                               self.MAX_CACHED_PLANS, stats)
-            if stats is not None:
-                stats.plans_built += 1
-                if plan.reordered:
-                    stats.reorder_wins += 1
-        elif stats is not None:
-            stats.plan_cache_hits += 1
-        return plan
+            preds = self._size_preds = positive_preds(self.body)
+        return banded_plan(self._plans, delta_position, self.body, preds, db,
+                           context, stats, first=delta_position)
 
     def evict_shrunk_plans(self, db: Database,
                            shrunk: Iterable[str]) -> int:
@@ -292,9 +212,12 @@ class EvalStats:
       engine installs it for the duration of each stratum pass);
     * ``terms_interned`` / ``intern_hits`` — :class:`TermInterner` traffic
       while installed: new ids allocated vs values already interned;
-    * ``id_joins`` — indexed id-space probes issued by the flat join core
+    * ``id_joins`` — indexed id-space probes issued by the join walker
       (:func:`repro.datalog.runtime.run_flat`), i.e. joins that never
-      touched a boxed value;
+      touched a boxed value.  Every body evaluation runs on that walker,
+      so this covers constraint LHS/RHS probes, DRed over-deletion,
+      aggregate bodies, ``Workspace.query`` and provenance-recording
+      runs too, not only plain rule application;
     * ``value_materializations`` — id rows (or whole relations' worth of
       rows, counted per row) converted back to boxed value tuples at an
       output boundary: ``Relation.tuples`` / ``lookup`` reads, stratum
@@ -303,7 +226,9 @@ class EvalStats:
       by the join core, and how many of those had no bound column and had
       to scan the whole relation;
     * ``plans_built`` / ``plan_cache_hits`` — join plans compiled vs
-      served from a rule's band-keyed plan cache;
+      served from a band-keyed plan cache (a rule's, or a workspace's
+      constraint plans — resolved once per constraint alternative per
+      check, not once per witness);
     * ``reorder_wins`` — built plans where the cardinality cost model
       chose a different positive-literal order than the boundness-greedy
       baseline would have;
@@ -530,10 +455,9 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
     be fact sets or prebuilt :class:`Relation` objects (the stratum loop
     passes COW-wrapped relations so they are built once per round, not
     once per rule application); wrapped delta relations share
-    ``db.interner`` so the flat path can probe them in id space.
+    ``db.interner`` so the join can probe them in id space.
     """
     interner = db.interner
-    head_relation = db.rel(rule.head.pred)
     delta_relations: Optional[dict[str, Relation]] = None
     if delta is not None:
         if all(isinstance(facts, Relation) for facts in delta.values()):
@@ -545,108 +469,84 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
                 for pred, facts in delta.items()
             }
     plan = rule.plan(context, delta_position, db=db, stats=stats)
-    fired = 0
-    head_ctor = rule.head_ctor()
-    if head_ctor is not None and provenance is None:
-        flat = plan.flat()
-        spec = _flat_head_spec(rule, flat) if flat is not None else None
-        if spec is not None:
-            produced_rows: set = set()
-            fired = _apply_rule_flat(flat, spec, db, context, delta_relations,
-                                     delta_position, head_relation,
-                                     produced_rows)
-            if stats is not None and fired:
-                stats.derivations += fired
-                stats.fire(rule.label or rule.head.pred, fired)
-            if as_rows:
-                return produced_rows
-            materialize = interner.materialize_row
-            return {materialize(row) for row in produced_rows}
-        produced: set = set()
-        for bindings in solve(rule.body, db, context, plan=plan,
-                              delta=delta_relations,
-                              delta_position=delta_position):
-            fact = head_ctor(bindings)
-            fired += 1
-            if fact in head_relation or fact in produced:
-                continue
-            produced.add(fact)
-    else:
-        produced = set()
-        solutions = solve(rule.body, db, context, plan=plan,
-                          delta=delta_relations, delta_position=delta_position)
-        for bindings in solutions:
-            fact = instantiate_head(rule.head, bindings, context)
-            fired += 1
-            if fact in head_relation or fact in produced:
-                if provenance is not None:
-                    _record_provenance(provenance, rule, fact, bindings, context)
-                continue
-            produced.add(fact)
-            if provenance is not None:
-                _record_provenance(provenance, rule, fact, bindings, context)
+    produced: set = set()
+    fired = derive_rows(rule, plan.flat(), db, context, delta_relations,
+                        delta_position, db.rel(rule.head.pred).rows, produced,
+                        provenance)
     if stats is not None and fired:
         stats.derivations += fired
         stats.fire(rule.label or rule.head.pred, fired)
     if as_rows:
-        intern_row = interner.intern_row
-        return {intern_row(fact) for fact in produced}
-    return produced
+        return produced
+    materialize = interner.materialize_row
+    return {materialize(row) for row in produced}
 
 
-def _flat_head_spec(rule: EngineRule, flat) -> Optional[tuple]:
-    """Head template in register terms: ``(is_slot, slot_or_const)`` pairs.
+def derive_rows(rule: EngineRule, flat: FlatPlan, db: Database,
+                context: EvalContext, delta_relations, delta_position,
+                known_rows, produced: set,
+                provenance: Optional[ProvenanceStore] = None) -> int:
+    """Walk one rule's register plan, collecting head id rows.
 
-    None when some head variable has no register (not bound by the body's
-    positive literals) — the generic path then reports the safety error.
+    Every solution's head row (over ``db.interner``) lands in ``produced``
+    unless it is in ``known_rows`` or already produced; returns the
+    number of firings.  Head constants are interned per call, never baked
+    into the cached plan — plans are shared across databases with
+    different interners.  An all-variable/constant head without
+    provenance is emitted inline by :func:`run_flat`; a computed head
+    term (quote template, expression) or a provenance store takes the
+    walker's callback leaf, which builds the same row from the registers
+    and records the matched body facts.
     """
-    spec = flat.head_spec
-    if spec is None:
-        slot_of = flat.slot_of
-        entries: Optional[list] = []
-        for term in rule.head.all_args:
-            if isinstance(term, Variable):
-                slot = slot_of.get(term.name)
-                if slot is None:
-                    entries = None
-                    break
-                entries.append((True, slot))
-            else:  # head_ctor() ensured only Variable/Constant occur
-                entries.append((False, term.value))
-        spec = flat.head_spec = (
-            tuple(entries) if entries is not None else False)
-    return spec if spec is not False else None
+    interner = db.interner
+    intern = interner.intern
+    if flat.head_spec is None:
+        spec = compile_head(rule.head, flat.slot_of)
+        flat.head_spec = (
+            spec, any(kind == HEAD_COMPUTED for kind, _ in spec))
+    spec, computed = flat.head_spec
+    id_spec = tuple([(kind, intern(payload) if kind == HEAD_CONST else payload)
+                     for kind, payload in spec])
+    on_solution: Optional[Callable] = None
+    if computed or provenance is not None:
+        values = interner.values
+        supports = flat.supports
+        if provenance is not None and supports is None:
+            supports = flat.supports = tuple(
+                (item.atom.pred, compile_head(item.atom, flat.slot_of))
+                for item in rule.body
+                if isinstance(item, Literal) and not item.negated)
+        head_pred = rule.head.pred
+        label = rule.label or "rule"
 
+        def emit(registers: list) -> None:
+            row = tuple([
+                registers[payload] if kind == HEAD_SLOT
+                else payload if kind == HEAD_CONST
+                else intern(payload(registers, values, context))
+                for kind, payload in id_spec])
+            if row not in known_rows and row not in produced:
+                produced.add(row)
+            if provenance is not None:
+                provenance.record(
+                    head_pred, tuple([values[term] for term in row]), label,
+                    tuple([(pred, _instantiate(body_spec, registers, values,
+                                               context))
+                           for pred, body_spec in supports]))
 
-def _apply_rule_flat(flat, spec: tuple, db: Database, context: EvalContext,
-                     delta_relations, delta_position,
-                     head_relation: Relation, produced: set) -> int:
-    """Register-based rule application entirely in id space.
-
-    ``produced`` collects id rows over ``db.interner``; head constants
-    are interned per call (never baked into the cached plan — plans are
-    shared across databases with different interners).  Emission and
-    against-the-head dedup happen inside :func:`run_flat` itself.
-    Returns the number of firings.
-    """
-    intern = db.interner.intern
-    id_spec = tuple(
-        (is_slot, payload if is_slot else intern(payload))
-        for is_slot, payload in spec)
+        on_solution = emit
     return run_flat(flat, db, context, delta_relations, delta_position,
-                    id_spec, head_relation.rows, produced)
+                    id_spec, known_rows, produced, None, on_solution)
 
 
-def _record_provenance(provenance: ProvenanceStore, rule: EngineRule,
-                       fact: tuple, bindings: Bindings,
-                       context: EvalContext) -> None:
-    supports = []
-    for item in rule.body:
-        if isinstance(item, Literal) and not item.negated:
-            body_fact = instantiate_head(item.atom, bindings, context)
-            supports.append((item.atom.pred, body_fact))
-    provenance.record(rule.head.pred, fact, rule.label or "rule",
-                      tuple(supports))
+def _instantiate(spec: tuple, registers: list, values: list,
+                 context: EvalContext) -> tuple:
+    """The ground *value* tuple of a :func:`compile_head` template."""
+    return tuple([
+        values[registers[payload]] if kind == HEAD_SLOT
+        else payload if kind == HEAD_CONST
+        else payload(registers, values, context)
+        for kind, payload in spec])
 
 
 def apply_aggregate_rule(rule: EngineRule, db: Database, context: EvalContext,
@@ -663,8 +563,6 @@ def apply_aggregate_rule(rule: EngineRule, db: Database, context: EvalContext,
         raise SafetyError("apply_aggregate_rule on a non-aggregate rule")
     groups: dict[tuple, list] = {}
     seen_signatures: set = set()
-    from .runtime import eval_term  # local import to avoid cycle at module load
-
     head_vars = [
         term for term in rule.head.all_args
     ]

@@ -26,10 +26,11 @@ from .engine import (
     EvalStats,
     FactSet,
     ProvenanceStore,
+    derive_rows,
     eval_stratum,
     recompute_stratum,
 )
-from .runtime import EvalContext, instantiate_head, solve
+from .runtime import EvalContext
 from .stratify import Stratum
 from .terms import Literal
 
@@ -122,6 +123,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
             restored.add(fact)
 
     # -- Phase 1: over-delete.
+    materialize = shadow.interner.materialize_row
     overdeleted: FactSet = {}
     frontier: FactSet = {
         pred: set(facts) for pred, facts in deleted_below.items()
@@ -137,18 +139,19 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
                 if item.atom.pred not in frontier:
                     continue
                 plan = rule.plan(context, position, db=shadow, stats=stats)
-                for bindings in solve(rule.body, shadow, context, plan=plan,
-                                      delta=delta_rels, delta_position=position):
-                    fact = instantiate_head(rule.head, bindings, context)
-                    pred = rule.head.pred
-                    if fact in overdeleted.get(pred, set()):
-                        continue
-                    if fact not in shadow.rel(pred):
-                        continue  # was never derived
-                    overdeleted.setdefault(pred, set()).add(fact)
-                    next_frontier.setdefault(pred, set()).add(fact)
+                candidates: set = set()
+                derive_rows(rule, plan.flat(), shadow, context, delta_rels,
+                            position, (), candidates)
+                pred = rule.head.pred
+                # Only facts that were actually derived can be over-deleted.
+                candidates &= shadow.rel(pred).rows
+                fresh = ({materialize(row) for row in candidates}
+                         - overdeleted.get(pred, set()))
+                if fresh:
+                    overdeleted.setdefault(pred, set()).update(fresh)
+                    next_frontier.setdefault(pred, set()).update(fresh)
                     if stats is not None:
-                        stats.derivations += 1
+                        stats.derivations += len(fresh)
         frontier = next_frontier
 
     # -- Phase 2: physically remove over-deleted facts.

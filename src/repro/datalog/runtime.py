@@ -1,12 +1,15 @@
-"""The join core: term evaluation, literal matching, conjunction solving.
+"""The join core: term evaluation, plan compilation, the register walker.
 
 Everything that enumerates satisfying assignments of a conjunctive body —
-bottom-up rule application, semi-naive deltas, constraint checking,
-tabled top-down resolution — funnels through :func:`solve`, so correctness
-fixes and index use land in one place.
+bottom-up rule application, semi-naive deltas, DRed over-deletion,
+aggregation, constraint checking, workspace queries — runs on one
+executor: :func:`build_plan` compiles the conjunction to a
+:class:`FlatPlan` and :func:`run_flat` walks it, so correctness fixes and
+index use land in one place.  (:mod:`repro.datalog.topdown` keeps its own
+SLD resolver and shares no join code: it is the independent oracle the
+tests compare this walker against.)
 
-A *binding* is a plain ``dict`` mapping variable names to ground Python
-values.  Plans order body items so that every comparison, builtin call and
+Plans order body items so that every comparison, builtin call and
 negated literal runs as soon as its inputs are bound (they are cheap
 filters).  Positive literals are ordered by a *cost model* when live
 relation sizes are available (estimated scan cost; a bound column keeps
@@ -15,12 +18,14 @@ counts, 10x selective as the statistics-free fallback), falling back to
 the greedy most-bound-columns heuristic otherwise; ties always break the
 greedy way, so plans only change when cardinalities actually justify it.
 
-Plans are *compiled*: scheduling decides once, per step, which argument
-positions are index-probe keys, which bind fresh variables, and which need
-an intra-tuple equality check, so the per-row inner loop does no term
-classification at all.  A compiled plan assumes the set of initially-bound
-variables it was built for (:attr:`Plan.assumes`); :func:`solve` falls
-back to building a fresh plan when handed bindings with a different shape.
+Plans are *compiled*: variables live in numbered registers holding
+interned term ids, and scheduling decides once, per step, which argument
+positions are index-probe keys, which bind fresh registers, and which
+need an intra-tuple equality check, so the per-row inner loop does no
+term classification at all.  Variables the caller binds up front
+(:attr:`Plan.assumes` — e.g. a constraint's LHS witness seeding its RHS
+probe) get the first registers; :func:`solve` falls back to building a
+fresh plan when handed bindings with a different shape.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .terms import (
     PartitionTerm,
     PredPartition,
     Quote,
-    Rule,
     Term,
     Variable,
 )
@@ -121,88 +125,6 @@ def term_vars(term: Term) -> set[str]:
     return {v.name for v in term.variables()}
 
 
-def item_input_vars(item) -> set[str]:
-    """Variables that must be bound before ``item`` can run as a filter."""
-    if isinstance(item, Literal):
-        return {v.name for v in item.variables()} if item.negated else set()
-    if isinstance(item, Comparison):
-        if item.op == "=":
-            # '=' can bind one unbound side; inputs are the other side's vars.
-            return set()
-        return term_vars(item.left) | term_vars(item.right)
-    if isinstance(item, BuiltinCall):
-        return set()
-    raise TypeError(f"unexpected body item {item!r}")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# Literal matching
-# ---------------------------------------------------------------------------
-
-def match_literal(atom: Atom, relation: Relation, bindings: Bindings,
-                  context: EvalContext) -> Iterator[Bindings]:
-    """Yield extensions of ``bindings`` for each matching tuple.
-
-    Bound columns are collected first so the relation's hash index can
-    narrow the scan; remaining columns bind or filter positionally.
-    """
-    args = atom.all_args
-    bound_positions: list[int] = []
-    bound_values: list[Any] = []
-    free: list[tuple[int, Variable]] = []
-    # Variables occurring twice among the free args need an equality check.
-    for position, term in enumerate(args):
-        if isinstance(term, Variable) and term.name not in bindings:
-            free.append((position, term))
-            continue
-        try:
-            value = eval_term(term, bindings, context)
-        except Unbound as exc:
-            raise SafetyError(
-                f"argument {term!r} of {atom.pred} is not bound at join time"
-            ) from exc
-        bound_positions.append(position)
-        bound_values.append(value)
-
-    stats = context.stats
-    if bound_positions:
-        if stats is not None:
-            stats.literal_scans += 1
-        candidates = relation.lookup(tuple(bound_positions), tuple(bound_values))
-    else:
-        if stats is not None:
-            stats.literal_scans += 1
-            stats.full_scans += 1
-        candidates = relation.tuples
-
-    for row in candidates:
-        if len(row) != len(args):
-            continue  # arity mismatch: treat as no match (catalog prevents this)
-        new_bindings: Optional[Bindings] = None
-        ok = True
-        for position, var in free:
-            value = row[position]
-            if new_bindings is None:
-                new_bindings = dict(bindings)
-            if var.name in new_bindings:
-                if new_bindings[var.name] != value:
-                    ok = False
-                    break
-            else:
-                new_bindings[var.name] = value
-        if not ok:
-            continue
-        yield new_bindings if new_bindings is not None else dict(bindings)
-
-
-def literal_holds(atom: Atom, relation: Relation, bindings: Bindings,
-                  context: EvalContext) -> bool:
-    """True iff the (fully evaluable or partially free) atom has a match."""
-    for _ in match_literal(atom, relation, bindings, context):
-        return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Plans
 # ---------------------------------------------------------------------------
@@ -241,259 +163,74 @@ def cardinality_band(size: int) -> int:
     return size.bit_length() >> 1
 
 
-class _LiteralOp:
-    """Compiled positive/negated literal step: precomputed access path.
-
-    ``key_positions`` are the argument positions probed through the
-    relation index; their values come from ``key_const`` (fully constant
-    key) or from filling ``key_template`` via ``key_var_slots`` /
-    ``key_eval_slots``.  ``free`` binds first-occurrence variables from the
-    matched row; ``checks`` are intra-tuple equalities for repeated free
-    variables (``p(X, X)``).
-    """
-
-    __slots__ = ("index", "item", "pred", "negated", "arity", "key_positions",
-                 "key_const", "key_template", "key_var_slots",
-                 "key_eval_slots", "free", "checks")
-
-    def __init__(self, index: int, item: "Literal", bound: set) -> None:
-        atom = item.atom
-        args = atom.all_args
-        self.index = index
-        self.item = item
-        self.pred = atom.pred
-        self.negated = item.negated
-        self.arity = len(args)
-        key_positions: list[int] = []
-        template: list = []
-        var_slots: list = []
-        eval_slots: list = []
-        free: list = []
-        checks: list = []
-        first_at: dict[str, int] = {}
-        for position, term in enumerate(args):
-            if isinstance(term, Variable):
-                name = term.name
-                if name in bound:
-                    key_positions.append(position)
-                    var_slots.append((len(template), name))
-                    template.append(None)
-                elif name in first_at:
-                    checks.append((position, first_at[name]))
-                else:
-                    first_at[name] = position
-                    free.append((position, name))
-            elif isinstance(term, Constant):
-                key_positions.append(position)
-                template.append(term.value)
-            else:
-                key_positions.append(position)
-                eval_slots.append((len(template), term))
-                template.append(None)
-        self.key_positions = tuple(key_positions)
-        self.key_template = template
-        self.key_var_slots = tuple(var_slots)
-        self.key_eval_slots = tuple(eval_slots)
-        self.key_const = tuple(template) if not (var_slots or eval_slots) else None
-        self.free = tuple(free)
-        self.checks = tuple(checks)
-
-    def _key(self, current: Bindings, context: EvalContext) -> tuple:
-        key = self.key_const
-        if key is not None:
-            return key
-        filled = list(self.key_template)
-        for slot, name in self.key_var_slots:
-            filled[slot] = current[name]
-        for slot, term in self.key_eval_slots:
-            try:
-                filled[slot] = eval_term(term, current, context)
-            except Unbound as exc:
-                raise SafetyError(
-                    f"argument {term!r} of {self.pred} is not bound at join time"
-                ) from exc
-        return tuple(filled)
-
-    def run(self, current: Bindings, cont, db: Database,
-            context: EvalContext, delta, delta_position) -> Iterator[Bindings]:
-        if delta is not None and self.index == delta_position:
-            source = delta.get(self.pred)
-            if source is None:
-                if self.negated:
-                    yield from cont(current)
-                return
-        else:
-            source = db.rel(self.pred)
-        stats = context.stats
-        if self.key_positions:
-            if stats is not None:
-                stats.literal_scans += 1
-            candidates = source.lookup(self.key_positions,
-                                       self._key(current, context))
-        else:
-            if stats is not None:
-                stats.literal_scans += 1
-                stats.full_scans += 1
-            candidates = source.tuples
-        arity = self.arity
-        checks = self.checks
-        if self.negated:
-            for row in candidates:
-                if len(row) != arity:
-                    continue
-                for position, first in checks:
-                    if row[position] != row[first]:
-                        break
-                else:
-                    return  # a witness exists: the negation fails
-            yield from cont(current)
-            return
-        free = self.free
-        if free:
-            for row in candidates:
-                if len(row) != arity:
-                    continue
-                ok = True
-                for position, first in checks:
-                    if row[position] != row[first]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                extended = current.copy()
-                for position, name in free:
-                    extended[name] = row[position]
-                yield from cont(extended)
-        else:
-            for row in candidates:
-                if len(row) != arity:
-                    continue
-                yield from cont(current)
-
-
-_FILTER, _ASSIGN_LEFT, _ASSIGN_RIGHT = 0, 1, 2
-
-
-class _CompareOp:
-    """Compiled comparison step; '=' assignment direction decided statically."""
-
-    __slots__ = ("index", "item", "mode")
-
-    def __init__(self, index: int, item: Comparison, bound: set) -> None:
-        self.index = index
-        self.item = item
-        self.mode = _FILTER
-        if item.op == "=":
-            left_unbound = (isinstance(item.left, Variable)
-                            and item.left.name not in bound)
-            right_unbound = (isinstance(item.right, Variable)
-                             and item.right.name not in bound)
-            if left_unbound and not right_unbound:
-                self.mode = _ASSIGN_LEFT
-            elif right_unbound and not left_unbound:
-                self.mode = _ASSIGN_RIGHT
-
-    def run(self, current: Bindings, cont, db: Database,
-            context: EvalContext, delta, delta_position) -> Iterator[Bindings]:
-        item = self.item
-        mode = self.mode
-        if mode == _ASSIGN_LEFT:
-            extended = current.copy()
-            extended[item.left.name] = eval_term(item.right, current, context)
-            yield from cont(extended)
-            return
-        if mode == _ASSIGN_RIGHT:
-            extended = current.copy()
-            extended[item.right.name] = eval_term(item.left, current, context)
-            yield from cont(extended)
-            return
-        left = eval_term(item.left, current, context)
-        right = eval_term(item.right, current, context)
-        if apply_comparison(item.op, left, right):
-            yield from cont(current)
-
-
-class _BuiltinOp:
-    """Compiled builtin call: definition and argument positions resolved."""
-
-    __slots__ = ("index", "item", "definition", "input_args", "output_args")
-
-    def __init__(self, index: int, item: BuiltinCall, definition) -> None:
-        self.index = index
-        self.item = item
-        self.definition = definition
-        self.input_args = tuple(item.args[p] for p in definition.input_positions)
-        self.output_args = tuple(item.args[p] for p in definition.output_positions)
-
-    def run(self, current: Bindings, cont, db: Database,
-            context: EvalContext, delta, delta_position) -> Iterator[Bindings]:
-        inputs = tuple(eval_term(arg, current, context)
-                       for arg in self.input_args)
-        for row in invoke_builtin(self.definition, inputs, context.payload):
-            extended = current.copy()
-            ok = True
-            for out_value, target in zip(row, self.output_args):
-                if isinstance(target, Variable):
-                    existing = extended.get(target.name, _MISSING)
-                    if existing is _MISSING:
-                        extended[target.name] = out_value
-                    elif existing != out_value:
-                        ok = False
-                        break
-                else:
-                    if eval_term(target, extended, context) != out_value:
-                        ok = False
-                        break
-            if ok:
-                yield from cont(extended)
-
-
-class _FlatUnsupported(Exception):
-    """Internal signal: a plan step cannot be register-compiled."""
-
-
-def _compile_flat_term(term: Term, slot_of: dict) -> Callable:
-    """Compile a term into a ``(registers, values) -> value`` getter.
+def _compile_term(term: Term, slot_of: dict) -> Callable:
+    """Compile a term into a ``(registers, values, context) -> value`` getter.
 
     Registers hold interned term *ids*; ``values`` is the interner's
     inverse table, so a variable getter materializes its slot with one
-    list index.  Supports constants, register-resident variables,
-    arithmetic expressions and partition terms over those.  Quotes (which
-    need the evaluation context's meta registry) raise
-    :class:`_FlatUnsupported`, sending the whole plan down the generic
-    pipeline.
+    list index.  Registers are reused across branches of the walk, so a
+    getter may read only slots the plan order has bound *at this step* —
+    exactly the names in ``slot_of`` when it is compiled.  A variable
+    with no slot yet compiles to a getter raising :class:`Unbound` (the
+    caller names the error when, and only when, the step actually runs);
+    a quote materializes just its pattern variables bound so far and
+    defers to the meta registry through ``context.instantiate_quote``,
+    leaving the others as variables of the generated rule.
     """
     if isinstance(term, Constant):
         value = term.value
-        return lambda registers, values: value
+        return lambda registers, values, context: value
     if isinstance(term, Variable):
         slot = slot_of.get(term.name)
         if slot is None:
-            raise _FlatUnsupported(term.name)
-        return lambda registers, values: values[registers[slot]]
+            name = term.name
+
+            def unbound(registers, values, context):
+                raise Unbound(name)
+            return unbound
+        return lambda registers, values, context: values[registers[slot]]
     if isinstance(term, Expr):
         op = term.op
-        left = _compile_flat_term(term.left, slot_of)
-        right = _compile_flat_term(term.right, slot_of)
-        return lambda registers, values: apply_arith(
-            op, left(registers, values), right(registers, values))
+        left = _compile_term(term.left, slot_of)
+        right = _compile_term(term.right, slot_of)
+        return lambda registers, values, context: apply_arith(
+            op, left(registers, values, context),
+            right(registers, values, context))
     if isinstance(term, PartitionTerm):
         pred = term.pred
-        keys = tuple(_compile_flat_term(k, slot_of) for k in term.keys)
-        return lambda registers, values: PredPartition(
-            pred, tuple(k(registers, values) for k in keys))
-    raise _FlatUnsupported(term)
+        keys = tuple(_compile_term(k, slot_of) for k in term.keys)
+        return lambda registers, values, context: PredPartition(
+            pred, tuple(k(registers, values, context) for k in keys))
+    if isinstance(term, Quote):
+        bound = tuple((name, slot_of[name])
+                      for name in sorted(term_vars(term)) if name in slot_of)
+
+        def instantiate(registers, values, context):
+            if context.instantiate_quote is None:
+                raise BuiltinError(
+                    "quote template encountered but no meta registry is "
+                    "attached")
+            return context.instantiate_quote(
+                term, {name: values[registers[slot]] for name, slot in bound})
+        return instantiate
+    raise BuiltinError(f"cannot evaluate term {term!r}")  # pragma: no cover
 
 
-class _FlatStep:
-    """One literal of a flat (register-based) plan; see :class:`FlatPlan`.
+class _LiteralStep:
+    """Compiled positive/negated literal: a precomputed access path.
 
-    Probe keys carry constants as *values* (``key_const`` /
-    ``const_fills``): compiled plans are cached per rule and reused
-    across databases with different interners, so constants resolve to
-    ids per :func:`run_flat` call, never at compile time.
-    ``single_var`` short-circuits the hottest shape — a single-column key
-    filled from one register — to a bare id with no template copy.
+    ``key_positions`` are the argument positions probed through the
+    relation index.  Probe keys carry constants as *values* (``key_const``
+    for a fully constant key, else ``const_fills`` into ``key_template``):
+    compiled plans are cached per rule and reused across databases with
+    different interners, so constants resolve to ids per :func:`run_flat`
+    call, never at compile time.  ``var_fills`` copy bound registers into
+    the template and ``eval_fills`` compute expression/quote-valued key
+    columns; ``single_var`` short-circuits the hottest shape — a
+    single-column key filled from one register — to a bare id with no
+    template copy.  ``free`` binds first-occurrence variables from the
+    matched row into fresh registers; ``checks`` are intra-tuple
+    equalities for repeated free variables (``p(X, X)``).
     """
 
     kind = 0
@@ -502,72 +239,99 @@ class _FlatStep:
                  "key_single", "key_const", "key_template", "const_fills",
                  "var_fills", "eval_fills", "single_var", "free", "checks")
 
-    def __init__(self, op: "_LiteralOp", slot_of: dict) -> None:
-        self.index = op.index
-        self.pred = op.pred
-        self.negated = op.negated
-        self.arity = op.arity
-        self.key_positions = op.key_positions
-        self.key_single = len(op.key_positions) == 1
-        self.key_const = op.key_const
-        self.key_template = op.key_template
-        self.var_fills = tuple(
-            (template_slot, slot_of[name])
-            for template_slot, name in op.key_var_slots)
-        self.eval_fills = tuple(
-            (template_slot, _compile_flat_term(term, slot_of))
-            for template_slot, term in op.key_eval_slots)
-        if op.key_const is not None:
+    def __init__(self, index: int, item: Literal, slot_of: dict) -> None:
+        atom = item.atom
+        args = atom.all_args
+        self.index = index
+        self.pred = atom.pred
+        self.negated = item.negated
+        self.arity = len(args)
+        key_positions: list[int] = []
+        template: list = []
+        const_fills: list = []
+        var_fills: list = []
+        eval_fills: list = []
+        free: list = []
+        checks: list = []
+        first_at: dict[str, int] = {}
+        for position, term in enumerate(args):
+            if isinstance(term, Variable):
+                name = term.name
+                if name in slot_of:
+                    key_positions.append(position)
+                    var_fills.append((len(template), slot_of[name]))
+                    template.append(None)
+                elif name in first_at:
+                    checks.append((position, first_at[name]))
+                else:
+                    first_at[name] = position
+                    free.append((position, name))
+            elif isinstance(term, Constant):
+                key_positions.append(position)
+                const_fills.append((len(template), term.value))
+                template.append(term.value)
+            else:
+                key_positions.append(position)
+                eval_fills.append(
+                    (len(template), _compile_term(term, slot_of), term))
+                template.append(None)
+        self.key_positions = tuple(key_positions)
+        self.key_single = len(key_positions) == 1
+        self.key_template = template
+        self.var_fills = tuple(var_fills)
+        self.eval_fills = tuple(eval_fills)
+        if var_fills or eval_fills:
+            self.key_const = None
+            self.const_fills = tuple(const_fills)
+        else:
+            self.key_const = tuple(template)
             self.const_fills = ()
-        else:
-            filled_slots = {s for s, _ in op.key_var_slots}
-            filled_slots.update(s for s, _ in op.key_eval_slots)
-            self.const_fills = tuple(
-                (s, value) for s, value in enumerate(op.key_template)
-                if s not in filled_slots)
         self.single_var = (
-            self.var_fills[0][1]
-            if (self.key_single and len(self.var_fills) == 1
-                and not self.eval_fills and not self.const_fills)
+            var_fills[0][1]
+            if (self.key_single and len(var_fills) == 1
+                and not eval_fills and not const_fills)
             else None)
-        if op.negated:
-            self.free = ()  # existential: no bindings escape a negation
-        else:
-            self.free = tuple(
-                (position, slot_of.setdefault(name, len(slot_of)))
-                for position, name in op.free)
-        self.checks = op.checks
+        # Fresh registers are allocated only after the whole literal is
+        # classified (so ``p(X, X)`` is a check, not a probe on itself);
+        # a negation is existential — no bindings escape it.
+        self.free = () if item.negated else tuple(
+            (position, slot_of.setdefault(name, len(slot_of)))
+            for position, name in free)
+        self.checks = tuple(checks)
 
 
-#: Comparison-step modes (mirror of the generic :class:`_CompareOp`).
-_FLAT_CMP_FILTER, _FLAT_CMP_ASSIGN = 0, 1
+_CMP_FILTER, _CMP_ASSIGN = 0, 1
 
 
-class _FlatCompareStep:
-    """A register-compiled comparison: filter, or '='-assignment to a slot."""
+class _CompareStep:
+    """Compiled comparison: a filter, or an '='-assignment to a register
+    whose direction is decided statically."""
 
     kind = 1
 
     __slots__ = ("mode", "op", "left", "right", "slot", "value")
 
-    def __init__(self, op: "_CompareOp", slot_of: dict) -> None:
-        item = op.item
+    def __init__(self, item: Comparison, slot_of: dict) -> None:
         self.op = item.op
-        if op.mode == _ASSIGN_LEFT:
-            self.mode = _FLAT_CMP_ASSIGN
-            self.value = _compile_flat_term(item.right, slot_of)
-            self.slot = slot_of.setdefault(item.left.name, len(slot_of))
-            self.left = self.right = None
-        elif op.mode == _ASSIGN_RIGHT:
-            self.mode = _FLAT_CMP_ASSIGN
-            self.value = _compile_flat_term(item.left, slot_of)
-            self.slot = slot_of.setdefault(item.right.name, len(slot_of))
-            self.left = self.right = None
+        self.left = self.right = self.slot = self.value = None
+        target = source = None
+        if item.op == "=":
+            left_free = (isinstance(item.left, Variable)
+                         and item.left.name not in slot_of)
+            right_free = (isinstance(item.right, Variable)
+                          and item.right.name not in slot_of)
+            if left_free and not right_free:
+                target, source = item.left, item.right
+            elif right_free and not left_free:
+                target, source = item.right, item.left
+        if target is None:
+            self.mode = _CMP_FILTER
+            self.left = _compile_term(item.left, slot_of)
+            self.right = _compile_term(item.right, slot_of)
         else:
-            self.mode = _FLAT_CMP_FILTER
-            self.left = _compile_flat_term(item.left, slot_of)
-            self.right = _compile_flat_term(item.right, slot_of)
-            self.slot = self.value = None
+            self.mode = _CMP_ASSIGN
+            self.value = _compile_term(source, slot_of)
+            self.slot = slot_of.setdefault(target.name, len(slot_of))
 
 
 #: Builtin output actions: bind a fresh slot / compare against a slot
@@ -575,20 +339,23 @@ class _FlatCompareStep:
 _OUT_BIND, _OUT_CHECK_SLOT, _OUT_CHECK_VALUE = 0, 1, 2
 
 
-class _FlatBuiltinStep:
-    """A register-compiled builtin call: inputs are getters, outputs
-    either bind fresh slots or check already-bound values."""
+class _BuiltinStep:
+    """Compiled builtin call: definition and argument positions resolved;
+    inputs are getters, outputs either bind fresh slots or check
+    already-bound values."""
 
     kind = 2
 
     __slots__ = ("definition", "inputs", "outputs")
 
-    def __init__(self, op: "_BuiltinOp", slot_of: dict) -> None:
-        self.definition = op.definition
+    def __init__(self, item: BuiltinCall, definition, slot_of: dict) -> None:
+        self.definition = definition
         self.inputs = tuple(
-            _compile_flat_term(term, slot_of) for term in op.input_args)
+            _compile_term(item.args[position], slot_of)
+            for position in definition.input_positions)
         outputs = []
-        for target in op.output_args:
+        for position in definition.output_positions:
+            target = item.args[position]
             if isinstance(target, Variable):
                 slot = slot_of.get(target.name)
                 if slot is None:
@@ -598,7 +365,7 @@ class _FlatBuiltinStep:
                     outputs.append((_OUT_CHECK_SLOT, slot))
             else:
                 outputs.append(
-                    (_OUT_CHECK_VALUE, _compile_flat_term(target, slot_of)))
+                    (_OUT_CHECK_VALUE, _compile_term(target, slot_of)))
         self.outputs = tuple(outputs)
 
 
@@ -608,43 +375,59 @@ class FlatPlan:
     Variables live in numbered slots instead of binding dicts — and the
     slots hold term *ids*, so the innermost join loop does no dict
     copies, no generator suspensions and no boxed-value hashing —
-    :func:`run_flat` walks it with plain recursion and a callback.
-    Literals, comparisons ('=' assignment included), builtin calls and
-    expression-valued literal keys all compile; only quote terms (which
-    need the meta registry) keep the generic op pipeline.  Values are
+    :func:`run_flat` walks it with plain recursion.  Every body item
+    compiles: literals, comparisons ('=' assignment included), builtin
+    calls, and expression- or quote-valued literal keys.  Values are
     materialized only where semantics demand them: ordered comparisons,
-    arithmetic, and builtin invocation.
+    arithmetic, builtin invocation and quote instantiation.
     """
 
-    __slots__ = ("steps", "nslots", "slot_of", "head_spec", "join2")
+    __slots__ = ("steps", "nslots", "slot_of", "head_spec", "supports",
+                 "join2")
 
     def __init__(self, steps: tuple, slot_of: dict) -> None:
         self.steps = steps
         self.nslots = len(slot_of)
         self.slot_of = slot_of
-        self.head_spec = None  # lazily cached by apply_rule
+        #: lazily cached by the engine for the owning rule: the head's
+        #: ``(compile_head template, has-computed-term)`` and, under
+        #: provenance, the positive body atoms' templates
+        self.head_spec = None
+        self.supports = None
         self.join2 = None      # lazily compiled by run_flat (False: no)
 
 
-def _compile_flat(plan: "Plan") -> Optional[FlatPlan]:
-    if plan.assumes:
-        return None
-    slot_of: dict[str, int] = {}
-    steps: list = []
-    try:
-        for op in plan.ops:
-            cls = op.__class__
-            if cls is _LiteralOp:
-                steps.append(_FlatStep(op, slot_of))
-            elif cls is _CompareOp:
-                steps.append(_FlatCompareStep(op, slot_of))
-            elif cls is _BuiltinOp:
-                steps.append(_FlatBuiltinStep(op, slot_of))
-            else:  # pragma: no cover - no other op kinds exist
-                return None
-    except _FlatUnsupported:
-        return None
-    return FlatPlan(tuple(steps), slot_of)
+#: :func:`compile_head` entry kinds: a constant *value* / a register / a
+#: computed term (getter).  The first two coincide with the
+#: ``(is_slot, payload)`` pairs of :func:`run_flat`'s ``id_spec``.
+HEAD_CONST, HEAD_SLOT, HEAD_COMPUTED = 0, 1, 2
+
+
+def compile_head(atom: Atom, slot_of: dict) -> tuple:
+    """The template of ``atom`` in register terms: ``(kind, payload)`` pairs.
+
+    The one head instantiator: rule heads, and the body atoms provenance
+    records as supports, all compile here against the finished plan's
+    ``slot_of``.  Raises :class:`SafetyError` for a variable the body
+    never binds.  Variables inside quote templates are exempt — they
+    legitimately remain variables of the generated rule.
+    """
+    spec = []
+    for term in atom.all_args:
+        if isinstance(term, Constant):
+            spec.append((HEAD_CONST, term.value))
+            continue
+        if not isinstance(term, Quote):
+            missing = term_vars(term) - slot_of.keys()
+            if missing:
+                raise SafetyError(
+                    f"head variable {min(missing)!r} of {atom.pred} is not "
+                    f"bound by the body")
+        if isinstance(term, Variable):
+            spec.append((HEAD_SLOT, slot_of[term.name]))
+        else:
+            spec.append((HEAD_COMPUTED, _compile_term(term, slot_of)))
+    return tuple(spec)
 
 
 #: run_flat's "this probe key mentions a value no relation has ever seen"
@@ -666,15 +449,24 @@ _SKIP_ENTRY = (_P_SKIP, None, None)
 
 
 def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
-             delta, delta_position, id_spec: tuple, head_rows: set,
-             produced: set) -> int:
-    """Run a flat plan in id space, emitting head id rows; returns firings.
+             delta, delta_position, id_spec: Optional[tuple],
+             head_rows: Optional[set], produced: Optional[set],
+             seed: Optional[Bindings] = None,
+             on_solution: Optional[Callable] = None) -> int:
+    """Run a flat plan in id space; returns the number of solutions.
 
-    ``id_spec`` is the head template in id terms — ``(True, slot)`` for a
-    register, ``(False, id)`` for an already-interned constant; every
-    solution instantiates it and the row lands in ``produced`` unless it
-    is already in ``head_rows`` or ``produced`` (rule-application dedup,
-    inlined here so no per-solution callback frame exists).
+    There are two leaves.  By default every solution instantiates
+    ``id_spec`` — the head template in id terms: ``(True, slot)`` for a
+    register, ``(False, id)`` for an already-interned constant — and the
+    row lands in ``produced`` unless it is already in ``head_rows`` or
+    ``produced`` (rule-application dedup, inlined here so no per-solution
+    callback frame exists).  With ``on_solution`` the walker instead
+    hands each solution's live register list to the callback, which must
+    read what it needs before returning (registers are reused across
+    branches) and may raise to stop the walk — that is how bindings
+    dicts, existence checks, computed heads and provenance ride the same
+    walker.  ``seed`` binds the plan's :attr:`Plan.assumes` variables
+    before the first step.
 
     A prepare pass resolves each literal step per call — never at
     compile time, since plans are cached per rule and shared across
@@ -683,10 +475,9 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
     the interner has never seen cannot match any stored row, so the
     literal short-circuits to empty without growing the table), and the
     hash index itself via :meth:`Relation.index_for` — so index traffic
-    is counted once per rule application on this path, while probes bind
-    a plain ``dict.get``.  ``literal_scans``/``full_scans`` are counted
-    exactly like the generic pipeline, plus ``id_joins`` per indexed
-    id-space probe.
+    is counted once per walk, while probes bind a plain ``dict.get``.
+    ``literal_scans`` counts every literal step executed, ``full_scans``
+    those with no bound column, ``id_joins`` every indexed id-space probe.
     """
     steps = flat.steps
     nsteps = len(steps)
@@ -702,7 +493,7 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
     # EDB joins, compile to exactly this).  The shape analysis is cached
     # on the plan; only interner-dependent state (sources, key ids, the
     # index) resolves per call.
-    if nsteps == 2:
+    if nsteps == 2 and on_solution is None:
         join2 = flat.join2
         if join2 is None:
             join2 = flat.join2 = _compile_join2(steps, id_spec)
@@ -755,12 +546,19 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
             _P_PROBE_FILL, source.index_for(positions).get, base)
 
     registers = flat.nslots * [None]
+    if seed:
+        slot_of = flat.slot_of
+        for name, value in seed.items():
+            registers[slot_of[name]] = intern(value)
     fired = 0
 
     def run(number: int) -> None:
         nonlocal fired
         if number == nsteps:
             fired += 1
+            if on_solution is not None:
+                on_solution(registers)
+                return
             out = tuple([registers[payload] if is_slot else payload
                          for is_slot, payload in id_spec])
             if out not in head_rows and out not in produced:
@@ -769,15 +567,18 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
         step = steps[number]
         kind = step.kind
         if kind == 1:  # comparison: assignment or filter, then continue
-            if step.mode == _FLAT_CMP_ASSIGN:
-                registers[step.slot] = intern(step.value(registers, values))
-            elif not apply_comparison(step.op, step.left(registers, values),
-                                      step.right(registers, values)):
+            if step.mode == _CMP_ASSIGN:
+                registers[step.slot] = intern(
+                    step.value(registers, values, context))
+            elif not apply_comparison(
+                    step.op, step.left(registers, values, context),
+                    step.right(registers, values, context)):
                 return
             run(number + 1)
             return
         if kind == 2:  # builtin call: bind/check outputs per result row
-            inputs = tuple(g(registers, values) for g in step.inputs)
+            inputs = tuple(g(registers, values, context)
+                           for g in step.inputs)
             following = number + 1
             for row in invoke_builtin(step.definition, inputs,
                                       context.payload):
@@ -789,7 +590,7 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
                         if values[registers[payload]] != value:
                             ok = False
                             break
-                    elif payload(registers, values) != value:
+                    elif payload(registers, values, context) != value:
                         ok = False
                         break
                 if ok:
@@ -823,8 +624,13 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
             for template_slot, register in step.var_fills:
                 filled[template_slot] = registers[register]
             missed = False
-            for template_slot, getter in step.eval_fills:
-                value_id = id_of(getter(registers, values))
+            for template_slot, getter, term in step.eval_fills:
+                try:
+                    value_id = id_of(getter(registers, values, context))
+                except Unbound as exc:
+                    raise SafetyError(
+                        f"argument {term!r} of {step.pred} is not bound "
+                        f"at join time") from exc
                 if value_id is None:
                     missed = True
                     break
@@ -877,7 +683,7 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
                 for position, register in free:
                     registers[register] = row[position]
                 run(following)
-        elif following == nsteps:
+        elif following == nsteps and on_solution is None:
             # Terminal literal: emit inline, no frame per solution.
             for row in candidates:
                 if len(row) != arity:
@@ -897,7 +703,13 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
                     registers[register] = row[position]
                 run(following)
 
-    run(0)
+    try:
+        run(0)
+    finally:
+        # ``run`` refers to itself through its own closure cell: clear it
+        # so each walk's frame state is freed by reference count instead
+        # of piling up as cyclic garbage for the collector.
+        run = None  # type: ignore[assignment]
     return fired
 
 
@@ -1069,8 +881,8 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database, id_of,
 class Plan:
     """An execution order for a conjunction; built once, reused every round.
 
-    ``steps`` keeps the historical ``(item_index, item)`` shape; ``ops``
-    carries the compiled executor for each step.  ``assumes`` is the
+    ``steps`` keeps the ``(item_index, item)`` scheduling order;
+    :meth:`flat` is its compiled register program.  ``assumes`` is the
     initially-bound variable set the compilation relied on — reuse with a
     different binding shape makes :func:`solve` rebuild.  ``reordered`` is
     True when the cost model picked a different positive-literal order
@@ -1078,18 +890,15 @@ class Plan:
     """
 
     steps: tuple
-    ops: tuple = ()
+    _flat: FlatPlan
     assumes: frozenset = frozenset()
     reordered: bool = False
-    _flat: Any = False
 
     def __iter__(self):
         return iter(self.steps)
 
-    def flat(self) -> Optional[FlatPlan]:
-        """The register-compiled form, or None when unsupported (cached)."""
-        if self._flat is False:
-            self._flat = _compile_flat(self)
+    def flat(self) -> FlatPlan:
+        """The register-compiled form :func:`run_flat` walks."""
         return self._flat
 
 
@@ -1097,18 +906,78 @@ def cache_plan_bounded(cache: dict, key, plan, limit: int,
                        stats: Any = None) -> None:
     """Insert into a FIFO-bounded plan cache, evicting the oldest entry.
 
-    Shared by :class:`~repro.datalog.engine.EngineRule`'s band-keyed
-    cache and the workspace constraint-plan cache, so the eviction
-    policy (and its ``plans_evicted`` accounting) cannot drift between
-    the two.  FIFO rather than clear-all: dropping everything would
-    thrash callers whose many (delta position, band) keys are all still
-    live.
+    FIFO rather than clear-all: dropping everything would thrash callers
+    whose many (delta position, band) keys are all still live.  Evictions
+    are counted in ``plans_evicted``.
     """
     if len(cache) >= limit:
         cache.pop(next(iter(cache)))
         if stats is not None:
             stats.plans_evicted += 1
     cache[key] = plan
+
+
+#: FIFO bound of every band-keyed plan cache (a rule's, a workspace's
+#: constraint plans): band-keyed entries go stale as relations move
+#: between cardinality bands.
+MAX_CACHED_PLANS = 128
+
+
+def positive_preds(items: tuple) -> tuple:
+    """Distinct positive body predicates in source order: the columns of
+    a conjunction's cardinality-band signature."""
+    return tuple(dict.fromkeys(
+        item.atom.pred for item in items
+        if isinstance(item, Literal) and not item.negated))
+
+
+def banded_plan(cache: dict, key, items: tuple, preds: tuple,
+                db: Optional[Database], context: EvalContext,
+                stats: Any = None,
+                initially_bound: frozenset = frozenset(),
+                first: Optional[int] = None) -> Plan:
+    """The plan for ``items``, served from a band-keyed bounded cache.
+
+    The one plan cache policy, shared by rules
+    (:meth:`repro.datalog.engine.EngineRule.plan`) and constraint
+    alternatives.  Entries are keyed ``(key, bands)``: ``bands`` maps each
+    of ``preds`` (:func:`positive_preds` of ``items``) through
+    :func:`cardinality_band`, so a cached plan is reused until some input
+    relation grows or shrinks past a band boundary — coarse enough to
+    keep rebuilds rare, fine enough that the cost model reacts to
+    order-of-magnitude cardinality shifts.  ``bands`` is None (one shared
+    greedy plan) without a database, when everything is small, or with a
+    single distinct predicate: every candidate literal then has the same
+    cardinality, so the cost model cannot change the order and size churn
+    must not invalidate the plan.  Accounts ``plans_built`` /
+    ``reorder_wins`` / ``plan_cache_hits`` / ``plans_evicted`` to
+    ``stats`` (default: ``context.stats``).
+    """
+    if stats is None:
+        stats = context.stats
+    bands = None
+    if db is not None and len(preds) > 1:
+        relations = db.relations
+        signature = tuple([
+            cardinality_band(len(relations[pred]) if pred in relations else 0)
+            for pred in preds])
+        if max(signature) > 1:
+            bands = signature
+    full_key = (key, bands)
+    plan = cache.get(full_key)
+    if plan is None:
+        # The live relations go to the cost model (they answer per-column
+        # distinct counts) only on a miss — the hot path is a keyed hit.
+        plan = build_plan(items, initially_bound, first, context.builtins,
+                          relation_sizes(items, db) if bands else None)
+        cache_plan_bounded(cache, full_key, plan, MAX_CACHED_PLANS, stats)
+        if stats is not None:
+            stats.plans_built += 1
+            if plan.reordered:
+                stats.reorder_wins += 1
+    elif stats is not None:
+        stats.plan_cache_hits += 1
+    return plan
 
 
 def relation_sizes(items: tuple, db: Optional[Database]) -> Optional[dict]:
@@ -1154,8 +1023,12 @@ def build_plan(items: tuple, initially_bound: frozenset = frozenset(),
     count = len(items)
     remaining = list(range(count))
     bound: set[str] = set(initially_bound)
+    #: variable -> register; grows as steps compile, so at each step it
+    #: holds exactly the variables the plan order has bound so far
+    slot_of: dict[str, int] = {
+        name: slot for slot, name in enumerate(sorted(initially_bound))}
     order: list[int] = []
-    ops: list = []
+    compiled: list = []
     reordered = False
 
     # Per-item precomputation (build_plan runs on every plan-cache miss,
@@ -1242,17 +1115,14 @@ def build_plan(items: tuple, initially_bound: frozenset = frozenset(),
             for position in definition.output_positions:
                 bound.update(term_vars(item.args[position]))
 
-    def compile_op(index: int):
-        """Compile ``items[index]`` against the *current* bound set."""
+    def schedule(index: int) -> None:
         item = items[index]
         if isinstance(item, Literal):
-            return _LiteralOp(index, item, bound)
-        if isinstance(item, Comparison):
-            return _CompareOp(index, item, bound)
-        return _BuiltinOp(index, item, builtin_defs[index])
-
-    def schedule(index: int) -> None:
-        ops.append(compile_op(index))
+            compiled.append(_LiteralStep(index, item, slot_of))
+        elif isinstance(item, Comparison):
+            compiled.append(_CompareStep(item, slot_of))
+        else:
+            compiled.append(_BuiltinStep(item, builtin_defs[index], slot_of))
         order.append(index)
         remaining.remove(index)
         bind_outputs(index)
@@ -1341,13 +1211,32 @@ def build_plan(items: tuple, initially_bound: frozenset = frozenset(),
                 reordered = True
         schedule(best)
 
-    return Plan(tuple((i, items[i]) for i in order), tuple(ops),
+    return Plan(tuple((i, items[i]) for i in order),
+                FlatPlan(tuple(compiled), slot_of),
                 frozenset(initially_bound), reordered)
 
 
 # ---------------------------------------------------------------------------
 # Conjunction solving
 # ---------------------------------------------------------------------------
+
+def _usable_plan(items: tuple, db: Database, context: EvalContext,
+                 seed: Bindings, plan: Optional[Plan],
+                 first: Optional[int]) -> Plan:
+    """``plan`` if its compiled binding assumptions match ``seed``, else
+    a fresh cost-based plan built from the live relation sizes."""
+    if plan is not None and plan.assumes == seed.keys():
+        return plan
+    plan = build_plan(items, frozenset(seed), first=first,
+                      builtins=context.builtins,
+                      sizes=relation_sizes(items, db))
+    stats = context.stats
+    if stats is not None:
+        stats.plans_built += 1
+        if plan.reordered:
+            stats.reorder_wins += 1
+    return plan
+
 
 def solve(items: tuple, db: Database, context: EvalContext,
           bindings: Optional[Bindings] = None,
@@ -1356,38 +1245,46 @@ def solve(items: tuple, db: Database, context: EvalContext,
           delta_position: Optional[int] = None) -> Iterator[Bindings]:
     """Enumerate all satisfying assignments of a conjunction.
 
+    The one enumeration entry point: each solution is a fresh dict over
+    every variable the conjunction binds (caller ``bindings`` included),
+    materialized from the registers at the walker's leaf.
     ``delta``/``delta_position`` implement semi-naive evaluation: the
     literal at ``delta_position`` scans the delta relation instead of the
-    full one.  A supplied ``plan`` is honoured only when its compiled
-    binding assumptions match ``bindings``; otherwise a fresh cost-based
-    plan is built from the live relation sizes.
+    full one.  The walk completes before the first solution is returned,
+    so callers may mutate ``db`` while iterating.
     """
-    bindings = dict(bindings or {})
-    if plan is None or plan.assumes != bindings.keys():
-        plan = build_plan(items, frozenset(bindings), first=delta_position,
-                          builtins=context.builtins,
-                          sizes=relation_sizes(items, db))
-        stats = context.stats
-        if stats is not None:
-            stats.plans_built += 1
-            if plan.reordered:
-                stats.reorder_wins += 1
-
-    # Chain the compiled ops back-to-front into continuation closures so a
-    # solution bubbles through one generator frame per step, with no
-    # per-step dispatch trampoline.
-    def tail(current: Bindings) -> Iterator[Bindings]:
-        yield current
-
-    cont = tail
-    for op in reversed(plan.ops):
-        def cont(current, _run=op.run, _cont=cont):
-            return _run(current, _cont, db, context, delta, delta_position)
-
-    yield from cont(bindings)
+    seed = bindings or {}
+    flat = _usable_plan(items, db, context, seed, plan, delta_position).flat()
+    slots = tuple(flat.slot_of.items())
+    values = db.interner.values
+    solutions: list[Bindings] = []
+    run_flat(flat, db, context, delta, delta_position, None, None, None, seed,
+             lambda registers: solutions.append(
+                 {name: values[registers[slot]] for name, slot in slots}))
+    return iter(solutions)
 
 
-_MISSING = object()
+class _Found(Exception):
+    """Internal signal: an existence check met its first solution."""
+
+
+def _stop_at_first(registers: list) -> None:
+    raise _Found
+
+
+def satisfiable(items: tuple, db: Database, context: EvalContext,
+                bindings: Optional[Bindings] = None,
+                plan: Optional[Plan] = None) -> bool:
+    """True iff the conjunction has a solution extending ``bindings``;
+    the walk stops at the first one."""
+    seed = bindings or {}
+    flat = _usable_plan(items, db, context, seed, plan, None).flat()
+    try:
+        run_flat(flat, db, context, None, None, None, None, None, seed,
+                 _stop_at_first)
+    except _Found:
+        return True
+    return False
 
 
 def bindable_vars(items: tuple, builtins: Optional[BuiltinRegistry] = None) -> set:
@@ -1427,24 +1324,3 @@ def check_rule_safety(rule, builtins: Optional[BuiltinRegistry] = None) -> None:
                     f"head variable(s) {sorted(missing)} of {head.pred!r} "
                     f"are not bound by the rule body (not range-restricted)"
                 )
-
-
-# ---------------------------------------------------------------------------
-# Head instantiation
-# ---------------------------------------------------------------------------
-
-def instantiate_head(atom: Atom, bindings: Bindings, context: EvalContext) -> tuple:
-    """Produce the ground tuple for a rule head under ``bindings``."""
-    try:
-        return tuple(eval_term(term, bindings, context) for term in atom.all_args)
-    except Unbound as exc:
-        raise SafetyError(
-            f"head variable {exc.args[0]!r} of {atom.pred} is not bound by the body"
-        ) from exc
-
-
-def rule_head_vars(rule: Rule) -> set[str]:
-    names: set[str] = set()
-    for head in rule.heads:
-        names.update(v.name for v in head.variables())
-    return names

@@ -325,6 +325,16 @@ def decode_request_frame(blob: bytes) -> tuple[int, str, dict]:
     return payload["id"], op, body
 
 
+def request_frame_id(blob: bytes) -> Optional[int]:
+    """The id of a request frame whose envelope decodes — even when its
+    ``op``/``body`` do not — so the failure can be reported to the sender;
+    None for anything that is not addressable as a request."""
+    try:
+        return _decode_serve_frame(blob, REQUEST_KIND)["id"]
+    except NetworkError:
+        return None
+
+
 def encode_reply_frame(request_id: int, ok: bool = True,
                        body: Optional[dict] = None, error: str = "") -> bytes:
     """Serialize one serve-plane reply, echoing the request's id."""

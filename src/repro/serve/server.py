@@ -24,15 +24,16 @@ network, so request frames can never be misread as batch traffic.
 
 from __future__ import annotations
 
+import traceback
 from typing import Optional
 
-from ..datalog.errors import NetworkError, ReproError, ServeError
+from ..datalog.errors import ReproError, ServeError
 from ..net.transport import (
     decode_request_frame,
     decode_value,
     encode_reply_frame,
     encode_value,
-    frame_kind,
+    request_frame_id,
 )
 
 #: Operations the server understands, for help texts and tests.
@@ -54,27 +55,42 @@ class TrustServer:
         self.node = node
         self.poll_interval = poll_interval
         self.requests_served = 0
+        #: frames with no recoverable request id (not JSON, not a request,
+        #: no integer id): nobody to answer, so they are dropped
+        self.frames_dropped = 0
+        #: traceback of the last failure that was not a :class:`ReproError`
+        #: (a malformed field the handlers did not anticipate, a bug)
+        self.last_unexpected_error = ""
         self._stopping = False
         if node not in network.nodes():
             network.add_node(node)
 
     # -- frame entry point -------------------------------------------------
 
-    def handle(self, src: str, blob: bytes) -> str:
-        """Process one request frame from ``src`` and send the reply.
+    def handle(self, src: str, blob: bytes) -> Optional[str]:
+        """Process one frame from ``src``; fails closed, never raises on it.
 
-        Returns the operation name (used by drivers for accounting).
-        Application failures travel back as ``ok=False`` replies; only a
-        frame that is not a request at all raises here.
+        Returns the operation name (used by drivers for accounting), None
+        when the frame did not decode that far.  Every failure — decoding
+        included — of a frame whose request id can be recovered travels
+        back as an ``ok=False`` reply naming the error class; a frame with
+        no recoverable id has nobody to answer and is dropped and counted
+        in ``frames_dropped``.  One hostile frame must not stop the server.
         """
-        if frame_kind(blob) != "request":
-            raise NetworkError("serve plane received a non-request frame")
-        request_id, op, body = decode_request_frame(blob)
+        op = None
         try:
+            request_id, op, body = decode_request_frame(blob)
             reply_body = self._dispatch(src, op, body)
             frame = encode_reply_frame(request_id, True, reply_body)
-        except ReproError as exc:
-            frame = encode_reply_frame(request_id, False, {}, str(exc))
+        except Exception as exc:
+            request_id = request_frame_id(blob)
+            if request_id is None:
+                self.frames_dropped += 1
+                return None
+            if not isinstance(exc, ReproError):
+                self.last_unexpected_error = traceback.format_exc()
+            frame = encode_reply_frame(request_id, False, {},
+                                       f"{type(exc).__name__}: {exc}")
         self.network.send(self.node, src, frame)
         self.requests_served += 1
         return op

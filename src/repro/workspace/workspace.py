@@ -129,9 +129,9 @@ class Workspace:
         # copy-on-write; preds in this set are owned by the current
         # transaction and safe to mutate in place.
         self._txn_edb_owned: set[str] = set()
-        # Compiled constraint-check plans, keyed by constraint identity;
-        # must be dropped whenever the constraint list changes (including
-        # rollback, which can free constraints added during the txn).
+        # Compiled constraint-check plans, keyed by the conjunction itself
+        # (so they survive constraint-list changes and rollbacks) in the
+        # FIFO-bounded band-keyed cache of ``datalog.runtime.banded_plan``.
         self._constraint_plans: dict = {}
         self.context = EvalContext(
             builtins=self.builtins,
@@ -285,7 +285,6 @@ class Workspace:
             self.constraints = [
                 c for c in self.constraints if c.label != label
             ]
-            self._constraint_plans = {}
             return before - len(self.constraints)
 
     # ------------------------------------------------------------------
@@ -414,19 +413,23 @@ class Workspace:
         return self.registry.canonical_text(ref)
 
     def typecheck(self) -> list:
-        """Static type issues for every active rule (section 3.2).
+        """Static type clashes of every active rule (section 3.2).
 
-        Returns :class:`repro.workspace.typecheck.TypeIssue` warnings;
-        the dynamic constraints remain authoritative.
+        Returns ``(rule_label, variable, types)`` triples — a variable
+        used at positions declared with incompatible types — straight
+        from the analyzer's inference (code ``R202``).  Warnings by
+        design: the dynamic constraints remain authoritative.
         """
-        from .typecheck import typecheck_program
+        from ..analysis.passes import infer_type_clashes
 
-        rules = [
-            compile_rule(self.registry.rule_of(ref), principal=None,
-                         builtins=self.builtins)
-            for ref in self._activated
-        ]
-        return typecheck_program(rules, self.catalog)
+        issues = []
+        for ref in self._activated:
+            rule = compile_rule(self.registry.rule_of(ref), principal=None,
+                                builtins=self.builtins)
+            issues.extend(
+                (rule.label or "<unlabeled>", variable, types)
+                for variable, types in infer_type_clashes(rule, self.catalog))
+        return issues
 
     # ------------------------------------------------------------------
     # Transactions
@@ -503,12 +506,6 @@ class Workspace:
         self.db.restore(snapshot.db)
         self.edb = snapshot.edb
         self._activated = snapshot.activated
-        if (len(self.constraints) != len(snapshot.constraints)
-                or any(live is not saved for live, saved
-                       in zip(self.constraints, snapshot.constraints))):
-            # Constraints added in the rolled-back txn are being freed;
-            # their identity-keyed plans must not survive id() reuse.
-            self._constraint_plans = {}
         self.constraints = snapshot.constraints
         self._reified = snapshot.reified
         self.catalog._preds = snapshot.catalog

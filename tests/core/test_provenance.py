@@ -77,3 +77,54 @@ class TestTrustChain:
         hops = trust_chain(bob.workspace, "access", ("carol", "f1", "read"))
         assert any(speaker == "alice" and 'good("carol")' in text
                    for speaker, _listener, text in hops)
+
+
+class TestQuoteBearingSaysProgram:
+    """Provenance rides the same register walker as everything else: a
+    relay whose rule head carries a quote template derives the same
+    relations with the store on or off, and its explanations are the
+    ones the store has always produced."""
+
+    def relay(self, make_system, enable_provenance):
+        system = make_system("hmac", enable_provenance=enable_provenance)
+        a = system.create_principal("a")
+        b = system.create_principal("b")
+        c = system.create_principal("c")
+        b.load('fwd: says(me,"c",[| msg(X). |]) <- msg(X).')
+        c.load("see: seen(X) <- msg(X).")
+        a.says(b, 'msg("hello").')
+        a.says(b, 'msg("again").')
+        system.run()
+        return system
+
+    def test_provenance_on_and_off_yield_identical_relations(self, make_system):
+        on = self.relay(make_system, True)
+        off = self.relay(make_system, False)
+        for name in ("a", "b", "c"):
+            with_store = on.principal(name).workspace.db
+            without = off.principal(name).workspace.db
+            assert with_store.preds() == without.preds()
+            for pred in with_store.preds():
+                if pred == "vname":
+                    continue  # anonymous-variable names: a global counter
+                assert with_store.tuples(pred) == without.tuples(pred), pred
+
+    def test_explanations_cross_the_quote_head(self, make_system):
+        system = self.relay(make_system, True)
+        c = system.principal("c").workspace
+        assert c.db.tuples("seen") == {("hello",), ("again",)}
+        node = explain(c, "seen", ("hello",))
+        assert (node.pred, node.fact, node.rule) == ("seen", ("hello",), "see")
+        (child,) = node.children
+        assert (child.pred, child.fact) == ("msg", ("hello",))
+        assert trust_chain(c, "seen", ("hello",)) == [
+            ("b", "c", 'msg("hello").')]
+        # on the relay, the quote-headed rule's firing is recorded with
+        # the body fact that matched
+        b = system.principal("b").workspace
+        relayed = [derivations for (pred, fact), derivations
+                   in b.provenance.derivations.items()
+                   if pred == "says" and fact[:2] == ("b", "c")]
+        assert sorted(relayed, key=repr) == sorted(
+            [{("fwd", (("msg", ("hello",)),))},
+             {("fwd", (("msg", ("again",)),))}], key=repr)

@@ -70,14 +70,18 @@ class TestLookupStability:
         assert (1, 12) in relation.tuples
 
     def test_match_literal_yields_stable_view(self):
-        from repro.datalog.runtime import EvalContext, match_literal
-        from repro.datalog.terms import Atom, Constant, Variable
+        from repro.datalog.database import Database
+        from repro.datalog.runtime import EvalContext, solve
+        from repro.datalog.terms import Atom, Constant, Literal, Variable
 
-        relation = Relation("r", [("a", 1), ("a", 2)])
+        db = Database()
+        db.add("r", ("a", 1))
+        db.add("r", ("a", 2))
+        relation = db.rel("r")
         relation.lookup((0,), ("a",))
-        atom = Atom("r", (Constant("a"), Variable("X")))
+        body = (Literal(Atom("r", (Constant("a"), Variable("X")))),)
         seen = []
-        for bindings in match_literal(atom, relation, {}, EvalContext()):
+        for bindings in solve(body, db, EvalContext()):
             seen.append(bindings["X"])
             relation.add(("a", bindings["X"] + 100))
         assert sorted(seen) == [1, 2]

@@ -1,13 +1,11 @@
-"""Flat (register-based) plans over mixed bodies: parity with the
-generic pipeline.
+"""Register plans over mixed bodies: parity with an independent oracle.
 
-PR 2 compiled all-literal bodies to :class:`FlatPlan`; bodies containing
-comparisons, builtin calls or expression-valued literal keys fell back to
-the dict-based path.  These tests pin the extended coverage: every mixed
-body below must (a) compile flat and (b) produce exactly the facts the
-generic pipeline produces.  The generic run is forced by attaching a
-provenance store, which :func:`apply_rule` never routes through the flat
-path.
+Bodies containing comparisons, builtin calls or expression-valued literal
+keys all compile to :class:`FlatPlan` steps.  Every mixed body below must
+produce exactly (a) the explicit expected set and (b) what the top-down
+resolver (:mod:`repro.datalog.topdown` — its own SLD resolution, sharing
+no join code with the walker) answers for the same rule and facts, with
+the provenance store attached or not.
 """
 
 from repro.datalog.builtins import standard_registry
@@ -19,8 +17,9 @@ from repro.datalog.engine import (
     normalize_rules,
 )
 from repro.datalog.parser import parse_statements
-from repro.datalog.runtime import EvalContext, build_plan
+from repro.datalog.runtime import EvalContext, eval_term
 from repro.datalog.terms import Rule
+from repro.datalog.topdown import query_topdown
 from repro.meta.quote import compile_rule
 
 
@@ -33,26 +32,25 @@ def engine_rule(source: str) -> EngineRule:
     return rule
 
 
-def both_paths(source: str, facts: dict) -> tuple[set, set]:
-    """(flat results, generic results) of one rule over the same facts."""
-    results = []
-    for provenance in (None, ProvenanceStore()):
-        rule = engine_rule(source)
-        db = Database()
-        for pred, rows in facts.items():
-            for row in rows:
-                db.add(pred, row)
-        context = EvalContext(builtins=standard_registry())
-        results.append(apply_rule(rule, db, context, provenance=provenance))
-    return results[0], results[1]
+def database(facts: dict) -> Database:
+    db = Database()
+    for pred, rows in facts.items():
+        for row in rows:
+            db.add(pred, row)
+    return db
 
 
 def assert_parity(source: str, facts: dict, expected: set) -> None:
+    context = EvalContext(builtins=standard_registry())
+    for provenance in (None, ProvenanceStore()):
+        derived = apply_rule(engine_rule(source), database(facts), context,
+                             provenance=provenance)
+        assert derived == expected
     rule = engine_rule(source)
-    plan = build_plan(rule.body, builtins=standard_registry())
-    assert plan.flat() is not None, f"no flat plan for {source!r}"
-    flat_out, generic_out = both_paths(source, facts)
-    assert flat_out == generic_out == expected
+    answers = query_topdown([rule], database(facts), rule.head, context)
+    assert {tuple(eval_term(term, answer, context)
+                  for term in rule.head.all_args)
+            for answer in answers} == expected
 
 
 class TestComparisonSteps:

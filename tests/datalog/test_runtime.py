@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog.builtins import standard_registry
-from repro.datalog.database import Database, Relation
+from repro.datalog.database import Database
 from repro.datalog.errors import BuiltinError, SafetyError
 from repro.datalog.parser import parse_statements, parse_term
 from repro.datalog.runtime import (
@@ -13,7 +13,6 @@ from repro.datalog.runtime import (
     build_plan,
     check_rule_safety,
     eval_term,
-    match_literal,
     solve,
 )
 from repro.datalog.terms import (
@@ -71,28 +70,45 @@ class TestEvalTerm:
 
 
 class TestMatchLiteral:
+    """Single-literal matching, driven through :func:`solve` (the cases
+    the removed ``match_literal`` helper used to pin)."""
+
+    @staticmethod
+    def match(atom, rows, bindings=None, stats=None):
+        db = Database()
+        for row in rows:
+            db.add(atom.pred, row)
+        return list(solve((Literal(atom),), db, EvalContext(stats=stats),
+                          bindings=bindings))
+
     def test_bound_positions_use_index(self):
-        relation = Relation("p", [("a", 1), ("a", 2), ("b", 3)])
+        from repro.datalog.engine import EvalStats
+
+        stats = EvalStats()
         atom = Atom("p", (Constant("a"), Variable("X")))
-        results = list(match_literal(atom, relation, {}, EvalContext()))
+        results = self.match(atom, [("a", 1), ("a", 2), ("b", 3)],
+                             stats=stats)
         assert {r["X"] for r in results} == {1, 2}
+        assert (stats.literal_scans, stats.full_scans, stats.id_joins) \
+            == (1, 0, 1)
 
     def test_repeated_free_variable(self):
-        relation = Relation("p", [("a", "a"), ("a", "b")])
         atom = Atom("p", (Variable("X"), Variable("X")))
-        results = list(match_literal(atom, relation, {}, EvalContext()))
+        results = self.match(atom, [("a", "a"), ("a", "b")])
         assert [r["X"] for r in results] == ["a"]
 
     def test_arity_mismatch_is_no_match(self):
-        relation = Relation("p", [("a",)])
         atom = Atom("p", (Variable("X"), Variable("Y")))
-        assert list(match_literal(atom, relation, {}, EvalContext())) == []
+        assert self.match(atom, [("a",)]) == []
 
     def test_existing_binding_filters(self):
-        relation = Relation("p", [("a", 1), ("b", 2)])
         atom = Atom("p", (Variable("X"), Variable("Y")))
-        results = list(match_literal(atom, relation, {"X": "b"}, EvalContext()))
-        assert [r["Y"] for r in results] == [2]
+        results = self.match(atom, [("a", 1), ("b", 2)], {"X": "b"})
+        assert results == [{"X": "b", "Y": 2}]
+
+    def test_caller_binding_unknown_to_the_database_matches_nothing(self):
+        atom = Atom("p", (Variable("X"), Variable("Y")))
+        assert self.match(atom, [("a", 1)], {"X": "never-stored"}) == []
 
 
 class TestBuildPlan:
@@ -234,10 +250,33 @@ class TestPlanReuse:
         assert flat is not None
         assert {"X", "S", "Y", "N"} <= set(flat.slot_of)
 
-    def test_flat_compilation_rejects_quote_terms(self):
+    def test_flat_compilation_covers_quote_terms(self):
+        # A quote-valued probe key compiles to a getter that materializes
+        # only the pattern variables bound at that step (here: none — X is
+        # first bound by this very literal) and asks the meta registry.
         body = body_of("h(X) <- says(X, [| q(X). |]).")
         plan = build_plan(body, builtins=standard_registry())
-        assert plan.flat() is None
+        (step,) = plan.flat().steps
+        assert step.key_positions == (1,) and len(step.eval_fills) == 1
+        db = Database()
+        db.add("says", ("alice", "the-rule"))
+        seen = []
+
+        def instantiate(quote, bindings):
+            seen.append(dict(bindings))
+            return "the-rule"
+
+        context = EvalContext(instantiate_quote=instantiate)
+        assert list(solve(body, db, context, plan=plan)) == [{"X": "alice"}]
+        assert seen == [{}]
+
+    def test_flat_compilation_covers_caller_bindings(self):
+        body = body_of("h(Y) <- p(X,Y), Y > 1.")
+        plan = build_plan(body, frozenset({"X"}),
+                          builtins=standard_registry())
+        flat = plan.flat()
+        assert flat.slot_of["X"] == 0          # seeds take the first slots
+        assert flat.steps[0].single_var == 0   # and feed the index probe
 
 
 class TestSafetyAnalysis:

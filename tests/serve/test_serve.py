@@ -8,6 +8,7 @@ the reference's filtered fixpoint read — over the in-process simulated
 network and over real TCP sockets.
 """
 
+import json
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.system import LBTrustSystem
 from repro.datalog.errors import ServeError
 from repro.net.network import SimulatedNetwork
 from repro.net.socket_transport import SocketNetwork
+from repro.net.transport import decode_reply_frame
 from repro.serve import SERVE_OPS, ServeClient, ServeRouter, TrustServer
 
 POLICY = """
@@ -163,6 +165,25 @@ class TestProtocol:
             client.retract_fact("good", ("ghost",))
         client.assert_fact("good", ("alice",))  # still serving
         assert len(client.query('access("alice",O,"read")')) == 2
+
+    def test_malformed_frames_do_not_kill_the_server(self, harness):
+        # Regression (ROADMAP item 4): both frames used to propagate out
+        # of handle() and end serve_forever — one frame, one dead server.
+        client = harness.client("c1")
+        # a handler tripping over a field: int("abc") is a ValueError
+        with pytest.raises(ServeError, match="ValueError"):
+            client.call("sync", {"max_rounds": "abc"})
+        # an op that is not a string: decoding fails, the id is recoverable
+        client.network.send(client.name, client.server, json.dumps(
+            {"kind": "request", "id": 9001, "op": 5, "body": {}}).encode())
+        reply_id, ok, _, error = decode_reply_frame(client._await_reply())
+        assert (reply_id, ok) == (9001, False)
+        assert error.startswith("NetworkError")
+        # no recoverable id: nobody to answer, dropped and counted
+        client.network.send(client.name, client.server, b"not json")
+        assert isinstance(client.ping(), float)  # still serving
+        assert harness.server.frames_dropped == 1
+        assert "ValueError" in harness.server.last_unexpected_error
 
     def test_request_ids_match_in_order(self, harness):
         client = harness.client("c1")

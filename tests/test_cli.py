@@ -108,8 +108,7 @@ def test_workspace_typecheck_api():
         size(O,N) -> object(O), int(N).
         bad: oops(X) <- good(X), size(X,N).
     """)
-    issues = workspace.typecheck()
-    assert any(issue.variable == "X" for issue in issues)
+    assert workspace.typecheck() == [("bad", "X", ("object", "principal"))]
 
 
 class TestClusterSubcommand:

@@ -1,9 +1,10 @@
 """Static type checking from declarations."""
 
+from repro.analysis.passes import infer_type_clashes
 from repro.datalog.parser import parse_statements
 from repro.datalog.terms import Rule
 from repro.workspace.catalog import harvest_catalog
-from repro.workspace.typecheck import typecheck_program, typecheck_rule
+from repro.workspace.workspace import Workspace
 
 DECLS = """
 access(P,O,M) -> principal(P), object(O), mode(M).
@@ -13,10 +14,11 @@ size(O,N) -> object(O), int(N).
 
 
 def check(rule_source):
+    """``(variable, types)`` clashes of every rule in the source."""
     statements = parse_statements(DECLS + rule_source)
     catalog = harvest_catalog(statements)
-    rules = [s for s in statements if isinstance(s, Rule)]
-    return typecheck_program(rules, catalog)
+    return [clash for rule in statements if isinstance(rule, Rule)
+            for clash in infer_type_clashes(rule, catalog)]
 
 
 class TestClean:
@@ -33,23 +35,18 @@ class TestClean:
 class TestClashes:
     def test_principal_vs_object(self):
         issues = check("oops(X) <- good(X), size(X,N).")
-        assert len(issues) == 1
-        assert issues[0].variable == "X"
-        assert set(issues[0].types) == {"principal", "object"}
+        assert issues == [("X", ("object", "principal"))]
 
     def test_int_vs_principal(self):
         issues = check("oops(X) <- good(X), size(O,X).")
-        assert issues and set(issues[0].types) == {"int", "principal"}
+        assert issues == [("X", ("int", "principal"))]
 
     def test_int_compatible_with_number(self):
         extra = "wt(O,N) -> object(O), number(N).\n"
-        statements = parse_statements(DECLS + extra +
-                                      "both(N) <- size(O,N), wt(O,N).")
-        catalog = harvest_catalog(statements)
-        rules = [s for s in statements if isinstance(s, Rule)]
-        assert typecheck_program(rules, catalog) == []
+        assert check(extra + "both(N) <- size(O,N), wt(O,N).") == []
 
     def test_issue_reports_rule_label(self):
-        issues = check("lbl: oops(X) <- good(X), size(X,N).")
-        assert issues[0].rule_label == "lbl"
-        assert "lbl" in str(issues[0])
+        workspace = Workspace("w")
+        workspace.load(DECLS + "lbl: oops(X) <- good(X), size(X,N).")
+        assert workspace.typecheck() == [
+            ("lbl", "X", ("object", "principal"))]

@@ -1,21 +1,20 @@
-"""Nominal-vs-primitive edge cases of the static type checker.
-
-These pin the pre-existing ``TypeIssue`` behaviour that ISSUE 7 absorbed
-into the analyzer (`repro.analysis.passes.infer_type_clashes`): the
-wrapper must keep reporting exactly what it reported before.
+"""Nominal-vs-primitive edge cases of the static type inference
+(`repro.analysis.passes.infer_type_clashes`): ``(variable, types)`` per
+clash; :meth:`Workspace.typecheck` prefixes the rule label.
 """
 
+from repro.analysis.passes import infer_type_clashes
 from repro.datalog.parser import parse_statements
 from repro.datalog.terms import Rule
 from repro.workspace.catalog import harvest_catalog
-from repro.workspace.typecheck import TypeIssue, typecheck_program
+from repro.workspace.workspace import Workspace
 
 
 def issues(source):
     statements = parse_statements(source)
     catalog = harvest_catalog(statements)
-    rules = [s for s in statements if isinstance(s, Rule)]
-    return typecheck_program(rules, catalog)
+    return [clash for rule in statements if isinstance(rule, Rule)
+            for clash in infer_type_clashes(rule, catalog)]
 
 
 def test_same_user_type_twice_is_fine():
@@ -30,9 +29,8 @@ def test_primitive_vs_user_type_clashes():
         "age(P,N) -> principal(P), int(N).\n"
         "label(P) -> string(P).\n"
         "odd(P) <- age(P,_), label(P).")
-    assert [(i.variable, i.types) for i in found] == [
+    assert found == [
         ("P", ("principal", "string"))]
-    assert "rule" in str(found[0]) and "principal, string" in str(found[0])
 
 
 def test_two_user_types_are_nominal():
@@ -40,7 +38,7 @@ def test_two_user_types_are_nominal():
         "cat(C) -> feline(C).\n"
         "dog(D) -> canine(D).\n"
         "both(X) <- cat(X), dog(X).")
-    assert [(i.variable, i.types) for i in found] == [
+    assert found == [
         ("X", ("canine", "feline"))]
 
 
@@ -50,26 +48,16 @@ def test_variable_in_three_positions_reports_once():
         "b(X) -> string(X).\n"
         "c(X) -> principal(X).\n"
         "r(V) <- a(V), b(V), c(V).")
-    assert len(found) == 1
-    issue = found[0]
-    assert issue.variable == "V"
-    assert issue.types == ("int", "principal", "string")
+    assert found == [
+        ("V", ("int", "principal", "string"))]
 
 
 def test_unlabeled_rule_gets_placeholder_label():
-    found = issues(
-        "a(X) -> int(X).\n"
-        "b(X) -> string(X).\n"
-        "r(V) <- a(V), b(V).")
-    assert found[0].rule_label == "<unlabeled>"
-    labeled = issues(
-        "a(X) -> int(X).\n"
-        "b(X) -> string(X).\n"
-        "t9: r(V) <- a(V), b(V).")
-    assert labeled[0].rule_label == "t9"
-
-
-def test_type_issue_is_hashable_and_stable():
-    issue = TypeIssue("t1", "X", ("int", "string"))
-    assert issue == TypeIssue("t1", "X", ("int", "string"))
-    assert {issue}  # frozen dataclass stays hashable
+    decls = ("good(P) -> principal(P).\n"
+             "size(O,N) -> object(O), int(N).\n")
+    clash = ("X", ("object", "principal"))
+    for label, rule in (("<unlabeled>", "oops(X) <- good(X), size(X,N)."),
+                        ("t9", "t9: oops(X) <- good(X), size(X,N).")):
+        workspace = Workspace("w")
+        workspace.load(decls + rule)
+        assert workspace.typecheck() == [(label, *clash)]
