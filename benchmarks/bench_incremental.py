@@ -4,6 +4,13 @@
 recomputed" (section 3.1).  Workload: maintain transitive closure while a
 stream of edges arrives; the incremental path pays per-delta, the
 recompute path pays the whole fixpoint on every change.
+
+The ``retract`` mode is the deletion-side axis: the same ``stream`` edges
+are retracted from the chain's tail while ``unrelated`` disjoint edges
+(and their closure facts) sit in the same relations and the same
+stratum.  DRed is bounded by what a deletion touches, so the points must
+time alike however many unrelated facts there are; a pass over the whole
+stratum would scale with them.
 """
 
 if __package__ in (None, ""):  # running as a script
@@ -19,6 +26,7 @@ pytest = optional_pytest()
 from repro.bench import benchmark
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate, normalize_rules, propagate_insertions
+from repro.datalog.incremental import propagate_deletions
 from repro.datalog.parser import parse_statements
 from repro.datalog.runtime import EvalContext
 from repro.datalog.stratify import stratify
@@ -41,14 +49,52 @@ def stream_edges(base=None, stream=None):
     return [(base + i, base + i + 1) for i in range(stream)]
 
 
+def unrelated_edges(count):
+    """``count`` disjoint one-edge components, far from the chain's nodes."""
+    return [(1_000_000 + 2 * i, 1_000_001 + 2 * i) for i in range(count)]
+
+
 @benchmark("incremental_maintenance", group="engine",
            quick=[{"mode": "incremental", "base": 30, "stream": 10},
-                  {"mode": "recompute", "base": 30, "stream": 10}],
+                  {"mode": "recompute", "base": 30, "stream": 10},
+                  {"mode": "retract", "base": 30, "stream": 10,
+                   "unrelated": 1_000},
+                  {"mode": "retract", "base": 30, "stream": 10,
+                   "unrelated": 10_000}],
            full=[{"mode": "incremental", "base": BASE, "stream": STREAM},
-                 {"mode": "recompute", "base": BASE, "stream": STREAM}])
-def incremental_maintenance(case, mode, base, stream):
+                 {"mode": "recompute", "base": BASE, "stream": STREAM},
+                 {"mode": "retract", "base": BASE, "stream": STREAM,
+                  "unrelated": 1_000},
+                 {"mode": "retract", "base": BASE, "stream": STREAM,
+                  "unrelated": 10_000},
+                 {"mode": "retract", "base": BASE, "stream": STREAM,
+                  "unrelated": 100_000}])
+def incremental_maintenance(case, mode, base, stream, unrelated=0):
     """Per-delta maintenance vs whole-fixpoint recompute on an edge stream."""
-    if mode == "incremental":
+    if mode == "retract":
+        chain = base_edges(base + stream + 1)
+        edb = {"e": set(chain) | set(unrelated_edges(unrelated))}
+        db = Database()
+        for edge in edb["e"]:
+            db.add("e", edge)
+        evaluate(RULES, db, EvalContext())
+        context = EvalContext(stats=case.stats)
+        strata = stratify(RULES)
+
+        def retract(edge):
+            edb["e"].discard(edge)
+            db.discard("e", edge)
+            propagate_deletions(strata, db, context, {"e": {edge}},
+                                edb_facts=edb.get, stats=case.stats)
+
+        # Untimed: the first retract builds the deletion plans and the
+        # indexes they probe, which a long-lived workspace pays once.
+        retract(chain.pop())
+        with case.measure():
+            for _ in range(stream):
+                retract(chain.pop())
+        case.record(closure_size=len(db.rel("r")))
+    elif mode == "incremental":
         db = Database()
         for edge in base_edges(base):
             db.add("e", edge)

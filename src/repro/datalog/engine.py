@@ -41,7 +41,7 @@ from .runtime import (
     solve,
 )
 from .stratify import Stratum, stratify
-from .terms import Aggregate, Atom, Literal, Rule, Variable
+from .terms import Aggregate, Atom, Constant, Literal, Rule, Variable
 
 #: pred -> set of tuples; the currency of incremental propagation.
 FactSet = dict[str, set]
@@ -78,6 +78,36 @@ class EngineRule:
             preds = self._size_preds = positive_preds(self.body)
         return banded_plan(self._plans, delta_position, self.body, preds, db,
                            context, stats, first=delta_position)
+
+    def head_bound_plan(self, context: EvalContext,
+                        db: Optional[Database] = None,
+                        stats: Optional["EvalStats"] = None) -> Optional[Plan]:
+        """The plan that runs the body with the head bound to given rows.
+
+        DRed re-derivation asks "which of these candidate head rows does
+        this rule still derive?".  The plan answers it by matching: the
+        head atom leads the body as a *guard* literal at position 0, and
+        the caller hands the candidate rows in as that position's delta
+        relation, so every head variable is bound per candidate before
+        the first real body literal is probed.  The guard exists only in
+        this plan's item tuple — ``self.body`` is untouched, so provenance
+        supports (compiled from ``self.body``) never name it.  Cached in
+        ``_plans`` under the key ``"head"`` with the usual band
+        signature, and built only on first request.
+
+        Returns None for a head carrying a computed term (quote template,
+        expression): matching cannot bind it, so the caller must run the
+        rule unrestricted and intersect.
+        """
+        if not all(isinstance(term, (Variable, Constant))
+                   for term in self.head.all_args):
+            return None
+        preds = self._size_preds
+        if preds is None:
+            preds = self._size_preds = positive_preds(self.body)
+        return banded_plan(self._plans, "head",
+                           (Literal(self.head),) + self.body, preds, db,
+                           context, stats, first=0)
 
     def evict_shrunk_plans(self, db: Database,
                            shrunk: Iterable[str]) -> int:
@@ -838,26 +868,30 @@ def recompute_stratum(stratum: Stratum, db: Database, context: EvalContext,
             "nonmonotone stratum changed but no EDB accessor was provided; "
             "use a full re-evaluation instead"
         )
-    old: dict[str, set] = {}
+    interner = db.interner
+    materialize = interner.materialize_row
+    old_rows: dict[str, set] = {}
     for pred in stratum.preds:
         relation = db.rel(pred)
-        old[pred] = set(relation.tuples)
-        base = edb_facts(pred) or set()
-        for fact in old[pred] - base:
-            relation.discard(fact)
+        old_rows[pred] = set(relation.rows)
+        keep = {interner.row_of(fact) for fact in edb_facts(pred) or ()}
+        for row in old_rows[pred] - keep:
+            relation.discard_row(row)
             if provenance is not None:
-                provenance.forget(pred, fact)
+                provenance.forget(pred, materialize(row))
     eval_stratum(stratum, db, context, provenance, changed=None, stats=stats)
+    # Id-row diff against the prior state; only the (small) difference is
+    # ever materialized, never a whole relation.
     added: FactSet = {}
     removed: FactSet = {}
     for pred in stratum.preds:
-        new_facts = db.tuples(pred)
-        grew = new_facts - old[pred]
-        shrank = old[pred] - new_facts
+        new_rows = db.rel(pred).rows
+        grew = new_rows - old_rows[pred]
+        shrank = old_rows[pred] - new_rows
         if grew:
-            added[pred] = grew
+            added[pred] = {materialize(row) for row in grew}
         if shrank:
-            removed[pred] = shrank
+            removed[pred] = {materialize(row) for row in shrank}
     return added, removed
 
 

@@ -2,13 +2,25 @@
 
 When facts are retracted from a workspace, the paper's "active rules are
 incrementally recomputed" behaviour needs non-monotone maintenance.  We use
-the classic DRed recipe, stratum by stratum:
+the classic DRed recipe, stratum by stratum, in interned-id space and at a
+cost bounded by what the deletion touches, never by the stratum's size:
 
 1. **Over-delete**: starting from the retracted facts, propagate deletions
    through every rule (a head fact is over-deleted whenever one of its
    positive supports is), joining against the *pre-deletion* state.
-2. **Re-derive**: re-add EDB-asserted survivors and run the stratum forward
-   again; any over-deleted fact with an alternative derivation comes back.
+2. **Candidates**: the over-deleted rows, plus any retracted fact whose
+   own predicate is derived in this stratum (its assertion is gone, a
+   derivation may remain).  EDB-asserted candidates come straight back.
+3. **Head-bound re-derivation**: each rule whose head has candidates runs
+   once with its head bound to them
+   (:meth:`~repro.datalog.engine.EngineRule.head_bound_plan`); candidates
+   with a derivation from the surviving facts come back.
+4. **Semi-naive closure**: the restored and re-derived facts seed
+   :func:`~repro.datalog.engine.eval_stratum` as its delta, bringing back
+   candidates that depend on other candidates.
+
+The stratum's ``(added, removed)`` diff falls out of the candidate and
+re-derived sets; no relation is ever copied or materialized whole.
 
 Strata containing negation or aggregation are recomputed from their EDB
 instead (always correct, and cheap at trust-policy scale); the net
@@ -32,7 +44,6 @@ from .engine import (
 )
 from .runtime import EvalContext
 from .stratify import Stratum
-from .terms import Literal
 
 
 def propagate_deletions(strata: list, db: Database, context: EvalContext,
@@ -70,8 +81,8 @@ def propagate_deletions_from(strata: list, db: Database, context: EvalContext,
                 stats.strata_recomputed += 1
         else:
             added, removed = _dred_stratum(stratum, db, context,
-                                           pending_removed, edb_facts,
-                                           provenance, stats)
+                                           pending_removed, pending_added,
+                                           edb_facts, provenance, stats)
             if stats is not None:
                 stats.dred_strata += 1
         for pred, facts in removed.items():
@@ -107,82 +118,152 @@ def _invalidate_shrunk_plans(strata: list, db: Database, shrunk,
 
 
 def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
-                  deleted_below: FactSet,
+                  deleted_below: FactSet, inserted_below: FactSet,
                   edb_facts: Optional[Callable[[str], set]],
                   provenance: Optional[ProvenanceStore],
                   stats: Optional[EvalStats]) -> tuple:
-    """DRed one positive stratum.  Returns ``(added, removed)`` for it."""
-    # -- Phase 0: a COW shadow restoring the deleted facts, so that
-    # over-deletion joins see the pre-deletion state.  Only relations that
-    # actually had deletions are unshared (by the first ``add``); every
-    # other relation is read through the shared O(1) view.
-    shadow = db.snapshot()
-    for pred, facts in deleted_below.items():
-        restored = shadow.rel(pred)
-        for fact in facts:
-            restored.add(fact)
+    """DRed one positive stratum.  Returns ``(added, removed)`` for it.
 
-    # -- Phase 1: over-delete.
-    materialize = shadow.interner.materialize_row
-    overdeleted: FactSet = {}
-    frontier: FactSet = {
-        pred: set(facts) for pred, facts in deleted_below.items()
+    ``deleted_below`` are the facts already gone from ``db`` (retracted, or
+    removed by lower strata); ``inserted_below`` are facts lower strata
+    added, which ride along in the closure's seed delta.
+    """
+    interner = db.interner
+    intern_row = interner.intern_row
+    materialize = interner.materialize_row
+    reads = stratum.reads | stratum.preds
+    deleted_rows: dict[str, set] = {
+        pred: {intern_row(fact) for fact in facts}
+        for pred, facts in deleted_below.items() if facts and pred in reads
     }
+
+    # -- Phase 1: over-delete.  The deleted facts go back first, so that
+    # the joins see the pre-deletion state.  In place: the caller's
+    # deletion already took these relations private, so this copies
+    # nothing, where a COW shadow of ``db`` would copy each of them whole
+    # (and leave every relation of ``db`` marked shared, to be copied at
+    # its next write).  A deleted fact that is present anyway (asserted
+    # again since) is not ``restored``, so it is not taken out below.
+    restored = {pred: db.rel(pred).add_rows(rows)
+                for pred, rows in deleted_rows.items()}
+    overdeleted: dict[str, set] = {}
+    frontier = deleted_rows
     while frontier:
-        next_frontier: FactSet = {}
-        delta_rels = {pred: Relation.wrap(pred, facts, shadow.interner)
-                      for pred, facts in frontier.items()}
+        next_frontier: dict[str, set] = {}
+        delta_rels = {pred: Relation.wrap_rows(pred, rows, interner)
+                      for pred, rows in frontier.items()}
         for rule in stratum.rules:
-            for position, item in enumerate(rule.body):
-                if not isinstance(item, Literal) or item.negated:
+            pred = rule.head.pred
+            for position in rule.positive_positions():
+                if rule.body[position].atom.pred not in frontier:
                     continue
-                if item.atom.pred not in frontier:
-                    continue
-                plan = rule.plan(context, position, db=shadow, stats=stats)
-                candidates: set = set()
-                derive_rows(rule, plan.flat(), shadow, context, delta_rels,
-                            position, (), candidates)
-                pred = rule.head.pred
+                plan = rule.plan(context, position, db=db, stats=stats)
+                hit: set = set()
+                derive_rows(rule, plan.flat(), db, context, delta_rels,
+                            position, overdeleted.get(pred, ()), hit)
                 # Only facts that were actually derived can be over-deleted.
-                candidates &= shadow.rel(pred).rows
-                fresh = ({materialize(row) for row in candidates}
-                         - overdeleted.get(pred, set()))
-                if fresh:
-                    overdeleted.setdefault(pred, set()).update(fresh)
-                    next_frontier.setdefault(pred, set()).update(fresh)
+                hit &= db.rel(pred).rows
+                if hit:
+                    overdeleted.setdefault(pred, set()).update(hit)
+                    next_frontier.setdefault(pred, set()).update(hit)
                     if stats is not None:
-                        stats.derivations += len(fresh)
+                        stats.derivations += len(hit)
         frontier = next_frontier
 
-    # -- Phase 2: physically remove over-deleted facts.
-    for pred, facts in overdeleted.items():
+    # Take the deleted facts out again, and the over-deleted ones with
+    # them.
+    for pred, rows in restored.items():
         relation = db.rel(pred)
-        for fact in facts:
-            relation.discard(fact)
-            if provenance is not None:
+        for row in rows:
+            relation.discard_row(row)
+    over_facts: FactSet = {}
+    for pred, rows in overdeleted.items():
+        relation = db.rel(pred)
+        for row in rows:
+            relation.discard_row(row)
+        over_facts[pred] = {materialize(row) for row in rows}
+        if provenance is not None:
+            for fact in over_facts[pred]:
                 provenance.forget(pred, fact)
 
-    # -- Phase 3: re-derive.  EDB-asserted facts of this stratum come back
-    # first; then the stratum runs forward to fixpoint, restoring every
-    # over-deleted fact that still has a derivation.
+    # -- Phase 2: candidates.  An over-deleted row may have another
+    # derivation; a retracted fact of one of this stratum's own predicates
+    # lost its assertion but may still be derivable.  Those that are (still)
+    # EDB-asserted come back at once.  ``back`` collects, per predicate,
+    # every fact this stratum puts (back) into ``db`` from here on; it
+    # doubles as the closure's seed delta.
+    back: FactSet = {pred: set(facts)
+                     for pred, facts in inserted_below.items()
+                     if facts and pred in reads}
+    candidates: dict[str, set] = {}
     for pred in stratum.preds:
+        rows = overdeleted.get(pred, set()) | deleted_rows.get(pred, set())
+        if not rows:
+            continue
+        candidates[pred] = rows
         base = edb_facts(pred) if edb_facts is not None else None
         if not base:
             continue
         relation = db.rel(pred)
-        for fact in overdeleted.get(pred, set()):
-            if fact in base and relation.add(fact) and provenance is not None:
-                provenance.record_edb(pred, fact)
-    before = {pred: set(db.tuples(pred)) for pred in stratum.preds}
-    eval_stratum(stratum, db, context, provenance, changed=None, stats=stats)
+        for row in rows:
+            fact = materialize(row)
+            if fact in base:
+                relation.add_row(row)
+                back.setdefault(pred, set()).add(fact)
+                if provenance is not None:
+                    provenance.record_edb(pred, fact)
 
+    # -- Phase 3: head-bound re-derivation.  Each rule runs once with its
+    # head matched against the candidate rows, so the work is bounded by
+    # the candidates, not by the stratum.  A head with a computed term
+    # cannot be bound by matching: that rule runs unrestricted and is
+    # intersected with the candidates.
+    survivors: dict[str, set] = {}
+    for rule in stratum.rules:
+        pred = rule.head.pred
+        rows = candidates.get(pred)
+        if not rows:
+            continue
+        derivable: set = set()
+        plan = rule.head_bound_plan(context, db, stats)
+        if plan is None:
+            plan = rule.plan(context, None, db=db, stats=stats)
+            fired = derive_rows(rule, plan.flat(), db, context, None, None,
+                                (), derivable, provenance)
+            derivable &= rows
+        else:
+            fired = derive_rows(
+                rule, plan.flat(), db, context,
+                {pred: Relation.wrap_rows(pred, rows, interner)}, 0,
+                (), derivable, provenance)
+        if stats is not None and fired:
+            stats.derivations += fired
+            stats.fire(rule.label or pred, fired)
+        if derivable:
+            survivors.setdefault(pred, set()).update(derivable)
+    for pred, rows in survivors.items():
+        fresh = db.rel(pred).add_rows(rows)
+        if fresh:
+            back.setdefault(pred, set()).update(
+                materialize(row) for row in fresh)
+            if stats is not None:
+                stats.new_facts += len(fresh)
+
+    # -- Phase 4: semi-naive closure from the restored and re-derived
+    # facts, bringing back candidates that depend on other candidates.
+    closure = eval_stratum(stratum, db, context, provenance, changed=back,
+                           stats=stats)
+    for pred, facts in closure.items():
+        back.setdefault(pred, set()).update(facts)
+
+    # -- Phase 5: the diff, from the over-deleted and brought-back sets.
     added: FactSet = {}
     removed: FactSet = {}
     for pred in stratum.preds:
-        now = db.tuples(pred)
-        over = overdeleted.get(pred, set())
-        gone = over - now
-        grew = now - before[pred] - over
+        over = over_facts.get(pred, set())
+        came = back.get(pred, set())
+        gone = over - came
+        grew = came - over
         if gone:
             removed[pred] = gone
         if grew:

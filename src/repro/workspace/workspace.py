@@ -272,7 +272,16 @@ class Workspace:
                     )
                 self._edb_for_write(pred).discard(fact)
                 self.db.discard(pred, fact)
-                self._txn_deleted.setdefault(pred, set()).add(fact)
+                if self.provenance is not None:
+                    self.provenance.forget(pred, fact)
+                fresh = self._txn_fresh.get(pred)
+                if fresh is not None and fact in fresh:
+                    # Asserted earlier in this very transaction: nothing
+                    # has been derived from it yet, so there is nothing to
+                    # propagate in either direction.
+                    fresh.discard(fact)
+                else:
+                    self._txn_deleted.setdefault(pred, set()).add(fact)
 
     def deactivate_rule(self, ref: RuleRef) -> None:
         """Retract an API-activated rule (derived activations re-derive)."""
@@ -549,8 +558,10 @@ class Workspace:
         base.add(fact)
         if self.db.add(pred, fact):
             self._txn_fresh.setdefault(pred, set()).add(fact)
-            if self.provenance is not None:
-                self.provenance.record_edb(pred, fact)
+        if self.provenance is not None:
+            # Also for a fact some rule already derived: the assertion is
+            # one more reason it holds.
+            self.provenance.record_edb(pred, fact)
         for value in fact:
             for ref in self.registry.refs_in_value(value):
                 self._ensure_reified(ref)

@@ -335,3 +335,90 @@ class TestCopyDiff:
         assert record.delta_sizes[0] == 1        # the seed edge itself
         assert record.rounds == len(record.delta_sizes)
         assert stats.new_facts == 6              # r(i,6) for i in 0..5
+
+
+class TestRetractCostIsBounded:
+    """One retract costs what it deletes, not what the stratum holds.
+
+    A fixed RBAC policy; ``u0`` is in ``g0`` and ``g1``, and ``g0`` is a
+    subgroup of ``g1``.  Retracting ``memberOf(u0,g0)``:
+
+    * over-deletes ``member(u0,g0)``, then ``member(u0,g1)`` (via ``rb2``)
+      and ``access(u0,o0,read)``, then ``access(u0,o1,read)`` — 4;
+    * head-bound re-derivation finds one derivation among the four
+      candidates: ``member(u0,g1)`` from its own ``memberOf`` — 1, and
+      1 fact back;
+    * the closure from that survivor re-derives ``access(u0,o1,read)``
+      through ``rb3`` — 1, and 1 fact back.
+
+    The same retract against ten times as many unrelated users and
+    objects must count exactly the same: a full pass over the stratum
+    would scale with them, and wall time at test sizes would not show it.
+    """
+
+    POLICY = """
+        rb1: member(U,G) <- memberOf(U,G).
+        rb2: member(U,G) <- member(U,H), subgroup(H,G).
+        rb3: access(U,O,P) <- member(U,G), grant(G,O,P).
+        rb4: access(U,O,P) <- owner(U,O), perm(P).
+    """
+
+    def retract_counts(self, unrelated):
+        from repro.datalog.engine import normalize_rules
+        from repro.datalog.incremental import propagate_deletions
+        from repro.datalog.stratify import stratify
+
+        edb = {
+            "memberOf": {("u0", "g0"), ("u0", "g1")},
+            "subgroup": {("g0", "g1")},
+            "grant": {("g0", "o0", "read"), ("g1", "o1", "read")},
+            "owner": {("u1", "o0")},
+            "perm": {("read",), ("write",)},
+        }
+        for i in range(unrelated):
+            edb["memberOf"].add((f"x{i}", f"h{i % 3}"))
+            edb["grant"].add((f"h{i % 3}", f"p{i}", "read"))
+            edb["owner"].add((f"x{i}", f"p{i}"))
+        rules = normalize_rules(
+            [s for s in parse_statements(self.POLICY) if isinstance(s, Rule)])
+        db = Database()
+        for pred, facts in edb.items():
+            for fact in facts:
+                db.add(pred, fact)
+        evaluate(rules, db, EvalContext())
+        size_before = len(db.tuples("access"))
+
+        victim = ("u0", "g0")
+        edb["memberOf"].discard(victim)
+        db.discard("memberOf", victim)
+        stats = EvalStats()
+        removed = propagate_deletions(
+            stratify(rules), db, EvalContext(stats=stats),
+            {"memberOf": {victim}}, edb_facts=lambda p: edb.get(p, set()),
+            stats=stats)
+        assert removed == {"memberOf": {victim},
+                           "member": {("u0", "g0")},
+                           "access": {("u0", "o0", "read")}}
+        assert db.tuples("member") >= {("u0", "g1")}
+        assert len(db.tuples("access")) == size_before - 1
+        return stats
+
+    def test_one_retract_exact_counts(self):
+        stats = self.retract_counts(unrelated=0)
+        assert stats.derivations == 6             # 4 + 1 + 1
+        assert stats.new_facts == 2
+        assert stats.rule_firings == {"rb1": 1, "rb3": 1}
+        assert stats.dred_strata == 1
+        assert stats.strata_recomputed == 0
+
+    def test_counts_do_not_depend_on_unrelated_facts(self):
+        small = self.retract_counts(unrelated=3)
+        large = self.retract_counts(unrelated=30)
+        pinned = self.retract_counts(unrelated=0)
+        for stats in (small, large):
+            assert stats.derivations == pinned.derivations
+            assert stats.new_facts == pinned.new_facts
+            assert stats.rule_firings == pinned.rule_firings
+            assert stats.literal_scans == pinned.literal_scans
+            assert stats.value_materializations == \
+                pinned.value_materializations

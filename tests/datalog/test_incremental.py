@@ -154,25 +154,57 @@ class TestDeletions:
         harness.check()
         assert ("a", "b") in harness.db.tuples("r")
 
+    def test_retracted_assertion_of_derivable_fact_stays(self):
+        # r(1,3) is both asserted and derivable (1→2→3).  Retracting the
+        # assertion is not over-deletion: nothing upstream of r(1,3) went
+        # away, so only re-deriving the retracted fact itself keeps it.
+        harness = Harness(TC)
+        harness.insert("e", (1, 2))
+        harness.insert("e", (2, 3))
+        harness.insert("e", (3, 4))
+        harness.insert("r", (1, 3))
+        harness.delete("r", (1, 3))
+        harness.check()
+        assert (1, 3) in harness.db.tuples("r")
+        assert (1, 4) in harness.db.tuples("r")    # its consequence too
+        # ... and once its derivation goes as well, so does the fact.
+        harness.delete("e", (2, 3))
+        harness.check()
+        assert (1, 3) not in harness.db.tuples("r")
+        assert harness.db.tuples("r") == {(1, 2), (3, 4)}
+
+    def test_retracted_underivable_assertion_goes_with_consequences(self):
+        harness = Harness(TC)
+        harness.insert("e", (3, 4))
+        harness.insert("r", (1, 3))                # asserted only
+        assert (1, 4) in harness.db.tuples("r")
+        harness.delete("r", (1, 3))
+        harness.check()
+        assert harness.db.tuples("r") == {(3, 4)}
+
 
 @given(st.integers(0, 2 ** 30))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_property_mixed_stream_matches_scratch(seed):
     rng = random.Random(seed)
     nodes = [f"v{i}" for i in range(rng.randint(2, 6))]
     harness = Harness(TC_NEG)
     for node in nodes:
         harness.insert("n", (node,))
-    alive: set = set()
-    for _ in range(rng.randint(3, 14)):
-        if alive and rng.random() < 0.4:
-            victim = rng.choice(sorted(alive))
-            alive.discard(victim)
-            harness.delete("e", victim)
+    # The stream asserts and retracts the EDB predicate ``e`` and, a third
+    # of the time, the derived predicate ``r`` directly — so it meets
+    # facts that are asserted *and* derivable, in both retraction orders.
+    alive: dict = {"e": set(), "r": set()}
+    for _ in range(rng.randint(3, 16)):
+        pred = "r" if rng.random() < 0.35 else "e"
+        if alive[pred] and rng.random() < 0.4:
+            victim = rng.choice(sorted(alive[pred]))
+            alive[pred].discard(victim)
+            harness.delete(pred, victim)
         else:
-            edge = (rng.choice(nodes), rng.choice(nodes))
-            alive.add(edge)
-            harness.insert("e", edge)
+            fact = (rng.choice(nodes), rng.choice(nodes))
+            alive[pred].add(fact)
+            harness.insert(pred, fact)
         harness.check()
 
 
