@@ -71,6 +71,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from ..datalog.errors import ClusterError, NetworkError
@@ -418,7 +419,7 @@ def _build_system_job(spec: dict, my_node: str) -> _Job:
                 run_report=run_report, system=system)
 
 
-def _check_local_imports(job: _Job, my_node: str, items: list) -> None:
+def _check_local_imports(job: _Job, my_node: str, batches: list) -> None:
     """Reject relay-routed imports a single worker cannot apply soundly.
 
     In-process, an import for a principal hosted elsewhere is swept to
@@ -428,21 +429,21 @@ def _check_local_imports(job: _Job, my_node: str, items: list) -> None:
     """
     if job.system is None:
         return
-    for to, _pred, _fact in items:
-        principal = job.system.principals.get(to)
-        if principal is not None and principal.node != my_node:
-            raise ClusterError(
-                f"relay-routed import: principal {to!r} is hosted on "
-                f"{principal.node!r}, not {my_node!r}; multiprocess "
-                f"placements must route imports to the hosting node")
+    for batch in batches:
+        for to, _pred, _fact in batch.items():
+            principal = job.system.principals.get(to)
+            if principal is not None and principal.node != my_node:
+                raise ClusterError(
+                    f"relay-routed import: principal {to!r} is hosted on "
+                    f"{principal.node!r}, not {my_node!r}; multiprocess "
+                    f"placements must route imports to the hosting node")
 
 
 def _drain_and_flush(job: _Job, batcher: MessageBatcher, sendlog: _SendLog,
                      my_node: str, stamp: int) -> tuple[int, dict]:
     """Drain the node's outbox under ``stamp``; returns (facts, sends)."""
     drained = job.node.drain_outbox(
-        lambda dst, pred, fact, to="": batcher.add(
-            my_node, dst, pred, fact, to=to, round_stamp=stamp))
+        partial(batcher.add, my_node, round_stamp=stamp))
     batcher.flush(stamp)
     return drained, sendlog.take()
 
@@ -526,7 +527,7 @@ def _receive_round(job: _Job, network: SocketNetwork, my_node: str,
     lists one ``[sender, stamp, 1]`` triple per integrated batch.
     """
     needed = {src: count for src, count in expect.items() if count}
-    items: list = []
+    batches: list = []
     retired: list = []
 
     def _take(frame) -> bool:
@@ -534,9 +535,9 @@ def _receive_round(job: _Job, network: SocketNetwork, my_node: str,
         if needed.get(src, 0) <= 0:
             return False
         needed[src] -= 1
-        stamp, decoded = decode_batch_message(blob, job.registry)
-        retired.append([src, stamp, 1])
-        items.extend(decoded)
+        batch = decode_batch_message(blob, job.registry)
+        retired.append([src, batch.stamp, 1])
+        batches.append(batch)
         return True
 
     for frame in list(held):
@@ -552,10 +553,10 @@ def _receive_round(job: _Job, network: SocketNetwork, my_node: str,
         if not _take(frame):
             held.append(frame)
     new_facts = 0
-    if items:
-        _check_local_imports(job, my_node, items)
-        new_facts = job.node.integrate(items)
-    return new_facts, len(items), retired
+    if batches:
+        _check_local_imports(job, my_node, batches)
+        new_facts = job.node.integrate(batches)
+    return new_facts, sum(map(len, batches)), retired
 
 
 def _worker_bsp(job: _Job, control: _Channel, network: SocketNetwork,
@@ -613,18 +614,19 @@ def _worker_async(job: _Job, control: _Channel, network: SocketNetwork,
         if frame is None:
             continue
         src, _dst, blob = frame
-        stamp, items = decode_batch_message(blob, job.registry)
-        _check_local_imports(job, my_node, items)
+        batch = decode_batch_message(blob, job.registry)
+        stamp = batch.stamp
+        _check_local_imports(job, my_node, [batch])
         # The heart of overlap, process-distributed: integrate *now*,
         # flush the consequences immediately, tell the ledger.
-        new_facts = job.node.integrate(items)
+        new_facts = job.node.integrate([batch])
         candidate = max(next_stamp, stamp + 1)
         _drained, sent = _drain_and_flush(job, batcher, sendlog,
                                           my_node, candidate)
         if sent:
             next_stamp = candidate
         control.send({"type": "activity", "phase": "exchange",
-                      "new_facts": new_facts, "delivered": len(items),
+                      "new_facts": new_facts, "delivered": len(batch),
                       "sent": [[dst, candidate, count]
                                for dst, count in sent.items()],
                       "retired": [[src, stamp, 1]]})
@@ -826,10 +828,12 @@ class _Coordinator:
                     f"async launch stalled: {self.ledger.outstanding()} "
                     f"ticket(s) outstanding, {len(deferred)} deferred, "
                     f"{len(bootstrapped)}/{len(self.nodes)} bootstrapped")
-            if runtime.events > self.max_rounds * max(1, len(self.nodes)):
+            # the cap is on what ``rounds`` reports: causal depth, the
+            # deepest stamp any worker has sent under
+            if runtime.depth > self.max_rounds:
                 raise ClusterError(
-                    f"async launch did not quiesce within "
-                    f"{runtime.events} delivery events")
+                    f"async launch did not quiesce within causal depth "
+                    f"{self.max_rounds}")
         self.ledger.close_quiet(self._clock())
         runtime.rounds = runtime.depth
         runtime.productive_rounds = runtime.events

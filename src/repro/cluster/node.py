@@ -15,14 +15,19 @@ freshly derived *id-row* set is partitioned by owner before assertion —
 
 Ownership is decided in id space: the partition key is a single column,
 so ``(pred, key id)`` → owner is memoized against the append-only
-interner, and only facts bound for a peer materialize to value tuples
-(they must cross the process boundary as values anyway).
+interner.  A row bound for a peer **stays an id row**: the outbox and
+the resend-dedup markers hold id rows (ids are stable, so a marker is as
+good as the fact), ``drain_outbox`` hands each ``(dst, pred)`` block to
+the batcher together with the interner, and the batcher splices the
+terms' cached JSON texts into the envelope — nothing is materialized on
+the way out.
 
-Frontier state crosses the node boundary with zero copies: the outbox
-accumulates plain fact sets, incoming batches are handed to
-:func:`~repro.datalog.engine.propagate_insertions` as-is, and the
-stratum loop wraps them via :meth:`Relation.wrap` — the same COW
-handoff single-node semi-naive uses for its deltas.
+On the way in, :meth:`ClusterNode.integrate` interns each received
+batch's dictionary **once**, maps the wire's index rows straight to id
+rows, and merges them with :meth:`Relation.add_rows`; only the genuinely
+novel rows materialize, as the value-space delta
+:func:`~repro.datalog.engine.propagate_insertions` takes.  All batches of
+one delivery form one delta and one propagation.
 
 The node speaks the :class:`~repro.cluster.scheduler.ExecutionRuntime`
 protocol (``bootstrap`` / ``integrate`` / ``drain_outbox`` /
@@ -46,6 +51,7 @@ from ..datalog.engine import (
 from ..datalog.runtime import EvalContext
 from ..datalog.stratify import stratify
 from ..datalog.errors import ClusterError
+from ..net.transport import Batch
 from .partition import MODE_LOCAL, MODE_REPLICATED, Partitioner
 
 
@@ -69,26 +75,27 @@ class ClusterNode:
         self.rules: list[EngineRule] = []
         self.strata: list = []
         self.stats = EvalStats()
-        #: facts awaiting exchange: destination -> pred -> set
-        self.outbox: dict[str, FactSet] = {}
-        #: (dst, pred, fact) already queued — a re-derived remote fact
-        #: must not be resent every round its body delta rematches.  The
-        #: whole set belongs to one *generation* (``sent_generation``):
-        #: :meth:`quiesce` clears it and opens the next generation once
-        #: the runtime proves global convergence (every queued fact has
-        #: been delivered and asserted at its owner by then, so a later
-        #: re-derivation resends at most once and is deduplicated on
-        #: arrival), keeping long-running clusters' memory bounded by
-        #: one run's traffic instead of growing forever.
-        self._sent: set = set()
+        #: id rows awaiting exchange: destination -> pred -> set
+        self.outbox: dict[str, dict[str, set]] = {}
+        #: id rows already queued, same shape as the outbox — a
+        #: re-derived remote fact must not be resent every round its body
+        #: delta rematches.  The whole table belongs to one *generation*
+        #: (``sent_generation``): :meth:`quiesce` clears it and opens the
+        #: next generation once the runtime proves global convergence
+        #: (every queued fact has been delivered and asserted at its
+        #: owner by then, so a later re-derivation resends at most once
+        #: and is deduplicated on arrival), keeping long-running
+        #: clusters' memory bounded by one run's traffic instead of
+        #: growing forever.
+        self._sent: dict[str, dict[str, set]] = {}
         self.sent_generation = 0
         self.sent_facts = 0
         self.received_facts = 0
         self._peers = tuple(n for n in partitioner.nodes if n != name)
-        #: (pred, key id) -> owner node.  Ids are stable for the life of
+        #: pred -> key id -> owner node.  Ids are stable for the life of
         #: the database (the interner is append-only), so the placement
         #: decision for a key is computed at most once per node.
-        self._owner_memo: dict = {}
+        self._owner_memo: dict[str, dict[int, str]] = {}
         # A single-node cluster owns every fact, so the delta-exchange
         # hook would be an identity function paid once per derived row;
         # leave it uninstalled and the engine stays on the plain
@@ -120,47 +127,52 @@ class ClusterNode:
 
     def _emit_rows(self, pred: str, rows: set) -> set:
         """Partition freshly derived id rows by owner; return the local
-        keep.  Only rows bound for a peer materialize to value tuples."""
+        keep.  Rows bound for a peer are queued as they are."""
         mode = self.partitioner.mode(pred)
         if mode == MODE_LOCAL:
             return rows
-        interner = self.db.interner
-        materialize = interner.materialize_row
         if mode == MODE_REPLICATED:
-            for row in rows:
-                fact = materialize(row)
-                for peer in self._peers:
-                    self._queue_one(peer, pred, fact)
+            for peer in self._peers:
+                self._queue(peer, pred, rows)
             return rows
         key_col = self.partitioner.key_column(pred)
         owner_of_key = self.partitioner.owner_of_key
-        values = interner.values
-        memo = self._owner_memo
+        values = self.db.interner.values
+        memo = self._owner_memo.setdefault(pred, {})
         name = self.name
         keep = set()
+        remote: dict[str, set] = {}
         for row in rows:
-            if key_col >= len(row):
+            try:
+                key = row[key_col]
+            except IndexError:
                 raise ClusterError(
-                    f"fact {materialize(row)!r} of {pred!r} has no column "
-                    f"{key_col} to partition on"
-                )
-            memo_key = (pred, row[key_col])
-            owner = memo.get(memo_key)
+                    f"fact {self.db.interner.materialize_row(row)!r} of "
+                    f"{pred!r} has no column {key_col} to partition on"
+                ) from None
+            owner = memo.get(key)
             if owner is None:
-                owner = owner_of_key(pred, values[row[key_col]])
-                memo[memo_key] = owner
+                owner = memo[key] = owner_of_key(pred, values[key])
             if owner == name:
                 keep.add(row)
             else:
-                self._queue_one(owner, pred, materialize(row))
+                bound = remote.get(owner)
+                if bound is None:
+                    bound = remote[owner] = set()
+                bound.add(row)
+        for owner, bound in remote.items():
+            self._queue(owner, pred, bound)
         return keep
 
-    def _queue_one(self, dst: str, pred: str, fact: tuple) -> None:
-        marker = (dst, pred, fact)
-        if marker in self._sent:
-            return
-        self._sent.add(marker)
-        self.outbox.setdefault(dst, {}).setdefault(pred, set()).add(fact)
+    def _queue(self, dst: str, pred: str, rows: set) -> None:
+        """Queue the rows of ``pred`` not yet sent to ``dst`` this
+        generation (one set difference, no per-row marker)."""
+        sent = self._sent.setdefault(dst, {}).setdefault(pred, set())
+        fresh = rows - sent
+        if fresh:
+            sent |= fresh
+            self.outbox.setdefault(dst, {}).setdefault(pred, set()) \
+                .update(fresh)
 
     # ------------------------------------------------------------------
     # The ExecutionRuntime node protocol
@@ -175,30 +187,38 @@ class ClusterNode:
             new_facts += sum(len(facts) for facts in added.values())
         return new_facts
 
-    def integrate(self, items: Iterable[tuple]) -> int:
-        """Absorb one delivery's ``(to, pred, fact)`` items (``to`` is
-        principal routing, unused by plain shards)."""
-        incoming: FactSet = {}
-        for _to, pred, fact in items:
-            incoming.setdefault(pred, set()).add(fact)
-        return self.integrate_facts(incoming)
+    def integrate(self, batches: Iterable[Batch]) -> int:
+        """Absorb one delivery's batches; returns new local facts.
 
-    def integrate_facts(self, incoming: FactSet) -> int:
-        """Absorb received deltas; returns new local facts.
-
-        Novel facts are asserted, recorded as received EDB, and pushed
-        through the strata semi-naive — re-entering ``_emit_rows`` for any
-        further derivations they enable.
+        Each batch's dictionary is interned once and its index rows map
+        straight to id rows (``to`` is principal routing, unused by plain
+        shards).  All batches form **one** delta: the novel rows are
+        asserted, recorded as received EDB, and pushed through the strata
+        semi-naive in a single propagation — re-entering ``_emit_rows``
+        for any further derivations they enable.
         """
+        interner = self.db.interner
+        intern = interner.intern
+        incoming: dict[str, set] = {}
+        for batch in batches:
+            names = batch.names
+            id_of = [intern(value) for value in batch.values].__getitem__
+            by_pred: dict[int, set] = {}
+            for row in batch.rows:
+                rows = by_pred.get(row[1])
+                if rows is None:
+                    rows = by_pred[row[1]] = incoming.setdefault(
+                        names[row[1]], set())
+                rows.add(tuple(map(id_of, row[2:])))
+        materialize = interner.materialize_row
         fresh: FactSet = {}
         count = 0
-        for pred, facts in incoming.items():
-            relation = self.db.rel(pred)
-            novel = {fact for fact in facts if relation.add(fact)}
+        for pred, rows in incoming.items():
+            novel = self.db.rel(pred).add_rows(rows)
             if novel:
-                fresh[pred] = novel
-                self.base.setdefault(pred, set()).update(novel)
-                count += len(novel)
+                facts = fresh[pred] = {materialize(row) for row in novel}
+                self.base.setdefault(pred, set()).update(facts)
+                count += len(facts)
         self.received_facts += count
         if fresh:
             added = propagate_insertions(
@@ -208,14 +228,17 @@ class ClusterNode:
         return count
 
     def drain_outbox(self, sink: Callable) -> int:
-        """Hand every queued fact to ``sink(dst, pred, fact)``; clear."""
+        """Hand the sink one block per ``(dst, pred)`` —
+        ``sink(dst, pred, id_rows, interner)`` — and clear the outbox.
+        Blocks and their rows go out in sorted (id) order."""
         drained = 0
+        interner = self.db.interner
         for dst in sorted(self.outbox):
             per_pred = self.outbox[dst]
             for pred in sorted(per_pred):
-                for fact in sorted(per_pred[pred], key=repr):
-                    sink(dst, pred, fact)
-                    drained += 1
+                rows = sorted(per_pred[pred])
+                sink(dst, pred, rows, interner)
+                drained += len(rows)
         self.outbox = {}
         self.sent_facts += drained
         return drained
@@ -223,17 +246,18 @@ class ClusterNode:
     def quiesce(self) -> None:
         """Global quiescence reached: open a new dedup generation.
 
-        Every marker in ``_sent`` describes a fact that has been
-        delivered and asserted at its owner, so the markers are only
-        protecting against *redundant* resends, not correctness — and a
-        redundant resend is deduplicated by the owner's ``Relation.add``.
-        Clearing here bounds the set's memory by one run's traffic; the
+        Every row in ``_sent`` describes a fact that has been delivered
+        and asserted at its owner, so the markers are only protecting
+        against *redundant* resends, not correctness — and a redundant
+        resend is deduplicated by the owner's ``Relation.add_rows``.
+        Clearing here bounds the table's memory by one run's traffic; the
         evicted count is observable as
         :attr:`EvalStats.sent_dedup_evictions`.
         """
-        if self._sent:
-            self.stats.sent_dedup_evictions += len(self._sent)
-            self._sent = set()
+        self.stats.sent_dedup_evictions += sum(
+            len(rows) for per_pred in self._sent.values()
+            for rows in per_pred.values())
+        self._sent = {}
         self.sent_generation += 1
 
     # ------------------------------------------------------------------

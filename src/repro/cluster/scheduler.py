@@ -19,13 +19,23 @@ program — holds across both.
     run whatever local work is possible before any exchange (a shard's
     initial fixpoint; a no-op for workspaces, which fixpoint eagerly at
     assert time); returns the number of new local facts;
-``integrate(items) -> int``
-    absorb one delivery's ``[(to, pred, fact), ...]`` payload, re-enter
-    local evaluation, and return the number of facts accepted for
-    processing;
+``integrate(batches) -> int``
+    absorb one delivery — a list of decoded
+    :class:`~repro.net.transport.Batch` blocks (names, the decoded batch
+    dictionary, validated index rows; ``batch.items()`` yields
+    ``(to, pred, fact)`` triples for nodes that want facts) — as **one**
+    delta, re-enter local evaluation, and return the number of facts
+    accepted for processing;
 ``drain_outbox(sink) -> int``
-    hand every pending outbound fact to ``sink(dst, pred, fact, to="")``
-    and clear the outbox;
+    hand every pending outbound fact to the sink as **blocks** — one
+    ``sink(dst, pred, rows, terms=None, to="")`` call per predicate and
+    link, in a deterministic order — clear the outbox, and return the
+    number of rows handed over.  ``rows`` are id rows into the interner
+    ``terms`` (Datalog shards: nothing is materialized between the join
+    and the wire) or value tuples when ``terms`` is None (workspace
+    hosts); ``to`` names the destination principal.  The sink is
+    :meth:`MessageBatcher.add <repro.net.batch.MessageBatcher.add>` bound
+    to the node's name and the round stamp;
 ``quiesce()``
     (optional) called once when the runtime proves global quiescence —
     the hook where bounded-memory maintenance (e.g. generation-tagged
@@ -63,11 +73,12 @@ verifies statically at ``load()`` instead of trusting the programmer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..datalog.errors import ClusterError, NetworkError
 from ..net.batch import DEFAULT_MAX_BATCH_BYTES, MessageBatcher
-from ..net.transport import decode_batch_message
+from ..net.transport import Batch, decode_batch_message
 from .quiescence import TicketLedger
 
 MODE_BSP = "bsp"
@@ -222,9 +233,9 @@ class ExecutionRuntime:
                         raise ClusterError(f"delivery to unknown node {name!r}")
                     self._reject(name, "unknown node")
                     continue
-                items = incoming[name]
-                delivered += len(items)
-                new_facts += node.integrate(items)
+                batches = incoming[name]
+                delivered += sum(map(len, batches))
+                new_facts += node.integrate(batches)
             report.new_facts += new_facts
             report.delivered_facts += delivered
             if incoming:
@@ -235,23 +246,26 @@ class ExecutionRuntime:
         report.rounds = len(ledger.rounds) - rounds_before
         report.convergence_time = ledger.convergence_clock()
 
+    def _sink(self, name: str, round_stamp: int) -> Callable:
+        """The block sink ``name``'s drain feeds: the batcher's ``add``
+        bound to the sending node and the stamp its batches carry."""
+        return partial(self.batcher.add, name, round_stamp=round_stamp)
+
     def _flush_all(self, round_stamp: int) -> int:
         """Drain every node's outbox and flush one barrier's batches."""
         before = self.batcher.sent_messages
         for name in sorted(self.nodes):
-            node = self.nodes[name]
-            node.drain_outbox(
-                lambda dst, pred, fact, to="", _src=name: self.batcher.add(
-                    _src, dst, pred, fact, to=to, round_stamp=round_stamp))
+            self.nodes[name].drain_outbox(self._sink(name, round_stamp))
         self.batcher.flush(round_stamp)
         return self.batcher.sent_messages - before
 
     def _receive_all(self) -> dict:
-        """Deliver the whole queue; group decoded items per destination."""
+        """Deliver the whole queue; group decoded batches per destination."""
         incoming: dict[str, list] = {}
         for src, dst, blob in self.network.deliver_all():
-            for _stamp, item in self._decode(src, dst, blob):
-                incoming.setdefault(dst, []).append(item)
+            batch = self._decode(src, blob)
+            if batch is not None:
+                incoming.setdefault(dst, []).append(batch)
         return incoming
 
     # ------------------------------------------------------------------
@@ -274,25 +288,27 @@ class ExecutionRuntime:
         for name in sorted(self.nodes):
             report.depth = max(report.depth, self._drain_one(name, 1))
 
-        max_events = max_rounds * max(1, len(self.nodes))
         while True:
+            # The cap is on what ``rounds`` reports — causal depth, the
+            # stamp the deepest drain so far has sent — not on delivery
+            # events: a run that never quiesces has unbounded depth, so
+            # this still terminates it.
+            if report.depth > max_rounds:
+                if not self.strict:
+                    break
+                raise ClusterError(
+                    f"async runtime did not quiesce within causal depth "
+                    f"{max_rounds}")
             delivered = network.deliver_next()
             if delivered is None:
                 break
             report.events += 1
-            if report.events > max_events:
-                if not self.strict:
-                    break
-                raise ClusterError(
-                    f"async runtime did not quiesce within "
-                    f"{max_events} delivery events")
             src, dst, blob = delivered
-            items = self._decode(src, dst, blob)
-            if not items:
+            batch = self._decode(src, blob)
+            if batch is None:
                 continue
-            report.delivered_facts += len(items)
-            stamp = items[0][0]
-            payload = [item[1] for item in items]
+            report.delivered_facts += len(batch)
+            stamp = batch.stamp
             node = self.nodes.get(dst)
             if node is None:
                 if self.strict:
@@ -302,7 +318,7 @@ class ExecutionRuntime:
             # The heart of overlap: integrate *now*, re-entering the
             # node's semi-naive propagation, and ship its consequent
             # deltas immediately — no barrier, no waiting on peers.
-            new_facts = node.integrate(payload)
+            new_facts = node.integrate([batch])
             report.new_facts += new_facts
             if new_facts:
                 productive_clock = network.clock
@@ -338,11 +354,7 @@ class ExecutionRuntime:
     def _drain_one(self, name: str, stamp: int) -> int:
         """Flush one node's outbox under ``stamp``; returns the stamp if
         anything was sent, else 0."""
-        node = self.nodes[name]
-        drained = node.drain_outbox(
-            lambda dst, pred, fact, to="", _src=name: self.batcher.add(
-                _src, dst, pred, fact, to=to, round_stamp=stamp))
-        if not drained:
+        if not self.nodes[name].drain_outbox(self._sink(name, stamp)):
             return 0
         self.batcher.flush(stamp)
         return stamp
@@ -351,14 +363,11 @@ class ExecutionRuntime:
     # Shared receive path
     # ------------------------------------------------------------------
 
-    def _decode(self, src: str, dst: str, blob: bytes):
-        """Decode one wire blob; retire its ticket; return stamped items.
-
-        Returns ``[(stamp, (to, pred, fact)), ...]`` — empty on a
-        tolerated decode failure.
-        """
+    def _decode(self, src: str, blob: bytes) -> Optional[Batch]:
+        """Decode one wire blob and retire its ticket; None on a
+        tolerated decode failure or an empty batch."""
         try:
-            round_stamp, items = decode_batch_message(blob, self.registry)
+            batch = decode_batch_message(blob, self.registry)
         except NetworkError as exc:
             if self.strict:
                 raise ClusterError(f"undecodable delta batch: {exc}") from exc
@@ -369,12 +378,12 @@ class ExecutionRuntime:
             # so retire the sender's oldest outstanding slot rather than
             # wedging quiescence on an unreadable stamp.
             self.ledger.retire_any(sender=src)
-            return []
+            return None
         if self.strict:
-            self.ledger.retire(round_stamp, sender=src)
+            self.ledger.retire(batch.stamp, sender=src)
         else:
-            self.ledger.retire_guarded(round_stamp, sender=src)
-        return [(round_stamp, item) for item in items]
+            self.ledger.retire_guarded(batch.stamp, sender=src)
+        return batch if batch.rows else None
 
     def _reject(self, source: str, reason: str) -> None:
         if self.on_reject is not None:

@@ -145,13 +145,15 @@ class WorkspaceNode:
     def drain_outbox(self, sink) -> int:
         """Queue every unexported fact owned elsewhere per ``predNode``.
 
-        ``sink(dst, pred, fact, to)`` — ``dst`` is the destination
-        *node*, ``to`` the destination *principal* (several principals
-        may share one node).  The system-wide ``_sent`` marker set keeps
-        re-derived exports from re-shipping every round; unlike a
-        shard's dedup set it must survive quiescence, because workspaces
-        retain their full state between runs and would otherwise re-send
-        (and re-count) every historical export on the next run.
+        The sink takes blocks of value tuples — one
+        ``sink(dst, pred, facts, to=principal)`` call per scanned
+        relation, destination *node* and destination *principal* (several
+        principals may share one node).  The system-wide ``_sent`` marker
+        set keeps re-derived exports from re-shipping every round; unlike
+        a shard's dedup table it must survive quiescence, because
+        workspaces retain their full state between runs and would
+        otherwise re-send (and re-count) every historical export on the
+        next run.
 
         The async scheduler drains after *every* delivery event, so the
         scan is incremental: a keyed relation whose object identity and
@@ -176,6 +178,7 @@ class WorkspaceNode:
                 if scanned.get(pred) == signature:
                     continue
                 scanned[pred] = signature
+                blocks: dict[tuple[str, str], list] = {}
                 for fact in workspace.db.tuples(pred):
                     key = fact[:info.key_arity]
                     node = placement.owner(pred, key)
@@ -190,11 +193,13 @@ class WorkspaceNode:
                     if marker in system._sent:
                         continue
                     system._sent.add(marker)
-                    sink(node, pred, fact, target)
-                    drained += 1
+                    blocks.setdefault((node, target), []).append(fact)
+                for (node, target), facts in blocks.items():
+                    sink(node, pred, facts, to=target)
+                    drained += len(facts)
         return drained
 
-    def integrate(self, items: list) -> int:
+    def integrate(self, batches: list) -> int:
         """Import one delivery's facts at their destination principals.
 
         Returns the number of facts handed to import transactions (the
@@ -202,8 +207,9 @@ class WorkspaceNode:
         accounting lands on the shared :class:`RunReport`.
         """
         grouped: dict[str, list] = {}
-        for to, pred, fact in items:
-            grouped.setdefault(to, []).append((pred, fact))
+        for batch in batches:
+            for to, pred, fact in batch.items():
+                grouped.setdefault(to, []).append((pred, fact))
         for to, batch in grouped.items():
             principal = self.system.principals.get(to)
             if principal is None:
@@ -211,7 +217,7 @@ class WorkspaceNode:
                 self.report.rejected_detail.append((to, "unknown principal"))
                 continue
             self.system._import_batch(principal, batch, self.report)
-        return len(items)
+        return sum(map(len, batches))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WorkspaceNode({self.name!r}, "

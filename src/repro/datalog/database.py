@@ -67,7 +67,9 @@ class TermInterner:
     way they collided in a ``set`` before.
     """
 
-    __slots__ = ("ids", "values")
+    # weak-referenceable: per-interner side tables (the batcher's encoded
+    # term texts) key on the interner and must die with it
+    __slots__ = ("ids", "values", "__weakref__")
 
     def __init__(self) -> None:
         self.ids: dict[Any, int] = {}

@@ -679,9 +679,8 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
             return
         if remote_emit_rows is not None:
             # Id-space delta exchange: the hook decides ownership on id
-            # rows directly and materializes only the facts it ships to
-            # a remote owner, so locally-kept derivations never leave id
-            # space.
+            # rows directly, so neither the locally-kept derivations nor
+            # the ones it diverts to a remote owner leave id space here.
             kept_rows = remote_emit_rows(pred, new_rows)
             stats.remote_emissions += len(new_rows) - len(kept_rows)
             if not kept_rows:

@@ -86,9 +86,10 @@ class EvalContext:
     #: id-space variant of ``remote_emit``: called with the freshly
     #: derived *id rows* (interned against the evaluating database) and
     #: returns the rows to keep locally.  When set it takes precedence
-    #: over ``remote_emit``, and locally-kept facts never materialize —
-    #: only genuinely remote ones pay the value boundary (they must
-    #: cross the wire anyway).  The implementer owns materialization.
+    #: over ``remote_emit``, and nothing materializes here: kept rows
+    #: stay id rows, and what the implementer does with the diverted
+    #: ones is its own business (a cluster shard queues them as id rows
+    #: all the way to the wire envelope).
     remote_emit_rows: Optional[Callable[[str, set], set]] = None
 
 

@@ -1,4 +1,4 @@
-"""Per-destination coalescing of outbound facts into batched messages.
+"""Per-destination coalescing of outbound fact blocks into batched messages.
 
 A delta-exchange round used to cost one network message per fact; the
 cluster runtime (and the LBTrust system loop) instead accumulate facts
@@ -8,164 +8,231 @@ what a real transport would pay for.  A batch whose encoded size would
 exceed ``max_bytes`` is flushed early, capping message size the way an
 MTU/frame limit would.
 
-Two wire formats:
+The wire format is the dictionary-compressed envelope
+(:func:`~repro.net.transport.encode_batch_message_dict` is its canonical
+definition): every distinct to/pred name and every distinct encoded
+value is serialized once per batch, rows are int-index arrays into those
+dictionaries.  Delta-exchange traffic is dominated by a small working
+set of ground terms (vertex ids, principal names), so this cuts payload
+bytes per fact substantially — and it is an *id-row* format, which is
+what lets a shard hand over the id rows it already holds:
 
-* ``wire_format="dict"`` (default) — dictionary-compressed envelopes:
-  every distinct to/pred name and every distinct encoded value is
-  serialized once per batch, rows are int-index arrays into those
-  dictionaries.  Delta-exchange traffic is dominated by a small working
-  set of ground terms (vertex ids, principal names), so this cuts
-  payload bytes per fact substantially.
-* ``wire_format="legacy"`` — the original one-tagged-object-per-fact
-  batch, byte-for-byte identical to what older peers emit; keep it for
-  links into mixed-version clusters.  Decoding needs no flag — the
-  receiver sniffs both formats (:func:`decode_batch_message`).
+The unit of handoff is the **block** — the rows of one predicate bound
+for one link (:meth:`MessageBatcher.add`).  A shard passes id rows plus
+its interner; the batcher keeps, per interner, the encoded JSON text of
+every term it has shipped, and per pending batch the dictionary slot of
+every term in it, so a row costs dict lookups and one ``",".join`` —
+``encode_value`` / ``json.dumps`` run once per (sender, term), not once
+per shipped fact.  A sender without an interner (workspace hosts) passes
+value tuples through the same entry point and pays one encode per value.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
+from weakref import WeakKeyDictionary
 
-from ..datalog.errors import NetworkError
-from .transport import (
-    encode_batch_item,
-    encode_batch_message_compressed,
-    encode_batch_message_parts,
-    encode_value,
-)
+from .transport import encode_batch_message_compressed, encode_value
 
 #: Default size cap per batch message, in encoded-payload bytes.  Small
 #: enough that a pathological round still produces bounded messages,
 #: large enough that typical rounds coalesce into a single envelope.
 DEFAULT_MAX_BATCH_BYTES = 16384
 
-#: Fixed envelope overhead assumed per message ({"round":NNN,"batch":[]}).
-_ENVELOPE_OVERHEAD = 32
-
-#: Envelope overhead of the compressed form
+#: Envelope overhead assumed per message
 #: ({"round":NNN,"names":[],"dict":[],"rows":[]}).
-_DICT_ENVELOPE_OVERHEAD = 48
+_ENVELOPE_OVERHEAD = 48
+
+
+def _compact(encoded) -> str:
+    return json.dumps(encoded, separators=(",", ":"))
 
 
 class _LinkBuffer:
-    """One link's pending compressed batch: dictionaries + index rows."""
+    """One link's pending batch: dictionaries + index rows, all as the
+    texts the envelope will splice."""
 
-    __slots__ = ("names", "name_texts", "values", "value_texts", "rows",
-                 "size")
+    __slots__ = ("names", "name_texts", "values", "value_texts", "terms",
+                 "slots", "rows", "size")
 
     def __init__(self) -> None:
-        self.names: dict[str, int] = {}       # to/pred name -> index
+        self.names: dict[str, str] = {}       # to/pred name -> index text
         self.name_texts: list[str] = []       # JSON string literals
-        self.values: dict[str, int] = {}      # encoded value text -> index
+        self.values: dict[str, str] = {}      # encoded value -> index text
         self.value_texts: list[str] = []      # tagged-object texts
+        #: the sending interner ``slots`` is keyed against — a link has
+        #: one sender, hence one interner; a different one resets them
+        self.terms: Optional[object] = None
+        self.slots: dict[int, str] = {}       # term id -> index text
         self.rows: list[str] = []             # "[to,pred,v...]" texts
-        self.size = _DICT_ENVELOPE_OVERHEAD
+        self.size = _ENVELOPE_OVERHEAD
 
 
 class MessageBatcher:
-    """Accumulates facts per link; flushes size-capped batch messages."""
+    """Accumulates fact blocks per link; flushes size-capped messages."""
 
     def __init__(self, network, registry,
                  max_bytes: int = DEFAULT_MAX_BATCH_BYTES,
-                 ledger: Optional[object] = None,
-                 wire_format: str = "dict") -> None:
-        if wire_format not in ("dict", "legacy"):
-            raise NetworkError(
-                f"unknown wire format {wire_format!r}; pick dict or legacy")
+                 ledger: Optional[object] = None) -> None:
         self.network = network
         self.registry = registry
         self.max_bytes = max_bytes
-        self.wire_format = wire_format
         #: optional quiescence :class:`~repro.cluster.quiescence.TicketLedger`;
         #: when set, one ticket is issued per message sent — including
         #: early size-capped flushes, which callers never see.
         self.ledger = ledger
         self.sent_messages = 0
         self.sent_items = 0
-        self._buffers: dict[tuple[str, str], list] = {}    # legacy format
-        self._sizes: dict[tuple[str, str], int] = {}
         self._links: dict[tuple[str, str], _LinkBuffer] = {}
+        #: sending interner -> {term id: encoded JSON text}.  Append-only
+        #: like the interner it mirrors and bounded by it; the weak key
+        #: lets the table die with its interner.
+        self._term_texts: WeakKeyDictionary = WeakKeyDictionary()
 
-    def add(self, src: str, dst: str, pred: str, fact: tuple,
-            to: str = "", round_stamp: int = 0) -> None:
-        """Queue one fact for the ``src -> dst`` link.
+    def add(self, src: str, dst: str, pred: str, rows: Iterable[tuple],
+            terms=None, to: str = "", round_stamp: int = 0) -> None:
+        """Queue one block — ``rows`` of ``pred`` — for the ``src -> dst``
+        link.
 
-        If appending it would push the pending batch past ``max_bytes``,
-        the pending batch is flushed first (stamped with ``round_stamp``)
-        so no single message exceeds the cap by more than one item.
+        With ``terms`` (the sender's :class:`~repro.datalog.database.
+        TermInterner`) the rows are id rows and nothing is materialized:
+        a term's text is encoded on its first shipment from that
+        interner and looked up ever after.  Without it the rows are
+        value tuples, encoded here once per value.
 
-        Items are serialized here, once: the same encoded texts that
-        size the batch are spliced verbatim into the wire envelope at
-        flush, so the hot exchange path never serializes a fact twice.
+        A row that would push the pending batch past ``max_bytes``
+        flushes it first (stamped with ``round_stamp``), so no message
+        exceeds the cap by more than one item, and the row is laid out
+        again against fresh dictionaries.  For the same items in the same
+        order the bytes sent equal ``encode_batch_message_dict``'s.
         """
-        if self.wire_format == "legacy":
-            self._add_legacy(src, dst, pred, fact, to, round_stamp)
-            return
-        registry = self.registry
-        value_texts = [
-            json.dumps(encode_value(v, registry), separators=(",", ":"))
-            for v in fact]
-        link = (src, dst)
+        if terms is None:
+            registry = self.registry
+            keys = [[_compact(encode_value(value, registry)) for value in row]
+                    for row in rows]
+        else:
+            keys = rows if isinstance(rows, list) else list(rows)
+        if keys:
+            self._add_keys((src, dst), to, pred, keys, terms, round_stamp)
+
+    def _add_keys(self, link: tuple[str, str], to: str, pred: str,
+                  keys: list, terms, round_stamp: int) -> None:
+        """Lay a block out against the link's dictionaries, then commit it
+        whole if it fits; nothing is mutated before the fit is known.
+
+        ``keys`` are id rows (``terms`` set) or rows of encoded value
+        texts; ``slots`` maps a key to its dictionary index text either
+        way — for value texts that is the batch dictionary itself.
+        """
         buffer = self._links.get(link)
         if buffer is None:
             buffer = self._links[link] = _LinkBuffer()
-        new_names, new_values, row_text, added = _plan_item(
-            buffer, to, pred, value_texts)
-        if buffer.rows and buffer.size + added > self.max_bytes:
-            self._flush_link(link, round_stamp)
-            buffer = self._links[link] = _LinkBuffer()
-            # Fresh dictionaries: every entry is new again, and the row's
-            # indices (hence its text and size) change with them.
-            new_names, new_values, row_text, added = _plan_item(
-                buffer, to, pred, value_texts)
-        for name in new_names:
-            buffer.names[name] = len(buffer.name_texts)
-            buffer.name_texts.append(json.dumps(name, separators=(",", ":")))
-        for text in new_values:
-            buffer.values[text] = len(buffer.value_texts)
-            buffer.value_texts.append(text)
-        buffer.rows.append(row_text)
-        buffer.size += added
+        values = buffer.values
+        if terms is None:
+            slots = values
+        else:
+            if buffer.terms is not terms:
+                buffer.terms, buffer.slots = terms, {}
+            slots = buffer.slots
+        grown = 0
 
-    def _add_legacy(self, src: str, dst: str, pred: str, fact: tuple,
-                    to: str, round_stamp: int) -> None:
-        item = encode_batch_item(pred, fact, self.registry, to=to)
-        encoded = json.dumps(item, separators=(",", ":"))
-        item_size = len(encoded) + 1
-        link = (src, dst)
-        pending = self._sizes.get(link, _ENVELOPE_OVERHEAD)
-        if link in self._buffers and pending + item_size > self.max_bytes:
-            self._flush_link(link, round_stamp)
-            pending = _ENVELOPE_OVERHEAD
-        self._buffers.setdefault(link, []).append(encoded)
-        self._sizes[link] = pending + item_size
+        names = buffer.names
+        new_names: dict[str, str] = {}
+        new_name_texts = []
+        routing = []
+        for name in (to, pred):
+            index = names.get(name) or new_names.get(name)
+            if index is None:
+                index = new_names[name] = str(len(names) + len(new_names))
+                text = _compact(name)
+                new_name_texts.append(text)
+                grown += len(text) + 1
+            routing.append(index)
+        head = f"[{routing[0]},{routing[1]}"
+
+        # Dictionary entries in first-appearance order, as the canonical
+        # encoder assigns them (dict.fromkeys keeps it, at C speed).
+        missing = [key for key in dict.fromkeys(chain.from_iterable(keys))
+                   if key not in slots]
+        new_slots: dict = {}
+        new_values: dict[str, str] = {}
+        lookup = slots
+        if missing:
+            texts = missing if terms is None else self._texts(terms, missing)
+            for key, text in zip(missing, texts):
+                index = values.get(text) or new_values.get(text)
+                if index is None:
+                    index = new_values[text] = \
+                        str(len(values) + len(new_values))
+                    grown += len(text) + 1
+                new_slots[key] = index
+            lookup = {**slots, **new_slots}
+
+        row_texts = [
+            f"{head},{','.join([lookup[key] for key in row])}]" if row
+            else head + "]" for row in keys]
+        grown += sum(map(len, row_texts)) + len(row_texts)
+
+        if buffer.size + grown > self.max_bytes \
+                and (buffer.rows or len(keys) > 1):
+            # Does not fit.  Halve until the piece that crosses the cap
+            # is a single row: that row flushes the pending batch and
+            # opens the next one — exactly where adding row by row would.
+            if len(keys) > 1:
+                half = len(keys) // 2
+                self._add_keys(link, to, pred, keys[:half], terms,
+                               round_stamp)
+                self._add_keys(link, to, pred, keys[half:], terms,
+                               round_stamp)
+            else:
+                self._flush_link(link, round_stamp)
+                self._add_keys(link, to, pred, keys, terms, round_stamp)
+            return
+
+        names.update(new_names)
+        buffer.name_texts += new_name_texts
+        values.update(new_values)
+        buffer.value_texts += new_values
+        if terms is not None:
+            slots.update(new_slots)
+        buffer.rows += row_texts
+        buffer.size += grown
+
+    def _texts(self, terms, term_ids: list) -> list:
+        """Encoded JSON texts of ``term_ids``, encoding the first time a
+        term of this interner is shipped."""
+        known = self._term_texts.get(terms)
+        if known is None:
+            known = self._term_texts[terms] = {}
+        term_values = terms.values
+        registry = self.registry
+        texts = []
+        for term_id in term_ids:
+            text = known.get(term_id)
+            if text is None:
+                text = known[term_id] = _compact(
+                    encode_value(term_values[term_id], registry))
+            texts.append(text)
+        return texts
 
     def pending_items(self) -> int:
-        return sum(len(items) for items in self._buffers.values()) \
-            + sum(len(buffer.rows) for buffer in self._links.values())
+        return sum(len(buffer.rows) for buffer in self._links.values())
 
     def flush(self, round_stamp: int = 0) -> int:
         """Send every pending batch; returns the number of messages sent."""
         sent = 0
-        for link in sorted(set(self._buffers) | set(self._links)):
+        for link in sorted(self._links):
             sent += self._flush_link(link, round_stamp)
         return sent
 
     def _flush_link(self, link: tuple[str, str], round_stamp: int) -> int:
         buffer = self._links.pop(link, None)
-        if buffer is not None and buffer.rows:
-            blob = encode_batch_message_compressed(
-                buffer.name_texts, buffer.value_texts, buffer.rows,
-                round_stamp)
-            count = len(buffer.rows)
-        else:
-            items = self._buffers.pop(link, None)
-            self._sizes.pop(link, None)
-            if not items:
-                return 0
-            blob = encode_batch_message_parts(items, round_stamp)
-            count = len(items)
+        if buffer is None or not buffer.rows:
+            return 0
+        blob = encode_batch_message_compressed(
+            buffer.name_texts, buffer.value_texts, buffer.rows, round_stamp)
         src, dst = link
         self.network.send(src, dst, blob)
         if self.ledger is not None:
@@ -174,48 +241,5 @@ class MessageBatcher:
             # protocol exact under out-of-order delivery.
             self.ledger.issue(round_stamp, sender=src)
         self.sent_messages += 1
-        self.sent_items += count
+        self.sent_items += len(buffer.rows)
         return 1
-
-
-def _plan_item(buffer: _LinkBuffer, to: str, pred: str,
-               value_texts: list) -> tuple[list, list, str, int]:
-    """Lay one item out against a link's dictionaries, without mutating.
-
-    Returns ``(new_names, new_values, row_text, added_bytes)`` — the
-    dictionary entries the item introduces, the serialized index row,
-    and the exact byte growth of the envelope.  Kept side-effect free so
-    the caller can decide to flush first (a full batch) and re-plan
-    against fresh dictionaries.
-    """
-    row = []
-    new_names: list[str] = []
-    pending_names: dict[str, int] = {}
-    next_name = len(buffer.name_texts)
-    for name in (to, pred):
-        idx = buffer.names.get(name)
-        if idx is None:
-            idx = pending_names.get(name)
-            if idx is None:
-                idx = next_name + len(new_names)
-                pending_names[name] = idx
-                new_names.append(name)
-        row.append(idx)
-    new_values: list[str] = []
-    pending_values: dict[str, int] = {}
-    next_value = len(buffer.value_texts)
-    for text in value_texts:
-        idx = buffer.values.get(text)
-        if idx is None:
-            idx = pending_values.get(text)
-            if idx is None:
-                idx = next_value + len(new_values)
-                pending_values[text] = idx
-                new_values.append(text)
-        row.append(idx)
-    row_text = "[" + ",".join(map(str, row)) + "]"
-    added = len(row_text) + 1 \
-        + sum(len(json.dumps(n, separators=(",", ":"))) + 1
-              for n in new_names) \
-        + sum(len(t) + 1 for t in new_values)
-    return new_names, new_values, row_text, added

@@ -18,9 +18,10 @@ lengths, giving benchmarks a representation-independent traffic measure.
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
 from typing import Any, Optional
 
-from ..datalog.errors import NetworkError
+from ..datalog.errors import NetworkError, ReproError
 from ..datalog.parser import parse_statements, parse_term
 from ..datalog.pretty import format_pattern
 from ..datalog.terms import PatternValue, PredPartition, Quote, RuleRef
@@ -50,10 +51,19 @@ def encode_value(value: Any, registry) -> Any:
     raise NetworkError(f"cannot serialize value of type {type(value).__name__}")
 
 
+#: Scalar tags and the JSON types their payload may have.
+_SCALAR_TYPES = {"bool": (bool,), "int": (int,), "float": (float, int),
+                 "str": (str,)}
+
+
 def decode_value(encoded: Any, registry) -> Any:
     tag = encoded.get("t")
-    if tag in ("bool", "int", "float", "str"):
-        return encoded["v"]
+    scalar = _SCALAR_TYPES.get(tag)
+    if scalar is not None:
+        value = encoded["v"]
+        if type(value) not in scalar:
+            raise NetworkError(f"malformed {tag} value")
+        return value
     if tag == "bytes":
         return bytes.fromhex(encoded["v"])
     if tag == "rule":
@@ -67,6 +77,8 @@ def decode_value(encoded: Any, registry) -> Any:
             raise NetworkError("pattern payload is not a quote")
         return PatternValue(term.pattern)
     if tag == "part":
+        if not isinstance(encoded["p"], str):
+            raise NetworkError("malformed part value")
         return PredPartition(encoded["p"],
                              tuple(decode_value(k, registry) for k in encoded["k"]))
     if tag == "list":
@@ -173,8 +185,8 @@ def encode_batch_message_dict(items: list, registry,
     The canonical (non-spliced) definition of the dictionary-compressed
     format: every distinct to/pred name and every distinct encoded value
     is stored once, rows reference them by index.  Byte-identical to what
-    a ``wire_format="dict"`` batcher emits for the same items in the same
-    order.
+    the :class:`~repro.net.batch.MessageBatcher` emits for the same items
+    in the same order.
     """
     names: dict[str, int] = {}
     name_texts: list[str] = []
@@ -202,67 +214,126 @@ def encode_batch_message_dict(items: list, registry,
                                            row_texts, round_stamp)
 
 
-def _decode_compressed(payload: Any, registry) -> tuple[int, list]:
+class Batch:
+    """One decoded batch message in block form.
+
+    ``rows`` are the validated wire rows ``[to, pred, value...]``: the
+    first two entries index ``names``, the rest index ``values`` (the
+    batch dictionary, decoded once).  A shard interns ``values`` once and
+    maps the rows straight to id rows; consumers that want facts iterate
+    :meth:`items`.
+    """
+
+    __slots__ = ("stamp", "names", "values", "rows")
+
+    def __init__(self, stamp: int, names: list, values: list,
+                 rows: list) -> None:
+        self.stamp = stamp
+        self.names = names
+        self.values = values
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def items(self):
+        """The batch as ``(to, pred, fact)`` triples, in wire order."""
+        names = self.names
+        pick = self.values.__getitem__
+        for row in self.rows:
+            yield names[row[0]], names[row[1]], tuple(map(pick, row[2:]))
+
+    @classmethod
+    def of_items(cls, stamp: int, items: list) -> "Batch":
+        """Block form of already decoded ``(to, pred, fact)`` triples (the
+        per-item wire formats carry no dictionary of their own)."""
+        names: dict[str, int] = {}
+        values: list = []
+        rows = []
+        for to, pred, fact in items:
+            start = len(values)
+            values.extend(fact)
+            rows.append([names.setdefault(to, len(names)),
+                         names.setdefault(pred, len(names)),
+                         *range(start, len(values))])
+        return cls(stamp, list(names), values, rows)
+
+
+def _decode_compressed(payload: dict, registry) -> Batch:
     round_stamp = payload.get("round", 0)
     names = payload.get("names")
     dictionary = payload.get("dict")
     rows = payload["rows"]
     if not isinstance(round_stamp, int) or not isinstance(names, list) \
             or not isinstance(dictionary, list) or not isinstance(rows, list) \
-            or not all(isinstance(n, str) for n in names):
+            or set(map(type, names)) - {str}:
         raise NetworkError("malformed compressed batch payload")
-    if not all(isinstance(e, dict) for e in dictionary):
+    if set(map(type, dictionary)) - {dict}:
         raise NetworkError("malformed compressed batch dictionary")
     values = [decode_value(entry, registry) for entry in dictionary]
-    items = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) < 2 or not all(
-                isinstance(i, int) and not isinstance(i, bool) and i >= 0
-                for i in row):
-            raise NetworkError("malformed compressed batch row")
-        try:
-            to = names[row[0]]
-            pred = names[row[1]]
-            fact = tuple(values[i] for i in row[2:])
-        except IndexError as exc:
-            raise NetworkError(
-                "compressed batch row index out of range") from exc
-        items.append((to, pred, fact))
-    return round_stamp, items
+    # Every check below is one C-level pass over the rows (or over their
+    # flattened indices), never Python run once per index: each row is a
+    # list of at least two entries, each entry a plain non-negative int.
+    if set(map(type, rows)) - {list} or (rows and min(map(len, rows)) < 2):
+        raise NetworkError("malformed compressed batch row")
+    indices = list(chain.from_iterable(rows))
+    if set(map(type, indices)) - {int} or (indices and min(indices) < 0):
+        raise NetworkError("malformed compressed batch row")
+    if rows:
+        to_column, pred_column = islice(zip(*rows), 2)
+        limit = len(values)
+        # The largest index overall is below the dictionary size in any
+        # honest batch; only when it is not are the value columns looked
+        # at row by row (a name index may exceed a tiny dictionary).
+        if max(to_column) >= len(names) or max(pred_column) >= len(names) \
+                or (max(indices) >= limit and any(
+                    len(row) > 2 and max(row[2:]) >= limit for row in rows)):
+            raise NetworkError("compressed batch row index out of range")
+    return Batch(round_stamp, names, values, rows)
 
 
-def decode_batch_message(blob: bytes, registry) -> tuple[int, list]:
-    """Decode a batch message: ``(round_stamp, [(to, pred, fact), ...])``.
+def decode_batch_message(blob: bytes, registry) -> Batch:
+    """Decode a batch message into its :class:`Batch` block form.
 
-    Accepts both wire formats — the dictionary-compressed envelope
-    (``rows`` key) and the legacy per-item form (``batch`` key) — so a
-    node upgraded to the compressed encoder still reads batches from
-    mixed-version peers, and vice versa via the batcher's
-    ``wire_format="legacy"`` fallback.  Single-fact messages (neither
-    key) decode as a one-item batch with round stamp 0, so mixed traffic
-    stays readable.  Serve-plane frames (the request/reply kind below)
-    are rejected loudly: a request arriving on a delta-exchange path is
-    a routing bug, and decoding it as a corrupt fact would silently
-    swallow the client's call.
+    Reads every wire format — the dictionary-compressed envelope
+    (``rows`` key, the only one the batcher emits), the per-item form
+    (``batch`` key) and a single-fact message (neither key; a one-item
+    batch with round stamp 0).  Serve-plane frames (the request/reply
+    kind below) are rejected loudly: a request arriving on a
+    delta-exchange path is a routing bug, and decoding it as a corrupt
+    fact would silently swallow the client's call.
+
+    Fails closed: whatever is wrong with the payload — envelope shape,
+    a dictionary entry, a row index — the only exception is
+    :class:`NetworkError`.
     """
     try:
         payload = json.loads(blob.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise NetworkError(f"undecodable message: {exc}") from exc
     if not isinstance(payload, dict):
         raise NetworkError("malformed message payload")
     if payload.get("kind") in (REQUEST_KIND, REPLY_KIND):
         raise NetworkError(
             f"serve-plane {payload['kind']} frame in batch traffic")
-    if "rows" in payload:
-        return _decode_compressed(payload, registry)
-    batch = payload.get("batch")
-    if batch is None:
-        return 0, [_decode_item(payload, registry)]
-    round_stamp = payload.get("round", 0)
-    if not isinstance(batch, list) or not isinstance(round_stamp, int):
-        raise NetworkError("malformed batch payload")
-    return round_stamp, [_decode_item(item, registry) for item in batch]
+    try:
+        if "rows" in payload:
+            return _decode_compressed(payload, registry)
+        batch = payload.get("batch")
+        if batch is None:
+            return Batch.of_items(0, [_decode_item(payload, registry)])
+        round_stamp = payload.get("round", 0)
+        if not isinstance(batch, list) or not isinstance(round_stamp, int):
+            raise NetworkError("malformed batch payload")
+        return Batch.of_items(
+            round_stamp, [_decode_item(item, registry) for item in batch])
+    except NetworkError:
+        raise
+    except (ReproError, KeyError, TypeError, ValueError, AttributeError,
+            RecursionError) as exc:
+        # a value entry whose shape decode_value cannot read, or a rule /
+        # pattern payload the parser refuses
+        raise NetworkError(f"malformed batch value: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -196,9 +196,9 @@ class TestNodeMechanics:
         assert kept == set()
         assert node._emit_rows("p", {remote_row}) == set()
         drained = []
-        node.drain_outbox(lambda dst, pred, fact: drained.append(
-            (dst, pred, fact)))
-        assert drained == [("b", "p", remote)]
+        node.drain_outbox(lambda dst, pred, rows, terms: drained.append(
+            (dst, pred, [terms.materialize_row(row) for row in rows])))
+        assert drained == [("b", "p", [remote])]
         # re-offered after drain: still deduplicated
         node._emit_rows("p", {remote_row})
         assert node.outbox == {}

@@ -131,6 +131,62 @@ class TestQuiescence:
         assert cluster.ledger.quiescent()
 
 
+def ring_with_chords(vertices, seed=7):
+    """A ring plus one seeded chord per vertex: strongly connected, so
+    the closure is ``vertices ** 2`` facts."""
+    rng = random.Random(seed)
+    edges = set()
+    for vertex in range(vertices):
+        successor = (vertex + 1) % vertices
+        edges.add((vertex, successor))
+        edges.add((vertex, rng.choice(
+            [t for t in range(vertices) if t not in (vertex, successor)])))
+    return sorted(edges)
+
+
+class TestAsyncRoundCap:
+    """``max_rounds`` caps what an async run reports as ``rounds`` — its
+    causal depth — not the number of delivery events."""
+
+    def test_many_deliveries_at_shallow_depth_are_not_refused(self):
+        # Regression: the cap used to be max_rounds * len(nodes) delivery
+        # events, so this closure — correct at causal depth 14 after
+        # 4,524 messages — was refused under the default max_rounds=500
+        # ("did not quiesce within 2000 delivery events").
+        names = [f"node{i}" for i in range(4)]
+        partitioner = Partitioner(names)
+        partitioner.hash_partition("edge", column=0)
+        partitioner.hash_partition("reach", column=1)
+        cluster = Cluster(names, partitioner=partitioner, mode="async")
+        cluster.load(REACHABILITY)
+        cluster.assert_facts("edge", ring_with_chords(100))
+        report = cluster.run()
+        assert report.rounds == report.depth == 14
+        assert report.messages > 500 * len(names)
+        assert cluster.tuples("reach") == {
+            (x, y) for x in range(100) for y in range(100)}
+
+    def test_cap_between_depth_and_events_passes(self):
+        cluster = reach_cluster(3, "async")
+        outcome = cluster.runtime.run()
+        assert outcome.depth < outcome.events / 3
+        capped = reach_cluster(3, "async")
+        report = capped.run(max_rounds=outcome.depth)
+        assert report.rounds == outcome.depth
+        assert capped.tuples("reach") == cluster.tuples("reach")
+
+    @pytest.mark.parametrize("mode", ["bsp", "async"])
+    def test_a_run_that_never_quiesces_is_still_stopped(self, mode):
+        names = ["a", "b", "c"]
+        partitioner = Partitioner(names)
+        partitioner.hash_partition("nat", column=0)
+        cluster = Cluster(names, partitioner=partitioner, mode=mode)
+        cluster.load("n0: nat(Y) <- nat(X), Y = X + 1.")
+        cluster.assert_fact("nat", (0,))
+        with pytest.raises(ClusterError, match="did not quiesce"):
+            cluster.run(max_rounds=25)
+
+
 class TestSentDedupGeneration:
     """The per-node ``_sent`` set clears at quiescence (bounded memory)."""
 
@@ -144,7 +200,7 @@ class TestSentDedupGeneration:
         # exactly one eviction per fact ever queued
         assert stats.sent_dedup_evictions == total_sent
         for node in cluster.nodes.values():
-            assert node._sent == set()
+            assert not node._sent
             assert node.sent_generation == 1
 
     def test_rerun_after_clear_still_reaches_the_same_fixpoint(self):

@@ -116,6 +116,26 @@ class TestMultiprocessLauncher:
         received = sum(n.received_facts for n in report.per_node)
         assert 0 < received <= sent
 
+    def test_async_cap_counts_causal_depth_not_delivery_events(self):
+        # ~100 batches land at causal depth <= 20 (no derivation chain is
+        # longer than the graph has vertices); the cap used to be
+        # max_rounds * 3 = 63 delivery events and refused this run
+        spec = cluster_spec(
+            NODES,
+            placement=[["hash", "edge", 0], ["hash", "reach", 1]],
+            program=PROGRAM, facts=graph_facts(), collect=["reach"])
+        report = launch(spec, mode="async", max_rounds=21, timeout=60)
+        assert report.runtime.rounds == report.runtime.depth <= 21
+        assert report.runtime.events > 21
+
+    def test_async_launch_that_never_quiesces_is_stopped(self):
+        spec = cluster_spec(
+            NODES, placement=[["hash", "nat", 0]],
+            program="n0: nat(Y) <- nat(X), Y = X + 1.\n",
+            facts=[("nat", (0,))])
+        with pytest.raises(ClusterError, match="causal depth"):
+            launch(spec, mode="async", max_rounds=10, timeout=30)
+
     def test_spec_nodes_and_bad_mode(self):
         spec = cluster_spec(NODES, placement=[], program=PROGRAM)
         assert spec_nodes(spec) == NODES

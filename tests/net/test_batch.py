@@ -18,6 +18,12 @@ from repro.net.transport import (
 )
 
 
+def decoded(blob, registry):
+    """``(round stamp, [(to, pred, fact), ...])`` of one batch message."""
+    batch = decode_batch_message(blob, registry)
+    return batch.stamp, list(batch.items())
+
+
 def make_network(*nodes):
     network = SimulatedNetwork()
     for node in nodes:
@@ -33,16 +39,16 @@ class TestBatchCodec:
             encode_batch_item("q", (b"\x01",), registry),
         ]
         blob = encode_batch_message(items, round_stamp=7)
-        round_stamp, decoded = decode_batch_message(blob, registry)
+        round_stamp, items = decoded(blob, registry)
         assert round_stamp == 7
-        assert decoded == [("alice", "p", (1, "x")), ("", "q", (b"\x01",))]
+        assert items == [("alice", "p", (1, "x")), ("", "q", (b"\x01",))]
 
     def test_single_fact_message_decodes_as_one_item_batch(self):
         registry = RuleRegistry()
         blob = encode_fact_message("p", (1,), registry, to="bob")
-        round_stamp, decoded = decode_batch_message(blob, registry)
+        round_stamp, items = decoded(blob, registry)
         assert round_stamp == 0
-        assert decoded == [("bob", "p", (1,))]
+        assert items == [("bob", "p", (1,))]
 
     def test_malformed_batch_rejected(self):
         registry = RuleRegistry()
@@ -59,9 +65,7 @@ class TestDictCompressedCodec:
         items = [("alice", "p", (1, "x")), ("", "q", (b"\x01",)),
                  ("alice", "p", (1, "y"))]
         blob = encode_batch_message_dict(items, registry, round_stamp=7)
-        round_stamp, decoded = decode_batch_message(blob, registry)
-        assert round_stamp == 7
-        assert decoded == items
+        assert decoded(blob, registry) == (7, items)
 
     def test_repeated_values_stored_once(self):
         registry = RuleRegistry()
@@ -74,8 +78,7 @@ class TestDictCompressedCodec:
         # one dictionary entry for the shared string, not forty
         assert compressed.count(b"node-with-a-long-name") == 1
         assert len(compressed) < len(legacy) / 3
-        assert decode_batch_message(compressed, registry) == \
-            decode_batch_message(legacy, registry)
+        assert decoded(compressed, registry) == decoded(legacy, registry)
 
     def test_classified_as_batch_frame(self):
         from repro.net.transport import frame_kind
@@ -107,16 +110,15 @@ class TestMessageBatcher:
         network = make_network("a", "b", "c")
         batcher = MessageBatcher(network, RuleRegistry())
         for i in range(10):
-            batcher.add("a", "b", "p", (i,))
-        batcher.add("a", "c", "p", (99,))
+            batcher.add("a", "b", "p", [(i,)])
+        batcher.add("a", "c", "p", [(99,)])
         sent = batcher.flush(round_stamp=3)
         assert sent == 2
         assert network.total.messages == 2
         assert batcher.sent_items == 11
         deliveries = network.deliver_all()
         by_link = {(src, dst): blob for src, dst, blob in deliveries}
-        round_stamp, items = decode_batch_message(
-            by_link[("a", "b")], RuleRegistry())
+        round_stamp, items = decoded(by_link[("a", "b")], RuleRegistry())
         assert round_stamp == 3
         assert {fact for _to, _pred, fact in items} == {(i,) for i in range(10)}
 
@@ -124,7 +126,7 @@ class TestMessageBatcher:
         network = make_network("a", "b")
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256)
         for i in range(50):
-            batcher.add("a", "b", "p", (i, "some payload text"))
+            batcher.add("a", "b", "p", [(i, "some payload text")])
         batcher.flush()
         assert network.total.messages > 1
         # every message respects the cap (within one item's slack)
@@ -137,7 +139,7 @@ class TestMessageBatcher:
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256,
                                  ledger=ledger)
         for i in range(50):
-            batcher.add("a", "b", "p", (i, "some payload text"),
+            batcher.add("a", "b", "p", [(i, "some payload text")],
                         round_stamp=4)
         batcher.flush(round_stamp=4)
         assert ledger.issued == network.total.messages
@@ -149,62 +151,56 @@ class TestMessageBatcher:
         assert batcher.flush() == 0
         assert batcher.pending_items() == 0
 
-    def test_unknown_wire_format_rejected(self):
-        with pytest.raises(NetworkError):
-            MessageBatcher(make_network("a"), RuleRegistry(),
-                           wire_format="gzip")
-
 
 class TestWireFormatInterop:
-    """The mixed-version contract: dict default, legacy byte-for-byte."""
+    """The batcher emits the dictionary format only; the decoder still
+    reads the per-item envelope an older encoder produced."""
 
     FACTS = [("p", (i % 4, "shared text", i)) for i in range(20)]
 
-    def _drain(self, wire_format):
+    def _drain(self):
         network = make_network("a", "b")
-        batcher = MessageBatcher(network, RuleRegistry(),
-                                 wire_format=wire_format)
+        batcher = MessageBatcher(network, RuleRegistry())
         for pred, fact in self.FACTS:
-            batcher.add("a", "b", pred, fact, to="alice")
+            batcher.add("a", "b", pred, [fact], to="alice")
         batcher.flush(round_stamp=9)
         [(_, _, blob)] = network.deliver_all()
         return blob
 
-    def test_legacy_format_is_byte_identical_to_old_encoder(self):
+    def _per_item_envelope(self):
         registry = RuleRegistry()
-        expected = encode_batch_message(
+        return encode_batch_message(
             [encode_batch_item(pred, fact, registry, to="alice")
              for pred, fact in self.FACTS], 9)
-        assert self._drain("legacy") == expected
 
     def test_dict_batcher_matches_canonical_encoder(self):
         registry = RuleRegistry()
         expected = encode_batch_message_dict(
             [("alice", pred, fact) for pred, fact in self.FACTS],
             registry, 9)
-        assert self._drain("dict") == expected
+        assert self._drain() == expected
 
     def test_both_formats_decode_identically(self):
         registry = RuleRegistry()
-        legacy = decode_batch_message(self._drain("legacy"), registry)
-        compressed = decode_batch_message(self._drain("dict"), registry)
+        legacy = decoded(self._per_item_envelope(), registry)
+        compressed = decoded(self._drain(), registry)
         assert compressed == legacy
         assert compressed == (9, [("alice", pred, fact)
                                   for pred, fact in self.FACTS])
 
     def test_dict_format_is_smaller_on_repetitive_traffic(self):
-        assert len(self._drain("dict")) < len(self._drain("legacy")) / 2
+        assert len(self._drain()) < len(self._per_item_envelope()) / 2
 
     def test_dict_format_respects_size_cap(self):
         network = make_network("a", "b")
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256)
         for i in range(50):
-            batcher.add("a", "b", "p", (i, f"unique payload text {i}"))
+            batcher.add("a", "b", "p", [(i, f"unique payload text {i}")])
         batcher.flush()
         registry = RuleRegistry()
         seen = set()
         for _src, _dst, blob in network.deliver_all():
             assert len(blob) <= 256 + 64
-            _stamp, items = decode_batch_message(blob, registry)
+            _stamp, items = decoded(blob, registry)
             seen.update(fact for _to, _pred, fact in items)
         assert seen == {(i, f"unique payload text {i}") for i in range(50)}

@@ -161,6 +161,12 @@ class TestValueRoundtrip:
         assert receiver.canonical_text(decoded) == sender.canonical_text(ref)
 
 
+def decoded(blob, registry):
+    """``(round stamp, [(to, pred, fact), ...])`` of one batch message."""
+    batch = decode_batch_message(blob, registry)
+    return batch.stamp, list(batch.items())
+
+
 class TestBatchRoundtrip:
     @given(
         facts=st.lists(
@@ -175,9 +181,8 @@ class TestBatchRoundtrip:
         items = [encode_batch_item(pred, fact, registry, to="x")
                  for pred, fact in facts]
         blob = encode_batch_message(items, round_stamp)
-        decoded_stamp, decoded = decode_batch_message(blob, registry)
-        assert decoded_stamp == round_stamp
-        assert decoded == [("x", pred, fact) for pred, fact in facts]
+        assert decoded(blob, registry) == (
+            round_stamp, [("x", pred, fact) for pred, fact in facts])
 
     @given(
         facts=st.lists(
@@ -194,14 +199,11 @@ class TestBatchRoundtrip:
         registry = RuleRegistry()
         triples = [("x", pred, fact) for pred, fact in facts]
         blob = encode_batch_message_dict(triples, registry, round_stamp)
-        decoded_stamp, decoded = decode_batch_message(blob, registry)
-        assert decoded_stamp == round_stamp
-        assert decoded == triples
+        assert decoded(blob, registry) == (round_stamp, triples)
         legacy = encode_batch_message(
             [encode_batch_item(pred, fact, registry, to="x")
              for pred, fact in facts], round_stamp)
-        assert decode_batch_message(legacy, registry) == \
-            (decoded_stamp, decoded)
+        assert decoded(legacy, registry) == (round_stamp, triples)
 
     @given(
         facts=st.lists(
@@ -229,7 +231,7 @@ class TestBatchRoundtrip:
         sink = _Sink()
         batcher = MessageBatcher(sink, registry)
         for pred, fact in facts:
-            batcher.add("a", "b", pred, fact, to="x")
+            batcher.add("a", "b", pred, [fact], to="x")
         batcher.flush(round_stamp)
         expected = encode_batch_message_dict(
             [("x", pred, fact) for pred, fact in facts],
