@@ -5,7 +5,6 @@ time (the ``repro bench`` CLI imports this whole package to discover
 them) and stays runnable standalone::
 
     python benchmarks/bench_fig2_auth_overhead.py --quick
-    python benchmarks/fig2_sweep.py          # the original table output
 
 The pytest-benchmark entry points remain for interactive use
 (``pytest benchmarks/ --benchmark-only``); CI and perf PRs use

@@ -6,8 +6,8 @@ verification.  The paper reports (at 10k messages, on 2009 hardware)
 roughly 300s for RSA, with HMAC a slight increase over Plaintext.
 
 These pytest-benchmark points fix k = LBTRUST_BENCH_MESSAGES (default
-100) per direction and compare schemes; ``fig2_sweep.py`` regenerates the
-full series over k.  The *shape* claims under test:
+100) per direction and compare schemes; the ``fig2_sweep`` workload is
+the series over k.  The *shape* claims under test:
 
 * RSA ≫ HMAC > Plaintext per message,
 * HMAC is only a slight increase over Plaintext,
@@ -47,6 +47,17 @@ def fig2_auth_overhead(case, auth, k, rsa_bits=None):
     with case.measure():
         run_fig2_exchange(system, alice, bob, k)
     case.record(messages=2 * k, per_message_us=case.elapsed / (2 * k) * 1e6)
+
+
+@bench_workload("fig2_sweep", group="fig2-auth-overhead", repeats=2,
+                quick=[{"auth": "plaintext", "k": 250},
+                       {"auth": "hmac", "k": 250}],
+                full=[{"auth": auth, "k": k}
+                      for auth in ("plaintext", "hmac", "rsa")
+                      for k in (250, 1000, 2000)])
+def fig2_sweep(case, auth, k):
+    """One point of the Figure 2 series: time vs number of messages."""
+    fig2_auth_overhead(case, auth, k, rsa_bits=512)
 
 
 def _bench(benchmark, auth):

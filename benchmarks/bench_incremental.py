@@ -54,6 +54,28 @@ def unrelated_edges(count):
     return [(1_000_000 + 2 * i, 1_000_001 + 2 * i) for i in range(count)]
 
 
+def seeded(edges):
+    db = Database()
+    for edge in edges:
+        db.add("e", edge)
+    return db
+
+
+def edge_row(db, edge):
+    """The maintenance API speaks id rows over ``db.interner`` — and an
+    int-valued edge *is* a well-typed id row, so handing one in raw runs
+    to completion and maintains garbage."""
+    return db.interner.intern_row(edge)
+
+
+def check_against_scratch(db, edges):
+    """The maintained closure equals a from-scratch fixpoint of ``edges``."""
+    scratch = seeded(edges)
+    evaluate(RULES, scratch, EvalContext())
+    assert db.tuples("e") == scratch.tuples("e") == set(edges)
+    assert db.tuples("r") == scratch.tuples("r"), "maintenance diverged"
+
+
 @benchmark("incremental_maintenance", group="engine",
            quick=[{"mode": "incremental", "base": 30, "stream": 10},
                   {"mode": "recompute", "base": 30, "stream": 10},
@@ -73,18 +95,19 @@ def incremental_maintenance(case, mode, base, stream, unrelated=0):
     """Per-delta maintenance vs whole-fixpoint recompute on an edge stream."""
     if mode == "retract":
         chain = base_edges(base + stream + 1)
-        edb = {"e": set(chain) | set(unrelated_edges(unrelated))}
-        db = Database()
-        for edge in edb["e"]:
-            db.add("e", edge)
+        # Unrelated edges first: chain ids then differ from chain values,
+        # so a raw edge handed in as a row cannot be right by accident.
+        db = seeded(unrelated_edges(unrelated) + chain)
+        edb = {"e": set(db.rel("e").rows)}
         evaluate(RULES, db, EvalContext())
         context = EvalContext(stats=case.stats)
         strata = stratify(RULES)
 
         def retract(edge):
-            edb["e"].discard(edge)
-            db.discard("e", edge)
-            propagate_deletions(strata, db, context, {"e": {edge}},
+            row = edge_row(db, edge)
+            edb["e"].discard(row)
+            db.rel("e").discard_row(row)
+            propagate_deletions(strata, db, context, {"e": {row}},
                                 edb_facts=edb.get, stats=case.stats)
 
         # Untimed: the first retract builds the deletion plans and the
@@ -94,10 +117,9 @@ def incremental_maintenance(case, mode, base, stream, unrelated=0):
             for _ in range(stream):
                 retract(chain.pop())
         case.record(closure_size=len(db.rel("r")))
+        check_against_scratch(db, chain + unrelated_edges(unrelated))
     elif mode == "incremental":
-        db = Database()
-        for edge in base_edges(base):
-            db.add("e", edge)
+        db = seeded(base_edges(base))
         # Setup fixpoint runs on a stats-free context so the recorded
         # counters cover only the measured propagation below.
         evaluate(RULES, db, EvalContext())
@@ -106,29 +128,28 @@ def incremental_maintenance(case, mode, base, stream, unrelated=0):
         with case.measure():
             for edge in stream_edges(base, stream):
                 db.add("e", edge)
-                propagate_insertions(strata, db, context, {"e": {edge}},
+                propagate_insertions(strata, db, context,
+                                     {"e": {edge_row(db, edge)}},
                                      edb_facts=lambda p: set(),
                                      stats=case.stats)
         case.record(closure_size=len(db.tuples("r")))
+        check_against_scratch(db, base_edges(base) + stream_edges(base, stream))
     else:
         edges = list(base_edges(base))
         context = EvalContext(stats=case.stats)
         with case.measure():
             for edge in stream_edges(base, stream):
                 edges.append(edge)
-                db = Database()
-                for e in edges:
-                    db.add("e", e)
+                db = seeded(edges)
                 evaluate(RULES, db, context, stats=case.stats)
         case.record(closure_size=len(db.tuples("r")))
+        check_against_scratch(db, edges)
 
 
 @pytest.mark.benchmark(group="incremental-stream")
 def test_incremental_insertions(benchmark):
     def setup():
-        db = Database()
-        for edge in base_edges():
-            db.add("e", edge)
+        db = seeded(base_edges())
         context = EvalContext()
         evaluate(RULES, db, context)
         return (db, context, stratify(RULES)), {}
@@ -136,8 +157,10 @@ def test_incremental_insertions(benchmark):
     def target(db, context, strata):
         for edge in stream_edges():
             db.add("e", edge)
-            propagate_insertions(strata, db, context, {"e": {edge}},
+            propagate_insertions(strata, db, context,
+                                 {"e": {edge_row(db, edge)}},
                                  edb_facts=lambda p: set())
+        check_against_scratch(db, base_edges() + stream_edges())
 
     benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
 
@@ -152,10 +175,7 @@ def test_recompute_from_scratch(benchmark):
         context = EvalContext()
         for edge in stream_edges():
             edges.append(edge)
-            db = Database()
-            for e in edges:
-                db.add("e", e)
-            evaluate(RULES, db, context)
+            evaluate(RULES, seeded(edges), context)
 
     benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
 

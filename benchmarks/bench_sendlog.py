@@ -1,8 +1,8 @@
 """A7 — SeNDlog convergence: messages and virtual time vs network size.
 
 The section 5.2 reachability protocol on rings of growing size; reports
-wall time through pytest-benchmark, and the messages/virtual-time scaling
-is printed by ``sendlog_scaling.py`` for EXPERIMENTS.md.
+wall time through pytest-benchmark, and the ``sendlog_convergence``
+workload records the rounds/messages/bytes/virtual-time scaling.
 """
 
 if __package__ in (None, ""):  # running as a script
@@ -59,6 +59,25 @@ def sendlog_ring(case, size):
         converge(system, principals)
     case.record(messages=system.network.total.messages,
                 bytes=system.network.total.bytes)
+
+
+@benchmark("sendlog_convergence", group="sendlog", repeats=2,
+           quick=[{"size": 4}, {"size": 6}],
+           full=[{"size": size} for size in range(3, 11)])
+def sendlog_convergence(case, size):
+    """Rounds/messages/bytes/virtual-time to converge a reachability ring."""
+    system, principals = build_ring(size)
+    for principal in principals.values():
+        case.watch(principal.workspace.stats)
+    with case.measure():
+        report = system.run(max_rounds=100)
+    for name, principal in principals.items():
+        reached = {d for (s, d) in principal.tuples("reachable") if s == name}
+        assert len(reached | {name}) == size, (name, reached)
+    case.record(rounds=report.rounds,
+                messages=system.network.total.messages,
+                bytes=system.network.total.bytes,
+                virtual_time=report.virtual_time)
 
 
 def _bench(benchmark, size):

@@ -304,8 +304,9 @@ class DistributedFileSystem:
         # Apply the write: retract the old contents, assert the new
         # (exercising DRed maintenance at the store).
         old = {
-            (f, d) for (f, d) in store_principal.tuples("filedata")
-            if f == fname and (f, d) in store_principal.workspace.edb.get("filedata", set())
+            (f, d)
+            for (f, d) in store_principal.workspace.edb.get("filedata", ())
+            if f == fname
         }
         with store_principal.workspace.transaction():
             for fact in old:

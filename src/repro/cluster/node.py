@@ -24,10 +24,11 @@ the way out.
 
 On the way in, :meth:`ClusterNode.integrate` interns each received
 batch's dictionary **once**, maps the wire's index rows straight to id
-rows, and merges them with :meth:`Relation.add_rows`; only the genuinely
-novel rows materialize, as the value-space delta
-:func:`~repro.datalog.engine.propagate_insertions` takes.  All batches of
-one delivery form one delta and one propagation.
+rows, and merges them with :meth:`Relation.add_rows`; the genuinely novel
+rows are, as they are, the delta
+:func:`~repro.datalog.engine.propagate_insertions` takes — nothing is
+materialized on the way in either.  All batches of one delivery form one
+delta and one propagation.
 
 The node speaks the :class:`~repro.cluster.scheduler.ExecutionRuntime`
 protocol (``bootstrap`` / ``integrate`` / ``drain_outbox`` /
@@ -69,7 +70,7 @@ class ClusterNode:
         self.name = name
         self.partitioner = partitioner
         self.db = Database()
-        #: asserted + received facts, the node's EDB accessor for
+        #: asserted + received id rows, the node's EDB accessor for
         #: selective stratum recomputation
         self.base: FactSet = {}
         self.rules: list[EngineRule] = []
@@ -116,8 +117,9 @@ class ClusterNode:
 
     def seed(self, pred: str, fact: tuple) -> bool:
         """Install one EDB fact on this shard (placement already decided)."""
-        if self.db.add(pred, fact):
-            self.base.setdefault(pred, set()).add(fact)
+        row = self.db.interner.intern_row(fact)
+        if self.db.rel(pred).add_row(row):
+            self.base.setdefault(pred, set()).add(row)
             return True
         return False
 
@@ -147,7 +149,7 @@ class ClusterNode:
                 key = row[key_col]
             except IndexError:
                 raise ClusterError(
-                    f"fact {self.db.interner.materialize_row(row)!r} of "
+                    f"fact {tuple(values[i] for i in row)!r} of "
                     f"{pred!r} has no column {key_col} to partition on"
                 ) from None
             owner = memo.get(key)
@@ -184,7 +186,7 @@ class ClusterNode:
         for stratum in self.strata:
             added = eval_stratum(stratum, self.db, self.context,
                                  stats=self.stats)
-            new_facts += sum(len(facts) for facts in added.values())
+            new_facts += sum(len(rows) for rows in added.values())
         return new_facts
 
     def integrate(self, batches: Iterable[Batch]) -> int:
@@ -197,8 +199,7 @@ class ClusterNode:
         semi-naive in a single propagation — re-entering ``_emit_rows``
         for any further derivations they enable.
         """
-        interner = self.db.interner
-        intern = interner.intern
+        intern = self.db.interner.intern
         incoming: dict[str, set] = {}
         for batch in batches:
             names = batch.names
@@ -210,21 +211,20 @@ class ClusterNode:
                     rows = by_pred[row[1]] = incoming.setdefault(
                         names[row[1]], set())
                 rows.add(tuple(map(id_of, row[2:])))
-        materialize = interner.materialize_row
         fresh: FactSet = {}
         count = 0
         for pred, rows in incoming.items():
             novel = self.db.rel(pred).add_rows(rows)
             if novel:
-                facts = fresh[pred] = {materialize(row) for row in novel}
-                self.base.setdefault(pred, set()).update(facts)
-                count += len(facts)
+                fresh[pred] = novel
+                self.base.setdefault(pred, set()).update(novel)
+                count += len(novel)
         self.received_facts += count
         if fresh:
             added = propagate_insertions(
                 self.strata, self.db, self.context, fresh,
                 edb_facts=self._edb_facts, stats=self.stats)
-            count += sum(len(facts) for facts in added.values())
+            count += sum(len(rows) for rows in added.values())
         return count
 
     def drain_outbox(self, sink: Callable) -> int:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional
 
-from .errors import IndexIntegrityError
+from .errors import IndexIntegrityError, InternerMismatchError
 
 #: When set, an object with integer counter attributes (an
 #: :class:`repro.datalog.engine.EvalStats`) that the storage layer
@@ -175,26 +175,6 @@ class Relation:
         self._col_stats: dict[int, tuple[int, int]] = {}
         self._values: Optional[tuple[int, set]] = None
         self._buckets: Optional[tuple[int, dict]] = None
-
-    @classmethod
-    def wrap(cls, name: str, tuples: set,
-             interner: Optional[TermInterner] = None) -> "Relation":
-        """A relation over an existing *value* set — the donor is never
-        mutated.  Terms are interned up front (into ``interner`` when
-        given, else a private table); the id-row hot path
-        (:meth:`wrap_rows`) is what the engine's delta exchange uses."""
-        relation = cls.__new__(cls)
-        relation.name = name
-        relation.interner = interner if interner is not None else TermInterner()
-        intern_row = relation.interner.intern_row
-        relation.rows = {intern_row(fact) for fact in tuples}
-        relation._indexes = {}
-        relation._shared = False
-        relation._version = 0
-        relation._col_stats = {}
-        relation._values = None
-        relation._buckets = None
-        return relation
 
     @classmethod
     def wrap_rows(cls, name: str, rows: set,
@@ -574,7 +554,14 @@ class Database:
         — keep their live :class:`Relation` object, so their identity and
         any built indexes survive the round-trip.  The snapshot remains
         valid and can be restored again.
+
+        Id rows mean nothing under another interner, so a snapshot of a
+        database that did not share this one's is refused.
         """
+        if snapshot.interner is not self.interner:
+            raise InternerMismatchError(
+                "cannot restore a snapshot taken over a different interner: "
+                "its id rows would materialize as the wrong values")
         relations: dict[str, Relation] = {}
         live_map = self.relations
         for name, snap_rel in snapshot.relations.items():

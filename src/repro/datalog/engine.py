@@ -10,6 +10,17 @@ that execution model:
   selectively recomputed from their EDB);
 * :func:`propagate_deletions` — DRed-style delete-and-rederive.
 
+**One fact currency.**  Everything these functions take and return —
+``changed``, ``inserted``, ``added``, ``removed``, what ``edb_facts(pred)``
+hands back — is a :data:`FactSet` of *id rows* over ``db.interner``.  A
+value is interned exactly once, where it enters (a host's assert, a wire
+dictionary, a head constant, an aggregate result), and materialized only
+where it leaves (``tuples()`` / query answers, provenance records,
+builtins and comparisons).  Row sets are adopted, never copied: a callee
+must not mutate a set it was handed (:func:`merge_rows`).  The one
+distribution hook is ``EvalContext.remote_emit_rows``, consulted in
+:func:`eval_stratum`'s merge with each rule application's fresh rows.
+
 Rules entering the engine are *normalized*: single head, ``me`` resolved,
 body quotes already compiled away by the meta layer (heads may still carry
 quote templates — instantiating those is code generation and happens here,
@@ -19,7 +30,7 @@ through ``context.instantiate_quote``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 from typing import Callable, ClassVar, Iterable, Iterator, Optional
 
@@ -43,7 +54,8 @@ from .runtime import (
 from .stratify import Stratum, stratify
 from .terms import Aggregate, Atom, Constant, Literal, Rule, Variable
 
-#: pred -> set of tuples; the currency of incremental propagation.
+#: pred -> set of id rows over ``db.interner``: the one currency of
+#: evaluation and maintenance (see the module docstring).
 FactSet = dict[str, set]
 
 
@@ -250,8 +262,7 @@ class EvalStats:
       runs too, not only plain rule application;
     * ``value_materializations`` — id rows (or whole relations' worth of
       rows, counted per row) converted back to boxed value tuples at an
-      output boundary: ``Relation.tuples`` / ``lookup`` reads, stratum
-      results, remote-emit hand-off;
+      output boundary: ``Relation.tuples`` / ``lookup`` reads;
     * ``literal_scans`` / ``full_scans`` — positive-literal matches issued
       by the join core, and how many of those had no bound column and had
       to scan the whole relation;
@@ -333,32 +344,17 @@ class EvalStats:
         finally:
             set_index_stats(previous)
 
+    @classmethod
+    def counters(cls) -> list:
+        """The integer counter fields, in declaration order — the one list
+        :meth:`diff`, :meth:`merge` and :meth:`as_dict` derive from."""
+        return [f.name for f in fields(cls)
+                if f.name not in ("rule_firings", "strata")]
+
     def copy(self) -> "EvalStats":
         """A snapshot of the counters (used to diff around a region)."""
-        snapshot = EvalStats(
-            rounds=self.rounds, derivations=self.derivations,
-            new_facts=self.new_facts, index_builds=self.index_builds,
-            index_hits=self.index_hits,
-            terms_interned=self.terms_interned,
-            intern_hits=self.intern_hits,
-            id_joins=self.id_joins,
-            value_materializations=self.value_materializations,
-            literal_scans=self.literal_scans,
-            full_scans=self.full_scans, plans_built=self.plans_built,
-            plan_cache_hits=self.plan_cache_hits,
-            reorder_wins=self.reorder_wins,
-            column_stats_built=self.column_stats_built,
-            remote_emissions=self.remote_emissions,
-            plans_evicted=self.plans_evicted,
-            sent_dedup_evictions=self.sent_dedup_evictions,
-            magic_programs_built=self.magic_programs_built,
-            magic_cache_hits=self.magic_cache_hits,
-            dred_strata=self.dred_strata,
-            strata_recomputed=self.strata_recomputed,
-            full_recomputes=self.full_recomputes,
-            rule_firings=dict(self.rule_firings),
-            strata=list(self.strata))
-        return snapshot
+        return replace(self, rule_firings=dict(self.rule_firings),
+                       strata=list(self.strata))
 
     def diff(self, before: "EvalStats") -> "EvalStats":
         """The work done since ``before`` (a prior :meth:`copy` of this).
@@ -368,36 +364,8 @@ class EvalStats:
         ``strata`` tail assumes append-only growth, which holds until
         ``MAX_STRATA`` trimming kicks in.
         """
-        delta = EvalStats(
-            rounds=self.rounds - before.rounds,
-            derivations=self.derivations - before.derivations,
-            new_facts=self.new_facts - before.new_facts,
-            index_builds=self.index_builds - before.index_builds,
-            index_hits=self.index_hits - before.index_hits,
-            terms_interned=self.terms_interned - before.terms_interned,
-            intern_hits=self.intern_hits - before.intern_hits,
-            id_joins=self.id_joins - before.id_joins,
-            value_materializations=self.value_materializations
-            - before.value_materializations,
-            literal_scans=self.literal_scans - before.literal_scans,
-            full_scans=self.full_scans - before.full_scans,
-            plans_built=self.plans_built - before.plans_built,
-            plan_cache_hits=self.plan_cache_hits - before.plan_cache_hits,
-            reorder_wins=self.reorder_wins - before.reorder_wins,
-            column_stats_built=self.column_stats_built
-            - before.column_stats_built,
-            remote_emissions=self.remote_emissions - before.remote_emissions,
-            plans_evicted=self.plans_evicted - before.plans_evicted,
-            sent_dedup_evictions=self.sent_dedup_evictions
-            - before.sent_dedup_evictions,
-            magic_programs_built=self.magic_programs_built
-            - before.magic_programs_built,
-            magic_cache_hits=self.magic_cache_hits
-            - before.magic_cache_hits,
-            dred_strata=self.dred_strata - before.dred_strata,
-            strata_recomputed=self.strata_recomputed
-            - before.strata_recomputed,
-            full_recomputes=self.full_recomputes - before.full_recomputes)
+        delta = EvalStats(**{name: getattr(self, name) - getattr(before, name)
+                             for name in self.counters()})
         for key, count in self.rule_firings.items():
             fired = count - before.rule_firings.get(key, 0)
             if fired:
@@ -406,29 +374,8 @@ class EvalStats:
         return delta
 
     def merge(self, other: "EvalStats") -> None:
-        self.rounds += other.rounds
-        self.derivations += other.derivations
-        self.new_facts += other.new_facts
-        self.index_builds += other.index_builds
-        self.index_hits += other.index_hits
-        self.terms_interned += other.terms_interned
-        self.intern_hits += other.intern_hits
-        self.id_joins += other.id_joins
-        self.value_materializations += other.value_materializations
-        self.literal_scans += other.literal_scans
-        self.full_scans += other.full_scans
-        self.plans_built += other.plans_built
-        self.plan_cache_hits += other.plan_cache_hits
-        self.reorder_wins += other.reorder_wins
-        self.column_stats_built += other.column_stats_built
-        self.remote_emissions += other.remote_emissions
-        self.plans_evicted += other.plans_evicted
-        self.sent_dedup_evictions += other.sent_dedup_evictions
-        self.magic_programs_built += other.magic_programs_built
-        self.magic_cache_hits += other.magic_cache_hits
-        self.dred_strata += other.dred_strata
-        self.strata_recomputed += other.strata_recomputed
-        self.full_recomputes += other.full_recomputes
+        for name in self.counters():
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for key, count in other.rule_firings.items():
             self.fire(key, count)
         for record in other.strata:
@@ -436,33 +383,10 @@ class EvalStats:
 
     def as_dict(self) -> dict:
         """A JSON-safe summary (recorded into benchmark artifacts)."""
-        return {
-            "rounds": self.rounds,
-            "derivations": self.derivations,
-            "new_facts": self.new_facts,
-            "index_builds": self.index_builds,
-            "index_hits": self.index_hits,
-            "terms_interned": self.terms_interned,
-            "intern_hits": self.intern_hits,
-            "id_joins": self.id_joins,
-            "value_materializations": self.value_materializations,
-            "literal_scans": self.literal_scans,
-            "full_scans": self.full_scans,
-            "plans_built": self.plans_built,
-            "plan_cache_hits": self.plan_cache_hits,
-            "reorder_wins": self.reorder_wins,
-            "column_stats_built": self.column_stats_built,
-            "remote_emissions": self.remote_emissions,
-            "plans_evicted": self.plans_evicted,
-            "sent_dedup_evictions": self.sent_dedup_evictions,
-            "magic_programs_built": self.magic_programs_built,
-            "magic_cache_hits": self.magic_cache_hits,
-            "dred_strata": self.dred_strata,
-            "strata_recomputed": self.strata_recomputed,
-            "full_recomputes": self.full_recomputes,
-            "rule_firings": dict(sorted(self.rule_firings.items())),
-            "strata": [record.as_dict() for record in self.strata],
-        }
+        summary = {name: getattr(self, name) for name in self.counters()}
+        summary["rule_firings"] = dict(sorted(self.rule_firings.items()))
+        summary["strata"] = [record.as_dict() for record in self.strata]
+        return summary
 
 
 # ---------------------------------------------------------------------------
@@ -470,46 +394,28 @@ class EvalStats:
 # ---------------------------------------------------------------------------
 
 def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
-               delta: Optional[FactSet] = None,
+               delta: Optional[dict[str, Relation]] = None,
                delta_position: Optional[int] = None,
                provenance: Optional[ProvenanceStore] = None,
-               stats: Optional[EvalStats] = None,
-               as_rows: bool = False) -> set:
-    """All head tuples derivable by one rule (optionally delta-restricted).
+               stats: Optional[EvalStats] = None) -> set:
+    """All head rows derivable by one rule (optionally delta-restricted).
 
-    Returns tuples *not yet present* in the database — value tuples by
-    default, interned id rows over ``db.interner`` with ``as_rows=True``
-    (the stratum loop's currency, skipping the materialize/re-intern
-    round-trip on the hot path).  Does not mutate the database — callers
-    merge the result so rounds stay well-defined.  ``delta`` values may
-    be fact sets or prebuilt :class:`Relation` objects (the stratum loop
-    passes COW-wrapped relations so they are built once per round, not
-    once per rule application); wrapped delta relations share
-    ``db.interner`` so the join can probe them in id space.
+    Returns id rows over ``db.interner`` that are *not yet present* in the
+    database.  Does not mutate the database — callers merge the result so
+    rounds stay well-defined.  ``delta`` maps a predicate to its delta
+    :class:`Relation` (built once per round with
+    :meth:`Relation.wrap_rows` over ``db.interner``, so the join probes it
+    in id space).
     """
-    interner = db.interner
-    delta_relations: Optional[dict[str, Relation]] = None
-    if delta is not None:
-        if all(isinstance(facts, Relation) for facts in delta.values()):
-            delta_relations = delta
-        else:
-            delta_relations = {
-                pred: (facts if isinstance(facts, Relation)
-                       else Relation.wrap(pred, facts, interner))
-                for pred, facts in delta.items()
-            }
     plan = rule.plan(context, delta_position, db=db, stats=stats)
     produced: set = set()
-    fired = derive_rows(rule, plan.flat(), db, context, delta_relations,
+    fired = derive_rows(rule, plan.flat(), db, context, delta,
                         delta_position, db.rel(rule.head.pred).rows, produced,
                         provenance)
     if stats is not None and fired:
         stats.derivations += fired
         stats.fire(rule.label or rule.head.pred, fired)
-    if as_rows:
-        return produced
-    materialize = interner.materialize_row
-    return {materialize(row) for row in produced}
+    return produced
 
 
 def derive_rows(rule: EngineRule, flat: FlatPlan, db: Database,
@@ -581,7 +487,9 @@ def _instantiate(spec: tuple, registers: list, values: list,
 
 def apply_aggregate_rule(rule: EngineRule, db: Database, context: EvalContext,
                          stats: Optional[EvalStats] = None) -> set:
-    """Evaluate one aggregate rule over the (complete) lower strata.
+    """Evaluate one aggregate rule over the (complete) lower strata;
+    returns the head id rows not yet present (an aggregate result is a
+    value entering the database, so it is interned here).
 
     Grouping keys are the head variables other than the aggregate result;
     solutions are deduplicated on the full variable assignment before the
@@ -617,7 +525,8 @@ def apply_aggregate_rule(rule: EngineRule, db: Database, context: EvalContext,
         stats.fire(rule.label or rule.head.pred, fired)
 
     produced: set = set()
-    head_relation = db.rel(rule.head.pred)
+    known_rows = db.rel(rule.head.pred).rows
+    intern_row = db.interner.intern_row
     for group_key, values in groups.items():
         result = _aggregate(agg.func, values)
         if result is None:
@@ -629,9 +538,9 @@ def apply_aggregate_rule(rule: EngineRule, db: Database, context: EvalContext,
                 fact.append(result)
             else:
                 fact.append(next(key_iter))
-        fact_tuple = tuple(fact)
-        if fact_tuple not in head_relation:
-            produced.add(fact_tuple)
+        row = intern_row(fact)
+        if row not in known_rows:
+            produced.add(row)
     return produced
 
 
@@ -657,52 +566,34 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
                  provenance: Optional[ProvenanceStore] = None,
                  changed: Optional[FactSet] = None,
                  stats: Optional[EvalStats] = None) -> FactSet:
-    """Run one stratum to fixpoint; return the facts it added.
+    """Run one stratum to fixpoint; return the rows it added.
 
-    ``changed`` restricts the initial pass to delta positions (incremental
-    mode); when None the initial pass applies every rule in full.
+    With ``changed`` (incremental mode) the first delta is seeded with the
+    entries of ``changed`` the stratum reads — adopted, never copied or
+    mutated — instead of a full application of every rule.
     """
     stats = stats if stats is not None else EvalStats()
     record = StratumStats(number=stratum.number)
     started = perf_counter()
     interner = db.interner
-    intern_row = interner.intern_row
-    #: pred -> set of id rows; the stratum loop's internal currency —
-    #: derivation, dedup, merge and delta exchange all stay in id space,
-    #: and values are materialized once at the return boundary.
-    added_rows: dict[str, set] = {}
-    remote_emit = context.remote_emit
+    added: FactSet = {}
     remote_emit_rows = context.remote_emit_rows
 
     def merge(new_rows: set, pred: str, delta_pool: dict) -> None:
         if not new_rows:
             return
         if remote_emit_rows is not None:
-            # Id-space delta exchange: the hook decides ownership on id
-            # rows directly, so neither the locally-kept derivations nor
-            # the ones it diverts to a remote owner leave id space here.
+            # Delta exchange: the hook decides ownership on id rows, so
+            # neither the locally-kept derivations nor the ones it
+            # diverts to a remote owner leave id space here.
             kept_rows = remote_emit_rows(pred, new_rows)
             stats.remote_emissions += len(new_rows) - len(kept_rows)
             if not kept_rows:
                 return
             new_rows = kept_rows
-        elif remote_emit is not None:
-            # Distributed evaluation: facts owned by another node are
-            # diverted to its outbox instead of asserted here; only the
-            # locally-owned remainder joins this node's delta frontier.
-            # The hook speaks values (facts cross process boundaries), so
-            # this is a materialization boundary.
-            materialize = interner.materialize_row
-            new_facts = {materialize(row) for row in new_rows}
-            kept = remote_emit(pred, new_facts)
-            stats.remote_emissions += len(new_facts) - len(kept)
-            if not kept:
-                return
-            if len(kept) != len(new_facts):
-                new_rows = {intern_row(fact) for fact in kept}
         fresh = db.rel(pred).add_rows(new_rows)
         if fresh:
-            added_rows.setdefault(pred, set()).update(fresh)
+            added.setdefault(pred, set()).update(fresh)
             # The delta pool takes ownership of ``fresh`` (a set
             # ``add_rows`` built for us) instead of copying it — the
             # common case is one rule per head predicate per round.
@@ -717,20 +608,28 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
         # 1. Aggregate rules: bodies live strictly below this stratum.
         delta: dict[str, set] = {}
         for rule in stratum.agg_rules:
-            agg_facts = apply_aggregate_rule(rule, db, context, stats)
-            merge({intern_row(fact) for fact in agg_facts},
+            merge(apply_aggregate_rule(rule, db, context, stats),
                   rule.head.pred, delta)
 
-        # 2. Initial pass.
-        if changed is None:
+        # 2. The first delta: every rule applied in full, or the seed.
+        seed_pass = changed is not None
+        if seed_pass:
+            reads = stratum.reads
+            for pred, rows in changed.items():
+                if rows and pred in reads:
+                    pooled = delta.get(pred)
+                    delta[pred] = rows if pooled is None else pooled | rows
+        else:
             for rule in stratum.rules:
                 merge(apply_rule(rule, db, context, provenance=provenance,
-                                 stats=stats, as_rows=True),
+                                 stats=stats),
                       rule.head.pred, delta)
-        else:
-            for pred, facts in changed.items():
-                delta.setdefault(pred, set()).update(
-                    intern_row(fact) for fact in facts)
+
+        # 3. Semi-naive rounds (the seed pass is not a ``stats`` round).
+        while delta:
+            if not seed_pass:
+                stats.rounds += 1
+            seed_pass = False
             record.rounds += 1
             record.delta_sizes.append(
                 sum(len(rows) for rows in delta.values()))
@@ -739,52 +638,28 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
             next_delta: dict[str, set] = {}
             for rule in stratum.rules:
                 for position in rule.positive_positions():
-                    literal = rule.body[position]
-                    if literal.atom.pred in delta:
+                    if rule.body[position].atom.pred in delta:
                         merge(apply_rule(rule, db, context, delta_rels,
-                                         position, provenance, stats,
-                                         as_rows=True),
+                                         position, provenance, stats),
                               rule.head.pred, next_delta)
             delta = next_delta
-
-        # 3. Semi-naive rounds.
-        while delta:
-            stats.rounds += 1
-            record.rounds += 1
-            record.delta_sizes.append(
-                sum(len(rows) for rows in delta.values()))
-            delta_rels = {pred: Relation.wrap_rows(pred, rows, interner)
-                          for pred, rows in delta.items()}
-            next_delta = {}
-            for rule in stratum.rules:
-                for position in rule.positive_positions():
-                    literal = rule.body[position]
-                    if literal.atom.pred in delta:
-                        merge(apply_rule(rule, db, context, delta_rels,
-                                         position, provenance, stats,
-                                         as_rows=True),
-                              rule.head.pred, next_delta)
-            delta = next_delta
-
-        # Output boundary: the stratum's result is a value-space FactSet.
-        # Materialization is inlined with the counter batched, not paid
-        # per row; binary facts (the overwhelmingly common arity) take a
-        # tuple-unpacking comprehension — no inner list, no tuple() call.
-        term_values = interner.values
-        added: FactSet = {}
-        for pred, rows in added_rows.items():
-            try:
-                added[pred] = {
-                    (term_values[a], term_values[b]) for a, b in rows}
-            except ValueError:      # mixed or non-binary arity
-                added[pred] = {
-                    tuple([term_values[i] for i in row]) for row in rows}
-            stats.value_materializations += len(rows)
 
     record.elapsed = perf_counter() - started
-    record.new_facts = sum(len(facts) for facts in added.values())
+    record.new_facts = sum(len(rows) for rows in added.values())
     stats.record_stratum(record)
     return added
+
+
+def merge_rows(target: FactSet, source: FactSet) -> None:
+    """Union ``source`` into ``target`` per predicate.
+
+    Row sets are adopted, not copied: a set either side was handed may be
+    shared with a caller, a delta relation or a host's EDB, so a union
+    builds a new set and nothing is ever updated in place.
+    """
+    for pred, rows in source.items():
+        held = target.get(pred)
+        target[pred] = rows if held is None else held | rows
 
 
 # ---------------------------------------------------------------------------
@@ -795,20 +670,18 @@ def evaluate(rules: Iterable[Rule], db: Database,
              context: Optional[EvalContext] = None,
              provenance: Optional[ProvenanceStore] = None,
              stats: Optional[EvalStats] = None) -> FactSet:
-    """Run a whole program to fixpoint; return every fact added."""
+    """Run a whole program to fixpoint; return every row added."""
     context = context or EvalContext()
     rule_list = list(rules)
     if all(isinstance(r, EngineRule) for r in rule_list):
         engine_rules = rule_list
     else:
         engine_rules = normalize_rules(rule_list)
-    strata = stratify(engine_rules)
     added: FactSet = {}
-    for stratum in strata:
-        stratum_added = eval_stratum(stratum, db, context, provenance,
-                                     changed=None, stats=stats)
-        for pred, facts in stratum_added.items():
-            added.setdefault(pred, set()).update(facts)
+    for stratum in stratify(engine_rules):
+        # A predicate is defined in exactly one stratum.
+        added.update(eval_stratum(stratum, db, context, provenance,
+                                  changed=None, stats=stats))
     return added
 
 
@@ -823,12 +696,13 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
                          stats: Optional[EvalStats] = None) -> FactSet:
     """Incrementally maintain the database after EDB insertions.
 
-    ``inserted`` are facts already added to ``db``.  Monotone strata are
+    ``inserted`` are rows already added to ``db``.  Monotone strata are
     maintained with semi-naive deltas; strata containing negation or
     aggregation whose inputs changed are recomputed from their EDB
-    (``edb_facts`` supplies the asserted facts of a predicate).
+    (``edb_facts(pred)`` supplies the host's asserted rows of a
+    predicate; it may be the host's live set — it is only read).
     """
-    changed: FactSet = {pred: set(facts) for pred, facts in inserted.items()}
+    changed: FactSet = dict(inserted)
     total_added: FactSet = {}
     for stratum in strata:
         relevant = stratum.reads | stratum.preds
@@ -837,20 +711,17 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
         if stratum.nonmonotone:
             added, removed = recompute_stratum(stratum, db, context, edb_facts,
                                                provenance, stats)
-            for pred, facts in added.items():
-                changed.setdefault(pred, set()).update(facts)
-                total_added.setdefault(pred, set()).update(facts)
             # Removals from a recomputed stratum propagate as deletions.
             if removed:
-                _propagate_removals_upward(strata, stratum, db, context,
-                                           removed, edb_facts, provenance,
-                                           stats, changed, total_added)
+                from .incremental import propagate_deletions_from  # cycle
+                higher = [s for s in strata if s.number > stratum.number]
+                propagate_deletions_from(higher, db, context, removed,
+                                         edb_facts, provenance, stats)
         else:
             added = eval_stratum(stratum, db, context, provenance,
                                  changed=changed, stats=stats)
-            for pred, facts in added.items():
-                changed.setdefault(pred, set()).update(facts)
-                total_added.setdefault(pred, set()).update(facts)
+        merge_rows(changed, added)
+        merge_rows(total_added, added)
     return total_added
 
 
@@ -860,27 +731,22 @@ def recompute_stratum(stratum: Stratum, db: Database, context: EvalContext,
                       stats: Optional[EvalStats] = None) -> tuple:
     """Reset a stratum's predicates to their EDB and re-derive.
 
-    Returns ``(added, removed)`` fact-sets relative to the prior state.
+    Returns the ``(added, removed)`` rows relative to the prior state.
     """
     if edb_facts is None:
         raise SafetyError(
             "nonmonotone stratum changed but no EDB accessor was provided; "
             "use a full re-evaluation instead"
         )
-    interner = db.interner
-    materialize = interner.materialize_row
     old_rows: dict[str, set] = {}
     for pred in stratum.preds:
         relation = db.rel(pred)
         old_rows[pred] = set(relation.rows)
-        keep = {interner.row_of(fact) for fact in edb_facts(pred) or ()}
-        for row in old_rows[pred] - keep:
+        for row in old_rows[pred].difference(edb_facts(pred) or ()):
             relation.discard_row(row)
             if provenance is not None:
-                provenance.forget(pred, materialize(row))
+                provenance.forget(pred, db.interner.materialize_row(row))
     eval_stratum(stratum, db, context, provenance, changed=None, stats=stats)
-    # Id-row diff against the prior state; only the (small) difference is
-    # ever materialized, never a whole relation.
     added: FactSet = {}
     removed: FactSet = {}
     for pred in stratum.preds:
@@ -888,17 +754,7 @@ def recompute_stratum(stratum: Stratum, db: Database, context: EvalContext,
         grew = new_rows - old_rows[pred]
         shrank = old_rows[pred] - new_rows
         if grew:
-            added[pred] = {materialize(row) for row in grew}
+            added[pred] = grew
         if shrank:
-            removed[pred] = {materialize(row) for row in shrank}
+            removed[pred] = shrank
     return added, removed
-
-
-def _propagate_removals_upward(strata, from_stratum, db, context, removed,
-                               edb_facts, provenance, stats, changed,
-                               total_added) -> None:
-    """Feed deletions produced by a recomputed stratum into higher strata."""
-    from .incremental import propagate_deletions_from  # late import (cycle)
-    higher = [s for s in strata if s.number > from_stratum.number]
-    propagate_deletions_from(higher, db, context, removed, edb_facts,
-                             provenance, stats)

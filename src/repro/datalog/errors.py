@@ -71,6 +71,11 @@ class IndexIntegrityError(ReproError):
     engine means wrong authorization decisions)."""
 
 
+class InternerMismatchError(ReproError):
+    """Id rows were about to be read under an interner they were not
+    interned against (they would materialize as the wrong values)."""
+
+
 class TypeError_(ReproError):
     """A static or dynamic type-declaration constraint failed."""
 

@@ -20,7 +20,12 @@ cost bounded by what the deletion touches, never by the stratum's size:
    candidates that depend on other candidates.
 
 The stratum's ``(added, removed)`` diff falls out of the candidate and
-re-derived sets; no relation is ever copied or materialized whole.
+re-derived sets; no relation is ever copied.  Every fact set in here —
+``deleted``, the over-deleted rows, the candidates, ``back``, the diff,
+what ``edb_facts(pred)`` returns — is id rows over ``db.interner`` (the
+engine's one currency, see :mod:`repro.datalog.engine`), so phase 2 is a
+set intersection; only a provenance store, which is keyed by values,
+makes a row materialize.
 
 Strata containing negation or aggregation are recomputed from their EDB
 instead (always correct, and cheap at trust-policy scale); the net
@@ -40,6 +45,7 @@ from .engine import (
     ProvenanceStore,
     derive_rows,
     eval_stratum,
+    merge_rows,
     recompute_stratum,
 )
 from .runtime import EvalContext
@@ -51,10 +57,10 @@ def propagate_deletions(strata: list, db: Database, context: EvalContext,
                         edb_facts: Optional[Callable[[str], set]] = None,
                         provenance: Optional[ProvenanceStore] = None,
                         stats: Optional[EvalStats] = None) -> FactSet:
-    """Maintain ``db`` after the EDB facts in ``deleted`` were retracted.
+    """Maintain ``db`` after the EDB rows in ``deleted`` were retracted.
 
-    The caller must already have removed the ``deleted`` facts from ``db``
-    (the workspace retracts EDB first).  Returns the net set of facts that
+    The caller must already have removed the ``deleted`` rows from ``db``
+    (the workspace retracts EDB first).  Returns the net set of rows that
     disappeared, per predicate.
     """
     return propagate_deletions_from(strata, db, context, deleted, edb_facts,
@@ -66,8 +72,8 @@ def propagate_deletions_from(strata: list, db: Database, context: EvalContext,
                              edb_facts: Optional[Callable[[str], set]],
                              provenance: Optional[ProvenanceStore] = None,
                              stats: Optional[EvalStats] = None) -> FactSet:
-    net_removed: FactSet = {pred: set(facts) for pred, facts in deleted.items()}
-    pending_removed: FactSet = {pred: set(facts) for pred, facts in deleted.items()}
+    net_removed: FactSet = dict(deleted)
+    pending_removed: FactSet = dict(deleted)
     pending_added: FactSet = {}
 
     for stratum in strata:
@@ -85,15 +91,14 @@ def propagate_deletions_from(strata: list, db: Database, context: EvalContext,
                                            edb_facts, provenance, stats)
             if stats is not None:
                 stats.dred_strata += 1
-        for pred, facts in removed.items():
-            pending_removed.setdefault(pred, set()).update(facts)
-            net_removed.setdefault(pred, set()).update(facts)
-        for pred, facts in added.items():
-            pending_added.setdefault(pred, set()).update(facts)
+        merge_rows(pending_removed, removed)
+        merge_rows(net_removed, removed)
+        merge_rows(pending_added, added)
+        for pred, rows in added.items():
             if pred in net_removed:
-                net_removed[pred] -= facts
+                net_removed[pred] = net_removed[pred] - rows
 
-    net = {pred: facts for pred, facts in net_removed.items() if facts}
+    net = {pred: rows for pred, rows in net_removed.items() if rows}
     if net:
         _invalidate_shrunk_plans(strata, db, net.keys(), stats)
     return net
@@ -124,17 +129,15 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
                   stats: Optional[EvalStats]) -> tuple:
     """DRed one positive stratum.  Returns ``(added, removed)`` for it.
 
-    ``deleted_below`` are the facts already gone from ``db`` (retracted, or
-    removed by lower strata); ``inserted_below`` are facts lower strata
+    ``deleted_below`` are the rows already gone from ``db`` (retracted, or
+    removed by lower strata); ``inserted_below`` are rows lower strata
     added, which ride along in the closure's seed delta.
     """
     interner = db.interner
-    intern_row = interner.intern_row
-    materialize = interner.materialize_row
     reads = stratum.reads | stratum.preds
-    deleted_rows: dict[str, set] = {
-        pred: {intern_row(fact) for fact in facts}
-        for pred, facts in deleted_below.items() if facts and pred in reads
+    deleted_rows: FactSet = {
+        pred: rows for pred, rows in deleted_below.items()
+        if rows and pred in reads
     }
 
     # -- Phase 1: over-delete.  The deleted facts go back first, so that
@@ -146,10 +149,10 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
     # again since) is not ``restored``, so it is not taken out below.
     restored = {pred: db.rel(pred).add_rows(rows)
                 for pred, rows in deleted_rows.items()}
-    overdeleted: dict[str, set] = {}
+    overdeleted: FactSet = {}
     frontier = deleted_rows
     while frontier:
-        next_frontier: dict[str, set] = {}
+        next_frontier: FactSet = {}
         delta_rels = {pred: Relation.wrap_rows(pred, rows, interner)
                       for pred, rows in frontier.items()}
         for rule in stratum.rules:
@@ -172,53 +175,46 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
 
     # Take the deleted facts out again, and the over-deleted ones with
     # them.
-    for pred, rows in restored.items():
+    for pred, rows in list(restored.items()) + list(overdeleted.items()):
         relation = db.rel(pred)
         for row in rows:
             relation.discard_row(row)
-    over_facts: FactSet = {}
-    for pred, rows in overdeleted.items():
-        relation = db.rel(pred)
-        for row in rows:
-            relation.discard_row(row)
-        over_facts[pred] = {materialize(row) for row in rows}
-        if provenance is not None:
-            for fact in over_facts[pred]:
-                provenance.forget(pred, fact)
+    if provenance is not None:
+        for pred, rows in overdeleted.items():
+            for row in rows:
+                provenance.forget(pred, interner.materialize_row(row))
 
     # -- Phase 2: candidates.  An over-deleted row may have another
     # derivation; a retracted fact of one of this stratum's own predicates
     # lost its assertion but may still be derivable.  Those that are (still)
     # EDB-asserted come back at once.  ``back`` collects, per predicate,
-    # every fact this stratum puts (back) into ``db`` from here on; it
-    # doubles as the closure's seed delta.
-    back: FactSet = {pred: set(facts)
-                     for pred, facts in inserted_below.items()
-                     if facts and pred in reads}
-    candidates: dict[str, set] = {}
+    # every row this stratum puts (back) into ``db`` from here on; it
+    # doubles as the closure's seed delta, which adopts its sets — so
+    # they only ever grow by :func:`merge_rows`, never in place.
+    back: FactSet = {pred: rows for pred, rows in inserted_below.items()
+                     if rows and pred in reads}
+    candidates: FactSet = {}
     for pred in stratum.preds:
         rows = overdeleted.get(pred, set()) | deleted_rows.get(pred, set())
         if not rows:
             continue
         candidates[pred] = rows
         base = edb_facts(pred) if edb_facts is not None else None
-        if not base:
+        asserted = rows & base if base else None
+        if not asserted:
             continue
-        relation = db.rel(pred)
-        for row in rows:
-            fact = materialize(row)
-            if fact in base:
-                relation.add_row(row)
-                back.setdefault(pred, set()).add(fact)
-                if provenance is not None:
-                    provenance.record_edb(pred, fact)
+        db.rel(pred).add_rows(asserted)
+        merge_rows(back, {pred: asserted})
+        if provenance is not None:
+            for row in asserted:
+                provenance.record_edb(pred, interner.materialize_row(row))
 
     # -- Phase 3: head-bound re-derivation.  Each rule runs once with its
     # head matched against the candidate rows, so the work is bounded by
     # the candidates, not by the stratum.  A head with a computed term
     # cannot be bound by matching: that rule runs unrestricted and is
     # intersected with the candidates.
-    survivors: dict[str, set] = {}
+    survivors: FactSet = {}
     for rule in stratum.rules:
         pred = rule.head.pred
         rows = candidates.get(pred)
@@ -244,23 +240,20 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
     for pred, rows in survivors.items():
         fresh = db.rel(pred).add_rows(rows)
         if fresh:
-            back.setdefault(pred, set()).update(
-                materialize(row) for row in fresh)
+            merge_rows(back, {pred: fresh})
             if stats is not None:
                 stats.new_facts += len(fresh)
 
     # -- Phase 4: semi-naive closure from the restored and re-derived
-    # facts, bringing back candidates that depend on other candidates.
-    closure = eval_stratum(stratum, db, context, provenance, changed=back,
-                           stats=stats)
-    for pred, facts in closure.items():
-        back.setdefault(pred, set()).update(facts)
+    # rows, bringing back candidates that depend on other candidates.
+    merge_rows(back, eval_stratum(stratum, db, context, provenance,
+                                  changed=back, stats=stats))
 
     # -- Phase 5: the diff, from the over-deleted and brought-back sets.
     added: FactSet = {}
     removed: FactSet = {}
     for pred in stratum.preds:
-        over = over_facts.get(pred, set())
+        over = overdeleted.get(pred, set())
         came = back.get(pred, set())
         gone = over - came
         grew = came - over

@@ -29,7 +29,8 @@ from .terms import Rule
 def evaluate_naive(rules: Iterable[Rule], db: Database,
                    context: Optional[EvalContext] = None,
                    stats: Optional[EvalStats] = None) -> dict:
-    """Run a program to fixpoint naively; returns facts added per predicate."""
+    """Run a program to fixpoint naively; returns the id rows added per
+    predicate (the engine's currency, like :func:`~.engine.evaluate`)."""
     context = context or EvalContext()
     rule_list = list(rules)
     if all(isinstance(r, EngineRule) for r in rule_list):
@@ -38,7 +39,6 @@ def evaluate_naive(rules: Iterable[Rule], db: Database,
         engine_rules = normalize_rules(rule_list)
     strata = stratify(engine_rules)
     stats = stats if stats is not None else EvalStats()
-    interner = db.interner
     added_rows: dict[str, set] = {}
 
     def merge(pred: str, new_rows: set) -> bool:
@@ -51,22 +51,14 @@ def evaluate_naive(rules: Iterable[Rule], db: Database,
 
     for stratum in strata:
         for rule in stratum.agg_rules:
-            new_facts = apply_aggregate_rule(rule, db, context, stats)
-            if new_facts:
-                merge(rule.head.pred,
-                      {interner.intern_row(fact) for fact in new_facts})
+            merge(rule.head.pred,
+                  apply_aggregate_rule(rule, db, context, stats))
         changed = True
         while changed:
             changed = False
             stats.rounds += 1
             for rule in stratum.rules:
-                # Rule application stays in id space round over round;
-                # values materialize once, at the return boundary below.
-                new_rows = apply_rule(rule, db, context, stats=stats,
-                                      as_rows=True)
-                if new_rows and merge(rule.head.pred, new_rows):
+                if merge(rule.head.pred,
+                         apply_rule(rule, db, context, stats=stats)):
                     changed = True
-
-    materialize = interner.materialize_row
-    return {pred: {materialize(row) for row in rows}
-            for pred, rows in added_rows.items()}
+    return added_rows

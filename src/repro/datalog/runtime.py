@@ -77,19 +77,13 @@ class EvalContext:
     #: core counts positive-literal matches (``literal_scans``) and how
     #: many of those had no bound column to index on (``full_scans``)
     stats: Any = None
-    #: per-round delta-exchange hook for distributed evaluation: called as
-    #: ``remote_emit(pred, facts)`` with each rule application's freshly
-    #: derived facts *before* they are asserted; returns the subset to
-    #: keep locally — the rest has been diverted to a remote owner (see
+    #: the delta-exchange hook for distributed evaluation: called as
+    #: ``remote_emit_rows(pred, rows)`` with each rule application's
+    #: freshly derived *id rows* (over the evaluating database's
+    #: interner) before they are asserted; returns the rows to keep
+    #: locally — the rest has been diverted to a remote owner (a cluster
+    #: shard queues them as id rows all the way to the wire envelope, see
     #: :mod:`repro.cluster`).  None on single-node evaluation (no cost).
-    remote_emit: Optional[Callable[[str, set], set]] = None
-    #: id-space variant of ``remote_emit``: called with the freshly
-    #: derived *id rows* (interned against the evaluating database) and
-    #: returns the rows to keep locally.  When set it takes precedence
-    #: over ``remote_emit``, and nothing materializes here: kept rows
-    #: stay id rows, and what the implementer does with the diverted
-    #: ones is its own business (a cluster shard queues them as id rows
-    #: all the way to the wire envelope).
     remote_emit_rows: Optional[Callable[[str, set], set]] = None
 
 

@@ -26,6 +26,7 @@ interning, so rules-as-data are always context-independent.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Union
@@ -79,6 +80,29 @@ class AuditEvent:
         return f"AuditEvent({self.kind}, {self.detail})"
 
 
+class _EdbView(Mapping):
+    """``Workspace.edb``: the asserted facts as value tuples, read-only.
+
+    The workspace stores asserted facts once, as id rows; this view
+    materializes the rows of **one** predicate per access, so a reader of
+    one predicate never pays for the meta facts of every reified rule.
+    """
+
+    def __init__(self, rows: FactSet, interner) -> None:
+        self._rows = rows
+        self._interner = interner
+
+    def __getitem__(self, pred: str) -> set:
+        materialize = self._interner.materialize_row
+        return {materialize(row) for row in self._rows[pred]}
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 @dataclass
 class _Snapshot:
     db: Database
@@ -102,7 +126,11 @@ class Workspace:
         self.registry = registry if registry is not None else RuleRegistry()
         self.builtins = builtins if builtins is not None else standard_registry().child()
         self.db = Database()
-        self.edb: dict[str, set] = {}
+        #: the asserted facts, stored once: pred -> id rows over
+        #: ``db.interner`` (the tuple objects the relations hold).  One
+        #: interner serves the workspace for life — these sets outlive
+        #: any one ``Database`` object (see :meth:`_full_recompute`).
+        self._edb: FactSet = {}
         self.catalog = Catalog()
         self.constraints: list[Constraint] = []
         self.audit: list[AuditEvent] = []
@@ -125,7 +153,7 @@ class Workspace:
         self._txn_snapshot: Optional[_Snapshot] = None
         self._txn_fresh: FactSet = {}
         self._txn_deleted: FactSet = {}
-        # EDB fact sets are shared with the transaction snapshot
+        # EDB row sets are shared with the transaction snapshot
         # copy-on-write; preds in this set are owned by the current
         # transaction and safe to mutate in place.
         self._txn_edb_owned: set[str] = set()
@@ -265,23 +293,23 @@ class Workspace:
         with self.transaction():
             for fact in facts:
                 fact = tuple(fact)
-                base = self.edb.get(pred)
-                if base is None or fact not in base:
+                row = self.db.interner.row_of(fact)
+                if row is None or row not in self._edb.get(pred, ()):
                     raise WorkspaceError(
                         f"cannot retract {pred}{fact!r}: not an asserted fact"
                     )
-                self._edb_for_write(pred).discard(fact)
-                self.db.discard(pred, fact)
+                self._edb_for_write(pred).discard(row)
+                self.db.rel(pred).discard_row(row)
                 if self.provenance is not None:
                     self.provenance.forget(pred, fact)
                 fresh = self._txn_fresh.get(pred)
-                if fresh is not None and fact in fresh:
+                if fresh is not None and row in fresh:
                     # Asserted earlier in this very transaction: nothing
                     # has been derived from it yet, so there is nothing to
                     # propagate in either direction.
-                    fresh.discard(fact)
+                    fresh.discard(row)
                 else:
-                    self._txn_deleted.setdefault(pred, set()).add(fact)
+                    self._txn_deleted.setdefault(pred, set()).add(row)
 
     def deactivate_rule(self, ref: RuleRef) -> None:
         """Retract an API-activated rule (derived activations re-derive)."""
@@ -299,6 +327,12 @@ class Workspace:
     # ------------------------------------------------------------------
     # Public API: queries
     # ------------------------------------------------------------------
+
+    @property
+    def edb(self) -> Mapping:
+        """The asserted facts, ``pred -> set of value tuples`` (a read-only
+        view; each access materializes that one predicate)."""
+        return _EdbView(self._edb, self.db.interner)
 
     def tuples(self, pred: str) -> set:
         return set(self.db.tuples(pred))
@@ -375,10 +409,15 @@ class Workspace:
         answers = query_magic(rules, self.db, resolved, self.context)
         # A head predicate may also hold directly asserted EDB facts the
         # adorned program never re-derives; union them back in so the
-        # answer equals a fixpoint read exactly.
-        base = self.edb.get(pred)
+        # answer equals a fixpoint read exactly.  The asserted rows are
+        # filtered in id space; only the matches materialize.
+        base = self._edb.get(pred)
         if base:
-            answers |= matching(base)
+            interner = self.db.interner
+            wanted = [(i, interner.id_of(value)) for i, value in bound]
+            answers.update(
+                interner.materialize_row(row) for row in base
+                if all(row[i] == term for i, term in wanted))
         return answers
 
     def _magic_rules_for(self, pred: str) -> Optional[list]:
@@ -486,7 +525,7 @@ class Workspace:
         }
         return _Snapshot(
             db=self.db.snapshot(),
-            edb=dict(self.edb),
+            edb=dict(self._edb),
             activated=dict(self._activated),
             constraints=list(self.constraints),
             reified=set(self._reified),
@@ -494,15 +533,10 @@ class Workspace:
         )
 
     def _edb_for_write(self, pred: str) -> set:
-        """The EDB fact set for ``pred``, unshared from the txn snapshot."""
-        base = self.edb.get(pred)
-        if base is None:
-            base = set()
-            self.edb[pred] = base
-            self._txn_edb_owned.add(pred)
-        elif pred not in self._txn_edb_owned:
-            base = set(base)
-            self.edb[pred] = base
+        """The EDB row set for ``pred``, unshared from the txn snapshot."""
+        base = self._edb.get(pred)
+        if pred not in self._txn_edb_owned:
+            base = self._edb[pred] = set(base) if base is not None else set()
             self._txn_edb_owned.add(pred)
         return base
 
@@ -513,7 +547,7 @@ class Workspace:
         # restore() keeps the live Relation objects (and their indexes)
         # wherever the transaction never touched them.
         self.db.restore(snapshot.db)
-        self.edb = snapshot.edb
+        self._edb = snapshot.edb
         self._activated = snapshot.activated
         self.constraints = snapshot.constraints
         self._reified = snapshot.reified
@@ -551,13 +585,12 @@ class Workspace:
     def _assert_edb(self, pred: str, fact: tuple) -> bool:
         if self._txn_snapshot is None:
             raise WorkspaceError("EDB mutation outside a transaction")
-        base = self.edb.get(pred)
-        if base is not None and fact in base:
+        row = self.db.interner.intern_row(fact)
+        if row in self._edb.get(pred, ()):
             return False
-        base = self._edb_for_write(pred)
-        base.add(fact)
-        if self.db.add(pred, fact):
-            self._txn_fresh.setdefault(pred, set()).add(fact)
+        self._edb_for_write(pred).add(row)
+        if self.db.rel(pred).add_row(row):
+            self._txn_fresh.setdefault(pred, set()).add(row)
         if self.provenance is not None:
             # Also for a fact some rule already derived: the assertion is
             # one more reason it holds.
@@ -593,7 +626,7 @@ class Workspace:
         return ref
 
     def _edb_facts(self, pred: str) -> set:
-        return self.edb.get(pred, set())
+        return self._edb.get(pred, set())
 
     def _compile_ref(self, ref: RuleRef) -> list[EngineRule]:
         from ..datalog.runtime import check_rule_safety
@@ -680,12 +713,7 @@ class Workspace:
             for engine_rule in new_rules:
                 if engine_rule.agg is not None:
                     continue  # aggregates are evaluated inside strata
-                derived = apply_rule(engine_rule, self.db, self.context,
-                                     provenance=self.provenance,
-                                     stats=self.stats)
-                for fact in derived:
-                    if self.db.add(engine_rule.head.pred, fact):
-                        fresh.setdefault(engine_rule.head.pred, set()).add(fact)
+                self._apply_in_full(engine_rule, fresh)
             if new_rules and any(r.agg is not None for r in new_rules):
                 # Aggregate rules need their stratum machinery; easiest
                 # correct seed is a full propagation pass over their inputs.
@@ -693,9 +721,9 @@ class Workspace:
                     if engine_rule.agg is None:
                         continue
                     for pred in engine_rule.body_preds():
-                        facts = self.db.tuples(pred)
-                        if facts:
-                            fresh.setdefault(pred, set()).update(facts)
+                        relation = self.db.get(pred)
+                        if relation is not None and relation.rows:
+                            fresh.setdefault(pred, set()).update(relation.rows)
 
             # 3. Drain template-created rules (their meta facts are EDB).
             pending = self._pending_template_refs
@@ -712,12 +740,7 @@ class Workspace:
             # 3b. Volatile-builtin rules (their dependencies are hidden
             # from the delta machinery) re-run in full each round.
             for engine_rule in self._volatile_rules():
-                derived = apply_rule(engine_rule, self.db, self.context,
-                                     provenance=self.provenance,
-                                     stats=self.stats)
-                for fact in derived:
-                    if self.db.add(engine_rule.head.pred, fact):
-                        fresh.setdefault(engine_rule.head.pred, set()).add(fact)
+                self._apply_in_full(engine_rule, fresh)
 
             # 4. Propagate all fresh facts through the strata.
             if fresh:
@@ -728,11 +751,13 @@ class Workspace:
                 )
                 progressed = True
                 fresh = {}
-                for pred, facts in added.items():
-                    for fact in facts:
-                        for value in fact:
-                            for ref in self.registry.refs_in_value(value):
-                                self._ensure_reified(ref)
+                # Derived rule references get reified: one look per
+                # distinct term of ``added``, not one per occurrence.
+                values = self.db.interner.values
+                for term in {term for rows in added.values()
+                             for row in rows for term in row}:
+                    for ref in self.registry.refs_in_value(values[term]):
+                        self._ensure_reified(ref)
                 for pred, facts in self._txn_fresh.items():
                     fresh.setdefault(pred, set()).update(facts)
                 self._txn_fresh = {}
@@ -743,6 +768,16 @@ class Workspace:
             f"workspace {self.name!r} did not quiesce within "
             f"{self.max_activation_rounds} activation rounds"
         )
+
+    def _apply_in_full(self, engine_rule: EngineRule, fresh: FactSet) -> None:
+        """Apply one rule over the whole database; what it adds joins
+        ``fresh`` (whose sets this loop owns)."""
+        pred = engine_rule.head.pred
+        new_rows = self.db.rel(pred).add_rows(apply_rule(
+            engine_rule, self.db, self.context, provenance=self.provenance,
+            stats=self.stats))
+        if new_rows:
+            fresh.setdefault(pred, set()).update(new_rows)
 
     def _handle_deletions(self, deleted: FactSet) -> None:
         """DRed the deletions; deactivations force a full recompute."""
@@ -764,22 +799,22 @@ class Workspace:
     def _full_recompute(self) -> None:
         """Reset all derived state and re-derive from the EDB."""
         self.stats.full_recomputes += 1
-        self.db = Database()
-        for pred, facts in self.edb.items():
-            for fact in facts:
-                self.db.add(pred, fact)
+        # Same interner: the asserted rows (and the transaction snapshot a
+        # rollback would restore) stay meaningful under the new database.
+        self.db = Database(interner=self.db.interner)
         if self.provenance is not None:
             self.provenance.derivations.clear()
-            for pred, facts in self.edb.items():
-                for fact in facts:
-                    self.provenance.record_edb(pred, fact)
         self._activated = {}
         self._strata = None
-        # Seed propagation with every EDB fact; the activation loop will
+        # Seed propagation with every EDB row; the activation loop will
         # re-activate rules from the `active` relation as it goes.
-        for pred, facts in self.edb.items():
-            if facts:
-                self._txn_fresh.setdefault(pred, set()).update(facts)
+        for pred, rows in self._edb.items():
+            self.db.rel(pred).add_rows(rows)
+            if self.provenance is not None:
+                for fact in self.edb[pred]:
+                    self.provenance.record_edb(pred, fact)
+            if rows:
+                self._txn_fresh.setdefault(pred, set()).update(rows)
 
     # ------------------------------------------------------------------
 

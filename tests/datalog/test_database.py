@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.datalog.database import Database, Relation
-from repro.datalog.errors import IndexIntegrityError
+from repro.datalog.database import Database, Relation, TermInterner
+from repro.datalog.errors import IndexIntegrityError, InternerMismatchError
 
 
 class TestRelation:
@@ -135,12 +135,15 @@ class TestCopyOnWrite:
         assert len(view) == 0
 
     def test_wrap_never_mutates_the_donor_set(self):
-        donor = {("a",), ("b",)}
-        wrapped = Relation.wrap("d", donor)
+        interner = TermInterner()
+        donor = {interner.intern_row(("a",)), interner.intern_row(("b",))}
+        before = set(donor)
+        wrapped = Relation.wrap_rows("d", donor, interner)
+        assert wrapped.rows is donor  # adopted, not copied
         assert wrapped.lookup((0,), ("a",)) == [("a",)]
         wrapped.add(("c",))
         wrapped.discard(("a",))
-        assert donor == {("a",), ("b",)}
+        assert donor == before
         assert wrapped.tuples == {("b",), ("c",)}
 
     def test_shared_index_serves_both_handles(self):
@@ -226,6 +229,15 @@ class TestSnapshotRestoreCOW:
         database.add("fresh", ("z",))
         database.restore(snapshot)
         assert database.get("fresh") is None
+
+    def test_restore_refuses_a_snapshot_over_another_interner(self):
+        database = Database()
+        database.add("p", ("a",))
+        foreign = Database()
+        foreign.add("p", ("b",))
+        with pytest.raises(InternerMismatchError):
+            database.restore(foreign.snapshot())
+        assert database.tuples("p") == {("a",)}
 
     def test_snapshot_shares_until_either_side_mutates(self):
         database = Database()

@@ -90,12 +90,12 @@ class TestExactCounts:
         _, stats = run_chain()
         # The tentpole invariant: a constant-free program touches the
         # interner zero times during evaluation — derivation, dedup,
-        # delta exchange and merge all run over id rows.  Values are
-        # produced exactly once, at the output boundary: one
-        # materialization per added r fact.
+        # delta exchange and merge all run over id rows, and what
+        # evaluate() returns is id rows too: no value is produced until
+        # somebody reads one.
         assert stats.terms_interned == 0
         assert stats.intern_hits == 0
-        assert stats.value_materializations == 15
+        assert stats.value_materializations == 0
 
     def test_head_constants_intern_once_per_application(self):
         rules = [s for s in parse_statements("flagged: r(X, flag) <- e(X,Y).")
@@ -109,7 +109,7 @@ class TestExactCounts:
         # rule's id spec is built — one application, one fresh term
         assert stats.terms_interned == 1
         assert stats.intern_hits == 0
-        assert stats.value_materializations == 3
+        assert stats.value_materializations == 0
         assert db.tuples("r") == {(i, "flag") for i in range(3)}
 
 
@@ -329,12 +329,106 @@ class TestCopyDiff:
         strata = stratify(rules)
         stats = EvalStats()
         db.add("e", (5, 6))
-        propagate_insertions(strata, db, EvalContext(), {"e": {(5, 6)}},
+        seed = {db.interner.intern_row((5, 6))}
+        propagate_insertions(strata, db, EvalContext(), {"e": seed},
                              edb_facts=lambda p: set(), stats=stats)
         record = stats.strata[-1]
         assert record.delta_sizes[0] == 1        # the seed edge itself
         assert record.rounds == len(record.delta_sizes)
         assert stats.new_facts == 6              # r(i,6) for i in 0..5
+
+
+    def test_seed_delta_counts_only_what_the_stratum_reads(self):
+        from repro.datalog.engine import (
+            normalize_rules, propagate_insertions,
+        )
+        from repro.datalog.stratify import stratify
+
+        rules = normalize_rules(
+            [s for s in parse_statements("a(X) <- e(X).")
+             if isinstance(s, Rule)])
+        db = Database()
+        db.add("e", (1,))
+        db.add("z", (2,))            # read by no rule
+        inserted = {pred: set(db.rel(pred).rows) for pred in ("e", "z")}
+        stats = EvalStats()
+        propagate_insertions(stratify(rules), db, EvalContext(), inserted,
+                             edb_facts=lambda p: set(), stats=stats)
+        assert db.tuples("a") == {(1,)}
+        # the e row seeds the stratum; the z row does not (it was [2, 1])
+        assert stats.strata[-1].delta_sizes == [1, 1]
+
+
+class TestMaintenanceStaysInIdSpace:
+    """Maintenance takes and returns id rows: between a host's assert and
+    somebody's read, no term is interned again and no value is built."""
+
+    def test_propagate_insertions_touches_no_value(self):
+        from repro.datalog.engine import (
+            normalize_rules, propagate_insertions,
+        )
+        from repro.datalog.stratify import stratify
+
+        rules = normalize_rules(
+            [s for s in parse_statements(TC) if isinstance(s, Rule)])
+        db = Database()
+        for i in range(5):
+            db.add("e", (i, i + 1))
+        evaluate(rules, db, EvalContext())
+        db.add("e", (5, 6))
+        seed = {db.interner.intern_row((5, 6))}
+        stats = EvalStats()
+        with stats.capture_indexes():
+            added = propagate_insertions(
+                stratify(rules), db, EvalContext(stats=stats), {"e": seed},
+                edb_facts=lambda p: set(), stats=stats)
+        assert {pred: len(rows) for pred, rows in added.items()} == {"r": 6}
+        assert stats.terms_interned == 0
+        assert stats.intern_hits == 0
+        assert stats.value_materializations == 0
+
+    def test_sharded_fixpoint_materializes_nothing_until_read(self):
+        import random
+
+        from repro.cluster import Cluster, Partitioner
+
+        names = [f"node{i}" for i in range(4)]
+        partitioner = Partitioner(names)
+        partitioner.hash_partition("edge", column=0)
+        partitioner.hash_partition("reach", column=1)
+        cluster = Cluster(names, partitioner=partitioner)
+        cluster.load("tc0: reach(X,Y) <- edge(X,Y). "
+                     "tc1: reach(X,Z) <- reach(X,Y), edge(Y,Z).")
+        rng = random.Random(11)
+        for v in range(24):
+            for t in rng.sample(range(24), 2):
+                if t != v:
+                    cluster.assert_fact("edge", (v, t))
+        report = cluster.run()
+        assert report.messages > 0
+        assert sum(node.stats.new_facts
+                   for node in cluster.nodes.values()) > 0
+        assert sum(node.stats.value_materializations
+                   for node in cluster.nodes.values()) == 0
+        assert cluster.tuples("reach")
+
+    def test_workspace_assert_and_retract_materialize_nothing(self):
+        from repro.workspace.workspace import Workspace
+
+        workspace = Workspace("w")
+        workspace.load(TestRetractCostIsBounded.POLICY)
+        workspace.assert_facts("memberOf", [("u0", "g0"), ("u0", "g1")])
+        workspace.assert_fact("subgroup", ("g0", "g1"))
+        workspace.assert_facts("grant", [("g0", "o0", "read"),
+                                         ("g1", "o1", "read")])
+        before = workspace.stats.copy()
+        workspace.assert_fact("memberOf", ("u1", "g0"))
+        workspace.retract_fact("memberOf", ("u0", "g0"))
+        spent = workspace.stats.diff(before)
+        assert spent.new_facts > 0 and spent.dred_strata > 0
+        assert spent.value_materializations == 0
+        assert workspace.tuples("access") == {
+            ("u0", "o1", "read"), ("u1", "o0", "read"), ("u1", "o1", "read")}
 
 
 class TestRetractCostIsBounded:
@@ -388,17 +482,24 @@ class TestRetractCostIsBounded:
         evaluate(rules, db, EvalContext())
         size_before = len(db.tuples("access"))
 
+        # the maintenance API speaks id rows over db.interner
+        intern_row = db.interner.intern_row
+        materialize = db.interner.materialize_row
         victim = ("u0", "g0")
         edb["memberOf"].discard(victim)
         db.discard("memberOf", victim)
+        asserted = {pred: {intern_row(fact) for fact in facts}
+                    for pred, facts in edb.items()}
         stats = EvalStats()
         removed = propagate_deletions(
             stratify(rules), db, EvalContext(stats=stats),
-            {"memberOf": {victim}}, edb_facts=lambda p: edb.get(p, set()),
-            stats=stats)
-        assert removed == {"memberOf": {victim},
-                           "member": {("u0", "g0")},
-                           "access": {("u0", "o0", "read")}}
+            {"memberOf": {intern_row(victim)}},
+            edb_facts=lambda p: asserted.get(p, set()), stats=stats)
+        assert {pred: {materialize(row) for row in rows}
+                for pred, rows in removed.items()} == {
+                    "memberOf": {victim},
+                    "member": {("u0", "g0")},
+                    "access": {("u0", "o0", "read")}}
         assert db.tuples("member") >= {("u0", "g1")}
         assert len(db.tuples("access")) == size_before - 1
         return stats

@@ -43,9 +43,11 @@ def database(facts: dict) -> Database:
 def assert_parity(source: str, facts: dict, expected: set) -> None:
     context = EvalContext(builtins=standard_registry())
     for provenance in (None, ProvenanceStore()):
-        derived = apply_rule(engine_rule(source), database(facts), context,
+        db = database(facts)
+        derived = apply_rule(engine_rule(source), db, context,
                              provenance=provenance)
-        assert derived == expected
+        assert {db.interner.materialize_row(row)
+                for row in derived} == expected
     rule = engine_rule(source)
     answers = query_topdown([rule], database(facts), rule.head, context)
     assert {tuple(eval_term(term, answer, context)

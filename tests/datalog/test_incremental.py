@@ -22,8 +22,14 @@ def rules_of(source):
     return [s for s in parse_statements(source) if isinstance(s, Rule)]
 
 
+def rows_of(db, facts):
+    """Value tuples -> the id rows the engine's maintenance API speaks."""
+    return {db.interner.intern_row(tuple(fact)) for fact in facts}
+
+
 class Harness:
-    """A tiny EDB-tracking wrapper around the raw engine primitives."""
+    """A tiny EDB-tracking wrapper around the raw engine primitives
+    (``edb`` holds id rows over ``db.interner``, as a host's does)."""
 
     def __init__(self, source):
         self.rules = normalize_rules(rules_of(source))
@@ -34,26 +40,27 @@ class Harness:
         evaluate(self.rules, self.db, self.context)
 
     def insert(self, pred, fact):
-        fact = tuple(fact)
-        self.edb.setdefault(pred, set()).add(fact)
-        if self.db.add(pred, fact):
+        (row,) = rows_of(self.db, [fact])
+        self.edb.setdefault(pred, set()).add(row)
+        if self.db.rel(pred).add_row(row):
             propagate_insertions(self.strata, self.db, self.context,
-                                 {pred: {fact}},
+                                 {pred: {row}},
                                  edb_facts=lambda p: self.edb.get(p, set()))
 
     def delete(self, pred, fact):
-        fact = tuple(fact)
-        self.edb.get(pred, set()).discard(fact)
-        self.db.discard(pred, fact)
+        (row,) = rows_of(self.db, [fact])
+        self.edb.get(pred, set()).discard(row)
+        self.db.rel(pred).discard_row(row)
         propagate_deletions(self.strata, self.db, self.context,
-                            {pred: {fact}},
+                            {pred: {row}},
                             edb_facts=lambda p: self.edb.get(p, set()))
 
     def scratch_model(self):
         fresh = Database()
-        for pred, facts in self.edb.items():
-            for fact in facts:
-                fresh.add(pred, fact)
+        materialize = self.db.interner.materialize_row
+        for pred, rows in self.edb.items():
+            for row in rows:
+                fresh.add(pred, materialize(row))
         evaluate(self.rules, fresh, EvalContext())
         return {n: set(r.tuples) for n, r in fresh.relations.items() if r.tuples}
 
@@ -243,10 +250,9 @@ class TestPlanInvalidation:
         rules = normalize_rules(rules_of(
             "base: r(X,Y) <- e(X,Y). step: r(X,Z) <- r(X,Y), e(Y,Z)."))
         db = Database()
-        edb = {"e": set()}
         for i in range(n):
             db.add("e", (i, i + 1))
-            edb["e"].add((i, i + 1))
+        edb = {"e": set(db.rel("e").rows)}
         stats = EvalStats()
         evaluate(rules, db, EvalContext(stats=stats), stats=stats)
         return rules, db, edb, stats
@@ -257,10 +263,10 @@ class TestPlanInvalidation:
         big_band_keys = [k for k in step._plans if k[1] is not None]
         assert big_band_keys  # the 100-fact chain engaged the cost model
 
-        deleted = {"e": {(i, i + 1) for i in range(10, 100)}}
-        for fact in deleted["e"]:
-            db.discard("e", fact)
-            edb["e"].discard(fact)
+        deleted = {"e": rows_of(db, [(i, i + 1) for i in range(10, 100)])}
+        for row in deleted["e"]:
+            db.rel("e").discard_row(row)
+            edb["e"].discard(row)
         propagate_deletions(stratify(rules), db, EvalContext(), deleted,
                             edb_facts=lambda p: edb.get(p, set()),
                             stats=stats)
@@ -279,28 +285,30 @@ class TestPlanInvalidation:
 
     def test_maintained_state_matches_scratch_after_eviction(self):
         rules, db, edb, stats = self._chain()
-        deleted = {"e": {(i, i + 1) for i in range(10, 100)}}
-        for fact in deleted["e"]:
-            db.discard("e", fact)
-            edb["e"].discard(fact)
+        deleted = {"e": rows_of(db, [(i, i + 1) for i in range(10, 100)])}
+        for row in deleted["e"]:
+            db.rel("e").discard_row(row)
+            edb["e"].discard(row)
         propagate_deletions(stratify(rules), db, EvalContext(), deleted,
                             edb_facts=lambda p: edb.get(p, set()),
                             stats=stats)
         scratch = Database()
-        for fact in edb["e"]:
-            scratch.add("e", fact)
+        for row in edb["e"]:
+            scratch.add("e", db.interner.materialize_row(row))
         evaluate(normalize_rules(rules_of(
             "base: r(X,Y) <- e(X,Y). step: r(X,Z) <- r(X,Y), e(Y,Z).")),
             scratch)
         assert scratch.tuples("r") == db.tuples("r")
         # the next insertion replans cleanly at the new band
-        db.add("e", (3, 9))
-        edb["e"].add((3, 9))
-        propagate_insertions(stratify(rules), db, EvalContext(), {"e": {(3, 9)}},
+        inserted = rows_of(db, [(3, 9)])
+        db.rel("e").add_rows(inserted)
+        edb["e"] |= inserted
+        propagate_insertions(stratify(rules), db, EvalContext(),
+                             {"e": inserted},
                              edb_facts=lambda p: edb.get(p, set()))
         scratch2 = Database()
-        for fact in edb["e"]:
-            scratch2.add("e", fact)
+        for row in edb["e"]:
+            scratch2.add("e", db.interner.materialize_row(row))
         evaluate(normalize_rules(rules_of(
             "base: r(X,Y) <- e(X,Y). step: r(X,Z) <- r(X,Y), e(Y,Z).")),
             scratch2)

@@ -165,7 +165,8 @@ class TestQuoteHeadsAndProvenance:
             return ("rule-for", bindings["U"], bindings["N"])
 
         context = EvalContext(instantiate_quote=instantiate)
-        return apply_rule(rule, db, context, provenance=provenance), seen
+        rows = apply_rule(rule, db, context, provenance=provenance)
+        return {db.interner.materialize_row(row) for row in rows}, seen
 
     def test_quote_head_sees_exactly_its_bound_pattern_variables(self):
         facts, seen = self.run(None)

@@ -76,6 +76,49 @@ class TestAssertThenRetractInOneTransaction:
         assert ws.tuples("reach") == set()
 
 
+class Aborted(Exception):
+    """Raised inside a transaction to roll it back."""
+
+
+def run_stream(seed, ws, abort_rate):
+    """Drive ``ws`` with a random assert/retract stream; after every
+    transaction yield the value-space shadow model of its asserted facts.
+
+    One to three updates per transaction, so a fact can be asserted and
+    retracted (or the reverse) before one commit; a transaction aborts
+    with probability ``abort_rate`` and must then leave no trace.
+    """
+    rng = random.Random(seed)
+    nodes = list(range(1, rng.randint(3, 6)))
+    alive = {"edge": set(), "path": set()}
+    for _ in range(rng.randint(3, 12)):
+        staged = {pred: set(facts) for pred, facts in alive.items()}
+        abort = rng.random() < abort_rate
+        try:
+            with ws.transaction():
+                for _ in range(rng.randint(1, 3)):
+                    pred = "path" if rng.random() < 0.3 else "edge"
+                    if staged[pred] and rng.random() < 0.45:
+                        victim = rng.choice(sorted(staged[pred]))
+                        staged[pred].discard(victim)
+                        ws.retract_fact(pred, victim)
+                    else:
+                        fact = (rng.choice(nodes), rng.choice(nodes))
+                        staged[pred].add(fact)
+                        ws.assert_fact(pred, fact)
+                if abort:
+                    raise Aborted
+        except Aborted:
+            pass
+        else:
+            alive = staged
+        yield alive
+
+
+def edb_values(ws):
+    return {pred: ws.edb.get(pred, set()) for pred in ("edge", "path")}
+
+
 def scratch_like(ws):
     fresh = workspace(enable_provenance=True)
     with fresh.transaction():
@@ -136,22 +179,27 @@ class TestProvenanceParity:
     @given(st.integers(0, 2 ** 30))
     @settings(max_examples=30, deadline=None)
     def test_property_random_streams(self, seed):
-        rng = random.Random(seed)
-        nodes = list(range(1, rng.randint(3, 6)))
         ws = workspace(enable_provenance=True)
-        alive = {"edge": set(), "path": set()}
-        for _ in range(rng.randint(3, 12)):
-            # one to three updates per transaction, so a fact can be
-            # asserted and retracted (or the reverse) before one commit
-            with ws.transaction():
-                for _ in range(rng.randint(1, 3)):
-                    pred = "path" if rng.random() < 0.3 else "edge"
-                    if alive[pred] and rng.random() < 0.45:
-                        victim = rng.choice(sorted(alive[pred]))
-                        alive[pred].discard(victim)
-                        ws.retract_fact(pred, victim)
-                    else:
-                        fact = (rng.choice(nodes), rng.choice(nodes))
-                        alive[pred].add(fact)
-                        ws.assert_fact(pred, fact)
+        for alive in run_stream(seed, ws, abort_rate=0.0):
+            assert edb_values(ws) == alive
             assert_provenance_parity(ws)
+
+
+class TestEdbView:
+    """``Workspace.edb`` — the value view over the asserted id rows —
+    tracks a value-space shadow model through commits and rollbacks."""
+
+    # The provenance store is not part of the transaction snapshot, so
+    # this stream (the one with aborted transactions) runs without it.
+    @given(st.integers(0, 2 ** 30))
+    @settings(max_examples=30, deadline=None)
+    def test_property_view_equals_shadow_model(self, seed):
+        ws = workspace()
+        for alive in run_stream(seed, ws, abort_rate=0.25):
+            assert edb_values(ws) == alive
+            fresh = workspace()
+            with fresh.transaction():
+                for pred, facts in alive.items():
+                    fresh.assert_facts(pred, sorted(facts))
+            for pred in ("edge", "path", "reach"):
+                assert ws.tuples(pred) == fresh.tuples(pred)

@@ -143,6 +143,45 @@ class TestTransactions:
         assert workspace.tuples("b") == {(2,)}
 
 
+class TestOneInternerForLife:
+    """A full recompute inside a transaction that then rolls back must
+    leave the relations and ``db.interner`` in agreement: the restored
+    snapshot's id rows mean nothing under any other interner."""
+
+    PROGRAM = """
+        base: path(X,Y) <- edge(X,Y).
+        tag(X,"seen") <- path(X,_).
+    """
+    STEP = "step: path(X,Z) <- path(X,Y), edge(Y,Z)."
+    EDGES = [("a", "b"), ("b", "c"), ("c", "d")]
+
+    def build(self, edges):
+        workspace = Workspace("w")
+        workspace.load(self.PROGRAM)
+        step = workspace.add_rule(self.STEP)
+        for edge in edges:
+            workspace.assert_fact("edge", edge)
+        return workspace, step
+
+    def test_rolled_back_full_recompute_keeps_the_interner(self):
+        workspace, step = self.build(self.EDGES)
+        interner = workspace.db.interner
+        with pytest.raises(ConstraintViolation):
+            with workspace.transaction():
+                workspace.deactivate_rule(step)
+                workspace.add_constraint("edge(X,Y) -> never(X).")
+        assert workspace.stats.full_recomputes == 1
+        assert workspace.db.interner is interner
+        assert all(relation.interner is interner
+                   for relation in workspace.db.relations.values())
+
+        workspace.assert_fact("edge", ("d", "e"))
+        fresh, _ = self.build(self.EDGES + [("d", "e")])
+        for pred in ("edge", "path", "tag"):
+            assert workspace.tuples(pred) == fresh.tuples(pred)
+        assert workspace.edb["edge"] == fresh.edb["edge"]
+
+
 class TestRetraction:
     def test_retract_propagates(self):
         workspace = Workspace("w")
