@@ -10,9 +10,9 @@ latency under a sustained update:query mix:
   transport; the simulated transport runs unpaced — its clock is virtual);
 * updates alternate assert/retract so every cycle exercises semi-naive
   insertion *and* DRed deletion maintenance;
-* queries reuse one binding shape, so after the first request the
-  magic-program cache answers them (``magic_cache_hits`` in the watched
-  stats);
+* queries are index reads of the maintained fixpoint — nothing is
+  derived on the request path (``derivations`` in the watched stats
+  moves only with the updates);
 * recorded metrics: ``p50_ms`` / ``p99_ms`` per-request latency, achieved
   ``qps``, and the update/query split.  The CI compare gate checks
   ``p99_ms`` in addition to best-of-N wall time, so serve-latency

@@ -336,15 +336,18 @@ class LBTrustSystem:
         self.auth_name = auth
         for principal in self.principals.values():
             workspace = principal.workspace
-            for label in principal.scheme_constraint_labels:
-                workspace.remove_constraints(label)
+            # One transaction, so the whole teardown is one maintenance
+            # pass (each deactivation alone would rebuild the workspace).
+            with workspace.transaction():
+                for label in principal.scheme_constraint_labels:
+                    workspace.remove_constraints(label)
+                for ref in principal.scheme_rule_refs:
+                    workspace.deactivate_rule(ref)
+                old_exports = workspace.edb.get("export", set())
+                if old_exports:
+                    workspace.retract_facts("export", old_exports)
             principal.scheme_constraint_labels = []
-            for ref in principal.scheme_rule_refs:
-                workspace.deactivate_rule(ref)
             principal.scheme_rule_refs = []
-            old_exports = set(workspace.edb.get("export", set()))
-            if old_exports:
-                workspace.retract_facts("export", old_exports)
         for principal in self.principals.values():
             self._install_scheme(principal)
         # Everything re-exports under the new regime.

@@ -9,7 +9,6 @@ from .engine import (
     evaluate,
     normalize_rules,
 )
-from .naive import evaluate_naive
 from .parser import parse_atom, parse_program, parse_rule, parse_statements, parse_term
 from .pretty import canonical_rule, format_statement
 from .runtime import EvalContext, solve
@@ -31,7 +30,7 @@ __all__ = [
     "EvalStats", "Literal", "Program", "ProvenanceStore", "Quote", "Relation",
     "StratumStats",
     "Rule", "RuleRef", "Variable", "canonical_rule", "evaluate",
-    "evaluate_naive", "format_statement", "normalize_rules", "parse_atom",
+    "format_statement", "normalize_rules", "parse_atom",
     "parse_program", "parse_rule", "parse_statements", "parse_term", "solve",
     "stratify",
 ]

@@ -16,8 +16,10 @@ allocation per probe).
 
 Snapshots are **copy-on-write**: :meth:`Relation.view` returns an O(1)
 handle sharing the relation's row set *and* its indexes; the first
-mutation through either handle unshares by copying, so unmutated
-relations never pay for a snapshot.  The interner itself is **append
+mutation through either handle copies the row set and each index's
+key → bucket table, and a bucket list only when that handle first writes
+to it — so unmutated relations never pay for a snapshot, and a mutated
+one pays for the buckets it touches.  The interner itself is **append
 only** — ids are never reassigned or dropped — so snapshots share it by
 reference forever and :meth:`Database.restore` never touches it.
 
@@ -152,6 +154,11 @@ class Relation:
     ``rows`` and ``_indexes`` may be shared with other :class:`Relation`
     handles (``_shared`` is then True); every mutating method unshares
     first, so holders of other handles never observe the mutation.
+    Unsharing leaves the bucket lists shared: ``_owned`` maps each such
+    index to the keys whose bucket this handle has since copied (or
+    created), and a bucket outside that set is copied before its first
+    write.  An index missing from ``_owned`` — every index of a relation
+    that was never shared — is private outright.
 
     The value-level API (``tuples``, ``add``, ``discard``, ``lookup``,
     iteration, membership) interns/materializes at the boundary; the
@@ -159,7 +166,7 @@ class Relation:
     ``bucket_rows``) is the join core's hot path.
     """
 
-    __slots__ = ("name", "rows", "interner", "_indexes", "_shared",
+    __slots__ = ("name", "rows", "interner", "_indexes", "_shared", "_owned",
                  "_version", "_col_stats", "_values", "_buckets")
 
     def __init__(self, name: str, tuples: Optional[Iterable[tuple]] = None,
@@ -171,6 +178,7 @@ class Relation:
             {intern_row(fact) for fact in tuples} if tuples else set())
         self._indexes: dict[tuple, dict[Any, list[tuple]]] = {}
         self._shared = False
+        self._owned: dict[tuple, set] = {}
         self._version = 0
         self._col_stats: dict[int, tuple[int, int]] = {}
         self._values: Optional[tuple[int, set]] = None
@@ -194,6 +202,7 @@ class Relation:
         relation.rows = rows
         relation._indexes = {}
         relation._shared = True
+        relation._owned = {}
         relation._version = 0
         relation._col_stats = {}
         relation._values = None
@@ -205,14 +214,18 @@ class Relation:
 
         Both handles share rows and indexes (and the append-only
         interner, which is never copied) until one of them mutates; the
-        mutating side copies its state first (see :meth:`_unshare`), so
-        the other side keeps the pre-mutation contents.
+        mutating side first copies the row set and each index's key →
+        bucket table (see :meth:`_unshare`), then each bucket list as it
+        writes to it, so the other side keeps the pre-mutation contents
+        and a write costs the buckets it touches.  This is what lets a
+        workspace keep the hash index its point queries probe on a large
+        derived relation without paying for it on every transaction.
 
         Per-column distinct counts are shared too — same dict, same
         version tag — so statistics computed through *either* handle
-        (e.g. the planner costing a magic-sets overlay) serve every
-        handle of the unmutated state; the first mutation takes a
-        private copy along with the rows.
+        (the planner costing a snapshot or an overlay) serve every handle
+        of the unmutated state; the first mutation takes a private copy
+        along with the rows.
         """
         other = Relation.__new__(Relation)
         other.name = self.name
@@ -220,6 +233,7 @@ class Relation:
         other.rows = self.rows
         other._indexes = self._indexes
         other._shared = True
+        other._owned = {}
         other._version = self._version
         other._col_stats = self._col_stats
         other._values = self._values
@@ -232,12 +246,13 @@ class Relation:
         return self.view()
 
     def _unshare(self) -> None:
-        """Take private ownership of rows and indexes before a mutation."""
+        """Take private ownership of the rows and of each index's key →
+        bucket table before a mutation; the bucket lists stay shared until
+        this handle writes to them (``_owned`` starts empty)."""
         self.rows = set(self.rows)
-        self._indexes = {
-            positions: {key: list(bucket) for key, bucket in index.items()}
-            for positions, index in self._indexes.items()
-        }
+        self._indexes = {positions: dict(index)
+                         for positions, index in self._indexes.items()}
+        self._owned = {positions: set() for positions in self._indexes}
         self._col_stats = dict(self._col_stats)
         self._shared = False
 
@@ -349,14 +364,7 @@ class Relation:
             self._unshare()
         self._version += 1
         self.rows.add(row)
-        for positions, index in self._indexes.items():
-            key = row[positions[0]] if len(positions) == 1 \
-                else tuple([row[p] for p in positions])
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-            else:
-                bucket.append(row)
+        self._index_rows((row,))
         return True
 
     def add_rows(self, rows: set) -> set:
@@ -374,18 +382,39 @@ class Relation:
             self._unshare()
         self._version += 1
         self.rows |= fresh
+        self._index_rows(fresh)
+        return fresh
+
+    def _index_rows(self, fresh: Iterable[tuple]) -> None:
+        """Enter rows just added to ``rows`` into every maintained index.
+
+        An index whose buckets may still be shared (it has an ``_owned``
+        entry) copies a bucket on this handle's first write to it; an
+        index of a never-shared relation appends in place.
+        """
         for positions, index in self._indexes.items():
             single = len(positions) == 1
             column = positions[0]
+            owned = self._owned.get(positions)
+            if owned is None:
+                for row in fresh:
+                    key = row[column] if single \
+                        else tuple([row[p] for p in positions])
+                    bucket = index.get(key)
+                    if bucket is None:
+                        index[key] = [row]
+                    else:
+                        bucket.append(row)
+                continue
             for row in fresh:
                 key = row[column] if single \
                     else tuple([row[p] for p in positions])
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [row]
+                if key in owned:
+                    index[key].append(row)
                 else:
-                    bucket.append(row)
-        return fresh
+                    bucket = index.get(key)
+                    index[key] = [row] if bucket is None else bucket + [row]
+                    owned.add(key)
 
     def discard_row(self, row: tuple) -> bool:
         """Remove an id row; return True if it was present.
@@ -409,6 +438,10 @@ class Relation:
                     f"relation {self.name!r}: index {positions} has no bucket "
                     f"for {row!r}"
                 )
+            owned = self._owned.get(positions)
+            if owned is not None and key not in owned:
+                bucket = index[key] = list(bucket)
+                owned.add(key)
             try:
                 bucket.remove(row)
             except ValueError:
@@ -418,6 +451,8 @@ class Relation:
                 ) from None
             if not bucket:
                 del index[key]
+                if owned is not None:
+                    owned.discard(key)
         return True
 
     def index_for(self, positions: tuple) -> dict:

@@ -289,7 +289,7 @@ class EvalStats:
       rewrites normalized into engine rules vs served from
       :mod:`repro.datalog.magic`'s program cache (a cache hit reuses the
       rewrite's :class:`EngineRule` objects, so their band-keyed join
-      plans survive across point queries instead of being rebuilt);
+      plans survive across ``query_magic`` calls instead of being rebuilt);
     * ``dred_strata`` / ``strata_recomputed`` — deletion-propagation
       strata maintained by DRed over-delete/re-derive vs recomputed from
       their EDB (non-monotone strata take the recompute path).  The

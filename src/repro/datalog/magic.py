@@ -17,6 +17,13 @@ Standard construction, left-to-right sideways information passing:
   facts from the caller's magic guard plus the body prefix;
 * the query's constants seed the initial magic fact.
 
+This is the engine's demand evaluator for a database that is *not*
+maintained: rules plus an EDB nobody has run to fixpoint, and one bound
+question about it.  A :class:`~repro.workspace.workspace.Workspace` is
+the other half of the paper's bridge — the continuous bottom-up evaluator
+— and needs none of this: every commit leaves its database at fixpoint,
+so its ``point_query`` reads the answer instead of re-deriving it.
+
 Restrictions: positive rules without aggregates (negation would need
 doubled/supplementary predicates); callers fall back to plain bottom-up.
 ``choose_strategy`` implements the section 7 "adaptive" heuristic.

@@ -2,7 +2,7 @@
 
 A long-lived :class:`~repro.core.system.LBTrustSystem` behind a
 request/reply protocol: credential updates apply through DRed incremental
-maintenance, point queries answer from the cached magic-sets rewrite.
+maintenance, point queries read the fixpoint that maintenance keeps.
 See :mod:`repro.serve.server` for the protocol and
 :mod:`repro.serve.cli` for the ``repro serve`` command.
 """

@@ -8,10 +8,10 @@ kind) over any transport with the standard duck type:
   workspace transaction machinery — semi-naive insertion deltas and DRed
   deletions — so each update is incremental maintenance, never a
   from-scratch fixpoint;
-* **queries** (``query``) go through :meth:`Workspace.point_query`, which
-  serves bound queries from the cached magic-sets program on a COW
-  overlay — repeated query shapes reuse the rewrite
-  (``EvalStats.magic_cache_hits``) instead of replanning.
+* **queries** (``query``) go through :meth:`Workspace.point_query`, an
+  index probe of the maintained fixpoint on the query's bound columns:
+  the updates above validated the policy once, and every request is
+  answered from that result without deriving anything.
 
 The server is deliberately transport-agnostic: :meth:`handle` consumes one
 frame and sends one reply.  For real sockets, :meth:`serve_forever` polls

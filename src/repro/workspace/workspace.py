@@ -56,7 +56,6 @@ from ..datalog.terms import (
     Atom,
     Constant,
     Constraint,
-    Literal,
     Quote,
     Rule,
     RuleRef,
@@ -367,21 +366,21 @@ class Workspace:
         return bool(self.query(source))
 
     def point_query(self, query: Union[str, Atom]) -> set:
-        """Answer one atom query, preferring the cached magic-sets program.
+        """Answer one atom query from the maintained fixpoint.
 
         ``query`` is a single atom whose constant arguments are the bound
         ones (e.g. ``'access("carol","f1",M)'``); the result is the set of
-        matching fact tuples.  This is the online-serving entry point: a
-        bound query over a derived predicate runs the goal-directed
-        magic-sets rewrite on a COW overlay — and because the rewrite is
-        cached per binding *shape* (:mod:`repro.datalog.magic`), repeated
-        point queries reuse the normalized program and its join plans
-        (``EvalStats.magic_cache_hits`` grows instead of replanning).
+        matching fact tuples.  This is the online-serving entry point, and
+        it derives nothing: every commit leaves ``self.db`` at fixpoint,
+        so the answer is a read of the predicate's relation — all of it
+        for an unbound query, one row-membership test for a fully bound
+        one, otherwise :meth:`Relation.lookup` on the bound columns, whose
+        per-``(positions, key)`` memo serves a repeated query until the
+        relation next changes.
 
-        Queries the rewrite cannot serve — EDB-only predicates, unbound
-        queries, or predicates whose reachable rule set uses negation or
-        aggregation — fall back to reading the incrementally maintained
-        database directly, which is always bit-identical to the fixpoint.
+        Inside an open transaction it reads what :meth:`tuples` reads: the
+        facts asserted so far, not yet their consequences.  An atom whose
+        arity disagrees with the catalog is a :class:`WorkspaceError`.
         """
         if isinstance(query, str):
             statements = parse_statements(f"{query.rstrip().rstrip('.')}.")
@@ -393,66 +392,23 @@ class Workspace:
             atom = query
         from ..meta.quote import resolve_me_rule
         resolved = resolve_me_rule(Rule((atom,)), self.me).heads[0]
-        pred = resolved.pred
-        bound = [(i, term.value)
-                 for i, term in enumerate(resolved.all_args)
-                 if isinstance(term, Constant)]
-
-        def matching(facts) -> set:
-            return {fact for fact in facts
-                    if all(fact[i] == value for i, value in bound)}
-
-        rules = self._magic_rules_for(pred)
-        if rules is None or not bound:
-            return matching(self.db.tuples(pred))
-        from ..datalog.magic import query_magic
-        answers = query_magic(rules, self.db, resolved, self.context)
-        # A head predicate may also hold directly asserted EDB facts the
-        # adorned program never re-derives; union them back in so the
-        # answer equals a fixpoint read exactly.  The asserted rows are
-        # filtered in id space; only the matches materialize.
-        base = self._edb.get(pred)
-        if base:
-            interner = self.db.interner
-            wanted = [(i, interner.id_of(value)) for i, value in bound]
-            answers.update(
-                interner.materialize_row(row) for row in base
-                if all(row[i] == term for i, term in wanted))
-        return answers
-
-    def _magic_rules_for(self, pred: str) -> Optional[list]:
-        """Engine rules reachable from ``pred``, or ``None`` if the magic
-        rewrite cannot serve it (no rules / negation / aggregation).
-
-        The returned list holds the *live* activated :class:`EngineRule`
-        objects in activation order, so its identity signature — the
-        magic program cache's key — is stable across repeated queries.
-        """
-        by_head: dict[str, list] = {}
-        for rule in self._all_engine_rules():
-            by_head.setdefault(rule.head.pred, []).append(rule)
-        if pred not in by_head:
-            return None
-        reachable: list = []
-        seen: set[str] = set()
-        frontier = [pred]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for rule in by_head[current]:
-                if rule.agg is not None:
-                    return None
-                for item in rule.body:
-                    if isinstance(item, Literal):
-                        if item.negated:
-                            return None
-                        callee = item.atom.pred
-                        if callee in by_head and callee not in seen:
-                            frontier.append(callee)
-                reachable.append(rule)
-        return reachable
+        args = resolved.all_args
+        self.catalog.check_fact_arity(resolved.pred, args)
+        relation = self.db.get(resolved.pred)
+        if relation is None:
+            return set()
+        positions = tuple(i for i, term in enumerate(args)
+                          if isinstance(term, Constant))
+        if not positions:
+            return set(relation.tuples)
+        key = tuple(args[i].value for i in positions)
+        if len(positions) == len(args):
+            # the stored fact, not the query's spelling of it (1.0 for 1)
+            interner = relation.interner
+            row = interner.row_of(key)
+            return {interner.materialize_row(row)} \
+                if row in relation.rows else set()
+        return set(relation.lookup(positions, key))
 
     def active_refs(self) -> set:
         return set(self._activated)

@@ -142,6 +142,25 @@ class TestReconfiguration:
         assert policy_refs <= still_active
         assert not old_scheme_refs & still_active
 
+    def test_teardown_is_one_maintenance_pass_per_principal(self, make_system):
+        # ROADMAP item 1: constraints, every scheme rule and the export
+        # history go in one transaction, so a principal rebuilds at most
+        # once per reconfiguration — not once per deactivated scheme rule
+        # and once more for the said rules its export history activated.
+        system, alice, bob = two_principals(make_system, "rsa")
+        alice.says(bob, 'msg("one").')
+        system.run()
+        before = {p.name: p.workspace.stats.full_recomputes
+                  for p in (alice, bob)}
+        system.reconfigure_auth("hmac")
+        for principal in (alice, bob):
+            spent = principal.workspace.stats.full_recomputes \
+                - before[principal.name]
+            assert spent <= 1, (principal.name, spent)
+        alice.says(bob, 'msg("two").')
+        system.run()
+        assert bob.tuples("seen") == {("one",), ("two",)}
+
     def test_old_signatures_do_not_verify_under_new_scheme(self, make_system):
         system, alice, bob = two_principals(make_system, "rsa")
         alice.says(bob, 'msg("one").')

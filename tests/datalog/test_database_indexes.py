@@ -10,7 +10,7 @@ contains exactly the tuples of the relation, keyed correctly.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog.database import Database, Relation
+from repro.datalog.database import Database, Relation, _row_key
 
 VALUES = st.integers(0, 3)
 ROWS = st.tuples(VALUES, VALUES)
@@ -198,3 +198,115 @@ def test_interleaved_snapshot_restore_keeps_every_index_exact(ops):
         assert_every_index_agrees(relation)
         relation.lookup((0, 1), (0, 0))  # index building still works
         assert_every_index_agrees(relation)
+
+
+INDEXED = ((0,), (1,), (0, 1))
+
+
+def assert_indexes_equal_rebuild(relation: Relation) -> None:
+    """Each maintained index equals one rebuilt from the handle's own
+    rows (bucket order aside)."""
+    assert set(relation._indexes) == set(INDEXED)
+    for positions, index in relation._indexes.items():
+        rebuilt: dict = {}
+        for row in relation.rows:
+            rebuilt.setdefault(_row_key(row, positions), []).append(row)
+        assert {key: sorted(bucket) for key, bucket in index.items()} == \
+            {key: sorted(bucket) for key, bucket in rebuilt.items()}
+
+
+TWO_HANDLE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "discard"]), st.integers(0, 1), ROWS),
+        st.tuples(st.just("view"), st.integers(0, 1), st.none()),
+    ),
+    min_size=1, max_size=50,
+)
+
+
+@given(st.lists(ROWS, max_size=10), TWO_HANDLE_OPS)
+@settings(max_examples=80, deadline=None)
+def test_view_interleaved_with_mutations_on_both_handles(initial, ops):
+    """Bucket-granular copy-on-write: two handles of one indexed relation,
+    mutated in any interleaving, with ``view()`` re-taken from either side
+    at any point.  Each handle's indexes stay exact for its own rows, and
+    a bucket neither handle wrote to since they last shared state is
+    still one list object — sharing is per bucket, not per index."""
+    base = Relation("e", initial)
+    for positions in INDEXED:
+        base.index_for(positions)
+    handles = [base, base.view()]
+    models = [set(initial), set(initial)]
+    touched: set = set()                 # (positions, id key) since last view
+
+    for op, side, row in ops:
+        relation = handles[side]
+        if op == "view":
+            handles[1 - side] = relation.view()
+            models[1 - side] = set(models[side])
+            touched = set()
+        else:
+            if op == "add":
+                changed = relation.add(row)
+                models[side].add(row)
+            else:
+                changed = relation.discard(row)
+                models[side].discard(row)
+            if changed:
+                id_row = relation.interner.row_of(row)
+                touched.update((positions, _row_key(id_row, positions))
+                               for positions in INDEXED)
+        for relation, model in zip(handles, models):
+            assert relation.tuples == model
+            assert_indexes_equal_rebuild(relation)
+        for positions in INDEXED:
+            ours, theirs = (h._indexes[positions] for h in handles)
+            for key in ours.keys() & theirs.keys():
+                if (positions, key) not in touched:
+                    assert ours[key] is theirs[key], (positions, key)
+
+
+def test_first_write_after_view_copies_only_the_touched_buckets():
+    relation = Relation("e", [(a, b) for a in range(4) for b in range(4)])
+    for positions in INDEXED:
+        relation.index_for(positions)
+    ids = relation.interner.ids
+
+    def copied_since(snapshot: Relation) -> dict:
+        """positions -> keys whose bucket is no longer the shared list."""
+        return {positions: {key for key, bucket in shared.items()
+                            if relation._indexes[positions].get(key)
+                            is not bucket}
+                for positions, shared in snapshot._indexes.items()}
+
+    snapshot = relation.view()
+    before = {positions: {key: list(bucket) for key, bucket in index.items()}
+              for positions, index in snapshot._indexes.items()}
+    assert relation.add((0, 9))
+    # one existing bucket written (column 0 = 0); the other two keys are new
+    assert copied_since(snapshot) == {(0,): {ids[0]}, (1,): set(),
+                                      (0, 1): set()}
+    assert relation.discard((1, 1))
+    # one more per index: k indexes, k buckets
+    assert copied_since(snapshot) == {
+        (0,): {ids[0], ids[1]}, (1,): {ids[1]},
+        (0, 1): {(ids[1], ids[1])}}
+    # the other handle saw none of it
+    assert {positions: dict(index)
+            for positions, index in snapshot._indexes.items()} == before
+
+    # a second write to an owned bucket copies nothing more
+    owned = relation._indexes[(0,)][ids[0]]
+    assert relation.add((0, 8))
+    assert relation._indexes[(0,)][ids[0]] is owned
+    assert_indexes_equal_rebuild(relation)
+    assert_indexes_equal_rebuild(snapshot)
+
+
+def test_never_shared_relation_keeps_no_ownership_bookkeeping():
+    relation = Relation("e", [(0, 0), (1, 1)])
+    relation.index_for((0,))
+    relation.add((0, 1))
+    relation.discard((1, 1))
+    assert relation._owned == {}
+    assert_every_index_agrees(relation)

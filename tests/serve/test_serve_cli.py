@@ -3,7 +3,12 @@
 import io
 
 from repro.cli import main as repro_main
-from repro.serve.cli import build_parser, main as serve_main, run_session
+from repro.serve.cli import (
+    _closing_stats,
+    build_parser,
+    main as serve_main,
+    run_session,
+)
 
 
 class TestServeCommand:
@@ -19,6 +24,7 @@ class TestServeCommand:
         assert "transport=simulated" in text
         assert "p50=" in text and "p99=" in text
         assert "full_recomputes=+0" in text
+        assert "query_derivations=+0" in text
 
     def test_socket_session_passes(self):
         status, text = self.run("--transport", "socket", "--steps", "4",
@@ -65,3 +71,17 @@ class TestRunSession:
         # 2 asserts + 2 queries + the final step's retract + re-query
         assert result["updates"] == 3 and result["queries"] == 3
         assert len(result["latencies"]) == 6
+
+    def test_closing_sweep_reports_what_queries_derived(self):
+        class DerivingClient:
+            derivations = 10
+
+            def stats(self):
+                return {"derivations": self.derivations}
+
+            def query(self, source):
+                self.derivations += 2  # a server that evaluates per query
+
+        after, derived = _closing_stats(DerivingClient(), clients=2)
+        assert after == {"derivations": 10}
+        assert derived == 6  # one query per client + the unbound one
