@@ -1,63 +1,69 @@
 """Multiprocess cluster launcher: one OS process per node, real sockets.
 
-The in-process runtimes (``Cluster``, ``LBTrustSystem``) already run
-over the :class:`~repro.net.socket_transport.SocketNetwork`; this module
-takes the last step to a deployable system — each
-:class:`~repro.cluster.node.ClusterNode` or
+Each :class:`~repro.cluster.node.ClusterNode` or
 :class:`~repro.core.system.WorkspaceNode` lives in its **own OS
-process**, exchanging delta batches peer-to-peer over TCP while a
-coordinator process drives the schedule and proves quiescence.
+process** and is driven there by the same
+:class:`~repro.cluster.scheduler.ExecutionRuntime` that drives
+``Cluster`` and ``LBTrustSystem`` in-process — the barrier loop, the
+overlap loop, the causal stamps and the round cap exist once, in
+``scheduler.py``.  This module adds only what being apart needs.
 
 Topology::
 
     coordinator ──(control: length-prefixed JSON)── worker[node0]
-        │  │                                          │
+        │  │                                          │  ExecutionRuntime
         │  └─────────────────────────────────────── worker[node1]
-        │                                             │
-        └─ TicketLedger, rounds, reports     data: SocketNetwork frames
-                                             (peer-to-peer, NOT via the
-                                              coordinator)
+        │                                             │  ExecutionRuntime
+        └─ TicketLedger, merged report       data: SocketNetwork frames,
+                                             peer-to-peer ONLY
 
 * **Rendezvous** — the coordinator listens on an ephemeral port and
-  spawns one worker per node (``multiprocessing`` *spawn* context, so
-  each worker is a genuinely fresh interpreter).  Each worker opens its
-  node's data listener, reports ``hello {node, port}``, receives the
-  serialized job spec plus the full peer address map, rebuilds its share
-  of the job **deterministically from the spec** (same seeds, same
-  creation order — so e.g. HMAC secrets agree across processes without
-  ever crossing the wire), and confirms ``ready``.
+  spawns one worker per node (*spawn* context: genuinely fresh
+  interpreters).  Each worker opens its node's data listener, reports
+  ``hello {node, port}``, receives the job spec, the run parameters
+  (mode, round cap, batch cap, timeout) and the peer address map,
+  rebuilds its share of the job **deterministically from the spec**
+  (same seeds, same creation order — so e.g. HMAC secrets agree across
+  processes without ever crossing the wire), and confirms ``ready``.
 
-* **Data plane** — workers exchange the exact same wire batches the
-  in-process runtimes use (:func:`~repro.net.transport.decode_batch_message`
-  envelopes via one :class:`~repro.net.batch.MessageBatcher` per worker),
-  directly between their :class:`SocketNetwork` endpoints.
+* **Workers run the shared runtime** — ``ExecutionRuntime({node},
+  network=link, ledger=link).run(max_rounds)``.  The :class:`_Link` is
+  the one worker-side object: as the runtime's *network* it sends the
+  usual wire batches straight to the peer's :class:`SocketNetwork`
+  endpoint and hands back the frames the schedule is due (``bsp``:
+  exactly the counted frames of this barrier, a fast peer's surplus
+  parked; ``async``: the next arrival, until told to stop); as its
+  *ledger* it tallies tickets issued and retired and ships each tally
+  down the control channel.
 
-* **Control plane** — the coordinator owns the
-  :class:`~repro.cluster.quiescence.TicketLedger`: workers report every
-  batch sent (ticket issued) and every batch integrated (ticket
-  retired), and the ledger's per-``(sender, round)`` vectors prove
-  global quiescence over genuinely concurrent delivery.  ``bsp`` runs
-  coordinator-numbered barrier rounds (each worker is told exactly how
-  many batches to await); ``async`` lets every worker integrate and
-  re-flush the moment a batch lands, the coordinator only watching the
-  ticket balance (out-of-order reports are deferred until the matching
-  issue arrives, so the balance check never declares victory early).
+* **The control plane is a ledger service** — the coordinator owns the
+  real :class:`~repro.cluster.quiescence.TicketLedger` and applies every
+  tally to it (issues before retires; a retire that overtook its issue
+  on another channel is deferred and retried).  ``bsp``: one
+  ``close_round`` per barrier, answered with the verdict and the
+  per-source frame counts the next barrier awaits.  ``async``: the run
+  is over once every worker has bootstrapped, nothing is deferred and
+  no ticket is outstanding — a stall detector bounds the wait — and
+  the workers are told to ``stop``.  A retire and the issues it caused
+  always travel in **one** tally, so the balance can never reach zero
+  while consequences are unreported.
 
-Job kinds: ``cluster`` (Datalog shards; spec carries node names,
-placement ops, the rule program and EDB facts) and ``system`` (an
-``LBTrustSystem`` of principal workspaces; spec carries principals,
-SeNDlog/Datalog sources, asserted facts and ``says`` statements).  For
-``system`` jobs every worker rebuilds the *full* system — workspaces of
-remotely-hosted principals exist locally but are never driven; placement
-must route each principal's imports to its hosting node (the standard
-``ld1``/``ld2`` predNode machinery guarantees this; relay-style custom
-placements are rejected loudly).
+Job kinds: ``cluster`` (Datalog shards: node names, placement ops, the
+rule program, EDB facts) and ``system`` (an ``LBTrustSystem``:
+principals, SeNDlog/Datalog sources, asserted facts, ``says``
+statements).  For ``system`` jobs every worker rebuilds the *full*
+system — workspaces of remotely-hosted principals exist locally but are
+never driven; placement must route each principal's imports to its
+hosting node (the standard ``ld1``/``ld2`` predNode machinery does; a
+relay-routed import is a named error, see :class:`_HostedImports`).
 
-The per-node outcomes merge into one
-:class:`~repro.cluster.scheduler.RuntimeReport` plus a
-:class:`~repro.cluster.runtime.NodeReport` per worker — the same shapes
-the in-process runtimes produce, so reports stay comparable across
-transports.
+Every failure reaches the caller as a named
+:class:`~repro.datalog.errors.ClusterError`: a failing worker forwards
+its error before it exits, a dead one is named with its exit code.  The
+outcome merges each worker's own
+:class:`~repro.cluster.scheduler.RuntimeReport` and
+:class:`~repro.cluster.runtime.NodeReport` — the shapes the in-process
+runtimes produce, equal to them field for field in ``bsp`` mode.
 """
 
 from __future__ import annotations
@@ -71,16 +77,16 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Optional
+from typing import Any, Hashable, Optional
 
 from ..datalog.errors import ClusterError, NetworkError
-from ..net.batch import DEFAULT_MAX_BATCH_BYTES, MessageBatcher
+from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.socket_transport import SocketNetwork
-from ..net.transport import decode_batch_message, decode_value, encode_value
-from .quiescence import TicketLedger
+from ..net.transport import decode_value, encode_value
+from .quiescence import RoundRecord, TicketLedger
 from .runtime import NodeReport
-from .scheduler import MODE_ASYNC, MODE_BSP, SCHEDULER_MODES, RuntimeReport
+from .scheduler import (MODE_ASYNC, MODE_BSP, SCHEDULER_MODES,
+                        ExecutionRuntime, RuntimeReport)
 
 _LEN = struct.Struct("!I")
 
@@ -100,12 +106,12 @@ class _Channel:
                  send_timeout: float = DEFAULT_TIMEOUT) -> None:
         self.sock = sock
         self.sock.setblocking(False)
+        if sock.family != socket.AF_UNIX:
+            # back-to-back small messages must not sit out Nagle's timer
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.send_timeout = send_timeout
         self._buffer = bytearray()
         self._inbox: deque = deque()
-
-    def fileno(self) -> int:
-        return self.sock.fileno()
 
     def send(self, message: dict) -> None:
         """Send one message, bounded by ``send_timeout``.
@@ -118,24 +124,15 @@ class _Channel:
         self.sock.settimeout(self.send_timeout)
         try:
             self.sock.sendall(_LEN.pack(len(blob)) + blob)
-        except socket.timeout as exc:
+        except OSError as exc:  # socket.timeout included
             raise NetworkError(
-                f"control send timed out after {self.send_timeout}s "
-                f"(peer not reading)") from exc
+                f"control send failed within {self.send_timeout}s "
+                f"(peer gone or not reading): {exc}") from exc
         finally:
             self.sock.setblocking(False)
 
-    def _parse(self) -> None:
-        while len(self._buffer) >= _LEN.size:
-            (length,) = _LEN.unpack_from(self._buffer, 0)
-            if len(self._buffer) < _LEN.size + length:
-                break
-            blob = bytes(self._buffer[_LEN.size:_LEN.size + length])
-            del self._buffer[:_LEN.size + length]
-            self._inbox.append(json.loads(blob.decode("utf-8")))
-
     def _feed(self, timeout: float) -> bool:
-        """Read whatever is available within ``timeout``; False on quiet."""
+        """Read and frame what arrives within ``timeout``; False on quiet."""
         readable, _, _ = select.select([self.sock], [], [], timeout)
         if not readable:
             return False
@@ -143,16 +140,33 @@ class _Channel:
             chunk = self.sock.recv(1 << 16)
         except BlockingIOError:
             return False
+        except OSError:
+            chunk = b""  # a reset (the peer was killed) is a close
         if not chunk:
             raise NetworkError("control channel closed by peer")
-        self._buffer.extend(chunk)
-        self._parse()
+        buffer = self._buffer
+        buffer.extend(chunk)
+        while len(buffer) >= _LEN.size:
+            (length,) = _LEN.unpack_from(buffer, 0)
+            if len(buffer) < _LEN.size + length:
+                break
+            self._inbox.append(
+                json.loads(bytes(buffer[_LEN.size:_LEN.size + length])))
+            del buffer[:_LEN.size + length]
         return True
 
     def poll(self) -> list:
-        """Every complete message already readable, without blocking."""
-        while self._feed(0):
-            pass
+        """Every complete message already readable, without blocking.
+
+        A peer that wrote its last message and closed is heard out: the
+        EOF is raised by the next call, once those messages are read.
+        """
+        try:
+            while self._feed(0):
+                pass
+        except NetworkError:
+            if not self._inbox:
+                raise
         messages = list(self._inbox)
         self._inbox.clear()
         return messages
@@ -280,89 +294,19 @@ class LaunchReport:
 # Worker side
 # ---------------------------------------------------------------------------
 
-class _SendLog:
-    """Network adapter counting batch sends per destination per flush."""
-
-    def __init__(self, network: SocketNetwork) -> None:
-        self.network = network
-        self.sends: list = []
-
-    def send(self, src: str, dst: str, payload: bytes) -> None:
-        self.network.send(src, dst, payload)
-        self.sends.append(dst)
-
-    @property
-    def total(self):
-        return self.network.total
-
-    def take(self) -> dict:
-        counts: dict = {}
-        for dst in self.sends:
-            counts[dst] = counts.get(dst, 0) + 1
-        self.sends = []
-        return counts
+def _encode_relations(sources: dict, spec: dict, registry) -> dict:
+    """The spec's ``collect`` predicates as wire values, ``owner -> pred
+    -> facts`` in a deterministic order; ``sources`` maps an owner (a
+    principal, or ``""`` for a whole shard) to its ``tuples`` function."""
+    return {owner: {pred: [[encode_value(value, registry) for value in fact]
+                           for fact in sorted(tuples(pred), key=repr)]
+                    for pred in spec.get("collect", ())}
+            for owner, tuples in sources.items()}
 
 
-class _Job:
-    """A worker's share of the job: one protocol node + its codecs."""
-
-    def __init__(self, node, registry, stats_before=None,
-                 run_report=None, system=None) -> None:
-        self.node = node
-        self.registry = registry
-        self.stats_before = stats_before
-        self.run_report = run_report
-        self.system = system
-
-    def collect(self, spec: dict, my_node: str) -> dict:
-        out: dict = {}
-        if spec["kind"] == "cluster":
-            relations = {}
-            for pred in spec.get("collect", ()):
-                relations[pred] = [
-                    [encode_value(v, self.registry) for v in fact]
-                    for fact in sorted(self.node.db.tuples(pred), key=repr)
-                ]
-            out["relations"] = relations
-            stats = self.node.stats
-            out["node_report"] = {
-                "derivations": stats.derivations,
-                "new_facts": stats.new_facts,
-                "sent_facts": self.node.sent_facts,
-                "received_facts": self.node.received_facts,
-                "db_facts": self.node.db.total_facts(),
-            }
-        else:
-            principals = {}
-            derivations = 0
-            db_facts = 0
-            for principal in self.node.principals:
-                per_pred = {}
-                for pred in spec.get("collect", ()):
-                    per_pred[pred] = [
-                        [encode_value(v, self.registry) for v in fact]
-                        for fact in sorted(principal.tuples(pred), key=repr)
-                    ]
-                principals[principal.name] = per_pred
-                stats = principal.workspace.stats
-                before = self.stats_before.get(principal.name)
-                derivations += (stats.diff(before).derivations
-                                if before is not None else stats.derivations)
-                db_facts += principal.workspace.db.total_facts()
-            out["principals"] = principals
-            out["node_report"] = {
-                "derivations": derivations,
-                "new_facts": 0,
-                "sent_facts": 0,
-                "received_facts": 0,
-                "db_facts": db_facts,
-            }
-            out["delivered"] = self.run_report.delivered
-            out["rejected"] = self.run_report.rejected
-        return out
-
-
-def _build_cluster_job(spec: dict, my_node: str) -> _Job:
+def _build_cluster_job(spec: dict, my_node: str) -> tuple:
+    """This worker's shard of a ``cluster`` job: ``(node, registry,
+    collect)`` where ``collect(outcome)`` is its share of the report."""
     from .partition import Partitioner
     from .runtime import Cluster
 
@@ -387,10 +331,25 @@ def _build_cluster_job(spec: dict, my_node: str) -> _Job:
     cluster.load(spec["program"])
     for pred, values in spec.get("facts", ()):
         cluster.assert_fact(pred, tuple(values))
-    return _Job(cluster.nodes[my_node], cluster.registry)
+    node = cluster.nodes[my_node]
+
+    def collect(outcome: RuntimeReport) -> dict:
+        return {
+            "relations": _encode_relations({"": node.db.tuples}, spec,
+                                            cluster.registry),
+            "node_report": NodeReport(
+                name=my_node, derivations=node.stats.derivations,
+                new_facts=node.stats.new_facts, sent_facts=node.sent_facts,
+                received_facts=node.received_facts,
+                db_facts=node.db.total_facts()).as_dict(),
+        }
+
+    return node, cluster.registry, collect
 
 
-def _build_system_job(spec: dict, my_node: str) -> _Job:
+def _build_system_job(spec: dict, my_node: str) -> tuple:
+    """This worker's host of a ``system`` job, shaped like
+    :func:`_build_cluster_job`'s result."""
     from ..core.system import LBTrustSystem, RunReport, WorkspaceNode
     from ..languages.sendlog import install_sendlog
 
@@ -413,43 +372,185 @@ def _build_system_job(spec: dict, my_node: str) -> _Job:
         system.principal(speaker).says(listener, stmt)
     run_report = RunReport()
     mine = [p for p in system.principals.values() if p.node == my_node]
-    node = WorkspaceNode(system, my_node, mine, run_report)
     stats_before = {p.name: p.workspace.stats.copy() for p in mine}
-    return _Job(node, system.registry, stats_before=stats_before,
-                run_report=run_report, system=system)
+
+    def collect(outcome: RuntimeReport) -> dict:
+        return {
+            "relations": _encode_relations({p.name: p.tuples for p in mine},
+                                            spec, system.registry),
+            "node_report": NodeReport(
+                name=my_node,
+                derivations=sum(
+                    p.workspace.stats.diff(stats_before[p.name]).derivations
+                    for p in mine),
+                new_facts=run_report.delivered,
+                sent_facts=outcome.batched_facts,
+                received_facts=outcome.delivered_facts,
+                db_facts=sum(p.workspace.db.total_facts() for p in mine),
+            ).as_dict(),
+            "delivered": run_report.delivered,
+            "rejected": run_report.rejected,
+        }
+
+    host = WorkspaceNode(system, my_node, mine, run_report)
+    return _HostedImports(host), system.registry, collect
 
 
-def _check_local_imports(job: _Job, my_node: str, batches: list) -> None:
-    """Reject relay-routed imports a single worker cannot apply soundly.
+class _HostedImports:
+    """A worker's :class:`~repro.core.system.WorkspaceNode`, refusing
+    relay-routed imports a single worker cannot apply soundly.
 
     In-process, an import for a principal hosted elsewhere is swept to
     that host's outbox by the scheduler; across processes the canonical
     workspace lives in another worker, so importing into the local
-    replica would silently fork its state.
+    replica would silently fork it.  All but ``integrate`` is the node's.
     """
-    if job.system is None:
-        return
-    for batch in batches:
-        for to, _pred, _fact in batch.items():
-            principal = job.system.principals.get(to)
-            if principal is not None and principal.node != my_node:
+
+    def __init__(self, node) -> None:
+        self.node = node
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.node, name)
+
+    def integrate(self, batches: list) -> int:
+        principals = self.node.system.principals
+        for batch in batches:
+            for to in {batch.names[row[0]] for row in batch.rows}:
+                principal = principals.get(to)
+                if principal is not None and principal.node != self.node.name:
+                    raise ClusterError(
+                        f"relay-routed import: principal {to!r} is hosted "
+                        f"on {principal.node!r}, not {self.node.name!r}; "
+                        f"multiprocess placements must route imports to "
+                        f"the hosting node")
+        return self.node.integrate(batches)
+
+
+class _Link(TicketLedger):
+    """A worker's end of both planes: the network *and* the ledger its
+    :class:`~repro.cluster.scheduler.ExecutionRuntime` runs against.
+
+    As a network it sends on the worker's :class:`SocketNetwork` and
+    hands the runtime exactly the frames the schedule is due.  As a
+    ledger it only *tallies* — tickets issued per ``(dst, stamp)``,
+    batches retired per ``(sender, stamp)`` — and ships each tally to
+    the coordinator, whose real :class:`TicketLedger` decides
+    quiescence; a retire and the issues it caused always leave in one
+    message.  The ``rounds`` trail it keeps is this worker's own share.
+    """
+
+    def __init__(self, network: SocketNetwork, control: _Channel,
+                 timeout: float) -> None:
+        super().__init__()
+        self.network = network
+        self.control = control
+        self.timeout = timeout
+        self._dst = ""             # where the send being ticketed went
+        self._sent: dict = {}      # (dst, stamp) -> batches since last tally
+        self._retired: list = []   # [sender, stamp] per batch since then
+        self._expect: dict = {}    # sender -> frames the next barrier takes
+        self._parked: deque = deque()  # a peer running ahead: for later
+        self._verdict = False      # the coordinator's: quiescent
+
+    # -- network surface ------------------------------------------------
+
+    clock = property(lambda self: self.network.clock)
+    total = property(lambda self: self.network.total)
+
+    def send(self, src: str, dst: str, payload: bytes) -> None:
+        self.network.send(src, dst, payload)
+        self._dst = dst
+
+    def pending(self) -> int:
+        return len(self._parked)
+
+    def deliver_all(self) -> list:
+        """This barrier's frames — ``expect[src]`` many per sender.
+
+        Workers are *not* in lockstep: a fast peer may already have
+        flushed its next round while a slow peer's previous-round batch
+        is still in flight, so frames are counted per **source** —
+        per-link FIFO makes the first ``expect[src]`` frames from
+        ``src`` exactly its previous-round flush.  Surplus is parked.
+        """
+        needed = dict(self._expect)
+        frames: list = []
+        waiting, self._parked = self._parked, deque()
+        while waiting or any(needed.values()):
+            frame = waiting.popleft() if waiting \
+                else self.network.receive(self.timeout)
+            if frame is None:
+                missing = {src: n for src, n in needed.items() if n}
                 raise ClusterError(
-                    f"relay-routed import: principal {to!r} is hosted on "
-                    f"{principal.node!r}, not {my_node!r}; multiprocess "
-                    f"placements must route imports to the hosting node")
+                    f"wire went quiet still expecting batch(es) {missing}")
+            if needed.get(frame[0]):
+                needed[frame[0]] -= 1
+                frames.append(frame)
+            else:
+                self._parked.append(frame)
+        return frames
 
+    def deliver_next(self) -> Optional[tuple]:
+        """Report what the last delivery did, then the next frame —
+        ``None`` once the coordinator has proved the run quiescent.
 
-def _drain_and_flush(job: _Job, batcher: MessageBatcher, sendlog: _SendLog,
-                     my_node: str, stamp: int) -> tuple[int, dict]:
-    """Drain the node's outbox under ``stamp``; returns (facts, sends)."""
-    drained = job.node.drain_outbox(
-        partial(batcher.add, my_node, round_stamp=stamp))
-    batcher.flush(stamp)
-    return drained, sendlog.take()
+        No idle watchdog: a quiet worker is *healthy* in a long run (a
+        pure source node receives nothing while its peers churn).  The
+        coordinator's stall detector aborts a wedged run and closes the
+        control channel, which ``poll()`` raises as ``NetworkError``.
+        """
+        self._tally(0)
+        while True:
+            for message in self.control.poll():
+                if message.get("type") != "stop":
+                    raise ClusterError(
+                        f"unexpected control message {message!r}")
+                self._verdict = True
+                return None
+            frame = self.network.receive(0.05)
+            if frame is not None:
+                return frame
+
+    # -- ledger surface -------------------------------------------------
+
+    def issue(self, round_stamp: int, count: int = 1,
+              sender: Optional[Hashable] = None) -> None:
+        key = (self._dst, round_stamp)
+        self._sent[key] = self._sent.get(key, 0) + count
+
+    def retire(self, round_stamp: int, count: int = 1,
+               sender: Optional[Hashable] = None) -> None:
+        self._retired += [[sender, round_stamp]] * count
+
+    def _tally(self, new_facts: int) -> None:
+        self.control.send({
+            "type": "tally", "new_facts": new_facts,
+            "sent": [[dst, stamp, count]
+                     for (dst, stamp), count in self._sent.items()],
+            "retired": self._retired})
+        self._sent, self._retired = {}, []
+
+    def close_round(self, number: int, new_facts: int,
+                    clock: float) -> RoundRecord:
+        """Ship this barrier's tally; block on the coordinator's verdict
+        and the frame counts the next barrier must await."""
+        record = RoundRecord(number, sum(self._sent.values()),
+                             len(self._retired), new_facts, clock)
+        self._tally(new_facts)
+        reply = self.control.recv(self.timeout)
+        if reply.get("type") != "round":
+            raise ClusterError(f"unexpected control message {reply!r}")
+        self._verdict = reply["quiescent"]
+        self._expect = reply["expect"]
+        self.rounds.append(record)
+        return record
+
+    def quiescent(self) -> bool:
+        return self._verdict
 
 
 def _worker_entry(host: str, port: int, my_node: str) -> None:
-    """Worker process main: rendezvous, build, exchange, report."""
+    """Worker process main: rendezvous, build, run the runtime, report."""
     control: Optional[_Channel] = None
     network: Optional[SocketNetwork] = None
     try:
@@ -462,39 +563,26 @@ def _worker_entry(host: str, port: int, my_node: str) -> None:
         if message.get("type") != "spec":
             raise ClusterError(f"expected spec, got {message.get('type')!r}")
         spec = message["spec"]
-        timeout = float(message.get("timeout", DEFAULT_TIMEOUT))
+        timeout = float(message["timeout"])
         control.send_timeout = timeout
         for name, (peer_host, peer_port) in message["peers"].items():
             if name != my_node:
                 network.add_remote(name, peer_host, peer_port)
         if spec["kind"] == "cluster":
-            job = _build_cluster_job(spec, my_node)
+            node, registry, collect = _build_cluster_job(spec, my_node)
         elif spec["kind"] == "system":
-            job = _build_system_job(spec, my_node)
+            node, registry, collect = _build_system_job(spec, my_node)
         else:
             raise ClusterError(f"unknown job kind {spec['kind']!r}")
-        sendlog = _SendLog(network)
-        batcher = MessageBatcher(sendlog, job.registry,
-                                 max_bytes=message.get(
-                                     "max_batch_bytes",
-                                     DEFAULT_MAX_BATCH_BYTES))
+        link = _Link(network, control, timeout)
+        runtime = ExecutionRuntime(
+            {my_node: node}, link, registry, mode=message["mode"],
+            max_batch_bytes=message["max_batch_bytes"], ledger=link,
+            strict=True)
         control.send({"type": "ready"})
-        mode = message.get("mode", MODE_BSP)
-        if mode == MODE_ASYNC:
-            _worker_async(job, control, network, batcher, sendlog,
-                          my_node, timeout)
-        else:
-            _worker_bsp(job, control, network, batcher, sendlog,
-                        my_node, timeout)
-        quiesce = getattr(job.node, "quiesce", None)
-        if quiesce is not None:
-            quiesce()
-        report = job.collect(spec, my_node)
-        report["type"] = "report"
-        report["node"] = my_node
-        report["messages"] = network.total.messages
-        report["bytes"] = network.total.bytes
-        control.send(report)
+        outcome = runtime.run(message["max_rounds"])
+        control.send({"type": "report", "runtime": outcome.as_dict(),
+                      **collect(outcome)})
     except BaseException as exc:  # noqa: BLE001 - forwarded to coordinator
         if control is not None:
             try:
@@ -511,133 +599,17 @@ def _worker_entry(host: str, port: int, my_node: str) -> None:
             control.close()
 
 
-def _receive_round(job: _Job, network: SocketNetwork, my_node: str,
-                   expect: dict, held: deque,
-                   timeout: float) -> tuple[int, int, list]:
-    """Await this barrier's batches — ``expect[src]`` many per sender.
-
-    Workers are *not* in lockstep: a fast peer may already have flushed
-    its next round while a slow peer's previous-round batch is still in
-    flight, so counting frames per **source** is what makes the barrier
-    exact — per-link FIFO guarantees the first ``expect[src]`` frames
-    from ``src`` are precisely its previous-round flush.  Surplus frames
-    (a peer running ahead) are parked in ``held`` for the next barrier.
-
-    Returns ``(new_facts, delivered_facts, retired)`` where ``retired``
-    lists one ``[sender, stamp, 1]`` triple per integrated batch.
-    """
-    needed = {src: count for src, count in expect.items() if count}
-    batches: list = []
-    retired: list = []
-
-    def _take(frame) -> bool:
-        src, _dst, blob = frame
-        if needed.get(src, 0) <= 0:
-            return False
-        needed[src] -= 1
-        batch = decode_batch_message(blob, job.registry)
-        retired.append([src, batch.stamp, 1])
-        batches.append(batch)
-        return True
-
-    for frame in list(held):
-        if _take(frame):
-            held.remove(frame)
-    while any(count > 0 for count in needed.values()):
-        frame = network.receive(timeout)
-        if frame is None:
-            missing = {src: count for src, count in needed.items() if count}
-            raise ClusterError(
-                f"{my_node}: wire went quiet still expecting "
-                f"batch(es) {missing}")
-        if not _take(frame):
-            held.append(frame)
-    new_facts = 0
-    if batches:
-        _check_local_imports(job, my_node, batches)
-        new_facts = job.node.integrate(batches)
-    return new_facts, sum(map(len, batches)), retired
-
-
-def _worker_bsp(job: _Job, control: _Channel, network: SocketNetwork,
-                batcher: MessageBatcher, sendlog: _SendLog,
-                my_node: str, timeout: float) -> None:
-    held: deque = deque()
-    while True:
-        message = control.recv(timeout)
-        kind = message.get("type")
-        if kind == "stop":
-            return
-        if kind != "round":
-            raise ClusterError(f"unexpected control message {kind!r}")
-        number = message["number"]
-        expect = message.get("expect", {})
-        if number == 0:
-            new_facts, delivered, retired = job.node.bootstrap(), 0, []
-        else:
-            new_facts, delivered, retired = _receive_round(
-                job, network, my_node, expect, held, timeout)
-        _drained, sent = _drain_and_flush(job, batcher, sendlog,
-                                          my_node, number)
-        control.send({"type": "flushed", "round": number,
-                      "new_facts": new_facts, "delivered": delivered,
-                      "sent": sent, "retired": retired})
-
-
-def _worker_async(job: _Job, control: _Channel, network: SocketNetwork,
-                  batcher: MessageBatcher, sendlog: _SendLog,
-                  my_node: str, timeout: float) -> None:
-    message = control.recv(timeout)
-    if message.get("type") != "start":
-        raise ClusterError(
-            f"unexpected control message {message.get('type')!r}")
-    new_facts = job.node.bootstrap()
-    next_stamp = 1
-    _drained, sent = _drain_and_flush(job, batcher, sendlog, my_node,
-                                      next_stamp)
-    control.send({"type": "activity", "phase": "bootstrap",
-                  "new_facts": new_facts, "delivered": 0,
-                  "sent": [[dst, next_stamp, count]
-                           for dst, count in sent.items()],
-                  "retired": []})
-    # No idle watchdog here: a quiet worker is a *healthy* state in a
-    # long async run (a pure source node legitimately receives nothing
-    # while its peers churn).  Liveness comes from the coordinator — its
-    # stall detector aborts a wedged run and closes the control channel,
-    # which control.poll() surfaces as NetworkError; and workers are
-    # daemon processes, so they can never outlive the coordinator.
-    while True:
-        for message in control.poll():
-            if message.get("type") == "stop":
-                return
-        frame = network.receive(0.05)
-        if frame is None:
-            continue
-        src, _dst, blob = frame
-        batch = decode_batch_message(blob, job.registry)
-        stamp = batch.stamp
-        _check_local_imports(job, my_node, [batch])
-        # The heart of overlap, process-distributed: integrate *now*,
-        # flush the consequences immediately, tell the ledger.
-        new_facts = job.node.integrate([batch])
-        candidate = max(next_stamp, stamp + 1)
-        _drained, sent = _drain_and_flush(job, batcher, sendlog,
-                                          my_node, candidate)
-        if sent:
-            next_stamp = candidate
-        control.send({"type": "activity", "phase": "exchange",
-                      "new_facts": new_facts, "delivered": len(batch),
-                      "sent": [[dst, candidate, count]
-                               for dst, count in sent.items()],
-                      "retired": [[src, stamp, 1]]})
-
-
 # ---------------------------------------------------------------------------
 # Coordinator side
 # ---------------------------------------------------------------------------
 
+#: RuntimeReport fields that are the sum of the workers' own
+_SUMMED = ("events", "messages", "batched_facts", "bytes", "new_facts",
+           "delivered_facts")
+
+
 class _Coordinator:
-    """Spawns workers, drives the schedule, owns the ticket ledger."""
+    """Spawns workers, serves them the ticket ledger, merges reports."""
 
     def __init__(self, spec: dict, mode: str = MODE_BSP,
                  max_rounds: int = 500, timeout: float = DEFAULT_TIMEOUT,
@@ -657,8 +629,11 @@ class _Coordinator:
         if len(self.nodes) < 1:
             raise ClusterError("a launch needs at least one node")
         self.ledger = TicketLedger()
+        #: retires whose issue has not been reported yet: a receiver's
+        #: tally can overtake its sender's on the two control channels
+        self.deferred: list = []
         self.channels: dict[str, _Channel] = {}
-        self.processes: list = []
+        self.processes: dict = {}
         self._epoch = 0.0
 
     # -- lifecycle -----------------------------------------------------
@@ -676,17 +651,14 @@ class _Coordinator:
                     target=_worker_entry, args=(self.host, port, name),
                     name=f"repro-node-{name}", daemon=True)
                 process.start()
-                self.processes.append(process)
+                self.processes[name] = process
             self._rendezvous(listener)
             self._epoch = time.monotonic()
-            report = LaunchReport(kind=self.spec["kind"],
-                                  procs=len(self.nodes))
-            report.runtime.mode = self.mode
             if self.mode == MODE_ASYNC:
-                self._run_async(report.runtime)
+                self._serve_async()
             else:
-                self._run_bsp(report.runtime)
-            self._collect(report)
+                self._serve_bsp()
+            report = self._collect()
             report.runtime.virtual_time = self._clock()
             report.runtime.convergence_time = self.ledger.convergence_clock()
             return report
@@ -694,7 +666,7 @@ class _Coordinator:
             listener.close()
             for channel in self.channels.values():
                 channel.close()
-            for process in self.processes:
+            for process in self.processes.values():
                 process.join(timeout=5.0)
                 if process.is_alive():  # pragma: no cover - hung worker
                     process.terminate()
@@ -711,10 +683,9 @@ class _Coordinator:
             while pending:
                 conn, _addr = listener.accept()
                 channel = _Channel(conn, send_timeout=self.timeout)
-                hello = channel.recv(self.timeout)
-                self._check_worker(hello)
+                hello = self._recv("<unannounced>", "hello", channel)
                 name = hello.get("node")
-                if hello.get("type") != "hello" or name not in pending:
+                if name not in pending:
                     raise ClusterError(f"bad rendezvous hello: {hello!r}")
                 pending.discard(name)
                 self.channels[name] = channel
@@ -723,183 +694,154 @@ class _Coordinator:
             raise ClusterError(
                 f"worker(s) {sorted(pending)} never reported within "
                 f"{self.timeout}s") from exc
-        for name, channel in self.channels.items():
+        for channel in self.channels.values():
             channel.send({"type": "spec", "spec": self.spec,
                           "mode": self.mode, "timeout": self.timeout,
+                          "max_rounds": self.max_rounds,
                           "max_batch_bytes": self.max_batch_bytes,
                           "peers": {peer: list(addr)
                                     for peer, addr in addresses.items()}})
-        for name, channel in self.channels.items():
-            ready = channel.recv(self.timeout)
-            self._check_worker(ready)
-            if ready.get("type") != "ready":
-                raise ClusterError(f"worker {name} sent {ready!r}")
+        for name in self.channels:
+            self._recv(name, "ready")
 
-    def _check_worker(self, message: dict) -> None:
+    # -- control receive -------------------------------------------------
+
+    def _recv(self, name: str, kind: str,
+              channel: Optional[_Channel] = None) -> dict:
+        """Worker ``name``'s next control message, which must be a
+        ``kind``; a dead or silent worker is a named ``ClusterError``."""
+        try:
+            message = (channel or self.channels[name]).recv(self.timeout)
+        except NetworkError as exc:
+            raise self._lost(name, exc) from exc
+        return self._checked(name, kind, message)
+
+    def _checked(self, name: str, kind: str, message: dict) -> dict:
         if message.get("type") == "error":
             raise ClusterError(
                 f"worker {message.get('node')} failed: "
                 f"{message.get('error')}\n{message.get('traceback', '')}")
+        if message.get("type") != kind:
+            raise ClusterError(
+                f"worker {name} sent {message!r}, expected {kind!r}")
+        return message
 
-    # -- BSP barriers --------------------------------------------------
+    def _lost(self, name: str, exc: NetworkError) -> ClusterError:
+        process = self.processes.get(name)
+        if process is not None:
+            process.join(timeout=1.0)  # a dying worker: let it finish
+        return ClusterError(f"worker {name} lost: {exc} (process exit code "
+                            f"{process and process.exitcode})")
 
-    def _run_bsp(self, runtime: RuntimeReport) -> None:
-        #: dst -> src -> batches the next barrier must await (per-source:
-        #: a fast peer's round-N frames can be on the wire before a slow
-        #: peer's round-N-1 ones; only per-link FIFO counts are exact)
-        expect: dict[str, dict] = {name: {} for name in self.nodes}
-        number = 0
+    # -- the ledger service ----------------------------------------------
+
+    def _apply(self, name: str, tally: dict) -> None:
+        """Apply one tally to the ledger, issues strictly before retires:
+        a tally is atomic, and its retires may reference its own sends'
+        predecessors.  Retires still unmatched stay deferred and are
+        retried with every later tally."""
+        for _dst, stamp, count in tally["sent"]:
+            self.ledger.issue(stamp, count=count, sender=name)
+        self.deferred = [
+            [sender, stamp] for sender, stamp in self.deferred + tally["retired"]
+            if not self.ledger.retire_guarded(stamp, sender=sender)]
+
+    def _serve_bsp(self) -> None:
+        """One ledger record per barrier: gather every worker's tally,
+        close the round, answer each worker with the verdict and the
+        frames its next barrier awaits — counted per **source**, since a
+        fast peer's round-N frames can be on the wire before a slow
+        peer's round-N-1 ones and only per-link FIFO counts are exact."""
         while True:
-            for name, channel in self.channels.items():
-                channel.send({"type": "round", "number": number,
-                              "expect": expect[name]})
-            next_expect: dict[str, dict] = {name: {} for name in self.nodes}
-            round_new = 0
-            round_sent = 0
-            delivered_any = False
-            for name, channel in self.channels.items():
-                reply = channel.recv(self.timeout)
-                self._check_worker(reply)
-                if reply.get("type") != "flushed":
-                    raise ClusterError(f"worker {name} sent {reply!r}")
-                round_new += reply["new_facts"]
-                runtime.new_facts += reply["new_facts"]
-                runtime.delivered_facts += reply.get("delivered", 0)
-                if reply.get("delivered"):
-                    delivered_any = True
-                for sender, stamp, count in reply.get("retired", ()):
-                    self.ledger.retire(stamp, count=count, sender=sender)
-                for dst, count in reply.get("sent", {}).items():
-                    self.ledger.issue(number, count=count, sender=name)
-                    per_src = next_expect.setdefault(dst, {})
-                    per_src[name] = per_src.get(name, 0) + count
-                    round_sent += count
-            self.ledger.close_round(number, round_new, self._clock())
-            if round_sent:
-                runtime.depth += 1
-            if delivered_any:
-                runtime.productive_rounds += 1
-            runtime.rounds = number + 1
-            if self.ledger.quiescent():
-                break
-            number += 1
-            if number > self.max_rounds:
+            expect: dict[str, dict] = {name: {} for name in self.nodes}
+            new_facts = 0
+            for name in self.nodes:
+                tally = self._recv(name, "tally")
+                new_facts += tally["new_facts"]
+                self._apply(name, tally)
+                for dst, _stamp, count in tally["sent"]:
+                    expect[dst][name] = expect[dst].get(name, 0) + count
+            if self.deferred:
                 raise ClusterError(
-                    f"launch did not quiesce within {self.max_rounds} "
-                    f"rounds")
-            expect = next_expect
+                    f"batch(es) integrated that no worker reported "
+                    f"sending: {self.deferred}")
+            self.ledger.close_round(len(self.ledger.rounds), new_facts,
+                                    self._clock())
+            quiescent = self.ledger.quiescent()
+            for name, channel in self.channels.items():
+                channel.send({"type": "round", "quiescent": quiescent,
+                              "expect": expect[name]})
+            if quiescent:
+                return
 
-    # -- async overlap -------------------------------------------------
-
-    def _run_async(self, runtime: RuntimeReport) -> None:
-        for channel in self.channels.values():
-            channel.send({"type": "start"})
-        bootstrapped: set = set()
-        deferred: list = []
-        sockets = {channel.sock: (name, channel)
+    def _serve_async(self) -> None:
+        """Watch the ticket balance until every worker has bootstrapped
+        (sent its first tally), nothing is deferred and nothing is
+        outstanding; then tell the workers to stop."""
+        reported: set = set()
+        sockets = {channel.sock: name
                    for name, channel in self.channels.items()}
         deadline = time.monotonic() + self.timeout
-        while True:
-            readable, _, _ = select.select(list(sockets), [], [], 0.05)
-            progressed = False
-            for sock in readable:
-                name, channel = sockets[sock]
-                for message in channel.poll():
-                    progressed = True
-                    self._apply_activity(name, message, runtime,
-                                         bootstrapped, deferred)
-            if progressed:
-                deadline = time.monotonic() + self.timeout
-                # Deferred retires: a receiver's report can overtake its
-                # sender's on the two control channels; retry now that
-                # more issues may have landed.
-                still: list = []
-                for sender, stamp, count in deferred:
-                    for _ in range(count):
-                        if not self.ledger.retire_guarded(stamp,
-                                                          sender=sender):
-                            still.append([sender, stamp, 1])
-                deferred = still
-            if (len(bootstrapped) == len(self.nodes) and not deferred
-                    and not self.ledger.outstanding()):
-                break
+        while (len(reported) < len(self.nodes) or self.deferred
+               or self.ledger.outstanding()):
             if time.monotonic() > deadline:
                 raise ClusterError(
                     f"async launch stalled: {self.ledger.outstanding()} "
-                    f"ticket(s) outstanding, {len(deferred)} deferred, "
-                    f"{len(bootstrapped)}/{len(self.nodes)} bootstrapped")
-            # the cap is on what ``rounds`` reports: causal depth, the
-            # deepest stamp any worker has sent under
-            if runtime.depth > self.max_rounds:
-                raise ClusterError(
-                    f"async launch did not quiesce within causal depth "
-                    f"{self.max_rounds}")
+                    f"ticket(s) outstanding, {len(self.deferred)} deferred, "
+                    f"{len(reported)}/{len(self.nodes)} bootstrapped")
+            readable, _, _ = select.select(list(sockets), [], [], 0.05)
+            for sock in readable:
+                name = sockets[sock]
+                try:
+                    messages = self.channels[name].poll()
+                except NetworkError as exc:
+                    raise self._lost(name, exc) from exc
+                for message in messages:
+                    self._apply(name, self._checked(name, "tally", message))
+                    reported.add(name)
+                    deadline = time.monotonic() + self.timeout
         self.ledger.close_quiet(self._clock())
-        runtime.rounds = runtime.depth
-        runtime.productive_rounds = runtime.events
-
-    def _apply_activity(self, name: str, message: dict,
-                        runtime: RuntimeReport, bootstrapped: set,
-                        deferred: list) -> None:
-        self._check_worker(message)
-        if message.get("type") != "activity":
-            raise ClusterError(f"worker {name} sent {message!r}")
-        if message.get("phase") == "bootstrap":
-            bootstrapped.add(name)
-        else:
-            runtime.events += 1
-        runtime.new_facts += message.get("new_facts", 0)
-        runtime.delivered_facts += message.get("delivered", 0)
-        # Issues strictly before retires: an activity message is atomic,
-        # and its retires may reference its own sends' predecessors.
-        for _dst, stamp, count in message.get("sent", ()):
-            self.ledger.issue(stamp, count=count, sender=name)
-            runtime.depth = max(runtime.depth, stamp)
-        for sender, stamp, count in message.get("retired", ()):
-            for _ in range(count):
-                if not self.ledger.retire_guarded(stamp, sender=sender):
-                    deferred.append([sender, stamp, 1])
+        for channel in self.channels.values():
+            channel.send({"type": "stop"})
 
     # -- final collection ----------------------------------------------
 
-    def _collect(self, report: LaunchReport) -> None:
+    def _collect(self) -> LaunchReport:
+        """Merge each worker's own report into one :class:`LaunchReport`."""
         from ..meta.registry import RuleRegistry
 
         registry = RuleRegistry()
-        for channel in self.channels.values():
-            channel.send({"type": "stop"})
-        for name, channel in self.channels.items():
-            reply = channel.recv(self.timeout)
-            self._check_worker(reply)
-            if reply.get("type") != "report":
-                raise ClusterError(f"worker {name} sent {reply!r}")
-            node_report = reply.get("node_report", {})
-            report.per_node.append(NodeReport(
-                name=name,
-                derivations=node_report.get("derivations", 0),
-                new_facts=node_report.get("new_facts", 0),
-                sent_facts=node_report.get("sent_facts", 0),
-                received_facts=node_report.get("received_facts", 0),
-                db_facts=node_report.get("db_facts", 0),
-            ))
-            report.runtime.messages += reply.get("messages", 0)
-            report.runtime.bytes += reply.get("bytes", 0)
+        report = LaunchReport(kind=self.spec["kind"], procs=len(self.nodes))
+        runtime = report.runtime
+        runtime.mode = self.mode
+        for name in sorted(self.nodes):
+            reply = self._recv(name, "report")
+            report.per_node.append(NodeReport(**reply["node_report"]))
+            for key in _SUMMED:
+                setattr(runtime, key,
+                        getattr(runtime, key) + reply["runtime"][key])
+            runtime.depth = max(runtime.depth, reply["runtime"]["depth"])
             report.delivered += reply.get("delivered", 0)
             report.rejected += reply.get("rejected", 0)
-            for pred, facts in reply.get("relations", {}).items():
-                bucket = report.relations.setdefault(pred, set())
-                for fact in facts:
-                    bucket.add(tuple(decode_value(v, registry)
-                                     for v in fact))
-            for principal, relations in reply.get("principals", {}).items():
-                per_pred = report.principal_relations.setdefault(
-                    principal, {})
+            for owner, relations in reply["relations"].items():
+                merged = report.principal_relations.setdefault(owner, {}) \
+                    if owner else report.relations
                 for pred, facts in relations.items():
-                    bucket = per_pred.setdefault(pred, set())
-                    for fact in facts:
-                        bucket.add(tuple(decode_value(v, registry)
-                                         for v in fact))
-        report.per_node.sort(key=lambda n: n.name)
+                    merged.setdefault(pred, set()).update(
+                        tuple(decode_value(value, registry) for value in fact)
+                        for fact in facts)
+        if self.mode == MODE_ASYNC:
+            # causal depth *is* the round quantity under overlap
+            runtime.rounds = runtime.depth
+            runtime.productive_rounds = runtime.events
+        else:
+            # a worker knows only its own flushes; the ledger saw them all
+            records = self.ledger.rounds
+            runtime.rounds = len(records)
+            runtime.depth = sum(1 for record in records if record.issued)
+            runtime.productive_rounds = sum(
+                1 for record in records if record.retired)
+        return report
 
 
 def launch(spec: dict, mode: str = MODE_BSP, max_rounds: int = 500,
@@ -908,11 +850,10 @@ def launch(spec: dict, mode: str = MODE_BSP, max_rounds: int = 500,
            host: str = "127.0.0.1") -> LaunchReport:
     """Run ``spec`` with one OS process per node; block until quiescent.
 
-    The multiprocess entry point: builds a coordinator, spawns the
-    workers, drives ``bsp`` barriers or ``async`` overlap to ticket-
-    proved quiescence, and returns the merged :class:`LaunchReport`.
+    Spawns the workers — each an :class:`ExecutionRuntime` over its
+    one node — serves their tallies from the ticket ledger until it
+    proves quiescence, and returns the merged :class:`LaunchReport`.
     """
-    coordinator = _Coordinator(spec, mode=mode, max_rounds=max_rounds,
-                               timeout=timeout,
-                               max_batch_bytes=max_batch_bytes, host=host)
-    return coordinator.run()
+    return _Coordinator(spec, mode=mode, max_rounds=max_rounds,
+                        timeout=timeout, max_batch_bytes=max_batch_bytes,
+                        host=host).run()

@@ -1,15 +1,19 @@
 """The unified execution runtime: one scheduler for every node kind.
 
-Before this module existed the repo had two parallel drivers: the
-:class:`~repro.cluster.runtime.Cluster` ran plain-Datalog shards in BSP
-lockstep while :meth:`LBTrustSystem.run` drove principal workspaces over
-the network layer with its own ad-hoc round loop.  The
-:class:`ExecutionRuntime` collapses both into one event loop over a
-*node protocol*, so a network node may host a Datalog shard
-(:class:`~repro.cluster.node.ClusterNode`) or a set of full principal
-workspaces (:class:`~repro.core.system.WorkspaceNode`) and the paper's
-``predNode`` reconfiguration story — move the computation, keep the
-program — holds across both.
+The :class:`ExecutionRuntime` is the repo's only distributed driver —
+one event loop over a *node protocol*, so a network node may host a
+Datalog shard (:class:`~repro.cluster.node.ClusterNode`) or a set of
+full principal workspaces (:class:`~repro.core.system.WorkspaceNode`)
+and the paper's ``predNode`` reconfiguration story — move the
+computation, keep the program — holds across both.  Three hosts run
+this one loop: :class:`~repro.cluster.runtime.Cluster` (every shard in
+one process), :meth:`LBTrustSystem.run` (every workspace host in one
+process, open network), and a :mod:`~repro.cluster.launch` worker —
+one node per OS process, whose ``network`` and ``ledger`` are the
+worker's link to its peers and to the coordinator's real
+:class:`~repro.cluster.quiescence.TicketLedger`.  The schedule, the
+causal stamps and the round cap are stated here and nowhere else; the
+node protocol is the same for all three.
 
 **The node protocol** (duck-typed):
 
@@ -46,6 +50,14 @@ program — holds across both.
     scheduler then skips offering every other node a drain after a
     delivery here.  Workspace hosts leave it False: an import lands at
     whichever node hosts the destination principal.
+
+**What the loop asks of its surroundings** (also duck-typed): of the
+``network``, ``send`` (through the batcher), ``deliver_all`` /
+``deliver_next`` / ``pending``, ``clock`` and ``total``; of the
+``ledger``, ``issue`` (through the batcher) / ``retire``,
+``close_round`` / ``close_quiet``, ``quiescent`` / ``outstanding``,
+``compact``, the ``rounds`` trail and ``convergence_clock`` (open
+transports also ``retire_guarded`` / ``retire_any``).
 
 **Scheduling modes**:
 

@@ -1,0 +1,189 @@
+"""The launcher's own parts, driven directly — no worker processes.
+
+What :mod:`repro.cluster.launch` adds to the shared scheduler is small
+enough to test in-process: the control channel's framing, the
+coordinator's receive helper, the worker-side :class:`_Link` (the
+runtime's network and ledger in one) and the hosted-import guard.
+"""
+
+import multiprocessing
+import os
+import socket
+import time
+
+import pytest
+
+from repro import LBTrustSystem
+from repro.cluster.launch import (
+    _Channel,
+    _Coordinator,
+    _HostedImports,
+    _Link,
+    cluster_spec,
+)
+from repro.core.system import RunReport, WorkspaceNode
+from repro.datalog.errors import ClusterError, NetworkError
+from repro.net import SocketNetwork
+from repro.net.transport import Batch
+
+
+@pytest.fixture
+def channel_pair():
+    """Both ends of one control connection."""
+    ours, theirs = socket.socketpair()
+    pair = _Channel(ours), _Channel(theirs)
+    yield pair
+    for channel in pair:
+        channel.close()
+
+
+class TestChannelPoll:
+    def test_last_message_before_eof_is_returned_then_eof_raises(
+            self, channel_pair):
+        channel, peer = channel_pair
+        peer.send({"type": "error", "error": "boom"})
+        peer.close()
+        assert channel.poll() == [{"type": "error", "error": "boom"}]
+        with pytest.raises(NetworkError, match="closed by peer"):
+            channel.poll()
+
+
+class TestCoordinatorReceive:
+    @pytest.fixture
+    def served(self, channel_pair):
+        """A coordinator holding worker ``n0``'s channel, and its far end."""
+        coordinator = _Coordinator(cluster_spec(["n0"], [], ""), timeout=1.0)
+        coordinator.channels["n0"], peer = channel_pair
+        return coordinator, peer
+
+    def test_closed_channel_names_the_worker_and_its_exit_code(self, served):
+        coordinator, peer = served
+        # a real worker that dies without a word (os._exit skips cleanup)
+        worker = multiprocessing.get_context("spawn").Process(
+            target=os._exit, args=(3,))
+        worker.start()
+        coordinator.processes["n0"] = worker
+        peer.close()
+        with pytest.raises(ClusterError,
+                           match="worker n0 lost: .*closed by peer.*code 3"):
+            coordinator._recv("n0", "tally")
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+
+    def test_silent_worker_is_named_too(self, served):
+        coordinator, _peer = served
+        coordinator.timeout = 0.05
+        with pytest.raises(ClusterError, match="worker n0 lost: .*timed out"):
+            coordinator._recv("n0", "tally")
+
+    def test_forwarded_error_and_wrong_type(self, served):
+        coordinator, peer = served
+        peer.send({"type": "ready"})
+        peer.send({"type": "error", "node": "n0", "error": "boom"})
+        with pytest.raises(ClusterError, match="expected 'tally'"):
+            coordinator._recv("n0", "tally")
+        with pytest.raises(ClusterError, match="worker n0 failed: boom"):
+            coordinator._recv("n0", "tally")
+
+
+@pytest.fixture
+def wired(channel_pair):
+    """A link for node ``a`` plus the far ends of both its planes: the
+    coordinator's channel and a network hosting peers ``b`` and ``c``."""
+    with SocketNetwork() as network, SocketNetwork() as peers:
+        network.add_node("a")
+        for name in ("b", "c"):
+            peers.add_node(name)
+            network.add_remote(name, peers.host, peers.port_of(name))
+        peers.add_remote("a", network.host, network.port_of("a"))
+        control, coordinator = channel_pair
+        yield _Link(network, control, 0.3), coordinator, peers
+
+
+def close_round(link, coordinator, number, expect, quiescent=False):
+    """One barrier as the coordinator sees it: returns the tally."""
+    coordinator.send({"type": "round", "quiescent": quiescent,
+                      "expect": expect})
+    link.close_round(number, 0, 0.0)
+    return coordinator.recv(1.0)
+
+
+class TestLinkBarrier:
+    def test_tally_carries_sends_and_retires_in_one_message(self, wired):
+        link, coordinator, _peers = wired
+        link.send("a", "b", b"x")
+        link.issue(4, sender="a")
+        link.send("a", "b", b"y")
+        link.issue(4, sender="a")
+        link.retire(3, sender="c")
+        tally = close_round(link, coordinator, 0, {})
+        assert tally == {"type": "tally", "new_facts": 0,
+                         "sent": [["b", 4, 2]], "retired": [["c", 3]]}
+        # the next tally starts from nothing
+        assert close_round(link, coordinator, 1, {}, quiescent=True) \
+            == {"type": "tally", "new_facts": 0, "sent": [], "retired": []}
+        assert link.quiescent() and len(link.rounds) == 2
+
+    def test_early_next_round_frame_is_parked_not_delivered(self, wired):
+        link, coordinator, peers = wired
+        close_round(link, coordinator, 0, {"b": 1, "c": 1})
+        # b runs ahead: its round-1 frame lands before c's round-0 one
+        peers.send("b", "a", b"b-round0")
+        peers.send("b", "a", b"b-round1")
+        deadline = time.monotonic() + 5
+        while link.network.pending() < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        peers.send("c", "a", b"c-round0")
+        assert link.deliver_all() == [("b", "a", b"b-round0"),
+                                      ("c", "a", b"c-round0")]
+        assert link.pending() == 1
+        close_round(link, coordinator, 1, {"b": 1})
+        assert link.deliver_all() == [("b", "a", b"b-round1")]
+        assert link.pending() == 0
+
+    def test_quiet_wire_is_a_named_error(self, wired):
+        link, coordinator, _peers = wired
+        close_round(link, coordinator, 0, {"c": 2})
+        with pytest.raises(ClusterError,
+                           match=r"wire went quiet .*\{'c': 2\}"):
+            link.deliver_all()
+
+    def test_deliver_next_reports_then_stops_on_the_verdict(self, wired):
+        link, coordinator, peers = wired
+        peers.send("b", "a", b"frame")
+        assert link.deliver_next() == ("b", "a", b"frame")
+        assert coordinator.recv(1.0)["type"] == "tally"
+        link.retire(1, sender="b")
+        coordinator.send({"type": "stop"})
+        assert link.deliver_next() is None
+        assert coordinator.recv(1.0)["retired"] == [["b", 1]]
+        assert link.quiescent() and not link.outstanding()
+
+
+class TestHostedImportGuard:
+    def host(self):
+        system = LBTrustSystem(auth="plaintext")
+        system.create_principal("a", node="h1")
+        system.create_principal("b", node="h2")
+        report = RunReport()
+        node = WorkspaceNode(system, "h1", [system.principal("a")], report)
+        return _HostedImports(node), report
+
+    def test_import_for_a_principal_hosted_elsewhere_is_refused(self):
+        guard, report = self.host()
+        batch = Batch.of_items(1, [("b", "good", (1,))])
+        with pytest.raises(
+                ClusterError,
+                match="relay-routed import: principal 'b' is hosted on "
+                      "'h2', not 'h1'"):
+            guard.integrate([batch])
+        assert report.delivered == report.rejected == 0
+
+    def test_everything_else_is_the_wrapped_node(self):
+        guard, report = self.host()
+        assert guard.name == "h1" and guard.bootstrap() == 0
+        assert getattr(guard, "quiesce", None) is None
+        # not hosted anywhere: the node's own unknown-principal rejection
+        batch = Batch.of_items(1, [("zed", "good", (1,))])
+        assert guard.integrate([batch]) == 1
+        assert report.rejected == 1

@@ -152,3 +152,50 @@ class TestMultiprocessLauncher:
         )
         with pytest.raises(ClusterError, match="worker"):
             launch(spec, timeout=30)
+
+    def test_bsp_launch_that_never_quiesces_is_stopped(self):
+        # the round cap travels to the workers in the spec message and is
+        # raised there, by the one scheduler
+        spec = cluster_spec(
+            NODES, placement=[["hash", "nat", 0]],
+            program="n0: nat(Y) <- nat(X), Y = X + 1.\n",
+            facts=[("nat", (0,))])
+        with pytest.raises(ClusterError, match="within 10 rounds"):
+            launch(spec, mode="bsp", max_rounds=10, timeout=30)
+
+
+PARITY_FIELDS = ("rounds", "productive_rounds", "depth", "messages",
+                 "batched_facts", "new_facts", "delivered_facts")
+
+
+class TestLauncherMatchesInProcessRuntime:
+    """A worker runs the same ``ExecutionRuntime`` the in-process hosts
+    do, so the merged report is the in-process one (``bytes`` is left
+    out: arrival order moves it by a byte on either side)."""
+
+    SPEC = dict(placement=[["hash", "edge", 0], ["hash", "reach", 1]],
+                program=PROGRAM, facts=graph_facts(), collect=["reach"])
+
+    def test_bsp_report_equals_in_process_field_for_field(self):
+        launched = launch(cluster_spec(NODES, **self.SPEC), mode="bsp",
+                          timeout=60)
+        with SocketNetwork() as network:
+            local = build_cluster(network, "bsp").runtime.run()
+        for name in PARITY_FIELDS:
+            assert getattr(launched.runtime, name) == getattr(local, name), name
+        assert launched.runtime.batched_facts > 0
+        with SocketNetwork() as network:
+            per_node = build_cluster(network, "bsp").run().per_node
+        assert launched.per_node == per_node
+
+    def test_async_report_agrees_on_what_is_schedule_independent(
+            self, expected_reach):
+        launched = launch(cluster_spec(NODES, **self.SPEC), mode="async",
+                          timeout=60)
+        with SocketNetwork() as network:
+            local = build_cluster(network, "async").runtime.run()
+        assert launched.relations["reach"] == expected_reach
+        for name in ("batched_facts", "new_facts", "delivered_facts"):
+            assert getattr(launched.runtime, name) == getattr(local, name), name
+        assert launched.runtime.rounds == launched.runtime.depth > 0
+        assert launched.runtime.events == launched.runtime.messages

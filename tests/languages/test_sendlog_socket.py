@@ -103,3 +103,21 @@ class TestThreeProcessRing:
                         in report.principal_relations[name]["heard"]}
             assert speakers
             assert speakers <= set(NAMES) - {name}
+
+    def test_ring_report_matches_in_process_run(self):
+        spec = system_spec(
+            principals=list(zip(NAMES, HOSTS)), auth="hmac", seed=11,
+            sendlog=REACHABILITY, facts=ring_facts(), collect=["reachable"])
+        launched = launch(spec, mode="bsp", timeout=60)
+        local = build_system().run(max_rounds=80)
+        assert (launched.delivered, launched.rejected) \
+            == (local.delivered, local.rejected)
+        assert launched.runtime.messages == local.batches
+        assert launched.runtime.batched_facts == local.delivered
+        # per-host rows say what each worker shipped, took in and imported
+        rows = launched.per_node
+        assert [row.name for row in rows] == ["host0", "host1", "host2"]
+        assert sum(row.sent_facts for row in rows) == local.delivered
+        assert sum(row.received_facts for row in rows) == local.delivered
+        assert sum(row.new_facts for row in rows) == local.delivered
+        assert all(row.sent_facts and row.received_facts for row in rows)
