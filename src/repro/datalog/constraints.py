@@ -24,9 +24,11 @@ from .database import Database
 from .errors import SafetyError
 from .runtime import (
     Bindings,
+    BodyAnalysis,
     EvalContext,
+    Plan,
     banded_plan,
-    positive_preds,
+    body_relations,
     satisfiable,
     solve,
 )
@@ -51,26 +53,35 @@ class Violation:
 def check_constraint(constraint: Constraint, db: Database,
                      context: EvalContext,
                      limit: Optional[int] = None,
-                     plan_cache: Optional[dict] = None) -> list[Violation]:
+                     plan_cache: Optional[dict] = None,
+                     analyses: Optional[dict] = None) -> list[Violation]:
     """All (or the first ``limit``) violations of one constraint.
 
     ``plan_cache`` memoizes compiled LHS/RHS probe plans in the shared
     band-keyed cache (:func:`repro.datalog.runtime.banded_plan`), keyed
-    by the conjunction itself and the binding shape it is probed under.
-    Every witness of one LHS alternative binds the same variable names,
-    so the RHS plans are resolved once per LHS alternative, not once per
-    witness.  A caller-supplied cache (the workspace passes a long-lived
-    one) amortizes compilation across commits.
+    by the conjunction itself and the binding shape it is probed under;
+    ``analyses`` keeps each conjunction's
+    :class:`~repro.datalog.runtime.BodyAnalysis` beside it, keyed the
+    same way.  Every witness of one LHS alternative binds the same
+    variable names, so the RHS plans are resolved once per LHS
+    alternative, not once per witness.  Caller-supplied caches (the
+    workspace passes long-lived ones) amortize analysis and compilation
+    across commits.
     """
     if constraint.is_declaration():
         return []
     violations: list[Violation] = []
     if plan_cache is None:
         plan_cache = {}
+    if analyses is None:
+        analyses = {}
     for alternative in constraint.lhs:
         try:
-            witnesses = solve(alternative, db, context, plan=_plan(
-                plan_cache, alternative, frozenset(), db, context))
+            plan = _plan(plan_cache, analyses, alternative, frozenset(), db,
+                         context)
+            if plan is None:
+                continue
+            witnesses = solve(alternative, db, context, plan=plan)
         except SafetyError as exc:
             raise SafetyError(
                 f"constraint {constraint!r} has an unsafe left-hand side: {exc}"
@@ -81,8 +92,9 @@ def check_constraint(constraint: Constraint, db: Database,
                 shape = frozenset(witness)
                 try:
                     rhs_plans = [
-                        (rhs, _plan(plan_cache, rhs, shape, db, context))
-                        for rhs in constraint.rhs]
+                        (rhs, plan) for rhs in constraint.rhs
+                        if (plan := _plan(plan_cache, analyses, rhs, shape,
+                                          db, context)) is not None]
                 except SafetyError as exc:
                     raise SafetyError(
                         f"constraint {constraint!r} has an unsafe right-hand "
@@ -99,20 +111,35 @@ def check_constraint(constraint: Constraint, db: Database,
 
 def check_constraints(constraints: list, db: Database, context: EvalContext,
                       limit: Optional[int] = None,
-                      plan_cache: Optional[dict] = None) -> list[Violation]:
+                      plan_cache: Optional[dict] = None,
+                      analyses: Optional[dict] = None) -> list[Violation]:
     """Check every constraint; returns the accumulated violations."""
     violations: list[Violation] = []
+    if analyses is None:
+        analyses = {}
     for constraint in constraints:
         remaining = None if limit is None else limit - len(violations)
         if remaining is not None and remaining <= 0:
             break
         violations.extend(check_constraint(constraint, db, context, remaining,
-                                           plan_cache))
+                                           plan_cache, analyses))
     return violations
 
 
-def _plan(plan_cache: dict, alternative: tuple, shape: frozenset,
-          db: Database, context: EvalContext):
-    return banded_plan(plan_cache, (alternative, shape), alternative,
-                       positive_preds(alternative), db, context,
-                       initially_bound=shape)
+def _plan(plan_cache: dict, analyses: dict, alternative: tuple,
+          shape: frozenset, db: Database,
+          context: EvalContext) -> Optional[Plan]:
+    """The cached plan of one alternative under one binding shape — or
+    None when a positive literal's relation is missing or empty: the
+    conjunction then has no solution (no witness on the left, no
+    extension on the right), and, like a rule that cannot fire, it is
+    not planned."""
+    analysis = analyses.get(alternative)
+    if analysis is None:
+        analysis = analyses[alternative] = BodyAnalysis(alternative,
+                                                        context.builtins)
+    relations = body_relations(analysis.preds, db)
+    if not all(relations):
+        return None
+    return banded_plan(plan_cache, (alternative, shape), analysis, relations,
+                       context, initially_bound=shape)

@@ -34,20 +34,22 @@ from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 from typing import Callable, ClassVar, Iterable, Iterator, Optional
 
+from .builtins import BuiltinRegistry
 from .database import Database, Relation, set_index_stats
 from .errors import SafetyError
 from .runtime import (
     HEAD_COMPUTED,
     HEAD_CONST,
     HEAD_SLOT,
+    BodyAnalysis,
     EvalContext,
     FlatPlan,
     Plan,
     banded_plan,
+    body_relations,
     cardinality_band,
     compile_head,
     eval_term,
-    positive_preds,
     run_flat,
     solve,
 )
@@ -61,11 +63,25 @@ FactSet = dict[str, set]
 
 @dataclass
 class EngineRule:
-    """A normalized single-head rule plus its cached join plans.
+    """A normalized single-head rule plus everything planned for it.
 
-    Plans are cached per ``(delta_position, cardinality bands)`` by
-    :func:`repro.datalog.runtime.banded_plan`, the band signature running
-    over :func:`~repro.datalog.runtime.positive_preds` of the body.
+    Planning has three lifetimes (:func:`repro.datalog.runtime.build_plan`)
+    and the rule owns all three.  Its body is *analysed* once, on first
+    use (``_analysis``; ``_head_analysis`` for the guarded body of
+    :meth:`head_bound_plan`).  It is *ordered* once per
+    ``(delta_position, cardinality bands)``: ``_plans`` is the band-keyed
+    cache of :func:`repro.datalog.runtime.banded_plan`, the band signature
+    running over :func:`~repro.datalog.runtime.positive_preds` of the
+    body.  It is *compiled* once per distinct order: a band change that
+    re-derives an order the rule already has caches the same
+    :class:`~repro.datalog.runtime.Plan` under the new signature.  Plans
+    never refer to a database (constants resolve per walk), so a rule
+    object — plans included — outlives the database it was planned over.
+
+    Everything cached here is per *head*: ``normalize_rules`` gives every
+    head of a multi-head rule the same body tuple, but a compiled plan
+    carries head-specific lazies (``FlatPlan.head_spec`` / ``supports`` /
+    ``join2``), so nothing is ever shared by body identity.
     """
 
     head: Atom
@@ -74,7 +90,8 @@ class EngineRule:
     label: Optional[str] = None
     source: Optional[Rule] = None
     _plans: dict = field(default_factory=dict, repr=False)
-    _size_preds: Optional[tuple] = field(default=None, repr=False)
+    _analysis: Optional[BodyAnalysis] = field(default=None, repr=False)
+    _head_analysis: Optional[BodyAnalysis] = field(default=None, repr=False)
     _positive_positions: Optional[list] = field(default=None, repr=False)
 
     @property
@@ -82,13 +99,41 @@ class EngineRule:
         # Shape-compatibility with terms.Rule for stratify().
         return (self.head,)
 
+    def analysis(self, builtins: Optional[BuiltinRegistry]) -> BodyAnalysis:
+        """The body's analysis, made on first use.  Its ``preds`` are the
+        relations whose sizes band this rule's plans, and which must all
+        be non-empty for it to fire."""
+        analysis = self._analysis
+        if analysis is None:
+            analysis = self._analysis = BodyAnalysis(self.body, builtins)
+        return analysis
+
+    def live_relations(self, db: Database,
+                       context: EvalContext) -> Optional[list]:
+        """The live relations of the body's positive predicates — or None
+        when one is missing or empty: the rule cannot fire, so it is not
+        planned (ordering a body against an empty relation would only be
+        redone when it fills).  One pass: the list a firing rule gets
+        back is what :meth:`plan` bands its cache key on."""
+        relations = body_relations(self.analysis(context.builtins).preds, db)
+        return relations if all(relations) else None
+
+    @property
+    def _size_preds(self) -> Optional[tuple]:
+        # The band signature's predicates, once the body is analysed.
+        return None if self._analysis is None else self._analysis.preds
+
     def plan(self, context: EvalContext, delta_position: Optional[int],
              db: Optional[Database] = None,
-             stats: Optional["EvalStats"] = None) -> Plan:
-        preds = self._size_preds
-        if preds is None:
-            preds = self._size_preds = positive_preds(self.body)
-        return banded_plan(self._plans, delta_position, self.body, preds, db,
+             stats: Optional["EvalStats"] = None,
+             relations: Optional[list] = None) -> Plan:
+        """The body's plan with ``delta_position`` leading, for the live
+        sizes of ``db`` — or of ``relations``, when the caller already
+        holds them (:meth:`live_relations`)."""
+        analysis = self.analysis(context.builtins)
+        if relations is None and db is not None:
+            relations = body_relations(analysis.preds, db)
+        return banded_plan(self._plans, delta_position, analysis, relations,
                            context, stats, first=delta_position)
 
     def head_bound_plan(self, context: EvalContext,
@@ -105,7 +150,8 @@ class EngineRule:
         this plan's item tuple — ``self.body`` is untouched, so provenance
         supports (compiled from ``self.body``) never name it.  Cached in
         ``_plans`` under the key ``"head"`` with the usual band
-        signature, and built only on first request.
+        signature, and built only on first request; the guarded body has
+        its own analysis, so its plans never stand in for the body's.
 
         Returns None for a head carrying a computed term (quote template,
         expression): matching cannot bind it, so the caller must run the
@@ -114,12 +160,17 @@ class EngineRule:
         if not all(isinstance(term, (Variable, Constant))
                    for term in self.head.all_args):
             return None
-        preds = self._size_preds
-        if preds is None:
-            preds = self._size_preds = positive_preds(self.body)
-        return banded_plan(self._plans, "head",
-                           (Literal(self.head),) + self.body, preds, db,
-                           context, stats, first=0)
+        analysis = self._head_analysis
+        if analysis is None:
+            analysis = self._head_analysis = BodyAnalysis(
+                (Literal(self.head),) + self.body, context.builtins)
+            # The guard reads the candidate rows, never a live relation:
+            # the plans are banded over the body's relations alone.
+            analysis.preds = self.analysis(context.builtins).preds
+        return banded_plan(
+            self._plans, "head", analysis,
+            None if db is None else body_relations(analysis.preds, db),
+            context, stats, first=0)
 
     def evict_shrunk_plans(self, db: Database,
                            shrunk: Iterable[str]) -> int:
@@ -266,10 +317,16 @@ class EvalStats:
     * ``literal_scans`` / ``full_scans`` — positive-literal matches issued
       by the join core, and how many of those had no bound column and had
       to scan the whole relation;
-    * ``plans_built`` / ``plan_cache_hits`` — join plans compiled vs
+    * ``plans_built`` / ``plan_cache_hits`` — plan requests that had to
+      order the body (a band signature seen for the first time) vs
       served from a band-keyed plan cache (a rule's, or a workspace's
       constraint plans — resolved once per constraint alternative per
-      check, not once per witness);
+      check, not once per witness).  A rule application that cannot fire
+      (an empty positive body relation) requests no plan and counts as
+      neither;
+    * ``plans_compiled`` — the orderings among ``plans_built`` that also
+      compiled a register program; the rest re-derived an order whose
+      plan was still cached and serve that;
     * ``reorder_wins`` — built plans where the cardinality cost model
       chose a different positive-literal order than the boundness-greedy
       baseline would have;
@@ -315,6 +372,7 @@ class EvalStats:
     plans_built: int = 0
     plan_cache_hits: int = 0
     reorder_wins: int = 0
+    plans_compiled: int = 0
     column_stats_built: int = 0
     remote_emissions: int = 0
     plans_evicted: int = 0
@@ -405,9 +463,16 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
     rounds stay well-defined.  ``delta`` maps a predicate to its delta
     :class:`Relation` (built once per round with
     :meth:`Relation.wrap_rows` over ``db.interner``, so the join probes it
-    in id space).
+    in id space; its rows are in ``db`` already).
+
+    A rule that cannot fire (:meth:`EngineRule.live_relations`) derives
+    nothing and is not planned.
     """
-    plan = rule.plan(context, delta_position, db=db, stats=stats)
+    relations = rule.live_relations(db, context)
+    if relations is None:
+        return set()
+    plan = rule.plan(context, delta_position, stats=stats,
+                     relations=relations)
     produced: set = set()
     fired = derive_rows(rule, plan.flat(), db, context, delta,
                         delta_position, db.rel(rule.head.pred).rows, produced,

@@ -26,12 +26,17 @@ term classification at all.  Variables the caller binds up front
 (:attr:`Plan.assumes` — e.g. a constraint's LHS witness seeding its RHS
 probe) get the first registers; :func:`solve` falls back to building a
 fresh plan when handed bindings with a different shape.
+
+Planning costs what it decides: a conjunction is *analysed* once per
+owner (:class:`BodyAnalysis`), *ordered* once per cardinality-band
+signature (:func:`order_body`, served by :func:`banded_plan`) and
+*compiled* once per distinct order (:func:`build_plan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .builtins import (
     BuiltinRegistry,
@@ -876,18 +881,23 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database, id_of,
 class Plan:
     """An execution order for a conjunction; built once, reused every round.
 
-    ``steps`` keeps the ``(item_index, item)`` scheduling order;
-    :meth:`flat` is its compiled register program.  ``assumes`` is the
-    initially-bound variable set the compilation relied on — reuse with a
-    different binding shape makes :func:`solve` rebuild.  ``reordered`` is
-    True when the cost model picked a different positive-literal order
-    than the boundness-greedy baseline would have.
+    ``steps`` keeps the ``(item_index, item)`` scheduling order (``order``
+    is just its indices); :meth:`flat` is its compiled register program.
+    ``assumes`` is the initially-bound variable set the compilation relied
+    on — reuse with a different binding shape makes :func:`solve` rebuild.
+    ``reordered`` is True when the cost model picked a different
+    positive-literal order than the boundness-greedy baseline would have.
+    ``analysis`` is the :class:`BodyAnalysis` it was built from: together
+    with ``assumes`` and ``order`` it determines every other field, which
+    is how :func:`build_plan` recognises an order it has already compiled.
     """
 
     steps: tuple
     _flat: FlatPlan
     assumes: frozenset = frozenset()
     reordered: bool = False
+    order: tuple = ()
+    analysis: Optional["BodyAnalysis"] = field(default=None, repr=False)
 
     def __iter__(self):
         return iter(self.steps)
@@ -926,53 +936,398 @@ def positive_preds(items: tuple) -> tuple:
         if isinstance(item, Literal) and not item.negated))
 
 
-def banded_plan(cache: dict, key, items: tuple, preds: tuple,
-                db: Optional[Database], context: EvalContext,
+def body_relations(preds: tuple, db: Database) -> list:
+    """The live relation of each of ``preds``, None where ``db`` has none.
+
+    The one pass over a body's relations: the list tells whether the
+    conjunction can fire at all (``all(relations)`` — a missing or empty
+    positive relation matches nothing) and feeds :func:`banded_plan` its
+    band signature and, on a miss, the cost model's statistics.
+    """
+    relations = db.relations
+    return [relations.get(pred) for pred in preds]
+
+
+class BodyAnalysis:
+    """Everything planning derives from a conjunction's items alone.
+
+    The first of planning's three lifetimes: computed once per rule (or
+    constraint alternative) and kept by its owner, so neither an ordering
+    nor a compilation re-derives a variable set.  Per item: its variables
+    (``item_vars``), what scheduling it binds (``binds`` — a positive
+    literal's or an '='-comparison's variables, a builtin's outputs) and,
+    for the filters (everything but a positive literal), what it waits
+    for (``needs``: a variable set — a negated literal's *shared*
+    variables, a comparison's or a builtin's inputs — or, for '=', the
+    two sides and whether each is a bare variable it could assign).
+    Variables occurring only inside one negated literal are existential
+    within the negation ("no matching tuple exists", the paper's dd4
+    constraint ``... -> !delegates(me,_,P)``), so they are not shared.
+    ``preds`` are the :func:`positive_preds`, the relations whose live
+    sizes band the conjunction's plans (:func:`banded_plan`).
+    Per positive literal: ``arg_info``, the cost model's view of each
+    argument — None (statically ground), a variable name, or the variable
+    set of a computed term.  ``literals_of`` maps a variable to the
+    positive literals mentioning it: the candidates whose bound-column
+    count and scan cost move when it gets bound.
+
+    Raises :class:`SafetyError` for an unknown builtin or a wrong arity.
+    """
+
+    __slots__ = ("items", "preds", "item_vars", "positives", "filters",
+                 "binds", "needs", "builtin_defs", "arg_info", "literals_of")
+
+    def __init__(self, items: tuple,
+                 builtins: Optional[BuiltinRegistry] = None) -> None:
+        self.items = items
+        self.preds = positive_preds(items)
+        self.item_vars: list[frozenset] = [
+            frozenset(v.name for v in item.variables()) for item in items]
+        self.positives: list[int] = []
+        self.filters: list[int] = []
+        self.binds: list[frozenset] = []
+        self.needs: dict[int, Any] = {}
+        self.builtin_defs: dict[int, Any] = {}
+        self.arg_info: dict[int, list] = {}
+        self.literals_of: dict[str, list[int]] = {}
+        occurrences: dict[str, int] = {}
+        for vars_in in self.item_vars:
+            for name in vars_in:
+                occurrences[name] = occurrences.get(name, 0) + 1
+        nothing: frozenset = frozenset()
+        for index, item in enumerate(items):
+            vars_in = self.item_vars[index]
+            if isinstance(item, Literal):
+                if item.negated:
+                    self.filters.append(index)
+                    self.binds.append(nothing)
+                    self.needs[index] = frozenset(
+                        name for name in vars_in if occurrences[name] > 1)
+                    continue
+                self.positives.append(index)
+                self.binds.append(vars_in)
+                for name in vars_in:
+                    self.literals_of.setdefault(name, []).append(index)
+                info: list = []
+                for position, term in enumerate(item.atom.all_args):
+                    if isinstance(term, Variable):
+                        info.append((position, term.name))
+                    else:
+                        info.append((position, frozenset(term_vars(term))
+                                     or None))
+                self.arg_info[index] = info
+                continue
+            self.filters.append(index)
+            if isinstance(item, Comparison):
+                left, right = term_vars(item.left), term_vars(item.right)
+                if item.op == "=":
+                    self.binds.append(vars_in)
+                    self.needs[index] = (
+                        left, right, isinstance(item.left, Variable),
+                        isinstance(item.right, Variable))
+                else:
+                    self.binds.append(nothing)
+                    self.needs[index] = frozenset(left | right)
+            elif isinstance(item, BuiltinCall):
+                definition = builtins.lookup(item.name) if builtins else None
+                if definition is None:
+                    raise SafetyError(f"unknown builtin {item.name!r}")
+                if definition.arity != len(item.args):
+                    raise SafetyError(
+                        f"builtin {item.name!r} expects {definition.arity} "
+                        f"args, got {len(item.args)}")
+                self.builtin_defs[index] = definition
+                self.needs[index] = frozenset().union(*(
+                    term_vars(item.args[position])
+                    for position in definition.input_positions))
+                self.binds.append(frozenset().union(*(
+                    term_vars(item.args[position])
+                    for position in definition.output_positions)))
+            else:
+                raise TypeError(  # pragma: no cover
+                    f"unexpected body item {item!r}")
+
+
+def order_body(analysis: BodyAnalysis,
+               initially_bound: frozenset = frozenset(),
+               first: Optional[int] = None,
+               sizes: Optional[dict] = None) -> tuple:
+    """The evaluation order of a conjunction: ``(order, reordered)``.
+
+    Planning's second lifetime, run whenever a band signature is first
+    seen: a pure function of the analysis, the initially-bound variables,
+    the forced ``first`` item and the live ``sizes``.  Filters
+    (comparisons, builtin calls, negated literals) run as soon as their
+    inputs are bound; the next positive literal is the cheapest estimated
+    scan when ``sizes`` is given — if it beats the boundness-greedy choice
+    by :data:`_REORDER_MARGIN` — else the one with most bound variables,
+    ties to source order.  ``reordered`` says the cost model overrode the
+    greedy choice somewhere.
+
+    Incremental: a candidate's bound-variable count and scan cost are
+    recomputed only when the item just scheduled bound a variable it
+    mentions, and a ``(literal, column)`` selectivity is read from
+    :meth:`Relation.distinct_count` lazily — only for a column that is
+    bound when a choice between candidates is actually made — and at most
+    once.  Raises :class:`SafetyError` when some item can never have its
+    inputs bound (unsafe conjunction).
+    """
+    items = analysis.items
+    item_vars = analysis.item_vars
+    binds = analysis.binds
+    needs = analysis.needs
+    literals_of = analysis.literals_of
+    arg_info = analysis.arg_info
+    bound: set[str] = set(initially_bound)
+    order: list[int] = []
+    reordered = False
+    filters = list(analysis.filters)
+    #: unscheduled positive literal -> its bound-variable count, in
+    #: source order (dicts keep it)
+    columns: dict[int, int] = {
+        index: len(item_vars[index] & bound) if bound else 0
+        for index in analysis.positives}
+    costs: dict[int, float] = {}        # absent: stale, recompute on demand
+    selectivity: dict[tuple, float] = {}
+
+    def schedule(index: int) -> None:
+        order.append(index)
+        fresh = binds[index] - bound
+        if fresh:
+            bound.update(fresh)
+            for name in fresh:
+                for literal in literals_of.get(name, ()):
+                    if literal in columns:
+                        columns[literal] += 1
+                        costs.pop(literal, None)
+
+    def ready(index: int) -> bool:
+        need = needs[index]
+        if need.__class__ is frozenset:
+            return need <= bound
+        left, right, left_is_var, right_is_var = need
+        # '=': both sides bound, or one side bound and the other a bare
+        # variable to assign
+        if left <= bound:
+            return right_is_var or right <= bound
+        return left_is_var and right <= bound
+
+    def scan_cost(index: int) -> float:
+        """Estimated rows touched after index-probing the bound columns.
+
+        Each bound column keeps ``1/distinct`` of the rows when the live
+        relation can report its distinct count, falling back to the fixed
+        :data:`_BOUND_COLUMN_SELECTIVITY` otherwise (plain cardinality).
+        """
+        source = sizes.get(items[index].atom.pred, 0)
+        relation = None if source.__class__ is int else source
+        cost = float(len(relation) if relation is not None else source)
+        if not cost:
+            return 0.0
+        for position, entry in arg_info[index]:
+            if entry is None:
+                pass  # statically ground: always bound
+            elif entry.__class__ is str:
+                if entry not in bound:
+                    continue
+            elif not entry <= bound:
+                continue
+            factor = selectivity.get((index, position))
+            if factor is None:
+                factor = _BOUND_COLUMN_SELECTIVITY
+                if relation is not None:
+                    distinct = relation.distinct_count(position)
+                    if distinct > 0:
+                        factor = 1.0 / distinct
+                selectivity[index, position] = factor
+            cost *= factor
+        return cost
+
+    if first is not None:
+        if first in columns:
+            del columns[first]
+        else:
+            filters.remove(first)
+        schedule(first)
+
+    flushed = -1    # len(bound) when the filters last ran dry
+    while filters or columns:
+        # 1. flush every ready filter; none can have become ready unless
+        # something was bound since the last flush ran dry
+        if filters and len(bound) != flushed:
+            progressed = True
+            while progressed:
+                progressed = False
+                for index in list(filters):
+                    if ready(index):
+                        filters.remove(index)
+                        schedule(index)
+                        progressed = True
+            flushed = len(bound)
+        if not columns:
+            if filters:
+                unready = [repr(items[i]) for i in filters]
+                raise SafetyError(
+                    f"unsafe conjunction; cannot schedule: {unready}")
+            break
+        # 2. choose the next positive literal: cheapest estimated scan when
+        # cardinalities are known, else most bound variables; ties (and
+        # the no-cost-model path) fall back to boundness then source order.
+        if len(columns) == 1:
+            (best,) = columns
+        else:
+            best, most = -1, -1
+            for index, count in columns.items():
+                if count > most:
+                    best, most = index, count
+            if sizes is not None:
+                candidate, cheapest, widest = -1, 0.0, -1
+                for index, count in columns.items():
+                    cost = costs.get(index)
+                    if cost is None:
+                        cost = costs[index] = scan_cost(index)
+                    if (candidate < 0 or cost < cheapest
+                            or (cost == cheapest and count > widest)):
+                        candidate, cheapest, widest = index, cost, count
+                if (candidate != best
+                        and cheapest * _REORDER_MARGIN < costs[best]):
+                    best = candidate
+                    reordered = True
+        del columns[best]
+        schedule(best)
+    return tuple(order), reordered
+
+
+def _compile_order(analysis: BodyAnalysis, initially_bound: frozenset,
+                   order: tuple) -> FlatPlan:
+    """The register program of ``order``: planning's third lifetime.
+
+    A pure function of the items, the initially-bound set (those
+    variables get the first registers) and the order — live sizes only
+    ever reach it through the order they produced.
+    """
+    items = analysis.items
+    builtin_defs = analysis.builtin_defs
+    #: variable -> register; grows as steps compile, so at each step it
+    #: holds exactly the variables the plan order has bound so far
+    slot_of: dict[str, int] = {
+        name: slot for slot, name in enumerate(sorted(initially_bound))}
+    steps: list = []
+    for index in order:
+        item = items[index]
+        if isinstance(item, Literal):
+            steps.append(_LiteralStep(index, item, slot_of))
+        elif isinstance(item, Comparison):
+            steps.append(_CompareStep(item, slot_of))
+        else:
+            steps.append(_BuiltinStep(item, builtin_defs[index], slot_of))
+    return FlatPlan(tuple(steps), slot_of)
+
+
+def build_plan(items: tuple, initially_bound: frozenset = frozenset(),
+               first: Optional[int] = None,
+               builtins: Optional[BuiltinRegistry] = None,
+               sizes: Optional[dict] = None,
+               analysis: Optional[BodyAnalysis] = None,
+               built: Iterable[Plan] = ()) -> Plan:
+    """Order ``items`` for evaluation and compile per-step access paths.
+
+    The one function that turns a conjunction into a :class:`Plan`, in
+    three steps with three lifetimes.  *Analyse*: ``analysis`` is the
+    caller's kept :class:`BodyAnalysis` of ``items`` (made here when the
+    caller keeps none).  *Order* (:func:`order_body`): ``first``
+    optionally forces one positive literal to the front (the semi-naive
+    delta position); ``sizes`` maps positive body predicates to their
+    live :class:`Relation` objects (or plain cardinalities) — when
+    provided, positive literals are chosen by estimated scan cost, with
+    per-column distinct-count selectivities where a relation is
+    available, instead of bound-variable count alone.  *Compile*: only
+    for an order not compiled before — ``built`` are plans the caller
+    still holds, and one built from this same ``analysis`` and
+    ``initially_bound`` in this same order *is* the plan (the register
+    program depends on nothing else), so it is returned as it stands.
+    Raises :class:`SafetyError` when some item can never have its inputs
+    bound (unsafe rule).
+    """
+    if analysis is None:
+        analysis = BodyAnalysis(items, builtins)
+    order, reordered = order_body(analysis, initially_bound, first, sizes)
+    for plan in built:
+        if (plan.analysis is analysis and plan.order == order
+                and plan.assumes == initially_bound):
+            return plan
+    return Plan(tuple((i, items[i]) for i in order),
+                _compile_order(analysis, initially_bound, order),
+                frozenset(initially_bound), reordered, order, analysis)
+
+
+def banded_plan(cache: dict, key, analysis: BodyAnalysis,
+                relations: Optional[list], context: EvalContext,
                 stats: Any = None,
                 initially_bound: frozenset = frozenset(),
                 first: Optional[int] = None) -> Plan:
-    """The plan for ``items``, served from a band-keyed bounded cache.
+    """The plan for an analysed conjunction, served from a band-keyed
+    bounded cache.
 
     The one plan cache policy, shared by rules
     (:meth:`repro.datalog.engine.EngineRule.plan`) and constraint
-    alternatives.  Entries are keyed ``(key, bands)``: ``bands`` maps each
-    of ``preds`` (:func:`positive_preds` of ``items``) through
-    :func:`cardinality_band`, so a cached plan is reused until some input
-    relation grows or shrinks past a band boundary — coarse enough to
-    keep rebuilds rare, fine enough that the cost model reacts to
-    order-of-magnitude cardinality shifts.  ``bands`` is None (one shared
-    greedy plan) without a database, when everything is small, or with a
-    single distinct predicate: every candidate literal then has the same
-    cardinality, so the cost model cannot change the order and size churn
-    must not invalidate the plan.  Accounts ``plans_built`` /
-    ``reorder_wins`` / ``plan_cache_hits`` / ``plans_evicted`` to
-    ``stats`` (default: ``context.stats``).
+    alternatives.  Entries are keyed ``(key, bands)``: ``bands`` maps the
+    size of each of ``relations`` (the :func:`body_relations` of
+    ``analysis.preds``) through :func:`cardinality_band`, so a cached
+    plan is reused until some input relation grows or shrinks past a band
+    boundary — coarse enough to keep re-orderings rare, fine enough that
+    the cost model reacts to order-of-magnitude cardinality shifts.
+    ``bands`` is None (one shared greedy plan) without relations, when
+    everything is small, or with a single distinct predicate: every
+    candidate literal then has the same cardinality, so the cost model
+    cannot change the order and size churn must not invalidate the plan.
+
+    A miss costs what it decides (:func:`build_plan`): the body is
+    ordered against the live relations — handed to the cost model only
+    here, the hot path is a keyed hit — and compiled only if no plan
+    still in ``cache`` has that order; a band change that re-derives an
+    order caches the plan it already has under the new signature.  The
+    compiled programs so live and die with the cache that bounds them.
+    Accounts ``plans_built`` (orderings run) / ``plans_compiled`` (those
+    that had to compile) / ``reorder_wins`` / ``plan_cache_hits`` /
+    ``plans_evicted`` to ``stats`` (default: ``context.stats``).
     """
     if stats is None:
         stats = context.stats
     bands = None
-    if db is not None and len(preds) > 1:
-        relations = db.relations
+    if relations is not None and len(relations) > 1:
         signature = tuple([
-            cardinality_band(len(relations[pred]) if pred in relations else 0)
-            for pred in preds])
+            0 if relation is None else cardinality_band(len(relation))
+            for relation in relations])
         if max(signature) > 1:
             bands = signature
     full_key = (key, bands)
     plan = cache.get(full_key)
     if plan is None:
-        # The live relations go to the cost model (they answer per-column
-        # distinct counts) only on a miss — the hot path is a keyed hit.
-        plan = build_plan(items, initially_bound, first, context.builtins,
-                          relation_sizes(items, db) if bands else None)
+        held = cache.values()
+        plan = build_plan(analysis.items, initially_bound, first,
+                          context.builtins,
+                          {pred: relation or 0 for pred, relation
+                           in zip(analysis.preds, relations)} if bands
+                          else None, analysis, held)
+        _count_build(stats, plan, all(plan is not other for other in held))
         cache_plan_bounded(cache, full_key, plan, MAX_CACHED_PLANS, stats)
-        if stats is not None:
-            stats.plans_built += 1
-            if plan.reordered:
-                stats.reorder_wins += 1
     elif stats is not None:
         stats.plan_cache_hits += 1
     return plan
+
+
+def _count_build(stats: Any, plan: Plan, compiled: bool) -> None:
+    """Account one :func:`build_plan` call: an ordering run
+    (``plans_built``), whether it went on to compile steps — an empty
+    body has none — (``plans_compiled``) and whether the cost model
+    overrode the greedy order (``reorder_wins``)."""
+    if stats is not None:
+        stats.plans_built += 1
+        if compiled and plan.order:
+            stats.plans_compiled += 1
+        if plan.reordered:
+            stats.reorder_wins += 1
 
 
 def relation_sizes(items: tuple, db: Optional[Database]) -> Optional[dict]:
@@ -1000,217 +1355,6 @@ def relation_sizes(items: tuple, db: Optional[Database]) -> Optional[dict]:
     return sizes if worth_it else None
 
 
-def build_plan(items: tuple, initially_bound: frozenset = frozenset(),
-               first: Optional[int] = None,
-               builtins: Optional[BuiltinRegistry] = None,
-               sizes: Optional[dict] = None) -> Plan:
-    """Order ``items`` for evaluation and compile per-step access paths.
-
-    ``first`` optionally forces one positive literal to the front (the
-    semi-naive delta position).  ``sizes`` maps positive body predicates to
-    their live :class:`Relation` objects (or plain cardinalities); when
-    provided, positive literals are chosen by estimated scan cost — with
-    per-column distinct-count selectivities where a relation is available —
-    instead of bound-column count alone.  Raises
-    :class:`SafetyError` when some item can never have its inputs bound
-    (unsafe rule).
-    """
-    count = len(items)
-    remaining = list(range(count))
-    bound: set[str] = set(initially_bound)
-    #: variable -> register; grows as steps compile, so at each step it
-    #: holds exactly the variables the plan order has bound so far
-    slot_of: dict[str, int] = {
-        name: slot for slot, name in enumerate(sorted(initially_bound))}
-    order: list[int] = []
-    compiled: list = []
-    reordered = False
-
-    # Per-item precomputation (build_plan runs on every plan-cache miss,
-    # so the scheduling loop must not re-derive variable sets per probe).
-    item_vars: list[set] = [
-        {v.name for v in item.variables()} for item in items
-    ]
-    positive: list[bool] = [
-        isinstance(item, Literal) and not item.negated for item in items
-    ]
-    comp_sides: dict[int, tuple] = {}
-    builtin_defs: dict[int, Any] = {}
-    builtin_input_vars: dict[int, list] = {}
-    for index, item in enumerate(items):
-        if isinstance(item, Comparison):
-            comp_sides[index] = (term_vars(item.left), term_vars(item.right))
-        elif isinstance(item, BuiltinCall):
-            definition = builtins.lookup(item.name) if builtins else None
-            if definition is None:
-                raise SafetyError(f"unknown builtin {item.name!r}")
-            if definition.arity != len(item.args):
-                raise SafetyError(
-                    f"builtin {item.name!r} expects {definition.arity} args, "
-                    f"got {len(item.args)}"
-                )
-            builtin_defs[index] = definition
-            builtin_input_vars[index] = [
-                term_vars(item.args[position])
-                for position in definition.input_positions
-            ]
-        elif not isinstance(item, Literal):
-            raise TypeError(f"unexpected body item {item!r}")  # pragma: no cover
-
-    # Variables occurring only inside one negated literal are existential
-    # within the negation ("no matching tuple exists"), e.g. the paper's
-    # dd4 constraint `... -> !delegates(me,_,P)`.  A negated literal is
-    # ready once its *shared* variables are bound.
-    occurrences: dict[str, int] = {}
-    for vars_in in item_vars:
-        for name in vars_in:
-            occurrences[name] = occurrences.get(name, 0) + 1
-    shared_vars: dict[int, set] = {
-        index: {
-            name for name in item_vars[index]
-            if occurrences[name] > 1 or name in initially_bound
-        }
-        for index, item in enumerate(items)
-        if isinstance(item, Literal) and item.negated
-    }
-
-    def ready(index: int) -> bool:
-        item = items[index]
-        if isinstance(item, Literal):
-            if not item.negated:
-                return True
-            return shared_vars[index] <= bound
-        if isinstance(item, Comparison):
-            left_vars, right_vars = comp_sides[index]
-            if item.op == "=":
-                if left_vars <= bound and right_vars <= bound:
-                    return True
-                # one side may be a single unbound variable (assignment mode)
-                if left_vars <= bound and isinstance(item.right, Variable):
-                    return True
-                if right_vars <= bound and isinstance(item.left, Variable):
-                    return True
-                return False
-            return left_vars | right_vars <= bound
-        for input_vars in builtin_input_vars[index]:
-            if not input_vars <= bound:
-                return False
-        return True
-
-    def bind_outputs(index: int) -> None:
-        item = items[index]
-        if isinstance(item, Literal):
-            if not item.negated:
-                bound.update(item_vars[index])
-        elif isinstance(item, Comparison):
-            if item.op == "=":
-                bound.update(item_vars[index])
-        else:
-            definition = builtin_defs[index]
-            for position in definition.output_positions:
-                bound.update(term_vars(item.args[position]))
-
-    def schedule(index: int) -> None:
-        item = items[index]
-        if isinstance(item, Literal):
-            compiled.append(_LiteralStep(index, item, slot_of))
-        elif isinstance(item, Comparison):
-            compiled.append(_CompareStep(item, slot_of))
-        else:
-            compiled.append(_BuiltinStep(item, builtin_defs[index], slot_of))
-        order.append(index)
-        remaining.remove(index)
-        bind_outputs(index)
-
-    # Per-positive-literal cost-model inputs: for each argument position,
-    # either None (statically ground: constants, var-free terms), a
-    # variable name, or the term itself (an Expr whose vars may be bound
-    # later — checked live against the current bound set).
-    lit_arg_info: dict[int, list] = {}
-    if sizes is not None:
-        for index, item in enumerate(items):
-            if not positive[index]:
-                continue
-            info: list = []
-            for position, term in enumerate(item.atom.all_args):
-                if isinstance(term, Variable):
-                    info.append((position, term.name))
-                elif isinstance(term, Constant) or not term_vars(term):
-                    info.append((position, None))
-                else:
-                    info.append((position, term))
-            lit_arg_info[index] = info
-
-    def scan_cost(index: int) -> float:
-        """Estimated rows touched after index-probing the bound columns.
-
-        Each bound column keeps ``1/distinct`` of the rows when the live
-        relation can report its distinct count, falling back to the fixed
-        :data:`_BOUND_COLUMN_SELECTIVITY` otherwise (missing relation).
-        """
-        source = sizes.get(items[index].atom.pred, 0)
-        relation = None if source.__class__ is int else source
-        cost = float(len(relation) if relation is not None else source)
-        if not cost:
-            return 0.0
-        for position, entry in lit_arg_info[index]:
-            if entry is None:
-                pass  # statically ground: always bound
-            elif entry.__class__ is str:
-                if entry not in bound:
-                    continue
-            elif not term_vars(entry) <= bound:
-                continue
-            if relation is not None:
-                distinct = relation.distinct_count(position)
-                cost *= 1.0 / distinct if distinct > 0 else \
-                    _BOUND_COLUMN_SELECTIVITY
-            else:
-                cost *= _BOUND_COLUMN_SELECTIVITY
-        return cost
-
-    if first is not None:
-        schedule(first)
-
-    while remaining:
-        # 1. flush every ready filter/binder that is not a positive literal
-        progressed = True
-        while progressed:
-            progressed = False
-            for index in list(remaining):
-                if not positive[index] and ready(index):
-                    schedule(index)
-                    progressed = True
-        if not remaining:
-            break
-        # 2. choose the next positive literal: cheapest estimated scan when
-        # cardinalities are known, else most bound columns; ties (and the
-        # no-cost-model path) fall back to boundness then source order.
-        candidates = [i for i in remaining if positive[i]]
-        if not candidates:
-            unready = [repr(items[i]) for i in remaining]
-            raise SafetyError(f"unsafe conjunction; cannot schedule: {unready}")
-
-        if len(candidates) == 1:
-            schedule(candidates[0])
-            continue
-        ranked = [(len(item_vars[i] & bound), i) for i in candidates]
-        greedy = max(ranked, key=lambda pair: (pair[0], -pair[1]))[1]
-        best = greedy
-        if sizes is not None:
-            cheapest, _, candidate = min(
-                (scan_cost(i), -columns, i) for columns, i in ranked)
-            if (candidate != greedy
-                    and cheapest * _REORDER_MARGIN < scan_cost(greedy)):
-                best = candidate
-                reordered = True
-        schedule(best)
-
-    return Plan(tuple((i, items[i]) for i in order),
-                FlatPlan(tuple(compiled), slot_of),
-                frozenset(initially_bound), reordered)
-
-
 # ---------------------------------------------------------------------------
 # Conjunction solving
 # ---------------------------------------------------------------------------
@@ -1225,11 +1369,7 @@ def _usable_plan(items: tuple, db: Database, context: EvalContext,
     plan = build_plan(items, frozenset(seed), first=first,
                       builtins=context.builtins,
                       sizes=relation_sizes(items, db))
-    stats = context.stats
-    if stats is not None:
-        stats.plans_built += 1
-        if plan.reordered:
-            stats.reorder_wins += 1
+    _count_build(context.stats, plan, True)
     return plan
 
 
@@ -1302,10 +1442,13 @@ def bindable_vars(items: tuple, builtins: Optional[BuiltinRegistry] = None) -> s
 def check_rule_safety(rule, builtins: Optional[BuiltinRegistry] = None) -> None:
     """Raise :class:`SafetyError` for unschedulable bodies or unbound heads.
 
-    Variables inside head-position quote templates are exempt: they may
-    legitimately remain variables of the generated rule.
+    Schedulability is the planner's verdict, so this runs its analysis
+    and ordering — and stops there: no register program is compiled only
+    to be thrown away.  Variables inside head-position quote templates
+    are exempt: they may legitimately remain variables of the generated
+    rule.
     """
-    build_plan(rule.body, builtins=builtins)
+    order_body(BodyAnalysis(rule.body, builtins))
     bound = bindable_vars(rule.body, builtins)
     if rule.agg is not None:
         bound.add(rule.agg.result.name)

@@ -158,8 +158,14 @@ class Workspace:
         self._txn_edb_owned: set[str] = set()
         # Compiled constraint-check plans, keyed by the conjunction itself
         # (so they survive constraint-list changes and rollbacks) in the
-        # FIFO-bounded band-keyed cache of ``datalog.runtime.banded_plan``.
+        # FIFO-bounded band-keyed cache of ``datalog.runtime.banded_plan``,
+        # and beside them each conjunction's planner analysis.
         self._constraint_plans: dict = {}
+        self._constraint_analyses: dict = {}
+        # Compiled rules a full recompute took out of ``_activated``, for
+        # the activation loop to take back instead of compiling afresh;
+        # lives only until the transaction ends, either way.
+        self._retired: dict[RuleRef, list[EngineRule]] = {}
         self.context = EvalContext(
             builtins=self.builtins,
             instantiate_quote=self._instantiate_quote,
@@ -509,6 +515,7 @@ class Workspace:
         self._reified = snapshot.reified
         self.catalog._preds = snapshot.catalog
         self._strata = None
+        self._retired = {}
         self._pending_template_refs = []
         self._txn_snapshot = None
         self._txn_fresh = {}
@@ -521,8 +528,10 @@ class Workspace:
         if deleted:
             self._handle_deletions(deleted)
         self._run_loop()
+        self._retired = {}
         violations = check_constraints(self.constraints, self.db, self.context,
-                                       plan_cache=self._constraint_plans)
+                                       plan_cache=self._constraint_plans,
+                                       analyses=self._constraint_analyses)
         if violations:
             violation = violations[0]
             self.audit.append(AuditEvent("constraint_violation", {
@@ -658,7 +667,8 @@ class Workspace:
             new_rules: list[EngineRule] = []
             for ref in new_refs:
                 self._ensure_reified(ref)
-                engine_rules = self._compile_ref(ref)
+                engine_rules = (self._retired.pop(ref, None)
+                                or self._compile_ref(ref))
                 self._activated[ref] = engine_rules
                 new_rules.extend(engine_rules)
                 progressed = True
@@ -753,13 +763,21 @@ class Workspace:
             self._full_recompute()
 
     def _full_recompute(self) -> None:
-        """Reset all derived state and re-derive from the EDB."""
+        """Reset all derived state and re-derive from the EDB.
+
+        The rules still in ``_activated`` (the caller has dropped the
+        deactivated ones) are kept aside as compiled: a ref the
+        activation loop finds active again takes its ``EngineRule``s —
+        safety-checked, normalized, plans warm — back from ``_retired``.
+        Plans hold nothing of the database they were made over.
+        """
         self.stats.full_recomputes += 1
         # Same interner: the asserted rows (and the transaction snapshot a
         # rollback would restore) stay meaningful under the new database.
         self.db = Database(interner=self.db.interner)
         if self.provenance is not None:
             self.provenance.derivations.clear()
+        self._retired = self._activated
         self._activated = {}
         self._strata = None
         # Seed propagation with every EDB row; the activation loop will

@@ -259,6 +259,159 @@ class TestPlannerCounters:
         assert rendered["reorder_wins"] == 0
 
 
+class TestPlanningCostsWhatItDecides:
+    """Planning has three lifetimes: a body is analysed once per rule,
+    ordered once per band signature, compiled once per distinct order —
+    and a rule that cannot fire is not planned at all.  ``plans_built``
+    counts orderings, ``plans_compiled`` those that compiled steps."""
+
+    SEL = "sel: h(X) <- p(X), q(X)."
+
+    def sel(self):
+        from repro.datalog.engine import normalize_rules
+
+        (rule,) = normalize_rules(
+            s for s in parse_statements(self.SEL) if isinstance(s, Rule))
+        return rule, Database(), EvalStats()
+
+    def test_a_rule_over_an_empty_relation_is_not_planned(self):
+        from repro.datalog.engine import propagate_insertions
+        from repro.datalog.stratify import stratify
+
+        rule, db, stats = self.sel()
+        for i in range(5):
+            db.add("p", (i,))
+        context = EvalContext(stats=stats)
+        evaluate([rule], db, context, stats=stats)   # q: no relation yet
+        db.rel("q")
+        evaluate([rule], db, context, stats=stats)   # q: empty
+        assert (stats.plans_built, stats.plan_cache_hits) == (0, 0)
+        assert stats.literal_scans == 0
+        assert not rule._plans
+        # ... and fires on the assert that fills the relation
+        db.add("q", (3,))
+        inserted = {"q": {db.interner.intern_row((3,))}}
+        propagate_insertions(stratify([rule]), db, context, inserted,
+                             stats=stats)
+        assert db.tuples("h") == {(3,)}
+        assert (stats.plans_built, stats.plans_compiled) == (1, 1)
+        assert stats.rule_firings == {"sel": 1}
+
+    def test_a_band_change_orders_again_and_compiles_only_a_new_order(self):
+        rule, db, stats = self.sel()
+        context = EvalContext(stats=stats)
+
+        def grow(pred, upto):
+            for i in range(len(db.tuples(pred)), upto):
+                db.add(pred, (i,))
+
+        def served():
+            quiet = EvalContext(stats=EvalStats())
+            return rule.plan(quiet, None, db=db)
+
+        grow("p", 10), grow("q", 10)
+        evaluate([rule], db, context, stats=stats)
+        small = served()
+        assert (stats.plans_built, stats.plans_compiled) == (1, 1)
+        # Both relations cross the cost model's floor together: a new
+        # band signature, so the body is ordered again — equal costs, the
+        # greedy order stands, and its compiled plan is served as it is.
+        grow("p", 100), grow("q", 100)
+        evaluate([rule], db, context, stats=stats)
+        sized = served()
+        assert (stats.plans_built, stats.plans_compiled) == (2, 1)
+        assert sized.flat().steps is small.flat().steps
+        assert stats.reorder_wins == 0
+        # p grows until the cost model flips the order: that compiles.
+        grow("p", 1000)
+        evaluate([rule], db, context, stats=stats)
+        flipped = served()
+        assert (stats.plans_built, stats.plans_compiled) == (3, 2)
+        assert stats.reorder_wins == 1
+        assert [i for i, _ in flipped.steps] == [1, 0]
+        assert flipped.flat().steps is not small.flat().steps
+        assert db.tuples("h") == {(i,) for i in range(100)}
+
+    RULES = ["r1: d1(X) <- b(X).", "r2: d2(X) <- d1(X), c(X).",
+             "r3: d3(X) <- d2(X)."]
+
+    def three_rules(self, rules=RULES):
+        from repro.workspace.workspace import Workspace
+
+        workspace = Workspace("w")
+        for i in range(4):
+            workspace.assert_fact("b", (i,))
+            workspace.assert_fact("c", (i + 2,))
+        return workspace, [workspace.add_rule(rule) for rule in rules]
+
+    def test_deactivation_keeps_the_surviving_rules_compiled(self):
+        workspace, (r1, r2, r3) = self.three_rules()
+        before = {ref: list(rules)
+                  for ref, rules in workspace._activated.items()}
+        plans = {id(rule): dict(rule._plans)
+                 for rules in before.values() for rule in rules}
+        compiled_refs = []
+        compile_ref = workspace._compile_ref
+        workspace._compile_ref = lambda ref: (compiled_refs.append(ref),
+                                              compile_ref(ref))[1]
+        workspace.deactivate_rule(r3)
+        assert workspace.stats.full_recomputes == 1
+        assert set(workspace._activated) == {r1, r2}
+        for ref in (r1, r2):
+            assert all(now is was for now, was in zip(
+                workspace._activated[ref], before[ref], strict=True))
+        assert workspace._retired == {}
+        # nothing was compiled again, and the survivors' plans are warm
+        assert compiled_refs == []
+        for ref in (r1, r2):
+            for rule in workspace._activated[ref]:
+                for key, plan in plans[id(rule)].items():
+                    assert rule._plans[key] is plan
+        # the program's relations are those of a workspace that never
+        # had r3 (whose reified meta-facts, asserted, rightly stay)
+        fresh, _ = self.three_rules(self.RULES[:2])
+        for pred in ("b", "c", "d1", "d2", "d3"):
+            assert workspace.tuples(pred) == fresh.tuples(pred), pred
+        assert workspace.tuples("d2") == {(2,), (3,)}
+        assert workspace.tuples("d3") == set()
+
+    def test_an_aborted_deactivation_restores_every_rule(self):
+        import pytest
+
+        from repro.workspace.workspace import ConstraintViolation
+
+        workspace, refs = self.three_rules()
+        before = {ref: list(rules)
+                  for ref, rules in workspace._activated.items()}
+        workspace.add_constraint("d2(X) -> d3(X).")
+        with pytest.raises(ConstraintViolation):
+            workspace.deactivate_rule(refs[2])
+        assert workspace.stats.full_recomputes == 1
+        assert workspace._retired == {}
+        assert set(workspace._activated) == set(refs)
+        for ref in refs:
+            assert all(now is was for now, was in zip(
+                workspace._activated[ref], before[ref], strict=True))
+        assert workspace.tuples("d3") == {(2,), (3,)}
+        workspace.assert_fact("b", (9,))
+        workspace.assert_fact("c", (9,))
+        assert workspace.tuples("d3") == {(2,), (3,), (9,)}
+
+    def test_section9_compiles_a_third_of_what_it_used_to_build(self):
+        # The paper's section 9 script (build, two reads, reconfigure,
+        # read), summed over its five principals.  Before planning had
+        # lifetimes every ordering compiled: plans_built was 781.  Now
+        # 289 orderings run and 248 of them compile steps.
+        from test_one_executor import section9_file_system
+
+        stats = [principal.workspace.stats
+                 for principal in section9_file_system().principals.values()]
+        built = sum(s.plans_built for s in stats)
+        compiled = sum(s.plans_compiled for s in stats)
+        assert compiled <= built <= 781
+        assert compiled * 3 <= 781
+
+
 class TestStatsPlumbing:
     def test_merge_accumulates_everything(self):
         _, one = run_chain()
