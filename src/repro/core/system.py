@@ -304,18 +304,33 @@ class LBTrustSystem:
     # ------------------------------------------------------------------
 
     def _install_scheme(self, principal: Principal) -> None:
+        """Put ``principal`` under the current scheme in one transaction:
+        the scheme it had (none, at creation) goes — exp3 constraints, exp1
+        rules, received ``export`` history — and the new one comes in, so no
+        committed state lacks a verification constraint and a failure
+        leaves the principal, bookkeeping included, as it was."""
         definition = self._scheme
-        for statement in parse_statements(definition.exp1_text):
-            if isinstance(statement, Rule):
-                ref = principal.workspace.add_rule(statement)
-                principal.scheme_rule_refs.append(ref)
-        if definition.exp3_text:
-            for statement in parse_statements(definition.exp3_text):
+        workspace = principal.workspace
+        refs, labels = [], []
+        with workspace.transaction():
+            for label in principal.scheme_constraint_labels:
+                workspace.remove_constraints(label)
+            for ref in principal.scheme_rule_refs:
+                workspace.deactivate_rule(ref)
+            old_exports = workspace.edb.get("export", set())
+            if old_exports:
+                workspace.retract_facts("export", old_exports)
+            for statement in parse_statements(definition.exp1_text):
+                if isinstance(statement, Rule):
+                    refs.append(workspace.add_rule(statement))
+            for statement in parse_statements(definition.exp3_text or ""):
                 if isinstance(statement, Constraint):
-                    principal.workspace.add_constraint(statement)
+                    workspace.add_constraint(statement)
                     if statement.label:
-                        principal.scheme_constraint_labels.append(statement.label)
-        definition.provision(self, principal, self.rng)
+                        labels.append(statement.label)
+            definition.provision(self, principal, self.rng)
+        principal.scheme_rule_refs = refs
+        principal.scheme_constraint_labels = labels
         principal.auth_scheme = definition.name
 
     def reconfigure_auth(self, auth: str) -> None:
@@ -334,20 +349,6 @@ class LBTrustSystem:
         """
         self._scheme = scheme(auth)
         self.auth_name = auth
-        for principal in self.principals.values():
-            workspace = principal.workspace
-            # One transaction, so the whole teardown is one maintenance
-            # pass (each deactivation alone would rebuild the workspace).
-            with workspace.transaction():
-                for label in principal.scheme_constraint_labels:
-                    workspace.remove_constraints(label)
-                for ref in principal.scheme_rule_refs:
-                    workspace.deactivate_rule(ref)
-                old_exports = workspace.edb.get("export", set())
-                if old_exports:
-                    workspace.retract_facts("export", old_exports)
-            principal.scheme_constraint_labels = []
-            principal.scheme_rule_refs = []
         for principal in self.principals.values():
             self._install_scheme(principal)
         # Everything re-exports under the new regime.

@@ -242,23 +242,44 @@ class ProvenanceStore:
     A derivation is ``(rule_label, ((pred, tuple), ...))`` listing the
     positive body facts that supported the head.  EDB assertions are
     recorded with the pseudo-label ``"$edb"``.
+
+    Derivations are frozensets, replaced on write: after :meth:`begin` a
+    fact's first write journals what it held, so :meth:`rollback` costs
+    what the host's transaction touched, not what the store holds.
     """
 
     def __init__(self) -> None:
-        self.derivations: dict[tuple, set] = {}
+        self.derivations: dict[tuple, frozenset] = {}
+        self._undo: Optional[dict] = None
+
+    def begin(self) -> None:
+        self._undo = {}
+
+    def rollback(self) -> None:
+        undo, self._undo = self._undo, None
+        for key, held in undo.items():
+            self._set(key, held)
+
+    def _set(self, key: tuple, held: Optional[frozenset]) -> None:
+        if self._undo is not None:
+            self._undo.setdefault(key, self.derivations.get(key))
+        if held:
+            self.derivations[key] = held
+        else:
+            self.derivations.pop(key, None)
 
     def record(self, pred: str, fact: tuple, rule_label: str,
                supports: tuple) -> None:
-        self.derivations.setdefault((pred, fact), set()).add((rule_label, supports))
+        self._set((pred, fact), self.of(pred, fact) | {(rule_label, supports)})
 
     def record_edb(self, pred: str, fact: tuple) -> None:
         self.record(pred, fact, "$edb", ())
 
     def forget(self, pred: str, fact: tuple) -> None:
-        self.derivations.pop((pred, fact), None)
+        self._set((pred, fact), None)
 
-    def of(self, pred: str, fact: tuple) -> set:
-        return self.derivations.get((pred, fact), set())
+    def of(self, pred: str, fact: tuple) -> frozenset:
+        return self.derivations.get((pred, fact), frozenset())
 
 
 @dataclass
@@ -351,9 +372,9 @@ class EvalStats:
       strata maintained by DRed over-delete/re-derive vs recomputed from
       their EDB (non-monotone strata take the recompute path).  The
       online serving tests pin these: a served update must maintain
-      incrementally, never trigger a from-scratch recompute;
-    * ``full_recomputes`` — whole-workspace resets (rule deactivation is
-      the only legitimate trigger; pinned to zero under serve traffic).
+      incrementally.  A rule leaving ``active`` is a deletion too;
+    * ``full_recomputes`` — always 0, nothing resets a workspace any
+      more: the field stays only because ``e2e_bench`` reads it.
     """
 
     MAX_STRATA: ClassVar[int] = 256
@@ -455,15 +476,16 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
                delta: Optional[dict[str, Relation]] = None,
                delta_position: Optional[int] = None,
                provenance: Optional[ProvenanceStore] = None,
-               stats: Optional[EvalStats] = None) -> set:
+               stats: Optional[EvalStats] = None,
+               known_rows=None) -> set:
     """All head rows derivable by one rule (optionally delta-restricted).
 
-    Returns id rows over ``db.interner`` that are *not yet present* in the
-    database.  Does not mutate the database — callers merge the result so
-    rounds stay well-defined.  ``delta`` maps a predicate to its delta
-    :class:`Relation` (built once per round with
-    :meth:`Relation.wrap_rows` over ``db.interner``, so the join probes it
-    in id space; its rows are in ``db`` already).
+    Returns id rows over ``db.interner`` that are not in ``known_rows``
+    (default: those *already present* in the database).  Does not mutate
+    the database — callers merge the result so rounds stay well-defined.
+    ``delta`` maps a predicate to its delta :class:`Relation` (built once
+    per round with :meth:`Relation.wrap_rows` over ``db.interner``, so the
+    join probes it in id space; its rows are in ``db`` already).
 
     A rule that cannot fire (:meth:`EngineRule.live_relations`) derives
     nothing and is not planned.
@@ -474,9 +496,10 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
     plan = rule.plan(context, delta_position, stats=stats,
                      relations=relations)
     produced: set = set()
+    if known_rows is None:
+        known_rows = db.rel(rule.head.pred).rows
     fired = derive_rows(rule, plan.flat(), db, context, delta,
-                        delta_position, db.rel(rule.head.pred).rows, produced,
-                        provenance)
+                        delta_position, known_rows, produced, provenance)
     if stats is not None and fired:
         stats.derivations += fired
         stats.fire(rule.label or rule.head.pred, fired)
@@ -790,6 +813,21 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
     return total_added
 
 
+def reset_rows(db: Database, pred: str, rows: set, asserted,
+               provenance: Optional[ProvenanceStore] = None) -> None:
+    """Take ``rows`` out of ``pred`` and forget their proofs; one of the
+    ``asserted`` rows stays, with its assertion for only proof."""
+    relation = db.rel(pred)
+    for row in rows.difference(asserted):
+        relation.discard_row(row)
+    if provenance is not None:
+        for row in rows:
+            fact = db.interner.materialize_row(row)
+            provenance.forget(pred, fact)
+            if row in asserted:
+                provenance.record_edb(pred, fact)
+
+
 def recompute_stratum(stratum: Stratum, db: Database, context: EvalContext,
                       edb_facts: Optional[Callable[[str], set]],
                       provenance: Optional[ProvenanceStore] = None,
@@ -805,12 +843,8 @@ def recompute_stratum(stratum: Stratum, db: Database, context: EvalContext,
         )
     old_rows: dict[str, set] = {}
     for pred in stratum.preds:
-        relation = db.rel(pred)
-        old_rows[pred] = set(relation.rows)
-        for row in old_rows[pred].difference(edb_facts(pred) or ()):
-            relation.discard_row(row)
-            if provenance is not None:
-                provenance.forget(pred, db.interner.materialize_row(row))
+        old_rows[pred] = set(db.rel(pred).rows)
+        reset_rows(db, pred, old_rows[pred], edb_facts(pred) or (), provenance)
     eval_stratum(stratum, db, context, provenance, changed=None, stats=stats)
     added: FactSet = {}
     removed: FactSet = {}

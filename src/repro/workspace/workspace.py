@@ -9,7 +9,8 @@ This class provides exactly that, plus the meta-programming loop of
 section 3.3:
 
 * facts are asserted/retracted transactionally; active rules are
-  maintained incrementally (semi-naive insertion deltas, DRed deletions,
+  maintained incrementally (semi-naive insertion deltas, DRed deletions
+  — of facts and of the rows a deactivated rule derived alike —
   selective stratum recompute for non-monotone strata);
 * every rule is interned in the shared :class:`RuleRegistry` and reflected
   into the local meta-model relations (Figure 1);
@@ -42,6 +43,7 @@ from ..datalog.engine import (
     apply_rule,
     normalize_rules,
     propagate_insertions,
+    reset_rows,
 )
 from ..datalog.errors import (
     ActivationLimitError,
@@ -126,9 +128,7 @@ class Workspace:
         self.builtins = builtins if builtins is not None else standard_registry().child()
         self.db = Database()
         #: the asserted facts, stored once: pred -> id rows over
-        #: ``db.interner`` (the tuple objects the relations hold).  One
-        #: interner serves the workspace for life — these sets outlive
-        #: any one ``Database`` object (see :meth:`_full_recompute`).
+        #: ``db.interner`` (the tuple objects the relations hold).
         self._edb: FactSet = {}
         self.catalog = Catalog()
         self.constraints: list[Constraint] = []
@@ -162,10 +162,6 @@ class Workspace:
         # and beside them each conjunction's planner analysis.
         self._constraint_plans: dict = {}
         self._constraint_analyses: dict = {}
-        # Compiled rules a full recompute took out of ``_activated``, for
-        # the activation loop to take back instead of compiling afresh;
-        # lives only until the transaction ends, either way.
-        self._retired: dict[RuleRef, list[EngineRule]] = {}
         self.context = EvalContext(
             builtins=self.builtins,
             instantiate_quote=self._instantiate_quote,
@@ -317,7 +313,8 @@ class Workspace:
                     self._txn_deleted.setdefault(pred, set()).add(row)
 
     def deactivate_rule(self, ref: RuleRef) -> None:
-        """Retract an API-activated rule (derived activations re-derive)."""
+        """Retract an API-activated rule (a derived activation re-derives):
+        a deletion like any other (:meth:`_handle_deletions`)."""
         self.retract_fact(ACTIVE_PRED, (ref,))
 
     def remove_constraints(self, label: str) -> int:
@@ -478,8 +475,11 @@ class Workspace:
     def _take_snapshot(self) -> _Snapshot:
         """O(changed state), not O(total facts): the derived database is a
         COW snapshot and the EDB dict is shared shallowly — per-pred fact
-        sets are copied lazily by :meth:`_edb_for_write` on first mutation.
+        sets are copied lazily by :meth:`_edb_for_write` on first mutation;
+        a provenance store journals what the transaction first touches.
         """
+        if self.provenance is not None:
+            self.provenance.begin()
         from dataclasses import replace
         catalog_copy = {
             name: replace(info, arg_types=list(info.arg_types))
@@ -509,13 +509,14 @@ class Workspace:
         # restore() keeps the live Relation objects (and their indexes)
         # wherever the transaction never touched them.
         self.db.restore(snapshot.db)
+        if self.provenance is not None:
+            self.provenance.rollback()
         self._edb = snapshot.edb
         self._activated = snapshot.activated
         self.constraints = snapshot.constraints
         self._reified = snapshot.reified
         self.catalog._preds = snapshot.catalog
         self._strata = None
-        self._retired = {}
         self._pending_template_refs = []
         self._txn_snapshot = None
         self._txn_fresh = {}
@@ -528,7 +529,6 @@ class Workspace:
         if deleted:
             self._handle_deletions(deleted)
         self._run_loop()
-        self._retired = {}
         violations = check_constraints(self.constraints, self.db, self.context,
                                        plan_cache=self._constraint_plans,
                                        analyses=self._constraint_analyses)
@@ -612,6 +612,11 @@ class Workspace:
             rules.extend(engine_rules)
         return rules
 
+    def _active_now(self) -> set:
+        """The rule refs the ``active`` relation holds right now."""
+        return {fact[0] for fact in self.db.tuples(ACTIVE_PRED)
+                if fact and isinstance(fact[0], RuleRef)}
+
     def _volatile_rules(self) -> list[EngineRule]:
         from ..datalog.terms import BuiltinCall as _BuiltinCall
 
@@ -659,16 +664,12 @@ class Workspace:
             progressed = False
 
             # 1. Activate rules newly present in `active`.
-            active_now: set[RuleRef] = set()
-            for fact in self.db.tuples(ACTIVE_PRED):
-                if fact and isinstance(fact[0], RuleRef):
-                    active_now.add(fact[0])
-            new_refs = [ref for ref in active_now if ref not in self._activated]
+            new_refs = [ref for ref in self._active_now()
+                        if ref not in self._activated]
             new_rules: list[EngineRule] = []
             for ref in new_refs:
                 self._ensure_reified(ref)
-                engine_rules = (self._retired.pop(ref, None)
-                                or self._compile_ref(ref))
+                engine_rules = self._compile_ref(ref)
                 self._activated[ref] = engine_rules
                 new_rules.extend(engine_rules)
                 progressed = True
@@ -746,49 +747,46 @@ class Workspace:
             fresh.setdefault(pred, set()).update(new_rows)
 
     def _handle_deletions(self, deleted: FactSet) -> None:
-        """DRed the deletions; deactivations force a full recompute."""
-        active_before = set(self._activated)
-        propagate_deletions(self._current_strata(), self.db, self.context,
-                            deleted, edb_facts=self._edb_facts,
-                            provenance=self.provenance, stats=self.stats)
-        active_now = {
-            fact[0] for fact in self.db.tuples(ACTIVE_PRED)
-            if fact and isinstance(fact[0], RuleRef)
-        }
-        deactivated = active_before - active_now
-        if deactivated:
-            for ref in deactivated:
-                self._activated.pop(ref, None)
-            self._strata = None
-            self._full_recompute()
+        """Maintain ``db`` after the rows in ``deleted`` left it.
 
-    def _full_recompute(self) -> None:
-        """Reset all derived state and re-derive from the EDB.
+        One mechanism, looped: DRed the deletion; a rule that thereby left
+        ``active`` is dropped, and the rows it derives in one step from the
+        fixpoint (an aggregate's whole head: its stratum is recomputed
+        anyway) leave ``db`` and are the next ``deleted``, over the rules
+        that remain, which re-derive what they still support.  An asserted
+        row stays, but is re-examined with the rest for its proofs' sake.
 
-        The rules still in ``_activated`` (the caller has dropped the
-        deactivated ones) are kept aside as compiled: a ref the
-        activation loop finds active again takes its ``EngineRule``s —
-        safety-checked, normalized, plans warm — back from ``_retired``.
-        Plans hold nothing of the database they were made over.
+        The transaction's fresh rows, which nothing is derived from yet,
+        stand aside meanwhile: under a negation one would hide a row the
+        dropped rule had derived, and DRed would record proofs from it.
         """
-        self.stats.full_recomputes += 1
-        # Same interner: the asserted rows (and the transaction snapshot a
-        # rollback would restore) stay meaningful under the new database.
-        self.db = Database(interner=self.db.interner)
-        if self.provenance is not None:
-            self.provenance.derivations.clear()
-        self._retired = self._activated
-        self._activated = {}
-        self._strata = None
-        # Seed propagation with every EDB row; the activation loop will
-        # re-activate rules from the `active` relation as it goes.
-        for pred, rows in self._edb.items():
+        for pred, rows in self._txn_fresh.items():
+            reset_rows(self.db, pred, rows, ())
+        while deleted:
+            propagate_deletions(self._current_strata(), self.db, self.context,
+                                deleted, edb_facts=self._edb_facts,
+                                provenance=self.provenance, stats=self.stats)
+            dropped = [rule
+                       for ref in self._activated.keys() - self._active_now()
+                       for rule in self._activated.pop(ref)]
+            if not dropped:
+                break
+            self._strata = None
+            # Every dropped rule first: one's rows may support another's.
+            deleted = {}
+            for rule in dropped:
+                pred = rule.head.pred
+                rows = self.db.rel(pred).rows
+                if rule.agg is None:
+                    rows = rows & apply_rule(rule, self.db, self.context,
+                                             stats=self.stats, known_rows=())
+                if rows:
+                    deleted.setdefault(pred, set()).update(rows)
+            for pred, rows in deleted.items():
+                reset_rows(self.db, pred, rows, self._edb_facts(pred),
+                           self.provenance)
+        for pred, rows in self._txn_fresh.items():
             self.db.rel(pred).add_rows(rows)
-            if self.provenance is not None:
-                for fact in self.edb[pred]:
-                    self.provenance.record_edb(pred, fact)
-            if rows:
-                self._txn_fresh.setdefault(pred, set()).update(rows)
 
     # ------------------------------------------------------------------
 

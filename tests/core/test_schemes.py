@@ -1,12 +1,39 @@
 """Authentication schemes: all four, tampering, reconfiguration (§4.1.2)."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from repro.datalog.errors import ConstraintViolation
+from repro.datalog.terms import RuleRef
+from repro.meta.model import ALL_META_PREDS
 from repro.net.transport import decode_fact_message, encode_fact_message
 
 
 SCHEMES = ["plaintext", "hmac", "rsa", "mixed"]
+
+#: What a scheme walk legitimately leaves different from a fresh build:
+#: key material (old keys stay provisioned) and the meta-model, which
+#: keeps every rule ever reified and every predicate ever named as
+#: asserted facts.
+SCHEME_MATERIAL = ALL_META_PREDS | {"rsapubkey", "rsaprivkey", "sharedsecret"}
+
+
+def plain_relations(principal):
+    """Every other non-empty relation as a multiset of facts: rule
+    references spelled out (two systems number the same rule differently)
+    and the signature column of ``export`` dropped (the keys differ) — a
+    multiset, so an export left behind under an old signature shows."""
+    workspace = principal.workspace
+    return {
+        pred: Counter(
+            tuple(workspace.rule_text(value)
+                  if isinstance(value, RuleRef) else value
+                  for value in (fact[:3] if pred == "export" else fact))
+            for fact in workspace.tuples(pred))
+        for pred in workspace.db.preds()
+        if pred not in SCHEME_MATERIAL and workspace.tuples(pred)}
 
 
 def two_principals(make_system, auth):
@@ -143,23 +170,94 @@ class TestReconfiguration:
         assert not old_scheme_refs & still_active
 
     def test_teardown_is_one_maintenance_pass_per_principal(self, make_system):
-        # ROADMAP item 1: constraints, every scheme rule and the export
-        # history go in one transaction, so a principal rebuilds at most
-        # once per reconfiguration — not once per deactivated scheme rule
-        # and once more for the said rules its export history activated.
+        # ROADMAP item 1: constraints, every scheme rule, the export
+        # history and the new scheme go in one transaction per principal,
+        # and a rule that leaves is a deletion: nothing is rebuilt.
         system, alice, bob = two_principals(make_system, "rsa")
         alice.says(bob, 'msg("one").')
         system.run()
-        before = {p.name: p.workspace.stats.full_recomputes
-                  for p in (alice, bob)}
+        untouched = {p.name: p.workspace.db.get("loc") for p in (alice, bob)}
         system.reconfigure_auth("hmac")
         for principal in (alice, bob):
-            spent = principal.workspace.stats.full_recomputes \
-                - before[principal.name]
-            assert spent <= 1, (principal.name, spent)
+            assert principal.workspace.stats.full_recomputes == 0
+            assert principal.workspace.db.get("loc") \
+                is untouched[principal.name]
         alice.says(bob, 'msg("two").')
         system.run()
         assert bob.tuples("seen") == {("one",), ("two",)}
+
+    @pytest.mark.parametrize("path", [
+        *itertools.permutations(("plaintext", "hmac", "rsa"), 2),
+        ("rsa", "hmac", "plaintext", "rsa"),
+    ], ids="-".join)
+    def test_reconfigured_equals_built_under_the_final_scheme(
+            self, make_system, path):
+        """The differential contract, system level: after any walk through
+        the schemes, what every principal knows equals what it would know
+        had the system been built under the last one.  (Fails if a
+        deactivated scheme rule leaves a derived row behind, or takes an
+        unrelated one with it.)"""
+        def build(auth):
+            system, alice, bob = two_principals(make_system, auth)
+            bob.assert_fact("raw", ("r1",))
+            alice.says(bob, 'msg("one").')
+            alice.says(bob, "msg(X) <- raw(X).")
+            bob.says(alice, 'ack("one").')
+            system.run()
+            return system, alice, bob
+
+        system, *walked = build(path[0])
+        for auth in path[1:]:
+            system.reconfigure_auth(auth)
+            report = system.run()
+            assert report.rejected == 0
+        _, *fresh = build(path[-1])
+        for got, want in zip(walked, fresh):
+            assert got.workspace.stats.full_recomputes == 0
+            assert plain_relations(got) == plain_relations(want)
+            assert got.tuples("says")
+        assert walked[1].tuples("seen") == {("one",), ("r1",)}
+
+    def test_a_failed_install_leaves_the_principal_under_its_old_scheme(
+            self, make_system, monkeypatch):
+        """Teardown and install are one transaction per principal: with
+        ``_install_scheme`` raising for bob at its last step (the new
+        rules and constraints already in), bob keeps his scheme rules,
+        his exp3 constraints and his received exports.  (At PR 18 the
+        teardown had committed before any install began.)"""
+        from dataclasses import replace
+
+        from repro.core.schemes import SCHEMES
+
+        system, alice, bob = two_principals(make_system, "rsa")
+        alice.says(bob, 'msg("one").')
+        system.run()
+        workspace = bob.workspace
+        before = (list(bob.scheme_rule_refs),
+                  list(bob.scheme_constraint_labels), bob.auth_scheme,
+                  workspace.active_refs(), list(workspace.constraints),
+                  workspace.edb["export"], bob.tuples("seen"))
+        assert before[0] and before[1] and before[5]
+        provision = SCHEMES["hmac"].provision
+
+        def failing(system, principal, rng):
+            provision(system, principal, rng)
+            if principal is bob:
+                raise RuntimeError("no keys for bob")
+
+        monkeypatch.setitem(SCHEMES, "hmac",
+                            replace(SCHEMES["hmac"], provision=failing))
+        with pytest.raises(RuntimeError):
+            system.reconfigure_auth("hmac")
+        assert alice.auth_scheme == "hmac"
+        assert before == (
+            bob.scheme_rule_refs, bob.scheme_constraint_labels,
+            bob.auth_scheme, workspace.active_refs(), workspace.constraints,
+            workspace.edb["export"], bob.tuples("seen"))
+        # and bob still verifies under the scheme he was left with
+        with pytest.raises(ConstraintViolation):
+            bob.assert_fact("export", ("bob", "alice",
+                                       alice.intern('msg("x").'), "bad"))
 
     def test_old_signatures_do_not_verify_under_new_scheme(self, make_system):
         system, alice, bob = two_principals(make_system, "rsa")

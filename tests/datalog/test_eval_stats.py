@@ -355,12 +355,11 @@ class TestPlanningCostsWhatItDecides:
         workspace._compile_ref = lambda ref: (compiled_refs.append(ref),
                                               compile_ref(ref))[1]
         workspace.deactivate_rule(r3)
-        assert workspace.stats.full_recomputes == 1
+        assert workspace.stats.full_recomputes == 0
         assert set(workspace._activated) == {r1, r2}
         for ref in (r1, r2):
             assert all(now is was for now, was in zip(
                 workspace._activated[ref], before[ref], strict=True))
-        assert workspace._retired == {}
         # nothing was compiled again, and the survivors' plans are warm
         assert compiled_refs == []
         for ref in (r1, r2):
@@ -386,8 +385,7 @@ class TestPlanningCostsWhatItDecides:
         workspace.add_constraint("d2(X) -> d3(X).")
         with pytest.raises(ConstraintViolation):
             workspace.deactivate_rule(refs[2])
-        assert workspace.stats.full_recomputes == 1
-        assert workspace._retired == {}
+        assert workspace.stats.full_recomputes == 0
         assert set(workspace._activated) == set(refs)
         for ref in refs:
             assert all(now is was for now, was in zip(
@@ -676,3 +674,72 @@ class TestRetractCostIsBounded:
             assert stats.literal_scans == pinned.literal_scans
             assert stats.value_materializations == \
                 pinned.value_materializations
+
+
+class TestDeactivationCostsWhatItTouches:
+    """Deactivating a rule costs what the rule fed, not what the
+    workspace holds.
+
+    ``tag`` derived ``tagged(0..2)`` from three ``pick`` facts, beside an
+    unrelated ``path`` closure over an N-edge chain.  Deactivating it:
+
+    * applies ``tag`` once over the fixpoint to find its rows — 3;
+    * takes them out and DReds them over the rules that remain:
+      ``seen`` over-deletes its three rows — 3; head-bound re-derivation
+      finds ``tagged(0)`` through ``also`` — 1, and 1 fact back; the
+      closure re-derives ``seen(0)`` — 1, and 1 fact back.
+
+    Eight derivations at any N.  A rebuild (what a deactivation was until
+    PR 19) re-derives the closure — 102 derivations at N = 10, 1017 at
+    N = 40 — and replaces every ``Relation``.
+    """
+
+    PROGRAM = """
+        base: path(X,Y) <- edge(X,Y).
+        step: path(X,Z) <- path(X,Y), edge(Y,Z).
+        also: tagged(X) <- other(X).
+        seen: seen(X) <- tagged(X).
+    """
+
+    def deactivate(self, chain):
+        from repro.workspace.workspace import Workspace
+
+        workspace = Workspace("w")
+        workspace.load(self.PROGRAM)
+        tag = workspace.add_rule("tag: tagged(X) <- pick(X).")
+        with workspace.transaction():
+            for i in range(chain):
+                workspace.assert_fact("edge", (i, i + 1))
+            for i in range(3):
+                workspace.assert_fact("pick", (i,))
+            workspace.assert_fact("other", (0,))
+        assert len(workspace.tuples("path")) == chain * (chain + 1) // 2
+        assert workspace.tuples("seen") == {(0,), (1,), (2,)}
+        held = {pred: (relation, dict(relation._indexes))
+                for pred, relation in workspace.db.relations.items()}
+        before = workspace.stats.copy()
+        workspace.deactivate_rule(tag)
+        assert workspace.tuples("tagged") == {(0,)}
+        assert workspace.tuples("seen") == {(0,)}
+        return workspace, workspace.stats.diff(before), held
+
+    def test_exact_counts_at_two_sizes(self):
+        for chain in (10, 40):
+            _, spent, _ = self.deactivate(chain)
+            assert spent.derivations == 8          # 3 + 3 + 1 + 1
+            assert spent.new_facts == 2
+            assert spent.rule_firings == {"tag": 3, "also": 1, "seen": 1}
+            assert spent.index_builds == 0
+            assert spent.rounds == 1
+            assert spent.full_recomputes == 0
+
+    def test_what_the_rule_never_fed_is_the_object_it_was(self):
+        workspace, _, held = self.deactivate(10)
+        assert set(workspace.db.relations) == set(held)
+        for pred, (relation, indexes) in held.items():
+            assert workspace.db.relations[pred] is relation, pred
+            if pred in ("active", "tagged", "seen"):
+                continue    # written: copied on write off the snapshot
+            # (``other`` gains the index re-derivation probes it by)
+            for positions, index in indexes.items():
+                assert relation._indexes[positions] is index, pred

@@ -23,7 +23,7 @@ class TestServeCommand:
         assert "session checks: OK" in text
         assert "transport=simulated" in text
         assert "p50=" in text and "p99=" in text
-        assert "full_recomputes=+0" in text
+        assert "dred_strata=+" in text and "dred_strata=+0" not in text
         assert "query_derivations=+0" in text
 
     def test_socket_session_passes(self):

@@ -1,17 +1,22 @@
 """Retraction through the workspace: what a revocation must leave behind.
 
-Two contracts.  A fact asserted and retracted inside one transaction
+Three contracts.  A fact asserted and retracted inside one transaction
 leaves nothing — in a trust manager, a grant must not survive its own
-revocation.  And with provenance on, the explanations of every surviving
+revocation.  With provenance on, the explanations of every surviving
 fact after any assert/retract sequence equal those of a workspace built
 fresh from the same EDB: DRed's re-derivation machinery must not leak
-into (or drop from) the recorded supports.
+into (or drop from) the recorded supports.  And the differential
+contract: whatever sequence of fact and *rule* changes, committed or
+aborted, a workspace has been through, it equals one asserted fresh from
+its final EDB — relations and provenance store alike.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datalog.errors import ConstraintViolation
 from repro.workspace.workspace import Workspace
 
 PATHS = """
@@ -189,8 +194,6 @@ class TestEdbView:
     """``Workspace.edb`` — the value view over the asserted id rows —
     tracks a value-space shadow model through commits and rollbacks."""
 
-    # The provenance store is not part of the transaction snapshot, so
-    # this stream (the one with aborted transactions) runs without it.
     @given(st.integers(0, 2 ** 30))
     @settings(max_examples=30, deadline=None)
     def test_property_view_equals_shadow_model(self, seed):
@@ -203,3 +206,194 @@ class TestEdbView:
                     fresh.assert_facts(pred, sorted(facts))
             for pred in ("edge", "path", "reach"):
                 assert ws.tuples(pred) == fresh.tuples(pred)
+
+
+#: Rules a differential stream activates and deactivates: recursion,
+#: negation, aggregation, comparison, a predicate both asserted and
+#: derived, and derived activations one and two levels deep.
+POOL = [
+    "path(X,Y) <- edge(X,Y).",
+    "path(X,Z) <- path(X,Y), edge(Y,Z).",
+    "path(X,X) <- node(X).",
+    "node(X) <- edge(X,_).",
+    "reach(X) <- path(1,X).",
+    "sym(X,Y) <- edge(X,Y).",
+    "sym(X,Y) <- sym(Y,X).",
+    "lone(X) <- node(X), !reach(X).",
+    "deg(X,N) <- agg<<N = count(Y)>> edge(X,Y).",
+    "hub(X) <- deg(X,N), N > 1.",
+    "far(X) <- reach(X), !hub(X), X > 2.",
+    "active([| mark(X) <- node(X). |]) <- flag(1).",
+    "active([| active([| deep(X) <- reach(X). |]) <- gate(1). |]) <- flag(1).",
+]
+
+
+def run_program_stream(seed, ws, steps=10):
+    """Drive ``ws`` with random transactions of one to three changes —
+    assert / retract a fact (all but ``edge`` are derived too, ``reach``
+    is negated, ``lone`` has a negation), activate / deactivate a
+    :data:`POOL` rule — a quarter of them aborted; yields after every
+    transaction."""
+    rng = random.Random(seed)
+    values = list(range(1, rng.randint(3, 5)))
+    arity = {"edge": 2, "path": 2, "node": 1, "reach": 1, "lone": 1,
+             "flag": 1, "gate": 1}
+    facts = {pred: set() for pred in arity}
+    rules = {}
+    with ws.transaction():
+        pass    # any commit mirrors the meta-model's own predicates
+    for _ in range(steps):
+        staged_facts = {pred: set(held) for pred, held in facts.items()}
+        staged_rules = dict(rules)
+        try:
+            with ws.transaction():
+                for _ in range(rng.randint(1, 3)):
+                    roll = rng.random()
+                    if roll < 0.3:
+                        text = rng.choice(POOL)
+                        staged_rules[text] = ws.add_rule(text)
+                    elif roll < 0.5 and staged_rules:
+                        text = rng.choice(sorted(staged_rules))
+                        ws.deactivate_rule(staged_rules.pop(text))
+                    else:
+                        pred = rng.choice(sorted(arity))
+                        held = staged_facts[pred]
+                        if held and rng.random() < 0.45:
+                            victim = rng.choice(sorted(held))
+                            held.discard(victim)
+                            ws.retract_fact(pred, victim)
+                        else:
+                            fact = tuple(rng.choice(values)
+                                         for _ in range(arity[pred]))
+                            held.add(fact)
+                            ws.assert_fact(pred, fact)
+                if rng.random() < 0.25:
+                    raise Aborted
+        except Aborted:
+            pass
+        else:
+            facts, rules = staged_facts, staged_rules
+        yield facts, rules
+
+
+def fresh_from_edb(ws):
+    """A workspace that never saw a retraction, a deactivation or an
+    abort: ``ws``'s asserted facts (``active`` rows and the reified rules
+    among them), asserted in one transaction over the same registry."""
+    fresh = Workspace("fresh", registry=ws.registry,
+                      enable_provenance=ws.provenance is not None)
+    with fresh.transaction():
+        for pred, held in sorted(ws.edb.items()):
+            fresh.assert_facts(pred, held)
+    return fresh
+
+
+#: The catalog's mirror in the meta-model is brought up to date when a
+#: commit starts, so it names a relation first populated *during* a
+#: commit only from the next one on: a subset of the fresh workspace's.
+MIRROR = ("predicate", "pname")
+
+
+def assert_equals_fresh(ws):
+    fresh = fresh_from_edb(ws)
+    assert ws.active_refs() == fresh.active_refs()
+    for pred in set(ws.db.preds()) | set(fresh.db.preds()):
+        if pred in MIRROR:
+            assert ws.tuples(pred) <= fresh.tuples(pred), pred
+        else:
+            assert ws.tuples(pred) == fresh.tuples(pred), pred
+    if ws.provenance is not None:
+        kept, expected = (
+            {key: held for key, held in store.derivations.items()
+             if key[0] not in MIRROR}
+            for store in (ws.provenance, fresh.provenance))
+        assert kept == expected
+
+
+class TestDifferentialContract:
+    """Rule removal is a deletion like any other (it used to rebuild the
+    workspace), and an aborted transaction leaves no trace — the
+    provenance store included (it used to keep the proofs an aborted
+    assert recorded, and lose those an aborted retract forgot)."""
+
+    @given(st.integers(0, 2 ** 30))
+    @settings(max_examples=40, deadline=None)
+    def test_property_maintained_equals_fresh(self, seed):
+        ws = Workspace("w")
+        for facts, rules in run_program_stream(seed, ws):
+            assert {p: ws.edb.get(p, set()) for p in facts} == facts
+            assert set(rules.values()) <= ws.active_refs()
+            assert_equals_fresh(ws)
+
+    @given(st.integers(0, 2 ** 30))
+    @settings(max_examples=25, deadline=None)
+    def test_property_provenance_equals_fresh(self, seed):
+        ws = Workspace("w", enable_provenance=True)
+        for _ in run_program_stream(seed, ws):
+            assert_equals_fresh(ws)
+
+    def test_aborted_assert_leaves_no_proof(self):
+        ws = workspace(enable_provenance=True)
+        for edge in [(1, 2), (2, 3)]:
+            ws.assert_fact("edge", edge)
+        before = {key: set(held)
+                  for key, held in ws.provenance.derivations.items()}
+        try:
+            with ws.transaction():
+                ws.assert_fact("edge", (3, 4))
+                raise Aborted
+        except Aborted:
+            pass
+        assert ws.provenance.of("path", (1, 4)) == set()
+        assert ws.provenance.derivations == before
+
+    def test_aborted_retract_keeps_every_proof(self):
+        ws = workspace(enable_provenance=True)
+        for edge in [(1, 2), (2, 3)]:
+            ws.assert_fact("edge", edge)
+        ws.add_constraint("path(1,2) -> path(1,3).")
+        before = {key: set(held)
+                  for key, held in ws.provenance.derivations.items()}
+        with pytest.raises(ConstraintViolation):
+            # the commit itself fails, after DRed forgot three facts
+            ws.retract_fact("edge", (2, 3))
+        assert ws.tuples("path") == {(1, 2), (2, 3), (1, 3)}
+        assert ws.provenance.of("path", (1, 3)) == {
+            ("step", (("path", (1, 2)), ("edge", (2, 3))))}
+        assert ws.provenance.derivations == before
+
+    @pytest.mark.parametrize("provenance", [False, True])
+    def test_a_fresh_fact_does_not_hide_what_a_dropped_rule_derived(
+            self, provenance):
+        """``r(1)`` is asserted in the transaction that deactivates
+        ``p(X) <- q(X), !r(X)``: the rule must still find the ``p(1)`` it
+        derived before.  (Fails when ``_handle_deletions`` applies the
+        dropped rule with the transaction's fresh rows left in ``db``.)"""
+        ws = Workspace("w", enable_provenance=provenance)
+        rule = ws.add_rule("p(X) <- q(X), !r(X).")
+        ws.assert_fact("q", (1,))
+        assert ws.tuples("p") == {(1,)}
+        with ws.transaction():
+            ws.assert_fact("r", (1,))
+            ws.deactivate_rule(rule)
+        assert ws.tuples("p") == set()
+        assert_equals_fresh(ws)
+
+    def test_two_level_derived_activation_cascades_out_and_back(self):
+        ws = Workspace("w")
+        ws.add_rule(POOL[-1])
+        ws.add_rule("reach(X) <- seen(X).")
+        ws.assert_fact("seen", (7,))
+        ws.assert_fact("gate", (1,))
+        assert ws.tuples("deep") == set()
+        ws.assert_fact("flag", (1,))
+        assert ws.tuples("deep") == {(7,)}
+        assert len(ws.active_refs()) == 4
+        ws.retract_fact("flag", (1,))       # both levels leave, in turn
+        assert ws.tuples("deep") == set()
+        assert len(ws.active_refs()) == 2
+        assert ws.stats.full_recomputes == 0
+        assert_equals_fresh(ws)
+        ws.assert_fact("flag", (1,))
+        assert ws.tuples("deep") == {(7,)}
+        assert_equals_fresh(ws)
