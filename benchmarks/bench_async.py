@@ -28,10 +28,6 @@ if __package__ in (None, ""):  # running as a script
 import random
 from time import perf_counter
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.cluster import Cluster, Partitioner
 from repro.net.network import SimulatedNetwork
@@ -99,26 +95,6 @@ def async_overlap(case, nodes, vertices):
         overlap_clock_win=bsp_report.convergence_time
         - async_report.convergence_time,
     )
-
-
-def _bench(benchmark, nodes, mode, vertices=36):
-    def setup():
-        return (build_cluster(nodes, vertices, mode),), {}
-
-    def target(cluster):
-        cluster.run()
-
-    benchmark.pedantic(target, setup=setup, rounds=2, iterations=1)
-
-
-@pytest.mark.benchmark(group="async-overlap")
-def test_overlap_bsp_4(benchmark):
-    _bench(benchmark, 4, "bsp")
-
-
-@pytest.mark.benchmark(group="async-overlap")
-def test_overlap_async_4(benchmark):
-    _bench(benchmark, 4, "async")
 
 
 if __name__ == "__main__":

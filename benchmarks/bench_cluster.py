@@ -22,10 +22,6 @@ if __package__ in (None, ""):  # running as a script
 
 import random
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.cluster import Cluster, Partitioner
 
@@ -75,31 +71,6 @@ def cluster_shard_scaling(case, nodes, vertices):
         max_node_derivations=report.max_node_derivations(),
         per_node_derivations=[n.derivations for n in report.per_node],
     )
-
-
-def _bench(benchmark, nodes, vertices=48):
-    def setup():
-        return (build_cluster(nodes, vertices),), {}
-
-    def target(cluster):
-        cluster.run()
-
-    benchmark.pedantic(target, setup=setup, rounds=2, iterations=1)
-
-
-@pytest.mark.benchmark(group="cluster-shard-scaling")
-def test_cluster_1(benchmark):
-    _bench(benchmark, 1)
-
-
-@pytest.mark.benchmark(group="cluster-shard-scaling")
-def test_cluster_2(benchmark):
-    _bench(benchmark, 2)
-
-
-@pytest.mark.benchmark(group="cluster-shard-scaling")
-def test_cluster_4(benchmark):
-    _bench(benchmark, 4)
 
 
 if __name__ == "__main__":

@@ -11,10 +11,6 @@ if __package__ in (None, ""):  # running as a script
     _root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(_root), str(_root / "src")]
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.crypto import rsa
 from repro.crypto.hmac_sha1 import hmac_sha1, verify_hmac_sha1
@@ -66,42 +62,6 @@ def crypto_primitives(case, op, iterations, rsa_bits=1024):
         for _ in range(iterations):
             step()
     case.record(per_op_us=case.elapsed / iterations * 1e6)
-
-
-@pytest.mark.benchmark(group="crypto-sign")
-def test_rsa_1024_sign(benchmark):
-    benchmark(rsa.sign, MESSAGE, rsa_key(1024))
-
-
-@pytest.mark.benchmark(group="crypto-sign")
-def test_hmac_sha1_sign(benchmark):
-    benchmark(hmac_sha1, SECRET, MESSAGE)
-
-
-@pytest.mark.benchmark(group="crypto-verify")
-def test_rsa_1024_verify(benchmark):
-    key = rsa_key(1024)
-    signature = rsa.sign(MESSAGE, key)
-    public = key.public()
-    result = benchmark(rsa.verify, MESSAGE, signature, public)
-    assert result
-
-
-@pytest.mark.benchmark(group="crypto-verify")
-def test_hmac_sha1_verify(benchmark):
-    tag = hmac_sha1(SECRET, MESSAGE)
-    result = benchmark(verify_hmac_sha1, SECRET, MESSAGE, tag)
-    assert result
-
-
-@pytest.mark.benchmark(group="crypto-keygen")
-def test_rsa_1024_keygen(benchmark):
-    counter = iter(range(10_000))
-
-    def generate():
-        return rsa.generate_keypair(1024, seed=next(counter))
-
-    benchmark.pedantic(generate, rounds=3, iterations=1)
 
 
 if __name__ == "__main__":

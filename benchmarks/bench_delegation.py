@@ -11,10 +11,6 @@ if __package__ in (None, ""):  # running as a script
     _root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(_root), str(_root / "src")]
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro import LBTrustSystem
 from repro.bench import benchmark
 
@@ -50,35 +46,6 @@ def delegation_chain(case, length):
     with case.measure():
         run_chain(system, principals)
     case.record(hops=length)
-
-
-@pytest.mark.benchmark(group="delegation-chain")
-def test_delegation_chain(benchmark):
-    def setup():
-        return (build_chain(CHAIN),), {}
-
-    def target(args):
-        system, principals = args
-        run_chain(system, principals)
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
-
-
-@pytest.mark.benchmark(group="delegation-chain")
-def test_delegated_fact_flow(benchmark):
-    """After a chain exists: cost of one delegated verdict flowing up."""
-    def setup():
-        system, principals = build_chain(2)
-        principals[0].delegate(principals[1].name, "perm")
-        system.run()
-        return (system, principals), {}
-
-    def target(system, principals):
-        principals[1].says(principals[0].name, 'perm("subject").')
-        system.run()
-        assert ("subject",) in principals[0].tuples("perm")
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
 
 
 if __name__ == "__main__":

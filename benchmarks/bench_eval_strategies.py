@@ -12,10 +12,6 @@ if __package__ in (None, ""):  # running as a script
     _root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(_root), str(_root / "src")]
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate
@@ -65,36 +61,6 @@ def eval_strategies(case, strategy, graph, size):
     with case.measure():
         evaluator(RULES, db, context, stats=case.stats)
     case.record(closure_size=len(db.tuples("r")))
-
-
-def _run(benchmark, evaluator, make_db):
-    def setup():
-        return (make_db(),), {}
-
-    def target(db):
-        evaluator(RULES, db, EvalContext())
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
-
-
-@pytest.mark.benchmark(group="eval-chain")
-def test_seminaive_chain(benchmark):
-    _run(benchmark, evaluate, chain_db)
-
-
-@pytest.mark.benchmark(group="eval-chain")
-def test_naive_chain(benchmark):
-    _run(benchmark, evaluate_naive, chain_db)
-
-
-@pytest.mark.benchmark(group="eval-grid")
-def test_seminaive_grid(benchmark):
-    _run(benchmark, evaluate, grid_db)
-
-
-@pytest.mark.benchmark(group="eval-grid")
-def test_naive_grid(benchmark):
-    _run(benchmark, evaluate_naive, grid_db)
 
 
 if __name__ == "__main__":

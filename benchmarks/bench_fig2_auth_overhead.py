@@ -5,9 +5,9 @@ each other's context; each message costs one signature generation and one
 verification.  The paper reports (at 10k messages, on 2009 hardware)
 roughly 300s for RSA, with HMAC a slight increase over Plaintext.
 
-These pytest-benchmark points fix k = LBTRUST_BENCH_MESSAGES (default
-100) per direction and compare schemes; the ``fig2_sweep`` workload is
-the series over k.  The *shape* claims under test:
+The full ``fig2_auth_overhead`` points fix k = LBTRUST_BENCH_MESSAGES
+(default 100) per direction and compare schemes; the ``fig2_sweep``
+workload is the series over k.  The *shape* claims under test:
 
 * RSA ≫ HMAC > Plaintext per message,
 * HMAC is only a slight increase over Plaintext,
@@ -19,10 +19,6 @@ if __package__ in (None, ""):  # running as a script
     from pathlib import Path
     _root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(_root), str(_root / "src")]
-
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
 
 from benchmarks.workloads import (
     BENCH_MESSAGES,
@@ -58,31 +54,6 @@ def fig2_auth_overhead(case, auth, k, rsa_bits=None):
 def fig2_sweep(case, auth, k):
     """One point of the Figure 2 series: time vs number of messages."""
     fig2_auth_overhead(case, auth, k, rsa_bits=512)
-
-
-def _bench(benchmark, auth):
-    def setup():
-        return make_fig2_system(auth), {}
-
-    def target(system, alice, bob):
-        run_fig2_exchange(system, alice, bob, BENCH_MESSAGES)
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
-
-
-@pytest.mark.benchmark(group="fig2-auth-overhead")
-def test_fig2_plaintext(benchmark):
-    _bench(benchmark, "plaintext")
-
-
-@pytest.mark.benchmark(group="fig2-auth-overhead")
-def test_fig2_hmac(benchmark):
-    _bench(benchmark, "hmac")
-
-
-@pytest.mark.benchmark(group="fig2-auth-overhead")
-def test_fig2_rsa(benchmark):
-    _bench(benchmark, "rsa")
 
 
 if __name__ == "__main__":

@@ -19,10 +19,6 @@ if __package__ in (None, ""):  # running as a script
     _root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(_root), str(_root / "src")]
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate, normalize_rules, propagate_insertions
@@ -144,40 +140,6 @@ def incremental_maintenance(case, mode, base, stream, unrelated=0):
                 evaluate(RULES, db, context, stats=case.stats)
         case.record(closure_size=len(db.tuples("r")))
         check_against_scratch(db, edges)
-
-
-@pytest.mark.benchmark(group="incremental-stream")
-def test_incremental_insertions(benchmark):
-    def setup():
-        db = seeded(base_edges())
-        context = EvalContext()
-        evaluate(RULES, db, context)
-        return (db, context, stratify(RULES)), {}
-
-    def target(db, context, strata):
-        for edge in stream_edges():
-            db.add("e", edge)
-            propagate_insertions(strata, db, context,
-                                 {"e": {edge_row(db, edge)}},
-                                 edb_facts=lambda p: set())
-        check_against_scratch(db, base_edges() + stream_edges())
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
-
-
-@pytest.mark.benchmark(group="incremental-stream")
-def test_recompute_from_scratch(benchmark):
-    def setup():
-        edges = list(base_edges())
-        return (edges,), {}
-
-    def target(edges):
-        context = EvalContext()
-        for edge in stream_edges():
-            edges.append(edge)
-            evaluate(RULES, seeded(edges), context)
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
 
 
 if __name__ == "__main__":

@@ -39,10 +39,6 @@ if __package__ in (None, ""):  # running as a script
 
 import random
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate
@@ -163,19 +159,6 @@ def join_micro(case, mode, n, selectivity):
         raise ValueError(f"unknown mode {mode!r}")
     case.record(result_size=out_size,
                 distinct_keys=max(1, int(n * selectivity)))
-
-
-@pytest.mark.benchmark(group="join-micro")
-def test_join_micro_id_indexed(benchmark):
-    left, right = build_sides(1000, 0.1)
-
-    def setup():
-        return (loaded_db(left, right),), {}
-
-    def target(db):
-        evaluate(RULES, db, EvalContext())
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
 
 
 if __name__ == "__main__":

@@ -17,10 +17,6 @@ if __package__ in (None, ""):  # running as a script
 
 import random
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate
@@ -74,40 +70,6 @@ def magic_point_query(case, strategy, relevant, irrelevant):
         else:
             answers = query_topdown(RULES, db, QUERY)
     case.record(answers=len(answers))
-
-
-@pytest.mark.benchmark(group="magic-point-query")
-def test_full_bottomup(benchmark):
-    def setup():
-        return (make_db(),), {}
-
-    def target(db):
-        evaluate(RULES, db, EvalContext())
-        return {t for t in db.tuples("r") if t[0] == "q0"}
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
-
-
-@pytest.mark.benchmark(group="magic-point-query")
-def test_magic_sets(benchmark):
-    def setup():
-        return (make_db(),), {}
-
-    def target(db):
-        return query_magic(RULES, db, QUERY)
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
-
-
-@pytest.mark.benchmark(group="magic-point-query")
-def test_tabled_topdown(benchmark):
-    def setup():
-        return (make_db(),), {}
-
-    def target(db):
-        return query_topdown(RULES, db, QUERY)
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """A7 — SeNDlog convergence: messages and virtual time vs network size.
 
-The section 5.2 reachability protocol on rings of growing size; reports
-wall time through pytest-benchmark, and the ``sendlog_convergence``
-workload records the rounds/messages/bytes/virtual-time scaling.
+The section 5.2 reachability protocol on rings of growing size; the
+``sendlog_convergence`` workload records wall time and the
+rounds/messages/bytes/virtual-time scaling.
 """
 
 if __package__ in (None, ""):  # running as a script
@@ -10,10 +10,6 @@ if __package__ in (None, ""):  # running as a script
     from pathlib import Path
     _root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(_root), str(_root / "src")]
-
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
 
 from repro import LBTrustSystem
 from repro.bench import benchmark
@@ -78,32 +74,6 @@ def sendlog_convergence(case, size):
                 messages=system.network.total.messages,
                 bytes=system.network.total.bytes,
                 virtual_time=report.virtual_time)
-
-
-def _bench(benchmark, size):
-    def setup():
-        return (build_ring(size),), {}
-
-    def target(args):
-        system, principals = args
-        converge(system, principals)
-
-    benchmark.pedantic(target, setup=setup, rounds=2, iterations=1)
-
-
-@pytest.mark.benchmark(group="sendlog-ring")
-def test_ring_4(benchmark):
-    _bench(benchmark, 4)
-
-
-@pytest.mark.benchmark(group="sendlog-ring")
-def test_ring_6(benchmark):
-    _bench(benchmark, 6)
-
-
-@pytest.mark.benchmark(group="sendlog-ring")
-def test_ring_8(benchmark):
-    _bench(benchmark, 8)
 
 
 if __name__ == "__main__":

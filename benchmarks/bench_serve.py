@@ -32,10 +32,6 @@ if __package__ in (None, ""):  # running as a script
 import threading
 import time
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.core.system import LBTrustSystem
 from repro.net import SimulatedNetwork, SocketNetwork
@@ -166,29 +162,6 @@ def serve_latency(case, transport, clients, qps, mix, requests):
         updates=summary["updates"],
         queries=summary["queries"],
     )
-
-
-def _bench(benchmark, transport, clients=2, requests=60):
-    def setup():
-        system = build_served_system()
-        network = SimulatedNetwork()
-        server = TrustServer(system, network)
-        router = ServeRouter(network, server)
-        conns = [ServeClient(network, f"client{i}", router=router)
-                 for i in range(clients)]
-        for conn in conns:
-            conn.connect()
-        return (conns,), {}
-
-    def target(conns):
-        drive(conns, requests, "1:3", 0, paced=False)
-
-    benchmark.pedantic(target, setup=setup, rounds=2, iterations=1)
-
-
-@pytest.mark.benchmark(group="serve-latency")
-def test_serve_simulated(benchmark):
-    _bench(benchmark, "simulated")
 
 
 if __name__ == "__main__":

@@ -20,10 +20,6 @@ if __package__ in (None, ""):  # running as a script
     _root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(_root), str(_root / "src")]
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.datalog.database import Database
 from repro.datalog.errors import ConstraintViolation
@@ -83,20 +79,6 @@ def snapshot_rollback(case, mode, facts, txns, relations=None):
                 except ConstraintViolation:
                     rejected += 1
         case.record(rejected=rejected, edb_facts=len(ws.edb.get("edge", ())))
-
-
-@pytest.mark.benchmark(group="snapshot")
-def test_snapshot_rollback_database(benchmark):
-    def setup():
-        return (wide_database(30, 100),), {}
-
-    def target(db):
-        for t in range(20):
-            snapshot = db.snapshot()
-            db.add(f"rel{t % 30}", ("txn", t))
-            db.restore(snapshot)
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
 
 
 if __name__ == "__main__":

@@ -27,10 +27,6 @@ if __package__ in (None, ""):  # running as a script
 
 import random
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.cluster import Cluster, Partitioner
 from repro.net import SimulatedNetwork, SocketNetwork
@@ -91,30 +87,6 @@ def socket_transport(case, transport, mode, nodes, vertices):
     finally:
         if transport == "socket":
             network.close()
-
-
-def _bench(benchmark, transport, mode, nodes=3, vertices=48):
-    def setup():
-        network = SocketNetwork() if transport == "socket" \
-            else SimulatedNetwork()
-        return (build_cluster(network, nodes, vertices, mode),), {}
-
-    def target(cluster):
-        cluster.run()
-        if isinstance(cluster.network, SocketNetwork):
-            cluster.network.close()
-
-    benchmark.pedantic(target, setup=setup, rounds=2, iterations=1)
-
-
-@pytest.mark.benchmark(group="socket-transport")
-def test_socket_bsp(benchmark):
-    _bench(benchmark, "socket", "bsp")
-
-
-@pytest.mark.benchmark(group="socket-transport")
-def test_simulated_bsp(benchmark):
-    _bench(benchmark, "simulated", "bsp")
 
 
 if __name__ == "__main__":

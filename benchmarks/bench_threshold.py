@@ -10,10 +10,6 @@ if __package__ in (None, ""):  # running as a script
     _root = Path(__file__).resolve().parent.parent
     sys.path[:0] = [str(_root), str(_root / "src")]
 
-from benchmarks import optional_pytest
-
-pytest = optional_pytest()
-
 from repro.bench import benchmark
 from repro.core.delegation import install_threshold
 from repro.datalog.parser import parse_rule
@@ -55,32 +51,6 @@ def threshold_scaling(case, bureaus):
     with case.measure():
         vote_all(workspace, refs, n)
     case.record(subjects=SUBJECTS)
-
-
-def _bench(benchmark, bureaus):
-    def setup():
-        return (make_bank(bureaus),), {}
-
-    def target(args):
-        workspace, refs, n = args
-        vote_all(workspace, refs, n)
-
-    benchmark.pedantic(target, setup=setup, rounds=3, iterations=1)
-
-
-@pytest.mark.benchmark(group="threshold-scaling")
-def test_threshold_4_bureaus(benchmark):
-    _bench(benchmark, 4)
-
-
-@pytest.mark.benchmark(group="threshold-scaling")
-def test_threshold_8_bureaus(benchmark):
-    _bench(benchmark, 8)
-
-
-@pytest.mark.benchmark(group="threshold-scaling")
-def test_threshold_16_bureaus(benchmark):
-    _bench(benchmark, 16)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ verified on import under the configured scheme.
 
 Environment knobs:
 
-* ``LBTRUST_BENCH_MESSAGES`` — messages per direction for the
-  pytest-benchmark points (default 100);
+* ``LBTRUST_BENCH_MESSAGES`` — messages per direction for the full
+  ``fig2_auth_overhead`` points (default 100);
 * ``LBTRUST_BENCH_RSA_BITS`` — RSA modulus size (default 1024, the
   paper's).
 """

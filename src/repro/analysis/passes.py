@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..datalog.errors import ReproError, WorkspaceError
-from ..datalog.stratify import dependency_graph, find_negative_cycle, stratify
+from ..datalog.stratify import dependency_graph, find_negative_cycle
 from ..datalog.terms import (
     BuiltinCall,
     Comparison,
@@ -520,7 +520,10 @@ def placement_pass(ctx) -> list[Diagnostic]:
     """Dry-run the cluster's static placement checks, no cluster needed."""
     if ctx.placement is None:
         return []
-    from ..cluster.placement_check import analyze_join_compatibility
+    from ..cluster.placement_check import (
+        analyze_join_compatibility,
+        nonmonotone_exchanges,
+    )
     from ..datalog.engine import normalize_rules
     from ..datalog.errors import StratificationError
 
@@ -542,25 +545,13 @@ def placement_pass(ctx) -> list[Diagnostic]:
             rule_label=label or issue.rule_label,
             pred=issue.preds[0][0] if issue.preds else None))
 
-    if len(ctx.placement.nodes) > 1:
-        exchanged = set(ctx.placement.exchanged_preds())
-        if exchanged:
-            try:
-                strata = stratify(engine_rules)
-            except StratificationError:
-                strata = []  # already reported by the stratification pass
-            for stratum in strata:
-                if not stratum.nonmonotone:
-                    continue
-                touched = (stratum.reads | stratum.preds) & exchanged
-                if touched:
-                    diagnostics.append(Diagnostic(
-                        "R502",
-                        f"negation/aggregation over exchanged "
-                        f"predicate(s) {sorted(touched)} cannot be "
-                        f"evaluated on a {len(ctx.placement.nodes)}-node "
-                        f"cluster", file=ctx.file,
-                        pred=sorted(touched)[0]))
+    try:
+        refused = nonmonotone_exchanges(engine_rules, ctx.placement)
+    except StratificationError:
+        refused = []  # already reported by the stratification pass
+    for preds, detail in refused:
+        diagnostics.append(Diagnostic("R502", detail, file=ctx.file,
+                                      pred=preds[0]))
     return diagnostics
 
 

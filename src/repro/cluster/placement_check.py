@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..datalog.errors import ClusterError
+from ..datalog.stratify import stratify
 from ..datalog.terms import Constant, Literal, Term, Variable
 from .partition import MODE_PARTITIONED, Partitioner
 
@@ -150,6 +151,33 @@ def analyze_join_compatibility(rules: Iterable,
                     preds=((anchor_pred, anchor_column), (pred, column)),
                 ))
     return issues
+
+
+def nonmonotone_exchanges(rules: Iterable,
+                          partitioner: Partitioner) -> list[tuple[list, str]]:
+    """Nonmonotonicity over exchanged predicates (N > 1): per offending
+    stratum, the predicates (sorted) and the refusal text.
+
+    A shard evaluating ``!p(...)`` or an aggregate over an exchanged
+    predicate could commit to absence while a delta batch for ``p`` is
+    still in flight; there is no sound local evaluation order, so the
+    combination is refused up front — by ``Cluster.load`` as a
+    :class:`ClusterError`, by the analyzer as diagnostic R502.
+    """
+    found: list[tuple[list, str]] = []
+    exchanged = set(partitioner.exchanged_preds())
+    if len(partitioner.nodes) <= 1 or not exchanged:
+        return found
+    for stratum in stratify(list(rules)):
+        if not stratum.nonmonotone:
+            continue
+        touched = sorted((stratum.reads | stratum.preds) & exchanged)
+        if touched:
+            found.append((touched, (
+                f"negation/aggregation over exchanged predicate(s) "
+                f"{touched} cannot be evaluated on a "
+                f"{len(partitioner.nodes)}-node cluster")))
+    return found
 
 
 def check_join_compatibility(rules: Iterable, partitioner: Partitioner,

@@ -37,7 +37,6 @@ from ..datalog.builtins import BuiltinRegistry
 from ..datalog.engine import EngineRule, EvalStats, normalize_rules
 from ..datalog.errors import ClusterError
 from ..datalog.parser import parse_statements
-from ..datalog.stratify import stratify
 from ..datalog.terms import Rule
 from ..meta.quote import compile_rule
 from ..meta.registry import RuleRegistry
@@ -45,7 +44,7 @@ from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.network import SimulatedNetwork
 from .node import ClusterNode
 from .partition import Partitioner
-from .placement_check import check_join_compatibility
+from .placement_check import check_join_compatibility, nonmonotone_exchanges
 from .quiescence import TicketLedger
 from .scheduler import MODE_BSP, ExecutionRuntime
 
@@ -241,11 +240,11 @@ class Cluster:
         flipped = check_join_compatibility(
             self._rules + engine_rules, self.partitioner,
             on_incompatible=self.on_incompatible)
-        try:
-            self._check_distributable(engine_rules)
-        except ClusterError:
+        refused = nonmonotone_exchanges(self._rules + engine_rules,
+                                        self.partitioner)
+        if refused:
             self.partitioner.restore_placement(placement_before)
-            raise
+            raise ClusterError(refused[0][1])
         if flipped:
             self.auto_replicated.extend(flipped)
             self._rebroadcast(flipped)
@@ -278,31 +277,6 @@ class Cluster:
             for node in self.nodes.values():
                 for fact in everywhere:
                     node.seed(pred, fact)
-
-    def _check_distributable(self, new_rules: list[EngineRule]) -> None:
-        """Reject nonmonotonicity over exchanged predicates (N > 1).
-
-        A shard evaluating ``!p(...)`` or an aggregate over an exchanged
-        predicate could commit to absence while a delta batch for ``p``
-        is still in flight; there is no sound local evaluation order, so
-        the combination is refused up front.
-        """
-        if len(self.nodes) <= 1:
-            return
-        exchanged = set(self.partitioner.exchanged_preds())
-        if not exchanged:
-            return
-        strata = stratify(self._rules + new_rules)
-        for stratum in strata:
-            if not stratum.nonmonotone:
-                continue
-            touched = (stratum.reads | stratum.preds) & exchanged
-            if touched:
-                raise ClusterError(
-                    "negation/aggregation over exchanged predicate(s) "
-                    f"{sorted(touched)} cannot be evaluated on a "
-                    f"{len(self.nodes)}-node cluster"
-                )
 
     # ------------------------------------------------------------------
     # EDB routing

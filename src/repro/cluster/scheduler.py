@@ -32,12 +32,12 @@ node protocol is the same for all three.
     accepted for processing;
 ``drain_outbox(sink) -> int``
     hand every pending outbound fact to the sink as **blocks** — one
-    ``sink(dst, pred, rows, terms=None, to="")`` call per predicate and
+    ``sink(dst, pred, id_rows, terms, to="")`` call per predicate and
     link, in a deterministic order — clear the outbox, and return the
-    number of rows handed over.  ``rows`` are id rows into the interner
-    ``terms`` (Datalog shards: nothing is materialized between the join
-    and the wire) or value tuples when ``terms`` is None (workspace
-    hosts); ``to`` names the destination principal.  The sink is
+    number of rows handed over.  ``id_rows`` index the interner ``terms``
+    the host's database evaluates over (a shard's, or the sending
+    principal's workspace's: nothing is materialized between the join
+    and the wire); ``to`` names the destination principal.  The sink is
     :meth:`MessageBatcher.add <repro.net.batch.MessageBatcher.add>` bound
     to the node's name and the round stamp;
 ``quiesce()``

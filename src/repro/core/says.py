@@ -45,20 +45,7 @@ exp0: export[U1](U2,R,S) -> prin(U1), prin(U2), rule(R), string(S).
 """
 
 
-def install_says_machinery(workspace: Workspace,
-                           with_declarations: bool = False) -> None:
-    """Install the scheme-independent half of the says machinery.
-
-    ``with_declarations`` additionally enforces says0/exp0 as dynamic
-    constraints; that requires the ``prin`` relation to be populated
-    (the System does this for every known principal).
-    """
+def install_says_machinery(workspace: Workspace) -> None:
+    """Install the scheme-independent half of the says machinery."""
     workspace.load(SAYS1)
     workspace.load(EXP2)
-    if with_declarations:
-        workspace.load(DECLARATIONS)
-
-
-def say(workspace: Workspace, speaker: str, listener: str, ref) -> None:
-    """Assert a says fact (used by the Principal API)."""
-    workspace.assert_fact("says", (speaker, listener, ref))

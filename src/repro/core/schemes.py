@@ -92,9 +92,6 @@ class SchemeDef:
     exp1_text: str
     exp3_text: Optional[str]
     provision: Callable[["object", "object", random.Random], None]
-    #: label prefixes of the rules/constraints this scheme installs, used
-    #: to tear it down on reconfiguration
-    rule_labels: tuple
 
 
 # --------------------------------------------------------------------------
@@ -157,28 +154,24 @@ SCHEMES: dict[str, SchemeDef] = {
         exp1_text=RSA_EXP1,
         exp3_text=RSA_EXP3,
         provision=_provision_rsa,
-        rule_labels=("exp1", "exp3"),
     ),
     "hmac": SchemeDef(
         name="hmac",
         exp1_text=HMAC_EXP1,
         exp3_text=HMAC_EXP3,
         provision=_provision_hmac,
-        rule_labels=("exp1'", "exp3'"),
     ),
     "plaintext": SchemeDef(
         name="plaintext",
         exp1_text=PLAINTEXT_EXP1,
         exp3_text=None,
         provision=_provision_plaintext,
-        rule_labels=("exp1p",),
     ),
     "mixed": SchemeDef(
         name="mixed",
         exp1_text=MIXED_EXP1,
         exp3_text=MIXED_EXP3,
         provision=_provision_mixed,
-        rule_labels=("exp1mr", "exp1mh", "exp1mp", "exp3m"),
     ),
 }
 

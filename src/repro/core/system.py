@@ -9,7 +9,9 @@ fixpoint loop:
 2. each physical node's :class:`WorkspaceNode` collects facts of
    partitioned predicates whose ``predNode`` placement maps them to
    another principal's partition (paper section 3.5 — the ld1/ld2
-   placement rules are installed verbatim);
+   placement rules are installed verbatim) — as id rows over the
+   sending workspace's interner, the block form every host hands the
+   batcher;
 3. messages are serialized, sent through the network (FIFO + latency),
    and imported at the destination in a transaction — where the scheme's
    verification constraint (exp3) and any authorization meta-constraints
@@ -114,12 +116,6 @@ class WorkspaceNode:
         #: the placement table rarely changes mid-run, so it is rebuilt
         #: only when its backing relation object or version moves.
         self._placements: dict = {}
-        #: principal -> {pred: (Relation, version)} — relations whose
-        #: facts were already fully offered to the outbox at that exact
-        #: state; unchanged relations are skipped on the next drain.
-        #: Holding the Relation object keeps its id from being reused,
-        #: so object-identity + version is a sound change signature.
-        self._scanned: dict = {}
 
     def bootstrap(self) -> int:
         """Workspaces fixpoint eagerly inside their transactions; nothing
@@ -138,65 +134,56 @@ class WorkspaceNode:
         placement = PlacementMap.from_prednode_facts(
             workspace.tuples("predNode"))
         self._placements[principal.name] = (relation, version, placement)
-        # new placement may make previously scanned facts exportable
-        self._scanned.pop(principal.name, None)
         return placement
 
     def drain_outbox(self, sink) -> int:
-        """Queue every unexported fact owned elsewhere per ``predNode``.
+        """Queue every unshipped row owned elsewhere per ``predNode``.
 
-        The sink takes blocks of value tuples — one
-        ``sink(dst, pred, facts, to=principal)`` call per scanned
-        relation, destination *node* and destination *principal* (several
-        principals may share one node).  The system-wide ``_sent`` marker
-        set keeps re-derived exports from re-shipping every round; unlike
-        a shard's dedup table it must survive quiescence, because
-        workspaces retain their full state between runs and would
-        otherwise re-send (and re-count) every historical export on the
-        next run.
+        Like a shard's, the outbox is computed in id space: per hosted
+        principal and keyed relation the candidates are one set
+        difference, ``relation.rows - sent[pred]``, and only a
+        candidate's partition key is read through the workspace's
+        interner.  Each destination *node* and destination *principal*
+        (several principals may share one node) gets one
+        ``sink(dst, pred, id_rows, interner, to=principal)`` block, rows
+        in sorted (id) order.
 
-        The async scheduler drains after *every* delivery event, so the
-        scan is incremental: a keyed relation whose object identity and
-        version are unchanged since the last drain has already offered
-        every fact and is skipped.
+        ``LBTrustSystem._sent`` — principal -> pred -> rows shipped, ids
+        being stable for a workspace's life — keeps re-derived exports
+        from re-shipping every round; unlike a shard's dedup table it
+        must survive quiescence, because workspaces retain their full
+        state between runs and would otherwise re-send (and re-count)
+        every historical export on the next run.
         """
         drained = 0
-        system = self.system
+        principals = self.system.principals
         for principal in self.principals:
             workspace = principal.workspace
             placement = self._placement_of(principal)
             if not len(placement):
                 continue
-            scanned = self._scanned.setdefault(principal.name, {})
-            for pred in list(workspace.db.relations):
+            interner = workspace.db.interner
+            values = interner.values
+            sent = self.system._sent.setdefault(principal.name, {})
+            for pred, relation in workspace.db.relations.items():
                 info = workspace.catalog.get(pred)
                 if info is None or info.key_arity == 0:
                     continue
-                relation = workspace.db.get(pred)
-                signature = (relation, relation._version) \
-                    if relation is not None else None
-                if scanned.get(pred) == signature:
-                    continue
-                scanned[pred] = signature
                 blocks: dict[tuple[str, str], list] = {}
-                for fact in workspace.db.tuples(pred):
-                    key = fact[:info.key_arity]
+                for row in relation.rows.difference(sent.get(pred, ())):
+                    key = tuple([values[term]
+                                 for term in row[:info.key_arity]])
                     node = placement.owner(pred, key)
-                    if node is None:
-                        continue
                     target = key[0]
-                    if not isinstance(target, str) or target == principal.name:
+                    if node is None or target == principal.name \
+                            or target not in principals:
                         continue
-                    if target not in system.principals:
-                        continue
-                    marker = (principal.name, pred, fact)
-                    if marker in system._sent:
-                        continue
-                    system._sent.add(marker)
-                    blocks.setdefault((node, target), []).append(fact)
-                for (node, target), facts in blocks.items():
-                    sink(node, pred, facts, to=target)
-                    drained += len(facts)
+                    blocks.setdefault((node, target), []).append(row)
+                for (node, target), rows in sorted(blocks.items()):
+                    rows.sort()
+                    sink(node, pred, rows, interner, to=target)
+                    sent.setdefault(pred, set()).update(rows)
+                    drained += len(rows)
         return drained
 
     def integrate(self, batches: list) -> int:
@@ -249,7 +236,9 @@ class LBTrustSystem:
         self.auth_name = auth
         self.mode = mode
         self._scheme: SchemeDef = scheme(auth)
-        self._sent: set = set()
+        #: principal -> pred -> id rows already shipped (see
+        #: :meth:`WorkspaceNode.drain_outbox`)
+        self._sent: dict[str, dict[str, set]] = {}
 
     # ------------------------------------------------------------------
     # Principals

@@ -76,10 +76,6 @@ class InternerMismatchError(ReproError):
     interned against (they would materialize as the wrong values)."""
 
 
-class TypeError_(ReproError):
-    """A static or dynamic type-declaration constraint failed."""
-
-
 class BuiltinError(ReproError):
     """A builtin predicate was called with an unsupported binding pattern."""
 

@@ -15,7 +15,6 @@ constructs the paper uses freely:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import ParseError
 
@@ -199,22 +198,3 @@ def tokenize(source: str) -> list[Token]:
 
     tokens.append(Token("EOF", "", line, col, False))
     return tokens
-
-
-def iter_statement_chunks(tokens: list[Token]) -> Iterator[list[Token]]:
-    """Split a token list on top-level '.' terminators (quotes skipped)."""
-    chunk: list[Token] = []
-    depth = 0
-    for token in tokens:
-        if token.kind == "EOF":
-            break
-        if token.kind == "PUNCT" and token.text == "[|":
-            depth += 1
-        elif token.kind == "PUNCT" and token.text == "|]":
-            depth -= 1
-        chunk.append(token)
-        if depth == 0 and token.kind == "PUNCT" and token.text == ".":
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk

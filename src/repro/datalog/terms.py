@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +375,6 @@ class Atom:
         for term in self.all_args:
             yield from term.variables()
 
-    def with_all_args(self, new_args: Iterable[Term]) -> "Atom":
-        """Rebuild this atom with the same shape but new flattened args."""
-        new_args = tuple(new_args)
-        nkeys = len(self.keys)
-        return Atom(self.pred, new_args[nkeys:], new_args[:nkeys],
-                    span=self.span)
-
     def __repr__(self) -> str:
         keys = f"[{','.join(repr(k) for k in self.keys)}]" if self.keys else ""
         args = ",".join(repr(a) for a in self.args)
@@ -603,8 +596,3 @@ def walk_terms(term: Term) -> Iterator[Term]:
     elif isinstance(term, PartitionTerm):
         for key in term.keys:
             yield from walk_terms(key)
-
-
-def atom_key(atom: Atom) -> str:
-    """The storage key (relation name) for an atom."""
-    return atom.pred

@@ -15,16 +15,16 @@ value is serialized once per batch, rows are int-index arrays into those
 dictionaries.  Delta-exchange traffic is dominated by a small working
 set of ground terms (vertex ids, principal names), so this cuts payload
 bytes per fact substantially — and it is an *id-row* format, which is
-what lets a shard hand over the id rows it already holds:
+what lets a host hand over the id rows it already holds:
 
-The unit of handoff is the **block** — the rows of one predicate bound
-for one link (:meth:`MessageBatcher.add`).  A shard passes id rows plus
-its interner; the batcher keeps, per interner, the encoded JSON text of
-every term it has shipped, and per pending batch the dictionary slot of
-every term in it, so a row costs dict lookups and one ``",".join`` —
-``encode_value`` / ``json.dumps`` run once per (sender, term), not once
-per shipped fact.  A sender without an interner (workspace hosts) passes
-value tuples through the same entry point and pays one encode per value.
+The unit of handoff is the **block** — the id rows of one predicate
+bound for one link, plus the interner they index
+(:meth:`MessageBatcher.add`); a Datalog shard and a node of principal
+workspaces hand over the same thing.  The batcher keeps, per interner,
+the encoded JSON text of every term it has shipped, and per pending
+batch the dictionary slot of every term in it, so a row costs dict
+lookups and one ``",".join`` — ``encode_value`` / ``json.dumps`` run
+once per (interner, term), not once per shipped fact.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class _LinkBuffer:
         self.name_texts: list[str] = []       # JSON string literals
         self.values: dict[str, str] = {}      # encoded value -> index text
         self.value_texts: list[str] = []      # tagged-object texts
-        #: the sending interner ``slots`` is keyed against — a link has
-        #: one sender, hence one interner; a different one resets them
+        #: the sending interner ``slots`` is keyed against; a block from
+        #: a different one (co-located workspaces share a link) resets them
         self.terms: Optional[object] = None
         self.slots: dict[int, str] = {}       # term id -> index text
         self.rows: list[str] = []             # "[to,pred,v...]" texts
@@ -92,15 +92,12 @@ class MessageBatcher:
         self._term_texts: WeakKeyDictionary = WeakKeyDictionary()
 
     def add(self, src: str, dst: str, pred: str, rows: Iterable[tuple],
-            terms=None, to: str = "", round_stamp: int = 0) -> None:
-        """Queue one block — ``rows`` of ``pred`` — for the ``src -> dst``
-        link.
-
-        With ``terms`` (the sender's :class:`~repro.datalog.database.
-        TermInterner`) the rows are id rows and nothing is materialized:
-        a term's text is encoded on its first shipment from that
-        interner and looked up ever after.  Without it the rows are
-        value tuples, encoded here once per value.
+            terms, to: str = "", round_stamp: int = 0) -> None:
+        """Queue one block — id ``rows`` of ``pred`` over the sender's
+        :class:`~repro.datalog.database.TermInterner` ``terms`` — for the
+        ``src -> dst`` link.  Nothing is materialized: a term's text is
+        encoded on its first shipment from that interner and looked up
+        ever after.
 
         A row that would push the pending batch past ``max_bytes``
         flushes it first (stamped with ``round_stamp``), so no message
@@ -108,34 +105,23 @@ class MessageBatcher:
         again against fresh dictionaries.  For the same items in the same
         order the bytes sent equal ``encode_batch_message_dict``'s.
         """
-        if terms is None:
-            registry = self.registry
-            keys = [[_compact(encode_value(value, registry)) for value in row]
-                    for row in rows]
-        else:
-            keys = rows if isinstance(rows, list) else list(rows)
+        keys = rows if isinstance(rows, list) else list(rows)
         if keys:
             self._add_keys((src, dst), to, pred, keys, terms, round_stamp)
 
     def _add_keys(self, link: tuple[str, str], to: str, pred: str,
                   keys: list, terms, round_stamp: int) -> None:
-        """Lay a block out against the link's dictionaries, then commit it
-        whole if it fits; nothing is mutated before the fit is known.
-
-        ``keys`` are id rows (``terms`` set) or rows of encoded value
-        texts; ``slots`` maps a key to its dictionary index text either
-        way — for value texts that is the batch dictionary itself.
-        """
+        """Lay a block of id rows out against the link's dictionaries,
+        then commit it whole if it fits; nothing is mutated before the
+        fit is known.  ``slots`` maps a term id to its dictionary index
+        text."""
         buffer = self._links.get(link)
         if buffer is None:
             buffer = self._links[link] = _LinkBuffer()
         values = buffer.values
-        if terms is None:
-            slots = values
-        else:
-            if buffer.terms is not terms:
-                buffer.terms, buffer.slots = terms, {}
-            slots = buffer.slots
+        if buffer.terms is not terms:
+            buffer.terms, buffer.slots = terms, {}
+        slots = buffer.slots
         grown = 0
 
         names = buffer.names
@@ -160,8 +146,7 @@ class MessageBatcher:
         new_values: dict[str, str] = {}
         lookup = slots
         if missing:
-            texts = missing if terms is None else self._texts(terms, missing)
-            for key, text in zip(missing, texts):
+            for key, text in zip(missing, self._texts(terms, missing)):
                 index = values.get(text) or new_values.get(text)
                 if index is None:
                     index = new_values[text] = \
@@ -195,8 +180,7 @@ class MessageBatcher:
         buffer.name_texts += new_name_texts
         values.update(new_values)
         buffer.value_texts += new_values
-        if terms is not None:
-            slots.update(new_slots)
+        slots.update(new_slots)
         buffer.rows += row_texts
         buffer.size += grown
 

@@ -11,6 +11,10 @@ tagged-JSON format:
 * the receiver re-parses and re-interns, which makes transfer work even
   across registries (different LBTrust systems), not just within one.
 
+Facts travel in **one** envelope, the dictionary-compressed batch
+(:func:`encode_batch_message_dict` defines it, :class:`Batch` is its
+decoded block form); :func:`decode_batch_message` accepts nothing else.
+
 Byte counts reported by the network statistics are the encoded payload
 lengths, giving benchmarks a representation-independent traffic measure.
 """
@@ -86,76 +90,23 @@ def decode_value(encoded: Any, registry) -> Any:
     raise NetworkError(f"unknown value tag {tag!r}")
 
 
-def encode_fact_message(pred: str, fact: tuple, registry,
-                        to: str = "") -> bytes:
-    """Serialize one partitioned-predicate fact as a wire message.
-
-    ``to`` names the destination *principal* (several principals may share
-    one physical node, so node addressing alone is not enough).
-    """
-    payload = {
-        "to": to,
-        "pred": pred,
-        "fact": [encode_value(v, registry) for v in fact],
-    }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
-
-
-def decode_fact_message(blob: bytes, registry) -> tuple[str, str, tuple]:
-    """Decode a message: ``(to_principal, pred, fact)``."""
-    try:
-        payload = json.loads(blob.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise NetworkError(f"undecodable message: {exc}") from exc
-    return _decode_item(payload, registry)
-
-
-def _decode_item(payload: Any, registry) -> tuple[str, str, tuple]:
-    if not isinstance(payload, dict):
-        raise NetworkError("malformed message payload")
-    pred = payload.get("pred")
-    fact = payload.get("fact")
-    to = payload.get("to", "")
-    if not isinstance(pred, str) or not isinstance(fact, list) \
-            or not isinstance(to, str):
-        raise NetworkError("malformed message payload")
-    return to, pred, tuple(decode_value(v, registry) for v in fact)
-
-
 # ---------------------------------------------------------------------------
 # Batched messages (one envelope per destination node per round)
 # ---------------------------------------------------------------------------
 
-def encode_batch_item(pred: str, fact: tuple, registry,
-                      to: str = "") -> dict:
-    """One fact as a JSON-able batch entry (same shape as a single
-    fact message, minus the envelope)."""
-    return {
-        "to": to,
-        "pred": pred,
-        "fact": [encode_value(v, registry) for v in fact],
-    }
-
-
 def encode_batch_message(items: list, round_stamp: int = 0) -> bytes:
-    """Serialize pre-encoded batch items into one wire message.
-
-    ``items`` are :func:`encode_batch_item` dicts; ``round_stamp`` is the
-    sender's evaluation round, used by the quiescence protocol's ticket
-    ledger (see :mod:`repro.cluster.quiescence`).
+    """The per-item envelope of JSON-able ``{"to", "pred", "fact"}``
+    entries.  No sender emits it and :func:`decode_batch_message` refuses
+    it; it and :func:`encode_batch_message_parts` stay only while
+    ``e2e_bench/layers.py`` names them.
     """
     payload = {"round": round_stamp, "batch": items}
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
 def encode_batch_message_parts(encoded_items: list, round_stamp: int = 0) -> bytes:
-    """Assemble a batch envelope from *already serialized* item texts.
-
-    Byte-identical to :func:`encode_batch_message` over the decoded
-    items (same compact separators), but lets the batcher reuse the
-    serialization it already did for size accounting instead of
-    re-dumping every fact at flush.
-    """
+    """:func:`encode_batch_message` over *already serialized* item
+    texts, byte for byte."""
     body = ",".join(encoded_items)
     return f'{{"round":{int(round_stamp)},"batch":[{body}]}}'.encode("utf-8")
 
@@ -243,21 +194,6 @@ class Batch:
         for row in self.rows:
             yield names[row[0]], names[row[1]], tuple(map(pick, row[2:]))
 
-    @classmethod
-    def of_items(cls, stamp: int, items: list) -> "Batch":
-        """Block form of already decoded ``(to, pred, fact)`` triples (the
-        per-item wire formats carry no dictionary of their own)."""
-        names: dict[str, int] = {}
-        values: list = []
-        rows = []
-        for to, pred, fact in items:
-            start = len(values)
-            values.extend(fact)
-            rows.append([names.setdefault(to, len(names)),
-                         names.setdefault(pred, len(names)),
-                         *range(start, len(values))])
-        return cls(stamp, list(names), values, rows)
-
 
 def _decode_compressed(payload: dict, registry) -> Batch:
     round_stamp = payload.get("round", 0)
@@ -295,10 +231,9 @@ def _decode_compressed(payload: dict, registry) -> Batch:
 def decode_batch_message(blob: bytes, registry) -> Batch:
     """Decode a batch message into its :class:`Batch` block form.
 
-    Reads every wire format — the dictionary-compressed envelope
-    (``rows`` key, the only one the batcher emits), the per-item form
-    (``batch`` key) and a single-fact message (neither key; a one-item
-    batch with round stamp 0).  Serve-plane frames (the request/reply
+    There is one wire format, the dictionary-compressed envelope
+    (:func:`encode_batch_message_dict` defines it); a payload without its
+    ``rows`` key is malformed.  Serve-plane frames (the request/reply
     kind below) are rejected loudly: a request arriving on a
     delta-exchange path is a routing bug, and decoding it as a corrupt
     fact would silently swallow the client's call.
@@ -316,17 +251,10 @@ def decode_batch_message(blob: bytes, registry) -> Batch:
     if payload.get("kind") in (REQUEST_KIND, REPLY_KIND):
         raise NetworkError(
             f"serve-plane {payload['kind']} frame in batch traffic")
+    if "rows" not in payload:
+        raise NetworkError("malformed batch payload")
     try:
-        if "rows" in payload:
-            return _decode_compressed(payload, registry)
-        batch = payload.get("batch")
-        if batch is None:
-            return Batch.of_items(0, [_decode_item(payload, registry)])
-        round_stamp = payload.get("round", 0)
-        if not isinstance(batch, list) or not isinstance(round_stamp, int):
-            raise NetworkError("malformed batch payload")
-        return Batch.of_items(
-            round_stamp, [_decode_item(item, registry) for item in batch])
+        return _decode_compressed(payload, registry)
     except NetworkError:
         raise
     except (ReproError, KeyError, TypeError, ValueError, AttributeError,
@@ -353,10 +281,11 @@ REPLY_KIND = "reply"
 
 
 def frame_kind(blob: bytes) -> str:
-    """Classify a wire frame: ``request`` / ``reply`` / ``batch`` / ``fact``.
+    """Classify a wire frame: ``request`` / ``reply`` / ``batch``.
 
-    Raises :class:`NetworkError` for frames that are not JSON objects or
-    that carry an unknown ``kind`` tag.
+    Raises :class:`NetworkError` for frames that are not JSON objects,
+    that carry an unknown ``kind`` tag, or that carry none and are not a
+    batch envelope.
     """
     try:
         payload = json.loads(blob.decode("utf-8"))
@@ -365,10 +294,8 @@ def frame_kind(blob: bytes) -> str:
     if not isinstance(payload, dict):
         raise NetworkError("malformed frame payload")
     kind = payload.get("kind")
-    if kind is None:
-        if "batch" in payload or "rows" in payload:
-            return "batch"
-        return "fact"
+    if kind is None and "rows" in payload:
+        return "batch"
     if kind in (REQUEST_KIND, REPLY_KIND):
         return kind
     raise NetworkError(f"unknown frame kind {kind!r}")

@@ -36,10 +36,6 @@ class PredInfo:
     declared: bool = False
     arg_types: list = field(default_factory=list)  # Optional[str] per position
 
-    @property
-    def value_arity(self) -> int:
-        return self.arity - self.key_arity
-
 
 class Catalog:
     """Name → :class:`PredInfo`, with consistency checking."""

@@ -124,7 +124,7 @@ class TestTermsAreEncodedOncePerSender:
         shipped = set()      # (sending node, term)
         add = MessageBatcher.add
 
-        def spy(self, src, dst, pred, rows, terms=None, **kwargs):
+        def spy(self, src, dst, pred, rows, terms, **kwargs):
             rows = list(rows)
             shipped.update((src, terms.values[term_id])
                            for row in rows for term_id in row)

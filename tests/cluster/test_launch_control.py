@@ -171,7 +171,7 @@ class TestHostedImportGuard:
 
     def test_import_for_a_principal_hosted_elsewhere_is_refused(self):
         guard, report = self.host()
-        batch = Batch.of_items(1, [("b", "good", (1,))])
+        batch = Batch(1, ["b", "good"], [1], [[0, 1, 0]])
         with pytest.raises(
                 ClusterError,
                 match="relay-routed import: principal 'b' is hosted on "
@@ -184,6 +184,6 @@ class TestHostedImportGuard:
         assert guard.name == "h1" and guard.bootstrap() == 0
         assert getattr(guard, "quiesce", None) is None
         # not hosted anywhere: the node's own unknown-principal rejection
-        batch = Batch.of_items(1, [("zed", "good", (1,))])
+        batch = Batch(1, ["zed", "good"], [1], [[0, 1, 0]])
         assert guard.integrate([batch]) == 1
         assert report.rejected == 1

@@ -1,0 +1,144 @@
+"""Export in id space: a stream of ``says`` / retract / ``reconfigure_auth``
+/ ``run()`` over three principals, two of them co-located — so one link
+carries blocks of two workspaces, each with its own interner.
+
+What ``WorkspaceNode.drain_outbox`` owes, whatever the stream:
+
+* every exportable fact reaches its principal, and crosses the wire
+  exactly once per scheme epoch (``LBTrustSystem._sent`` holds the id
+  rows shipped; ``reconfigure_auth`` opens the next epoch);
+* a second ``run()`` with nothing new sends 0 messages;
+* ``bsp`` and ``async`` leave equal relations;
+* every message is the canonical envelope of its own items, in order.
+
+The stream property must fail under these two hand mutations of
+``drain_outbox`` (checked when the test was written):
+
+* not recording shipped rows (drop ``sent...update(rows)``): the next
+  ``run()`` ships everything again;
+* keying ``sent`` by predicate alone (one table for every principal):
+  equal ids mean different terms in two workspaces, so one principal's
+  shipped rows hide another's unshipped ones.
+"""
+
+from collections import Counter
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import LBTrustSystem
+from repro.datalog.terms import RuleRef
+from repro.meta.model import ALL_META_PREDS
+from repro.net.network import SimulatedNetwork
+from repro.net.transport import decode_batch_message, encode_batch_message_dict
+
+#: principal -> node: alice and bob share a node, hence every link
+NODES = {"alice": "shared", "bob": "shared", "carol": "apart"}
+
+pairs = st.sampled_from(
+    [(a, b) for a in NODES for b in NODES if a != b])
+ops = st.one_of(
+    st.tuples(st.just("says"), pairs, st.integers(0, 3)),
+    st.tuples(st.just("retract"), pairs, st.integers(0, 3)),
+    st.tuples(st.just("reconfigure"), st.sampled_from(["hmac", "plaintext"])),
+    st.tuples(st.just("run")),
+)
+
+
+class TappedNetwork(SimulatedNetwork):
+    """Keeps every payload sent, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.payloads = []
+
+    def send(self, src, dst, payload, at=None):
+        self.payloads.append(payload)
+        super().send(src, dst, payload, at=at)
+
+
+def exportable(system):
+    """Every ``(to, "export", fact)`` a principal holds for another one."""
+    return {(fact[0], "export", fact)
+            for principal in system.principals.values()
+            for fact in principal.tuples("export")
+            if fact[0] != principal.name}
+
+
+def relations(system):
+    """Every relation of every principal outside the meta-model (its
+    anonymous variables are numbered per process), rule references
+    spelled out."""
+    return {
+        (principal.name, pred): Counter(
+            tuple(principal.workspace.rule_text(value)
+                  if isinstance(value, RuleRef) else value for value in fact)
+            for fact in principal.tuples(pred))
+        for principal in system.principals.values()
+        for pred in principal.workspace.db.preds()
+        if pred not in ALL_META_PREDS}
+
+
+class Driver:
+    """One system under one scheduling mode, checked after every run."""
+
+    def __init__(self, mode):
+        self.system = LBTrustSystem(auth="plaintext", seed=42, mode=mode,
+                                    network=TappedNetwork())
+        for name, node in NODES.items():
+            self.system.create_principal(name, node=node)
+        self.epoch = []          # (to, pred, fact) shipped this epoch
+
+    def apply(self, op):
+        system = self.system
+        if op[0] == "says":
+            (speaker, listener), k = op[1:]
+            system.principal(speaker).says(listener, f'msg("{k}").')
+        elif op[0] == "retract":
+            (speaker, listener), k = op[1:]
+            principal = system.principal(speaker)
+            fact = (speaker, listener, principal.intern(f'msg("{k}").'))
+            if fact in principal.workspace.edb.get("says", ()):
+                principal.retract_fact("says", fact)
+        elif op[0] == "reconfigure":
+            system.reconfigure_auth(op[1])
+            self.epoch = []
+        else:
+            self.run()
+
+    def run(self):
+        system, network = self.system, self.system.network
+        network.payloads.clear()
+        report = system.run()
+        assert report.rejected == 0
+        assert report.batches == len(network.payloads)
+        for blob in network.payloads:
+            batch = decode_batch_message(blob, system.registry)
+            items = list(batch.items())
+            assert blob == encode_batch_message_dict(
+                items, system.registry, batch.stamp)
+            self.epoch.extend(items)
+        # once per epoch, and nothing exportable left behind
+        assert len(set(self.epoch)) == len(self.epoch)
+        assert exportable(system) <= set(self.epoch)
+        for to, _pred, fact in exportable(system):
+            assert fact in system.principal(to).tuples("export")
+        # nothing new: nothing sent
+        again = system.run()
+        assert (again.batches, again.delivered) == (0, 0)
+        assert len(network.payloads) == report.batches
+
+
+@given(stream=st.lists(ops, min_size=1, max_size=10))
+# two workspaces built alike intern alike: these two exports are the same
+# id row over different interners
+@example(stream=[("says", ("alice", "carol"), 1),
+                 ("says", ("bob", "carol"), 1)])
+@settings(max_examples=50, deadline=None)
+def test_export_stream_ships_each_fact_once_per_epoch(stream):
+    bsp, overlapped = Driver("bsp"), Driver("async")
+    for op in stream + [("run",)]:
+        bsp.apply(op)
+        overlapped.apply(op)
+        if op[0] == "run":
+            assert relations(bsp.system) == relations(overlapped.system)

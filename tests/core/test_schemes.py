@@ -8,7 +8,7 @@ import pytest
 from repro.datalog.errors import ConstraintViolation
 from repro.datalog.terms import RuleRef
 from repro.meta.model import ALL_META_PREDS
-from repro.net.transport import decode_fact_message, encode_fact_message
+from repro.net.transport import encode_batch_message_dict
 
 
 SCHEMES = ["plaintext", "hmac", "rsa", "mixed"]
@@ -86,11 +86,16 @@ class TestTampering:
         (fact,) = [f for f in alice.tuples("export") if f[0] == "bob"]
         forged_ref = alice.intern('msg("forged").')
         forged = ("bob", "alice", forged_ref, fact[3])
-        blob = encode_fact_message("export", forged, system.registry, to="bob")
-        to, pred, decoded = decode_fact_message(blob, system.registry)
+        blob = encode_batch_message_dict([("bob", "export", forged)],
+                                         system.registry)
+        system.network.send("alice", "bob", blob)
+        report = system.run()
+        assert bob.tuples("msg") == {("genuine",)}
+        assert report.delivered == 1 and report.rejected == 1
+        assert [e.detail["pred"] for e in bob.audit
+                if e.kind == "import_rejected"] == ["export"]
         with pytest.raises(ConstraintViolation):
-            bob.assert_fact(pred, decoded)
-        assert not bob.tuples("msg")
+            bob.assert_fact("export", forged)
 
     def test_wrong_speaker_rejected(self, make_system):
         """Claiming someone else said it fails their verification key."""
@@ -141,7 +146,7 @@ class TestReconfiguration:
         assert rsa.exp3_text != hmac.exp3_text
         # and that is all a scheme consists of (plus provisioning)
         assert set(vars(rsa)) == {"name", "exp1_text", "exp3_text",
-                                  "provision", "rule_labels"}
+                                  "provision"}
 
     @pytest.mark.parametrize("path", [
         ("rsa", "hmac"), ("hmac", "plaintext"), ("plaintext", "rsa"),

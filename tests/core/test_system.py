@@ -2,9 +2,23 @@
 
 import pytest
 
-from repro.datalog.errors import WorkspaceError
+from repro.cluster.scheduler import ExecutionRuntime
+from repro.datalog.errors import ClusterError, WorkspaceError
 from repro.datalog.terms import PredPartition
+from repro.meta.registry import RuleRegistry
 from repro.net.network import SimulatedNetwork
+from repro.net.transport import encode_batch_message_dict
+
+#: The per-item wire shapes an older encoder produced (a single fact, a
+#: ``batch`` list of them); nothing decodes them any more.
+LEGACY_SHAPES = [
+    pytest.param(
+        b'{"to":"b","pred":"msg","fact":[{"t":"str","v":"forged"}]}',
+        id="single-fact"),
+    pytest.param(
+        b'{"round":0,"batch":[{"to":"b","pred":"msg",'
+        b'"fact":[{"t":"str","v":"forged"}]}]}', id="batch-key"),
+]
 
 
 class TestPrincipalManagement:
@@ -255,20 +269,92 @@ class TestOpenNetworkRobustness:
         assert report.rejected_detail[0][0] == "<decode>"
         assert b.tuples("msg") == {("relay me",)}
 
-    def test_legacy_single_fact_message_imports(self, make_system):
-        from repro.net.transport import encode_fact_message
-
+    def test_injected_one_item_envelope_imports(self, make_system):
         system = make_system("plaintext")
         system.create_principal("a")
         b = system.create_principal("b")
         b.load("seen(X) <- msg(X).")
-        blob = encode_fact_message("msg", ("legacy",), system.registry,
-                                   to="b")
+        blob = encode_batch_message_dict([("b", "msg", ("foreign",))],
+                                         system.registry)
         system.network.send("a", "b", blob)
         report = system.run()
-        assert b.tuples("seen") == {("legacy",)}
+        assert b.tuples("seen") == {("foreign",)}
         assert report.delivered == 1
         assert report.rejected == 0
+
+    def test_forged_export_in_an_injected_envelope_never_lands(
+            self, make_system):
+        """A badly signed ``export`` riding an injected envelope is
+        rejected and audited by the verification constraint; the rest of
+        the same delivery lands."""
+        system = make_system("hmac")
+        alice = system.create_principal("alice")
+        bob = system.create_principal("bob")
+        bob.load("seen(X) <- msg(X).")
+        forged = ("bob", "alice", alice.intern('msg("forged").'), "deadbeef")
+        blob = encode_batch_message_dict(
+            [("bob", "export", forged), ("bob", "note", ("kept",))],
+            system.registry)
+        system.network.send("alice", "bob", blob)
+        alice.says(bob, 'msg("genuine").')
+        report = system.run()
+        assert bob.tuples("seen") == {("genuine",)}
+        assert bob.tuples("note") == {("kept",)}
+        assert report.delivered == 2 and report.rejected == 1
+        assert [e.detail["pred"] for e in bob.audit
+                if e.kind == "import_rejected"] == ["export"]
+
+    @pytest.mark.parametrize("mode", ["bsp", "async"])
+    @pytest.mark.parametrize("shape", LEGACY_SHAPES)
+    def test_legacy_shaped_payload_is_rejected(self, make_system, shape,
+                                               mode):
+        """The per-item formats no sender emits are not a way in: a
+        kind-less payload without ``rows`` is a decode reject, not a
+        stamp-0 batch.  (At the parent of PR 20 both shapes imported.)"""
+        system = make_system("plaintext")
+        a = system.create_principal("a")
+        b = system.create_principal("b")
+        b.load("seen(X) <- msg(X).")
+        a.says(b, 'msg("real").')
+        system.network.send("a", "b", shape)
+        report = system.run(mode=mode)
+        assert b.tuples("seen") == {("real",)}
+        assert report.delivered == 1 and report.rejected == 1
+        assert report.rejected_detail == [
+            ("<decode>", "malformed batch payload")]
+
+    @pytest.mark.parametrize("shape", LEGACY_SHAPES)
+    def test_legacy_shape_in_place_of_a_ticketed_batch_still_quiesces(
+            self, make_system, shape):
+        """A ticketed batch replaced in transit by a legacy-shaped
+        payload retires its sender's oldest slot (``retire_any``): the
+        run ends with nothing outstanding instead of at the round cap."""
+        class ReplacingNetwork(SimulatedNetwork):
+            replaced = 0
+
+            def send(self, src, dst, payload, at=None):
+                if not self.replaced:
+                    payload, self.replaced = shape, 1
+                super().send(src, dst, payload, at=at)
+
+        system = make_system("plaintext", network=ReplacingNetwork())
+        a = system.create_principal("a")
+        b = system.create_principal("b")
+        a.says(b, 'msg("lost").')
+        report = system.run(max_rounds=5)
+        assert not b.tuples("msg")
+        assert report.rejected == 1 and report.delivered == 0
+        assert report.rounds < 5 and not system.network.pending()
+
+    @pytest.mark.parametrize("shape", LEGACY_SHAPES)
+    def test_legacy_shape_on_a_closed_transport_is_fatal(self, shape):
+        network = SimulatedNetwork()
+        network.add_node("a")
+        network.add_node("b")
+        network.send("a", "b", shape)
+        runtime = ExecutionRuntime({}, network, RuleRegistry(), strict=True)
+        with pytest.raises(ClusterError, match="malformed batch payload"):
+            runtime.run()
 
     def test_batches_count_includes_early_size_capped_flushes(
             self, make_system):

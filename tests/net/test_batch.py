@@ -5,16 +5,16 @@ import json
 import pytest
 
 from repro.cluster.quiescence import TicketLedger
+from repro.datalog.database import TermInterner
 from repro.datalog.errors import NetworkError
 from repro.meta.registry import RuleRegistry
 from repro.net.batch import MessageBatcher
 from repro.net.network import SimulatedNetwork
 from repro.net.transport import (
     decode_batch_message,
-    encode_batch_item,
     encode_batch_message,
     encode_batch_message_dict,
-    encode_fact_message,
+    encode_value,
 )
 
 
@@ -32,23 +32,20 @@ def make_network(*nodes):
 
 
 class TestBatchCodec:
-    def test_roundtrip_multiple_items(self):
-        registry = RuleRegistry()
-        items = [
-            encode_batch_item("p", (1, "x"), registry, to="alice"),
-            encode_batch_item("q", (b"\x01",), registry),
-        ]
-        blob = encode_batch_message(items, round_stamp=7)
-        round_stamp, items = decoded(blob, registry)
-        assert round_stamp == 7
-        assert items == [("alice", "p", (1, "x")), ("", "q", (b"\x01",))]
-
-    def test_single_fact_message_decodes_as_one_item_batch(self):
-        registry = RuleRegistry()
-        blob = encode_fact_message("p", (1,), registry, to="bob")
-        round_stamp, items = decoded(blob, registry)
-        assert round_stamp == 0
-        assert items == [("bob", "p", (1,))]
+    @pytest.mark.parametrize("payload", [
+        {"to": "bob", "pred": "p", "fact": [{"t": "int", "v": 1}]},
+        {"round": 7, "batch": [
+            {"to": "bob", "pred": "p", "fact": [{"t": "int", "v": 1}]}]},
+        {"round": 7, "batch": []},
+        {},
+    ])
+    def test_payload_without_rows_is_malformed(self, payload):
+        """The per-item shapes an older encoder produced (and any other
+        kind-less object) are not batches.  (Before PR 20 the first two
+        decoded to ``[("bob", "p", (1,))]``.)"""
+        blob = json.dumps(payload).encode("utf-8")
+        with pytest.raises(NetworkError, match="malformed batch payload"):
+            decode_batch_message(blob, RuleRegistry())
 
     def test_malformed_batch_rejected(self):
         registry = RuleRegistry()
@@ -72,13 +69,10 @@ class TestDictCompressedCodec:
         items = [("", "reach", ("node-with-a-long-name", i % 3))
                  for i in range(40)]
         compressed = encode_batch_message_dict(items, registry, 1)
-        legacy = encode_batch_message(
-            [encode_batch_item(pred, fact, registry, to=to)
-             for to, pred, fact in items], 1)
         # one dictionary entry for the shared string, not forty
         assert compressed.count(b"node-with-a-long-name") == 1
-        assert len(compressed) < len(legacy) / 3
-        assert decoded(compressed, registry) == decoded(legacy, registry)
+        assert len(compressed) < 40 * len("node-with-a-long-name")
+        assert decoded(compressed, registry) == (1, items)
 
     def test_classified_as_batch_frame(self):
         from repro.net.transport import frame_kind
@@ -109,9 +103,10 @@ class TestMessageBatcher:
     def test_coalesces_per_link(self):
         network = make_network("a", "b", "c")
         batcher = MessageBatcher(network, RuleRegistry())
+        terms = TermInterner()
         for i in range(10):
-            batcher.add("a", "b", "p", [(i,)])
-        batcher.add("a", "c", "p", [(99,)])
+            batcher.add("a", "b", "p", [terms.intern_row((i,))], terms)
+        batcher.add("a", "c", "p", [terms.intern_row((99,))], terms)
         sent = batcher.flush(round_stamp=3)
         assert sent == 2
         assert network.total.messages == 2
@@ -125,8 +120,10 @@ class TestMessageBatcher:
     def test_size_cap_flushes_early(self):
         network = make_network("a", "b")
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256)
+        terms = TermInterner()
         for i in range(50):
-            batcher.add("a", "b", "p", [(i, "some payload text")])
+            batcher.add("a", "b", "p",
+                        [terms.intern_row((i, "some payload text"))], terms)
         batcher.flush()
         assert network.total.messages > 1
         # every message respects the cap (within one item's slack)
@@ -138,8 +135,10 @@ class TestMessageBatcher:
         ledger = TicketLedger()
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256,
                                  ledger=ledger)
+        terms = TermInterner()
         for i in range(50):
-            batcher.add("a", "b", "p", [(i, "some payload text")],
+            batcher.add("a", "b", "p",
+                        [terms.intern_row((i, "some payload text"))], terms,
                         round_stamp=4)
         batcher.flush(round_stamp=4)
         assert ledger.issued == network.total.messages
@@ -153,24 +152,28 @@ class TestMessageBatcher:
 
 
 class TestWireFormatInterop:
-    """The batcher emits the dictionary format only; the decoder still
-    reads the per-item envelope an older encoder produced."""
+    """The batcher's spliced envelope against the canonical encoder."""
 
     FACTS = [("p", (i % 4, "shared text", i)) for i in range(20)]
 
     def _drain(self):
         network = make_network("a", "b")
         batcher = MessageBatcher(network, RuleRegistry())
+        terms = TermInterner()
         for pred, fact in self.FACTS:
-            batcher.add("a", "b", pred, [fact], to="alice")
+            batcher.add("a", "b", pred, [terms.intern_row(fact)], terms,
+                        to="alice")
         batcher.flush(round_stamp=9)
         [(_, _, blob)] = network.deliver_all()
         return blob
 
     def _per_item_envelope(self):
+        """One tagged object per fact — the shape the dictionary format
+        replaced (its encoder is still there; no decoder reads it)."""
         registry = RuleRegistry()
         return encode_batch_message(
-            [encode_batch_item(pred, fact, registry, to="alice")
+            [{"to": "alice", "pred": pred,
+              "fact": [encode_value(value, registry) for value in fact]}
              for pred, fact in self.FACTS], 9)
 
     def test_dict_batcher_matches_canonical_encoder(self):
@@ -180,22 +183,17 @@ class TestWireFormatInterop:
             registry, 9)
         assert self._drain() == expected
 
-    def test_both_formats_decode_identically(self):
-        registry = RuleRegistry()
-        legacy = decoded(self._per_item_envelope(), registry)
-        compressed = decoded(self._drain(), registry)
-        assert compressed == legacy
-        assert compressed == (9, [("alice", pred, fact)
-                                  for pred, fact in self.FACTS])
-
     def test_dict_format_is_smaller_on_repetitive_traffic(self):
         assert len(self._drain()) < len(self._per_item_envelope()) / 2
 
     def test_dict_format_respects_size_cap(self):
         network = make_network("a", "b")
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256)
+        terms = TermInterner()
         for i in range(50):
-            batcher.add("a", "b", "p", [(i, f"unique payload text {i}")])
+            batcher.add(
+                "a", "b", "p",
+                [terms.intern_row((i, f"unique payload text {i}"))], terms)
         batcher.flush()
         registry = RuleRegistry()
         seen = set()

@@ -1,6 +1,6 @@
-"""The block handoff: id-row (and value-tuple) blocks through
-``MessageBatcher.add``, checked against the one-item-at-a-time definition
-of the dictionary wire format; and a decoder that fails closed."""
+"""The block handoff: id-row blocks through ``MessageBatcher.add``,
+checked against the one-item-at-a-time definition of the dictionary wire
+format; and a decoder that fails closed."""
 
 import json
 from collections import Counter
@@ -15,8 +15,10 @@ from repro.meta.registry import RuleRegistry
 from repro.net.batch import _ENVELOPE_OVERHEAD, MessageBatcher
 from repro.net.transport import (
     decode_batch_message,
+    encode_batch_message,
     encode_batch_message_compressed,
     encode_batch_message_dict,
+    encode_value,
 )
 
 # -- strategies -------------------------------------------------------------
@@ -90,28 +92,23 @@ def decoded_items(blob, registry):
 class TestBlockProperty:
     @given(link_blocks=blocks(),
            max_bytes=st.integers(min_value=60, max_value=600),
-           round_stamp=st.integers(min_value=0, max_value=10 ** 6),
-           as_id_rows=st.booleans())
+           round_stamp=st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=300, deadline=None)
     def test_blocks_equal_the_one_item_at_a_time_definition(
-            self, link_blocks, max_bytes, round_stamp, as_id_rows):
+            self, link_blocks, max_bytes, round_stamp):
         registry = RuleRegistry()
         wire = _Wire()
         batcher = MessageBatcher(wire, registry, max_bytes=max_bytes)
         interner = TermInterner()
         items = []
         for pred, to, rows in link_blocks:
-            if as_id_rows:
-                id_rows = [interner.intern_row(row) for row in rows]
-                batcher.add("a", "b", pred, id_rows, interner, to=to,
-                            round_stamp=round_stamp)
-                # 1, 1.0 and True share an id: the wire carries the
-                # first-interned representative, as materialize_row would
-                rows = [interner.materialize_row(row) for row in id_rows]
-            else:
-                batcher.add("a", "b", pred, rows, to=to,
-                            round_stamp=round_stamp)
-            items.extend((to, pred, row) for row in rows)
+            id_rows = [interner.intern_row(row) for row in rows]
+            batcher.add("a", "b", pred, id_rows, interner, to=to,
+                        round_stamp=round_stamp)
+            # 1, 1.0 and True share an id: the wire carries the
+            # first-interned representative, as materialize_row would
+            items.extend((to, pred, interner.materialize_row(row))
+                         for row in id_rows)
         batcher.flush(round_stamp)
 
         blobs = wire.sent[("a", "b")]
@@ -152,26 +149,50 @@ class TestBlockProperty:
         gc.collect()
         assert len(batcher._term_texts) == 0
 
-    def test_value_rows_and_id_rows_share_a_link(self):
+    @given(turns=st.lists(
+        st.tuples(st.sampled_from([0, 1]),
+                  st.lists(st.lists(st.sampled_from(
+                      ["x", "y", 1, 2, ("x",)]), max_size=3).map(tuple),
+                      min_size=1, max_size=3)),
+        min_size=2, max_size=8),
+        max_bytes=st.sampled_from([120, 10 ** 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_two_interners_interleave_on_one_link(self, turns, max_bytes):
+        """Co-located workspaces share a link but not an interner: the
+        same id means a different term in each, whichever sent last, and
+        a term both shipped takes one dictionary entry.  (Fails if the
+        link keeps its term-id slots across an interner change.)"""
         registry = RuleRegistry()
         wire = _Wire()
-        batcher = MessageBatcher(wire, registry)
-        interner = TermInterner()
-        batcher.add("a", "b", "p", [("x", 1)])
-        batcher.add("a", "b", "p", [interner.intern_row(("x", 2))], interner)
-        batcher.add("a", "b", "q", [()], to="alice")
+        batcher = MessageBatcher(wire, registry, max_bytes=max_bytes)
+        interners = TermInterner(), TermInterner()
+        interners[1].intern_row(("skew", "the", "ids"))
+        items = []
+        for which, rows in turns:
+            interner = interners[which]
+            batcher.add("n", "m", "p",
+                        [interner.intern_row(row) for row in rows], interner,
+                        to=f"principal{which}", round_stamp=4)
+            items.extend((f"principal{which}", "p", row) for row in rows)
         batcher.flush(4)
-        [blob] = wire.sent[("a", "b")]
-        items = [("", "p", ("x", 1)), ("", "p", ("x", 2)),
-                 ("alice", "q", ())]
-        assert blob == encode_batch_message_dict(items, registry, 4)
+        blobs = wire.sent[("n", "m")]
+        messages = [decoded_items(blob, registry) for blob in blobs]
+        assert messages == one_at_a_time(items, registry, max_bytes)
+        for blob, message in zip(blobs, messages):
+            assert blob == encode_batch_message_dict(message, registry, 4)
 
     def test_an_empty_block_queues_nothing(self):
         batcher = MessageBatcher(_Wire(), RuleRegistry())
-        batcher.add("a", "b", "p", [])
         batcher.add("a", "b", "p", [], TermInterner())
         assert batcher.pending_items() == 0
         assert batcher.flush() == 0
+
+    def test_a_block_without_its_interner_is_a_type_error(self):
+        """Value tuples are no block form: ``terms`` is required."""
+        batcher = MessageBatcher(_Wire(), RuleRegistry())
+        with pytest.raises(TypeError):
+            batcher.add("a", "b", "p", [("x", 1)])
+        assert batcher.pending_items() == 0
 
 
 # -- fail-closed decode -------------------------------------------------------
@@ -261,11 +282,21 @@ class TestDecodeFailsClosed:
                       st.integers(min_value=0, max_value=10 ** 6),
                       st.one_of(st.integers(min_value=0, max_value=255),
                                 st.sampled_from(list(b'[]{}",:-0129.etf')))),
-            min_size=1, max_size=4))
+            min_size=1, max_size=4),
+        seed=st.sampled_from(["envelope", "single-fact", "batch-key"]))
     @settings(max_examples=500, deadline=None)
-    def test_mutated_envelopes_raise_only_network_error(self, items, edits):
+    def test_mutated_envelopes_raise_only_network_error(self, items, edits,
+                                                        seed):
         registry = RuleRegistry()
-        blob = bytearray(encode_batch_message_dict(items, registry, 3))
+        # seeds: the envelope, and the two per-item shapes no decoder reads
+        legacy = [{"to": to, "pred": pred,
+                   "fact": [encode_value(value, registry) for value in fact]}
+                  for to, pred, fact in items]
+        blob = bytearray({
+            "envelope": encode_batch_message_dict(items, registry, 3),
+            "single-fact": json.dumps(legacy[0]).encode("utf-8"),
+            "batch-key": encode_batch_message(legacy, 3),
+        }[seed])
         for kind, position, byte in edits:
             position %= len(blob) + 1
             if kind == "insert":

@@ -8,9 +8,9 @@ from repro.datalog.parser import parse_rule, parse_term
 from repro.datalog.terms import PatternValue, PredPartition, Quote
 from repro.meta.registry import RuleRegistry
 from repro.net.transport import (
-    decode_fact_message,
+    decode_batch_message,
     decode_value,
-    encode_fact_message,
+    encode_batch_message_dict,
     encode_value,
 )
 
@@ -55,9 +55,9 @@ class TestMessages:
     def test_fact_round_trip(self):
         registry = RuleRegistry()
         ref = registry.intern(parse_rule('good("carol").'))
-        blob = encode_fact_message("export", ("bob", "alice", ref, "sig"),
-                                   registry, to="bob")
-        to, pred, fact = decode_fact_message(blob, registry)
+        blob = encode_batch_message_dict(
+            [("bob", "export", ("bob", "alice", ref, "sig"))], registry)
+        [(to, pred, fact)] = decode_batch_message(blob, registry).items()
         assert to == "bob" and pred == "export"
         assert fact == ("bob", "alice", ref, "sig")
 
@@ -68,20 +68,21 @@ class TestMessages:
         # skew the receiver's id counter so refs cannot accidentally align
         receiver.intern(parse_rule("unrelated(1)."))
         ref = sender.intern(parse_rule("p(X) <- q(X, 42)."))
-        blob = encode_fact_message("says", ("a", "b", ref), sender, to="b")
-        _, _, fact = decode_fact_message(blob, receiver)
+        blob = encode_batch_message_dict([("b", "says", ("a", "b", ref))],
+                                         sender)
+        [(_, _, fact)] = decode_batch_message(blob, receiver).items()
         received_ref = fact[2]
         assert receiver.canonical_text(received_ref) == sender.canonical_text(ref)
 
     def test_garbage_rejected(self):
         with pytest.raises(NetworkError):
-            decode_fact_message(b"not json at all \xff", RuleRegistry())
+            decode_batch_message(b"not json at all \xff", RuleRegistry())
         with pytest.raises(NetworkError):
-            decode_fact_message(b'{"no": "pred"}', RuleRegistry())
+            decode_batch_message(b'{"no": "pred"}', RuleRegistry())
 
     def test_byte_count_is_payload_length(self):
         registry = RuleRegistry()
-        blob = encode_fact_message("p", ("x",), registry, to="y")
+        blob = encode_batch_message_dict([("y", "p", ("x",))], registry)
         assert isinstance(blob, bytes) and len(blob) > 10
 
 

@@ -183,7 +183,7 @@ class TestServeFrames:
         # the same link keeps its order — the client relies on this to
         # match replies by id without a reorder buffer
         abc.send("a", "b", encode_request_frame(1, "ping"))
-        abc.send("a", "b", b'{"round":0,"batch":[]}')
+        abc.send("a", "b", b'{"round":0,"names":[],"dict":[],"rows":[]}')
         abc.send("a", "b", encode_request_frame(2, "ping"))
         kinds = [frame_kind(p) for _, _, p in abc.deliver_all()]
         assert kinds == ["request", "batch", "request"]

@@ -31,7 +31,6 @@ from repro.net.transport import (
     decode_reply_frame,
     decode_request_frame,
     decode_value,
-    encode_batch_item,
     encode_batch_message,
     encode_batch_message_dict,
     encode_reply_frame,
@@ -172,38 +171,16 @@ class TestBatchRoundtrip:
         facts=st.lists(
             st.tuples(identifiers, st.lists(values, min_size=1,
                                             max_size=3).map(tuple)),
-            min_size=1, max_size=5),
-        round_stamp=st.integers(min_value=0, max_value=10 ** 6),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_batches_roundtrip(self, facts, round_stamp):
-        registry = RuleRegistry()
-        items = [encode_batch_item(pred, fact, registry, to="x")
-                 for pred, fact in facts]
-        blob = encode_batch_message(items, round_stamp)
-        assert decoded(blob, registry) == (
-            round_stamp, [("x", pred, fact) for pred, fact in facts])
-
-    @given(
-        facts=st.lists(
-            st.tuples(identifiers, st.lists(values, min_size=1,
-                                            max_size=3).map(tuple)),
             min_size=1, max_size=8),
         round_stamp=st.integers(min_value=0, max_value=10 ** 6),
     )
     @settings(max_examples=100, deadline=None)
     def test_dict_compressed_batches_roundtrip(self, facts, round_stamp):
-        """Dictionary-compressed envelopes round-trip every value type,
-        and decode to exactly what a legacy peer's envelope decodes to —
-        the mixed-version interop contract, quantified."""
+        """Dictionary-compressed envelopes round-trip every value type."""
         registry = RuleRegistry()
         triples = [("x", pred, fact) for pred, fact in facts]
         blob = encode_batch_message_dict(triples, registry, round_stamp)
         assert decoded(blob, registry) == (round_stamp, triples)
-        legacy = encode_batch_message(
-            [encode_batch_item(pred, fact, registry, to="x")
-             for pred, fact in facts], round_stamp)
-        assert decoded(legacy, registry) == (round_stamp, triples)
 
     @given(
         facts=st.lists(
@@ -218,6 +195,7 @@ class TestBatchRoundtrip:
         """The batcher's incremental text-splicing emitter must produce
         the same bytes as the canonical one-shot encoder, for any items
         in any order (dictionary indices depend on insertion order)."""
+        from repro.datalog.database import TermInterner
         from repro.net.batch import MessageBatcher
 
         registry = RuleRegistry()
@@ -230,11 +208,16 @@ class TestBatchRoundtrip:
 
         sink = _Sink()
         batcher = MessageBatcher(sink, registry)
-        for pred, fact in facts:
-            batcher.add("a", "b", pred, [fact], to="x")
+        terms = TermInterner()
+        rows = [terms.intern_row(fact) for _pred, fact in facts]
+        for (pred, _fact), row in zip(facts, rows):
+            batcher.add("a", "b", pred, [row], terms, to="x")
         batcher.flush(round_stamp)
+        # 1, 1.0 and True share an id: the wire carries the
+        # first-interned representative
         expected = encode_batch_message_dict(
-            [("x", pred, fact) for pred, fact in facts],
+            [("x", pred, terms.materialize_row(row))
+             for (pred, _fact), row in zip(facts, rows)],
             registry, round_stamp)
         assert sink.blob == expected
 
@@ -314,6 +297,15 @@ class TestServeFrameRoundtrip:
             decode_reply_frame(request)
 
     def test_batch_frames_classified(self):
+        from repro.datalog.errors import NetworkError
+        import pytest
+
         registry = RuleRegistry()
-        items = [encode_batch_item("p", (1,), registry, to="x")]
-        assert frame_kind(encode_batch_message(items, 3)) == "batch"
+        blob = encode_batch_message_dict([("x", "p", (1,))], registry, 3)
+        assert frame_kind(blob) == "batch"
+        # the per-item envelope no decoder reads is no frame class either
+        item = {"to": "x", "pred": "p", "fact": [encode_value(1, registry)]}
+        for legacy in (json.dumps(item).encode("utf-8"),
+                       encode_batch_message([item], 3)):
+            with pytest.raises(NetworkError):
+                frame_kind(legacy)
