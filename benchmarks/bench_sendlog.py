@@ -70,7 +70,7 @@ def sendlog_convergence(case, size):
     for name, principal in principals.items():
         reached = {d for (s, d) in principal.tuples("reachable") if s == name}
         assert len(reached | {name}) == size, (name, reached)
-    case.record(rounds=report.rounds,
+    case.record(rounds=report.productive_rounds,
                 messages=system.network.total.messages,
                 bytes=system.network.total.bytes,
                 virtual_time=report.virtual_time)

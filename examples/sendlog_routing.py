@@ -61,7 +61,7 @@ def main() -> None:
         reached = sorted(d for (s, d) in principals[name].tuples("reachable")
                          if s == name and d != name)
         print(f"  {name} reaches {reached}")
-    print(f"  convergence: {report.rounds} rounds, "
+    print(f"  convergence: {report.productive_rounds} rounds, "
           f"{system.network.total.messages} messages, "
           f"{system.network.total.bytes} bytes, "
           f"virtual time {report.virtual_time:.1f}")
@@ -73,7 +73,7 @@ def main() -> None:
     )
     for destination, path in n3_paths:
         print(f"  n3 -> {destination} via {'-'.join(path)}")
-    print(f"  convergence: {report.rounds} rounds, "
+    print(f"  convergence: {report.productive_rounds} rounds, "
           f"{system.network.total.messages} messages")
 
     print("\n=== location transparency: n0,n1 colocated on host0 ===")

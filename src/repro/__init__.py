@@ -24,9 +24,9 @@ See ``DESIGN.md`` for the architecture and ``EXPERIMENTS.md`` for the
 paper-versus-measured results.
 """
 
-from .cluster import Cluster, ClusterReport, Partitioner
+from .cluster import Cluster, Partitioner, RunReport
 from .core.principal import Principal
-from .core.system import LBTrustSystem, RunReport
+from .core.system import LBTrustSystem
 from .datalog.errors import (
     ActivationLimitError,
     ClusterError,
@@ -44,7 +44,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Cluster",
-    "ClusterReport",
     "LBTrustSystem",
     "Partitioner",
     "Principal",

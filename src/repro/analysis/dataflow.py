@@ -100,15 +100,12 @@ def _quoted_patterns(atom) -> list:
 
 
 def _is_anon(name: str) -> bool:
+    """Parser-generated anonymous variables (from ``_``)."""
     return name.startswith("_")
 
 
 def _atom_var_names(atom) -> set:
     return {v.name for v in atom.variables() if not _is_anon(v.name)}
-
-
-def _label(rule: Rule) -> Optional[str]:
-    return rule.label
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +285,11 @@ class _Shape:
         return self.imported - self.derived - self.declared
 
 
-def _harvest_shape(ctx) -> _Shape:
+def harvest_shape(statements) -> _Shape:
+    """One walk over the program; :meth:`AnalysisContext.shape` keeps the
+    result for the three passes that read it."""
     shape = _Shape()
-    for statement in ctx.statements:
+    for statement in statements:
         if isinstance(statement, Constraint):
             for side in (statement.lhs, statement.rhs):
                 for alternative in side:
@@ -459,7 +458,7 @@ def authority_pass(ctx) -> list[Diagnostic]:
     * R603 — the program imports via says somewhere, yet an
       authorization decision consults no attributed input at all.
     """
-    shape = _harvest_shape(ctx)
+    shape = ctx.shape()
     equations, has_says_import = _authority_equations(ctx, shape)
     if not equations:
         return []
@@ -489,7 +488,7 @@ def authority_pass(ctx) -> list[Diagnostic]:
                 f"says import or guard the decision",
                 file=ctx.file,
                 span=culprit.rule.span if culprit is not None else None,
-                rule_label=_label(culprit.rule) if culprit is not None
+                rule_label=culprit.rule.label if culprit is not None
                 else None,
                 pred=sink))
         elif (has_says_import and value
@@ -503,7 +502,7 @@ def authority_pass(ctx) -> list[Diagnostic]:
                 f"decision ignores every speaker",
                 file=ctx.file,
                 span=culprit.rule.span if culprit is not None else None,
-                rule_label=_label(culprit.rule) if culprit is not None
+                rule_label=culprit.rule.label if culprit is not None
                 else None,
                 pred=sink))
 
@@ -529,7 +528,7 @@ def authority_pass(ctx) -> list[Diagnostic]:
                 file=ctx.file,
                 span=equation.rule.span if equation.rule is not None
                 else None,
-                rule_label=_label(equation.rule)
+                rule_label=equation.rule.label
                 if equation.rule is not None else None,
                 pred=equation.head))
     return diagnostics
@@ -690,7 +689,7 @@ def delegation_pass(ctx) -> list[Diagnostic]:
     * R613 — as R611, but the cycle crosses the says boundary, so a
       remote peer can extend the chain indefinitely.
     """
-    shape = _harvest_shape(ctx)
+    shape = ctx.shape()
     edges = _delegation_edges(ctx, shape)
     if not edges:
         return []
@@ -739,7 +738,7 @@ def delegation_pass(ctx) -> list[Diagnostic]:
                 f"depth bound ({rendered}){where}; add a decreasing "
                 f"guard column (dd2b-style N > 0 with N-1 in the head)",
                 file=ctx.file, span=culprit.span,
-                rule_label=_label(culprit), pred=anchor))
+                rule_label=culprit.label, pred=anchor))
         elif not any(_decreases_guarded_column(rule, component, guards)
                      for rule, guards in guarded_rules):
             rule = guarded_rules[0][0]
@@ -749,7 +748,7 @@ def delegation_pass(ctx) -> list[Diagnostic]:
                 f"guard but never decreases the guarded column "
                 f"({rendered}); the recursion stays unbounded",
                 file=ctx.file, span=rule.span,
-                rule_label=_label(rule), pred=anchor))
+                rule_label=rule.label, pred=anchor))
     return diagnostics
 
 
@@ -894,7 +893,7 @@ def cost_pass(ctx) -> list[Diagnostic]:
     * R704 — a recursive component's estimate fails to stabilize even
       with widening (info).
     """
-    shape = _harvest_shape(ctx)
+    shape = ctx.shape()
     if not shape.rules and not shape.fact_counts:
         return []
     catalog = _cost_catalog(ctx)
@@ -960,7 +959,7 @@ def cost_pass(ctx) -> list[Diagnostic]:
                     f"Cartesian product is estimated at ~{estimate:.0e} "
                     f"rows — bind a join variable or split the rule",
                     file=ctx.file, span=literal.span or rule.span,
-                    rule_label=_label(rule), pred=equation.head))
+                    rule_label=rule.label, pred=equation.head))
             else:
                 diagnostics.append(Diagnostic(
                     "R703",
@@ -968,7 +967,7 @@ def cost_pass(ctx) -> list[Diagnostic]:
                     f"{literal.atom.pred!r} with no shared variable "
                     f"(Cartesian-prone; ~{estimate:.0e} rows estimated)",
                     file=ctx.file, span=literal.span or rule.span,
-                    rule_label=_label(rule), pred=equation.head))
+                    rule_label=rule.label, pred=equation.head))
         if multi_node and estimate >= EXCHANGE_THRESHOLD:
             from ..cluster.placement_check import exchanged_rule_preds
 
@@ -982,7 +981,7 @@ def cost_pass(ctx) -> list[Diagnostic]:
                     f"{len(placement.nodes)}-node placement; every "
                     f"derivation round ships that volume across shards",
                     file=ctx.file, span=rule.span,
-                    rule_label=_label(rule), pred=equation.head))
+                    rule_label=rule.label, pred=equation.head))
 
     # A recursive component whose estimate climbs to the cap "converged"
     # only because the lattice is capped — that is non-stabilization too,
@@ -1009,6 +1008,6 @@ def cost_pass(ctx) -> list[Diagnostic]:
             f"converge",
             file=ctx.file,
             span=culprit.span if culprit is not None else None,
-            rule_label=_label(culprit) if culprit is not None else None,
+            rule_label=culprit.label if culprit is not None else None,
             pred=pred))
     return diagnostics

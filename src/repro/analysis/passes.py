@@ -44,6 +44,8 @@ from ..datalog.terms import (
 from ..workspace.catalog import Catalog
 from .dataflow import (
     SYSTEM_PREDS as _SYSTEM_PREDS,
+    _is_anon,
+    _meta_preds,
     authority_pass,
     cost_pass,
     delegation_pass,
@@ -52,17 +54,8 @@ from .dataflow import (
 from .diagnostics import Diagnostic
 
 
-def _meta_preds() -> frozenset:
-    from ..meta.model import ALL_META_PREDS
-    return ALL_META_PREDS
-
-
 def _var_names(item) -> set:
     return {v.name for v in item.variables()}
-
-
-def _label(rule: Rule) -> Optional[str]:
-    return rule.label
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +76,7 @@ def safety_pass(ctx) -> list[Diagnostic]:
         if compiled is None:
             diagnostics.append(Diagnostic(
                 "R003", f"rule does not compile: {error}",
-                file=ctx.file, span=rule.span, rule_label=_label(rule)))
+                file=ctx.file, span=rule.span, rule_label=rule.label))
             continue
         if compiled.is_fact():
             continue
@@ -117,14 +110,9 @@ def _negated_unbound(ctx, rule: Rule, compiled: Rule) -> list[Diagnostic]:
                 f"!{item.atom.pred} are never bound by a positive literal "
                 f"(the negation only checks non-existence; use _ if that "
                 f"is intended)", file=ctx.file,
-                span=item.span or rule.span, rule_label=_label(rule),
+                span=item.span or rule.span, rule_label=rule.label,
                 pred=item.atom.pred))
     return found
-
-
-def _is_anon(name: str) -> bool:
-    """Parser-generated anonymous variables (from ``_``)."""
-    return name.startswith("_")
 
 
 def _classify_safety(ctx, rule: Rule, compiled: Rule,
@@ -145,7 +133,7 @@ def _classify_safety(ctx, rule: Rule, compiled: Rule,
                     f"comparison {item.left!r} {item.op} {item.right!r} "
                     f"reads unbound variable(s) {', '.join(missing)}",
                     file=ctx.file, span=item.span or rule.span,
-                    rule_label=_label(rule)))
+                    rule_label=rule.label))
         elif isinstance(item, BuiltinCall):
             definition = ctx.builtins.lookup(item.name)
             outputs = set(definition.output_positions) if definition else set()
@@ -160,7 +148,7 @@ def _classify_safety(ctx, rule: Rule, compiled: Rule,
                     "R003",
                     f"builtin {item.name} reads unbound variable(s) "
                     f"{', '.join(missing)} at input positions",
-                    file=ctx.file, span=rule.span, rule_label=_label(rule)))
+                    file=ctx.file, span=rule.span, rule_label=rule.label))
 
     for head in compiled.heads:
         unsafe: list[str] = []
@@ -174,13 +162,13 @@ def _classify_safety(ctx, rule: Rule, compiled: Rule,
                 f"head variable(s) {', '.join(sorted(set(unsafe)))} of "
                 f"{head.pred!r} are not bound by the rule body "
                 f"(not range-restricted)", file=ctx.file,
-                span=head.span or rule.span, rule_label=_label(rule),
+                span=head.span or rule.span, rule_label=rule.label,
                 pred=head.pred))
 
     if not found:
         found.append(Diagnostic(
             "R003", str(exc), file=ctx.file, span=rule.span,
-            rule_label=_label(rule)))
+            rule_label=rule.label))
     return found
 
 
@@ -228,7 +216,7 @@ def stratification_pass(ctx) -> list[Diagnostic]:
         f"a recursive cycle ({rendered}); the program is not stratifiable",
         file=ctx.file,
         span=culprit.span if culprit is not None else None,
-        rule_label=_label(culprit) if culprit is not None else None,
+        rule_label=culprit.label if culprit is not None else None,
         pred=target)]
 
 
@@ -311,10 +299,10 @@ def types_pass(ctx) -> list[Diagnostic]:
     for statement in ctx.statements:
         if isinstance(statement, Rule):
             for head in statement.heads:
-                observe(head, statement.span, _label(statement))
+                observe(head, statement.span, statement.label)
             for item in statement.body:
                 if isinstance(item, Literal):
-                    observe(item.atom, statement.span, _label(statement))
+                    observe(item.atom, statement.span, statement.label)
         elif isinstance(statement, Constraint):
             try:
                 catalog.observe_constraint(statement)
@@ -331,7 +319,7 @@ def types_pass(ctx) -> list[Diagnostic]:
                 "R202",
                 f"variable {name} is used at positions typed "
                 f"{', '.join(types)}", file=ctx.file, span=statement.span,
-                rule_label=_label(statement)))
+                rule_label=statement.label))
     return diagnostics
 
 
@@ -382,7 +370,7 @@ def deadcode_pass(ctx) -> list[Diagnostic]:
                 f"predicate {pred!r} is read here but has no rule, fact, "
                 f"or declaration in this program (external EDB input?)",
                 file=ctx.file, span=item.span or statement.span,
-                rule_label=_label(statement), pred=pred))
+                rule_label=statement.label, pred=pred))
         # R302 — singleton variables.
         counts: dict[str, int] = {}
         for variable in statement.variables():
@@ -394,14 +382,14 @@ def deadcode_pass(ctx) -> list[Diagnostic]:
                 f"variable {name} occurs only once in this rule "
                 f"(use _ if the value is deliberately ignored)",
                 file=ctx.file, span=statement.span,
-                rule_label=_label(statement)))
+                rule_label=statement.label))
         # R303 — unsatisfiable bodies.
         reason = _unsatisfiable(statement)
         if reason is not None:
             diagnostics.append(Diagnostic(
                 "R303", f"rule can never fire: {reason}",
                 file=ctx.file, span=statement.span,
-                rule_label=_label(statement)))
+                rule_label=statement.label))
     return diagnostics
 
 
@@ -508,7 +496,7 @@ def attribution_pass(ctx) -> list[Diagnostic]:
                     f"literal with no local derivation — the attribution "
                     f"chain is broken", file=ctx.file,
                     span=item.span or statement.span,
-                    rule_label=_label(statement), pred=pred))
+                    rule_label=statement.label, pred=pred))
     return diagnostics
 
 

@@ -30,6 +30,7 @@ from ..datalog.errors import (
     WorkspaceError,
 )
 from ..datalog.terms import Rule
+from .dataflow import harvest_shape
 from .diagnostics import (
     ERROR,
     Diagnostic,
@@ -71,10 +72,19 @@ class AnalysisContext:
     builtins: Optional[object] = None
     placement: Optional[object] = None  # cluster.partition.Partitioner
     _compiled: Optional[list] = field(default=None, repr=False)
+    _shape: Optional[object] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.builtins is None:
             self.builtins = default_builtins()
+
+    def shape(self):
+        """Who derives, declares, ships and reads what — one walk over
+        the statements, shared by the authority, delegation and cost
+        passes."""
+        if self._shape is None:
+            self._shape = harvest_shape(self.statements)
+        return self._shape
 
     def compiled_rules(self) -> list:
         """``(rule, compiled | None, error | None)`` per non-fact rule.

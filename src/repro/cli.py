@@ -109,7 +109,8 @@ class Shell:
         elif command == ":run":
             report = self.system.run()
             self.emit(f"delivered={report.delivered} "
-                      f"rejected={report.rejected} rounds={report.rounds}")
+                      f"rejected={report.rejected} "
+                      f"rounds={report.productive_rounds}")
         elif command == ":query":
             rows = self._need_context().query(parts[1] if len(parts) == 2
                                               else f"{parts[1]} {parts[2]}")

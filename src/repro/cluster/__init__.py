@@ -13,10 +13,10 @@ over either network transport (virtual-clock
 :class:`~repro.net.network.SimulatedNetwork` or TCP
 :class:`~repro.net.socket_transport.SocketNetwork`), and the
 :mod:`~repro.cluster.launch` module deploys one OS process per node.
-See :mod:`repro.cluster.runtime` for the full protocol.
+See :mod:`repro.cluster.scheduler` for the full protocol.
 """
 
-from .launch import LaunchReport, cluster_spec, launch, spec_nodes, system_spec
+from .launch import cluster_spec, launch, spec_nodes, system_spec
 from .node import ClusterNode
 from .partition import (
     MODE_LOCAL,
@@ -32,21 +32,20 @@ from .placement_check import (
     check_join_compatibility,
 )
 from .quiescence import RoundRecord, TicketLedger
-from .runtime import Cluster, ClusterReport, NodeReport
+from .runtime import Cluster
 from .scheduler import (
     MODE_ASYNC,
     MODE_BSP,
     SCHEDULER_MODES,
     ExecutionRuntime,
-    RuntimeReport,
+    NodeReport,
+    RunReport,
 )
 
 __all__ = [
     "Cluster",
     "ClusterNode",
-    "ClusterReport",
     "ExecutionRuntime",
-    "LaunchReport",
     "MODE_ASYNC",
     "MODE_BSP",
     "MODE_LOCAL",
@@ -57,7 +56,7 @@ __all__ = [
     "PlacementIssue",
     "PlacementMap",
     "RoundRecord",
-    "RuntimeReport",
+    "RunReport",
     "SCHEDULER_MODES",
     "TicketLedger",
     "analyze_join_compatibility",

@@ -98,13 +98,6 @@ def _graph_edges(args) -> list:
     return edges
 
 
-def _describe_placement(partitioner: Partitioner, emit) -> None:
-    emit("placement:")
-    for pred, rule in sorted(partitioner.describe().items()):
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(rule.items()))
-        emit(f"  {pred:8s} {detail}")
-
-
 def main(argv: Optional[list] = None, out: Optional[TextIO] = None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
@@ -123,50 +116,33 @@ def main(argv: Optional[list] = None, out: Optional[TextIO] = None) -> int:
 
     names = [f"node{i}" for i in range(args.nodes)]
     edges = _graph_edges(args)
-    if args.procs:
-        return _run_multiprocess(args, names, edges, emit)
-    return _run_in_process(args, names, edges, emit)
-
-
-def _run_in_process(args, names, edges, emit) -> int:
-    partitioner = _build_partitioner(names)
-    if args.transport == "socket":
-        network = SocketNetwork(delivery_timeout=args.timeout)
-    else:
-        network = SimulatedNetwork(default_latency=args.latency)
-    cluster = Cluster(names, network=network, partitioner=partitioner,
-                      max_batch_bytes=args.max_batch_bytes, mode=args.mode)
-    cluster.load(PROGRAM)
-    for edge in edges:
-        cluster.assert_fact("edge", edge)
-
-    emit(f"cluster: {args.nodes} node(s), {args.mode} scheduling, "
+    hosts = (f"{args.procs} worker process(es)" if args.procs
+             else f"{args.nodes} node(s)")
+    emit(f"cluster: {hosts}, {args.mode} scheduling, "
          f"{args.transport} transport, "
          f"graph: {args.vertices} vertices / {len(edges)} edges "
          f"(seed {args.seed})")
-    _describe_placement(cluster.partitioner, emit)
+    emit("placement:")
+    for pred, rule in sorted(_build_partitioner(names).describe().items()):
+        detail = ", ".join(f"{k}={v}" for k, v in sorted(rule.items()))
+        emit(f"  {pred:8s} {detail}")
 
     try:
-        report = cluster.run()
+        run = _run_multiprocess if args.procs else _run_in_process
+        report, reach = run(args, names, edges)
     except ReproError as exc:
         emit(f"error: {exc}")
         return 1
-    finally:
-        if args.transport == "socket":
-            network.close()
 
     emit()
-    emit(f"{'node':10s} {'edge':>6s} {'reach':>7s} {'derived':>8s} "
+    emit(f"{'node':10s} {'facts':>6s} {'derived':>8s} "
          f"{'sent':>6s} {'recv':>6s}")
-    for node_report in report.per_node:
-        node = cluster.node(node_report.name)
-        emit(f"{node_report.name:10s} {len(node.db.tuples('edge')):6d} "
-             f"{len(node.db.tuples('reach')):7d} "
-             f"{node_report.derivations:8d} {node_report.sent_facts:6d} "
-             f"{node_report.received_facts:6d}")
+    for row in report.per_node:
+        emit(f"{row.name:10s} {row.db_facts:6d} {row.derivations:8d} "
+             f"{row.sent_facts:6d} {row.received_facts:6d}")
 
     emit()
-    emit(f"fixpoint: {len(cluster.tuples('reach'))} reach facts in "
+    emit(f"fixpoint: {len(reach)} reach facts in "
          f"{report.rounds} rounds (causal depth {report.depth})")
     emit(f"traffic: {report.messages} batch message(s) carrying "
          f"{report.batched_facts} facts, {report.bytes} bytes")
@@ -177,37 +153,30 @@ def _run_in_process(args, names, edges, emit) -> int:
     return 0
 
 
-def _run_multiprocess(args, names, edges, emit) -> int:
+def _run_in_process(args, names, edges) -> tuple:
+    """Every shard in this process; ``(report, reach facts)``."""
+    if args.transport == "socket":
+        network = SocketNetwork(delivery_timeout=args.timeout)
+    else:
+        network = SimulatedNetwork(default_latency=args.latency)
+    try:
+        cluster = Cluster(names, network=network,
+                          partitioner=_build_partitioner(names),
+                          max_batch_bytes=args.max_batch_bytes, mode=args.mode)
+        cluster.load(PROGRAM)
+        for edge in edges:
+            cluster.assert_fact("edge", edge)
+        return cluster.run(), cluster.tuples("reach")
+    finally:
+        if args.transport == "socket":
+            network.close()
+
+
+def _run_multiprocess(args, names, edges) -> tuple:
+    """One OS process per shard; ``(report, reach facts)``."""
     spec = cluster_spec(names, placement=PLACEMENT_OPS, program=PROGRAM,
                         facts=[("edge", edge) for edge in edges],
                         collect=["reach"])
-    emit(f"cluster: {args.nodes} worker process(es), {args.mode} "
-         f"scheduling, socket transport, "
-         f"graph: {args.vertices} vertices / {len(edges)} edges "
-         f"(seed {args.seed})")
-    _describe_placement(_build_partitioner(names), emit)
-
-    try:
-        report = launch(spec, mode=args.mode, timeout=args.timeout,
-                        max_batch_bytes=args.max_batch_bytes)
-    except ReproError as exc:
-        emit(f"error: {exc}")
-        return 1
-
-    emit()
-    emit(f"{'node':10s} {'facts':>6s} {'derived':>8s} "
-         f"{'sent':>6s} {'recv':>6s}")
-    for node_report in report.per_node:
-        emit(f"{node_report.name:10s} {node_report.db_facts:6d} "
-             f"{node_report.derivations:8d} {node_report.sent_facts:6d} "
-             f"{node_report.received_facts:6d}")
-
-    runtime = report.runtime
-    emit()
-    emit(f"fixpoint: {len(report.relations.get('reach', ()))} reach facts "
-         f"in {runtime.rounds} rounds (causal depth {runtime.depth})")
-    emit(f"traffic: {runtime.messages} batch message(s), "
-         f"{runtime.bytes} bytes, across {report.procs} OS processes")
-    emit(f"converged at wall time {runtime.convergence_time:.2f}s "
-         f"(total {runtime.virtual_time:.2f}s)")
-    return 0
+    report = launch(spec, mode=args.mode, timeout=args.timeout,
+                    max_batch_bytes=args.max_batch_bytes)
+    return report, report.relations[""]["reach"]

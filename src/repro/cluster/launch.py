@@ -61,11 +61,17 @@ relay-routed import is a named error, see :class:`_HostedImports`).
 
 Every failure reaches the caller as a named
 :class:`~repro.datalog.errors.ClusterError`: a failing worker forwards
-its error before it exits, a dead one is named with its exit code.  The
-outcome merges each worker's own
-:class:`~repro.cluster.scheduler.RuntimeReport` and
-:class:`~repro.cluster.runtime.NodeReport` — the shapes the in-process
-runtimes produce, equal to them field for field in ``bsp`` mode.
+its error before it exits, a dead one is named with its exit code.
+
+**What a worker sends back** is the
+:class:`~repro.cluster.scheduler.RunReport` its runtime produced
+(``as_dict()``: its node's ``per_node`` row, the imports it refused in
+``rejected_detail``) plus the spec's ``collect`` predicates as wire
+values.  The coordinator merges them into one ``RunReport`` — sums, the
+deepest ``depth``, details and rows concatenated, ``rounds`` off the
+ledger in ``bsp``, wall-clock seconds for the times, the collected
+facts under ``relations`` — equal to the in-process run's field for
+field in ``bsp`` mode.
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ import socket
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional
 
 from ..datalog.errors import ClusterError, NetworkError
@@ -86,9 +91,8 @@ from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.socket_transport import SocketNetwork
 from ..net.transport import decode_value, encode_value
 from .quiescence import RoundRecord, TicketLedger
-from .runtime import NodeReport
 from .scheduler import (MODE_ASYNC, MODE_BSP, SCHEDULER_MODES,
-                        ExecutionRuntime, RuntimeReport)
+                        ExecutionRuntime, RunReport)
 
 _LEN = struct.Struct("!I")
 
@@ -205,7 +209,7 @@ def cluster_spec(nodes, placement, program, facts=(),
     ``["replicate", pred]``, ``["place", pred, [key], node]``.
     ``facts`` are ``(pred, values)`` pairs routed by the placement;
     ``collect`` names the predicates whose distributed union the final
-    report should carry.
+    report should carry (``report.relations[""][pred]``).
     """
     return {
         "kind": "cluster",
@@ -228,7 +232,8 @@ def system_spec(principals, auth="hmac", seed=7, rsa_bits=512,
     ``loads`` are ``(principal, datalog_source)``, ``facts`` are
     ``(principal, pred, values)``, ``says`` are ``(speaker, listener,
     statement)``; ``collect`` names predicates gathered per principal
-    into the final report.
+    into the final report (``report.relations[principal][pred]``, from
+    whichever worker hosted the principal).
     """
     return {
         "kind": "system",
@@ -257,42 +262,6 @@ def spec_nodes(spec: dict) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The merged outcome
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LaunchReport:
-    """One multiprocess run: merged runtime totals + per-worker shares.
-
-    ``relations`` is the distributed union per collected predicate
-    (``cluster`` jobs); ``principal_relations`` maps principal → pred →
-    facts gathered from whichever worker hosted the principal
-    (``system`` jobs).  ``runtime`` carries the same fields the
-    in-process :class:`~repro.cluster.scheduler.ExecutionRuntime`
-    reports, with wall-clock seconds for the time figures.
-    """
-
-    kind: str
-    procs: int = 0
-    runtime: RuntimeReport = field(default_factory=RuntimeReport)
-    per_node: list = field(default_factory=list)
-    relations: dict = field(default_factory=dict)
-    principal_relations: dict = field(default_factory=dict)
-    delivered: int = 0
-    rejected: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "procs": self.procs,
-            "runtime": self.runtime.as_dict(),
-            "per_node": [n.as_dict() for n in self.per_node],
-            "delivered": self.delivered,
-            "rejected": self.rejected,
-        }
-
-
-# ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
@@ -308,7 +277,8 @@ def _encode_relations(sources: dict, spec: dict, registry) -> dict:
 
 def _build_cluster_job(spec: dict, my_node: str) -> tuple:
     """This worker's shard of a ``cluster`` job: ``(node, registry,
-    collect)`` where ``collect(outcome)`` is its share of the report."""
+    report, sources)`` — the report its node tallies into (none, for a
+    shard) and what :func:`_encode_relations` collects from."""
     from .partition import Partitioner
     from .runtime import Cluster
 
@@ -334,25 +304,13 @@ def _build_cluster_job(spec: dict, my_node: str) -> tuple:
     for pred, values in spec.get("facts", ()):
         cluster.assert_fact(pred, tuple(values))
     node = cluster.nodes[my_node]
-
-    def collect(outcome: RuntimeReport) -> dict:
-        return {
-            "relations": _encode_relations({"": node.db.tuples}, spec,
-                                            cluster.registry),
-            "node_report": NodeReport(
-                name=my_node, derivations=node.stats.derivations,
-                new_facts=node.stats.new_facts, sent_facts=node.sent_facts,
-                received_facts=node.received_facts,
-                db_facts=node.db.total_facts()).as_dict(),
-        }
-
-    return node, cluster.registry, collect
+    return node, cluster.registry, None, {"": node.db.tuples}
 
 
 def _build_system_job(spec: dict, my_node: str) -> tuple:
     """This worker's host of a ``system`` job, shaped like
     :func:`_build_cluster_job`'s result."""
-    from ..core.system import LBTrustSystem, RunReport, WorkspaceNode
+    from ..core.system import LBTrustSystem, WorkspaceNode
     from ..languages.sendlog import install_sendlog
 
     system = LBTrustSystem(
@@ -372,30 +330,11 @@ def _build_system_job(spec: dict, my_node: str) -> tuple:
         system.principal(name).assert_fact(pred, tuple(values))
     for speaker, listener, stmt in spec.get("says", ()):
         system.principal(speaker).says(listener, stmt)
-    run_report = RunReport()
+    report = RunReport()
     mine = [p for p in system.principals.values() if p.node == my_node]
-    stats_before = {p.name: p.workspace.stats.copy() for p in mine}
-
-    def collect(outcome: RuntimeReport) -> dict:
-        return {
-            "relations": _encode_relations({p.name: p.tuples for p in mine},
-                                            spec, system.registry),
-            "node_report": NodeReport(
-                name=my_node,
-                derivations=sum(
-                    p.workspace.stats.diff(stats_before[p.name]).derivations
-                    for p in mine),
-                new_facts=run_report.delivered,
-                sent_facts=outcome.batched_facts,
-                received_facts=outcome.delivered_facts,
-                db_facts=sum(p.workspace.db.total_facts() for p in mine),
-            ).as_dict(),
-            "delivered": run_report.delivered,
-            "rejected": run_report.rejected,
-        }
-
-    host = WorkspaceNode(system, my_node, mine, run_report)
-    return _HostedImports(host), system.registry, collect
+    host = WorkspaceNode(system, my_node, mine, report)
+    return (_HostedImports(host), system.registry, report,
+            {p.name: p.tuples for p in mine})
 
 
 class _HostedImports:
@@ -570,21 +509,21 @@ def _worker_entry(host: str, port: int, my_node: str) -> None:
         for name, (peer_host, peer_port) in message["peers"].items():
             if name != my_node:
                 network.add_remote(name, peer_host, peer_port)
-        if spec["kind"] == "cluster":
-            node, registry, collect = _build_cluster_job(spec, my_node)
-        elif spec["kind"] == "system":
-            node, registry, collect = _build_system_job(spec, my_node)
-        else:
+        build = {"cluster": _build_cluster_job,
+                 "system": _build_system_job}.get(spec["kind"])
+        if build is None:
             raise ClusterError(f"unknown job kind {spec['kind']!r}")
+        node, registry, report, sources = build(spec, my_node)
         link = _Link(network, control, timeout)
         runtime = ExecutionRuntime(
             {my_node: node}, link, registry, mode=message["mode"],
             max_batch_bytes=message["max_batch_bytes"], ledger=link,
             strict=True)
         control.send({"type": "ready"})
-        outcome = runtime.run(message["max_rounds"])
-        control.send({"type": "report", "runtime": outcome.as_dict(),
-                      **collect(outcome)})
+        report = runtime.run(message["max_rounds"], report)
+        control.send({"type": "report", "report": report.as_dict(),
+                      "relations": _encode_relations(sources, spec,
+                                                     registry)})
     except BaseException as exc:  # noqa: BLE001 - forwarded to coordinator
         if control is not None:
             try:
@@ -605,9 +544,9 @@ def _worker_entry(host: str, port: int, my_node: str) -> None:
 # Coordinator side
 # ---------------------------------------------------------------------------
 
-#: RuntimeReport fields that are the sum of the workers' own
+#: RunReport fields that are the sum of the workers' own
 _SUMMED = ("events", "messages", "batched_facts", "bytes", "new_facts",
-           "delivered_facts")
+           "delivered_facts", "delivered", "rejected")
 
 
 class _Coordinator:
@@ -640,7 +579,7 @@ class _Coordinator:
 
     # -- lifecycle -----------------------------------------------------
 
-    def run(self) -> LaunchReport:
+    def run(self) -> RunReport:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -661,8 +600,8 @@ class _Coordinator:
             else:
                 self._serve_bsp()
             report = self._collect()
-            report.runtime.virtual_time = self._clock()
-            report.runtime.convergence_time = self.ledger.convergence_clock()
+            report.virtual_time = self._clock()
+            report.convergence_time = self.ledger.convergence_clock()
             return report
         finally:
             listener.close()
@@ -808,40 +747,36 @@ class _Coordinator:
 
     # -- final collection ----------------------------------------------
 
-    def _collect(self) -> LaunchReport:
-        """Merge each worker's own report into one :class:`LaunchReport`."""
+    def _collect(self) -> RunReport:
+        """Merge each worker's own report into one :class:`RunReport`."""
         from ..meta.registry import RuleRegistry
 
         registry = RuleRegistry()
-        report = LaunchReport(kind=self.spec["kind"], procs=len(self.nodes))
-        runtime = report.runtime
-        runtime.mode = self.mode
+        report = RunReport(mode=self.mode)
         for name in sorted(self.nodes):
             reply = self._recv(name, "report")
-            report.per_node.append(NodeReport(**reply["node_report"]))
+            share = RunReport(**reply["report"])
             for key in _SUMMED:
-                setattr(runtime, key,
-                        getattr(runtime, key) + reply["runtime"][key])
-            runtime.depth = max(runtime.depth, reply["runtime"]["depth"])
-            report.delivered += reply.get("delivered", 0)
-            report.rejected += reply.get("rejected", 0)
+                setattr(report, key, getattr(report, key) + getattr(share, key))
+            report.depth = max(report.depth, share.depth)
+            report.rejected_detail += share.rejected_detail
+            report.per_node += share.per_node
             for owner, relations in reply["relations"].items():
-                merged = report.principal_relations.setdefault(owner, {}) \
-                    if owner else report.relations
+                merged = report.relations.setdefault(owner, {})
                 for pred, facts in relations.items():
                     merged.setdefault(pred, set()).update(
                         tuple(decode_value(value, registry) for value in fact)
                         for fact in facts)
         if self.mode == MODE_ASYNC:
             # causal depth *is* the round quantity under overlap
-            runtime.rounds = runtime.depth
-            runtime.productive_rounds = runtime.events
+            report.rounds = report.depth
+            report.productive_rounds = report.events
         else:
             # a worker knows only its own flushes; the ledger saw them all
             records = self.ledger.rounds
-            runtime.rounds = len(records)
-            runtime.depth = sum(1 for record in records if record.issued)
-            runtime.productive_rounds = sum(
+            report.rounds = len(records)
+            report.depth = sum(1 for record in records if record.issued)
+            report.productive_rounds = sum(
                 1 for record in records if record.retired)
         return report
 
@@ -849,12 +784,13 @@ class _Coordinator:
 def launch(spec: dict, mode: str = MODE_BSP, max_rounds: int = 500,
            timeout: float = DEFAULT_TIMEOUT,
            max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
-           host: str = "127.0.0.1") -> LaunchReport:
+           host: str = "127.0.0.1") -> RunReport:
     """Run ``spec`` with one OS process per node; block until quiescent.
 
     Spawns the workers — each an :class:`ExecutionRuntime` over its
     one node — serves their tallies from the ticket ledger until it
-    proves quiescence, and returns the merged :class:`LaunchReport`.
+    proves quiescence, and returns the merged
+    :class:`~repro.cluster.scheduler.RunReport`.
     """
     return _Coordinator(spec, mode=mode, max_rounds=max_rounds,
                         timeout=timeout, max_batch_bytes=max_batch_bytes,

@@ -32,8 +32,8 @@ delta and one propagation.
 
 The node speaks the :class:`~repro.cluster.scheduler.ExecutionRuntime`
 protocol (``bootstrap`` / ``integrate`` / ``drain_outbox`` /
-``quiesce``), so the same scheduler that drives principal workspaces
-drives Datalog shards — one execution model, two node kinds.
+``quiesce`` / ``share``), so the same scheduler that drives principal
+workspaces drives Datalog shards — one execution model, two node kinds.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from ..datalog.stratify import stratify
 from ..datalog.errors import ClusterError
 from ..net.transport import Batch
 from .partition import MODE_LOCAL, MODE_REPLICATED, Partitioner
+from .scheduler import NodeReport
 
 
 class ClusterNode:
@@ -259,6 +260,13 @@ class ClusterNode:
             for rows in per_pred.values())
         self._sent = {}
         self.sent_generation += 1
+
+    def share(self) -> NodeReport:
+        """Lifetime counters and current size; the runtime reports the
+        difference across a run."""
+        return NodeReport(self.name, self.stats.derivations,
+                          self.stats.new_facts, self.sent_facts,
+                          self.received_facts, self.db.total_facts())
 
     # ------------------------------------------------------------------
 

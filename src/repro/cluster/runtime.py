@@ -2,35 +2,25 @@
 
 A :class:`Cluster` is N :class:`~repro.cluster.node.ClusterNode` shards
 on a :class:`~repro.net.network.SimulatedNetwork`, evaluating one rule
-program to a *distributed* fixpoint.  Since PR 4 the round loop itself
-lives in :class:`~repro.cluster.scheduler.ExecutionRuntime` — the same
-scheduler that drives principal workspaces in
-:class:`~repro.core.system.LBTrustSystem` — in one of two modes:
-
-* ``bsp`` — bulk-synchronous: every node runs its local fixpoint, all
-  outboxes flush at a barrier through one
-  :class:`~repro.net.batch.MessageBatcher`, all batches deliver, repeat;
-* ``async`` — overlapped: batches deliver in virtual-clock order and
-  each node re-enters semi-naive the moment a delta arrives, shipping
-  its consequences immediately — no barrier.
-
-Either way the :class:`~repro.cluster.quiescence.TicketLedger`'s
-per-sender round vectors prove quiescence exactly: no tickets
-outstanding, no node holding unflushed work.
+program to a *distributed* fixpoint.  The round loop (``bsp`` barriers
+or ``async`` overlap), the ledger-proved quiescence and the description
+of a run (:class:`~repro.cluster.scheduler.RunReport`) all live in
+:class:`~repro.cluster.scheduler.ExecutionRuntime` — the same scheduler
+that drives principal workspaces in
+:class:`~repro.core.system.LBTrustSystem`.
 
 The union of all shards equals the single-node fixpoint whenever the
-placement is *join-compatible* — and since PR 4 that is no longer the
-programmer's unchecked responsibility: ``load()`` runs the static
+placement is *join-compatible*, which is checked, not trusted:
+``load()`` runs the static
 :func:`~repro.cluster.placement_check.check_join_compatibility` analysis
 and rejects (or, under ``on_incompatible="replicate"``, repairs by
 replication) any rule whose body joins cannot be co-located.
-Negation/aggregation over exchanged predicates is still rejected: a
-shard cannot prove a fact absent while a delta for it may be in flight.
+Negation/aggregation over exchanged predicates is rejected: a shard
+cannot prove a fact absent while a delta for it may be in flight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry
@@ -46,75 +36,7 @@ from .node import ClusterNode
 from .partition import Partitioner
 from .placement_check import check_join_compatibility, nonmonotone_exchanges
 from .quiescence import TicketLedger
-from .scheduler import MODE_BSP, ExecutionRuntime
-
-
-@dataclass
-class NodeReport:
-    """One shard's share of the distributed run."""
-
-    name: str
-    derivations: int
-    new_facts: int
-    sent_facts: int
-    received_facts: int
-    db_facts: int
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "derivations": self.derivations,
-            "new_facts": self.new_facts,
-            "sent_facts": self.sent_facts,
-            "received_facts": self.received_facts,
-            "db_facts": self.db_facts,
-        }
-
-
-@dataclass
-class ClusterReport:
-    """Outcome of one :meth:`Cluster.run` call.
-
-    ``rounds`` counts barrier rounds in ``bsp`` mode; in ``async`` mode
-    it equals ``depth``, the causal depth of the exchange (length of the
-    longest send→integrate→send chain), which is the comparable
-    quantity — BSP's round count *is* its causal depth.
-    """
-
-    nodes: int = 0
-    mode: str = MODE_BSP
-    rounds: int = 0
-    depth: int = 0
-    messages: int = 0
-    batched_facts: int = 0
-    bytes: int = 0
-    virtual_time: float = 0.0
-    convergence_time: float = 0.0
-    new_facts: int = 0
-    per_node: list = field(default_factory=list)
-
-    def max_node_derivations(self) -> int:
-        return max((n.derivations for n in self.per_node), default=0)
-
-    def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "mode": self.mode,
-            "rounds": self.rounds,
-            "depth": self.depth,
-            "messages": self.messages,
-            "batched_facts": self.batched_facts,
-            "bytes": self.bytes,
-            "virtual_time": self.virtual_time,
-            "convergence_time": self.convergence_time,
-            "new_facts": self.new_facts,
-            "per_node": [n.as_dict() for n in self.per_node],
-        }
-
-    def __repr__(self) -> str:
-        return (f"ClusterReport(nodes={self.nodes}, mode={self.mode!r}, "
-                f"rounds={self.rounds}, messages={self.messages}, "
-                f"bytes={self.bytes}, virtual_time={self.virtual_time:.2f})")
+from .scheduler import MODE_BSP, ExecutionRuntime, RunReport
 
 
 class Cluster:
@@ -312,40 +234,10 @@ class Cluster:
     # The distributed fixpoint
     # ------------------------------------------------------------------
 
-    def run(self, max_rounds: int = 500) -> ClusterReport:
+    def run(self, max_rounds: int = 500) -> RunReport:
         """Drive the scheduler until the ticket ledger proves quiescence;
-        returns the run's :class:`ClusterReport`."""
-        stats_before = {name: node.stats.copy()
-                        for name, node in self.nodes.items()}
-        traffic_before = {name: (node.sent_facts, node.received_facts)
-                          for name, node in self.nodes.items()}
-        outcome = self.runtime.run(max_rounds)
-
-        report = ClusterReport(nodes=len(self.nodes), mode=self.mode)
-        report.rounds = outcome.rounds
-        report.depth = outcome.depth
-        report.messages = outcome.messages
-        report.bytes = outcome.bytes
-        report.batched_facts = outcome.batched_facts
-        report.virtual_time = outcome.virtual_time
-        report.convergence_time = outcome.convergence_time
-        for name in sorted(self.nodes):
-            node = self.nodes[name]
-            delta = node.stats.diff(stats_before[name])
-            sent_before, received_before = traffic_before[name]
-            report.new_facts += delta.new_facts
-            # traffic fields are per-run deltas, like derivations /
-            # new_facts — node.sent_facts/received_facts themselves stay
-            # lifetime-cumulative
-            report.per_node.append(NodeReport(
-                name=name,
-                derivations=delta.derivations,
-                new_facts=delta.new_facts,
-                sent_facts=node.sent_facts - sent_before,
-                received_facts=node.received_facts - received_before,
-                db_facts=node.db.total_facts(),
-            ))
-        return report
+        returns the run's :class:`~repro.cluster.scheduler.RunReport`."""
+        return self.runtime.run(max_rounds)
 
     # ------------------------------------------------------------------
     # Results

@@ -12,8 +12,9 @@ process, open network), and a :mod:`~repro.cluster.launch` worker —
 one node per OS process, whose ``network`` and ``ledger`` are the
 worker's link to its peers and to the coordinator's real
 :class:`~repro.cluster.quiescence.TicketLedger`.  The schedule, the
-causal stamps and the round cap are stated here and nowhere else; the
-node protocol is the same for all three.
+causal stamps, the round cap and the description of a run
+(:class:`RunReport`) are stated here and nowhere else; the node
+protocol is the same for all three.
 
 **The node protocol** (duck-typed):
 
@@ -49,7 +50,12 @@ node protocol is the same for all three.
     create work in this node's own outbox (Datalog shards); the async
     scheduler then skips offering every other node a drain after a
     delivery here.  Workspace hosts leave it False: an import lands at
-    whichever node hosts the destination principal.
+    whichever node hosts the destination principal;
+``share() -> NodeReport``
+    (optional) the node's *lifetime* counters — derivations, new facts,
+    rows drained, rows taken in — and its current size.  The runtime
+    reads it before and after a run and reports the difference as the
+    node's :attr:`RunReport.per_node` row; a node without it has none.
 
 **What the loop asks of its surroundings** (also duck-typed): of the
 ``network``, ``send`` (through the batcher), ``deliver_all`` /
@@ -78,13 +84,13 @@ Both modes terminate with the same guarantee: zero tickets outstanding
 and no node holding unflushed work, i.e. the distributed fixpoint is
 complete.  Union-of-node state equals the single-node fixpoint whenever
 the placement is join-compatible — which
-:func:`~repro.cluster.placement_check.check_join_compatibility` now
-verifies statically at ``load()`` instead of trusting the programmer.
+:func:`~repro.cluster.placement_check.check_join_compatibility`
+verifies statically at ``load()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
@@ -101,8 +107,24 @@ SCHEDULER_MODES = (MODE_BSP, MODE_ASYNC)
 
 
 @dataclass
-class RuntimeReport:
-    """Outcome of one :meth:`ExecutionRuntime.run` call.
+class NodeReport:
+    """One node's share: lifetime counters as the node's ``share()``
+    returns it, per-run differences as a :attr:`RunReport.per_node` row.
+    ``db_facts`` is a size, not a counter — always the current one."""
+
+    name: str
+    derivations: int = 0
+    new_facts: int = 0
+    sent_facts: int = 0
+    received_facts: int = 0
+    db_facts: int = 0
+
+
+@dataclass
+class RunReport:
+    """Outcome of one run to quiescence.  :meth:`ExecutionRuntime.run`
+    produces it; ``Cluster.run``, ``LBTrustSystem.run`` and
+    :func:`~repro.cluster.launch.launch` return it.
 
     ``depth`` is the causal depth of the exchange — the length of the
     longest send→integrate→send chain.  ``rounds`` counts barrier
@@ -110,9 +132,23 @@ class RuntimeReport:
     ``depth`` in ``async`` mode, since causal depth *is* the comparable
     round quantity under overlap (BSP's productive round count is its
     causal depth).  ``productive_rounds`` counts barrier rounds in which
-    something was delivered (the LBTrust system's historical
-    ``RunReport.rounds`` semantics) in ``bsp`` mode, and delivery events
-    (also exposed as ``events``) in ``async`` mode.
+    something was delivered in ``bsp`` mode, and delivery events (also
+    exposed as ``events``) in ``async`` mode.
+
+    ``delivered`` and ``rejected`` count imports, per **fact**, at nodes
+    that import (workspace hosts; shards leave them 0): a fact whose
+    import transaction committed, or one refused — a verification or
+    authorization constraint failed, or the destination principal is
+    unknown.  The open transport adds one ``rejected`` per **blob** it
+    could not decode or route, whatever the blob claimed to carry.
+    ``rejected_detail`` names each refusal ``(source, reason)``: the
+    importing principal and the violated constraint, ``"<decode>"`` and
+    the wire error, or the unknown node or principal.
+
+    ``per_node`` has one :class:`NodeReport` per node, in name order.
+    ``relations`` (``owner → pred → facts``; owner ``""`` is a
+    ``cluster`` job's distributed union) is filled only by the launcher,
+    whose caller has no live node to read, and is not in :meth:`as_dict`.
     """
 
     mode: str = MODE_BSP
@@ -125,24 +161,34 @@ class RuntimeReport:
     bytes: int = 0
     new_facts: int = 0
     delivered_facts: int = 0
+    delivered: int = 0
+    rejected: int = 0
+    rejected_detail: list = field(default_factory=list)
     virtual_time: float = 0.0
     convergence_time: float = 0.0
+    per_node: list = field(default_factory=list)
+    relations: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # the constructor is also the wire decoder: JSON hands back the
+        # rows as dicts and the details as lists
+        self.per_node = [row if isinstance(row, NodeReport)
+                         else NodeReport(**row) for row in self.per_node]
+        self.rejected_detail = [tuple(item) for item in self.rejected_detail]
+
+    #: Read-only alias of ``messages``, kept only while ``e2e_bench``
+    #: reads it off :meth:`LBTrustSystem.run`'s report.
+    batches = property(lambda self: self.messages)
+
+    def max_node_derivations(self) -> int:
+        return max((n.derivations for n in self.per_node), default=0)
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "rounds": self.rounds,
-            "productive_rounds": self.productive_rounds,
-            "depth": self.depth,
-            "events": self.events,
-            "messages": self.messages,
-            "batched_facts": self.batched_facts,
-            "bytes": self.bytes,
-            "new_facts": self.new_facts,
-            "delivered_facts": self.delivered_facts,
-            "virtual_time": self.virtual_time,
-            "convergence_time": self.convergence_time,
-        }
+        """Every field but ``relations``, JSON-ready: what a launcher
+        worker sends its coordinator.  ``RunReport(**d)`` rebuilds it."""
+        out = asdict(self)
+        del out["relations"]
+        return out
 
 
 class ExecutionRuntime:
@@ -152,17 +198,16 @@ class ExecutionRuntime:
     cluster owns its network exclusively) treats undecodable blobs,
     unticketed traffic, unknown destinations and an exhausted
     ``max_rounds`` as fatal; an open one (the LBTrust system's network,
-    where tests and adversaries inject raw messages) reports rejects
-    through ``on_reject(source, reason)`` and returns a best-effort
-    report when the round cap is hit.
+    where tests and adversaries inject raw messages) counts them into
+    the report's ``rejected`` / ``rejected_detail`` and returns a
+    best-effort report when the round cap is hit.
     """
 
     def __init__(self, nodes: dict, network, registry,
                  mode: str = MODE_BSP,
                  max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
                  ledger: Optional[TicketLedger] = None,
-                 strict: bool = True,
-                 on_reject: Optional[Callable[[str, str], None]] = None) -> None:
+                 strict: bool = True) -> None:
         if mode not in SCHEDULER_MODES:
             raise ClusterError(
                 f"unknown scheduler mode {mode!r}; pick one of "
@@ -176,14 +221,19 @@ class ExecutionRuntime:
                                       max_bytes=max_batch_bytes,
                                       ledger=self.ledger)
         self.strict = strict
-        self.on_reject = on_reject
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
 
-    def run(self, max_rounds: int = 500) -> RuntimeReport:
-        report = RuntimeReport(mode=self.mode)
+    def run(self, max_rounds: int = 500,
+            report: Optional[RunReport] = None) -> RunReport:
+        """Drive the nodes to quiescence and describe the run.  A host
+        whose nodes tally imports passes the ``report`` they count
+        into; everyone else gets a fresh one."""
+        report = report if report is not None else RunReport()
+        report.mode = self.mode
+        shares_before = self._shares()
         messages_before = self.batcher.sent_messages
         items_before = self.batcher.sent_items
         bytes_before = self.network.total.bytes
@@ -202,13 +252,26 @@ class ExecutionRuntime:
         report.batched_facts = self.batcher.sent_items - items_before
         report.bytes = self.network.total.bytes - bytes_before
         report.virtual_time = self.network.clock
+        for before, now in zip(shares_before, self._shares()):
+            report.per_node.append(NodeReport(
+                now.name,
+                now.derivations - before.derivations,
+                now.new_facts - before.new_facts,
+                now.sent_facts - before.sent_facts,
+                now.received_facts - before.received_facts,
+                now.db_facts))
         return report
+
+    def _shares(self) -> list:
+        """Every reporting node's lifetime :class:`NodeReport`, by name."""
+        return [self.nodes[name].share() for name in sorted(self.nodes)
+                if hasattr(self.nodes[name], "share")]
 
     # ------------------------------------------------------------------
     # BSP: barrier rounds
     # ------------------------------------------------------------------
 
-    def _run_bsp(self, report: RuntimeReport, max_rounds: int) -> None:
+    def _run_bsp(self, report: RunReport, max_rounds: int) -> None:
         ledger = self.ledger
         rounds_before = len(ledger.rounds)
         round_number = rounds_before
@@ -229,13 +292,13 @@ class ExecutionRuntime:
             rounds_run += 1
             if rounds_run > max_rounds:
                 if not self.strict:
-                    # Open transports keep the historical best-effort
-                    # contract: stop at the cap and report what landed.
+                    # Open transports are best-effort: stop at the cap
+                    # and report what landed.
                     break
                 raise ClusterError(
                     f"runtime did not quiesce within {max_rounds} rounds")
             round_number += 1
-            incoming = self._receive_all()
+            incoming = self._receive_all(report)
             new_facts = 0
             delivered = 0
             for name in sorted(incoming):
@@ -243,7 +306,7 @@ class ExecutionRuntime:
                 if node is None:
                     if self.strict:
                         raise ClusterError(f"delivery to unknown node {name!r}")
-                    self._reject(name, "unknown node")
+                    self._reject(report, name, "unknown node")
                     continue
                 batches = incoming[name]
                 delivered += sum(map(len, batches))
@@ -271,11 +334,11 @@ class ExecutionRuntime:
         self.batcher.flush(round_stamp)
         return self.batcher.sent_messages - before
 
-    def _receive_all(self) -> dict:
+    def _receive_all(self, report: RunReport) -> dict:
         """Deliver the whole queue; group decoded batches per destination."""
         incoming: dict[str, list] = {}
         for src, dst, blob in self.network.deliver_all():
-            batch = self._decode(src, blob)
+            batch = self._decode(report, src, blob)
             if batch is not None:
                 incoming.setdefault(dst, []).append(batch)
         return incoming
@@ -284,7 +347,7 @@ class ExecutionRuntime:
     # Async: overlapped rounds
     # ------------------------------------------------------------------
 
-    def _run_async(self, report: RuntimeReport, max_rounds: int) -> None:
+    def _run_async(self, report: RunReport, max_rounds: int) -> None:
         network = self.network
         ledger = self.ledger
         #: causal depth stamp each node's next outgoing batch will carry
@@ -316,7 +379,7 @@ class ExecutionRuntime:
                 break
             report.events += 1
             src, dst, blob = delivered
-            batch = self._decode(src, blob)
+            batch = self._decode(report, src, blob)
             if batch is None:
                 continue
             report.delivered_facts += len(batch)
@@ -325,7 +388,7 @@ class ExecutionRuntime:
             if node is None:
                 if self.strict:
                     raise ClusterError(f"delivery to unknown node {dst!r}")
-                self._reject(dst, "unknown node")
+                self._reject(report, dst, "unknown node")
                 continue
             # The heart of overlap: integrate *now*, re-entering the
             # node's semi-naive propagation, and ship its consequent
@@ -375,7 +438,8 @@ class ExecutionRuntime:
     # Shared receive path
     # ------------------------------------------------------------------
 
-    def _decode(self, src: str, blob: bytes) -> Optional[Batch]:
+    def _decode(self, report: RunReport, src: str,
+                blob: bytes) -> Optional[Batch]:
         """Decode one wire blob and retire its ticket; None on a
         tolerated decode failure or an empty batch."""
         try:
@@ -383,7 +447,7 @@ class ExecutionRuntime:
         except NetworkError as exc:
             if self.strict:
                 raise ClusterError(f"undecodable delta batch: {exc}") from exc
-            self._reject("<decode>", str(exc))
+            self._reject(report, "<decode>", str(exc))
             # an undecodable blob may still be a ticketed batch whose
             # payload (round stamp included) was corrupted in transit —
             # the arrival itself proves a ticket of this sender landed,
@@ -397,9 +461,10 @@ class ExecutionRuntime:
             self.ledger.retire_guarded(batch.stamp, sender=src)
         return batch if batch.rows else None
 
-    def _reject(self, source: str, reason: str) -> None:
-        if self.on_reject is not None:
-            self.on_reject(source, reason)
+    @staticmethod
+    def _reject(report: RunReport, source: str, reason: str) -> None:
+        report.rejected += 1
+        report.rejected_detail.append((source, reason))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ExecutionRuntime(mode={self.mode!r}, "

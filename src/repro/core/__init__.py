@@ -1,6 +1,6 @@
 """LBTrust core: principals, says, schemes, delegation, the system runtime."""
 
 from .principal import Principal
-from .system import LBTrustSystem, RunReport
+from .system import LBTrustSystem
 
-__all__ = ["LBTrustSystem", "Principal", "RunReport"]
+__all__ = ["LBTrustSystem", "Principal"]

@@ -13,7 +13,7 @@ What varies per scheme is how exports are *produced* (exp1: signature
 generation) and what the import must *satisfy* (exp3: a verification
 constraint).  Those live in :mod:`repro.core.schemes` — swapping them, and
 nothing else, is the paper's reconfigurability claim, demonstrated by
-``tests/core/test_reconfigure.py`` and benchmark E1.
+``tests/core/test_schemes.py`` and benchmark E1.
 """
 
 from __future__ import annotations

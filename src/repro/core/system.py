@@ -19,11 +19,12 @@ fixpoint loop:
    import, which is rolled back and audited;
 4. repeat until the ticket ledger proves quiescence.
 
-Since PR 4 steps 2–4 are the cluster's
+Steps 2–4 are the cluster's
 :class:`~repro.cluster.scheduler.ExecutionRuntime` — the same scheduler
 that drives Datalog shards — in ``bsp`` (barrier rounds, the default) or
 ``async`` (overlapped: each arrival imports and re-exports immediately)
-mode.
+mode, and it describes the run in the same
+:class:`~repro.cluster.scheduler.RunReport`.
 
 Usage::
 
@@ -37,11 +38,11 @@ Usage::
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from ..cluster.partition import PlacementMap
-from ..cluster.scheduler import MODE_BSP, ExecutionRuntime
+from ..cluster.scheduler import (MODE_BSP, ExecutionRuntime, NodeReport,
+                                 RunReport)
 from ..crypto.datalog_builtins import register_crypto_builtins
 from ..datalog.builtins import BuiltinRegistry, standard_registry
 from ..datalog.errors import ConstraintViolation, WorkspaceError
@@ -63,31 +64,6 @@ ld2: predNode(export[P],N) <- loc(P,N).
 """
 
 
-@dataclass
-class RunReport:
-    """Outcome of one :meth:`LBTrustSystem.run` call.
-
-    ``delivered``/``rejected`` count *facts*; ``batches`` counts wire
-    messages — since PR 3 each node pair exchanges one size-capped batch
-    per round, so the network's message statistics measure batches.
-    """
-
-    rounds: int = 0
-    delivered: int = 0
-    rejected: int = 0
-    batches: int = 0
-    bytes: int = 0
-    depth: int = 0
-    virtual_time: float = 0.0
-    rejected_detail: list = field(default_factory=list)
-
-    def __repr__(self) -> str:
-        return (f"RunReport(rounds={self.rounds}, delivered={self.delivered}, "
-                f"rejected={self.rejected}, batches={self.batches}, "
-                f"bytes={self.bytes}, "
-                f"virtual_time={self.virtual_time:.2f})")
-
-
 class WorkspaceNode:
     """Every principal co-located on one physical network node, presented
     to the :class:`~repro.cluster.scheduler.ExecutionRuntime` as a single
@@ -107,11 +83,16 @@ class WorkspaceNode:
 
     def __init__(self, system: "LBTrustSystem", name: str,
                  principals: Iterable[Principal],
-                 report: "RunReport") -> None:
+                 report: RunReport) -> None:
         self.system = system
         self.name = name
         self.principals = list(principals)
+        #: the run's report: imports tally ``delivered`` / ``rejected``
+        #: into it as they commit or are refused
         self.report = report
+        self.new_facts = 0
+        self.sent_facts = 0
+        self.received_facts = 0
         #: principal -> (predNode Relation, version, PlacementMap):
         #: the placement table rarely changes mid-run, so it is rebuilt
         #: only when its backing relation object or version moves.
@@ -184,6 +165,7 @@ class WorkspaceNode:
                     sink(node, pred, rows, interner, to=target)
                     sent.setdefault(pred, set()).update(rows)
                     drained += len(rows)
+        self.sent_facts += drained
         return drained
 
     def integrate(self, batches: list) -> int:
@@ -191,8 +173,9 @@ class WorkspaceNode:
 
         Returns the number of facts handed to import transactions (the
         quiescence protocol's activity measure); acceptance/rejection
-        accounting lands on the shared :class:`RunReport`.
+        accounting lands on the run's report.
         """
+        delivered_before = self.report.delivered
         grouped: dict[str, list] = {}
         for batch in batches:
             for to, pred, fact in batch.items():
@@ -204,7 +187,19 @@ class WorkspaceNode:
                 self.report.rejected_detail.append((to, "unknown principal"))
                 continue
             self.system._import_batch(principal, batch, self.report)
-        return sum(map(len, batches))
+        self.new_facts += self.report.delivered - delivered_before
+        received = sum(map(len, batches))
+        self.received_facts += received
+        return received
+
+    def share(self) -> NodeReport:
+        """What this host shipped, took in and imported, and what its
+        principals' workspaces derived and hold."""
+        workspaces = [p.workspace for p in self.principals]
+        return NodeReport(
+            self.name, sum(w.stats.derivations for w in workspaces),
+            self.new_facts, self.sent_facts, self.received_facts,
+            sum(w.db.total_facts() for w in workspaces))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"WorkspaceNode({self.name!r}, "
@@ -351,21 +346,14 @@ class LBTrustSystem:
             mode: Optional[str] = None) -> RunReport:
         """Exchange batched messages until the whole system quiesces.
 
-        Since PR 4 the loop *is* the cluster scheduler: principals are
-        grouped by physical node into :class:`WorkspaceNode` hosts and an
-        :class:`~repro.cluster.scheduler.ExecutionRuntime` drives them —
-        barrier rounds under ``bsp`` (the default), immediate per-arrival
-        import and re-export under ``async``.  Placement is still each
-        workspace's ``predNode`` table, traffic still coalesces per node
-        pair (:class:`~repro.net.batch.MessageBatcher`), and the
-        :class:`~repro.cluster.quiescence.TicketLedger`'s per-sender
-        round vectors confirm nothing was in flight at quiescence.  The
-        network stays *open*: foreign or corrupted traffic is rejected
-        and audited, never fatal.
-
-        ``report.rounds`` counts rounds in which messages were delivered
-        (``bsp``) or delivery events (``async``); ``report.depth`` is the
-        causal depth of the exchange in either mode.
+        Principals are grouped by physical node into
+        :class:`WorkspaceNode` hosts and an
+        :class:`~repro.cluster.scheduler.ExecutionRuntime` drives them
+        (``mode`` overrides the system's for this run).  The network
+        stays *open*: foreign or corrupted traffic is rejected and
+        audited, never fatal.  The hosts tally ``delivered`` /
+        ``rejected`` imports into the report the runtime then completes;
+        its ``productive_rounds`` are the rounds that delivered messages.
         """
         report = RunReport()
         # Every network node gets a host — including nodes no principal
@@ -380,22 +368,11 @@ class LBTrustSystem:
             for name, principals in hosts.items()
         }
 
-        def reject(source: str, reason: str) -> None:
-            report.rejected += 1
-            report.rejected_detail.append((source, reason))
-
         runtime = ExecutionRuntime(
             nodes, self.network, self.registry,
             mode=mode if mode is not None else self.mode,
-            max_batch_bytes=self.max_batch_bytes,
-            strict=False, on_reject=reject)
-        outcome = runtime.run(max_rounds)
-        report.rounds = outcome.productive_rounds
-        report.depth = outcome.depth
-        report.batches = outcome.messages
-        report.bytes = outcome.bytes
-        report.virtual_time = outcome.virtual_time
-        return report
+            max_batch_bytes=self.max_batch_bytes, strict=False)
+        return runtime.run(max_rounds, report)
 
     def _import_batch(self, principal: Principal, items: list,
                       report: RunReport) -> None:

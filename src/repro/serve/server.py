@@ -128,8 +128,7 @@ class TrustServer:
         if op == "hello":
             return self._op_hello(src, body)
         if op == "ping":
-            clock = self.network.clock  # method on sockets, float simulated
-            return {"clock": clock() if callable(clock) else clock}
+            return {"clock": self.network.clock}
         if op == "assert":
             principal, pred, fact = self._update_args(body)
             principal.assert_fact(pred, fact)
@@ -157,7 +156,8 @@ class TrustServer:
             return self._op_query(body)
         if op == "sync":
             report = self.system.run(max_rounds=int(body.get("max_rounds", 100)))
-            return {"rounds": report.rounds, "delivered": report.delivered,
+            return {"rounds": report.productive_rounds,
+                    "delivered": report.delivered,
                     "rejected": report.rejected}
         if op == "stats":
             stats = self._principal(body).workspace.stats

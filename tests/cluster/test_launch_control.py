@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro import LBTrustSystem
+from repro import LBTrustSystem, RunReport
 from repro.cluster.launch import (
     _Channel,
     _Coordinator,
@@ -21,7 +21,7 @@ from repro.cluster.launch import (
     _Link,
     cluster_spec,
 )
-from repro.core.system import RunReport, WorkspaceNode
+from repro.core.system import WorkspaceNode
 from repro.datalog.errors import ClusterError, NetworkError
 from repro.net import SocketNetwork
 from repro.net.transport import Batch

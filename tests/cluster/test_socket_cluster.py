@@ -103,10 +103,10 @@ class TestMultiprocessLauncher:
             collect=["reach"],
         )
         report = launch(spec, mode=mode, timeout=60)
-        assert report.procs == 3
-        assert report.relations["reach"] == expected_reach
-        assert report.runtime.messages > 0
-        assert report.runtime.new_facts == len(expected_reach)
+        assert len(report.per_node) == 3
+        assert report.relations[""]["reach"] == expected_reach
+        assert report.messages > 0
+        assert report.new_facts == len(expected_reach)
         # every worker contributed a per-node share
         assert [n.name for n in report.per_node] == NODES
         assert sum(n.db_facts for n in report.per_node) > len(expected_reach)
@@ -125,8 +125,8 @@ class TestMultiprocessLauncher:
             placement=[["hash", "edge", 0], ["hash", "reach", 1]],
             program=PROGRAM, facts=graph_facts(), collect=["reach"])
         report = launch(spec, mode="async", max_rounds=21, timeout=60)
-        assert report.runtime.rounds == report.runtime.depth <= 21
-        assert report.runtime.events > 21
+        assert report.rounds == report.depth <= 21
+        assert report.events > 21
 
     def test_async_launch_that_never_quiesces_is_stopped(self):
         spec = cluster_spec(
@@ -170,8 +170,9 @@ PARITY_FIELDS = ("rounds", "productive_rounds", "depth", "messages",
 
 class TestLauncherMatchesInProcessRuntime:
     """A worker runs the same ``ExecutionRuntime`` the in-process hosts
-    do, so the merged report is the in-process one (``bytes`` is left
-    out: arrival order moves it by a byte on either side)."""
+    do and describes the run in the same ``RunReport``, so the merged
+    report is the in-process one (``bytes`` is left out: arrival order
+    moves it by a byte on either side)."""
 
     SPEC = dict(placement=[["hash", "edge", 0], ["hash", "reach", 1]],
                 program=PROGRAM, facts=graph_facts(), collect=["reach"])
@@ -180,22 +181,19 @@ class TestLauncherMatchesInProcessRuntime:
         launched = launch(cluster_spec(NODES, **self.SPEC), mode="bsp",
                           timeout=60)
         with SocketNetwork() as network:
-            local = build_cluster(network, "bsp").runtime.run()
-        for name in PARITY_FIELDS:
-            assert getattr(launched.runtime, name) == getattr(local, name), name
-        assert launched.runtime.batched_facts > 0
-        with SocketNetwork() as network:
-            per_node = build_cluster(network, "bsp").run().per_node
-        assert launched.per_node == per_node
+            local = build_cluster(network, "bsp").run()
+        for name in PARITY_FIELDS + ("per_node",):
+            assert getattr(launched, name) == getattr(local, name), name
+        assert launched.batched_facts > 0
 
     def test_async_report_agrees_on_what_is_schedule_independent(
             self, expected_reach):
         launched = launch(cluster_spec(NODES, **self.SPEC), mode="async",
                           timeout=60)
         with SocketNetwork() as network:
-            local = build_cluster(network, "async").runtime.run()
-        assert launched.relations["reach"] == expected_reach
+            local = build_cluster(network, "async").run()
+        assert launched.relations[""]["reach"] == expected_reach
         for name in ("batched_facts", "new_facts", "delivered_facts"):
-            assert getattr(launched.runtime, name) == getattr(local, name), name
-        assert launched.runtime.rounds == launched.runtime.depth > 0
-        assert launched.runtime.events == launched.runtime.messages
+            assert getattr(launched, name) == getattr(local, name), name
+        assert launched.rounds == launched.depth > 0
+        assert launched.events == launched.messages

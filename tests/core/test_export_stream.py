@@ -111,7 +111,7 @@ class Driver:
         network.payloads.clear()
         report = system.run()
         assert report.rejected == 0
-        assert report.batches == len(network.payloads)
+        assert report.messages == len(network.payloads)
         for blob in network.payloads:
             batch = decode_batch_message(blob, system.registry)
             items = list(batch.items())
@@ -125,8 +125,8 @@ class Driver:
             assert fact in system.principal(to).tuples("export")
         # nothing new: nothing sent
         again = system.run()
-        assert (again.batches, again.delivered) == (0, 0)
-        assert len(network.payloads) == report.batches
+        assert (again.messages, again.delivered) == (0, 0)
+        assert len(network.payloads) == report.messages
 
 
 @given(stream=st.lists(ops, min_size=1, max_size=10))

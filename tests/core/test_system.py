@@ -110,7 +110,7 @@ class TestRunLoop:
         a.says(b, 'msg("relay me").')
         report = system.run()
         assert c.tuples("seen") == {("relay me",)}
-        assert report.rounds >= 2
+        assert report.productive_rounds >= 2
 
     def test_no_duplicate_sends(self, make_system):
         system = make_system("plaintext")
@@ -125,7 +125,7 @@ class TestRunLoop:
     def test_quiescence_report(self, make_system):
         system = make_system()
         report = system.run()
-        assert report.rounds == 0 and report.delivered == 0
+        assert report.productive_rounds == 0 and report.delivered == 0
 
     def test_says_to_unknown_principal_stays_queued(self, make_system):
         system = make_system("plaintext")
@@ -194,7 +194,7 @@ class TestOpenNetworkRobustness:
         a.says(b, 'msg("one").')
         a.says(b, 'msg("two").')
         report = system.run(max_rounds=1)    # too few to finish cleanly
-        assert report.rounds <= 1            # capped, not crashed
+        assert report.productive_rounds <= 1  # capped, not crashed
         second = system.run()                # a later run completes it
         assert b.tuples("seen") == {("one",), ("two",)}
         assert report.rejected + second.rejected == 0
@@ -366,5 +366,5 @@ class TestOpenNetworkRobustness:
             a.says(b, f'msg("payload number {i}").')
         report = system.run()
         assert len(b.tuples("seen")) == 20
-        assert report.batches == system.network.total.messages
-        assert report.batches > 1  # the cap actually split the round
+        assert report.messages == system.network.total.messages
+        assert report.messages > 1  # the cap actually split the round

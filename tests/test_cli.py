@@ -153,21 +153,27 @@ class TestClusterSubcommand:
                                      "--procs", "3", "--vertices", "20")
         assert code == 0
         assert "3 worker process(es)" in output
-        assert "across 3 OS processes" in output
         assert "fixpoint:" in output
 
     def test_socket_and_simulated_fixpoints_agree(self):
+        """One print path over one report: simulated, TCP and three OS
+        processes print the same per-node table and ``fixpoint:`` line."""
         _, simulated = self.run_demo("--nodes", "3", "--vertices", "20")
         _, in_proc = self.run_demo("--transport", "socket",
                                    "--nodes", "3", "--vertices", "20")
         _, multi = self.run_demo("--transport", "socket",
                                  "--procs", "3", "--vertices", "20")
-        def fixpoint(output):
-            for line in output.splitlines():
-                if line.startswith("fixpoint:"):
-                    return line.split()[1]
-            raise AssertionError(f"no fixpoint line in {output!r}")
-        assert fixpoint(simulated) == fixpoint(in_proc) == fixpoint(multi)
+        def table_through_fixpoint(output):
+            lines = output.splitlines()
+            start = next(i for i, line in enumerate(lines)
+                         if line.startswith("node "))
+            stop = next(i for i, line in enumerate(lines)
+                        if line.startswith("fixpoint:"))
+            return lines[start:stop + 1]
+        table = table_through_fixpoint(simulated)
+        assert len(table) == 6 and table[-1].split()[1].isdigit()
+        assert table == table_through_fixpoint(in_proc) \
+            == table_through_fixpoint(multi)
 
     def test_procs_requires_socket_transport(self):
         code, output = self.run_demo("--procs", "3")

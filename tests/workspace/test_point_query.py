@@ -87,7 +87,7 @@ class TestAnswersMatchFixpoint:
         assert workspace.point_query('access("alice",O,"read")') == \
             fixpoint_read(workspace, "access", ("alice", None, "read"))
 
-    def test_negation_falls_back_to_direct_read(self):
+    def test_negation_is_read_from_the_maintained_fixpoint(self):
         workspace = Workspace("w")
         workspace.load("""
             person("a"). person("b"). banned("b").
