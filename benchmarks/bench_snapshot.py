@@ -1,17 +1,17 @@
-"""A8 — COW snapshot/rollback cost vs database size.
+"""A8 — transaction rollback cost vs database size.
 
-The workspace's transactional constraint enforcement snapshots the whole
-database at every transaction start and restores it on rollback.  With
-copy-on-write relations both operations cost O(changed relations), not
-O(total facts), so transaction overhead stays flat as the fact base
-grows.  Two modes:
+The workspace's transactional constraint enforcement logs what a
+transaction changes to an undo journal and, on rollback, puts exactly
+that back; the cost tracks the delta, not the database, so transaction
+overhead stays flat as the fact base grows.  Two modes:
 
-* ``database`` — raw ``Database.snapshot()``/``restore()`` cycles over a
-  wide database where each transaction touches a single relation;
+* ``database`` — raw ``journal.begin()`` / ten adds / ``rollback()``
+  cycles over a wide database where each transaction touches a single
+  relation;
 * ``workspace`` — full transaction rollbacks (constraint violation) on a
-  workspace carrying a large EDB, the paper's section 3.2 admission
-  scenario: a big policy base rejecting a bad batch should pay for the
-  batch, not for the base.
+  workspace carrying a large EDB, at two sizes a decade apart, the
+  paper's section 3.2 admission scenario: a big policy base rejecting a
+  bad batch should pay for the batch, not for the base.
 """
 
 if __package__ in (None, ""):  # running as a script
@@ -27,7 +27,7 @@ from repro.workspace.workspace import Workspace
 
 RELATIONS = 50    # relations in the wide database
 FACTS = 200       # facts per relation
-TXNS = 40         # snapshot/mutate/rollback cycles measured
+TXNS = 40         # begin/mutate/rollback cycles measured
 
 
 def wide_database(relations: int, facts: int) -> Database:
@@ -50,21 +50,24 @@ def loaded_workspace(facts: int) -> Workspace:
 @benchmark("snapshot_rollback", group="engine",
            quick=[{"mode": "database", "relations": 30, "facts": 100,
                    "txns": 20},
-                  {"mode": "workspace", "facts": 300, "txns": 10}],
+                  {"mode": "workspace", "facts": 300, "txns": 10},
+                  {"mode": "workspace", "facts": 3000, "txns": 10}],
            full=[{"mode": "database", "relations": RELATIONS, "facts": FACTS,
                   "txns": TXNS},
-                 {"mode": "workspace", "facts": 2000, "txns": TXNS}])
+                 {"mode": "workspace", "facts": 2000, "txns": TXNS},
+                 {"mode": "workspace", "facts": 20000, "txns": TXNS}])
 def snapshot_rollback(case, mode, facts, txns, relations=None):
-    """COW snapshot/restore cycles: cost tracks the delta, not the database."""
+    """Journal begin/rollback cycles: cost tracks the delta, not the database."""
     if mode == "database":
         db = wide_database(relations, facts)
         with case.measure():
             for t in range(txns):
-                snapshot = db.snapshot()
+                db.journal.begin()
                 hot = f"rel{t % relations}"
                 for i in range(10):
                     db.add(hot, ("txn", t, i))
-                db.restore(snapshot)
+                db.journal.rollback()
+        assert db.total_facts() == relations * facts
         case.record(total_facts=db.total_facts())
     else:
         ws = loaded_workspace(facts)
@@ -78,7 +81,9 @@ def snapshot_rollback(case, mode, facts, txns, relations=None):
                         ws.assert_fact("bad", (t,))
                 except ConstraintViolation:
                     rejected += 1
-        case.record(rejected=rejected, edb_facts=len(ws.edb.get("edge", ())))
+        edb_facts = len(ws.edb["edge"])
+        assert rejected == txns and edb_facts == facts
+        case.record(rejected=rejected, edb_facts=edb_facts)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Interned columnar fact storage: id-space relations with COW snapshots.
+"""Interned columnar fact storage: id-space relations under an undo journal.
 
 Ground terms are *interned* at relation boundaries: a per-:class:`Database`
 :class:`TermInterner` maps each distinct ground value to a dense integer
@@ -14,14 +14,13 @@ row hashing, index probes and duplicate checks stop touching the boxed
 values entirely; single-column index keys are the bare id (no 1-tuple
 allocation per probe).
 
-Snapshots are **copy-on-write**: :meth:`Relation.view` returns an O(1)
-handle sharing the relation's row set *and* its indexes; the first
-mutation through either handle copies the row set and each index's
-key → bucket table, and a bucket list only when that handle first writes
-to it — so unmutated relations never pay for a snapshot, and a mutated
-one pays for the buckets it touches.  The interner itself is **append
-only** — ids are never reassigned or dropped — so snapshots share it by
-reference forever and :meth:`Database.restore` never touches it.
+Rollback is an **undo journal**: everything one transaction can change
+shares one :class:`Journal`, and between its ``begin`` and ``commit`` each
+mutator logs what it *really* changed — a relation, the rows it added or
+removed — so ``rollback`` puts back exactly that, through the same
+index-maintaining mutators.  A transaction costs what it changes, never
+what the store holds.  The interner itself is **append only** — ids are
+never reassigned or dropped — so a rollback leaves it alone.
 
 Index maintenance is *checked*: a row present in ``rows`` whose index
 entry is missing raises :class:`~repro.datalog.errors.IndexIntegrityError`
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional
 
-from .errors import IndexIntegrityError, InternerMismatchError
+from .errors import IndexIntegrityError, TransactionError
 
 #: When set, an object with integer counter attributes (an
 #: :class:`repro.datalog.engine.EvalStats`) that the storage layer
@@ -61,8 +60,9 @@ class TermInterner:
 
     ``ids`` maps value → id; ``values`` is the inverse table (id → value,
     a plain list indexed by id).  The table is **append-only**: interning
-    never reassigns or frees an id, so any number of COW snapshots can
-    share one interner by reference and materialize rows years later.
+    never reassigns or frees an id, so every relation, delta and wire
+    block of a host shares one interner by reference, and a rolled-back
+    transaction leaves it alone.
 
     Interning is keyed on value equality, exactly like the tuple-set
     storage it replaces: ``1``, ``1.0`` and ``True`` share an id the same
@@ -135,6 +135,43 @@ class TermInterner:
         return f"TermInterner({len(self.values)} terms)"
 
 
+class Journal:
+    """The undo log of one transaction at a time.
+
+    ``entries`` is ``None`` outside a transaction — the only check a
+    mutator pays — else a list of ``(undo, argument)`` pairs, appended by
+    whoever changes something.  :meth:`rollback` calls them newest first
+    with logging off, so an undo may itself be a logging mutator.
+    ``epoch`` counts transactions: a holder that logs once per transaction
+    (a :class:`Relation`'s change list) compares it to tell its first touch.
+    """
+
+    __slots__ = ("entries", "epoch")
+
+    def __init__(self) -> None:
+        self.entries: Optional[list] = None
+        self.epoch = 0
+
+    def begin(self) -> None:
+        if self.entries is not None:
+            raise TransactionError("a transaction is already open on this journal")
+        self.epoch += 1
+        self.entries = []
+
+    def log(self, undo, argument) -> None:
+        """Record ``undo(argument)`` if a transaction is open."""
+        if self.entries is not None:
+            self.entries.append((undo, argument))
+
+    def commit(self) -> None:
+        self.entries = None
+
+    def rollback(self) -> None:
+        entries, self.entries = self.entries, None
+        for undo, argument in reversed(entries):
+            undo(argument)
+
+
 def _row_key(row: tuple, positions: tuple):
     """The index key of ``row`` at ``positions``.
 
@@ -150,15 +187,12 @@ def _row_key(row: tuple, positions: tuple):
 class Relation:
     """A named set of equal-length id rows with incremental hash indexes.
 
-    ``rows`` holds ``tuple[int, ...]`` rows over the shared ``interner``;
-    ``rows`` and ``_indexes`` may be shared with other :class:`Relation`
-    handles (``_shared`` is then True); every mutating method unshares
-    first, so holders of other handles never observe the mutation.
-    Unsharing leaves the bucket lists shared: ``_owned`` maps each such
-    index to the keys whose bucket this handle has since copied (or
-    created), and a bucket outside that set is copied before its first
-    write.  An index missing from ``_owned`` — every index of a relation
-    that was never shared — is private outright.
+    ``rows`` holds ``tuple[int, ...]`` rows over the shared ``interner``.
+    Inside a transaction of ``journal`` the three mutators append each row
+    they really changed to ``_changed``, the list of transaction
+    ``_changed_epoch``, logged on first touch.  A row's changes alternate
+    added/removed, so toggling that list newest first through the same
+    mutators *is* the rollback, indexes included.
 
     The value-level API (``tuples``, ``add``, ``discard``, ``lookup``,
     iteration, membership) interns/materializes at the boundary; the
@@ -166,19 +200,22 @@ class Relation:
     ``bucket_rows``) is the join core's hot path.
     """
 
-    __slots__ = ("name", "rows", "interner", "_indexes", "_shared", "_owned",
+    __slots__ = ("name", "rows", "interner", "journal", "_indexes",
+                 "_changed", "_changed_epoch",
                  "_version", "_col_stats", "_values", "_buckets")
 
     def __init__(self, name: str, tuples: Optional[Iterable[tuple]] = None,
-                 interner: Optional[TermInterner] = None) -> None:
+                 interner: Optional[TermInterner] = None,
+                 journal: Optional[Journal] = None) -> None:
         self.name = name
         self.interner = interner if interner is not None else TermInterner()
+        self.journal = journal if journal is not None else Journal()
         intern_row = self.interner.intern_row
         self.rows: set[tuple] = (
             {intern_row(fact) for fact in tuples} if tuples else set())
         self._indexes: dict[tuple, dict[Any, list[tuple]]] = {}
-        self._shared = False
-        self._owned: dict[tuple, set] = {}
+        self._changed: list[tuple] = []
+        self._changed_epoch = 0
         self._version = 0
         self._col_stats: dict[int, tuple[int, int]] = {}
         self._values: Optional[tuple[int, set]] = None
@@ -187,74 +224,31 @@ class Relation:
     @classmethod
     def wrap_rows(cls, name: str, rows: set,
                   interner: TermInterner) -> "Relation":
-        """A COW relation adopting an existing *id-row* set — no copy.
+        """A read-only relation adopting an existing *id-row* set — no copy.
 
-        The donor set is adopted as shared state: reads (including lazy
-        index builds) touch it directly, while the first mutation copies,
-        leaving the donor untouched.  Used for semi-naive delta
-        relations, which are read-heavy and usually never mutated; the
-        rows must be interned against ``interner`` (the database's, so
+        Reads (including lazy index builds) touch the donor set directly;
+        the three mutators refuse.  Used for semi-naive delta relations;
+        the rows must be interned against ``interner`` (the database's, so
         id-space probes against them are meaningful).
         """
-        relation = cls.__new__(cls)
+        relation = _DeltaRelation.__new__(_DeltaRelation)
         relation.name = name
         relation.interner = interner
         relation.rows = rows
         relation._indexes = {}
-        relation._shared = True
-        relation._owned = {}
         relation._version = 0
         relation._col_stats = {}
         relation._values = None
         relation._buckets = None
         return relation
 
-    def view(self) -> "Relation":
-        """An O(1) copy-on-write handle onto this relation's state.
-
-        Both handles share rows and indexes (and the append-only
-        interner, which is never copied) until one of them mutates; the
-        mutating side first copies the row set and each index's key →
-        bucket table (see :meth:`_unshare`), then each bucket list as it
-        writes to it, so the other side keeps the pre-mutation contents
-        and a write costs the buckets it touches.  This is what lets a
-        workspace keep the hash index its point queries probe on a large
-        derived relation without paying for it on every transaction.
-
-        Per-column distinct counts are shared too — same dict, same
-        version tag — so statistics computed through *either* handle
-        (the planner costing a snapshot or an overlay) serve every handle
-        of the unmutated state; the first mutation takes a private copy
-        along with the rows.
-        """
-        other = Relation.__new__(Relation)
-        other.name = self.name
-        other.interner = self.interner
-        other.rows = self.rows
-        other._indexes = self._indexes
-        other._shared = True
-        other._owned = {}
-        other._version = self._version
-        other._col_stats = self._col_stats
-        other._values = self._values
-        other._buckets = self._buckets
-        self._shared = True
-        return other
-
-    def copy(self) -> "Relation":
-        """A snapshot copy (copy-on-write; indexes are shared until mutation)."""
-        return self.view()
-
-    def _unshare(self) -> None:
-        """Take private ownership of the rows and of each index's key →
-        bucket table before a mutation; the bucket lists stay shared until
-        this handle writes to them (``_owned`` starts empty)."""
-        self.rows = set(self.rows)
-        self._indexes = {positions: dict(index)
-                         for positions, index in self._indexes.items()}
-        self._owned = {positions: set() for positions in self._indexes}
-        self._col_stats = dict(self._col_stats)
-        self._shared = False
+    def _undo_changes(self, changed: list) -> None:
+        """Roll back: toggle each logged row, newest first."""
+        for row in reversed(changed):
+            if row in self.rows:
+                self.discard_row(row)
+            else:
+                self.add_row(row)
 
     # ------------------------------------------------------------------
     # Value-level API (interns / materializes at the boundary)
@@ -360,8 +354,11 @@ class Relation:
         """Insert an id row; return True if it was new."""
         if row in self.rows:
             return False
-        if self._shared:
-            self._unshare()
+        journal = self.journal
+        if journal.entries is not None:
+            if self._changed_epoch != journal.epoch:
+                self._first_touch(journal)
+            self._changed.append(row)
         self._version += 1
         self.rows.add(row)
         self._index_rows((row,))
@@ -378,43 +375,35 @@ class Relation:
         fresh = rows - self.rows
         if not fresh:
             return fresh
-        if self._shared:
-            self._unshare()
+        journal = self.journal
+        if journal.entries is not None:
+            if self._changed_epoch != journal.epoch:
+                self._first_touch(journal)
+            self._changed.extend(fresh)
         self._version += 1
         self.rows |= fresh
         self._index_rows(fresh)
         return fresh
 
-    def _index_rows(self, fresh: Iterable[tuple]) -> None:
-        """Enter rows just added to ``rows`` into every maintained index.
+    def _first_touch(self, journal: Journal) -> None:
+        """Start this transaction's change list and log it, once."""
+        self._changed_epoch = journal.epoch
+        self._changed = []
+        journal.entries.append((self._undo_changes, self._changed))
 
-        An index whose buckets may still be shared (it has an ``_owned``
-        entry) copies a bucket on this handle's first write to it; an
-        index of a never-shared relation appends in place.
-        """
+    def _index_rows(self, fresh: Iterable[tuple]) -> None:
+        """Enter rows just added to ``rows`` into every maintained index."""
         for positions, index in self._indexes.items():
             single = len(positions) == 1
             column = positions[0]
-            owned = self._owned.get(positions)
-            if owned is None:
-                for row in fresh:
-                    key = row[column] if single \
-                        else tuple([row[p] for p in positions])
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = [row]
-                    else:
-                        bucket.append(row)
-                continue
             for row in fresh:
                 key = row[column] if single \
                     else tuple([row[p] for p in positions])
-                if key in owned:
-                    index[key].append(row)
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [row]
                 else:
-                    bucket = index.get(key)
-                    index[key] = [row] if bucket is None else bucket + [row]
-                    owned.add(key)
+                    bucket.append(row)
 
     def discard_row(self, row: tuple) -> bool:
         """Remove an id row; return True if it was present.
@@ -426,8 +415,11 @@ class Relation:
         """
         if row not in self.rows:
             return False
-        if self._shared:
-            self._unshare()
+        journal = self.journal
+        if journal.entries is not None:
+            if self._changed_epoch != journal.epoch:
+                self._first_touch(journal)
+            self._changed.append(row)
         self._version += 1
         self.rows.discard(row)
         for positions, index in self._indexes.items():
@@ -438,10 +430,6 @@ class Relation:
                     f"relation {self.name!r}: index {positions} has no bucket "
                     f"for {row!r}"
                 )
-            owned = self._owned.get(positions)
-            if owned is not None and key not in owned:
-                bucket = index[key] = list(bucket)
-                owned.add(key)
             try:
                 bucket.remove(row)
             except ValueError:
@@ -451,8 +439,6 @@ class Relation:
                 ) from None
             if not bucket:
                 del index[key]
-                if owned is not None:
-                    owned.discard(key)
         return True
 
     def index_for(self, positions: tuple) -> dict:
@@ -525,26 +511,41 @@ class Relation:
         return f"Relation({self.name}, {len(self.rows)} rows)"
 
 
+class _DeltaRelation(Relation):
+    """What :meth:`Relation.wrap_rows` returns: the donor's rows, read-only."""
+
+    __slots__ = ()
+
+    def _refuse(self, _rows) -> bool:
+        raise TransactionError(
+            f"delta relation {self.name!r} is read-only: its rows are lent")
+
+    add_row = add_rows = discard_row = _refuse
+
+
 class Database:
     """A mutable mapping from predicate name to :class:`Relation`.
 
-    All relations (and every snapshot taken from this database) share one
-    append-only :class:`TermInterner`, so id rows are comparable across
-    relations, deltas, and COW overlays.
+    All relations share one append-only :class:`TermInterner`, so id rows
+    are comparable across relations and deltas, and one :class:`Journal`
+    (the host's), which also undoes the creation of a relation.
     """
 
-    __slots__ = ("relations", "interner")
+    __slots__ = ("relations", "interner", "journal")
 
-    def __init__(self, interner: Optional[TermInterner] = None) -> None:
+    def __init__(self, interner: Optional[TermInterner] = None,
+                 journal: Optional[Journal] = None) -> None:
         self.relations: dict[str, Relation] = {}
         self.interner = interner if interner is not None else TermInterner()
+        self.journal = journal if journal is not None else Journal()
 
     def rel(self, name: str) -> Relation:
         """The relation for ``name``, created empty on first reference."""
         relation = self.relations.get(name)
         if relation is None:
-            relation = Relation(name, interner=self.interner)
+            relation = Relation(name, None, self.interner, self.journal)
             self.relations[name] = relation
+            self.journal.log(self.relations.pop, name)
         return relation
 
     def get(self, name: str) -> Optional[Relation]:
@@ -566,46 +567,6 @@ class Database:
 
     def total_facts(self) -> int:
         return sum(len(r) for r in self.relations.values())
-
-    def snapshot(self) -> "Database":
-        """A copy-on-write snapshot: O(number of relations), not O(facts).
-
-        The snapshot shares every relation's state through
-        :meth:`Relation.view` and the interner by reference (append-only,
-        so it never needs copying).  Also serves as a cheap *overlay* (a
-        scratch database seeded with this one's contents — see
-        :func:`repro.datalog.magic.query_magic`).
-        """
-        copy = Database(interner=self.interner)
-        relations = copy.relations
-        for name, relation in self.relations.items():
-            relations[name] = relation.view()
-        return copy
-
-    def restore(self, snapshot: "Database") -> None:
-        """Replace all contents with ``snapshot``'s (rollback).
-
-        Untouched relations — those still sharing state with the snapshot
-        — keep their live :class:`Relation` object, so their identity and
-        any built indexes survive the round-trip.  The snapshot remains
-        valid and can be restored again.
-
-        Id rows mean nothing under another interner, so a snapshot of a
-        database that did not share this one's is refused.
-        """
-        if snapshot.interner is not self.interner:
-            raise InternerMismatchError(
-                "cannot restore a snapshot taken over a different interner: "
-                "its id rows would materialize as the wrong values")
-        relations: dict[str, Relation] = {}
-        live_map = self.relations
-        for name, snap_rel in snapshot.relations.items():
-            live = live_map.get(name)
-            if live is not None and live.rows is snap_rel.rows:
-                relations[name] = live
-            else:
-                relations[name] = snap_rel.view()
-        self.relations = relations
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.total_facts()} facts in {len(self.relations)} relations)"

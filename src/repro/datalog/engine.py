@@ -35,7 +35,7 @@ from time import perf_counter
 from typing import Callable, ClassVar, Iterable, Iterator, Optional
 
 from .builtins import BuiltinRegistry
-from .database import Database, Relation, set_index_stats
+from .database import Database, Journal, Relation, set_index_stats
 from .errors import SafetyError
 from .runtime import (
     HEAD_COMPUTED,
@@ -243,30 +243,24 @@ class ProvenanceStore:
     positive body facts that supported the head.  EDB assertions are
     recorded with the pseudo-label ``"$edb"``.
 
-    Derivations are frozensets, replaced on write: after :meth:`begin` a
-    fact's first write journals what it held, so :meth:`rollback` costs
-    what the host's transaction touched, not what the store holds.
+    Derivations are frozensets, replaced on write: inside a transaction of
+    ``journal`` (the host's) each write logs what the fact held, so a
+    rollback costs what the transaction touched, not what the store holds.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, journal: Optional[Journal] = None) -> None:
         self.derivations: dict[tuple, frozenset] = {}
-        self._undo: Optional[dict] = None
-
-    def begin(self) -> None:
-        self._undo = {}
-
-    def rollback(self) -> None:
-        undo, self._undo = self._undo, None
-        for key, held in undo.items():
-            self._set(key, held)
+        self.journal = journal if journal is not None else Journal()
 
     def _set(self, key: tuple, held: Optional[frozenset]) -> None:
-        if self._undo is not None:
-            self._undo.setdefault(key, self.derivations.get(key))
+        self.journal.log(self._put_back, (key, self.derivations.get(key)))
         if held:
             self.derivations[key] = held
         else:
             self.derivations.pop(key, None)
+
+    def _put_back(self, logged: tuple) -> None:
+        self._set(*logged)
 
     def record(self, pred: str, fact: tuple, rule_label: str,
                supports: tuple) -> None:

@@ -71,9 +71,9 @@ class IndexIntegrityError(ReproError):
     engine means wrong authorization decisions)."""
 
 
-class InternerMismatchError(ReproError):
-    """Id rows were about to be read under an interner they were not
-    interned against (they would materialize as the wrong values)."""
+class TransactionError(ReproError):
+    """The undo journal's contract was broken: a transaction opened inside
+    another, or a write to a read-only delta relation."""
 
 
 class BuiltinError(ReproError):

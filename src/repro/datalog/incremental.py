@@ -147,12 +147,10 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
     }
 
     # -- Phase 1: over-delete.  The deleted facts go back first, so that
-    # the joins see the pre-deletion state.  In place: the caller's
-    # deletion already took these relations private, so this copies
-    # nothing, where a COW shadow of ``db`` would copy each of them whole
-    # (and leave every relation of ``db`` marked shared, to be copied at
-    # its next write).  A deleted fact that is present anyway (asserted
-    # again since) is not ``restored``, so it is not taken out below.
+    # the joins see the pre-deletion state.  In place: nothing is copied
+    # (a host's open transaction logs the rows going in and coming out).
+    # A deleted fact that is present anyway (asserted again since) is not
+    # ``restored``, so it is not taken out below.
     restored = {pred: db.rel(pred).add_rows(rows)
                 for pred, rows in deleted_rows.items()}
     overdeleted: FactSet = {}

@@ -246,13 +246,13 @@ def _cached_program(rule_list: list, query: Atom,
 
 def query_magic(rules: Iterable[Rule], db: Database, query: Atom,
                 context: Optional[EvalContext] = None) -> set:
-    """Run a magic-sets query on a scratch overlay of ``db``.
+    """Run a magic-sets query on ``db`` and undo what it wrote.
 
-    Returns the set of answer facts for the query predicate.  The overlay
-    is a copy-on-write snapshot: EDB relations are shared O(1), magic and
-    adorned derivations land in overlay-only relations, and even a rewrite
-    that wrote to a shared predicate would unshare rather than corrupt the
-    caller's database.
+    Returns the set of answer facts for the query predicate.  The seed
+    and everything the rewrite derives are written under ``db.journal``
+    and rolled back before returning — also when the evaluation raises —
+    so ``db`` is left as found (plus any index the joins built on it).
+    Refuses to run inside an open transaction of that journal.
 
     The rewrite itself is cached per ``(rules, query predicate, binding
     pattern)``: repeated point queries — same shape, any bound values —
@@ -271,13 +271,16 @@ def query_magic(rules: Iterable[Rule], db: Database, query: Atom,
         answer_pred=answer_pred,
         query_pattern=pattern,
     )
-    overlay = db.snapshot()
-    overlay.add(program.seed_pred, program.seed_fact)
-    # Thread the caller's stats through the overlay evaluation: the
-    # planner's work (plans built, reorders won, distinct counts
-    # computed) is attributed to the query instead of a throwaway.
-    evaluate(program.rules, overlay, context, stats=context.stats)
-    return program.answers(overlay)
+    db.journal.begin()
+    try:
+        db.add(program.seed_pred, program.seed_fact)
+        # Thread the caller's stats through the evaluation: the planner's
+        # work (plans built, reorders won, distinct counts computed) is
+        # attributed to the query instead of a throwaway.
+        evaluate(program.rules, db, context, stats=context.stats)
+        return program.answers(db)
+    finally:
+        db.journal.rollback()
 
 
 def choose_strategy(rules: Iterable[Rule], query: Atom,

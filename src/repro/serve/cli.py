@@ -2,10 +2,11 @@
 
 Starts a long-lived :class:`TrustServer` over the chosen transport, drives
 a scripted update+query session through :class:`ServeClient` instances,
-and verifies three things before reporting latency figures:
+and verifies four things before reporting latency figures:
 
 * every point query answered exactly the expected fact set (the same
   answers a batch fixpoint read would give);
+* an update the policy forbids is refused and leaves no trace;
 * retractions went through DRed incremental maintenance — the server's
   ``dred_strata`` counter grew (a workspace has no other way to maintain
   a deletion, so there is nothing else to rule out);
@@ -29,6 +30,7 @@ import time
 from typing import Optional, TextIO
 
 from ..core.system import LBTrustSystem
+from ..datalog.errors import ServeError
 from ..net.network import SimulatedNetwork
 from ..net.socket_transport import SocketNetwork
 from .client import ServeClient, ServeRouter
@@ -36,10 +38,12 @@ from .metrics import latency_summary
 from .server import TrustServer
 
 #: The served policy: two objects and one derived authorization rule, so
-#: every query exercises a join and every retraction exercises DRed.
+#: every query exercises a join and every retraction exercises DRed; and
+#: one constraint, so a session can have an update refused.
 POLICY = """
-object("f1"). object("f2").
+object("f1"). object("f2"). banned("mallory").
 access(P,O,"read") <- good(P), object(O).
+good(P) -> !banned(P).
 """
 
 SERVE_PRINCIPAL = "srv"
@@ -73,14 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_session(client: ServeClient, index: int, steps: int) -> dict:
-    """One client's scripted session: assert, query, periodically retract.
+    """One client's scripted session: assert, query, periodically retract
+    (and once, untimed, an assert the policy must refuse).
 
     Subjects are namespaced by client index, so concurrent sessions never
     touch each other's facts and every expectation is exact.
     """
     latencies: list = []
     failures: list = []
-    updates = queries = 0
+    updates = queries = refused = 0
 
     def timed(call):
         start = time.monotonic()
@@ -97,6 +102,15 @@ def run_session(client: ServeClient, index: int, steps: int) -> dict:
         queries += 1
         if got != want:
             failures.append(f"client {index} step {k}: got {sorted(got)!r}")
+        if k == 0:
+            try:
+                client.assert_fact("good", ("mallory",))
+            except ServeError as exc:
+                refused = int("ConstraintViolation" in str(exc))
+            if not refused or set(client.query(
+                    f'access("{subject}",O,"read")')) != got:
+                failures.append(f"client {index}: a banned subject was not "
+                                f"refused, or the refusal left a trace")
         if k % 4 == 3 or k == steps - 1:  # always exercise DRed at least once
             timed(lambda: client.retract_fact("good", (subject,)))
             updates += 1
@@ -107,7 +121,8 @@ def run_session(client: ServeClient, index: int, steps: int) -> dict:
                 failures.append(f"client {index} step {k}: "
                                 f"{sorted(got)!r} after retract")
     return {"index": index, "ok": not failures, "failures": failures,
-            "latencies": latencies, "updates": updates, "queries": queries}
+            "latencies": latencies, "updates": updates, "queries": queries,
+            "refused": refused}
 
 
 def _client_worker(index: int, host: str, port: int, steps: int,
@@ -121,7 +136,7 @@ def _client_worker(index: int, host: str, port: int, steps: int,
     except Exception as exc:  # surface, don't hang the coordinator
         result = {"index": index, "ok": False,
                   "failures": [f"{type(exc).__name__}: {exc}"],
-                  "latencies": [], "updates": 0, "queries": 0}
+                  "latencies": [], "updates": 0, "queries": 0, "refused": 0}
     finally:
         network.close()
     queue.put(result)
@@ -229,11 +244,12 @@ def main(argv: Optional[list] = None, out: Optional[TextIO] = None) -> int:
     summary = latency_summary(latencies, elapsed)
     updates = sum(result["updates"] for result in results)
     queries = sum(result["queries"] for result in results)
+    refused = sum(result["refused"] for result in results)
 
     emit(f"serve session: transport={args.transport} clients={clients} "
          f"steps={args.steps} procs={args.procs or 'in-process'}")
     emit(f"requests={summary['requests']} updates={updates} "
-         f"queries={queries} elapsed={elapsed:.3f}s qps={summary['qps']:.1f}")
+         f"refused={refused} queries={queries} elapsed={elapsed:.3f}s qps={summary['qps']:.1f}")
     emit(f"latency p50={summary['p50_ms']:.3f}ms "
          f"p99={summary['p99_ms']:.3f}ms max={summary['max_ms']:.3f}ms")
     emit(f"maintenance: dred_strata=+{dred_strata} "

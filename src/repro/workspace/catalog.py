@@ -16,9 +16,10 @@ policies, and LogicBlox's static checking would reject them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
+from ..datalog.database import Journal
 from ..datalog.errors import WorkspaceError
 from ..datalog.terms import Atom, Constraint, Literal, Rule, Variable
 
@@ -38,10 +39,26 @@ class PredInfo:
 
 
 class Catalog:
-    """Name → :class:`PredInfo`, with consistency checking."""
+    """Name → :class:`PredInfo`, with consistency checking.
 
-    def __init__(self) -> None:
+    Inside a transaction of ``journal`` (the owning workspace's) a new
+    entry logs its removal and a changed one its prior value.
+    """
+
+    def __init__(self, journal: Optional[Journal] = None) -> None:
         self._preds: dict[str, PredInfo] = {}
+        self.journal = journal if journal is not None else Journal()
+
+    def _new(self, info: PredInfo) -> PredInfo:
+        self._preds[info.name] = info
+        self.journal.log(self._preds.pop, info.name)
+        return info
+
+    def _log_value(self, info: PredInfo) -> None:
+        """Call before changing ``info``: a rollback puts this copy back."""
+        if self.journal.entries is not None:
+            self.journal.log(self._preds.update, {
+                info.name: replace(info, arg_types=list(info.arg_types))})
 
     def get(self, name: str) -> Optional[PredInfo]:
         return self._preds.get(name)
@@ -62,15 +79,13 @@ class Catalog:
         """Record (or check) a predicate's shape from one atom occurrence."""
         info = self._preds.get(atom.pred)
         if info is None:
-            info = PredInfo(
+            return self._new(PredInfo(
                 name=atom.pred,
                 arity=atom.arity,
                 key_arity=len(atom.keys),
                 declared=declared,
                 arg_types=[None] * atom.arity,
-            )
-            self._preds[atom.pred] = info
-            return info
+            ))
         if info.arity != atom.arity:
             raise WorkspaceError(
                 f"arity clash for {atom.pred!r}: declared {info.arity}, "
@@ -81,7 +96,8 @@ class Catalog:
                 f"partition-key clash for {atom.pred!r}: declared "
                 f"{info.key_arity} keys, used with {len(atom.keys)}"
             )
-        if declared:
+        if declared and not info.declared:
+            self._log_value(info)
             info.declared = True
         return info
 
@@ -89,16 +105,16 @@ class Catalog:
         """Programmatic declaration (used by machinery installers)."""
         info = self._preds.get(name)
         if info is None:
-            info = PredInfo(name, arity, key_arity, declared=True,
-                            arg_types=[None] * arity)
-            self._preds[name] = info
-            return info
+            return self._new(PredInfo(name, arity, key_arity, declared=True,
+                                      arg_types=[None] * arity))
         if info.arity != arity or info.key_arity != key_arity:
             raise WorkspaceError(
                 f"conflicting declaration for {name!r}: have "
                 f"({info.arity},{info.key_arity}), asked ({arity},{key_arity})"
             )
-        info.declared = True
+        if not info.declared:
+            self._log_value(info)
+            info.declared = True
         return info
 
     # -- harvesting from statements -------------------------------------------
@@ -154,7 +170,10 @@ class Catalog:
                 continue
             term = rhs_atom.all_args[0]
             if isinstance(term, Variable) and term.name in var_positions:
-                info.arg_types[var_positions[term.name]] = rhs_atom.pred
+                position = var_positions[term.name]
+                if info.arg_types[position] != rhs_atom.pred:
+                    self._log_value(info)
+                    info.arg_types[position] = rhs_atom.pred
 
     def check_fact_arity(self, pred: str, fact: tuple) -> None:
         info = self._preds.get(pred)

@@ -19,7 +19,9 @@ section 3.3:
   continues until quiescence (bounded by ``max_activation_rounds``);
 * schema constraints and meta-constraints are checked at commit; a
   violation rolls the whole transaction back and raises
-  :class:`ConstraintViolation`, leaving an audit record.
+  :class:`ConstraintViolation`, leaving an audit record.  Everything a
+  transaction can change logs to one undo journal (``Workspace.journal``),
+  so a rollback costs what the transaction changed.
 
 ``me`` appearing in loaded source resolves to the owning principal before
 interning, so rules-as-data are always context-independent.
@@ -34,7 +36,7 @@ from typing import Any, Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry, standard_registry
 from ..datalog.constraints import Violation, check_constraints
-from ..datalog.database import Database
+from ..datalog.database import Database, Journal
 from ..datalog.engine import (
     EngineRule,
     EvalStats,
@@ -89,29 +91,18 @@ class _EdbView(Mapping):
     one predicate never pays for the meta facts of every reified rule.
     """
 
-    def __init__(self, rows: FactSet, interner) -> None:
-        self._rows = rows
-        self._interner = interner
+    def __init__(self, relations: dict) -> None:
+        self._relations = relations
 
     def __getitem__(self, pred: str) -> set:
-        materialize = self._interner.materialize_row
-        return {materialize(row) for row in self._rows[pred]}
+        relation = self._relations[pred]
+        return set(map(relation.interner.materialize_row, relation.rows))
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(self._relations)
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-
-@dataclass
-class _Snapshot:
-    db: Database
-    edb: dict
-    activated: dict
-    constraints: list
-    reified: set
-    catalog: dict
+        return len(self._relations)
 
 
 class Workspace:
@@ -126,11 +117,13 @@ class Workspace:
         self.me = me if me is not None else name
         self.registry = registry if registry is not None else RuleRegistry()
         self.builtins = builtins if builtins is not None else standard_registry().child()
-        self.db = Database()
-        #: the asserted facts, stored once: pred -> id rows over
-        #: ``db.interner`` (the tuple objects the relations hold).
-        self._edb: FactSet = {}
-        self.catalog = Catalog()
+        #: the undo log all that a transaction can change here shares.
+        self.journal = Journal()
+        self.db = Database(journal=self.journal)
+        #: the asserted facts, stored once: an index-less database over
+        #: ``db.interner`` (its rows are the tuple objects ``db`` holds).
+        self._edb = Database(self.db.interner, self.journal)
+        self.catalog = Catalog(self.journal)
         self.constraints: list[Constraint] = []
         self.audit: list[AuditEvent] = []
         #: diagnostics from the most recent :meth:`load` static check
@@ -142,20 +135,15 @@ class Workspace:
         self.stats = EvalStats()
         self.max_activation_rounds = max_activation_rounds
         self.provenance: Optional[ProvenanceStore] = (
-            ProvenanceStore() if enable_provenance else None
+            ProvenanceStore(self.journal) if enable_provenance else None
         )
         self._activated: dict[RuleRef, list[EngineRule]] = {}
         self._strata: Optional[list] = None
         self._reified: set[RuleRef] = set()
         self._pending_template_refs: list[RuleRef] = []
         self._txn_depth = 0
-        self._txn_snapshot: Optional[_Snapshot] = None
         self._txn_fresh: FactSet = {}
         self._txn_deleted: FactSet = {}
-        # EDB row sets are shared with the transaction snapshot
-        # copy-on-write; preds in this set are owned by the current
-        # transaction and safe to mutate in place.
-        self._txn_edb_owned: set[str] = set()
         # Compiled constraint-check plans, keyed by the conjunction itself
         # (so they survive constraint-list changes and rollbacks) in the
         # FIFO-bounded band-keyed cache of ``datalog.runtime.banded_plan``,
@@ -263,6 +251,7 @@ class Workspace:
             )
             if not duplicate:
                 self.constraints.append(compiled)
+                self.journal.log(self.constraints.pop, -1)
 
     # ------------------------------------------------------------------
     # Public API: facts
@@ -295,11 +284,11 @@ class Workspace:
             for fact in facts:
                 fact = tuple(fact)
                 row = self.db.interner.row_of(fact)
-                if row is None or row not in self._edb.get(pred, ()):
+                if row is None or row not in self._edb_facts(pred):
                     raise WorkspaceError(
                         f"cannot retract {pred}{fact!r}: not an asserted fact"
                     )
-                self._edb_for_write(pred).discard(row)
+                self._edb.rel(pred).discard_row(row)
                 self.db.rel(pred).discard_row(row)
                 if self.provenance is not None:
                     self.provenance.forget(pred, fact)
@@ -321,6 +310,7 @@ class Workspace:
         """Remove every installed constraint carrying ``label``."""
         with self.transaction():
             before = len(self.constraints)
+            self._log_rebind("constraints")
             self.constraints = [
                 c for c in self.constraints if c.label != label
             ]
@@ -334,7 +324,7 @@ class Workspace:
     def edb(self) -> Mapping:
         """The asserted facts, ``pred -> set of value tuples`` (a read-only
         view; each access materializes that one predicate)."""
-        return _EdbView(self._edb, self.db.interner)
+        return _EdbView(self._edb.relations)
 
     def tuples(self, pred: str) -> set:
         return set(self.db.tuples(pred))
@@ -451,77 +441,30 @@ class Workspace:
         to the transaction start; the audit log keeps the rejection event.
         """
         if self._txn_depth == 0:
-            self._txn_snapshot = self._take_snapshot()
+            self.journal.begin()
             self._txn_fresh = {}
             self._txn_deleted = {}
-            self._txn_edb_owned = set()
         self._txn_depth += 1
         try:
-            yield self
-        except Exception:
-            self._txn_depth -= 1
+            try:
+                yield self
+            finally:
+                self._txn_depth -= 1
             if self._txn_depth == 0:
-                self._rollback()
+                self._commit()
+        except BaseException:
+            # Interrupts and exits too: a transaction left open would make
+            # every later one nested, never committed and never checked.
+            if self._txn_depth == 0:
+                self.journal.rollback()
+                self._strata = None
+                self._pending_template_refs = []
             raise
-        else:
-            self._txn_depth -= 1
-            if self._txn_depth == 0:
-                try:
-                    self._commit()
-                except Exception:
-                    self._rollback()
-                    raise
 
-    def _take_snapshot(self) -> _Snapshot:
-        """O(changed state), not O(total facts): the derived database is a
-        COW snapshot and the EDB dict is shared shallowly — per-pred fact
-        sets are copied lazily by :meth:`_edb_for_write` on first mutation;
-        a provenance store journals what the transaction first touches.
-        """
-        if self.provenance is not None:
-            self.provenance.begin()
-        from dataclasses import replace
-        catalog_copy = {
-            name: replace(info, arg_types=list(info.arg_types))
-            for name, info in self.catalog._preds.items()
-        }
-        return _Snapshot(
-            db=self.db.snapshot(),
-            edb=dict(self._edb),
-            activated=dict(self._activated),
-            constraints=list(self.constraints),
-            reified=set(self._reified),
-            catalog=catalog_copy,
-        )
-
-    def _edb_for_write(self, pred: str) -> set:
-        """The EDB row set for ``pred``, unshared from the txn snapshot."""
-        base = self._edb.get(pred)
-        if pred not in self._txn_edb_owned:
-            base = self._edb[pred] = set(base) if base is not None else set()
-            self._txn_edb_owned.add(pred)
-        return base
-
-    def _rollback(self) -> None:
-        snapshot = self._txn_snapshot
-        if snapshot is None:  # pragma: no cover - defensive
-            return
-        # restore() keeps the live Relation objects (and their indexes)
-        # wherever the transaction never touched them.
-        self.db.restore(snapshot.db)
-        if self.provenance is not None:
-            self.provenance.rollback()
-        self._edb = snapshot.edb
-        self._activated = snapshot.activated
-        self.constraints = snapshot.constraints
-        self._reified = snapshot.reified
-        self.catalog._preds = snapshot.catalog
-        self._strata = None
-        self._pending_template_refs = []
-        self._txn_snapshot = None
-        self._txn_fresh = {}
-        self._txn_deleted = {}
-        self._txn_edb_owned = set()
+    def _log_rebind(self, name: str) -> None:
+        """Log the container ``self.<name>`` holds, about to be replaced:
+        a rollback rebinds it, so its order comes back exactly."""
+        self.journal.log(vars(self).update, {name: getattr(self, name)})
 
     def _commit(self) -> None:
         deleted = self._txn_deleted
@@ -541,19 +484,18 @@ class Workspace:
                 "total": len(violations),
             }))
             raise ConstraintViolation(violation.constraint, violation.bindings)
-        self._txn_snapshot = None
+        self.journal.commit()
 
     # ------------------------------------------------------------------
     # Internals: assertion, reification, activation
     # ------------------------------------------------------------------
 
     def _assert_edb(self, pred: str, fact: tuple) -> bool:
-        if self._txn_snapshot is None:
+        if self.journal.entries is None:
             raise WorkspaceError("EDB mutation outside a transaction")
         row = self.db.interner.intern_row(fact)
-        if row in self._edb.get(pred, ()):
+        if not self._edb.rel(pred).add_row(row):
             return False
-        self._edb_for_write(pred).add(row)
         if self.db.rel(pred).add_row(row):
             self._txn_fresh.setdefault(pred, set()).add(row)
         if self.provenance is not None:
@@ -569,6 +511,7 @@ class Workspace:
         if ref in self._reified:
             return
         self._reified.add(ref)
+        self.journal.log(self._reified.discard, ref)
         for pred, fact in self.registry.meta_facts(ref):
             self._assert_edb(pred, fact)
 
@@ -591,7 +534,8 @@ class Workspace:
         return ref
 
     def _edb_facts(self, pred: str) -> set:
-        return self._edb.get(pred, set())
+        relation = self._edb.relations.get(pred)
+        return relation.rows if relation is not None else set()
 
     def _compile_ref(self, ref: RuleRef) -> list[EngineRule]:
         from ..datalog.runtime import check_rule_safety
@@ -671,6 +615,7 @@ class Workspace:
                 self._ensure_reified(ref)
                 engine_rules = self._compile_ref(ref)
                 self._activated[ref] = engine_rules
+                self.journal.log(self._activated.pop, ref)
                 new_rules.extend(engine_rules)
                 progressed = True
             if new_rules:
@@ -766,11 +711,12 @@ class Workspace:
             propagate_deletions(self._current_strata(), self.db, self.context,
                                 deleted, edb_facts=self._edb_facts,
                                 provenance=self.provenance, stats=self.stats)
-            dropped = [rule
-                       for ref in self._activated.keys() - self._active_now()
-                       for rule in self._activated.pop(ref)]
-            if not dropped:
+            gone = self._activated.keys() - self._active_now()
+            if not gone:
                 break
+            self._log_rebind("_activated")
+            self._activated = dict(self._activated)
+            dropped = [rule for ref in gone for rule in self._activated.pop(ref)]
             self._strata = None
             # Every dropped rule first: one's rows may support another's.
             deleted = {}

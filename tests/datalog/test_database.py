@@ -1,9 +1,9 @@
-"""Relations, indexes, copy-on-write snapshots, index integrity."""
+"""Relations, indexes, the undo journal, index integrity."""
 
 import pytest
 
-from repro.datalog.database import Database, Relation, TermInterner
-from repro.datalog.errors import IndexIntegrityError, InternerMismatchError
+from repro.datalog.database import Database, Journal, Relation, TermInterner
+from repro.datalog.errors import IndexIntegrityError, TransactionError
 
 
 class TestRelation:
@@ -41,12 +41,6 @@ class TestRelation:
         hits = relation.lookup((0, 2), ("a", "x"))
         assert set(hits) == {("a", 1, "x"), ("a", 2, "x")}
         assert relation.lookup((0, 2), ("b", "x")) == []
-
-    def test_copy_is_independent(self):
-        relation = Relation("p", [("a",)])
-        clone = relation.copy()
-        relation.add(("b",))
-        assert ("b",) not in clone
 
 
 class TestLookupStability:
@@ -113,47 +107,94 @@ class TestDiscardIntegrity:
         assert relation.lookup((0,), ("a",)) == []
 
 
-class TestCopyOnWrite:
-    def test_view_is_o1_until_mutation(self):
-        relation = Relation("p", [("a",), ("b",)])
-        view = relation.view()
-        assert view.rows is relation.rows
-        assert view.interner is relation.interner
-
-    def test_mutating_original_leaves_view_intact(self):
+class TestJournal:
+    def test_outside_a_transaction_nothing_is_logged(self):
         relation = Relation("p", [("a",)])
-        view = relation.view()
         relation.add(("b",))
-        assert view.tuples == {("a",)}
-        assert relation.tuples == {("a",), ("b",)}
+        relation.discard(("a",))
+        assert relation.journal.entries is None
+        assert relation._changed == []
 
-    def test_mutating_view_leaves_original_intact(self):
-        relation = Relation("p", [("a",)])
-        view = relation.view()
-        view.discard(("a",))
-        assert relation.tuples == {("a",)}
-        assert len(view) == 0
+    def test_a_relation_logs_one_change_list_per_transaction(self):
+        journal = Journal()
+        relation = Relation("p", [("a",)], journal=journal)
+        journal.begin()
+        relation.add(("b",))
+        relation.add(("a",))            # no change: not logged
+        relation.discard(("zzz",))      # no change: not logged
+        relation.add(("c",))
+        assert len(journal.entries) == 1
+        assert len(relation._changed) == 2
+        journal.commit()
+        assert journal.entries is None
+        journal.begin()
+        relation.discard(("b",))
+        assert len(journal.entries) == 1 and len(relation._changed) == 1
+        journal.rollback()
+        assert relation.tuples == {("a",), ("b",), ("c",)}
 
-    def test_wrap_never_mutates_the_donor_set(self):
+    @pytest.mark.parametrize("present", [False, True])
+    def test_one_row_toggled_three_times_rolls_back_exactly(self, present):
+        """Added-removed-added (and removed-added-removed): the change
+        list holds the row three times, and toggling it newest first lands
+        where it started — rows, indexes and distinct counts alike."""
+        journal = Journal()
+        relation = Relation("p", [("a", 1)] + ([("a", 2)] if present else []),
+                            journal=journal)
+        relation.lookup((0,), ("a",))
+        relation.lookup((0, 1), ("a", 2))
+        before = set(relation.tuples)
+        journal.begin()
+        for _ in range(3):
+            if ("a", 2) in relation:
+                assert relation.discard(("a", 2))
+            else:
+                assert relation.add(("a", 2))
+        assert (("a", 2) in relation) != present
+        assert len(relation._changed) == 3
+        journal.rollback()
+        assert relation.tuples == before
+        assert sorted(relation.lookup((0,), ("a",))) == sorted(before)
+        assert relation.lookup((0, 1), ("a", 2)) == \
+            ([("a", 2)] if present else [])
+        assert relation.distinct_count(1) == len(before)
+        for index in relation._indexes.values():
+            assert sorted(row for bucket in index.values()
+                          for row in bucket) == sorted(relation.rows)
+
+    def test_rollback_replays_newest_first_with_logging_off(self):
+        journal = Journal()
+        order = []
+        journal.begin()
+        journal.entries.append((order.append, "first"))
+        journal.entries.append((order.append, "second"))
+        journal.entries.append(
+            (lambda _: order.append(journal.entries), None))
+        journal.rollback()
+        assert order == [None, "second", "first"]
+        assert journal.entries is None
+
+    def test_a_transaction_inside_a_transaction_is_refused(self):
+        journal = Journal()
+        journal.begin()
+        with pytest.raises(TransactionError):
+            journal.begin()
+
+    def test_a_wrapped_delta_relation_is_read_only(self):
         interner = TermInterner()
         donor = {interner.intern_row(("a",)), interner.intern_row(("b",))}
         before = set(donor)
         wrapped = Relation.wrap_rows("d", donor, interner)
         assert wrapped.rows is donor  # adopted, not copied
         assert wrapped.lookup((0,), ("a",)) == [("a",)]
-        wrapped.add(("c",))
-        wrapped.discard(("a",))
+        assert wrapped.tuples == {("a",), ("b",)}
+        with pytest.raises(TransactionError):
+            wrapped.add(("c",))
+        with pytest.raises(TransactionError):
+            wrapped.discard(("a",))
+        with pytest.raises(TransactionError):
+            wrapped.add_rows({interner.intern_row(("c",))})
         assert donor == before
-        assert wrapped.tuples == {("b",), ("c",)}
-
-    def test_shared_index_serves_both_handles(self):
-        relation = Relation("p", [("a", 1)])
-        relation.lookup((0,), ("a",))
-        view = relation.view()
-        assert view._indexes is relation._indexes
-        relation.add(("a", 2))  # unshares: view keeps the old index
-        assert view.lookup((0,), ("a",)) == [("a", 1)]
-        assert sorted(relation.lookup((0,), ("a",))) == [("a", 1), ("a", 2)]
 
 
 class TestDatabase:
@@ -165,22 +206,36 @@ class TestDatabase:
     def test_tuples_of_missing_is_empty(self):
         assert Database().tuples("nope") == set()
 
-    def test_snapshot_restore(self):
+    def test_rollback_restores_rows_and_drops_created_relations(self):
         database = Database()
         database.add("p", ("a",))
-        snapshot = database.snapshot()
+        database.journal.begin()
         database.add("p", ("b",))
         database.add("q", ("c",))
-        database.restore(snapshot)
+        database.discard("p", ("a",))
+        database.journal.rollback()
         assert database.tuples("p") == {("a",)}
-        assert database.tuples("q") == set()
+        assert database.get("q") is None
 
-    def test_snapshot_isolated_from_source(self):
+    def test_commit_keeps_the_changes_and_logs_nothing(self):
         database = Database()
+        database.journal.begin()
         database.add("p", ("a",))
-        snapshot = database.snapshot()
-        database.add("p", ("b",))
-        assert snapshot.tuples("p") == {("a",)}
+        database.journal.commit()
+        assert database.tuples("p") == {("a",)}
+        assert database.journal.entries is None
+
+    def test_two_databases_roll_back_under_one_journal(self):
+        journal = Journal()
+        derived = Database(journal=journal)
+        asserted = Database(derived.interner, journal)
+        derived.add("p", ("a",))
+        journal.begin()
+        asserted.add("p", ("b",))
+        derived.add("p", ("b",))
+        journal.rollback()
+        assert derived.tuples("p") == {("a",)}
+        assert asserted.relations == {}
 
     def test_total_facts(self):
         database = Database()
@@ -189,65 +244,92 @@ class TestDatabase:
         assert database.total_facts() == 2
 
 
-class TestSnapshotRestoreCOW:
+class TestRollbackCostsWhatChanged:
     def test_untouched_relation_identity_and_indexes_survive(self):
         from repro.datalog.engine import EvalStats
 
         database = Database()
         database.add("hot", ("a", 1))
         database.add("cold", ("x", 9))
-        cold = database.rel("cold")
-        cold.lookup((0,), ("x",))  # build an index on the untouched relation
-        snapshot = database.snapshot()
+        hot, cold = database.rel("hot"), database.rel("cold")
+        hot.lookup((0,), ("a",))
+        cold.lookup((0,), ("x",))
+        cold_rows, cold_index = cold.rows, cold._indexes[(0,)]
+        hot_rows, hot_index = hot.rows, hot._indexes[(0,)]
+        database.journal.begin()
         database.add("hot", ("b", 2))
-        database.restore(snapshot)
-        # identity survives the round-trip for the relation nobody touched
-        assert database.rel("cold") is cold
-        # and its index was neither dropped nor rebuilt: the next probe
-        # counts as a hit, not a build
+        database.journal.rollback()
+        # nothing was copied: the same relations, row sets and indexes
+        assert database.rel("cold") is cold and database.rel("hot") is hot
+        assert cold.rows is cold_rows and cold._indexes[(0,)] is cold_index
+        assert hot.rows is hot_rows and hot._indexes[(0,)] is hot_index
+        # and the untouched index was neither dropped nor rebuilt: the
+        # next probe counts as a hit, not a build
         stats = EvalStats()
         with stats.capture_indexes():
-            assert database.rel("cold").lookup((0,), ("x",)) == [("x", 9)]
-        assert (stats.index_builds, stats.index_hits) == (0, 1)
+            assert cold.lookup((0,), ("x",)) == [("x", 9)]
+            assert hot.lookup((0,), ("b",)) == []
+        assert (stats.index_builds, stats.index_hits) == (0, 2)
 
-    def test_touched_relation_reverts_and_snapshot_stays_valid(self):
+    def test_an_index_built_inside_the_transaction_stays_exact(self):
         database = Database()
-        database.add("p", ("a",))
-        snapshot = database.snapshot()
-        database.add("p", ("b",))
-        database.restore(snapshot)
-        assert database.tuples("p") == {("a",)}
-        database.add("p", ("c",))
-        database.restore(snapshot)  # the same snapshot restores again
-        assert database.tuples("p") == {("a",)}
-        assert snapshot.tuples("p") == {("a",)}
+        database.add("p", ("a", 1))
+        database.journal.begin()
+        database.add("p", ("a", 2))
+        assert sorted(database.rel("p").lookup((0,), ("a",))) == \
+            [("a", 1), ("a", 2)]
+        database.journal.rollback()
+        assert database.rel("p").lookup((0,), ("a",)) == [("a", 1)]
 
-    def test_relation_created_after_snapshot_is_dropped_on_restore(self):
-        database = Database()
-        database.add("p", ("a",))
-        snapshot = database.snapshot()
-        database.add("fresh", ("z",))
-        database.restore(snapshot)
-        assert database.get("fresh") is None
+    def test_query_magic_leaves_the_database_as_found(self):
+        from repro.datalog.magic import query_magic
+        from repro.datalog.parser import parse_program, parse_atom
 
-    def test_restore_refuses_a_snapshot_over_another_interner(self):
+        rules = parse_program("""
+            reach(X,Y) <- edge(X,Y).
+            reach(X,Z) <- reach(X,Y), edge(Y,Z).
+        """).rules
         database = Database()
-        database.add("p", ("a",))
-        foreign = Database()
-        foreign.add("p", ("b",))
-        with pytest.raises(InternerMismatchError):
-            database.restore(foreign.snapshot())
-        assert database.tuples("p") == {("a",)}
+        for edge in [(1, 2), (2, 3), (7, 8)]:
+            database.add("edge", edge)
+        database.add("reach", (7, 8))    # a row under the query's predicate
+        database.rel("edge").lookup((1,), (3,))
+        found = {name: (relation, set(relation.rows))
+                 for name, relation in database.relations.items()}
 
-    def test_snapshot_shares_until_either_side_mutates(self):
-        database = Database()
-        database.add("p", ("a",))
-        snapshot = database.snapshot()
-        assert snapshot.rel("p").rows is database.rel("p").rows
-        assert snapshot.interner is database.interner
-        snapshot.add("p", ("b",))  # mutating the snapshot copy is also safe
-        assert database.tuples("p") == {("a",)}
-        assert snapshot.tuples("p") == {("a",), ("b",)}
+        def assert_as_found():
+            assert set(database.relations) == set(found)
+            for name, (relation, rows) in found.items():
+                assert database.relations[name] is relation
+                assert relation.rows == rows
+                for index in relation._indexes.values():
+                    assert sorted(row for bucket in index.values()
+                                  for row in bucket) == sorted(rows)
+            assert database.journal.entries is None
+
+        assert query_magic(rules, database, parse_atom("reach(1,X)")) == \
+            {(1, 2), (1, 3)}
+        assert_as_found()
+
+        class Boom(Exception):
+            pass
+
+        def explode(*_args, **_kwargs):
+            raise Boom
+
+        import repro.datalog.magic as magic
+        evaluate, magic.evaluate = magic.evaluate, explode
+        try:
+            with pytest.raises(Boom):
+                query_magic(rules, database, parse_atom("reach(1,X)"))
+        finally:
+            magic.evaluate = evaluate
+        assert_as_found()            # the seed fact is gone too
+
+        database.journal.begin()
+        with pytest.raises(TransactionError):
+            query_magic(rules, database, parse_atom("reach(1,X)"))
+        database.journal.rollback()
 
 
 class TestDistinctCounts:
@@ -278,13 +360,14 @@ class TestDistinctCounts:
             set_index_stats(previous)
         assert stats.column_stats_built == 1
 
-    def test_views_do_not_share_stat_caches(self):
-        relation = Relation("p", {(0,), (1,)})
+    def test_a_rollback_invalidates_the_cached_counts(self):
+        journal = Journal()
+        relation = Relation("p", {(0,), (1,)}, journal=journal)
         assert relation.distinct_count(0) == 2
-        view = relation.view()
-        assert view.distinct_count(0) == 2
-        view.add((2,))
-        assert view.distinct_count(0) == 3
+        journal.begin()
+        relation.add((2,))
+        assert relation.distinct_count(0) == 3
+        journal.rollback()
         assert relation.distinct_count(0) == 2
 
     def test_short_tuples_are_skipped(self):

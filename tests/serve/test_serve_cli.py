@@ -26,6 +26,11 @@ class TestServeCommand:
         assert "dred_strata=+" in text and "dred_strata=+0" not in text
         assert "query_derivations=+0" in text
 
+    def test_each_client_has_one_update_refused(self):
+        status, text = self.run("--steps", "2", "--clients", "3")
+        assert status == 0
+        assert "updates=9 refused=3 queries=9" in text
+
     def test_socket_session_passes(self):
         status, text = self.run("--transport", "socket", "--steps", "4",
                                 "--clients", "1")
@@ -71,6 +76,27 @@ class TestRunSession:
         # 2 asserts + 2 queries + the final step's retract + re-query
         assert result["updates"] == 3 and result["queries"] == 3
         assert len(result["latencies"]) == 6
+
+    def test_a_server_that_admits_the_banned_subject_fails_the_session(self):
+        class PermissiveClient:
+            def __init__(self):
+                self.good = set()
+
+            def assert_fact(self, pred, fact):
+                self.good.add(fact[0])      # "mallory" too: no constraint
+
+            def retract_fact(self, pred, fact):
+                self.good.discard(fact[0])
+
+            def query(self, source):
+                subject = source.split('"')[1]
+                return [(subject, obj, "read") for obj in ("f1", "f2")
+                        if subject in self.good]
+
+        result = run_session(PermissiveClient(), 0, steps=2)
+        assert result["refused"] == 0
+        assert len(result["failures"]) == 1
+        assert "not refused" in result["failures"][0]
 
     def test_closing_sweep_reports_what_queries_derived(self):
         class DerivingClient:

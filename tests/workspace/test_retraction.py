@@ -228,12 +228,46 @@ POOL = [
 ]
 
 
+#: Constraints a differential stream installs and removes by label: each
+#: can refuse a commit, and the second is a type declaration (it changes
+#: the catalog entry of ``gate``).
+CONSTRAINTS = {
+    "apart": "apart: flag(X) -> !gate(X).",
+    "typed": "typed: gate(X) -> node(X).",
+}
+
+#: A program a stream loads: a fact, and a declaration of a predicate
+#: nothing else mentions (a new catalog entry, declared and typed).
+LOADED = "gate(1).\nspare(X,Y) -> node(X), node(Y)."
+
+
+def observable(ws):
+    """Everything a transaction can change, as values: what an aborted
+    one must leave exactly as it found it."""
+    return {
+        "tuples": {pred: ws.tuples(pred) for pred in ws.db.preds()},
+        "edb": dict(ws.edb.items()),
+        "catalog": {name: (info.arity, info.key_arity, info.declared,
+                           list(info.arg_types))
+                    for name in ws.catalog.names()
+                    for info in [ws.catalog.info(name)]},
+        "constraints": list(ws.constraints),
+        # in activation order: stratification reads it
+        "active": list(ws._activated.items()),
+        "reified": set(ws._reified),
+        "proofs": None if ws.provenance is None
+        else dict(ws.provenance.derivations),
+    }
+
+
 def run_program_stream(seed, ws, steps=10):
     """Drive ``ws`` with random transactions of one to three changes —
     assert / retract a fact (all but ``edge`` are derived too, ``reach``
     is negated, ``lone`` has a negation), activate / deactivate a
-    :data:`POOL` rule — a quarter of them aborted; yields after every
-    transaction."""
+    :data:`POOL` rule, install / remove one of :data:`CONSTRAINTS`, load
+    :data:`LOADED` — a quarter of them aborted and some refused by a
+    constraint, which must leave :func:`observable` as it was; yields
+    after every transaction."""
     rng = random.Random(seed)
     values = list(range(1, rng.randint(3, 5)))
     arity = {"edge": 2, "path": 2, "node": 1, "reach": 1, "lone": 1,
@@ -245,6 +279,7 @@ def run_program_stream(seed, ws, steps=10):
     for _ in range(steps):
         staged_facts = {pred: set(held) for pred, held in facts.items()}
         staged_rules = dict(rules)
+        before = observable(ws)
         try:
             with ws.transaction():
                 for _ in range(rng.randint(1, 3)):
@@ -255,6 +290,13 @@ def run_program_stream(seed, ws, steps=10):
                     elif roll < 0.5 and staged_rules:
                         text = rng.choice(sorted(staged_rules))
                         ws.deactivate_rule(staged_rules.pop(text))
+                    elif roll < 0.58:
+                        label = rng.choice(sorted(CONSTRAINTS))
+                        if not ws.remove_constraints(label):
+                            ws.add_constraint(CONSTRAINTS[label])
+                    elif roll < 0.62:
+                        ws.load(LOADED)
+                        staged_facts["gate"].add((1,))
                     else:
                         pred = rng.choice(sorted(arity))
                         held = staged_facts[pred]
@@ -269,10 +311,11 @@ def run_program_stream(seed, ws, steps=10):
                             ws.assert_fact(pred, fact)
                 if rng.random() < 0.25:
                     raise Aborted
-        except Aborted:
-            pass
+        except (Aborted, ConstraintViolation):
+            assert observable(ws) == before
         else:
             facts, rules = staged_facts, staged_rules
+        assert ws.journal.entries is None and ws._txn_depth == 0
         yield facts, rules
 
 
