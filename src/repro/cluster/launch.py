@@ -356,7 +356,7 @@ class _HostedImports:
     def integrate(self, batches: list) -> int:
         principals = self.node.system.principals
         for batch in batches:
-            for to in {batch.names[row[0]] for row in batch.rows}:
+            for to in {batch.names[block[0]] for block in batch.blocks}:
                 principal = principals.get(to)
                 if principal is not None and principal.node != self.node.name:
                     raise ClusterError(

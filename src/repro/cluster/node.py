@@ -18,17 +18,19 @@ so ``(pred, key id)`` → owner is memoized against the append-only
 interner.  A row bound for a peer **stays an id row**: the outbox and
 the resend-dedup markers hold id rows (ids are stable, so a marker is as
 good as the fact), ``drain_outbox`` hands each ``(dst, pred)`` block to
-the batcher together with the interner, and the batcher splices the
-terms' cached JSON texts into the envelope — nothing is materialized on
-the way out.
+the batcher together with the interner, and the batcher packs the rows
+as uint32 dictionary slots behind a small JSON header (the packed
+envelope of :mod:`repro.net.transport`) — nothing is materialized on the
+way out.
 
 On the way in, :meth:`ClusterNode.integrate` interns each received
-batch's dictionary **once**, maps the wire's index rows straight to id
-rows, and merges them with :meth:`Relation.add_rows`; the genuinely novel
-rows are, as they are, the delta
-:func:`~repro.datalog.engine.propagate_insertions` takes — nothing is
-materialized on the way in either.  All batches of one delivery form one
-delta and one propagation.
+batch's dictionary **once** and maps each block's slot array straight to
+id rows — one ``zip`` over one ``map`` per block, no Python per row —
+which :meth:`Relation.add_rows` merges; the genuinely novel rows are, as
+they are, the delta :func:`~repro.datalog.engine.propagate_insertions`
+takes (the decoder has checked every slot against the dictionary it
+arrived with).  All batches of one delivery form one delta and one
+propagation.
 
 The node speaks the :class:`~repro.cluster.scheduler.ExecutionRuntime`
 protocol (``bootstrap`` / ``integrate`` / ``drain_outbox`` /
@@ -193,25 +195,24 @@ class ClusterNode:
     def integrate(self, batches: Iterable[Batch]) -> int:
         """Absorb one delivery's batches; returns new local facts.
 
-        Each batch's dictionary is interned once and its index rows map
-        straight to id rows (``to`` is principal routing, unused by plain
-        shards).  All batches form **one** delta: the novel rows are
+        Each batch's dictionary is interned once and each block's slots
+        map straight to id rows (``to`` is principal routing, unused by
+        plain shards).  All batches form **one** delta: the novel rows are
         asserted, recorded as received EDB, and pushed through the strata
         semi-naive in a single propagation — re-entering ``_emit_rows``
         for any further derivations they enable.
         """
-        intern = self.db.interner.intern
+        intern_row = self.db.interner.intern_row
         incoming: dict[str, set] = {}
         for batch in batches:
             names = batch.names
-            id_of = [intern(value) for value in batch.values].__getitem__
-            by_pred: dict[int, set] = {}
-            for row in batch.rows:
-                rows = by_pred.get(row[1])
-                if rows is None:
-                    rows = by_pred[row[1]] = incoming.setdefault(
-                        names[row[1]], set())
-                rows.add(tuple(map(id_of, row[2:])))
+            id_of = intern_row(batch.values).__getitem__
+            for _to, pred, arity, _count, slots in batch.blocks:
+                rows = incoming.setdefault(names[pred], set())
+                if arity:
+                    rows.update(zip(*[map(id_of, slots)] * arity))
+                else:
+                    rows.add(())
         fresh: FactSet = {}
         count = 0
         for pred, rows in incoming.items():

@@ -27,7 +27,7 @@ protocol is the same for all three.
 ``integrate(batches) -> int``
     absorb one delivery — a list of decoded
     :class:`~repro.net.transport.Batch` blocks (names, the decoded batch
-    dictionary, validated index rows; ``batch.items()`` yields
+    dictionary, validated slot arrays; ``batch.items()`` yields
     ``(to, pred, fact)`` triples for nodes that want facts) — as **one**
     delta, re-enter local evaluation, and return the number of facts
     accepted for processing;
@@ -459,7 +459,7 @@ class ExecutionRuntime:
             self.ledger.retire(batch.stamp, sender=src)
         else:
             self.ledger.retire_guarded(batch.stamp, sender=src)
-        return batch if batch.rows else None
+        return batch if batch.blocks else None
 
     @staticmethod
     def _reject(report: RunReport, source: str, reason: str) -> None:

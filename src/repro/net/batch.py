@@ -8,65 +8,62 @@ what a real transport would pay for.  A batch whose encoded size would
 exceed ``max_bytes`` is flushed early, capping message size the way an
 MTU/frame limit would.
 
-The wire format is the dictionary-compressed envelope
-(:func:`~repro.net.transport.encode_batch_message_dict` is its canonical
-definition): every distinct to/pred name and every distinct encoded
-value is serialized once per batch, rows are int-index arrays into those
-dictionaries.  Delta-exchange traffic is dominated by a small working
-set of ground terms (vertex ids, principal names), so this cuts payload
-bytes per fact substantially — and it is an *id-row* format, which is
-what lets a host hand over the id rows it already holds:
-
-The unit of handoff is the **block** — the id rows of one predicate
-bound for one link, plus the interner they index
+The wire format is the packed envelope (:mod:`repro.net.transport`
+defines it and says who validates what): a small JSON header — every
+distinct to/pred name and dictionary entry once, four ints per block —
+and a body of uint32 dictionary slots, four bytes a term.  It is an
+*id-row* format, which lets a host hand over the id rows it already
+holds: the unit of handoff is the **block** — the id rows of one
+predicate bound for one link, plus the interner they index
 (:meth:`MessageBatcher.add`); a Datalog shard and a node of principal
 workspaces hand over the same thing.  The batcher keeps, per interner,
-the encoded JSON text of every term it has shipped, and per pending
-batch the dictionary slot of every term in it, so a row costs dict
-lookups and one ``",".join`` — ``encode_value`` / ``json.dumps`` run
-once per (interner, term), not once per shipped fact.
+the dictionary text of every term it has shipped, and per pending batch
+the dictionary slot of every term in it, so a block costs C-level passes
+over its *distinct* terms, size arithmetic, and one ``array.extend``
+over its rows — ``encode_entry`` runs once per (interner, term), and no
+Python runs per shipped row.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from array import array
+from itertools import chain, count, filterfalse, groupby
 from typing import Iterable, Optional
 from weakref import WeakKeyDictionary
 
-from .transport import encode_batch_message_compressed, encode_value
+from .transport import encode_batch_message_compressed, encode_entry
 
 #: Default size cap per batch message, in encoded-payload bytes.  Small
 #: enough that a pathological round still produces bounded messages,
 #: large enough that typical rounds coalesce into a single envelope.
 DEFAULT_MAX_BATCH_BYTES = 16384
 
-#: Envelope overhead assumed per message
-#: ({"round":NNN,"names":[],"dict":[],"rows":[]}).
-_ENVELOPE_OVERHEAD = 48
+#: Envelope overhead assumed per message (magic byte, length prefix,
+#: {"round":NNN,"names":[],"dict":[],"blocks":[]}).
+_ENVELOPE_OVERHEAD = 64
 
-
-def _compact(encoded) -> str:
-    return json.dumps(encoded, separators=(",", ":"))
+#: Header bytes assumed per block ("[to,pred,arity,count],").
+_BLOCK_OVERHEAD = 24
 
 
 class _LinkBuffer:
-    """One link's pending batch: dictionaries + index rows, all as the
-    texts the envelope will splice."""
+    """One link's pending batch: dictionaries as the texts the header
+    will splice, blocks and their packed body."""
 
-    __slots__ = ("names", "name_texts", "values", "value_texts", "terms",
-                 "slots", "rows", "size")
+    __slots__ = ("names", "values", "terms", "slots", "blocks", "body",
+                 "rows", "size")
 
     def __init__(self) -> None:
-        self.names: dict[str, str] = {}       # to/pred name -> index text
-        self.name_texts: list[str] = []       # JSON string literals
-        self.values: dict[str, str] = {}      # encoded value -> index text
-        self.value_texts: list[str] = []      # tagged-object texts
+        self.names: dict[str, int] = {}       # to/pred name -> index
+        self.values: dict[str, int] = {}      # entry text -> dict slot
         #: the sending interner ``slots`` is keyed against; a block from
         #: a different one (co-located workspaces share a link) resets them
         self.terms: Optional[object] = None
-        self.slots: dict[int, str] = {}       # term id -> index text
-        self.rows: list[str] = []             # "[to,pred,v...]" texts
+        self.slots: dict[int, int] = {}       # term id -> dict slot
+        self.blocks: list[list] = []          # [to, pred, arity, count]
+        self.body = array("I")                # dict slots, row-major
+        self.rows = 0
         self.size = _ENVELOPE_OVERHEAD
 
 
@@ -86,9 +83,9 @@ class MessageBatcher:
         self.sent_messages = 0
         self.sent_items = 0
         self._links: dict[tuple[str, str], _LinkBuffer] = {}
-        #: sending interner -> {term id: encoded JSON text}.  Append-only
-        #: like the interner it mirrors and bounded by it; the weak key
-        #: lets the table die with its interner.
+        #: sending interner -> {term id: dictionary entry text}.
+        #: Append-only like the interner it mirrors and bounded by it; the
+        #: weak key lets the table die with its interner.
         self._term_texts: WeakKeyDictionary = WeakKeyDictionary()
 
     def add(self, src: str, dst: str, pred: str, rows: Iterable[tuple],
@@ -97,7 +94,8 @@ class MessageBatcher:
         :class:`~repro.datalog.database.TermInterner` ``terms`` — for the
         ``src -> dst`` link.  Nothing is materialized: a term's text is
         encoded on its first shipment from that interner and looked up
-        ever after.
+        ever after.  Rows of mixed arity go out as one wire block per
+        run of equal arity, in order.
 
         A row that would push the pending batch past ``max_bytes``
         flushes it first (stamped with ``round_stamp``), so no message
@@ -105,60 +103,43 @@ class MessageBatcher:
         again against fresh dictionaries.  For the same items in the same
         order the bytes sent equal ``encode_batch_message_dict``'s.
         """
-        keys = rows if isinstance(rows, list) else list(rows)
-        if keys:
-            self._add_keys((src, dst), to, pred, keys, terms, round_stamp)
+        for _arity, run in groupby(rows, len):
+            self._add_keys((src, dst), to, pred, list(run), terms,
+                           round_stamp)
 
     def _add_keys(self, link: tuple[str, str], to: str, pred: str,
                   keys: list, terms, round_stamp: int) -> None:
-        """Lay a block of id rows out against the link's dictionaries,
-        then commit it whole if it fits; nothing is mutated before the
-        fit is known.  ``slots`` maps a term id to its dictionary index
-        text."""
+        """Lay a block of equal-arity id rows out against the link's
+        dictionaries and commit it whole if it fits; nothing is mutated
+        before the fit is known.  The size is arithmetic — four bytes a
+        term, plus the texts of the names and entries the batch lacks —
+        and the rows are touched once, by the ``extend`` packing them."""
         buffer = self._links.get(link)
         if buffer is None:
             buffer = self._links[link] = _LinkBuffer()
-        values = buffer.values
         if buffer.terms is not terms:
             buffer.terms, buffer.slots = terms, {}
-        slots = buffer.slots
-        grown = 0
+        names, values, slots = buffer.names, buffer.values, buffer.slots
+        arity = len(keys[0])
+        grown = 4 * arity * len(keys)
 
-        names = buffer.names
-        new_names: dict[str, str] = {}
-        new_name_texts = []
-        routing = []
-        for name in (to, pred):
-            index = names.get(name) or new_names.get(name)
-            if index is None:
-                index = new_names[name] = str(len(names) + len(new_names))
-                text = _compact(name)
-                new_name_texts.append(text)
-                grown += len(text) + 1
-            routing.append(index)
-        head = f"[{routing[0]},{routing[1]}"
-
+        new_names = [name for name in dict.fromkeys((to, pred))
+                     if name not in names]
+        # consecutive rows agreeing on (to, pred, arity) are one block
+        extends = not new_names and bool(buffer.blocks) and \
+            buffer.blocks[-1][:3] == [names[to], names[pred], arity]
         # Dictionary entries in first-appearance order, as the canonical
-        # encoder assigns them (dict.fromkeys keeps it, at C speed).
-        missing = [key for key in dict.fromkeys(chain.from_iterable(keys))
-                   if key not in slots]
-        new_slots: dict = {}
-        new_values: dict[str, str] = {}
-        lookup = slots
-        if missing:
-            for key, text in zip(missing, self._texts(terms, missing)):
-                index = values.get(text) or new_values.get(text)
-                if index is None:
-                    index = new_values[text] = \
-                        str(len(values) + len(new_values))
-                    grown += len(text) + 1
-                new_slots[key] = index
-            lookup = {**slots, **new_slots}
-
-        row_texts = [
-            f"{head},{','.join([lookup[key] for key in row])}]" if row
-            else head + "]" for row in keys]
-        grown += sum(map(len, row_texts)) + len(row_texts)
+        # encoder assigns them (dict.fromkeys keeps it, at C speed): the
+        # terms this batch has no slot for, and of their texts those it
+        # has no entry for (a co-located interner may have shipped one).
+        missing = list(filterfalse(
+            slots.__contains__, dict.fromkeys(chain.from_iterable(keys))))
+        texts = self._texts(terms, missing)
+        new_texts = list(dict.fromkeys(
+            filterfalse(values.__contains__, texts)))
+        grown += sum(map(len, map(json.dumps, new_names))) + len(new_names) \
+            + sum(map(len, new_texts)) + len(new_texts) \
+            + (0 if extends else _BLOCK_OVERHEAD)
 
         if buffer.size + grown > self.max_bytes \
                 and (buffer.rows or len(keys) > 1):
@@ -176,33 +157,33 @@ class MessageBatcher:
                 self._add_keys(link, to, pred, keys, terms, round_stamp)
             return
 
-        names.update(new_names)
-        buffer.name_texts += new_name_texts
-        values.update(new_values)
-        buffer.value_texts += new_values
-        slots.update(new_slots)
-        buffer.rows += row_texts
+        names.update(zip(new_names, count(len(names))))
+        values.update(zip(new_texts, count(len(values))))
+        slots.update(zip(missing, map(values.__getitem__, texts)))
+        if extends:
+            buffer.blocks[-1][3] += len(keys)
+        else:
+            buffer.blocks.append(
+                [names[to], names[pred], arity, len(keys)])
+        buffer.body.extend(map(slots.__getitem__, chain.from_iterable(keys)))
+        buffer.rows += len(keys)
         buffer.size += grown
 
     def _texts(self, terms, term_ids: list) -> list:
-        """Encoded JSON texts of ``term_ids``, encoding the first time a
-        term of this interner is shipped."""
-        known = self._term_texts.get(terms)
-        if known is None:
-            known = self._term_texts[terms] = {}
-        term_values = terms.values
-        registry = self.registry
-        texts = []
-        for term_id in term_ids:
-            text = known.get(term_id)
-            if text is None:
-                text = known[term_id] = _compact(
-                    encode_value(term_values[term_id], registry))
-            texts.append(text)
-        return texts
+        """Dictionary entry texts of ``term_ids``, encoding the first
+        time a term of this interner is shipped."""
+        known = self._term_texts.setdefault(terms, {})
+        try:
+            return list(map(known.__getitem__, term_ids))
+        except KeyError:
+            term_values = terms.values
+            for term_id in filterfalse(known.__contains__, term_ids):
+                known[term_id] = encode_entry(term_values[term_id],
+                                              self.registry)
+            return list(map(known.__getitem__, term_ids))
 
     def pending_items(self) -> int:
-        return sum(len(buffer.rows) for buffer in self._links.values())
+        return sum(buffer.rows for buffer in self._links.values())
 
     def flush(self, round_stamp: int = 0) -> int:
         """Send every pending batch; returns the number of messages sent."""
@@ -216,7 +197,8 @@ class MessageBatcher:
         if buffer is None or not buffer.rows:
             return 0
         blob = encode_batch_message_compressed(
-            buffer.name_texts, buffer.value_texts, buffer.rows, round_stamp)
+            map(json.dumps, buffer.names), buffer.values, buffer.blocks,
+            buffer.body, round_stamp)
         src, dst = link
         self.network.send(src, dst, blob)
         if self.ledger is not None:
@@ -225,5 +207,5 @@ class MessageBatcher:
             # protocol exact under out-of-order delivery.
             self.ledger.issue(round_stamp, sender=src)
         self.sent_messages += 1
-        self.sent_items += len(buffer.rows)
+        self.sent_items += buffer.rows
         return 1

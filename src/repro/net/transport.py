@@ -11,9 +11,30 @@ tagged-JSON format:
 * the receiver re-parses and re-interns, which makes transfer work even
   across registries (different LBTrust systems), not just within one.
 
-Facts travel in **one** envelope, the dictionary-compressed batch
-(:func:`encode_batch_message_dict` defines it, :class:`Batch` is its
-decoded block form); :func:`decode_batch_message` accepts nothing else.
+Facts travel in **one** envelope, the packed batch
+(:func:`encode_batch_message_dict` is its canonical encoder,
+:class:`Batch` its decoded form); :func:`decode_batch_message` accepts
+nothing else::
+
+    magic byte · u32 header length · JSON header · body
+
+The header ``{"round", "names", "dict", "blocks"}`` holds each distinct
+to/pred name and each distinct value once (:func:`encode_entry`), and
+per block — a run of rows of one ``to``, ``pred`` and arity — four ints
+``[to, pred, arity, count]``.  The body is the rows: one little-endian
+uint32 per term, its ``dict`` slot, row-major, block after block — one
+``array.extend`` to pack, one ``frombytes`` to read, no JSON and no
+Python per row.  The decoder vouches for the shape of all it returns, by
+whole-array passes: the body is exactly ``4 · Σ arity · count`` bytes,
+every slot is below the dictionary's length, block fields are plain
+non-negative ints (name indices in range, at least one row), dictionary
+entries are scalars or objects :func:`decode_value` accepts; whether a
+fact may be *imported* is the receiving workspace's constraints' call.
+The envelope is **self-contained** — it carries every name and value its
+rows mention — so a link holds no decode state and an envelope injected
+on an open network cannot desynchronise the honest traffic beside it (a
+dictionary kept per link measured ≈3 ms more off ``fixpoint_sharded``;
+it waits for authenticated links).
 
 Byte counts reported by the network statistics are the encoded payload
 lengths, giving benchmarks a representation-independent traffic measure.
@@ -22,8 +43,12 @@ lengths, giving benchmarks a representation-independent traffic measure.
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
-from typing import Any, Optional
+import struct
+import sys
+from array import array
+from itertools import accumulate, chain, repeat
+from operator import mul
+from typing import Any, Iterable, Optional
 
 from ..datalog.errors import NetworkError, ReproError
 from ..datalog.parser import parse_statements, parse_term
@@ -111,157 +136,196 @@ def encode_batch_message_parts(encoded_items: list, round_stamp: int = 0) -> byt
     return f'{{"round":{int(round_stamp)},"batch":[{body}]}}'.encode("utf-8")
 
 
-def encode_batch_message_compressed(name_texts: list, value_texts: list,
-                                    row_texts: list,
-                                    round_stamp: int = 0) -> bytes:
-    """Assemble a dictionary-compressed envelope from pre-serialized parts.
+#: First byte of a packed batch envelope.  No JSON (no UTF-8) text
+#: starts with it, so one byte tells a batch from a serve-plane frame.
+BATCH_MAGIC = b"\xb1"
 
-    The batcher keeps each link's dictionaries as already-serialized JSON
-    texts (the same texts it used for size accounting), so flush is pure
-    splicing: ``name_texts`` are JSON string literals (to/pred names),
-    ``value_texts`` are tagged-value objects, ``row_texts`` are int-array
-    literals ``[to_idx,pred_idx,value_idx...]`` indexing into them.
-    """
-    names = ",".join(name_texts)
-    values = ",".join(value_texts)
-    rows = ",".join(row_texts)
-    return (f'{{"round":{int(round_stamp)},"names":[{names}],'
-            f'"dict":[{values}],"rows":[{rows}]}}').encode("utf-8")
+_HEADER_LENGTH = struct.Struct("<I")
+_BODY_START = 1 + _HEADER_LENGTH.size
+#: Dictionary entries of these exact types travel as bare JSON scalars.
+_BARE = frozenset((str, int, float, bool))
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _little_endian(slots: array) -> array:
+    """``slots`` in wire byte order (swapped, on a big-endian host)."""
+    if sys.byteorder == "big":
+        slots = array("I", slots)
+        slots.byteswap()
+    return slots
+
+
+def encode_entry(value: Any, registry) -> str:
+    """The JSON text of one batch-dictionary entry: a JSON-native scalar
+    travels bare (JSON keeps ``1`` / ``1.0`` / ``true`` / ``"1"`` apart),
+    anything else as :func:`encode_value`'s tagged object."""
+    if type(value) not in _BARE:
+        value = encode_value(value, registry)
+    return _compact(value)
+
+
+def encode_batch_message_compressed(name_texts: Iterable[str],
+                                    value_texts: Iterable[str],
+                                    blocks: list, body: array,
+                                    round_stamp: int = 0) -> bytes:
+    """Assemble a packed envelope from the parts the batcher keeps per
+    link: ``name_texts`` (JSON string literals) and ``value_texts``
+    (:func:`encode_entry`) are spliced as they are; ``body`` is the
+    ``array("I")`` of slots the ``[to, pred, arity, count]`` describe."""
+    header = (f'{{"round":{int(round_stamp)},"names":[{",".join(name_texts)}],'
+              f'"dict":[{",".join(value_texts)}],"blocks":'
+              f'{_compact(blocks)}}}').encode("utf-8")
+    return b"".join((BATCH_MAGIC, _HEADER_LENGTH.pack(len(header)), header,
+                     _little_endian(body).tobytes()))
 
 
 def encode_batch_message_dict(items: list, registry,
                               round_stamp: int = 0) -> bytes:
-    """Serialize ``(to, pred, fact)`` triples as one compressed envelope.
+    """Serialize ``(to, pred, fact)`` triples as one packed envelope.
 
-    The canonical (non-spliced) definition of the dictionary-compressed
-    format: every distinct to/pred name and every distinct encoded value
-    is stored once, rows reference them by index.  Byte-identical to what
-    the :class:`~repro.net.batch.MessageBatcher` emits for the same items
-    in the same order.
+    The canonical, one item at a time definition of the format in the
+    module docstring: names and dictionary entries take their indices in
+    first-appearance order, and consecutive items that agree on ``to``,
+    ``pred`` and arity share a block.  Byte-identical to what the
+    :class:`~repro.net.batch.MessageBatcher` emits for the same items in
+    the same order.
     """
     names: dict[str, int] = {}
-    name_texts: list[str] = []
-    values: dict[str, int] = {}
-    value_texts: list[str] = []
-    row_texts: list[str] = []
+    values: dict[str, int] = {}       # entry text -> dict slot
+    blocks: list[list] = []
+    body = array("I")
     for to, pred, fact in items:
-        row = []
-        for name in (to, pred):
-            idx = names.get(name)
-            if idx is None:
-                idx = names[name] = len(name_texts)
-                name_texts.append(json.dumps(name, separators=(",", ":")))
-            row.append(idx)
+        head = [names.setdefault(to, len(names)),
+                names.setdefault(pred, len(names)), len(fact)]
+        if blocks and blocks[-1][:3] == head:
+            blocks[-1][3] += 1
+        else:
+            blocks.append(head + [1])
         for value in fact:
-            text = json.dumps(encode_value(value, registry),
-                              separators=(",", ":"))
-            idx = values.get(text)
-            if idx is None:
-                idx = values[text] = len(value_texts)
-                value_texts.append(text)
-            row.append(idx)
-        row_texts.append("[" + ",".join(map(str, row)) + "]")
-    return encode_batch_message_compressed(name_texts, value_texts,
-                                           row_texts, round_stamp)
+            body.append(values.setdefault(encode_entry(value, registry),
+                                          len(values)))
+    return encode_batch_message_compressed(map(json.dumps, names), values,
+                                           blocks, body, round_stamp)
 
 
 class Batch:
     """One decoded batch message in block form.
 
-    ``rows`` are the validated wire rows ``[to, pred, value...]``: the
-    first two entries index ``names``, the rest index ``values`` (the
-    batch dictionary, decoded once).  A shard interns ``values`` once and
-    maps the rows straight to id rows; consumers that want facts iterate
-    :meth:`items`.
+    ``blocks`` are ``(to, pred, arity, count, slots)``: ``to`` / ``pred``
+    index ``names``; ``slots``, the block's share of the body, is an
+    ``array("I")`` of ``arity * count`` validated indices into ``values``
+    (the batch dictionary, decoded once).  A shard interns ``values``
+    once and maps each block straight to id rows; consumers that want
+    facts iterate :meth:`items`.
     """
 
-    __slots__ = ("stamp", "names", "values", "rows")
+    __slots__ = ("stamp", "names", "values", "blocks")
 
     def __init__(self, stamp: int, names: list, values: list,
-                 rows: list) -> None:
+                 blocks: list) -> None:
         self.stamp = stamp
         self.names = names
         self.values = values
-        self.rows = rows
+        self.blocks = blocks
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return sum([block[3] for block in self.blocks])
 
     def items(self):
         """The batch as ``(to, pred, fact)`` triples, in wire order."""
         names = self.names
         pick = self.values.__getitem__
-        for row in self.rows:
-            yield names[row[0]], names[row[1]], tuple(map(pick, row[2:]))
+        for to, pred, arity, count, slots in self.blocks:
+            to, pred = names[to], names[pred]
+            facts = zip(*[map(pick, slots)] * arity) if arity \
+                else repeat((), count)
+            for fact in facts:
+                yield to, pred, fact
 
 
-def _decode_compressed(payload: dict, registry) -> Batch:
-    round_stamp = payload.get("round", 0)
-    names = payload.get("names")
-    dictionary = payload.get("dict")
-    rows = payload["rows"]
-    if not isinstance(round_stamp, int) or not isinstance(names, list) \
-            or not isinstance(dictionary, list) or not isinstance(rows, list) \
+def _decode_packed(blob: bytes, registry) -> Batch:
+    (header_length,) = _HEADER_LENGTH.unpack_from(blob, 1)
+    body_start = _BODY_START + header_length
+    header = json.loads(blob[_BODY_START:body_start].decode("utf-8"))
+    round_stamp = header.get("round", 0)
+    names, dictionary, blocks = map(header.get, ("names", "dict", "blocks"))
+    if type(round_stamp) is not int or type(names) is not list \
+            or type(dictionary) is not list or type(blocks) is not list \
             or set(map(type, names)) - {str}:
-        raise NetworkError("malformed compressed batch payload")
-    if set(map(type, dictionary)) - {dict}:
-        raise NetworkError("malformed compressed batch dictionary")
-    values = [decode_value(entry, registry) for entry in dictionary]
-    # Every check below is one C-level pass over the rows (or over their
-    # flattened indices), never Python run once per index: each row is a
-    # list of at least two entries, each entry a plain non-negative int.
-    if set(map(type, rows)) - {list} or (rows and min(map(len, rows)) < 2):
-        raise NetworkError("malformed compressed batch row")
-    indices = list(chain.from_iterable(rows))
-    if set(map(type, indices)) - {int} or (indices and min(indices) < 0):
-        raise NetworkError("malformed compressed batch row")
-    if rows:
-        to_column, pred_column = islice(zip(*rows), 2)
-        limit = len(values)
-        # The largest index overall is below the dictionary size in any
-        # honest batch; only when it is not are the value columns looked
-        # at row by row (a name index may exceed a tiny dictionary).
-        if max(to_column) >= len(names) or max(pred_column) >= len(names) \
-                or (max(indices) >= limit and any(
-                    len(row) > 2 and max(row[2:]) >= limit for row in rows)):
-            raise NetworkError("compressed batch row index out of range")
-    return Batch(round_stamp, names, values, rows)
+        raise NetworkError("malformed batch header")
+    # Every check is one C-level pass (over the blocks' fields, the body,
+    # the dictionary), never Python per row or per slot.  A block is four
+    # plain ints: name indices in range, and at least one row (which,
+    # with the body's length, bounds its arity).
+    fields = list(chain.from_iterable(blocks))
+    if set(map(type, fields)) - {int} or set(map(len, blocks)) - {4} \
+            or (fields and min(fields) < 0):
+        raise NetworkError("malformed batch block")
+    to_column, pred_column, arities, counts = zip(*blocks) if blocks \
+        else ((), (), (), ())
+    if blocks and (max(to_column) >= len(names)
+                   or max(pred_column) >= len(names) or min(counts) < 1):
+        raise NetworkError("malformed batch block")
+    # The body is exactly the rows the blocks claim, and no envelope
+    # claims more rows than it has bytes (zero-arity rows take none).
+    ends = list(accumulate(map(mul, arities, counts), initial=0))
+    if len(blob) - body_start != 4 * ends[-1] or sum(counts) > len(blob):
+        raise NetworkError("batch body does not match its blocks")
+    body = array("I")
+    body.frombytes(blob[body_start:])
+    body = _little_endian(body)
+    if body and max(body) >= len(dictionary):
+        raise NetworkError("batch slot out of range")
+    # A bare scalar is its own value; only tagged objects are decoded.
+    kinds = set(map(type, dictionary))
+    if kinds - _BARE - {dict}:
+        raise NetworkError("malformed batch dictionary")
+    values = dictionary if dict not in kinds else [
+        decode_value(entry, registry) if type(entry) is dict else entry
+        for entry in dictionary]
+    return Batch(round_stamp, names, values, [
+        (*block, body[start:end])
+        for block, start, end in zip(blocks, ends, ends[1:])])
+
+
+def _json_object(blob: bytes, what: str) -> dict:
+    """The JSON object a blob without the batch magic must be."""
+    try:
+        payload = json.loads(blob.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise NetworkError(f"undecodable {what}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise NetworkError(f"malformed {what} payload")
+    return payload
 
 
 def decode_batch_message(blob: bytes, registry) -> Batch:
     """Decode a batch message into its :class:`Batch` block form.
 
-    There is one wire format, the dictionary-compressed envelope
-    (:func:`encode_batch_message_dict` defines it); a payload without its
-    ``rows`` key is malformed.  Serve-plane frames (the request/reply
-    kind below) are rejected loudly: a request arriving on a
-    delta-exchange path is a routing bug, and decoding it as a corrupt
-    fact would silently swallow the client's call.
+    A blob without the packed envelope's magic byte is named for what it
+    is: a serve-plane frame loudly (a request on a delta-exchange path is
+    a routing bug, and decoding it as a corrupt fact would swallow the
+    client's call), any other JSON object — the retired all-JSON
+    envelopes included — as a malformed batch payload.
 
-    Fails closed: whatever is wrong with the payload — envelope shape,
-    a dictionary entry, a row index — the only exception is
-    :class:`NetworkError`.
+    Fails closed: whatever is wrong — the length prefix, the header, a
+    block, the body's length, a slot, a dictionary entry — the only
+    exception is :class:`NetworkError`, raised before anything returns.
     """
-    try:
-        payload = json.loads(blob.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-        raise NetworkError(f"undecodable message: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise NetworkError("malformed message payload")
-    if payload.get("kind") in (REQUEST_KIND, REPLY_KIND):
-        raise NetworkError(
-            f"serve-plane {payload['kind']} frame in batch traffic")
-    if "rows" not in payload:
+    if blob[:1] != BATCH_MAGIC:
+        kind = _json_object(blob, "message").get("kind")
+        if kind in (REQUEST_KIND, REPLY_KIND):
+            raise NetworkError(f"serve-plane {kind} frame in batch traffic")
         raise NetworkError("malformed batch payload")
     try:
-        return _decode_compressed(payload, registry)
+        return _decode_packed(blob, registry)
     except NetworkError:
         raise
-    except (ReproError, KeyError, TypeError, ValueError, AttributeError,
-            RecursionError) as exc:
-        # a value entry whose shape decode_value cannot read, or a rule /
-        # pattern payload the parser refuses
-        raise NetworkError(f"malformed batch value: {exc!r}") from exc
+    except (ReproError, struct.error, LookupError, TypeError, ValueError,
+            AttributeError, RecursionError, OverflowError) as exc:
+        # an envelope part of the wrong shape, or a rule / pattern
+        # payload the parser refuses
+        raise NetworkError(f"malformed batch: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -273,29 +337,21 @@ def decode_batch_message(blob: bytes, registry) -> Batch:
 # length-prefixed TCP frames on SocketNetwork, virtual-clock envelopes on
 # SimulatedNetwork — so per-link FIFO ordering covers serve traffic for
 # free.  A frame is a JSON object tagged with ``kind`` ("request" or
-# "reply"); batch envelopes have no ``kind`` key, so the two families can
-# never be confused (frame_kind classifies, decode_batch_message rejects).
+# "reply"); a batch envelope starts with BATCH_MAGIC, which no JSON text
+# does, so the two families can never be confused (frame_kind classifies,
+# decode_batch_message rejects).
 
 REQUEST_KIND = "request"
 REPLY_KIND = "reply"
 
 
 def frame_kind(blob: bytes) -> str:
-    """Classify a wire frame: ``request`` / ``reply`` / ``batch``.
-
-    Raises :class:`NetworkError` for frames that are not JSON objects,
-    that carry an unknown ``kind`` tag, or that carry none and are not a
-    batch envelope.
-    """
-    try:
-        payload = json.loads(blob.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise NetworkError(f"undecodable frame: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise NetworkError("malformed frame payload")
-    kind = payload.get("kind")
-    if kind is None and "rows" in payload:
+    """Classify a wire frame: ``batch`` (by its magic byte, without a
+    parse) / ``request`` / ``reply``.  Raises :class:`NetworkError` for
+    any other thing than a JSON object carrying a known ``kind`` tag."""
+    if blob[:1] == BATCH_MAGIC:
         return "batch"
+    kind = _json_object(blob, "frame").get("kind")
     if kind in (REQUEST_KIND, REPLY_KIND):
         return kind
     raise NetworkError(f"unknown frame kind {kind!r}")
@@ -354,12 +410,8 @@ def decode_reply_frame(blob: bytes) -> tuple[int, bool, dict, str]:
 
 
 def _decode_serve_frame(blob: bytes, expected_kind: str) -> dict:
-    try:
-        payload = json.loads(blob.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise NetworkError(f"undecodable frame: {exc}") from exc
-    if not isinstance(payload, dict) \
-            or payload.get("kind") != expected_kind:
+    payload = _json_object(blob, "frame")
+    if payload.get("kind") != expected_kind:
         raise NetworkError(f"expected a {expected_kind} frame")
     request_id = payload.get("id")
     if not isinstance(request_id, int) or isinstance(request_id, bool):

@@ -125,6 +125,9 @@ class Workspace:
         self._edb = Database(self.db.interner, self.journal)
         self.catalog = Catalog(self.journal)
         self.constraints: list[Constraint] = []
+        #: each installed constraint's ``(label, canonical text)``, kept
+        #: from its install: what a duplicate is refused by
+        self._constraint_keys: set[tuple] = set()
         self.audit: list[AuditEvent] = []
         #: diagnostics from the most recent :meth:`load` static check
         #: (errors raise instead; this holds the warnings/infos).
@@ -245,13 +248,11 @@ class Workspace:
         with self.transaction():
             self.catalog.observe_constraint(compiled)
             key = (compiled.label, canonical_constraint(compiled))
-            duplicate = any(
-                (existing.label, canonical_constraint(existing)) == key
-                for existing in self.constraints
-            )
-            if not duplicate:
+            if key not in self._constraint_keys:
                 self.constraints.append(compiled)
                 self.journal.log(self.constraints.pop, -1)
+                self._constraint_keys.add(key)
+                self.journal.log(self._constraint_keys.discard, key)
 
     # ------------------------------------------------------------------
     # Public API: facts
@@ -314,6 +315,10 @@ class Workspace:
             self.constraints = [
                 c for c in self.constraints if c.label != label
             ]
+            self._log_rebind("_constraint_keys")
+            self._constraint_keys = {
+                key for key in self._constraint_keys if key[0] != label
+            }
             return before - len(self.constraints)
 
     # ------------------------------------------------------------------

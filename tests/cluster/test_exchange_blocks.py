@@ -108,18 +108,20 @@ class TestDifferential:
 
 
 class TestTermsAreEncodedOncePerSender:
-    """Structural pin: ``encode_value`` runs once per distinct (sending
-    node, term) pair — it used to run twice per shipped fact."""
+    """Structural pin: a term's wire text (``encode_entry`` — a bare
+    scalar's no longer passes through ``encode_value``) is produced once
+    per distinct (sending node, term) pair — the per-fact path produced
+    it twice per shipped fact."""
 
     VERTICES = 30
 
     def _closure(self, degree, monkeypatch):
         encoded = []
-        encode_value = batch_module.encode_value
+        encode_entry = batch_module.encode_entry
 
         def counting(value, registry):
             encoded.append(value)
-            return encode_value(value, registry)
+            return encode_entry(value, registry)
 
         shipped = set()      # (sending node, term)
         add = MessageBatcher.add
@@ -130,7 +132,7 @@ class TestTermsAreEncodedOncePerSender:
                            for row in rows for term_id in row)
             return add(self, src, dst, pred, rows, terms, **kwargs)
 
-        monkeypatch.setattr(batch_module, "encode_value", counting)
+        monkeypatch.setattr(batch_module, "encode_entry", counting)
         monkeypatch.setattr(MessageBatcher, "add", spy)
         cluster = build(4, edges=graph(self.VERTICES, degree, seed=3))
         report = cluster.run()

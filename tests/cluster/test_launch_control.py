@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import socket
 import time
+from array import array
 
 import pytest
 
@@ -171,7 +172,7 @@ class TestHostedImportGuard:
 
     def test_import_for_a_principal_hosted_elsewhere_is_refused(self):
         guard, report = self.host()
-        batch = Batch(1, ["b", "good"], [1], [[0, 1, 0]])
+        batch = Batch(1, ["b", "good"], [1], [(0, 1, 1, 1, array("I", [0]))])
         with pytest.raises(
                 ClusterError,
                 match="relay-routed import: principal 'b' is hosted on "
@@ -184,6 +185,7 @@ class TestHostedImportGuard:
         assert guard.name == "h1" and guard.bootstrap() == 0
         assert getattr(guard, "quiesce", None) is None
         # not hosted anywhere: the node's own unknown-principal rejection
-        batch = Batch(1, ["zed", "good"], [1], [[0, 1, 0]])
+        batch = Batch(1, ["zed", "good"], [1],
+                      [(0, 1, 1, 1, array("I", [0]))])
         assert guard.integrate([batch]) == 1
         assert report.rejected == 1

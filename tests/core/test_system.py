@@ -323,6 +323,27 @@ class TestOpenNetworkRobustness:
         assert report.rejected_detail == [
             ("<decode>", "malformed batch payload")]
 
+    @pytest.mark.parametrize("mode", ["bsp", "async"])
+    def test_envelope_with_its_body_cut_short_is_rejected(self, make_system,
+                                                          mode):
+        """A packed envelope whose body stops short of the rows its
+        blocks claim is refused whole — counted, with the reason — and
+        the genuine ``says`` of the same run still lands."""
+        system = make_system("plaintext")
+        alice = system.create_principal("alice")
+        bob = system.create_principal("bob")
+        bob.load("seen(X) <- msg(X).")
+        whole = encode_batch_message_dict(
+            [("bob", "msg", ("forged", )), ("bob", "msg", ("too", ))],
+            system.registry)
+        system.network.send("alice", "bob", whole[:-4])
+        alice.says(bob, 'msg("genuine").')
+        report = system.run(mode=mode)
+        assert bob.tuples("seen") == {("genuine",)}
+        assert report.delivered == 1 and report.rejected == 1
+        assert report.rejected_detail == [
+            ("<decode>", "batch body does not match its blocks")]
+
     @pytest.mark.parametrize("shape", LEGACY_SHAPES)
     def test_legacy_shape_in_place_of_a_ticketed_batch_still_quiesces(
             self, make_system, shape):

@@ -1,6 +1,7 @@
 """Batch wire format and the size-capped per-link message batcher."""
 
 import json
+import struct
 
 import pytest
 
@@ -11,10 +12,12 @@ from repro.meta.registry import RuleRegistry
 from repro.net.batch import MessageBatcher
 from repro.net.network import SimulatedNetwork
 from repro.net.transport import (
+    BATCH_MAGIC,
     decode_batch_message,
     encode_batch_message,
     encode_batch_message_dict,
     encode_value,
+    frame_kind,
 )
 
 
@@ -22,6 +25,15 @@ def decoded(blob, registry):
     """``(round stamp, [(to, pred, fact), ...])`` of one batch message."""
     batch = decode_batch_message(blob, registry)
     return batch.stamp, list(batch.items())
+
+
+def parts(blob):
+    """``(header, body slots)`` of a packed envelope, read by hand."""
+    assert blob[:1] == BATCH_MAGIC
+    (length,) = struct.unpack_from("<I", blob, 1)
+    header = json.loads(blob[5:5 + length])
+    body = blob[5 + length:]
+    return header, list(struct.unpack(f"<{len(body) // 4}I", body))
 
 
 def make_network(*nodes):
@@ -37,26 +49,38 @@ class TestBatchCodec:
         {"round": 7, "batch": [
             {"to": "bob", "pred": "p", "fact": [{"t": "int", "v": 1}]}]},
         {"round": 7, "batch": []},
+        # the all-JSON dictionary envelope the packed one replaced
+        {"round": 0, "names": ["", "p"], "dict": [{"t": "int", "v": 1}],
+         "rows": [[0, 1, 0]]},
         {},
     ])
-    def test_payload_without_rows_is_malformed(self, payload):
-        """The per-item shapes an older encoder produced (and any other
-        kind-less object) are not batches.  (Before PR 20 the first two
-        decoded to ``[("bob", "p", (1,))]``.)"""
+    def test_a_json_object_is_no_batch(self, payload):
+        """Every shape an older encoder produced (and any other kind-less
+        object) is named as what it is, a malformed batch payload.
+        (Before PR 20 the first two decoded to ``[("bob", "p", (1,))]``,
+        before PR 24 the fourth did.)"""
         blob = json.dumps(payload).encode("utf-8")
         with pytest.raises(NetworkError, match="malformed batch payload"):
             decode_batch_message(blob, RuleRegistry())
 
+    def test_a_serve_frame_is_named_as_one(self):
+        blob = json.dumps({"kind": "request", "id": 1, "op": "ping",
+                           "body": {}}).encode("utf-8")
+        with pytest.raises(NetworkError,
+                           match="serve-plane request frame in batch"):
+            decode_batch_message(blob, RuleRegistry())
+
     def test_malformed_batch_rejected(self):
         registry = RuleRegistry()
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match="undecodable message"):
             decode_batch_message(b"not json", registry)
-        bad = json.dumps({"round": "x", "batch": []}).encode()
+        with pytest.raises(NetworkError, match="malformed message payload"):
+            decode_batch_message(b"[1, 2]", registry)
         with pytest.raises(NetworkError):
-            decode_batch_message(bad, registry)
+            decode_batch_message(b"", registry)
 
 
-class TestDictCompressedCodec:
+class TestPackedCodec:
     def test_roundtrip_multiple_items(self):
         registry = RuleRegistry()
         items = [("alice", "p", (1, "x")), ("", "q", (b"\x01",)),
@@ -64,39 +88,64 @@ class TestDictCompressedCodec:
         blob = encode_batch_message_dict(items, registry, round_stamp=7)
         assert decoded(blob, registry) == (7, items)
 
+    def test_the_layout_is_header_plus_one_uint32_array(self):
+        registry = RuleRegistry()
+        items = [("alice", "p", (7, "x")), ("alice", "p", (7, "y")),
+                 ("", "q", (b"\x01",))]
+        header, body = parts(encode_batch_message_dict(items, registry, 3))
+        assert header == {
+            "round": 3, "names": ["alice", "p", "", "q"],
+            # JSON-native scalars bare, anything else encode_value's object
+            "dict": [7, "x", "y", {"t": "bytes", "v": "01"}],
+            # consecutive items agreeing on (to, pred, arity) are one block
+            "blocks": [[0, 1, 2, 2], [2, 3, 1, 1]]}
+        assert body == [0, 1, 0, 2, 3]
+
     def test_repeated_values_stored_once(self):
         registry = RuleRegistry()
         items = [("", "reach", ("node-with-a-long-name", i % 3))
                  for i in range(40)]
-        compressed = encode_batch_message_dict(items, registry, 1)
+        packed = encode_batch_message_dict(items, registry, 1)
         # one dictionary entry for the shared string, not forty
-        assert compressed.count(b"node-with-a-long-name") == 1
-        assert len(compressed) < 40 * len("node-with-a-long-name")
-        assert decoded(compressed, registry) == (1, items)
+        assert packed.count(b"node-with-a-long-name") == 1
+        assert len(packed) < 40 * len("node-with-a-long-name")
+        assert decoded(packed, registry) == (1, items)
 
-    def test_classified_as_batch_frame(self):
-        from repro.net.transport import frame_kind
+    def test_zero_arity_facts_roundtrip(self):
+        registry = RuleRegistry()
+        items = [("", "flag", ()), ("bob", "flag", ()), ("", "p", (1,)),
+                 ("", "flag", ())]
+        blob = encode_batch_message_dict(items, registry, 2)
+        header, body = parts(blob)
+        assert [block[2:] for block in header["blocks"]] == \
+            [[0, 1], [0, 1], [1, 1], [0, 1]]
+        assert body == [0]
+        assert decoded(blob, registry) == (2, items)
+        assert len(decode_batch_message(blob, registry)) == 4
 
+    def test_equal_but_distinct_scalars_stay_distinct(self):
+        """``1 == 1.0 == True`` in Python, and ``"1"`` prints alike: on
+        the wire they are four dictionary entries and arrive as four
+        values of four types."""
+        registry = RuleRegistry()
+        fact = (1, 1.0, True, "1")
+        blob = encode_batch_message_dict([("", "p", fact)], registry)
+        header, body = parts(blob)
+        assert json.dumps(header["dict"]) == '[1, 1.0, true, "1"]'
+        assert body == [0, 1, 2, 3]
+        [(_to, _pred, arrived)] = decode_batch_message(blob, registry).items()
+        assert [(type(v), v) for v in arrived] == \
+            [(int, 1), (float, 1.0), (bool, True), (str, "1")]
+
+    def test_classified_as_batch_by_its_magic_byte(self):
         registry = RuleRegistry()
         blob = encode_batch_message_dict([("", "p", (1,))], registry, 2)
         assert frame_kind(blob) == "batch"
-
-    @pytest.mark.parametrize("payload", [
-        {"round": "x", "names": [], "dict": [], "rows": []},
-        {"round": 0, "names": [1], "dict": [], "rows": []},
-        {"round": 0, "names": [], "dict": ["notag"], "rows": []},
-        {"round": 0, "names": ["", "p"], "dict": [], "rows": [[0]]},
-        {"round": 0, "names": ["", "p"], "dict": [], "rows": [[0, 5]]},
-        {"round": 0, "names": ["", "p"], "dict": [], "rows": [[0, -1]]},
-        {"round": 0, "names": ["", "p"], "dict": [], "rows": [[0, True]]},
-        {"round": 0, "names": ["", "p"],
-         "dict": [{"t": "int", "v": 1}], "rows": [[0, 1, 3]]},
-    ])
-    def test_malformed_compressed_payloads_rejected(self, payload):
-        registry = RuleRegistry()
-        blob = json.dumps(payload).encode("utf-8")
+        # classification reads one byte: what follows is the decoder's
+        assert frame_kind(BATCH_MAGIC + b"\xff not an envelope") == "batch"
         with pytest.raises(NetworkError):
-            decode_batch_message(blob, registry)
+            decode_batch_message(BATCH_MAGIC + b"\xff not an envelope",
+                                 registry)
 
 
 class TestMessageBatcher:
@@ -116,6 +165,29 @@ class TestMessageBatcher:
         round_stamp, items = decoded(by_link[("a", "b")], RuleRegistry())
         assert round_stamp == 3
         assert {fact for _to, _pred, fact in items} == {(i,) for i in range(10)}
+        # ten one-row adds of one predicate went out as one block
+        header, body = parts(by_link[("a", "b")])
+        assert header["blocks"] == [[0, 1, 1, 10]]
+        assert body == list(range(10))
+
+    def test_mixed_arities_in_one_add_split_by_arity_in_order(self):
+        network = make_network("a", "b")
+        registry = RuleRegistry()
+        batcher = MessageBatcher(network, registry)
+        terms = TermInterner()
+        facts = [(1, 2), (3, 4), (), (5,), (6,), (7, 8)]
+        batcher.add("a", "b", "p", [terms.intern_row(f) for f in facts],
+                    terms, to="bob")
+        assert batcher.pending_items() == 6
+        batcher.flush(5)
+        [(_src, _dst, blob)] = network.deliver_all()
+        header, _body = parts(blob)
+        assert [block[2:] for block in header["blocks"]] == \
+            [[2, 2], [0, 1], [1, 2], [2, 1]]
+        assert decoded(blob, registry) == \
+            (5, [("bob", "p", fact) for fact in facts])
+        assert blob == encode_batch_message_dict(
+            [("bob", "p", fact) for fact in facts], registry, 5)
 
     def test_size_cap_flushes_early(self):
         network = make_network("a", "b")
@@ -168,7 +240,7 @@ class TestWireFormatInterop:
         return blob
 
     def _per_item_envelope(self):
-        """One tagged object per fact — the shape the dictionary format
+        """One tagged object per fact — the shape the dictionary formats
         replaced (its encoder is still there; no decoder reads it)."""
         registry = RuleRegistry()
         return encode_batch_message(
@@ -176,17 +248,17 @@ class TestWireFormatInterop:
               "fact": [encode_value(value, registry) for value in fact]}
              for pred, fact in self.FACTS], 9)
 
-    def test_dict_batcher_matches_canonical_encoder(self):
+    def test_batcher_matches_canonical_encoder(self):
         registry = RuleRegistry()
         expected = encode_batch_message_dict(
             [("alice", pred, fact) for pred, fact in self.FACTS],
             registry, 9)
         assert self._drain() == expected
 
-    def test_dict_format_is_smaller_on_repetitive_traffic(self):
-        assert len(self._drain()) < len(self._per_item_envelope()) / 2
+    def test_packed_format_is_smaller_on_repetitive_traffic(self):
+        assert len(self._drain()) < len(self._per_item_envelope()) / 4
 
-    def test_dict_format_respects_size_cap(self):
+    def test_packed_format_respects_size_cap(self):
         network = make_network("a", "b")
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256)
         terms = TermInterner()

@@ -15,6 +15,7 @@ from repro.net import SimulatedNetwork, SocketNetwork
 from repro.net.transport import (
     decode_reply_frame,
     decode_request_frame,
+    encode_batch_message_dict,
     encode_reply_frame,
     encode_request_frame,
     frame_kind,
@@ -183,7 +184,7 @@ class TestServeFrames:
         # the same link keeps its order — the client relies on this to
         # match replies by id without a reorder buffer
         abc.send("a", "b", encode_request_frame(1, "ping"))
-        abc.send("a", "b", b'{"round":0,"names":[],"dict":[],"rows":[]}')
+        abc.send("a", "b", encode_batch_message_dict([], None))
         abc.send("a", "b", encode_request_frame(2, "ping"))
         kinds = [frame_kind(p) for _, _, p in abc.deliver_all()]
         assert kinds == ["request", "batch", "request"]

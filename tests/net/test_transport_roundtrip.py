@@ -169,18 +169,19 @@ def decoded(blob, registry):
 class TestBatchRoundtrip:
     @given(
         facts=st.lists(
-            st.tuples(identifiers, st.lists(values, min_size=1,
-                                            max_size=3).map(tuple)),
+            st.tuples(identifiers, st.lists(values, max_size=3).map(tuple)),
             min_size=1, max_size=8),
         round_stamp=st.integers(min_value=0, max_value=10 ** 6),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_dict_compressed_batches_roundtrip(self, facts, round_stamp):
-        """Dictionary-compressed envelopes round-trip every value type."""
+    @settings(max_examples=200, deadline=None)
+    def test_packed_batches_roundtrip(self, facts, round_stamp):
+        """Packed envelopes round-trip every value type at every arity
+        (zero included) — same value, same type: ``repr`` tells ``1``
+        from ``1.0`` from ``True``, and ``-0.0`` from ``0.0``."""
         registry = RuleRegistry()
         triples = [("x", pred, fact) for pred, fact in facts]
         blob = encode_batch_message_dict(triples, registry, round_stamp)
-        assert decoded(blob, registry) == (round_stamp, triples)
+        assert repr(decoded(blob, registry)) == repr((round_stamp, triples))
 
     @given(
         facts=st.lists(
@@ -192,9 +193,10 @@ class TestBatchRoundtrip:
     @settings(max_examples=100, deadline=None)
     def test_batcher_splicing_matches_canonical_encoder(self, facts,
                                                         round_stamp):
-        """The batcher's incremental text-splicing emitter must produce
-        the same bytes as the canonical one-shot encoder, for any items
-        in any order (dictionary indices depend on insertion order)."""
+        """The batcher's incremental emitter (spliced header, packed
+        body) must produce the same bytes as the canonical one-shot
+        encoder, for any items in any order (dictionary slots and block
+        boundaries depend on insertion order)."""
         from repro.datalog.database import TermInterner
         from repro.net.batch import MessageBatcher
 
@@ -303,9 +305,12 @@ class TestServeFrameRoundtrip:
         registry = RuleRegistry()
         blob = encode_batch_message_dict([("x", "p", (1,))], registry, 3)
         assert frame_kind(blob) == "batch"
-        # the per-item envelope no decoder reads is no frame class either
+        # the all-JSON envelopes no decoder reads are no frame class either
         item = {"to": "x", "pred": "p", "fact": [encode_value(1, registry)]}
+        rows = {"round": 3, "names": ["x", "p"],
+                "dict": [encode_value(1, registry)], "rows": [[0, 1, 0]]}
         for legacy in (json.dumps(item).encode("utf-8"),
+                       json.dumps(rows).encode("utf-8"),
                        encode_batch_message([item], 3)):
             with pytest.raises(NetworkError):
                 frame_kind(legacy)

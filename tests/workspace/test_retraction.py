@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog.errors import ConstraintViolation
+from repro.datalog.pretty import canonical_constraint
 from repro.workspace.workspace import Workspace
 
 PATHS = """
@@ -316,6 +317,10 @@ def run_program_stream(seed, ws, steps=10):
         else:
             facts, rules = staged_facts, staged_rules
         assert ws.journal.entries is None and ws._txn_depth == 0
+        # the duplicate check's keys, kept at install, stay in step with
+        # the installed constraints through removals and aborts
+        assert ws._constraint_keys == {
+            (c.label, canonical_constraint(c)) for c in ws.constraints}
         yield facts, rules
 
 

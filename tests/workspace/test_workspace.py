@@ -175,6 +175,57 @@ class TestTransactions:
         assert workspace.tuples("q") == {(0,), (2,)}
 
 
+class TestConstraintDedup:
+    """A constraint already installed (same label, same canonical text)
+    is refused silently; its key is computed once, at install."""
+
+    def test_duplicates_refused_and_order_kept(self):
+        from repro.datalog.pretty import canonical_constraint
+
+        workspace = Workspace("w")
+        workspace.add_constraint("p(X) -> q(X).")
+        workspace.add_constraint("r(X) -> q(X).")
+        first_two = list(workspace.constraints)
+        workspace.add_constraint("p(Y)   ->   q(Y).")   # same, respelled
+        workspace.add_constraint("r(X) -> q(X).")
+        assert workspace.constraints == first_two
+        workspace.add_constraint("other: p(X) -> q(X).")    # another label
+        assert [c.label for c in workspace.constraints][2:] == ["other"]
+        assert canonical_constraint(workspace.constraints[0]) == \
+            canonical_constraint(workspace.constraints[2])
+
+    def test_an_add_does_not_revisit_the_installed_constraints(
+            self, monkeypatch):
+        import repro.datalog.pretty as pretty
+        calls = []
+        canonical = pretty.canonical_constraint
+        monkeypatch.setattr(
+            pretty, "canonical_constraint",
+            lambda c: calls.append(c) or canonical(c))
+        workspace = Workspace("w")
+        for i in range(30):
+            workspace.add_constraint(f"p{i}(X) -> q(X).")
+        workspace.add_constraint("p7(X) -> q(X).")
+        assert len(workspace.constraints) == 30
+        assert len(calls) == 31     # it was 30 * 31 / 2 + 31
+
+    def test_rollback_and_removal_keep_the_keys_in_step(self):
+        workspace = Workspace("w")
+        workspace.add_constraint("keep: p(X) -> q(X).")
+        with pytest.raises(RuntimeError):
+            with workspace.transaction():
+                workspace.add_constraint("gone: r(X) -> q(X).")
+                workspace.remove_constraints("keep")
+                raise RuntimeError("abort")
+        assert [c.label for c in workspace.constraints] == ["keep"]
+        workspace.add_constraint("keep: p(X) -> q(X).")     # still a duplicate
+        workspace.add_constraint("gone: r(X) -> q(X).")     # never installed
+        assert [c.label for c in workspace.constraints] == ["keep", "gone"]
+        assert workspace.remove_constraints("keep") == 1
+        workspace.add_constraint("keep: p(X) -> q(X).")     # installable again
+        assert [c.label for c in workspace.constraints] == ["gone", "keep"]
+
+
 class TestTransactionCostsWhatItChanges:
     """On a workspace holding one indexed relation, a committed one-fact
     transaction and a constraint-refused two-fact one take the same time
