@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from ..datalog.errors import WorkspaceError
-from ..datalog.parser import parse_statements
 from ..datalog.terms import Rule, RuleRef
-from ..meta.quote import compile_rule, resolve_me_rule
+from ..meta.quote import resolve_me_rule
 from ..workspace.workspace import Workspace
 
 
@@ -106,12 +104,7 @@ class Principal:
         if isinstance(statement, RuleRef):
             return statement
         if isinstance(statement, str):
-            parsed = parse_statements(statement)
-            if len(parsed) != 1 or not isinstance(parsed[0], Rule):
-                raise WorkspaceError(
-                    "says expects exactly one rule or fact statement"
-                )
-            statement = parsed[0]
+            return self.system.registry.intern_text(statement, me=self.name)
         resolved = resolve_me_rule(statement, self.name)
         return self.system.registry.intern(resolved)
 

@@ -212,12 +212,30 @@ class Parser:
         if self.at("!"):
             self.advance()
             return Not(self._parse_conjunct())
-        if self.at("("):
+        if self.at("(") and not self._at_parenthesised_term():
             self.advance()
             inner = self.parse_formula()
             self.expect(")")
             return inner
         return self._parse_basic()
+
+    def _at_parenthesised_term(self) -> bool:
+        """True when the ``(`` ahead opens a comparison's first term —
+        ``(X + 1) * 2 = Y``, which is how the printer writes an
+        arithmetic left side — rather than a group of literals: the
+        token after its matching ``)`` is an operator."""
+        depth, offset = 0, 0
+        while True:
+            token = self.peek(offset)
+            if token.kind == "EOF":
+                return False
+            if token.kind == "PUNCT" and token.text in ("(", ")"):
+                depth += 1 if token.text == "(" else -1
+                if depth == 0:
+                    after = self.peek(offset + 1)
+                    return after.kind == "PUNCT" and after.text in (
+                        *_COMPARE_OPS, "+", "-", "*", "/", "%")
+            offset += 1
 
     def _parse_basic(self) -> Formula:
         """An atom, or a comparison between two terms."""

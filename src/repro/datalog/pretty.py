@@ -51,7 +51,17 @@ def format_value(value) -> str:
         escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
                    .replace("\n", "\\n").replace("\t", "\\t"))
         return f'"{escaped}"'
-    if isinstance(value, (int, float)):
+    if isinstance(value, float):
+        # positional digits: the lexer reads no exponent (repr writes
+        # 1e-05 and 1.2345678901234568e+17)
+        text = repr(value)
+        if "e" in text:
+            from decimal import Decimal  # rare; kept off the import path
+
+            text = format(Decimal(text), "f")
+            text = text if "." in text else f"{text}.0"
+        return text
+    if isinstance(value, int):
         return repr(value)
     if isinstance(value, bytes):
         return f"0x{value.hex()}"

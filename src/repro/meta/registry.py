@@ -8,6 +8,14 @@ LogicBlox instance).  It provides:
   map to the same :class:`repro.datalog.terms.RuleRef`; the canonical text
   is what authentication schemes sign, so certificates are independent of
   variable naming;
+* **content addressing** — the canonical text is also the rule's name:
+  :meth:`RuleRegistry.intern_text`, the one place rule text becomes a
+  ref, answers a text it already holds from a dict and parses only text
+  it has not seen (a ``says`` from a speaker, a rule value off the
+  wire).  Printing then parsing a canonical text yields that text again
+  (``tests/net/test_transport_roundtrip.py`` generates rules to hold the
+  printer and the parser to it), so the shortcut returns the ref a
+  parse would;
 * **reification** — the meta-model facts (Figure 1) describing a rule,
   computed once per rule and injected into any workspace that encounters
   the ref;
@@ -22,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from ..datalog.errors import ReproError, SafetyError
+from ..datalog.errors import ReproError, SafetyError, WorkspaceError
+from ..datalog.parser import parse_statements
 from ..datalog.pretty import canonical_rule, format_rule
 from ..datalog.terms import (
     Atom,
@@ -45,6 +54,7 @@ from ..datalog.terms import (
     Term,
     Variable,
 )
+from .quote import resolve_me_rule
 
 MetaFact = tuple  # (pred_name, fact_tuple)
 
@@ -68,6 +78,28 @@ class RuleRegistry:
         self._next_id = 1
 
     # -- interning ----------------------------------------------------------
+
+    def intern_text(self, text: str, me: Optional[str] = None) -> RuleRef:
+        """The ref of one rule given as source text — the only way rule
+        text becomes a :class:`RuleRef`.
+
+        A canonical text this registry already holds is its content
+        address: the ref comes back with no lexer, parser or
+        reification.  Any other text must parse to exactly one rule
+        (``WorkspaceError`` otherwise; the parser's ``ParseError`` for
+        text it refuses), has ``me`` resolved to the speaker named by
+        ``me`` when one is given, and is interned.
+        """
+        entry = self._by_canonical.get(text)
+        if entry is not None:
+            return entry.ref
+        statements = parse_statements(text)
+        if len(statements) != 1 or not isinstance(statements[0], Rule):
+            raise WorkspaceError("expected exactly one rule or fact statement")
+        rule = statements[0]
+        if me is not None:
+            rule = resolve_me_rule(rule, me)
+        return self.intern(rule)
 
     def intern(self, rule: Rule) -> RuleRef:
         """Intern a rule; structurally equal rules share one ref.

@@ -8,8 +8,12 @@ tagged-JSON format:
 * rules travel as their registry-canonical source text — the same bytes
   that signatures cover, so a message cannot be re-signed "for free" by
   reserializing;
-* the receiver re-parses and re-interns, which makes transfer work even
-  across registries (different LBTrust systems), not just within one.
+* that text is also the rule's content address: the receiver hands it to
+  :meth:`~repro.meta.registry.RuleRegistry.intern_text`, which answers a
+  text its registry already holds from a dict and parses and interns only
+  a text it has not seen.  Transfer works across registries (different
+  LBTrust systems, other processes) with no digest and no per-link
+  state: a receiver parses each distinct rule once and hits from then on.
 
 Facts travel in **one** envelope, the packed batch
 (:func:`encode_batch_message_dict` is its canonical encoder,
@@ -51,7 +55,7 @@ from operator import mul
 from typing import Any, Iterable, Optional
 
 from ..datalog.errors import NetworkError, ReproError
-from ..datalog.parser import parse_statements, parse_term
+from ..datalog.parser import parse_term
 from ..datalog.pretty import format_pattern
 from ..datalog.terms import PatternValue, PredPartition, Quote, RuleRef
 
@@ -86,33 +90,42 @@ _SCALAR_TYPES = {"bool": (bool,), "int": (int,), "float": (float, int),
 
 
 def decode_value(encoded: Any, registry) -> Any:
-    tag = encoded.get("t")
+    """The value :func:`encode_value` encoded, or :class:`NetworkError`
+    — and nothing else — for any other shape: not a tagged object, a
+    missing or ill-typed field, bad hex, a rule text that is not exactly
+    one rule, a pattern text that is not a quote."""
+    tag = encoded.get("t") if type(encoded) is dict else None
+    if type(tag) is not str:
+        raise NetworkError("malformed value: not a tagged object")
+    if tag == "part":
+        pred, keys = encoded.get("p"), encoded.get("k")
+        if type(pred) is not str or type(keys) is not list:
+            raise NetworkError("malformed part value")
+        return PredPartition(pred, tuple(decode_value(k, registry) for k in keys))
+    value = encoded.get("v")
     scalar = _SCALAR_TYPES.get(tag)
     if scalar is not None:
-        value = encoded["v"]
         if type(value) not in scalar:
             raise NetworkError(f"malformed {tag} value")
         return value
-    if tag == "bytes":
-        return bytes.fromhex(encoded["v"])
-    if tag == "rule":
-        statements = parse_statements(encoded["v"])
-        if len(statements) != 1:
-            raise NetworkError("rule payload must contain exactly one statement")
-        return registry.intern(statements[0])
-    if tag == "pattern":
-        term = parse_term(encoded["v"])
-        if not isinstance(term, Quote):
-            raise NetworkError("pattern payload is not a quote")
-        return PatternValue(term.pattern)
-    if tag == "part":
-        if not isinstance(encoded["p"], str):
-            raise NetworkError("malformed part value")
-        return PredPartition(encoded["p"],
-                             tuple(decode_value(k, registry) for k in encoded["k"]))
+    if tag not in ("list", "bytes", "rule", "pattern"):
+        raise NetworkError(f"unknown value tag {tag!r}")
+    if type(value) is not (list if tag == "list" else str):
+        raise NetworkError(f"malformed {tag} value")
     if tag == "list":
-        return tuple(decode_value(v, registry) for v in encoded["v"])
-    raise NetworkError(f"unknown value tag {tag!r}")
+        return tuple(decode_value(v, registry) for v in value)
+    try:
+        if tag == "bytes":
+            return bytes.fromhex(value)
+        if tag == "rule":
+            # a text the registry holds is a dict hit, no parse
+            return registry.intern_text(value)
+        term = parse_term(value)
+    except (ReproError, ValueError, RecursionError) as exc:
+        raise NetworkError(f"malformed {tag} value: {exc}") from exc
+    if not isinstance(term, Quote):
+        raise NetworkError("pattern payload is not a quote")
+    return PatternValue(term.pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +336,8 @@ def decode_batch_message(blob: bytes, registry) -> Batch:
         raise
     except (ReproError, struct.error, LookupError, TypeError, ValueError,
             AttributeError, RecursionError, OverflowError) as exc:
-        # an envelope part of the wrong shape, or a rule / pattern
-        # payload the parser refuses
+        # an envelope part of the wrong shape (a dictionary entry fails
+        # closed in decode_value by itself)
         raise NetworkError(f"malformed batch: {exc!r}") from exc
 
 

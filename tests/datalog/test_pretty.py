@@ -26,6 +26,9 @@ ROUND_TRIP_SOURCES = [
     'says(me,U,[| d(me,U,P,(N - 1)). |]) <- d2(me,U,P,N), N > 0.',
     "t(F) <- data(F,D), strlen(D,N), N > 3.",
     'p(X) <- q(X), X != "z".',
+    # arithmetic left of a comparison prints parenthesised
+    "p(Y) <- q(X), X + 1 = Y, (X - 2) * 3 < Y, -X < 0.",
+    "p(0.00001, 12345678901234567.5, -0.5) <- (q(X), r(X)).",
 ]
 
 
@@ -56,6 +59,12 @@ class TestFormatValue:
 
     def test_bytes(self):
         assert format_value(b"\xde\xad") == "0xdead"
+
+    def test_floats_print_without_exponent(self):
+        # the lexer reads digits.digits only
+        assert format_value(1e-05) == "0.00001"
+        assert format_value(1e16) == "10000000000000000.0"
+        assert format_value(-2.5) == "-2.5"
 
     def test_rule_ref(self):
         assert format_value(RuleRef(7)) == "$r7"

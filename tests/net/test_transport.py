@@ -14,6 +14,27 @@ from repro.net.transport import (
     encode_value,
 )
 
+#: Payloads that are not an encoded value, each failing a different check.
+MALFORMED_VALUES = [
+    5,                                        # not a tagged object
+    {"t": "int"},                             # no payload
+    {"t": ["int"]},                           # a tag that is not a string
+    {"t": "rule", "v": 123},
+    {"t": "rule", "v": ["p(1)."]},
+    {"t": "rule", "v": "p(X) -> q(X)."},      # a constraint, not a rule
+    {"t": "rule", "v": "p(1). q(2)."},        # two rules
+    {"t": "rule", "v": "p(me)."},             # me with no speaker
+    {"t": "rule", "v": "p(1"},                # the parser refuses it
+    {"t": "pattern", "v": 7},
+    {"t": "pattern", "v": "p(1)"},            # parses, but not a quote
+    {"t": "list", "v": 5},
+    {"t": "list", "v": [{"t": "int", "v": "1"}]},
+    {"t": "part", "p": "x", "k": 5},
+    {"t": "part", "p": 5, "k": []},
+    {"t": "bytes", "v": "zz"},                # bad hex
+    {"t": "nope", "v": 1},
+]
+
 
 class TestValues:
     def setup_method(self):
@@ -50,6 +71,15 @@ class TestValues:
         with pytest.raises(NetworkError):
             encode_value(object(), self.registry)
 
+    @pytest.mark.parametrize("encoded", MALFORMED_VALUES)
+    def test_malformed_value_fails_closed(self, encoded):
+        """Every shape is a NetworkError from decode_value itself — no
+        caller's catch-all needed (a bare 5 was an AttributeError, a
+        missing "v" a KeyError, a constraint as a rule an AttributeError
+        from the registry, bad hex a ValueError)."""
+        with pytest.raises(NetworkError):
+            decode_value(encoded, self.registry)
+
 
 class TestMessages:
     def test_fact_round_trip(self):
@@ -84,6 +114,94 @@ class TestMessages:
         registry = RuleRegistry()
         blob = encode_batch_message_dict([("y", "p", ("x",))], registry)
         assert isinstance(blob, bytes) and len(blob) > 10
+
+
+@pytest.fixture
+def lexer_runs(monkeypatch):
+    """The texts the parser tokenizes from here on — every parse entry
+    point (``parse_statements``, ``parse_rule``, ``parse_term``) starts
+    with one ``tokenize``, however the caller imported it."""
+    import repro.datalog.parser as parser
+
+    texts = []
+    real = parser.tokenize
+
+    def counting(source):
+        texts.append(source)
+        return real(source)
+
+    monkeypatch.setattr(parser, "tokenize", counting)
+    return texts
+
+
+def says_envelope(registry, count):
+    refs = [registry.intern(parse_rule(f'ping("t{i}").'))
+            for i in range(count)]
+    blob = encode_batch_message_dict(
+        [("bob", "export", ("alice", "bob", ref)) for ref in refs], registry)
+    return refs, blob
+
+
+def received_refs(blob, registry):
+    return [fact[2] for _, _, fact in decode_batch_message(blob,
+                                                           registry).items()]
+
+
+class TestKnownRulesAreNotParsed:
+    """The canonical text is the content address: a rule value the
+    receiving registry already holds is a dict hit, not a parse."""
+
+    def test_known_rules_decode_with_no_parse(self, lexer_runs):
+        registry = RuleRegistry()
+        refs, blob = says_envelope(registry, 20)
+        lexer_runs.clear()
+        assert received_refs(blob, registry) == refs
+        assert lexer_runs == []
+
+    def test_fresh_registry_parses_each_text_once(self, lexer_runs):
+        sender, receiver = RuleRegistry(), RuleRegistry()
+        refs, blob = says_envelope(sender, 20)
+        lexer_runs.clear()
+        first = received_refs(blob, receiver)
+        assert sorted(lexer_runs) == sorted(
+            sender.canonical_text(ref) for ref in refs)
+        lexer_runs.clear()
+        assert received_refs(blob, receiver) == first
+        assert lexer_runs == []
+
+    def test_other_spelling_of_a_known_rule_parses_to_its_ref(self,
+                                                              lexer_runs):
+        registry = RuleRegistry()
+        ref = registry.intern(parse_rule("p(X) <- q(X, 1)."))
+        assert registry.canonical_text(ref) == "p(V0) <- q(V0,1)."
+        lexer_runs.clear()
+        spelled = {"t": "rule", "v": "p( Y )  <-  q(Y , 1) ."}
+        assert decode_value(spelled, registry) == ref
+        assert len(lexer_runs) == 1
+
+    def test_says_of_a_known_canonical_text_is_the_parsed_ref(self,
+                                                              lexer_runs):
+        from repro.core.system import LBTrustSystem
+
+        system = LBTrustSystem(auth="plaintext")
+        alice = system.create_principal("alice")
+        ref = alice.says("bob", "p(X) <- q(X, me).")
+        text = system.registry.canonical_text(ref)
+        assert text == 'p(V0) <- q(V0,"alice").'
+        lexer_runs.clear()
+        assert alice.says("bob", text) == ref
+        assert lexer_runs == []
+
+    def test_says_keeps_its_errors(self):
+        from repro.core.system import LBTrustSystem
+        from repro.datalog.errors import ParseError, WorkspaceError
+
+        alice = LBTrustSystem(auth="plaintext").create_principal("alice")
+        for text in ("p(X) -> q(X).", "p(1). q(2)."):
+            with pytest.raises(WorkspaceError):
+                alice.says("bob", text)
+        with pytest.raises(ParseError):
+            alice.says("bob", "p(1")
 
 
 @given(st.recursive(

@@ -193,6 +193,22 @@ class TestProtocol:
         assert harness.server.frames_dropped == 1
         assert "ValueError" in harness.server.last_unexpected_error
 
+    @pytest.mark.parametrize("value", [
+        5, {"t": "int"}, {"t": "rule", "v": 123}, {"t": "pattern", "v": 7},
+        {"t": "list", "v": 5}, {"t": "part", "p": "x", "k": 5},
+        {"t": "rule", "v": ["p(1)."]}, {"t": "rule", "v": "p(X) -> q(X)."},
+        {"t": "bytes", "v": "zz"},
+    ])
+    def test_malformed_fact_values_fail_closed(self, harness, value):
+        # Regression: each of these reached last_unexpected_error as a
+        # raw AttributeError / KeyError / TypeError / ValueError.
+        client = harness.client("c1")
+        with pytest.raises(ServeError, match="^NetworkError: "):
+            client.call("assert", {"principal": "srv", "pred": "good",
+                                   "fact": [value]})
+        assert harness.server.last_unexpected_error == ""
+        assert isinstance(client.ping(), float)
+
     def test_request_ids_match_in_order(self, harness):
         client = harness.client("c1")
         for _ in range(5):
