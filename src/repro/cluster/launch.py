@@ -53,11 +53,12 @@ rule program, EDB facts) and ``system`` (an ``LBTrustSystem``:
 principals, SeNDlog/Datalog sources, asserted facts, ``says``
 statements).  For ``system`` jobs every worker rebuilds the *full*
 system — workspaces of remotely-hosted principals exist locally but are
-never driven, and a host exports id rows over its own workspaces'
-interners (ids never cross the wire: the envelope's dictionary carries
-the terms); placement must route each principal's imports to its
-hosting node (the standard ``ld1``/``ld2`` predNode machinery does; a
-relay-routed import is a named error, see :class:`_HostedImports`).
+never driven, and a host exports id rows over its process's one
+interner, the system registry's (ids never cross the wire: the envelope's
+dictionary carries the terms); placement must route each principal's
+imports to its hosting node (the standard ``ld1``/``ld2`` predNode
+machinery does; a relay-routed import is a named error, see
+:class:`_HostedImports`).
 
 Every failure reaches the caller as a named
 :class:`~repro.datalog.errors.ClusterError`: a failing worker forwards

@@ -15,13 +15,13 @@ freshly derived *id-row* set is partitioned by owner before assertion —
 
 Ownership is decided in id space: the partition key is a single column,
 so ``(pred, key id)`` → owner is memoized against the append-only
-interner.  A row bound for a peer **stays an id row**: the outbox and
-the resend-dedup markers hold id rows (ids are stable, so a marker is as
-good as the fact), ``drain_outbox`` hands each ``(dst, pred)`` block to
-the batcher together with the interner, and the batcher packs the rows
-as uint32 dictionary slots behind a small JSON header (the packed
-envelope of :mod:`repro.net.transport`) — nothing is materialized on the
-way out.
+interner every shard of the process shares with the batcher (the cluster
+registry's ``terms``).  A row bound for a peer **stays an id row**: the
+outbox and the resend-dedup markers hold id rows (ids are stable, so a
+marker is as good as the fact), ``drain_outbox`` hands each ``(dst,
+pred)`` block to the batcher, which packs the rows as uint32 dictionary
+slots behind a small JSON header (the packed envelope of
+:mod:`repro.net.transport`) — nothing is materialized on the way out.
 
 On the way in, :meth:`ClusterNode.integrate` interns each received
 batch's dictionary **once** and maps each block's slot array straight to
@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from ..datalog.builtins import BuiltinRegistry, standard_registry
-from ..datalog.database import Database
+from ..datalog.database import Database, TermInterner
 from ..datalog.engine import (
     EngineRule,
     EvalStats,
@@ -69,10 +69,11 @@ class ClusterNode:
     integration_is_local = True
 
     def __init__(self, name: str, partitioner: Partitioner,
+                 terms: TermInterner,
                  builtins: Optional[BuiltinRegistry] = None) -> None:
         self.name = name
         self.partitioner = partitioner
-        self.db = Database()
+        self.db = Database(terms)
         #: asserted + received id rows, the node's EDB accessor for
         #: selective stratum recomputation
         self.base: FactSet = {}
@@ -96,9 +97,8 @@ class ClusterNode:
         self.sent_facts = 0
         self.received_facts = 0
         self._peers = tuple(n for n in partitioner.nodes if n != name)
-        #: pred -> key id -> owner node.  Ids are stable for the life of
-        #: the database (the interner is append-only), so the placement
-        #: decision for a key is computed at most once per node.
+        #: pred -> key id -> owner node.  Ids are stable (the interner is
+        #: append-only), so a key's placement is computed once per node.
         self._owner_memo: dict[str, dict[int, str]] = {}
         # A single-node cluster owns every fact, so the delta-exchange
         # hook would be an identity function paid once per derived row;
@@ -231,15 +231,14 @@ class ClusterNode:
 
     def drain_outbox(self, sink: Callable) -> int:
         """Hand the sink one block per ``(dst, pred)`` —
-        ``sink(dst, pred, id_rows, interner)`` — and clear the outbox.
-        Blocks and their rows go out in sorted (id) order."""
+        ``sink(dst, pred, id_rows)`` — and clear the outbox.  Blocks and
+        their rows go out in sorted (id) order."""
         drained = 0
-        interner = self.db.interner
         for dst in sorted(self.outbox):
             per_pred = self.outbox[dst]
             for pred in sorted(per_pred):
                 rows = sorted(per_pred[pred])
-                sink(dst, pred, rows, interner)
+                sink(dst, pred, rows)
                 drained += len(rows)
         self.outbox = {}
         self.sent_facts += drained

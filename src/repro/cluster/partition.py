@@ -266,6 +266,6 @@ class Partitioner:
                 out[pred] = {
                     "mode": rule.mode,
                     "column": rule.column,
-                    "strategy": "range" if rule.boundaries else "hash",
+                    "strategy": "hash" if rule.boundaries is None else "range",
                 }
         return out

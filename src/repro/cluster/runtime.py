@@ -65,7 +65,8 @@ class Cluster:
             self.network.add_node(name)
         self.registry = registry if registry is not None else RuleRegistry()
         self.nodes: dict[str, ClusterNode] = {
-            name: ClusterNode(name, self.partitioner, builtins=builtins)
+            name: ClusterNode(name, self.partitioner, self.registry.terms,
+                              builtins=builtins)
             for name in names
         }
         self.ledger = TicketLedger()

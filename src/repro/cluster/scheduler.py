@@ -33,12 +33,12 @@ protocol is the same for all three.
     accepted for processing;
 ``drain_outbox(sink) -> int``
     hand every pending outbound fact to the sink as **blocks** — one
-    ``sink(dst, pred, id_rows, terms, to="")`` call per predicate and
-    link, in a deterministic order — clear the outbox, and return the
-    number of rows handed over.  ``id_rows`` index the interner ``terms``
-    the host's database evaluates over (a shard's, or the sending
-    principal's workspace's: nothing is materialized between the join
-    and the wire); ``to`` names the destination principal.  The sink is
+    ``sink(dst, pred, id_rows, to="")`` call per predicate and link, in
+    a deterministic order — clear the outbox, and return the number of
+    rows handed over.  ``id_rows`` index the runtime registry's
+    ``terms``, the one interner every node's database evaluates over
+    (nothing is materialized between the join and the wire); ``to``
+    names the destination principal.  The sink is
     :meth:`MessageBatcher.add <repro.net.batch.MessageBatcher.add>` bound
     to the node's name and the round stamp;
 ``quiesce()``

@@ -1,8 +1,8 @@
 """The multi-principal LBTrust runtime.
 
-Ties every substrate together: a shared rule registry, one workspace per
-principal, the simulated network, key provisioning, and the global
-fixpoint loop:
+Ties every substrate together: a shared rule registry (whose term
+interner is the system's one id space), one workspace per principal, the
+simulated network, key provisioning, and the global fixpoint loop:
 
 1. each principal's workspace runs its local fixpoint (this happens
    eagerly inside its transactions);
@@ -10,8 +10,7 @@ fixpoint loop:
    partitioned predicates whose ``predNode`` placement maps them to
    another principal's partition (paper section 3.5 — the ld1/ld2
    placement rules are installed verbatim) — as id rows over the
-   sending workspace's interner, the block form every host hands the
-   batcher;
+   system's interner, the block form every host hands the batcher;
 3. messages are serialized, sent through the network (FIFO + latency),
    and imported at the destination in a transaction — where the scheme's
    verification constraint (exp3) and any authorization meta-constraints
@@ -123,14 +122,14 @@ class WorkspaceNode:
         Like a shard's, the outbox is computed in id space: per hosted
         principal and keyed relation the candidates are one set
         difference, ``relation.rows - sent[pred]``, and only a
-        candidate's partition key is read through the workspace's
+        candidate's partition key is read through the system's
         interner.  Each destination *node* and destination *principal*
         (several principals may share one node) gets one
-        ``sink(dst, pred, id_rows, interner, to=principal)`` block, rows
-        in sorted (id) order.
+        ``sink(dst, pred, id_rows, to=principal)`` block, rows in sorted
+        (id) order.
 
         ``LBTrustSystem._sent`` — principal -> pred -> rows shipped, ids
-        being stable for a workspace's life — keeps re-derived exports
+        being stable for the system's life — keeps re-derived exports
         from re-shipping every round; unlike a shard's dedup table it
         must survive quiescence, because workspaces retain their full
         state between runs and would otherwise re-send (and re-count)
@@ -138,13 +137,12 @@ class WorkspaceNode:
         """
         drained = 0
         principals = self.system.principals
+        values = self.system.registry.terms.values
         for principal in self.principals:
             workspace = principal.workspace
             placement = self._placement_of(principal)
             if not len(placement):
                 continue
-            interner = workspace.db.interner
-            values = interner.values
             sent = self.system._sent.setdefault(principal.name, {})
             for pred, relation in workspace.db.relations.items():
                 info = workspace.catalog.get(pred)
@@ -162,7 +160,7 @@ class WorkspaceNode:
                     blocks.setdefault((node, target), []).append(row)
                 for (node, target), rows in sorted(blocks.items()):
                     rows.sort()
-                    sink(node, pred, rows, interner, to=target)
+                    sink(node, pred, rows, to=target)
                     sent.setdefault(pred, set()).update(rows)
                     drained += len(rows)
         self.sent_facts += drained

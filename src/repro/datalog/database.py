@@ -1,6 +1,6 @@
 """Interned columnar fact storage: id-space relations under an undo journal.
 
-Ground terms are *interned* at relation boundaries: a per-:class:`Database`
+Ground terms are *interned* at relation boundaries: the system's one
 :class:`TermInterner` maps each distinct ground value to a dense integer
 id (with an inverse table for materialization), so :class:`Relation` rows
 are ``tuple[int, ...]`` and every hash index maps id-keys to id-row
@@ -20,7 +20,8 @@ mutator logs what it *really* changed — a relation, the rows it added or
 removed — so ``rollback`` puts back exactly that, through the same
 index-maintaining mutators.  A transaction costs what it changes, never
 what the store holds.  The interner itself is **append only** — ids are
-never reassigned or dropped — so a rollback leaves it alone.
+never reassigned or dropped — so a rollback leaves it alone, and no other
+database sharing it ever sees an id change meaning.
 
 Index maintenance is *checked*: a row present in ``rows`` whose index
 entry is missing raises :class:`~repro.datalog.errors.IndexIntegrityError`
@@ -59,19 +60,17 @@ class TermInterner:
     """A bijection between ground values and dense integer ids.
 
     ``ids`` maps value → id; ``values`` is the inverse table (id → value,
-    a plain list indexed by id).  The table is **append-only**: interning
-    never reassigns or frees an id, so every relation, delta and wire
-    block of a host shares one interner by reference, and a rolled-back
-    transaction leaves it alone.
+    a plain list indexed by id).  A system has one (``RuleRegistry.terms``),
+    shared by reference by every relation, delta and wire block of its
+    principals and shards.  It is **append-only**: interning never
+    reassigns or frees an id, so a rolled-back transaction leaves it alone.
 
-    Interning is keyed on value equality, exactly like the tuple-set
-    storage it replaces: ``1``, ``1.0`` and ``True`` share an id the same
-    way they collided in a ``set`` before.
+    Interning is keyed on value equality: ``1``, ``1.0`` and ``True``
+    share an id, and the first the *system* interns is what every
+    principal reads back.
     """
 
-    # weak-referenceable: per-interner side tables (the batcher's encoded
-    # term texts) key on the interner and must die with it
-    __slots__ = ("ids", "values", "__weakref__")
+    __slots__ = ("ids", "values")
 
     def __init__(self) -> None:
         self.ids: dict[Any, int] = {}

@@ -1,7 +1,8 @@
 """Rule interning and reification: the bridge between rules and data.
 
 The :class:`RuleRegistry` is shared by every workspace of an LBTrust
-system (the paper's demonstration likewise runs all principals inside one
+system, every shard of a ``Cluster`` and the batcher that ships their
+rows (the paper's demonstration likewise runs all principals inside one
 LogicBlox instance).  It provides:
 
 * **interning** — structurally identical rules (up to variable renaming)
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from ..datalog.database import TermInterner
 from ..datalog.errors import ReproError, SafetyError, WorkspaceError
 from ..datalog.parser import parse_statements
 from ..datalog.pretty import canonical_rule, format_rule
@@ -70,12 +72,15 @@ class InternedRule:
 
 
 class RuleRegistry:
-    """Interns rules and produces their meta-model reification."""
+    """Interns rules and produces their meta-model reification: one
+    system's two content-address tables, rules by canonical text and
+    ground terms by value (:attr:`terms`, every database's interner)."""
 
     def __init__(self) -> None:
         self._by_canonical: dict[str, InternedRule] = {}
         self._by_ref: dict[RuleRef, InternedRule] = {}
         self._next_id = 1
+        self.terms = TermInterner()
 
     # -- interning ----------------------------------------------------------
 

@@ -14,14 +14,14 @@ distinct to/pred name and dictionary entry once, four ints per block —
 and a body of uint32 dictionary slots, four bytes a term.  It is an
 *id-row* format, which lets a host hand over the id rows it already
 holds: the unit of handoff is the **block** — the id rows of one
-predicate bound for one link, plus the interner they index
-(:meth:`MessageBatcher.add`); a Datalog shard and a node of principal
-workspaces hand over the same thing.  The batcher keeps, per interner,
-the dictionary text of every term it has shipped, and per pending batch
-the dictionary slot of every term in it, so a block costs C-level passes
-over its *distinct* terms, size arithmetic, and one ``array.extend``
-over its rows — ``encode_entry`` runs once per (interner, term), and no
-Python runs per shipped row.
+predicate bound for one link (:meth:`MessageBatcher.add`), over the
+registry's ``terms``, the one interner of the system or cluster process;
+a shard and a node of principal workspaces hand over the same thing.
+The batcher keeps the dictionary text of every term it has shipped, and
+per pending batch the dictionary slot of every term in it, so a block
+costs C-level passes over its *distinct* terms, size arithmetic, and one
+``array.extend`` over its rows — ``encode_entry`` runs once per term,
+and no Python runs per shipped row.  Ids never cross the wire.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import json
 from array import array
 from itertools import chain, count, filterfalse, groupby
 from typing import Iterable, Optional
-from weakref import WeakKeyDictionary
 
 from .transport import encode_batch_message_compressed, encode_entry
 
@@ -51,15 +50,12 @@ class _LinkBuffer:
     """One link's pending batch: dictionaries as the texts the header
     will splice, blocks and their packed body."""
 
-    __slots__ = ("names", "values", "terms", "slots", "blocks", "body",
-                 "rows", "size")
+    __slots__ = ("names", "values", "slots", "blocks", "body", "rows",
+                 "size")
 
     def __init__(self) -> None:
         self.names: dict[str, int] = {}       # to/pred name -> index
         self.values: dict[str, int] = {}      # entry text -> dict slot
-        #: the sending interner ``slots`` is keyed against; a block from
-        #: a different one (co-located workspaces share a link) resets them
-        self.terms: Optional[object] = None
         self.slots: dict[int, int] = {}       # term id -> dict slot
         self.blocks: list[list] = []          # [to, pred, arity, count]
         self.body = array("I")                # dict slots, row-major
@@ -83,19 +79,17 @@ class MessageBatcher:
         self.sent_messages = 0
         self.sent_items = 0
         self._links: dict[tuple[str, str], _LinkBuffer] = {}
-        #: sending interner -> {term id: dictionary entry text}.
-        #: Append-only like the interner it mirrors and bounded by it; the
-        #: weak key lets the table die with its interner.
-        self._term_texts: WeakKeyDictionary = WeakKeyDictionary()
+        #: {term id of ``registry.terms``: dictionary entry text};
+        #: append-only like the interner it mirrors and bounded by it
+        self._term_texts: dict[int, str] = {}
 
     def add(self, src: str, dst: str, pred: str, rows: Iterable[tuple],
-            terms, to: str = "", round_stamp: int = 0) -> None:
-        """Queue one block — id ``rows`` of ``pred`` over the sender's
-        :class:`~repro.datalog.database.TermInterner` ``terms`` — for the
-        ``src -> dst`` link.  Nothing is materialized: a term's text is
-        encoded on its first shipment from that interner and looked up
-        ever after.  Rows of mixed arity go out as one wire block per
-        run of equal arity, in order.
+            to: str = "", round_stamp: int = 0) -> None:
+        """Queue one block — id ``rows`` of ``pred`` over the registry's
+        interner — for the ``src -> dst`` link.  Nothing is materialized:
+        a term's text is encoded on its first shipment and looked up ever
+        after.  Rows of mixed arity go out as one wire block per run of
+        equal arity, in order.
 
         A row that would push the pending batch past ``max_bytes``
         flushes it first (stamped with ``round_stamp``), so no message
@@ -104,11 +98,10 @@ class MessageBatcher:
         order the bytes sent equal ``encode_batch_message_dict``'s.
         """
         for _arity, run in groupby(rows, len):
-            self._add_keys((src, dst), to, pred, list(run), terms,
-                           round_stamp)
+            self._add_keys((src, dst), to, pred, list(run), round_stamp)
 
     def _add_keys(self, link: tuple[str, str], to: str, pred: str,
-                  keys: list, terms, round_stamp: int) -> None:
+                  keys: list, round_stamp: int) -> None:
         """Lay a block of equal-arity id rows out against the link's
         dictionaries and commit it whole if it fits; nothing is mutated
         before the fit is known.  The size is arithmetic — four bytes a
@@ -117,8 +110,6 @@ class MessageBatcher:
         buffer = self._links.get(link)
         if buffer is None:
             buffer = self._links[link] = _LinkBuffer()
-        if buffer.terms is not terms:
-            buffer.terms, buffer.slots = terms, {}
         names, values, slots = buffer.names, buffer.values, buffer.slots
         arity = len(keys[0])
         grown = 4 * arity * len(keys)
@@ -131,10 +122,10 @@ class MessageBatcher:
         # Dictionary entries in first-appearance order, as the canonical
         # encoder assigns them (dict.fromkeys keeps it, at C speed): the
         # terms this batch has no slot for, and of their texts those it
-        # has no entry for (a co-located interner may have shipped one).
+        # has no entry for (distinct values may print alike, e.g. NaNs).
         missing = list(filterfalse(
             slots.__contains__, dict.fromkeys(chain.from_iterable(keys))))
-        texts = self._texts(terms, missing)
+        texts = self._texts(missing)
         new_texts = list(dict.fromkeys(
             filterfalse(values.__contains__, texts)))
         grown += sum(map(len, map(json.dumps, new_names))) + len(new_names) \
@@ -148,13 +139,11 @@ class MessageBatcher:
             # opens the next one — exactly where adding row by row would.
             if len(keys) > 1:
                 half = len(keys) // 2
-                self._add_keys(link, to, pred, keys[:half], terms,
-                               round_stamp)
-                self._add_keys(link, to, pred, keys[half:], terms,
-                               round_stamp)
+                self._add_keys(link, to, pred, keys[:half], round_stamp)
+                self._add_keys(link, to, pred, keys[half:], round_stamp)
             else:
                 self._flush_link(link, round_stamp)
-                self._add_keys(link, to, pred, keys, terms, round_stamp)
+                self._add_keys(link, to, pred, keys, round_stamp)
             return
 
         names.update(zip(new_names, count(len(names))))
@@ -169,14 +158,14 @@ class MessageBatcher:
         buffer.rows += len(keys)
         buffer.size += grown
 
-    def _texts(self, terms, term_ids: list) -> list:
+    def _texts(self, term_ids: list) -> list:
         """Dictionary entry texts of ``term_ids``, encoding the first
-        time a term of this interner is shipped."""
-        known = self._term_texts.setdefault(terms, {})
+        time a term is shipped."""
+        known = self._term_texts
         try:
             return list(map(known.__getitem__, term_ids))
         except KeyError:
-            term_values = terms.values
+            term_values = self.registry.terms.values
             for term_id in filterfalse(known.__contains__, term_ids):
                 known[term_id] = encode_entry(term_values[term_id],
                                               self.registry)

@@ -155,13 +155,18 @@ class TrustServer:
         if op == "query":
             return self._op_query(body)
         if op == "sync":
-            report = self.system.run(max_rounds=int(body.get("max_rounds", 100)))
+            max_rounds = body.get("max_rounds", 100)
+            if type(max_rounds) is not int or max_rounds < 1:
+                raise ServeError("sync needs max_rounds, a positive integer")
+            report = self.system.run(max_rounds=max_rounds)
             return {"rounds": report.productive_rounds,
                     "delivered": report.delivered,
                     "rejected": report.rejected}
         if op == "stats":
             stats = self._principal(body).workspace.stats
-            return {"stats": stats.as_dict()}
+            registry = self.system.registry
+            return {"stats": stats.as_dict(), "terms": len(registry.terms),
+                    "rules": len(registry)}
         if op == "shutdown":
             self._stopping = True
             return {}

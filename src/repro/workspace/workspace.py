@@ -119,10 +119,10 @@ class Workspace:
         self.builtins = builtins if builtins is not None else standard_registry().child()
         #: the undo log all that a transaction can change here shares.
         self.journal = Journal()
-        self.db = Database(journal=self.journal)
-        #: the asserted facts, stored once: an index-less database over
-        #: ``db.interner`` (its rows are the tuple objects ``db`` holds).
-        self._edb = Database(self.db.interner, self.journal)
+        self.db = Database(self.registry.terms, self.journal)
+        #: the asserted facts, stored once: an index-less database over the
+        #: system's interner (its rows are the tuple objects ``db`` holds).
+        self._edb = Database(self.registry.terms, self.journal)
         self.catalog = Catalog(self.journal)
         self.constraints: list[Constraint] = []
         #: each installed constraint's ``(label, canonical text)``, kept

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster, ClusterNode, Partitioner
+from repro.datalog.database import TermInterner
 from repro.datalog.errors import ClusterError
 
 REACHABILITY = """
@@ -186,17 +187,18 @@ class TestNodeMechanics:
     def test_outbox_dedups_rederived_remote_facts(self):
         partitioner = Partitioner(["a", "b"])
         partitioner.hash_partition("p", column=0)
-        node = ClusterNode("a", partitioner)
+        terms = TermInterner()
+        node = ClusterNode("a", partitioner, terms)
         remote = next(
             fact for fact in (((i,),) for i in range(64))
             for fact in fact if partitioner.owner("p", fact) == "b"
         )
-        remote_row = node.db.interner.intern_row(remote)
+        remote_row = terms.intern_row(remote)
         kept = node._emit_rows("p", {remote_row})
         assert kept == set()
         assert node._emit_rows("p", {remote_row}) == set()
         drained = []
-        node.drain_outbox(lambda dst, pred, rows, terms: drained.append(
+        node.drain_outbox(lambda dst, pred, rows: drained.append(
             (dst, pred, [terms.materialize_row(row) for row in rows])))
         assert drained == [("b", "p", [remote])]
         # re-offered after drain: still deduplicated

@@ -105,6 +105,13 @@ class TestPartitioner:
                                     "strategy": "hash"}
         assert description["q"] == {"mode": MODE_REPLICATED}
 
+    def test_describe_a_one_node_range_partition_as_range(self):
+        # no split points is still a range scheme, as scheme_signature says
+        part = Partitioner(["only"])
+        part.range_partition("p", 0, [])
+        assert part.describe()["p"]["strategy"] == "range"
+        assert part.scheme_signature("p")[0] == "range"
+
     def test_duplicate_or_empty_nodes_rejected(self):
         with pytest.raises(ClusterError):
             Partitioner([])

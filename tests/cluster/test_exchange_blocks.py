@@ -1,6 +1,6 @@
 """The id-row block exchange: every scheduling and transport lands the
 single-node fixpoint, the traffic ledgers agree, and a term is encoded
-once per sending node — not once per shipped fact."""
+once per sending process — not once per shipped fact."""
 
 import random
 
@@ -110,8 +110,11 @@ class TestDifferential:
 class TestTermsAreEncodedOncePerSender:
     """Structural pin: a term's wire text (``encode_entry`` — a bare
     scalar's no longer passes through ``encode_value``) is produced once
-    per distinct (sending node, term) pair — the per-fact path produced
-    it twice per shipped fact."""
+    per distinct (sending process, term) pair.  Every shard of an
+    in-process cluster ships ids of the registry's one interner through
+    one batcher, so a term four shards ship is encoded once (an interner
+    per shard encoded it once per shard; the per-fact path twice per
+    shipped fact)."""
 
     VERTICES = 30
 
@@ -123,14 +126,14 @@ class TestTermsAreEncodedOncePerSender:
             encoded.append(value)
             return encode_entry(value, registry)
 
-        shipped = set()      # (sending node, term)
+        shipped = set()      # terms, whichever shard ships them
         add = MessageBatcher.add
 
-        def spy(self, src, dst, pred, rows, terms, **kwargs):
+        def spy(self, src, dst, pred, rows, **kwargs):
             rows = list(rows)
-            shipped.update((src, terms.values[term_id])
-                           for row in rows for term_id in row)
-            return add(self, src, dst, pred, rows, terms, **kwargs)
+            values = self.registry.terms.values
+            shipped.update(values[term_id] for row in rows for term_id in row)
+            return add(self, src, dst, pred, rows, **kwargs)
 
         monkeypatch.setattr(batch_module, "encode_entry", counting)
         monkeypatch.setattr(MessageBatcher, "add", spy)
@@ -140,8 +143,8 @@ class TestTermsAreEncodedOncePerSender:
 
     def test_calls_equal_distinct_sender_term_pairs(self, monkeypatch):
         calls, shipped, facts = self._closure(2, monkeypatch)
-        # every node ships every vertex at least once on this graph
-        assert calls == len(shipped) == 4 * self.VERTICES == 120
+        # every vertex ships, from all four nodes, and is encoded once
+        assert calls == len(shipped) == self.VERTICES == 30
         # the per-fact path made two calls per shipped fact: 2,136
         assert facts == 1068
 
@@ -151,5 +154,5 @@ class TestTermsAreEncodedOncePerSender:
         monkeypatch.undo()
         calls, shipped, facts = self._closure(5, monkeypatch)
         assert facts > sparse_facts
-        assert calls == len(shipped) <= 4 * self.VERTICES
-        assert sparse_calls <= 4 * self.VERTICES
+        assert calls == len(shipped) <= self.VERTICES
+        assert sparse_calls <= self.VERTICES

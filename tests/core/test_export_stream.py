@@ -1,6 +1,6 @@
 """Export in id space: a stream of ``says`` / retract / ``reconfigure_auth``
 / ``run()`` over three principals, two of them co-located — so one link
-carries blocks of two workspaces, each with its own interner.
+carries blocks of two workspaces, over the system's one interner.
 
 What ``WorkspaceNode.drain_outbox`` owes, whatever the stream:
 
@@ -11,14 +11,14 @@ What ``WorkspaceNode.drain_outbox`` owes, whatever the stream:
 * ``bsp`` and ``async`` leave equal relations;
 * every message is the canonical envelope of its own items, in order.
 
-The stream property must fail under these two hand mutations of
-``drain_outbox`` (checked when the test was written):
-
-* not recording shipped rows (drop ``sent...update(rows)``): the next
-  ``run()`` ships everything again;
-* keying ``sent`` by predicate alone (one table for every principal):
-  equal ids mean different terms in two workspaces, so one principal's
-  shipped rows hide another's unshipped ones.
+The stream property must fail under this hand mutation of
+``drain_outbox`` (checked when the test was written): not recording
+shipped rows (drop ``sent...update(rows)``) — the next ``run()`` ships
+everything again.  Keying ``sent`` by predicate alone was caught too
+while each workspace had its own interner (equal ids then meant
+different terms); with one id space per system equal id rows are equal
+facts, and ``sent`` stays per principal because each principal's own
+``predNode`` table routes its rows.
 """
 
 from collections import Counter
@@ -130,8 +130,7 @@ class Driver:
 
 
 @given(stream=st.lists(ops, min_size=1, max_size=10))
-# two workspaces built alike intern alike: these two exports are the same
-# id row over different interners
+# alice and bob say one rule to carol: two rows differing in the speaker
 @example(stream=[("says", ("alice", "carol"), 1),
                  ("says", ("bob", "carol"), 1)])
 @settings(max_examples=50, deadline=None)

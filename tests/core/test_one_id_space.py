@@ -1,0 +1,212 @@
+"""One id space per system: the rule registry's ``terms`` is the only
+interner a system's workspaces, a cluster's shards and their batcher use.
+
+* *identity* — every principal's ``db`` and ``_edb``, every shard of an
+  in-process ``Cluster`` or of a launcher-built job, and the batcher of
+  the runtime that ships their rows all hold ``registry.terms``;
+* *sharing* — a second principal's machinery is mostly hits: only what
+  names it allocates ids;
+* *the spelling edge* — ``77`` and ``77.0`` share an id system-wide, so
+  the first spelling interned is the one every principal reads back;
+* *isolation* — sharing the table shares nothing else: a step at one
+  principal (load, assert, retract, deactivate, an aborted transaction)
+  leaves the other's relations, catalog and active rules as they were,
+  and never changes what an existing id means.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import LBTrustSystem
+from repro.cluster import Cluster, Partitioner
+from repro.cluster.launch import (
+    _build_cluster_job,
+    _build_system_job,
+    cluster_spec,
+    system_spec,
+)
+from repro.datalog.terms import PredPartition, RuleRef
+from repro.net import batch as batch_module
+from repro.net.transport import encode_entry
+
+PROGRAM = """
+tc0: reach(X,Y) <- edge(X,Y).
+tc1: reach(X,Z) <- reach(X,Y), edge(Y,Z).
+"""
+
+
+def spy_batchers(monkeypatch):
+    """Every MessageBatcher built from now on, in construction order."""
+    built = []
+    init = batch_module.MessageBatcher.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(batch_module.MessageBatcher, "__init__", recording)
+    return built
+
+
+class TestIdentity:
+    def test_every_principal_and_the_batcher_use_the_registry_terms(
+            self, monkeypatch):
+        built = spy_batchers(monkeypatch)
+        system = LBTrustSystem(auth="hmac")
+        alice = system.create_principal("alice")
+        system.create_principal("bob")
+        terms = system.registry.terms
+        for principal in system.principals.values():
+            assert principal.workspace.db.interner is terms
+            assert principal.workspace._edb.interner is terms
+        alice.says("bob", 'good("carol").')
+        system.run()
+        assert built and all(b.registry.terms is terms for b in built)
+        texts = built[-1]._term_texts
+        assert texts and all(
+            text == encode_entry(terms.values[term_id], system.registry)
+            for term_id, text in texts.items())
+
+    def test_every_shard_of_an_in_process_cluster(self):
+        names = ["n0", "n1", "n2"]
+        partitioner = Partitioner(names)
+        partitioner.hash_partition("edge", column=0)
+        partitioner.hash_partition("reach", column=1)
+        cluster = Cluster(names, partitioner=partitioner)
+        cluster.load(PROGRAM)
+        cluster.assert_facts("edge", [(i, (i + 1) % 9) for i in range(9)])
+        cluster.run()
+        terms = cluster.registry.terms
+        assert all(node.db.interner is terms
+                   for node in cluster.nodes.values())
+        assert cluster.batcher.registry.terms is terms
+        assert cluster.batcher._term_texts
+        assert len(cluster.tuples("reach")) == 81
+
+    def test_a_launcher_built_shard_and_host(self):
+        spec = cluster_spec(["n0", "n1"], [["hash", "edge", 0]], PROGRAM,
+                            facts=[("edge", (1, 2)), ("edge", (2, 3))])
+        node, registry, _report, _sources = _build_cluster_job(spec, "n1")
+        assert node.db.interner is registry.terms
+        spec = system_spec([("alice", "x"), ("bob", "y")], auth="plaintext")
+        host, registry, _report, _sources = _build_system_job(spec, "y")
+        [bob] = host.principals
+        assert bob.workspace.db.interner is registry.terms
+        assert bob.workspace._edb.interner is registry.terms
+
+
+class TestSharing:
+    def test_a_second_principal_allocates_only_what_names_it(self):
+        system = LBTrustSystem(auth="plaintext")
+        system.create_principal("alice")
+        terms = system.registry.terms
+        before = len(terms)
+        system.create_principal("bob")
+        new = terms.values[before:]
+        # An interner per workspace allocated every id bob's workspace
+        # held.  Now the says machinery's constants and meta facts are
+        # hits; what is new is bob's name, his export partition, and the
+        # three machinery rules that name him with their Figure 1 atom and
+        # term ids (the parser names one anonymous variable afresh).
+        assert len(new) == 30
+        refs = [v for v in new if isinstance(v, RuleRef)]
+        assert len(refs) == 3
+        assert all('"bob"' in system.registry.canonical_text(ref)
+                   for ref in refs)
+        assert {v for v in new if not isinstance(v, (str, RuleRef))} == \
+            {PredPartition("export", ("bob",))}
+        assert [v for v in new if isinstance(v, str)
+                and not v.startswith(("$a", "$t", "_Anon"))] == ["bob"]
+
+
+class TestSpelling:
+    def test_the_first_spelling_interned_is_what_every_principal_reads(self):
+        system = LBTrustSystem(auth="plaintext")
+        alice = system.create_principal("alice")
+        bob = system.create_principal("bob")
+        alice.assert_fact("p", (77.0,))
+        bob.assert_fact("q", (77,))
+        [(read,)] = bob.tuples("q")
+        assert read == 77 and isinstance(read, float)
+
+
+# -- isolation ----------------------------------------------------------------
+
+RULES = ["path(X,Y) <- edge(X,Y).", "path(X,Z) <- path(X,Y), edge(Y,Z).",
+         "big(X) <- num(X), X > 2.", "node(X) <- edge(X,_)."]
+NUMBERS = [1, 2, 3, 2.0, 3.5, True]
+VALUES = NUMBERS + ["x", "y"]
+
+steps = st.lists(st.tuples(
+    st.sampled_from(["alice", "bob"]),
+    st.sampled_from(["load", "assert", "retract", "deactivate", "abort"]),
+    st.integers(0, 1000)), min_size=1, max_size=10)
+
+
+def observable(workspace):
+    return {
+        "tuples": {pred: set(workspace.tuples(pred))
+                   for pred in workspace.db.preds()},
+        "edb": dict(workspace.edb.items()),
+        "catalog": {name: (info.arity, info.key_arity, info.declared,
+                           list(info.arg_types))
+                    for name in workspace.catalog.names()
+                    for info in [workspace.catalog.info(name)]},
+        "active": list(workspace._activated),
+    }
+
+
+class Aborted(Exception):
+    pass
+
+
+def act(principal, op, pick, loaded):
+    """One step at ``principal``; ``loaded`` collects the refs it loads."""
+    workspace = principal.workspace
+    if op == "load":
+        active = set(workspace._activated)
+        principal.load(RULES[pick % len(RULES)])
+        loaded.extend(set(workspace._activated) - active)
+    elif op == "assert" and pick % 2:
+        principal.assert_fact("num", (NUMBERS[pick % len(NUMBERS)],))
+    elif op == "assert":
+        principal.assert_fact("edge", (VALUES[pick % len(VALUES)],
+                                       VALUES[pick // 7 % len(VALUES)]))
+    elif op == "retract":
+        held = sorted(workspace.edb.get("num", ()), key=repr)
+        if held:
+            principal.retract_fact("num", held[pick % len(held)])
+    elif op == "deactivate":
+        refs = [ref for ref in loaded if ref in workspace._activated]
+        if refs:
+            workspace.deactivate_rule(refs[pick % len(refs)])
+    else:
+        try:
+            with workspace.transaction():
+                workspace.assert_fact("num", (f"fresh{pick}",))
+                loaded.append(workspace.add_rule(RULES[pick % len(RULES)]))
+                raise Aborted
+        except Aborted:
+            pass
+
+
+class TestIsolation:
+    @given(steps)
+    @settings(max_examples=25, deadline=None)
+    def test_a_step_at_one_principal_leaves_the_other_alone(self, stream):
+        system = LBTrustSystem(auth="plaintext")
+        principals = {name: system.create_principal(name)
+                      for name in ("alice", "bob")}
+        terms = system.registry.terms
+        loaded = {name: [] for name in principals}
+        for name, op, pick in stream:
+            other = principals["bob" if name == "alice" else "alice"]
+            before = observable(other.workspace)
+            meanings = list(terms.values)
+            act(principals[name], op, pick, loaded[name])
+            assert observable(other.workspace) == before
+            assert len(terms) >= len(meanings)
+            assert all(now is then for now, then
+                       in zip(terms.values, meanings))
+            assert all(terms.ids[value] == term_id
+                       for term_id, value in enumerate(meanings))

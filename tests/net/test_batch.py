@@ -6,7 +6,6 @@ import struct
 import pytest
 
 from repro.cluster.quiescence import TicketLedger
-from repro.datalog.database import TermInterner
 from repro.datalog.errors import NetworkError
 from repro.meta.registry import RuleRegistry
 from repro.net.batch import MessageBatcher
@@ -152,10 +151,10 @@ class TestMessageBatcher:
     def test_coalesces_per_link(self):
         network = make_network("a", "b", "c")
         batcher = MessageBatcher(network, RuleRegistry())
-        terms = TermInterner()
+        terms = batcher.registry.terms
         for i in range(10):
-            batcher.add("a", "b", "p", [terms.intern_row((i,))], terms)
-        batcher.add("a", "c", "p", [terms.intern_row((99,))], terms)
+            batcher.add("a", "b", "p", [terms.intern_row((i,))])
+        batcher.add("a", "c", "p", [terms.intern_row((99,))])
         sent = batcher.flush(round_stamp=3)
         assert sent == 2
         assert network.total.messages == 2
@@ -174,10 +173,10 @@ class TestMessageBatcher:
         network = make_network("a", "b")
         registry = RuleRegistry()
         batcher = MessageBatcher(network, registry)
-        terms = TermInterner()
+        terms = batcher.registry.terms
         facts = [(1, 2), (3, 4), (), (5,), (6,), (7, 8)]
         batcher.add("a", "b", "p", [terms.intern_row(f) for f in facts],
-                    terms, to="bob")
+                    to="bob")
         assert batcher.pending_items() == 6
         batcher.flush(5)
         [(_src, _dst, blob)] = network.deliver_all()
@@ -192,10 +191,10 @@ class TestMessageBatcher:
     def test_size_cap_flushes_early(self):
         network = make_network("a", "b")
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256)
-        terms = TermInterner()
+        terms = batcher.registry.terms
         for i in range(50):
             batcher.add("a", "b", "p",
-                        [terms.intern_row((i, "some payload text"))], terms)
+                        [terms.intern_row((i, "some payload text"))])
         batcher.flush()
         assert network.total.messages > 1
         # every message respects the cap (within one item's slack)
@@ -207,10 +206,10 @@ class TestMessageBatcher:
         ledger = TicketLedger()
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256,
                                  ledger=ledger)
-        terms = TermInterner()
+        terms = batcher.registry.terms
         for i in range(50):
             batcher.add("a", "b", "p",
-                        [terms.intern_row((i, "some payload text"))], terms,
+                        [terms.intern_row((i, "some payload text"))],
                         round_stamp=4)
         batcher.flush(round_stamp=4)
         assert ledger.issued == network.total.messages
@@ -231,9 +230,9 @@ class TestWireFormatInterop:
     def _drain(self):
         network = make_network("a", "b")
         batcher = MessageBatcher(network, RuleRegistry())
-        terms = TermInterner()
+        terms = batcher.registry.terms
         for pred, fact in self.FACTS:
-            batcher.add("a", "b", pred, [terms.intern_row(fact)], terms,
+            batcher.add("a", "b", pred, [terms.intern_row(fact)],
                         to="alice")
         batcher.flush(round_stamp=9)
         [(_, _, blob)] = network.deliver_all()
@@ -261,11 +260,11 @@ class TestWireFormatInterop:
     def test_packed_format_respects_size_cap(self):
         network = make_network("a", "b")
         batcher = MessageBatcher(network, RuleRegistry(), max_bytes=256)
-        terms = TermInterner()
+        terms = batcher.registry.terms
         for i in range(50):
             batcher.add(
                 "a", "b", "p",
-                [terms.intern_row((i, f"unique payload text {i}"))], terms)
+                [terms.intern_row((i, f"unique payload text {i}"))])
         batcher.flush()
         registry = RuleRegistry()
         seen = set()

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro import LBTrustSystem
 from repro.cluster.quiescence import TicketLedger
-from repro.datalog.database import TermInterner
 from repro.datalog.errors import NetworkError
 from repro.meta.registry import RuleRegistry
 from repro.net.batch import (
@@ -117,11 +116,11 @@ class TestBlockProperty:
         ledger = TicketLedger()
         batcher = MessageBatcher(wire, registry, max_bytes=max_bytes,
                                  ledger=ledger)
-        interner = TermInterner()
+        interner = registry.terms
         items = []
         for pred, to, rows in link_blocks:
             id_rows = [interner.intern_row(row) for row in rows]
-            batcher.add("a", "b", pred, id_rows, interner, to=to,
+            batcher.add("a", "b", pred, id_rows, to=to,
                         round_stamp=round_stamp)
             # 1, 1.0 and True share an id: the wire carries the
             # first-interned representative, as materialize_row would
@@ -143,81 +142,35 @@ class TestBlockProperty:
             assert len(blob) <= accounted_size(message, registry)
             assert len(message) == 1 or \
                 accounted_size(message[:-1], registry) <= max_bytes
+            # a term shipped to several principals takes one entry
+            header, _body = split(blob)
+            assert len(set(map(compact, header["dict"]))) == \
+                len(header["dict"])
         assert Counter(map(repr, sum(messages, []))) == \
             Counter(map(repr, items))
         assert batcher.sent_items == len(items)
         # every message — the early, size-capped ones too — is ticketed
         assert batcher.sent_messages == len(blobs) == ledger.issued
 
-    def test_one_interner_table_per_sender_and_it_dies_with_it(self):
-        import gc
-
+    def test_one_term_table_whichever_node_sends(self):
+        """Every sender's rows index the registry's interner, so a term
+        two nodes ship is encoded once and means the same on both links."""
         registry = RuleRegistry()
         batcher = MessageBatcher(_Wire(), registry)
-        first, second = TermInterner(), TermInterner()
-        # the same ids mean different terms in different interners
-        row_a, row_b = first.intern_row(("x",)), second.intern_row(("y",))
-        assert row_a == row_b
-        batcher.add("a", "c", "p", [row_a], first)
-        batcher.add("b", "c", "p", [row_b], second)
+        row = registry.terms.intern_row(("x",))
+        batcher.add("a", "c", "p", [row])
+        batcher.add("b", "c", "p", [row])
         batcher.flush()
-        sent = batcher.network.sent
-        assert decoded_items(sent[("a", "c")][0], registry) == \
-            [("", "p", ("x",))]
-        assert decoded_items(sent[("b", "c")][0], registry) == \
-            [("", "p", ("y",))]
-        assert len(batcher._term_texts) == 2
-        del first, second
-        gc.collect()
-        assert len(batcher._term_texts) == 0
-
-    @given(turns=st.lists(
-        st.tuples(st.sampled_from([0, 1]),
-                  st.lists(st.lists(st.sampled_from(
-                      ["x", "y", 1, 2, ("x",)]), max_size=3).map(tuple),
-                      min_size=1, max_size=3)),
-        min_size=2, max_size=8),
-        max_bytes=st.sampled_from([120, 10 ** 4]))
-    @settings(max_examples=200, deadline=None)
-    def test_two_interners_interleave_on_one_link(self, turns, max_bytes):
-        """Co-located workspaces share a link but not an interner: the
-        same id means a different term in each, whichever sent last, and
-        a term both shipped takes one dictionary entry.  (Fails if the
-        link keeps its term-id slots across an interner change.)"""
-        registry = RuleRegistry()
-        wire = _Wire()
-        batcher = MessageBatcher(wire, registry, max_bytes=max_bytes)
-        interners = TermInterner(), TermInterner()
-        interners[1].intern_row(("skew", "the", "ids"))
-        items = []
-        for which, rows in turns:
-            interner = interners[which]
-            batcher.add("n", "m", "p",
-                        [interner.intern_row(row) for row in rows], interner,
-                        to=f"principal{which}", round_stamp=4)
-            items.extend((f"principal{which}", "p", row) for row in rows)
-        batcher.flush(4)
-        blobs = wire.sent[("n", "m")]
-        messages = [decoded_items(blob, registry) for blob in blobs]
-        assert messages == one_at_a_time(items, registry, max_bytes)
-        for blob, message in zip(blobs, messages):
-            assert blob == encode_batch_message_dict(message, registry, 4)
-            header, _body = split(blob)
-            assert len(set(map(compact, header["dict"]))) == \
-                len(header["dict"])
+        for link in (("a", "c"), ("b", "c")):
+            assert decoded_items(batcher.network.sent[link][0], registry) \
+                == [("", "p", ("x",))]
+        assert batcher._term_texts == {row[0]: compact("x")}
 
     def test_an_empty_block_queues_nothing(self):
         batcher = MessageBatcher(_Wire(), RuleRegistry())
-        batcher.add("a", "b", "p", [], TermInterner())
+        batcher.add("a", "b", "p", [])
         assert batcher.pending_items() == 0
         assert batcher.flush() == 0
-
-    def test_a_block_without_its_interner_is_a_type_error(self):
-        """Value tuples are no block form: ``terms`` is required."""
-        batcher = MessageBatcher(_Wire(), RuleRegistry())
-        with pytest.raises(TypeError):
-            batcher.add("a", "b", "p", [("x", 1)])
-        assert batcher.pending_items() == 0
 
 
 # -- fail-closed decode -------------------------------------------------------

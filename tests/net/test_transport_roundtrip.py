@@ -326,7 +326,6 @@ class TestBatchRoundtrip:
         body) must produce the same bytes as the canonical one-shot
         encoder, for any items in any order (dictionary slots and block
         boundaries depend on insertion order)."""
-        from repro.datalog.database import TermInterner
         from repro.net.batch import MessageBatcher
 
         registry = RuleRegistry()
@@ -339,10 +338,10 @@ class TestBatchRoundtrip:
 
         sink = _Sink()
         batcher = MessageBatcher(sink, registry)
-        terms = TermInterner()
+        terms = registry.terms
         rows = [terms.intern_row(fact) for _pred, fact in facts]
         for (pred, _fact), row in zip(facts, rows):
-            batcher.add("a", "b", pred, [row], terms, to="x")
+            batcher.add("a", "b", pred, [row], to="x")
         batcher.flush(round_stamp)
         # 1, 1.0 and True share an id: the wire carries the
         # first-interned representative

@@ -174,13 +174,20 @@ class TestProtocol:
         client.assert_fact("good", ("alice",))  # still serving
         assert len(client.query('access("alice",O,"read")')) == 2
 
-    def test_malformed_frames_do_not_kill_the_server(self, harness):
+    def test_malformed_frames_do_not_kill_the_server(self, harness,
+                                                     monkeypatch):
         # Regression (ROADMAP item 4): both frames used to propagate out
         # of handle() and end serve_forever — one frame, one dead server.
         client = harness.client("c1")
-        # a handler tripping over a field: int("abc") is a ValueError
+
+        def trips(body):
+            raise ValueError("a field the handler did not anticipate")
+
+        # a handler failing in a way nobody anticipated still replies
+        monkeypatch.setattr(harness.server, "_op_query", trips)
         with pytest.raises(ServeError, match="ValueError"):
-            client.call("sync", {"max_rounds": "abc"})
+            client.query("good(P)")
+        monkeypatch.undo()
         # an op that is not a string: decoding fails, the id is recoverable
         client.network.send(client.name, client.server, json.dumps(
             {"kind": "request", "id": 9001, "op": 5, "body": {}}).encode())
@@ -192,6 +199,29 @@ class TestProtocol:
         assert isinstance(client.ping(), float)  # still serving
         assert harness.server.frames_dropped == 1
         assert "ValueError" in harness.server.last_unexpected_error
+
+    @pytest.mark.parametrize("max_rounds", ["abc", [1], 2.7, True, 0, -3])
+    def test_sync_rejects_a_malformed_max_rounds(self, harness, max_rounds):
+        # Regression: "abc" and [1] reached int() as an unanticipated
+        # ValueError / TypeError; 2.7 was truncated; True, 0 and -3 ran
+        # nothing and still replied ok with rounds 0.
+        client = harness.client("c1")
+        with pytest.raises(ServeError, match="^ServeError: .*max_rounds"):
+            client.call("sync", {"max_rounds": max_rounds})
+        assert harness.server.last_unexpected_error == ""
+        assert isinstance(client.ping(), float)
+
+    def test_stats_reports_the_systems_id_space(self, harness):
+        client = harness.client("c1")
+        reply = client.call("stats", {"principal": "srv"})
+        assert reply["rules"] == len(harness.system.registry) > 0
+        assert reply["terms"] == len(harness.system.registry.terms)
+        assert client.stats() == reply["stats"]
+        client.assert_fact("good", ("never-seen-before",))
+        grown = client.call("stats", {"principal": "srv"})["terms"]
+        assert grown == reply["terms"] + 1
+        client.assert_fact("good", ("never-seen-before",))
+        assert client.call("stats", {"principal": "srv"})["terms"] == grown
 
     @pytest.mark.parametrize("value", [
         5, {"t": "int"}, {"t": "rule", "v": 123}, {"t": "pattern", "v": 7},
