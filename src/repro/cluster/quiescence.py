@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
+from ..datalog.errors import ClusterError
+
 
 @dataclass
 class RoundRecord:
@@ -74,13 +76,13 @@ class TicketLedger:
         """Register ``count`` messages received (stamped at their send round).
 
         Retiring more tickets than ``sender`` issued for ``round_stamp``
-        means the transport duplicated or fabricated a message — that is
-        surfaced loudly *per slot*, so the fault is caught even while
-        other senders still have tickets legitimately in flight.
+        means the transport duplicated or fabricated a message — a
+        :class:`ClusterError` *per slot*, so the fault is caught even
+        while other senders still have tickets legitimately in flight.
         """
         slot = self._vector.get((sender, round_stamp))
         if slot is None or slot[1] + count > slot[0]:
-            raise AssertionError(
+            raise ClusterError(
                 f"ticket ledger: sender {sender!r} round {round_stamp} "
                 f"retired {(slot[1] + count) if slot else count} > issued "
                 f"{slot[0] if slot else 0}"

@@ -21,17 +21,19 @@ cannot prove a fact absent while a delta for it may be in flight.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from typing import Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry
 from ..datalog.engine import EngineRule, EvalStats, normalize_rules
-from ..datalog.errors import ClusterError
+from ..datalog.errors import ClusterError, WorkspaceError
 from ..datalog.parser import parse_statements
 from ..datalog.terms import Rule
 from ..meta.quote import compile_rule
 from ..meta.registry import RuleRegistry
 from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.network import SimulatedNetwork
+from ..workspace.catalog import Catalog, harvest_catalog
 from .node import ClusterNode
 from .partition import Partitioner
 from .placement_check import check_join_compatibility, nonmonotone_exchanges
@@ -83,6 +85,8 @@ class Cluster:
             max_batch_bytes=max_batch_bytes, ledger=self.ledger, strict=True)
         self.batcher = self.runtime.batcher
         self._rules: list[EngineRule] = []
+        #: the loaded rules' shapes: a fact of another arity is refused
+        self.catalog = Catalog()
 
     @property
     def mode(self) -> str:
@@ -147,8 +151,9 @@ class Cluster:
         raise_for_errors(report)
         self.last_check = report
         self.last_check_suppressed = suppressed
+        catalog = harvest_catalog(rules, deepcopy(self.catalog))
         engine_rules: list[EngineRule] = []
-        for index, rule in enumerate(rules):
+        for rule in rules:
             compiled = compile_rule(rule, principal=None,
                                     builtins=sample_builtins)
             for engine_rule in normalize_rules([compiled]):
@@ -168,6 +173,7 @@ class Cluster:
         if refused:
             self.partitioner.restore_placement(placement_before)
             raise ClusterError(refused[0][1])
+        self.catalog = catalog
         if flipped:
             self.auto_replicated.extend(flipped)
             self._rebroadcast(flipped)
@@ -210,9 +216,14 @@ class Cluster:
         """Route one EDB fact to its shard(s) per the placement rules.
 
         ``at`` names the asserting node for local-mode predicates
-        (default: the first node).
+        (default: the first node).  A fact whose arity disagrees with the
+        loaded rules is a :class:`ClusterError`.
         """
         fact = tuple(fact)
+        try:
+            self.catalog.check_fact_arity(pred, fact)
+        except WorkspaceError as error:
+            raise ClusterError(str(error)) from None
         owner = self.partitioner.owner(pred, fact)
         if owner is not None:
             self.nodes[owner].seed(pred, fact)

@@ -29,9 +29,9 @@ makes a row materialize.
 
 A pass is seeded by deleted rows, wherever they came from: a retracted
 assertion, a lower stratum's removals, a retracted fact this stratum also
-derives — or the rows a rule derived until it left ``active``
-(``Workspace._handle_deletions`` applies the dropped rule once and hands
-them in).  Phase 2 makes them candidates; nothing here knows of rules.
+derives — or the rows a rule derived until it left ``active``, however
+it left (``Workspace._drop`` applies the dropped rule once and hands them
+in).  Phase 2 makes them candidates; nothing here knows of rules.
 
 Strata containing negation or aggregation are recomputed from their EDB
 instead (always correct, and cheap at trust-policy scale); the net

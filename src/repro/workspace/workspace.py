@@ -14,9 +14,10 @@ section 3.3:
   selective stratum recompute for non-monotone strata);
 * every rule is interned in the shared :class:`RuleRegistry` and reflected
   into the local meta-model relations (Figure 1);
-* after every fixpoint the ``active`` relation is scanned: newly derived
-  ``active(R)`` facts activate rule R — code generation — and the loop
-  continues until quiescence (bounded by ``max_activation_rounds``);
+* after every pass of the one maintenance loop ``active`` is compared
+  with the compiled rules both ways: a new ``active(R)`` activates R —
+  code generation — and a rule whose fact went, by whatever route, is
+  dropped with what it derived (bounded by ``max_activation_rounds``);
 * schema constraints and meta-constraints are checked at commit; a
   violation rolls the whole transaction back and raises
   :class:`ConstraintViolation`, leaving an audit record.  Everything a
@@ -304,7 +305,8 @@ class Workspace:
 
     def deactivate_rule(self, ref: RuleRef) -> None:
         """Retract an API-activated rule (a derived activation re-derives):
-        a deletion like any other (:meth:`_handle_deletions`)."""
+        the rule leaves ``active`` and is dropped by :meth:`_run_loop`, as
+        it would be by any other route out."""
         self.retract_fact(ACTIVE_PRED, (ref,))
 
     def remove_constraints(self, label: str) -> int:
@@ -472,10 +474,6 @@ class Workspace:
         self.journal.log(vars(self).update, {name: getattr(self, name)})
 
     def _commit(self) -> None:
-        deleted = self._txn_deleted
-        self._txn_deleted = {}
-        if deleted:
-            self._handle_deletions(deleted)
         self._run_loop()
         violations = check_constraints(self.constraints, self.db, self.context,
                                        plan_cache=self._constraint_plans,
@@ -556,15 +554,7 @@ class Workspace:
         return engine_rules
 
     def _all_engine_rules(self) -> list[EngineRule]:
-        rules: list[EngineRule] = []
-        for engine_rules in self._activated.values():
-            rules.extend(engine_rules)
-        return rules
-
-    def _active_now(self) -> set:
-        """The rule refs the ``active`` relation holds right now."""
-        return {fact[0] for fact in self.db.tuples(ACTIVE_PRED)
-                if fact and isinstance(fact[0], RuleRef)}
+        return [rule for rules in self._activated.values() for rule in rules]
 
     def _volatile_rules(self) -> list[EngineRule]:
         from ..datalog.terms import BuiltinCall as _BuiltinCall
@@ -605,18 +595,34 @@ class Workspace:
             self._assert_edb("pname", (name, name))
 
     def _run_loop(self) -> None:
-        """The activation/propagation loop: run until quiescent."""
+        """The one maintenance loop.  A pass propagates the pending
+        deletions (DRed), then compares ``_activated`` with ``active`` both
+        ways: a rule that left, however it left, is dropped (:meth:`_drop`);
+        with no deletions pending, a rule that entered is compiled and
+        applied in full, and the pending insertions propagate."""
         self._sync_predicate_facts()
-        fresh = self._txn_fresh
-        self._txn_fresh = {}
+        deleted, self._txn_deleted = self._txn_deleted, {}
+        fresh, self._txn_fresh = self._txn_fresh, {}
         for _ in range(self.max_activation_rounds):
+            if deleted:
+                with self._aside(fresh):
+                    propagate_deletions(
+                        self._current_strata(), self.db, self.context,
+                        deleted, edb_facts=self._edb_facts,
+                        provenance=self.provenance, stats=self.stats)
+            active = {fact[0] for fact in self.db.tuples(ACTIVE_PRED)
+                      if fact and isinstance(fact[0], RuleRef)}
+            gone = self._activated.keys() - active
+            if gone:
+                # No activation before the cascade ends: a new rule's rows
+                # would stand aside from the DRed that should delete them.
+                deleted = self._drop(gone, fresh)
+                continue
+            deleted = {}
             progressed = False
 
-            # 1. Activate rules newly present in `active`.
-            new_refs = [ref for ref in self._active_now()
-                        if ref not in self._activated]
             new_rules: list[EngineRule] = []
-            for ref in new_refs:
+            for ref in [ref for ref in active if ref not in self._activated]:
                 self._ensure_reified(ref)
                 engine_rules = self._compile_ref(ref)
                 self._activated[ref] = engine_rules
@@ -625,41 +631,27 @@ class Workspace:
                 progressed = True
             if new_rules:
                 self._strata = None
-
-            # 2. Fully apply the new rules once; their results seed deltas.
             for engine_rule in new_rules:
-                if engine_rule.agg is not None:
-                    continue  # aggregates are evaluated inside strata
-                self._apply_in_full(engine_rule, fresh)
-            if new_rules and any(r.agg is not None for r in new_rules):
-                # Aggregate rules need their stratum machinery; easiest
-                # correct seed is a full propagation pass over their inputs.
-                for engine_rule in new_rules:
-                    if engine_rule.agg is None:
-                        continue
-                    for pred in engine_rule.body_preds():
-                        relation = self.db.get(pred)
-                        if relation is not None and relation.rows:
-                            fresh.setdefault(pred, set()).update(relation.rows)
+                if engine_rule.agg is None:
+                    self._apply_in_full(engine_rule, fresh)
+                else:   # a changed head recomputes its stratum
+                    fresh.setdefault(engine_rule.head.pred, set())
 
-            # 3. Drain template-created rules (their meta facts are EDB).
+            # Template-created rules: their meta facts are EDB.
             pending = self._pending_template_refs
             self._pending_template_refs = []
             for ref in pending:
                 self._ensure_reified(ref)
                 progressed = True
-
-            # Meta facts asserted by reification land in _txn_fresh.
             for pred, facts in self._txn_fresh.items():
                 fresh.setdefault(pred, set()).update(facts)
             self._txn_fresh = {}
 
-            # 3b. Volatile-builtin rules (their dependencies are hidden
-            # from the delta machinery) re-run in full each round.
+            # Volatile-builtin rules (their dependencies are hidden from
+            # the delta machinery) re-run in full each pass.
             for engine_rule in self._volatile_rules():
                 self._apply_in_full(engine_rule, fresh)
 
-            # 4. Propagate all fresh facts through the strata.
             if fresh:
                 added = propagate_insertions(
                     self._current_strata(), self.db, self.context, fresh,
@@ -696,35 +688,29 @@ class Workspace:
         if new_rows:
             fresh.setdefault(pred, set()).update(new_rows)
 
-    def _handle_deletions(self, deleted: FactSet) -> None:
-        """Maintain ``db`` after the rows in ``deleted`` left it.
-
-        One mechanism, looped: DRed the deletion; a rule that thereby left
-        ``active`` is dropped, and the rows it derives in one step from the
-        fixpoint (an aggregate's whole head: its stratum is recomputed
-        anyway) leave ``db`` and are the next ``deleted``, over the rules
-        that remain, which re-derive what they still support.  An asserted
-        row stays, but is re-examined with the rest for its proofs' sake.
-
-        The transaction's fresh rows, which nothing is derived from yet,
-        stand aside meanwhile: under a negation one would hide a row the
-        dropped rule had derived, and DRed would record proofs from it.
-        """
-        for pred, rows in self._txn_fresh.items():
+    @contextmanager
+    def _aside(self, fresh: FactSet):
+        """Take ``fresh`` (nothing is derived from it yet) out of ``db``:
+        under a negation a fresh row would hide a row a dropped rule had
+        derived, and DRed would record proofs from it."""
+        for pred, rows in fresh.items():
             reset_rows(self.db, pred, rows, ())
-        while deleted:
-            propagate_deletions(self._current_strata(), self.db, self.context,
-                                deleted, edb_facts=self._edb_facts,
-                                provenance=self.provenance, stats=self.stats)
-            gone = self._activated.keys() - self._active_now()
-            if not gone:
-                break
-            self._log_rebind("_activated")
-            self._activated = dict(self._activated)
-            dropped = [rule for ref in gone for rule in self._activated.pop(ref)]
-            self._strata = None
+        yield
+        for pred, rows in fresh.items():
+            self.db.rel(pred).add_rows(rows)
+
+    def _drop(self, gone: set, fresh: FactSet) -> FactSet:
+        """Drop the rules of ``gone`` and return the next pass's
+        deletions: the rows they derive in one step (an aggregate's whole
+        head), taken out of ``db`` — an asserted one stays, re-examined
+        for its proofs' sake — for the remaining rules to re-derive."""
+        self._log_rebind("_activated")
+        self._activated = dict(self._activated)
+        dropped = [rule for ref in gone for rule in self._activated.pop(ref)]
+        self._strata = None
+        deleted: FactSet = {}
+        with self._aside(fresh):
             # Every dropped rule first: one's rows may support another's.
-            deleted = {}
             for rule in dropped:
                 pred = rule.head.pred
                 rows = self.db.rel(pred).rows
@@ -736,8 +722,7 @@ class Workspace:
             for pred, rows in deleted.items():
                 reset_rows(self.db, pred, rows, self._edb_facts(pred),
                            self.provenance)
-        for pred, rows in self._txn_fresh.items():
-            self.db.rel(pred).add_rows(rows)
+        return deleted
 
     # ------------------------------------------------------------------
 

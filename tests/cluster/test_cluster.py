@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.cluster import Cluster, ClusterNode, Partitioner
+from repro.cluster.launch import _build_cluster_job, cluster_spec
 from repro.datalog.database import TermInterner
 from repro.datalog.errors import ClusterError
 
@@ -175,6 +176,32 @@ class TestGuards:
             cluster.assert_fact("p", (1,), at="nowhere")
         with pytest.raises(ClusterError):
             cluster.node("nowhere")
+
+    @pytest.mark.parametrize("fact", [(2, 3, 4), (5,)])
+    def test_a_fact_of_the_wrong_arity_is_refused(self, fact):
+        cluster = reach_cluster(2, vertices=0)
+        cluster.assert_fact("edge", (1, 2))
+        with pytest.raises(ClusterError, match="arity 2"):
+            cluster.assert_fact("edge", fact)
+        cluster.run()
+        assert cluster.tuples("edge") == {(1, 2)}
+        assert cluster.tuples("reach") == {(1, 2)}
+
+    def test_a_launched_shard_refuses_a_fact_of_the_wrong_arity(self):
+        spec = cluster_spec(["n0", "n1"], [["hash", "edge", 0]],
+                            REACHABILITY, facts=[("edge", (1, 2, 3))])
+        with pytest.raises(ClusterError, match="arity 2"):
+            _build_cluster_job(spec, "n0")
+
+    def test_a_refused_load_teaches_the_catalog_nothing(self):
+        names = ["n0", "n1"]
+        partitioner = Partitioner(names)
+        partitioner.hash_partition("p", column=0)
+        cluster = Cluster(names, partitioner=partitioner)
+        with pytest.raises(ClusterError):
+            cluster.load("bad(X) <- q(X), !p(X).")
+        cluster.assert_fact("q", (1, 2))
+        assert "bad" not in cluster.catalog
 
     def test_single_node_cluster_never_messages(self):
         cluster = reach_cluster(1)

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.cluster.quiescence import TicketLedger
+from repro.datalog.errors import ClusterError
+from repro.net.transport import encode_batch_message_dict
 
 
 class TestTicketLedger:
@@ -34,7 +37,7 @@ class TestTicketLedger:
         ledger = TicketLedger()
         ledger.issue(0)
         ledger.retire(0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ClusterError):
             ledger.retire(0)
 
     def test_convergence_clock_is_last_productive_round(self):
@@ -69,13 +72,13 @@ class TestRoundVectors:
         # a's slot is drained; a duplicate of a's message must be loud
         # even though b's ticket legitimately keeps outstanding() > 0 —
         # a single global counter pair would have masked this.
-        with pytest.raises(AssertionError):
+        with pytest.raises(ClusterError):
             ledger.retire(0, sender="a")
 
     def test_retire_against_wrong_round_is_loud(self):
         ledger = TicketLedger()
         ledger.issue(3, sender="a")
-        with pytest.raises(AssertionError):
+        with pytest.raises(ClusterError):
             ledger.retire(4, sender="a")
 
     def test_retire_guarded_ignores_foreign_traffic(self):
@@ -106,6 +109,17 @@ class TestRoundVectors:
         assert ledger.outstanding_of("a", round_stamp=1) == 0
         ledger.retire(0, sender="a")
         assert ledger.outstanding_of("a") == 1
+
+    def test_an_unticketed_envelope_in_a_cluster_run_is_a_cluster_error(self):
+        """A batch no batcher ticketed, injected into a strict cluster's
+        network, is a transport fault the run names."""
+        cluster = Cluster(2)
+        cluster.load("tc0: reach(X,Y) <- edge(X,Y).")
+        cluster.network.send("node0", "node1", encode_batch_message_dict(
+            [("", "reach", (9, 9))], cluster.registry, round_stamp=3))
+        with pytest.raises(ClusterError, match=(
+                "ticket ledger: sender 'node0' round 3 retired 1 > issued 0")):
+            cluster.run()
 
 
 class TestQuiescenceProperty:
@@ -166,7 +180,7 @@ class TestQuiescenceProperty:
         for sender, stamp in order:
             ledger.retire(stamp, sender=sender)
         duplicate = rng.choice(sends)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ClusterError):
             ledger.retire(duplicate[1], sender=duplicate[0])
         # and the guarded form refuses silently instead
         assert ledger.retire_guarded(duplicate[1],

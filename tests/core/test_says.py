@@ -44,6 +44,41 @@ class TestSays1:
         assert workspace.tuples("note") == {("self",)}
 
 
+class TestRevocation:
+    @pytest.mark.parametrize("provenance", [False, True])
+    def test_revoking_the_speaker_drops_what_it_said(self, make_system,
+                                                     provenance):
+        """bob activates what is said to him unless its speaker is revoked;
+        ``revoked("alice")`` is an insertion, and it must take alice's
+        rule out of bob's context as a retraction would."""
+        system = make_system("plaintext", enable_provenance=provenance)
+        alice = system.create_principal("alice")
+        bob = system.create_principal("bob")
+        bob.load("trust: active(R) <- says(U,me,R), !revoked(U).\n"
+                 "ok(X) <- good(X).")
+        bob.workspace.deactivate_rule(bob.intern(SAYS1))
+        said = alice.says(bob, 'good("carol").')
+        system.run()
+
+        def assert_equals_fresh():
+            fresh = Workspace("fresh", registry=system.registry,
+                              builtins=system.make_builtins(),
+                              enable_provenance=provenance)
+            with fresh.transaction():
+                for pred, held in sorted(bob.workspace.edb.items()):
+                    fresh.assert_facts(pred, held)
+            assert fresh.active_refs() == bob.workspace.active_refs()
+            assert fresh.tuples("ok") == bob.tuples("ok")
+
+        assert said in bob.workspace.active_refs()
+        assert bob.tuples("ok") == {("carol",)}
+        assert_equals_fresh()
+        bob.assert_fact("revoked", ("alice",))
+        assert said not in bob.workspace.active_refs()
+        assert bob.tuples("ok") == set()
+        assert_equals_fresh()
+
+
 class TestExp2:
     def test_export_to_me_becomes_says(self):
         registry = RuleRegistry()
