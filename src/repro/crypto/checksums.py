@@ -1,44 +1,18 @@
-"""Integrity primitives: CRC-32 (from scratch) and hash helpers.
+"""Integrity primitives: CRC-32 and SHA-256 over the standard library.
 
 The paper mentions integrity support "such as checksums and cryptographic
-hashes" (section 4.1.3).  CRC-32 is implemented table-driven from the
-reflected polynomial 0xEDB88320 and tested against :func:`zlib.crc32`;
-the hash helpers are thin, typed wrappers over hashlib used by the
-confidentiality/integrity builtins.
+hashes" (section 4.1.3): the ``checksum`` and ``sha256hash`` builtins.
+:func:`crc32` is :func:`zlib.crc32` (IEEE 802.3, the one the
+partitioner hashes with).
 """
 
 from __future__ import annotations
 
 import hashlib
+from zlib import crc32
 
-
-def _build_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ 0xEDB88320
-            else:
-                crc >>= 1
-        table.append(crc)
-    return table
-
-
-_TABLE = _build_table()
-
-
-def crc32(data: bytes, value: int = 0) -> int:
-    """CRC-32 (IEEE 802.3), compatible with ``zlib.crc32``."""
-    crc = value ^ 0xFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+__all__ = ["crc32", "sha256_hex"]
 
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def sha1_hex(data: bytes) -> str:
-    return hashlib.sha1(data).hexdigest()

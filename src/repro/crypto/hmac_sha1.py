@@ -1,54 +1,28 @@
-"""HMAC-SHA1 built from the HMAC construction (RFC 2104).
+"""HMAC-SHA1 (RFC 2104) over the standard library.
 
 The paper's alternative `says` scheme signs each message with "a 160-bit
 SHA-1 cryptographic hash of the message data and a secret key shared
-between the two communicating principals".  We implement the HMAC
-construction ourselves — ``H((K ^ opad) || H((K ^ ipad) || m))`` — over a
-pluggable SHA-1 core: :mod:`hashlib`'s by default, or the from-scratch
-:mod:`repro.crypto.sha1` when ``pure=True``.  RFC 2202 test vectors are
-checked in the test-suite, as is equality with the stdlib ``hmac`` module
-on random inputs.
+between the two communicating principals".  That is HMAC-SHA1: the tag
+comes from :mod:`hmac` over :mod:`hashlib`'s SHA-1, and verification
+compares tags with :func:`hmac.compare_digest` (no early exit).  RFC 2202
+test vectors are checked in the test-suite.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
-
-from .sha1 import sha1 as _pure_sha1
-
-_BLOCK_SIZE = 64  # SHA-1 block size in bytes
+import hmac
 
 
-def _hashlib_sha1(message: bytes) -> bytes:
-    return hashlib.sha1(message).digest()
-
-
-def hmac_sha1(key: bytes, message: bytes, pure: bool = False) -> bytes:
+def hmac_sha1(key: bytes, message: bytes) -> bytes:
     """The 20-byte HMAC-SHA1 tag of ``message`` under ``key``."""
-    core: Callable[[bytes], bytes] = _pure_sha1 if pure else _hashlib_sha1
-    if len(key) > _BLOCK_SIZE:
-        key = core(key)
-    key = key.ljust(_BLOCK_SIZE, b"\x00")
-    ipad = bytes(b ^ 0x36 for b in key)
-    opad = bytes(b ^ 0x5C for b in key)
-    return core(opad + core(ipad + message))
+    return hmac.new(key, message, hashlib.sha1).digest()
 
 
-def hmac_sha1_hex(key: bytes, message: bytes, pure: bool = False) -> str:
-    return hmac_sha1(key, message, pure).hex()
+def hmac_sha1_hex(key: bytes, message: bytes) -> str:
+    return hmac.new(key, message, hashlib.sha1).hexdigest()
 
 
-def constant_time_equal(left: bytes, right: bytes) -> bool:
-    """Compare two tags without early exit (timing-safe verification)."""
-    if len(left) != len(right):
-        return False
-    diff = 0
-    for a, b in zip(left, right):
-        diff |= a ^ b
-    return diff == 0
-
-
-def verify_hmac_sha1(key: bytes, message: bytes, tag: bytes,
-                     pure: bool = False) -> bool:
-    return constant_time_equal(hmac_sha1(key, message, pure), tag)
+def verify_hmac_sha1(key: bytes, message: bytes, tag: bytes) -> bool:
+    return hmac.compare_digest(
+        hmac.new(key, message, hashlib.sha1).digest(), tag)

@@ -142,4 +142,4 @@ def _plan(plan_cache: dict, analyses: dict, alternative: tuple,
     if not all(relations):
         return None
     return banded_plan(plan_cache, (alternative, shape), analysis, relations,
-                       context, initially_bound=shape)
+                       context, db.interner, initially_bound=shape)

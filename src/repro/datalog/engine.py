@@ -14,12 +14,13 @@ that execution model:
 ``changed``, ``inserted``, ``added``, ``removed``, what ``edb_facts(pred)``
 hands back — is a :data:`FactSet` of *id rows* over ``db.interner``.  A
 value is interned exactly once, where it enters (a host's assert, a wire
-dictionary, a head constant, an aggregate result), and materialized only
-where it leaves (``tuples()`` / query answers, provenance records,
-builtins and comparisons).  Row sets are adopted, never copied: a callee
-must not mutate a set it was handed (:func:`merge_rows`).  The one
-distribution hook is ``EvalContext.remote_emit_rows``, consulted in
-:func:`eval_stratum`'s merge with each rule application's fresh rows.
+dictionary, a plan's constants when it compiles, an aggregate result),
+and materialized only where it leaves (``tuples()`` / query answers,
+provenance records, builtins and comparisons).  Row sets are adopted,
+never copied: a callee must not mutate a set it was handed
+(:func:`merge_rows`).  The one distribution hook is
+``EvalContext.remote_emit_rows``, consulted in :func:`eval_stratum`'s
+merge with each rule application's fresh rows.
 
 Rules entering the engine are *normalized*: single head, ``me`` resolved,
 body quotes already compiled away by the meta layer (heads may still carry
@@ -74,9 +75,10 @@ class EngineRule:
     running over :func:`~repro.datalog.runtime.positive_preds` of the
     body.  It is *compiled* once per distinct order: a band change that
     re-derives an order the rule already has caches the same
-    :class:`~repro.datalog.runtime.Plan` under the new signature.  Plans
-    never refer to a database (constants resolve per walk), so a rule
-    object — plans included — outlives the database it was planned over.
+    :class:`~repro.datalog.runtime.Plan` under the new signature.  A plan
+    is compiled for the interner of the database it is planned over (its
+    constants are ids there, ``FlatPlan.terms``): a rule object outlives
+    that database, and planned over another interner it plans again.
 
     Everything cached here is per *head*: ``normalize_rules`` gives every
     head of a multi-head rule the same body tuple, but a compiled plan
@@ -124,20 +126,18 @@ class EngineRule:
         return None if self._analysis is None else self._analysis.preds
 
     def plan(self, context: EvalContext, delta_position: Optional[int],
-             db: Optional[Database] = None,
-             stats: Optional["EvalStats"] = None,
+             db: Database, stats: Optional["EvalStats"] = None,
              relations: Optional[list] = None) -> Plan:
-        """The body's plan with ``delta_position`` leading, for the live
-        sizes of ``db`` — or of ``relations``, when the caller already
-        holds them (:meth:`live_relations`)."""
+        """The body's plan over ``db`` with ``delta_position`` leading, for
+        the live sizes of ``db`` — or of ``relations``, when the caller
+        already holds them (:meth:`live_relations`)."""
         analysis = self.analysis(context.builtins)
-        if relations is None and db is not None:
+        if relations is None:
             relations = body_relations(analysis.preds, db)
         return banded_plan(self._plans, delta_position, analysis, relations,
-                           context, stats, first=delta_position)
+                           context, db.interner, stats, first=delta_position)
 
-    def head_bound_plan(self, context: EvalContext,
-                        db: Optional[Database] = None,
+    def head_bound_plan(self, context: EvalContext, db: Database,
                         stats: Optional["EvalStats"] = None) -> Optional[Plan]:
         """The plan that runs the body with the head bound to given rows.
 
@@ -168,9 +168,8 @@ class EngineRule:
             # the plans are banded over the body's relations alone.
             analysis.preds = self.analysis(context.builtins).preds
         return banded_plan(
-            self._plans, "head", analysis,
-            None if db is None else body_relations(analysis.preds, db),
-            context, stats, first=0)
+            self._plans, "head", analysis, body_relations(analysis.preds, db),
+            context, db.interner, stats, first=0)
 
     def evict_shrunk_plans(self, db: Database,
                            shrunk: Iterable[str]) -> int:
@@ -487,8 +486,7 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
     relations = rule.live_relations(db, context)
     if relations is None:
         return set()
-    plan = rule.plan(context, delta_position, stats=stats,
-                     relations=relations)
+    plan = rule.plan(context, delta_position, db, stats, relations)
     produced: set = set()
     if known_rows is None:
         known_rows = db.rel(rule.head.pred).rows
@@ -508,23 +506,25 @@ def derive_rows(rule: EngineRule, flat: FlatPlan, db: Database,
 
     Every solution's head row (over ``db.interner``) lands in ``produced``
     unless it is in ``known_rows`` or already produced; returns the
-    number of firings.  Head constants are interned per call, never baked
-    into the cached plan — plans are shared across databases with
-    different interners.  An all-variable/constant head without
+    number of firings.  The head's id template is built once per plan
+    (``flat.head_spec``): its constants are interned into the plan's id
+    space, like the body's.  An all-variable/constant head without
     provenance is emitted inline by :func:`run_flat`; a computed head
     term (quote template, expression) or a provenance store takes the
     walker's callback leaf, which builds the same row from the registers
     and records the matched body facts.
     """
-    interner = db.interner
-    intern = interner.intern
     if flat.head_spec is None:
-        spec = compile_head(rule.head, flat.slot_of)
+        intern_constant = flat.terms.intern
+        spec = tuple([
+            (kind, intern_constant(payload) if kind == HEAD_CONST
+             else payload)
+            for kind, payload in compile_head(rule.head, flat.slot_of)])
         flat.head_spec = (
             spec, any(kind == HEAD_COMPUTED for kind, _ in spec))
-    spec, computed = flat.head_spec
-    id_spec = tuple([(kind, intern(payload) if kind == HEAD_CONST else payload)
-                     for kind, payload in spec])
+    id_spec, computed = flat.head_spec
+    interner = db.interner
+    intern = interner.intern
     on_solution: Optional[Callable] = None
     if computed or provenance is not None:
         values = interner.values

@@ -214,10 +214,12 @@ def _has_free_const_expr(term: Term, bound: set) -> bool:
 #: that shape, and because the entry holds the normalized
 #: :class:`EngineRule` objects, their band-keyed join-plan caches carry
 #: across queries too: repeated point lookups stop replanning entirely
-#: (the band in the key reacts if the EDB's cardinality moves).  Keys
-#: use object identities; entries hold strong references to the source
-#: rules so an identity can never be recycled while its entry lives, and
-#: the FIFO bound keeps abandoned rule lists from accumulating.
+#: (the band in the key reacts if the EDB's cardinality moves).  A plan
+#: is compiled for one database's interner, so a query over a database
+#: with another interner plans again (``banded_plan`` counts that a
+#: miss).  Keys use object identities; entries hold strong references to
+#: the source rules so an identity can never be recycled while its entry
+#: lives, and the FIFO bound keeps abandoned rule lists from accumulating.
 _PROGRAM_CACHE: dict = {}
 MAX_CACHED_PROGRAMS = 32
 

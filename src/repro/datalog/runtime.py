@@ -18,14 +18,15 @@ counts, 10x selective as the statistics-free fallback), falling back to
 the greedy most-bound-columns heuristic otherwise; ties always break the
 greedy way, so plans only change when cardinalities actually justify it.
 
-Plans are *compiled*: variables live in numbered registers holding
-interned term ids, and scheduling decides once, per step, which argument
-positions are index-probe keys, which bind fresh registers, and which
-need an intra-tuple equality check, so the per-row inner loop does no
-term classification at all.  Variables the caller binds up front
-(:attr:`Plan.assumes` — e.g. a constraint's LHS witness seeding its RHS
-probe) get the first registers; :func:`solve` falls back to building a
-fresh plan when handed bindings with a different shape.
+Plans are *compiled* for one id space: variables live in numbered
+registers holding interned term ids, constants are interned into the
+same interner when the plan compiles, and scheduling decides once, per
+step, which argument positions are index-probe keys, which bind fresh
+registers, and which need an intra-tuple equality check, so the per-row
+inner loop does no term classification at all.  Variables the caller
+binds up front (:attr:`Plan.assumes` — e.g. a constraint's LHS witness
+seeding its RHS probe) get the first registers; :func:`solve` falls back
+to building a fresh plan when handed bindings with a different shape.
 
 Planning costs what it decides: a conjunction is *analysed* once per
 owner (:class:`BodyAnalysis`), *ordered* once per cardinality-band
@@ -45,7 +46,7 @@ from .builtins import (
     invoke_builtin,
     standard_registry,
 )
-from .database import Database, Relation
+from .database import Database, Relation, TermInterner
 from .errors import BuiltinError, SafetyError
 from .terms import (
     Atom,
@@ -220,13 +221,12 @@ class _LiteralStep:
     """Compiled positive/negated literal: a precomputed access path.
 
     ``key_positions`` are the argument positions probed through the
-    relation index.  Probe keys carry constants as *values* (``key_const``
-    for a fully constant key, else ``const_fills`` into ``key_template``):
-    compiled plans are cached per rule and reused across databases with
-    different interners, so constants resolve to ids per :func:`run_flat`
-    call, never at compile time.  ``var_fills`` copy bound registers into
-    the template and ``eval_fills`` compute expression/quote-valued key
-    columns; ``single_var`` short-circuits the hottest shape — a
+    relation index.  Constants are interned into the plan's id space
+    (``terms``) when the step compiles: ``key_const`` is the probe key of
+    a fully constant key (a bare id for one column), else
+    ``key_template`` holds the constant ids, ``var_fills`` copy bound
+    registers into it and ``eval_fills`` compute expression/quote-valued
+    key columns.  ``single_var`` short-circuits the hottest shape — a
     single-column key filled from one register — to a bare id with no
     template copy.  ``free`` binds first-occurrence variables from the
     matched row into fresh registers; ``checks`` are intra-tuple
@@ -236,10 +236,11 @@ class _LiteralStep:
     kind = 0
 
     __slots__ = ("index", "pred", "negated", "arity", "key_positions",
-                 "key_single", "key_const", "key_template", "const_fills",
-                 "var_fills", "eval_fills", "single_var", "free", "checks")
+                 "key_single", "key_const", "key_template", "var_fills",
+                 "eval_fills", "single_var", "free", "checks")
 
-    def __init__(self, index: int, item: Literal, slot_of: dict) -> None:
+    def __init__(self, index: int, item: Literal, slot_of: dict,
+                 terms: TermInterner) -> None:
         atom = item.atom
         args = atom.all_args
         self.index = index
@@ -248,7 +249,6 @@ class _LiteralStep:
         self.arity = len(args)
         key_positions: list[int] = []
         template: list = []
-        const_fills: list = []
         var_fills: list = []
         eval_fills: list = []
         free: list = []
@@ -268,8 +268,7 @@ class _LiteralStep:
                     free.append((position, name))
             elif isinstance(term, Constant):
                 key_positions.append(position)
-                const_fills.append((len(template), term.value))
-                template.append(term.value)
+                template.append(terms.intern(term.value))
             else:
                 key_positions.append(position)
                 eval_fills.append(
@@ -282,15 +281,11 @@ class _LiteralStep:
         self.eval_fills = tuple(eval_fills)
         if var_fills or eval_fills:
             self.key_const = None
-            self.const_fills = tuple(const_fills)
         else:
-            self.key_const = tuple(template)
-            self.const_fills = ()
+            self.key_const = template[0] if self.key_single \
+                else tuple(template)
         self.single_var = (
-            var_fills[0][1]
-            if (self.key_single and len(var_fills) == 1
-                and not eval_fills and not const_fills)
-            else None)
+            var_fills[0][1] if self.key_single and var_fills else None)
         # Fresh registers are allocated only after the whole literal is
         # classified (so ``p(X, X)`` is a check, not a probe on itself);
         # a negation is existential — no bindings escape it.
@@ -379,27 +374,30 @@ class FlatPlan:
     compiles: literals, comparisons ('=' assignment included), builtin
     calls, and expression- or quote-valued literal keys.  Values are
     materialized only where semantics demand them: ordered comparisons,
-    arithmetic, builtin invocation and quote instantiation.
+    arithmetic, builtin invocation and quote instantiation.  ``terms`` is
+    the id space the plan was compiled for: its constants are ids there.
     """
 
-    __slots__ = ("steps", "nslots", "slot_of", "head_spec", "supports",
-                 "join2")
+    __slots__ = ("steps", "nslots", "slot_of", "terms", "head_spec",
+                 "supports", "join2")
 
-    def __init__(self, steps: tuple, slot_of: dict) -> None:
+    def __init__(self, steps: tuple, slot_of: dict,
+                 terms: TermInterner) -> None:
         self.steps = steps
         self.nslots = len(slot_of)
         self.slot_of = slot_of
+        self.terms = terms
         #: lazily cached by the engine for the owning rule: the head's
-        #: ``(compile_head template, has-computed-term)`` and, under
-        #: provenance, the positive body atoms' templates
+        #: ``(id template, has-computed-term)`` and, under provenance, the
+        #: positive body atoms' :func:`compile_head` templates
         self.head_spec = None
         self.supports = None
         self.join2 = None      # lazily compiled by run_flat (False: no)
 
 
 #: :func:`compile_head` entry kinds: a constant *value* / a register / a
-#: computed term (getter).  The first two coincide with the
-#: ``(is_slot, payload)`` pairs of :func:`run_flat`'s ``id_spec``.
+#: computed term (getter).  With the constant interned, the first two are
+#: the ``(is_slot, payload)`` pairs of :func:`run_flat`'s ``id_spec``.
 HEAD_CONST, HEAD_SLOT, HEAD_COMPUTED = 0, 1, 2
 
 
@@ -430,20 +428,13 @@ def compile_head(atom: Atom, slot_of: dict) -> tuple:
     return tuple(spec)
 
 
-#: run_flat's "this probe key mentions a value no relation has ever seen"
-#: marker: the literal matches nothing (and a negation trivially holds).
-_KEY_MISS = object()
-
 #: Per-call literal-step access tags (see the prepare pass in
 #: :func:`run_flat`): full scan of the source rows / prefetched constant
-#: bucket / single-register index probe / templated index probe / probe
-#: key mentions an unknown constant (counts, matches nothing) / positive
-#: literal with no delta source (dead, uncounted) / negated literal with
-#: no delta source (vacuously true, uncounted).
-_P_SCAN, _P_BUCKET, _P_PROBE_SV, _P_PROBE_FILL, _P_MISS, _P_DEAD, _P_SKIP = \
-    range(7)
+#: bucket / single-register index probe / templated index probe /
+#: positive literal with no delta source (dead, uncounted) / negated
+#: literal with no delta source (vacuously true, uncounted).
+_P_SCAN, _P_BUCKET, _P_PROBE_SV, _P_PROBE_FILL, _P_DEAD, _P_SKIP = range(6)
 
-_MISS_ENTRY = (_P_MISS, None, None)
 _DEAD_ENTRY = (_P_DEAD, None, None)
 _SKIP_ENTRY = (_P_SKIP, None, None)
 
@@ -457,7 +448,7 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
 
     There are two leaves.  By default every solution instantiates
     ``id_spec`` — the head template in id terms: ``(True, slot)`` for a
-    register, ``(False, id)`` for an already-interned constant — and the
+    register, ``(False, id)`` for a constant — and the
     row lands in ``produced`` unless it is already in ``head_rows`` or
     ``produced`` (rule-application dedup, inlined here so no per-solution
     callback frame exists).  With ``on_solution`` the walker instead
@@ -468,16 +459,13 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
     walker.  ``seed`` binds the plan's :attr:`Plan.assumes` variables
     before the first step.
 
-    A prepare pass resolves each literal step per call — never at
-    compile time, since plans are cached per rule and shared across
-    databases with different interners: the delta-vs-database source,
-    probe-key constants through the non-creating ``id_of`` (a constant
-    the interner has never seen cannot match any stored row, so the
-    literal short-circuits to empty without growing the table), and the
-    hash index itself via :meth:`Relation.index_for` — so index traffic
-    is counted once per walk, while probes bind a plain ``dict.get``.
-    ``literal_scans`` counts every literal step executed, ``full_scans``
-    those with no bound column, ``id_joins`` every indexed id-space probe.
+    The plan was compiled for ``db.interner`` (its constants are ids
+    there), so a prepare pass only picks each literal step's source —
+    the delta or the database relation — and its hash index via
+    :meth:`Relation.index_for`: index traffic is counted once per walk,
+    while probes bind a plain ``dict.get``.  ``literal_scans`` counts
+    every literal step executed, ``full_scans`` those with no bound
+    column, ``id_joins`` every indexed id-space probe.
     """
     steps = flat.steps
     nsteps = len(steps)
@@ -491,16 +479,14 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
     # positive, check-free literals joined through a single-column index
     # on a register the first literal binds (transitive closure, and most
     # EDB joins, compile to exactly this).  The shape analysis is cached
-    # on the plan; only interner-dependent state (sources, key ids, the
-    # index) resolves per call.
+    # on the plan; only the sources and the index resolve per call.
     if nsteps == 2 and on_solution is None:
         join2 = flat.join2
         if join2 is None:
             join2 = flat.join2 = _compile_join2(steps, id_spec)
         if join2 is not False:
-            return _run_flat_join2(join2, steps, db, id_of, delta,
-                                   delta_position, id_spec, head_rows,
-                                   produced, stats)
+            return _run_flat_join2(join2, steps, db, delta, delta_position,
+                                   head_rows, produced, stats)
 
     prepared: list = [None] * nsteps
     for number, step in enumerate(steps):
@@ -517,33 +503,15 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
         positions = step.key_positions
         if not positions:
             prepared[number] = (_P_SCAN, source.rows, None)
-            continue
-        const_key = step.key_const
-        if const_key is not None:
-            if step.key_single:
-                key = id_of(const_key[0], _KEY_MISS)
-            else:
-                resolved = tuple(id_of(v, _KEY_MISS) for v in const_key)
-                key = _KEY_MISS if _KEY_MISS in resolved else resolved
-            if key is _KEY_MISS:
-                prepared[number] = _MISS_ENTRY
-            else:
-                prepared[number] = (
-                    _P_BUCKET, source.index_for(positions).get(key, ()), None)
-            continue
-        if step.single_var is not None:
+        elif step.key_const is not None:
+            prepared[number] = (_P_BUCKET, source.index_for(positions).get(
+                step.key_const, ()), None)
+        elif step.single_var is not None:
             prepared[number] = (_P_PROBE_SV, source.index_for(positions).get,
                                 step.single_var)
-            continue
-        base = step.key_template.copy()
-        for template_slot, value in step.const_fills:
-            resolved_id = id_of(value)
-            if resolved_id is None:
-                base = None
-                break
-            base[template_slot] = resolved_id
-        prepared[number] = _MISS_ENTRY if base is None else (
-            _P_PROBE_FILL, source.index_for(positions).get, base)
+        else:
+            prepared[number] = (_P_PROBE_FILL, source.index_for(positions).get,
+                                step.key_template)
 
     registers = flat.nslots * [None]
     if seed:
@@ -644,11 +612,6 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
                     filled[0] if step.key_single else tuple(filled))
                 if candidates is None:
                     candidates = ()
-        elif tag == _P_MISS:
-            if stats is not None:
-                stats.literal_scans += 1
-                stats.id_joins += 1
-            candidates = ()
         elif tag == _P_SKIP:
             run(number + 1)
             return
@@ -721,11 +684,10 @@ def _compile_join2(steps: tuple, id_spec: tuple):
     index on a register the first binds.  Returns ``(key0_pos,
     emit_struct, simple)`` — ``key0_pos`` is the outer-row column feeding
     the probe; ``emit_struct`` entries are ``(0, pos)``/``(1, pos)``
-    (head term from the outer/probed row) or ``(2, spec_index)`` (an
-    interned head constant, resolved from the caller's ``id_spec`` so
-    nothing database-specific is cached here — ``id_spec``'s *structure*
-    is fixed per plan); ``simple`` is ``(left_pos, right_pos)`` for the
-    dominant one-term-from-each-side binary head, else None.
+    (head term from the outer/probed row) or ``(2, id)`` (a head
+    constant, from the plan's ``id_spec``); ``simple`` is ``(mirrored,
+    left_pos, right_pos)`` for the dominant one-term-from-each-side
+    binary head, else None.
     """
     step0, step1 = steps
     if not (step0.kind == 0 and step1.kind == 0
@@ -740,9 +702,9 @@ def _compile_join2(steps: tuple, id_spec: tuple):
         return False
     reg1 = {register: position for position, register in step1.free}
     emit_struct = []
-    for spec_index, (is_slot, payload) in enumerate(id_spec):
+    for is_slot, payload in id_spec:
         if not is_slot:
-            emit_struct.append((2, spec_index))
+            emit_struct.append((2, payload))
         elif payload in reg1:
             emit_struct.append((1, reg1[payload]))
         elif payload in reg0:
@@ -759,8 +721,8 @@ def _compile_join2(steps: tuple, id_spec: tuple):
     return key0_pos, tuple(emit_struct), simple
 
 
-def _run_flat_join2(join2: tuple, steps: tuple, db: Database, id_of,
-                    delta, delta_position, id_spec: tuple,
+def _run_flat_join2(join2: tuple, steps: tuple, db: Database,
+                    delta, delta_position,
                     head_rows: set, produced: set, stats) -> int:
     """The two-literal id-join inner loop (see :func:`run_flat`).
 
@@ -782,19 +744,9 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database, id_of,
     else:
         source1 = db.rel(step1.pred)
     positions0 = step0.key_positions
-    if positions0:
-        const_key = step0.key_const
-        if step0.key_single:
-            key = id_of(const_key[0], _KEY_MISS)
-        else:
-            resolved = tuple(id_of(v, _KEY_MISS) for v in const_key)
-            key = _KEY_MISS if _KEY_MISS in resolved else resolved
-        scan0 = False
-        rows0 = () if key is _KEY_MISS \
-            else source0.index_for(positions0).get(key, ())
-    else:
-        scan0 = True
-        rows0 = source0.rows
+    scan0 = not positions0
+    rows0 = source0.rows if scan0 \
+        else source0.index_for(positions0).get(step0.key_const, ())
     if source1 is None:
         # Dead inner literal: the outer literal still executed once.
         if stats is not None:
@@ -849,9 +801,6 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database, id_of,
                         continue
                     produced.add(out)
     else:
-        emit_plan = tuple(
-            (2, id_spec[payload][1]) if src == 2 else (src, payload)
-            for src, payload in emit_struct)
         for row0 in rows0:
             if len(row0) != arity0:
                 continue
@@ -865,7 +814,7 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database, id_of,
                 fired += 1
                 out = tuple([row0[p] if s == 0 else
                              row1[p] if s == 1 else p
-                             for s, p in emit_plan])
+                             for s, p in emit_struct])
                 if out in head_rows or out in produced:
                     continue
                 produced.add(out)
@@ -1199,12 +1148,13 @@ def order_body(analysis: BodyAnalysis,
 
 
 def _compile_order(analysis: BodyAnalysis, initially_bound: frozenset,
-                   order: tuple) -> FlatPlan:
+                   order: tuple, terms: TermInterner) -> FlatPlan:
     """The register program of ``order``: planning's third lifetime.
 
     A pure function of the items, the initially-bound set (those
-    variables get the first registers) and the order — live sizes only
-    ever reach it through the order they produced.
+    variables get the first registers), the order — live sizes only
+    ever reach it through the order they produced — and the id space
+    ``terms`` its constants are interned into.
     """
     items = analysis.items
     builtin_defs = analysis.builtin_defs
@@ -1216,15 +1166,16 @@ def _compile_order(analysis: BodyAnalysis, initially_bound: frozenset,
     for index in order:
         item = items[index]
         if isinstance(item, Literal):
-            steps.append(_LiteralStep(index, item, slot_of))
+            steps.append(_LiteralStep(index, item, slot_of, terms))
         elif isinstance(item, Comparison):
             steps.append(_CompareStep(item, slot_of))
         else:
             steps.append(_BuiltinStep(item, builtin_defs[index], slot_of))
-    return FlatPlan(tuple(steps), slot_of)
+    return FlatPlan(tuple(steps), slot_of, terms)
 
 
-def build_plan(items: tuple, initially_bound: frozenset = frozenset(),
+def build_plan(items: tuple, terms: TermInterner,
+               initially_bound: frozenset = frozenset(),
                first: Optional[int] = None,
                builtins: Optional[BuiltinRegistry] = None,
                sizes: Optional[dict] = None,
@@ -1232,10 +1183,11 @@ def build_plan(items: tuple, initially_bound: frozenset = frozenset(),
                built: Iterable[Plan] = ()) -> Plan:
     """Order ``items`` for evaluation and compile per-step access paths.
 
-    The one function that turns a conjunction into a :class:`Plan`, in
-    three steps with three lifetimes.  *Analyse*: ``analysis`` is the
-    caller's kept :class:`BodyAnalysis` of ``items`` (made here when the
-    caller keeps none).  *Order* (:func:`order_body`): ``first``
+    The one function that turns a conjunction into a :class:`Plan` for
+    the id space ``terms`` (the interner of the database it will run
+    over), in three steps with three lifetimes.  *Analyse*: ``analysis``
+    is the caller's kept :class:`BodyAnalysis` of ``items`` (made here
+    when the caller keeps none).  *Order* (:func:`order_body`): ``first``
     optionally forces one positive literal to the front (the semi-naive
     delta position); ``sizes`` maps positive body predicates to their
     live :class:`Relation` objects (or plain cardinalities) — when
@@ -1244,26 +1196,27 @@ def build_plan(items: tuple, initially_bound: frozenset = frozenset(),
     available, instead of bound-variable count alone.  *Compile*: only
     for an order not compiled before — ``built`` are plans the caller
     still holds, and one built from this same ``analysis`` and
-    ``initially_bound`` in this same order *is* the plan (the register
-    program depends on nothing else), so it is returned as it stands.
-    Raises :class:`SafetyError` when some item can never have its inputs
-    bound (unsafe rule).
+    ``initially_bound`` in this same order for this same ``terms`` *is*
+    the plan (the register program depends on nothing else), so it is
+    returned as it stands.  Raises :class:`SafetyError` when some item
+    can never have its inputs bound (unsafe rule).
     """
     if analysis is None:
         analysis = BodyAnalysis(items, builtins)
     order, reordered = order_body(analysis, initially_bound, first, sizes)
     for plan in built:
         if (plan.analysis is analysis and plan.order == order
-                and plan.assumes == initially_bound):
+                and plan.assumes == initially_bound
+                and plan.flat().terms is terms):
             return plan
     return Plan(tuple((i, items[i]) for i in order),
-                _compile_order(analysis, initially_bound, order),
+                _compile_order(analysis, initially_bound, order, terms),
                 frozenset(initially_bound), reordered, order, analysis)
 
 
 def banded_plan(cache: dict, key, analysis: BodyAnalysis,
                 relations: Optional[list], context: EvalContext,
-                stats: Any = None,
+                terms: TermInterner, stats: Any = None,
                 initially_bound: frozenset = frozenset(),
                 first: Optional[int] = None) -> Plan:
     """The plan for an analysed conjunction, served from a band-keyed
@@ -1288,6 +1241,9 @@ def banded_plan(cache: dict, key, analysis: BodyAnalysis,
     still in ``cache`` has that order; a band change that re-derives an
     order caches the plan it already has under the new signature.  The
     compiled programs so live and die with the cache that bounds them.
+    A plan is compiled for one id space: a cached plan whose constants
+    are ids of another ``terms`` than the caller's (a rule list
+    evaluated over a second database) is a miss.
     Accounts ``plans_built`` (orderings run) / ``plans_compiled`` (those
     that had to compile) / ``reorder_wins`` / ``plan_cache_hits`` /
     ``plans_evicted`` to ``stats`` (default: ``context.stats``).
@@ -1303,9 +1259,12 @@ def banded_plan(cache: dict, key, analysis: BodyAnalysis,
             bands = signature
     full_key = (key, bands)
     plan = cache.get(full_key)
+    if plan is not None and plan.flat().terms is not terms:
+        del cache[full_key]
+        plan = None
     if plan is None:
         held = cache.values()
-        plan = build_plan(analysis.items, initially_bound, first,
+        plan = build_plan(analysis.items, terms, initially_bound, first,
                           context.builtins,
                           {pred: relation or 0 for pred, relation
                            in zip(analysis.preds, relations)} if bands
@@ -1363,10 +1322,11 @@ def _usable_plan(items: tuple, db: Database, context: EvalContext,
                  seed: Bindings, plan: Optional[Plan],
                  first: Optional[int]) -> Plan:
     """``plan`` if its compiled binding assumptions match ``seed``, else
-    a fresh cost-based plan built from the live relation sizes."""
+    a fresh cost-based plan built from the live relation sizes (which
+    interns the conjunction's constants into ``db.interner``)."""
     if plan is not None and plan.assumes == seed.keys():
         return plan
-    plan = build_plan(items, frozenset(seed), first=first,
+    plan = build_plan(items, db.interner, frozenset(seed), first=first,
                       builtins=context.builtins,
                       sizes=relation_sizes(items, db))
     _count_build(context.stats, plan, True)

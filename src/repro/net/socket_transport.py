@@ -170,20 +170,21 @@ class SocketNetwork:
         """Write one length-prefixed frame on the ``src -> dst`` link.
 
         ``at`` is accepted for interface parity with the simulated
-        network and ignored: a socket cannot send in the past.
+        network and ignored: a socket cannot send in the past.  A link
+        that cannot be opened or written raises :class:`NetworkError`.
         """
         self._check_node(src)
         self._check_node(dst)
         if src in self._remote:
             raise NetworkError(f"cannot send as remote node {src!r}")
-        conn = self._outgoing.get((src, dst))
-        if conn is None:
-            conn = socket.create_connection(self._addresses[dst],
-                                            timeout=self.delivery_timeout)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.settimeout(self.delivery_timeout)
-            self._outgoing[(src, dst)] = conn
         try:
+            conn = self._outgoing.get((src, dst))
+            if conn is None:
+                conn = socket.create_connection(self._addresses[dst],
+                                                timeout=self.delivery_timeout)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                conn.settimeout(self.delivery_timeout)
+                self._outgoing[(src, dst)] = conn
             conn.sendall(_pack_frame(src, dst, payload))
         except OSError as exc:
             raise NetworkError(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import traceback
 from typing import Optional
 
-from ..datalog.errors import ReproError, ServeError
+from ..datalog.errors import NetworkError, ReproError, ServeError
 from ..net.transport import (
     decode_request_frame,
     decode_value,
@@ -74,8 +74,10 @@ class TrustServer:
         when the frame did not decode that far.  Every failure — decoding
         included — of a frame whose request id can be recovered travels
         back as an ``ok=False`` reply naming the error class; a frame with
-        no recoverable id has nobody to answer and is dropped and counted
-        in ``frames_dropped``.  One hostile frame must not stop the server.
+        no recoverable id has nobody to answer, and a reply the network
+        cannot deliver (a caller advertising a dead address) has nobody
+        to reach: both are dropped and counted in ``frames_dropped``.
+        One hostile frame must not stop the server.
         """
         op = None
         try:
@@ -91,8 +93,12 @@ class TrustServer:
                 self.last_unexpected_error = traceback.format_exc()
             frame = encode_reply_frame(request_id, False, {},
                                        f"{type(exc).__name__}: {exc}")
-        self.network.send(self.node, src, frame)
-        self.requests_served += 1
+        try:
+            self.network.send(self.node, src, frame)
+        except NetworkError:
+            self.frames_dropped += 1
+        else:
+            self.requests_served += 1
         return op
 
     def serve_forever(self, max_requests: Optional[int] = None) -> int:
@@ -174,10 +180,15 @@ class TrustServer:
 
     def _op_hello(self, src: str, body: dict) -> dict:
         """Register the caller; a socket client advertises its listener so
-        replies can be routed back (the cluster rendezvous idiom)."""
+        replies can be routed back (the cluster rendezvous idiom).  A
+        ``port`` that is not an integer in 1..65535 is refused before
+        anything is registered."""
         host = body.get("host")
         port = body.get("port")
-        if isinstance(host, str) and isinstance(port, int) \
+        if port is not None and (type(port) is not int
+                                 or not 0 < port < 65536):
+            raise ServeError("hello needs port, an integer in 1..65535")
+        if isinstance(host, str) and port is not None \
                 and hasattr(self.network, "add_remote") \
                 and src not in self.network.nodes():
             self.network.add_remote(src, host, port)

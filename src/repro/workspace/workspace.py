@@ -341,7 +341,10 @@ class Workspace:
 
         Accepts anything a rule body accepts (negation, comparisons,
         quotes, disjunction).  Returns a list of variable bindings,
-        anonymous variables omitted; duplicates are collapsed.
+        anonymous variables omitted; duplicates are collapsed.  The body
+        is planned like a rule's, so its constants are interned into the
+        system's id space, as a :meth:`load` interns a rule's (a
+        :meth:`point_query` interns nothing).
         """
         text = source.rstrip().rstrip(".")
         statements = parse_statements(f"queryresult() <- {text}.")

@@ -1,4 +1,4 @@
-"""SHA-1 (from scratch), HMAC-SHA1 (RFC 2202), CRC-32, stream cipher."""
+"""HMAC-SHA1 (RFC 2202), CRC-32, hash helpers, stream cipher."""
 
 import hashlib
 import hmac as stdlib_hmac
@@ -7,42 +7,14 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.checksums import crc32, sha1_hex, sha256_hex
+from repro.crypto.checksums import crc32, sha256_hex
 from repro.crypto.hmac_sha1 import (
-    constant_time_equal,
     hmac_sha1,
     hmac_sha1_hex,
     verify_hmac_sha1,
 )
-from repro.crypto.sha1 import sha1
 from repro.crypto import stream
 from repro.datalog.errors import CryptoError
-
-
-class TestPureSHA1:
-    # FIPS 180 / well-known vectors
-    VECTORS = [
-        (b"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
-        (b"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"),
-        (b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-         "84983e441c3bd26ebaae4aa1f95129e5e54670f1"),
-        (b"a" * 1000, "291e9a6c66994949b57ba5e650361e98fc36b1ba"),
-    ]
-
-    @pytest.mark.parametrize("message,expected", VECTORS)
-    def test_vectors(self, message, expected):
-        assert sha1(message).hex() == expected
-
-    @given(st.binary(min_size=0, max_size=300))
-    @settings(max_examples=150, deadline=None)
-    def test_property_matches_hashlib(self, message):
-        assert sha1(message) == hashlib.sha1(message).digest()
-
-    def test_block_boundaries(self):
-        # padding edge cases: 55, 56, 63, 64, 65 bytes
-        for length in (55, 56, 63, 64, 65, 119, 120):
-            message = bytes(range(256))[:length] * 1
-            assert sha1(message) == hashlib.sha1(message).digest()
 
 
 class TestHMACSHA1:
@@ -59,7 +31,6 @@ class TestHMACSHA1:
     @pytest.mark.parametrize("key,message,expected", RFC2202)
     def test_rfc_2202_vectors(self, key, message, expected):
         assert hmac_sha1_hex(key, message) == expected
-        assert hmac_sha1_hex(key, message, pure=True) == expected
 
     @given(st.binary(min_size=0, max_size=100), st.binary(min_size=0, max_size=200))
     @settings(max_examples=100, deadline=None)
@@ -67,21 +38,12 @@ class TestHMACSHA1:
         expected = stdlib_hmac.new(key, message, hashlib.sha1).digest()
         assert hmac_sha1(key, message) == expected
 
-    @given(st.binary(min_size=0, max_size=80), st.binary(min_size=0, max_size=80))
-    @settings(max_examples=30, deadline=None)
-    def test_property_pure_core_agrees(self, key, message):
-        assert hmac_sha1(key, message, pure=True) == hmac_sha1(key, message)
-
     def test_verify(self):
         tag = hmac_sha1(b"key", b"msg")
         assert verify_hmac_sha1(b"key", b"msg", tag)
         assert not verify_hmac_sha1(b"key", b"msg!", tag)
         assert not verify_hmac_sha1(b"yek", b"msg", tag)
-
-    def test_constant_time_equal(self):
-        assert constant_time_equal(b"abc", b"abc")
-        assert not constant_time_equal(b"abc", b"abd")
-        assert not constant_time_equal(b"abc", b"ab")
+        assert not verify_hmac_sha1(b"key", b"msg", tag[:-1])
 
 
 class TestCRC32:
@@ -100,7 +62,6 @@ class TestCRC32:
 
     def test_hash_helpers(self):
         assert sha256_hex(b"x") == hashlib.sha256(b"x").hexdigest()
-        assert sha1_hex(b"x") == hashlib.sha1(b"x").hexdigest()
 
 
 class TestStreamCipher:

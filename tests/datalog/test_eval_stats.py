@@ -97,20 +97,26 @@ class TestExactCounts:
         assert stats.intern_hits == 0
         assert stats.value_materializations == 0
 
-    def test_head_constants_intern_once_per_application(self):
-        rules = [s for s in parse_statements("flagged: r(X, flag) <- e(X,Y).")
-                 if isinstance(s, Rule)]
-        db = Database()
-        for i in range(3):
-            db.add("e", (i, i + 1))
-        stats = EvalStats()
-        evaluate(rules, db, EvalContext(stats=stats), stats=stats)
-        # the head constant is resolved through the interner when the
-        # rule's id spec is built — one application, one fresh term
-        assert stats.terms_interned == 1
-        assert stats.intern_hits == 0
-        assert stats.value_materializations == 0
-        assert db.tuples("r") == {(i, "flag") for i in range(3)}
+    def test_head_constants_intern_once_per_plan(self):
+        rules = [s for s in parse_statements(
+            'base: r(X,Y,"hop") <- e(X,Y). '
+            'step: r(X,Z,"hop") <- r(X,Y,T), e(Y,Z).') if isinstance(s, Rule)]
+        for n in (6, 10):
+            db = Database()
+            for i in range(n):
+                db.add("e", (i, i + 1))
+            stats = EvalStats()
+            evaluate(rules, db, EvalContext(stats=stats), stats=stats)
+            # "hop" is interned when each of the two plans compiles
+            # (base's; step's, which its delta position reuses — same
+            # order): one fresh term and one hit however many rounds
+            # apply ``step`` (it was one hit per application, n in all,
+            # while the head's id template was built per call)
+            assert stats.rounds == n - 1
+            assert (stats.terms_interned, stats.intern_hits) == (1, 1)
+            assert stats.value_materializations == 0
+            assert db.tuples("r") == {(i, j, "hop") for i in range(n + 1)
+                                      for j in range(i + 1, n + 1)}
 
 
 class TestPlannerCounters:
@@ -307,7 +313,7 @@ class TestPlanningCostsWhatItDecides:
 
         def served():
             quiet = EvalContext(stats=EvalStats())
-            return rule.plan(quiet, None, db=db)
+            return rule.plan(quiet, None, db)
 
         grow("p", 10), grow("q", 10)
         evaluate([rule], db, context, stats=stats)

@@ -21,10 +21,12 @@ from repro.datalog.engine import (
     normalize_rules,
 )
 from repro.datalog.errors import SafetyError
-from repro.datalog.parser import parse_statements
+from repro.datalog.magic import query_magic
+from repro.datalog.parser import parse_atom, parse_statements
 from repro.datalog.runtime import (
     EvalContext,
     FlatPlan,
+    build_plan,
     satisfiable,
     solve,
 )
@@ -223,3 +225,91 @@ class TestUnboundHead:
         db = Database()
         with pytest.raises(SafetyError, match="not bound at join time"):
             list(solve(rule.body, db, EvalContext()))
+
+
+def two_id_spaces(facts):
+    """Two databases holding ``facts`` whose interners number every value
+    differently: the second interns some padding first."""
+    first, second = Database(), Database()
+    for pad in range(7):
+        second.add("pad", (f"pad{pad}",))
+    for db in (first, second):
+        for pred, row in facts:
+            db.add(pred, row)
+    assert first.interner.ids["on"] != second.interner.ids["on"]
+    return first, second
+
+
+class TestOnePlanOneIdSpace:
+    """A plan is compiled for the interner of the database it is planned
+    over: one rule list evaluated over two id spaces plans once per id
+    space and reaches each database's own fixpoint."""
+
+    FACTS = [("edge", ("a", "b", "on")), ("edge", ("b", "c", "on")),
+             ("edge", ("c", "d", "off"))]
+    SOURCE = ('reach(X, Y, "via") <- edge(X, Y, "on"). '
+              'reach(X, Z, "via") <- reach(X, Y, "via"), edge(Y, Z, "on").')
+    ANSWERS = {("a", "b", "via"), ("a", "c", "via"), ("b", "c", "via")}
+
+    def test_engine_rules_over_two_databases(self):
+        rules = normalize_rules(rules_of(self.SOURCE))
+        for db in two_id_spaces(self.FACTS):
+            evaluate(rules, db)
+            assert db.tuples("reach") == self.ANSWERS
+
+    def test_one_magic_program_over_two_databases(self):
+        rules = rules_of(self.SOURCE)
+        for db in two_id_spaces(self.FACTS):
+            assert query_magic(rules, db, parse_atom('reach("a", Y, T)')) \
+                == {("a", "b", "via"), ("a", "c", "via")}
+
+
+class TestConstantNoRowCarries:
+    """A constant no row has ever carried becomes an id when its plan
+    compiles: a positive literal on it matches nothing, and its negation
+    holds — on every access path a constant reaches."""
+
+    def db(self):
+        db = Database()
+        for row in [("a", "b"), ("b", "c")]:
+            db.add("e", row)
+        return db
+
+    def plan(self, source, db):
+        (rule,) = rules_of(source)
+        return rule.body, build_plan(rule.body, db.interner)
+
+    def test_constant_bucket(self):
+        db = self.db()
+        body, plan = self.plan('h(Y) <- e("ghost", Y).', db)
+        (step,) = plan.flat().steps
+        assert step.key_const == db.interner.ids["ghost"]
+        assert list(solve(body, db, EvalContext(), plan=plan)) == []
+        body, plan = self.plan('h(X) <- e(X, Y), !e("ghost", Z).', db)
+        (negation,) = [step for step in plan.flat().steps if step.negated]
+        assert negation.key_const == db.interner.ids["ghost"]
+        assert {s["X"] for s in solve(body, db, EvalContext(), plan=plan)} \
+            == {"a", "b"}
+
+    def test_template_probe(self):
+        db = self.db()
+        for source, answers in [('h(X) <- e(X, Y), e(X, "ghost").', set()),
+                                ('h(X) <- e(X, Y), !e(X, "ghost").',
+                                 {"a", "b"})]:
+            body, plan = self.plan(source, db)
+            probe = plan.flat().steps[1]
+            assert probe.key_const is None and probe.single_var is None
+            assert probe.key_template[1] == db.interner.ids["ghost"]
+            assert {s["X"] for s in solve(body, db, EvalContext(),
+                                          plan=plan)} == answers
+
+    def test_outer_literal_of_the_two_literal_join(self):
+        db = self.db()
+        (rule,) = normalize_rules(
+            rules_of('h(X, Z) <- e("ghost", X), e(X, Z).'))
+        stats = EvalStats()
+        evaluate([rule], db, EvalContext(stats=stats), stats=stats)
+        (plan,) = rule._plans.values()
+        assert plan.flat().join2       # the fast join ran, no general walk
+        assert db.tuples("h") == set()
+        assert stats.literal_scans == 1 and stats.id_joins == 1

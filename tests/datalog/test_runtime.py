@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog.builtins import standard_registry
-from repro.datalog.database import Database
+from repro.datalog.database import Database, TermInterner
 from repro.datalog.errors import BuiltinError, SafetyError
 from repro.datalog.parser import parse_statements, parse_term
 from repro.datalog.runtime import (
@@ -114,14 +114,14 @@ class TestMatchLiteral:
 class TestBuildPlan:
     def test_filters_scheduled_after_binding(self):
         body = body_of("h(X) <- big(X), X > 3, small(X).")
-        plan = build_plan(body, builtins=standard_registry())
+        plan = build_plan(body, TermInterner(), builtins=standard_registry())
         kinds = [type(item).__name__ for _, item in plan.steps]
         # the comparison runs immediately after the first literal binds X
         assert kinds == ["Literal", "Comparison", "Literal"]
 
     def test_negation_deferred_until_shared_vars_bound(self):
         body = body_of("h(X) <- v(X), !w(X,Y), u(Y).")
-        plan = build_plan(body, builtins=standard_registry())
+        plan = build_plan(body, TermInterner(), builtins=standard_registry())
         order = [item for _, item in plan.steps]
         negated_index = next(i for i, item in enumerate(order)
                              if isinstance(item, Literal) and item.negated)
@@ -131,12 +131,13 @@ class TestBuildPlan:
 
     def test_delta_position_comes_first(self):
         body = body_of("h(X,Z) <- a(X,Y), b(Y,Z).")
-        plan = build_plan(body, first=1, builtins=standard_registry())
+        plan = build_plan(body, TermInterner(), first=1,
+                          builtins=standard_registry())
         assert plan.steps[0][0] == 1
 
     def test_builtin_waits_for_inputs(self):
         body = compiled_body("h(X,N) <- strlen(X,N), v(X).")
-        plan = build_plan(body, builtins=standard_registry())
+        plan = build_plan(body, TermInterner(), builtins=standard_registry())
         order = [item for _, item in plan.steps]
         assert isinstance(order[0], Literal)       # v(X) first binds X
         assert isinstance(order[1], BuiltinCall)
@@ -144,17 +145,18 @@ class TestBuildPlan:
     def test_unknown_builtin_rejected(self):
         body = (BuiltinCall("nosuch", (Variable("X"),)),)
         with pytest.raises(SafetyError):
-            build_plan(body, builtins=standard_registry())
+            build_plan(body, TermInterner(), builtins=standard_registry())
 
     def test_unschedulable_raises(self):
         body = (Comparison(">", Variable("X"), Constant(1)),)
         with pytest.raises(SafetyError):
-            build_plan(body, builtins=standard_registry())
+            build_plan(body, TermInterner(), builtins=standard_registry())
 
 
 class TestCostBasedPlan:
     def plan_order(self, body, sizes):
-        plan = build_plan(body, builtins=standard_registry(), sizes=sizes)
+        plan = build_plan(body, TermInterner(),
+                          builtins=standard_registry(), sizes=sizes)
         return [item.atom.pred for _, item in plan.steps
                 if isinstance(item, Literal)], plan
 
@@ -186,7 +188,8 @@ class TestCostBasedPlan:
 
     def test_delta_position_still_forced_first(self):
         body = body_of("h(X,Z) <- a(X,Y), b(Y,Z).")
-        plan = build_plan(body, first=1, builtins=standard_registry(),
+        plan = build_plan(body, TermInterner(), first=1,
+                          builtins=standard_registry(),
                           sizes={"a": 100000, "b": 3})
         assert plan.steps[0][0] == 1
 
@@ -216,7 +219,7 @@ class TestPlanReuse:
         db.add("p", ("a",))
         db.add("p", ("b",))
         body = body_of("h(X) <- p(X).")
-        plan = build_plan(body, frozenset({"X"}),
+        plan = build_plan(body, db.interner, frozenset({"X"}),
                           builtins=standard_registry())
         # Reusing a plan compiled for bound X with unbound bindings must
         # fall back to a fresh plan, not misread the binding shape.
@@ -227,7 +230,7 @@ class TestPlanReuse:
         db = Database()
         db.add("p", ("a",))
         body = body_of("h(X) <- p(X).")
-        plan = build_plan(body, frozenset({"X"}),
+        plan = build_plan(body, db.interner, frozenset({"X"}),
                           builtins=standard_registry())
         results = list(solve(body, db, EvalContext(),
                              bindings={"X": "a"}, plan=plan))
@@ -235,17 +238,17 @@ class TestPlanReuse:
 
     def test_flat_compilation_covers_pure_literal_bodies(self):
         body = body_of("h(X,Z) <- a(X,Y), b(Y,Z), !c(X).")
-        plan = build_plan(body, builtins=standard_registry())
+        plan = build_plan(body, TermInterner(), builtins=standard_registry())
         assert plan.flat() is not None
 
     def test_flat_compilation_covers_filters(self):
         body = body_of("h(X) <- a(X), X > 3.")
-        plan = build_plan(body, builtins=standard_registry())
+        plan = build_plan(body, TermInterner(), builtins=standard_registry())
         assert plan.flat() is not None
 
     def test_flat_compilation_covers_assignment_and_builtins(self):
         body = compiled_body("h(Y,N) <- p(X,S), Y = X + 1, strlen(S,N).")
-        plan = build_plan(body, builtins=standard_registry())
+        plan = build_plan(body, TermInterner(), builtins=standard_registry())
         flat = plan.flat()
         assert flat is not None
         assert {"X", "S", "Y", "N"} <= set(flat.slot_of)
@@ -255,11 +258,11 @@ class TestPlanReuse:
         # only the pattern variables bound at that step (here: none — X is
         # first bound by this very literal) and asks the meta registry.
         body = body_of("h(X) <- says(X, [| q(X). |]).")
-        plan = build_plan(body, builtins=standard_registry())
-        (step,) = plan.flat().steps
-        assert step.key_positions == (1,) and len(step.eval_fills) == 1
         db = Database()
         db.add("says", ("alice", "the-rule"))
+        plan = build_plan(body, db.interner, builtins=standard_registry())
+        (step,) = plan.flat().steps
+        assert step.key_positions == (1,) and len(step.eval_fills) == 1
         seen = []
 
         def instantiate(quote, bindings):
@@ -272,7 +275,7 @@ class TestPlanReuse:
 
     def test_flat_compilation_covers_caller_bindings(self):
         body = body_of("h(Y) <- p(X,Y), Y > 1.")
-        plan = build_plan(body, frozenset({"X"}),
+        plan = build_plan(body, TermInterner(), frozenset({"X"}),
                           builtins=standard_registry())
         flat = plan.flat()
         assert flat.slot_of["X"] == 0          # seeds take the first slots

@@ -9,7 +9,9 @@ network and over real TCP sockets.
 """
 
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.core.system import LBTrustSystem
 from repro.datalog.errors import ServeError
 from repro.net.network import SimulatedNetwork
 from repro.net.socket_transport import SocketNetwork
-from repro.net.transport import decode_reply_frame
+from repro.net.transport import decode_reply_frame, encode_request_frame
 from repro.serve import SERVE_OPS, ServeClient, ServeRouter, TrustServer
 
 POLICY = """
@@ -211,6 +213,19 @@ class TestProtocol:
         assert harness.server.last_unexpected_error == ""
         assert isinstance(client.ping(), float)
 
+    @pytest.mark.parametrize("port", [True, 0, 70000, "80"])
+    def test_hello_refuses_a_malformed_port(self, harness, port):
+        # Regression: True, 0 and 70000 passed isinstance(port, int), so a
+        # stranger's hello registered an address no reply could reach.
+        client = harness.client("c1")
+        nodes = harness.network.nodes()
+        with pytest.raises(ServeError, match="^ServeError: .*port"):
+            client.call("hello", {"client": "c1", "host": "127.0.0.1",
+                                  "port": port})
+        assert harness.network.nodes() == nodes
+        assert harness.server.last_unexpected_error == ""
+        assert isinstance(client.ping(), float)
+
     def test_stats_reports_the_systems_id_space(self, harness):
         client = harness.client("c1")
         reply = client.call("stats", {"principal": "srv"})
@@ -262,6 +277,35 @@ class TestProtocol:
         assert set(SERVE_OPS) == {"hello", "ping", "assert", "retract",
                                   "load", "query", "sync", "stats",
                                   "shutdown"}
+
+
+def test_a_hello_advertising_a_dead_port_does_not_stop_the_server():
+    # Regression: the reply to this hello raised ConnectionRefusedError
+    # out of handle() and ended serve_forever; the next client got no
+    # answer.  The undeliverable reply is now dropped and counted.
+    harness = ServeHarness("socket")
+    try:
+        client = harness.client("c1")
+        with socket.socket() as probe:     # a port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            dead_port = probe.getsockname()[1]
+        hostile = SocketNetwork()
+        harness._client_nets.append(hostile)
+        hostile.add_node("mallory")
+        hostile.add_remote("server", "127.0.0.1",
+                           harness.network.port_of("server"))
+        hostile.send("mallory", "server", encode_request_frame(
+            1, "hello", {"host": "127.0.0.1", "port": dead_port}))
+        deadline = time.monotonic() + 10.0
+        while (harness.server.frames_dropped == 0
+               and harness.thread.is_alive()
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert harness.thread.is_alive()
+        assert harness.server.frames_dropped == 1
+        assert isinstance(client.ping(), float)
+    finally:
+        harness.close()
 
 
 class TestRouter:
