@@ -59,7 +59,7 @@ def eval_strategies(case, strategy, graph, size):
     db = chain_db(size) if graph == "chain" else grid_db(size)
     context = EvalContext(stats=case.stats)
     with case.measure():
-        evaluator(RULES, db, context, stats=case.stats)
+        evaluator(RULES, db, context)
     case.record(closure_size=len(db.tuples("r")))
 
 

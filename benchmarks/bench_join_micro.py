@@ -153,7 +153,7 @@ def join_micro(case, mode, n, selectivity):
         db = loaded_db(left, right)
         context = EvalContext(stats=case.stats)
         with case.measure():
-            evaluate(RULES, db, context, stats=case.stats)
+            evaluate(RULES, db, context)
         out_size = len(db.tuples("out"))
     else:  # pragma: no cover - registry passes only the params above
         raise ValueError(f"unknown mode {mode!r}")

@@ -62,8 +62,7 @@ def magic_point_query(case, strategy, relevant, irrelevant):
     db = make_db(relevant, irrelevant)
     with case.measure():
         if strategy == "bottomup":
-            evaluate(RULES, db, EvalContext(stats=case.stats),
-                     stats=case.stats)
+            evaluate(RULES, db, EvalContext(stats=case.stats))
             answers = {t for t in db.tuples("r") if t[0] == "q0"}
         elif strategy == "magic":
             answers = query_magic(RULES, db, QUERY)

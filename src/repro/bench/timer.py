@@ -23,21 +23,20 @@ from .registry import BenchError, Workload
 class BenchCase:
     """Handed to each workload invocation: the timed region and metrics.
 
-    Two ways to get engine counters into the artifact:
+    Engine counters reach the artifact one way, through the
+    ``EvalContext.stats`` the engine was handed:
 
-    * thread ``case.stats`` into direct engine calls
-      (``evaluate(..., stats=case.stats)`` /
-      ``EvalContext(stats=case.stats)``);
-    * for workloads driving long-lived accumulators (a ``Workspace`` or
-      an ``LBTrustSystem``'s principals), call ``case.watch(ws.stats)``
-      during setup — after the run, each watched accumulator's *delta*
-      since the watch point is merged into ``case.stats``, so setup work
-      is excluded.
+    * direct engine calls take ``EvalContext(stats=case.stats)``;
+    * a long-lived host (a ``Workspace``, an ``LBTrustSystem``'s
+      principals) counts into its own context's ``stats``: call
+      ``case.watch(ws.stats)`` during setup — after the run, each watched
+      accumulator's *delta* since the watch point is merged into
+      ``case.stats``, so setup work is excluded.
 
     Index build/hit counters route to the innermost installed sink: the
-    engine installs its own ``stats`` per stratum pass, so for workspace
-    workloads those counters arrive via ``watch()``, not the ambient
-    capture around the measured region.
+    engine installs its context's ``stats`` per stratum pass, so for
+    workspace workloads those counters arrive via ``watch()``, not the
+    ambient capture around the measured region.
     """
 
     def __init__(self, params: dict) -> None:
@@ -107,7 +106,7 @@ def _one_call(workload: Workload, params: dict) -> BenchCase:
     # Ambient index capture is installed by case.measure() only, so
     # untimed setup lookups stay out of the recorded engine counters;
     # workloads that never open a measured region get whole-call timing
-    # but must thread case.stats explicitly for counters.
+    # but must hand case.stats to their EvalContext for counters.
     case = BenchCase(params)
     started = perf_counter()
     result = workload.func(case, **params)

@@ -46,7 +46,6 @@ from ..datalog.builtins import BuiltinRegistry, standard_registry
 from ..datalog.database import Database, TermInterner
 from ..datalog.engine import (
     EngineRule,
-    EvalStats,
     FactSet,
     eval_stratum,
     propagate_insertions,
@@ -79,7 +78,6 @@ class ClusterNode:
         self.base: FactSet = {}
         self.rules: list[EngineRule] = []
         self.strata: list = []
-        self.stats = EvalStats()
         #: id rows awaiting exchange: destination -> pred -> set
         self.outbox: dict[str, dict[str, set]] = {}
         #: id rows already queued, same shape as the outbox — a
@@ -106,9 +104,9 @@ class ClusterNode:
         # single-node id-space path.
         self.context = EvalContext(
             builtins=builtins if builtins is not None else standard_registry(),
-            stats=self.stats,
             remote_emit_rows=self._emit_rows if self._peers else None,
         )
+        self.stats = self.context.stats
 
     # ------------------------------------------------------------------
     # Program / EDB loading
@@ -187,8 +185,7 @@ class ClusterNode:
         """Run the full local fixpoint over the seeded shard."""
         new_facts = 0
         for stratum in self.strata:
-            added = eval_stratum(stratum, self.db, self.context,
-                                 stats=self.stats)
+            added = eval_stratum(stratum, self.db, self.context)
             new_facts += sum(len(rows) for rows in added.values())
         return new_facts
 
@@ -225,7 +222,7 @@ class ClusterNode:
         if fresh:
             added = propagate_insertions(
                 self.strata, self.db, self.context, fresh,
-                edb_facts=self._edb_facts, stats=self.stats)
+                edb_facts=self._edb_facts)
             count += sum(len(rows) for rows in added.values())
         return count
 

@@ -35,7 +35,7 @@ from typing import Any, Iterable, Iterator, Optional
 from .errors import IndexIntegrityError, TransactionError
 
 #: When set, an object with integer counter attributes (an
-#: :class:`repro.datalog.engine.EvalStats`) that the storage layer
+#: :class:`repro.datalog.stats.EvalStats`) that the storage layer
 #: increments: ``index_builds``/``index_hits`` on :meth:`Relation` index
 #: activity, ``terms_interned``/``intern_hits`` on :class:`TermInterner`
 #: traffic, and ``value_materializations`` on id-row → value-tuple

@@ -30,13 +30,12 @@ through ``context.instantiate_quote``).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, ClassVar, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .builtins import BuiltinRegistry
-from .database import Database, Journal, Relation, set_index_stats
+from .database import Database, Journal, Relation
 from .errors import SafetyError
 from .runtime import (
     HEAD_COMPUTED,
@@ -54,6 +53,7 @@ from .runtime import (
     run_flat,
     solve,
 )
+from .stats import EvalStats, StratumStats  # noqa: F401 - re-exported
 from .stratify import Stratum, stratify
 from .terms import Aggregate, Atom, Constant, Literal, Rule, Variable
 
@@ -126,8 +126,7 @@ class EngineRule:
         return None if self._analysis is None else self._analysis.preds
 
     def plan(self, context: EvalContext, delta_position: Optional[int],
-             db: Database, stats: Optional["EvalStats"] = None,
-             relations: Optional[list] = None) -> Plan:
+             db: Database, relations: Optional[list] = None) -> Plan:
         """The body's plan over ``db`` with ``delta_position`` leading, for
         the live sizes of ``db`` — or of ``relations``, when the caller
         already holds them (:meth:`live_relations`)."""
@@ -135,10 +134,10 @@ class EngineRule:
         if relations is None:
             relations = body_relations(analysis.preds, db)
         return banded_plan(self._plans, delta_position, analysis, relations,
-                           context, db.interner, stats, first=delta_position)
+                           context, db.interner, first=delta_position)
 
-    def head_bound_plan(self, context: EvalContext, db: Database,
-                        stats: Optional["EvalStats"] = None) -> Optional[Plan]:
+    def head_bound_plan(self, context: EvalContext,
+                        db: Database) -> Optional[Plan]:
         """The plan that runs the body with the head bound to given rows.
 
         DRed re-derivation asks "which of these candidate head rows does
@@ -169,7 +168,7 @@ class EngineRule:
             analysis.preds = self.analysis(context.builtins).preds
         return banded_plan(
             self._plans, "head", analysis, body_relations(analysis.preds, db),
-            context, db.interner, stats, first=0)
+            context, db.interner, first=0)
 
     def evict_shrunk_plans(self, db: Database,
                            shrunk: Iterable[str]) -> int:
@@ -275,192 +274,6 @@ class ProvenanceStore:
         return self.derivations.get((pred, fact), frozenset())
 
 
-@dataclass
-class StratumStats:
-    """One :func:`eval_stratum` pass, as seen by the benchmark harness.
-
-    ``delta_sizes[i]`` is the number of delta facts consumed by semi-naive
-    iteration ``i`` (the initial seed delta included — on the incremental
-    path the seed is drained by the initial pass, which counts as the
-    first iteration here), so the shape of the fixpoint — how fast the
-    frontier drains — is visible, not just its total cost.  ``rounds``
-    always equals ``len(delta_sizes)``.
-    """
-
-    number: int
-    rounds: int = 0
-    new_facts: int = 0
-    elapsed: float = 0.0
-    delta_sizes: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "stratum": self.number,
-            "rounds": self.rounds,
-            "new_facts": self.new_facts,
-            "elapsed": self.elapsed,
-            "delta_sizes": list(self.delta_sizes),
-        }
-
-
-@dataclass
-class EvalStats:
-    """Counters describing evaluation work (recorded by benchmarks).
-
-    Beyond the aggregate counters, an instance carries:
-
-    * ``rule_firings`` — head tuples produced per rule, keyed by the rule's
-      label (falling back to the head predicate for unlabeled rules);
-    * ``strata`` — a bounded trail of :class:`StratumStats` records, one
-      per :func:`eval_stratum` pass (oldest dropped beyond ``MAX_STRATA``
-      so long-lived accumulators like ``Workspace.stats`` stay small);
-    * ``index_builds`` / ``index_hits`` — :meth:`Relation.lookup` activity
-      while this instance is installed via :meth:`capture_indexes` (the
-      engine installs it for the duration of each stratum pass);
-    * ``terms_interned`` / ``intern_hits`` — :class:`TermInterner` traffic
-      while installed: new ids allocated vs values already interned;
-    * ``id_joins`` — indexed id-space probes issued by the join walker
-      (:func:`repro.datalog.runtime.run_flat`), i.e. joins that never
-      touched a boxed value.  Every body evaluation runs on that walker,
-      so this covers constraint LHS/RHS probes, DRed over-deletion,
-      aggregate bodies, ``Workspace.query`` and provenance-recording
-      runs too, not only plain rule application;
-    * ``value_materializations`` — id rows (or whole relations' worth of
-      rows, counted per row) converted back to boxed value tuples at an
-      output boundary: ``Relation.tuples`` / ``lookup`` reads;
-    * ``literal_scans`` / ``full_scans`` — positive-literal matches issued
-      by the join core, and how many of those had no bound column and had
-      to scan the whole relation;
-    * ``plans_built`` / ``plan_cache_hits`` — plan requests that had to
-      order the body (a band signature seen for the first time) vs
-      served from a band-keyed plan cache (a rule's, or a workspace's
-      constraint plans — resolved once per constraint alternative per
-      check, not once per witness).  A rule application that cannot fire
-      (an empty positive body relation) requests no plan and counts as
-      neither;
-    * ``plans_compiled`` — the orderings among ``plans_built`` that also
-      compiled a register program; the rest re-derived an order whose
-      plan was still cached and serve that;
-    * ``reorder_wins`` — built plans where the cardinality cost model
-      chose a different positive-literal order than the boundness-greedy
-      baseline would have;
-    * ``column_stats_built`` — per-column distinct-count computations that
-      had to scan (:meth:`Relation.distinct_count` cache misses without a
-      usable single-column index);
-    * ``remote_emissions`` — derived facts diverted to a remote owner by a
-      cluster delta-exchange hook instead of being asserted locally;
-    * ``plans_evicted`` — cached plans dropped, either because a body
-      relation's cardinality band fell (deletion-heavy maintenance would
-      otherwise fill the plan cache with stale large-band entries) or by
-      a cache's FIFO bound (:func:`repro.datalog.runtime.cache_plan_bounded`);
-    * ``sent_dedup_evictions`` — cluster-node ``_sent`` dedup markers
-      cleared by the generation-tagged reset at quiescence (bounding a
-      long-running node's memory by one run's traffic);
-    * ``magic_programs_built`` / ``magic_cache_hits`` — magic-sets
-      rewrites normalized into engine rules vs served from
-      :mod:`repro.datalog.magic`'s program cache (a cache hit reuses the
-      rewrite's :class:`EngineRule` objects, so their band-keyed join
-      plans survive across ``query_magic`` calls instead of being rebuilt);
-    * ``dred_strata`` / ``strata_recomputed`` — deletion-propagation
-      strata maintained by DRed over-delete/re-derive vs recomputed from
-      their EDB (non-monotone strata take the recompute path).  The
-      online serving tests pin these: a served update must maintain
-      incrementally.  A rule leaving ``active`` is a deletion too;
-    * ``full_recomputes`` — always 0, nothing resets a workspace any
-      more: the field stays only because ``e2e_bench`` reads it.
-    """
-
-    MAX_STRATA: ClassVar[int] = 256
-
-    rounds: int = 0
-    derivations: int = 0
-    new_facts: int = 0
-    index_builds: int = 0
-    index_hits: int = 0
-    terms_interned: int = 0
-    intern_hits: int = 0
-    id_joins: int = 0
-    value_materializations: int = 0
-    literal_scans: int = 0
-    full_scans: int = 0
-    plans_built: int = 0
-    plan_cache_hits: int = 0
-    reorder_wins: int = 0
-    plans_compiled: int = 0
-    column_stats_built: int = 0
-    remote_emissions: int = 0
-    plans_evicted: int = 0
-    sent_dedup_evictions: int = 0
-    magic_programs_built: int = 0
-    magic_cache_hits: int = 0
-    dred_strata: int = 0
-    strata_recomputed: int = 0
-    full_recomputes: int = 0
-    rule_firings: dict = field(default_factory=dict)
-    strata: list = field(default_factory=list)
-
-    def fire(self, key: str, count: int = 1) -> None:
-        self.rule_firings[key] = self.rule_firings.get(key, 0) + count
-
-    def record_stratum(self, record: StratumStats) -> None:
-        self.strata.append(record)
-        if len(self.strata) > self.MAX_STRATA:
-            del self.strata[: len(self.strata) - self.MAX_STRATA]
-
-    @contextmanager
-    def capture_indexes(self) -> Iterator["EvalStats"]:
-        """Route :meth:`Relation.lookup` counters here while the block runs."""
-        previous = set_index_stats(self)
-        try:
-            yield self
-        finally:
-            set_index_stats(previous)
-
-    @classmethod
-    def counters(cls) -> list:
-        """The integer counter fields, in declaration order — the one list
-        :meth:`diff`, :meth:`merge` and :meth:`as_dict` derive from."""
-        return [f.name for f in fields(cls)
-                if f.name not in ("rule_firings", "strata")]
-
-    def copy(self) -> "EvalStats":
-        """A snapshot of the counters (used to diff around a region)."""
-        return replace(self, rule_firings=dict(self.rule_firings),
-                       strata=list(self.strata))
-
-    def diff(self, before: "EvalStats") -> "EvalStats":
-        """The work done since ``before`` (a prior :meth:`copy` of this).
-
-        Lets a benchmark attribute a long-lived accumulator's counters
-        (e.g. ``Workspace.stats``) to just its measured region.  The
-        ``strata`` tail assumes append-only growth, which holds until
-        ``MAX_STRATA`` trimming kicks in.
-        """
-        delta = EvalStats(**{name: getattr(self, name) - getattr(before, name)
-                             for name in self.counters()})
-        for key, count in self.rule_firings.items():
-            fired = count - before.rule_firings.get(key, 0)
-            if fired:
-                delta.rule_firings[key] = fired
-        delta.strata = self.strata[len(before.strata):]
-        return delta
-
-    def merge(self, other: "EvalStats") -> None:
-        for name in self.counters():
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for key, count in other.rule_firings.items():
-            self.fire(key, count)
-        for record in other.strata:
-            self.record_stratum(record)
-
-    def as_dict(self) -> dict:
-        """A JSON-safe summary (recorded into benchmark artifacts)."""
-        summary = {name: getattr(self, name) for name in self.counters()}
-        summary["rule_firings"] = dict(sorted(self.rule_firings.items()))
-        summary["strata"] = [record.as_dict() for record in self.strata]
-        return summary
-
-
 # ---------------------------------------------------------------------------
 # Rule application
 # ---------------------------------------------------------------------------
@@ -469,7 +282,6 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
                delta: Optional[dict[str, Relation]] = None,
                delta_position: Optional[int] = None,
                provenance: Optional[ProvenanceStore] = None,
-               stats: Optional[EvalStats] = None,
                known_rows=None) -> set:
     """All head rows derivable by one rule (optionally delta-restricted).
 
@@ -486,15 +298,15 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
     relations = rule.live_relations(db, context)
     if relations is None:
         return set()
-    plan = rule.plan(context, delta_position, db, stats, relations)
+    plan = rule.plan(context, delta_position, db, relations)
     produced: set = set()
     if known_rows is None:
         known_rows = db.rel(rule.head.pred).rows
     fired = derive_rows(rule, plan.flat(), db, context, delta,
                         delta_position, known_rows, produced, provenance)
-    if stats is not None and fired:
-        stats.derivations += fired
-        stats.fire(rule.label or rule.head.pred, fired)
+    if fired:
+        context.stats.derivations += fired
+        context.stats.fire(rule.label or rule.head.pred, fired)
     return produced
 
 
@@ -567,8 +379,8 @@ def _instantiate(spec: tuple, registers: list, values: list,
         for kind, payload in spec])
 
 
-def apply_aggregate_rule(rule: EngineRule, db: Database, context: EvalContext,
-                         stats: Optional[EvalStats] = None) -> set:
+def apply_aggregate_rule(rule: EngineRule, db: Database,
+                         context: EvalContext) -> set:
     """Evaluate one aggregate rule over the (complete) lower strata;
     returns the head id rows not yet present (an aggregate result is a
     value entering the database, so it is interned here).
@@ -588,7 +400,7 @@ def apply_aggregate_rule(rule: EngineRule, db: Database, context: EvalContext,
     ]
     fired = 0
     for bindings in solve(rule.body, db, context,
-                          plan=rule.plan(context, None, db=db, stats=stats)):
+                          plan=rule.plan(context, None, db=db)):
         signature = tuple(sorted(bindings.items(),
                                  key=lambda pair: pair[0]))
         if signature in seen_signatures:
@@ -602,9 +414,9 @@ def apply_aggregate_rule(rule: EngineRule, db: Database, context: EvalContext,
         )
         groups.setdefault(group_key, []).append(over_value)
         fired += 1
-    if stats is not None and fired:
-        stats.derivations += fired
-        stats.fire(rule.label or rule.head.pred, fired)
+    if fired:
+        context.stats.derivations += fired
+        context.stats.fire(rule.label or rule.head.pred, fired)
 
     produced: set = set()
     known_rows = db.rel(rule.head.pred).rows
@@ -646,15 +458,16 @@ def _aggregate(func: str, values: list):
 
 def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
                  provenance: Optional[ProvenanceStore] = None,
-                 changed: Optional[FactSet] = None,
-                 stats: Optional[EvalStats] = None) -> FactSet:
+                 changed: Optional[FactSet] = None) -> FactSet:
     """Run one stratum to fixpoint; return the rows it added.
 
     With ``changed`` (incremental mode) the first delta is seeded with the
     entries of ``changed`` the stratum reads — adopted, never copied or
-    mutated — instead of a full application of every rule.
+    mutated — instead of a full application of every rule.  Counts go
+    to ``context.stats``, which is also the storage-counter sink for the
+    pass.
     """
-    stats = stats if stats is not None else EvalStats()
+    stats = context.stats
     record = StratumStats(number=stratum.number)
     started = perf_counter()
     interner = db.interner
@@ -690,7 +503,7 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
         # 1. Aggregate rules: bodies live strictly below this stratum.
         delta: dict[str, set] = {}
         for rule in stratum.agg_rules:
-            merge(apply_aggregate_rule(rule, db, context, stats),
+            merge(apply_aggregate_rule(rule, db, context),
                   rule.head.pred, delta)
 
         # 2. The first delta: every rule applied in full, or the seed.
@@ -703,8 +516,7 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
                     delta[pred] = rows if pooled is None else pooled | rows
         else:
             for rule in stratum.rules:
-                merge(apply_rule(rule, db, context, provenance=provenance,
-                                 stats=stats),
+                merge(apply_rule(rule, db, context, provenance=provenance),
                       rule.head.pred, delta)
 
         # 3. Semi-naive rounds (the seed pass is not a ``stats`` round).
@@ -722,7 +534,7 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
                 for position in rule.positive_positions():
                     if rule.body[position].atom.pred in delta:
                         merge(apply_rule(rule, db, context, delta_rels,
-                                         position, provenance, stats),
+                                         position, provenance),
                               rule.head.pred, next_delta)
             delta = next_delta
 
@@ -750,8 +562,7 @@ def merge_rows(target: FactSet, source: FactSet) -> None:
 
 def evaluate(rules: Iterable[Rule], db: Database,
              context: Optional[EvalContext] = None,
-             provenance: Optional[ProvenanceStore] = None,
-             stats: Optional[EvalStats] = None) -> FactSet:
+             provenance: Optional[ProvenanceStore] = None) -> FactSet:
     """Run a whole program to fixpoint; return every row added."""
     context = context or EvalContext()
     rule_list = list(rules)
@@ -762,8 +573,7 @@ def evaluate(rules: Iterable[Rule], db: Database,
     added: FactSet = {}
     for stratum in stratify(engine_rules):
         # A predicate is defined in exactly one stratum.
-        added.update(eval_stratum(stratum, db, context, provenance,
-                                  changed=None, stats=stats))
+        added.update(eval_stratum(stratum, db, context, provenance))
     return added
 
 
@@ -774,8 +584,7 @@ def evaluate(rules: Iterable[Rule], db: Database,
 def propagate_insertions(strata: list, db: Database, context: EvalContext,
                          inserted: FactSet,
                          edb_facts: Optional[Callable[[str], set]] = None,
-                         provenance: Optional[ProvenanceStore] = None,
-                         stats: Optional[EvalStats] = None) -> FactSet:
+                         provenance: Optional[ProvenanceStore] = None) -> FactSet:
     """Incrementally maintain the database after EDB insertions.
 
     ``inserted`` are rows already added to ``db``.  Monotone strata are
@@ -792,16 +601,16 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
             continue
         if stratum.nonmonotone:
             added, removed = recompute_stratum(stratum, db, context, edb_facts,
-                                               provenance, stats)
+                                               provenance)
             # Removals from a recomputed stratum propagate as deletions.
             if removed:
                 from .incremental import propagate_deletions_from  # cycle
                 higher = [s for s in strata if s.number > stratum.number]
                 propagate_deletions_from(higher, db, context, removed,
-                                         edb_facts, provenance, stats)
+                                         edb_facts, provenance)
         else:
             added = eval_stratum(stratum, db, context, provenance,
-                                 changed=changed, stats=stats)
+                                 changed=changed)
         merge_rows(changed, added)
         merge_rows(total_added, added)
     return total_added
@@ -824,8 +633,7 @@ def reset_rows(db: Database, pred: str, rows: set, asserted,
 
 def recompute_stratum(stratum: Stratum, db: Database, context: EvalContext,
                       edb_facts: Optional[Callable[[str], set]],
-                      provenance: Optional[ProvenanceStore] = None,
-                      stats: Optional[EvalStats] = None) -> tuple:
+                      provenance: Optional[ProvenanceStore] = None) -> tuple:
     """Reset a stratum's predicates to their EDB and re-derive.
 
     Returns the ``(added, removed)`` rows relative to the prior state.
@@ -839,7 +647,7 @@ def recompute_stratum(stratum: Stratum, db: Database, context: EvalContext,
     for pred in stratum.preds:
         old_rows[pred] = set(db.rel(pred).rows)
         reset_rows(db, pred, old_rows[pred], edb_facts(pred) or (), provenance)
-    eval_stratum(stratum, db, context, provenance, changed=None, stats=stats)
+    eval_stratum(stratum, db, context, provenance)
     added: FactSet = {}
     removed: FactSet = {}
     for pred in stratum.preds:

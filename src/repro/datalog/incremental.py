@@ -46,7 +46,6 @@ from typing import Callable, Optional
 
 from .database import Database, Relation
 from .engine import (
-    EvalStats,
     FactSet,
     ProvenanceStore,
     derive_rows,
@@ -61,8 +60,7 @@ from .stratify import Stratum
 def propagate_deletions(strata: list, db: Database, context: EvalContext,
                         deleted: FactSet,
                         edb_facts: Optional[Callable[[str], set]] = None,
-                        provenance: Optional[ProvenanceStore] = None,
-                        stats: Optional[EvalStats] = None) -> FactSet:
+                        provenance: Optional[ProvenanceStore] = None) -> FactSet:
     """Maintain ``db`` after the EDB rows in ``deleted`` were retracted.
 
     The caller must already have removed the ``deleted`` rows from ``db``
@@ -70,14 +68,13 @@ def propagate_deletions(strata: list, db: Database, context: EvalContext,
     disappeared, per predicate.
     """
     return propagate_deletions_from(strata, db, context, deleted, edb_facts,
-                                    provenance, stats)
+                                    provenance)
 
 
 def propagate_deletions_from(strata: list, db: Database, context: EvalContext,
                              deleted: FactSet,
                              edb_facts: Optional[Callable[[str], set]],
-                             provenance: Optional[ProvenanceStore] = None,
-                             stats: Optional[EvalStats] = None) -> FactSet:
+                             provenance: Optional[ProvenanceStore] = None) -> FactSet:
     net_removed: FactSet = dict(deleted)
     pending_removed: FactSet = dict(deleted)
     pending_added: FactSet = {}
@@ -88,15 +85,13 @@ def propagate_deletions_from(strata: list, db: Database, context: EvalContext,
             continue
         if stratum.nonmonotone:
             added, removed = recompute_stratum(stratum, db, context, edb_facts,
-                                               provenance, stats)
-            if stats is not None:
-                stats.strata_recomputed += 1
+                                               provenance)
+            context.stats.strata_recomputed += 1
         else:
             added, removed = _dred_stratum(stratum, db, context,
                                            pending_removed, pending_added,
-                                           edb_facts, provenance, stats)
-            if stats is not None:
-                stats.dred_strata += 1
+                                           edb_facts, provenance)
+            context.stats.dred_strata += 1
         merge_rows(pending_removed, removed)
         merge_rows(net_removed, removed)
         merge_rows(pending_added, added)
@@ -106,12 +101,12 @@ def propagate_deletions_from(strata: list, db: Database, context: EvalContext,
 
     net = {pred: rows for pred, rows in net_removed.items() if rows}
     if net:
-        _invalidate_shrunk_plans(strata, db, net.keys(), stats)
+        _invalidate_shrunk_plans(strata, db, context, net.keys())
     return net
 
 
-def _invalidate_shrunk_plans(strata: list, db: Database, shrunk,
-                             stats: Optional[EvalStats]) -> None:
+def _invalidate_shrunk_plans(strata: list, db: Database,
+                             context: EvalContext, shrunk) -> None:
     """Plan-invalidation hook for deletion-heavy workloads.
 
     Every rule reading a predicate that just lost facts drops cached
@@ -124,15 +119,13 @@ def _invalidate_shrunk_plans(strata: list, db: Database, shrunk,
     for stratum in strata:
         for rule in list(stratum.rules) + list(stratum.agg_rules):
             evicted += rule.evict_shrunk_plans(db, shrunk)
-    if stats is not None and evicted:
-        stats.plans_evicted += evicted
+    context.stats.plans_evicted += evicted
 
 
 def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
                   deleted_below: FactSet, inserted_below: FactSet,
                   edb_facts: Optional[Callable[[str], set]],
-                  provenance: Optional[ProvenanceStore],
-                  stats: Optional[EvalStats]) -> tuple:
+                  provenance: Optional[ProvenanceStore]) -> tuple:
     """DRed one positive stratum.  Returns ``(added, removed)`` for it.
 
     ``deleted_below`` are the rows already gone from ``db`` (retracted, or
@@ -140,6 +133,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
     added, which ride along in the closure's seed delta.
     """
     interner = db.interner
+    stats = context.stats
     reads = stratum.reads | stratum.preds
     deleted_rows: FactSet = {
         pred: rows for pred, rows in deleted_below.items()
@@ -164,7 +158,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
             for position in rule.positive_positions():
                 if rule.body[position].atom.pred not in frontier:
                     continue
-                plan = rule.plan(context, position, db=db, stats=stats)
+                plan = rule.plan(context, position, db=db)
                 hit: set = set()
                 derive_rows(rule, plan.flat(), db, context, delta_rels,
                             position, overdeleted.get(pred, ()), hit)
@@ -173,8 +167,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
                 if hit:
                     overdeleted.setdefault(pred, set()).update(hit)
                     next_frontier.setdefault(pred, set()).update(hit)
-                    if stats is not None:
-                        stats.derivations += len(hit)
+                    stats.derivations += len(hit)
         frontier = next_frontier
 
     # Take the deleted facts out again, and the over-deleted ones with
@@ -225,9 +218,9 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
         if not rows:
             continue
         derivable: set = set()
-        plan = rule.head_bound_plan(context, db, stats)
+        plan = rule.head_bound_plan(context, db)
         if plan is None:
-            plan = rule.plan(context, None, db=db, stats=stats)
+            plan = rule.plan(context, None, db=db)
             fired = derive_rows(rule, plan.flat(), db, context, None, None,
                                 (), derivable, provenance)
             derivable &= rows
@@ -236,7 +229,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
                 rule, plan.flat(), db, context,
                 {pred: Relation.wrap_rows(pred, rows, interner)}, 0,
                 (), derivable, provenance)
-        if stats is not None and fired:
+        if fired:
             stats.derivations += fired
             stats.fire(rule.label or pred, fired)
         if derivable:
@@ -245,13 +238,12 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
         fresh = db.rel(pred).add_rows(rows)
         if fresh:
             merge_rows(back, {pred: fresh})
-            if stats is not None:
-                stats.new_facts += len(fresh)
+            stats.new_facts += len(fresh)
 
     # -- Phase 4: semi-naive closure from the restored and re-derived
     # rows, bringing back candidates that depend on other candidates.
     merge_rows(back, eval_stratum(stratum, db, context, provenance,
-                                  changed=back, stats=stats))
+                                  changed=back))
 
     # -- Phase 5: the diff, from the over-deleted and brought-back sets.
     added: FactSet = {}

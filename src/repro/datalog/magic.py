@@ -225,7 +225,7 @@ MAX_CACHED_PROGRAMS = 32
 
 
 def _cached_program(rule_list: list, query: Atom,
-                    stats) -> tuple[list, str, str, tuple, tuple]:
+                    context: EvalContext) -> tuple[list, str, str, tuple, tuple]:
     """The normalized magic program for ``query``'s binding pattern."""
     adornment, bound_values, pattern = _query_adornment(query)
     key = (tuple(id(rule) for rule in rule_list), query.pred, adornment)
@@ -238,10 +238,9 @@ def _cached_program(rule_list: list, query: Atom,
         entry = (list(rule_list), engine_rules,
                  program.seed_pred, program.answer_pred)
         _PROGRAM_CACHE[key] = entry
-        if stats is not None:
-            stats.magic_programs_built += 1
-    elif stats is not None:
-        stats.magic_cache_hits += 1
+        context.stats.magic_programs_built += 1
+    else:
+        context.stats.magic_cache_hits += 1
     _rules_ref, engine_rules, seed_pred, answer_pred = entry
     return engine_rules, seed_pred, answer_pred, bound_values, pattern
 
@@ -265,7 +264,7 @@ def query_magic(rules: Iterable[Rule], db: Database, query: Atom,
     context = context or EvalContext()
     rule_list = list(rules)
     engine_rules, seed_pred, answer_pred, bound_values, pattern = \
-        _cached_program(rule_list, query, context.stats)
+        _cached_program(rule_list, query, context)
     program = MagicProgram(
         rules=engine_rules,
         seed_pred=seed_pred,
@@ -276,10 +275,10 @@ def query_magic(rules: Iterable[Rule], db: Database, query: Atom,
     db.journal.begin()
     try:
         db.add(program.seed_pred, program.seed_fact)
-        # Thread the caller's stats through the evaluation: the planner's
-        # work (plans built, reorders won, distinct counts computed) is
-        # attributed to the query instead of a throwaway.
-        evaluate(program.rules, db, context, stats=context.stats)
+        # The caller's context carries its stats: the planner's work
+        # (plans built, reorders won, distinct counts computed) is
+        # attributed to the query.
+        evaluate(program.rules, db, context)
         return program.answers(db)
     finally:
         db.journal.rollback()

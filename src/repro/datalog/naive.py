@@ -16,7 +16,6 @@ from typing import Iterable, Optional
 from .database import Database
 from .engine import (
     EngineRule,
-    EvalStats,
     apply_aggregate_rule,
     apply_rule,
     normalize_rules,
@@ -27,8 +26,7 @@ from .terms import Rule
 
 
 def evaluate_naive(rules: Iterable[Rule], db: Database,
-                   context: Optional[EvalContext] = None,
-                   stats: Optional[EvalStats] = None) -> dict:
+                   context: Optional[EvalContext] = None) -> dict:
     """Run a program to fixpoint naively; returns the id rows added per
     predicate (the engine's currency, like :func:`~.engine.evaluate`)."""
     context = context or EvalContext()
@@ -38,7 +36,7 @@ def evaluate_naive(rules: Iterable[Rule], db: Database,
     else:
         engine_rules = normalize_rules(rule_list)
     strata = stratify(engine_rules)
-    stats = stats if stats is not None else EvalStats()
+    stats = context.stats
     added_rows: dict[str, set] = {}
 
     def merge(pred: str, new_rows: set) -> bool:
@@ -52,13 +50,13 @@ def evaluate_naive(rules: Iterable[Rule], db: Database,
     for stratum in strata:
         for rule in stratum.agg_rules:
             merge(rule.head.pred,
-                  apply_aggregate_rule(rule, db, context, stats))
+                  apply_aggregate_rule(rule, db, context))
         changed = True
         while changed:
             changed = False
             stats.rounds += 1
             for rule in stratum.rules:
                 if merge(rule.head.pred,
-                         apply_rule(rule, db, context, stats=stats)):
+                         apply_rule(rule, db, context)):
                     changed = True
     return added_rows

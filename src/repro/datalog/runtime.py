@@ -48,6 +48,7 @@ from .builtins import (
 )
 from .database import Database, Relation, TermInterner
 from .errors import BuiltinError, SafetyError
+from .stats import EvalStats
 from .terms import (
     Atom,
     BuiltinCall,
@@ -79,10 +80,10 @@ class EvalContext:
     instantiate_quote: Optional[Callable[[Quote, Bindings], Any]] = None
     #: opaque payload handed to context-needing builtins (e.g. the keystore)
     payload: Any = None
-    #: optional :class:`repro.datalog.engine.EvalStats`; when set, the join
-    #: core counts positive-literal matches (``literal_scans``) and how
-    #: many of those had no bound column to index on (``full_scans``)
-    stats: Any = None
+    #: the one route engine counters take: every evaluation handed this
+    #: context counts into it, never elsewhere (a bare context makes its
+    #: own; a host's ``stats`` is its context's)
+    stats: EvalStats = field(default_factory=EvalStats)
     #: the delta-exchange hook for distributed evaluation: called as
     #: ``remote_emit_rows(pred, rows)`` with each rule application's
     #: freshly derived *id rows* (over the evaluating database's
@@ -486,7 +487,7 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
             join2 = flat.join2 = _compile_join2(steps, id_spec)
         if join2 is not False:
             return _run_flat_join2(join2, steps, db, delta, delta_position,
-                                   head_rows, produced, stats)
+                                   head_rows, produced, context)
 
     prepared: list = [None] * nsteps
     for number, step in enumerate(steps):
@@ -566,28 +567,24 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
             return
         tag, access, extra = prepared[number]
         if tag == _P_SCAN:
-            if stats is not None:
-                stats.literal_scans += 1
-                stats.full_scans += 1
+            stats.literal_scans += 1
+            stats.full_scans += 1
             candidates = access
         elif tag == _P_PROBE_SV:
-            if stats is not None:
-                stats.literal_scans += 1
-                stats.id_joins += 1
+            stats.literal_scans += 1
+            stats.id_joins += 1
             # Hottest shape: single-column key from one register — the
             # register already holds the id, the probe is one dict.get.
             candidates = access(registers[extra])
             if candidates is None:
                 candidates = ()
         elif tag == _P_BUCKET:
-            if stats is not None:
-                stats.literal_scans += 1
-                stats.id_joins += 1
+            stats.literal_scans += 1
+            stats.id_joins += 1
             candidates = access
         elif tag == _P_PROBE_FILL:
-            if stats is not None:
-                stats.literal_scans += 1
-                stats.id_joins += 1
+            stats.literal_scans += 1
+            stats.id_joins += 1
             filled = extra.copy()
             for template_slot, register in step.var_fills:
                 filled[template_slot] = registers[register]
@@ -723,7 +720,8 @@ def _compile_join2(steps: tuple, id_spec: tuple):
 
 def _run_flat_join2(join2: tuple, steps: tuple, db: Database,
                     delta, delta_position,
-                    head_rows: set, produced: set, stats) -> int:
+                    head_rows: set, produced: set,
+                    context: EvalContext) -> int:
     """The two-literal id-join inner loop (see :func:`run_flat`).
 
     Solutions flow outer row → index bucket → head row with no register
@@ -743,18 +741,18 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database,
         source1 = delta.get(step1.pred)
     else:
         source1 = db.rel(step1.pred)
+    stats = context.stats
     positions0 = step0.key_positions
     scan0 = not positions0
     rows0 = source0.rows if scan0 \
         else source0.index_for(positions0).get(step0.key_const, ())
     if source1 is None:
         # Dead inner literal: the outer literal still executed once.
-        if stats is not None:
-            stats.literal_scans += 1
-            if scan0:
-                stats.full_scans += 1
-            else:
-                stats.id_joins += 1
+        stats.literal_scans += 1
+        if scan0:
+            stats.full_scans += 1
+        else:
+            stats.id_joins += 1
         return 0
     bucket_get = source1.index_for(step1.key_positions).get
     arity0 = step0.arity
@@ -818,11 +816,10 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database,
                 if out in head_rows or out in produced:
                     continue
                 produced.add(out)
-    if stats is not None:
-        stats.literal_scans += 1 + outer_rows
-        stats.id_joins += outer_rows + (0 if scan0 else 1)
-        if scan0:
-            stats.full_scans += 1
+    stats.literal_scans += 1 + outer_rows
+    stats.id_joins += outer_rows + (0 if scan0 else 1)
+    if scan0:
+        stats.full_scans += 1
     return fired
 
 
@@ -857,7 +854,7 @@ class Plan:
 
 
 def cache_plan_bounded(cache: dict, key, plan, limit: int,
-                       stats: Any = None) -> None:
+                       stats: EvalStats) -> None:
     """Insert into a FIFO-bounded plan cache, evicting the oldest entry.
 
     FIFO rather than clear-all: dropping everything would thrash callers
@@ -866,8 +863,7 @@ def cache_plan_bounded(cache: dict, key, plan, limit: int,
     """
     if len(cache) >= limit:
         cache.pop(next(iter(cache)))
-        if stats is not None:
-            stats.plans_evicted += 1
+        stats.plans_evicted += 1
     cache[key] = plan
 
 
@@ -1216,7 +1212,7 @@ def build_plan(items: tuple, terms: TermInterner,
 
 def banded_plan(cache: dict, key, analysis: BodyAnalysis,
                 relations: Optional[list], context: EvalContext,
-                terms: TermInterner, stats: Any = None,
+                terms: TermInterner,
                 initially_bound: frozenset = frozenset(),
                 first: Optional[int] = None) -> Plan:
     """The plan for an analysed conjunction, served from a band-keyed
@@ -1246,10 +1242,9 @@ def banded_plan(cache: dict, key, analysis: BodyAnalysis,
     evaluated over a second database) is a miss.
     Accounts ``plans_built`` (orderings run) / ``plans_compiled`` (those
     that had to compile) / ``reorder_wins`` / ``plan_cache_hits`` /
-    ``plans_evicted`` to ``stats`` (default: ``context.stats``).
+    ``plans_evicted`` to ``context.stats``.
     """
-    if stats is None:
-        stats = context.stats
+    stats = context.stats
     bands = None
     if relations is not None and len(relations) > 1:
         signature = tuple([
@@ -1271,22 +1266,21 @@ def banded_plan(cache: dict, key, analysis: BodyAnalysis,
                           else None, analysis, held)
         _count_build(stats, plan, all(plan is not other for other in held))
         cache_plan_bounded(cache, full_key, plan, MAX_CACHED_PLANS, stats)
-    elif stats is not None:
+    else:
         stats.plan_cache_hits += 1
     return plan
 
 
-def _count_build(stats: Any, plan: Plan, compiled: bool) -> None:
+def _count_build(stats: EvalStats, plan: Plan, compiled: bool) -> None:
     """Account one :func:`build_plan` call: an ordering run
     (``plans_built``), whether it went on to compile steps — an empty
     body has none — (``plans_compiled``) and whether the cost model
     overrode the greedy order (``reorder_wins``)."""
-    if stats is not None:
-        stats.plans_built += 1
-        if compiled and plan.order:
-            stats.plans_compiled += 1
-        if plan.reordered:
-            stats.reorder_wins += 1
+    stats.plans_built += 1
+    if compiled and plan.order:
+        stats.plans_compiled += 1
+    if plan.reordered:
+        stats.reorder_wins += 1
 
 
 def relation_sizes(items: tuple, db: Optional[Database]) -> Optional[dict]:

@@ -40,7 +40,6 @@ from ..datalog.constraints import Violation, check_constraints
 from ..datalog.database import Database, Journal
 from ..datalog.engine import (
     EngineRule,
-    EvalStats,
     FactSet,
     ProvenanceStore,
     apply_rule,
@@ -136,7 +135,6 @@ class Workspace:
         #: findings pragma-suppressed during that check — kept so a
         #: ``%# check: ignore[...]`` never silently hides a diagnostic.
         self.last_check_suppressed: list = []
-        self.stats = EvalStats()
         self.max_activation_rounds = max_activation_rounds
         self.provenance: Optional[ProvenanceStore] = (
             ProvenanceStore(self.journal) if enable_provenance else None
@@ -158,8 +156,9 @@ class Workspace:
             builtins=self.builtins,
             instantiate_quote=self._instantiate_quote,
             payload=self,
-            stats=self.stats,
         )
+        #: the engine counters: the context's, where the engine counts
+        self.stats = self.context.stats
 
     # ------------------------------------------------------------------
     # Public API: loading programs
@@ -403,15 +402,26 @@ class Workspace:
         positions = tuple(i for i, term in enumerate(args)
                           if isinstance(term, Constant))
         if not positions:
-            return set(relation.tuples)
-        key = tuple(args[i].value for i in positions)
-        if len(positions) == len(args):
-            # the stored fact, not the query's spelling of it (1.0 for 1)
-            interner = relation.interner
-            row = interner.row_of(key)
-            return {interner.materialize_row(row)} \
-                if row in relation.rows else set()
-        return set(relation.lookup(positions, key))
+            answers = set(relation.tuples)
+        else:
+            key = tuple(args[i].value for i in positions)
+            if len(positions) == len(args):
+                # the stored fact, not the query's spelling of it (1.0 for 1)
+                interner = relation.interner
+                row = interner.row_of(key)
+                return {interner.materialize_row(row)} \
+                    if row in relation.rows else set()
+            answers = set(relation.lookup(positions, key))
+        # A variable named twice (``X``, ``_X``; never a bare ``_``) asks
+        # for equal columns: each later position against its first.
+        first_of: dict = {}
+        checks = [(i, first_of.setdefault(term.name, i))
+                  for i, term in enumerate(args) if isinstance(term, Variable)]
+        checks = [(i, first) for i, first in checks if i != first]
+        if checks:
+            answers = {fact for fact in answers
+                       if all(fact[i] == fact[first] for i, first in checks)}
+        return answers
 
     def active_refs(self) -> set:
         return set(self._activated)
@@ -612,7 +622,7 @@ class Workspace:
                     propagate_deletions(
                         self._current_strata(), self.db, self.context,
                         deleted, edb_facts=self._edb_facts,
-                        provenance=self.provenance, stats=self.stats)
+                        provenance=self.provenance)
             active = {fact[0] for fact in self.db.tuples(ACTIVE_PRED)
                       if fact and isinstance(fact[0], RuleRef)}
             gone = self._activated.keys() - active
@@ -659,7 +669,6 @@ class Workspace:
                 added = propagate_insertions(
                     self._current_strata(), self.db, self.context, fresh,
                     edb_facts=self._edb_facts, provenance=self.provenance,
-                    stats=self.stats,
                 )
                 progressed = True
                 fresh = {}
@@ -686,8 +695,7 @@ class Workspace:
         ``fresh`` (whose sets this loop owns)."""
         pred = engine_rule.head.pred
         new_rows = self.db.rel(pred).add_rows(apply_rule(
-            engine_rule, self.db, self.context, provenance=self.provenance,
-            stats=self.stats))
+            engine_rule, self.db, self.context, provenance=self.provenance))
         if new_rows:
             fresh.setdefault(pred, set()).update(new_rows)
 
@@ -719,7 +727,7 @@ class Workspace:
                 rows = self.db.rel(pred).rows
                 if rule.agg is None:
                     rows = rows & apply_rule(rule, self.db, self.context,
-                                             stats=self.stats, known_rows=())
+                                             known_rows=())
                 if rows:
                     deleted.setdefault(pred, set()).update(rows)
             for pred, rows in deleted.items():

@@ -73,8 +73,7 @@ class TestTimeWorkload:
             db = Database()
             db.add("e", ("a",))
             with case.measure():
-                evaluate(rules, db, EvalContext(stats=case.stats),
-                         stats=case.stats)
+                evaluate(rules, db, EvalContext(stats=case.stats))
 
         measurement = time_workload(get("w"), {})
         assert measurement.engine is not None

@@ -208,6 +208,6 @@ class TestProvenance:
             database.add("e", (i, i + 1))
         stats = EvalStats()
         evaluate(rules_of("r(X,Y) <- e(X,Y). r(X,Z) <- r(X,Y), e(Y,Z)."),
-                 database, EvalContext(), stats=stats)
+                 database, EvalContext(stats=stats))
         assert stats.new_facts == len(database.tuples("r"))
         assert stats.derivations >= stats.new_facts

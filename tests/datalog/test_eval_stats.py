@@ -30,7 +30,7 @@ def run_chain(n=5):
     for i in range(n):
         db.add("e", (i, i + 1))
     stats = EvalStats()
-    evaluate(rules, db, EvalContext(stats=stats), stats=stats)
+    evaluate(rules, db, EvalContext(stats=stats))
     return db, stats
 
 
@@ -106,7 +106,7 @@ class TestExactCounts:
             for i in range(n):
                 db.add("e", (i, i + 1))
             stats = EvalStats()
-            evaluate(rules, db, EvalContext(stats=stats), stats=stats)
+            evaluate(rules, db, EvalContext(stats=stats))
             # "hop" is interned when each of the two plans compiles
             # (base's; step's, which its delta position reuses — same
             # order): one fresh term and one hit however many rounds
@@ -146,7 +146,7 @@ class TestPlannerCounters:
         db.add("small", (1,))
         db.add("small", (2,))
         stats = EvalStats()
-        evaluate(rules, db, EvalContext(stats=stats), stats=stats)
+        evaluate(rules, db, EvalContext(stats=stats))
         assert db.tuples("h") == {(1,), (2,)}
         assert stats.plans_built == 1
         assert stats.reorder_wins == 1
@@ -166,7 +166,7 @@ class TestPlannerCounters:
         for i in range(30):
             db.add("q", (i,))
         stats = EvalStats()
-        evaluate(rules, db, EvalContext(stats=stats), stats=stats)
+        evaluate(rules, db, EvalContext(stats=stats))
         assert db.tuples("h") == {(i,) for i in range(30)}
         assert stats.reorder_wins == 0
 
@@ -185,7 +185,7 @@ class TestPlannerCounters:
             db.add("dup", (i % 2, i))     # col 0 distinct: 2
             db.add("uniq", (i, i))        # col 0 distinct: 100
         stats = EvalStats()
-        evaluate(rules, db, EvalContext(stats=stats), stats=stats)
+        evaluate(rules, db, EvalContext(stats=stats))
         assert db.tuples("h") == {(0,), (1,)}
         assert stats.plans_built == 1
         assert stats.reorder_wins == 1
@@ -288,17 +288,16 @@ class TestPlanningCostsWhatItDecides:
         for i in range(5):
             db.add("p", (i,))
         context = EvalContext(stats=stats)
-        evaluate([rule], db, context, stats=stats)   # q: no relation yet
+        evaluate([rule], db, context)   # q: no relation yet
         db.rel("q")
-        evaluate([rule], db, context, stats=stats)   # q: empty
+        evaluate([rule], db, context)   # q: empty
         assert (stats.plans_built, stats.plan_cache_hits) == (0, 0)
         assert stats.literal_scans == 0
         assert not rule._plans
         # ... and fires on the assert that fills the relation
         db.add("q", (3,))
         inserted = {"q": {db.interner.intern_row((3,))}}
-        propagate_insertions(stratify([rule]), db, context, inserted,
-                             stats=stats)
+        propagate_insertions(stratify([rule]), db, context, inserted)
         assert db.tuples("h") == {(3,)}
         assert (stats.plans_built, stats.plans_compiled) == (1, 1)
         assert stats.rule_firings == {"sel": 1}
@@ -316,21 +315,21 @@ class TestPlanningCostsWhatItDecides:
             return rule.plan(quiet, None, db)
 
         grow("p", 10), grow("q", 10)
-        evaluate([rule], db, context, stats=stats)
+        evaluate([rule], db, context)
         small = served()
         assert (stats.plans_built, stats.plans_compiled) == (1, 1)
         # Both relations cross the cost model's floor together: a new
         # band signature, so the body is ordered again — equal costs, the
         # greedy order stands, and its compiled plan is served as it is.
         grow("p", 100), grow("q", 100)
-        evaluate([rule], db, context, stats=stats)
+        evaluate([rule], db, context)
         sized = served()
         assert (stats.plans_built, stats.plans_compiled) == (2, 1)
         assert sized.flat().steps is small.flat().steps
         assert stats.reorder_wins == 0
         # p grows until the cost model flips the order: that compiles.
         grow("p", 1000)
-        evaluate([rule], db, context, stats=stats)
+        evaluate([rule], db, context)
         flipped = served()
         assert (stats.plans_built, stats.plans_compiled) == (3, 2)
         assert stats.reorder_wins == 1
@@ -471,6 +470,37 @@ class TestCopyDiff:
         # the original keeps accumulating; the snapshot is untouched
         assert before.rule_firings == {"base": 5, "step": 14}
 
+    def test_diff_finds_a_regions_records_in_a_full_trail(self):
+        stats = EvalStats()
+        for i in range(EvalStats.MAX_STRATA + 44):
+            stats.record_stratum(StratumStats(number=i))
+        before = stats.copy()
+        stats.record_stratum(StratumStats(number=-1))
+        stats.record_stratum(StratumStats(number=-2))
+        delta = stats.diff(before)
+        assert [record.number for record in delta.strata] == [-1, -2]
+        assert delta.strata_recorded == 2
+        # a merge carries the count, so a diff around it sees its records
+        merged = stats.copy()
+        merged.merge(delta)
+        assert [record.number for record in
+                merged.diff(stats).strata] == [-1, -2]
+        assert "strata_recorded" not in stats.as_dict()
+
+    def test_a_long_lived_workspace_diff_keeps_its_records(self):
+        from repro.workspace.workspace import Workspace
+
+        workspace = Workspace("w")
+        workspace.load(TC)
+        for i in range(300):
+            workspace.assert_fact("e", (i, -i))
+        assert len(workspace.stats.strata) == EvalStats.MAX_STRATA
+        before = workspace.stats.copy()
+        workspace.assert_fact("e", (300, -300))
+        delta = workspace.stats.diff(before)
+        assert (delta.new_facts, delta.rounds) == (1, 1)
+        assert sum(record.new_facts for record in delta.strata) == 1
+
     def test_incremental_pass_records_seed_delta(self):
         from repro.datalog.engine import (
             normalize_rules, propagate_insertions,
@@ -487,8 +517,8 @@ class TestCopyDiff:
         stats = EvalStats()
         db.add("e", (5, 6))
         seed = {db.interner.intern_row((5, 6))}
-        propagate_insertions(strata, db, EvalContext(), {"e": seed},
-                             edb_facts=lambda p: set(), stats=stats)
+        propagate_insertions(strata, db, EvalContext(stats=stats),
+                             {"e": seed}, edb_facts=lambda p: set())
         record = stats.strata[-1]
         assert record.delta_sizes[0] == 1        # the seed edge itself
         assert record.rounds == len(record.delta_sizes)
@@ -509,8 +539,8 @@ class TestCopyDiff:
         db.add("z", (2,))            # read by no rule
         inserted = {pred: set(db.rel(pred).rows) for pred in ("e", "z")}
         stats = EvalStats()
-        propagate_insertions(stratify(rules), db, EvalContext(), inserted,
-                             edb_facts=lambda p: set(), stats=stats)
+        propagate_insertions(stratify(rules), db, EvalContext(stats=stats),
+                             inserted, edb_facts=lambda p: set())
         assert db.tuples("a") == {(1,)}
         # the e row seeds the stratum; the z row does not (it was [2, 1])
         assert stats.strata[-1].delta_sizes == [1, 1]
@@ -538,7 +568,7 @@ class TestMaintenanceStaysInIdSpace:
         with stats.capture_indexes():
             added = propagate_insertions(
                 stratify(rules), db, EvalContext(stats=stats), {"e": seed},
-                edb_facts=lambda p: set(), stats=stats)
+                edb_facts=lambda p: set())
         assert {pred: len(rows) for pred, rows in added.items()} == {"r": 6}
         assert stats.terms_interned == 0
         assert stats.intern_hits == 0
@@ -651,7 +681,7 @@ class TestRetractCostIsBounded:
         removed = propagate_deletions(
             stratify(rules), db, EvalContext(stats=stats),
             {"memberOf": {intern_row(victim)}},
-            edb_facts=lambda p: asserted.get(p, set()), stats=stats)
+            edb_facts=lambda p: asserted.get(p, set()))
         assert {pred: {materialize(row) for row in rows}
                 for pred, rows in removed.items()} == {
                     "memberOf": {victim},
@@ -749,3 +779,105 @@ class TestDeactivationCostsWhatItTouches:
             # (``other`` gains the index re-derivation probes it by)
             for positions, index in indexes.items():
                 assert relation._indexes[positions] is index, pred
+
+
+class TestOneRoute:
+    """``EvalContext.stats`` is the one route engine counters take: a
+    single context handed to an entry point collects all of its work."""
+
+    CHAIN = "r(X,Y) <- e(X,Y). r(X,Z) <- r(X,Y), e(Y,Z)."
+
+    def rules(self):
+        return [s for s in parse_statements(self.CHAIN) if isinstance(s, Rule)]
+
+    @staticmethod
+    def chain(extra=()):
+        db = Database()
+        for i in range(30):
+            db.add("e", (i, i + 1))
+        for edge in extra:
+            db.add("e", edge)
+        return db
+
+    @staticmethod
+    def assert_counted(stats, names):
+        assert [name for name in names.split() if not getattr(stats, name)] \
+            == [], stats.as_dict()
+
+    def test_evaluate_counts_engine_planner_walker_and_storage(self):
+        stats = EvalStats()
+        evaluate(self.rules(), self.chain(), EvalContext(stats=stats))
+        assert (stats.derivations, stats.rounds, stats.new_facts,
+                stats.plans_built, stats.literal_scans, stats.id_joins,
+                stats.index_builds) == (494, 29, 465, 5, 526, 495, 1)
+
+    def test_evaluate_naive(self):
+        from repro.datalog.naive import evaluate_naive
+
+        stats = EvalStats()
+        evaluate_naive(self.rules(), self.chain(), EvalContext(stats=stats))
+        self.assert_counted(stats, "derivations rounds new_facts plans_built "
+                                   "literal_scans id_joins")
+
+    def test_propagate_insertions(self):
+        from repro.datalog.engine import normalize_rules, propagate_insertions
+        from repro.datalog.stratify import stratify
+
+        db = self.chain()
+        stats = EvalStats()
+        propagate_insertions(stratify(normalize_rules(self.rules())), db,
+                             EvalContext(stats=stats),
+                             {"e": set(db.rel("e").rows)})
+        self.assert_counted(stats, "derivations rounds new_facts plans_built "
+                                   "literal_scans id_joins index_builds")
+
+    def test_propagate_deletions(self):
+        from repro.datalog.engine import normalize_rules
+        from repro.datalog.incremental import propagate_deletions
+        from repro.datalog.stratify import stratify
+
+        rules = normalize_rules(self.rules())
+        db = self.chain(extra=[(0, 2)])     # r(0,Z) survives e(1,2)
+        evaluate(rules, db)
+        row = db.interner.intern_row((1, 2))
+        db.rel("e").discard_row(row)
+        asserted = set(db.rel("e").rows)
+        stats = EvalStats()
+        propagate_deletions(stratify(rules), db, EvalContext(stats=stats),
+                            {"e": {row}}, edb_facts=lambda p: asserted)
+        self.assert_counted(stats, "derivations rounds new_facts plans_built "
+                                   "literal_scans id_joins dred_strata")
+
+    def test_check_constraints(self):
+        from repro.datalog.constraints import check_constraints
+        from repro.datalog.terms import Constraint
+
+        db = self.chain()
+        evaluate(self.rules(), db)
+        constraints = [s for s in parse_statements("r(X,Y) -> e(X,Y).")
+                       if isinstance(s, Constraint)]
+        stats = EvalStats()
+        assert check_constraints(constraints, db, EvalContext(stats=stats))
+        self.assert_counted(stats, "plans_built literal_scans id_joins")
+
+    def test_solve(self):
+        from repro.datalog.runtime import solve
+
+        (rule,) = [s for s in parse_statements("q(X,Z) <- e(X,Y), e(Y,Z).")
+                   if isinstance(s, Rule)]
+        stats = EvalStats()
+        assert len(list(solve(rule.body, self.chain(),
+                              EvalContext(stats=stats)))) == 29
+        self.assert_counted(stats, "plans_built literal_scans id_joins")
+
+    def test_query_magic(self):
+        from repro.datalog.magic import query_magic
+        from repro.datalog.parser import parse_atom
+
+        stats = EvalStats()
+        answers = query_magic(self.rules(), self.chain(), parse_atom("r(3,X)"),
+                              EvalContext(stats=stats))
+        assert len(answers) == 27
+        self.assert_counted(stats, "magic_programs_built derivations rounds "
+                                   "new_facts plans_built literal_scans "
+                                   "id_joins index_builds")

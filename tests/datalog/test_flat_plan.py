@@ -150,7 +150,7 @@ class TestMixedEverything:
             db.add("a", (i,))
         db.add("b", (1,))
         stats = EvalStats()
-        evaluate(rules, db, EvalContext(stats=stats), stats=stats)
+        evaluate(rules, db, EvalContext(stats=stats))
         assert db.tuples("h") == {(1,)}
         assert stats.rule_firings == {"r": 1}
         assert stats.literal_scans > 0

@@ -254,7 +254,7 @@ class TestPlanInvalidation:
             db.add("e", (i, i + 1))
         edb = {"e": set(db.rel("e").rows)}
         stats = EvalStats()
-        evaluate(rules, db, EvalContext(stats=stats), stats=stats)
+        evaluate(rules, db, EvalContext(stats=stats))
         return rules, db, edb, stats
 
     def test_band_drop_evicts_stale_plans(self):
@@ -267,9 +267,8 @@ class TestPlanInvalidation:
         for row in deleted["e"]:
             db.rel("e").discard_row(row)
             edb["e"].discard(row)
-        propagate_deletions(stratify(rules), db, EvalContext(), deleted,
-                            edb_facts=lambda p: edb.get(p, set()),
-                            stats=stats)
+        propagate_deletions(stratify(rules), db, EvalContext(stats=stats),
+                            deleted, edb_facts=lambda p: edb.get(p, set()))
         assert stats.plans_evicted >= len(big_band_keys)
         # no cached plan survives under a band the relation has left
         from repro.datalog.runtime import cardinality_band
@@ -289,9 +288,8 @@ class TestPlanInvalidation:
         for row in deleted["e"]:
             db.rel("e").discard_row(row)
             edb["e"].discard(row)
-        propagate_deletions(stratify(rules), db, EvalContext(), deleted,
-                            edb_facts=lambda p: edb.get(p, set()),
-                            stats=stats)
+        propagate_deletions(stratify(rules), db, EvalContext(stats=stats),
+                            deleted, edb_facts=lambda p: edb.get(p, set()))
         scratch = Database()
         for row in edb["e"]:
             scratch.add("e", db.interner.materialize_row(row))

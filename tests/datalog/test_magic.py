@@ -84,10 +84,10 @@ class TestGoalDirectedness:
         overlay = db_with({"e": edges})
         overlay.add(program.seed_pred, program.seed_fact)
         stats = EvalStats()
-        evaluate(program.rules, overlay, EvalContext(), stats=stats)
+        evaluate(program.rules, overlay, EvalContext(stats=stats))
         full_stats = EvalStats()
-        evaluate(rules_of(TC), db_with({"e": edges}), EvalContext(),
-                 stats=full_stats)
+        evaluate(rules_of(TC), db_with({"e": edges}),
+                 EvalContext(stats=full_stats))
         assert stats.new_facts < full_stats.new_facts / 4
 
 

@@ -64,8 +64,8 @@ class TestEfficiency:
         semi_stats, naive_stats = EvalStats(), EvalStats()
         semi = load(chain)
         naive = load(chain)
-        evaluate(rules_of(TC), semi, EvalContext(), stats=semi_stats)
-        evaluate_naive(rules_of(TC), naive, EvalContext(), stats=naive_stats)
+        evaluate(rules_of(TC), semi, EvalContext(stats=semi_stats))
+        evaluate_naive(rules_of(TC), naive, EvalContext(stats=naive_stats))
         assert semi.tuples("r") == naive.tuples("r")
         # the whole point of semi-naive: no re-derivation of old facts
         assert semi_stats.derivations < naive_stats.derivations

@@ -308,7 +308,7 @@ class TestConstantNoRowCarries:
         (rule,) = normalize_rules(
             rules_of('h(X, Z) <- e("ghost", X), e(X, Z).'))
         stats = EvalStats()
-        evaluate([rule], db, EvalContext(stats=stats), stats=stats)
+        evaluate([rule], db, EvalContext(stats=stats))
         (plan,) = rule._plans.values()
         assert plan.flat().join2       # the fast join ran, no general walk
         assert db.tuples("h") == set()

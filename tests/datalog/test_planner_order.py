@@ -367,14 +367,14 @@ class TestCompiledOrderSharing:
         grow(db, "q", [(i,) for i in range(5, 15)])
         stats = EvalStats()
         context = EvalContext(stats=stats)
-        evaluate(rules, db, context, stats=stats)
+        evaluate(rules, db, context)
         assert (stats.plans_built, stats.plans_compiled) == (2, 2)
         # Both relations cross into a sized band together: equal costs,
         # so each head's rule re-derives the order it has — and re-serves
         # its own compiled plan, not its sibling's.
         grow(db, "p", [(i,) for i in range(10, 100)])
         grow(db, "q", [(i,) for i in range(15, 105)])
-        evaluate(rules, db, context, stats=stats)
+        evaluate(rules, db, context)
         assert (stats.plans_built, stats.plans_compiled) == (4, 2)
         for rule in rules:
             first, second = rule._plans.values()
@@ -398,7 +398,7 @@ class TestCompiledOrderSharing:
         edb = {"e": set(db.rel("e").rows)}
         stats = EvalStats()
         context = EvalContext(stats=stats)
-        evaluate(rules, db, context, stats=stats)
+        evaluate(rules, db, context)
         coexisted = False
         for cut in (69, 40, 10):
             gone = [edge for edge in edges if edge[0] >= cut]
@@ -408,8 +408,7 @@ class TestCompiledOrderSharing:
                 db.rel("e").discard_row(row)
                 edb["e"].discard(row)
             propagate_deletions(stratify(rules), db, context, deleted,
-                                edb_facts=lambda p: edb.get(p, set()),
-                                stats=stats)
+                                edb_facts=lambda p: edb.get(p, set()))
             scratch = Database()
             grow(scratch, "e", edges)
             evaluate(normalize_rules(

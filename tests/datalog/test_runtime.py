@@ -74,11 +74,11 @@ class TestMatchLiteral:
     the removed ``match_literal`` helper used to pin)."""
 
     @staticmethod
-    def match(atom, rows, bindings=None, stats=None):
+    def match(atom, rows, bindings=None, context=None):
         db = Database()
         for row in rows:
             db.add(atom.pred, row)
-        return list(solve((Literal(atom),), db, EvalContext(stats=stats),
+        return list(solve((Literal(atom),), db, context or EvalContext(),
                           bindings=bindings))
 
     def test_bound_positions_use_index(self):
@@ -87,7 +87,7 @@ class TestMatchLiteral:
         stats = EvalStats()
         atom = Atom("p", (Constant("a"), Variable("X")))
         results = self.match(atom, [("a", 1), ("a", 2), ("b", 3)],
-                             stats=stats)
+                             context=EvalContext(stats=stats))
         assert {r["X"] for r in results} == {1, 2}
         assert (stats.literal_scans, stats.full_scans, stats.id_joins) \
             == (1, 0, 1)

@@ -129,6 +129,20 @@ class TestServedAnswersMatchBatch:
         assert served == {("alice", "f1", "read"), ("alice", "f2", "read")}
 
 
+def test_a_served_query_treats_a_repeated_variable_as_equality():
+    harness = ServeHarness("simulated")
+    try:
+        client = harness.client("c1")
+        for fact in [("a", "a"), ("a", "b"), ("c", "c")]:
+            client.assert_fact("delegates", fact)
+        assert set(client.query("delegates(X,X)")) == {("a", "a"),
+                                                        ("c", "c")}
+        assert set(client.query("delegates(X,Y)")) == {
+            ("a", "a"), ("a", "b"), ("c", "c")}
+    finally:
+        harness.close()
+
+
 class TestMaintenanceCounters:
     def test_updates_are_incremental_queries_hit_cache(self, harness):
         """The cache a query hits is the maintained fixpoint: updates

@@ -115,6 +115,23 @@ class TestAnswersMatchFixpoint:
         (fact,) = workspace.point_query("reach(1.0,4)")
         assert [type(value) for value in fact] == [int, int]
 
+    def test_a_repeated_variable_requires_equal_columns(self):
+        workspace = Workspace("w")
+        workspace.load('delegates("a","a"). delegates("a","b"). '
+                       'delegates("c","c"). q(1,2,3,3). q(1,1,3,4).')
+        want = {("a", "a"), ("c", "c")}
+        assert workspace.point_query("delegates(X,X)") == want
+        assert {(row["X"], row["X"])
+                for row in workspace.query("delegates(X,X)")} == want
+        assert workspace.point_query('delegates("a",X)') == \
+            {("a", "a"), ("a", "b")}
+        # ``_X`` is a named variable; each bare ``_`` is a distinct one
+        assert workspace.point_query("q(_,_,_X,_X)") == {(1, 2, 3, 3)}
+        assert workspace.point_query("q(X,X,_,_)") == {(1, 1, 3, 4)}
+        assert workspace.point_query("q(1,_X,_X,_)") == set()
+        assert workspace.point_query("q(_,_,_,_)") == \
+            {(1, 2, 3, 3), (1, 1, 3, 4)}
+
     def test_wrong_arity_rejected(self):
         # an index probe on the bound prefix would otherwise hand back
         # three-column facts for a one-column question
@@ -160,7 +177,8 @@ class Aborted(Exception):
 
 def assert_reads_agree(workspace):
     """Every predicate, every binding pattern, every value (6 was never
-    interned): the point query is the filtered relation."""
+    interned): the point query is the filtered relation.  A variable named
+    twice is the diagonal the body solver finds."""
     values = [None, *range(1, 7)]
     for pred in ("edge", "path"):
         for first in values:
@@ -170,6 +188,10 @@ def assert_reads_agree(workspace):
                                 for i, value in enumerate((first, second)))
                 assert workspace.point_query(f"{pred}({args})") == want, \
                     (pred, first, second)
+        diagonal = {(row["V"], row["V"])
+                    for row in workspace.query(f"{pred}(V,V)")}
+        assert workspace.point_query(f"{pred}(V,V)") == diagonal, pred
+        assert workspace.point_query(f"{pred}(_V,_V)") == diagonal, pred
 
 
 class TestGeneratedStreams:
