@@ -16,10 +16,14 @@ hash/range rule for individual key values, which is exactly how the
 paper's ``predNode(export[P],N) <- loc(P,N)`` placement behaves: the
 ``loc`` table, not a hash function, decides where P's exports live.
 
+A placement is what its caller declared, fixed once data lands: after
+its :class:`~repro.cluster.runtime.Cluster` routes a fact or commits a
+load, the partitioner is ``frozen`` and every declaring method raises.
+
 Hashing is **deterministic across processes** (CRC32 over a canonical
-rendering) so a cluster's shard assignment is stable run-to-run —
-Python's own ``hash()`` is salted per process and must not leak into
-placement.
+spelling, see :func:`stable_hash`) so a cluster's shard assignment is
+stable run-to-run — Python's own ``hash()`` is salted per process and
+must not leak into placement.
 """
 
 from __future__ import annotations
@@ -35,14 +39,31 @@ MODE_PARTITIONED = "partitioned"
 MODE_REPLICATED = "replicated"
 
 
+def _canonical(value):
+    """The spelling every value equal to ``value`` shares: a bool or a
+    finite integral float becomes its int, a tuple is canonical inside."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, tuple):
+        return tuple(_canonical(item) for item in value)
+    return value
+
+
 def stable_hash(value) -> int:
-    """A process-independent 32-bit hash of a ground value."""
+    """A process-independent 32-bit hash of a ground value.
+
+    CRC32 over the canonical spelling, so equal values share a shard:
+    the engine joins ``2`` with ``2.0`` (one interned id), whichever
+    spelling was asserted.  Strings, bytes and ints hash their own.
+    """
     if isinstance(value, bytes):
         blob = b"b:" + value
     elif isinstance(value, str):
         blob = b"s:" + value.encode("utf-8")
     else:
-        blob = repr(value).encode("utf-8")
+        blob = repr(_canonical(value)).encode("utf-8")
     return zlib.crc32(blob)
 
 
@@ -101,6 +122,8 @@ class Partitioner:
             raise ClusterError("duplicate node names in partitioner")
         self._rules: dict[str, _Rule] = {}
         self.pins = PlacementMap()
+        #: set by the cluster once data lands; no declaration after it
+        self.frozen = False
 
     # -- declaring placements ------------------------------------------------
 
@@ -130,15 +153,6 @@ class Partitioner:
         """Broadcast ``pred``'s facts to every node."""
         self._declare(pred, _Rule(MODE_REPLICATED))
 
-    def force_replicate(self, pred: str) -> None:
-        """Override any existing placement of ``pred`` with replication.
-
-        Used by the join-compatibility checker's auto-replicate policy,
-        which deliberately *changes* an incompatible placement — the
-        conflict guard in :meth:`_declare` does not apply.
-        """
-        self._rules[pred] = _Rule(MODE_REPLICATED)
-
     def place(self, pred: str, key: tuple, node: str) -> None:
         """Pin one partition explicitly (``predNode``-style override)."""
         if node not in self.nodes:
@@ -151,27 +165,18 @@ class Partitioner:
             # which looks up full key_arity prefixes via PlacementMap).
             raise ClusterError(
                 f"partitioner pins take a single-column key, got {key!r}")
-        if pred not in self._rules:
-            self._rules[pred] = _Rule(MODE_PARTITIONED, 0)
+        rule = self._rules.get(pred) or _Rule(MODE_PARTITIONED, 0)
+        if rule.mode == MODE_REPLICATED:
+            raise ClusterError(
+                f"cannot pin {pred!r}: it is replicated to every node")
+        self._declare(pred, rule)
         self.pins.place(pred, key, node)
 
-    def placement_snapshot(self) -> dict:
-        """The current per-predicate placement rules, for rollback.
-
-        ``_Rule`` objects are immutable in practice (force_replicate
-        swaps them wholesale), so a shallow copy suffices.
-        """
-        return dict(self._rules)
-
-    def restore_placement(self, snapshot: dict) -> None:
-        """Roll the placement rules back to a prior snapshot.
-
-        Used by :meth:`Cluster.load` when a later static check rejects a
-        program after auto-replication already mutated the placement.
-        """
-        self._rules = dict(snapshot)
-
     def _declare(self, pred: str, rule: _Rule) -> None:
+        if self.frozen:
+            raise ClusterError(
+                f"cannot change the placement of {pred!r}: the cluster "
+                f"already holds data placed by it")
         existing = self._rules.get(pred)
         if existing is not None and (existing.mode != rule.mode
                                      or existing.column != rule.column
@@ -249,7 +254,13 @@ class Partitioner:
         if pinned is not None:
             return pinned
         if rule.boundaries is not None:
-            return self.nodes[bisect_left(rule.boundaries, value)]
+            try:
+                return self.nodes[bisect_left(rule.boundaries, value)]
+            except TypeError:
+                raise ClusterError(
+                    f"key {value!r} of {pred!r} cannot be compared with "
+                    f"its range boundaries {list(rule.boundaries)!r}"
+                ) from None
         return self.nodes[stable_hash(value) % len(self.nodes)]
 
     def exchanged_preds(self) -> list[str]:

@@ -17,12 +17,10 @@ variable, or equal constants) **and** their placement schemes must route
 equal key values to the same node — same hash function over the same
 node list, identical range boundaries, identical explicit pins.
 
-When a rule fails the check the loader either **rejects** it with a
-diagnostic naming the rule and the mismatched columns, or — under
-``on_incompatible="replicate"`` — **auto-replicates** every partitioned
-body predicate after the first, restoring correctness at the cost of
-broadcast traffic (reported back to the caller so the decision is never
-silent).
+When a rule fails the check the loader **rejects** it with a diagnostic
+naming the rule and the mismatched columns.  The checks only read the
+placement: changing it — repartitioning onto a shared key column, or
+replicating a predicate — is its declarer's decision, never the loader's.
 """
 
 from __future__ import annotations
@@ -33,10 +31,7 @@ from typing import Iterable, Optional
 from ..datalog.errors import ClusterError
 from ..datalog.stratify import stratify
 from ..datalog.terms import Constant, Literal, Term, Variable
-from .partition import MODE_PARTITIONED, Partitioner
-
-#: Policies for handling an incompatible rule at load time.
-ON_INCOMPATIBLE = ("reject", "replicate")
+from .partition import Partitioner
 
 
 @dataclass
@@ -180,41 +175,15 @@ def nonmonotone_exchanges(rules: Iterable,
     return found
 
 
-def check_join_compatibility(rules: Iterable, partitioner: Partitioner,
-                             on_incompatible: str = "reject") -> list[str]:
-    """Enforce join compatibility; returns auto-replicated predicates.
-
-    ``on_incompatible="reject"`` raises :class:`ClusterError` naming the
-    first offending rule and its mismatched columns;
-    ``"replicate"`` instead flips the non-anchor partitioned predicates
-    of each offending rule to replicated placement (iterating until the
-    program is clean) and returns the predicates it changed.
-    """
-    if on_incompatible not in ON_INCOMPATIBLE:
+def check_join_compatibility(rules: Iterable,
+                             partitioner: Partitioner) -> None:
+    """Raise :class:`ClusterError` naming every rule whose body joins are
+    not co-located under the placement, with its mismatched columns."""
+    issues = analyze_join_compatibility(rules, partitioner)
+    if issues:
         raise ClusterError(
-            f"unknown incompatibility policy {on_incompatible!r}; pick one "
-            f"of {'/'.join(ON_INCOMPATIBLE)}")
-    rule_list = list(rules)
-    replicated: list[str] = []
-    while True:
-        issues = analyze_join_compatibility(rule_list, partitioner)
-        if not issues:
-            return replicated
-        if on_incompatible == "reject":
-            raise ClusterError(
-                "join-incompatible placement: "
-                + "; ".join(str(issue) for issue in issues)
-                + " — repartition the predicates onto a shared key column, "
-                  "replicate one of them, or load with "
-                  "on_incompatible='replicate'"
-            )
-        progressed = False
-        for issue in issues:
-            for pred, _column in issue.preds[1:]:
-                if partitioner.mode(pred) == MODE_PARTITIONED:
-                    partitioner.force_replicate(pred)
-                    replicated.append(pred)
-                    progressed = True
-        if not progressed:  # pragma: no cover - defensive
-            raise ClusterError(
-                "placement auto-replication failed to converge")
+            "join-incompatible placement: "
+            + "; ".join(str(issue) for issue in issues)
+            + " — repartition the predicates onto a shared key column, "
+              "or replicate one of them"
+        )

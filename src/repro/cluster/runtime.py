@@ -13,10 +13,10 @@ The union of all shards equals the single-node fixpoint whenever the
 placement is *join-compatible*, which is checked, not trusted:
 ``load()`` runs the static
 :func:`~repro.cluster.placement_check.check_join_compatibility` analysis
-and rejects (or, under ``on_incompatible="replicate"``, repairs by
-replication) any rule whose body joins cannot be co-located.
-Negation/aggregation over exchanged predicates is rejected: a shard
-cannot prove a fact absent while a delta for it may be in flight.
+and rejects any rule whose body joins cannot be co-located; it never
+changes the placement, and the first routed fact or committed load
+freezes it.  Negation/aggregation over exchanged predicates is rejected:
+a shard cannot prove a fact absent while a delta for it may be in flight.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ class Cluster:
                  builtins: Optional[BuiltinRegistry] = None,
                  registry: Optional[RuleRegistry] = None,
                  max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
-                 mode: str = MODE_BSP,
-                 on_incompatible: str = "reject") -> None:
+                 mode: str = MODE_BSP) -> None:
         if isinstance(nodes, int):
             if nodes < 1:
                 raise ClusterError("a cluster needs at least one node")
@@ -72,10 +71,6 @@ class Cluster:
             for name in names
         }
         self.ledger = TicketLedger()
-        self.on_incompatible = on_incompatible
-        #: predicates the join-compatibility checker flipped to
-        #: replicated placement (``on_incompatible="replicate"`` only)
-        self.auto_replicated: list[str] = []
         #: diagnostics from the most recent :meth:`load` static check.
         self.last_check: list = []
         #: findings pragma-suppressed during that check.
@@ -100,9 +95,10 @@ class Cluster:
         """Install a program on every node (facts route by placement).
 
         Loading statically checks the program against the placement:
-        join-incompatible rules are rejected (or repaired by replication
-        under ``on_incompatible="replicate"``), and nonmonotone strata
-        over exchanged predicates are refused.
+        join-incompatible rules and nonmonotone strata over exchanged
+        predicates are refused.  The checks change nothing, so a refused
+        load leaves the cluster as it was; a committed one freezes the
+        placement.
         """
         if isinstance(source, str):
             statements = parse_statements(source)
@@ -160,23 +156,13 @@ class Cluster:
                 if engine_rule.label is None:
                     engine_rule.label = f"r{len(self._rules) + len(engine_rules)}"
                 engine_rules.append(engine_rule)
-        # The two static checks must commit atomically: auto-replication
-        # mutates the partitioner, so if the distributability check then
-        # rejects the program the placement is rolled back and no facts
-        # are rebroadcast — a failed load leaves the cluster untouched.
-        placement_before = self.partitioner.placement_snapshot()
-        flipped = check_join_compatibility(
-            self._rules + engine_rules, self.partitioner,
-            on_incompatible=self.on_incompatible)
+        check_join_compatibility(self._rules + engine_rules, self.partitioner)
         refused = nonmonotone_exchanges(self._rules + engine_rules,
                                         self.partitioner)
         if refused:
-            self.partitioner.restore_placement(placement_before)
             raise ClusterError(refused[0][1])
         self.catalog = catalog
-        if flipped:
-            self.auto_replicated.extend(flipped)
-            self._rebroadcast(flipped)
+        self.partitioner.frozen = True
         for pred, values in facts:
             self.assert_fact(pred, values)
         self._rules.extend(engine_rules)
@@ -188,25 +174,6 @@ class Cluster:
                 for r in engine_rules
             ])
 
-    def _rebroadcast(self, preds: Iterable[str]) -> None:
-        """Re-seed already-routed facts of newly replicated predicates.
-
-        Auto-replication may flip a predicate *after* some of its facts
-        were hash-routed to a single owner — asserted EDB *and*, when a
-        ``run()`` already happened, facts the owner derived; replication
-        semantics require every node to hold all of them, so the union
-        of every shard's full relation is broadcast.  (Seeding records
-        them as received base facts on the replicas, which is exactly
-        how a remotely derived delta lands during a run.)
-        """
-        for pred in preds:
-            everywhere: set = set()
-            for node in self.nodes.values():
-                everywhere |= node.db.tuples(pred)
-            for node in self.nodes.values():
-                for fact in everywhere:
-                    node.seed(pred, fact)
-
     # ------------------------------------------------------------------
     # EDB routing
     # ------------------------------------------------------------------
@@ -217,7 +184,8 @@ class Cluster:
 
         ``at`` names the asserting node for local-mode predicates
         (default: the first node).  A fact whose arity disagrees with the
-        loaded rules is a :class:`ClusterError`.
+        loaded rules is a :class:`ClusterError`.  Routing a fact freezes
+        the placement.
         """
         fact = tuple(fact)
         try:
@@ -225,6 +193,7 @@ class Cluster:
         except WorkspaceError as error:
             raise ClusterError(str(error)) from None
         owner = self.partitioner.owner(pred, fact)
+        self.partitioner.frozen = True
         if owner is not None:
             self.nodes[owner].seed(pred, fact)
         elif self.partitioner.mode(pred) == "replicated":

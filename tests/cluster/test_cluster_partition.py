@@ -1,7 +1,11 @@
 """Placement rules: hash/range partitioning, predNode-style pins."""
 
-import pytest
+import zlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster import Cluster
 from repro.cluster.partition import (
     MODE_LOCAL,
     MODE_PARTITIONED,
@@ -15,6 +19,34 @@ from repro.datalog.terms import PredPartition
 
 NODES = ("a", "b", "c")
 
+REACHABILITY = """
+reach(X,Y) <- edge(X,Y).
+reach(X,Z) <- reach(X,Y), edge(Y,Z).
+"""
+
+#: ints, floats, bools and tuples of them — the values the interner
+#: may give one id under different spellings
+NUMERIC = st.recursive(
+    st.integers() | st.floats(allow_nan=False) | st.booleans(),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=6,
+)
+
+
+def respell(data, value):
+    """An equal value, each leaf in a spelling drawn from its equals."""
+    if isinstance(value, tuple):
+        return tuple(respell(data, item) for item in value)
+    spellings = [value]
+    if isinstance(value, float) and value.is_integer():
+        spellings.append(int(value))
+    if isinstance(value, int):
+        if float(value) == value:
+            spellings.append(float(value))
+        if value in (0, 1):
+            spellings += [bool(value), int(value)]
+    return data.draw(st.sampled_from(spellings))
+
 
 class TestStableHash:
     def test_deterministic_across_value_types(self):
@@ -25,6 +57,56 @@ class TestStableHash:
 
     def test_str_and_bytes_do_not_collide_by_prefix(self):
         assert stable_hash("ab") != stable_hash(b"ab")
+
+    def test_ints_strings_and_bytes_hash_their_own_spelling(self):
+        # an int- or string-keyed placement never moves
+        assert stable_hash(7) == zlib.crc32(b"7")
+        assert stable_hash(-12) == zlib.crc32(b"-12")
+        assert stable_hash("alice") == zlib.crc32(b"s:alice")
+        assert stable_hash(b"\x00") == zlib.crc32(b"b:\x00")
+        assert stable_hash((1, "x")) == zlib.crc32(b"(1, 'x')")
+
+    def test_equal_spellings_hash_equal(self):
+        assert stable_hash(2) == stable_hash(2.0)
+        assert stable_hash(True) == stable_hash(1) == stable_hash(1.0)
+        assert stable_hash(False) == stable_hash(-0.0)
+        assert stable_hash((2.0, (True,))) == stable_hash((2, (1,)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(NUMERIC, st.data())
+    def test_equal_values_hash_equal(self, value, data):
+        other = respell(data, value)
+        assert value == other
+        assert stable_hash(value) == stable_hash(other)
+
+
+def reach_cluster(nodes, edges, edge_column=0, reach_column=1):
+    names = [f"n{i}" for i in range(nodes)]
+    partitioner = Partitioner(names)
+    partitioner.hash_partition("edge", column=edge_column)
+    partitioner.hash_partition("reach", column=reach_column)
+    cluster = Cluster(names, partitioner=partitioner)
+    cluster.load(REACHABILITY)
+    cluster.assert_facts("edge", edges)
+    return cluster
+
+
+class TestEqualValuesOneShard:
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 5])
+    def test_an_int_and_its_float_spelling_join(self, nodes):
+        # edge(1,2) reaches reach(1,2) on the owner of key 2; edge(2.0,999)
+        # must be routed there too, or reach(1,999) is never derived
+        edges = [(1, 2), (2.0, 999)]
+        cluster = reach_cluster(nodes, edges)
+        cluster.run()
+        assert cluster.tuples("reach") == {(1, 2), (1, 999), (2, 999)}
+
+    def test_a_bool_and_its_int_spelling_join(self):
+        cluster = reach_cluster(3, [(0, 1), (True, 5), (5, False)])
+        cluster.run()
+        single = reach_cluster(1, [(0, 1), (True, 5), (5, False)])
+        single.run()
+        assert cluster.tuples("reach") == single.tuples("reach")
 
 
 class TestPartitioner:
@@ -142,3 +224,84 @@ class TestPinKeyValidation:
         # single-column pins still work and actually route
         partitioner.place("export", ("alice",), "n1")
         assert partitioner.owner("export", ("alice", "payload")) == "n1"
+
+
+class TestPlacementFrozenUnderData:
+    def test_a_placement_cannot_change_after_a_run(self):
+        cluster = reach_cluster(3, [(1, 2), (2, 3)])
+        cluster.run()
+        partitioner = cluster.partitioner
+        node = partitioner.nodes[-1]
+        with pytest.raises(ClusterError, match="'edge'"):
+            partitioner.place("edge", (3,), node)
+        with pytest.raises(ClusterError, match="'reach'"):
+            partitioner.place("reach", (3,), node)
+        with pytest.raises(ClusterError):
+            partitioner.hash_partition("other", column=0)
+        with pytest.raises(ClusterError):
+            partitioner.range_partition("other", 0, [10, 20])
+        with pytest.raises(ClusterError):
+            partitioner.replicate("other")
+        assert len(partitioner.pins) == 0
+        # the declared placement still routes every later fact
+        cluster.assert_facts("edge", [(3, 4), (4, 5)])
+        cluster.run()
+        assert cluster.tuples("reach") == {
+            (a, b) for a in range(1, 6) for b in range(a + 1, 6)}
+
+    def test_routing_one_fact_freezes_the_placement(self):
+        partitioner = Partitioner(NODES)
+        partitioner.hash_partition("p", column=0)
+        cluster = Cluster(list(NODES), partitioner=partitioner)
+        partitioner.replicate("q")         # nothing placed yet
+        cluster.assert_fact("p", (1,))
+        with pytest.raises(ClusterError):
+            partitioner.replicate("r")
+
+    def test_a_committed_load_freezes_a_refused_one_does_not(self):
+        partitioner = Partitioner(NODES)
+        partitioner.hash_partition("p", column=0)
+        partitioner.hash_partition("q", column=0)
+        cluster = Cluster(list(NODES), partitioner=partitioner)
+        with pytest.raises(ClusterError):
+            cluster.load("j(X,Y) <- p(X), q(Y).")
+        partitioner.replicate("r")         # the refused load froze nothing
+        cluster.load("j(X) <- p(X), q(X).")
+        with pytest.raises(ClusterError):
+            partitioner.place("p", (1,), "a")
+
+
+class TestReplicatedPredicatesHaveNoPins:
+    def test_pinning_a_replicated_predicate_is_refused(self):
+        part = Partitioner(NODES)
+        part.replicate("hop")
+        with pytest.raises(ClusterError, match="replicated"):
+            part.place("hop", (1,), "b")
+        assert len(part.pins) == 0
+        assert part.mode("hop") == MODE_REPLICATED
+
+    def test_replicating_a_pinned_predicate_is_a_conflict(self):
+        part = Partitioner(NODES)
+        part.place("hop", (1,), "b")
+        with pytest.raises(ClusterError, match="conflicting"):
+            part.replicate("hop")
+
+
+class TestRangeKeysMustCompare:
+    def range_cluster(self):
+        partitioner = Partitioner(["n0", "n1"])
+        partitioner.range_partition("edge", 0, [10])
+        return Cluster(["n0", "n1"], partitioner=partitioner)
+
+    def test_an_asserted_key_that_does_not_compare_is_named(self):
+        cluster = self.range_cluster()
+        with pytest.raises(ClusterError, match=r"'a' of 'edge'"):
+            cluster.assert_fact("edge", ("a", 1))
+        assert cluster.tuples("edge") == set()
+
+    def test_a_derived_key_that_does_not_compare_is_named(self):
+        cluster = self.range_cluster()
+        cluster.load("edge(X,Y) <- label(X,Y).")
+        cluster.assert_fact("label", ("a", 1))   # local: stays on n0
+        with pytest.raises(ClusterError, match=r"'a' of 'edge'"):
+            cluster.run()

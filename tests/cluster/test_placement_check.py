@@ -116,107 +116,35 @@ class TestLoadTimeEnforcement:
         assert "tc1" in message
         assert "column 0" in message
 
-    def test_auto_replicate_repairs_and_reports(self):
-        cluster = Cluster(["n0", "n1", "n2"],
-                          partitioner=mismatched_partitioner(),
-                          on_incompatible="replicate")
-        cluster.load(REACHABILITY)
-        assert cluster.auto_replicated == ["edge"]
-        assert cluster.partitioner.mode("edge") == "replicated"
-
-    def test_auto_replicated_fixpoint_matches_single_node(self):
-        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4)]
-        single = Cluster(1)
-        single.load(REACHABILITY)
-        for edge in edges:
-            single.assert_fact("edge", edge)
-        single.run()
-        reference = single.tuples("reach")
-
-        cluster = Cluster(["n0", "n1", "n2"],
-                          partitioner=mismatched_partitioner(),
-                          on_incompatible="replicate")
-        cluster.load(REACHABILITY)
-        for edge in edges:
-            cluster.assert_fact("edge", edge)
-        cluster.run()
-        assert cluster.tuples("reach") == reference
-        # replication semantics: every node holds every edge
-        for node in cluster.nodes.values():
-            assert node.db.tuples("edge") == set(edges)
-
-    def test_auto_replicate_rebroadcasts_facts_seeded_before_load(self):
-        edges = [(0, 1), (1, 2), (2, 3)]
-        cluster = Cluster(["n0", "n1", "n2"],
-                          partitioner=mismatched_partitioner(),
-                          on_incompatible="replicate")
-        for edge in edges:          # routed to single owners pre-load
-            cluster.assert_fact("edge", edge)
-        cluster.load(REACHABILITY)  # flip to replicated must re-seed
-        cluster.run()
-        for node in cluster.nodes.values():
-            assert node.db.tuples("edge") == set(edges)
-        assert cluster.tuples("reach") == {
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
-
-    def test_auto_replicate_after_run_broadcasts_derived_facts_too(self):
-        """Flipping a predicate that already *derived* facts must
-        broadcast those too, not just the asserted EDB — otherwise the
-        replicas hold a truncated relation and the next fixpoint
-        silently diverges from the single-node result."""
-        program = REACHABILITY + ' j(X,Y) <- marker(X), reach(X,Y).'
-        edges = [(1, 2), (2, 3), (3, 4)]
-
-        single = Cluster(1)
-        single.load(REACHABILITY)
-        for edge in edges:
-            single.assert_fact("edge", edge)
-        single.run()
-        single.load('j(X,Y) <- marker(X), reach(X,Y).')
-        single.assert_fact("marker", (1,))
-        single.run()
-        reference = single.tuples("j")
-        assert reference == {(1, 2), (1, 3), (1, 4)}
-
-        partitioner = Partitioner(["n0", "n1", "n2"])
-        partitioner.hash_partition("edge", column=0)
-        partitioner.hash_partition("reach", column=1)
-        partitioner.hash_partition("marker", column=0)
-        cluster = Cluster(["n0", "n1", "n2"], partitioner=partitioner,
-                          on_incompatible="replicate")
-        cluster.load(REACHABILITY)
-        for edge in edges:
-            cluster.assert_fact("edge", edge)
-        cluster.run()   # reach facts now *derived*, spread over owners
-        # marker(X) ⋈ reach(X,Y) joins col 0 vs col 1: reach flips
-        cluster.load('j(X,Y) <- marker(X), reach(X,Y).')
-        assert "reach" in cluster.auto_replicated
-        cluster.assert_fact("marker", (1,))
-        cluster.run()
-        assert cluster.tuples("j") == reference
-        # replication semantics: every node holds the full reach relation
-        full_reach = single.tuples("reach")
-        for node in cluster.nodes.values():
-            assert node.db.tuples("reach") == full_reach
+    def test_check_names_every_offending_rule_and_changes_nothing(self):
+        partitioner = mismatched_partitioner()
+        before = partitioner.describe()
+        rules = engine_rules(REACHABILITY + "tc2: hop(X,Z) <- reach(X,Y), "
+                                            "edge(Y,Z).")
+        with pytest.raises(ClusterError) as excinfo:
+            check_join_compatibility(rules, partitioner)
+        assert "'tc1'" in str(excinfo.value)
+        assert "'tc2'" in str(excinfo.value)
+        assert partitioner.describe() == before
+        good = Partitioner(["n0", "n1", "n2"])
+        good.hash_partition("edge", column=0)
+        good.hash_partition("reach", column=1)
+        assert check_join_compatibility(rules, good) is None
 
     def test_rejected_load_leaves_placement_untouched(self):
-        """Auto-replication must not commit when a later static check
-        rejects the program — a failed load leaves the cluster exactly
-        as it was."""
+        """The static checks only read the placement — a failed load
+        leaves the cluster exactly as it was."""
         partitioner = Partitioner(["n0", "n1"])
         partitioner.hash_partition("p", column=0)
         partitioner.hash_partition("q", column=0)
-        cluster = Cluster(["n0", "n1"], partitioner=partitioner,
-                          on_incompatible="replicate")
+        cluster = Cluster(["n0", "n1"], partitioner=partitioner)
         cluster.assert_fact("q", (1,))
         shards_before = {name: node.db.tuples("q")
                          for name, node in cluster.nodes.items()}
-        # j forces a replicate-flip of q; bad is then rejected outright
-        # (negation over the exchanged predicate p)
+        # j's join keys diverge, and bad negates the exchanged predicate p
         with pytest.raises(ClusterError):
             cluster.load("j(X,Y) <- p(X), q(Y). bad(X) <- w(X), !p(X).")
         assert cluster.partitioner.mode("q") == "partitioned"
-        assert cluster.auto_replicated == []
         assert {name: node.db.tuples("q")
                 for name, node in cluster.nodes.items()} == shards_before
         # a corrected program still loads against the original placement
@@ -234,15 +162,9 @@ class TestLoadTimeEnforcement:
         for node in cluster.nodes.values():
             assert node.base.get("p", set()) == set()
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ClusterError):
-            check_join_compatibility([], Partitioner(["n0", "n1"]),
-                                     on_incompatible="shrug")
-
     def test_demo_placement_still_loads(self):
         partitioner = Partitioner(["n0", "n1", "n2", "n3"])
         partitioner.hash_partition("edge", column=0)
         partitioner.hash_partition("reach", column=1)
         cluster = Cluster(["n0", "n1", "n2", "n3"], partitioner=partitioner)
         cluster.load(REACHABILITY)  # must not raise
-        assert cluster.auto_replicated == []
