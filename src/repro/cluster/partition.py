@@ -20,10 +20,11 @@ A placement is what its caller declared, fixed once data lands: after
 its :class:`~repro.cluster.runtime.Cluster` routes a fact or commits a
 load, the partitioner is ``frozen`` and every declaring method raises.
 
-Hashing is **deterministic across processes** (CRC32 over a canonical
+Hashing is **deterministic across processes** (CRC32 over a value's own
 spelling, see :func:`stable_hash`) so a cluster's shard assignment is
 stable run-to-run — Python's own ``hash()`` is salted per process and
-must not leak into placement.
+must not leak into placement.  A spelling is what the interner keys a
+fact by, so every shard routes one fact to one owner.
 """
 
 from __future__ import annotations
@@ -39,31 +40,20 @@ MODE_PARTITIONED = "partitioned"
 MODE_REPLICATED = "replicated"
 
 
-def _canonical(value):
-    """The spelling every value equal to ``value`` shares: a bool or a
-    finite integral float becomes its int, a tuple is canonical inside."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, tuple):
-        return tuple(_canonical(item) for item in value)
-    return value
-
-
 def stable_hash(value) -> int:
     """A process-independent 32-bit hash of a ground value.
 
-    CRC32 over the canonical spelling, so equal values share a shard:
-    the engine joins ``2`` with ``2.0`` (one interned id), whichever
-    spelling was asserted.  Strings, bytes and ints hash their own.
+    CRC32 over the value's own spelling (``repr``; a string or bytes
+    carries a prefix), so values the interner keeps apart may land apart
+    and one interned id always lands on one shard: ``1``, ``1.0``,
+    ``True`` and ``-0.0`` are four facts, hashed as written.
     """
     if isinstance(value, bytes):
         blob = b"b:" + value
     elif isinstance(value, str):
         blob = b"s:" + value.encode("utf-8")
     else:
-        blob = repr(_canonical(value)).encode("utf-8")
+        blob = repr(value).encode("utf-8")
     return zlib.crc32(blob)
 
 

@@ -40,7 +40,7 @@ from .checksums import crc32, sha256_hex
 from .hmac_sha1 import hmac_sha1_hex, verify_hmac_sha1
 
 
-def _canonical_bytes(workspace: Any, value: Any) -> bytes:
+def _covered_bytes(workspace: Any, value: Any) -> bytes:
     """The byte string that signatures/MACs/hashes cover."""
     if isinstance(value, RuleRef):
         return workspace.registry.canonical_text(value).encode("utf-8")
@@ -61,7 +61,7 @@ def register_crypto_builtins(registry: BuiltinRegistry) -> None:
 
     def bi_rsasign(workspace, rule_value, key_id):
         key = _keystore(workspace).rsa_private(key_id)
-        signature = rsa.sign(_canonical_bytes(workspace, rule_value), key)
+        signature = rsa.sign(_covered_bytes(workspace, rule_value), key)
         return [(format(signature, "x"),)]
 
     def bi_rsaverify(workspace, rule_value, signature_hex, key_id):
@@ -70,11 +70,11 @@ def register_crypto_builtins(registry: BuiltinRegistry) -> None:
             signature = int(signature_hex, 16)
         except (CryptoError, ValueError):
             return False
-        return rsa.verify(_canonical_bytes(workspace, rule_value), signature, key)
+        return rsa.verify(_covered_bytes(workspace, rule_value), signature, key)
 
     def bi_hmacsign(workspace, rule_value, key_id):
         secret = _keystore(workspace).secret(key_id)
-        return [(hmac_sha1_hex(secret, _canonical_bytes(workspace, rule_value)),)]
+        return [(hmac_sha1_hex(secret, _covered_bytes(workspace, rule_value)),)]
 
     def bi_hmacverify(workspace, rule_value, tag_hex, key_id):
         keystore = _keystore(workspace)
@@ -85,11 +85,11 @@ def register_crypto_builtins(registry: BuiltinRegistry) -> None:
         except ValueError:
             return False
         secret = keystore.secret(key_id)
-        return verify_hmac_sha1(secret, _canonical_bytes(workspace, rule_value), tag)
+        return verify_hmac_sha1(secret, _covered_bytes(workspace, rule_value), tag)
 
     def bi_encryptrule(workspace, rule_value, key_id):
         secret = _keystore(workspace).secret(key_id)
-        blob = stream.encrypt(secret, _canonical_bytes(workspace, rule_value))
+        blob = stream.encrypt(secret, _covered_bytes(workspace, rule_value))
         return [(blob.hex(),)]
 
     def bi_decryptrule(workspace, blob_hex, key_id):
@@ -108,10 +108,10 @@ def register_crypto_builtins(registry: BuiltinRegistry) -> None:
             return []
 
     def bi_sha256hash(workspace, value):
-        return [(sha256_hex(_canonical_bytes(workspace, value)),)]
+        return [(sha256_hex(_covered_bytes(workspace, value)),)]
 
     def bi_checksum(workspace, value):
-        return [(crc32(_canonical_bytes(workspace, value)),)]
+        return [(crc32(_covered_bytes(workspace, value)),)]
 
     registry.register("rsasign", "ioi", bi_rsasign, needs_context=True)
     registry.register("rsaverify", "iii", bi_rsaverify, needs_context=True)

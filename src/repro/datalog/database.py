@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Optional
 
 from .errors import IndexIntegrityError, TransactionError
+from .terms import PredPartition
 
 #: When set, an object with integer counter attributes (an
 #: :class:`repro.datalog.stats.EvalStats`) that the storage layer
@@ -56,18 +57,43 @@ def set_index_stats(stats: Optional[Any]) -> Optional[Any]:
     return previous
 
 
+def _term_key(value: Any) -> Any:
+    """The interner's key for ``value``: equal keys are one fact.
+
+    A bool or a float is keyed with its type, so ``True``, ``1`` and
+    ``1.0`` are three facts; a float by its exact bits (``-0.0`` is not
+    ``0.0``, every NaN is one).  Tuples and partition names are typed
+    inside.  Any other value (ints, strings, rules, bytes) is its own key:
+    Python equality already keeps it apart from every other type's.
+    """
+    kind = type(value)
+    if kind is float:
+        return (float, value.hex())
+    if kind is bool:
+        return (bool, value)
+    if kind is tuple:
+        return (tuple, tuple([_term_key(item) for item in value]))
+    if kind is PredPartition:
+        return (PredPartition, value.pred, _term_key(value.keys))
+    return value
+
+
+#: The types :func:`_term_key` keys with their type.
+_TYPED = frozenset((float, bool, tuple, PredPartition))
+
+
 class TermInterner:
     """A bijection between ground values and dense integer ids.
 
-    ``ids`` maps value → id; ``values`` is the inverse table (id → value,
-    a plain list indexed by id).  A system has one (``RuleRegistry.terms``),
-    shared by reference by every relation, delta and wire block of its
+    ``values`` is the id → value table (a plain list indexed by id) and
+    ``ids`` its inverse, keyed by :func:`_term_key`: the interner is the
+    one place that decides when two values are the same fact, and joins,
+    provenance, aggregate groups and shard placement follow its ids.
+    ``True``, ``1`` and ``1.0`` get three ids; comparisons and builtins
+    still see values.  A system has one (``RuleRegistry.terms``), shared
+    by reference by every relation, delta and wire block of its
     principals and shards.  It is **append-only**: interning never
     reassigns or frees an id, so a rolled-back transaction leaves it alone.
-
-    Interning is keyed on value equality: ``1``, ``1.0`` and ``True``
-    share an id, and the first the *system* interns is what every
-    principal reads back.
     """
 
     __slots__ = ("ids", "values")
@@ -81,15 +107,15 @@ class TermInterner:
 
     def intern(self, value: Any) -> int:
         """The id for ``value``, allocating the next dense id if new."""
-        ids = self.ids
-        found = ids.get(value)
+        key = _term_key(value)
+        found = self.ids.get(key)
         if found is not None:
             if _index_stats is not None:
                 _index_stats.intern_hits += 1
             return found
         values = self.values
         assigned = len(values)
-        ids[value] = assigned
+        self.ids[key] = assigned
         values.append(value)
         if _index_stats is not None:
             _index_stats.terms_interned += 1
@@ -97,13 +123,15 @@ class TermInterner:
 
     def id_of(self, value: Any) -> Optional[int]:
         """The id for ``value``, or None — never allocates (lookups)."""
-        return self.ids.get(value)
+        return self.ids.get(_term_key(value))
 
     def intern_row(self, fact: tuple) -> tuple:
         """Intern every term of a ground fact: value tuple → id row."""
+        ids = self.ids
         try:
-            # All-hits fast path: direct subscript, no per-term call.
-            row = tuple([self.ids[value] for value in fact])
+            # All-hits fast path: one subscript per term, no call.
+            row = tuple([ids[_term_key(value) if type(value) in _TYPED
+                             else value] for value in fact])
         except KeyError:
             intern = self.intern
             return tuple([intern(value) for value in fact])
@@ -118,8 +146,10 @@ class TermInterner:
         discards use it so probing for unknown values cannot grow the
         table.
         """
+        ids = self.ids
         try:
-            return tuple([self.ids[value] for value in fact])
+            return tuple([ids[_term_key(value) if type(value) in _TYPED
+                              else value] for value in fact])
         except KeyError:
             return None
 
@@ -307,19 +337,11 @@ class Relation:
         it, so callers may interleave iteration with insertions into
         this very relation.
         """
-        id_of = self.interner.id_of
+        id_key = self.interner.row_of(key)
+        if id_key is None:
+            return []
         if len(positions) == 1:
-            id_key = id_of(key[0])
-            if id_key is None:
-                return []
-        else:
-            id_key_list = []
-            for value in key:
-                found = id_of(value)
-                if found is None:
-                    return []
-                id_key_list.append(found)
-            id_key = tuple(id_key_list)
+            id_key = id_key[0]
         cache = self._buckets
         version = self._version
         if cache is None or cache[0] != version:

@@ -16,7 +16,7 @@ hands back — is a :data:`FactSet` of *id rows* over ``db.interner``.  A
 value is interned exactly once, where it enters (a host's assert, a wire
 dictionary, a plan's constants when it compiles, an aggregate result),
 and materialized only where it leaves (``tuples()`` / query answers,
-provenance records, builtins and comparisons).  Row sets are adopted,
+provenance reads, builtins and comparisons).  Row sets are adopted,
 never copied: a callee must not mutate a set it was handed
 (:func:`merge_rows`).  The one distribution hook is
 ``EvalContext.remote_emit_rows``, consulted in :func:`eval_stratum`'s
@@ -32,15 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .builtins import BuiltinRegistry
-from .database import Database, Journal, Relation
+from .database import Database, Relation
 from .errors import SafetyError
 from .runtime import (
     HEAD_COMPUTED,
-    HEAD_CONST,
-    HEAD_SLOT,
     BodyAnalysis,
     EvalContext,
     FlatPlan,
@@ -48,10 +46,10 @@ from .runtime import (
     banded_plan,
     body_relations,
     cardinality_band,
+    _compile_term,
     compile_head,
-    eval_term,
+    fill_row,
     run_flat,
-    solve,
 )
 from .stats import EvalStats, StratumStats  # noqa: F401 - re-exported
 from .stratify import Stratum, stratify
@@ -237,21 +235,23 @@ def normalize_rules(rules: Iterable[Rule]) -> list[EngineRule]:
 class ProvenanceStore:
     """Optional why-provenance: one or more derivations per derived fact.
 
-    A derivation is ``(rule_label, ((pred, tuple), ...))`` listing the
-    positive body facts that supported the head.  EDB assertions are
-    recorded with the pseudo-label ``"$edb"``.
+    The store explains the facts of ``db`` in its id space: a key is
+    ``(pred, id row)``, a derivation ``(rule_label, ((pred, id row),
+    ...))`` listing the positive body facts that supported the head, and
+    EDB assertions have the pseudo-label ``"$edb"``.  Only :meth:`of`,
+    the reader, materializes values.
 
     Derivations are frozensets, replaced on write: inside a transaction of
-    ``journal`` (the host's) each write logs what the fact held, so a
+    the database's journal each write logs what the fact held, so a
     rollback costs what the transaction touched, not what the store holds.
     """
 
-    def __init__(self, journal: Optional[Journal] = None) -> None:
+    def __init__(self, db: Optional[Database] = None) -> None:
         self.derivations: dict[tuple, frozenset] = {}
-        self.journal = journal if journal is not None else Journal()
+        self.db = db if db is not None else Database()
 
     def _set(self, key: tuple, held: Optional[frozenset]) -> None:
-        self.journal.log(self._put_back, (key, self.derivations.get(key)))
+        self.db.journal.log(self._put_back, (key, self.derivations.get(key)))
         if held:
             self.derivations[key] = held
         else:
@@ -260,18 +260,27 @@ class ProvenanceStore:
     def _put_back(self, logged: tuple) -> None:
         self._set(*logged)
 
-    def record(self, pred: str, fact: tuple, rule_label: str,
+    def record(self, pred: str, row: tuple, rule_label: str,
                supports: tuple) -> None:
-        self._set((pred, fact), self.of(pred, fact) | {(rule_label, supports)})
+        key = (pred, row)
+        self._set(key, self.derivations.get(key, frozenset())
+                  | {(rule_label, supports)})
 
-    def record_edb(self, pred: str, fact: tuple) -> None:
-        self.record(pred, fact, "$edb", ())
+    def record_edb(self, pred: str, row: tuple) -> None:
+        self.record(pred, row, "$edb", ())
 
-    def forget(self, pred: str, fact: tuple) -> None:
-        self._set((pred, fact), None)
+    def forget(self, pred: str, row: tuple) -> None:
+        self._set((pred, row), None)
 
     def of(self, pred: str, fact: tuple) -> frozenset:
-        return self.derivations.get((pred, fact), frozenset())
+        """The derivations of the value tuple ``fact``, in values."""
+        interner = self.db.interner
+        materialize = interner.materialize_row
+        return frozenset(
+            (label, tuple([(support, materialize(row))
+                           for support, row in supports]))
+            for label, supports
+            in self.derivations.get((pred, interner.row_of(fact)), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -327,56 +336,40 @@ def derive_rows(rule: EngineRule, flat: FlatPlan, db: Database,
     and records the matched body facts.
     """
     if flat.head_spec is None:
-        intern_constant = flat.terms.intern
-        spec = tuple([
-            (kind, intern_constant(payload) if kind == HEAD_CONST
-             else payload)
-            for kind, payload in compile_head(rule.head, flat.slot_of)])
+        spec = compile_head(rule.head, flat)
         flat.head_spec = (
             spec, any(kind == HEAD_COMPUTED for kind, _ in spec))
     id_spec, computed = flat.head_spec
-    interner = db.interner
-    intern = interner.intern
     on_solution: Optional[Callable] = None
     if computed or provenance is not None:
-        values = interner.values
+        values = db.interner.values
+        intern = db.interner.intern
         supports = flat.supports
         if provenance is not None and supports is None:
             supports = flat.supports = tuple(
-                (item.atom.pred, compile_head(item.atom, flat.slot_of))
+                (item.atom.pred, compile_head(item.atom, flat))
                 for item in rule.body
                 if isinstance(item, Literal) and not item.negated)
         head_pred = rule.head.pred
         label = rule.label or "rule"
 
         def emit(registers: list) -> None:
-            row = tuple([
-                registers[payload] if kind == HEAD_SLOT
-                else payload if kind == HEAD_CONST
-                else intern(payload(registers, values, context))
-                for kind, payload in id_spec])
+            row = fill_row(id_spec, registers, values, context, intern)
             if row not in known_rows and row not in produced:
                 produced.add(row)
             if provenance is not None:
-                provenance.record(
-                    head_pred, tuple([values[term] for term in row]), label,
-                    tuple([(pred, _instantiate(body_spec, registers, values,
-                                               context))
-                           for pred, body_spec in supports]))
+                provenance.record(head_pred, row, label, tuple([
+                    (pred, fill_row(spec, registers, values, context, intern))
+                    for pred, spec in supports]))
 
         on_solution = emit
     return run_flat(flat, db, context, delta_relations, delta_position,
                     id_spec, known_rows, produced, None, on_solution)
 
 
-def _instantiate(spec: tuple, registers: list, values: list,
-                 context: EvalContext) -> tuple:
-    """The ground *value* tuple of a :func:`compile_head` template."""
-    return tuple([
-        values[registers[payload]] if kind == HEAD_SLOT
-        else payload if kind == HEAD_CONST
-        else payload(registers, values, context)
-        for kind, payload in spec])
+#: ``agg<<>>`` functions over one group's values (a group is never empty)
+_AGGREGATES: dict[str, Callable[[list], Any]] = {
+    "count": len, "total": sum, "min": min, "max": max}
 
 
 def apply_aggregate_rule(rule: EngineRule, db: Database,
@@ -385,71 +378,50 @@ def apply_aggregate_rule(rule: EngineRule, db: Database,
     returns the head id rows not yet present (an aggregate result is a
     value entering the database, so it is interned here).
 
-    Grouping keys are the head variables other than the aggregate result;
-    solutions are deduplicated on the full variable assignment before the
-    aggregate function is applied (set semantics, matching LogicBlox's
-    ``agg<<>>`` over distinct derivations).
+    The body's plan is walked in id space, like a rule's: solutions are
+    deduplicated on their registers (set semantics, matching LogicBlox's
+    ``agg<<>>`` over distinct derivations) and grouped on the id row of
+    the head terms other than the result.  Only the aggregated term is
+    read as a value.
     """
     agg = rule.agg
     if agg is None:  # pragma: no cover - guarded by callers
         raise SafetyError("apply_aggregate_rule on a non-aggregate rule")
+    flat = rule.plan(context, None, db).flat()
+    head = rule.head.all_args
+    at_result = [isinstance(term, Variable) and term.name == agg.result.name
+                 for term in head]
+    group_spec = compile_head(Atom(rule.head.pred, tuple(
+        term for term, result in zip(head, at_result) if not result)), flat)
+    over = _compile_term(agg.over, flat.slot_of)
+    values = db.interner.values
+    intern = db.interner.intern
     groups: dict[tuple, list] = {}
-    seen_signatures: set = set()
-    head_vars = [
-        term for term in rule.head.all_args
-    ]
-    fired = 0
-    for bindings in solve(rule.body, db, context,
-                          plan=rule.plan(context, None, db=db)):
-        signature = tuple(sorted(bindings.items(),
-                                 key=lambda pair: pair[0]))
-        if signature in seen_signatures:
-            continue
-        seen_signatures.add(signature)
-        over_value = eval_term(agg.over, bindings, context)
-        group_key = tuple(
-            eval_term(term, bindings, context)
-            for term in head_vars
-            if not (isinstance(term, Variable) and term.name == agg.result.name)
-        )
-        groups.setdefault(group_key, []).append(over_value)
-        fired += 1
-    if fired:
-        context.stats.derivations += fired
-        context.stats.fire(rule.label or rule.head.pred, fired)
+    seen: set = set()
+
+    def collect(registers: list) -> None:
+        signature = tuple(registers)
+        if signature not in seen:
+            seen.add(signature)
+            groups.setdefault(
+                fill_row(group_spec, registers, values, context, intern),
+                []).append(over(registers, values, context))
+
+    run_flat(flat, db, context, None, None, None, None, None, None, collect)
+    if seen:
+        context.stats.derivations += len(seen)
+        context.stats.fire(rule.label or rule.head.pred, len(seen))
 
     produced: set = set()
     known_rows = db.rel(rule.head.pred).rows
-    intern_row = db.interner.intern_row
-    for group_key, values in groups.items():
-        result = _aggregate(agg.func, values)
-        if result is None:
-            continue
-        key_iter = iter(group_key)
-        fact = []
-        for term in head_vars:
-            if isinstance(term, Variable) and term.name == agg.result.name:
-                fact.append(result)
-            else:
-                fact.append(next(key_iter))
-        row = intern_row(fact)
+    for group, over_values in groups.items():
+        result_id = intern(_AGGREGATES[agg.func](over_values))
+        keys = iter(group)
+        row = tuple([result_id if result else next(keys)
+                     for result in at_result])
         if row not in known_rows:
             produced.add(row)
     return produced
-
-
-def _aggregate(func: str, values: list):
-    if func == "count":
-        return len(values)
-    if not values:
-        return None
-    if func == "total":
-        return sum(values)
-    if func == "min":
-        return min(values)
-    if func == "max":
-        return max(values)
-    raise SafetyError(f"unknown aggregate {func!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +597,9 @@ def reset_rows(db: Database, pred: str, rows: set, asserted,
         relation.discard_row(row)
     if provenance is not None:
         for row in rows:
-            fact = db.interner.materialize_row(row)
-            provenance.forget(pred, fact)
+            provenance.forget(pred, row)
             if row in asserted:
-                provenance.record_edb(pred, fact)
+                provenance.record_edb(pred, row)
 
 
 def recompute_stratum(stratum: Stratum, db: Database, context: EvalContext,

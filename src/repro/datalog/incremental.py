@@ -24,8 +24,7 @@ re-derived sets; no relation is ever copied.  Every fact set in here —
 ``deleted``, the over-deleted rows, the candidates, ``back``, the diff,
 what ``edb_facts(pred)`` returns — is id rows over ``db.interner`` (the
 engine's one currency, see :mod:`repro.datalog.engine`), so phase 2 is a
-set intersection; only a provenance store, which is keyed by values,
-makes a row materialize.
+set intersection, and a provenance store forgets and records id rows.
 
 A pass is seeded by deleted rows, wherever they came from: a retracted
 assertion, a lower stratum's removals, a retracted fact this stratum also
@@ -179,7 +178,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
     if provenance is not None:
         for pred, rows in overdeleted.items():
             for row in rows:
-                provenance.forget(pred, interner.materialize_row(row))
+                provenance.forget(pred, row)
 
     # -- Phase 2: candidates.  An over-deleted row may have another
     # derivation; a retracted fact of one of this stratum's own predicates
@@ -204,7 +203,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
         merge_rows(back, {pred: asserted})
         if provenance is not None:
             for row in asserted:
-                provenance.record_edb(pred, interner.materialize_row(row))
+                provenance.record_edb(pred, row)
 
     # -- Phase 3: head-bound re-derivation.  Each rule runs once with its
     # head matched against the candidate rows, so the work is bounded by

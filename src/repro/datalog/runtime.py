@@ -396,25 +396,28 @@ class FlatPlan:
         self.join2 = None      # lazily compiled by run_flat (False: no)
 
 
-#: :func:`compile_head` entry kinds: a constant *value* / a register / a
-#: computed term (getter).  With the constant interned, the first two are
-#: the ``(is_slot, payload)`` pairs of :func:`run_flat`'s ``id_spec``.
+#: :func:`compile_head` entry kinds: a constant's id / a register / a
+#: computed term (getter).  The first two are the ``(is_slot, payload)``
+#: pairs of :func:`run_flat`'s ``id_spec``.
 HEAD_CONST, HEAD_SLOT, HEAD_COMPUTED = 0, 1, 2
 
 
-def compile_head(atom: Atom, slot_of: dict) -> tuple:
+def compile_head(atom: Atom, flat: FlatPlan) -> tuple:
     """The template of ``atom`` in register terms: ``(kind, payload)`` pairs.
 
-    The one head instantiator: rule heads, and the body atoms provenance
-    records as supports, all compile here against the finished plan's
-    ``slot_of``.  Raises :class:`SafetyError` for a variable the body
-    never binds.  Variables inside quote templates are exempt — they
-    legitimately remain variables of the generated rule.
+    The one head instantiator: rule heads, the body atoms provenance
+    records as supports and an aggregate's group terms all compile here
+    against the finished plan, their constants interned into its id
+    space (:func:`fill_row` instantiates them).  Raises
+    :class:`SafetyError` for a variable the body never binds.  Variables
+    inside quote templates are exempt — they legitimately remain
+    variables of the generated rule.
     """
+    slot_of = flat.slot_of
     spec = []
     for term in atom.all_args:
         if isinstance(term, Constant):
-            spec.append((HEAD_CONST, term.value))
+            spec.append((HEAD_CONST, flat.terms.intern(term.value)))
             continue
         if not isinstance(term, Quote):
             missing = term_vars(term) - slot_of.keys()
@@ -427,6 +430,16 @@ def compile_head(atom: Atom, slot_of: dict) -> tuple:
         else:
             spec.append((HEAD_COMPUTED, _compile_term(term, slot_of)))
     return tuple(spec)
+
+
+def fill_row(spec: tuple, registers: list, values: list,
+             context: EvalContext, intern: Callable) -> tuple:
+    """The id row a :func:`compile_head` template names for one solution."""
+    return tuple([
+        registers[payload] if kind == HEAD_SLOT
+        else payload if kind == HEAD_CONST
+        else intern(payload(registers, values, context))
+        for kind, payload in spec])
 
 
 #: Per-call literal-step access tags (see the prepare pass in
@@ -474,7 +487,7 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
     interner = db.interner
     values = interner.values
     intern = interner.intern
-    id_of = interner.ids.get
+    id_of = interner.id_of
 
     # Specialized non-recursive loop for the hottest rule shape — two
     # positive, check-free literals joined through a single-column index

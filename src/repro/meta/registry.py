@@ -74,10 +74,11 @@ class InternedRule:
 class RuleRegistry:
     """Interns rules and produces their meta-model reification: one
     system's two content-address tables, rules by canonical text and
-    ground terms by value (:attr:`terms`, every database's interner)."""
+    ground terms by typed value (:attr:`terms`, every database's
+    interner)."""
 
     def __init__(self) -> None:
-        self._by_canonical: dict[str, InternedRule] = {}
+        self._by_text: dict[str, InternedRule] = {}
         self._by_ref: dict[RuleRef, InternedRule] = {}
         self._next_id = 1
         self.terms = TermInterner()
@@ -95,7 +96,7 @@ class RuleRegistry:
         text it refuses), has ``me`` resolved to the speaker named by
         ``me`` when one is given, and is interned.
         """
-        entry = self._by_canonical.get(text)
+        entry = self._by_text.get(text)
         if entry is not None:
             return entry.ref
         statements = parse_statements(text)
@@ -115,13 +116,13 @@ class RuleRegistry:
         """
         _reject_me(rule)
         canonical = canonical_rule(rule)
-        entry = self._by_canonical.get(canonical)
+        entry = self._by_text.get(canonical)
         if entry is None:
             ref = RuleRef(self._next_id)
             self._next_id += 1
             entry = InternedRule(ref, rule, canonical)
             entry.meta_facts = _reify(ref, rule)
-            self._by_canonical[canonical] = entry
+            self._by_text[canonical] = entry
             self._by_ref[ref] = entry
         return entry.ref
 

@@ -107,7 +107,7 @@ def decode_value(encoded: Any, registry) -> Any:
     if scalar is not None:
         if type(value) not in scalar:
             raise NetworkError(f"malformed {tag} value")
-        return value
+        return float(value) if tag == "float" else value
     if tag not in ("list", "bytes", "rule", "pattern"):
         raise NetworkError(f"unknown value tag {tag!r}")
     if type(value) is not (list if tag == "list" else str):

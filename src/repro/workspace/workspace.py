@@ -137,7 +137,7 @@ class Workspace:
         self.last_check_suppressed: list = []
         self.max_activation_rounds = max_activation_rounds
         self.provenance: Optional[ProvenanceStore] = (
-            ProvenanceStore(self.journal) if enable_provenance else None
+            ProvenanceStore(self.db) if enable_provenance else None
         )
         self._activated: dict[RuleRef, list[EngineRule]] = {}
         self._strata: Optional[list] = None
@@ -292,7 +292,7 @@ class Workspace:
                 self._edb.rel(pred).discard_row(row)
                 self.db.rel(pred).discard_row(row)
                 if self.provenance is not None:
-                    self.provenance.forget(pred, fact)
+                    self.provenance.forget(pred, row)
                 fresh = self._txn_fresh.get(pred)
                 if fresh is not None and row in fresh:
                     # Asserted earlier in this very transaction: nothing
@@ -406,11 +406,7 @@ class Workspace:
         else:
             key = tuple(args[i].value for i in positions)
             if len(positions) == len(args):
-                # the stored fact, not the query's spelling of it (1.0 for 1)
-                interner = relation.interner
-                row = interner.row_of(key)
-                return {interner.materialize_row(row)} \
-                    if row in relation.rows else set()
+                return {key} if key in relation else set()
             answers = set(relation.lookup(positions, key))
         # A variable named twice (``X``, ``_X``; never a bare ``_``) asks
         # for equal columns: each later position against its first.
@@ -418,9 +414,11 @@ class Workspace:
         checks = [(i, first_of.setdefault(term.name, i))
                   for i, term in enumerate(args) if isinstance(term, Variable)]
         checks = [(i, first) for i, first in checks if i != first]
-        if checks:
+        if checks:   # equal as one fact: by interned id, as a join is
+            id_of = relation.interner.id_of
             answers = {fact for fact in answers
-                       if all(fact[i] == fact[first] for i, first in checks)}
+                       if all(id_of(fact[i]) == id_of(fact[first])
+                              for i, first in checks)}
         return answers
 
     def active_refs(self) -> set:
@@ -517,7 +515,7 @@ class Workspace:
         if self.provenance is not None:
             # Also for a fact some rule already derived: the assertion is
             # one more reason it holds.
-            self.provenance.record_edb(pred, fact)
+            self.provenance.record_edb(pred, row)
         for value in fact:
             for ref in self.registry.refs_in_value(value):
                 self._ensure_reified(ref)

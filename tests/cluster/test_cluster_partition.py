@@ -14,6 +14,7 @@ from repro.cluster.partition import (
     PlacementMap,
     stable_hash,
 )
+from repro.datalog.database import TermInterner
 from repro.datalog.errors import ClusterError
 from repro.datalog.terms import PredPartition
 
@@ -24,10 +25,10 @@ reach(X,Y) <- edge(X,Y).
 reach(X,Z) <- reach(X,Y), edge(Y,Z).
 """
 
-#: ints, floats, bools and tuples of them — the values the interner
-#: may give one id under different spellings
+#: ints, floats, bools and tuples of them — the values that print alike
+#: or compare equal under different spellings
 NUMERIC = st.recursive(
-    st.integers() | st.floats(allow_nan=False) | st.booleans(),
+    st.integers() | st.floats() | st.booleans(),
     lambda inner: st.tuples(inner) | st.tuples(inner, inner),
     max_leaves=6,
 )
@@ -38,8 +39,11 @@ def respell(data, value):
     if isinstance(value, tuple):
         return tuple(respell(data, item) for item in value)
     spellings = [value]
-    if isinstance(value, float) and value.is_integer():
-        spellings.append(int(value))
+    if isinstance(value, float):
+        # the same bits, a different object
+        spellings.append(float.fromhex(value.hex()))
+        if value.is_integer():
+            spellings.append(int(value))
     if isinstance(value, int):
         if float(value) == value:
             spellings.append(float(value))
@@ -67,17 +71,26 @@ class TestStableHash:
         assert stable_hash((1, "x")) == zlib.crc32(b"(1, 'x')")
 
     def test_equal_spellings_hash_equal(self):
-        assert stable_hash(2) == stable_hash(2.0)
-        assert stable_hash(True) == stable_hash(1) == stable_hash(1.0)
-        assert stable_hash(False) == stable_hash(-0.0)
-        assert stable_hash((2.0, (True,))) == stable_hash((2, (1,)))
+        # one interner id, one hash; a value hashes its own spelling
+        terms = TermInterner()
+        spellings = [2, 2.0, True, 1, 1.0, False, 0, 0.0, -0.0,
+                     (2.0, (True,)), (2, (1,)), float.fromhex("-0x0p+0")]
+        for value in spellings:
+            for other in spellings:
+                if terms.intern(value) == terms.intern(other):
+                    assert stable_hash(value) == stable_hash(other)
+        assert stable_hash(2.0) == zlib.crc32(b"2.0")
+        assert stable_hash(True) == zlib.crc32(b"True")
+        assert stable_hash(-0.0) == zlib.crc32(b"-0.0")
+        assert len({terms.id_of(v) for v in (0, 0.0, -0.0, False)}) == 4
 
     @settings(max_examples=300, deadline=None)
     @given(NUMERIC, st.data())
     def test_equal_values_hash_equal(self, value, data):
         other = respell(data, value)
-        assert value == other
-        assert stable_hash(value) == stable_hash(other)
+        terms = TermInterner()
+        if terms.intern(value) == terms.intern(other):
+            assert stable_hash(value) == stable_hash(other)
 
 
 def reach_cluster(nodes, edges, edge_column=0, reach_column=1):
@@ -91,15 +104,43 @@ def reach_cluster(nodes, edges, edge_column=0, reach_column=1):
     return cluster
 
 
+def spelled_reach(cluster):
+    """The union of the shards' ``reach`` id rows, each value by type
+    and spelling."""
+    facts = set()
+    for node in cluster.nodes.values():
+        relation = node.db.get("reach")
+        for row in relation.rows if relation is not None else ():
+            facts.add(tuple((type(value).__name__, repr(value)) for value
+                            in node.db.interner.materialize_row(row)))
+    return facts
+
+
 class TestEqualValuesOneShard:
     @pytest.mark.parametrize("nodes", [2, 3, 4, 5])
     def test_an_int_and_its_float_spelling_join(self, nodes):
-        # edge(1,2) reaches reach(1,2) on the owner of key 2; edge(2.0,999)
-        # must be routed there too, or reach(1,999) is never derived
+        # 2 and 2.0 are two facts, so edge(2.0,999) does not continue
+        # reach(1,2): one node and N nodes agree that reach(1,999) is
+        # not derived
         edges = [(1, 2), (2.0, 999)]
         cluster = reach_cluster(nodes, edges)
         cluster.run()
-        assert cluster.tuples("reach") == {(1, 2), (1, 999), (2, 999)}
+        single = reach_cluster(1, edges)
+        single.run()
+        assert spelled_reach(cluster) == spelled_reach(single) == {
+            (("int", "1"), ("int", "2")), (("float", "2.0"), ("int", "999"))}
+
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 5])
+    def test_a_float_joins_by_its_bits(self, nodes):
+        # 0.0 and -0.0 are two facts and hash apart; a shard keyed on the
+        # value would join them on one node and lose the join on N
+        edges = [(1, 0.0), (-0.0, 999), (2, -0.0)]
+        cluster = reach_cluster(nodes, edges)
+        cluster.run()
+        single = reach_cluster(1, edges)
+        single.run()
+        assert spelled_reach(cluster) == spelled_reach(single)
+        assert (("int", "2"), ("int", "999")) in spelled_reach(single)
 
     def test_a_bool_and_its_int_spelling_join(self):
         cluster = reach_cluster(3, [(0, 1), (True, 5), (5, False)])

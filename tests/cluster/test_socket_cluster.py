@@ -197,3 +197,52 @@ class TestLauncherMatchesInProcessRuntime:
             assert getattr(launched, name) == getattr(local, name), name
         assert launched.rounds == launched.depth > 0
         assert launched.events == launched.messages
+
+
+#: one value in each spelling the interner keeps apart, tagged by name
+SPELLINGS = [("int", 1), ("float", 1.0), ("bool", True), ("zero", 0.0),
+             ("negzero", -0.0)]
+EXPECTED_SPELLINGS = {(tag, type(value).__name__, repr(value))
+                      for tag, value in SPELLINGS}
+#: ``sent`` lives on node0 and ``got`` on node1, so every row crosses
+COPY = "copy: got(T,V) <- sent(T,V).\n"
+PINS = [["place", pred, [tag], node]
+        for pred, node in (("sent", "node0"), ("got", "node1"))
+        for tag, _ in SPELLINGS]
+
+
+def spelled(facts):
+    return {(tag, type(value).__name__, repr(value)) for tag, value in facts}
+
+
+class TestTypedValuesCrossTheWire:
+    """``1``, ``1.0``, ``True`` and ``-0.0`` arrive as the facts that were
+    sent, over every transport: read from the rows node1 received."""
+
+    def received(self, network):
+        partitioner = Partitioner(NODES)
+        for _op, pred, key, node in PINS:
+            partitioner.place(pred, tuple(key), node)
+        cluster = Cluster(NODES, network=network, partitioner=partitioner)
+        cluster.load(COPY)
+        for fact in SPELLINGS:
+            cluster.assert_fact("sent", fact)
+        cluster.run()
+        node = cluster.nodes["node1"]
+        return spelled(map(node.db.interner.materialize_row,
+                           node.db.get("got").rows))
+
+    def test_simulated(self):
+        assert self.received(SimulatedNetwork()) == EXPECTED_SPELLINGS
+
+    def test_tcp(self):
+        with SocketNetwork() as network:
+            assert self.received(network) == EXPECTED_SPELLINGS
+
+    def test_launcher(self):
+        spec = cluster_spec(NODES, placement=PINS, program=COPY,
+                            facts=[("sent", fact) for fact in SPELLINGS],
+                            collect=["got"])
+        report = launch(spec, timeout=60)
+        # one tag per row, so the collected set keeps every spelling
+        assert spelled(report.relations[""]["got"]) == EXPECTED_SPELLINGS

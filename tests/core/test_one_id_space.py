@@ -6,15 +6,16 @@ interner a system's workspaces, a cluster's shards and their batcher use.
   the runtime that ships their rows all hold ``registry.terms``;
 * *sharing* — a second principal's machinery is mostly hits: only what
   names it allocates ids;
-* *the spelling edge* — ``77`` and ``77.0`` share an id system-wide, so
-  the first spelling interned is the one every principal reads back;
+* *typed terms* — ``77``, ``77.0`` and ``True`` are three ids, so a
+  principal reads back the spelling it asserted, whatever another
+  principal interned first;
 * *isolation* — sharing the table shares nothing else: a step at one
   principal (load, assert, retract, deactivate, an aborted transaction)
   leaves the other's relations, catalog and active rules as they were,
   and never changes what an existing id means.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import LBTrustSystem
@@ -25,6 +26,7 @@ from repro.cluster.launch import (
     cluster_spec,
     system_spec,
 )
+from repro.datalog.errors import BuiltinError
 from repro.datalog.terms import PredPartition, RuleRef
 from repro.net import batch as batch_module
 from repro.net.transport import encode_entry
@@ -121,21 +123,45 @@ class TestSharing:
 
 class TestSpelling:
     def test_the_first_spelling_interned_is_what_every_principal_reads(self):
+        # each principal reads back its own spelling, whatever another
+        # interned first
         system = LBTrustSystem(auth="plaintext")
         alice = system.create_principal("alice")
         bob = system.create_principal("bob")
         alice.assert_fact("p", (77.0,))
         bob.assert_fact("q", (77,))
         [(read,)] = bob.tuples("q")
-        assert read == 77 and isinstance(read, float)
+        assert read == 77 and type(read) is int
+
+    def test_a_lone_principals_true_is_a_bool(self):
+        system = LBTrustSystem(auth="plaintext")
+        alice = system.create_principal("alice")
+        alice.load("q(true).\nisbool(X) <- q(X), bool(X).")
+        [(read,)] = alice.tuples("isbool")
+        assert read is True
+
+    def test_another_principals_float_does_not_change_a_type_test(self):
+        system = LBTrustSystem(auth="plaintext")
+        alice = system.create_principal("alice")
+        bob = system.create_principal("bob")
+        alice.assert_fact("p", (77.0,))
+        bob.load("isint(X) <- q(X), int(X).\n"
+                 "isfloat(X) <- q(X), float(X).")
+        bob.assert_fact("q", (77,))
+        [(read,)] = bob.tuples("isint")
+        assert type(read) is int
+        assert bob.tuples("isfloat") == set()
 
 
 # -- isolation ----------------------------------------------------------------
 
 RULES = ["path(X,Y) <- edge(X,Y).", "path(X,Z) <- path(X,Y), edge(Y,Z).",
          "big(X) <- num(X), X > 2.", "node(X) <- edge(X,_)."]
-NUMBERS = [1, 2, 3, 2.0, 3.5, True]
+#: equal values in every spelling: ``k``, ``float(k)``, the bools, ``-0.0``
+#: (the machinery interns 0..4 itself, so ``k`` also runs past it)
+NUMBERS = [1, 2, 7, 8] + [1.0, 2.0, 7.0, 8.0] + [True, False, -0.0]
 VALUES = NUMBERS + ["x", "y"]
+USER_PREDS = ("edge", "path", "num", "big", "node")
 
 steps = st.lists(st.tuples(
     st.sampled_from(["alice", "bob"]),
@@ -156,6 +182,19 @@ def observable(workspace):
     }
 
 
+def spelled(fact):
+    return tuple((type(value).__name__, repr(value)) for value in fact)
+
+
+def typed_rows(workspace):
+    """The program's relations as stored: each id row's values by type
+    and spelling (a set of values would merge ``1`` with ``True``)."""
+    materialize = workspace.db.interner.materialize_row
+    return {pred: {spelled(materialize(row)) for row in relation.rows}
+            for pred in USER_PREDS
+            for relation in [workspace.db.get(pred)] if relation is not None}
+
+
 class Aborted(Exception):
     pass
 
@@ -173,7 +212,9 @@ def act(principal, op, pick, loaded):
         principal.assert_fact("edge", (VALUES[pick % len(VALUES)],
                                        VALUES[pick // 7 % len(VALUES)]))
     elif op == "retract":
-        held = sorted(workspace.edb.get("num", ()), key=repr)
+        asserted = workspace._edb.get("num")
+        held = sorted(map(workspace.db.interner.materialize_row,
+                          asserted.rows if asserted else ()), key=spelled)
         if held:
             principal.retract_fact("num", held[pick % len(held)])
     elif op == "deactivate":
@@ -190,23 +231,45 @@ def act(principal, op, pick, loaded):
             pass
 
 
+def attempt(principal, op, pick, loaded):
+    """:func:`act`, where a refused commit (``X > 2`` cannot order
+    ``True``) is a step that changed nothing."""
+    try:
+        act(principal, op, pick, loaded)
+    except BuiltinError:
+        pass
+
+
 class TestIsolation:
     @given(steps)
-    @settings(max_examples=25, deadline=None)
+    # alice's num(8.0), then bob's num(8): one fact under a value key
+    @example([("alice", "assert", 7), ("bob", "assert", 3)])
+    @settings(max_examples=50, deadline=None)
     def test_a_step_at_one_principal_leaves_the_other_alone(self, stream):
         system = LBTrustSystem(auth="plaintext")
         principals = {name: system.create_principal(name)
                       for name in ("alice", "bob")}
         terms = system.registry.terms
         loaded = {name: [] for name in principals}
+        # per principal, a system fed only that principal's steps
+        solos = {}
+        for name in principals:
+            solo = LBTrustSystem(auth="plaintext")
+            solos[name] = {each: solo.create_principal(each)
+                           for each in principals}[name]
+        solo_loaded = {name: [] for name in principals}
         for name, op, pick in stream:
             other = principals["bob" if name == "alice" else "alice"]
             before = observable(other.workspace)
             meanings = list(terms.values)
-            act(principals[name], op, pick, loaded[name])
+            attempt(principals[name], op, pick, loaded[name])
+            attempt(solos[name], op, pick, solo_loaded[name])
             assert observable(other.workspace) == before
             assert len(terms) >= len(meanings)
             assert all(now is then for now, then
                        in zip(terms.values, meanings))
-            assert all(terms.ids[value] == term_id
+            assert all(terms.id_of(value) == term_id
                        for term_id, value in enumerate(meanings))
+            for each, principal in principals.items():
+                assert typed_rows(principal.workspace) == \
+                    typed_rows(solos[each].workspace), each

@@ -66,6 +66,26 @@ class TestExplain:
         assert node is not None
 
 
+class TestTypedFacts:
+    def test_retracting_one_spelling_keeps_the_others_proof(self):
+        # t(1) and t(True) are two facts with two proofs: forgetting one
+        # must not forget the other
+        workspace = Workspace("w", enable_provenance=True)
+        workspace.assert_fact("r", (1,))
+        workspace.assert_fact("r", (True,))
+        workspace.load("copy: t(X) <- r(X).")
+        workspace.retract_fact("r", (True,))
+        [(held,)] = workspace.tuples("t")
+        assert type(held) is int
+        assert workspace.provenance.of("t", (1,)) == {
+            ("copy", (("r", (1,)),))}
+        assert workspace.provenance.of("t", (True,)) == set()
+        node = explain(workspace, "t", (1,))
+        assert node is not None and node.rule == "copy"
+        [leaf] = node.children
+        assert leaf.is_edb and type(leaf.fact[0]) is int
+
+
 class TestTrustChain:
     def test_says_hops_collected(self, make_system):
         system = make_system("plaintext", enable_provenance=True)
@@ -122,9 +142,8 @@ class TestQuoteBearingSaysProgram:
         # on the relay, the quote-headed rule's firing is recorded with
         # the body fact that matched
         b = system.principal("b").workspace
-        relayed = [derivations for (pred, fact), derivations
-                   in b.provenance.derivations.items()
-                   if pred == "says" and fact[:2] == ("b", "c")]
+        relayed = [b.provenance.of("says", fact)
+                   for fact in b.tuples("says") if fact[:2] == ("b", "c")]
         assert sorted(relayed, key=repr) == sorted(
             [{("fwd", (("msg", ("hello",)),))},
              {("fwd", (("msg", ("again",)),))}], key=repr)

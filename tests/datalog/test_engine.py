@@ -177,6 +177,35 @@ class TestAggregates:
         assert database.tuples("tot") == {(3,)}
 
 
+def spelled_rows(database, pred):
+    """``pred``'s id rows, each value by type and spelling."""
+    return {tuple((type(value).__name__, repr(value))
+                  for value in database.interner.materialize_row(row))
+            for row in database.rel(pred).rows}
+
+
+class TestAggregatesFollowIds:
+    """``1``, ``True`` and ``1.0`` are three facts: an aggregate counts
+    them apart and groups them apart, as a join would."""
+
+    def test_count_over_three_spellings(self):
+        database = Database()
+        for value in (1, True, 1.0):
+            database.add("r", ("k", value))
+        evaluate(rules_of("n(K,C) <- agg<<C = count(X)>> r(K,X)."),
+                 database, EvalContext())
+        assert spelled_rows(database, "n") == {(("str", "'k'"), ("int", "3"))}
+
+    def test_groups_by_spelling(self):
+        database = Database()
+        database.add("s", (1, "a"))
+        database.add("s", (True, "b"))
+        evaluate(rules_of("g(X,C) <- agg<<C = count(Y)>> s(X,Y)."),
+                 database, EvalContext())
+        assert spelled_rows(database, "g") == {
+            (("int", "1"), ("int", "1")), (("bool", "True"), ("int", "1"))}
+
+
 class TestSafety:
     def test_unbound_head_variable(self):
         with pytest.raises(SafetyError):
@@ -192,9 +221,9 @@ class TestProvenance:
         database = Database()
         database.add("e", ("a", "b"))
         database.add("e", ("b", "c"))
-        provenance = ProvenanceStore()
-        for fact in database.tuples("e"):
-            provenance.record_edb("e", fact)
+        provenance = ProvenanceStore(database)
+        for row in database.rel("e").rows:
+            provenance.record_edb("e", row)
         evaluate(rules_of("r(X,Y) <- e(X,Y). r(X,Z) <- r(X,Y), e(Y,Z)."),
                  database, EvalContext(), provenance=provenance)
         derivations = provenance.of("r", ("a", "c"))

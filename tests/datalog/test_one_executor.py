@@ -157,7 +157,7 @@ class TestQuoteHeadsAndProvenance:
 
     def run(self, provenance):
         (rule,) = normalize_rules(rules_of(self.SOURCE))
-        db = Database()
+        db = Database() if provenance is None else provenance.db
         for row in [("ann", 1), ("bob", 0), ("cy", 2)]:
             db.add("req", row)
         seen = []
@@ -192,7 +192,7 @@ class TestQuoteHeadsAndProvenance:
         db.add("e", (1, 2))
         db.add("e", (1, 3))
         db.add("f", (1,))
-        store = ProvenanceStore()
+        store = ProvenanceStore(db)
         evaluate(rules, db, provenance=store)
         assert store.of("r", (1,)) == {
             ("a", (("e", (1, 2)),)), ("a", (("e", (1, 3)),)),

@@ -53,6 +53,18 @@ class TestValues:
         assert self.round_trip(True) is True
         assert self.round_trip(1) == 1 and self.round_trip(1) is not True
 
+    def test_a_tagged_float_decodes_as_a_float(self):
+        # JSON may spell an integral float without its point
+        value = decode_value({"t": "float", "v": 1}, self.registry)
+        assert value == 1.0 and type(value) is float
+        with pytest.raises(NetworkError):
+            decode_value({"t": "float", "v": True}, self.registry)
+
+    def test_a_tagged_float_in_a_list_decodes_as_a_float(self):
+        (value,) = decode_value(
+            {"t": "list", "v": [{"t": "float", "v": 2}]}, self.registry)
+        assert value == 2.0 and type(value) is float
+
     def test_rule_ref(self):
         ref = self.registry.intern(parse_rule("p(X) <- q(X)."))
         assert self.round_trip(ref) == ref

@@ -111,9 +111,16 @@ class TestAnswersMatchFixpoint:
         assert workspace.point_query("reach(1,4)") == {(1, 4)}
         assert workspace.point_query("reach(4,1)") == set()
         assert workspace.point_query("reach(1,99)") == set()
-        # the stored fact comes back, not the query's spelling of it
-        (fact,) = workspace.point_query("reach(1.0,4)")
-        assert [type(value) for value in fact] == [int, int]
+        # a float spelling is another fact: no join, no membership
+        assert workspace.point_query("reach(1.0,4)") == set()
+
+    def test_a_repeated_variable_is_a_typed_join(self):
+        # 1 and True, 2 and 2.0 compare equal but are two facts each: a
+        # repeated variable joins ids, in a point query as in a query
+        workspace = Workspace("w")
+        workspace.assert_facts("d", [(1, True), (2, 2.0), (3, 3)])
+        assert workspace.point_query("d(X,X)") == {(3, 3)}
+        assert workspace.query("d(X,X)") == [{"X": 3}]
 
     def test_a_repeated_variable_requires_equal_columns(self):
         workspace = Workspace("w")

@@ -16,7 +16,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.datalog.errors import ConstraintViolation
+from repro.datalog.errors import BuiltinError, ConstraintViolation
 from repro.datalog.pretty import canonical_constraint
 from repro.workspace.workspace import Workspace
 
@@ -142,11 +142,11 @@ def assert_provenance_parity(ws):
             assert ws.provenance.of(pred, fact) == \
                 fresh.provenance.of(pred, fact), (pred, fact)
     known = {"edge", "path", "reach"}
-    for (pred, fact), derivations in ws.provenance.derivations.items():
+    for (pred, row), derivations in ws.provenance.derivations.items():
         if pred not in known:
             continue
         # nothing is remembered about a fact that is gone
-        assert fact in ws.tuples(pred), (pred, fact)
+        assert row in ws.db.rel(pred).rows, (pred, row)
         for label, supports in derivations:
             assert label in ("$edb", "base", "step", "far")
             assert {support_pred for support_pred, _ in supports} <= known
@@ -244,12 +244,23 @@ CONSTRAINTS = {
 LOADED = "gate(1).\nspare(X,Y) -> node(X), node(Y)."
 
 
+def spelled(fact):
+    """A fact as its values' types and spellings: ``1``, ``1.0`` and
+    ``True`` are three facts, as they are to the interner."""
+    return tuple((type(value).__name__, repr(value)) for value in fact)
+
+
+def id_rows(database):
+    return {pred: set(relation.rows)
+            for pred, relation in database.relations.items()}
+
+
 def observable(ws):
-    """Everything a transaction can change, as values: what an aborted
+    """Everything a transaction can change, in id rows: what an aborted
     one must leave exactly as it found it."""
     return {
-        "tuples": {pred: ws.tuples(pred) for pred in ws.db.preds()},
-        "edb": dict(ws.edb.items()),
+        "tuples": id_rows(ws.db),
+        "edb": id_rows(ws._edb),
         "catalog": {name: (info.arity, info.key_arity, info.declared,
                            list(info.arg_types))
                     for name in ws.catalog.names()
@@ -269,18 +280,21 @@ def run_program_stream(seed, ws, steps=10):
     is negated, ``lone`` has a negation), activate / deactivate a
     :data:`POOL` rule, install / remove one of :data:`CONSTRAINTS`, load
     :data:`LOADED` — a quarter of them aborted and some refused by a
-    constraint, which must leave :func:`observable` as it was; yields
+    constraint or a comparison, which must leave :func:`observable` as
+    it was; yields
     after every transaction."""
     rng = random.Random(seed)
-    values = list(range(1, rng.randint(3, 5)))
+    # ``True`` is not ``1``, nor ``2.0`` ``2``, nor ``-0.0`` a ``0``
+    values = list(range(1, rng.randint(3, 5))) + [True, 2.0, -0.0]
     arity = {"edge": 2, "path": 2, "node": 1, "reach": 1, "lone": 1,
              "flag": 1, "gate": 1}
-    facts = {pred: set() for pred in arity}
+    # pred -> {spelled fact: fact}: a set of values would merge spellings
+    facts = {pred: {} for pred in arity}
     rules = {}
     with ws.transaction():
         pass    # any commit mirrors the meta-model's own predicates
     for _ in range(steps):
-        staged_facts = {pred: set(held) for pred, held in facts.items()}
+        staged_facts = {pred: dict(held) for pred, held in facts.items()}
         staged_rules = dict(rules)
         before = observable(ws)
         try:
@@ -299,22 +313,22 @@ def run_program_stream(seed, ws, steps=10):
                             ws.add_constraint(CONSTRAINTS[label])
                     elif roll < 0.62:
                         ws.load(LOADED)
-                        staged_facts["gate"].add((1,))
+                        staged_facts["gate"][spelled((1,))] = (1,)
                     else:
                         pred = rng.choice(sorted(arity))
                         held = staged_facts[pred]
                         if held and rng.random() < 0.45:
-                            victim = rng.choice(sorted(held))
-                            held.discard(victim)
+                            victim = held.pop(rng.choice(sorted(held)))
                             ws.retract_fact(pred, victim)
                         else:
                             fact = tuple(rng.choice(values)
                                          for _ in range(arity[pred]))
-                            held.add(fact)
+                            held[spelled(fact)] = fact
                             ws.assert_fact(pred, fact)
                 if rng.random() < 0.25:
                     raise Aborted
-        except (Aborted, ConstraintViolation):
+        except (Aborted, ConstraintViolation, BuiltinError):
+            # ``BuiltinError``: ``X > 2`` refuses to order ``True``
             assert observable(ws) == before
         else:
             facts, rules = staged_facts, staged_rules
@@ -332,9 +346,10 @@ def fresh_from_edb(ws):
     among them), asserted in one transaction over the same registry."""
     fresh = Workspace("fresh", registry=ws.registry,
                       enable_provenance=ws.provenance is not None)
+    materialize = ws.db.interner.materialize_row
     with fresh.transaction():
-        for pred, held in sorted(ws.edb.items()):
-            fresh.assert_facts(pred, held)
+        for pred, held in sorted(id_rows(ws._edb).items()):
+            fresh.assert_facts(pred, map(materialize, held))
     return fresh
 
 
@@ -345,13 +360,16 @@ MIRROR = ("predicate", "pname")
 
 
 def assert_equals_fresh(ws):
+    """``fresh_from_edb(ws)`` holds the same id rows and proofs: the two
+    share the registry, so an id row is the same fact in both."""
     fresh = fresh_from_edb(ws)
     assert ws.active_refs() == fresh.active_refs()
-    for pred in set(ws.db.preds()) | set(fresh.db.preds()):
+    held, expected = id_rows(ws.db), id_rows(fresh.db)
+    for pred in held.keys() | expected.keys():
         if pred in MIRROR:
-            assert ws.tuples(pred) <= fresh.tuples(pred), pred
+            assert held.get(pred, set()) <= expected[pred], pred
         else:
-            assert ws.tuples(pred) == fresh.tuples(pred), pred
+            assert held.get(pred, set()) == expected.get(pred, set()), pred
     if ws.provenance is not None:
         kept, expected = (
             {key: held for key, held in store.derivations.items()
@@ -371,8 +389,12 @@ class TestDifferentialContract:
     @settings(max_examples=40, deadline=None)
     def test_property_maintained_equals_fresh(self, seed):
         ws = Workspace("w")
+        materialize = ws.db.interner.materialize_row
         for facts, rules in run_program_stream(seed, ws):
-            assert {p: ws.edb.get(p, set()) for p in facts} == facts
+            asserted = id_rows(ws._edb)
+            assert {p: {spelled(materialize(row))
+                        for row in asserted.get(p, ())} for p in facts} == \
+                {p: set(held) for p, held in facts.items()}
             assert set(rules.values()) <= ws.active_refs()
             assert_equals_fresh(ws)
 
