@@ -118,12 +118,15 @@ class Principal:
         delegation-depth restriction (dd0-dd4): the delegatee may extend
         the chain by at most ``depth`` further hops — ``depth=0`` means it
         may not re-delegate at all.  The predicate must be declared in
-        this context (del0's type constraint).
+        this context (del0's type constraint).  The delegation and its
+        depth commit together: a depth dd0 refuses leaves no delegation.
         """
         to_name = to.name if isinstance(to, Principal) else to
-        self.workspace.assert_fact("delegates", (self.name, to_name, pred))
-        if depth is not None:
-            self.workspace.assert_fact("delDepth", (self.name, to_name, pred, depth))
+        with self.workspace.transaction():
+            self.workspace.assert_fact("delegates", (self.name, to_name, pred))
+            if depth is not None:
+                self.workspace.assert_fact(
+                    "delDepth", (self.name, to_name, pred, depth))
 
     def grant_read(self, who: Union["Principal", str], pred: str) -> None:
         who_name = who.name if isinstance(who, Principal) else who

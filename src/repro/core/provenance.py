@@ -52,6 +52,8 @@ def explain(workspace: Workspace, pred: str, fact: tuple,
             "provenance is not enabled on this workspace; construct it "
             "with enable_provenance=True"
         )
+    # a read: a Figure 1 relation nothing read yet has no proofs stored
+    workspace.relation(pred)
 
     def build(p: str, f: tuple, depth: int, path: frozenset) -> Optional[Explanation]:
         derivations = store.of(p, f)

@@ -205,7 +205,9 @@ def _facts_matching(workspace: Workspace, requested):
                 term.value for term in head.all_args
                 if isinstance(term, Constant)
             )
-            if len(values) == head.arity and values in workspace.db.rel(head.pred):
+            relation = workspace.relation(head.pred)
+            if len(values) == head.arity and relation is not None \
+                    and values in relation:
                 yield (requested,)
         return
     if not isinstance(requested, PatternValue):
@@ -218,7 +220,8 @@ def _facts_matching(workspace: Workspace, requested):
         return
     args = head.args
     has_star = any(isinstance(a, Star) for a in args)
-    for fact in workspace.db.tuples(head.functor):
+    relation = workspace.relation(head.functor)
+    for fact in relation.tuples if relation is not None else ():
         if not has_star and len(fact) != len(args):
             continue
         if len(fact) < sum(1 for a in args if not isinstance(a, Star)):

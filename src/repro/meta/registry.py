@@ -18,8 +18,9 @@ LogicBlox instance).  It provides:
   printer and the parser to it), so the shortcut returns the ref a
   parse would;
 * **reification** — the meta-model facts (Figure 1) describing a rule,
-  computed once per rule and injected into any workspace that encounters
-  the ref;
+  computed once per rule with the relations they populate and the other
+  refs they name; a workspace that encounters the ref asserts those of
+  the relations something in it reads;
 * **template instantiation** — code generation: a head-position quote plus
   bindings becomes a new interned rule (paper section 3.3: "if the
   evaluation of a rule puts new facts into the meta-model, then those new
@@ -69,6 +70,10 @@ class InternedRule:
     rule: Rule
     canonical: str
     meta_facts: list = field(default_factory=list)
+    #: the relations ``meta_facts`` populate (one shared set per shape)
+    relations: frozenset = frozenset()
+    #: the other refs ``meta_facts`` name, reified together with this one
+    nested: tuple = ()
 
 
 class RuleRegistry:
@@ -80,6 +85,7 @@ class RuleRegistry:
     def __init__(self) -> None:
         self._by_text: dict[str, InternedRule] = {}
         self._by_ref: dict[RuleRef, InternedRule] = {}
+        self._relation_sets: dict[frozenset, frozenset] = {}
         self._next_id = 1
         self.terms = TermInterner()
 
@@ -121,7 +127,16 @@ class RuleRegistry:
             ref = RuleRef(self._next_id)
             self._next_id += 1
             entry = InternedRule(ref, rule, canonical)
-            entry.meta_facts = _reify(ref, rule)
+            entry.meta_facts = facts = _reify(ref, rule)
+            relations = frozenset([pred for pred, _fact in facts])
+            entry.relations = self._relation_sets.setdefault(relations,
+                                                             relations)
+            # a constant's value is the only place another ref can be
+            nested = {other for pred, fact in facts if pred == "value"
+                      for other in self.refs_in_value(fact[1])
+                      if other != ref}
+            if nested:
+                entry.nested = tuple(nested)
             self._by_text[canonical] = entry
             self._by_ref[ref] = entry
         return entry.ref
@@ -135,6 +150,12 @@ class RuleRegistry:
 
     def meta_facts(self, ref: RuleRef) -> list[MetaFact]:
         return self._entry(ref).meta_facts
+
+    def reflection(self, ref: RuleRef) -> tuple[list, frozenset, tuple]:
+        """``ref``'s meta facts, the relations they populate, and the
+        other refs they name."""
+        entry = self._entry(ref)
+        return entry.meta_facts, entry.relations, entry.nested
 
     def refs_in_value(self, value) -> Iterable[RuleRef]:
         """Every RuleRef reachable inside a ground value (tuples nest)."""

@@ -13,7 +13,9 @@ section 3.3:
   — of facts and of the rows a deactivated rule derived alike —
   selective stratum recompute for non-monotone strata);
 * every rule is interned in the shared :class:`RuleRegistry` and reflected
-  into the local meta-model relations (Figure 1);
+  into the local meta-model relations (Figure 1) on demand: a relation is
+  materialized once something here reads it — a rule body, a constraint,
+  a query — and maintained from then on;
 * after every pass of the one maintenance loop ``active`` is compared
   with the compiled rules both ways: a new ``active(R)`` activates R —
   code generation — and a rule whose fact went, by whatever route, is
@@ -37,7 +39,7 @@ from typing import Any, Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry, standard_registry
 from ..datalog.constraints import Violation, check_constraints
-from ..datalog.database import Database, Journal
+from ..datalog.database import Database, Journal, Relation
 from ..datalog.engine import (
     EngineRule,
     FactSet,
@@ -60,16 +62,26 @@ from ..datalog.terms import (
     Atom,
     Constant,
     Constraint,
+    Literal,
     Quote,
     Rule,
     RuleRef,
     Statement,
     Variable,
 )
-from ..meta.model import ACTIVE_PRED
+from ..meta.model import ACTIVE_PRED, ALL_META_PREDS
 from ..meta.quote import compile_constraint, compile_rule
 from ..meta.registry import RuleRegistry
 from .catalog import Catalog
+
+#: the meta-model's mirror of the catalog
+_MIRROR = ("predicate", "pname")
+#: the relations the mirror also names, once they hold a row
+_MIRRORED = ALL_META_PREDS | {ACTIVE_PRED}
+
+
+def _literal_preds(items: Iterable) -> list:
+    return [item.atom.pred for item in items if isinstance(item, Literal)]
 
 
 @dataclass
@@ -89,20 +101,28 @@ class _EdbView(Mapping):
     The workspace stores asserted facts once, as id rows; this view
     materializes the rows of **one** predicate per access, so a reader of
     one predicate never pays for the meta facts of every reified rule.
+    A Figure 1 relation a reified rule populates is a key, and reading it
+    materializes it in the workspace; iterating lists only the relations
+    materialized so far, so a walk over the view never forces reflection.
     """
 
-    def __init__(self, relations: dict) -> None:
-        self._relations = relations
+    def __init__(self, workspace: "Workspace") -> None:
+        self._workspace = workspace
 
     def __getitem__(self, pred: str) -> set:
-        relation = self._relations[pred]
+        self._workspace._read((pred,))
+        relation = self._workspace._edb.relations[pred]
         return set(map(relation.interner.materialize_row, relation.rows))
 
+    def __contains__(self, pred) -> bool:
+        return pred in self._workspace._edb.relations \
+            or pred in self._workspace._populated
+
     def __iter__(self):
-        return iter(self._relations)
+        return iter(list(self._workspace._edb.relations))
 
     def __len__(self) -> int:
-        return len(self._relations)
+        return len(self._workspace._edb.relations)
 
 
 class Workspace:
@@ -141,7 +161,15 @@ class Workspace:
         )
         self._activated: dict[RuleRef, list[EngineRule]] = {}
         self._strata: Optional[list] = None
+        #: every ref reflected here; its meta facts are asserted only into
+        #: the Figure 1 relations something here has read (``_demanded``)
         self._reified: set[RuleRef] = set()
+        self._demanded: set[str] = set()
+        #: the Figure 1 relations the refs of ``_reified`` populate
+        self._populated: set[str] = set()
+        #: the names ``predicate`` / ``pname`` mirror from the catalog
+        #: (:meth:`_sync_predicate_facts`)
+        self._listed: set[str] = set()
         self._pending_template_refs: list[RuleRef] = []
         self._txn_depth = 0
         self._txn_fresh: FactSet = {}
@@ -219,6 +247,8 @@ class Workspace:
         """Intern and activate a rule in this context."""
         if isinstance(rule, str):
             statements = parse_statements(rule)
+            if not statements:
+                raise WorkspaceError("add_rule expects at least one rule")
             refs = []
             with self.transaction():
                 for statement in statements:
@@ -246,6 +276,9 @@ class Workspace:
         from ..datalog.pretty import canonical_constraint
         compiled = compile_constraint(constraint, self.me, self.builtins)
         with self.transaction():
+            self._read(_literal_preds(
+                item for alternative in compiled.lhs + compiled.rhs
+                for item in alternative))
             self.catalog.observe_constraint(compiled)
             key = (compiled.label, canonical_constraint(compiled))
             if key not in self._constraint_keys:
@@ -282,6 +315,7 @@ class Workspace:
 
     def retract_facts(self, pred: str, facts: Iterable[tuple]) -> None:
         with self.transaction():
+            self._read((pred,))
             for fact in facts:
                 fact = tuple(fact)
                 row = self.db.interner.row_of(fact)
@@ -291,6 +325,11 @@ class Workspace:
                     )
                 self._edb.rel(pred).discard_row(row)
                 self.db.rel(pred).discard_row(row)
+                if pred in _MIRROR and fact[0] in self._listed:
+                    # the mirror lists it again at commit, if it still
+                    # names the predicate
+                    self._listed.discard(fact[0])
+                    self.journal.log(self._listed.add, fact[0])
                 if self.provenance is not None:
                     self.provenance.forget(pred, row)
                 fresh = self._txn_fresh.get(pred)
@@ -330,10 +369,18 @@ class Workspace:
     def edb(self) -> Mapping:
         """The asserted facts, ``pred -> set of value tuples`` (a read-only
         view; each access materializes that one predicate)."""
-        return _EdbView(self._edb.relations)
+        return _EdbView(self)
+
+    def relation(self, pred: str) -> Optional[Relation]:
+        """``pred``'s maintained :class:`Relation` (None if no row was
+        ever added), for a reader that probes it in place.  A Figure 1
+        relation is materialized on its first read."""
+        self._read((pred,))
+        return self.db.get(pred)
 
     def tuples(self, pred: str) -> set:
-        return set(self.db.tuples(pred))
+        relation = self.relation(pred)
+        return set(relation.tuples) if relation is not None else set()
 
     def query(self, source: str) -> list[dict]:
         """Solve a body formula, e.g. ``"access(P,O,M), !revoked(P)"``.
@@ -353,6 +400,7 @@ class Workspace:
             if not isinstance(statement, Rule):  # pragma: no cover
                 raise WorkspaceError("query expects a body formula")
             compiled = compile_rule(statement, self.me, self.builtins)
+            self._read(_literal_preds(compiled.body))
             for bindings in solve(tuple(compiled.body), self.db, self.context):
                 row = {
                     name: value for name, value in bindings.items()
@@ -396,7 +444,7 @@ class Workspace:
         resolved = resolve_me_rule(Rule((atom,)), self.me).heads[0]
         args = resolved.all_args
         self.catalog.check_fact_arity(resolved.pred, args)
-        relation = self.db.get(resolved.pred)
+        relation = self.relation(resolved.pred)
         if relation is None:
             return set()
         positions = tuple(i for i, term in enumerate(args)
@@ -522,12 +570,85 @@ class Workspace:
         return True
 
     def _ensure_reified(self, ref: RuleRef) -> None:
+        """Reflect ``ref`` here: its meta facts go into the Figure 1
+        relations already read (the rest wait in ``_reified`` for their
+        first read, :meth:`_read`), and the refs they name are reified
+        with it."""
         if ref in self._reified:
             return
         self._reified.add(ref)
         self.journal.log(self._reified.discard, ref)
-        for pred, fact in self.registry.meta_facts(ref):
-            self._assert_edb(pred, fact)
+        facts, relations, nested = self.registry.reflection(ref)
+        if not relations <= self._populated:
+            grown = relations - self._populated
+            self._populated |= grown
+            self.journal.log(self._populated.difference_update, grown)
+        for other in nested:
+            self._ensure_reified(other)
+        demanded = self._demanded
+        if not demanded.isdisjoint(relations):
+            self._reflect([meta for meta in facts if meta[0] in demanded],
+                          fresh=True)
+
+    def _read(self, preds: Iterable[str]) -> None:
+        """Materialize the Figure 1 relations among ``preds`` nothing here
+        has read yet, inside the open transaction or one of their own.
+
+        A relation's rows are the meta facts of every ref in ``_reified``
+        (``predicate`` / ``pname`` also mirror :attr:`_listed`).  No rule
+        or constraint reads a relation nothing has read, so no row is
+        fresh, and a transaction of their own has nothing to maintain or
+        check: it commits the rows alone, mirroring nothing new (a commit
+        would, where eager reflection waits for the next one).  From then
+        on each newly reified ref adds its rows as it comes.
+        """
+        wanted = [pred for pred in preds if pred in ALL_META_PREDS
+                  and pred not in self._demanded]
+        if not wanted:
+            return
+        wanted = sorted(set(wanted))
+        journal = self.journal
+        if journal.entries is not None:
+            self._backfill(wanted)
+            return
+        journal.begin()
+        try:
+            self._backfill(wanted)
+        except BaseException:
+            journal.rollback()
+            raise
+        journal.commit()
+
+    def _backfill(self, preds: list) -> None:
+        wanted = set(preds)
+        self._demanded |= wanted
+        self.journal.log(self._demanded.difference_update, wanted)
+        reflection = self.registry.reflection
+        facts = [meta for ref in self._reified for meta in reflection(ref)[0]
+                 if meta[0] in wanted]
+        if "predicate" in wanted:
+            facts.extend(("predicate", (name,)) for name in self._listed)
+        if "pname" in wanted:
+            facts.extend(("pname", (name, name)) for name in self._listed)
+        self._reflect(facts, fresh=False)
+
+    def _reflect(self, facts: list, fresh: bool) -> None:
+        """Assert ``(relation, fact)`` meta facts (the refs they name are
+        reified already); ``fresh`` rows join the pending insertions."""
+        intern_row = self.db.interner.intern_row
+        by_relation: dict = {}
+        for pred, fact in facts:
+            by_relation.setdefault(pred, set()).add(intern_row(fact))
+        for pred, rows in by_relation.items():
+            rows = self._edb.rel(pred).add_rows(rows)
+            if not rows:
+                continue
+            added = self.db.rel(pred).add_rows(rows)
+            if fresh and added:
+                self._txn_fresh.setdefault(pred, set()).update(added)
+            if self.provenance is not None:
+                for row in rows:
+                    self.provenance.record_edb(pred, row)
 
     def _instantiate_quote(self, quote: Quote, bindings: dict):
         from ..datalog.terms import PatternValue
@@ -557,6 +678,8 @@ class Workspace:
         rule = self.registry.rule_of(ref)
         compiled = compile_rule(rule, principal=None, builtins=self.builtins)
         check_rule_safety(compiled, self.builtins)
+        # before the rule's first application, which must see every row
+        self._read(_literal_preds(compiled.body))
         self.catalog.observe_rule(compiled)
         engine_rules = normalize_rules([compiled])
         label = compiled.label or f"r{ref.rid}"
@@ -592,18 +715,29 @@ class Workspace:
         predicate defined in the workspace (including predicate)".
         Reification covers predicates appearing in interned rules; this
         covers the ones only declarations or facts mention, plus the
-        populated meta relations themselves ("including predicate").
+        populated meta relations themselves ("including predicate"): a
+        materialized one while it holds a row, any other once a reified
+        rule populates it.  A name joins :attr:`_listed` once and is
+        asserted only while ``predicate`` / ``pname`` are materialized
+        (:meth:`_read` backfills them from the list).
         """
-        from ..meta.model import ALL_META_PREDS
-
-        names = set(self.catalog.names()) | {"predicate", "pname"}
-        for meta_pred in ALL_META_PREDS | {ACTIVE_PRED}:
-            relation = self.db.relations.get(meta_pred)
+        names = {*self.catalog.names(), *_MIRROR,
+                 *self._populated.difference(self._demanded)}
+        relations = self.db.relations
+        for meta_pred in _MIRRORED:
+            relation = relations.get(meta_pred)
             if relation is not None and len(relation):
                 names.add(meta_pred)
-        for name in sorted(names):
-            self._assert_edb("predicate", (name,))
-            self._assert_edb("pname", (name, name))
+        new = names - self._listed
+        if not new:
+            return
+        self._listed |= new
+        self.journal.log(self._listed.difference_update, new)
+        for name in sorted(new):
+            if "predicate" in self._demanded:
+                self._assert_edb("predicate", (name,))
+            if "pname" in self._demanded:
+                self._assert_edb("pname", (name, name))
 
     def _run_loop(self) -> None:
         """The one maintenance loop.  A pass propagates the pending

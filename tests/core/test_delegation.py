@@ -90,6 +90,20 @@ class TestDepthRestrictions:
         with pytest.raises(ConstraintViolation):
             bob.delegate(carol, "perm")
 
+    @pytest.mark.parametrize("depth", ["two", 1.5, True])
+    def test_a_refused_depth_leaves_no_delegation(self, make_system, depth):
+        # dd0 refuses a depth that is not an int; the delegation asserted
+        # with it used to commit on its own, with no depth limit at all
+        system = make_system("plaintext", delegation=True)
+        alice = system.create_principal("alice")
+        system.create_principal("bob")
+        alice.load("perm(A) -> prin(A).")
+        with pytest.raises(ConstraintViolation):
+            alice.delegate("bob", "perm", depth=depth)
+        assert alice.tuples("delegates") == set()
+        assert alice.tuples("delDepth") == set()
+        assert alice.tuples("inferredDelDepth") == set()
+
     def test_depth_one_allows_exactly_one_hop(self, make_system):
         system = make_system("plaintext", delegation=True)
         names = ["a", "b", "c", "d"]

@@ -56,6 +56,15 @@ class TestLoading:
         assert isinstance(ref, RuleRef)
         assert workspace.rule_text(ref) == 'data("x").'
 
+    @pytest.mark.parametrize("text", ["", "% only a comment"])
+    def test_add_rule_without_a_rule_is_refused(self, text):
+        # it used to fail with a bare IndexError from refs[-1]
+        workspace = Workspace("w")
+        with pytest.raises(WorkspaceError, match="at least one rule"):
+            workspace.add_rule(text)
+        assert workspace.journal.entries is None
+        assert workspace.active_refs() == set()
+
 
 class TestQueries:
     def setup_method(self):
