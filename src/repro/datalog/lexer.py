@@ -1,27 +1,33 @@
 """Tokenizer for the LBTrust Datalog dialect (shared by all front-ends).
 
 The token stream records, for every token, whether it was *glued* to the
-previous token (no intervening whitespace).  Gluing disambiguates three
-constructs the paper uses freely:
+previous token (no intervening whitespace or comment).  Gluing
+disambiguates four constructs the paper's dialect needs:
 
 * qualified predicate names ``message:id`` (glued colons) versus statement
   labels ``m2: message:id(...)`` (colon followed by space),
 * Kleene stars ``T*`` inside quoted patterns (glued ``*``) versus
   multiplication ``N * 2``,
 * partitioned atoms ``export[me](...)`` (glued bracket) versus list
-  indexing, which the dialect does not have.
+  indexing, which the dialect does not have,
+* modulo ``X%2`` (glued ``%``) versus a ``%`` line comment.
+
+One compiled regular expression reads every token; numbers are ASCII
+digits only, so ``²`` or ``٣`` is an unexpected character, not a number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 
-#: Multi-character punctuation, longest first (greedy matching).
+#: Multi-character punctuation, longest first (greedy matching).  ``%``
+#: is read by its own branch: glued it is modulo, else a line comment.
 _PUNCT = [
     "[|", "|]", "<<", ">>", "<-", "->", ":-", "<=", ">=", "!=",
-    "(", ")", "[", "]", "{", "}", "<", ">", "=", "+", "-", "*", "/", "%",
+    "(", ")", "[", "]", "{", "}", "<", ">", "=", "+", "-", "*", "/",
     ",", ";", "!", ".", "@", ":",
 ]
 
@@ -30,171 +36,110 @@ _PUNCT = [
 #: front-ends recognize them contextually.
 _KEYWORDS = {"me", "true", "false", "agg"}
 
+#: The well-formed part of a string literal, escapes included.
+_STRING_BODY = r'"[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'
 
-@dataclass(frozen=True)
-class Token:
-    kind: str          # IDENT VAR INT FLOAT STRING HEX PUNCT KEYWORD EOF
+#: One token, run of whitespace or block comment, or line comment start
+#: per match; the group that matched names the token kind.  ``unclosed``
+#: and ``quote`` catch a block comment or string literal that is not well
+#: formed, and ``word`` a non-ASCII word, whose first character must be a
+#: letter.
+_TOKEN = re.compile("|".join([
+    r"(?P<skip>[ \t\r\n]+|/\*.*?\*/)",
+    r"(?P<comment>//|%)",
+    r"(?P<unclosed>/\*)",
+    f'(?P<STRING>{_STRING_BODY}")',
+    r'(?P<quote>")',
+    r"(?P<HEX>0x[0-9a-fA-F]+)",
+    r"(?P<FLOAT>[0-9]+\.[0-9]+)",
+    r"(?P<INT>[0-9]+)",
+    r"(?P<REFID>\$r[0-9]+)",
+    r"(?P<VAR>[A-Z_][\w']*)",
+    r"(?P<IDENT>[a-z][\w']*)",
+    r"(?P<word>[^\W\d][\w']*)",
+    "(?P<PUNCT>" + "|".join(map(re.escape, _PUNCT)) + ")",
+]), re.DOTALL)
+
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
+class Token(NamedTuple):
+    kind: str          # IDENT VAR INT FLOAT STRING HEX REFID PUNCT KEYWORD EOF
     text: str
     line: int
     column: int
     glued: bool        # True if no whitespace separates it from the previous token
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{self.kind} {self.text!r}@{self.line}:{self.column}>"
-
 
 def tokenize(source: str) -> list[Token]:
     """Convert source text to a token list, ending with an EOF token."""
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    col = 1
+    append = tokens.append
+    match = _TOKEN.match
     length = len(source)
+    pos = line_start = 0
+    line = 1
     glued = False
-
-    def error(message: str) -> ParseError:
-        return ParseError(message, line, col)
-
     while pos < length:
-        ch = source[pos]
-
-        # Whitespace ------------------------------------------------------
-        if ch in " \t\r\n":
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
+        found = match(source, pos)
+        if found is None:
+            raise ParseError(f"unexpected character {source[pos]!r}",
+                             line, pos - line_start + 1)
+        kind = found.lastgroup
+        end = found.end()
+        if kind == "skip":
+            newlines = source.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, end) + 1
             glued = False
-            continue
-
-        # Comments ---------------------------------------------------------
-        if source.startswith("//", pos) or ch == "%":
-            while pos < length and source[pos] != "\n":
-                pos += 1
-            glued = False
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            for c in source[pos:end + 2]:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            pos = end + 2
-            glued = False
-            continue
-
-        start_line, start_col = line, col
-
-        # Strings -----------------------------------------------------------
-        if ch == '"':
-            pos += 1
-            col += 1
-            chars: list[str] = []
-            while True:
-                if pos >= length:
-                    raise error("unterminated string literal")
-                c = source[pos]
-                if c == "\\":
-                    if pos + 1 >= length:
-                        raise error("dangling escape in string literal")
-                    nxt = source[pos + 1]
-                    escape_map = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                    if nxt not in escape_map:
-                        raise error(f"unknown escape \\{nxt}")
-                    chars.append(escape_map[nxt])
-                    pos += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    pos += 1
-                    col += 1
-                    break
-                if c == "\n":
-                    raise error("newline in string literal")
-                chars.append(c)
-                pos += 1
-                col += 1
-            tokens.append(Token("STRING", "".join(chars), start_line, start_col, glued))
-            glued = True
-            continue
-
-        # Hex bytes ----------------------------------------------------------
-        if source.startswith("0x", pos) and pos + 2 < length and source[pos + 2] in "0123456789abcdefABCDEF":
-            end = pos + 2
-            while end < length and source[end] in "0123456789abcdefABCDEF":
-                end += 1
-            text = source[pos:end]
-            col += end - pos
             pos = end
-            tokens.append(Token("HEX", text, start_line, start_col, glued))
-            glued = True
             continue
-
-        # Numbers -------------------------------------------------------------
-        if ch.isdigit():
-            end = pos
-            seen_dot = False
-            while end < length and (source[end].isdigit() or
-                                    (source[end] == "." and not seen_dot
-                                     and end + 1 < length and source[end + 1].isdigit())):
-                if source[end] == ".":
-                    seen_dot = True
-                end += 1
-            text = source[pos:end]
-            kind = "FLOAT" if seen_dot else "INT"
-            col += end - pos
-            pos = end
-            tokens.append(Token(kind, text, start_line, start_col, glued))
-            glued = True
-            continue
-
-        # Rule references ($r<N>) ----------------------------------------------
-        if ch == "$" and source.startswith("$r", pos) \
-                and pos + 2 < length and source[pos + 2].isdigit():
-            end = pos + 2
-            while end < length and source[end].isdigit():
-                end += 1
-            text = source[pos:end]
-            col += end - pos
-            pos = end
-            tokens.append(Token("REFID", text, start_line, start_col, glued))
-            glued = True
-            continue
-
-        # Identifiers and variables --------------------------------------------
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < length and (source[end].isalnum() or source[end] in "_'"):
-                end += 1
-            text = source[pos:end]
-            col += end - pos
-            pos = end
+        if kind == "comment":
+            if not glued or source[pos] == "/":
+                end = source.find("\n", pos)
+                if end < 0:
+                    break  # EOF sits where a comment running to the end starts
+                pos = end
+                continue
+            kind = "PUNCT"  # a glued % is modulo
+        text = found.group()
+        if kind == "IDENT":
             if text in _KEYWORDS:
                 kind = "KEYWORD"
-            elif text[0].isupper() or text[0] == "_":
-                kind = "VAR"
-            else:
-                kind = "IDENT"
-            tokens.append(Token(kind, text, start_line, start_col, glued))
-            glued = True
-            continue
-
-        # Punctuation ------------------------------------------------------------
-        for punct in _PUNCT:
-            if source.startswith(punct, pos):
-                pos += len(punct)
-                col += len(punct)
-                tokens.append(Token("PUNCT", punct, start_line, start_col, glued))
-                glued = True
-                break
-        else:
-            raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token("EOF", "", line, col, False))
+        elif kind == "STRING":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(lambda m: _ESCAPES[m.group(1)], text)
+        elif kind == "word":
+            first = text[0]
+            if not first.isalpha():
+                raise ParseError(f"unexpected character {first!r}",
+                                 line, pos - line_start + 1)
+            kind = "VAR" if first.isupper() else "IDENT"
+        elif kind == "unclosed":
+            raise ParseError("unterminated block comment",
+                             line, pos - line_start + 1)
+        elif kind == "quote":
+            raise _string_error(source, pos, line, pos - line_start + 1)
+        append(Token(kind, text, line, pos - line_start + 1, glued))
+        glued = True
+        pos = end
+    append(Token("EOF", "", line, pos - line_start + 1, False))
     return tokens
+
+
+def _string_error(source: str, start: int, line: int, column: int) -> ParseError:
+    """The error for the string literal at ``start`` that does not close,
+    reported where its well-formed part ends."""
+    end = _STRING_PREFIX.match(source, start).end()
+    column += end - start
+    if end == len(source):
+        return ParseError("unterminated string literal", line, column)
+    if source[end] == "\n":
+        return ParseError("newline in string literal", line, column)
+    if end + 1 == len(source):
+        return ParseError("dangling escape in string literal", line, column)
+    return ParseError(f"unknown escape \\{source[end + 1]}", line, column)

@@ -65,28 +65,29 @@ class Parser:
     """One-pass recursive-descent parser over a token list."""
 
     def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
+        # The cursor stops at the EOF token and looks at most two tokens
+        # past it, so two more EOF tokens make every index it reads valid.
+        self._tokens = tokens + [tokens[-1]] * 2
         self._pos = 0
 
     # -- token plumbing -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def advance(self) -> Token:
-        token = self.peek()
+        token = self._tokens[self._pos]
         if token.kind != "EOF":
             self._pos += 1
         return token
 
     def at(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind == "PUNCT" and token.text == text
+        token = self._tokens[self._pos]
+        return token.text == text and token.kind == "PUNCT"
 
     def at_keyword(self, word: str) -> bool:
-        token = self.peek()
-        return token.kind == "KEYWORD" and token.text == word
+        token = self._tokens[self._pos]
+        return token.text == word and token.kind == "KEYWORD"
 
     def expect(self, text: str) -> Token:
         if not self.at(text):

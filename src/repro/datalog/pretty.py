@@ -14,6 +14,9 @@ Two jobs:
 
 from __future__ import annotations
 
+import math
+
+from .errors import SafetyError
 from .terms import (
     Aggregate,
     Atom,
@@ -85,13 +88,21 @@ def format_term(term: Term) -> str:
     if isinstance(term, Constant):
         return format_value(term.value)
     if isinstance(term, Expr):
-        return f"({format_term(term.left)} {term.op} {format_term(term.right)})"
+        return _format_expr(format_term(term.left), term.op,
+                            format_term(term.right))
     if isinstance(term, PartitionTerm):
         keys = ",".join(format_term(k) for k in term.keys)
         return f"{term.pred}[{keys}]"
     if isinstance(term, Quote):
         return f"[| {format_pattern(term.pattern)} |]"
     raise TypeError(f"cannot format term {term!r}")
+
+
+def _format_expr(left: str, op: str, right: str) -> str:
+    # modulo is glued: the lexer reads an unglued ``%`` as a line comment
+    if op == "%":
+        return f"({left}%{right})"
+    return f"({left} {op} {right})"
 
 
 def format_atom(atom: Atom) -> str:
@@ -192,82 +203,105 @@ def canonical_rule(rule: Rule) -> str:
 
     Two rules that differ only in variable names (or in the freshness
     counter of anonymous variables) produce identical canonical text.
+    One walk renames and prints.  Variables are numbered in the order the
+    aggregate, then the heads (arguments before partition keys), then
+    the body are visited — not the order they print — which keeps every
+    canonical text, and so every signature and content address, stable.
+
+    A rule with no context-free text is refused with :class:`SafetyError`:
+    one still holding ``me`` (principals resolve it before a rule becomes
+    data), or one holding a non-finite float, which prints as a name that
+    reads back as a different value.
     """
-    mapping: dict[str, Variable] = {}
+    names: dict[str, str] = {}
 
-    def rename_var(var: Variable) -> Variable:
-        if var.name not in mapping:
-            mapping[var.name] = Variable(f"V{len(mapping)}")
-        return mapping[var.name]
+    def var(variable: Variable) -> str:
+        name = names.get(variable.name)
+        if name is None:
+            name = names[variable.name] = f"V{len(names)}"
+        return name
 
-    def rename_term(term: Term) -> Term:
-        if isinstance(term, Variable):
-            return rename_var(term)
-        if isinstance(term, Expr):
-            return Expr(term.op, rename_term(term.left), rename_term(term.right))
-        if isinstance(term, PartitionTerm):
-            return PartitionTerm(term.pred, tuple(rename_term(k) for k in term.keys))
-        if isinstance(term, Quote):
-            return Quote(rename_pattern(term.pattern))
-        if isinstance(term, Constant) and isinstance(term.value, PatternValue):
-            # Pattern values print as quotes; renaming their variables too
-            # keeps the canonical text identical whether the pattern is a
-            # parsed quote term or a first-class value — signatures must
-            # not depend on that representation detail.
-            return Constant(PatternValue(rename_pattern(term.value.pattern)))
-        return term
+    def term(t: Term) -> str:
+        if isinstance(t, Variable):
+            return var(t)
+        if isinstance(t, Constant):
+            if isinstance(t.value, PatternValue):
+                # Pattern values print as quotes; renaming their variables
+                # too keeps the canonical text identical whether the
+                # pattern is a parsed quote term or a first-class value.
+                return f"[| {pattern(t.value.pattern)} |]"
+            return _canonical_value(t.value)
+        if isinstance(t, Expr):
+            return _format_expr(term(t.left), t.op, term(t.right))
+        if isinstance(t, PartitionTerm):
+            return f"{t.pred}[{','.join(map(term, t.keys))}]"
+        if isinstance(t, Quote):
+            return f"[| {pattern(t.pattern)} |]"
+        raise TypeError(f"cannot format term {t!r}")
 
-    def rename_atom(atom: Atom) -> Atom:
-        return Atom(
-            atom.pred,
-            tuple(rename_term(a) for a in atom.args),
-            tuple(rename_term(k) for k in atom.keys),
+    def atom(a: Atom) -> str:
+        args = ",".join(map(term, a.args))
+        if a.keys:
+            return f"{a.pred}[{','.join(map(term, a.keys))}]({args})"
+        return f"{a.pred}({args})"
+
+    def item(i) -> str:
+        if isinstance(i, Literal):
+            return ("!" if i.negated else "") + atom(i.atom)
+        if isinstance(i, Comparison):
+            return f"{term(i.left)} {i.op} {term(i.right)}"
+        if isinstance(i, BuiltinCall):
+            return f"{i.name}({','.join(map(term, i.args))})"
+        raise TypeError(f"cannot format body item {i!r}")
+
+    def pattern_atom(p: AtomPattern) -> str:
+        neg = "!" if p.negated else ""
+        functor = p.functor if isinstance(p.functor, str) else var(p.functor)
+        if p.args is None:
+            return neg + functor
+        # star names are irrelevant
+        args = ",".join("*" if isinstance(a, Star) else term(a) for a in p.args)
+        return f"{neg}{functor}({args})"
+
+    def pattern_lit(lit) -> str:
+        if isinstance(lit, AtomPattern):
+            return pattern_atom(lit)
+        if isinstance(lit, StarLits):
+            return "*"
+        if isinstance(lit, EqPattern):
+            return f"{var(lit.var)} = [| {pattern(lit.quote.pattern)} |]"
+        raise TypeError(f"cannot format pattern literal {lit!r}")
+
+    def pattern(p: RulePattern) -> str:
+        heads = ", ".join(map(pattern_atom, p.heads))
+        if not p.has_arrow and not p.body:
+            return f"{heads}."
+        return f"{heads} <- {', '.join(map(pattern_lit, p.body))}."
+
+    agg = rule.agg
+    if agg is not None:
+        agg_text = f"agg<<{var(agg.result)} = {agg.func}({term(agg.over)})>>"
+    heads = ", ".join(map(atom, rule.heads))
+    if not rule.body and agg is None:
+        return f"{heads}."
+    body = ", ".join(map(item, rule.body))
+    if agg is not None:
+        body = f"{agg_text} {body}" if body else agg_text
+    return f"{heads} <- {body}."
+
+
+def _canonical_value(value) -> str:
+    if isinstance(value, MeToken):
+        raise SafetyError(
+            "cannot intern a rule still containing 'me'; resolve the local "
+            "principal first (Workspace does this on load)"
         )
-
-    def rename_pattern_atom(pat: AtomPattern) -> AtomPattern:
-        functor = pat.functor
-        if isinstance(functor, Variable):
-            functor = rename_var(functor)
-        args = None
-        if pat.args is not None:
-            new_args = []
-            for arg in pat.args:
-                if isinstance(arg, Star):
-                    new_args.append(Star(None))  # star names are irrelevant
-                else:
-                    new_args.append(rename_term(arg))
-            args = tuple(new_args)
-        return AtomPattern(functor, args, pat.negated)
-
-    def rename_pattern(pattern: RulePattern) -> RulePattern:
-        heads = tuple(rename_pattern_atom(h) for h in pattern.heads)
-        body = []
-        for lit in pattern.body:
-            if isinstance(lit, AtomPattern):
-                body.append(rename_pattern_atom(lit))
-            elif isinstance(lit, StarLits):
-                body.append(StarLits(None))
-            elif isinstance(lit, EqPattern):
-                body.append(EqPattern(rename_var(lit.var), Quote(rename_pattern(lit.quote.pattern))))
-        return RulePattern(heads, tuple(body), pattern.has_arrow)
-
-    def rename_item(item):
-        if isinstance(item, Literal):
-            return Literal(rename_atom(item.atom), item.negated)
-        if isinstance(item, Comparison):
-            return Comparison(item.op, rename_term(item.left), rename_term(item.right))
-        if isinstance(item, BuiltinCall):
-            return BuiltinCall(item.name, tuple(rename_term(a) for a in item.args))
-        raise TypeError(f"unexpected body item {item!r}")  # pragma: no cover
-
-    agg = None
-    if rule.agg is not None:
-        agg = Aggregate(rule.agg.func, rename_var(rule.agg.result), rename_term(rule.agg.over))
-        # note: aggregate variables are renamed before the body so the
-        # result variable gets a stable index.
-    heads = tuple(rename_atom(h) for h in rule.heads)
-    body = tuple(rename_item(i) for i in rule.body)
-    return format_rule(Rule(heads, body, agg, None))
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SafetyError(f"a rule holding the float {value!r} has no "
+                          "canonical text: it would read back as a name")
+    if isinstance(value, tuple):
+        return "{" + ",".join(map(_canonical_value, value)) + "}"
+    return format_value(value)
 
 
 def canonical_constraint(constraint: Constraint) -> str:

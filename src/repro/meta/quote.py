@@ -98,6 +98,48 @@ def resolve_me_pattern(pattern: RulePattern, principal: str) -> RulePattern:
     return RulePattern(heads, tuple(body), pattern.has_arrow)
 
 
+def _term_holds_me(term: Term) -> bool:
+    if isinstance(term, Constant):
+        return isinstance(term.value, MeToken)
+    if isinstance(term, Expr):
+        return _term_holds_me(term.left) or _term_holds_me(term.right)
+    if isinstance(term, PartitionTerm):
+        return any(map(_term_holds_me, term.keys))
+    if isinstance(term, Quote):
+        return _pattern_holds_me(term.pattern)
+    return False
+
+
+def _pattern_holds_me(pattern: RulePattern) -> bool:
+    for lit in pattern.heads + pattern.body:
+        if isinstance(lit, AtomPattern):
+            if any(map(_term_holds_me, lit.args or ())):
+                return True
+        elif isinstance(lit, EqPattern) and _pattern_holds_me(lit.quote.pattern):
+            return True
+    return False
+
+
+def _rule_holds_me(rule: Rule) -> bool:
+    """True when ``me`` occurs where :func:`resolve_me_rule` resolves it
+    (or the body holds an item it cannot resolve)."""
+    for head in rule.heads:
+        if any(map(_term_holds_me, head.all_args)):
+            return True
+    for item in rule.body:
+        if isinstance(item, Literal):
+            terms = item.atom.all_args
+        elif isinstance(item, Comparison):
+            terms = (item.left, item.right)
+        elif isinstance(item, BuiltinCall):
+            terms = item.args
+        else:
+            return True
+        if any(map(_term_holds_me, terms)):
+            return True
+    return False
+
+
 def resolve_me_atom(atom: Atom, principal: str) -> Atom:
     return Atom(
         atom.pred,
@@ -183,8 +225,11 @@ def resolve_me_rule(rule: Rule, principal: str) -> Rule:
     This is the form rules are *interned* in: context-independent (no
     ``me``) but still carrying their quoted patterns, so reification
     exposes them (``quoteterm`` + pattern values) and activation compiles
-    them in the receiving context.
+    them in the receiving context.  A rule with no ``me`` comes back
+    as it is.
     """
+    if not _rule_holds_me(rule):
+        return rule
     heads = tuple(resolve_me_atom(h, principal) for h in rule.heads)
     body: list = []
     for item in rule.body:

@@ -35,17 +35,15 @@ from typing import Callable, Iterable, Optional
 from ..datalog.database import TermInterner
 from ..datalog.errors import ReproError, SafetyError, WorkspaceError
 from ..datalog.parser import parse_statements
-from ..datalog.pretty import canonical_rule, format_rule
+from ..datalog.pretty import canonical_rule
 from ..datalog.terms import (
     Atom,
     AtomPattern,
-    BuiltinCall,
     Comparison,
     Constant,
     EqPattern,
     Expr,
     Literal,
-    MeToken,
     PartitionTerm,
     PatternValue,
     Quote,
@@ -118,9 +116,8 @@ class RuleRegistry:
 
         The rule must be ``me``-free: principals resolve ``me`` before any
         rule becomes data (otherwise a rule's meaning would change as it
-        crossed contexts).
+        crossed contexts); :func:`canonical_rule` refuses it otherwise.
         """
-        _reject_me(rule)
         canonical = canonical_rule(rule)
         entry = self._by_text.get(canonical)
         if entry is None:
@@ -190,58 +187,6 @@ class RuleRegistry:
         """
         rule = instantiate_pattern(quote.pattern, bindings, eval_term)
         return self.intern(rule)
-
-
-# ---------------------------------------------------------------------------
-# me-freedom check
-# ---------------------------------------------------------------------------
-
-def _reject_me(rule: Rule) -> None:
-    for head in rule.heads:
-        for term in head.all_args:
-            _reject_me_term(term)
-    for item in rule.body:
-        if isinstance(item, Literal):
-            for term in item.atom.all_args:
-                _reject_me_term(term)
-        elif isinstance(item, Comparison):
-            _reject_me_term(item.left)
-            _reject_me_term(item.right)
-        elif isinstance(item, BuiltinCall):
-            for term in item.args:
-                _reject_me_term(term)
-
-
-def _reject_me_term(term: Term) -> None:
-    if isinstance(term, Constant) and isinstance(term.value, MeToken):
-        raise SafetyError(
-            "cannot intern a rule still containing 'me'; resolve the local "
-            "principal first (Workspace does this on load)"
-        )
-    if isinstance(term, Expr):
-        _reject_me_term(term.left)
-        _reject_me_term(term.right)
-    elif isinstance(term, PartitionTerm):
-        for key in term.keys:
-            _reject_me_term(key)
-    elif isinstance(term, Quote):
-        _reject_me_pattern(term.pattern)
-
-
-def _reject_me_pattern(pattern: RulePattern) -> None:
-    for atom_pattern in pattern.heads:
-        _reject_me_atom_pattern(atom_pattern)
-    for lit in pattern.body:
-        if isinstance(lit, AtomPattern):
-            _reject_me_atom_pattern(lit)
-        elif isinstance(lit, EqPattern):
-            _reject_me_pattern(lit.quote.pattern)
-
-
-def _reject_me_atom_pattern(atom_pattern: AtomPattern) -> None:
-    for arg in atom_pattern.args or ():
-        if isinstance(arg, Term):
-            _reject_me_term(arg)
 
 
 # ---------------------------------------------------------------------------

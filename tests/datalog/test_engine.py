@@ -85,6 +85,10 @@ class TestComparisonsAndExpressions:
         database = run("inc(X,Y) <- v(X), Y = X + 1.", {"v": [(1,), (2,)]})
         assert database.tuples("inc") == {(1, 2), (2, 3)}
 
+    def test_modulo(self):
+        database = run("odd(X) <- v(X), X%2 = 1.", {"v": [(3,), (4,), (7,)]})
+        assert database.tuples("odd") == {(3,), (7,)}
+
     def test_expression_in_head(self):
         database = run("double(X * 2) <- v(X).", {"v": [(3,)]})
         assert database.tuples("double") == {(6,)}

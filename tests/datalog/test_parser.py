@@ -87,6 +87,16 @@ class TestFactsAndRules:
         assert isinstance(comparison.right, Expr)
         assert comparison.right.op == "-"
 
+    def test_glued_percent_is_modulo(self):
+        rule = parse_rule("p(Y) <- q(X), Y = X%2 + 1.")
+        assert rule.body[1].right == Expr(
+            "+", Expr("%", Variable("X"), Constant(2)), Constant(1))
+
+    def test_unglued_percent_starts_a_comment(self):
+        # the text reads as "p(Y) <- q(X), Y = X", with no closing '.'
+        with pytest.raises(ParseError, match="expected '.'"):
+            parse_rule("p(Y) <- q(X), Y = X % 2.")
+
     def test_precedence(self):
         term = parse_term("1 + 2 * 3")
         assert term.op == "+"

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datalog.errors import SafetyError
 from repro.datalog.parser import parse_rule, parse_statements
 from repro.datalog.pretty import (
     canonical_constraint,
@@ -29,6 +30,8 @@ ROUND_TRIP_SOURCES = [
     # arithmetic left of a comparison prints parenthesised
     "p(Y) <- q(X), X + 1 = Y, (X - 2) * 3 < Y, -X < 0.",
     "p(0.00001, 12345678901234567.5, -0.5) <- (q(X), r(X)).",
+    # modulo prints glued: an unglued '%' starts a comment
+    "p(Y) <- q(X), Y = X%2, (X + 1)%3 = 0.",
 ]
 
 
@@ -53,6 +56,12 @@ class TestFormatValue:
     def test_bool_before_int(self):
         assert format_value(True) == "true"
         assert format_value(1) == "1"
+
+    def test_a_bare_non_finite_float_prints_unchanged(self):
+        # signing covers a bare value's text; only a rule holding one is
+        # refused (canonical_rule)
+        assert format_value(float("inf")) == "inf"
+        assert format_value(float("nan")) == "nan"
 
     def test_string_escaping(self):
         assert format_value('a"b') == '"a\\"b"'
@@ -98,15 +107,25 @@ class TestCanonical:
         assert canonical_rule(left) == canonical_rule(right)
 
     def test_canonical_output_reparses(self):
-        rule = parse_rule(
+        from repro.meta.quote import resolve_me_rule
+        rule = resolve_me_rule(parse_rule(
             "active([| active(R) <- says(U2,me,R), R = [| P(T*) <- A*. |]. |])"
-            " <- delegates(me,U2,P).")
+            " <- delegates(me,U2,P)."), "alice")
         text = canonical_rule(rule)
         assert canonical_rule(parse_rule(text)) == text
 
+    @pytest.mark.parametrize("source", [
+        "p(me).", "p(X) <- q(X), X != me.", "p(X) <- q([| r(me). |], X).",
+        "p(X) <- q(X + me).", "p(X) <- q(X), f[me](X).",
+    ])
+    def test_a_rule_holding_me_has_no_canonical_text(self, source):
+        # the local principal is resolved before a rule becomes data
+        with pytest.raises(SafetyError, match="'me'"):
+            canonical_rule(parse_rule(source))
+
     def test_quote_canonicalization(self):
-        left = parse_rule("p(U) <- says(U,me,[| ok(C). |]).")
-        right = parse_rule("p(V) <- says(V,me,[| ok(D). |]).")
+        left = parse_rule('p(U) <- says(U,"srv",[| ok(C). |]).')
+        right = parse_rule('p(V) <- says(V,"srv",[| ok(D). |]).')
         assert canonical_rule(left) == canonical_rule(right)
 
     def test_constraint_canonical_dedup_key(self):

@@ -10,27 +10,41 @@ representation), which is where asymmetries hide: this property caught
 the lexer then refused to re-read (fixed in PR 3).
 
 The generated-rule case, which holds up the registry's canonical-text
-hit, caught floats printed with an exponent the lexer cannot read and a
+hit, caught floats printed with an exponent the lexer cannot read, a
 parenthesised arithmetic left side of a comparison the parser took for
-a group of literals.
+a group of literals, and modulo printed as ``(X % 2)``, which reads back
+as the start of a comment.  The same rules hold the one-walk
+``canonical_rule`` to the copy-then-print path it replaced
+(:func:`copy_then_format`, kept here as an oracle).
 """
 
 import json
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.datalog.errors import ParseError
+from repro.datalog.errors import ParseError, SafetyError
 from repro.datalog.parser import parse_rule, parse_statements
-from repro.datalog.pretty import canonical_rule
+from repro.datalog.pretty import canonical_rule, format_rule
 from repro.datalog.terms import (
+    Aggregate,
+    Atom,
     AtomPattern,
+    BuiltinCall,
+    Comparison,
     Constant,
+    EqPattern,
+    Expr,
+    Literal,
+    PartitionTerm,
     PatternValue,
     PredPartition,
+    Quote,
     Rule,
     RulePattern,
     Star,
+    StarLits,
     Variable,
 )
 from repro.meta.registry import RuleRegistry
@@ -137,7 +151,7 @@ constant_texts = st.one_of(
     st.sampled_from(["true", "false"]),
     identifiers,                       # a bare name is a string constant
 )
-arith_ops = st.sampled_from(["+", "-", "*", "/"])   # % starts a comment
+arith_ops = st.sampled_from(["+", "-", "*", "/", "%"])
 compare_ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 
 
@@ -152,7 +166,10 @@ def term_texts(draw, depth=2):
         return "_"
     inner = term_texts(depth - 1)
     if kind == 3:
-        return f"{draw(inner)} {draw(arith_ops)} {draw(inner)}"
+        left, op, right = draw(inner), draw(arith_ops), draw(inner)
+        if op == "%":   # modulo is glued: an unglued '%' starts a comment
+            return f"{left}%{right}"
+        return f"{left} {op} {right}"
     if kind == 4:
         return f"({draw(inner)})"
     if kind == 5:
@@ -231,6 +248,89 @@ def the_rule(text):
     return statements[0]
 
 
+#: values a rule can hold that no canonical text reads back as
+non_finite = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+
+
+def copy_then_format(rule):
+    """The canonical printer before it became one walk: an alpha-renamed
+    copy of ``rule`` (variables numbered aggregate first, then heads with
+    arguments before keys, then body), printed by ``format_rule``."""
+    mapping = {}
+
+    def rename_var(var):
+        if var.name not in mapping:
+            mapping[var.name] = Variable(f"V{len(mapping)}")
+        return mapping[var.name]
+
+    def rename_term(term):
+        if isinstance(term, Variable):
+            return rename_var(term)
+        if isinstance(term, Expr):
+            return Expr(term.op, rename_term(term.left), rename_term(term.right))
+        if isinstance(term, PartitionTerm):
+            return PartitionTerm(term.pred, tuple(rename_term(k) for k in term.keys))
+        if isinstance(term, Quote):
+            return Quote(rename_pattern(term.pattern))
+        if isinstance(term, Constant) and isinstance(term.value, PatternValue):
+            return Constant(PatternValue(rename_pattern(term.value.pattern)))
+        return term
+
+    def rename_atom(atom):
+        return Atom(atom.pred, tuple(rename_term(a) for a in atom.args),
+                    tuple(rename_term(k) for k in atom.keys))
+
+    def rename_pattern_atom(pat):
+        functor = pat.functor
+        if isinstance(functor, Variable):
+            functor = rename_var(functor)
+        args = None
+        if pat.args is not None:
+            args = tuple(Star(None) if isinstance(arg, Star) else rename_term(arg)
+                         for arg in pat.args)
+        return AtomPattern(functor, args, pat.negated)
+
+    def rename_pattern(pattern):
+        heads = tuple(rename_pattern_atom(h) for h in pattern.heads)
+        body = []
+        for lit in pattern.body:
+            if isinstance(lit, AtomPattern):
+                body.append(rename_pattern_atom(lit))
+            elif isinstance(lit, StarLits):
+                body.append(StarLits(None))
+            elif isinstance(lit, EqPattern):
+                body.append(EqPattern(rename_var(lit.var),
+                                      Quote(rename_pattern(lit.quote.pattern))))
+        return RulePattern(heads, tuple(body), pattern.has_arrow)
+
+    def rename_item(item):
+        if isinstance(item, Literal):
+            return Literal(rename_atom(item.atom), item.negated)
+        if isinstance(item, Comparison):
+            return Comparison(item.op, rename_term(item.left), rename_term(item.right))
+        return BuiltinCall(item.name, tuple(rename_term(a) for a in item.args))
+
+    agg = None
+    if rule.agg is not None:
+        agg = Aggregate(rule.agg.func, rename_var(rule.agg.result),
+                        rename_term(rule.agg.over))
+    heads = tuple(rename_atom(h) for h in rule.heads)
+    body = tuple(rename_item(i) for i in rule.body)
+    return format_rule(Rule(heads, body, agg, None))
+
+
+def with_pattern_values(rule):
+    """``rule`` with every head quote a first-class pattern value, the
+    form template instantiation produces."""
+    def value(term):
+        return Constant(PatternValue(term.pattern)) \
+            if isinstance(term, Quote) else term
+
+    heads = tuple(Atom(h.pred, tuple(map(value, h.args)), h.keys)
+                  for h in rule.heads)
+    return Rule(heads, rule.body, rule.agg)
+
+
 def wire_roundtrip(value, registry):
     encoded = json.loads(json.dumps(encode_value(value, registry)))
     return decode_value(encoded, registry)
@@ -287,6 +387,32 @@ class TestValueRoundtrip:
         assert decode_value(encoded, sender) == ref
         received = decode_value(encoded, receiver)
         assert receiver.canonical_text(received) == canonical
+
+    @given(text=rule_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_one_walk_canonical_text_matches_the_renamed_copy(self, text):
+        rule = the_rule(text)
+        assert canonical_rule(rule) == copy_then_format(rule)
+        valued = with_pattern_values(rule)
+        assert canonical_rule(valued) == copy_then_format(valued)
+
+    @given(text=rule_texts(),
+           value=st.one_of(non_finite, non_finite.map(lambda v: (1, v))))
+    @settings(max_examples=100, deadline=None)
+    def test_a_non_finite_float_has_no_canonical_text(self, text, value):
+        """``inf`` and ``nan`` print as names that read back as strings,
+        so a rule holding one is refused rather than signed and content
+        addressed under text meaning something else."""
+        rule = the_rule(text)
+        head = rule.heads[0]
+        held = Rule((Atom(head.pred, head.args + (Constant(value),),
+                          head.keys),) + rule.heads[1:], rule.body, rule.agg)
+        with pytest.raises(SafetyError, match="float"):
+            canonical_rule(held)
+        registry = RuleRegistry()
+        with pytest.raises(SafetyError, match="float"):
+            registry.intern(held)
+        assert len(registry) == 0
 
 
 def decoded(blob, registry):

@@ -271,6 +271,18 @@ class TestProtocol:
         assert harness.server.last_unexpected_error == ""
         assert isinstance(client.ping(), float)
 
+    @pytest.mark.parametrize("query", ["q(\u00b2)", "q(\u0663)"])
+    def test_a_non_ascii_digit_is_a_parse_error(self, harness, query):
+        # Regression: '\u00b2'.isdigit() is true, so the lexer read an INT
+        # that int() refused, and the ValueError was recorded as a bug;
+        # '\u0663' (Arabic-Indic three) silently became q(3).
+        client = harness.client("c1")
+        with pytest.raises(ServeError,
+                           match="^ParseError: unexpected character"):
+            client.query(query)
+        assert harness.server.last_unexpected_error == ""
+        assert isinstance(client.ping(), float)
+
     def test_request_ids_match_in_order(self, harness):
         client = harness.client("c1")
         for _ in range(5):
