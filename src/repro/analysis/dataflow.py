@@ -864,23 +864,6 @@ def estimate_rule(ctx, rule: Rule, values: dict, catalog
     return min(rows, _COST_CAP), cartesian
 
 
-def _cost_catalog(ctx):
-    """Harvest declared types; shape errors are the types pass's job."""
-    from ..datalog.errors import WorkspaceError
-    from ..workspace.catalog import Catalog
-
-    catalog = Catalog()
-    for statement in ctx.statements:
-        try:
-            if isinstance(statement, Rule):
-                catalog.observe_rule(statement)
-            elif isinstance(statement, Constraint):
-                catalog.observe_constraint(statement)
-        except WorkspaceError:
-            continue
-    return catalog
-
-
 def cost_pass(ctx) -> list[Diagnostic]:
     """Cardinality propagation: Cartesian products and shard explosions.
 
@@ -896,7 +879,8 @@ def cost_pass(ctx) -> list[Diagnostic]:
     shape = ctx.shape()
     if not shape.rules and not shape.fact_counts:
         return []
-    catalog = _cost_catalog(ctx)
+    ctx.schema()   # clashes are the types pass's to report
+    catalog = ctx.catalog
     exempt = {"says"}
 
     equations: list[FlowEquation] = []

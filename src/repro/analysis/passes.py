@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..datalog.errors import ReproError, WorkspaceError
+from ..datalog.errors import ReproError
 from ..datalog.stratify import dependency_graph, find_negative_cycle
 from ..datalog.terms import (
     BuiltinCall,
@@ -282,39 +282,18 @@ def infer_type_clashes(rule: Rule, catalog: Catalog) -> list[tuple]:
 
 
 def types_pass(ctx) -> list[Diagnostic]:
-    """Arity clashes (R201, errors) and type conflicts (R202, warnings)."""
-    diagnostics: list[Diagnostic] = []
-    catalog = Catalog()
-
-    def observe(atom, span, label) -> None:
-        if ctx.builtins.lookup(atom.pred) is not None:
-            return  # builtin calls never reach the catalog
-        try:
-            catalog.observe_atom(atom)
-        except WorkspaceError as exc:
-            diagnostics.append(Diagnostic(
-                "R201", str(exc), file=ctx.file, span=atom.span or span,
-                rule_label=label, pred=atom.pred))
-
-    for statement in ctx.statements:
-        if isinstance(statement, Rule):
-            for head in statement.heads:
-                observe(head, statement.span, statement.label)
-            for item in statement.body:
-                if isinstance(item, Literal):
-                    observe(item.atom, statement.span, statement.label)
-        elif isinstance(statement, Constraint):
-            try:
-                catalog.observe_constraint(statement)
-            except WorkspaceError as exc:
-                diagnostics.append(Diagnostic(
-                    "R201", str(exc), file=ctx.file, span=statement.span,
-                    rule_label=statement.label))
-
+    """Arity clashes (R201, errors) and type conflicts (R202, warnings),
+    against the host's schema with this program observed into it."""
+    diagnostics = [
+        Diagnostic("R201", str(exc), file=ctx.file,
+                   span=getattr(atom, "span", None) or statement.span,
+                   rule_label=statement.label,
+                   pred=atom.pred if atom is not None else None)
+        for statement, atom, exc in ctx.schema()]
     for statement in ctx.statements:
         if not isinstance(statement, Rule):
             continue
-        for name, types in infer_type_clashes(statement, catalog):
+        for name, types in infer_type_clashes(statement, ctx.catalog):
             diagnostics.append(Diagnostic(
                 "R202",
                 f"variable {name} is used at positions typed "

@@ -29,7 +29,8 @@ from ..datalog.errors import (
     StratificationError,
     WorkspaceError,
 )
-from ..datalog.terms import Rule
+from ..datalog.terms import Constraint, Rule
+from ..workspace.catalog import Catalog, rule_atoms
 from .dataflow import harvest_shape
 from .diagnostics import (
     ERROR,
@@ -71,12 +72,40 @@ class AnalysisContext:
     source: Optional[str] = None
     builtins: Optional[object] = None
     placement: Optional[object] = None  # cluster.partition.Partitioner
+    #: the schema the program is checked against: a copy of its host's
+    #: catalog (a workspace's, a cluster's), or an empty one
+    catalog: Optional[Catalog] = None
     _compiled: Optional[list] = field(default=None, repr=False)
     _shape: Optional[object] = field(default=None, repr=False)
+    _clashes: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.builtins is None:
             self.builtins = default_builtins()
+        if self.catalog is None:
+            self.catalog = Catalog(builtins=self.builtins)
+
+    def schema(self) -> list:
+        """Observe the program into :attr:`catalog`, once, as its host
+        will; ``(statement, atom | None, WorkspaceError)`` per clash (the
+        types pass's R201), everything else observed."""
+        if self._clashes is None:
+            self._clashes = []
+            catalog = self.catalog
+            for statement in self.statements:
+                if isinstance(statement, Rule):
+                    fact = statement.is_fact()
+                    for atom in rule_atoms(statement):
+                        try:
+                            catalog.observe_atom(atom, fact=fact)
+                        except WorkspaceError as exc:
+                            self._clashes.append((statement, atom, exc))
+                elif isinstance(statement, Constraint):
+                    try:
+                        catalog.observe_constraint(statement)
+                    except WorkspaceError as exc:
+                        self._clashes.append((statement, None, exc))
+        return self._clashes
 
     def shape(self):
         """Who derives, declares, ships and reads what — one walk over
@@ -129,7 +158,7 @@ def run_passes(ctx: AnalysisContext,
 
 def analyze_statements(statements: Iterable, *, file: Optional[str] = None,
                        source: Optional[str] = None, builtins=None,
-                       placement=None,
+                       placement=None, catalog: Optional[Catalog] = None,
                        passes: Optional[Iterable[str]] = None,
                        collect_suppressed: Optional[list] = None
                        ) -> list[Diagnostic]:
@@ -139,10 +168,12 @@ def analyze_statements(statements: Iterable, *, file: Optional[str] = None,
     suppress matching diagnostics on their line; suppressed findings are
     appended to ``collect_suppressed`` (when supplied) so callers can
     report them — they are removed from the return value but never lost.
+    ``catalog`` is the host's schema to check against (default: empty);
+    the analysis observes the program into it, as the host will.
     """
     ctx = AnalysisContext(statements=list(statements), file=file,
                           source=source, builtins=builtins,
-                          placement=placement)
+                          placement=placement, catalog=catalog)
     diagnostics = run_passes(ctx, passes)
     if source is not None:
         suppressions = scan_suppressions(source)

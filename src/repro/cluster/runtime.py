@@ -21,7 +21,6 @@ a shard cannot prove a fact absent while a delta for it may be in flight.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from typing import Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry
@@ -33,7 +32,7 @@ from ..meta.quote import compile_rule
 from ..meta.registry import RuleRegistry
 from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.network import SimulatedNetwork
-from ..workspace.catalog import Catalog, harvest_catalog
+from ..workspace.catalog import Catalog
 from .node import ClusterNode
 from .partition import Partitioner
 from .placement_check import check_join_compatibility, nonmonotone_exchanges
@@ -80,8 +79,10 @@ class Cluster:
             max_batch_bytes=max_batch_bytes, ledger=self.ledger, strict=True)
         self.batcher = self.runtime.batcher
         self._rules: list[EngineRule] = []
-        #: the loaded rules' shapes: a fact of another arity is refused
-        self.catalog = Catalog()
+        #: the schema every load and fact declares through: a fact of
+        #: another arity is refused
+        self.catalog = Catalog(builtins=next(iter(
+            self.nodes.values())).context.builtins)
 
     @property
     def mode(self) -> str:
@@ -130,7 +131,7 @@ class Cluster:
             for pred, values in facts:
                 self.assert_fact(pred, values)
             return
-        sample_builtins = next(iter(self.nodes.values())).context.builtins
+        sample_builtins = self.catalog.builtins
         # The same analyzer the workspace gate and `repro check` use:
         # errors raise the engine's own exception types (SafetyError,
         # StratificationError, WorkspaceError); warnings are kept.
@@ -140,14 +141,15 @@ class Cluster:
             raise_for_errors,
         )
         suppressed: list = []
+        catalog = self.catalog.copy()   # adopted once the load commits
         report = analyze_statements(
             statements, source=source if isinstance(source, str) else None,
             builtins=sample_builtins, placement=self.partitioner,
-            passes=GATE_PASSES, collect_suppressed=suppressed)
+            catalog=catalog, passes=GATE_PASSES,
+            collect_suppressed=suppressed)
         raise_for_errors(report)
         self.last_check = report
         self.last_check_suppressed = suppressed
-        catalog = harvest_catalog(rules, deepcopy(self.catalog))
         engine_rules: list[EngineRule] = []
         for rule in rules:
             compiled = compile_rule(rule, principal=None,
@@ -183,13 +185,14 @@ class Cluster:
         """Route one EDB fact to its shard(s) per the placement rules.
 
         ``at`` names the asserting node for local-mode predicates
-        (default: the first node).  A fact whose arity disagrees with the
-        loaded rules is a :class:`ClusterError`.  Routing a fact freezes
-        the placement.
+        (default: the first node).  A predicate's first fact declares it;
+        a fact whose arity disagrees with the catalog (the loaded rules,
+        an earlier fact) is a :class:`ClusterError`.  Routing a fact
+        freezes the placement.
         """
         fact = tuple(fact)
         try:
-            self.catalog.check_fact_arity(pred, fact)
+            self.catalog.observe_fact(pred, fact)
         except WorkspaceError as error:
             raise ClusterError(str(error)) from None
         owner = self.partitioner.owner(pred, fact)

@@ -146,7 +146,7 @@ class WorkspaceNode:
             sent = self.system._sent.setdefault(principal.name, {})
             for pred, relation in workspace.db.relations.items():
                 info = workspace.catalog.get(pred)
-                if info is None or info.key_arity == 0:
+                if info is None or not info.key_arity:
                     continue
                 blocks: dict[tuple[str, str], list] = {}
                 for row in relation.rows.difference(sent.get(pred, ())):

@@ -1,64 +1,79 @@
-"""Predicate catalog: declarations, arities, partition keys, types.
+"""Predicate catalog: the one schema of a host.
 
 A LogicBlox predicate definition (paper footnote 1) carries logical
-attributes — name, arity — plus physical ones.  Our catalog records:
+attributes — name, arity — plus physical ones.  Our catalog records each
+predicate's arity, its partition-key arity (``p[K](X,...)``) and the
+argument types its declaration constraint names
+(``access(P,O,M) -> principal(P), object(O), mode(M).``).
 
-* arity (checked on every assertion and rule head),
-* partition-key arity for curried predicates ``p[K](X,...)``,
-* declared argument types (unary predicates, from declaration constraints
-  like ``access(P,O,M) -> principal(P), object(O), mode(M).``), feeding
-  the static type checker.
-
-Predicates auto-declare on first use; an explicit declaration constraint
-refines them.  Arity clashes are errors — they are almost always typos in
-policies, and LogicBlox's static checking would reject them too.
+Every route that adds a row or a rule declares through it on first use:
+``Workspace.assert_facts`` and ``Cluster.assert_fact``
+(:meth:`Catalog.observe_fact`), a loaded fact, a rule as it activates, a
+constraint as it installs.  The load gate observes a program into a copy
+of its host's catalog, so R201 and R202 fire across loads, and
+``typecheck`` and the cost model read the same entries.  Reads declare
+nothing, a builtin's name is never a predicate, and a fact never fixes a
+key arity (the first rule using the predicate does).  Arity clashes are
+errors: they are almost always typos in policies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional
 
 from ..datalog.database import Journal
 from ..datalog.errors import WorkspaceError
-from ..datalog.terms import Atom, Constraint, Literal, Rule, Variable
-
-#: Builtin unary "type" predicates that are always satisfied dynamically.
-PRIMITIVE_TYPES = frozenset({"int", "string", "float", "bool", "any"})
+from ..datalog.terms import Atom, BuiltinCall, Constraint, Literal, Rule, Variable
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredInfo:
-    """Catalog entry for one predicate."""
+    """Catalog entry for one predicate (replaced, never changed)."""
 
     name: str
     arity: int
-    key_arity: int = 0
+    key_arity: Optional[int] = 0  # None: only facts have named it
     declared: bool = False
-    arg_types: list = field(default_factory=list)  # Optional[str] per position
+    arg_types: tuple = ()  # Optional[str] per position
+
+
+def rule_atoms(rule: Rule) -> Iterator[Atom]:
+    """The atoms of ``rule`` that name relations: heads, body literals."""
+    yield from rule.heads
+    for item in rule.body:
+        if isinstance(item, Literal):
+            yield item.atom
 
 
 class Catalog:
     """Name → :class:`PredInfo`, with consistency checking.
 
-    Inside a transaction of ``journal`` (the owning workspace's) a new
-    entry logs its removal and a changed one its prior value.
+    Inside a transaction of ``journal`` (the owning workspace's) every
+    changed entry logs its prior value.  ``builtins`` (a registry with
+    ``lookup``) names what is never catalogued.
     """
 
-    def __init__(self, journal: Optional[Journal] = None) -> None:
+    def __init__(self, journal: Optional[Journal] = None,
+                 builtins=None) -> None:
         self._preds: dict[str, PredInfo] = {}
         self.journal = journal if journal is not None else Journal()
+        self.builtins = builtins
 
-    def _new(self, info: PredInfo) -> PredInfo:
+    def copy(self) -> "Catalog":
+        """An independent catalog with these entries and no journal."""
+        copied = Catalog(builtins=self.builtins)
+        copied._preds = dict(self._preds)
+        return copied
+
+    def _put(self, info: PredInfo) -> PredInfo:
+        old = self._preds.get(info.name)
         self._preds[info.name] = info
-        self.journal.log(self._preds.pop, info.name)
+        if old is None:
+            self.journal.log(self._preds.pop, info.name)
+        else:
+            self.journal.log(self._preds.update, {info.name: old})
         return info
-
-    def _log_value(self, info: PredInfo) -> None:
-        """Call before changing ``info``: a rollback puts this copy back."""
-        if self.journal.entries is not None:
-            self.journal.log(self._preds.update, {
-                info.name: replace(info, arg_types=list(info.arg_types))})
 
     def get(self, name: str) -> Optional[PredInfo]:
         return self._preds.get(name)
@@ -75,56 +90,58 @@ class Catalog:
     def names(self) -> list[str]:
         return sorted(self._preds)
 
-    def observe_atom(self, atom: Atom, declared: bool = False) -> PredInfo:
-        """Record (or check) a predicate's shape from one atom occurrence."""
+    def observe_atom(self, atom: Atom, declared: bool = False,
+                     fact: bool = False) -> Optional[PredInfo]:
+        """Record (or check) a predicate's shape from one atom occurrence;
+        None for a builtin's name.  A ``fact`` leaves the key arity open."""
+        if self.builtins is not None \
+                and self.builtins.lookup(atom.pred) is not None:
+            return None
+        keys = len(atom.keys)
         info = self._preds.get(atom.pred)
         if info is None:
-            return self._new(PredInfo(
-                name=atom.pred,
-                arity=atom.arity,
-                key_arity=len(atom.keys),
-                declared=declared,
-                arg_types=[None] * atom.arity,
-            ))
+            return self._put(PredInfo(
+                atom.pred, atom.arity, None if fact else keys, declared,
+                (None,) * atom.arity))
         if info.arity != atom.arity:
             raise WorkspaceError(
                 f"arity clash for {atom.pred!r}: declared {info.arity}, "
                 f"used with {atom.arity}"
             )
-        if atom.keys and info.key_arity != len(atom.keys):
+        if info.key_arity is None and not fact:
+            info = self._put(replace(info, key_arity=keys))
+        elif keys and info.key_arity not in (None, keys):
             raise WorkspaceError(
                 f"partition-key clash for {atom.pred!r}: declared "
-                f"{info.key_arity} keys, used with {len(atom.keys)}"
+                f"{info.key_arity} keys, used with {keys}"
             )
         if declared and not info.declared:
-            self._log_value(info)
-            info.declared = True
+            info = self._put(replace(info, declared=True))
         return info
 
-    def declare_tuple_pred(self, name: str, arity: int, key_arity: int = 0) -> PredInfo:
-        """Programmatic declaration (used by machinery installers)."""
-        info = self._preds.get(name)
-        if info is None:
-            return self._new(PredInfo(name, arity, key_arity, declared=True,
-                                      arg_types=[None] * arity))
-        if info.arity != arity or info.key_arity != key_arity:
+    def check_fact_arity(self, pred: str, fact: tuple) -> Optional[PredInfo]:
+        """``pred``'s entry (None if unknown), once ``fact`` matches its
+        arity; declares nothing (a read's check)."""
+        info = self._preds.get(pred)
+        if info is not None and info.arity != len(fact):
             raise WorkspaceError(
-                f"conflicting declaration for {name!r}: have "
-                f"({info.arity},{info.key_arity}), asked ({arity},{key_arity})"
+                f"fact {fact!r} has {len(fact)} columns but {pred!r} has "
+                f"arity {info.arity}"
             )
-        if not info.declared:
-            self._log_value(info)
-            info.declared = True
         return info
+
+    def observe_fact(self, pred: str, fact: tuple) -> None:
+        """Check a written fact's arity; its first fact declares ``pred``."""
+        if self.check_fact_arity(pred, fact) is None:
+            self._put(PredInfo(pred, len(fact), None,
+                               arg_types=(None,) * len(fact)))
 
     # -- harvesting from statements -------------------------------------------
 
     def observe_rule(self, rule: Rule) -> None:
-        for head in rule.heads:
-            self.observe_atom(head)
-        for item in rule.body:
-            if isinstance(item, Literal):
-                self.observe_atom(item.atom)
+        fact = rule.is_fact()
+        for atom in rule_atoms(rule):
+            self.observe_atom(atom, fact=fact)
 
     def observe_constraint(self, constraint: Constraint) -> None:
         """Harvest declarations; type-declaration shapes record arg types.
@@ -134,6 +151,9 @@ class Catalog:
         conjunctions of unary atoms over those variables::
 
             access(P,O,M) -> principal(P), object(O), mode(M).
+
+        A unary builtin (``int(N)``) is a type whether it is still a
+        literal (as parsed) or already a builtin call (as compiled).
         """
         for alternative in constraint.lhs:
             for item in alternative:
@@ -146,50 +166,31 @@ class Catalog:
         self._harvest_types(constraint)
 
     def _harvest_types(self, constraint: Constraint) -> None:
-        if len(constraint.lhs) != 1 or len(constraint.lhs[0]) != 1:
+        if len(constraint.lhs) != 1 or len(constraint.lhs[0]) != 1 \
+                or len(constraint.rhs) != 1:
             return
         item = constraint.lhs[0][0]
         if not isinstance(item, Literal) or item.negated:
             return
         atom = item.atom
-        var_positions: dict[str, int] = {}
-        for index, term in enumerate(atom.all_args):
-            if not isinstance(term, Variable):
-                return
-            if term.name in var_positions:
-                return
-            var_positions[term.name] = index
-        if len(constraint.rhs) != 1:
+        positions = {term.name: index
+                     for index, term in enumerate(atom.all_args)
+                     if isinstance(term, Variable)}
+        if len(positions) != atom.arity:
+            return  # a constant or a repeated variable: not a declaration
+        info = self._preds.get(atom.pred)   # observed with the LHS
+        if info is None:
             return
-        info = self.observe_atom(atom, declared=True)
+        types = list(info.arg_types)
         for rhs_item in constraint.rhs[0]:
-            if not isinstance(rhs_item, Literal) or rhs_item.negated:
+            if isinstance(rhs_item, BuiltinCall):
+                name, args = rhs_item.name, rhs_item.args
+            elif isinstance(rhs_item, Literal) and not rhs_item.negated:
+                name, args = rhs_item.atom.pred, rhs_item.atom.all_args
+            else:
                 continue
-            rhs_atom = rhs_item.atom
-            if rhs_atom.arity != 1:
-                continue
-            term = rhs_atom.all_args[0]
-            if isinstance(term, Variable) and term.name in var_positions:
-                position = var_positions[term.name]
-                if info.arg_types[position] != rhs_atom.pred:
-                    self._log_value(info)
-                    info.arg_types[position] = rhs_atom.pred
-
-    def check_fact_arity(self, pred: str, fact: tuple) -> None:
-        info = self._preds.get(pred)
-        if info is not None and info.arity != len(fact):
-            raise WorkspaceError(
-                f"fact {fact!r} has {len(fact)} columns but {pred!r} has "
-                f"arity {info.arity}"
-            )
-
-
-def harvest_catalog(statements: Iterable, catalog: Optional[Catalog] = None) -> Catalog:
-    """Build (or extend) a catalog from parsed statements."""
-    catalog = catalog or Catalog()
-    for statement in statements:
-        if isinstance(statement, Rule):
-            catalog.observe_rule(statement)
-        elif isinstance(statement, Constraint):
-            catalog.observe_constraint(statement)
-    return catalog
+            if len(args) == 1 and isinstance(args[0], Variable) \
+                    and args[0].name in positions:
+                types[positions[args[0].name]] = name
+        if tuple(types) != info.arg_types:
+            self._put(replace(info, arg_types=tuple(types)))

@@ -43,11 +43,11 @@ def install_partition(workspace: Workspace, pred: str, arity: int,
                       key_arity: int = 1, curried: str | None = None) -> str:
     """Declare and populate a curried partition of ``pred``.
 
-    Returns the curried predicate name.  Incremental maintenance comes for
-    free: the currying rule is an active rule like any other.
+    Returns the curried predicate name.  The currying rule declares it,
+    as any rule does, and maintains it: it is an active rule like any
+    other.
     """
     curried = curried or curried_name(pred)
-    workspace.catalog.declare_tuple_pred(curried, arity, key_arity)
     workspace.add_rule(currying_rule(pred, arity, key_arity, curried))
     return curried
 

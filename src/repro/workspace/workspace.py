@@ -143,7 +143,7 @@ class Workspace:
         #: the asserted facts, stored once: an index-less database over the
         #: system's interner (its rows are the tuple objects ``db`` holds).
         self._edb = Database(self.registry.terms, self.journal)
-        self.catalog = Catalog(self.journal)
+        self.catalog = Catalog(self.journal, self.builtins)
         self.constraints: list[Constraint] = []
         #: each installed constraint's ``(label, canonical text)``, kept
         #: from its install: what a duplicate is refused by
@@ -218,6 +218,7 @@ class Workspace:
         suppressed: list = []
         report = analyze_statements(statements, source=source,
                                     builtins=self.builtins,
+                                    catalog=self.catalog.copy(),
                                     passes=GATE_PASSES,
                                     collect_suppressed=suppressed)
         raise_for_errors(report)
@@ -297,7 +298,7 @@ class Workspace:
     def assert_facts(self, pred: str, facts: Iterable[tuple]) -> None:
         with self.transaction():
             for fact in facts:
-                self.catalog.check_fact_arity(pred, fact)
+                self.catalog.observe_fact(pred, fact)
                 self._assert_edb(pred, tuple(fact))
 
     def assert_atom(self, atom: Atom) -> None:
@@ -307,7 +308,7 @@ class Workspace:
             eval_term(term, {}, self.context) for term in resolved.all_args
         )
         with self.transaction():
-            self.catalog.observe_atom(resolved)
+            self.catalog.observe_atom(resolved, fact=True)
             self._assert_edb(resolved.pred, values)
 
     def retract_fact(self, pred: str, fact: tuple) -> None:

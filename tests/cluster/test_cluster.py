@@ -187,6 +187,16 @@ class TestGuards:
         assert cluster.tuples("edge") == {(1, 2)}
         assert cluster.tuples("reach") == {(1, 2)}
 
+    def test_a_first_fact_declares_its_predicate(self):
+        # With no program loaded, the first fact fixes the arity: the
+        # second used to be stored beside it.
+        cluster = Cluster(2)
+        cluster.assert_fact("zz", (1,))
+        with pytest.raises(ClusterError, match="arity 1"):
+            cluster.assert_fact("zz", (1, 2))
+        cluster.run()
+        assert cluster.tuples("zz") == {(1,)}
+
     def test_a_launched_shard_refuses_a_fact_of_the_wrong_arity(self):
         spec = cluster_spec(["n0", "n1"], [["hash", "edge", 0]],
                             REACHABILITY, facts=[("edge", (1, 2, 3))])

@@ -75,6 +75,19 @@ class TestDel1:
         with pytest.raises(ConstraintViolation):
             workspace.assert_fact("delegates", ("alice", "bob", "nonexistent"))
 
+    def test_a_predicate_known_only_by_its_facts_can_be_delegated(
+            self, make_system):
+        # A bare assert declares its predicate, so `predicate` lists it
+        # and del0 admits the delegation; it used to wait for a rule
+        # that mentioned `grade`.
+        system = make_system("plaintext", delegation=True)
+        alice = system.create_principal("alice")
+        bob = system.create_principal("bob")
+        alice.assert_fact("grade", ("carol", 3))
+        assert ("grade",) in alice.tuples("predicate")
+        alice.delegate(bob, "grade")
+        assert ("alice", "bob", "grade") in alice.tuples("delegates")
+
 
 class TestDepthRestrictions:
     def test_depth_zero_blocks_redelegation(self, make_system):

@@ -271,6 +271,16 @@ class TestProtocol:
         assert harness.server.last_unexpected_error == ""
         assert isinstance(client.ping(), float)
 
+    def test_a_fact_of_another_arity_is_refused(self, harness):
+        # The served principal's first `zz` fact declares it; a second
+        # arity is a WorkspaceError reply, not a stored row.
+        client = harness.client("c1")
+        client.assert_fact("zz", (1,))
+        with pytest.raises(ServeError, match="^WorkspaceError: .*arity 1"):
+            client.assert_fact("zz", (1, 2))
+        assert harness.server.last_unexpected_error == ""
+        assert harness.system.principal("srv").tuples("zz") == {(1,)}
+
     @pytest.mark.parametrize("query", ["q(\u00b2)", "q(\u0663)"])
     def test_a_non_ascii_digit_is_a_parse_error(self, harness, query):
         # Regression: '\u00b2'.isdigit() is true, so the lexer read an INT

@@ -1,0 +1,120 @@
+"""Shared Hypothesis strategies for properties over generated programs.
+
+One generator every property draws from, grown piece by piece; the
+first piece is the schema: typed declarations (primitive and nominal
+types) plus positive rules over them, split across loads.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from hypothesis import strategies as st
+
+#: builtin type predicates (``int(N)`` compiles to a builtin call)
+PRIMITIVES = ("int", "string", "float", "number", "any")
+#: user types: relation literals, compatible only with themselves
+NOMINALS = ("principal", "object", "mode")
+VARIABLES = ("X", "Y", "Z", "W")
+
+
+@dataclass(frozen=True)
+class SchemaProgram:
+    """Declarations and rules, as the loads that install them."""
+
+    loads: tuple      # program texts, in load order
+    arities: dict     # declared predicate -> arity
+
+    @property
+    def text(self) -> str:
+        """Every statement in one program text."""
+        return "".join(self.loads)
+
+
+@st.composite
+def declarations(draw, count=st.integers(1, 4)):
+    """``(pred, arity, statement)``: ``dI(A,B) -> int(A), object(B).``,
+    some positions left untyped, at least one typed."""
+    found = []
+    for index in range(draw(count)):
+        arity = draw(st.integers(1, 3))
+        types = draw(st.lists(st.sampled_from(PRIMITIVES + NOMINALS + (None,)),
+                              min_size=arity, max_size=arity))
+        if all(t is None for t in types):
+            types[0] = draw(st.sampled_from(PRIMITIVES + NOMINALS))
+        args = "ABC"[:arity]
+        rhs = ", ".join(f"{t}({a})" for t, a in zip(types, args) if t)
+        found.append((f"d{index}", arity,
+                      f"d{index}({','.join(args)}) -> {rhs}.\n"))
+    return found
+
+
+@st.composite
+def typed_rules(draw, arities: dict, count=st.integers(1, 4)):
+    """``(preds read or derived, statement)``: positive rules whose
+    body joins declared predicates, each head a fresh predicate or a
+    declared one, over body variables only (so every rule is safe).
+    No two differ only by label or variable names: a registry interns
+    those as one rule."""
+    preds = sorted(arities)
+    found = []
+    seen = set()
+    for index in range(draw(count)):
+        body = []
+        for pred in draw(st.lists(st.sampled_from(preds),
+                                  min_size=1, max_size=3)):
+            body.append((pred, draw(st.lists(
+                st.sampled_from(VARIABLES), min_size=arities[pred],
+                max_size=arities[pred]))))
+        bound = sorted({v for _, args in body for v in args})
+        head = draw(st.sampled_from([f"h{index}"] + preds))
+        arity = arities.get(head) or draw(st.integers(1, len(bound)))
+        head_args = draw(st.lists(st.sampled_from(bound),
+                                  min_size=arity, max_size=arity))
+        atoms = [(head, head_args)] + body
+        order: dict = {}
+        shape = tuple((p, tuple(order.setdefault(v, len(order)) for v in a))
+                      for p, a in atoms)
+        if shape not in seen:
+            seen.add(shape)
+            found.append((
+                {p for p, _ in body} | {head} & set(arities),
+                f"r{index}: {head}({','.join(head_args)}) <- "
+                + ", ".join(f"{p}({','.join(a)})" for p, a in body) + ".\n"))
+    return found
+
+
+@st.composite
+def schema_programs(draw, max_loads: int = 3) -> SchemaProgram:
+    """Declarations and rules split across 1..``max_loads`` loads, each
+    declaration in a load no later than any rule that uses it; the
+    statements of one load come in any order."""
+    decls = draw(declarations())
+    arities = {pred: arity for pred, arity, _ in decls}
+    loads_count = draw(st.integers(1, max_loads))
+    loads: list = [[] for _ in range(loads_count)]
+    placed: dict = {}
+    for pred, _, text in decls:
+        placed[pred] = draw(st.integers(0, loads_count - 1))
+        loads[placed[pred]].append(text)
+    for uses, text in draw(typed_rules(arities)):
+        earliest = max(placed[pred] for pred in uses)
+        loads[draw(st.integers(earliest, loads_count - 1))].append(text)
+    return SchemaProgram(
+        tuple("".join(draw(st.permutations(load))) for load in loads if load),
+        arities)
+
+
+@st.composite
+def arity_clashes(draw, arities: dict) -> str:
+    """One statement using a declared predicate at another arity: a
+    fact, a rule body literal or a rule head."""
+    pred = draw(st.sampled_from(sorted(arities)))
+    wrong = draw(st.sampled_from(
+        [n for n in (arities[pred] - 1, arities[pred] + 1) if n > 0]))
+    args = ",".join(VARIABLES[:wrong])
+    return draw(st.sampled_from([
+        f"{pred}({','.join('1' * wrong)}).",
+        f"clash(X) <- {pred}({args}).",
+        f"{pred}({args}) <- src{wrong}({args}).",
+    ]))

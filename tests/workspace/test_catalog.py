@@ -2,9 +2,22 @@
 
 import pytest
 
+from repro.datalog.builtins import standard_registry
 from repro.datalog.errors import WorkspaceError
 from repro.datalog.parser import parse_atom, parse_statements
-from repro.workspace.catalog import Catalog, harvest_catalog
+from repro.datalog.terms import Rule
+from repro.meta.quote import compile_constraint
+from repro.workspace.catalog import Catalog
+
+
+def harvest_catalog(statements):
+    catalog = Catalog()
+    for statement in statements:
+        if isinstance(statement, Rule):
+            catalog.observe_rule(statement)
+        else:
+            catalog.observe_constraint(statement)
+    return catalog
 
 
 class TestObservation:
@@ -38,12 +51,6 @@ class TestObservation:
             catalog.check_fact_arity("p", ("a",))
         catalog.check_fact_arity("unknown", ("anything",))  # undeclared: ok
 
-    def test_declare_tuple_pred(self):
-        catalog = Catalog()
-        catalog.declare_tuple_pred("export", 4, 1)
-        with pytest.raises(WorkspaceError):
-            catalog.declare_tuple_pred("export", 3, 1)
-
 
 class TestTypeHarvesting:
     def test_type_declaration_harvested(self):
@@ -52,23 +59,34 @@ class TestTypeHarvesting:
         catalog = harvest_catalog(statements)
         info = catalog.info("access")
         assert info.declared
-        assert info.arg_types == ["principal", "object", "mode"]
+        assert info.arg_types == ("principal", "object", "mode")
 
     def test_partial_types(self):
         statements = parse_statements("p(X,Y) -> t(X).")
         catalog = harvest_catalog(statements)
-        assert catalog.info("p").arg_types == ["t", None]
+        assert catalog.info("p").arg_types == ("t", None)
 
     def test_non_declaration_shapes_ignored(self):
         # constraint with a constant argument is not a type declaration
         statements = parse_statements('p(X,"k") -> t(X).')
         catalog = harvest_catalog(statements)
-        assert catalog.info("p").arg_types == [None, None]
+        assert catalog.info("p").arg_types == (None, None)
 
     def test_repeated_variable_not_a_declaration(self):
         statements = parse_statements("p(X,X) -> t(X).")
         catalog = harvest_catalog(statements)
-        assert catalog.info("p").arg_types == [None, None]
+        assert catalog.info("p").arg_types == (None, None)
+
+    def test_raw_and_compiled_declarations_record_the_same_types(self):
+        # `int(N)` is a literal as parsed and a builtin call as compiled:
+        # both are a type, and neither is a predicate.
+        builtins = standard_registry()
+        raw = parse_statements("age(P,N) -> string(P), int(N).")[0]
+        for constraint in (raw, compile_constraint(raw, None, builtins)):
+            catalog = Catalog(builtins=builtins)
+            catalog.observe_constraint(constraint)
+            assert catalog.info("age").arg_types == ("string", "int")
+            assert catalog.names() == ["age"]
 
     def test_rules_observed_too(self):
         statements = parse_statements("p(X) <- q(X,Y), r(Y).")

@@ -96,3 +96,68 @@ class TestGateEngineAgreement:
     def test_engine_accepted_programs_still_load(self, source):
         workspace = Workspace("w")
         workspace.load(source)
+
+
+class TestOneSchema:
+    """A load is checked against its workspace's catalog, which every
+    fact, rule and constraint declares through: the gate and
+    :meth:`Workspace.typecheck` read one schema, across loads."""
+
+    DECLARATIONS = ("age(P,N) -> string(P), int(N).\n"
+                    "name(P,S) -> string(P), string(S).\n")
+    RULE = "bad(X) <- age(P,X), name(P,X).\n"
+    CLASH = ("<unlabeled>", "X", ("int", "string"))
+
+    @staticmethod
+    def r202(workspace):
+        return [d.message for d in workspace.last_check if d.code == "R202"]
+
+    @pytest.mark.parametrize("loads", [
+        [DECLARATIONS + RULE], [DECLARATIONS, RULE]], ids=["one", "two"])
+    def test_gate_and_typecheck_agree_in_one_load_or_two(self, loads):
+        # `int(N)` is a builtin call once compiled; its type used to be
+        # dropped from the workspace's catalog, so typecheck() saw no
+        # clash, and a second load's gate saw no declarations at all.
+        workspace = Workspace("w")
+        for source in loads:
+            workspace.load(source)
+        assert self.r202(workspace) == [
+            "variable X is used at positions typed int, string"]
+        assert workspace.typecheck() == [self.CLASH]
+
+    def test_a_nominal_clash_split_across_loads_is_reported(self):
+        workspace = Workspace("w")
+        workspace.load("cat(C) -> feline(C).\ndog(D) -> canine(D).")
+        workspace.load("both(X) <- cat(X), dog(X).")
+        assert self.r202(workspace) == [
+            "variable X is used at positions typed canine, feline"]
+        assert workspace.typecheck() == [
+            ("<unlabeled>", "X", ("canine", "feline"))]
+
+    def test_a_cross_load_arity_clash_is_refused_with_a_location(self):
+        workspace = Workspace("w")
+        workspace.load("p(1,2).")
+        with pytest.raises(WorkspaceError,
+                           match=r"<input>:1:9: \[R201\] arity clash for 'p'"):
+            workspace.load("q(X) <- p(X).")
+        assert not workspace.active_refs()
+        assert workspace.catalog.get("q") is None
+
+    def test_a_fact_before_a_curried_rule_leaves_the_key_open(self):
+        workspace = Workspace("w")
+        workspace.load("p(1,2).\nsrc(3,4).")
+        workspace.load("p[K](V) <- src(K,V).")
+        assert workspace.catalog.info("p").key_arity == 1
+        assert workspace.tuples("p") == {(1, 2), (3, 4)}
+
+    def test_a_fact_of_another_arity_is_refused(self):
+        workspace = Workspace("w")
+        workspace.assert_fact("zz", (1,))
+        with pytest.raises(WorkspaceError, match="arity 1"):
+            workspace.assert_fact("zz", (1, 2))
+        assert workspace.tuples("zz") == {(1,)}
+
+    def test_a_read_declares_nothing(self):
+        workspace = Workspace("w")
+        assert workspace.point_query("nothing(X)") == set()
+        assert workspace.catalog.get("nothing") is None

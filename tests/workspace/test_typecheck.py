@@ -1,10 +1,18 @@
 """Static type checking from declarations."""
 
 from repro.analysis.passes import infer_type_clashes
+from repro.analysis.pipeline import AnalysisContext
 from repro.datalog.parser import parse_statements
 from repro.datalog.terms import Rule
-from repro.workspace.catalog import harvest_catalog
 from repro.workspace.workspace import Workspace
+
+
+def schema_of(statements):
+    """The catalog the load gate checks a program against."""
+    context = AnalysisContext(statements=list(statements))
+    context.schema()
+    return context.catalog
+
 
 DECLS = """
 access(P,O,M) -> principal(P), object(O), mode(M).
@@ -16,7 +24,7 @@ size(O,N) -> object(O), int(N).
 def check(rule_source):
     """``(variable, types)`` clashes of every rule in the source."""
     statements = parse_statements(DECLS + rule_source)
-    catalog = harvest_catalog(statements)
+    catalog = schema_of(statements)
     return [clash for rule in statements if isinstance(rule, Rule)
             for clash in infer_type_clashes(rule, catalog)]
 
