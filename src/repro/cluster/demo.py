@@ -10,7 +10,8 @@ every node re-enters semi-naive the moment a delta batch arrives.
 ``--transport socket`` runs the same exchange over real TCP instead of
 the virtual clock — in-process loopback by default, or one **OS process
 per node** with ``--procs N`` (the :mod:`repro.cluster.launch`
-coordinator: rendezvous, peer-to-peer delta batches, ledger-proved
+coordinator: the spec as spawn arguments, control messages over one
+pipe per worker, peer-to-peer delta batches, ledger-proved
 quiescence).  Prints placement, per-node load, traffic and convergence
 figures — the distribution story of paper section 3.5, actually
 executed, and actually deployed when asked.

@@ -10,21 +10,25 @@ overlap loop, the causal stamps and the round cap exist once, in
 
 Topology::
 
-    coordinator ──(control: length-prefixed JSON)── worker[node0]
+    coordinator ──(control: multiprocessing Pipe)── worker[node0]
         │  │                                          │  ExecutionRuntime
         │  └─────────────────────────────────────── worker[node1]
         │                                             │  ExecutionRuntime
         └─ TicketLedger, merged report       data: SocketNetwork frames,
                                              peer-to-peer ONLY
 
-* **Rendezvous** — the coordinator listens on an ephemeral port and
-  spawns one worker per node (*spawn* context: genuinely fresh
-  interpreters).  Each worker opens its node's data listener, reports
-  ``hello {node, port}``, receives the job spec, the run parameters
-  (mode, round cap, batch cap, timeout) and the peer address map,
-  rebuilds its share of the job **deterministically from the spec**
-  (same seeds, same creation order — so e.g. HMAC secrets agree across
-  processes without ever crossing the wire), and confirms ``ready``.
+* **Spawn and rendezvous** — the coordinator spawns one worker per node
+  (*spawn* context: genuinely fresh interpreters) and hands it, as
+  process arguments, the job spec, the run parameters (mode, round cap,
+  batch cap, timeout) and one end of a ``multiprocessing`` pipe; the
+  other end is the coordinator's, and no other process holds either, so
+  the spec never crosses a socket and no other process can take a
+  worker's place.
+  Each worker opens its node's data listener, reports ``hello {port}``,
+  receives the peer port map, rebuilds its share of the job
+  **deterministically from the spec** (same seeds, same creation order —
+  so e.g. HMAC secrets agree across processes without ever crossing the
+  wire), and confirms ``ready``.
 
 * **Workers run the shared runtime** — ``ExecutionRuntime({node},
   network=link, ledger=link).run(max_rounds)``.  The :class:`_Link` is
@@ -34,12 +38,12 @@ Topology::
   exactly the counted frames of this barrier, a fast peer's surplus
   parked; ``async``: the next arrival, until told to stop); as its
   *ledger* it tallies tickets issued and retired and ships each tally
-  down the control channel.
+  down its control pipe.
 
 * **The control plane is a ledger service** — the coordinator owns the
   real :class:`~repro.cluster.quiescence.TicketLedger` and applies every
   tally to it (issues before retires; a retire that overtook its issue
-  on another channel is deferred and retried).  ``bsp``: one
+  on another pipe is deferred and retried).  ``bsp``: one
   ``close_round`` per barrier, answered with the verdict and the
   per-source frame counts the next barrier awaits.  ``async``: the run
   is over once every worker has bootstrapped, nothing is deferred and
@@ -62,7 +66,9 @@ machinery does; a relay-routed import is a named error, see
 
 Every failure reaches the caller as a named
 :class:`~repro.datalog.errors.ClusterError`: a failing worker forwards
-its error before it exits, a dead one is named with its exit code.
+its error before it exits, a dead one is named with its exit code (the
+coordinator waits on each pipe together with the process sentinel, and
+holds no copy of a worker's pipe end, so a death is an EOF).
 
 **What a worker sends back** is the
 :class:`~repro.cluster.scheduler.RunReport` its runtime produced
@@ -77,17 +83,14 @@ field in ``bsp`` mode.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import select
-import struct
-import socket
 import time
 import traceback
 from collections import deque
+from multiprocessing.connection import Connection, wait
 from typing import Any, Hashable, Optional
 
-from ..datalog.errors import ClusterError, NetworkError
+from ..datalog.errors import ClusterError
 from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.socket_transport import SocketNetwork
 from ..net.transport import decode_value, encode_value
@@ -95,105 +98,9 @@ from .quiescence import RoundRecord, TicketLedger
 from .scheduler import (MODE_ASYNC, MODE_BSP, SCHEDULER_MODES,
                         ExecutionRuntime, RunReport)
 
-_LEN = struct.Struct("!I")
-
 #: Default per-control-message timeout; a worker that stays silent this
 #: long is presumed dead and the launch aborts.
 DEFAULT_TIMEOUT = 60.0
-
-
-# ---------------------------------------------------------------------------
-# Control channel: length-prefixed JSON messages over one TCP socket
-# ---------------------------------------------------------------------------
-
-class _Channel:
-    """One control connection with buffered message framing."""
-
-    def __init__(self, sock: socket.socket,
-                 send_timeout: float = DEFAULT_TIMEOUT) -> None:
-        self.sock = sock
-        self.sock.setblocking(False)
-        if sock.family != socket.AF_UNIX:
-            # back-to-back small messages must not sit out Nagle's timer
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.send_timeout = send_timeout
-        self._buffer = bytearray()
-        self._inbox: deque = deque()
-
-    def send(self, message: dict) -> None:
-        """Send one message, bounded by ``send_timeout``.
-
-        A peer that stops reading (wedged worker, dead coordinator)
-        must not hang the sender forever once the kernel buffer fills —
-        a large job spec easily exceeds it.
-        """
-        blob = json.dumps(message, separators=(",", ":")).encode("utf-8")
-        self.sock.settimeout(self.send_timeout)
-        try:
-            self.sock.sendall(_LEN.pack(len(blob)) + blob)
-        except OSError as exc:  # socket.timeout included
-            raise NetworkError(
-                f"control send failed within {self.send_timeout}s "
-                f"(peer gone or not reading): {exc}") from exc
-        finally:
-            self.sock.setblocking(False)
-
-    def _feed(self, timeout: float) -> bool:
-        """Read and frame what arrives within ``timeout``; False on quiet."""
-        readable, _, _ = select.select([self.sock], [], [], timeout)
-        if not readable:
-            return False
-        try:
-            chunk = self.sock.recv(1 << 16)
-        except BlockingIOError:
-            return False
-        except OSError:
-            chunk = b""  # a reset (the peer was killed) is a close
-        if not chunk:
-            raise NetworkError("control channel closed by peer")
-        buffer = self._buffer
-        buffer.extend(chunk)
-        while len(buffer) >= _LEN.size:
-            (length,) = _LEN.unpack_from(buffer, 0)
-            if len(buffer) < _LEN.size + length:
-                break
-            self._inbox.append(
-                json.loads(bytes(buffer[_LEN.size:_LEN.size + length])))
-            del buffer[:_LEN.size + length]
-        return True
-
-    def poll(self) -> list:
-        """Every complete message already readable, without blocking.
-
-        A peer that wrote its last message and closed is heard out: the
-        EOF is raised by the next call, once those messages are read.
-        """
-        try:
-            while self._feed(0):
-                pass
-        except NetworkError:
-            if not self._inbox:
-                raise
-        messages = list(self._inbox)
-        self._inbox.clear()
-        return messages
-
-    def recv(self, timeout: float) -> dict:
-        """The next message, waiting up to ``timeout`` seconds."""
-        deadline = time.monotonic() + timeout
-        while not self._inbox:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise NetworkError(
-                    f"control message timed out after {timeout}s")
-            self._feed(min(remaining, 0.1))
-        return self._inbox.popleft()
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - teardown best effort
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +275,20 @@ class _HostedImports:
         return self.node.integrate(batches)
 
 
+def _expect(control: Connection, kind: str, timeout: float) -> dict:
+    """The coordinator's next control message, which must be a ``kind``."""
+    try:
+        if not control.poll(timeout):
+            raise ClusterError(
+                f"no {kind!r} from the coordinator within {timeout}s")
+        message = control.recv()
+    except (EOFError, OSError) as exc:
+        raise ClusterError("the coordinator closed the control pipe") from exc
+    if message.get("type") != kind:
+        raise ClusterError(f"unexpected control message {message!r}")
+    return message
+
+
 class _Link(TicketLedger):
     """A worker's end of both planes: the network *and* the ledger its
     :class:`~repro.cluster.scheduler.ExecutionRuntime` runs against.
@@ -381,7 +302,7 @@ class _Link(TicketLedger):
     message.  The ``rounds`` trail it keeps is this worker's own share.
     """
 
-    def __init__(self, network: SocketNetwork, control: _Channel,
+    def __init__(self, network: SocketNetwork, control: Connection,
                  timeout: float) -> None:
         super().__init__()
         self.network = network
@@ -424,7 +345,8 @@ class _Link(TicketLedger):
             if frame is None:
                 missing = {src: n for src, n in needed.items() if n}
                 raise ClusterError(
-                    f"wire went quiet still expecting batch(es) {missing}")
+                    f"wire went quiet still expecting batch(es) {missing}"
+                    f"{self.network.drop_note()}")
             if needed.get(frame[0]):
                 needed[frame[0]] -= 1
                 frames.append(frame)
@@ -438,20 +360,17 @@ class _Link(TicketLedger):
 
         No idle watchdog: a quiet worker is *healthy* in a long run (a
         pure source node receives nothing while its peers churn).  The
-        coordinator's stall detector aborts a wedged run and closes the
-        control channel, which ``poll()`` raises as ``NetworkError``.
+        coordinator's stall detector aborts a wedged run and closes its
+        pipe ends, which reads here as a closed control pipe.
         """
         self._tally(0)
-        while True:
-            for message in self.control.poll():
-                if message.get("type") != "stop":
-                    raise ClusterError(
-                        f"unexpected control message {message!r}")
-                self._verdict = True
-                return None
+        while not self.control.poll():
             frame = self.network.receive(0.05)
             if frame is not None:
                 return frame
+        _expect(self.control, "stop", 0)
+        self._verdict = True
+        return None
 
     # -- ledger surface -------------------------------------------------
 
@@ -479,9 +398,7 @@ class _Link(TicketLedger):
         record = RoundRecord(number, sum(self._sent.values()),
                              len(self._retired), new_facts, clock)
         self._tally(new_facts)
-        reply = self.control.recv(self.timeout)
-        if reply.get("type") != "round":
-            raise ClusterError(f"unexpected control message {reply!r}")
+        reply = _expect(self.control, "round", self.timeout)
         self._verdict = reply["quiescent"]
         self._expect = reply["expect"]
         self.rounds.append(record)
@@ -491,25 +408,19 @@ class _Link(TicketLedger):
         return self._verdict
 
 
-def _worker_entry(host: str, port: int, my_node: str) -> None:
+def _worker_entry(control: Connection, my_node: str, spec: dict, mode: str,
+                  timeout: float, max_rounds: int,
+                  max_batch_bytes: int) -> None:
     """Worker process main: rendezvous, build, run the runtime, report."""
-    control: Optional[_Channel] = None
     network: Optional[SocketNetwork] = None
     try:
         network = SocketNetwork()
         network.add_node(my_node)
-        control = _Channel(socket.create_connection((host, port), timeout=30))
-        control.send({"type": "hello", "node": my_node,
-                      "host": network.host, "port": network.port_of(my_node)})
-        message = control.recv(DEFAULT_TIMEOUT)
-        if message.get("type") != "spec":
-            raise ClusterError(f"expected spec, got {message.get('type')!r}")
-        spec = message["spec"]
-        timeout = float(message["timeout"])
-        control.send_timeout = timeout
-        for name, (peer_host, peer_port) in message["peers"].items():
+        control.send({"type": "hello", "port": network.port_of(my_node)})
+        peers = _expect(control, "peers", timeout)["peers"]
+        for name, port in peers.items():
             if name != my_node:
-                network.add_remote(name, peer_host, peer_port)
+                network.add_remote(name, network.host, port)
         build = {"cluster": _build_cluster_job,
                  "system": _build_system_job}.get(spec["kind"])
         if build is None:
@@ -517,28 +428,25 @@ def _worker_entry(host: str, port: int, my_node: str) -> None:
         node, registry, report, sources = build(spec, my_node)
         link = _Link(network, control, timeout)
         runtime = ExecutionRuntime(
-            {my_node: node}, link, registry, mode=message["mode"],
-            max_batch_bytes=message["max_batch_bytes"], ledger=link,
-            strict=True)
+            {my_node: node}, link, registry, mode=mode,
+            max_batch_bytes=max_batch_bytes, ledger=link, strict=True)
         control.send({"type": "ready"})
-        report = runtime.run(message["max_rounds"], report)
+        report = runtime.run(max_rounds, report)
         control.send({"type": "report", "report": report.as_dict(),
                       "relations": _encode_relations(sources, spec,
                                                      registry)})
     except BaseException as exc:  # noqa: BLE001 - forwarded to coordinator
-        if control is not None:
-            try:
-                control.send({"type": "error", "node": my_node,
-                              "error": str(exc),
-                              "traceback": traceback.format_exc()})
-            except Exception:
-                pass
+        try:
+            control.send({"type": "error", "node": my_node,
+                          "error": str(exc),
+                          "traceback": traceback.format_exc()})
+        except Exception:
+            pass
         raise SystemExit(1) from exc
     finally:
         if network is not None:
             network.close()
-        if control is not None:
-            control.close()
+        control.close()
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +463,7 @@ class _Coordinator:
 
     def __init__(self, spec: dict, mode: str = MODE_BSP,
                  max_rounds: int = 500, timeout: float = DEFAULT_TIMEOUT,
-                 max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
-                 host: str = "127.0.0.1") -> None:
+                 max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES) -> None:
         if mode not in SCHEDULER_MODES:
             raise ClusterError(
                 f"unknown scheduler mode {mode!r}; pick one of "
@@ -566,35 +473,36 @@ class _Coordinator:
         self.max_rounds = max_rounds
         self.timeout = timeout
         self.max_batch_bytes = max_batch_bytes
-        self.host = host
         self.nodes = spec_nodes(spec)
         if len(self.nodes) < 1:
             raise ClusterError("a launch needs at least one node")
         self.ledger = TicketLedger()
         #: retires whose issue has not been reported yet: a receiver's
-        #: tally can overtake its sender's on the two control channels
+        #: tally can overtake its sender's on the two control pipes
         self.deferred: list = []
-        self.channels: dict[str, _Channel] = {}
+        #: worker -> the coordinator's end of its control pipe
+        self.conns: dict[str, Connection] = {}
         self.processes: dict = {}
         self._epoch = 0.0
 
     # -- lifecycle -----------------------------------------------------
 
     def run(self) -> RunReport:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        context = multiprocessing.get_context("spawn")
         try:
-            listener.bind((self.host, 0))
-            listener.listen(len(self.nodes))
-            port = listener.getsockname()[1]
-            context = multiprocessing.get_context("spawn")
             for name in self.nodes:
+                self.conns[name], theirs = context.Pipe()
                 process = context.Process(
-                    target=_worker_entry, args=(self.host, port, name),
+                    target=_worker_entry,
+                    args=(theirs, name, self.spec, self.mode, self.timeout,
+                          self.max_rounds, self.max_batch_bytes),
                     name=f"repro-node-{name}", daemon=True)
-                process.start()
+                try:
+                    process.start()
+                finally:
+                    theirs.close()  # the worker's alone: its exit is our EOF
                 self.processes[name] = process
-            self._rendezvous(listener)
+            self._rendezvous()
             self._epoch = time.monotonic()
             if self.mode == MODE_ASYNC:
                 self._serve_async()
@@ -605,9 +513,8 @@ class _Coordinator:
             report.convergence_time = self.ledger.convergence_clock()
             return report
         finally:
-            listener.close()
-            for channel in self.channels.values():
-                channel.close()
+            for conn in self.conns.values():
+                conn.close()
             for process in self.processes.values():
                 process.join(timeout=5.0)
                 if process.is_alive():  # pragma: no cover - hung worker
@@ -617,46 +524,47 @@ class _Coordinator:
     def _clock(self) -> float:
         return time.monotonic() - self._epoch
 
-    def _rendezvous(self, listener: socket.socket) -> None:
-        listener.settimeout(self.timeout)
-        pending = set(self.nodes)
-        addresses: dict[str, tuple] = {}
-        try:
-            while pending:
-                conn, _addr = listener.accept()
-                channel = _Channel(conn, send_timeout=self.timeout)
-                hello = self._recv("<unannounced>", "hello", channel)
-                name = hello.get("node")
-                if name not in pending:
-                    raise ClusterError(f"bad rendezvous hello: {hello!r}")
-                pending.discard(name)
-                self.channels[name] = channel
-                addresses[name] = (hello["host"], hello["port"])
-        except socket.timeout as exc:
-            raise ClusterError(
-                f"worker(s) {sorted(pending)} never reported within "
-                f"{self.timeout}s") from exc
-        for channel in self.channels.values():
-            channel.send({"type": "spec", "spec": self.spec,
-                          "mode": self.mode, "timeout": self.timeout,
-                          "max_rounds": self.max_rounds,
-                          "max_batch_bytes": self.max_batch_bytes,
-                          "peers": {peer: list(addr)
-                                    for peer, addr in addresses.items()}})
-        for name in self.channels:
+    def _rendezvous(self) -> None:
+        """Gather every worker's data port, hand out the map, await
+        ``ready`` from each."""
+        ports = {name: self._recv(name, "hello")["port"]
+                 for name in self.nodes}
+        for name in self.nodes:
+            self._send(name, {"type": "peers", "peers": ports})
+        for name in self.nodes:
             self._recv(name, "ready")
 
-    # -- control receive -------------------------------------------------
+    # -- control pipes ---------------------------------------------------
 
-    def _recv(self, name: str, kind: str,
-              channel: Optional[_Channel] = None) -> dict:
+    def _send(self, name: str, message: dict) -> None:
+        try:
+            self.conns[name].send(message)
+        except OSError as exc:  # the worker's end is gone
+            raise self._lost(name, f"control send failed: {exc}") from exc
+
+    def _recv(self, name: str, kind: str) -> dict:
         """Worker ``name``'s next control message, which must be a
         ``kind``; a dead or silent worker is a named ``ClusterError``."""
+        if not wait(self._waitables(name), self.timeout):
+            raise self._lost(name, f"no message within {self.timeout}s")
+        return self._checked(name, kind, self._read(name))
+
+    def _waitables(self, name: str) -> list:
+        """Worker ``name``'s pipe and, once spawned, its process sentinel."""
+        process = self.processes.get(name)
+        return [self.conns[name]] + ([process.sentinel] if process else [])
+
+    def _read(self, name: str) -> dict:
+        """The message worker ``name``'s pipe holds, once :func:`wait`
+        found the pipe or the process ready; none (EOF, or an exit that
+        left nothing) is the worker's loss."""
+        conn = self.conns[name]
         try:
-            message = (channel or self.channels[name]).recv(self.timeout)
-        except NetworkError as exc:
-            raise self._lost(name, exc) from exc
-        return self._checked(name, kind, message)
+            if conn.poll():
+                return conn.recv()
+        except (EOFError, OSError):
+            pass
+        raise self._lost(name, "control pipe closed")
 
     def _checked(self, name: str, kind: str, message: dict) -> dict:
         if message.get("type") == "error":
@@ -668,12 +576,12 @@ class _Coordinator:
                 f"worker {name} sent {message!r}, expected {kind!r}")
         return message
 
-    def _lost(self, name: str, exc: NetworkError) -> ClusterError:
+    def _lost(self, name: str, reason: str) -> ClusterError:
         process = self.processes.get(name)
         if process is not None:
             process.join(timeout=1.0)  # a dying worker: let it finish
-        return ClusterError(f"worker {name} lost: {exc} (process exit code "
-                            f"{process and process.exitcode})")
+        return ClusterError(f"worker {name} lost: {reason} (process exit "
+                            f"code {process and process.exitcode})")
 
     # -- the ledger service ----------------------------------------------
 
@@ -710,9 +618,9 @@ class _Coordinator:
             self.ledger.close_round(len(self.ledger.rounds), new_facts,
                                     self._clock())
             quiescent = self.ledger.quiescent()
-            for name, channel in self.channels.items():
-                channel.send({"type": "round", "quiescent": quiescent,
-                              "expect": expect[name]})
+            for name in self.nodes:
+                self._send(name, {"type": "round", "quiescent": quiescent,
+                                  "expect": expect[name]})
             if quiescent:
                 return
 
@@ -721,30 +629,26 @@ class _Coordinator:
         (sent its first tally), nothing is deferred and nothing is
         outstanding; then tell the workers to stop."""
         reported: set = set()
-        sockets = {channel.sock: name
-                   for name, channel in self.channels.items()}
+        owners = {ready: name for name in self.nodes
+                  for ready in self._waitables(name)}
         deadline = time.monotonic() + self.timeout
         while (len(reported) < len(self.nodes) or self.deferred
                or self.ledger.outstanding()):
-            if time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise ClusterError(
                     f"async launch stalled: {self.ledger.outstanding()} "
                     f"ticket(s) outstanding, {len(self.deferred)} deferred, "
                     f"{len(reported)}/{len(self.nodes)} bootstrapped")
-            readable, _, _ = select.select(list(sockets), [], [], 0.05)
-            for sock in readable:
-                name = sockets[sock]
-                try:
-                    messages = self.channels[name].poll()
-                except NetworkError as exc:
-                    raise self._lost(name, exc) from exc
-                for message in messages:
-                    self._apply(name, self._checked(name, "tally", message))
-                    reported.add(name)
-                    deadline = time.monotonic() + self.timeout
+            for ready in wait(list(owners), remaining):
+                name = owners[ready]
+                self._apply(name, self._checked(name, "tally",
+                                                self._read(name)))
+                reported.add(name)
+                deadline = time.monotonic() + self.timeout
         self.ledger.close_quiet(self._clock())
-        for channel in self.channels.values():
-            channel.send({"type": "stop"})
+        for name in self.nodes:
+            self._send(name, {"type": "stop"})
 
     # -- final collection ----------------------------------------------
 
@@ -784,8 +688,7 @@ class _Coordinator:
 
 def launch(spec: dict, mode: str = MODE_BSP, max_rounds: int = 500,
            timeout: float = DEFAULT_TIMEOUT,
-           max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
-           host: str = "127.0.0.1") -> RunReport:
+           max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES) -> RunReport:
     """Run ``spec`` with one OS process per node; block until quiescent.
 
     Spawns the workers — each an :class:`ExecutionRuntime` over its
@@ -794,5 +697,5 @@ def launch(spec: dict, mode: str = MODE_BSP, max_rounds: int = 500,
     :class:`~repro.cluster.scheduler.RunReport`.
     """
     return _Coordinator(spec, mode=mode, max_rounds=max_rounds,
-                        timeout=timeout, max_batch_bytes=max_batch_bytes,
-                        host=host).run()
+                        timeout=timeout,
+                        max_batch_bytes=max_batch_bytes).run()

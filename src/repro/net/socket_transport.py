@@ -15,7 +15,10 @@ Design notes:
   and destination node names (UTF-8), then the raw payload bytes.  TCP
   guarantees per-connection FIFO, and each ``(src, dst)`` link owns one
   connection, so the simulated network's per-link FIFO contract holds on
-  the wire for free.
+  the wire for free.  An incoming connection whose framing breaks (EOF
+  mid-frame, a length over ``MAX_FRAME_BYTES``, a bad name header) is
+  closed and counted in ``connections_dropped``; the receive path never
+  raises for it.
 
 * **Local vs remote nodes** — ``add_node`` opens a loopback listener for
   a node hosted *in this process*; ``add_remote`` registers the address
@@ -79,7 +82,10 @@ def _unpack_body(body: bytes) -> tuple[str, str, bytes]:
         offset += _NAME.size
         if offset + length > len(body):
             raise NetworkError("truncated socket frame name")
-        names.append(body[offset:offset + length].decode("utf-8"))
+        try:
+            names.append(body[offset:offset + length].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise NetworkError("socket frame name is not UTF-8") from None
         offset += length
     return names[0], names[1], bytes(body[offset:])
 
@@ -109,6 +115,11 @@ class SocketNetwork:
         self._inflight = 0
         self._epoch = time.monotonic()
         self._closed = False
+        #: incoming connections closed because their framing broke, and
+        #: the last one's reason: a broken peer costs its connection,
+        #: never the receive loop
+        self.connections_dropped = 0
+        self.last_drop_reason: Optional[str] = None
         self.stats: dict[tuple[str, str], LinkStats] = {}
         self.total = LinkStats()
 
@@ -226,11 +237,7 @@ class SocketNetwork:
         except OSError:
             chunk = b""
         if not chunk:
-            self._selector.unregister(conn)
-            self._buffers.pop(conn, None)
-            conn.close()
-            if buffer:
-                raise NetworkError("peer closed mid-frame")
+            self._hang_up(conn, "peer closed mid-frame" if buffer else None)
             return
         buffer.extend(chunk)
         while True:
@@ -238,17 +245,32 @@ class SocketNetwork:
                 break
             (length,) = _LEN.unpack_from(buffer, 0)
             if length > MAX_FRAME_BYTES:
-                raise NetworkError(f"socket frame of {length} bytes "
-                                   f"exceeds the {MAX_FRAME_BYTES} cap")
+                self._hang_up(conn, f"socket frame of {length} bytes "
+                                    f"exceeds the {MAX_FRAME_BYTES} cap")
+                return
             if len(buffer) < _LEN.size + length:
                 break
             body = bytes(buffer[_LEN.size:_LEN.size + length])
             del buffer[:_LEN.size + length]
-            src, dst, payload = _unpack_body(body)
+            try:
+                src, dst, payload = _unpack_body(body)
+            except NetworkError as exc:
+                self._hang_up(conn, str(exc))
+                return
             self._arrived.append((src, dst, payload))
             if src in self._listeners and dst in self._listeners:
                 # one of our own local→local frames has landed
                 self._inflight = max(0, self._inflight - 1)
+
+    def _hang_up(self, conn: socket.socket, reason: Optional[str]) -> None:
+        """Close an incoming connection; a ``reason`` (its framing broke)
+        is counted.  Frames parsed before the break stay delivered."""
+        self._selector.unregister(conn)
+        self._buffers.pop(conn, None)
+        conn.close()
+        if reason is not None:
+            self.connections_dropped += 1
+            self.last_drop_reason = reason
 
     def pending(self) -> int:
         """Frames arrived but undelivered, plus local sends in flight."""
@@ -269,7 +291,8 @@ class SocketNetwork:
                 if time.monotonic() > deadline:
                     raise NetworkError(
                         f"{self._inflight} local frame(s) in flight but "
-                        f"nothing arrived within {self.delivery_timeout}s")
+                        f"nothing arrived within {self.delivery_timeout}s"
+                        f"{self.drop_note()}")
                 self._poll(0.05)
         if not self._arrived:
             return None
@@ -307,6 +330,13 @@ class SocketNetwork:
                 return None
             self._poll(min(remaining, 0.05))
         return self._arrived.popleft()
+
+    def drop_note(self) -> str:
+        """``"; last dropped connection: <reason>"``, or ``""`` if none
+        was: the tail of a lost-frame error."""
+        if self.last_drop_reason is None:
+            return ""
+        return f"; last dropped connection: {self.last_drop_reason}"
 
     # -- stats / teardown ---------------------------------------------------
 

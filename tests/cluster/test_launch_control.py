@@ -1,9 +1,10 @@
 """The launcher's own parts, driven directly — no worker processes.
 
 What :mod:`repro.cluster.launch` adds to the shared scheduler is small
-enough to test in-process: the control channel's framing, the
-coordinator's receive helper, the worker-side :class:`_Link` (the
-runtime's network and ledger in one) and the hosted-import guard.
+enough to test in-process: the coordinator's receive helper over a
+control pipe, the worker-side :class:`_Link` (the runtime's network and
+ledger in one) and the hosted-import guard.  One launch checks that the
+control plane opens no listening socket.
 """
 
 import multiprocessing
@@ -11,62 +12,58 @@ import os
 import socket
 import time
 from array import array
+from multiprocessing import Pipe
 
 import pytest
 
 from repro import LBTrustSystem, RunReport
 from repro.cluster.launch import (
-    _Channel,
     _Coordinator,
     _HostedImports,
     _Link,
     cluster_spec,
+    launch,
 )
 from repro.core.system import WorkspaceNode
-from repro.datalog.errors import ClusterError, NetworkError
+from repro.datalog.errors import ClusterError
 from repro.net import SocketNetwork
 from repro.net.transport import Batch
 
 
 @pytest.fixture
-def channel_pair():
-    """Both ends of one control connection."""
-    ours, theirs = socket.socketpair()
-    pair = _Channel(ours), _Channel(theirs)
+def pipe_pair():
+    """Both ends of one control pipe."""
+    pair = Pipe()
     yield pair
-    for channel in pair:
-        channel.close()
+    for conn in pair:
+        conn.close()
 
 
-class TestChannelPoll:
-    def test_last_message_before_eof_is_returned_then_eof_raises(
-            self, channel_pair):
-        channel, peer = channel_pair
-        peer.send({"type": "error", "error": "boom"})
-        peer.close()
-        assert channel.poll() == [{"type": "error", "error": "boom"}]
-        with pytest.raises(NetworkError, match="closed by peer"):
-            channel.poll()
+def next_message(conn, timeout=1.0):
+    assert conn.poll(timeout), "no control message"
+    return conn.recv()
 
 
 class TestCoordinatorReceive:
     @pytest.fixture
-    def served(self, channel_pair):
-        """A coordinator holding worker ``n0``'s channel, and its far end."""
+    def served(self, pipe_pair):
+        """A coordinator holding worker ``n0``'s pipe, and its far end."""
         coordinator = _Coordinator(cluster_spec(["n0"], [], ""), timeout=1.0)
-        coordinator.channels["n0"], peer = channel_pair
+        coordinator.conns["n0"], peer = pipe_pair
         return coordinator, peer
 
-    def test_closed_channel_names_the_worker_and_its_exit_code(self, served):
+    def test_last_message_before_eof_then_the_worker_is_lost(self, served):
         coordinator, peer = served
         # a real worker that dies without a word (os._exit skips cleanup)
         worker = multiprocessing.get_context("spawn").Process(
             target=os._exit, args=(3,))
         worker.start()
         coordinator.processes["n0"] = worker
+        peer.send({"type": "tally", "sent": [], "retired": []})
         peer.close()
+        assert coordinator._recv("n0", "tally")["type"] == "tally"
         with pytest.raises(ClusterError,
-                           match="worker n0 lost: .*closed by peer.*code 3"):
+                           match="worker n0 lost: .*pipe closed.*code 3"):
             coordinator._recv("n0", "tally")
         worker.join(timeout=5.0)
         assert not worker.is_alive()
@@ -74,7 +71,8 @@ class TestCoordinatorReceive:
     def test_silent_worker_is_named_too(self, served):
         coordinator, _peer = served
         coordinator.timeout = 0.05
-        with pytest.raises(ClusterError, match="worker n0 lost: .*timed out"):
+        with pytest.raises(ClusterError,
+                           match="worker n0 lost: no message within 0.05s"):
             coordinator._recv("n0", "tally")
 
     def test_forwarded_error_and_wrong_type(self, served):
@@ -88,16 +86,16 @@ class TestCoordinatorReceive:
 
 
 @pytest.fixture
-def wired(channel_pair):
+def wired(pipe_pair):
     """A link for node ``a`` plus the far ends of both its planes: the
-    coordinator's channel and a network hosting peers ``b`` and ``c``."""
+    coordinator's pipe end and a network hosting peers ``b`` and ``c``."""
     with SocketNetwork() as network, SocketNetwork() as peers:
         network.add_node("a")
         for name in ("b", "c"):
             peers.add_node(name)
             network.add_remote(name, peers.host, peers.port_of(name))
         peers.add_remote("a", network.host, network.port_of("a"))
-        control, coordinator = channel_pair
+        control, coordinator = pipe_pair
         yield _Link(network, control, 0.3), coordinator, peers
 
 
@@ -106,7 +104,7 @@ def close_round(link, coordinator, number, expect, quiescent=False):
     coordinator.send({"type": "round", "quiescent": quiescent,
                       "expect": expect})
     link.close_round(number, 0, 0.0)
-    return coordinator.recv(1.0)
+    return next_message(coordinator)
 
 
 class TestLinkBarrier:
@@ -153,11 +151,11 @@ class TestLinkBarrier:
         link, coordinator, peers = wired
         peers.send("b", "a", b"frame")
         assert link.deliver_next() == ("b", "a", b"frame")
-        assert coordinator.recv(1.0)["type"] == "tally"
+        assert next_message(coordinator)["type"] == "tally"
         link.retire(1, sender="b")
         coordinator.send({"type": "stop"})
         assert link.deliver_next() is None
-        assert coordinator.recv(1.0)["retired"] == [["b", 1]]
+        assert next_message(coordinator)["retired"] == [["b", 1]]
         assert link.quiescent() and not link.outstanding()
 
 
@@ -189,3 +187,27 @@ class TestHostedImportGuard:
                       [(0, 1, 1, 1, array("I", [0]))])
         assert guard.integrate([batch]) == 1
         assert report.rejected == 1
+
+
+def test_a_launch_opens_no_listening_socket_in_the_coordinator(monkeypatch):
+    # The control plane is a pipe per worker: nothing in the launching
+    # process listens, so no other local process can claim a node's
+    # place and be sent the job spec.  (Workers listen for data, in
+    # their own processes, where this patch does not reach.)
+    listens = []
+    real_listen = socket.socket.listen
+
+    def counted(sock, *args):
+        listens.append(sock.getsockname())
+        return real_listen(sock, *args)
+
+    monkeypatch.setattr(socket.socket, "listen", counted)
+    spec = cluster_spec(["n0", "n1"], [["hash", "edge", 0],
+                                       ["hash", "reach", 1]],
+                        "tc0: reach(X,Y) <- edge(X,Y).\n"
+                        "tc1: reach(X,Z) <- reach(X,Y), edge(Y,Z).\n",
+                        facts=[("edge", (1, 2)), ("edge", (2, 3))],
+                        collect=["reach"])
+    report = launch(spec, timeout=60)
+    assert report.relations[""]["reach"] == {(1, 2), (2, 3), (1, 3)}
+    assert listens == []

@@ -154,7 +154,7 @@ class TestMultiprocessLauncher:
             launch(spec, timeout=30)
 
     def test_bsp_launch_that_never_quiesces_is_stopped(self):
-        # the round cap travels to the workers in the spec message and is
+        # the round cap travels to the workers as a spawn argument and is
         # raised there, by the one scheduler
         spec = cluster_spec(
             NODES, placement=[["hash", "nat", 0]],

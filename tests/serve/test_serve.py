@@ -10,6 +10,7 @@ network and over real TCP sockets.
 
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -342,6 +343,39 @@ def test_a_hello_advertising_a_dead_port_does_not_stop_the_server():
             time.sleep(0.01)
         assert harness.thread.is_alive()
         assert harness.server.frames_dropped == 1
+        assert isinstance(client.ping(), float)
+    finally:
+        harness.close()
+
+
+_FRAME_LEN, _NAME_LEN = struct.Struct("!I"), struct.Struct("!H")
+
+
+@pytest.mark.parametrize("wire, reason", [
+    (_FRAME_LEN.pack(40) + b"half a frame", "closed mid-frame"),
+    (_FRAME_LEN.pack(2 ** 31), "exceeds the 67108864 cap"),
+    (_FRAME_LEN.pack(6) + _NAME_LEN.pack(200) + b"abcd",
+     "truncated socket frame name"),
+    (_FRAME_LEN.pack(6) + _NAME_LEN.pack(1) + b"\xff"
+     + _NAME_LEN.pack(1) + b"s", "not UTF-8"),
+], ids=["mid-frame", "over-cap", "truncated-name", "name-not-utf8"])
+def test_a_broken_connection_does_not_stop_the_server(wire, reason):
+    # Regression: each of these raised out of SocketNetwork.receive and
+    # ended serve_forever.  The connection is now closed and counted.
+    harness = ServeHarness("socket")
+    try:
+        client = harness.client("c1")
+        with socket.create_connection(
+                ("127.0.0.1", harness.network.port_of("server"))) as raw:
+            raw.sendall(wire)
+        assert isinstance(client.ping(), float)
+        deadline = time.monotonic() + 10.0
+        while (harness.network.connections_dropped == 0
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert harness.thread.is_alive()
+        assert harness.network.connections_dropped == 1
+        assert reason in harness.network.last_drop_reason
         assert isinstance(client.ping(), float)
     finally:
         harness.close()
