@@ -10,7 +10,7 @@ family    severity   meaning
 ========  =========  ==================================================
 R0xx      error      parse / safety (range restriction, schedulability)
 R1xx      error      stratification (negation/aggregation in a cycle)
-R2xx      mixed      catalog: arity clashes (error), type conflicts (warn)
+R2xx      mixed      catalog: arity clashes, meta writes (error), types (warn)
 R3xx      info       dead code: underivable preds, singletons, dead rules
 R4xx      warning    attribution: says-shipped predicates read plainly
 R5xx      error      placement: join co-location, distributability
@@ -65,6 +65,7 @@ CODES: dict[str, tuple[str, str]] = {
     "R102": (ERROR, "aggregation inside a recursive cycle"),
     "R201": (ERROR, "predicate arity clash"),
     "R202": (WARNING, "variable pinned to incompatible declared types"),
+    "R203": (ERROR, "fact or rule head over a Figure 1 meta-model relation"),
     "R301": (INFO, "body predicate has no derivation or declaration"),
     "R302": (INFO, "singleton variable"),
     "R303": (INFO, "rule body is unsatisfiable"),

@@ -16,7 +16,8 @@ Pass families (see :mod:`repro.analysis.diagnostics` for the code table):
 * ``safety`` — R001/R002/R003, range restriction and schedulability;
 * ``stratification`` — R101/R102, with the offending cycle spelled out;
 * ``types`` — R201 arity clashes (errors), R202 type conflicts
-  (warnings; :meth:`Workspace.typecheck` reads the same inference);
+  (warnings; :meth:`Workspace.typecheck` reads the same inference), R203
+  a fact or rule head over a Figure 1 relation (errors);
 * ``deadcode`` — R301/R302/R303, informational;
 * ``attribution`` — R401, says-shipped predicates read unattributed;
 * ``placement`` — R501/R502, a placement dry-run without a cluster;
@@ -41,7 +42,7 @@ from ..datalog.terms import (
     Quote,
     Rule,
 )
-from ..workspace.catalog import Catalog
+from ..workspace.catalog import Catalog, ReflectedWriteError
 from .dataflow import (
     SYSTEM_PREDS as _SYSTEM_PREDS,
     _is_anon,
@@ -282,10 +283,12 @@ def infer_type_clashes(rule: Rule, catalog: Catalog) -> list[tuple]:
 
 
 def types_pass(ctx) -> list[Diagnostic]:
-    """Arity clashes (R201, errors) and type conflicts (R202, warnings),
-    against the host's schema with this program observed into it."""
+    """Arity clashes (R201, errors), type conflicts (R202, warnings) and
+    writes into a Figure 1 relation (R203, errors), against the host's
+    schema with this program observed into it."""
     diagnostics = [
-        Diagnostic("R201", str(exc), file=ctx.file,
+        Diagnostic("R203" if isinstance(exc, ReflectedWriteError) else "R201",
+                   str(exc), file=ctx.file,
                    span=getattr(atom, "span", None) or statement.span,
                    rule_label=statement.label,
                    pred=atom.pred if atom is not None else None)

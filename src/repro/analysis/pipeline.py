@@ -87,17 +87,20 @@ class AnalysisContext:
 
     def schema(self) -> list:
         """Observe the program into :attr:`catalog`, once, as its host
-        will; ``(statement, atom | None, WorkspaceError)`` per clash (the
-        types pass's R201), everything else observed."""
+        will; ``(statement, atom | None, WorkspaceError)`` per clash or
+        refused write (the types pass's R201 / R203), everything else
+        observed."""
         if self._clashes is None:
             self._clashes = []
             catalog = self.catalog
             for statement in self.statements:
                 if isinstance(statement, Rule):
                     fact = statement.is_fact()
-                    for atom in rule_atoms(statement):
+                    heads = len(statement.heads)
+                    for index, atom in enumerate(rule_atoms(statement)):
                         try:
-                            catalog.observe_atom(atom, fact=fact)
+                            catalog.observe_atom(atom, fact=fact,
+                                                 head=index < heads)
                         except WorkspaceError as exc:
                             self._clashes.append((statement, atom, exc))
                 elif isinstance(statement, Constraint):

@@ -10,6 +10,16 @@ that execution model:
   selectively recomputed from their EDB);
 * :func:`propagate_deletions` — DRed-style delete-and-rederive.
 
+**Quoted patterns fire from their carrier.**  A body quote compiles to a
+join over the Figure 1 relations (:mod:`repro.meta.quote`), rooted at
+``rule(V)``.  When an ordinary literal — the *carrier* — binds ``V``
+(``says(U,me,V)``, ``active(V)``), the pattern's Figure 1 literals are
+never semi-naive delta positions (:func:`pattern_groups`): reflection is
+the only writer of those relations and adds all of a ref's rows at once,
+its nested refs no later, so a new row there comes with a new
+``rule(R)`` row, and the carrier position re-runs over the rows that
+carry ``R`` (:func:`eval_stratum`).
+
 **One fact currency.**  Everything these functions take and return —
 ``changed``, ``inserted``, ``added``, ``removed``, what ``edb_facts(pred)``
 hands back — is a :data:`FactSet` of *id rows* over ``db.interner``.  A
@@ -34,6 +44,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Iterable, Optional
 
+from ..meta.model import ALL_META_PREDS
 from .builtins import BuiltinRegistry
 from .database import Database, Relation
 from .errors import SafetyError
@@ -93,6 +104,7 @@ class EngineRule:
     _analysis: Optional[BodyAnalysis] = field(default=None, repr=False)
     _head_analysis: Optional[BodyAnalysis] = field(default=None, repr=False)
     _positive_positions: Optional[list] = field(default=None, repr=False)
+    _patterns: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def heads(self) -> tuple:
@@ -213,6 +225,14 @@ class EngineRule:
             ]
         return positions
 
+    def patterns(self) -> tuple:
+        """The body's carried pattern groups (:func:`pattern_groups`),
+        found on first use."""
+        patterns = self._patterns
+        if patterns is None:
+            patterns = self._patterns = pattern_groups(self.body)
+        return patterns
+
     def body_preds(self) -> set:
         return {
             item.atom.pred for item in self.body if isinstance(item, Literal)
@@ -221,6 +241,65 @@ class EngineRule:
     def __repr__(self) -> str:
         name = self.label or "rule"
         return f"<{name}: {self.head!r} <- {len(self.body)} items>"
+
+
+#: the Figure 1 relations that lead from their first argument to another
+#: part of the same rule (the argument's position): a rule to an atom, an
+#: atom to a term, a term to its value — followed only to a nested rule
+_LEADS = {"head": 1, "body": 1, "arg": 2, "value": 1}
+
+
+def pattern_groups(body: tuple) -> tuple:
+    """The quoted patterns of a compiled body that fire from a carrier.
+
+    Every positive ``rule(V)`` literal roots a pattern.  Its *carrier* is
+    the first positive literal outside Figure 1 that binds ``V``; its
+    *group* is every positive Figure 1 literal whose first argument is
+    reached from ``V``: ``head`` and ``body`` lead to an atom, ``arg`` to
+    a term, and ``value(T,X)`` to a nested ``X`` with its own
+    ``rule(X)``.  A root with no carrier (a pattern enumerating rules by
+    itself) groups nothing.  Returns ``(group positions, {carrier
+    position: the columns holding a root})``.
+    """
+    literals = [(index, item.atom) for index, item in enumerate(body)
+                if isinstance(item, Literal) and not item.negated]
+
+    def leading(atom: Atom, position: int = 0) -> Optional[str]:
+        args = atom.all_args
+        if len(args) > position and isinstance(args[position], Variable):
+            return args[position].name
+        return None
+
+    roots = [name for _, atom in literals if atom.pred == "rule"
+             for name in (leading(atom),) if name is not None]
+    grouped: set = set()
+    carriers: dict = {}
+    for root in dict.fromkeys(roots):
+        carrier = next((
+            (index, column) for index, atom in literals
+            if atom.pred not in ALL_META_PREDS
+            for column, term in enumerate(atom.all_args)
+            if isinstance(term, Variable) and term.name == root), None)
+        if carrier is None:
+            continue
+        index, column = carrier
+        carriers[index] = carriers.get(index, ()) + (column,)
+        reached = {root}
+        grown = True
+        while grown:
+            grown = False
+            for index, atom in literals:
+                if index in grouped or atom.pred not in ALL_META_PREDS \
+                        or leading(atom) not in reached:
+                    continue
+                grouped.add(index)
+                grown = True
+                if atom.pred in _LEADS:
+                    name = leading(atom, _LEADS[atom.pred])
+                    if name is not None and (atom.pred != "value"
+                                             or name in roots):
+                        reached.add(name)
+    return frozenset(grouped), carriers
 
 
 def normalize_rules(rules: Iterable[Rule]) -> list[EngineRule]:
@@ -501,19 +580,54 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
                 sum(len(rows) for rows in delta.values()))
             delta_rels = {pred: Relation.wrap_rows(pred, rows, interner)
                           for pred, rows in delta.items()}
+            new_refs = delta.get("rule")
+            carried: dict = {}
             next_delta: dict[str, set] = {}
             for rule in stratum.rules:
+                grouped, carriers = rule.patterns()
                 for position in rule.positive_positions():
-                    if rule.body[position].atom.pred in delta:
-                        merge(apply_rule(rule, db, context, delta_rels,
-                                         position, provenance),
-                              rule.head.pred, next_delta)
+                    if position in grouped:
+                        continue
+                    pred = rule.body[position].atom.pred
+                    columns = carriers.get(position) if new_refs else None
+                    if columns is not None:
+                        # A new rule(R) fires the pattern from the rows
+                        # that carry R, whenever they arrived.
+                        key = (pred, columns)
+                        if key not in carried:
+                            carried[key] = _carrier_delta(
+                                db, pred, columns, delta.get(pred), new_refs)
+                        if carried[key] is None:
+                            continue
+                        relations = {pred: carried[key]}
+                    elif pred in delta:
+                        relations = delta_rels
+                    else:
+                        continue
+                    merge(apply_rule(rule, db, context, relations,
+                                     position, provenance),
+                          rule.head.pred, next_delta)
             delta = next_delta
 
     record.elapsed = perf_counter() - started
     record.new_facts = sum(len(rows) for rows in added.values())
     stats.record_stratum(record)
     return added
+
+
+def _carrier_delta(db: Database, pred: str, columns: tuple,
+                   own: Optional[set], new_refs: set) -> Optional[Relation]:
+    """A carrier position's delta in a round that reflected ``new_refs``
+    (``rule`` rows): its own delta rows plus every row of ``pred`` that
+    holds one of the refs in a root's column — None when that is none."""
+    rows = set(own) if own else set()
+    relation = db.relations.get(pred)
+    if relation is not None and relation.rows:
+        for column in columns:
+            index = relation.index_for((column,))
+            for (ref,) in new_refs:
+                rows.update(index.get(ref, ()))
+    return Relation.wrap_rows(pred, rows, db.interner) if rows else None
 
 
 def merge_rows(target: FactSet, source: FactSet) -> None:

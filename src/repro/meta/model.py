@@ -27,6 +27,9 @@ Our deviations (DESIGN.md section 6):
 ``active(R)`` is the activation relation (paper section 3.3): deriving
 ``active(r)`` turns the reified rule ``r`` into a running rule.  The
 workspace watches it after every fixpoint.
+
+Only reflection writes these relations: a fact or a rule head over one
+of them is refused wherever it enters (see :data:`ALL_META_PREDS`).
 """
 
 from __future__ import annotations
@@ -48,9 +51,14 @@ ACTIVE_PRED = "active"
 PREDNODE_PRED = "predNode"
 
 #: Every relation the registry maintains; user programs may read these but
-#: must not define rules deriving into them (``active`` and ``predNode``
-#: excepted — deriving those is exactly how code generation and placement
-#: work).
+#: never write them (``active`` and ``predNode`` are not among them —
+#: deriving those is exactly how code generation and placement work).
+#: The host catalog enforces it: a fact or a rule head over one is
+#: refused (``repro.workspace.catalog.ReflectedWriteError``; ``R203`` at
+#: the load gate), and said or generated code over one stays inert.  The
+#: engine relies on it: reflection adds all of a rule's rows at once, so
+#: a quoted pattern fires from the row that carries the rule
+#: (``repro.datalog.engine.pattern_groups``).
 ALL_META_PREDS = PAPER_META_PREDS | EXTENSION_META_PREDS
 
 #: Source text of the meta-model type declarations, loadable into a

@@ -15,6 +15,12 @@ of its host's catalog, so R201 and R202 fire across loads, and
 nothing, a builtin's name is never a predicate, and a fact never fixes a
 key arity (the first rule using the predicate does).  Arity clashes are
 errors: they are almost always typos in policies.
+
+The catalog is also where a write into a Figure 1 relation is refused
+(:class:`ReflectedWriteError`): a fact or a rule head over
+:data:`~repro.meta.model.ALL_META_PREDS`.  Reflection is the only writer
+of those relations (``Workspace._reflect``, and ``_assert_edb`` for the
+``predicate`` / ``pname`` mirror), and neither declares through here.
 """
 
 from __future__ import annotations
@@ -25,6 +31,18 @@ from typing import Iterator, Optional
 from ..datalog.database import Journal
 from ..datalog.errors import WorkspaceError
 from ..datalog.terms import Atom, BuiltinCall, Constraint, Literal, Rule, Variable
+from ..meta.model import ALL_META_PREDS
+
+
+class ReflectedWriteError(WorkspaceError):
+    """A fact or a rule head over a Figure 1 relation: only reflection
+    writes those, so a row there always describes a rule that exists."""
+
+    def __init__(self, pred: str) -> None:
+        super().__init__(
+            f"{pred!r} is a Figure 1 meta-model relation: only reflection "
+            f"writes it, not a fact or a rule head")
+        self.pred = pred
 
 
 @dataclass(frozen=True)
@@ -91,9 +109,13 @@ class Catalog:
         return sorted(self._preds)
 
     def observe_atom(self, atom: Atom, declared: bool = False,
-                     fact: bool = False) -> Optional[PredInfo]:
+                     fact: bool = False,
+                     head: bool = False) -> Optional[PredInfo]:
         """Record (or check) a predicate's shape from one atom occurrence;
-        None for a builtin's name.  A ``fact`` leaves the key arity open."""
+        None for a builtin's name.  A ``fact`` leaves the key arity open;
+        a fact or a rule ``head`` over a Figure 1 relation is refused."""
+        if (fact or head) and atom.pred in ALL_META_PREDS:
+            raise ReflectedWriteError(atom.pred)
         if self.builtins is not None \
                 and self.builtins.lookup(atom.pred) is not None:
             return None
@@ -132,6 +154,8 @@ class Catalog:
 
     def observe_fact(self, pred: str, fact: tuple) -> None:
         """Check a written fact's arity; its first fact declares ``pred``."""
+        if pred in ALL_META_PREDS:
+            raise ReflectedWriteError(pred)
         if self.check_fact_arity(pred, fact) is None:
             self._put(PredInfo(pred, len(fact), None,
                                arg_types=(None,) * len(fact)))
@@ -140,8 +164,9 @@ class Catalog:
 
     def observe_rule(self, rule: Rule) -> None:
         fact = rule.is_fact()
-        for atom in rule_atoms(rule):
-            self.observe_atom(atom, fact=fact)
+        heads = len(rule.heads)
+        for index, atom in enumerate(rule_atoms(rule)):
+            self.observe_atom(atom, fact=fact, head=index < heads)
 
     def observe_constraint(self, constraint: Constraint) -> None:
         """Harvest declarations; type-declaration shapes record arg types.

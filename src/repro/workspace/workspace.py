@@ -60,6 +60,7 @@ from ..datalog.runtime import EvalContext, eval_term, solve
 from ..datalog.stratify import stratify
 from ..datalog.terms import (
     Atom,
+    BuiltinCall,
     Constant,
     Constraint,
     Literal,
@@ -72,7 +73,7 @@ from ..datalog.terms import (
 from ..meta.model import ACTIVE_PRED, ALL_META_PREDS
 from ..meta.quote import compile_constraint, compile_rule
 from ..meta.registry import RuleRegistry
-from .catalog import Catalog
+from .catalog import Catalog, ReflectedWriteError
 
 #: the meta-model's mirror of the catalog
 _MIRROR = ("predicate", "pname")
@@ -160,6 +161,9 @@ class Workspace:
             ProvenanceStore(self.db) if enable_provenance else None
         )
         self._activated: dict[RuleRef, list[EngineRule]] = {}
+        #: the activated rules that call a volatile builtin, in activation
+        #: order: kept as rules activate and drop (:meth:`_run_loop`)
+        self._volatile: list[EngineRule] = []
         self._strata: Optional[list] = None
         #: every ref reflected here; its meta facts are asserted only into
         #: the Figure 1 relations something here has read (``_demanded``)
@@ -261,6 +265,8 @@ class Workspace:
         resolved = resolve_me_rule(rule, self.me)
         ref = self.registry.intern(resolved)
         with self.transaction():
+            # refused here, where activation would only leave it inert
+            self.catalog.observe_rule(resolved)
             self._assert_edb(ACTIVE_PRED, (ref,))
         return ref
 
@@ -505,7 +511,9 @@ class Workspace:
 
         Nested transactions flatten into the outermost one.  On a
         constraint violation (or any error) the workspace state rolls back
-        to the transaction start; the audit log keeps the rejection event.
+        to the transaction start; the audit log keeps the rejection event
+        (a constraint violation, or a write the catalog refuses into a
+        Figure 1 relation).
         """
         if self._txn_depth == 0:
             self.journal.begin()
@@ -519,13 +527,16 @@ class Workspace:
                 self._txn_depth -= 1
             if self._txn_depth == 0:
                 self._commit()
-        except BaseException:
+        except BaseException as exc:
             # Interrupts and exits too: a transaction left open would make
             # every later one nested, never committed and never checked.
             if self._txn_depth == 0:
                 self.journal.rollback()
                 self._strata = None
                 self._pending_template_refs = []
+                if isinstance(exc, ReflectedWriteError):
+                    self.audit.append(AuditEvent("meta_write_refused", {
+                        "workspace": self.name, "relation": exc.pred}))
             raise
 
     def _log_rebind(self, name: str) -> None:
@@ -679,9 +690,18 @@ class Workspace:
         rule = self.registry.rule_of(ref)
         compiled = compile_rule(rule, principal=None, builtins=self.builtins)
         check_rule_safety(compiled, self.builtins)
+        try:
+            self.catalog.observe_rule(compiled)
+        except ReflectedWriteError as refused:
+            # Said or generated code that would write the meta-model stays
+            # inert: its ``active`` row, and a ``says`` that carried it,
+            # still stand for patterns to read.
+            self.audit.append(AuditEvent("meta_write_refused", {
+                "workspace": self.name, "relation": refused.pred,
+                "rule": self.registry.canonical_text(ref)}))
+            return []
         # before the rule's first application, which must see every row
         self._read(_literal_preds(compiled.body))
-        self.catalog.observe_rule(compiled)
         engine_rules = normalize_rules([compiled])
         label = compiled.label or f"r{ref.rid}"
         for engine_rule in engine_rules:
@@ -691,18 +711,17 @@ class Workspace:
     def _all_engine_rules(self) -> list[EngineRule]:
         return [rule for rules in self._activated.values() for rule in rules]
 
-    def _volatile_rules(self) -> list[EngineRule]:
-        from ..datalog.terms import BuiltinCall as _BuiltinCall
-
-        volatile: list[EngineRule] = []
-        for engine_rule in self._all_engine_rules():
-            for item in engine_rule.body:
-                if isinstance(item, _BuiltinCall):
-                    definition = self.builtins.lookup(item.name)
-                    if definition is not None and definition.volatile:
-                        volatile.append(engine_rule)
-                        break
-        return volatile
+    def _note_volatile(self, engine_rules: list[EngineRule]) -> None:
+        """Keep the activating rules that call a volatile builtin: their
+        dependencies are hidden from the delta machinery, so every pass
+        re-runs them in full."""
+        lookup = self.builtins.lookup
+        for engine_rule in engine_rules:
+            if any(isinstance(item, BuiltinCall)
+                   and getattr(lookup(item.name), "volatile", False)
+                   for item in engine_rule.body):
+                self._volatile.append(engine_rule)
+                self.journal.log(self._volatile.pop, -1)
 
     def _current_strata(self) -> list:
         if self._strata is None:
@@ -773,6 +792,7 @@ class Workspace:
                 engine_rules = self._compile_ref(ref)
                 self._activated[ref] = engine_rules
                 self.journal.log(self._activated.pop, ref)
+                self._note_volatile(engine_rules)
                 new_rules.extend(engine_rules)
                 progressed = True
             if new_rules:
@@ -795,7 +815,7 @@ class Workspace:
 
             # Volatile-builtin rules (their dependencies are hidden from
             # the delta machinery) re-run in full each pass.
-            for engine_rule in self._volatile_rules():
+            for engine_rule in self._volatile:
                 self._apply_in_full(engine_rule, fresh)
 
             if fresh:
@@ -852,6 +872,12 @@ class Workspace:
         self._activated = dict(self._activated)
         dropped = [rule for ref in gone for rule in self._activated.pop(ref)]
         self._strata = None
+        dropped_ids = {id(rule) for rule in dropped}
+        kept = [rule for rule in self._volatile
+                if id(rule) not in dropped_ids]
+        if len(kept) != len(self._volatile):
+            self._log_rebind("_volatile")
+            self._volatile = kept
         deleted: FactSet = {}
         with self._aside(fresh):
             # Every dropped rule first: one's rows may support another's.

@@ -2,7 +2,9 @@
 
 One generator every property draws from, grown piece by piece; the
 first piece is the schema: typed declarations (primitive and nominal
-types) plus positive rules over them, split across loads.
+types) plus positive rules over them, split across loads.  The second
+is quoted patterns: listening rules whose bodies hold quotes, and
+streams of says, asserts and retracts that feed them.
 """
 
 from __future__ import annotations
@@ -118,3 +120,70 @@ def arity_clashes(draw, arities: dict) -> str:
         f"clash(X) <- {pred}({args}).",
         f"{pred}({args}) <- src{wrong}({args}).",
     ]))
+
+
+# ---------------------------------------------------------------------------
+# Quoted patterns, and the update streams that maintain them
+# ---------------------------------------------------------------------------
+
+#: Listening rules over body quotes, named by the shape each exercises.
+#: Every quote but the carrier-less one's is bound by an ordinary literal
+#: (``says``, ``active``, ``made``) before its Figure 1 join; the
+#: unreached literal reads a Figure 1 relation outside any quote.
+PATTERNS = {
+    "quoted fact": "heardp(U,X) <- says(U,me,[| p(X). |]).\n",
+    "quoted rule": "heardrule(U,X,Y) <- says(U,me,[| p(X) <- q(X,Y). |]).\n",
+    "kleene star": "heardq(U,X) <- says(U,me,[| q(X,T*). |]).\n",
+    "functor variable": "reads(U,P) <- says(U,me,[| A <- P(T*), A*. |]).\n",
+    "nested under active": "activep(X) <- active(R), R = [| p(X). |].\n",
+    "nested value":
+        "wrapped(U,X) <- says(U,me,[| wrap(R). |]), R = [| p(X). |].\n",
+    "carrier-less": "anyp(X) <- R = [| p(X). |].\n",
+    "unreached literal":
+        'sawwrap(U) <- says(U,me,[| p(2). |]), functor(_, "wrap").\n',
+    "delayed reflection":
+        "made([| p(X). |]) <- trigger(X).\nmadep(Y) <- made([| p(Y). |]).\n",
+}
+
+#: says1 (paper section 4.1): every rule said to ``me`` is activated.
+SAYS1 = "active(R) <- says(_,me,R).\n"
+
+#: What a speaker says: rule texts, and ``("wrap", text)`` for the fact
+#: ``wrap(R)`` whose constant ``R`` is the ref of ``text`` — a ref named
+#: inside another, reflected with it.
+SAID = (
+    "p(1).", "p(2).", "q(1,2).", "q(2,1).", "p(1) <- q(1,2).",
+    "p(X) <- q(X,Y).", "q(X,Y) <- p(X), p(Y).",
+    ("wrap", "p(1)."), ("wrap", "p(3)."),
+)
+SPEAKERS = ("alice", "carol")
+#: Facts a stream asserts and retracts directly (``p`` is derived too).
+STREAM_EDB = (("trigger", (1,)), ("trigger", (2,)), ("q", (1, 2)),
+              ("q", (2, 2)), ("p", (3,)))
+
+
+@dataclass(frozen=True)
+class PatternStream:
+    """One program of listening rules and the steps that feed it."""
+
+    program: str
+    #: ``("say" | "unsay", speaker, said)`` and ``("assert" | "retract",
+    #: pred, fact)``; a step that would change nothing is skipped
+    steps: tuple
+
+
+@st.composite
+def pattern_streams(draw, max_steps: int = 8) -> PatternStream:
+    """says1 plus a non-empty choice of :data:`PATTERNS`, and a stream
+    mixing says, un-says, asserts and retracts."""
+    names = draw(st.lists(st.sampled_from(sorted(PATTERNS)), min_size=1,
+                          unique=True))
+    says = st.tuples(st.sampled_from(("say", "say", "unsay")),
+                     st.sampled_from(SPEAKERS), st.sampled_from(SAID))
+    updates = st.tuples(st.sampled_from(("assert", "assert", "retract")),
+                        st.sampled_from(STREAM_EDB)).map(
+        lambda step: (step[0], *step[1]))
+    steps = draw(st.lists(st.one_of(says, updates), min_size=1,
+                          max_size=max_steps))
+    return PatternStream(SAYS1 + "".join(PATTERNS[name] for name in names),
+                         tuple(steps))

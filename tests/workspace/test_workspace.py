@@ -1,6 +1,10 @@
 """Workspace behaviour: loading, queries, transactions, activation loop."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog.errors import (
     ActivationLimitError,
@@ -384,6 +388,61 @@ class TestActivationLoop:
         assert workspace.tuples("gen") == {("a",)}
         workspace.retract_fact("on", ())
         assert workspace.tuples("gen") == set()
+
+
+class TestVolatileRules:
+    """The rules calling a volatile builtin re-run in full on every pass
+    of the loop; the workspace keeps their list as rules activate and
+    drop, so it must always equal a scan of every activated body."""
+
+    RULES = [
+        "ticked(T) <- clock(T).",
+        "seen(X,T) <- item(X), clock(T).",
+        "plain(X) <- item(X).",
+        "active([| late(T) <- clock(T). |]) <- flag(1).",
+    ]
+
+    @staticmethod
+    def scanned(ws):
+        from repro.datalog.terms import BuiltinCall
+        return [rule for rules in ws._activated.values() for rule in rules
+                if any(isinstance(item, BuiltinCall)
+                       and ws.builtins.lookup(item.name).volatile
+                       for item in rule.body)]
+
+    @given(st.integers(0, 2 ** 30))
+    @settings(max_examples=30, deadline=None)
+    def test_property_the_kept_list_is_the_scan(self, seed):
+        rng = random.Random(seed)
+        ws = Workspace("w")
+        ws.builtins.register("clock", "o", lambda: [(0,)], volatile=True)
+        ws.load('item("a").\nbad(X) -> never(X).')
+        refs = {}
+        for _ in range(12):
+            step = rng.choice(["add", "add", "drop", "flag", "abort"])
+            text = rng.choice(self.RULES)
+            if step == "add":
+                refs[text] = ws.add_rule(text)
+            elif step == "drop" and text in refs:
+                ws.deactivate_rule(refs.pop(text))
+            elif step == "flag":
+                if (1,) in ws.tuples("flag"):
+                    ws.retract_fact("flag", (1,))
+                else:
+                    ws.assert_fact("flag", (1,))
+            elif step == "abort":
+                # refused at commit, after the loop activated the rule
+                with pytest.raises(ConstraintViolation):
+                    with ws.transaction():
+                        if text in refs and rng.random() < 0.5:
+                            ws.deactivate_rule(refs[text])
+                        else:
+                            ws.add_rule(text)
+                        if (1,) not in ws.tuples("flag"):
+                            ws.assert_fact("flag", (1,))
+                        ws.assert_fact("bad", (1,))
+            assert [id(r) for r in ws._volatile] == \
+                [id(r) for r in self.scanned(ws)]
 
 
 class TestPartitionedPredicates:
