@@ -23,11 +23,11 @@ pred)`` block to the batcher, which packs the rows as uint32 dictionary
 slots behind a small JSON header (the packed envelope of
 :mod:`repro.net.transport`) — nothing is materialized on the way out.
 
-On the way in, :meth:`ClusterNode.integrate` interns each received
-batch's dictionary **once** and maps each block's slot array straight to
-id rows — one ``zip`` over one ``map`` per block, no Python per row —
-which :meth:`Relation.add_rows` merges; the genuinely novel rows are, as
-they are, the delta :func:`~repro.datalog.engine.propagate_insertions`
+On the way in, :meth:`ClusterNode.integrate` reads each received batch
+through :meth:`~repro.net.transport.Batch.rows` — the dictionary
+interned **once**, each block's slot array mapped straight to id rows,
+no Python per row — which :meth:`Relation.add_rows` merges; the
+genuinely novel rows are, as they are, the delta :func:`~repro.datalog.engine.propagate_insertions`
 takes (the decoder has checked every slot against the dictionary it
 arrived with).  All batches of one delivery form one delta and one
 propagation.
@@ -192,24 +192,18 @@ class ClusterNode:
     def integrate(self, batches: Iterable[Batch]) -> int:
         """Absorb one delivery's batches; returns new local facts.
 
-        Each batch's dictionary is interned once and each block's slots
-        map straight to id rows (``to`` is principal routing, unused by
-        plain shards).  All batches form **one** delta: the novel rows are
-        asserted, recorded as received EDB, and pushed through the strata
-        semi-naive in a single propagation — re-entering ``_emit_rows``
-        for any further derivations they enable.
+        Each batch becomes id rows through :meth:`Batch.rows` (``to`` is
+        principal routing, unused by plain shards).  All batches form
+        **one** delta: the novel rows are asserted, recorded as received
+        EDB, and pushed through the strata semi-naive in a single
+        propagation — re-entering ``_emit_rows`` for any further
+        derivations they enable.
         """
-        intern_row = self.db.interner.intern_row
+        interner = self.db.interner
         incoming: dict[str, set] = {}
         for batch in batches:
-            names = batch.names
-            id_of = intern_row(batch.values).__getitem__
-            for _to, pred, arity, _count, slots in batch.blocks:
-                rows = incoming.setdefault(names[pred], set())
-                if arity:
-                    rows.update(zip(*[map(id_of, slots)] * arity))
-                else:
-                    rows.add(())
+            for _to, pred, rows in batch.rows(interner):
+                incoming.setdefault(pred, set()).update(rows)
         fresh: FactSet = {}
         count = 0
         for pred, rows in incoming.items():

@@ -27,10 +27,10 @@ protocol is the same for all three.
 ``integrate(batches) -> int``
     absorb one delivery — a list of decoded
     :class:`~repro.net.transport.Batch` blocks (names, the decoded batch
-    dictionary, validated slot arrays; ``batch.items()`` yields
-    ``(to, pred, fact)`` triples for nodes that want facts) — as **one**
-    delta, re-enter local evaluation, and return the number of facts
-    accepted for processing;
+    dictionary, validated slot arrays; ``batch.rows(interner)`` yields
+    each block's ``(to, pred, id rows)``, the one way either node kind
+    turns a batch into facts) — as **one** delta, re-enter local
+    evaluation, and return the number of facts accepted for processing;
 ``drain_outbox(sink) -> int``
     hand every pending outbound fact to the sink as **blocks** — one
     ``sink(dst, pred, id_rows, to="")`` call per predicate and link, in

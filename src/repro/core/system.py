@@ -44,12 +44,15 @@ from ..cluster.scheduler import (MODE_BSP, ExecutionRuntime, NodeReport,
                                  RunReport)
 from ..crypto.datalog_builtins import register_crypto_builtins
 from ..datalog.builtins import BuiltinRegistry, standard_registry
-from ..datalog.errors import ConstraintViolation, WorkspaceError
+from ..datalog.errors import (ActivationLimitError, BuiltinError,
+                              ConstraintViolation, CryptoError, SafetyError,
+                              StratificationError, WorkspaceError)
 from ..datalog.parser import parse_statements
 from ..datalog.terms import Constraint, Rule
 from ..meta.registry import RuleRegistry
 from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.network import SimulatedNetwork
+from ..workspace.workspace import AuditEvent
 from .authorization import install_says_authorization
 from .delegation import install_delegation, install_depth_restriction
 from .principal import Principal
@@ -169,22 +172,26 @@ class WorkspaceNode:
     def integrate(self, batches: list) -> int:
         """Import one delivery's facts at their destination principals.
 
+        The id rows of :meth:`Batch.rows` are grouped by destination.
         Returns the number of facts handed to import transactions (the
         quiescence protocol's activity measure); acceptance/rejection
         accounting lands on the run's report.
         """
         delivered_before = self.report.delivered
+        interner = self.system.registry.terms
         grouped: dict[str, list] = {}
         for batch in batches:
-            for to, pred, fact in batch.items():
-                grouped.setdefault(to, []).append((pred, fact))
-        for to, batch in grouped.items():
+            for to, pred, rows in batch.rows(interner):
+                grouped.setdefault(to, []).append((pred, list(rows)))
+        for to, blocks in grouped.items():
             principal = self.system.principals.get(to)
             if principal is None:
-                self.report.rejected += len(batch)
-                self.report.rejected_detail.append((to, "unknown principal"))
+                refused = sum(len(rows) for _, rows in blocks)
+                self.report.rejected += refused
+                self.report.rejected_detail.extend(
+                    [(to, "unknown principal")] * refused)
                 continue
-            self.system._import_batch(principal, batch, self.report)
+            self.system._import_batch(principal, blocks, self.report)
         self.new_facts += self.report.delivered - delivered_before
         received = sum(map(len, batches))
         self.received_facts += received
@@ -299,9 +306,8 @@ class LBTrustSystem:
                 workspace.remove_constraints(label)
             for ref in principal.scheme_rule_refs:
                 workspace.deactivate_rule(ref)
-            old_exports = workspace.edb.get("export", set())
-            if old_exports:
-                workspace.retract_facts("export", old_exports)
+            workspace._remove_rows("export",
+                                   set(workspace._edb_facts("export")))
             for statement in parse_statements(definition.exp1_text):
                 if isinstance(statement, Rule):
                     refs.append(workspace.add_rule(statement))
@@ -372,34 +378,30 @@ class LBTrustSystem:
             max_batch_bytes=self.max_batch_bytes, strict=False)
         return runtime.run(max_rounds, report)
 
-    def _import_batch(self, principal: Principal, items: list,
+    def _import_batch(self, principal: Principal, blocks: list,
                       report: RunReport) -> None:
-        """Import a batch in one transaction; isolate failures per item."""
+        """Import ``(pred, id rows)`` blocks in one transaction or, if it
+        cannot commit, row by row in sorted id order: a row that cannot
+        commit is rejected (counted, named in values, audited)."""
+        workspace = principal.workspace
         try:
-            with principal.workspace.transaction():
-                for pred, fact in items:
-                    self._import_one(principal, pred, fact)
-            report.delivered += len(items)
+            _import(workspace, blocks)
+            report.delivered += sum(len(rows) for _, rows in blocks)
             return
-        except ConstraintViolation:
-            pass  # fall through to per-item isolation
-        for pred, fact in items:
+        except IMPORT_REFUSALS:
+            pass  # fall through to per-row isolation
+        for pred, row in sorted((pred, row) for pred, rows in blocks
+                                for row in rows):
             try:
-                with principal.workspace.transaction():
-                    self._import_one(principal, pred, fact)
+                _import(workspace, [(pred, [row])])
                 report.delivered += 1
-            except ConstraintViolation as exc:
+            except IMPORT_REFUSALS as exc:
                 report.rejected += 1
                 report.rejected_detail.append((principal.name, str(exc)))
-                principal.workspace.audit.append(
-                    _import_rejected_event(principal.name, pred, fact, exc))
-
-    def _import_one(self, principal: Principal, pred: str, fact: tuple) -> None:
-        principal.workspace.assert_fact(pred, fact)
-        # Receipt metadata: heard(speaker, rule) — see repro.core.says.
-        if pred == "export" and len(fact) == 4:
-            _to, source, rule_ref, _sig = fact
-            principal.workspace.assert_fact("heard", (source, rule_ref))
+                fact = workspace.db.interner.materialize_row(row)
+                workspace.audit.append(AuditEvent("import_rejected", {
+                    "workspace": principal.name, "pred": pred,
+                    "fact": tuple(map(str, fact)), "reason": str(exc)}))
 
     # ------------------------------------------------------------------
 
@@ -414,12 +416,19 @@ class LBTrustSystem:
                 f"principals={sorted(self.principals)})")
 
 
-def _import_rejected_event(name: str, pred: str, fact: tuple, exc: Exception):
-    from ..workspace.workspace import AuditEvent
+#: What refuses one imported row rather than the run: its constraints, the
+#: catalog (an arity clash, a Figure 1 relation), or a rule it activates
+#: that is unsafe, unstratifiable, never quiescing, or fails in a builtin.
+IMPORT_REFUSALS = (ConstraintViolation, WorkspaceError, SafetyError,
+                   StratificationError, ActivationLimitError, BuiltinError,
+                   CryptoError)
 
-    return AuditEvent("import_rejected", {
-        "workspace": name,
-        "pred": pred,
-        "fact": tuple(str(v) for v in fact),
-        "reason": str(exc),
-    })
+
+def _import(workspace, blocks: list) -> None:
+    with workspace.transaction():
+        for pred, rows in blocks:
+            workspace.assert_rows(pred, rows)
+            if pred == "export":
+                # Receipt metadata: heard(speaker, rule) — see core.says.
+                workspace.assert_rows("heard", [row[1:3] for row in rows])
+

@@ -423,12 +423,7 @@ def derive_rows(rule: EngineRule, flat: FlatPlan, db: Database,
     if computed or provenance is not None:
         values = db.interner.values
         intern = db.interner.intern
-        supports = flat.supports
-        if provenance is not None and supports is None:
-            supports = flat.supports = tuple(
-                (item.atom.pred, compile_head(item.atom, flat))
-                for item in rule.body
-                if isinstance(item, Literal) and not item.negated)
+        supports = _supports(rule, flat) if provenance is not None else ()
         head_pred = rule.head.pred
         label = rule.label or "rule"
 
@@ -446,13 +441,25 @@ def derive_rows(rule: EngineRule, flat: FlatPlan, db: Database,
                     id_spec, known_rows, produced, None, on_solution)
 
 
+def _supports(rule: EngineRule, flat: FlatPlan) -> tuple:
+    """``(pred, id template)`` per positive body literal: the facts a
+    solution records as its proof, compiled once per plan."""
+    if flat.supports is None:
+        flat.supports = tuple(
+            (item.atom.pred, compile_head(item.atom, flat))
+            for item in rule.body
+            if isinstance(item, Literal) and not item.negated)
+    return flat.supports
+
+
 #: ``agg<<>>`` functions over one group's values (a group is never empty)
 _AGGREGATES: dict[str, Callable[[list], Any]] = {
     "count": len, "total": sum, "min": min, "max": max}
 
 
 def apply_aggregate_rule(rule: EngineRule, db: Database,
-                         context: EvalContext) -> set:
+                         context: EvalContext,
+                         provenance: Optional[ProvenanceStore] = None) -> set:
     """Evaluate one aggregate rule over the (complete) lower strata;
     returns the head id rows not yet present (an aggregate result is a
     value entering the database, so it is interned here).
@@ -461,7 +468,8 @@ def apply_aggregate_rule(rule: EngineRule, db: Database,
     deduplicated on their registers (set semantics, matching LogicBlox's
     ``agg<<>>`` over distinct derivations) and grouped on the id row of
     the head terms other than the result.  Only the aggregated term is
-    read as a value.
+    read as a value.  With a provenance store, each group's row records
+    one derivation: the positive body rows of all its solutions, sorted.
     """
     agg = rule.agg
     if agg is None:  # pragma: no cover - guarded by callers
@@ -477,14 +485,20 @@ def apply_aggregate_rule(rule: EngineRule, db: Database,
     intern = db.interner.intern
     groups: dict[tuple, list] = {}
     seen: set = set()
+    supports = _supports(rule, flat) if provenance is not None else ()
+    proofs: dict[tuple, set] = {}
 
     def collect(registers: list) -> None:
         signature = tuple(registers)
         if signature not in seen:
             seen.add(signature)
-            groups.setdefault(
-                fill_row(group_spec, registers, values, context, intern),
-                []).append(over(registers, values, context))
+            group = fill_row(group_spec, registers, values, context, intern)
+            groups.setdefault(group, []).append(
+                over(registers, values, context))
+            if supports:
+                proofs.setdefault(group, set()).update(
+                    (pred, fill_row(spec, registers, values, context, intern))
+                    for pred, spec in supports)
 
     run_flat(flat, db, context, None, None, None, None, None, None, collect)
     if seen:
@@ -500,6 +514,9 @@ def apply_aggregate_rule(rule: EngineRule, db: Database,
                      for result in at_result])
         if row not in known_rows:
             produced.add(row)
+        if provenance is not None:
+            provenance.record(rule.head.pred, row, rule.label or "rule",
+                              tuple(sorted(proofs.get(group, ()))))
     return produced
 
 
@@ -554,7 +571,7 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
         # 1. Aggregate rules: bodies live strictly below this stratum.
         delta: dict[str, set] = {}
         for rule in stratum.agg_rules:
-            merge(apply_aggregate_rule(rule, db, context),
+            merge(apply_aggregate_rule(rule, db, context, provenance),
                   rule.head.pred, delta)
 
         # 2. The first delta: every rule applied in full, or the seed.

@@ -227,9 +227,8 @@ class Batch:
     ``blocks`` are ``(to, pred, arity, count, slots)``: ``to`` / ``pred``
     index ``names``; ``slots``, the block's share of the body, is an
     ``array("I")`` of ``arity * count`` validated indices into ``values``
-    (the batch dictionary, decoded once).  A shard interns ``values``
-    once and maps each block straight to id rows; consumers that want
-    facts iterate :meth:`items`.
+    (the batch dictionary, decoded once).  :meth:`rows` is the one way a
+    batch becomes facts, on either host kind.
     """
 
     __slots__ = ("stamp", "names", "values", "blocks")
@@ -244,16 +243,16 @@ class Batch:
     def __len__(self) -> int:
         return sum([block[3] for block in self.blocks])
 
-    def items(self):
-        """The batch as ``(to, pred, fact)`` triples, in wire order."""
+    def rows(self, interner):
+        """``(to, pred, id rows)`` per block, in wire order: the
+        dictionary interned once, each block's slots mapped straight to
+        an iterator of id rows (one ``zip`` over one ``map``)."""
         names = self.names
-        pick = self.values.__getitem__
+        id_of = interner.intern_row(self.values).__getitem__
         for to, pred, arity, count, slots in self.blocks:
-            to, pred = names[to], names[pred]
-            facts = zip(*[map(pick, slots)] * arity) if arity \
+            rows = zip(*[map(id_of, slots)] * arity) if arity \
                 else repeat((), count)
-            for fact in facts:
-                yield to, pred, fact
+            yield names[to], names[pred], rows
 
 
 def _decode_packed(blob: bytes, registry) -> Batch:

@@ -19,8 +19,9 @@ errors: they are almost always typos in policies.
 The catalog is also where a write into a Figure 1 relation is refused
 (:class:`ReflectedWriteError`): a fact or a rule head over
 :data:`~repro.meta.model.ALL_META_PREDS`.  Reflection is the only writer
-of those relations (``Workspace._reflect``, and ``_assert_edb`` for the
-``predicate`` / ``pname`` mirror), and neither declares through here.
+of those relations (``Workspace._reflect``, the ``predicate`` / ``pname``
+mirror included), and it does not declare through here; a workspace
+refuses a retraction there with the same error.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from ..meta.model import ALL_META_PREDS
 
 
 class ReflectedWriteError(WorkspaceError):
-    """A fact or a rule head over a Figure 1 relation: only reflection
-    writes those, so a row there always describes a rule that exists."""
+    """A fact, a rule head or a retraction over a Figure 1 relation: only
+    reflection writes those, so a row there always describes a rule that
+    exists, and every rule that exists is described."""
 
     def __init__(self, pred: str) -> None:
         super().__init__(
             f"{pred!r} is a Figure 1 meta-model relation: only reflection "
-            f"writes it, not a fact or a rule head")
+            f"writes it, not a fact, a rule head or a retraction")
         self.pred = pred
 
 

@@ -75,8 +75,8 @@ from ..meta.quote import compile_constraint, compile_rule
 from ..meta.registry import RuleRegistry
 from .catalog import Catalog, ReflectedWriteError
 
-#: the meta-model's mirror of the catalog
-_MIRROR = ("predicate", "pname")
+#: the meta-model's mirror of the catalog: relation -> columns (the name)
+_MIRROR = {"predicate": 1, "pname": 2}
 #: the relations the mirror also names, once they hold a row
 _MIRRORED = ALL_META_PREDS | {ACTIVE_PRED}
 
@@ -267,7 +267,8 @@ class Workspace:
         with self.transaction():
             # refused here, where activation would only leave it inert
             self.catalog.observe_rule(resolved)
-            self._assert_edb(ACTIVE_PRED, (ref,))
+            self._write_rows(ACTIVE_PRED, {self.db.interner.intern_row(
+                (ref,))})
         return ref
 
     def add_constraint(self, constraint: Union[str, Constraint]) -> None:
@@ -302,10 +303,26 @@ class Workspace:
         self.assert_facts(pred, [fact])
 
     def assert_facts(self, pred: str, facts: Iterable[tuple]) -> None:
+        intern_row = self.db.interner.intern_row
+        facts = list(facts)
         with self.transaction():
             for fact in facts:
                 self.catalog.observe_fact(pred, fact)
-                self._assert_edb(pred, tuple(fact))
+            self._write_rows(pred, set(map(intern_row, facts)))
+
+    def assert_rows(self, pred: str, rows: list) -> None:
+        """Assert id rows, an import's checked entry: the catalog sees one
+        row per arity (a wire block has one)."""
+        with self.transaction():
+            for row in dict(zip(map(len, rows), rows)).values():
+                try:
+                    self.catalog.observe_fact(pred, row)
+                except WorkspaceError:
+                    # refused again in values, so the refusal names them
+                    self.catalog.observe_fact(
+                        pred, self.db.interner.materialize_row(row))
+                    raise
+            self._write_rows(pred, set(rows))
 
     def assert_atom(self, atom: Atom) -> None:
         """Assert a ground fact given as an atom (quotes become rule refs)."""
@@ -315,38 +332,26 @@ class Workspace:
         )
         with self.transaction():
             self.catalog.observe_atom(resolved, fact=True)
-            self._assert_edb(resolved.pred, values)
+            self._write_rows(resolved.pred,
+                             {self.db.interner.intern_row(values)})
 
     def retract_fact(self, pred: str, fact: tuple) -> None:
         self.retract_facts(pred, [fact])
 
     def retract_facts(self, pred: str, facts: Iterable[tuple]) -> None:
         with self.transaction():
-            self._read((pred,))
-            for fact in facts:
-                fact = tuple(fact)
+            if pred in ALL_META_PREDS:
+                raise ReflectedWriteError(pred)
+            rows: set = set()
+            for fact in map(tuple, facts):
                 row = self.db.interner.row_of(fact)
-                if row is None or row not in self._edb_facts(pred):
+                if row is None or row not in self._edb_facts(pred) \
+                        or row in rows:
                     raise WorkspaceError(
                         f"cannot retract {pred}{fact!r}: not an asserted fact"
                     )
-                self._edb.rel(pred).discard_row(row)
-                self.db.rel(pred).discard_row(row)
-                if pred in _MIRROR and fact[0] in self._listed:
-                    # the mirror lists it again at commit, if it still
-                    # names the predicate
-                    self._listed.discard(fact[0])
-                    self.journal.log(self._listed.add, fact[0])
-                if self.provenance is not None:
-                    self.provenance.forget(pred, row)
-                fresh = self._txn_fresh.get(pred)
-                if fresh is not None and row in fresh:
-                    # Asserted earlier in this very transaction: nothing
-                    # has been derived from it yet, so there is nothing to
-                    # propagate in either direction.
-                    fresh.discard(row)
-                else:
-                    self._txn_deleted.setdefault(pred, set()).add(row)
+                rows.add(row)
+            self._remove_rows(pred, rows)
 
     def deactivate_rule(self, ref: RuleRef) -> None:
         """Retract an API-activated rule (a derived activation re-derives):
@@ -512,7 +517,7 @@ class Workspace:
         Nested transactions flatten into the outermost one.  On a
         constraint violation (or any error) the workspace state rolls back
         to the transaction start; the audit log keeps the rejection event
-        (a constraint violation, or a write the catalog refuses into a
+        (a constraint violation, or an assert or retraction refused in a
         Figure 1 relation).
         """
         if self._txn_depth == 0:
@@ -564,22 +569,48 @@ class Workspace:
     # Internals: assertion, reification, activation
     # ------------------------------------------------------------------
 
-    def _assert_edb(self, pred: str, fact: tuple) -> bool:
-        if self.journal.entries is None:
-            raise WorkspaceError("EDB mutation outside a transaction")
-        row = self.db.interner.intern_row(fact)
-        if not self._edb.rel(pred).add_row(row):
-            return False
-        if self.db.rel(pred).add_row(row):
-            self._txn_fresh.setdefault(pred, set()).add(row)
+    def _write_rows(self, pred: str, rows: set, fresh: bool = True) -> None:
+        """The one way in: id ``rows`` join ``pred``'s EDB and ``db``;
+        a new one records its assertion and reifies the rules it names,
+        and, if ``fresh``, joins the pending insertions."""
+        rows = self._edb.rel(pred).add_rows(rows)
+        if not rows:
+            return
+        added = self.db.rel(pred).add_rows(rows)
+        if fresh and added:
+            self._txn_fresh.setdefault(pred, set()).update(added)
         if self.provenance is not None:
             # Also for a fact some rule already derived: the assertion is
             # one more reason it holds.
-            self.provenance.record_edb(pred, row)
-        for value in fact:
-            for ref in self.registry.refs_in_value(value):
+            for row in rows:
+                self.provenance.record_edb(pred, row)
+        if pred not in ALL_META_PREDS:
+            # a Figure 1 row is reflection's: what it names is reified
+            self._reify_named(rows)
+
+    def _remove_rows(self, pred: str, rows: Iterable[tuple]) -> None:
+        """The one way out: asserted id ``rows`` leave ``pred``'s EDB and
+        ``db`` with their proofs.  One asserted in this very transaction
+        has nothing derived from it yet; any other is a pending deletion."""
+        edb, db = self._edb.rel(pred), self.db.rel(pred)
+        fresh = self._txn_fresh.get(pred, set())
+        for row in rows:
+            edb.discard_row(row)
+            db.discard_row(row)
+            if self.provenance is not None:
+                self.provenance.forget(pred, row)
+            if row in fresh:
+                fresh.discard(row)
+            else:
+                self._txn_deleted.setdefault(pred, set()).add(row)
+
+    def _reify_named(self, rows: Iterable[tuple]) -> None:
+        """Reify every rule a term of ``rows`` names: one look per
+        distinct term, not one per occurrence."""
+        values = self.db.interner.values
+        for term in {term for row in rows for term in row}:
+            for ref in self.registry.refs_in_value(values[term]):
                 self._ensure_reified(ref)
-        return True
 
     def _ensure_reified(self, ref: RuleRef) -> None:
         """Reflect ``ref`` here: its meta facts go into the Figure 1
@@ -638,29 +669,20 @@ class Workspace:
         reflection = self.registry.reflection
         facts = [meta for ref in self._reified for meta in reflection(ref)[0]
                  if meta[0] in wanted]
-        if "predicate" in wanted:
-            facts.extend(("predicate", (name,)) for name in self._listed)
-        if "pname" in wanted:
-            facts.extend(("pname", (name, name)) for name in self._listed)
+        facts.extend((pred, (name,) * columns) for pred, columns
+                     in _MIRROR.items() if pred in wanted
+                     for name in self._listed)
         self._reflect(facts, fresh=False)
 
     def _reflect(self, facts: list, fresh: bool) -> None:
-        """Assert ``(relation, fact)`` meta facts (the refs they name are
-        reified already); ``fresh`` rows join the pending insertions."""
+        """Assert ``(relation, fact)`` meta facts, a relation at a time
+        (the refs they name are reified already)."""
         intern_row = self.db.interner.intern_row
         by_relation: dict = {}
         for pred, fact in facts:
             by_relation.setdefault(pred, set()).add(intern_row(fact))
         for pred, rows in by_relation.items():
-            rows = self._edb.rel(pred).add_rows(rows)
-            if not rows:
-                continue
-            added = self.db.rel(pred).add_rows(rows)
-            if fresh and added:
-                self._txn_fresh.setdefault(pred, set()).update(added)
-            if self.provenance is not None:
-                for row in rows:
-                    self.provenance.record_edb(pred, row)
+            self._write_rows(pred, rows, fresh)
 
     def _instantiate_quote(self, quote: Quote, bindings: dict):
         from ..datalog.terms import PatternValue
@@ -753,11 +775,9 @@ class Workspace:
             return
         self._listed |= new
         self.journal.log(self._listed.difference_update, new)
-        for name in sorted(new):
-            if "predicate" in self._demanded:
-                self._assert_edb("predicate", (name,))
-            if "pname" in self._demanded:
-                self._assert_edb("pname", (name, name))
+        self._reflect([(pred, (name,) * columns) for pred, columns
+                       in _MIRROR.items() if pred in self._demanded
+                       for name in new], fresh=True)
 
     def _run_loop(self) -> None:
         """The one maintenance loop.  A pass propagates the pending
@@ -796,7 +816,10 @@ class Workspace:
                 new_rules.extend(engine_rules)
                 progressed = True
             if new_rules:
+                # stratified now, not at the next propagation: a rule
+                # that derives nothing yet still refuses its own commit
                 self._strata = None
+                self._current_strata()
             for engine_rule in new_rules:
                 if engine_rule.agg is None:
                     self._apply_in_full(engine_rule, fresh)
@@ -825,13 +848,9 @@ class Workspace:
                 )
                 progressed = True
                 fresh = {}
-                # Derived rule references get reified: one look per
-                # distinct term of ``added``, not one per occurrence.
-                values = self.db.interner.values
-                for term in {term for rows in added.values()
-                             for row in rows for term in row}:
-                    for ref in self.registry.refs_in_value(values[term]):
-                        self._ensure_reified(ref)
+                # derived rule references get reified
+                self._reify_named(row for rows in added.values()
+                                  for row in rows)
                 for pred, facts in self._txn_fresh.items():
                     fresh.setdefault(pred, set()).update(facts)
                 self._txn_fresh = {}

@@ -114,7 +114,9 @@ class Driver:
         assert report.messages == len(network.payloads)
         for blob in network.payloads:
             batch = decode_batch_message(blob, system.registry)
-            items = list(batch.items())
+            items = [(to, pred, system.registry.terms.materialize_row(row))
+                     for to, pred, rows in batch.rows(system.registry.terms)
+                     for row in rows]
             assert blob == encode_batch_message_dict(
                 items, system.registry, batch.stamp)
             self.epoch.extend(items)

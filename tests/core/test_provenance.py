@@ -58,6 +58,22 @@ class TestExplain:
         assert explain(workspace, "r", ("a", "c")) is None
         assert explain(workspace, "r", ("a", "b")) is not None
 
+    def test_an_aggregate_fact_is_explained(self):
+        """A count (a k-of-n threshold's shape) is proved by its group's
+        body rows, and re-proved as the group changes."""
+        workspace = Workspace("w", enable_provenance=True)
+        workspace.load("p(1). p(2). c(N) <- agg<<N = count(X)>> p(X).")
+
+        def leaves(fact):
+            node = explain(workspace, "c", fact)
+            assert not node.is_edb
+            return {(child.pred, child.fact) for child in node.children}
+
+        assert leaves((2,)) == {("p", (1,)), ("p", (2,))}
+        workspace.retract_fact("p", (1,))
+        assert explain(workspace, "c", (2,)) is None
+        assert leaves((1,)) == {("p", (2,))}
+
     def test_cycles_terminate(self):
         workspace = Workspace("w", enable_provenance=True)
         workspace.load('e("a","b"). e("b","a"). '

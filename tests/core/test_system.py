@@ -1,13 +1,18 @@
 """System runtime: placement, distribution, colocation, multi-hop runs."""
 
 import pytest
+from hypothesis import given, settings
 
+from repro import LBTrustSystem
 from repro.cluster.scheduler import ExecutionRuntime
 from repro.datalog.errors import ClusterError, WorkspaceError
 from repro.datalog.terms import PredPartition
 from repro.meta.registry import RuleRegistry
 from repro.net.network import SimulatedNetwork
 from repro.net.transport import encode_batch_message_dict
+
+from strategies import (INJECTED, LISTENING, PEERS, UNACTIVATABLE,
+                        hostile_streams)
 
 #: The per-item wire shapes an older encoder produced (a single fact, a
 #: ``batch`` list of them); nothing decodes them any more.
@@ -389,3 +394,131 @@ class TestOpenNetworkRobustness:
         assert len(b.tuples("seen")) == 20
         assert report.messages == system.network.total.messages
         assert report.messages > 1  # the cap actually split the round
+
+
+def rejections(principal):
+    return [event for event in principal.workspace.audit
+            if event.kind == "import_rejected"]
+
+
+class TestHostileDelivery:
+    """A row whose import cannot commit is rejected, not fatal: counted
+    once in ``report.rejected``, named with its values in
+    ``rejected_detail``, audited once at the receiver — and the honest
+    rows of the same delivery land."""
+
+    def exchange(self, block=None, said=None):
+        """bob listens for ``ping``; a hostile ``block`` from a node no
+        principal lives on, or a rule alice ``said``, arrives beside
+        carol's honest ``ping("honest")``."""
+        system = LBTrustSystem(auth="hmac", seed=1)
+        alice, bob, carol = map(system.create_principal,
+                                ("alice", "bob", "carol"))
+        bob.load("gotA(X) <- ping(X).")
+        system.run()
+        if block is not None:
+            system.network.add_node("mallory")
+            system.network.send("mallory", "bob", encode_batch_message_dict(
+                [block], system.registry))
+        if said is not None:
+            alice.says(bob, said)
+        carol.says(bob, 'ping("honest").')
+        report = system.run()
+        assert bob.tuples("gotA") == {("honest",)}
+        assert report.delivered == 1 and report.rejected == 1
+        [event] = rejections(bob)
+        assert system.run().rejected == 0
+        assert bob.tuples("gotA") == {("honest",)}
+        return report, event
+
+    def test_a_wrong_arity_block_is_rejected(self):
+        report, event = self.exchange(block=("bob", "gotA", (1, 2)))
+        assert report.rejected_detail == [
+            ("bob", "fact (1, 2) has 2 columns but 'gotA' has arity 1")]
+        assert event.detail["pred"] == "gotA"
+        assert event.detail["fact"] == ("1", "2")
+
+    def test_a_figure_1_block_is_rejected(self):
+        report, event = self.exchange(block=("bob", "functor", ("a", "b")))
+        [(receiver, reason)] = report.rejected_detail
+        assert receiver == "bob" and "Figure 1" in reason
+        assert event.detail["fact"] == ("a", "b")
+
+    def test_an_unsafe_said_rule_is_rejected(self):
+        report, event = self.exchange(said="evil(X) <- !q(X).")
+        [(receiver, reason)] = report.rejected_detail
+        assert receiver == "bob" and "not range-restricted" in reason
+        assert event.detail["pred"] == "export"
+
+    def test_a_negative_cycle_refuses_itself_not_a_later_import(self):
+        """alice's ``alarm`` rule closes a negative cycle through bob's
+        ``calm`` rule but derives nothing yet: its own import is refused,
+        not the next honest one (which is where stratification used to
+        notice)."""
+        system = LBTrustSystem(auth="hmac", seed=1)
+        alice, bob = map(system.create_principal, ("alice", "bob"))
+        bob.load(LISTENING)
+        alice.says(bob, UNACTIVATABLE["negative cycle"])
+        assert system.run().rejected == 1
+        alice.says(bob, 'ping("honest").')
+        assert system.run().rejected == 0
+        assert bob.tuples("calm") == {("honest",)}
+
+    @given(hostile_streams())
+    @settings(max_examples=25, deadline=None)
+    def test_property_hostile_input_leaves_the_honest_fixpoint(
+            self, stream):
+        """After every run, no exception, each principal holds what a
+        system fed only the honest steps holds, and every refused row is
+        counted once and audited once at its receiver (a row for an
+        unknown principal has none: it is counted and named)."""
+        hostile, honest = self.driven(stream.steps), \
+            self.driven(stream.honest)
+        for (system, report, unknown), (twin, _, _) in zip(
+                (run for run in hostile if run is not None),
+                (run for run in honest if run is not None)):
+            for name in PEERS:
+                assert self.held(system, name) == self.held(twin, name)
+            audited = sum(map(len, map(rejections,
+                                       system.principals.values())))
+            assert report.rejected == audited + unknown
+            assert len(report.rejected_detail) == report.rejected
+
+    @staticmethod
+    def held(system, name):
+        principal = system.principal(name)
+        return {pred: principal.tuples(pred)
+                for pred in ("ping", "gotA", "calm")}
+
+    @staticmethod
+    def driven(steps):
+        """Apply ``steps`` to a fresh system; yields, per step, None or
+        (for a run) the system, its report and the rows injected for an
+        unknown principal since the last run — audits are cleared after
+        each run, so they count that run's."""
+        system = LBTrustSystem(auth="hmac", seed=5)
+        for name in PEERS:
+            system.create_principal(name).load(LISTENING)
+        system.network.add_node("mallory")
+        unknown = 0
+        for step in steps:
+            if step[0] == "run":
+                for principal in system.principals.values():
+                    principal.workspace.audit.clear()
+                report = system.run()
+                yield system, report, unknown
+                unknown = 0
+                continue
+            yield None
+            if step[0] == "inject":
+                _, receiver, kind = step
+                block = INJECTED[kind](receiver)
+                unknown += block[0] not in system.principals
+                system.network.send("mallory", receiver,
+                                    encode_batch_message_dict(
+                                        [block], system.registry))
+            else:
+                kind, (speaker, listener), said = step
+                system.principal(speaker).says(
+                    listener, f'ping("t{said}").' if kind == "say"
+                    else UNACTIVATABLE[said])

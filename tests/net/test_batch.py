@@ -23,7 +23,9 @@ from repro.net.transport import (
 def decoded(blob, registry):
     """``(round stamp, [(to, pred, fact), ...])`` of one batch message."""
     batch = decode_batch_message(blob, registry)
-    return batch.stamp, list(batch.items())
+    materialize = registry.terms.materialize_row
+    return batch.stamp, [(to, pred, materialize(row)) for to, pred, rows
+                         in batch.rows(registry.terms) for row in rows]
 
 
 def parts(blob):
@@ -132,7 +134,7 @@ class TestPackedCodec:
         header, body = parts(blob)
         assert json.dumps(header["dict"]) == '[1, 1.0, true, "1"]'
         assert body == [0, 1, 2, 3]
-        [(_to, _pred, arrived)] = decode_batch_message(blob, registry).items()
+        [(_to, _pred, arrived)] = decoded(blob, registry)[1]
         assert [(type(v), v) for v in arrived] == \
             [(int, 1), (float, 1.0), (bool, True), (str, "1")]
 

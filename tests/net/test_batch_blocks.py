@@ -101,7 +101,14 @@ def one_at_a_time(items, registry, max_bytes):
 
 
 def decoded_items(blob, registry):
-    return list(decode_batch_message(blob, registry).items())
+    return facts_of(decode_batch_message(blob, registry), registry)
+
+
+def facts_of(batch, registry):
+    """``batch`` as ``(to, pred, fact)`` triples, in wire order."""
+    materialize = registry.terms.materialize_row
+    return [(to, pred, materialize(row))
+            for to, pred, rows in batch.rows(registry.terms) for row in rows]
 
 
 class TestBlockProperty:
@@ -215,7 +222,7 @@ class TestDecodeFailsClosed:
     def test_the_well_formed_envelope_decodes(self):
         registry = RuleRegistry()
         batch = decode_batch_message(envelope(), registry)
-        assert list(batch.items()) == [("", "p", (1, "x"))]
+        assert facts_of(batch, registry) == [("", "p", (1, "x"))]
         # the hand-built envelope is the canonical one, JSON spacing aside
         assert split(envelope()) == split(encode_batch_message_dict(
             [("", "p", (1, "x"))], registry))
@@ -396,7 +403,7 @@ class TestDecodeFailsClosed:
             return
         # whatever still decodes is a well-formed batch of as many rows
         # as it says
-        arrived = list(batch.items())
+        arrived = facts_of(batch, registry)
         assert len(arrived) == len(batch)
         for to, pred, fact in arrived:
             assert isinstance(to, str) and isinstance(pred, str)

@@ -99,7 +99,9 @@ class TestMessages:
         ref = registry.intern(parse_rule('good("carol").'))
         blob = encode_batch_message_dict(
             [("bob", "export", ("bob", "alice", ref, "sig"))], registry)
-        [(to, pred, fact)] = decode_batch_message(blob, registry).items()
+        [(to, pred, rows)] = decode_batch_message(blob, registry).rows(
+            registry.terms)
+        [fact] = map(registry.terms.materialize_row, rows)
         assert to == "bob" and pred == "export"
         assert fact == ("bob", "alice", ref, "sig")
 
@@ -112,7 +114,9 @@ class TestMessages:
         ref = sender.intern(parse_rule("p(X) <- q(X, 42)."))
         blob = encode_batch_message_dict([("b", "says", ("a", "b", ref))],
                                          sender)
-        [(_, _, fact)] = decode_batch_message(blob, receiver).items()
+        [(_, _, rows)] = decode_batch_message(blob, receiver).rows(
+            receiver.terms)
+        [fact] = map(receiver.terms.materialize_row, rows)
         received_ref = fact[2]
         assert receiver.canonical_text(received_ref) == sender.canonical_text(ref)
 
@@ -155,8 +159,10 @@ def says_envelope(registry, count):
 
 
 def received_refs(blob, registry):
-    return [fact[2] for _, _, fact in decode_batch_message(blob,
-                                                           registry).items()]
+    values = registry.terms.values
+    return [values[row[2]] for _, _, rows
+            in decode_batch_message(blob, registry).rows(registry.terms)
+            for row in rows]
 
 
 class TestKnownRulesAreNotParsed:

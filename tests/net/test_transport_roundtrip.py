@@ -418,7 +418,9 @@ class TestValueRoundtrip:
 def decoded(blob, registry):
     """``(round stamp, [(to, pred, fact), ...])`` of one batch message."""
     batch = decode_batch_message(blob, registry)
-    return batch.stamp, list(batch.items())
+    materialize = registry.terms.materialize_row
+    return batch.stamp, [(to, pred, materialize(row)) for to, pred, rows
+                         in batch.rows(registry.terms) for row in rows]
 
 
 class TestBatchRoundtrip:

@@ -4,7 +4,9 @@ One generator every property draws from, grown piece by piece; the
 first piece is the schema: typed declarations (primitive and nominal
 types) plus positive rules over them, split across loads.  The second
 is quoted patterns: listening rules whose bodies hold quotes, and
-streams of says, asserts and retracts that feed them.
+streams of says, asserts and retracts that feed them.  The third is
+hostile deliveries: honest says between principals, interleaved with
+injected blocks and said rules no receiver can activate.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ def arity_clashes(draw, arities: dict) -> str:
 #: Listening rules over body quotes, named by the shape each exercises.
 #: Every quote but the carrier-less one's is bound by an ordinary literal
 #: (``says``, ``active``, ``made``) before its Figure 1 join; the
-#: unreached literal reads a Figure 1 relation outside any quote.
+#: unreached literal reads a Figure 1 relation outside any quote, and the
+#: aggregates count what is said and the ``p`` it makes hold.
 PATTERNS = {
     "quoted fact": "heardp(U,X) <- says(U,me,[| p(X). |]).\n",
     "quoted rule": "heardrule(U,X,Y) <- says(U,me,[| p(X) <- q(X,Y). |]).\n",
@@ -143,6 +146,8 @@ PATTERNS = {
         'sawwrap(U) <- says(U,me,[| p(2). |]), functor(_, "wrap").\n',
     "delayed reflection":
         "made([| p(X). |]) <- trigger(X).\nmadep(Y) <- made([| p(Y). |]).\n",
+    "aggregates": ("saidby(U,N) <- agg<<N = count(R)>> says(U,me,R).\n"
+                   "pcount(N) <- agg<<N = count(X)>> p(X).\n"),
 }
 
 #: says1 (paper section 4.1): every rule said to ``me`` is activated.
@@ -187,3 +192,54 @@ def pattern_streams(draw, max_steps: int = 8) -> PatternStream:
                           max_size=max_steps))
     return PatternStream(SAYS1 + "".join(PATTERNS[name] for name in names),
                          tuple(steps))
+
+
+# ---------------------------------------------------------------------------
+# Hostile deliveries beside honest says
+# ---------------------------------------------------------------------------
+
+PEERS = ("alice", "bob", "carol")
+#: What every principal loads: a listener, and a rule that a said
+#: ``alarm`` rule would close a negative cycle through.
+LISTENING = "gotA(X) <- ping(X).\ncalm(X) <- ping(X), !alarm(X).\n"
+#: Injected blocks: ``kind -> (to, pred, fact)`` for a receiver ``to``.
+INJECTED = {
+    "wrong arity": lambda to: (to, "gotA", (1, 2)),
+    "figure 1": lambda to: (to, "functor", ("a", "b")),
+    "unknown principal": lambda to: ("nobody", "ping", ("x",)),
+}
+#: Said rules a receiver cannot activate.
+UNACTIVATABLE = {
+    "unsafe": "evil(X) <- !q(X).",
+    "negative cycle": "alarm(X) <- calm(X).",
+}
+
+
+@dataclass(frozen=True)
+class HostileStream:
+    """``("say", (speaker, listener), k)`` says ``ping("tk")``;
+    ``("inject", receiver, kind)`` sends an :data:`INJECTED` block from
+    a node no principal lives on; ``("say rule", (speaker, listener),
+    kind)`` says an :data:`UNACTIVATABLE` rule; ``("run",)`` runs.  The
+    stream ends with a run."""
+
+    steps: tuple
+
+    @property
+    def honest(self) -> tuple:
+        """The stream without its hostile steps."""
+        return tuple(step for step in self.steps
+                     if step[0] in ("say", "run"))
+
+
+@st.composite
+def hostile_streams(draw, max_steps: int = 10) -> HostileStream:
+    pairs = st.permutations(PEERS).map(lambda peers: peers[:2])
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("say"), pairs, st.integers(0, 3)),
+        st.tuples(st.just("inject"), st.sampled_from(PEERS),
+                  st.sampled_from(sorted(INJECTED))),
+        st.tuples(st.just("say rule"), pairs,
+                  st.sampled_from(sorted(UNACTIVATABLE))),
+        st.just(("run",))), min_size=1, max_size=max_steps))
+    return HostileStream(tuple(steps) + (("run",),))

@@ -5,7 +5,8 @@ workspace has met: a quoted pattern matching ``says(alice, me, [| pong(X).
 |])`` trusts that ``functor`` row as much as alice's signature.  The host
 catalog refuses a fact or a rule head over those relations on every
 route — an API assert (audited), a fact or a rule in a load (``R203``),
-a served ``assert`` — and code said or generated into one stays inert.
+a served ``assert`` — the workspace refuses a retraction there, and
+code said or generated into one stays inert.
 """
 
 import pytest
@@ -96,6 +97,23 @@ class TestRefusedRoutes:
             client.assert_fact("functor", (atom, "pong"), principal="bob")
         assert isinstance(client.ping(), float)
         assert system.principal("bob").tuples("got") == set()
+        assert server.last_unexpected_error == ""
+
+    def test_a_served_retract_is_refused_and_the_server_answers(self):
+        system, bob, atom = exchange()
+        network = SimulatedNetwork()
+        server = TrustServer(system, network)
+        client = ServeClient(network, "c1",
+                             router=ServeRouter(network, server),
+                             timeout=10.0)
+        client.connect()
+        held = bob.tuples("functor")
+        with pytest.raises(ServeError, match="ReflectedWriteError"):
+            client.retract_fact("functor", (atom, "ping"), principal="bob")
+        assert isinstance(client.ping(), float)
+        assert bob.tuples("functor") == held
+        assert [event.detail for event in refusals(bob.workspace)] == [
+            {"workspace": "bob", "relation": "functor"}]
         assert server.last_unexpected_error == ""
 
     def test_a_cluster_refuses_it_as_a_cluster_error(self):

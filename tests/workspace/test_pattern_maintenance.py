@@ -98,6 +98,11 @@ class TestPatternMaintenance:
         for step in stream.steps:
             apply(ws, step)
             assert_equals_fresh(ws)
+            # every row held has a proof: an aggregate's head included
+            assert not [(pred, row)
+                        for pred, relation in ws.db.relations.items()
+                        for row in relation.rows
+                        if (pred, row) not in ws.provenance.derivations]
 
     def test_every_shape_at_once(self):
         for provenance in (False, True):

@@ -24,6 +24,7 @@ from repro.datalog.errors import (
 from repro.datalog.terms import Atom, Constant, Rule
 from repro.languages.binder import BinderContext
 from repro.meta.model import ALL_META_PREDS
+from repro.workspace.catalog import ReflectedWriteError
 from repro.workspace.workspace import Workspace
 
 META = sorted(ALL_META_PREDS)
@@ -101,22 +102,27 @@ class TestOnDemand:
         assert ws.db.get("rule") is None and ws._edb.get("rule") is None
         assert ws.tuples("rule") == {(ref,)}
 
-    def test_retracting_a_meta_fact_retracts_what_eager_reflection_held(self):
+    def test_retracting_a_meta_fact_is_refused_lazy_or_eager(self):
+        # reflection is a Figure 1 relation's only remover, as it is its
+        # only writer: the refusal is audited, and the row stays
         lazy, eager = Workspace("w"), Workspace("w")
         read_everything(eager)
         for ws in (lazy, eager):
             ref = ws.add_rule("p(X) <- q(X).")
-            ws.retract_fact("rule", (ref,))
-        assert lazy.tuples("rule") == eager.tuples("rule") == set()
+            with pytest.raises(ReflectedWriteError):
+                ws.retract_fact("rule", (ref,))
+            assert ws.tuples("rule") == {(ref,)}
+            assert [event.detail for event in ws.audit
+                    if event.kind == "meta_write_refused"] == [
+                {"workspace": "w", "relation": "rule"}]
 
-    def test_retracting_a_mirrored_name_lists_it_again(self):
-        # the commit mirrors the catalog into ``predicate`` again, as
-        # eager reflection re-asserted every name on every commit
+    def test_retracting_a_mirrored_name_is_refused(self):
         lazy, eager = Workspace("w"), Workspace("w")
         read_everything(eager)
         for ws in (lazy, eager):
             ws.load("q(1).")
-            ws.retract_fact("predicate", ("q",))
+            with pytest.raises(ReflectedWriteError):
+                ws.retract_fact("predicate", ("q",))
             assert ("q",) in ws.tuples("predicate")
 
     def test_a_ref_named_inside_a_reified_rule_is_reified_with_it(self):
