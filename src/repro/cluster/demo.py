@@ -114,6 +114,9 @@ def main(argv: Optional[list] = None, out: Optional[TextIO] = None) -> int:
     if args.nodes < 1 or args.vertices < 2 or args.degree < 1:
         emit("error: need --nodes >= 1, --vertices >= 2, --degree >= 1")
         return 2
+    if not args.timeout > 0:
+        emit("error: need --timeout > 0")
+        return 2
 
     names = [f"node{i}" for i in range(args.nodes)]
     edges = _graph_edges(args)

@@ -224,20 +224,33 @@ class Partitioner:
             )
         return self._owner_of_value(rule, pred, fact[column])
 
-    def owner_of_key(self, pred: str, value) -> Optional[str]:
-        """The owner node by partition-key *value* alone.
+    def split_rows(self, pred: str, rows: Iterable[tuple], values: list,
+                   memo: dict) -> dict[str, set]:
+        """Id rows of partitioned ``pred``, grouped by owner node.
 
-        Placement depends only on the key column (:meth:`owner` never
-        reads the other positions), so callers that already hold the key
-        — e.g. the id-space emit path, which memoizes per key id — can
-        skip materializing the rest of the fact.
+        ``values`` materializes an id of the rows' interner and ``memo``
+        (key id -> owner) belongs to that interner: placement reads only
+        the key column, so each key id is placed once.
         """
-        rule = self._rules.get(pred)
-        if rule is None or rule.mode != MODE_PARTITIONED:
-            return None
-        if len(self.nodes) == 1:
-            return self.nodes[0]
-        return self._owner_of_value(rule, pred, value)
+        rule = self._rules[pred]
+        column = rule.column
+        by_owner: dict[str, set] = {}
+        for row in rows:
+            try:
+                key = row[column]
+            except IndexError:
+                raise ClusterError(
+                    f"fact {tuple(values[i] for i in row)!r} of {pred!r} "
+                    f"has no column {column} to partition on") from None
+            owner = memo.get(key)
+            if owner is None:
+                owner = memo[key] = self._owner_of_value(rule, pred,
+                                                         values[key])
+            bound = by_owner.get(owner)
+            if bound is None:
+                bound = by_owner[owner] = set()
+            bound.add(row)
+        return by_owner
 
     def _owner_of_value(self, rule, pred: str, value) -> str:
         pinned = self.pins.owner(pred, (value,))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from ..datalog.builtins import BuiltinRegistry
+from ..datalog.builtins import BuiltinRegistry, standard_registry
 from ..datalog.engine import EngineRule, EvalStats, normalize_rules
 from ..datalog.errors import ClusterError, WorkspaceError
 from ..datalog.parser import parse_statements
@@ -64,8 +64,9 @@ class Cluster:
         for name in names:
             self.network.add_node(name)
         self.registry = registry if registry is not None else RuleRegistry()
+        builtins = builtins if builtins is not None else standard_registry()
         self.nodes: dict[str, ClusterNode] = {
-            name: ClusterNode(name, self.partitioner, self.registry.terms,
+            name: ClusterNode(name, self.partitioner, self.registry,
                               builtins=builtins)
             for name in names
         }
@@ -81,8 +82,7 @@ class Cluster:
         self._rules: list[EngineRule] = []
         #: the schema every load and fact declares through: a fact of
         #: another arity is refused
-        self.catalog = Catalog(builtins=next(iter(
-            self.nodes.values())).context.builtins)
+        self.catalog = Catalog(builtins=builtins)
 
     @property
     def mode(self) -> str:
@@ -169,12 +169,8 @@ class Cluster:
             self.assert_fact(pred, values)
         self._rules.extend(engine_rules)
         for node in self.nodes.values():
-            # Each node gets its own EngineRule instances: plan caches are
-            # per-shard (shard cardinalities differ, so should plans).
-            node.load_rules([
-                EngineRule(r.head, r.body, r.agg, r.label, r.source)
-                for r in engine_rules
-            ])
+            # each shard's workspace activates them at its next bootstrap
+            node.load(rules)
 
     # ------------------------------------------------------------------
     # EDB routing

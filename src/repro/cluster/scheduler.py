@@ -1,10 +1,13 @@
-"""The unified execution runtime: one scheduler for every node kind.
+"""The unified execution runtime: one scheduler for every host.
 
 The :class:`ExecutionRuntime` is the repo's only distributed driver —
-one event loop over a *node protocol*, so a network node may host a
-Datalog shard (:class:`~repro.cluster.node.ClusterNode`) or a set of
-full principal workspaces (:class:`~repro.core.system.WorkspaceNode`)
-and the paper's ``predNode`` reconfiguration story — move the
+one event loop over a *node protocol*.  Every node it drives hosts
+workspaces, maintained by the one workspace loop: a Datalog shard
+(:class:`~repro.cluster.node.ClusterNode`) is one workspace that ships
+the derived facts it does not own, a principal host
+(:class:`~repro.core.system.WorkspaceNode`) holds full principal
+workspaces that export by ``predNode`` and import through the checked
+pipeline, and the paper's ``predNode`` reconfiguration story — move the
 computation, keep the program — holds across both.  Three hosts run
 this one loop: :class:`~repro.cluster.runtime.Cluster` (every shard in
 one process), :meth:`LBTrustSystem.run` (every workspace host in one
@@ -21,16 +24,18 @@ protocol is the same for all three.
 ``name``
     the node's network identity;
 ``bootstrap() -> int``
-    run whatever local work is possible before any exchange (a shard's
-    initial fixpoint; a no-op for workspaces, which fixpoint eagerly at
-    assert time); returns the number of new local facts;
+    run whatever local work is possible before any exchange (a shard
+    commits its routed facts and activates its loaded rules; a principal
+    host has nothing left, its workspaces committed at assert time);
+    returns the number of new local facts;
 ``integrate(batches) -> int``
     absorb one delivery — a list of decoded
     :class:`~repro.net.transport.Batch` blocks (names, the decoded batch
     dictionary, validated slot arrays; ``batch.rows(interner)`` yields
-    each block's ``(to, pred, id rows)``, the one way either node kind
-    turns a batch into facts) — as **one** delta, re-enter local
-    evaluation, and return the number of facts accepted for processing;
+    each block's ``(to, pred, id rows)``, the one way a host turns a
+    batch into facts) — as **one** delta, commit it through the
+    workspace's checked import entry, and return the number of facts
+    accepted for processing;
 ``drain_outbox(sink) -> int``
     hand every pending outbound fact to the sink as **blocks** — one
     ``sink(dst, pred, id_rows, to="")`` call per predicate and link, in

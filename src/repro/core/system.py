@@ -71,16 +71,17 @@ class WorkspaceNode:
     to the :class:`~repro.cluster.scheduler.ExecutionRuntime` as a single
     protocol node.
 
-    This is the second node kind of the unified runtime (the first being
-    the plain-Datalog :class:`~repro.cluster.node.ClusterNode`): the
-    outbox is computed from each hosted workspace's ``predNode``
-    placement table (paper section 3.5 — the ``loc`` table, not the
-    scheduler, decides where facts go), and integration runs the full
-    import pipeline — scheme verification constraints, authorization
-    meta-constraints, audited rollback — inside each principal's
-    transaction.  ``says``-attribution therefore survives the exchange
-    path unchanged: what travels are the same ``export`` facts, whatever
-    the scheduling mode.
+    Like a Datalog shard (:class:`~repro.cluster.node.ClusterNode`, one
+    workspace that ships what it does not own), it hosts workspaces; what
+    differs is where facts go and how they come in.  The outbox is
+    computed from each hosted workspace's ``predNode`` placement table
+    (paper section 3.5 — the ``loc`` table, not the scheduler, decides
+    where facts go), and integration runs the full import pipeline —
+    scheme verification constraints, authorization meta-constraints,
+    audited rollback — inside each principal's transaction.
+    ``says``-attribution therefore survives the exchange path unchanged:
+    what travels are the same ``export`` facts, whatever the scheduling
+    mode.
     """
 
     def __init__(self, system: "LBTrustSystem", name: str,

@@ -698,6 +698,7 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
     """
     changed: FactSet = dict(inserted)
     total_added: FactSet = {}
+    last = strata[-1] if strata else None
     for stratum in strata:
         relevant = stratum.reads | stratum.preds
         if not (relevant & changed.keys()):
@@ -714,7 +715,8 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
         else:
             added = eval_stratum(stratum, db, context, provenance,
                                  changed=changed)
-        merge_rows(changed, added)
+        if stratum is not last:   # only a higher stratum reads them
+            merge_rows(changed, added)
         merge_rows(total_added, added)
     return total_added
 

@@ -24,6 +24,13 @@ from typing import Optional
 from ..datalog.errors import NetworkError
 
 
+def _delay(name: str, value: float) -> float:
+    """A latency or jitter: a message never arrives before its send."""
+    if not value >= 0.0:
+        raise NetworkError(f"{name} must be a number >= 0, got {value!r}")
+    return value
+
+
 @dataclass(order=True)
 class _Envelope:
     arrival: float
@@ -44,8 +51,8 @@ class SimulatedNetwork:
 
     def __init__(self, default_latency: float = 1.0,
                  jitter: float = 0.0, seed: Optional[int] = None) -> None:
-        self.default_latency = default_latency
-        self.jitter = jitter
+        self.default_latency = _delay("latency", default_latency)
+        self.jitter = _delay("jitter", jitter)
         self._rng = random.Random(seed)
         self._nodes: set[str] = set()
         self._latency: dict[tuple[str, str], float] = {}
@@ -68,6 +75,7 @@ class SimulatedNetwork:
                     symmetric: bool = True) -> None:
         self._check_node(src)
         self._check_node(dst)
+        latency = _delay("latency", latency)
         self._latency[(src, dst)] = latency
         if symmetric:
             self._latency[(dst, src)] = latency

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Collection, Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry, standard_registry
 from ..datalog.constraints import Violation, check_constraints
@@ -310,11 +310,13 @@ class Workspace:
                 self.catalog.observe_fact(pred, fact)
             self._write_rows(pred, set(map(intern_row, facts)))
 
-    def assert_rows(self, pred: str, rows: list) -> None:
+    def assert_rows(self, pred: str, rows: Collection[tuple]) -> int:
         """Assert id rows, an import's checked entry: the catalog sees one
-        row per arity (a wire block has one)."""
+        row per arity (a wire block has one).  Returns how many rows are
+        new to the database (neither asserted nor derived before)."""
         with self.transaction():
-            for row in dict(zip(map(len, rows), rows)).values():
+            for arity in set(map(len, rows)):
+                row = next(row for row in rows if len(row) == arity)
                 try:
                     self.catalog.observe_fact(pred, row)
                 except WorkspaceError:
@@ -322,7 +324,8 @@ class Workspace:
                     self.catalog.observe_fact(
                         pred, self.db.interner.materialize_row(row))
                     raise
-            self._write_rows(pred, set(rows))
+            return self._write_rows(
+                pred, rows if isinstance(rows, set) else set(rows))
 
     def assert_atom(self, atom: Atom) -> None:
         """Assert a ground fact given as an atom (quotes become rule refs)."""
@@ -569,16 +572,21 @@ class Workspace:
     # Internals: assertion, reification, activation
     # ------------------------------------------------------------------
 
-    def _write_rows(self, pred: str, rows: set, fresh: bool = True) -> None:
+    def _write_rows(self, pred: str, rows: set, fresh: bool = True) -> int:
         """The one way in: id ``rows`` join ``pred``'s EDB and ``db``;
         a new one records its assertion and reifies the rules it names,
-        and, if ``fresh``, joins the pending insertions."""
+        and, if ``fresh``, joins the pending insertions.  Returns how
+        many rows are new to ``db``."""
         rows = self._edb.rel(pred).add_rows(rows)
         if not rows:
-            return
+            return 0
         added = self.db.rel(pred).add_rows(rows)
         if fresh and added:
-            self._txn_fresh.setdefault(pred, set()).update(added)
+            pending = self._txn_fresh.get(pred)
+            if pending is None:   # ``added`` is a set no one else holds
+                self._txn_fresh[pred] = added
+            else:
+                pending.update(added)
         if self.provenance is not None:
             # Also for a fact some rule already derived: the assertion is
             # one more reason it holds.
@@ -587,6 +595,7 @@ class Workspace:
         if pred not in ALL_META_PREDS:
             # a Figure 1 row is reflection's: what it names is reified
             self._reify_named(rows)
+        return len(added)
 
     def _remove_rows(self, pred: str, rows: Iterable[tuple]) -> None:
         """The one way out: asserted id ``rows`` leave ``pred``'s EDB and
@@ -606,7 +615,11 @@ class Workspace:
 
     def _reify_named(self, rows: Iterable[tuple]) -> None:
         """Reify every rule a term of ``rows`` names: one look per
-        distinct term, not one per occurrence."""
+        distinct term, not one per occurrence, and none at all while
+        every ref the registry holds is reified here already
+        (``_reified`` only ever holds the registry's refs)."""
+        if len(self._reified) == len(self.registry):
+            return
         values = self.db.interner.values
         for term in {term for row in rows for term in row}:
             for ref in self.registry.refs_in_value(values[term]):
@@ -788,6 +801,7 @@ class Workspace:
         self._sync_predicate_facts()
         deleted, self._txn_deleted = self._txn_deleted, {}
         fresh, self._txn_fresh = self._txn_fresh, {}
+        values = self.db.interner.values
         for _ in range(self.max_activation_rounds):
             if deleted:
                 with self._aside(fresh):
@@ -795,8 +809,10 @@ class Workspace:
                         self._current_strata(), self.db, self.context,
                         deleted, edb_facts=self._edb_facts,
                         provenance=self.provenance)
-            active = {fact[0] for fact in self.db.tuples(ACTIVE_PRED)
-                      if fact and isinstance(fact[0], RuleRef)}
+            relation = self.db.get(ACTIVE_PRED)
+            rows = relation.rows if relation is not None else ()
+            active = {ref for ref in (values[row[0]] for row in rows if row)
+                      if isinstance(ref, RuleRef)}
             gone = self._activated.keys() - active
             if gone:
                 # No activation before the cascade ends: a new rule's rows
@@ -864,11 +880,20 @@ class Workspace:
 
     def _apply_in_full(self, engine_rule: EngineRule, fresh: FactSet) -> None:
         """Apply one rule over the whole database; what it adds joins
-        ``fresh`` (whose sets this loop owns)."""
+        ``fresh`` (whose sets this loop owns).  Its rows pass the
+        context's delta-exchange hook first, as a stratum's do: a shard
+        keeps only the rows it owns."""
         pred = engine_rule.head.pred
-        new_rows = self.db.rel(pred).add_rows(apply_rule(
-            engine_rule, self.db, self.context, provenance=self.provenance))
+        rows = apply_rule(engine_rule, self.db, self.context,
+                          provenance=self.provenance)
+        emit = self.context.remote_emit_rows
+        if emit is not None and rows:
+            kept = emit(pred, rows)
+            self.stats.remote_emissions += len(rows) - len(kept)
+            rows = kept
+        new_rows = self.db.rel(pred).add_rows(rows)
         if new_rows:
+            self.stats.new_facts += len(new_rows)
             fresh.setdefault(pred, set()).update(new_rows)
 
     @contextmanager

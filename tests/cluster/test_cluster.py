@@ -6,8 +6,8 @@ import pytest
 
 from repro.cluster import Cluster, ClusterNode, Partitioner
 from repro.cluster.launch import _build_cluster_job, cluster_spec
-from repro.datalog.database import TermInterner
 from repro.datalog.errors import ClusterError
+from repro.meta.registry import RuleRegistry
 
 REACHABILITY = """
 tc0: reach(X,Y) <- edge(X,Y).
@@ -224,8 +224,9 @@ class TestNodeMechanics:
     def test_outbox_dedups_rederived_remote_facts(self):
         partitioner = Partitioner(["a", "b"])
         partitioner.hash_partition("p", column=0)
-        terms = TermInterner()
-        node = ClusterNode("a", partitioner, terms)
+        registry = RuleRegistry()
+        terms = registry.terms
+        node = ClusterNode("a", partitioner, registry)
         remote = next(
             fact for fact in (((i,),) for i in range(64))
             for fact in fact if partitioner.owner("p", fact) == "b"
@@ -281,3 +282,36 @@ class TestPerRunReports:
         lifetime = sum(n.sent_facts for n in cluster.nodes.values())
         assert first_sent + second_sent == lifetime
         assert second_sent < lifetime
+
+
+class TestRulesLoadedBetweenRuns:
+    def test_a_rule_activated_after_a_run_keeps_the_shards_disjoint(self):
+        """A rule loaded after the first run is applied in full where the
+        shard's rows already are; what it derives for another shard is
+        shipped there, not kept."""
+        def staged(n_nodes):
+            names = [f"node{i}" for i in range(n_nodes)]
+            partitioner = Partitioner(names)
+            partitioner.hash_partition("edge", column=0)
+            partitioner.hash_partition("reach", column=1)
+            cluster = Cluster(names, partitioner=partitioner)
+            cluster.load("tc0: reach(X,Y) <- edge(X,Y).")
+            rng = random.Random(11)
+            for v in range(24):
+                for t in rng.sample(range(24), 2):
+                    if t != v:
+                        cluster.assert_fact("edge", (v, t))
+            cluster.run()
+            cluster.load("tc1: reach(X,Z) <- reach(X,Y), edge(Y,Z).")
+            return cluster, cluster.run()
+
+        single, _ = staged(1)
+        sharded, report = staged(3)
+        assert sharded.tuples("reach") == single.tuples("reach")
+        shards = [node.db.tuples("reach") for node in sharded.nodes.values()]
+        assert sum(map(len, shards)) == len(sharded.tuples("reach"))
+        for name, node in sharded.nodes.items():
+            assert all(sharded.partitioner.owner("reach", fact) == name
+                       for fact in node.db.tuples("reach"))
+        assert sharded.total_stats().remote_emissions > 0
+        assert report.messages > 0

@@ -158,9 +158,10 @@ class TestLoadTimeEnforcement:
         cluster = Cluster(["n0", "n1"], partitioner=partitioner)
         with pytest.raises(ClusterError):
             cluster.load("p(1). p(2). j(X,Y) <- p(X), q(Y).")
+        cluster.run()
         assert cluster.tuples("p") == set()
         for node in cluster.nodes.values():
-            assert node.base.get("p", set()) == set()
+            assert "p" not in node.workspace.edb
 
     def test_demo_placement_still_loads(self):
         partitioner = Partitioner(["n0", "n1", "n2", "n3"])

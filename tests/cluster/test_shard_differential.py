@@ -7,11 +7,15 @@ facts, under hash and range placements, on 2–4 nodes, in ``bsp`` and
 spelling, must be the 1-node fixpoint's.  A fact routed by one spelling
 on assert and by another on derivation lands on two shards, and the join
 between them is silently lost.
+
+The second property runs a shard across runs — facts asserted and a rule
+loaded after the first — against one workspace fed the same stream.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import MODE_ASYNC, MODE_BSP, Cluster, Partitioner
+from repro.workspace.workspace import Workspace
 
 REACHABILITY = """
 reach(X,Y) <- edge(X,Y).
@@ -23,6 +27,19 @@ POOL = [k for k in range(5)] + [float(k) for k in range(5)] \
 
 EDGES = st.lists(st.tuples(st.sampled_from(POOL), st.sampled_from(POOL)),
                  max_size=10)
+
+
+#: the stream's two loads: the base rule, then the recursive one
+FIRST, SECOND = "reach(X,Y) <- edge(X,Y).", \
+    "reach(X,Z) <- reach(X,Y), edge(Y,Z)."
+
+
+def spelled(db):
+    """``reach`` rows of one database, each value by type and spelling."""
+    relation = db.get("reach")
+    return {tuple((type(value).__name__, repr(value)) for value
+                  in db.interner.materialize_row(row))
+            for row in (relation.rows if relation is not None else ())}
 
 
 def fixpoint(partitioner, mode, edges):
@@ -64,3 +81,27 @@ def test_union_of_shards_is_the_single_node_fixpoint(partitioner, mode,
                                                      edges):
     single = fixpoint(Partitioner(["solo"]), MODE_BSP, edges)
     assert fixpoint(partitioner, mode, edges) == single
+
+
+@settings(max_examples=80, deadline=None)
+@given(placements(), st.sampled_from([MODE_BSP, MODE_ASYNC]), EDGES, EDGES)
+def test_a_shard_across_runs_is_one_workspace(partitioner, mode, first,
+                                              second):
+    """load, assert, run, assert, load one more rule, run: the shards'
+    union is what one workspace fed the same stream holds."""
+    cluster = Cluster(list(partitioner.nodes), partitioner=partitioner,
+                      mode=mode)
+    workspace = Workspace("solo")
+    cluster.load(FIRST)
+    workspace.load(FIRST)
+    cluster.assert_facts("edge", first)
+    workspace.assert_facts("edge", first)
+    cluster.run()
+    cluster.assert_facts("edge", second)
+    workspace.assert_facts("edge", second)
+    cluster.load(SECOND)
+    workspace.load(SECOND)
+    cluster.run()
+    shards = [spelled(node.db) for node in cluster.nodes.values()]
+    assert set().union(*shards) == spelled(workspace.db)
+    assert sum(map(len, shards)) == len(set().union(*shards))

@@ -59,6 +59,20 @@ class TestDelivery:
         assert network().deliver_next() is None
         assert network().deliver_all() == []
 
+    @pytest.mark.parametrize("kwargs", [{"default_latency": -1.0},
+                                        {"jitter": -0.5},
+                                        {"default_latency": float("nan")}])
+    def test_negative_delay_refused(self, kwargs):
+        """A negative latency or jitter would deliver before the send."""
+        with pytest.raises(NetworkError, match=">= 0"):
+            SimulatedNetwork(**kwargs)
+
+    def test_negative_link_latency_refused(self):
+        net = network()
+        with pytest.raises(NetworkError, match=">= 0"):
+            net.set_latency("a", "b", -2.0)
+        assert net.latency("a", "b") == net.default_latency
+
     def test_jitter_is_deterministic_with_seed(self):
         first = network(jitter=1.0, seed=7)
         second = network(jitter=1.0, seed=7)

@@ -140,6 +140,19 @@ class TestClusterSubcommand:
         code, _output = self.run_demo("--nodes", "0")
         assert code == 2
 
+    def test_nonpositive_timeout_rejected(self):
+        for timeout in ("-1", "0"):
+            code, output = self.run_demo("--transport", "socket",
+                                         "--timeout", timeout)
+            assert code == 2
+            assert output.splitlines()[-1] == "error: need --timeout > 0"
+
+    def test_negative_latency_rejected(self):
+        code, output = self.run_demo("--latency", "-1")
+        assert code == 1
+        assert output.splitlines()[-1].startswith("error: latency must be")
+        assert "converged" not in output
+
     def test_socket_transport_in_process(self):
         code, output = self.run_demo("--transport", "socket",
                                      "--nodes", "3", "--vertices", "20")

@@ -132,6 +132,18 @@ class TestOnDemand:
         assert ws._reified == {outer, inner}
         assert ws.tuples("rule") == {(outer,), (inner,)}
 
+    def test_a_rule_interned_after_the_skip_is_reified_at_its_next_mention(
+            self):
+        ws = Workspace("w")
+        ref = ws.add_rule("p(X) <- q(X).")
+        # every ref of the registry is reified: these rows are not scanned
+        ws.assert_fact("q", (1,))
+        assert ws._reified == {ref} and len(ws.registry) == 1
+        said = ws.registry.intern_text("s(X) <- t(X).")
+        ws.assert_fact("q", (said,))
+        assert ws._reified == {ref, said}
+        assert ws.tuples("rule") == {(ref,), (said,)}
+
     def test_the_mirror_lists_every_relation_eager_reflection_populates(self):
         lazy, eager = Workspace("w"), Workspace("w")
         read_everything(eager)
