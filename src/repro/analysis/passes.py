@@ -64,11 +64,14 @@ def _var_names(item) -> set:
 # ---------------------------------------------------------------------------
 
 def safety_pass(ctx) -> list[Diagnostic]:
-    """Range restriction and body schedulability.
+    """Range restriction and body schedulability, of rules and of
+    constraints.
 
     The verdict is the engine's (:func:`check_rule_safety` on the compiled
-    rule); this pass only runs the classification when the engine rejects,
-    so it can never flag a program the runtime accepts.
+    rule, :func:`check_constraint_safety` on the compiled constraint —
+    what :meth:`Workspace.add_constraint` consults); this pass only runs
+    the classification when the engine rejects, so it can never flag a
+    program the runtime accepts.
     """
     from ..datalog.runtime import check_rule_safety
 
@@ -87,7 +90,28 @@ def safety_pass(ctx) -> list[Diagnostic]:
         except ReproError as exc:
             diagnostics.extend(
                 _classify_safety(ctx, rule, compiled, exc))
-    return diagnostics
+    return diagnostics + _constraint_safety(ctx)
+
+
+def _constraint_safety(ctx) -> list[Diagnostic]:
+    """R003 — a constraint side that cannot be scheduled: an LHS
+    alternative from nothing, an RHS one from what its LHS binds."""
+    from ..datalog.constraints import check_constraint_safety
+    from ..meta.quote import compile_constraint
+
+    found: list[Diagnostic] = []
+    for statement in ctx.statements:
+        if not isinstance(statement, Constraint):
+            continue
+        try:
+            check_constraint_safety(
+                compile_constraint(statement, None, ctx.builtins),
+                ctx.builtins)
+        except ReproError as exc:
+            found.append(Diagnostic(
+                "R003", str(exc), file=ctx.file, span=statement.span,
+                rule_label=statement.label))
+    return found
 
 
 def _negated_unbound(ctx, rule: Rule, compiled: Rule) -> list[Diagnostic]:

@@ -5,6 +5,16 @@ Key *facts* (``rsaprivkey(me,K)``, ``rsapubkey(U,K)``,
 that is what makes the paper's schemes ordinary Datalog.  The actual key
 *material* never enters the database: facts carry string ids, and the
 cryptographic builtins resolve ids through this store.
+
+A key id is bound **once**: installing other material under an id already
+bound raises :class:`CryptoError`, and installing the same material again
+does nothing.  ``hmacverify`` / ``rsaverify`` read this store, not a
+relation, so a credential that verified when it entered verifies for as
+long as it is held — which is what lets a commit check the ``says`` it
+imports and never re-verify the ones it holds
+(:mod:`repro.datalog.constraints`).  Key rotation is a scheme change
+(``reconfigure_auth``): it installs fresh constraints, which are swept in
+full.
 """
 
 from __future__ import annotations
@@ -27,10 +37,10 @@ class KeyStore:
     # -- RSA -----------------------------------------------------------------
 
     def install_rsa_private(self, key_id: str, key: rsa.RSAPrivateKey) -> None:
-        self._rsa_private[key_id] = key
+        _bind(self._rsa_private, key_id, key, "RSA private key")
 
     def install_rsa_public(self, key_id: str, key: rsa.RSAPublicKey) -> None:
-        self._rsa_public[key_id] = key
+        _bind(self._rsa_public, key_id, key, "RSA public key")
 
     def rsa_private(self, key_id: str) -> rsa.RSAPrivateKey:
         key = self._rsa_private.get(key_id)
@@ -47,7 +57,7 @@ class KeyStore:
     # -- shared secrets ---------------------------------------------------------
 
     def install_secret(self, key_id: str, secret: bytes) -> None:
-        self._secrets[key_id] = secret
+        _bind(self._secrets, key_id, secret, "shared secret")
 
     def secret(self, key_id: str) -> bytes:
         secret = self._secrets.get(key_id)
@@ -57,6 +67,14 @@ class KeyStore:
 
     def has_secret(self, key_id: str) -> bool:
         return key_id in self._secrets
+
+
+def _bind(table: dict, key_id: str, material, kind: str) -> None:
+    """Bind ``key_id`` to ``material`` in ``table``, once."""
+    held = table.setdefault(key_id, material)
+    if held != material:
+        raise CryptoError(f"{kind} id {key_id!r} is already bound to other "
+                          f"material")
 
 
 # -- conventional key-id naming -------------------------------------------------

@@ -30,6 +30,7 @@ instead of silently returning wrong join results.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Iterable, Iterator, Optional
 
 from .errors import IndexIntegrityError, TransactionError
@@ -173,19 +174,23 @@ class Journal:
     with logging off, so an undo may itself be a logging mutator.
     ``epoch`` counts transactions: a holder that logs once per transaction
     (a :class:`Relation`'s change list) compares it to tell its first touch.
+    ``touched`` lists the relations whose change list the open transaction
+    started, so a reader of what it changed visits only them.
     """
 
-    __slots__ = ("entries", "epoch")
+    __slots__ = ("entries", "epoch", "touched")
 
     def __init__(self) -> None:
         self.entries: Optional[list] = None
         self.epoch = 0
+        self.touched: list = []
 
     def begin(self) -> None:
         if self.entries is not None:
             raise TransactionError("a transaction is already open on this journal")
         self.epoch += 1
         self.entries = []
+        self.touched = []
 
     def log(self, undo, argument) -> None:
         """Record ``undo(argument)`` if a transaction is open."""
@@ -194,9 +199,11 @@ class Journal:
 
     def commit(self) -> None:
         self.entries = None
+        self.touched = []
 
     def rollback(self) -> None:
         entries, self.entries = self.entries, None
+        self.touched = []
         for undo, argument in reversed(entries):
             undo(argument)
 
@@ -406,11 +413,33 @@ class Relation:
         self._index_rows(fresh)
         return fresh
 
+    def changes(self) -> list:
+        """The open transaction's change list: every row a mutator really
+        changed, in order (the live list, which later changes extend);
+        empty outside a transaction or when none touched this relation."""
+        journal = self.journal
+        if journal.entries is None or self._changed_epoch != journal.epoch:
+            return []
+        return self._changed
+
+    def net_change(self) -> tuple[set, set]:
+        """The rows the open transaction inserted and deleted, net.  A
+        row's changes alternate, so one that changed an odd number of
+        times was inserted if it is present now, else deleted."""
+        changed = self.changes()
+        toggled = set(changed)
+        if len(toggled) != len(changed):
+            toggled = {row for row, count in Counter(changed).items()
+                       if count & 1}
+        inserted = toggled & self.rows
+        return inserted, toggled - inserted
+
     def _first_touch(self, journal: Journal) -> None:
         """Start this transaction's change list and log it, once."""
         self._changed_epoch = journal.epoch
         self._changed = []
         journal.entries.append((self._undo_changes, self._changed))
+        journal.touched.append(self)
 
     def _index_rows(self, fresh: Iterable[tuple]) -> None:
         """Enter rows just added to ``rows`` into every maintained index."""

@@ -612,7 +612,7 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
                         # that carry R, whenever they arrived.
                         key = (pred, columns)
                         if key not in carried:
-                            carried[key] = _carrier_delta(
+                            carried[key] = carrier_delta(
                                 db, pred, columns, delta.get(pred), new_refs)
                         if carried[key] is None:
                             continue
@@ -632,8 +632,8 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
     return added
 
 
-def _carrier_delta(db: Database, pred: str, columns: tuple,
-                   own: Optional[set], new_refs: set) -> Optional[Relation]:
+def carrier_delta(db: Database, pred: str, columns: tuple,
+                  own: Optional[set], new_refs: set) -> Optional[Relation]:
     """A carrier position's delta in a round that reflected ``new_refs``
     (``rule`` rows): its own delta rows plus every row of ``pred`` that
     holds one of the refs in a root's column — None when that is none."""

@@ -38,7 +38,12 @@ from dataclasses import dataclass, field
 from typing import Any, Collection, Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry, standard_registry
-from ..datalog.constraints import Violation, check_constraints
+from ..datalog.constraints import (
+    TransactionDelta,
+    Violation,
+    check_constraint_safety,
+    check_constraints,
+)
 from ..datalog.database import Database, Journal, Relation
 from ..datalog.engine import (
     EngineRule,
@@ -146,6 +151,9 @@ class Workspace:
         self._edb = Database(self.registry.terms, self.journal)
         self.catalog = Catalog(self.journal, self.builtins)
         self.constraints: list[Constraint] = []
+        #: the constraints installed since the last commit, by instance:
+        #: their first check sweeps them in full
+        self._unchecked: list[Constraint] = []
         #: each installed constraint's ``(label, canonical text)``, kept
         #: from its install: what a duplicate is refused by
         self._constraint_keys: set[tuple] = set()
@@ -272,7 +280,9 @@ class Workspace:
         return ref
 
     def add_constraint(self, constraint: Union[str, Constraint]) -> None:
-        """Install a (meta-)constraint, checked on every commit."""
+        """Install a (meta-)constraint, checked on every commit that
+        changes what it reads; an unsafe one is a :class:`SafetyError`
+        (:func:`~repro.datalog.constraints.check_constraint_safety`)."""
         if isinstance(constraint, str):
             statements = parse_statements(constraint)
             with self.transaction():
@@ -283,6 +293,7 @@ class Workspace:
             return
         from ..datalog.pretty import canonical_constraint
         compiled = compile_constraint(constraint, self.me, self.builtins)
+        check_constraint_safety(compiled, self.builtins)
         with self.transaction():
             self._read(_literal_preds(
                 item for alternative in compiled.lhs + compiled.rhs
@@ -292,6 +303,8 @@ class Workspace:
             if key not in self._constraint_keys:
                 self.constraints.append(compiled)
                 self.journal.log(self.constraints.pop, -1)
+                self._unchecked.append(compiled)
+                self.journal.log(self._unchecked.pop, -1)
                 self._constraint_keys.add(key)
                 self.journal.log(self._constraint_keys.discard, key)
 
@@ -553,10 +566,14 @@ class Workspace:
         self.journal.log(vars(self).update, {name: getattr(self, name)})
 
     def _commit(self) -> None:
+        """Maintain, then check every constraint over what the
+        transaction changed (a constraint installed in it, in full)."""
         self._run_loop()
-        violations = check_constraints(self.constraints, self.db, self.context,
-                                       plan_cache=self._constraint_plans,
-                                       analyses=self._constraint_analyses)
+        violations = check_constraints(
+            self.constraints, self.db, self.context,
+            plan_cache=self._constraint_plans,
+            analyses=self._constraint_analyses,
+            delta=TransactionDelta(self.db, self._unchecked))
         if violations:
             violation = violations[0]
             self.audit.append(AuditEvent("constraint_violation", {
@@ -566,6 +583,7 @@ class Workspace:
                 "total": len(violations),
             }))
             raise ConstraintViolation(violation.constraint, violation.bindings)
+        self._unchecked.clear()
         self.journal.commit()
 
     # ------------------------------------------------------------------
@@ -794,14 +812,19 @@ class Workspace:
 
     def _run_loop(self) -> None:
         """The one maintenance loop.  A pass propagates the pending
-        deletions (DRed), then compares ``_activated`` with ``active`` both
-        ways: a rule that left, however it left, is dropped (:meth:`_drop`);
-        with no deletions pending, a rule that entered is compiled and
-        applied in full, and the pending insertions propagate."""
+        deletions (DRed), then compares ``_activated`` with the ``active``
+        rows the transaction changed since the last comparison (the two
+        agree when it begins): a rule that left, however it left, is
+        dropped (:meth:`_drop`); with no deletions pending, a rule that
+        entered is compiled and applied in full, and the pending
+        insertions propagate."""
         self._sync_predicate_facts()
         deleted, self._txn_deleted = self._txn_deleted, {}
         fresh, self._txn_fresh = self._txn_fresh, {}
-        values = self.db.interner.values
+        # ``active`` rows changed and not yet compared, and how much of
+        # the relation's change list they were read from
+        moved: set = set()
+        read = 0
         for _ in range(self.max_activation_rounds):
             if deleted:
                 with self._aside(fresh):
@@ -810,20 +833,21 @@ class Workspace:
                         deleted, edb_facts=self._edb_facts,
                         provenance=self.provenance)
             relation = self.db.get(ACTIVE_PRED)
-            rows = relation.rows if relation is not None else ()
-            active = {ref for ref in (values[row[0]] for row in rows if row)
-                      if isinstance(ref, RuleRef)}
-            gone = self._activated.keys() - active
+            changes = relation.changes() if relation is not None else ()
+            moved.update(changes[read:])
+            read = len(changes)
+            entering, gone = self._moves(moved, relation)
             if gone:
                 # No activation before the cascade ends: a new rule's rows
                 # would stand aside from the DRed that should delete them.
                 deleted = self._drop(gone, fresh)
                 continue
+            moved = set()
             deleted = {}
             progressed = False
 
             new_rules: list[EngineRule] = []
-            for ref in [ref for ref in active if ref not in self._activated]:
+            for ref in entering:
                 self._ensure_reified(ref)
                 engine_rules = self._compile_ref(ref)
                 self._activated[ref] = engine_rules
@@ -877,6 +901,30 @@ class Workspace:
             f"workspace {self.name!r} did not quiesce within "
             f"{self.max_activation_rounds} activation rounds"
         )
+
+    def _moves(self, moved: set, relation: Optional[Relation]) -> tuple:
+        """The rules entering ``active`` and leaving it, among the refs of
+        its ``moved`` rows.  Several entering at once activate in the
+        iteration order of the set of every active ref, so a program
+        activates in one order however its rows arrived (a pass that
+        activates restratifies the whole program anyway)."""
+        entering: set = set()
+        gone: set = set()
+        values = self.db.interner.values
+        activated = self._activated
+        for row in moved:
+            ref = values[row[0]] if row else None
+            if not isinstance(ref, RuleRef):
+                continue
+            if row in relation.rows:
+                if ref not in activated:
+                    entering.add(ref)
+            elif ref in activated:
+                gone.add(ref)
+        if len(entering) > 1:
+            entering = [ref for ref in {values[row[0]] for row in relation.rows
+                                        if row} if ref in entering]
+        return entering, gone
 
     def _apply_in_full(self, engine_rule: EngineRule, fresh: FactSet) -> None:
         """Apply one rule over the whole database; what it adds joins

@@ -53,6 +53,28 @@ def test_r003_builtin_inputs_unbound():
     assert "rsasign" in d.message and "input positions" in d.message
 
 
+@pytest.mark.parametrize("source, side, item", [
+    ("p(X) -> X < Y.", "right", "X < Y"),
+    ("p(X), X < Y -> q(X).", "left", "X < Y"),
+    ("p(X) -> q(X), Y > 1.", "right", "Y > 1"),
+    ("p(X) -> q(X) ; (r(X), Z != X).", "right", "Z != X"),
+])
+def test_r003_unschedulable_constraint_side(source, side, item):
+    """An LHS alternative must schedule from nothing, an RHS one from
+    what its LHS binds: refused at load, whatever the database holds."""
+    d = only(check(source), "R003")
+    assert d.severity == "error"
+    assert f"unsafe {side}-hand side" in d.message and item in d.message
+    assert d.location() == "t.dl:1:1"
+
+
+def test_safe_constraints_have_no_r0xx():
+    source = ("p(X) -> X > 1.\n!p(_) -> q(_).\n"
+              "p(X), q(Y) -> X != Y ; r(X,Z), Z > X.\n"
+              "p(X) -> !q(X), !r(X,_).\n")
+    assert not [d for d in check(source) if d.code.startswith("R0")]
+
+
 def test_safe_program_has_no_r0xx():
     diags = check('p(X) <- q(X), X > 1.\nq(1). q(2).')
     assert not [d for d in diags if d.code.startswith("R0")]

@@ -1,0 +1,80 @@
+"""A commit costs what it changed: held credentials are not re-verified.
+
+exp3 (paper section 4.1.2) checks every imported ``says`` at the commit
+that imports it.  A later commit that changes nothing exp3 reads must
+neither verify a held credential again nor visit a constraint whose
+relations it did not change.  Counts, not wall time.
+"""
+
+import pytest
+
+from repro import LBTrustSystem
+from repro.crypto import datalog_builtins
+from repro.datalog import constraints
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """Counts of ``hmacverify`` calls and the conjunctions the constraint
+    checker plans, from the moment it is read."""
+    seen = {"verify": 0, "planned": []}
+    verify, plan = datalog_builtins.verify_hmac_sha1, constraints._plan
+
+    def counting_verify(*args):
+        seen["verify"] += 1
+        return verify(*args)
+
+    def recording_plan(plan_cache, analyses, alternative, *args, **kwargs):
+        seen["planned"].append(alternative)
+        return plan(plan_cache, analyses, alternative, *args, **kwargs)
+
+    monkeypatch.setattr(datalog_builtins, "verify_hmac_sha1", counting_verify)
+    monkeypatch.setattr(constraints, "_plan", recording_plan)
+    return seen
+
+
+def bob_holding(held: int):
+    system = LBTrustSystem(auth="hmac", seed=1)
+    alice = system.create_principal("alice")
+    bob = system.create_principal("bob")
+    bob.load("gotA(X) <- ping(X).")
+    for k in range(held):
+        alice.says(bob, f"ping({k}).")
+    report = system.run()
+    assert report.delivered == held and report.rejected == 0
+    return system, alice, bob
+
+
+@pytest.mark.parametrize("held", [0, 50, 200])
+def test_an_unrelated_commit_verifies_no_held_credential(traced, held):
+    _, _, bob = bob_holding(held)
+    assert len(bob.tuples("gotA")) == held
+    traced["verify"], traced["planned"] = 0, []
+    bob.workspace.assert_fact("unrelated", (1,))
+    assert traced["verify"] == 0
+    assert traced["planned"] == []   # no constraint was visited
+
+
+@pytest.mark.parametrize("held", [0, 50])
+def test_an_import_verifies_only_what_it_brings(traced, held):
+    system, alice, bob = bob_holding(held)
+    traced["verify"] = 0
+    alice.says(bob, "ping(-1).")
+    assert system.run().delivered == 1
+    assert traced["verify"] == 1
+    assert (-1,) in bob.tuples("gotA")
+
+
+def test_a_scheme_swap_verifies_each_redelivered_credential_once(traced):
+    """Key rotation is a scheme change: received history is flushed,
+    re-delivered under the new scheme and verified as it enters, once."""
+    system, _, bob = bob_holding(20)
+    system.reconfigure_auth("plaintext")
+    assert system.run().delivered == 20
+    traced["verify"] = 0
+    system.reconfigure_auth("hmac")
+    assert system.run().delivered == 20
+    assert traced["verify"] == 20
+    traced["verify"] = 0
+    bob.workspace.assert_fact("unrelated", (1,))
+    assert traced["verify"] == 0

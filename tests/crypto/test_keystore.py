@@ -39,6 +39,45 @@ class TestKeyStore:
         assert store.secret("s") == b"x" * 32
         assert store.has_secret("s") and not store.has_secret("t")
 
+    def test_each_key_id_is_bound_once(self):
+        store = KeyStore()
+        key = rsa.generate_keypair(256, seed=1)
+        other = rsa.generate_keypair(256, seed=3)
+        store.install_rsa_private("k", key)
+        store.install_rsa_public("k", key.public())
+        store.install_secret("k", b"x" * 32)
+        # the same material again is a no-op
+        store.install_rsa_private("k", key)
+        store.install_rsa_public("k", key.public())
+        store.install_secret("k", b"x" * 32)
+        # other material under a bound id is refused, and nothing changes
+        with pytest.raises(CryptoError, match="already bound"):
+            store.install_rsa_private("k", other)
+        with pytest.raises(CryptoError, match="already bound"):
+            store.install_rsa_public("k", other.public())
+        with pytest.raises(CryptoError, match="already bound"):
+            store.install_secret("k", b"y" * 32)
+        assert store.rsa_private("k") is key
+        assert store.rsa_public("k") == key.public()
+        assert store.secret("k") == b"x" * 32
+
+    def test_a_held_credential_keeps_verifying(self):
+        """A credential that verified when it entered still verifies: no
+        rebinding can make ``hmacverify`` change its answer later."""
+        workspace = Workspace("alice")
+        register_crypto_builtins(workspace.builtins)
+        workspace.keystore = KeyStore()
+        workspace.keystore.install_secret("sk", b"s" * 32)
+        workspace.load("""
+            signed(R,S) <- tosign(R), hmacsign(R,"sk",S).
+            checked(R) <- signed(R,S), hmacverify(R,S,"sk").
+        """)
+        workspace.load('tosign([| payload("x"). |]).')
+        with pytest.raises(CryptoError):
+            workspace.keystore.install_secret("sk", b"t" * 32)
+        workspace.assert_fact("unrelated", (1,))
+        assert len(workspace.tuples("checked")) == 1
+
     def test_id_conventions(self):
         assert rsa_private_id("alice") == "rsa-priv:alice"
         assert rsa_public_id("alice") == "rsa-pub:alice"

@@ -153,3 +153,67 @@ class TestConstraintPlansOverLargeRelations:
         violations = check_constraints([constraint], db, EvalContext(),
                                        plan_cache=cache)
         assert len(violations) == 1
+
+
+class TestDeltaCheck:
+    """``check_constraints`` over a transaction's delta agrees with the
+    sweep where only the delta's shape can make it right."""
+
+    @staticmethod
+    def both(constraint, db, context=None):
+        from repro.datalog.constraints import TransactionDelta
+
+        context = context or EvalContext()
+        delta = check_constraints([constraint], db, context,
+                                  delta=TransactionDelta(db))
+        return delta, check_constraints([constraint], db, context)
+
+    def test_a_late_reflection_fires_the_quote_from_its_carrier(self):
+        """A ``says`` row committed before its rule was reflected: the
+        quoted pattern first matches when ``rule(R)`` comes, and the
+        carrier is pinned to the rows that hold ``R``."""
+        from repro.datalog.database import Journal
+        from repro.meta.quote import compile_constraint
+        from repro.meta.registry import RuleRegistry
+
+        registry = RuleRegistry()
+        db = Database(registry.terms, Journal())
+        intern_row = registry.terms.intern_row
+        constraint = compile_constraint(
+            constraint_of("says(U,me,[| p(X). |]) -> q(X)."), "w")
+        ref = registry.intern_text("p(1).")
+        db.journal.begin()
+        db.rel("says").add_row(intern_row(("alice", "w", ref)))
+        db.journal.commit()
+        db.journal.begin()
+        for pred, fact in registry.reflection(ref)[0]:
+            db.rel(pred).add_row(intern_row(fact))
+        delta, swept = self.both(constraint, db)
+        assert len(swept) == 1 and delta == swept
+
+    def test_a_deletion_under_lhs_negation_sweeps(self):
+        from repro.datalog.database import Journal
+
+        constraint = constraint_of("q(X), !r(X) -> s(X).")
+        db = Database(journal=Journal())
+        db.journal.begin()
+        db.add("q", (1,))
+        db.add("r", (1,))
+        db.journal.commit()
+        db.journal.begin()
+        db.discard("r", (1,))     # q(1) is a witness that uses no new row
+        delta, swept = self.both(constraint, db)
+        assert len(swept) == 1 and delta == swept
+
+    def test_an_insertion_under_rhs_negation_sweeps(self):
+        from repro.datalog.database import Journal
+
+        constraint = constraint_of("p(X) -> !r(X).")
+        db = Database(journal=Journal())
+        db.journal.begin()
+        db.add("p", (1,))
+        db.journal.commit()
+        db.journal.begin()
+        db.add("r", (1,))         # p(1) lost its extension, p is unchanged
+        delta, swept = self.both(constraint, db)
+        assert len(swept) == 1 and delta == swept

@@ -329,8 +329,8 @@ def test_section9_bodies_order_the_same_at_their_live_sizes():
                 problems.append((rule.body, frozenset(), first))
             problems.append(((Literal(rule.head),) + rule.body,
                              frozenset(), 0))
-        for (alternative, shape), _ in workspace._constraint_plans:
-            problems.append((alternative, shape, None))
+        for (alternative, shape, first), _ in workspace._constraint_plans:
+            problems.append((alternative, shape, first))
         for items, bound, first in problems:
             live = {item.atom.pred: db.get(item.atom.pred) or 0
                     for item in items if isinstance(item, Literal)}

@@ -6,7 +6,9 @@ types) plus positive rules over them, split across loads.  The second
 is quoted patterns: listening rules whose bodies hold quotes, and
 streams of says, asserts and retracts that feed them.  The third is
 hostile deliveries: honest says between principals, interleaved with
-injected blocks and said rules no receiver can activate.
+injected blocks and said rules no receiver can activate.  The fourth is
+transaction streams under constraints: asserts, retracts and says,
+rollbacks, and constraints installed, removed and reinstalled mid-stream.
 """
 
 from __future__ import annotations
@@ -243,3 +245,76 @@ def hostile_streams(draw, max_steps: int = 10) -> HostileStream:
                   st.sampled_from(sorted(UNACTIVATABLE))),
         st.just(("run",))), min_size=1, max_size=max_steps))
     return HostileStream(tuple(steps) + (("run",),))
+
+
+# ---------------------------------------------------------------------------
+# Transaction streams under constraints
+# ---------------------------------------------------------------------------
+
+#: Constraints a stream installs and removes, by label: both sides
+#: negated, existential right-hand sides, a left-hand side with no
+#: positive literal, a volatile builtin, and quoted left-hand patterns
+#: over the Figure 1 relations — carried by ``says`` and carrier-less.
+CONSTRAINTS = {
+    "implies": "implies: p(X) -> q(X) ; s(X).",
+    "negated rhs": "negrhs: p(X) -> !r(X).",
+    "negated lhs": "neglhs: q(X), !r(X) -> p(X).",
+    "join": "join: p(X), q(X) -> s(X) ; (r(Y), Y > X).",
+    "existential": "exists: !p(_) -> s(_).",
+    "builtin": "small: q(X) -> X < 2 ; trusted(X).",
+    "volatile": "vol: s(X), rsize(N) -> N < 2 ; q(X).",
+    "says": "saysok: says(U,me,R) -> trusted(U) ; U = me.",
+    "quoted": "quoted: says(U,me,[| p(X). |]) -> q(X) ; trusted(U).",
+    "quoted rule": 'qrule: says(U,me,[| A <- B*. |]), functor(A,"q") -> '
+                   "trusted(U).",
+    "carrier-less": "anyp: R = [| p(X). |] -> !r(X).",
+}
+#: Rules a stream's workspace may hold: says1, a rule whose negation
+#: makes deletions, and one that makes ``trusted`` derived too.
+TXN_RULES = {
+    "says1": "active(R) <- says(_,me,R).\n",
+    "negation": "s(X) <- q(X), !r(X).\n",
+    "trust": "trusted(U) <- vouch(U).\n",
+}
+TXN_FACTS = (("p", (1,)), ("p", (2,)), ("q", (1,)), ("q", (2,)),
+             ("r", (1,)), ("r", (2,)), ("s", (2,)), ("vouch", ("alice",)),
+             ("trusted", ("carol",)), ("trusted", (1,)))
+#: What a speaker says: fact rules a quote matches, and rules (which
+#: says1 activates)
+TXN_SAID = ("p(1).", "p(2).", "p(3).", "q(1).", "q(X) <- p(X).",
+            "r(X) <- p(X), q(X).")
+
+
+@dataclass(frozen=True)
+class TransactionStream:
+    """A workspace's rules and first constraints, then transactions:
+    ``(ops, abort)``, rolled back when ``abort``.  An op is ``("assert" |
+    "retract", pred, fact)``, ``("say" | "unsay", speaker, text)``,
+    ``("install" | "remove" | "reinstall", label)`` — a reinstall removes
+    the constraint and installs it again, in the one transaction."""
+
+    rules: str
+    constraints: tuple
+    transactions: tuple
+
+
+@st.composite
+def transaction_streams(draw, max_transactions: int = 8
+                        ) -> TransactionStream:
+    rules = draw(st.lists(st.sampled_from(sorted(TXN_RULES)), unique=True))
+    labels = st.sampled_from(sorted(CONSTRAINTS))
+    first = draw(st.lists(labels, unique=True, max_size=4))
+    facts = st.tuples(st.sampled_from(("assert", "assert", "retract")),
+                      st.sampled_from(TXN_FACTS)).map(
+        lambda step: (step[0], *step[1]))
+    says = st.tuples(st.sampled_from(("say", "say", "unsay")),
+                     st.sampled_from(SPEAKERS), st.sampled_from(TXN_SAID))
+    changes = st.tuples(st.sampled_from(("install", "remove", "reinstall")),
+                        labels)
+    ops = st.one_of(facts, facts, says, changes)
+    transactions = draw(st.lists(
+        st.tuples(st.lists(ops, min_size=1, max_size=4).map(tuple),
+                  st.sampled_from((False, False, False, True))),
+        min_size=1, max_size=max_transactions))
+    return TransactionStream("".join(TXN_RULES[name] for name in rules),
+                             tuple(first), tuple(transactions))

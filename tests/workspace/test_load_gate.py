@@ -44,6 +44,20 @@ class TestRejectPaths:
         message = str(exc.value)
         assert "[R001]" in message and "[R201]" in message
 
+    @pytest.mark.parametrize("route", ["load", "add_constraint"])
+    @pytest.mark.parametrize("source", [
+        "p(X) -> X < Y.", "p(X), X < Y -> q(X).", "p(X) -> q(X), Y > 1."])
+    def test_unsafe_constraint_is_refused_at_install(self, route, source):
+        """Refused on the way in, by both routes — not at the first
+        commit that puts a row in ``p``, and not only once ``q`` has one."""
+        workspace = Workspace("w")
+        with pytest.raises(SafetyError, match="unsafe (left|right)-hand side"):
+            getattr(workspace, route)(source)
+        assert workspace.constraints == []
+        workspace.assert_facts("p", [(1,), (2,)])
+        workspace.assert_fact("q", (1,))
+        assert workspace.tuples("p") == {(1,), (2,)}
+
     def test_rejected_load_keeps_prior_state(self):
         workspace = Workspace("w")
         workspace.load("good(1).")
