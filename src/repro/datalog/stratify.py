@@ -4,8 +4,18 @@ LogicBlox (and our engine) evaluates bottom-up with stratified negation and
 aggregation: a predicate may only be negated or aggregated over once its
 stratum is fully computed.  We build the predicate dependency graph, find
 strongly connected components with an iterative Tarjan, and assign stratum
-numbers; a negative (or aggregate) edge inside an SCC is a
-:class:`StratificationError`.
+numbers in one pass over the components, each the least level its incoming
+edges allow; a negative (or aggregate) edge inside an SCC is a
+:class:`StratificationError`.  :func:`stratify` is the one full
+stratification, linear in the program.
+
+A host whose program grows rule by rule keeps its strata instead
+(:func:`extend_strata`): a new rule whose head is already defined at a
+level its body allows joins that stratum, and one whose head nothing
+defines or reads yet starts at the level its body needs.  Anything that
+would move a predicate already placed — a read head that must rise above
+level 0, a head defined too low, a negative cycle — is not extendable and
+falls back to :func:`stratify`, as does dropping a rule.
 """
 
 from __future__ import annotations
@@ -59,16 +69,24 @@ def dependency_graph(rules: Iterable[Rule]) -> DepGraph:
 
 
 def tarjan_sccs(graph: DepGraph) -> list[frozenset]:
-    """Strongly connected components, iteratively (no recursion limit)."""
+    """Strongly connected components, iteratively (no recursion limit),
+    dependents first: a component comes before every component that
+    feeds it."""
     index_counter = 0
     stack: list[str] = []
     on_stack: set[str] = set()
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     result: list[frozenset] = []
+    children_of: dict[str, list] = {}
 
     def successors(node: str) -> list[str]:
-        return sorted(graph.positive.get(node, ()) | graph.negative.get(node, ()))
+        children = children_of.get(node)
+        if children is None:
+            children = children_of[node] = sorted(
+                graph.positive.get(node, set())
+                | graph.negative.get(node, set()))
+        return children
 
     for root in sorted(graph.preds):
         if root in index:
@@ -142,19 +160,18 @@ def cycle_path(graph: DepGraph, start: str, goal: str,
     return [start, goal]  # pragma: no cover - SCC guarantees a path
 
 
-#: Backwards-compatible private alias (pre-analyzer callers).
-_cycle_path = cycle_path
-
-
-def find_negative_cycle(graph: DepGraph) -> Optional[tuple[str, str, list[str]]]:
+def find_negative_cycle(graph: DepGraph, sccs: Optional[list] = None
+                        ) -> Optional[tuple[str, str, list[str]]]:
     """The first negative edge inside a cycle, with the cycle spelled out.
 
     Returns ``(source, target, cycle)`` where ``source -!-> target`` is the
     offending negative dependency and ``cycle`` is the predicate path
     ``target → … → source → target`` that closes the loop, or ``None``
-    when the program is stratifiable.
+    when the program is stratifiable.  ``sccs`` are the graph's
+    :func:`tarjan_sccs`, when the caller has them already.
     """
-    sccs = tarjan_sccs(graph)
+    if sccs is None:
+        sccs = tarjan_sccs(graph)
     component_of: dict[str, frozenset] = {}
     for component in sccs:
         for pred in component:
@@ -169,20 +186,16 @@ def find_negative_cycle(graph: DepGraph) -> Optional[tuple[str, str, list[str]]]
 
 
 def assign_strata(graph: DepGraph) -> dict[str, int]:
-    """Map each predicate to its stratum number (0-based).
+    """Map each predicate to its stratum number (0-based): the least
+    level at or above every positive source's and above every negative
+    source's.
 
     Raises :class:`StratificationError` if a negative edge lies inside a
     cycle (negation/aggregation through recursion); the message spells out
     the offending cycle predicate by predicate.
     """
     sccs = tarjan_sccs(graph)
-    component_of: dict[str, int] = {}
-    for component_id, component in enumerate(sccs):
-        for pred in component:
-            component_of[pred] = component_id
-
-    # Negative self-dependency check.
-    offending = find_negative_cycle(graph)
+    offending = find_negative_cycle(graph, sccs)
     if offending is not None:
         source, target, cycle = offending
         rendered = " -> ".join(cycle)
@@ -193,75 +206,125 @@ def assign_strata(graph: DepGraph) -> dict[str, int]:
             f"the program is not stratifiable"
         )
 
-    # Tarjan emits SCCs in reverse topological order (dependents first);
-    # process them reversed so every source component is assigned before
-    # the components that read it.
-    strata: dict[int, int] = {}
-    for component_id in reversed(range(len(sccs))):
-        stratum = 0
-        for pred in sccs[component_id]:
-            for source in graph.preds:
-                if pred in graph.positive.get(source, ()):
-                    if component_of[source] != component_id:
-                        stratum = max(stratum, strata.get(component_of[source], 0))
-                if pred in graph.negative.get(source, ()):
-                    stratum = max(stratum, strata.get(component_of[source], 0) + 1)
-        strata[component_id] = stratum
+    # Tarjan emits SCCs dependents first; walked reversed, a component's
+    # level is final once reached, and it lifts what it feeds.
+    level_of: dict[str, int] = {}
+    for component in reversed(sccs):
+        level = max((level_of.get(pred, 0) for pred in component), default=0)
+        for pred in component:
+            level_of[pred] = level
+        for pred in component:
+            for target in graph.positive.get(pred, ()):
+                if target not in component and level_of.get(target, 0) < level:
+                    level_of[target] = level
+            for target in graph.negative.get(pred, ()):
+                if level_of.get(target, 0) <= level:
+                    level_of[target] = level + 1
+    return {pred: level_of[pred] for pred in graph.preds}
 
-    return {pred: strata[component_of[pred]] for pred in graph.preds}
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Stratum:
-    """One evaluation layer: its predicates and the rules defining them."""
+    """One evaluation layer: its predicates and the rules defining them,
+    in program order.  Immutable: a stratum that changes is rebuilt
+    (:meth:`of`), so what it reads is known once."""
 
     number: int
     preds: frozenset
-    rules: list            # non-aggregate rules
-    agg_rules: list        # aggregate rules (evaluated once, first)
-    _reads: Optional[frozenset] = None  # lazily cached body predicates
+    rules: tuple           # non-aggregate rules
+    agg_rules: tuple       # aggregate rules (evaluated once, first)
+    #: every predicate any of the rules reads (the incremental
+    #: propagators consult it on every delta batch)
+    reads: frozenset = field(repr=False)
+    has_negation: bool = field(repr=False)
 
-    @property
-    def has_negation(self) -> bool:
-        return any(
-            isinstance(item, Literal) and item.negated
-            for rule in self.rules
-            for item in rule.body
-        )
+    @classmethod
+    def of(cls, number: int, rules: Iterable,
+           base: Optional["Stratum"] = None) -> "Stratum":
+        """The stratum ``number`` of ``rules`` in program order: after
+        the rules of ``base``, the stratum they join, when there is one."""
+        rules = tuple(rules)
+        plain = tuple(rule for rule in rules if rule.agg is None)
+        aggregates = tuple(rule for rule in rules if rule.agg is not None)
+        heads = frozenset(head.pred for rule in rules for head in rule.heads)
+        reads = frozenset().union(*(rule.body_preds() for rule in rules))
+        negation = any(isinstance(item, Literal) and item.negated
+                       for rule in plain for item in rule.body)
+        if base is None:
+            return cls(number, heads, plain, aggregates, reads, negation)
+        return cls(number, base.preds | heads, base.rules + plain,
+                   base.agg_rules + aggregates, base.reads | reads,
+                   base.has_negation or negation)
 
     @property
     def nonmonotone(self) -> bool:
         """True when incremental insertion cannot use plain semi-naive."""
         return self.has_negation or bool(self.agg_rules)
 
-    @property
-    def reads(self) -> frozenset:
-        """Every predicate any of this stratum's rules reads (cached —
-        the incremental propagators consult this on every delta batch)."""
-        if self._reads is None:
-            names: set = set()
-            for rule in list(self.rules) + list(self.agg_rules):
-                names |= rule.body_preds()
-            self._reads = frozenset(names)
-        return self._reads
-
 
 def stratify(rules: list) -> list[Stratum]:
-    """Partition single-head rules into an ordered list of strata."""
+    """Partition rules into an ordered list of strata: the one full
+    stratification."""
     graph = dependency_graph(rules)
     levels = assign_strata(graph)
     by_level: dict[int, list] = {}
     for rule in rules:
         level = max(levels[head.pred] for head in rule.heads)
         by_level.setdefault(level, []).append(rule)
-    strata = []
-    for level in sorted(by_level):
-        level_rules = by_level[level]
-        preds = frozenset(head.pred for rule in level_rules for head in rule.heads)
-        strata.append(Stratum(
-            number=level,
-            preds=preds,
-            rules=[r for r in level_rules if r.agg is None],
-            agg_rules=[r for r in level_rules if r.agg is not None],
-        ))
-    return strata
+    return [Stratum.of(level, by_level[level]) for level in sorted(by_level)]
+
+
+def extend_strata(strata: list, rules: Iterable) -> Optional[list]:
+    """``stratify(old + rules)`` for engine rules (one head each), given
+    ``strata == stratify(old)``, or None when the new rules would move a
+    predicate already placed.
+
+    Each rule's head needs a level: its positive body predicates' levels,
+    and one more than a negated one's (any body predicate's, for an
+    aggregate rule); a predicate no rule defines is at level 0.  The old
+    levels still hold when the head is defined at that level or higher
+    (the rule joins its stratum), or when nothing defines or reads the
+    head yet (it starts at the level it needs); a read head that needs
+    level 0 joins stratum 0.  Anything else — a read head that must rise,
+    a head defined too low, a negative cycle — is None, for the caller to
+    run :func:`stratify`.  The cost is the new rules' literals times the
+    number of strata; the strata no rule joins are reused.
+    """
+    placed: dict[str, int] = {}     # the heads these rules define first
+    read: set = set()               # what these rules read
+
+    def level_of(pred: str) -> Optional[int]:
+        for stratum in strata:
+            if pred in stratum.preds:
+                return stratum.number
+        return placed.get(pred)
+
+    joining: dict[int, list] = {}
+    for rule in rules:
+        head = rule.head.pred
+        lift = rule.agg is not None
+        need = 0
+        for item in rule.body:
+            if not isinstance(item, Literal):
+                continue
+            negative = lift or item.negated
+            pred = item.atom.pred
+            if pred == head:
+                if negative:
+                    return None
+                continue
+            need = max(need, (level_of(pred) or 0) + negative)
+        level = level_of(head)
+        if level is None:
+            if need and (head in read or any(head in stratum.reads
+                                             for stratum in strata)):
+                return None
+            level = placed[head] = need
+        elif level < need:
+            return None
+        read |= rule.body_preds()
+        joining.setdefault(level, []).append(rule)
+    by_number = {stratum.number: stratum for stratum in strata}
+    return [Stratum.of(number, joining[number], by_number.get(number))
+            if number in joining else by_number[number]
+            for number in sorted(by_number.keys() | joining.keys())]

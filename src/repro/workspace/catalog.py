@@ -71,12 +71,15 @@ class Catalog:
 
     Inside a transaction of ``journal`` (the owning workspace's) every
     changed entry logs its prior value.  ``builtins`` (a registry with
-    ``lookup``) names what is never catalogued.
+    ``lookup``) names what is never catalogued.  ``added`` lists the
+    names in the order they were first catalogued (a rollback takes its
+    own back), so a reader that keeps its place in it sees only the new.
     """
 
     def __init__(self, journal: Optional[Journal] = None,
                  builtins=None) -> None:
         self._preds: dict[str, PredInfo] = {}
+        self.added: list[str] = []
         self.journal = journal if journal is not None else Journal()
         self.builtins = builtins
 
@@ -84,12 +87,15 @@ class Catalog:
         """An independent catalog with these entries and no journal."""
         copied = Catalog(builtins=self.builtins)
         copied._preds = dict(self._preds)
+        copied.added = list(self.added)
         return copied
 
     def _put(self, info: PredInfo) -> PredInfo:
         old = self._preds.get(info.name)
         self._preds[info.name] = info
         if old is None:
+            self.added.append(info.name)
+            self.journal.log(self.added.pop, -1)
             self.journal.log(self._preds.pop, info.name)
         else:
             self.journal.log(self._preds.update, {info.name: old})

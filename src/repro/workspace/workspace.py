@@ -19,7 +19,11 @@ section 3.3:
 * after every pass of the one maintenance loop ``active`` is compared
   with the compiled rules both ways: a new ``active(R)`` activates R —
   code generation — and a rule whose fact went, by whatever route, is
-  dropped with what it derived (bounded by ``max_activation_rounds``);
+  dropped with what it derived (bounded by ``max_activation_rounds``).
+  The strata are kept, not rebuilt: an activated rule extends them
+  (:func:`~repro.datalog.stratify.extend_strata`), a rule that would
+  move a placed predicate and a drop restratify in full, and a rollback
+  restores the strata it found;
 * schema constraints and meta-constraints are checked at commit; a
   violation rolls the whole transaction back and raises
   :class:`ConstraintViolation`, leaving an audit record.  Everything a
@@ -62,7 +66,7 @@ from ..datalog.errors import (
 from ..datalog.incremental import propagate_deletions
 from ..datalog.parser import parse_statements
 from ..datalog.runtime import EvalContext, eval_term, solve
-from ..datalog.stratify import stratify
+from ..datalog.stratify import extend_strata, stratify
 from ..datalog.terms import (
     Atom,
     BuiltinCall,
@@ -82,8 +86,6 @@ from .catalog import Catalog, ReflectedWriteError
 
 #: the meta-model's mirror of the catalog: relation -> columns (the name)
 _MIRROR = {"predicate": 1, "pname": 2}
-#: the relations the mirror also names, once they hold a row
-_MIRRORED = ALL_META_PREDS | {ACTIVE_PRED}
 
 
 def _literal_preds(items: Iterable) -> list:
@@ -172,7 +174,9 @@ class Workspace:
         #: the activated rules that call a volatile builtin, in activation
         #: order: kept as rules activate and drop (:meth:`_run_loop`)
         self._volatile: list[EngineRule] = []
-        self._strata: Optional[list] = None
+        #: ``stratify(self._all_engine_rules())``, kept as rules activate
+        #: (:func:`extend_strata`); None after a drop, until the next use
+        self._strata: Optional[list] = []
         #: every ref reflected here; its meta facts are asserted only into
         #: the Figure 1 relations something here has read (``_demanded``)
         self._reified: set[RuleRef] = set()
@@ -182,6 +186,10 @@ class Workspace:
         #: the names ``predicate`` / ``pname`` mirror from the catalog
         #: (:meth:`_sync_predicate_facts`)
         self._listed: set[str] = set()
+        #: how much of ``catalog.added`` the mirror has read, and the
+        #: relations ``_populated`` gained since it last read
+        self._cataloged = 0
+        self._unlisted: list[str] = []
         self._pending_template_refs: list[RuleRef] = []
         self._txn_depth = 0
         self._txn_fresh: FactSet = {}
@@ -553,7 +561,6 @@ class Workspace:
             # every later one nested, never committed and never checked.
             if self._txn_depth == 0:
                 self.journal.rollback()
-                self._strata = None
                 self._pending_template_refs = []
                 if isinstance(exc, ReflectedWriteError):
                     self.audit.append(AuditEvent("meta_write_refused", {
@@ -657,6 +664,9 @@ class Workspace:
             grown = relations - self._populated
             self._populated |= grown
             self.journal.log(self._populated.difference_update, grown)
+            self.journal.log(self._unlisted.__delitem__,
+                             slice(len(self._unlisted), None))
+            self._unlisted.extend(grown)
         for other in nested:
             self._ensure_reified(other)
         demanded = self._demanded
@@ -778,8 +788,22 @@ class Workspace:
 
     def _current_strata(self) -> list:
         if self._strata is None:
-            self._strata = stratify(self._all_engine_rules())
+            self._set_strata(stratify(self._all_engine_rules()))
         return self._strata
+
+    def _set_strata(self, strata: Optional[list]) -> None:
+        self._log_rebind("_strata")
+        self._strata = strata
+
+    def _stratify_activated(self, new_rules: list) -> None:
+        """Place rules just activated: in the strata kept so far when they
+        extend them, else by a full :func:`stratify` (which refuses a
+        negative cycle)."""
+        strata = self._strata
+        if strata is not None:
+            strata = extend_strata(strata, new_rules)
+        self._set_strata(strata if strata is not None
+                         else stratify(self._all_engine_rules()))
 
     def _sync_predicate_facts(self) -> None:
         """Mirror catalog-defined predicates into the meta-model.
@@ -788,20 +812,30 @@ class Workspace:
         predicate defined in the workspace (including predicate)".
         Reification covers predicates appearing in interned rules; this
         covers the ones only declarations or facts mention, plus the
-        populated meta relations themselves ("including predicate"): a
-        materialized one while it holds a row, any other once a reified
-        rule populates it.  A name joins :attr:`_listed` once and is
-        asserted only while ``predicate`` / ``pname`` are materialized
-        (:meth:`_read` backfills them from the list).
+        populated meta relations themselves ("including predicate"): the
+        mirror's own two, ``active`` once it holds a row, and a Figure 1
+        relation once a reified rule populates it.  A name joins
+        :attr:`_listed` once and is asserted only while ``predicate`` /
+        ``pname`` are materialized (:meth:`_read` backfills them from the
+        list).  What is new is read from the catalog's journaled
+        additions past :attr:`_cataloged` and from :attr:`_unlisted`, so
+        a commit pays for the names it added, not for every name.
         """
-        names = {*self.catalog.names(), *_MIRROR,
-                 *self._populated.difference(self._demanded)}
-        relations = self.db.relations
-        for meta_pred in _MIRRORED:
-            relation = relations.get(meta_pred)
+        new = set(_MIRROR) if not self._listed else set()
+        added = self.catalog.added
+        if len(added) > self._cataloged:
+            new.update(added[self._cataloged:])
+            self._log_rebind("_cataloged")
+            self._cataloged = len(added)
+        if self._unlisted:
+            new.update(self._unlisted)
+            self._log_rebind("_unlisted")
+            self._unlisted = []
+        if ACTIVE_PRED not in self._listed:
+            relation = self.db.relations.get(ACTIVE_PRED)
             if relation is not None and len(relation):
-                names.add(meta_pred)
-        new = names - self._listed
+                new.add(ACTIVE_PRED)
+        new -= self._listed
         if not new:
             return
         self._listed |= new
@@ -858,8 +892,7 @@ class Workspace:
             if new_rules:
                 # stratified now, not at the next propagation: a rule
                 # that derives nothing yet still refuses its own commit
-                self._strata = None
-                self._current_strata()
+                self._stratify_activated(new_rules)
             for engine_rule in new_rules:
                 if engine_rule.agg is None:
                     self._apply_in_full(engine_rule, fresh)
@@ -906,8 +939,7 @@ class Workspace:
         """The rules entering ``active`` and leaving it, among the refs of
         its ``moved`` rows.  Several entering at once activate in the
         iteration order of the set of every active ref, so a program
-        activates in one order however its rows arrived (a pass that
-        activates restratifies the whole program anyway)."""
+        activates in one order however its rows arrived."""
         entering: set = set()
         gone: set = set()
         values = self.db.interner.values
@@ -963,7 +995,7 @@ class Workspace:
         self._log_rebind("_activated")
         self._activated = dict(self._activated)
         dropped = [rule for ref in gone for rule in self._activated.pop(ref)]
-        self._strata = None
+        self._set_strata(None)
         dropped_ids = {id(rule) for rule in dropped}
         kept = [rule for rule in self._volatile
                 if id(rule) not in dropped_ids]

@@ -318,3 +318,60 @@ def transaction_streams(draw, max_transactions: int = 8
         min_size=1, max_size=max_transactions))
     return TransactionStream("".join(TXN_RULES[name] for name in rules),
                              tuple(first), tuple(transactions))
+
+
+# ---------------------------------------------------------------------------
+# Activation streams
+# ---------------------------------------------------------------------------
+
+#: Derived predicates (unary) and the EDB: ``s(X)`` and the edge ``e(X,Y)``.
+#: Only a rule defines a derived predicate, so a head is new until some
+#: rule reads or defines it.
+ACTIVATION_HEADS = ("a", "b", "c", "d")
+ACTIVATION_EDB = (("s", (1,)), ("s", (2,)), ("s", (3,)), ("e", (1, 2)),
+                  ("e", (2, 3)), ("e", (3, 1)))
+#: What an activation stream's workspace checks: ``s(99)`` violates it.
+ACTIVATION_CONSTRAINT = "small: s(X) -> X < 50."
+
+
+@st.composite
+def activation_rules(draw) -> str:
+    """A rule over the pool: a positive join, a negated literal, a
+    ``count`` aggregate, or recursion through ``e``; any body literal
+    may read a derived predicate at any stratum, the head's own too."""
+    head = draw(st.sampled_from(ACTIVATION_HEADS))
+    body = st.sampled_from(ACTIVATION_HEADS + ("s",))
+    shape = draw(st.sampled_from(("join", "negation", "count", "recursion")))
+    first = draw(body)
+    if shape == "join":
+        return f"{head}(X) <- {first}(X), {draw(body)}(X)."
+    if shape == "negation":
+        return f"{head}(X) <- {first}(X), !{draw(body)}(X)."
+    if shape == "count":
+        return f"{head}(N) <- agg<<N = count(X)>> {first}(X)."
+    return f"{head}(Y) <- {head}(X), e(X,Y), {first}(Y)."
+
+
+@dataclass(frozen=True)
+class ActivationStream:
+    """Steps on one workspace: ``("add", rule)`` activates (a negative
+    cycle refuses it), ``("deactivate", k)`` retracts the k-th rule
+    activated so far (modulo), ``("violate", rule)`` activates it in a
+    transaction whose constraint check then fails, and ``("assert",
+    pred, fact)`` adds an EDB fact."""
+
+    steps: tuple
+
+
+@st.composite
+def activation_streams(draw, max_steps: int = 12) -> ActivationStream:
+    rules = activation_rules()
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("add"), rules),
+        st.tuples(st.just("add"), rules),
+        st.tuples(st.just("deactivate"), st.integers(0, 20)),
+        st.tuples(st.just("violate"), rules),
+        st.sampled_from(ACTIVATION_EDB).map(
+            lambda fact: ("assert", *fact))),
+        min_size=1, max_size=max_steps))
+    return ActivationStream(tuple(steps))
