@@ -93,7 +93,7 @@ from typing import Any, Hashable, Optional
 from ..datalog.errors import ClusterError
 from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.socket_transport import SocketNetwork
-from ..net.transport import decode_value, encode_value
+from ..net.transport import decode_facts, encode_facts
 from .quiescence import RoundRecord, TicketLedger
 from .scheduler import (MODE_ASYNC, MODE_BSP, SCHEDULER_MODES,
                         ExecutionRuntime, RunReport)
@@ -177,8 +177,7 @@ def _encode_relations(sources: dict, spec: dict, registry) -> dict:
     """The spec's ``collect`` predicates as wire values, ``owner -> pred
     -> facts`` in a deterministic order; ``sources`` maps an owner (a
     principal, or ``""`` for a whole shard) to its ``tuples`` function."""
-    return {owner: {pred: [[encode_value(value, registry) for value in fact]
-                           for fact in sorted(tuples(pred), key=repr)]
+    return {owner: {pred: encode_facts(tuples(pred), registry)
                     for pred in spec.get("collect", ())}
             for owner, tuples in sources.items()}
 
@@ -670,8 +669,7 @@ class _Coordinator:
                 merged = report.relations.setdefault(owner, {})
                 for pred, facts in relations.items():
                     merged.setdefault(pred, set()).update(
-                        tuple(decode_value(value, registry) for value in fact)
-                        for fact in facts)
+                        decode_facts(facts, registry))
         if self.mode == MODE_ASYNC:
             # causal depth *is* the round quantity under overlap
             report.rounds = report.depth

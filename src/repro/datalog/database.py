@@ -34,7 +34,8 @@ from collections import Counter
 from typing import Any, Iterable, Iterator, Optional
 
 from .errors import IndexIntegrityError, TransactionError
-from .terms import PredPartition
+from .pretty import format_pattern
+from .terms import PatternValue, PredPartition
 
 #: When set, an object with integer counter attributes (an
 #: :class:`repro.datalog.stats.EvalStats`) that the storage layer
@@ -64,8 +65,11 @@ def _term_key(value: Any) -> Any:
     A bool or a float is keyed with its type, so ``True``, ``1`` and
     ``1.0`` are three facts; a float by its exact bits (``-0.0`` is not
     ``0.0``, every NaN is one).  Tuples and partition names are typed
-    inside.  Any other value (ints, strings, rules, bytes) is its own key:
-    Python equality already keeps it apart from every other type's.
+    inside, and a quoted pattern is keyed by its text (its constants
+    compare as Python values, so ``[| p(0). |]`` would equal
+    ``[| p(false). |]``).  Any other value (ints, strings, rules, bytes)
+    is its own key: Python equality already keeps it apart from every
+    other type's.
     """
     kind = type(value)
     if kind is float:
@@ -76,11 +80,13 @@ def _term_key(value: Any) -> Any:
         return (tuple, tuple([_term_key(item) for item in value]))
     if kind is PredPartition:
         return (PredPartition, value.pred, _term_key(value.keys))
+    if kind is PatternValue:
+        return (PatternValue, format_pattern(value.pattern))
     return value
 
 
 #: The types :func:`_term_key` keys with their type.
-_TYPED = frozenset((float, bool, tuple, PredPartition))
+_TYPED = frozenset((float, bool, tuple, PredPartition, PatternValue))
 
 
 class TermInterner:

@@ -550,6 +550,10 @@ def parse_constraint(source: str) -> Constraint:
                       source.strip())
 
 
+#: :func:`parse_atom`'s message for text that goes on past a whole atom.
+TRAILING_ATOM_INPUT = "trailing input after atom"
+
+
 def parse_atom(source: str) -> Atom:
     """Parse a single atom, e.g. ``"access(P,O,read)"``."""
     try:
@@ -561,7 +565,7 @@ def parse_atom(source: str) -> Atom:
             raise
         raise enriched from None
     if parser.peek().kind != "EOF":
-        raise ParseError("trailing input after atom")
+        raise ParseError(TRAILING_ATOM_INPUT)
     return atom
 
 

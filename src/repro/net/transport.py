@@ -15,6 +15,17 @@ tagged-JSON format:
   LBTrust systems, other processes) with no digest and no per-link
   state: a receiver parses each distinct rule once and hits from then on.
 
+**One value rule** holds on every wire — a batch dictionary entry, a
+served fact or answer, a row on the cluster launcher's result pipe: a
+value of exact type ``str``, ``int``, ``float`` or ``bool`` travels as
+its bare JSON scalar (JSON keeps ``1``, ``1.0``, ``true`` and ``"1"``
+apart), anything else as :func:`encode_value`'s tagged object
+(``{"t": "rule", "v": text}`` and so on).  :func:`encode_entry` applies
+it to one dictionary entry, :func:`encode_facts` / :func:`decode_facts`
+to a list of fact rows; a decoder checks a whole list at once and hands
+only tagged objects to :func:`decode_value`, which still reads every
+tagged scalar an older peer sends.
+
 Facts travel in **one** envelope, the packed batch
 (:func:`encode_batch_message_dict` is its canonical encoder,
 :class:`Batch` its decoded form); :func:`decode_batch_message` accepts
@@ -175,6 +186,34 @@ def encode_entry(value: Any, registry) -> str:
     if type(value) not in _BARE:
         value = encode_value(value, registry)
     return _compact(value)
+
+
+def encode_facts(facts: Iterable[tuple], registry) -> list:
+    """Answer rows for a serve reply or the launcher's result pipe:
+    sorted by ``repr``, each value by :func:`encode_entry`'s rule (a
+    JSON-native scalar bare, anything else tagged)."""
+    rows = sorted(facts, key=repr)
+    if set(map(type, chain.from_iterable(rows))) <= _BARE:
+        return list(map(list, rows))
+    return [[value if type(value) in _BARE else encode_value(value, registry)
+             for value in row] for row in rows]
+
+
+def decode_facts(rows: Any, registry) -> list:
+    """The fact tuples :func:`encode_facts` encoded (the all-tagged form
+    older peers send decodes too), or :class:`NetworkError` for anything
+    but a list of lists of bare scalars and tagged objects.  Checked, like
+    a batch dictionary, in whole-list passes: rows of bare scalars only
+    are taken as they are; otherwise only tagged objects are decoded."""
+    if type(rows) is not list or set(map(type, rows)) - {list}:
+        raise NetworkError("malformed facts: not a list of lists")
+    kinds = set(map(type, chain.from_iterable(rows)))
+    if kinds <= _BARE:
+        return list(map(tuple, rows))
+    if kinds - _BARE - {dict}:
+        raise NetworkError("malformed fact value")
+    return [tuple([decode_value(value, registry) if type(value) is dict
+                   else value for value in row]) for row in rows]
 
 
 def encode_batch_message_compressed(name_texts: Iterable[str],
@@ -374,7 +413,7 @@ def encode_request_frame(request_id: int, op: str,
     """Serialize one serve-plane request: an operation plus its body.
 
     ``body`` must already be JSON-safe — fact values travel through
-    :func:`encode_value` at the serve layer, which owns the registry.
+    :func:`encode_facts` at the serve layer, which owns the registry.
     """
     payload = {"kind": REQUEST_KIND, "id": int(request_id), "op": op,
                "body": body if body is not None else {}}

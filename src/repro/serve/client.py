@@ -28,10 +28,10 @@ from typing import Optional
 from ..datalog.errors import ServeError
 from ..meta.registry import RuleRegistry
 from ..net.transport import (
+    decode_facts,
     decode_reply_frame,
-    decode_value,
+    encode_facts,
     encode_request_frame,
-    encode_value,
     frame_kind,
 )
 
@@ -84,8 +84,9 @@ class ServeClient:
 
     ``principal`` is the default workspace updates and queries address;
     every call accepts a ``principal=`` override.  Values cross the wire
-    through the tagged-value codec; the client re-parses rule payloads
-    into its own registry, so it works against a foreign system.
+    by the one value rule (:func:`~repro.net.transport.encode_facts`:
+    JSON scalars bare, anything else tagged); the client re-parses rule
+    payloads into its own registry, so it works against a foreign system.
     """
 
     def __init__(self, network, name: str, server: str = "server",
@@ -137,8 +138,7 @@ class ServeClient:
               principal: Optional[str] = None) -> list[tuple]:
         body = self.call("query", {"principal": principal or self.principal,
                                    "query": source})
-        return [tuple(decode_value(v, self.registry) for v in fact)
-                for fact in body["answers"]]
+        return decode_facts(body.get("answers"), self.registry)
 
     def stats(self, principal: Optional[str] = None) -> dict:
         return self.call("stats",
@@ -180,7 +180,7 @@ class ServeClient:
     def _update_body(self, pred: str, fact: tuple,
                      principal: Optional[str]) -> dict:
         return {"principal": principal or self.principal, "pred": pred,
-                "fact": [encode_value(v, self.registry) for v in fact]}
+                "fact": encode_facts([fact], self.registry)[0]}
 
     def _await_reply(self) -> bytes:
         if self.router is not None:

@@ -29,10 +29,10 @@ from typing import Optional
 
 from ..datalog.errors import NetworkError, ReproError, ServeError
 from ..net.transport import (
+    decode_facts,
     decode_request_frame,
-    decode_value,
+    encode_facts,
     encode_reply_frame,
-    encode_value,
     request_frame_id,
 )
 
@@ -200,11 +200,8 @@ class TrustServer:
         source = body.get("query")
         if not isinstance(source, str):
             raise ServeError("query needs an atom string")
-        answers = workspace.point_query(source)
-        registry = self.system.registry
-        encoded = [[encode_value(value, registry) for value in fact]
-                   for fact in sorted(answers, key=repr)]
-        return {"answers": encoded}
+        return {"answers": encode_facts(workspace.point_query(source),
+                                        self.system.registry)}
 
     def _principal(self, body: dict):
         name = body.get("principal")
@@ -218,8 +215,7 @@ class TrustServer:
         fact = body.get("fact")
         if not isinstance(pred, str) or not isinstance(fact, list):
             raise ServeError("update needs a pred and a fact list")
-        registry = self.system.registry
-        return principal, pred, tuple(decode_value(v, registry) for v in fact)
+        return principal, pred, decode_facts([fact], self.system.registry)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TrustServer(node={self.node!r}, "

@@ -61,10 +61,11 @@ from ..datalog.engine import (
 from ..datalog.errors import (
     ActivationLimitError,
     ConstraintViolation,
+    ParseError,
     WorkspaceError,
 )
 from ..datalog.incremental import propagate_deletions
-from ..datalog.parser import parse_statements
+from ..datalog.parser import TRAILING_ATOM_INPUT, parse_atom, parse_statements
 from ..datalog.runtime import EvalContext, eval_term, solve
 from ..datalog.stratify import extend_strata, stratify
 from ..datalog.terms import (
@@ -466,14 +467,19 @@ class Workspace:
 
         Inside an open transaction it reads what :meth:`tuples` reads: the
         facts asserted so far, not yet their consequences.  An atom whose
-        arity disagrees with the catalog is a :class:`WorkspaceError`.
+        arity disagrees with the catalog is a :class:`WorkspaceError`, and
+        so is text that goes on past one atom (a trailing ``.`` aside); text
+        that does not start with an atom is the parser's
+        :class:`ParseError`.
         """
         if isinstance(query, str):
-            statements = parse_statements(f"{query.rstrip().rstrip('.')}.")
-            if len(statements) != 1 or not isinstance(statements[0], Rule) \
-                    or not statements[0].is_fact():
-                raise WorkspaceError("point_query expects a single atom")
-            atom = statements[0].heads[0]
+            try:
+                atom = parse_atom(query.rstrip().rstrip("."))
+            except ParseError as exc:
+                if exc.base_message != TRAILING_ATOM_INPUT:
+                    raise
+                raise WorkspaceError(
+                    "point_query expects a single atom") from None
         else:
             atom = query
         from ..meta.quote import resolve_me_rule

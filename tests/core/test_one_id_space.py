@@ -27,7 +27,9 @@ from repro.cluster.launch import (
     system_spec,
 )
 from repro.datalog.errors import BuiltinError
-from repro.datalog.terms import PredPartition, RuleRef
+from repro.datalog.parser import parse_term
+from repro.datalog.pretty import format_pattern
+from repro.datalog.terms import PatternValue, PredPartition, RuleRef
 from repro.net import batch as batch_module
 from repro.net.transport import encode_entry
 
@@ -132,6 +134,23 @@ class TestSpelling:
         bob.assert_fact("q", (77,))
         [(read,)] = bob.tuples("q")
         assert read == 77 and type(read) is int
+
+    def test_a_quoted_patterns_constants_keep_their_type(self):
+        # A pattern's constants compare as Python values, so keyed by
+        # equality [| q(false). |] was the id of an earlier [| q(0). |]
+        # and read back as it.
+        system = LBTrustSystem(auth="plaintext")
+        alice = system.create_principal("alice")
+        spellings = ("0", "false", "0.0", "-0.0", '"0"')
+        patterns = [parse_term(f"[| q({text}). |]").pattern
+                    for text in spellings]
+        for pattern in patterns:
+            alice.assert_fact("held", (PatternValue(pattern),))
+        # read as id rows: a value-level set would hold them as one
+        values = system.registry.terms.values
+        held = [values[i] for (i,) in alice.workspace.db.rel("held").rows]
+        assert sorted(format_pattern(value.pattern) for value in held) == \
+            sorted(f"q({text})." for text in spellings)
 
     def test_a_lone_principals_true_is_a_bool(self):
         system = LBTrustSystem(auth="plaintext")

@@ -21,7 +21,7 @@ as the start of a comment.  The same rules hold the one-walk
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.errors import ParseError, SafetyError
@@ -43,6 +43,7 @@ from repro.datalog.terms import (
     Quote,
     Rule,
     RulePattern,
+    RuleRef,
     Star,
     StarLits,
     Variable,
@@ -55,6 +56,8 @@ from repro.net.transport import (
     decode_value,
     encode_batch_message,
     encode_batch_message_dict,
+    encode_entry,
+    encode_facts,
     encode_reply_frame,
     encode_request_frame,
     encode_value,
@@ -480,8 +483,87 @@ class TestBatchRoundtrip:
         assert sink.blob == expected
 
 
+# Every value kind a workspace holds: the codec's scalars, bytes, nested
+# tuples and partition terms, quoted patterns, and rules (interned into
+# the sending side's registry when drawn, see TestServedRoundtrip).
+marker_rules = pattern_constants.map(
+    lambda constant: Rule((Atom("marker", (Constant(constant),)),)))
+engine_values = st.one_of(
+    st.sampled_from([1, 1.0, True, "1", -0.0, 0.0, 0, False, b"1"]),
+    values, pattern_values, marker_rules)
+
+
+def entry_text(encoded):
+    """The compact JSON text :func:`encode_entry` writes."""
+    return json.dumps(encoded, separators=(",", ":"))
+
+
+def spelling(value, registry):
+    """``value`` as its type and its text, all the way down: ``repr``
+    for scalars (``1`` / ``1.0`` / ``True`` / ``'1'`` apart), canonical
+    text for rules and patterns (each side has its own registry)."""
+    if isinstance(value, RuleRef):
+        return "rule", registry.canonical_text(value)
+    if isinstance(value, PatternValue):
+        from repro.datalog.pretty import format_pattern
+
+        return "pattern", format_pattern(value.pattern)
+    if isinstance(value, PredPartition):
+        return "part", value.pred, spelling(value.keys, registry)
+    if isinstance(value, tuple):
+        return "tuple", tuple(spelling(item, registry) for item in value)
+    return type(value).__name__, repr(value)
+
+
+@pytest.fixture(scope="module")
+def served():
+    """One server (the system's registry) and one client (its own)."""
+    from repro.core.system import LBTrustSystem
+    from repro.net.network import SimulatedNetwork
+    from repro.serve import ServeClient, ServeRouter, TrustServer
+
+    system = LBTrustSystem(auth="plaintext", seed=1)
+    system.create_principal("srv")
+    network = SimulatedNetwork()
+    server = TrustServer(system, network)
+    client = ServeClient(network, "c1", router=ServeRouter(network, server))
+    client.connect()
+    return system, client
+
+
+class TestServedRoundtrip:
+    @given(drawn=st.tuples(engine_values, engine_values))
+    @example(drawn=(1, 1.0))
+    @example(drawn=(True, "1"))
+    @example(drawn=(b"1", (1, (1.0, True), "1")))
+    @settings(max_examples=150, deadline=None)
+    def test_a_served_assert_reads_back_as_it_was(self, served, drawn):
+        """A value asserted through the serve plane and read back by a
+        query is the value sent — same type, same spelling — and every
+        value on either frame is what a batch dictionary holds for it."""
+        system, client = served
+        fact = tuple(client.registry.intern(value) if isinstance(value, Rule)
+                     else value for value in drawn)
+        sent = [encode_entry(value, client.registry) for value in fact]
+        (request_row,) = encode_facts([fact], client.registry)
+        assert list(map(entry_text, request_row)) == sent
+        client.assert_fact("held", fact)
+        try:
+            reply = client.call("query", {"principal": "srv",
+                                          "query": "held(X,Y)"})
+            (row,) = reply["answers"]
+            (held,) = system.principal("srv").tuples("held")
+            assert list(map(entry_text, row)) == sent == \
+                [encode_entry(value, system.registry) for value in held]
+            (answer,) = client.query("held(X,Y)", principal="srv")
+            assert spelling(answer, client.registry) == \
+                spelling(fact, client.registry)
+        finally:
+            client.retract_fact("held", fact)
+
+
 # JSON-safe request/reply bodies: the serve layer runs fact values through
-# encode_value before they reach the frame codec, so the frame property
+# encode_facts before they reach the frame codec, so the frame property
 # quantifies over arbitrary JSON objects, not tagged values.
 json_scalars = st.one_of(
     st.none(),

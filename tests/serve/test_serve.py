@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.core.system import LBTrustSystem
-from repro.datalog.errors import ServeError
+from repro.datalog.errors import NetworkError, ServeError
 from repro.net.network import SimulatedNetwork
 from repro.net.socket_transport import SocketNetwork
 from repro.net.transport import decode_reply_frame, encode_request_frame
@@ -257,20 +257,36 @@ class TestProtocol:
         assert client.call("stats", {"principal": "srv"})["terms"] == grown
 
     @pytest.mark.parametrize("value", [
-        5, {"t": "int"}, {"t": "rule", "v": 123}, {"t": "pattern", "v": 7},
+        None, [], {"v": 1}, {"t": "int"}, {"t": "rule", "v": 123},
+        {"t": "pattern", "v": 7},
         {"t": "list", "v": 5}, {"t": "part", "p": "x", "k": 5},
         {"t": "rule", "v": ["p(1)."]}, {"t": "rule", "v": "p(X) -> q(X)."},
         {"t": "bytes", "v": "zz"},
     ])
     def test_malformed_fact_values_fail_closed(self, harness, value):
         # Regression: each of these reached last_unexpected_error as a
-        # raw AttributeError / KeyError / TypeError / ValueError.
+        # raw AttributeError / KeyError / TypeError / ValueError.  A bare
+        # JSON scalar is a value (5 is the int 5); null, a bare list and
+        # an object without "t" are not.
         client = harness.client("c1")
         with pytest.raises(ServeError, match="^NetworkError: "):
             client.call("assert", {"principal": "srv", "pred": "good",
                                    "fact": [value]})
         assert harness.server.last_unexpected_error == ""
         assert isinstance(client.ping(), float)
+
+    @pytest.mark.parametrize("body", [
+        {}, {"answers": None}, {"answers": 5}, {"answers": {"x": 1}},
+        {"answers": [1, 2]}, {"answers": [None]}, {"answers": [[None]]},
+        {"answers": [["a", None]]}, {"answers": [[[1]]]},
+        {"answers": [["a", {"t": "int"}]]}, {"answers": [[{"v": 1}]]},
+    ])
+    def test_a_malformed_reply_fails_closed_at_the_client(self, harness,
+                                                          body, monkeypatch):
+        client = harness.client("c1")
+        monkeypatch.setattr(client, "call", lambda op, request=None: body)
+        with pytest.raises(NetworkError):
+            client.query("good(X)")
 
     def test_a_fact_of_another_arity_is_refused(self, harness):
         # The served principal's first `zz` fact declares it; a second

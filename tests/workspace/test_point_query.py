@@ -9,7 +9,7 @@ on the bound columns, with nothing derived on the request path.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datalog.errors import WorkspaceError
+from repro.datalog.errors import ParseError, WorkspaceError
 from repro.workspace.workspace import Workspace
 
 POLICY = """
@@ -71,6 +71,24 @@ class TestAnswersMatchFixpoint:
         workspace = build()
         with pytest.raises(WorkspaceError):
             workspace.point_query("a(X) <- b(X)")
+
+    @pytest.mark.parametrize("query", [
+        "reach(1,Y), reach(Y,Z)", "reach(1,Y). reach(2,Y)",
+        "reach(1,Y); reach(2,Y)", "reach(X,Y) -> object(X)",
+    ])
+    def test_text_past_one_atom_is_not_answered(self, query):
+        # The atom is parsed on its own: a conjunction used to be read as
+        # one fact with two heads and answered for the first.
+        workspace = build()
+        with pytest.raises(WorkspaceError, match="expects a single atom"):
+            workspace.point_query(query)
+
+    @pytest.mark.parametrize("query", ["reach(\u00b2,Y)", "!reach(1,Y)",
+                                       "reach(1,", "X = 1", ""])
+    def test_text_that_is_no_atom_is_a_parse_error(self, query):
+        workspace = build()
+        with pytest.raises(ParseError):
+            workspace.point_query(query)
 
     def test_me_resolves_to_the_owner(self):
         workspace = Workspace("alice")
