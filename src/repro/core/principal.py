@@ -37,7 +37,7 @@ class Principal:
         self.workspace = Workspace(
             name,
             registry=system.registry,
-            builtins=system.make_builtins(),
+            builtins=system.builtins,
             enable_provenance=system.enable_provenance,
         )
         self.keystore = KeyStore()

@@ -43,12 +43,10 @@ from ..cluster.partition import PlacementMap
 from ..cluster.scheduler import (MODE_BSP, ExecutionRuntime, NodeReport,
                                  RunReport)
 from ..crypto.datalog_builtins import register_crypto_builtins
-from ..datalog.builtins import BuiltinRegistry, standard_registry
+from ..datalog.builtins import standard_registry
 from ..datalog.errors import (ActivationLimitError, BuiltinError,
                               ConstraintViolation, CryptoError, SafetyError,
                               StratificationError, WorkspaceError)
-from ..datalog.parser import parse_statements
-from ..datalog.terms import Constraint, Rule
 from ..meta.registry import RuleRegistry
 from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.network import SimulatedNetwork
@@ -224,6 +222,12 @@ class LBTrustSystem:
                  max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
                  mode: str = MODE_BSP) -> None:
         self.registry = RuleRegistry()
+        #: the one builtins registry every principal's workspace shares
+        #: (the crypto builtins find a principal's keys through the
+        #: workspace they run in), so an image checked or compiled for
+        #: one principal serves the next
+        self.builtins = standard_registry().child()
+        register_crypto_builtins(self.builtins)
         self.network = network if network is not None else SimulatedNetwork()
         self.max_batch_bytes = max_batch_bytes
         self.principals: dict[str, Principal] = {}
@@ -244,11 +248,6 @@ class LBTrustSystem:
     # ------------------------------------------------------------------
     # Principals
     # ------------------------------------------------------------------
-
-    def make_builtins(self) -> BuiltinRegistry:
-        registry = standard_registry().child()
-        register_crypto_builtins(registry)
-        return registry
 
     def create_principal(self, name: str, node: Optional[str] = None) -> Principal:
         """Add a principal; provisions keys and installs all machinery."""
@@ -301,7 +300,7 @@ class LBTrustSystem:
         leaves the principal, bookkeeping included, as it was."""
         definition = self._scheme
         workspace = principal.workspace
-        refs, labels = [], []
+        labels = []
         with workspace.transaction():
             for label in principal.scheme_constraint_labels:
                 workspace.remove_constraints(label)
@@ -309,14 +308,12 @@ class LBTrustSystem:
                 workspace.deactivate_rule(ref)
             workspace._remove_rows("export",
                                    set(workspace._edb_facts("export")))
-            for statement in parse_statements(definition.exp1_text):
-                if isinstance(statement, Rule):
-                    refs.append(workspace.add_rule(statement))
-            for statement in parse_statements(definition.exp3_text or ""):
-                if isinstance(statement, Constraint):
-                    workspace.add_constraint(statement)
-                    if statement.label:
-                        labels.append(statement.label)
+            refs = workspace.add_rules(self.registry.image(
+                definition.exp1_text))
+            if definition.exp3_text:
+                workspace.add_constraint(definition.exp3_text)
+                labels = [statement.label for statement in self.registry.image(
+                    definition.exp3_text).statements if statement.label]
             definition.provision(self, principal, self.rng)
         principal.scheme_rule_refs = refs
         principal.scheme_constraint_labels = labels
@@ -336,12 +333,49 @@ class LBTrustSystem:
         policy state, and the next :meth:`run` re-signs and re-delivers
         everything under the new scheme — received knowledge reconverges.
         """
-        self._scheme = scheme(auth)
-        self.auth_name = auth
-        for principal in self.principals.values():
-            self._install_scheme(principal)
+        previous = self._scheme, self.auth_name
+        self._scheme, self.auth_name = scheme(auth), auth
+        switched: list[Principal] = []
+        try:
+            for principal in self.principals.values():
+                self._install_scheme(principal)
+                switched.append(principal)
+        except Exception as refused:
+            self._switch_back(previous, switched, refused)
+            raise
         # Everything re-exports under the new regime.
         self._sent.clear()
+
+    def _switch_back(self, previous: tuple, switched: list,
+                     refused: Exception) -> None:
+        """Undo a swap that ``refused`` stopped: the system's scheme and
+        name go back to ``previous`` and every principal of ``switched``
+        is reinstalled under it (the one that failed is as it was: each
+        install is one transaction).  Going back flushed what they had
+        received, so the rows shipped to them are shipped again at the
+        next run.  A principal whose reinstall fails too is left under
+        the new scheme (its ``auth_scheme`` says so), the others are
+        still put back, and ``refused`` is raised from that failure."""
+        self._scheme, self.auth_name = previous
+        self._forget_sent_to({principal.name for principal in switched})
+        stuck = None
+        for principal in switched:
+            try:
+                self._install_scheme(principal)
+            except Exception as failure:
+                stuck = stuck or failure
+        if stuck is not None:
+            raise refused from stuck
+
+    def _forget_sent_to(self, names: set) -> None:
+        """Drop from :attr:`_sent` the rows addressed to ``names`` (a
+        row's destination is its first column, as in
+        :meth:`WorkspaceNode.drain_outbox`)."""
+        values = self.registry.terms.values
+        for sent in self._sent.values():
+            for pred, rows in sent.items():
+                sent[pred] = {row for row in rows
+                              if values[row[0]] not in names}
 
     # ------------------------------------------------------------------
     # The global fixpoint

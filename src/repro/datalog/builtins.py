@@ -57,6 +57,9 @@ class BuiltinRegistry:
     def __init__(self, parent: Optional["BuiltinRegistry"] = None) -> None:
         self._defs: dict[str, BuiltinDef] = {}
         self._parent = parent
+        #: registrations so far: with the parents', what a compile or a
+        #: static check made under this registry depends on
+        self._version = 0
 
     def register(self, name: str, mode: str, func: Callable[..., Any],
                  needs_context: bool = False,
@@ -65,7 +68,18 @@ class BuiltinRegistry:
             raise BuiltinError(f"bad mode string {mode!r} for builtin {name!r}")
         definition = BuiltinDef(name, mode, func, needs_context, volatile)
         self._defs[name] = definition
+        self._version += 1
         return definition
+
+    def signature(self) -> tuple:
+        """This registry and its parents, each with its registration
+        count: equal signatures look every name up alike, so a result
+        cached under one (a gate report, a compiled rule) holds under the
+        other."""
+        signature: tuple = (self, self._version)
+        if self._parent is not None:
+            signature += self._parent.signature()
+        return signature
 
     def lookup(self, name: str) -> Optional[BuiltinDef]:
         definition = self._defs.get(name)

@@ -184,14 +184,17 @@ def install_pull(workspace_or_principal) -> None:
 # ---------------------------------------------------------------------------
 
 def register_factsmatching(workspace: Workspace) -> None:
+    """Register ``factsmatching`` at ``workspace`` alone: into a registry
+    of its own, since a system's principals share one."""
     if "factsmatching" in workspace.builtins:
         return
 
     def bi_factsmatching(ws, requested):
         return list(_facts_matching(ws, requested))
 
-    workspace.builtins.register("factsmatching", "io", bi_factsmatching,
-                                needs_context=True, volatile=True)
+    workspace.own_builtins().register("factsmatching", "io",
+                                      bi_factsmatching, needs_context=True,
+                                      volatile=True)
 
 
 def _facts_matching(workspace: Workspace, requested):

@@ -24,7 +24,14 @@ LogicBlox instance).  It provides:
 * **template instantiation** — code generation: a head-position quote plus
   bindings becomes a new interned rule (paper section 3.3: "if the
   evaluation of a rule puts new facts into the meta-model, then those new
-  facts turn into a new rule which must itself be evaluated").
+  facts turn into a new rule which must itself be evaluated");
+* **program images** — one :class:`~repro.meta.image.ProgramImage` per
+  program text its workspaces have installed (:meth:`image`,
+  :meth:`keep`, a bounded table): the text parsed once, the gate's last
+  report with the catalog it was checked against;
+* **compiled rules** — :meth:`RuleRegistry.compiled`, a ref's rule
+  compiled and checked safe once per builtins registry for every
+  workspace that activates it, kept with the ref's other derived data.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from ..datalog.database import TermInterner
 from ..datalog.errors import ReproError, SafetyError, WorkspaceError
 from ..datalog.parser import parse_statements
 from ..datalog.pretty import canonical_rule
+from ..datalog.runtime import check_rule_safety
 from ..datalog.terms import (
     Atom,
     AtomPattern,
@@ -55,7 +63,8 @@ from ..datalog.terms import (
     Term,
     Variable,
 )
-from .quote import resolve_me_rule
+from .image import MAX_IMAGES, ProgramImage
+from .quote import compile_rule, resolve_me_rule
 
 MetaFact = tuple  # (pred_name, fact_tuple)
 
@@ -72,6 +81,8 @@ class InternedRule:
     relations: frozenset = frozenset()
     #: the other refs ``meta_facts`` name, reified together with this one
     nested: tuple = ()
+    #: builtins signature -> the rule compiled and checked safe under it
+    compiled: dict = field(default_factory=dict)
 
 
 class RuleRegistry:
@@ -86,6 +97,26 @@ class RuleRegistry:
         self._relation_sets: dict[frozenset, frozenset] = {}
         self._next_id = 1
         self.terms = TermInterner()
+        #: source text -> the image of a text installed here (:meth:`keep`)
+        self._images: dict[str, ProgramImage] = {}
+
+    # -- program images -----------------------------------------------------
+
+    def image(self, source: str) -> ProgramImage:
+        """The image of a program text: the kept one, or a new parse (the
+        parser's ``ParseError`` for text it refuses)."""
+        image = self._images.get(source)
+        if image is None:
+            image = ProgramImage(source, parse_statements(source))
+        return image
+
+    def keep(self, image: ProgramImage) -> None:
+        """Keep ``image``, whose install just succeeded, for the next
+        install of its text (past :data:`MAX_IMAGES`, the oldest goes)."""
+        if image.source not in self._images:
+            if len(self._images) >= MAX_IMAGES:
+                del self._images[next(iter(self._images))]
+            self._images[image.source] = image
 
     # -- interning ----------------------------------------------------------
 
@@ -140,6 +171,22 @@ class RuleRegistry:
 
     def rule_of(self, ref: RuleRef) -> Rule:
         return self._entry(ref).rule
+
+    def compiled(self, ref: RuleRef, builtins) -> Rule:
+        """``ref``'s rule compiled under ``builtins`` and checked safe
+        (``SafetyError`` if it is not): made at the first workspace to
+        activate it and read by the rest.  Each workspace normalizes it
+        into engine rules of its own, so a plan is ordered against the
+        relations of the workspace it runs in."""
+        entry = self._entry(ref)
+        signature = builtins.signature()
+        compiled = entry.compiled.get(signature)
+        if compiled is None:
+            compiled = compile_rule(entry.rule, principal=None,
+                                    builtins=builtins)
+            check_rule_safety(compiled, builtins)
+            entry.compiled[signature] = compiled
+        return compiled
 
     def canonical_text(self, ref: RuleRef) -> str:
         """The canonical bytes-source for signing and wire transfer."""

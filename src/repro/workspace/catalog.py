@@ -90,6 +90,14 @@ class Catalog:
         copied.added = list(self.added)
         return copied
 
+    def entries(self) -> dict:
+        """Name → entry, a copy: everything a static check reads here."""
+        return dict(self._preds)
+
+    def matches(self, entries: dict) -> bool:
+        """True when this catalog holds exactly ``entries``."""
+        return self._preds == entries
+
     def _put(self, info: PredInfo) -> PredInfo:
         old = self._preds.get(info.name)
         self._preds[info.name] = info

@@ -16,6 +16,12 @@ section 3.3:
   into the local meta-model relations (Figure 1) on demand: a relation is
   materialized once something here reads it — a rule body, a constraint,
   a query — and maintained from then on;
+* a program text is installed from the registry's image of it
+  (:mod:`repro.meta.image`): parsed once per system, its gate verdict
+  reused under an equal catalog, and each ref compiled once for every
+  workspace that activates it.  What an install leaves here — catalog
+  entries, constraints, ``active`` rows, engine rules and their plans,
+  ``last_check``, audit — is this workspace's own;
 * after every pass of the one maintenance loop ``active`` is compared
   with the compiled rules both ways: a new ``active(R)`` activates R —
   code generation — and a rule whose fact went, by whatever route, is
@@ -81,7 +87,8 @@ from ..datalog.terms import (
     Variable,
 )
 from ..meta.model import ACTIVE_PRED, ALL_META_PREDS
-from ..meta.quote import compile_constraint, compile_rule
+from ..meta.image import ProgramImage
+from ..meta.quote import compile_constraint, compile_rule, resolve_me_rule
 from ..meta.registry import RuleRegistry
 from .catalog import Catalog, ReflectedWriteError
 
@@ -209,6 +216,15 @@ class Workspace:
         #: the engine counters: the context's, where the engine counts
         self.stats = self.context.stats
 
+    def own_builtins(self) -> BuiltinRegistry:
+        """Take a builtins registry of this workspace's own: a child of
+        the one it shares (a system's principals share one), so what is
+        registered into it is seen here only — and so are the gate
+        reports and compiled rules the system keeps for it."""
+        self.builtins = self.builtins.child()
+        self.catalog.builtins = self.context.builtins = self.builtins
+        return self.builtins
+
     # ------------------------------------------------------------------
     # Public API: loading programs
     # ------------------------------------------------------------------
@@ -221,14 +237,19 @@ class Workspace:
         the engine itself would raise (``SafetyError``,
         ``StratificationError``, ``WorkspaceError``); warnings and infos
         land in :attr:`last_check` and, for warnings, the audit log.
+        The text's parse and verdict come from the system's image of it
+        (:class:`~repro.meta.image.ProgramImage`): a text another
+        workspace installed is not parsed again, nor checked again
+        against a catalog equal to the one it was checked against.
         """
-        statements = parse_statements(source)
-        self._static_check(statements, source)
+        image = self.registry.image(source)
+        self._static_check(image)
         with self.transaction():
-            for statement in statements:
+            for statement in image.statements:
                 self._install(statement)
+        self.registry.keep(image)
 
-    def _static_check(self, statements: list, source: str) -> None:
+    def _static_check(self, image: ProgramImage) -> None:
         from ..analysis.diagnostics import WARNING
         from ..analysis.pipeline import (
             GATE_PASSES,
@@ -236,15 +257,21 @@ class Workspace:
             raise_for_errors,
         )
 
-        suppressed: list = []
-        report = analyze_statements(statements, source=source,
-                                    builtins=self.builtins,
-                                    catalog=self.catalog.copy(),
-                                    passes=GATE_PASSES,
-                                    collect_suppressed=suppressed)
+        checked = image.report(self.builtins, self.catalog)
+        if checked is None:
+            suppressed: list = []
+            report = analyze_statements(image.statements,
+                                        source=image.source,
+                                        builtins=self.builtins,
+                                        catalog=self.catalog.copy(),
+                                        passes=GATE_PASSES,
+                                        collect_suppressed=suppressed)
+            checked = image.keep_report(self.builtins, self.catalog, report,
+                                        suppressed)
+        report, suppressed = checked
         raise_for_errors(report)
-        self.last_check = report
-        self.last_check_suppressed = suppressed
+        self.last_check = list(report)
+        self.last_check_suppressed = list(suppressed)
         warnings = [d for d in report if d.severity == WARNING]
         if warnings:
             self.audit.append(AuditEvent("static_check_warnings", {
@@ -266,19 +293,13 @@ class Workspace:
             raise WorkspaceError(f"cannot install {statement!r}")
 
     def add_rule(self, rule: Union[str, Rule]) -> RuleRef:
-        """Intern and activate a rule in this context."""
+        """Intern and activate a rule in this context (every rule of a
+        text, in one transaction; the last one's ref is returned)."""
         if isinstance(rule, str):
-            statements = parse_statements(rule)
-            if not statements:
+            image = self.registry.image(rule)
+            if not image.statements:
                 raise WorkspaceError("add_rule expects at least one rule")
-            refs = []
-            with self.transaction():
-                for statement in statements:
-                    if not isinstance(statement, Rule):
-                        raise WorkspaceError("add_rule expects rules only")
-                    refs.append(self.add_rule(statement))
-            return refs[-1]
-        from ..meta.quote import resolve_me_rule
+            return self.add_rules(image)[-1]
         resolved = resolve_me_rule(rule, self.me)
         ref = self.registry.intern(resolved)
         with self.transaction():
@@ -288,17 +309,31 @@ class Workspace:
                 (ref,))})
         return ref
 
+    def add_rules(self, image: ProgramImage) -> list[RuleRef]:
+        """Intern and activate every rule of an image in one transaction,
+        refusing any other statement; returns their refs."""
+        refs = []
+        with self.transaction():
+            for statement in image.statements:
+                if not isinstance(statement, Rule):
+                    raise WorkspaceError("add_rule expects rules only")
+                refs.append(self.add_rule(statement))
+        self.registry.keep(image)
+        return refs
+
     def add_constraint(self, constraint: Union[str, Constraint]) -> None:
         """Install a (meta-)constraint, checked on every commit that
         changes what it reads; an unsafe one is a :class:`SafetyError`
         (:func:`~repro.datalog.constraints.check_constraint_safety`)."""
         if isinstance(constraint, str):
-            statements = parse_statements(constraint)
+            image = self.registry.image(constraint)
             with self.transaction():
-                for statement in statements:
+                for statement in image.statements:
                     if not isinstance(statement, Constraint):
-                        raise WorkspaceError("add_constraint expects constraints")
+                        raise WorkspaceError(
+                            "add_constraint expects constraints")
                     self.add_constraint(statement)
+            self.registry.keep(image)
             return
         from ..datalog.pretty import canonical_constraint
         compiled = compile_constraint(constraint, self.me, self.builtins)
@@ -482,7 +517,6 @@ class Workspace:
                     "point_query expects a single atom") from None
         else:
             atom = query
-        from ..meta.quote import resolve_me_rule
         resolved = resolve_me_rule(Rule((atom,)), self.me).heads[0]
         args = resolved.all_args
         self.catalog.check_fact_arity(resolved.pred, args)
@@ -754,11 +788,7 @@ class Workspace:
         return relation.rows if relation is not None else set()
 
     def _compile_ref(self, ref: RuleRef) -> list[EngineRule]:
-        from ..datalog.runtime import check_rule_safety
-
-        rule = self.registry.rule_of(ref)
-        compiled = compile_rule(rule, principal=None, builtins=self.builtins)
-        check_rule_safety(compiled, self.builtins)
+        compiled = self.registry.compiled(ref, self.builtins)
         try:
             self.catalog.observe_rule(compiled)
         except ReflectedWriteError as refused:

@@ -12,7 +12,11 @@ interner a system's workspaces, a cluster's shards and their batcher use.
 * *isolation* — sharing the table shares nothing else: a step at one
   principal (load, assert, retract, deactivate, an aborted transaction)
   leaves the other's relations, catalog and active rules as they were,
-  and never changes what an existing id means.
+  and never changes what an existing id means;
+* *images* — principals that share the system's program images and
+  compiled rules equal principals of a system that parses, gates and
+  compiles every install afresh, field for field, and a step at one
+  (a plan eviction included) leaves the other's answers alone.
 """
 
 from hypothesis import example, given, settings
@@ -27,9 +31,13 @@ from repro.cluster.launch import (
     system_spec,
 )
 from repro.datalog.errors import BuiltinError
-from repro.datalog.parser import parse_term
-from repro.datalog.pretty import format_pattern
+from repro.datalog.parser import parse_statements, parse_term
+from repro.datalog.runtime import check_rule_safety
+from repro.datalog.pretty import canonical_constraint, format_pattern
 from repro.datalog.terms import PatternValue, PredPartition, RuleRef
+from repro.meta.image import ProgramImage
+from repro.meta.quote import compile_rule
+from repro.meta.registry import RuleRegistry
 from repro.net import batch as batch_module
 from repro.net.transport import encode_entry
 
@@ -292,3 +300,116 @@ class TestIsolation:
             for each, principal in principals.items():
                 assert typed_rows(principal.workspace) == \
                     typed_rows(solos[each].workspace), each
+
+
+# -- images -------------------------------------------------------------------
+
+#: what an imaged stream loads besides ``RULES``: a text the gate warns
+#: about, a rule and a constraint naming their speaker, a declaration
+IMAGED = RULES + ["lonely(X) <- num(X), !edge(X,Y).",
+                  "tagged(X,me) <- num(X).",
+                  "mine: tagged(X,P) -> P = me.",
+                  "num(X) -> ."]
+IMAGED_PREDS = USER_PREDS + ("lonely", "tagged")
+
+imaged_steps = st.lists(st.tuples(
+    st.sampled_from(["alice", "bob"]),
+    st.sampled_from(["load", "assert", "retract", "deactivate", "abort",
+                     "evict"]),
+    st.integers(0, 1000)), min_size=1, max_size=12)
+
+
+class TextImage(ProgramImage):
+    """An image that decides nothing ahead: every install gates its
+    statements as a lone workspace would."""
+
+    __slots__ = ()
+
+    def report(self, builtins, catalog):
+        return None
+
+
+class TextRegistry(RuleRegistry):
+    """A registry with no images: each install parses its text afresh,
+    and each activation compiles its rule afresh."""
+
+    def compiled(self, ref, builtins):
+        rule = compile_rule(self.rule_of(ref), principal=None,
+                            builtins=builtins)
+        check_rule_safety(rule, builtins)
+        return rule
+
+    def image(self, source):
+        return TextImage(source, parse_statements(source))
+
+
+def fields(workspace):
+    """Everything an install leaves in a workspace, comparable across
+    systems: rule refs by their canonical text."""
+    text = workspace.registry.canonical_text
+    materialize = workspace.db.interner.materialize_row
+    return {
+        "relations": {pred: {spelled(materialize(row))
+                             for row in relation.rows}
+                      for pred in IMAGED_PREDS
+                      for relation in [workspace.db.get(pred)]
+                      if relation is not None},
+        "catalog": observable(workspace)["catalog"],
+        "constraints": [(c.label, canonical_constraint(c))
+                        for c in workspace.constraints],
+        "active": sorted(map(text, workspace._activated)),
+        "audit": workspace.audit,
+        "last_check": workspace.last_check,
+        "last_check_suppressed": workspace.last_check_suppressed,
+    }
+
+
+def imaged_act(principal, op, pick, loaded):
+    workspace = principal.workspace
+    if op == "load":
+        active = set(workspace._activated)
+        principal.load(IMAGED[pick % len(IMAGED)])
+        loaded.extend(set(workspace._activated) - active)
+    elif op == "evict":
+        # every plan this principal's rules hold
+        for rule in workspace._all_engine_rules():
+            rule._plans.clear()
+    else:
+        act(principal, op, pick, loaded)
+
+
+class TestImages:
+    @given(imaged_steps)
+    @example([("alice", "load", 4), ("bob", "load", 4),
+              ("alice", "load", 5), ("bob", "load", 5), ("alice", "load", 6),
+              ("bob", "assert", 1), ("bob", "load", 7), ("alice", "evict", 0),
+              ("bob", "assert", 3), ("alice", "deactivate", 0)])
+    @settings(max_examples=40, deadline=None)
+    def test_principals_built_from_images_equal_ones_built_from_text(
+            self, stream):
+        """Two principals share one system's images and compiled rules;
+        a twin system has none.  After every step each principal equals
+        its twin field for field, and a step at one principal — a
+        deactivation, a rollback, a plan eviction — leaves the other's
+        answers as they were."""
+        systems = []
+        for registry in (None, TextRegistry()):
+            system = LBTrustSystem(auth="plaintext")
+            if registry is not None:
+                system.registry = registry
+            systems.append({name: system.create_principal(name)
+                            for name in ("alice", "bob")})
+        imaged, twins = systems
+        loaded = [{name: [] for name in imaged} for _ in systems]
+        for name, op, pick in stream:
+            other = "bob" if name == "alice" else "alice"
+            before = fields(imaged[other].workspace)
+            for principals, refs in zip(systems, loaded):
+                try:
+                    imaged_act(principals[name], op, pick, refs[name])
+                except BuiltinError:
+                    pass
+            assert fields(imaged[other].workspace) == before
+            for each in imaged:
+                assert fields(imaged[each].workspace) == \
+                    fields(twins[each].workspace), each

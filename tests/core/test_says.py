@@ -62,7 +62,7 @@ class TestRevocation:
 
         def assert_equals_fresh():
             fresh = Workspace("fresh", registry=system.registry,
-                              builtins=system.make_builtins(),
+                              builtins=system.builtins,
                               enable_provenance=provenance)
             with fresh.transaction():
                 for pred, held in sorted(bob.workspace.edb.items()):

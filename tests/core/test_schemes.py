@@ -229,7 +229,9 @@ class TestReconfiguration:
         ``_install_scheme`` raising for bob at its last step (the new
         rules and constraints already in), bob keeps his scheme rules,
         his exp3 constraints and his received exports.  (At PR 18 the
-        teardown had committed before any install began.)"""
+        teardown had committed before any install began.)  The swap is
+        all or nothing: alice, switched before bob failed, is put back
+        under rsa."""
         from dataclasses import replace
 
         from repro.core.schemes import SCHEMES
@@ -254,7 +256,7 @@ class TestReconfiguration:
                             replace(SCHEMES["hmac"], provision=failing))
         with pytest.raises(RuntimeError):
             system.reconfigure_auth("hmac")
-        assert alice.auth_scheme == "hmac"
+        assert alice.auth_scheme == "rsa" and system.auth_name == "rsa"
         assert before == (
             bob.scheme_rule_refs, bob.scheme_constraint_labels,
             bob.auth_scheme, workspace.active_refs(), workspace.constraints,
@@ -263,6 +265,69 @@ class TestReconfiguration:
         with pytest.raises(ConstraintViolation):
             bob.assert_fact("export", ("bob", "alice",
                                        alice.intern('msg("x").'), "bad"))
+
+    def test_a_refused_swap_switches_no_principal(self, make_system):
+        """A ``says`` at bob that no export backs is refused by exp3' when
+        bob's turn comes: the swap is all or nothing, so alice, switched
+        first, goes back under plaintext, the system's scheme, name and
+        shipped-row table are as they were, and what alice had received
+        is shipped to her again at the next run."""
+        system, alice, bob = two_principals(make_system, "plaintext")
+        alice.load('heardof(X) <- msg(X).')
+        bob.says(alice, 'msg("b1").')
+        alice.says(bob, 'msg("a1").')
+        system.run()
+        unbacked = ("alice", "bob", alice.intern("ping(1)."))
+        bob.workspace.assert_fact("says", unbacked)
+        scheme, sent = system._scheme, {
+            name: {pred: set(rows) for pred, rows in by_pred.items()}
+            for name, by_pred in system._sent.items()}
+        with pytest.raises(ConstraintViolation):
+            system.reconfigure_auth("hmac")
+        assert system._scheme is scheme and system.auth_name == "plaintext"
+        assert [p.auth_scheme for p in (alice, bob)] == ["plaintext"] * 2
+        # the rows shipped to alice are shipped again; the rest stay sent
+        assert system._sent["alice"] == sent["alice"]
+        assert system._sent["bob"]["export"] == set()
+        assert alice.tuples("heardof") == set()
+        system.run()
+        assert alice.tuples("heardof") == {("b1",)}
+        assert bob.tuples("seen") == {("a1",)}
+        bob.workspace.retract_fact("says", unbacked)
+        system.reconfigure_auth("rsa")   # nothing holds the swap back now
+        system.run()
+        assert alice.tuples("heardof") == {("b1",)}
+
+    def test_a_failed_switch_back_is_reported_with_the_refusal(
+            self, make_system, monkeypatch):
+        """The swap to hmac fails at carol, and putting alice back under
+        rsa fails too: the error raised is carol's, caused by alice's;
+        the system is under rsa again, bob (whose switch back went
+        through) too, and alice alone is left under hmac, which her
+        ``auth_scheme`` says."""
+        from dataclasses import replace
+
+        from repro.core.schemes import SCHEMES
+
+        system, alice, bob = two_principals(make_system, "rsa")
+        carol = system.create_principal("carol")
+
+        def failing_at(name, definition):
+            def provision(system, principal, rng):
+                definition.provision(system, principal, rng)
+                if principal.name == name:
+                    raise RuntimeError(f"no keys for {name}")
+            return replace(definition, provision=provision)
+
+        monkeypatch.setitem(SCHEMES, "hmac",
+                            failing_at("carol", SCHEMES["hmac"]))
+        system._scheme = failing_at("alice", system._scheme)
+        with pytest.raises(RuntimeError, match="carol") as refused:
+            system.reconfigure_auth("hmac")
+        assert "alice" in str(refused.value.__cause__)
+        assert system.auth_name == "rsa" and system._scheme.name == "rsa"
+        assert [p.auth_scheme for p in (alice, bob, carol)] == \
+            ["hmac", "rsa", "rsa"]
 
     def test_old_signatures_do_not_verify_under_new_scheme(self, make_system):
         system, alice, bob = two_principals(make_system, "rsa")
