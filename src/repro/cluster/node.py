@@ -5,7 +5,8 @@ whose derived facts may live elsewhere.  What it adds is the hook its
 evaluation context carries (``EvalContext.remote_emit_rows``): each
 freshly derived id-row set is split by owner before assertion, and the
 rows a peer owns are queued for it instead of kept (replicated rows are
-both).  The outbox and its resend-dedup markers hold id rows.
+both).  The :class:`Outbox` and its resend-dedup markers hold id rows;
+a principal ships through one too, fed by its commits.
 """
 
 from __future__ import annotations
@@ -22,8 +23,57 @@ from .partition import MODE_LOCAL, MODE_REPLICATED, Partitioner
 from .scheduler import NodeReport
 
 
+class Outbox:
+    """Id rows awaiting exchange, ``dst -> pred -> set``, and the rows
+    queued since their destination was last forgotten (``sent``, same
+    shape), which are not queued again.  A destination is any sortable
+    key."""
+
+    def __init__(self) -> None:
+        self.queue: dict = {}
+        self.sent: dict = {}
+
+    def put(self, dst, pred: str, rows: set) -> None:
+        sent = self.sent.setdefault(dst, {}).setdefault(pred, set())
+        fresh = rows - sent
+        if fresh:
+            sent |= fresh
+            self.queue.setdefault(dst, {}).setdefault(pred, set()) \
+                .update(fresh)
+
+    def discard(self, pred: str, rows: set) -> None:
+        """Unqueue ``rows`` of ``pred`` and drop their markers: what
+        never shipped may be queued again."""
+        for dst, per_pred in self.queue.items():
+            if pred in per_pred:
+                gone = per_pred[pred] & rows
+                per_pred[pred] -= gone
+                self.sent[dst][pred] -= gone
+
+    def drain(self, sink: Callable) -> int:
+        """``sink(dst, pred, id_rows)`` per block, sorted by destination,
+        predicate and row; empties the queue."""
+        drained = 0
+        for dst, per_pred in sorted(self.queue.items()):
+            for pred, rows in sorted(per_pred.items()):
+                if rows:
+                    sink(dst, pred, sorted(rows))
+                    drained += len(rows)
+        self.queue = {}
+        return drained
+
+    def forget(self, which: Optional[Callable] = None) -> int:
+        """Drop the queue and markers of each destination ``which`` holds
+        of (all, if None); returns how many markers went."""
+        dropped = 0
+        for dst in [d for d in self.sent if which is None or which(d)]:
+            self.queue.pop(dst, None)
+            dropped += sum(map(len, self.sent.pop(dst).values()))
+        return dropped
+
+
 class ClusterNode:
-    """A named shard: a workspace, an outbox and its dedup markers."""
+    """A named shard: a workspace and an outbox."""
 
     #: integrate() fills no other node's outbox (see the scheduler)
     integration_is_local = True
@@ -36,10 +86,9 @@ class ClusterNode:
         self.workspace = Workspace(name, registry=registry, builtins=builtins)
         self.db = self.workspace.db
         self.stats = self.workspace.stats
-        #: id rows awaiting exchange, and those queued this generation
-        #: (a re-derived remote row is not resent): dst -> pred -> set
-        self.outbox: dict[str, dict[str, set]] = {}
-        self._sent: dict[str, dict[str, set]] = {}
+        #: what awaits exchange, deduplicated within a generation (a
+        #: re-derived remote row is not resent)
+        self._outbox = Outbox()
         self.sent_generation = 0
         self.sent_facts = 0
         self.received_facts = 0
@@ -63,25 +112,22 @@ class ClusterNode:
         mode = self.partitioner.mode(pred)
         if mode == MODE_LOCAL:
             return rows
+        put = self._outbox.put
         if mode == MODE_REPLICATED:
             for peer in self._peers:
-                self._queue(peer, pred, rows)
+                put(peer, pred, rows)
             return rows
         by_owner = self.partitioner.split_rows(
             pred, rows, self.db.interner.values,
             self._owner_memo.setdefault(pred, {}))
         keep = by_owner.pop(self.name, set())
         for owner, bound in by_owner.items():
-            self._queue(owner, pred, bound)
+            put(owner, pred, bound)
         return keep
 
-    def _queue(self, dst: str, pred: str, rows: set) -> None:
-        sent = self._sent.setdefault(dst, {}).setdefault(pred, set())
-        fresh = rows - sent
-        if fresh:
-            sent |= fresh
-            self.outbox.setdefault(dst, {}).setdefault(pred, set()) \
-                .update(fresh)
+    #: read-only views of the outbox's queue and dedup markers
+    outbox = property(lambda self: self._outbox.queue)
+    _sent = property(lambda self: self._outbox.sent)
 
     def bootstrap(self) -> int:
         """Commit the staged facts, then activate the staged rules (one
@@ -117,24 +163,14 @@ class ClusterNode:
 
     def drain_outbox(self, sink: Callable) -> int:
         """``sink(dst, pred, id_rows)`` per block, sorted; clears it."""
-        drained = 0
-        for dst in sorted(self.outbox):
-            per_pred = self.outbox[dst]
-            for pred in sorted(per_pred):
-                rows = sorted(per_pred[pred])
-                sink(dst, pred, rows)
-                drained += len(rows)
-        self.outbox = {}
+        drained = self._outbox.drain(sink)
         self.sent_facts += drained
         return drained
 
     def quiesce(self) -> None:
         """Every queued row is asserted at its owner by now: clear the
         dedup markers (``sent_dedup_evictions``), opening a generation."""
-        self.stats.sent_dedup_evictions += sum(
-            len(rows) for per_pred in self._sent.values()
-            for rows in per_pred.values())
-        self._sent = {}
+        self.stats.sent_dedup_evictions += self._outbox.forget()
         self.sent_generation += 1
 
     def share(self) -> NodeReport:

@@ -9,7 +9,9 @@ its rules reside."*  Here a principal owns:
   scheme;
 * a :class:`repro.crypto.keystore.KeyStore` holding its private material;
 * a home *node* in the simulated network (several principals may share
-  one node — location transparency, paper section 3.5).
+  one node — location transparency, paper section 3.5);
+* an :class:`~repro.cluster.node.Outbox` its commits feed by the
+  ``predNode`` placement (paper section 3.5).
 
 The high-level verbs — :meth:`says`, :meth:`delegate`, :meth:`grant_read`
 — are thin sugar over asserting the corresponding facts; everything
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
+from ..cluster.node import Outbox
+from ..cluster.partition import PlacementMap
 from ..datalog.terms import Rule, RuleRef
 from ..meta.quote import resolve_me_rule
 from ..workspace.workspace import Workspace
@@ -48,6 +52,55 @@ class Principal:
         self.scheme_rule_refs: list[RuleRef] = []
         self.scheme_constraint_labels: list[str] = []
         self.auth_scheme: Optional[str] = None
+        #: what its commits added for others, per (node, principal):
+        #: shipped once per scheme epoch, a workspace keeping its rows
+        self.outbox = Outbox()
+        self.placement = PlacementMap()
+        self.workspace.on_commit = self._ship
+
+    def _ship(self, delta) -> None:
+        """Queue the keyed rows a commit added for another known
+        principal, and unqueue those it took back.  A commit that moves
+        ``predNode`` (a principal created later, a ``loc`` change)
+        routes every held row again."""
+        keyed = self._keyed(delta.touched)
+        for pred, _ in keyed:
+            self.outbox.discard(pred, delta.deleted(pred))
+        if delta.inserted("predNode") or delta.deleted("predNode"):
+            self.placement = PlacementMap.from_prednode_facts(
+                self.workspace.tuples("predNode"))
+            self.route()
+        else:
+            for pred, width in keyed:
+                self._route(pred, width, delta.inserted(pred))
+
+    def route(self, to: Optional[set] = None) -> None:
+        """Queue every held keyed row addressed to a principal of ``to``
+        (any known one, if None) that its destination has not had."""
+        relations = self.workspace.db.relations
+        for pred, width in self._keyed(list(relations)):
+            self._route(pred, width, relations[pred].rows, to)
+
+    def _keyed(self, preds) -> list:
+        """``(pred, key arity)`` of each keyed predicate of ``preds``."""
+        infos = [(pred, self.workspace.catalog.get(pred)) for pred in preds]
+        return [(pred, info.key_arity) for pred, info in infos
+                if info is not None and info.key_arity]
+
+    def _route(self, pred: str, width: int, rows: Iterable[tuple],
+               to: Optional[set] = None) -> None:
+        values = self.system.registry.terms.values
+        known = self.system.principals if to is None else to
+        owner = self.placement.owner
+        blocks: dict[tuple, set] = {}
+        for row in rows:
+            target = values[row[0]]
+            if target != self.name and target in known:
+                node = owner(pred, tuple([values[t] for t in row[:width]]))
+                if node is not None:
+                    blocks.setdefault((node, target), set()).add(row)
+        for dst, block in blocks.items():
+            self.outbox.put(dst, pred, block)
 
     # ------------------------------------------------------------------
     # Policy loading (delegates to the workspace)

@@ -6,11 +6,11 @@ simulated network, key provisioning, and the global fixpoint loop:
 
 1. each principal's workspace runs its local fixpoint (this happens
    eagerly inside its transactions);
-2. each physical node's :class:`WorkspaceNode` collects facts of
-   partitioned predicates whose ``predNode`` placement maps them to
-   another principal's partition (paper section 3.5 — the ld1/ld2
-   placement rules are installed verbatim) — as id rows over the
-   system's interner, the block form every host hands the batcher;
+2. each principal's commits queue the facts of keyed predicates whose
+   ``predNode`` placement maps them to another principal's partition
+   (paper section 3.5 — the ld1/ld2 placement rules are installed
+   verbatim), which each physical node's :class:`WorkspaceNode` drains
+   as id rows over the system's interner, the block form of every host;
 3. messages are serialized, sent through the network (FIFO + latency),
    and imported at the destination in a transaction — where the scheme's
    verification constraint (exp3) and any authorization meta-constraints
@@ -39,7 +39,6 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Union
 
-from ..cluster.partition import PlacementMap
 from ..cluster.scheduler import (MODE_BSP, ExecutionRuntime, NodeReport,
                                  RunReport)
 from ..crypto.datalog_builtins import register_crypto_builtins
@@ -70,13 +69,14 @@ class WorkspaceNode:
     protocol node.
 
     Like a Datalog shard (:class:`~repro.cluster.node.ClusterNode`, one
-    workspace that ships what it does not own), it hosts workspaces; what
-    differs is where facts go and how they come in.  The outbox is
-    computed from each hosted workspace's ``predNode`` placement table
-    (paper section 3.5 — the ``loc`` table, not the scheduler, decides
-    where facts go), and integration runs the full import pipeline —
-    scheme verification constraints, authorization meta-constraints,
-    audited rollback — inside each principal's transaction.
+    workspace that ships what it does not own), it hosts workspaces that
+    ship through an :class:`~repro.cluster.node.Outbox`; what differs is
+    what feeds it and how facts come in.  A principal's commits feed its
+    own by its ``predNode`` table (paper section 3.5 — the ``loc`` table,
+    not the scheduler, decides where facts go), and integration runs the
+    full import pipeline — scheme verification constraints,
+    authorization meta-constraints, audited rollback — inside each
+    principal's transaction.
     ``says``-attribution therefore survives the exchange path unchanged:
     what travels are the same ``export`` facts, whatever the scheduling
     mode.
@@ -94,77 +94,18 @@ class WorkspaceNode:
         self.new_facts = 0
         self.sent_facts = 0
         self.received_facts = 0
-        #: principal -> (predNode Relation, version, PlacementMap):
-        #: the placement table rarely changes mid-run, so it is rebuilt
-        #: only when its backing relation object or version moves.
-        self._placements: dict = {}
 
     def bootstrap(self) -> int:
         """Workspaces fixpoint eagerly inside their transactions; nothing
         to do before the first exchange."""
         return 0
 
-    def _placement_of(self, principal: Principal):
-        """The principal's placement map, rebuilt only on predNode change."""
-        workspace = principal.workspace
-        relation = workspace.db.get("predNode")
-        version = relation._version if relation is not None else None
-        cached = self._placements.get(principal.name)
-        if cached is not None and cached[0] is relation \
-                and cached[1] == version:
-            return cached[2]
-        placement = PlacementMap.from_prednode_facts(
-            workspace.tuples("predNode"))
-        self._placements[principal.name] = (relation, version, placement)
-        return placement
-
     def drain_outbox(self, sink) -> int:
-        """Queue every unshipped row owned elsewhere per ``predNode``.
-
-        Like a shard's, the outbox is computed in id space: per hosted
-        principal and keyed relation the candidates are one set
-        difference, ``relation.rows - sent[pred]``, and only a
-        candidate's partition key is read through the system's
-        interner.  Each destination *node* and destination *principal*
-        (several principals may share one node) gets one
-        ``sink(dst, pred, id_rows, to=principal)`` block, rows in sorted
-        (id) order.
-
-        ``LBTrustSystem._sent`` — principal -> pred -> rows shipped, ids
-        being stable for the system's life — keeps re-derived exports
-        from re-shipping every round; unlike a shard's dedup table it
-        must survive quiescence, because workspaces retain their full
-        state between runs and would otherwise re-send (and re-count)
-        every historical export on the next run.
-        """
-        drained = 0
-        principals = self.system.principals
-        values = self.system.registry.terms.values
-        for principal in self.principals:
-            workspace = principal.workspace
-            placement = self._placement_of(principal)
-            if not len(placement):
-                continue
-            sent = self.system._sent.setdefault(principal.name, {})
-            for pred, relation in workspace.db.relations.items():
-                info = workspace.catalog.get(pred)
-                if info is None or not info.key_arity:
-                    continue
-                blocks: dict[tuple[str, str], list] = {}
-                for row in relation.rows.difference(sent.get(pred, ())):
-                    key = tuple([values[term]
-                                 for term in row[:info.key_arity]])
-                    node = placement.owner(pred, key)
-                    target = key[0]
-                    if node is None or target == principal.name \
-                            or target not in principals:
-                        continue
-                    blocks.setdefault((node, target), []).append(row)
-                for (node, target), rows in sorted(blocks.items()):
-                    rows.sort()
-                    sink(node, pred, rows, to=target)
-                    sent.setdefault(pred, set()).update(rows)
-                    drained += len(rows)
+        """Ship what the hosted principals' commits queued: one
+        ``sink(node, pred, id_rows, to=principal)`` call per block."""
+        drained = sum(principal.outbox.drain(
+            lambda dst, pred, rows: sink(dst[0], pred, rows, to=dst[1]))
+            for principal in self.principals)
         self.sent_facts += drained
         return drained
 
@@ -241,9 +182,6 @@ class LBTrustSystem:
         self.auth_name = auth
         self.mode = mode
         self._scheme: SchemeDef = scheme(auth)
-        #: principal -> pred -> id rows already shipped (see
-        #: :meth:`WorkspaceNode.drain_outbox`)
-        self._sent: dict[str, dict[str, set]] = {}
 
     # ------------------------------------------------------------------
     # Principals
@@ -343,8 +281,10 @@ class LBTrustSystem:
         except Exception as refused:
             self._switch_back(previous, switched, refused)
             raise
-        # Everything re-exports under the new regime.
-        self._sent.clear()
+        # Everything re-exports under the new regime: a new epoch.
+        for principal in self.principals.values():
+            principal.outbox.forget()
+            principal.route()
 
     def _switch_back(self, previous: tuple, switched: list,
                      refused: Exception) -> None:
@@ -357,7 +297,10 @@ class LBTrustSystem:
         the new scheme (its ``auth_scheme`` says so), the others are
         still put back, and ``refused`` is raised from that failure."""
         self._scheme, self.auth_name = previous
-        self._forget_sent_to({principal.name for principal in switched})
+        names = {principal.name for principal in switched}
+        for principal in self.principals.values():
+            principal.outbox.forget(lambda dst: dst[1] in names)
+            principal.route(names)
         stuck = None
         for principal in switched:
             try:
@@ -366,16 +309,6 @@ class LBTrustSystem:
                 stuck = stuck or failure
         if stuck is not None:
             raise refused from stuck
-
-    def _forget_sent_to(self, names: set) -> None:
-        """Drop from :attr:`_sent` the rows addressed to ``names`` (a
-        row's destination is its first column, as in
-        :meth:`WorkspaceNode.drain_outbox`)."""
-        values = self.registry.terms.values
-        for sent in self._sent.values():
-            for pred, rows in sent.items():
-                sent[pred] = {row for row in rows
-                              if values[row[0]] not in names}
 
     # ------------------------------------------------------------------
     # The global fixpoint

@@ -94,7 +94,7 @@ class EvalStats:
       relation's cardinality band fell (deletion-heavy maintenance would
       otherwise fill the plan cache with stale large-band entries) or by
       a cache's FIFO bound (:func:`repro.datalog.runtime.cache_plan_bounded`);
-    * ``sent_dedup_evictions`` — cluster-node ``_sent`` dedup markers
+    * ``sent_dedup_evictions`` — cluster-node outbox dedup markers
       cleared by the generation-tagged reset at quiescence (bounding a
       long-running node's memory by one run's traffic);
     * ``magic_programs_built`` / ``magic_cache_hits`` — magic-sets

@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Collection, Iterable, Optional, Union
+from typing import Any, Callable, Collection, Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry, standard_registry
 from ..datalog.constraints import (
@@ -213,6 +213,9 @@ class Workspace:
             instantiate_quote=self._instantiate_quote,
             payload=self,
         )
+        #: called with a commit's :class:`TransactionDelta` once its check
+        #: has passed (a principal feeds its outbox from it)
+        self.on_commit: Optional[Callable] = None
         #: the engine counters: the context's, where the engine counts
         self.stats = self.context.stats
 
@@ -614,13 +617,14 @@ class Workspace:
 
     def _commit(self) -> None:
         """Maintain, then check every constraint over what the
-        transaction changed (a constraint installed in it, in full)."""
+        transaction changed (a constraint installed in it, in full), then
+        hand the change to :attr:`on_commit`."""
         self._run_loop()
+        delta = TransactionDelta(self.db, self._unchecked)
         violations = check_constraints(
             self.constraints, self.db, self.context,
             plan_cache=self._constraint_plans,
-            analyses=self._constraint_analyses,
-            delta=TransactionDelta(self.db, self._unchecked))
+            analyses=self._constraint_analyses, delta=delta)
         if violations:
             violation = violations[0]
             self.audit.append(AuditEvent("constraint_violation", {
@@ -630,6 +634,8 @@ class Workspace:
                 "total": len(violations),
             }))
             raise ConstraintViolation(violation.constraint, violation.bindings)
+        if self.on_commit is not None:
+            self.on_commit(delta)
         self._unchecked.clear()
         self.journal.commit()
 

@@ -5,20 +5,26 @@ carries blocks of two workspaces, over the system's one interner.
 What ``WorkspaceNode.drain_outbox`` owes, whatever the stream:
 
 * every exportable fact reaches its principal, and crosses the wire
-  exactly once per scheme epoch (``LBTrustSystem._sent`` holds the id
-  rows shipped; ``reconfigure_auth`` opens the next epoch);
+  exactly once per scheme epoch (each principal's ``Outbox`` keeps the
+  id rows it queued across runs; ``reconfigure_auth`` opens the next
+  epoch);
 * a second ``run()`` with nothing new sends 0 messages;
 * ``bsp`` and ``async`` leave equal relations;
 * every message is the canonical envelope of its own items, in order.
 
-The stream property must fail under this hand mutation of
-``drain_outbox`` (checked when the test was written): not recording
-shipped rows (drop ``sent...update(rows)``) — the next ``run()`` ships
-everything again.  Keying ``sent`` by predicate alone was caught too
-while each workspace had its own interner (equal ids then meant
-different terms); with one id space per system equal id rows are equal
-facts, and ``sent`` stays per principal because each principal's own
-``predNode`` table routes its rows.
+The stream property must fail under this hand mutation (checked when
+the test was written): a new epoch that forgets nothing (drop the
+``outbox.forget()`` call of ``reconfigure_auth``) — after a scheme swap
+nothing is shipped again.  Not recording queued rows (drop ``sent |=
+fresh`` in ``Outbox.put``) ships a fact retracted and said again within
+its epoch a second time; the stream catches that only when it draws
+says, run, retract, run, says, run, and
+``test_schemes.py::test_a_refused_swap_switches_no_principal`` catches
+it every time.  Keying the markers by predicate alone
+was caught too while each workspace had its own interner (equal ids
+then meant different terms); with one id space per system equal id
+rows are equal facts, and each principal keeps its own outbox because
+its own ``predNode`` table routes its rows.
 """
 
 from collections import Counter

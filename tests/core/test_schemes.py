@@ -269,9 +269,9 @@ class TestReconfiguration:
     def test_a_refused_swap_switches_no_principal(self, make_system):
         """A ``says`` at bob that no export backs is refused by exp3' when
         bob's turn comes: the swap is all or nothing, so alice, switched
-        first, goes back under plaintext, the system's scheme, name and
-        shipped-row table are as they were, and what alice had received
-        is shipped to her again at the next run."""
+        first, goes back under plaintext, the system's scheme and name
+        are as they were, and what alice had received is shipped to her
+        again at the next run, and nothing to bob."""
         system, alice, bob = two_principals(make_system, "plaintext")
         alice.load('heardof(X) <- msg(X).')
         bob.says(alice, 'msg("b1").')
@@ -279,18 +279,17 @@ class TestReconfiguration:
         system.run()
         unbacked = ("alice", "bob", alice.intern("ping(1)."))
         bob.workspace.assert_fact("says", unbacked)
-        scheme, sent = system._scheme, {
-            name: {pred: set(rows) for pred, rows in by_pred.items()}
-            for name, by_pred in system._sent.items()}
+        scheme = system._scheme
         with pytest.raises(ConstraintViolation):
             system.reconfigure_auth("hmac")
         assert system._scheme is scheme and system.auth_name == "plaintext"
         assert [p.auth_scheme for p in (alice, bob)] == ["plaintext"] * 2
-        # the rows shipped to alice are shipped again; the rest stay sent
-        assert system._sent["alice"] == sent["alice"]
-        assert system._sent["bob"]["export"] == set()
         assert alice.tuples("heardof") == set()
-        system.run()
+        report = system.run()
+        # the rows shipped to alice are shipped again; the rest stay sent
+        assert {row.name: row.sent_facts for row in report.per_node} == {
+            "alice": 0, "bob": 1}
+        assert report.delivered == 1
         assert alice.tuples("heardof") == {("b1",)}
         assert bob.tuples("seen") == {("a1",)}
         bob.workspace.retract_fact("says", unbacked)

@@ -126,6 +126,10 @@ class TestRunLoop:
         second = system.run()
         assert first.delivered == 1
         assert second.delivered == 0
+        # a says taken back before any run never ships
+        ref = a.says(b, 'msg("withdrawn").')
+        a.retract_fact("says", ("a", "b", ref))
+        assert system.run().delivered == 0
 
     def test_quiescence_report(self, make_system):
         system = make_system()
@@ -139,6 +143,11 @@ class TestRunLoop:
         report = system.run()
         # no placement for ghost → nothing is sent, nothing crashes
         assert report.delivered == 0
+        # ghost's placement arrives with ghost: the held row ships then
+        ghost = system.create_principal("ghost")
+        ghost.load("seen(X) <- msg(X).")
+        assert system.run().delivered == 1
+        assert ghost.tuples("seen") == {("void",)}
 
     def test_bidirectional_exchange(self, make_system):
         system = make_system("hmac")
@@ -308,6 +317,31 @@ class TestOpenNetworkRobustness:
         assert report.delivered == 2 and report.rejected == 1
         assert [e.detail["pred"] for e in bob.audit
                 if e.kind == "import_rejected"] == ["export"]
+
+    def test_a_rolled_back_import_ships_nothing_it_derived(
+            self, make_system):
+        """A forged ``export`` whose said rule makes bob say something to
+        carol derives, inside the import, an ``export`` to carol that
+        bob's own key signs validly; the verification constraint then
+        rolls the import back.  Nothing of it may ship: a principal
+        queues what it commits, never what a transaction derives before
+        its check.  The control says the same rule genuinely."""
+        relay = 'says("bob","carol",[| msg("relayed"). |]).'
+        system = make_system("hmac")
+        alice = system.create_principal("alice")
+        bob = system.create_principal("bob")
+        carol = system.create_principal("carol")
+        carol.load("seen(X) <- msg(X).")
+        forged = ("bob", "alice", alice.intern(relay), "deadbeef")
+        system.network.send("alice", "bob", encode_batch_message_dict(
+            [("bob", "export", forged)], system.registry))
+        report = system.run()
+        assert report.rejected == 1 and report.delivered == 0
+        assert carol.tuples("seen") == set()
+        assert bob.tuples("says") == set()
+        alice.says(bob, relay)
+        assert system.run().delivered == 2
+        assert carol.tuples("seen") == {("relayed",)}
 
     @pytest.mark.parametrize("mode", ["bsp", "async"])
     @pytest.mark.parametrize("shape", LEGACY_SHAPES)

@@ -397,6 +397,42 @@ def test_a_broken_connection_does_not_stop_the_server(wire, reason):
         harness.close()
 
 
+def test_a_hostile_peer_cannot_abort_a_served_sync():
+    """A row whose import cannot commit is rejected, not fatal: alice's
+    unsafe rule (X only under negation) cannot activate at srv, so its
+    import is counted, named and audited, and carol's fact in the same
+    delivery lands.  It used to raise SafetyError out of the served sync
+    and lose carol's fact for good."""
+    system = LBTrustSystem(auth="hmac", seed=3)
+    alice = system.create_principal("alice")
+    carol = system.create_principal("carol")
+    srv = system.create_principal("srv")
+    carol.says(srv, 'ping("ok").')
+    alice.says(srv, "evil(X) <- !q(X).")
+    network = SocketNetwork()
+    server = TrustServer(system, network, poll_interval=0.01)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServeClient(SocketNetwork(), "c1", timeout=10.0)
+    try:
+        client.connect(server_host="127.0.0.1",
+                       server_port=network.port_of(server.node))
+        reply = client.sync()
+        assert reply["rejected"] == 1, reply
+        assert srv.tuples("ping") == {("ok",)}, srv.tuples("ping")
+        client.ping()
+        kinds = [event.kind for event in srv.workspace.audit]
+        assert kinds.count("import_rejected") == 1, kinds
+        client.shutdown()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "serve_forever did not stop"
+    finally:
+        server.stop()
+        thread.join(timeout=10.0)
+        client.network.close()
+        network.close()
+
+
 class TestRouter:
     def test_multiple_clients_share_one_queue(self):
         harness = ServeHarness("simulated")

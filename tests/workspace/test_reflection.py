@@ -158,6 +158,44 @@ class TestOnDemand:
         assert lazy.tuples("pname") == eager.tuples("pname")
 
 
+def fig2_exchange(eager, registry=None):
+    """alice and bob say three facts each to the other under HMAC; the
+    ``eager`` twin reads every Figure 1 relation first."""
+    system = LBTrustSystem(auth="hmac", seed=1)
+    if registry is not None:
+        system.registry = registry
+    alice = system.create_principal("alice")
+    bob = system.create_principal("bob")
+    if eager:
+        for principal in (alice, bob):
+            for pred in sorted(ALL_META_PREDS):
+                principal.tuples(pred)
+    alice.load("gotB(X) <- pong(X).")
+    bob.load("gotA(X) <- ping(X).")
+    for token in ("a", "b", "c"):
+        alice.says(bob, f"ping(\"{token}\").")
+        bob.says(alice, f"pong(\"{token}\").")
+    report = system.run()
+    assert report.delivered == 6 and report.rejected == 0, report
+    return system, bob
+
+
+def test_reflection_stays_on_demand_over_a_fig2_exchange():
+    """Reflection stays on demand: a Figure 2 exchange reads no Figure 1
+    relation, so neither workspace may hold one.  Every rule is still
+    reified, so a later read answers what eager reflection would: the
+    twin read all 17 relations before anything happened.  Reifying
+    eagerly again is what fails the first assert."""
+    system, bob = fig2_exchange(eager=False)
+    assert bob.tuples("gotA") == {("a",), ("b",), ("c",)}
+    for principal in system.principals.values():
+        held = ALL_META_PREDS & set(principal.workspace.db.relations)
+        assert not held, (principal.name, sorted(held))
+    _, eager_bob = fig2_exchange(eager=True, registry=system.registry)
+    lazy, eager = bob.tuples("factrule"), eager_bob.tuples("factrule")
+    assert lazy == eager and len(lazy) >= 3, (lazy, eager)
+
+
 class TestEdbView:
     def test_membership_materializes_nothing(self, monkeypatch):
         ws = Workspace("w")
