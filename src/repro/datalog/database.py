@@ -35,7 +35,7 @@ from typing import Any, Iterable, Iterator, Optional
 
 from .errors import IndexIntegrityError, TransactionError
 from .pretty import format_pattern
-from .terms import PatternValue, PredPartition
+from .terms import PatternValue, PredPartition, RuleRef
 
 #: When set, an object with integer counter attributes (an
 #: :class:`repro.datalog.stats.EvalStats`) that the storage layer
@@ -101,13 +101,17 @@ class TermInterner:
     by reference by every relation, delta and wire block of its
     principals and shards.  It is **append-only**: interning never
     reassigns or frees an id, so a rolled-back transaction leaves it alone.
+    ``named`` holds the ids of the values that can name a rule (a
+    :class:`RuleRef` or a tuple, which may nest one), recorded as they
+    are assigned, so a scan for rule names intersects with it.
     """
 
-    __slots__ = ("ids", "values")
+    __slots__ = ("ids", "values", "named")
 
     def __init__(self) -> None:
         self.ids: dict[Any, int] = {}
         self.values: list[Any] = []
+        self.named: set[int] = set()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -124,6 +128,8 @@ class TermInterner:
         assigned = len(values)
         self.ids[key] = assigned
         values.append(value)
+        if isinstance(value, (RuleRef, tuple)):
+            self.named.add(assigned)
         if _index_stats is not None:
             _index_stats.terms_interned += 1
         return assigned

@@ -93,6 +93,10 @@ class EngineRule:
     head of a multi-head rule the same body tuple, but a compiled plan
     carries head-specific lazies (``FlatPlan.head_spec`` / ``supports`` /
     ``join2``), so nothing is ever shared by body identity.
+
+    A ground fact — no body, no aggregate, every head argument a
+    :class:`Constant` — is never planned: ``fact`` holds its head's
+    values, which :func:`apply_rule` interns as its one row.
     """
 
     head: Atom
@@ -105,6 +109,14 @@ class EngineRule:
     _head_analysis: Optional[BodyAnalysis] = field(default=None, repr=False)
     _positive_positions: Optional[list] = field(default=None, repr=False)
     _patterns: Optional[tuple] = field(default=None, repr=False)
+    #: the head's values, when the rule is a ground fact (else None)
+    fact: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        args = self.head.all_args
+        if not self.body and self.agg is None and all(
+                isinstance(term, Constant) for term in args):
+            self.fact = tuple([term.value for term in args])
 
     @property
     def heads(self) -> tuple:
@@ -381,8 +393,21 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
     join probes it in id space; its rows are in ``db`` already).
 
     A rule that cannot fire (:meth:`EngineRule.live_relations`) derives
-    nothing and is not planned.
+    nothing and is not planned.  A ground fact (``rule.fact``) is its
+    head row: the row :func:`compile_head`'s layout names (``all_args``,
+    keys first), counted as one derivation and one firing and recorded
+    with an empty support, as the walker would — with no plan and no
+    join.
     """
+    if rule.fact is not None:
+        row = db.interner.intern_row(rule.fact)
+        context.stats.derivations += 1
+        context.stats.fire(rule.label or rule.head.pred, 1)
+        if provenance is not None:
+            provenance.record(rule.head.pred, row, rule.label or "rule", ())
+        if known_rows is None:
+            known_rows = db.rel(rule.head.pred).rows
+        return set() if row in known_rows else {row}
     relations = rule.live_relations(db, context)
     if relations is None:
         return set()
@@ -600,7 +625,7 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
             new_refs = delta.get("rule")
             carried: dict = {}
             next_delta: dict[str, set] = {}
-            for rule in stratum.rules:
+            for rule in stratum.delta_rules:
                 grouped, carriers = rule.patterns()
                 for position in rule.positive_positions():
                     if position in grouped:

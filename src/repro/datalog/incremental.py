@@ -6,15 +6,18 @@ the classic DRed recipe, stratum by stratum, in interned-id space and at a
 cost bounded by what the deletion touches, never by the stratum's size:
 
 1. **Over-delete**: starting from the retracted facts, propagate deletions
-   through every rule (a head fact is over-deleted whenever one of its
-   positive supports is), joining against the *pre-deletion* state.
+   through every rule with a positive body literal
+   (:attr:`~repro.datalog.stratify.Stratum.delta_rules`; a head fact is
+   over-deleted whenever one of its positive supports is), joining
+   against the *pre-deletion* state.
 2. **Candidates**: the over-deleted rows, plus any retracted fact whose
    own predicate is derived in this stratum (its assertion is gone, a
    derivation may remain).  EDB-asserted candidates come straight back.
 3. **Head-bound re-derivation**: each rule whose head has candidates runs
    once with its head bound to them
    (:meth:`~repro.datalog.engine.EngineRule.head_bound_plan`); candidates
-   with a derivation from the surviving facts come back.
+   with a derivation from the surviving facts come back.  A ground fact
+   brings its own row back when that is a candidate, with no plan.
 4. **Semi-naive closure**: the restored and re-derived facts seed
    :func:`~repro.datalog.engine.eval_stratum` as its delta, bringing back
    candidates that depend on other candidates.
@@ -47,6 +50,7 @@ from .database import Database, Relation
 from .engine import (
     FactSet,
     ProvenanceStore,
+    apply_rule,
     derive_rows,
     eval_stratum,
     merge_rows,
@@ -116,7 +120,7 @@ def _invalidate_shrunk_plans(strata: list, db: Database,
     shrunk = set(shrunk)
     evicted = 0
     for stratum in strata:
-        for rule in list(stratum.rules) + list(stratum.agg_rules):
+        for rule in stratum.delta_rules + stratum.agg_rules:
             evicted += rule.evict_shrunk_plans(db, shrunk)
     context.stats.plans_evicted += evicted
 
@@ -152,7 +156,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
         next_frontier: FactSet = {}
         delta_rels = {pred: Relation.wrap_rows(pred, rows, interner)
                       for pred, rows in frontier.items()}
-        for rule in stratum.rules:
+        for rule in stratum.delta_rules:
             pred = rule.head.pred
             for position in rule.positive_positions():
                 if rule.body[position].atom.pred not in frontier:
@@ -215,6 +219,13 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
         pred = rule.head.pred
         rows = candidates.get(pred)
         if not rows:
+            continue
+        if rule.fact is not None:
+            # A ground fact re-derives its one row when that is a
+            # candidate (``apply_rule`` counts it): nothing to bind.
+            if interner.intern_row(rule.fact) in rows:
+                survivors.setdefault(pred, set()).update(apply_rule(
+                    rule, db, context, known_rows=(), provenance=provenance))
             continue
         derivable: set = set()
         plan = rule.head_bound_plan(context, db)

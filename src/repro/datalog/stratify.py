@@ -237,6 +237,13 @@ class Stratum:
     #: propagators consult it on every delta batch)
     reads: frozenset = field(repr=False)
     has_negation: bool = field(repr=False)
+    #: the ``rules`` with a positive body literal, in program order: the
+    #: only ones a delta can fire, so the walks that follow a delta
+    #: (semi-naive rounds, DRed's over-delete, plan eviction) visit
+    #: these alone.  A fact holds no position, so a principal's held
+    #: credentials cost a later import nothing; a full application still
+    #: runs every rule.
+    delta_rules: tuple = field(repr=False)
 
     @classmethod
     def of(cls, number: int, rules: Iterable,
@@ -250,11 +257,15 @@ class Stratum:
         reads = frozenset().union(*(rule.body_preds() for rule in rules))
         negation = any(isinstance(item, Literal) and item.negated
                        for rule in plain for item in rule.body)
+        delta = tuple(rule for rule in plain if any(
+            isinstance(item, Literal) and not item.negated
+            for item in rule.body))
         if base is None:
-            return cls(number, heads, plain, aggregates, reads, negation)
+            return cls(number, heads, plain, aggregates, reads, negation,
+                       delta)
         return cls(number, base.preds | heads, base.rules + plain,
                    base.agg_rules + aggregates, base.reads | reads,
-                   base.has_negation or negation)
+                   base.has_negation or negation, base.delta_rules + delta)
 
     @property
     def nonmonotone(self) -> bool:

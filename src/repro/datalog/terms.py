@@ -501,6 +501,13 @@ class Rule:
     def is_fact(self) -> bool:
         return not self.body and self.agg is None
 
+    def is_ground_fact(self) -> bool:
+        """A fact whose every head argument is a :class:`Constant`: safe
+        by definition, with nothing to compile or plan."""
+        return self.is_fact() and all(isinstance(term, Constant)
+                                      for head in self.heads
+                                      for term in head.all_args)
+
     def variables(self) -> Iterator[Variable]:
         for head in self.heads:
             yield from head.variables()

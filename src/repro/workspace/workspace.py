@@ -45,6 +45,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Collection, Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry, standard_registry
@@ -686,13 +687,16 @@ class Workspace:
 
     def _reify_named(self, rows: Iterable[tuple]) -> None:
         """Reify every rule a term of ``rows`` names: one look per
-        distinct term, not one per occurrence, and none at all while
-        every ref the registry holds is reified here already
-        (``_reified`` only ever holds the registry's refs)."""
+        distinct term that can name one (the interner's ``named`` ids,
+        intersected with the rows' terms without a Python loop over
+        them), and none at all while every ref the registry holds is
+        reified here already (``_reified`` only ever holds the
+        registry's refs)."""
         if len(self._reified) == len(self.registry):
             return
-        values = self.db.interner.values
-        for term in {term for row in rows for term in row}:
+        interner = self.db.interner
+        values = interner.values
+        for term in interner.named.intersection(chain.from_iterable(rows)):
             for ref in self.registry.refs_in_value(values[term]):
                 self._ensure_reified(ref)
 
@@ -964,8 +968,7 @@ class Workspace:
                 progressed = True
                 fresh = {}
                 # derived rule references get reified
-                self._reify_named(row for rows in added.values()
-                                  for row in rows)
+                self._reify_named(chain.from_iterable(added.values()))
                 for pred, facts in self._txn_fresh.items():
                     fresh.setdefault(pred, set()).update(facts)
                 self._txn_fresh = {}

@@ -6,7 +6,9 @@ that imports it.  A later commit that changes nothing exp3 reads must
 neither verify a held credential again nor visit a constraint whose
 relations it did not change.  A speaker's outbox takes what a commit
 added, so shipping one more credential looks up the placement of its
-own rows only.  Counts, not wall time.
+own rows only.  A held credential is a ground fact, activated as its
+head row: no semi-naive round, over-delete or re-derivation plans it
+again.  Counts, not wall time.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from repro import LBTrustSystem
 from repro.cluster.partition import PlacementMap
 from repro.crypto import datalog_builtins
 from repro.datalog import constraints
+from repro.datalog.engine import EngineRule
 
 
 @pytest.fixture
@@ -106,3 +109,68 @@ def test_shipping_one_credential_looks_up_only_its_own_rows(monkeypatch):
         lookups.append(len(calls))
         monkeypatch.setattr(PlacementMap, "owner", owner)
     assert lookups[0] == lookups[1] == lookups[2] > 0
+
+
+def test_a_held_credential_costs_a_later_import_nothing(monkeypatch):
+    """``alice.says`` one more credential and ``run()``, twice: the rules
+    the receiver's semi-naive rounds visit (``EngineRule.patterns``
+    calls) do not grow with the credentials bob holds.  While every rule
+    of the stratum was visited, the two runs made 75 calls at 0 held and
+    5,075 at 500."""
+    patterns, visits = EngineRule.patterns, []
+
+    def counting_patterns(self):
+        visits.append(self)
+        return patterns(self)
+
+    counts = []
+    for held in (0, 500, 2000):
+        system, alice, bob = bob_holding(held)
+        monkeypatch.setattr(EngineRule, "patterns", counting_patterns)
+        visits.clear()
+        for k in range(2):
+            alice.says(bob, f"ping({-1 - k}).")
+            assert system.run().delivered == 1
+        counts.append(len(visits))
+        monkeypatch.setattr(EngineRule, "patterns", patterns)
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
+def test_a_retract_at_the_receiver_plans_no_held_credential(monkeypatch):
+    """One DRed retract of a ``ping`` row asserted at bob: its
+    over-delete phase visits no bodiless rule (each held credential's
+    ``positive_positions`` was read there), and its re-derivation binds
+    no held credential to a plan (each built a head-bound plan: 2,001
+    at 2,000 held).  Both counts are equal at 0, 500 and 2,000 held."""
+    positions, bound = EngineRule.positive_positions, EngineRule.head_bound_plan
+    visited, planned = [], []
+
+    def counting_positions(self):
+        visited.append(self)
+        return positions(self)
+
+    def counting_bound(self, *args, **kwargs):
+        planned.append(self)
+        return bound(self, *args, **kwargs)
+
+    counts = []
+    for held in (0, 500, 2000):
+        _, _, bob = bob_holding(held)
+        workspace = bob.workspace
+        workspace.assert_fact("ping", (-5,))
+        assert (-5,) in bob.tuples("gotA")
+        dred = workspace.stats.dred_strata
+        monkeypatch.setattr(EngineRule, "positive_positions",
+                            counting_positions)
+        monkeypatch.setattr(EngineRule, "head_bound_plan", counting_bound)
+        visited.clear()
+        planned.clear()
+        workspace.retract_fact("ping", (-5,))
+        monkeypatch.setattr(EngineRule, "positive_positions", positions)
+        monkeypatch.setattr(EngineRule, "head_bound_plan", bound)
+        assert workspace.stats.dred_strata > dred
+        assert (-5,) not in bob.tuples("gotA")
+        assert len(bob.tuples("gotA")) == held
+        assert not [rule for rule in visited if not rule.body]
+        counts.append((len(visited), len(planned)))
+    assert counts[0] == counts[1] == counts[2]

@@ -17,10 +17,11 @@ the test was written): a new epoch that forgets nothing (drop the
 ``outbox.forget()`` call of ``reconfigure_auth``) — after a scheme swap
 nothing is shipped again.  Not recording queued rows (drop ``sent |=
 fresh`` in ``Outbox.put``) ships a fact retracted and said again within
-its epoch a second time; the stream catches that only when it draws
-says, run, retract, run, says, run, and
-``test_schemes.py::test_a_refused_swap_switches_no_principal`` catches
-it every time.  Keying the markers by predicate alone
+its epoch a second time; the stream's explicit example of says, run,
+retract, run, says, run fails under it every time (checked by hand
+mutation), as does
+``test_schemes.py::test_a_refused_swap_switches_no_principal``.  Keying
+the markers by predicate alone
 was caught too while each workspace had its own interner (equal ids
 then meant different terms); with one id space per system equal id
 rows are equal facts, and each principal keeps its own outbox because
@@ -141,6 +142,10 @@ class Driver:
 # alice and bob say one rule to carol: two rows differing in the speaker
 @example(stream=[("says", ("alice", "carol"), 1),
                  ("says", ("bob", "carol"), 1)])
+# a fact retracted and said again within its epoch, with runs between
+@example(stream=[("says", ("alice", "carol"), 1), ("run",),
+                 ("retract", ("alice", "carol"), 1), ("run",),
+                 ("says", ("alice", "carol"), 1), ("run",)])
 @settings(max_examples=50, deadline=None)
 def test_export_stream_ships_each_fact_once_per_epoch(stream):
     bsp, overlapped = Driver("bsp"), Driver("async")

@@ -433,6 +433,46 @@ def test_a_hostile_peer_cannot_abort_a_served_sync():
         network.close()
 
 
+def test_a_served_assert_into_a_figure_1_relation_is_refused():
+    """Figure 1 relations are reflection's alone: a served assert into
+    ``functor`` would forge a quoted-pattern match (here alice's pong).
+    It is a refused request (ReflectedWriteError, audited), and the
+    server keeps answering."""
+    system = LBTrustSystem(auth="hmac", seed=3)
+    alice = system.create_principal("alice")
+    srv = system.create_principal("srv")
+    srv.load('got(X) <- says(alice, me, [| pong(X). |]).')
+    alice.says(srv, 'ping("x").')
+    system.run()
+    atom = next(a for a, p in srv.tuples("functor") if p == "ping")
+    network = SocketNetwork()
+    server = TrustServer(system, network, poll_interval=0.01)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServeClient(SocketNetwork(), "c1", timeout=10.0)
+    try:
+        client.connect(server_host="127.0.0.1",
+                       server_port=network.port_of(server.node))
+        try:
+            client.assert_fact("functor", (atom, "pong"), principal="srv")
+        except ServeError as exc:
+            assert "ReflectedWriteError" in str(exc), exc
+        else:
+            pytest.fail("a served assert into functor was accepted")
+        client.ping()
+        assert srv.tuples("got") == set(), srv.tuples("got")
+        kinds = [event.kind for event in srv.workspace.audit]
+        assert "meta_write_refused" in kinds, kinds
+        client.shutdown()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "serve_forever did not stop"
+    finally:
+        server.stop()
+        thread.join(timeout=10.0)
+        client.network.close()
+        network.close()
+
+
 class TestRouter:
     def test_multiple_clients_share_one_queue(self):
         harness = ServeHarness("simulated")

@@ -99,6 +99,21 @@ def test_module_entrypoint_runs():
     assert "('1',)" in result.stdout
 
 
+def test_typed_terms_q_true_is_a_bool():
+    """A lone principal's ``true`` is a bool: the interner keys values by
+    type, so ``q(true)`` is not ``q(1)``, even though the machinery
+    interns the int 1 first.  Keyed by value equality it read back as
+    ``(1,)`` and ``isbool`` stayed empty."""
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "--auth", "plaintext"],
+        input=":principal alice\nq(true).\nisbool(X) <- q(X), bool(X).\n"
+              ":tuples isbool\n",
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "(True,)" in result.stdout.splitlines(), result.stdout
+
+
 def test_workspace_typecheck_api():
     from repro.workspace.workspace import Workspace
 
