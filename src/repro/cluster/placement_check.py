@@ -166,7 +166,7 @@ def nonmonotone_exchanges(rules: Iterable,
     for stratum in stratify(list(rules)):
         if not stratum.nonmonotone:
             continue
-        touched = sorted((stratum.reads | stratum.preds) & exchanged)
+        touched = sorted(stratum.touches & exchanged)
         if touched:
             found.append((touched, (
                 f"negation/aggregation over exchanged predicate(s) "

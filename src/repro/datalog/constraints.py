@@ -57,7 +57,7 @@ from .runtime import (
     Bindings,
     BodyAnalysis,
     EvalContext,
-    Plan,
+    FlatPlan,
     banded_plan,
     bindable_vars,
     body_relations,
@@ -368,7 +368,7 @@ def _analysis(analyses: dict, alternative: tuple,
 
 def _plan(plan_cache: dict, analyses: dict, alternative: tuple,
           shape: frozenset, db: Database, context: EvalContext,
-          first: Optional[int] = None) -> Optional[Plan]:
+          first: Optional[int] = None) -> Optional[FlatPlan]:
     """The cached plan of one alternative under one binding shape, led by
     its ``first`` literal when that is pinned — or None when a positive
     literal's relation is missing or empty: the conjunction then has no

@@ -59,7 +59,7 @@ def set_index_stats(stats: Optional[Any]) -> Optional[Any]:
     return previous
 
 
-def _term_key(value: Any) -> Any:
+def term_key(value: Any) -> Any:
     """The interner's key for ``value``: equal keys are one fact.
 
     A bool or a float is keyed with its type, so ``True``, ``1`` and
@@ -77,15 +77,15 @@ def _term_key(value: Any) -> Any:
     if kind is bool:
         return (bool, value)
     if kind is tuple:
-        return (tuple, tuple([_term_key(item) for item in value]))
+        return (tuple, tuple([term_key(item) for item in value]))
     if kind is PredPartition:
-        return (PredPartition, value.pred, _term_key(value.keys))
+        return (PredPartition, value.pred, term_key(value.keys))
     if kind is PatternValue:
         return (PatternValue, format_pattern(value.pattern))
     return value
 
 
-#: The types :func:`_term_key` keys with their type.
+#: The types :func:`term_key` keys with their type.
 _TYPED = frozenset((float, bool, tuple, PredPartition, PatternValue))
 
 
@@ -93,7 +93,7 @@ class TermInterner:
     """A bijection between ground values and dense integer ids.
 
     ``values`` is the id → value table (a plain list indexed by id) and
-    ``ids`` its inverse, keyed by :func:`_term_key`: the interner is the
+    ``ids`` its inverse, keyed by :func:`term_key`: the interner is the
     one place that decides when two values are the same fact, and joins,
     provenance, aggregate groups and shard placement follow its ids.
     ``True``, ``1`` and ``1.0`` get three ids; comparisons and builtins
@@ -118,7 +118,7 @@ class TermInterner:
 
     def intern(self, value: Any) -> int:
         """The id for ``value``, allocating the next dense id if new."""
-        key = _term_key(value)
+        key = term_key(value)
         found = self.ids.get(key)
         if found is not None:
             if _index_stats is not None:
@@ -136,14 +136,14 @@ class TermInterner:
 
     def id_of(self, value: Any) -> Optional[int]:
         """The id for ``value``, or None — never allocates (lookups)."""
-        return self.ids.get(_term_key(value))
+        return self.ids.get(term_key(value))
 
     def intern_row(self, fact: tuple) -> tuple:
         """Intern every term of a ground fact: value tuple → id row."""
         ids = self.ids
         try:
             # All-hits fast path: one subscript per term, no call.
-            row = tuple([ids[_term_key(value) if type(value) in _TYPED
+            row = tuple([ids[term_key(value) if type(value) in _TYPED
                              else value] for value in fact])
         except KeyError:
             intern = self.intern
@@ -161,7 +161,7 @@ class TermInterner:
         """
         ids = self.ids
         try:
-            return tuple([ids[_term_key(value) if type(value) in _TYPED
+            return tuple([ids[term_key(value) if type(value) in _TYPED
                               else value] for value in fact])
         except KeyError:
             return None

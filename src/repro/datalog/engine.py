@@ -53,10 +53,8 @@ from .runtime import (
     BodyAnalysis,
     EvalContext,
     FlatPlan,
-    Plan,
     banded_plan,
     body_relations,
-    cardinality_band,
     _compile_term,
     compile_head,
     fill_row,
@@ -84,10 +82,14 @@ class EngineRule:
     running over :func:`~repro.datalog.runtime.positive_preds` of the
     body.  It is *compiled* once per distinct order: a band change that
     re-derives an order the rule already has caches the same
-    :class:`~repro.datalog.runtime.Plan` under the new signature.  A plan
-    is compiled for the interner of the database it is planned over (its
-    constants are ids there, ``FlatPlan.terms``): a rule object outlives
-    that database, and planned over another interner it plans again.
+    :class:`~repro.datalog.runtime.FlatPlan` under the new signature.  A
+    plan is compiled for the interner of the database it is planned over
+    (its constants are ids there, ``FlatPlan.terms``): a rule object
+    outlives that database, and planned over another interner it plans
+    again.  The cache's one bound is its FIFO
+    (:data:`~repro.datalog.runtime.MAX_CACHED_PLANS`): a plan keyed to a
+    band its relations have left stays, and is served again when they
+    come back.
 
     Everything cached here is per *head*: ``normalize_rules`` gives every
     head of a multi-head rule the same body tuple, but a compiled plan
@@ -142,13 +144,8 @@ class EngineRule:
         relations = body_relations(self.analysis(context.builtins).preds, db)
         return relations if all(relations) else None
 
-    @property
-    def _size_preds(self) -> Optional[tuple]:
-        # The band signature's predicates, once the body is analysed.
-        return None if self._analysis is None else self._analysis.preds
-
     def plan(self, context: EvalContext, delta_position: Optional[int],
-             db: Database, relations: Optional[list] = None) -> Plan:
+             db: Database, relations: Optional[list] = None) -> FlatPlan:
         """The body's plan over ``db`` with ``delta_position`` leading, for
         the live sizes of ``db`` — or of ``relations``, when the caller
         already holds them (:meth:`live_relations`)."""
@@ -159,7 +156,7 @@ class EngineRule:
                            context, db.interner, first=delta_position)
 
     def head_bound_plan(self, context: EvalContext,
-                        db: Database) -> Optional[Plan]:
+                        db: Database) -> Optional[FlatPlan]:
         """The plan that runs the body with the head bound to given rows.
 
         DRed re-derivation asks "which of these candidate head rows does
@@ -191,42 +188,6 @@ class EngineRule:
         return banded_plan(
             self._plans, "head", analysis, body_relations(analysis.preds, db),
             context, db.interner, first=0)
-
-    def evict_shrunk_plans(self, db: Database,
-                           shrunk: Iterable[str]) -> int:
-        """Drop cached plans keyed to bands a shrunk relation has left.
-
-        Deletion-heavy maintenance moves relations *down* through
-        cardinality bands; plans cached under the old, larger band would
-        never be served again (their key no longer matches) yet occupy
-        FIFO slots, evicting still-live entries.  For every predicate in
-        ``shrunk`` that this rule's body reads, cached plans whose band
-        signature records a band above the relation's current one are
-        dropped.  Returns the number of evicted plans.
-        """
-        if not self._plans:
-            return 0
-        preds = self._size_preds
-        if not preds:
-            return 0
-        relations = db.relations
-        stale_slots = []
-        for index, pred in enumerate(preds):
-            if pred not in shrunk:
-                continue
-            relation = relations.get(pred)
-            size = len(relation) if relation is not None else 0
-            stale_slots.append((index, cardinality_band(size)))
-        if not stale_slots:
-            return 0
-        stale_keys = [
-            key for key in self._plans
-            if key[1] is not None and any(
-                key[1][index] > band for index, band in stale_slots)
-        ]
-        for key in stale_keys:
-            del self._plans[key]
-        return len(stale_keys)
 
     def positive_positions(self) -> list[int]:
         positions = self._positive_positions
@@ -415,7 +376,7 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
     produced: set = set()
     if known_rows is None:
         known_rows = db.rel(rule.head.pred).rows
-    fired = derive_rows(rule, plan.flat(), db, context, delta,
+    fired = derive_rows(rule, plan, db, context, delta,
                         delta_position, known_rows, produced, provenance)
     if fired:
         context.stats.derivations += fired
@@ -499,7 +460,7 @@ def apply_aggregate_rule(rule: EngineRule, db: Database,
     agg = rule.agg
     if agg is None:  # pragma: no cover - guarded by callers
         raise SafetyError("apply_aggregate_rule on a non-aggregate rule")
-    flat = rule.plan(context, None, db).flat()
+    flat = rule.plan(context, None, db)
     head = rule.head.all_args
     at_result = [isinstance(term, Variable) and term.name == agg.result.name
                  for term in head]
@@ -725,8 +686,7 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
     total_added: FactSet = {}
     last = strata[-1] if strata else None
     for stratum in strata:
-        relevant = stratum.reads | stratum.preds
-        if not (relevant & changed.keys()):
+        if stratum.touches.isdisjoint(changed):
             continue
         if stratum.nonmonotone:
             added, removed = recompute_stratum(stratum, db, context, edb_facts,

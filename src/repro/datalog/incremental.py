@@ -13,11 +13,13 @@ cost bounded by what the deletion touches, never by the stratum's size:
 2. **Candidates**: the over-deleted rows, plus any retracted fact whose
    own predicate is derived in this stratum (its assertion is gone, a
    derivation may remain).  EDB-asserted candidates come straight back.
-3. **Head-bound re-derivation**: each rule whose head has candidates runs
-   once with its head bound to them
+3. **Head-bound re-derivation**: each rule whose head has candidates
+   (:attr:`~repro.datalog.stratify.Stratum.derived`) runs once with its
+   head bound to them
    (:meth:`~repro.datalog.engine.EngineRule.head_bound_plan`); candidates
    with a derivation from the surviving facts come back.  A ground fact
-   brings its own row back when that is a candidate, with no plan.
+   is looked up by a candidate's row (``Stratum.facts``) and brings it
+   back with no plan, so the facts a stratum holds are never walked.
 4. **Semi-naive closure**: the restored and re-derived facts seed
    :func:`~repro.datalog.engine.eval_stratum` as its delta, bringing back
    candidates that depend on other candidates.
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .database import Database, Relation
+from .database import Database, Relation, term_key
 from .engine import (
     FactSet,
     ProvenanceStore,
@@ -83,8 +85,8 @@ def propagate_deletions_from(strata: list, db: Database, context: EvalContext,
     pending_added: FactSet = {}
 
     for stratum in strata:
-        reads = stratum.reads | stratum.preds
-        if not (reads & (pending_removed.keys() | pending_added.keys())):
+        if (stratum.touches.isdisjoint(pending_removed)
+                and stratum.touches.isdisjoint(pending_added)):
             continue
         if stratum.nonmonotone:
             added, removed = recompute_stratum(stratum, db, context, edb_facts,
@@ -102,27 +104,7 @@ def propagate_deletions_from(strata: list, db: Database, context: EvalContext,
             if pred in net_removed:
                 net_removed[pred] = net_removed[pred] - rows
 
-    net = {pred: rows for pred, rows in net_removed.items() if rows}
-    if net:
-        _invalidate_shrunk_plans(strata, db, context, net.keys())
-    return net
-
-
-def _invalidate_shrunk_plans(strata: list, db: Database,
-                             context: EvalContext, shrunk) -> None:
-    """Plan-invalidation hook for deletion-heavy workloads.
-
-    Every rule reading a predicate that just lost facts drops cached
-    plans keyed to cardinality bands the relation has fallen out of —
-    those keys can never be served again, but they would squat in the
-    FIFO plan cache evicting still-live entries.
-    """
-    shrunk = set(shrunk)
-    evicted = 0
-    for stratum in strata:
-        for rule in stratum.delta_rules + stratum.agg_rules:
-            evicted += rule.evict_shrunk_plans(db, shrunk)
-    context.stats.plans_evicted += evicted
+    return {pred: rows for pred, rows in net_removed.items() if rows}
 
 
 def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
@@ -137,10 +119,10 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
     """
     interner = db.interner
     stats = context.stats
-    reads = stratum.reads | stratum.preds
+    touches = stratum.touches
     deleted_rows: FactSet = {
         pred: rows for pred, rows in deleted_below.items()
-        if rows and pred in reads
+        if rows and pred in touches
     }
 
     # -- Phase 1: over-delete.  The deleted facts go back first, so that
@@ -163,7 +145,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
                     continue
                 plan = rule.plan(context, position, db=db)
                 hit: set = set()
-                derive_rows(rule, plan.flat(), db, context, delta_rels,
+                derive_rows(rule, plan, db, context, delta_rels,
                             position, overdeleted.get(pred, ()), hit)
                 # Only facts that were actually derived can be over-deleted.
                 hit &= db.rel(pred).rows
@@ -192,7 +174,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
     # doubles as the closure's seed delta, which adopts its sets — so
     # they only ever grow by :func:`merge_rows`, never in place.
     back: FactSet = {pred: rows for pred, rows in inserted_below.items()
-                     if rows and pred in reads}
+                     if rows and pred in touches}
     candidates: FactSet = {}
     for pred in stratum.preds:
         rows = overdeleted.get(pred, set()) | deleted_rows.get(pred, set())
@@ -209,41 +191,41 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
             for row in asserted:
                 provenance.record_edb(pred, row)
 
-    # -- Phase 3: head-bound re-derivation.  Each rule runs once with its
-    # head matched against the candidate rows, so the work is bounded by
-    # the candidates, not by the stratum.  A head with a computed term
-    # cannot be bound by matching: that rule runs unrestricted and is
-    # intersected with the candidates.
+    # -- Phase 3: head-bound re-derivation.  Each rule whose head has
+    # candidates runs once with its head matched against them, so the work
+    # is bounded by the candidates, not by the stratum.  A head with a
+    # computed term cannot be bound by matching: that rule runs
+    # unrestricted and is intersected with the candidates.  A ground fact
+    # is found from a candidate's row and re-derives it (``apply_rule``
+    # counts it): nothing to bind.
     survivors: FactSet = {}
-    for rule in stratum.rules:
-        pred = rule.head.pred
-        rows = candidates.get(pred)
-        if not rows:
-            continue
-        if rule.fact is not None:
-            # A ground fact re-derives its one row when that is a
-            # candidate (``apply_rule`` counts it): nothing to bind.
-            if interner.intern_row(rule.fact) in rows:
-                survivors.setdefault(pred, set()).update(apply_rule(
-                    rule, db, context, known_rows=(), provenance=provenance))
-            continue
-        derivable: set = set()
-        plan = rule.head_bound_plan(context, db)
-        if plan is None:
-            plan = rule.plan(context, None, db=db)
-            fired = derive_rows(rule, plan.flat(), db, context, None, None,
-                                (), derivable, provenance)
-            derivable &= rows
-        else:
-            fired = derive_rows(
-                rule, plan.flat(), db, context,
-                {pred: Relation.wrap_rows(pred, rows, interner)}, 0,
-                (), derivable, provenance)
-        if fired:
-            stats.derivations += fired
-            stats.fire(rule.label or pred, fired)
-        if derivable:
-            survivors.setdefault(pred, set()).update(derivable)
+    for pred, rows in candidates.items():
+        facts = stratum.facts.get(pred)
+        if facts:
+            for row in rows:
+                key = term_key(interner.materialize_row(row))
+                for rule in facts.get(key, ()):
+                    survivors.setdefault(pred, set()).update(apply_rule(
+                        rule, db, context, known_rows=(),
+                        provenance=provenance))
+        for rule in stratum.derived.get(pred, ()):
+            derivable: set = set()
+            plan = rule.head_bound_plan(context, db)
+            if plan is None:
+                fired = derive_rows(rule, rule.plan(context, None, db=db), db,
+                                    context, None, None, (), derivable,
+                                    provenance)
+                derivable &= rows
+            else:
+                fired = derive_rows(
+                    rule, plan, db, context,
+                    {pred: Relation.wrap_rows(pred, rows, interner)}, 0,
+                    (), derivable, provenance)
+            if fired:
+                stats.derivations += fired
+                stats.fire(rule.label or pred, fired)
+            if derivable:
+                survivors.setdefault(pred, set()).update(derivable)
     for pred, rows in survivors.items():
         fresh = db.rel(pred).add_rows(rows)
         if fresh:

@@ -24,14 +24,16 @@ same interner when the plan compiles, and scheduling decides once, per
 step, which argument positions are index-probe keys, which bind fresh
 registers, and which need an intra-tuple equality check, so the per-row
 inner loop does no term classification at all.  Variables the caller
-binds up front (:attr:`Plan.assumes` — e.g. a constraint's LHS witness
-seeding its RHS probe) get the first registers; :func:`solve` falls back
-to building a fresh plan when handed bindings with a different shape.
+binds up front (:attr:`FlatPlan.assumes` — e.g. a constraint's LHS witness
+seeding its RHS probe) get the first registers; :func:`solve` plans
+again when handed bindings with a different shape.
 
 Planning costs what it decides: a conjunction is *analysed* once per
 owner (:class:`BodyAnalysis`), *ordered* once per cardinality-band
 signature (:func:`order_body`, served by :func:`banded_plan`) and
-*compiled* once per distinct order (:func:`build_plan`).
+*compiled* once per distinct order (:func:`build_plan`).  The plan is the
+compiled :class:`FlatPlan` itself, and one cache policy serves every
+conjunction: :func:`banded_plan`, bounded by a FIFO alone.
 """
 
 from __future__ import annotations
@@ -366,7 +368,8 @@ class _BuiltinStep:
 
 
 class FlatPlan:
-    """A register-compiled conjunction running in interned-id space.
+    """A conjunction's plan: its evaluation order, compiled to a register
+    program that runs in interned-id space.
 
     Variables live in numbered slots instead of binding dicts — and the
     slots hold term *ids*, so the innermost join loop does no dict
@@ -377,17 +380,32 @@ class FlatPlan:
     materialized only where semantics demand them: ordered comparisons,
     arithmetic, builtin invocation and quote instantiation.  ``terms`` is
     the id space the plan was compiled for: its constants are ids there.
+
+    ``order`` is the item indices in scheduling order (``steps`` compiles
+    them one for one).  ``assumes`` is the initially-bound variable set
+    the compilation relied on — reuse with a different binding shape
+    makes :func:`solve` plan again.  ``reordered`` is True when the cost
+    model picked a different positive-literal order than the
+    boundness-greedy baseline would have.  ``analysis`` is the
+    :class:`BodyAnalysis` it was built from: together with ``assumes``,
+    ``order`` and ``terms`` it determines every other field, which is how
+    :func:`build_plan` recognises an order it has already compiled.
     """
 
-    __slots__ = ("steps", "nslots", "slot_of", "terms", "head_spec",
-                 "supports", "join2")
+    __slots__ = ("steps", "nslots", "slot_of", "terms", "order", "assumes",
+                 "reordered", "analysis", "head_spec", "supports", "join2")
 
-    def __init__(self, steps: tuple, slot_of: dict,
-                 terms: TermInterner) -> None:
+    def __init__(self, steps: tuple, slot_of: dict, terms: TermInterner,
+                 order: tuple, assumes: frozenset, reordered: bool,
+                 analysis: "BodyAnalysis") -> None:
         self.steps = steps
         self.nslots = len(slot_of)
         self.slot_of = slot_of
         self.terms = terms
+        self.order = order
+        self.assumes = assumes
+        self.reordered = reordered
+        self.analysis = analysis
         #: lazily cached by the engine for the owning rule: the head's
         #: ``(id template, has-computed-term)`` and, under provenance, the
         #: positive body atoms' :func:`compile_head` templates
@@ -470,7 +488,7 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
     read what it needs before returning (registers are reused across
     branches) and may raise to stop the walk — that is how bindings
     dicts, existence checks, computed heads and provenance ride the same
-    walker.  ``seed`` binds the plan's :attr:`Plan.assumes` variables
+    walker.  ``seed`` binds the plan's :attr:`FlatPlan.assumes` variables
     before the first step.
 
     The plan was compiled for ``db.interner`` (its constants are ids
@@ -836,50 +854,6 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database,
     return fired
 
 
-@dataclass
-class Plan:
-    """An execution order for a conjunction; built once, reused every round.
-
-    ``steps`` keeps the ``(item_index, item)`` scheduling order (``order``
-    is just its indices); :meth:`flat` is its compiled register program.
-    ``assumes`` is the initially-bound variable set the compilation relied
-    on — reuse with a different binding shape makes :func:`solve` rebuild.
-    ``reordered`` is True when the cost model picked a different
-    positive-literal order than the boundness-greedy baseline would have.
-    ``analysis`` is the :class:`BodyAnalysis` it was built from: together
-    with ``assumes`` and ``order`` it determines every other field, which
-    is how :func:`build_plan` recognises an order it has already compiled.
-    """
-
-    steps: tuple
-    _flat: FlatPlan
-    assumes: frozenset = frozenset()
-    reordered: bool = False
-    order: tuple = ()
-    analysis: Optional["BodyAnalysis"] = field(default=None, repr=False)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def flat(self) -> FlatPlan:
-        """The register-compiled form :func:`run_flat` walks."""
-        return self._flat
-
-
-def cache_plan_bounded(cache: dict, key, plan, limit: int,
-                       stats: EvalStats) -> None:
-    """Insert into a FIFO-bounded plan cache, evicting the oldest entry.
-
-    FIFO rather than clear-all: dropping everything would thrash callers
-    whose many (delta position, band) keys are all still live.  Evictions
-    are counted in ``plans_evicted``.
-    """
-    if len(cache) >= limit:
-        cache.pop(next(iter(cache)))
-        stats.plans_evicted += 1
-    cache[key] = plan
-
-
 #: FIFO bound of every band-keyed plan cache (a rule's, a workspace's
 #: constraint plans): band-keyed entries go stale as relations move
 #: between cardinality bands.
@@ -1157,7 +1131,8 @@ def order_body(analysis: BodyAnalysis,
 
 
 def _compile_order(analysis: BodyAnalysis, initially_bound: frozenset,
-                   order: tuple, terms: TermInterner) -> FlatPlan:
+                   order: tuple, reordered: bool,
+                   terms: TermInterner) -> FlatPlan:
     """The register program of ``order``: planning's third lifetime.
 
     A pure function of the items, the initially-bound set (those
@@ -1180,7 +1155,8 @@ def _compile_order(analysis: BodyAnalysis, initially_bound: frozenset,
             steps.append(_CompareStep(item, slot_of))
         else:
             steps.append(_BuiltinStep(item, builtin_defs[index], slot_of))
-    return FlatPlan(tuple(steps), slot_of, terms)
+    return FlatPlan(tuple(steps), slot_of, terms, order,
+                    frozenset(initially_bound), reordered, analysis)
 
 
 def build_plan(items: tuple, terms: TermInterner,
@@ -1189,10 +1165,10 @@ def build_plan(items: tuple, terms: TermInterner,
                builtins: Optional[BuiltinRegistry] = None,
                sizes: Optional[dict] = None,
                analysis: Optional[BodyAnalysis] = None,
-               built: Iterable[Plan] = ()) -> Plan:
+               built: Iterable[FlatPlan] = ()) -> FlatPlan:
     """Order ``items`` for evaluation and compile per-step access paths.
 
-    The one function that turns a conjunction into a :class:`Plan` for
+    The one function that turns a conjunction into a :class:`FlatPlan` for
     the id space ``terms`` (the interner of the database it will run
     over), in three steps with three lifetimes.  *Analyse*: ``analysis``
     is the caller's kept :class:`BodyAnalysis` of ``items`` (made here
@@ -1216,24 +1192,23 @@ def build_plan(items: tuple, terms: TermInterner,
     for plan in built:
         if (plan.analysis is analysis and plan.order == order
                 and plan.assumes == initially_bound
-                and plan.flat().terms is terms):
+                and plan.terms is terms):
             return plan
-    return Plan(tuple((i, items[i]) for i in order),
-                _compile_order(analysis, initially_bound, order, terms),
-                frozenset(initially_bound), reordered, order, analysis)
+    return _compile_order(analysis, initially_bound, order, reordered, terms)
 
 
 def banded_plan(cache: dict, key, analysis: BodyAnalysis,
                 relations: Optional[list], context: EvalContext,
                 terms: TermInterner,
                 initially_bound: frozenset = frozenset(),
-                first: Optional[int] = None) -> Plan:
+                first: Optional[int] = None) -> FlatPlan:
     """The plan for an analysed conjunction, served from a band-keyed
     bounded cache.
 
     The one plan cache policy, shared by rules
-    (:meth:`repro.datalog.engine.EngineRule.plan`) and constraint
-    alternatives.  Entries are keyed ``(key, bands)``: ``bands`` maps the
+    (:meth:`repro.datalog.engine.EngineRule.plan`), constraint
+    alternatives and the conjunctions :func:`solve` plans on a throwaway
+    cache.  Entries are keyed ``(key, bands)``: ``bands`` maps the
     size of each of ``relations`` (the :func:`body_relations` of
     ``analysis.preds``) through :func:`cardinality_band`, so a cached
     plan is reused until some input relation grows or shrinks past a band
@@ -1267,7 +1242,7 @@ def banded_plan(cache: dict, key, analysis: BodyAnalysis,
             bands = signature
     full_key = (key, bands)
     plan = cache.get(full_key)
-    if plan is not None and plan.flat().terms is not terms:
+    if plan is not None and plan.terms is not terms:
         del cache[full_key]
         plan = None
     if plan is None:
@@ -1277,48 +1252,20 @@ def banded_plan(cache: dict, key, analysis: BodyAnalysis,
                           {pred: relation or 0 for pred, relation
                            in zip(analysis.preds, relations)} if bands
                           else None, analysis, held)
-        _count_build(stats, plan, all(plan is not other for other in held))
-        cache_plan_bounded(cache, full_key, plan, MAX_CACHED_PLANS, stats)
+        stats.plans_built += 1
+        if plan.order and all(plan is not other for other in held):
+            stats.plans_compiled += 1   # a new order, and not an empty body
+        if plan.reordered:
+            stats.reorder_wins += 1
+        if len(cache) >= MAX_CACHED_PLANS:
+            # FIFO, not clear-all: that would thrash a rule whose many
+            # (delta position, band) keys are all still live
+            cache.pop(next(iter(cache)))
+            stats.plans_evicted += 1
+        cache[full_key] = plan
     else:
         stats.plan_cache_hits += 1
     return plan
-
-
-def _count_build(stats: EvalStats, plan: Plan, compiled: bool) -> None:
-    """Account one :func:`build_plan` call: an ordering run
-    (``plans_built``), whether it went on to compile steps — an empty
-    body has none — (``plans_compiled``) and whether the cost model
-    overrode the greedy order (``reorder_wins``)."""
-    stats.plans_built += 1
-    if compiled and plan.order:
-        stats.plans_compiled += 1
-    if plan.reordered:
-        stats.reorder_wins += 1
-
-
-def relation_sizes(items: tuple, db: Optional[Database]) -> Optional[dict]:
-    """Live statistics of the positive body predicates (cost-model input).
-
-    Values are the live :class:`Relation` objects themselves (so the cost
-    model can ask for per-column distinct counts), or ``0`` for predicates
-    with no relation yet.  Returns None — "use the greedy heuristic" —
-    when there is no database or every body relation is below
-    :data:`_COST_MODEL_MIN_SIZE`.
-    """
-    if db is None:
-        return None
-    sizes: dict[str, Any] = {}
-    worth_it = False
-    for item in items:
-        if isinstance(item, Literal) and not item.negated:
-            relation = db.get(item.atom.pred)
-            if relation is None:
-                sizes[item.atom.pred] = 0
-            else:
-                sizes[item.atom.pred] = relation
-                if len(relation) >= _COST_MODEL_MIN_SIZE:
-                    worth_it = True
-    return sizes if worth_it else None
 
 
 # ---------------------------------------------------------------------------
@@ -1326,23 +1273,21 @@ def relation_sizes(items: tuple, db: Optional[Database]) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 def _usable_plan(items: tuple, db: Database, context: EvalContext,
-                 seed: Bindings, plan: Optional[Plan],
-                 first: Optional[int]) -> Plan:
+                 seed: Bindings, plan: Optional[FlatPlan],
+                 first: Optional[int]) -> FlatPlan:
     """``plan`` if its compiled binding assumptions match ``seed``, else
-    a fresh cost-based plan built from the live relation sizes (which
+    one planned through :func:`banded_plan` on a throwaway cache (which
     interns the conjunction's constants into ``db.interner``)."""
     if plan is not None and plan.assumes == seed.keys():
         return plan
-    plan = build_plan(items, db.interner, frozenset(seed), first=first,
-                      builtins=context.builtins,
-                      sizes=relation_sizes(items, db))
-    _count_build(context.stats, plan, True)
-    return plan
+    analysis = BodyAnalysis(items, context.builtins)
+    return banded_plan({}, None, analysis, body_relations(analysis.preds, db),
+                       context, db.interner, frozenset(seed), first)
 
 
 def solve(items: tuple, db: Database, context: EvalContext,
           bindings: Optional[Bindings] = None,
-          plan: Optional[Plan] = None,
+          plan: Optional[FlatPlan] = None,
           delta: Optional[dict[str, Relation]] = None,
           delta_position: Optional[int] = None) -> Iterator[Bindings]:
     """Enumerate all satisfying assignments of a conjunction.
@@ -1356,7 +1301,7 @@ def solve(items: tuple, db: Database, context: EvalContext,
     so callers may mutate ``db`` while iterating.
     """
     seed = bindings or {}
-    flat = _usable_plan(items, db, context, seed, plan, delta_position).flat()
+    flat = _usable_plan(items, db, context, seed, plan, delta_position)
     slots = tuple(flat.slot_of.items())
     values = db.interner.values
     solutions: list[Bindings] = []
@@ -1376,11 +1321,11 @@ def _stop_at_first(registers: list) -> None:
 
 def satisfiable(items: tuple, db: Database, context: EvalContext,
                 bindings: Optional[Bindings] = None,
-                plan: Optional[Plan] = None) -> bool:
+                plan: Optional[FlatPlan] = None) -> bool:
     """True iff the conjunction has a solution extending ``bindings``;
     the walk stops at the first one."""
     seed = bindings or {}
-    flat = _usable_plan(items, db, context, seed, plan, None).flat()
+    flat = _usable_plan(items, db, context, seed, plan, None)
     try:
         run_flat(flat, db, context, None, None, None, None, None, seed,
                  _stop_at_first)

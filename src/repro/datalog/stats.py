@@ -90,10 +90,9 @@ class EvalStats:
       usable single-column index);
     * ``remote_emissions`` — derived facts diverted to a remote owner by a
       cluster delta-exchange hook instead of being asserted locally;
-    * ``plans_evicted`` — cached plans dropped, either because a body
-      relation's cardinality band fell (deletion-heavy maintenance would
-      otherwise fill the plan cache with stale large-band entries) or by
-      a cache's FIFO bound (:func:`repro.datalog.runtime.cache_plan_bounded`);
+    * ``plans_evicted`` — cached plans dropped by a cache's FIFO bound
+      (:data:`repro.datalog.runtime.MAX_CACHED_PLANS`, applied in
+      :func:`repro.datalog.runtime.banded_plan`);
     * ``sent_dedup_evictions`` — cluster-node outbox dedup markers
       cleared by the generation-tagged reset at quiescence (bounding a
       long-running node's memory by one run's traffic);

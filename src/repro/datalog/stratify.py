@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .database import term_key
 from .errors import StratificationError
 from .terms import Literal, Rule
 
@@ -233,17 +234,27 @@ class Stratum:
     preds: frozenset
     rules: tuple           # non-aggregate rules
     agg_rules: tuple       # aggregate rules (evaluated once, first)
-    #: every predicate any of the rules reads (the incremental
-    #: propagators consult it on every delta batch)
+    #: every predicate any of the rules reads
     reads: frozenset = field(repr=False)
+    #: ``reads | preds``: a delta batch that names none of these leaves
+    #: the stratum as it is (the incremental propagators ask
+    #: ``touches.isdisjoint(batch)`` on every batch, which costs what the
+    #: batch holds; ``touches & batch.keys()`` would copy the set)
+    touches: frozenset = field(repr=False)
     has_negation: bool = field(repr=False)
     #: the ``rules`` with a positive body literal, in program order: the
     #: only ones a delta can fire, so the walks that follow a delta
-    #: (semi-naive rounds, DRed's over-delete, plan eviction) visit
-    #: these alone.  A fact holds no position, so a principal's held
-    #: credentials cost a later import nothing; a full application still
-    #: runs every rule.
+    #: (semi-naive rounds, DRed's over-delete) visit these alone.  A fact
+    #: holds no position, so a principal's held credentials cost a later
+    #: import nothing; a full application still runs every rule.
     delta_rules: tuple = field(repr=False)
+    #: head predicate -> the ``rules`` defining it that are not ground
+    #: facts, in program order; and head predicate -> ``term_key(values)``
+    #: -> the ground facts (``EngineRule.fact``) of that row.  DRed's
+    #: re-derivation finds both from its candidates, so a held credential
+    #: is visited only when its own row is one.
+    derived: dict = field(repr=False)
+    facts: dict = field(repr=False)
 
     @classmethod
     def of(cls, number: int, rules: Iterable,
@@ -260,17 +271,42 @@ class Stratum:
         delta = tuple(rule for rule in plain if any(
             isinstance(item, Literal) and not item.negated
             for item in rule.body))
+        derived: dict = {}
+        facts: dict = {}
+        for rule in plain:
+            fact = getattr(rule, "fact", None)   # engine rules only
+            if fact is None:
+                for head in rule.heads:
+                    derived.setdefault(head.pred, []).append(rule)
+            else:
+                facts.setdefault(rule.head.pred, {}).setdefault(
+                    term_key(fact), []).append(rule)
+        derived = _joined(base.derived if base else {}, derived)
+        held = dict(base.facts) if base else {}
+        for pred, rows in facts.items():
+            held[pred] = _joined(held.get(pred, {}), rows)
         if base is None:
-            return cls(number, heads, plain, aggregates, reads, negation,
-                       delta)
+            return cls(number, heads, plain, aggregates, reads, reads | heads,
+                       negation, delta, derived, held)
         return cls(number, base.preds | heads, base.rules + plain,
                    base.agg_rules + aggregates, base.reads | reads,
-                   base.has_negation or negation, base.delta_rules + delta)
+                   base.touches | reads | heads,
+                   base.has_negation or negation, base.delta_rules + delta,
+                   derived, held)
 
     @property
     def nonmonotone(self) -> bool:
         """True when incremental insertion cannot use plain semi-naive."""
         return self.has_negation or bool(self.agg_rules)
+
+
+def _joined(held: dict, new: dict) -> dict:
+    """``held`` (key -> tuple) with each of ``new``'s lists appended; only
+    the entries ``new`` names are rebuilt."""
+    joined = dict(held)
+    for key, items in new.items():
+        joined[key] = joined.get(key, ()) + tuple(items)
+    return joined
 
 
 def stratify(rules: list) -> list[Stratum]:

@@ -2,11 +2,14 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.cli import extract_programs, looks_like_program, main
 from repro.cli import main as repro_main
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def run(args):
@@ -117,6 +120,34 @@ def test_placement_dry_run_flags(tmp_path):
     code, _ = run(["--nodes", "2", "--partition", "a=0",
                    "--replicate", "b", str(program)])
     assert code == 0
+
+
+def test_placement_dry_run_rejects_a_non_co_located_join(tmp_path):
+    """The dry-run is the same ``analyze_join_compatibility`` that
+    ``Cluster.load`` enforces: the recursive reach rule joins on Y, so
+    reach must be keyed on column 1 to meet edge's column 0 (R501 names
+    the rule otherwise)."""
+    program = tmp_path / "reach.dl"
+    program.write_text(
+        "reach(X,Y) <- edge(X,Y).\nreach(X,Z) <- reach(X,Y), edge(Y,Z).\n")
+    code, text = run(["--nodes", "3", "--partition", "edge=0",
+                      "--partition", "reach=0", str(program)])
+    assert code == 1
+    assert "R501" in text
+    code, _ = run(["--nodes", "3", "--partition", "edge=0",
+                   "--partition", "reach=1", str(program)])
+    assert code == 0
+
+
+def test_json_report_over_the_shipped_programs_is_schema_versioned():
+    """``--format json`` over the paper listings and every example is one
+    well-formed report of the current schema, with no error."""
+    examples = sorted(str(path) for path in EXAMPLES.glob("*.py"))
+    assert examples
+    _, text = run(["--format", "json", "--paper-listings", *examples])
+    report = json.loads(text)
+    assert report["schema"] == "repro-check/v1", report["schema"]
+    assert report["summary"]["errors"] == 0, report["summary"]
 
 
 def test_dispatch_from_top_level_cli(bad_file, capsys):

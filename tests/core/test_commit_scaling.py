@@ -17,6 +17,7 @@ from repro import LBTrustSystem
 from repro.cluster.partition import PlacementMap
 from repro.crypto import datalog_builtins
 from repro.datalog import constraints
+from repro.datalog.database import TermInterner
 from repro.datalog.engine import EngineRule
 
 
@@ -173,4 +174,32 @@ def test_a_retract_at_the_receiver_plans_no_held_credential(monkeypatch):
         assert len(bob.tuples("gotA")) == held
         assert not [rule for rule in visited if not rule.body]
         counts.append((len(visited), len(planned)))
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_a_retract_at_the_receiver_interns_no_held_credential(monkeypatch):
+    """One DRed retract of a ``ping`` row asserted at bob: its
+    re-derivation finds the ground facts of a candidate by the
+    candidate's row, so no held credential's row is interned again
+    (``TermInterner.intern_row``: 2,000 calls at 2,000 held while every
+    held fact was interned to be compared).  Equal at 0, 500 and 2,000
+    held."""
+    intern_row, calls = TermInterner.intern_row, []
+
+    def counting_intern_row(self, fact):
+        calls.append(fact)
+        return intern_row(self, fact)
+
+    counts = []
+    for held in (0, 500, 2000):
+        _, _, bob = bob_holding(held)
+        workspace = bob.workspace
+        workspace.assert_fact("ping", (-5,))
+        monkeypatch.setattr(TermInterner, "intern_row", counting_intern_row)
+        calls.clear()
+        workspace.retract_fact("ping", (-5,))
+        monkeypatch.setattr(TermInterner, "intern_row", intern_row)
+        assert (-5,) not in bob.tuples("gotA")
+        assert len(bob.tuples("gotA")) == held
+        counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]

@@ -130,7 +130,7 @@ class TestMultipleConstraints:
 
 class TestConstraintPlansOverLargeRelations:
     def test_band_keyed_cache_handles_relation_valued_sizes(self):
-        # regression: relation_sizes() returns live Relation objects since
+        # regression: the cost model is handed live Relation objects since
         # the distinct-count statistics; the constraint plan cache must
         # band on their cardinality, not compare them to ints
         from repro.datalog.parser import parse_statements

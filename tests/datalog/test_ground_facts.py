@@ -70,7 +70,7 @@ def both_ways(rule, held: bool):
             produced = apply_rule(rule, db, context, provenance=provenance)
         else:
             produced = set()
-            fired = derive_rows(rule, rule.plan(context, None, db).flat(),
+            fired = derive_rows(rule, rule.plan(context, None, db),
                                 db, context, None, None,
                                 db.rel(rule.head.pred).rows, produced,
                                 provenance)

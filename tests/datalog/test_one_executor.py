@@ -77,16 +77,15 @@ class TestNoFallbackExists:
         # caller-seeded plans compile like any other
         assert any(plan.assumes for plan in constraint_plans)
         for plan in rule_plans + constraint_plans:
-            flat = plan.flat()
-            assert isinstance(flat, FlatPlan)
-            assert len(flat.steps) == len(plan.steps)
-            assert set(plan.assumes) <= set(flat.slot_of)
-            for step in flat.steps:
+            assert isinstance(plan, FlatPlan)
+            assert len(plan.steps) == len(plan.order)
+            assert set(plan.assumes) <= set(plan.slot_of)
+            for step in plan.steps:
                 assert isinstance(step, STEP_CLASSES)
         # head-position quote templates (says rules) compiled too
         quote_heads = sum(
-            1 for plan in rule_plans if plan.flat().head_spec is not None
-            and plan.flat().head_spec[1])
+            1 for plan in rule_plans if plan.head_spec is not None
+            and plan.head_spec[1])
         assert quote_heads > 0
 
     def test_the_generator_pipeline_is_gone(self):
@@ -282,11 +281,11 @@ class TestConstantNoRowCarries:
     def test_constant_bucket(self):
         db = self.db()
         body, plan = self.plan('h(Y) <- e("ghost", Y).', db)
-        (step,) = plan.flat().steps
+        (step,) = plan.steps
         assert step.key_const == db.interner.ids["ghost"]
         assert list(solve(body, db, EvalContext(), plan=plan)) == []
         body, plan = self.plan('h(X) <- e(X, Y), !e("ghost", Z).', db)
-        (negation,) = [step for step in plan.flat().steps if step.negated]
+        (negation,) = [step for step in plan.steps if step.negated]
         assert negation.key_const == db.interner.ids["ghost"]
         assert {s["X"] for s in solve(body, db, EvalContext(), plan=plan)} \
             == {"a", "b"}
@@ -297,7 +296,7 @@ class TestConstantNoRowCarries:
                                 ('h(X) <- e(X, Y), !e(X, "ghost").',
                                  {"a", "b"})]:
             body, plan = self.plan(source, db)
-            probe = plan.flat().steps[1]
+            probe = plan.steps[1]
             assert probe.key_const is None and probe.single_var is None
             assert probe.key_template[1] == db.interner.ids["ghost"]
             assert {s["X"] for s in solve(body, db, EvalContext(),
@@ -310,6 +309,6 @@ class TestConstantNoRowCarries:
         stats = EvalStats()
         evaluate([rule], db, EvalContext(stats=stats))
         (plan,) = rule._plans.values()
-        assert plan.flat().join2       # the fast join ran, no general walk
+        assert plan.join2       # the fast join ran, no general walk
         assert db.tuples("h") == set()
         assert stats.literal_scans == 1 and stats.id_joins == 1

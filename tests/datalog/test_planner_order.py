@@ -34,7 +34,6 @@ from repro.datalog.runtime import (
     BodyAnalysis,
     EvalContext,
     order_body,
-    relation_sizes,
     term_vars,
 )
 from repro.datalog.stratify import stratify
@@ -242,8 +241,7 @@ def planning_problems(draw):
     bound = frozenset(draw(st.sets(var_names, max_size=2)))
     live = {pred: db.get(pred) or 0 for pred in ARITY}
     sizes = draw(st.sampled_from([
-        None, relation_sizes(items, db), live,
-        {pred: len(db.tuples(pred)) for pred in ARITY}]))
+        None, live, {pred: len(db.tuples(pred)) for pred in ARITY}]))
     return items, bound, first, sizes
 
 
@@ -334,7 +332,9 @@ def test_section9_bodies_order_the_same_at_their_live_sizes():
         for items, bound, first in problems:
             live = {item.atom.pred: db.get(item.atom.pred) or 0
                     for item in items if isinstance(item, Literal)}
-            for sizes in (None, relation_sizes(items, db), live):
+            counts = {pred: len(relation) if relation else 0
+                      for pred, relation in live.items()}
+            for sizes in (None, live, counts):
                 verdict = assert_same_order(items, bound, first, sizes,
                                             builtins)
                 assert verdict[0] != "unsafe"
@@ -416,14 +416,14 @@ class TestCompiledOrderSharing:
                 scratch)
             assert db.tuples("r") == scratch.tuples("r")
             # an order is never re-served across the guarded and the
-            # plain body (shrinking bands evict plans as the cuts go on)
+            # plain body (plans of bands the cuts left stay cached)
             guarded = {id(plan) for key, plan in step._plans.items()
                        if key[0] == "head"}
             plain = {id(plan) for key, plan in step._plans.items()
                      if key[0] != "head"}
             assert guarded and not guarded & plain
             coexisted = coexisted or bool(plain)
-            assert all(len(plan.steps) == 3
+            assert all(len(plan.order) == 3
                        for key, plan in step._plans.items()
                        if key[0] == "head")
         assert coexisted

@@ -6,6 +6,7 @@ from repro.datalog.builtins import standard_registry
 from repro.datalog.database import Database, TermInterner
 from repro.datalog.errors import BuiltinError, SafetyError
 from repro.datalog.parser import parse_statements, parse_term
+from repro.datalog.stats import EvalStats
 from repro.datalog.runtime import (
     EvalContext,
     Unbound,
@@ -115,14 +116,14 @@ class TestBuildPlan:
     def test_filters_scheduled_after_binding(self):
         body = body_of("h(X) <- big(X), X > 3, small(X).")
         plan = build_plan(body, TermInterner(), builtins=standard_registry())
-        kinds = [type(item).__name__ for _, item in plan.steps]
+        kinds = [type(body[i]).__name__ for i in plan.order]
         # the comparison runs immediately after the first literal binds X
         assert kinds == ["Literal", "Comparison", "Literal"]
 
     def test_negation_deferred_until_shared_vars_bound(self):
         body = body_of("h(X) <- v(X), !w(X,Y), u(Y).")
         plan = build_plan(body, TermInterner(), builtins=standard_registry())
-        order = [item for _, item in plan.steps]
+        order = [body[i] for i in plan.order]
         negated_index = next(i for i, item in enumerate(order)
                              if isinstance(item, Literal) and item.negated)
         u_index = next(i for i, item in enumerate(order)
@@ -133,12 +134,12 @@ class TestBuildPlan:
         body = body_of("h(X,Z) <- a(X,Y), b(Y,Z).")
         plan = build_plan(body, TermInterner(), first=1,
                           builtins=standard_registry())
-        assert plan.steps[0][0] == 1
+        assert plan.order[0] == 1
 
     def test_builtin_waits_for_inputs(self):
         body = compiled_body("h(X,N) <- strlen(X,N), v(X).")
         plan = build_plan(body, TermInterner(), builtins=standard_registry())
-        order = [item for _, item in plan.steps]
+        order = [body[i] for i in plan.order]
         assert isinstance(order[0], Literal)       # v(X) first binds X
         assert isinstance(order[1], BuiltinCall)
 
@@ -157,8 +158,8 @@ class TestCostBasedPlan:
     def plan_order(self, body, sizes):
         plan = build_plan(body, TermInterner(),
                           builtins=standard_registry(), sizes=sizes)
-        return [item.atom.pred for _, item in plan.steps
-                if isinstance(item, Literal)], plan
+        return [body[i].atom.pred for i in plan.order
+                if isinstance(body[i], Literal)], plan
 
     def test_small_relation_scheduled_first_when_much_cheaper(self):
         body = body_of("h(X) <- big(X), small(X).")
@@ -191,26 +192,25 @@ class TestCostBasedPlan:
         plan = build_plan(body, TermInterner(), first=1,
                           builtins=standard_registry(),
                           sizes={"a": 100000, "b": 3})
-        assert plan.steps[0][0] == 1
+        assert plan.order[0] == 1
 
-    def test_relation_sizes_helper_gates_on_magnitude(self):
-        from repro.datalog.database import Database
-        from repro.datalog.runtime import relation_sizes
-
+    def test_solve_sizes_a_fresh_plan_only_past_the_band_floor(self):
+        # solve() plans through banded_plan: the cost model engages once
+        # some body relation leaves the small band, and not before
         body = body_of("h(X) <- big(X), small(X).")
         db = Database()
         for i in range(100):
             db.add("big", (i,))
         db.add("small", (1,))
-        stats = relation_sizes(body, db)
-        # values are the live relations themselves (distinct-count source)
-        assert stats["big"] is db.get("big")
-        assert stats["small"] is db.get("small")
+        stats = EvalStats()
+        assert list(solve(body, db, EvalContext(stats=stats))) == [{"X": 1}]
+        assert (stats.plans_built, stats.reorder_wins) == (1, 1)
         tiny = Database()
         tiny.add("big", (1,))
         tiny.add("small", (1,))
-        assert relation_sizes(body, tiny) is None  # all small: greedy
-        assert relation_sizes(body, None) is None
+        stats = EvalStats()
+        assert list(solve(body, tiny, EvalContext(stats=stats))) == [{"X": 1}]
+        assert (stats.plans_built, stats.reorder_wins) == (1, 0)
 
 
 class TestPlanReuse:
@@ -239,19 +239,18 @@ class TestPlanReuse:
     def test_flat_compilation_covers_pure_literal_bodies(self):
         body = body_of("h(X,Z) <- a(X,Y), b(Y,Z), !c(X).")
         plan = build_plan(body, TermInterner(), builtins=standard_registry())
-        assert plan.flat() is not None
+        assert len(plan.steps) == len(plan.order) == 3
 
     def test_flat_compilation_covers_filters(self):
         body = body_of("h(X) <- a(X), X > 3.")
         plan = build_plan(body, TermInterner(), builtins=standard_registry())
-        assert plan.flat() is not None
+        assert len(plan.steps) == len(plan.order) == 2
 
     def test_flat_compilation_covers_assignment_and_builtins(self):
         body = compiled_body("h(Y,N) <- p(X,S), Y = X + 1, strlen(S,N).")
         plan = build_plan(body, TermInterner(), builtins=standard_registry())
-        flat = plan.flat()
-        assert flat is not None
-        assert {"X", "S", "Y", "N"} <= set(flat.slot_of)
+        assert len(plan.steps) == len(plan.order) == 3
+        assert {"X", "S", "Y", "N"} <= set(plan.slot_of)
 
     def test_flat_compilation_covers_quote_terms(self):
         # A quote-valued probe key compiles to a getter that materializes
@@ -261,7 +260,7 @@ class TestPlanReuse:
         db = Database()
         db.add("says", ("alice", "the-rule"))
         plan = build_plan(body, db.interner, builtins=standard_registry())
-        (step,) = plan.flat().steps
+        (step,) = plan.steps
         assert step.key_positions == (1,) and len(step.eval_fills) == 1
         seen = []
 
@@ -277,9 +276,9 @@ class TestPlanReuse:
         body = body_of("h(Y) <- p(X,Y), Y > 1.")
         plan = build_plan(body, TermInterner(), frozenset({"X"}),
                           builtins=standard_registry())
-        flat = plan.flat()
-        assert flat.slot_of["X"] == 0          # seeds take the first slots
-        assert flat.steps[0].single_var == 0   # and feed the index probe
+        assert plan.assumes == {"X"}
+        assert plan.slot_of["X"] == 0          # seeds take the first slots
+        assert plan.steps[0].single_var == 0   # and feed the index probe
 
 
 class TestSafetyAnalysis:

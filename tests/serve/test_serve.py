@@ -397,6 +397,40 @@ def test_a_broken_connection_does_not_stop_the_server(wire, reason):
         harness.close()
 
 
+def test_broken_connections_do_not_stop_a_socket_server():
+    """A stray TCP client must cost only its own connection: half a
+    frame, a 2**31 length prefix and a truncated name header, sent one
+    after another to one server, each used to stop ``serve_forever``,
+    after which nothing answered ``ping``.  The server answers, and
+    counts three dropped connections."""
+    system = LBTrustSystem(auth="plaintext")
+    system.create_principal("srv")
+    network = SocketNetwork()
+    server = TrustServer(system, network, poll_interval=0.01)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServeClient(SocketNetwork(), "c1", timeout=10.0)
+    try:
+        port = network.port_of(server.node)
+        for wire in (struct.pack("!I", 40) + b"half a frame",
+                     struct.pack("!I", 2 ** 31),
+                     struct.pack("!I", 6) + struct.pack("!H", 200) + b"abcd"):
+            with socket.create_connection(("127.0.0.1", port)) as raw:
+                raw.sendall(wire)
+        client.connect(server_host="127.0.0.1", server_port=port)
+        client.ping()
+        deadline = time.monotonic() + 10.0
+        while network.connections_dropped < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert thread.is_alive(), "serve_forever died"
+        assert network.connections_dropped == 3, network.connections_dropped
+    finally:
+        server.stop()
+        thread.join(timeout=10.0)
+        client.network.close()
+        network.close()
+
+
 def test_a_hostile_peer_cannot_abort_a_served_sync():
     """A row whose import cannot commit is rejected, not fatal: alice's
     unsafe rule (X only under negation) cannot activate at srv, so its
