@@ -21,8 +21,8 @@ its nested refs no later, so a new row there comes with a new
 carry ``R`` (:func:`eval_stratum`).
 
 **One fact currency.**  Everything these functions take and return —
-``changed``, ``inserted``, ``added``, ``removed``, what ``edb_facts(pred)``
-hands back — is a :data:`FactSet` of *id rows* over ``db.interner``.  A
+``changed``, ``inserted``, ``added``, ``removed``, the base rows
+``edb_facts(pred)`` hands back — is *id rows* over ``db.interner``.  A
 value is interned exactly once, where it enters (a host's assert, a wire
 dictionary, a plan's constants when it compiles, an aggregate result),
 and materialized only where it leaves (``tuples()`` / query answers,
@@ -95,10 +95,6 @@ class EngineRule:
     head of a multi-head rule the same body tuple, but a compiled plan
     carries head-specific lazies (``FlatPlan.head_spec`` / ``supports`` /
     ``join2``), so nothing is ever shared by body identity.
-
-    A ground fact — no body, no aggregate, every head argument a
-    :class:`Constant` — is never planned: ``fact`` holds its head's
-    values, which :func:`apply_rule` interns as its one row.
     """
 
     head: Atom
@@ -111,14 +107,6 @@ class EngineRule:
     _head_analysis: Optional[BodyAnalysis] = field(default=None, repr=False)
     _positive_positions: Optional[list] = field(default=None, repr=False)
     _patterns: Optional[tuple] = field(default=None, repr=False)
-    #: the head's values, when the rule is a ground fact (else None)
-    fact: Optional[tuple] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        args = self.head.all_args
-        if not self.body and self.agg is None and all(
-                isinstance(term, Constant) for term in args):
-            self.fact = tuple([term.value for term in args])
 
     @property
     def heads(self) -> tuple:
@@ -321,6 +309,20 @@ class ProvenanceStore:
     def record_edb(self, pred: str, row: tuple) -> None:
         self.record(pred, row, "$edb", ())
 
+    def record_base(self, pred: str, row: tuple, base) -> None:
+        """Record a base row's proofs: each label ``base.proofs(row)``
+        names (``base`` is what the host's ``edb_facts(pred)`` returned),
+        else its assertion, ``"$edb"``."""
+        proofs = getattr(base, "proofs", None)
+        for label in proofs(row) if proofs is not None else ("$edb",):
+            self.record(pred, row, label, ())
+
+    def discard(self, pred: str, row: tuple, label: str) -> None:
+        """Drop the empty-support proof ``label`` of a row that holds on."""
+        held = self.derivations.get((pred, row))
+        if held:
+            self._set((pred, row), held - {(label, ())})
+
     def forget(self, pred: str, row: tuple) -> None:
         self._set((pred, row), None)
 
@@ -354,21 +356,8 @@ def apply_rule(rule: EngineRule, db: Database, context: EvalContext,
     join probes it in id space; its rows are in ``db`` already).
 
     A rule that cannot fire (:meth:`EngineRule.live_relations`) derives
-    nothing and is not planned.  A ground fact (``rule.fact``) is its
-    head row: the row :func:`compile_head`'s layout names (``all_args``,
-    keys first), counted as one derivation and one firing and recorded
-    with an empty support, as the walker would — with no plan and no
-    join.
+    nothing and is not planned.
     """
-    if rule.fact is not None:
-        row = db.interner.intern_row(rule.fact)
-        context.stats.derivations += 1
-        context.stats.fire(rule.label or rule.head.pred, 1)
-        if provenance is not None:
-            provenance.record(rule.head.pred, row, rule.label or "rule", ())
-        if known_rows is None:
-            known_rows = db.rel(rule.head.pred).rows
-        return set() if row in known_rows else {row}
     relations = rule.live_relations(db, context)
     if relations is None:
         return set()
@@ -586,7 +575,7 @@ def eval_stratum(stratum: Stratum, db: Database, context: EvalContext,
             new_refs = delta.get("rule")
             carried: dict = {}
             next_delta: dict[str, set] = {}
-            for rule in stratum.delta_rules:
+            for rule in stratum.rules:
                 grouped, carriers = rule.patterns()
                 for position in rule.positive_positions():
                     if position in grouped:
@@ -679,8 +668,9 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
     ``inserted`` are rows already added to ``db``.  Monotone strata are
     maintained with semi-naive deltas; strata containing negation or
     aggregation whose inputs changed are recomputed from their EDB
-    (``edb_facts(pred)`` supplies the host's asserted rows of a
-    predicate; it may be the host's live set — it is only read).
+    (``edb_facts(pred)`` supplies the host's base rows of a predicate,
+    asserted or stated by an active ground fact: anything that answers
+    ``row in base``, only read).
     """
     changed: FactSet = dict(inserted)
     total_added: FactSet = {}
@@ -706,18 +696,19 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
     return total_added
 
 
-def reset_rows(db: Database, pred: str, rows: set, asserted,
+def reset_rows(db: Database, pred: str, rows: set, base,
                provenance: Optional[ProvenanceStore] = None) -> None:
     """Take ``rows`` out of ``pred`` and forget their proofs; one of the
-    ``asserted`` rows stays, with its assertion for only proof."""
+    ``base`` rows (``edb_facts(pred)``) stays, with its base proofs."""
     relation = db.rel(pred)
-    for row in rows.difference(asserted):
-        relation.discard_row(row)
+    for row in rows:
+        if row not in base:
+            relation.discard_row(row)
     if provenance is not None:
         for row in rows:
             provenance.forget(pred, row)
-            if row in asserted:
-                provenance.record_edb(pred, row)
+            if row in base:
+                provenance.record_base(pred, row, base)
 
 
 def recompute_stratum(stratum: Stratum, db: Database, context: EvalContext,

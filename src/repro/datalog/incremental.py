@@ -6,20 +6,19 @@ the classic DRed recipe, stratum by stratum, in interned-id space and at a
 cost bounded by what the deletion touches, never by the stratum's size:
 
 1. **Over-delete**: starting from the retracted facts, propagate deletions
-   through every rule with a positive body literal
-   (:attr:`~repro.datalog.stratify.Stratum.delta_rules`; a head fact is
-   over-deleted whenever one of its positive supports is), joining
-   against the *pre-deletion* state.
+   through the stratum's rules (a head fact is over-deleted whenever one
+   of its positive supports is), joining against the *pre-deletion*
+   state.
 2. **Candidates**: the over-deleted rows, plus any retracted fact whose
    own predicate is derived in this stratum (its assertion is gone, a
-   derivation may remain).  EDB-asserted candidates come straight back.
+   derivation may remain).  Base candidates come straight back: the host's
+   ``edb_facts(pred)`` answers ``row in base`` for a row asserted or
+   stated by an active ground fact (a workspace's supported row), and
+   ``base.proofs(row)``, where it has it, names the proofs recorded.
 3. **Head-bound re-derivation**: each rule whose head has candidates
-   (:attr:`~repro.datalog.stratify.Stratum.derived`) runs once with its
-   head bound to them
+   runs once with its head bound to them
    (:meth:`~repro.datalog.engine.EngineRule.head_bound_plan`); candidates
-   with a derivation from the surviving facts come back.  A ground fact
-   is looked up by a candidate's row (``Stratum.facts``) and brings it
-   back with no plan, so the facts a stratum holds are never walked.
+   with a derivation from the surviving facts come back.
 4. **Semi-naive closure**: the restored and re-derived facts seed
    :func:`~repro.datalog.engine.eval_stratum` as its delta, bringing back
    candidates that depend on other candidates.
@@ -27,15 +26,17 @@ cost bounded by what the deletion touches, never by the stratum's size:
 The stratum's ``(added, removed)`` diff falls out of the candidate and
 re-derived sets; no relation is ever copied.  Every fact set in here —
 ``deleted``, the over-deleted rows, the candidates, ``back``, the diff,
-what ``edb_facts(pred)`` returns — is id rows over ``db.interner`` (the
+what ``edb_facts(pred)`` holds — is id rows over ``db.interner`` (the
 engine's one currency, see :mod:`repro.datalog.engine`), so phase 2 is a
-set intersection, and a provenance store forgets and records id rows.
+membership test per candidate, and a provenance store forgets and
+records id rows.
 
 A pass is seeded by deleted rows, wherever they came from: a retracted
 assertion, a lower stratum's removals, a retracted fact this stratum also
 derives — or the rows a rule derived until it left ``active``, however
 it left (``Workspace._drop`` applies the dropped rule once and hands them
-in).  Phase 2 makes them candidates; nothing here knows of rules.
+in), or the rows no active ground fact states any more.  Phase 2 makes
+them candidates; nothing here knows of rules.
 
 Strata containing negation or aggregation are recomputed from their EDB
 instead (always correct, and cheap at trust-policy scale); the net
@@ -48,11 +49,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .database import Database, Relation, term_key
+from .database import Database, Relation
 from .engine import (
     FactSet,
     ProvenanceStore,
-    apply_rule,
     derive_rows,
     eval_stratum,
     merge_rows,
@@ -138,7 +138,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
         next_frontier: FactSet = {}
         delta_rels = {pred: Relation.wrap_rows(pred, rows, interner)
                       for pred, rows in frontier.items()}
-        for rule in stratum.delta_rules:
+        for rule in stratum.rules:
             pred = rule.head.pred
             for position in rule.positive_positions():
                 if rule.body[position].atom.pred not in frontier:
@@ -169,7 +169,7 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
     # -- Phase 2: candidates.  An over-deleted row may have another
     # derivation; a retracted fact of one of this stratum's own predicates
     # lost its assertion but may still be derivable.  Those that are (still)
-    # EDB-asserted come back at once.  ``back`` collects, per predicate,
+    # base rows come back at once.  ``back`` collects, per predicate,
     # every row this stratum puts (back) into ``db`` from here on; it
     # doubles as the closure's seed delta, which adopts its sets — so
     # they only ever grow by :func:`merge_rows`, never in place.
@@ -182,50 +182,44 @@ def _dred_stratum(stratum: Stratum, db: Database, context: EvalContext,
             continue
         candidates[pred] = rows
         base = edb_facts(pred) if edb_facts is not None else None
-        asserted = rows & base if base else None
-        if not asserted:
+        if not base:
             continue
-        db.rel(pred).add_rows(asserted)
-        merge_rows(back, {pred: asserted})
+        based = {row for row in rows if row in base}
+        if not based:
+            continue
+        db.rel(pred).add_rows(based)
+        merge_rows(back, {pred: based})
         if provenance is not None:
-            for row in asserted:
-                provenance.record_edb(pred, row)
+            for row in based:
+                provenance.record_base(pred, row, base)
 
     # -- Phase 3: head-bound re-derivation.  Each rule whose head has
     # candidates runs once with its head matched against them, so the work
-    # is bounded by the candidates, not by the stratum.  A head with a
-    # computed term cannot be bound by matching: that rule runs
-    # unrestricted and is intersected with the candidates.  A ground fact
-    # is found from a candidate's row and re-derives it (``apply_rule``
-    # counts it): nothing to bind.
+    # is bounded by the candidates, not by the stratum's rows.  A head with
+    # a computed term cannot be bound by matching: that rule runs
+    # unrestricted and is intersected with the candidates.
     survivors: FactSet = {}
-    for pred, rows in candidates.items():
-        facts = stratum.facts.get(pred)
-        if facts:
-            for row in rows:
-                key = term_key(interner.materialize_row(row))
-                for rule in facts.get(key, ()):
-                    survivors.setdefault(pred, set()).update(apply_rule(
-                        rule, db, context, known_rows=(),
-                        provenance=provenance))
-        for rule in stratum.derived.get(pred, ()):
-            derivable: set = set()
-            plan = rule.head_bound_plan(context, db)
-            if plan is None:
-                fired = derive_rows(rule, rule.plan(context, None, db=db), db,
-                                    context, None, None, (), derivable,
-                                    provenance)
-                derivable &= rows
-            else:
-                fired = derive_rows(
-                    rule, plan, db, context,
-                    {pred: Relation.wrap_rows(pred, rows, interner)}, 0,
-                    (), derivable, provenance)
-            if fired:
-                stats.derivations += fired
-                stats.fire(rule.label or pred, fired)
-            if derivable:
-                survivors.setdefault(pred, set()).update(derivable)
+    for rule in stratum.rules:
+        pred = rule.head.pred
+        rows = candidates.get(pred)
+        if not rows:
+            continue
+        derivable: set = set()
+        plan = rule.head_bound_plan(context, db)
+        if plan is None:
+            fired = derive_rows(rule, rule.plan(context, None, db=db), db,
+                                context, None, None, (), derivable, provenance)
+            derivable &= rows
+        else:
+            fired = derive_rows(
+                rule, plan, db, context,
+                {pred: Relation.wrap_rows(pred, rows, interner)}, 0,
+                (), derivable, provenance)
+        if fired:
+            stats.derivations += fired
+            stats.fire(rule.label or pred, fired)
+        if derivable:
+            survivors.setdefault(pred, set()).update(derivable)
     for pred, rows in survivors.items():
         fresh = db.rel(pred).add_rows(rows)
         if fresh:

@@ -16,6 +16,10 @@ defines or reads yet starts at the level its body needs.  Anything that
 would move a predicate already placed — a read head that must rise above
 level 0, a head defined too low, a negative cycle — is not extendable and
 falls back to :func:`stratify`, as does dropping a rule.
+
+A workspace's ground facts are not rules here: it holds the rows they
+state as support-counted base rows, so a predicate only they state is
+read like an asserted one, and a stratum never grows with them.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .database import term_key
 from .errors import StratificationError
 from .terms import Literal, Rule
 
@@ -242,19 +245,6 @@ class Stratum:
     #: batch holds; ``touches & batch.keys()`` would copy the set)
     touches: frozenset = field(repr=False)
     has_negation: bool = field(repr=False)
-    #: the ``rules`` with a positive body literal, in program order: the
-    #: only ones a delta can fire, so the walks that follow a delta
-    #: (semi-naive rounds, DRed's over-delete) visit these alone.  A fact
-    #: holds no position, so a principal's held credentials cost a later
-    #: import nothing; a full application still runs every rule.
-    delta_rules: tuple = field(repr=False)
-    #: head predicate -> the ``rules`` defining it that are not ground
-    #: facts, in program order; and head predicate -> ``term_key(values)``
-    #: -> the ground facts (``EngineRule.fact``) of that row.  DRed's
-    #: re-derivation finds both from its candidates, so a held credential
-    #: is visited only when its own row is one.
-    derived: dict = field(repr=False)
-    facts: dict = field(repr=False)
 
     @classmethod
     def of(cls, number: int, rules: Iterable,
@@ -268,45 +258,17 @@ class Stratum:
         reads = frozenset().union(*(rule.body_preds() for rule in rules))
         negation = any(isinstance(item, Literal) and item.negated
                        for rule in plain for item in rule.body)
-        delta = tuple(rule for rule in plain if any(
-            isinstance(item, Literal) and not item.negated
-            for item in rule.body))
-        derived: dict = {}
-        facts: dict = {}
-        for rule in plain:
-            fact = getattr(rule, "fact", None)   # engine rules only
-            if fact is None:
-                for head in rule.heads:
-                    derived.setdefault(head.pred, []).append(rule)
-            else:
-                facts.setdefault(rule.head.pred, {}).setdefault(
-                    term_key(fact), []).append(rule)
-        derived = _joined(base.derived if base else {}, derived)
-        held = dict(base.facts) if base else {}
-        for pred, rows in facts.items():
-            held[pred] = _joined(held.get(pred, {}), rows)
-        if base is None:
-            return cls(number, heads, plain, aggregates, reads, reads | heads,
-                       negation, delta, derived, held)
-        return cls(number, base.preds | heads, base.rules + plain,
-                   base.agg_rules + aggregates, base.reads | reads,
-                   base.touches | reads | heads,
-                   base.has_negation or negation, base.delta_rules + delta,
-                   derived, held)
+        if base is not None:
+            heads, reads = base.preds | heads, base.reads | reads
+            plain, aggregates = base.rules + plain, base.agg_rules + aggregates
+            negation = base.has_negation or negation
+        return cls(number, heads, plain, aggregates, reads, reads | heads,
+                   negation)
 
     @property
     def nonmonotone(self) -> bool:
         """True when incremental insertion cannot use plain semi-naive."""
         return self.has_negation or bool(self.agg_rules)
-
-
-def _joined(held: dict, new: dict) -> dict:
-    """``held`` (key -> tuple) with each of ``new``'s lists appended; only
-    the entries ``new`` names are rebuilt."""
-    joined = dict(held)
-    for key, items in new.items():
-        joined[key] = joined.get(key, ()) + tuple(items)
-    return joined
 
 
 def stratify(rules: list) -> list[Stratum]:

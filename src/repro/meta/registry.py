@@ -177,16 +177,9 @@ class RuleRegistry:
         (``SafetyError`` if it is not): made at the first workspace to
         activate it and read by the rest.  Each workspace normalizes it
         into engine rules of its own, so a plan is ordered against the
-        relations of the workspace it runs in.
-
-        A ground fact (:meth:`~repro.datalog.terms.Rule.is_ground_fact`,
-        the common said credential) is its own compiled form under every
-        registry: there is no body to compile and no variable to leave
-        unbound, so neither :func:`compile_rule` nor the safety check
-        runs."""
+        relations of the workspace it runs in (a ground fact is never
+        compiled: a workspace holds the rows it states)."""
         entry = self._entry(ref)
-        if entry.rule.is_ground_fact():
-            return entry.rule
         signature = builtins.signature()
         compiled = entry.compiled.get(signature)
         if compiled is None:

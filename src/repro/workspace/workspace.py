@@ -30,6 +30,10 @@ section 3.3:
   (:func:`~repro.datalog.stratify.extend_strata`), a rule that would
   move a placed predicate and a drop restratify in full, and a rollback
   restores the strata it found;
+* a ground fact in ``active`` (the common said credential) compiles to
+  no rule: the rows it states are base rows beside the asserted ones,
+  each counting the active facts that state it, and one that loses its
+  last supporter and is not asserted leaves like a retracted fact;
 * schema constraints and meta-constraints are checked at commit; a
   violation rolls the whole transaction back and raises
   :class:`ConstraintViolation`, leaving an audit record.  Everything a
@@ -142,6 +146,25 @@ class _EdbView(Mapping):
         return len(self._workspace._edb.relations)
 
 
+class _BaseRows:
+    """``edb_facts(pred)`` for DRed and a recompute: the rows asserted and
+    those active ground facts state (``supported``: id row -> the labels
+    of the facts), both read in place, never joined.  Made only while
+    some row is supported, so it is never empty."""
+
+    __slots__ = ("asserted", "supported")
+
+    def __init__(self, asserted: set, supported: dict) -> None:
+        self.asserted, self.supported = asserted, supported
+
+    def __contains__(self, row) -> bool:
+        return row in self.asserted or row in self.supported
+
+    def proofs(self, row: tuple) -> tuple:
+        held = self.supported.get(row, ())
+        return held + ("$edb",) if row in self.asserted else held
+
+
 class Workspace:
     """One principal's context: predicates, active rules, constraints."""
 
@@ -180,6 +203,10 @@ class Workspace:
             ProvenanceStore(self.db) if enable_provenance else None
         )
         self._activated: dict[RuleRef, list[EngineRule]] = {}
+        #: the base rows the active ground facts state, which compile to
+        #: no rule: pred -> id row -> the label ``r<rid>`` of each fact
+        #: stating it (its support count is their number)
+        self._supported: dict[str, dict[tuple, tuple]] = {}
         #: the activated rules that call a volatile builtin, in activation
         #: order: kept as rules activate and drop (:meth:`_run_loop`)
         self._volatile: list[EngineRule] = []
@@ -675,8 +702,13 @@ class Workspace:
         has nothing derived from it yet; any other is a pending deletion."""
         edb, db = self._edb.rel(pred), self.db.rel(pred)
         fresh = self._txn_fresh.get(pred, set())
+        supported = self._supported.get(pred, {})
         for row in rows:
             edb.discard_row(row)
+            if row in supported:   # a ground fact still states it
+                if self.provenance is not None:
+                    self.provenance.discard(pred, row, "$edb")
+                continue
             db.discard_row(row)
             if self.provenance is not None:
                 self.provenance.forget(pred, row)
@@ -797,8 +829,18 @@ class Workspace:
         relation = self._edb.relations.get(pred)
         return relation.rows if relation is not None else set()
 
-    def _compile_ref(self, ref: RuleRef) -> list[EngineRule]:
-        compiled = self.registry.compiled(ref, self.builtins)
+    def _base_rows(self, pred: str):
+        supported = self._supported.get(pred)
+        asserted = self._edb_facts(pred)
+        return _BaseRows(asserted, supported) if supported else asserted
+
+    def _compile_ref(self, ref: RuleRef, fresh: FactSet) -> list[EngineRule]:
+        """``ref``'s engine rules: none for a ground fact, whose rows are
+        supported instead (:meth:`_state`), nor for an inert rule."""
+        rule = self.registry.rule_of(ref)
+        ground = rule.is_ground_fact()
+        compiled = rule if ground else self.registry.compiled(
+            ref, self.builtins)
         try:
             self.catalog.observe_rule(compiled)
         except ReflectedWriteError as refused:
@@ -809,6 +851,9 @@ class Workspace:
                 "workspace": self.name, "relation": refused.pred,
                 "rule": self.registry.canonical_text(ref)}))
             return []
+        if ground:
+            self._state(ref, rule, fresh)
+            return []
         # before the rule's first application, which must see every row
         self._read(_literal_preds(compiled.body))
         engine_rules = normalize_rules([compiled])
@@ -816,6 +861,56 @@ class Workspace:
         for engine_rule in engine_rules:
             engine_rule.label = label
         return engine_rules
+
+    def _stated(self, rule: Rule) -> Iterable[tuple]:
+        """``(pred, id row, its supporters)`` per head of a ground fact,
+        each read when its turn comes."""
+        intern_row, supported = self.db.interner.intern_row, self._supported
+        for head in rule.heads:
+            row = intern_row(tuple([term.value for term in head.all_args]))
+            yield head.pred, row, supported.get(head.pred, {}).get(row, ())
+
+    def _support(self, pred: str, row: tuple, held: tuple) -> None:
+        rows = self._supported.setdefault(pred, {})
+        self.journal.log(self._put_support, (pred, row, rows.get(row, ())))
+        if held:
+            rows[row] = held
+        else:
+            rows.pop(row, None)
+
+    def _put_support(self, logged: tuple) -> None:
+        self._support(*logged)
+
+    def _state(self, ref: RuleRef, rule: Rule, fresh: FactSet) -> None:
+        """Support the rows the ground fact ``ref`` states (a new one joins
+        ``fresh``), its label ``r<rid>`` their proof.  A shard supports
+        only the rows it owns (``remote_emit_rows``, as for a rule's)."""
+        emit, label = self.context.remote_emit_rows, f"r{ref.rid}"
+        for pred, row, held in self._stated(rule):
+            if emit is not None and not emit(pred, {row}):
+                self.stats.remote_emissions += 1
+                continue
+            self._support(pred, row, held + (label,))
+            if self.provenance is not None:
+                self.provenance.record(pred, row, label, ())
+            if self.db.rel(pred).add_rows({row}):
+                fresh.setdefault(pred, set()).add(row)
+
+    def _unstate(self, ref: RuleRef, rule: Rule, deleted: FactSet) -> None:
+        """Take the dropped ground fact ``ref`` off the rows it supports:
+        one left with no supporter and no assertion joins ``deleted``, one
+        still based loses ``ref``'s proof only."""
+        label = f"r{ref.rid}"
+        for pred, row, held in self._stated(rule):
+            if label not in held:
+                continue    # inert, or a row another shard owns
+            at = held.index(label)
+            rest = held[:at] + held[at + 1:]
+            self._support(pred, row, rest)
+            if not rest and row not in self._edb_facts(pred):
+                deleted.setdefault(pred, set()).add(row)
+            elif self.provenance is not None and label not in rest:
+                self.provenance.discard(pred, row, label)
 
     def _all_engine_rules(self) -> list[EngineRule]:
         return [rule for rules in self._activated.values() for rule in rules]
@@ -910,7 +1005,7 @@ class Workspace:
                 with self._aside(fresh):
                     propagate_deletions(
                         self._current_strata(), self.db, self.context,
-                        deleted, edb_facts=self._edb_facts,
+                        deleted, edb_facts=self._base_rows,
                         provenance=self.provenance)
             relation = self.db.get(ACTIVE_PRED)
             changes = relation.changes() if relation is not None else ()
@@ -929,7 +1024,7 @@ class Workspace:
             new_rules: list[EngineRule] = []
             for ref in entering:
                 self._ensure_reified(ref)
-                engine_rules = self._compile_ref(ref)
+                engine_rules = self._compile_ref(ref, fresh)
                 self._activated[ref] = engine_rules
                 self.journal.log(self._activated.pop, ref)
                 self._note_volatile(engine_rules)
@@ -963,7 +1058,7 @@ class Workspace:
             if fresh:
                 added = propagate_insertions(
                     self._current_strata(), self.db, self.context, fresh,
-                    edb_facts=self._edb_facts, provenance=self.provenance,
+                    edb_facts=self._base_rows, provenance=self.provenance,
                 )
                 progressed = True
                 fresh = {}
@@ -1035,12 +1130,15 @@ class Workspace:
     def _drop(self, gone: set, fresh: FactSet) -> FactSet:
         """Drop the rules of ``gone`` and return the next pass's
         deletions: the rows they derive in one step (an aggregate's whole
-        head), taken out of ``db`` — an asserted one stays, re-examined
-        for its proofs' sake — for the remaining rules to re-derive."""
+        head) and the rows only a dropped ground fact supported, taken out
+        of ``db`` — a base one stays, re-examined for its proofs' sake —
+        for the remaining rules to re-derive.  Only a dropped engine rule
+        restratifies."""
         self._log_rebind("_activated")
         self._activated = dict(self._activated)
         dropped = [rule for ref in gone for rule in self._activated.pop(ref)]
-        self._set_strata(None)
+        if dropped:
+            self._set_strata(None)
         dropped_ids = {id(rule) for rule in dropped}
         kept = [rule for rule in self._volatile
                 if id(rule) not in dropped_ids]
@@ -1048,6 +1146,10 @@ class Workspace:
             self._log_rebind("_volatile")
             self._volatile = kept
         deleted: FactSet = {}
+        for ref in gone:
+            rule = self.registry.rule_of(ref)
+            if rule.is_ground_fact():
+                self._unstate(ref, rule, deleted)
         with self._aside(fresh):
             # Every dropped rule first: one's rows may support another's.
             for rule in dropped:
@@ -1059,7 +1161,7 @@ class Workspace:
                 if rows:
                     deleted.setdefault(pred, set()).update(rows)
             for pred, rows in deleted.items():
-                reset_rows(self.db, pred, rows, self._edb_facts(pred),
+                reset_rows(self.db, pred, rows, self._base_rows(pred),
                            self.provenance)
         return deleted
 

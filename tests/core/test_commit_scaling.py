@@ -6,9 +6,10 @@ that imports it.  A later commit that changes nothing exp3 reads must
 neither verify a held credential again nor visit a constraint whose
 relations it did not change.  A speaker's outbox takes what a commit
 added, so shipping one more credential looks up the placement of its
-own rows only.  A held credential is a ground fact, activated as its
-head row: no semi-naive round, over-delete or re-derivation plans it
-again.  Counts, not wall time.
+own rows only.  A held credential is a ground fact, held as a
+supported base row and compiled to no rule: the receiver's rules and
+strata do not grow with it, and no semi-naive round, over-delete or
+re-derivation visits it.  Counts, not wall time.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.crypto import datalog_builtins
 from repro.datalog import constraints
 from repro.datalog.database import TermInterner
 from repro.datalog.engine import EngineRule
+from repro.datalog.stratify import Stratum
 
 
 @pytest.fixture
@@ -203,3 +205,31 @@ def test_a_retract_at_the_receiver_interns_no_held_credential(monkeypatch):
         assert len(bob.tuples("gotA")) == held
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_held_credentials_are_rows_not_rules(monkeypatch):
+    """Bob's engine rules, and the rules the strata built on one more
+    import hold (``Stratum.of``), are equal at 0, 500 and 2,000 held
+    credentials.  While each credential was an engine rule bob had 5 /
+    505 / 2,005, and each import's activation rebuilt the stratum of all
+    the ``ping`` facts he held."""
+    of, built = Stratum.__dict__["of"], []
+
+    def counting_of(cls, *args, **kwargs):
+        stratum = of.__func__(cls, *args, **kwargs)
+        built.append(len(stratum.rules) + len(stratum.agg_rules))
+        return stratum
+
+    counts = []
+    for held in (0, 500, 2000):
+        system, alice, bob = bob_holding(held)
+        rules = len(bob.workspace._all_engine_rules())
+        monkeypatch.setattr(Stratum, "of", classmethod(counting_of))
+        built.clear()
+        alice.says(bob, "ping(-1).")
+        assert system.run().delivered == 1
+        monkeypatch.setattr(Stratum, "of", of)
+        assert (-1,) in bob.tuples("gotA")
+        counts.append((rules, sum(built)))
+    assert counts[0] == counts[1] == counts[2]
+    assert counts[0][0] == 5

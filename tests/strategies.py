@@ -338,11 +338,18 @@ ACTIVATION_CONSTRAINT = "small: s(X) -> X < 50."
 def activation_rules(draw) -> str:
     """A rule over the pool: a positive join, a negated literal, a
     ``count`` aggregate, or recursion through ``e``; any body literal
-    may read a derived predicate at any stratum, the head's own too."""
+    may read a derived predicate at any stratum, the head's own too.  Or
+    a ground fact of one or two heads, over a derived predicate or over
+    ``s``, so a said row may coincide with a derived or asserted one."""
     head = draw(st.sampled_from(ACTIVATION_HEADS))
     body = st.sampled_from(ACTIVATION_HEADS + ("s",))
-    shape = draw(st.sampled_from(("join", "negation", "count", "recursion")))
+    shape = draw(st.sampled_from(("join", "negation", "count", "recursion",
+                                  "fact")))
     first = draw(body)
+    if shape == "fact":
+        heads = draw(st.lists(st.tuples(body, st.integers(1, 3)),
+                              min_size=1, max_size=2))
+        return ", ".join(f"{pred}({k})" for pred, k in heads) + "."
     if shape == "join":
         return f"{head}(X) <- {first}(X), {draw(body)}(X)."
     if shape == "negation":
@@ -357,8 +364,9 @@ class ActivationStream:
     """Steps on one workspace: ``("add", rule)`` activates (a negative
     cycle refuses it), ``("deactivate", k)`` retracts the k-th rule
     activated so far (modulo), ``("violate", rule)`` activates it in a
-    transaction whose constraint check then fails, and ``("assert",
-    pred, fact)`` adds an EDB fact."""
+    transaction whose constraint check then fails, ``("assert", pred,
+    fact)`` adds an EDB fact and ``("retract", pred, fact)`` takes it
+    out again (nothing, when it is not asserted)."""
 
     steps: tuple
 
@@ -372,6 +380,8 @@ def activation_streams(draw, max_steps: int = 12) -> ActivationStream:
         st.tuples(st.just("deactivate"), st.integers(0, 20)),
         st.tuples(st.just("violate"), rules),
         st.sampled_from(ACTIVATION_EDB).map(
-            lambda fact: ("assert", *fact))),
+            lambda fact: ("assert", *fact)),
+        st.sampled_from(ACTIVATION_EDB).map(
+            lambda fact: ("retract", *fact))),
         min_size=1, max_size=max_steps))
     return ActivationStream(tuple(steps))

@@ -5,7 +5,8 @@ The oracle is :func:`~repro.datalog.stratify.stratify` over the active
 rules: after every commit and every rollback the kept strata are None or
 equal to it — the same stratum numbers and predicates, and the same rules
 by identity in the same order — and the maintained database equals a
-fresh workspace built from the same EDB and the same active rules.  The
+fresh workspace built from the same EDB and the same active rules, the
+supported rows of its ground facts and every proof included.  The
 counts pin where a full stratification still runs: a rule drop, and a
 rule that does not extend the strata (a negative cycle among them).
 """
@@ -43,10 +44,18 @@ def assert_strata_current(ws):
         assert shape(ws._strata) == shape(stratify(ws._all_engine_rules()))
 
 
+def supported(ws):
+    """Each supported row's supporters' labels, sorted."""
+    return {(pred, row): sorted(held)
+            for pred, rows in ws._supported.items()
+            for row, held in rows.items()}
+
+
 def assert_equals_fresh(ws):
     """A workspace over the same registry that asserts ``ws``'s EDB — the
-    ``active`` rows among it — in one transaction derives the same."""
-    fresh = Workspace("fresh", registry=ws.registry)
+    ``active`` rows among it — in one transaction derives the same, holds
+    the same supported rows and records the same proofs."""
+    fresh = Workspace("fresh", registry=ws.registry, enable_provenance=True)
     materialize = ws.db.interner.materialize_row
     with fresh.transaction():
         for pred, relation in sorted(ws._edb.relations.items()):
@@ -54,10 +63,12 @@ def assert_equals_fresh(ws):
     assert ws.active_refs() == fresh.active_refs()
     for pred in ACTIVATION_HEADS + ("s", "e", "active"):
         assert ws.tuples(pred) == fresh.tuples(pred), pred
+    assert supported(ws) == supported(fresh)
+    assert ws.provenance.derivations == fresh.provenance.derivations
 
 
 def run(stream):
-    ws = Workspace("w")
+    ws = Workspace("w", enable_provenance=True)
     ws.add_constraint(ACTIVATION_CONSTRAINT)
     added = []
     for step in stream.steps:
@@ -72,6 +83,9 @@ def run(stream):
                     ws.deactivate_rule(live[step[1] % len(live)])
             elif kind == "assert":
                 ws.assert_fact(step[1], step[2])
+            elif kind == "retract":
+                if step[1] in ws.edb and step[2] in ws.edb[step[1]]:
+                    ws.retract_fact(step[1], step[2])
             else:   # activated at the commit, then refused by ``small``
                 with ws.transaction():
                     ws.add_rule(step[1])
@@ -103,6 +117,31 @@ class TestMaintainedStrata:
         ("add", "a(X) <- s(X), s(X)."),
         ("add", "b(X) <- s(X), !a(X)."),
         ("assert", "s", (1,)))))
+    # a said row that is also asserted stays when its assertion goes
+    @example(ActivationStream((
+        ("assert", "s", (1,)),
+        ("add", "s(1)."),
+        ("retract", "s", (1,)))))
+    # a row two ground facts state stays when either leaves
+    @example(ActivationStream((
+        ("add", "a(1), b(1)."),
+        ("add", "a(1)."),
+        ("deactivate", 0))))
+    @example(ActivationStream((
+        ("add", "a(1), b(1)."),
+        ("add", "a(1)."),
+        ("deactivate", 1))))
+    # an over-deleted row a ground fact states comes straight back
+    @example(ActivationStream((
+        ("assert", "s", (1,)),
+        ("add", "a(X) <- s(X), s(X)."),
+        ("add", "a(1)."),
+        ("retract", "s", (1,)))))
+    # a refused commit takes its ground fact's support back
+    @example(ActivationStream((
+        ("violate", "a(2)."),
+        ("add", "b(X) <- a(X), a(X)."),
+        ("assert", "s", (2,)))))
     @settings(max_examples=150, deadline=None)
     def test_property_kept_strata_equal_stratify(self, stream):
         run(stream)
