@@ -244,8 +244,7 @@ class LBTrustSystem:
                 workspace.remove_constraints(label)
             for ref in principal.scheme_rule_refs:
                 workspace.deactivate_rule(ref)
-            workspace._remove_rows("export",
-                                   set(workspace._edb_facts("export")))
+            workspace.retract_facts("export", workspace.edb.get("export", ()))
             refs = workspace.add_rules(self.registry.image(
                 definition.exp1_text))
             if definition.exp3_text:

@@ -22,7 +22,10 @@ carry ``R`` (:func:`eval_stratum`).
 
 **One fact currency.**  Everything these functions take and return —
 ``changed``, ``inserted``, ``added``, ``removed``, the base rows
-``edb_facts(pred)`` hands back — is *id rows* over ``db.interner``.  A
+``edb_facts(pred)`` hands back — is *id rows* over ``db.interner``.
+A host's base rows (asserted, or stated by a workspace's active ground
+fact) map to their proofs, read in place: ``row in base``, ``base[row]``
+(``"$edb"``: asserted); a host recording no provenance may hand a set.  A
 value is interned exactly once, where it enters (a host's assert, a wire
 dictionary, a plan's constants when it compiles, an aggregate result),
 and materialized only where it leaves (``tuples()`` / query answers,
@@ -306,15 +309,10 @@ class ProvenanceStore:
         self._set(key, self.derivations.get(key, frozenset())
                   | {(rule_label, supports)})
 
-    def record_edb(self, pred: str, row: tuple) -> None:
-        self.record(pred, row, "$edb", ())
-
     def record_base(self, pred: str, row: tuple, base) -> None:
-        """Record a base row's proofs: each label ``base.proofs(row)``
-        names (``base`` is what the host's ``edb_facts(pred)`` returned),
-        else its assertion, ``"$edb"``."""
-        proofs = getattr(base, "proofs", None)
-        for label in proofs(row) if proofs is not None else ("$edb",):
+        """Record a base row's proofs: each label ``base[row]`` names
+        (``base`` is what the host's ``edb_facts(pred)`` returned)."""
+        for label in base[row]:
             self.record(pred, row, label, ())
 
     def discard(self, pred: str, row: tuple, label: str) -> None:
@@ -669,8 +667,8 @@ def propagate_insertions(strata: list, db: Database, context: EvalContext,
     maintained with semi-naive deltas; strata containing negation or
     aggregation whose inputs changed are recomputed from their EDB
     (``edb_facts(pred)`` supplies the host's base rows of a predicate,
-    asserted or stated by an active ground fact: anything that answers
-    ``row in base``, only read).
+    asserted or stated by an active ground fact, only read: see the
+    module docstring).
     """
     changed: FactSet = dict(inserted)
     total_added: FactSet = {}

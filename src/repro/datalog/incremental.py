@@ -12,9 +12,9 @@ cost bounded by what the deletion touches, never by the stratum's size:
 2. **Candidates**: the over-deleted rows, plus any retracted fact whose
    own predicate is derived in this stratum (its assertion is gone, a
    derivation may remain).  Base candidates come straight back: the host's
-   ``edb_facts(pred)`` answers ``row in base`` for a row asserted or
-   stated by an active ground fact (a workspace's supported row), and
-   ``base.proofs(row)``, where it has it, names the proofs recorded.
+   ``edb_facts(pred)`` maps each base row — asserted, or stated by an
+   active ground fact — to the labels of its proofs, so ``row in base``
+   is a dict probe and ``base[row]`` the proofs recorded.
 3. **Head-bound re-derivation**: each rule whose head has candidates
    runs once with its head bound to them
    (:meth:`~repro.datalog.engine.EngineRule.head_bound_plan`); candidates

@@ -43,7 +43,7 @@ class ReflectedWriteError(WorkspaceError):
     def __init__(self, pred: str) -> None:
         super().__init__(
             f"{pred!r} is a Figure 1 meta-model relation: only reflection "
-            f"writes it, not a fact, a rule head or a retraction")
+            "writes it, not a fact, a rule head or a retraction")
         self.pred = pred
 
 

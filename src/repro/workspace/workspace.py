@@ -30,10 +30,11 @@ section 3.3:
   (:func:`~repro.datalog.stratify.extend_strata`), a rule that would
   move a placed predicate and a drop restratify in full, and a rollback
   restores the strata it found;
-* a ground fact in ``active`` (the common said credential) compiles to
-  no rule: the rows it states are base rows beside the asserted ones,
-  each counting the active facts that state it, and one that loses its
-  last supporter and is not asserted leaves like a retracted fact;
+* a base row is its supporters: one journaled store maps each to the
+  label ``"$edb"`` if it is asserted and ``r<rid>`` per active ground
+  fact stating it (the common said credential, which compiles to no
+  rule).  A row gains and loses a label through one path each, and one
+  left with none leaves ``db`` like a retracted fact;
 * schema constraints and meta-constraints are checked at commit; a
   violation rolls the whole transaction back and raises
   :class:`ConstraintViolation`, leaving an audit record.  Everything a
@@ -50,12 +51,11 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Collection, Iterable, Optional, Union
+from typing import Callable, Collection, Iterable, Optional, Union
 
 from ..datalog.builtins import BuiltinRegistry, standard_registry
 from ..datalog.constraints import (
     TransactionDelta,
-    Violation,
     check_constraint_safety,
     check_constraints,
 )
@@ -100,6 +100,9 @@ from .catalog import Catalog, ReflectedWriteError
 #: the meta-model's mirror of the catalog: relation -> columns (the name)
 _MIRROR = {"predicate": 1, "pname": 2}
 
+#: an assertion's supporter label (provenance's name for it)
+EDB = "$edb"
+
 
 def _literal_preds(items: Iterable) -> list:
     return [item.atom.pred for item in items if isinstance(item, Literal)]
@@ -119,12 +122,11 @@ class AuditEvent:
 class _EdbView(Mapping):
     """``Workspace.edb``: the asserted facts as value tuples, read-only.
 
-    The workspace stores asserted facts once, as id rows; this view
-    materializes the rows of **one** predicate per access, so a reader of
-    one predicate never pays for the meta facts of every reified rule.
-    A Figure 1 relation a reified rule populates is a key, and reading it
-    materializes it in the workspace; iterating lists only the relations
-    materialized so far, so a walk over the view never forces reflection.
+    It materializes the asserted id rows of **one** predicate per access,
+    so a reader of one predicate never pays for the meta facts of every
+    reified rule.  A Figure 1 relation a reified rule populates is a key,
+    and reading it materializes it in the workspace; iterating lists only
+    the predicates holding base rows, so a walk never forces reflection.
     """
 
     def __init__(self, workspace: "Workspace") -> None:
@@ -132,37 +134,26 @@ class _EdbView(Mapping):
 
     def __getitem__(self, pred: str) -> set:
         self._workspace._read((pred,))
-        relation = self._workspace._edb.relations[pred]
-        return set(map(relation.interner.materialize_row, relation.rows))
+        base = self._workspace._base[pred]
+        return set(map(self._workspace.db.interner.materialize_row,
+                       [row for row, held in base.items() if EDB in held]))
 
     def __contains__(self, pred) -> bool:
-        return pred in self._workspace._edb.relations \
+        return pred in self._workspace._base \
             or pred in self._workspace._populated
 
     def __iter__(self):
-        return iter(list(self._workspace._edb.relations))
+        return iter(list(self._workspace._base))
 
     def __len__(self) -> int:
-        return len(self._workspace._edb.relations)
+        return len(self._workspace._base)
 
 
-class _BaseRows:
-    """``edb_facts(pred)`` for DRed and a recompute: the rows asserted and
-    those active ground facts state (``supported``: id row -> the labels
-    of the facts), both read in place, never joined.  Made only while
-    some row is supported, so it is never empty."""
-
-    __slots__ = ("asserted", "supported")
-
-    def __init__(self, asserted: set, supported: dict) -> None:
-        self.asserted, self.supported = asserted, supported
-
-    def __contains__(self, row) -> bool:
-        return row in self.asserted or row in self.supported
-
-    def proofs(self, row: tuple) -> tuple:
-        held = self.supported.get(row, ())
-        return held + ("$edb",) if row in self.asserted else held
+def _unhold(logged: tuple) -> None:
+    """Undo :meth:`Workspace._hold`'s bulk entry: its new rows leave."""
+    base, rows = logged
+    for row in rows:
+        del base[row]
 
 
 class Workspace:
@@ -180,9 +171,13 @@ class Workspace:
         #: the undo log all that a transaction can change here shares.
         self.journal = Journal()
         self.db = Database(self.registry.terms, self.journal)
-        #: the asserted facts, stored once: an index-less database over the
-        #: system's interner (its rows are the tuple objects ``db`` holds).
-        self._edb = Database(self.registry.terms, self.journal)
+        #: the base rows: pred -> id row -> its supporters' labels, also its
+        #: proofs: ``EDB`` if asserted, ``r<rid>`` per head of an active
+        #: ground fact stating it (journaled: :meth:`_hold`, :meth:`_release`)
+        self._base: dict[str, dict[tuple, tuple]] = {}
+        #: the predicates a ground fact stated a row of: only there is a
+        #: row held but not asserted
+        self._stating: set[str] = set()
         self.catalog = Catalog(self.journal, self.builtins)
         self.constraints: list[Constraint] = []
         #: the constraints installed since the last commit, by instance:
@@ -203,10 +198,6 @@ class Workspace:
             ProvenanceStore(self.db) if enable_provenance else None
         )
         self._activated: dict[RuleRef, list[EngineRule]] = {}
-        #: the base rows the active ground facts state, which compile to
-        #: no rule: pred -> id row -> the label ``r<rid>`` of each fact
-        #: stating it (its support count is their number)
-        self._supported: dict[str, dict[tuple, tuple]] = {}
         #: the activated rules that call a volatile builtin, in activation
         #: order: kept as rules activate and drop (:meth:`_run_loop`)
         self._volatile: list[EngineRule] = []
@@ -436,13 +427,24 @@ class Workspace:
             rows: set = set()
             for fact in map(tuple, facts):
                 row = self.db.interner.row_of(fact)
-                if row is None or row not in self._edb_facts(pred) \
-                        or row in rows:
+                if row is None or row in rows \
+                        or EDB not in self._base.get(pred, {}).get(row, ()):
                     raise WorkspaceError(
                         f"cannot retract {pred}{fact!r}: not an asserted fact"
                     )
                 rows.add(row)
-            self._remove_rows(pred, rows)
+            # A row left with no supporter leaves ``db`` with its proofs:
+            # one asserted in this very transaction has nothing derived
+            # from it yet, any other is a pending deletion.
+            fresh = self._txn_fresh.get(pred, set())
+            for row in self._release(pred, rows, EDB):
+                self.db.rel(pred).discard_row(row)
+                if self.provenance is not None:
+                    self.provenance.forget(pred, row)
+                if row in fresh:
+                    fresh.discard(row)
+                else:
+                    self._txn_deleted.setdefault(pred, set()).add(row)
 
     def deactivate_rule(self, ref: RuleRef) -> None:
         """Retract an API-activated rule (a derived activation re-derives):
@@ -672,11 +674,11 @@ class Workspace:
     # ------------------------------------------------------------------
 
     def _write_rows(self, pred: str, rows: set, fresh: bool = True) -> int:
-        """The one way in: id ``rows`` join ``pred``'s EDB and ``db``;
-        a new one records its assertion and reifies the rules it names,
-        and, if ``fresh``, joins the pending insertions.  Returns how
-        many rows are new to ``db``."""
-        rows = self._edb.rel(pred).add_rows(rows)
+        """The one way in: id ``rows`` are asserted and join ``db``; a
+        newly asserted one reifies the rules it names and, if ``fresh``
+        and new to ``db``, joins the pending insertions.  Returns how many
+        rows are new to ``db``."""
+        rows = self._hold(pred, rows, EDB)
         if not rows:
             return 0
         added = self.db.rel(pred).add_rows(rows)
@@ -686,36 +688,64 @@ class Workspace:
                 self._txn_fresh[pred] = added
             else:
                 pending.update(added)
-        if self.provenance is not None:
-            # Also for a fact some rule already derived: the assertion is
-            # one more reason it holds.
-            for row in rows:
-                self.provenance.record_edb(pred, row)
         if pred not in ALL_META_PREDS:
             # a Figure 1 row is reflection's: what it names is reified
             self._reify_named(rows)
         return len(added)
 
-    def _remove_rows(self, pred: str, rows: Iterable[tuple]) -> None:
-        """The one way out: asserted id ``rows`` leave ``pred``'s EDB and
-        ``db`` with their proofs.  One asserted in this very transaction
-        has nothing derived from it yet; any other is a pending deletion."""
-        edb, db = self._edb.rel(pred), self.db.rel(pred)
-        fresh = self._txn_fresh.get(pred, set())
-        supported = self._supported.get(pred, {})
+    def _hold(self, pred: str, rows: set, label: str) -> set:
+        """The one way a base row gains a supporter: each of ``rows`` takes
+        ``label`` and its proof — an assertion once, a ground fact once per
+        head stating the row.  Rows new to the store enter in bulk, under
+        one journal entry that keeps the set returned: the rows that took
+        the label."""
+        base = self._base.get(pred)
+        if base is None:
+            base = self._base[pred] = {}
+            self.journal.log(self._base.pop, pred)
+        new = rows.difference(base)
+        if new:
+            base.update(dict.fromkeys(new, (label,)))
+            self.journal.log(_unhold, (base, new))
+        if label != EDB and pred not in self._stating:
+            self._stating.add(pred)
+            self.journal.log(self._stating.discard, pred)
+        if len(new) < len(rows) and pred in self._stating:
+            again = [row for row in rows - new
+                     if label != EDB or EDB not in base[row]]
+            for row in again:
+                self._relabel((base, row, base[row] + (label,)))
+            new = new.union(again)
+        if self.provenance is not None:
+            for row in new:
+                self.provenance.record(pred, row, label, ())
+        return new
+
+    def _release(self, pred: str, rows: Iterable[tuple], label: str) -> list:
+        """The one way a base row loses a supporter: each of ``rows`` gives
+        up one ``label``, and its proof once no ``label`` is left.  Returns
+        the rows left with no supporter, which the caller deletes."""
+        base = self._base.get(pred, {})
+        unheld = []
         for row in rows:
-            edb.discard_row(row)
-            if row in supported:   # a ground fact still states it
-                if self.provenance is not None:
-                    self.provenance.discard(pred, row, "$edb")
-                continue
-            db.discard_row(row)
-            if self.provenance is not None:
-                self.provenance.forget(pred, row)
-            if row in fresh:
-                fresh.discard(row)
-            else:
-                self._txn_deleted.setdefault(pred, set()).add(row)
+            held = base[row]
+            at = held.index(label)
+            rest = held[:at] + held[at + 1:]
+            self._relabel((base, row, rest))
+            if not rest:
+                unheld.append(row)
+            elif self.provenance is not None and label not in rest:
+                self.provenance.discard(pred, row, label)
+        return unheld
+
+    def _relabel(self, change: tuple) -> None:
+        """Set ``(base, row, labels)`` (none: unheld), logging it back."""
+        base, row, held = change
+        self.journal.log(self._relabel, (base, row, base.get(row, ())))
+        if held:
+            base[row] = held
+        else:
+            del base[row]
 
     def _reify_named(self, rows: Iterable[tuple]) -> None:
         """Reify every rule a term of ``rows`` names: one look per
@@ -825,18 +855,9 @@ class Workspace:
         self._pending_template_refs.append(ref)
         return ref
 
-    def _edb_facts(self, pred: str) -> set:
-        relation = self._edb.relations.get(pred)
-        return relation.rows if relation is not None else set()
-
-    def _base_rows(self, pred: str):
-        supported = self._supported.get(pred)
-        asserted = self._edb_facts(pred)
-        return _BaseRows(asserted, supported) if supported else asserted
-
     def _compile_ref(self, ref: RuleRef, fresh: FactSet) -> list[EngineRule]:
-        """``ref``'s engine rules: none for a ground fact, whose rows are
-        supported instead (:meth:`_state`), nor for an inert rule."""
+        """``ref``'s engine rules: none for a ground fact, whose rows take
+        its label instead, nor for an inert rule."""
         rule = self.registry.rule_of(ref)
         ground = rule.is_ground_fact()
         compiled = rule if ground else self.registry.compiled(
@@ -852,7 +873,15 @@ class Workspace:
                 "rule": self.registry.canonical_text(ref)}))
             return []
         if ground:
-            self._state(ref, rule, fresh)
+            # a new row joins ``fresh``; a shard holds only the rows it owns
+            emit, label = self.context.remote_emit_rows, f"r{ref.rid}"
+            for pred, row in self._stated(rule):
+                if emit is not None and not emit(pred, {row}):
+                    self.stats.remote_emissions += 1
+                    continue
+                self._hold(pred, {row}, label)
+                if self.db.rel(pred).add_rows({row}):
+                    fresh.setdefault(pred, set()).add(row)
             return []
         # before the rule's first application, which must see every row
         self._read(_literal_preds(compiled.body))
@@ -863,54 +892,10 @@ class Workspace:
         return engine_rules
 
     def _stated(self, rule: Rule) -> Iterable[tuple]:
-        """``(pred, id row, its supporters)`` per head of a ground fact,
-        each read when its turn comes."""
-        intern_row, supported = self.db.interner.intern_row, self._supported
+        """``(pred, id row)`` per head of a ground fact."""
         for head in rule.heads:
-            row = intern_row(tuple([term.value for term in head.all_args]))
-            yield head.pred, row, supported.get(head.pred, {}).get(row, ())
-
-    def _support(self, pred: str, row: tuple, held: tuple) -> None:
-        rows = self._supported.setdefault(pred, {})
-        self.journal.log(self._put_support, (pred, row, rows.get(row, ())))
-        if held:
-            rows[row] = held
-        else:
-            rows.pop(row, None)
-
-    def _put_support(self, logged: tuple) -> None:
-        self._support(*logged)
-
-    def _state(self, ref: RuleRef, rule: Rule, fresh: FactSet) -> None:
-        """Support the rows the ground fact ``ref`` states (a new one joins
-        ``fresh``), its label ``r<rid>`` their proof.  A shard supports
-        only the rows it owns (``remote_emit_rows``, as for a rule's)."""
-        emit, label = self.context.remote_emit_rows, f"r{ref.rid}"
-        for pred, row, held in self._stated(rule):
-            if emit is not None and not emit(pred, {row}):
-                self.stats.remote_emissions += 1
-                continue
-            self._support(pred, row, held + (label,))
-            if self.provenance is not None:
-                self.provenance.record(pred, row, label, ())
-            if self.db.rel(pred).add_rows({row}):
-                fresh.setdefault(pred, set()).add(row)
-
-    def _unstate(self, ref: RuleRef, rule: Rule, deleted: FactSet) -> None:
-        """Take the dropped ground fact ``ref`` off the rows it supports:
-        one left with no supporter and no assertion joins ``deleted``, one
-        still based loses ``ref``'s proof only."""
-        label = f"r{ref.rid}"
-        for pred, row, held in self._stated(rule):
-            if label not in held:
-                continue    # inert, or a row another shard owns
-            at = held.index(label)
-            rest = held[:at] + held[at + 1:]
-            self._support(pred, row, rest)
-            if not rest and row not in self._edb_facts(pred):
-                deleted.setdefault(pred, set()).add(row)
-            elif self.provenance is not None and label not in rest:
-                self.provenance.discard(pred, row, label)
+            yield head.pred, self.db.interner.intern_row(
+                tuple([term.value for term in head.all_args]))
 
     def _all_engine_rules(self) -> list[EngineRule]:
         return [rule for rules in self._activated.values() for rule in rules]
@@ -1005,7 +990,7 @@ class Workspace:
                 with self._aside(fresh):
                     propagate_deletions(
                         self._current_strata(), self.db, self.context,
-                        deleted, edb_facts=self._base_rows,
+                        deleted, edb_facts=self._base.get,
                         provenance=self.provenance)
             relation = self.db.get(ACTIVE_PRED)
             changes = relation.changes() if relation is not None else ()
@@ -1058,7 +1043,7 @@ class Workspace:
             if fresh:
                 added = propagate_insertions(
                     self._current_strata(), self.db, self.context, fresh,
-                    edb_facts=self._base_rows, provenance=self.provenance,
+                    edb_facts=self._base.get, provenance=self.provenance,
                 )
                 progressed = True
                 fresh = {}
@@ -1079,7 +1064,9 @@ class Workspace:
         """The rules entering ``active`` and leaving it, among the refs of
         its ``moved`` rows.  Several entering at once activate in the
         iteration order of the set of every active ref, so a program
-        activates in one order however its rows arrived."""
+        activates in one order however its rows arrived; ground facts
+        (credentials) compile to no rule, so when few enter beside many
+        held and all are ground, ``rid`` order spares the walk."""
         entering: set = set()
         gone: set = set()
         values = self.db.interner.values
@@ -1094,6 +1081,10 @@ class Workspace:
             elif ref in activated:
                 gone.add(ref)
         if len(entering) > 1:
+            if 2 * len(entering) < len(relation.rows) and all(
+                    self.registry.rule_of(ref).is_ground_fact()
+                    for ref in entering):
+                return sorted(entering, key=lambda ref: ref.rid), gone
             entering = [ref for ref in {values[row[0]] for row in relation.rows
                                         if row} if ref in entering]
         return entering, gone
@@ -1133,10 +1124,15 @@ class Workspace:
         head) and the rows only a dropped ground fact supported, taken out
         of ``db`` — a base one stays, re-examined for its proofs' sake —
         for the remaining rules to re-derive.  Only a dropped engine rule
-        restratifies."""
-        self._log_rebind("_activated")
-        self._activated = dict(self._activated)
-        dropped = [rule for ref in gone for rule in self._activated.pop(ref)]
+        restratifies and rebinds ``_activated`` to a copy (:func:`stratify`
+        reads its order); a ref with none is popped, put back last."""
+        activated = self._activated
+        if any(activated[ref] for ref in gone):
+            self._log_rebind("_activated")
+            activated = self._activated = dict(activated)
+        popped = {ref: activated.pop(ref) for ref in gone}
+        self.journal.log(activated.update, popped)
+        dropped = [rule for rules in popped.values() for rule in rules]
         if dropped:
             self._set_strata(None)
         dropped_ids = {id(rule) for rule in dropped}
@@ -1147,9 +1143,14 @@ class Workspace:
             self._volatile = kept
         deleted: FactSet = {}
         for ref in gone:
-            rule = self.registry.rule_of(ref)
-            if rule.is_ground_fact():
-                self._unstate(ref, rule, deleted)
+            # a ground fact's label leaves the rows it states (none if it
+            # is inert, nor a row another shard owns)
+            rule, label = self.registry.rule_of(ref), f"r{ref.rid}"
+            stated = self._stated(rule) if rule.is_ground_fact() else ()
+            for pred, row in stated:
+                if label in self._base.get(pred, {}).get(row, ()):
+                    for unheld in self._release(pred, (row,), label):
+                        deleted.setdefault(pred, set()).add(unheld)
         with self._aside(fresh):
             # Every dropped rule first: one's rows may support another's.
             for rule in dropped:
@@ -1161,7 +1162,7 @@ class Workspace:
                 if rows:
                     deleted.setdefault(pred, set()).update(rows)
             for pred, rows in deleted.items():
-                reset_rows(self.db, pred, rows, self._base_rows(pred),
+                reset_rows(self.db, pred, rows, self._base.get(pred, {}),
                            self.provenance)
         return deleted
 

@@ -9,7 +9,9 @@ added, so shipping one more credential looks up the placement of its
 own rows only.  A held credential is a ground fact, held as a
 supported base row and compiled to no rule: the receiver's rules and
 strata do not grow with it, and no semi-naive round, over-delete or
-re-derivation visits it.  Counts, not wall time.
+re-derivation visits it; taking one back copies nothing bob holds, and
+two arriving at once are ordered without reading his other ``active``
+rows.  Counts, not wall time.
 """
 
 import pytest
@@ -21,6 +23,7 @@ from repro.datalog import constraints
 from repro.datalog.database import TermInterner
 from repro.datalog.engine import EngineRule
 from repro.datalog.stratify import Stratum
+from repro.workspace.workspace import Workspace
 
 
 @pytest.fixture
@@ -233,3 +236,66 @@ def test_held_credentials_are_rows_not_rules(monkeypatch):
         counts.append((rules, sum(built)))
     assert counts[0] == counts[1] == counts[2]
     assert counts[0][0] == 5
+
+
+def test_withdrawing_a_credential_rebinds_nothing_bob_holds(monkeypatch):
+    """Bob takes back one credential (its ``export`` and ``heard`` rows, in
+    one transaction): the ground fact leaves ``active`` and is dropped.
+    The containers the drop re-binds for rollback (``_log_rebind``) hold
+    as many entries at 0, 500 and 2,000 held.  While every drop re-bound
+    a copy of ``_activated``, they held 6 / 506 / 2,006."""
+    log_rebind, rebound = Workspace._log_rebind, []
+
+    def counting_rebind(self, name):
+        held = getattr(self, name)
+        rebound.append(len(held) if isinstance(held, (dict, list, set))
+                       else 0)
+        return log_rebind(self, name)
+
+    counts = []
+    for held in (0, 500, 2000):
+        system, alice, bob = bob_holding(held)
+        alice.says(bob, "ping(-1).")
+        assert system.run().delivered == 1
+        ref, workspace = bob.intern("ping(-1)."), bob.workspace
+        [export] = [row for row in workspace.edb["export"] if row[2] == ref]
+        monkeypatch.setattr(Workspace, "_log_rebind", counting_rebind)
+        rebound.clear()
+        with workspace.transaction():
+            workspace.retract_fact("export", export)
+            workspace.retract_fact("heard", ("alice", ref))
+        monkeypatch.setattr(Workspace, "_log_rebind", log_rebind)
+        assert ref not in workspace.active_refs()
+        assert (-1,) not in bob.tuples("gotA")
+        assert len(bob.tuples("gotA")) == held
+        counts.append(sum(rebound))
+    assert counts[0] == counts[1] == counts[2]
+
+
+class _CountingRows(set):
+    """A relation's row set that counts the rows Python loops walk."""
+
+    walked = 0
+
+    def __iter__(self):
+        _CountingRows.walked += len(self)
+        return super().__iter__()
+
+
+def test_two_credentials_entering_at_once_walk_no_held_row():
+    """``alice.says`` two more credentials and ``run()``: both enter bob's
+    ``active`` in one pass, and ordering them walks none of his ``active``
+    rows.  While several entering refs were ordered as the set of every
+    active ref, the walk read 7 / 507 / 2,007 rows."""
+    counts = []
+    for held in (0, 500, 2000):
+        system, alice, bob = bob_holding(held)
+        relation = bob.workspace.db.rel("active")
+        relation.rows = _CountingRows(relation.rows)
+        _CountingRows.walked = 0
+        alice.says(bob, "ping(-1).")
+        alice.says(bob, "ping(-2).")
+        assert system.run().delivered == 2
+        assert {(-1,), (-2,)} <= bob.tuples("gotA")
+        counts.append(_CountingRows.walked)
+    assert counts[0] == counts[1] == counts[2]

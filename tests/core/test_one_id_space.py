@@ -70,9 +70,12 @@ class TestIdentity:
         terms = system.registry.terms
         for principal in system.principals.values():
             assert principal.workspace.db.interner is terms
-            assert principal.workspace._edb.interner is terms
         alice.says("bob", 'good("carol").')
         system.run()
+        for principal in system.principals.values():
+            workspace = principal.workspace
+            assert all(rows.keys() <= workspace.db.rel(pred).rows
+                       for pred, rows in workspace._base.items())
         assert built and all(b.registry.terms is terms for b in built)
         texts = built[-1]._term_texts
         assert texts and all(
@@ -104,7 +107,8 @@ class TestIdentity:
         host, registry, _report, _sources = _build_system_job(spec, "y")
         [bob] = host.principals
         assert bob.workspace.db.interner is registry.terms
-        assert bob.workspace._edb.interner is registry.terms
+        assert all(rows.keys() <= bob.workspace.db.rel(pred).rows
+                   for pred, rows in bob.workspace._base.items())
 
 
 class TestSharing:
@@ -239,9 +243,10 @@ def act(principal, op, pick, loaded):
         principal.assert_fact("edge", (VALUES[pick % len(VALUES)],
                                        VALUES[pick // 7 % len(VALUES)]))
     elif op == "retract":
-        asserted = workspace._edb.get("num")
-        held = sorted(map(workspace.db.interner.materialize_row,
-                          asserted.rows if asserted else ()), key=spelled)
+        asserted = workspace._base.get("num", {})
+        held = sorted([workspace.db.interner.materialize_row(row)
+                       for row, labels in asserted.items()
+                       if "$edb" in labels], key=spelled)
         if held:
             principal.retract_fact("num", held[pick % len(held)])
     elif op == "deactivate":

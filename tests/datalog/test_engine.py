@@ -227,7 +227,7 @@ class TestProvenance:
         database.add("e", ("b", "c"))
         provenance = ProvenanceStore(database)
         for row in database.rel("e").rows:
-            provenance.record_edb("e", row)
+            provenance.record("e", row, "$edb", ())
         evaluate(rules_of("r(X,Y) <- e(X,Y). r(X,Z) <- r(X,Y), e(Y,Z)."),
                  database, EvalContext(), provenance=provenance)
         derivations = provenance.of("r", ("a", "c"))

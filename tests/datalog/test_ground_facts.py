@@ -96,13 +96,14 @@ def test_a_ground_fact_holds_the_row_the_walker_derives(fact, held):
         assert walked_row == row
         assert walked_proofs == {(label, ())}
         assert row in ws.db.rel(pred).rows
-        assert ws._supported[pred][row].count(label) \
+        assert ws._base[pred][row].count(label) \
             == heads.count((pred, row))
         proofs = ws.provenance.derivations[(pred, row)]
         assert proofs == walked_proofs | ({("$edb", ())} if held else set())
     ws.deactivate_rule(ref)
     for pred, row in heads:
-        assert row not in ws._supported.get(pred, {})
+        assert ws._base.get(pred, {}).get(row, ()) \
+            == (("$edb",) if held else ())
         assert (row in ws.db.rel(pred).rows) is held
         assert ws.provenance.derivations.get((pred, row)) \
             == ({("$edb", ())} if held else None)
@@ -133,7 +134,8 @@ def test_only_a_ground_fact_is_held_as_a_row():
         == ["b", "c", "d", "e"]
     assert sorted(rule.head.pred for stratum in ws._strata
                   for rule in stratum.rules) == ["b", "c", "d", "e"]
-    assert list(ws._supported) == ["a"]
+    assert [pred for pred, rows in ws._base.items()
+            if any("$edb" not in held for held in rows.values())] == ["a"]
     assert ws.tuples("e") == {(1,)} and ws.tuples("c") == {(2,)}
 
 
@@ -154,8 +156,8 @@ def test_a_shard_supports_only_the_rows_it_owns():
     ref = ws.add_rule("near(1), far(2).")
     assert ws.tuples("near") == {(1,)} and ws.tuples("far") == set()
     assert [pred for pred, _ in sent] == ["far"]
-    assert list(ws._supported["near"].values()) == [(f"r{ref.rid}",)]
-    assert not ws._supported.get("far")
+    assert list(ws._base["near"].values()) == [(f"r{ref.rid}",)]
+    assert not ws._base.get("far")
     assert ws.stats.remote_emissions == 1
     ws.deactivate_rule(ref)
-    assert ws.tuples("near") == set() and not ws._supported["near"]
+    assert ws.tuples("near") == set() and not ws._base["near"]

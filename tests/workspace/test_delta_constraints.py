@@ -89,7 +89,7 @@ def apply(workspace, op):
     else:
         pred, fact = op[1], op[2]
     row = workspace.db.interner.row_of(fact)
-    held = row is not None and row in workspace._edb_facts(pred)
+    held = "$edb" in workspace._base.get(pred, {}).get(row, ())
     if kind in ("say", "assert"):
         workspace.assert_fact(pred, fact)
     elif held:

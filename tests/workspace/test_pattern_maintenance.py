@@ -39,7 +39,7 @@ def apply(ws, step):
     else:
         pred, fact = first, second
     row = ws.db.interner.row_of(fact)
-    held = row is not None and row in ws._edb_facts(pred)
+    held = "$edb" in ws._base.get(pred, {}).get(row, ())
     if kind in ("say", "assert") and not held:
         ws.assert_fact(pred, fact)
     elif kind in ("unsay", "retract") and held:
@@ -56,9 +56,10 @@ def fresh_from_edb(ws):
     with fresh.transaction():
         for ref in sorted(ws._reified, key=lambda ref: ref.rid):
             fresh._ensure_reified(ref)
-        for pred, relation in sorted(ws._edb.relations.items()):
+        for pred, rows in sorted(ws._base.items()):
             if pred not in ALL_META_PREDS:
-                fresh.assert_facts(pred, map(materialize, relation.rows))
+                fresh.assert_facts(pred, [materialize(row) for row, held
+                                          in rows.items() if "$edb" in held])
     return fresh
 
 

@@ -99,7 +99,7 @@ class TestOnDemand:
                 assert ws.tuples("rule") == {(ref,)}
                 raise Aborted
         assert ws._demanded == set()
-        assert ws.db.get("rule") is None and ws._edb.get("rule") is None
+        assert ws.db.get("rule") is None and "rule" not in ws._base
         assert ws.tuples("rule") == {(ref,)}
 
     def test_retracting_a_meta_fact_is_refused_lazy_or_eager(self):

@@ -255,12 +255,17 @@ def id_rows(database):
             for pred, relation in database.relations.items()}
 
 
+def asserted_rows(ws):
+    return {pred: {row for row, held in rows.items() if "$edb" in held}
+            for pred, rows in ws._base.items()}
+
+
 def observable(ws):
     """Everything a transaction can change, in id rows: what an aborted
     one must leave exactly as it found it."""
     return {
         "tuples": id_rows(ws.db),
-        "edb": id_rows(ws._edb),
+        "base": {pred: dict(rows) for pred, rows in ws._base.items()},
         "catalog": {name: (info.arity, info.key_arity, info.declared,
                            list(info.arg_types))
                     for name in ws.catalog.names()
@@ -348,7 +353,7 @@ def fresh_from_edb(ws):
                       enable_provenance=ws.provenance is not None)
     materialize = ws.db.interner.materialize_row
     with fresh.transaction():
-        for pred, held in sorted(id_rows(ws._edb).items()):
+        for pred, held in sorted(asserted_rows(ws).items()):
             fresh.assert_facts(pred, map(materialize, held))
     return fresh
 
@@ -391,7 +396,7 @@ class TestDifferentialContract:
         ws = Workspace("w")
         materialize = ws.db.interner.materialize_row
         for facts, rules in run_program_stream(seed, ws):
-            asserted = id_rows(ws._edb)
+            asserted = asserted_rows(ws)
             assert {p: {spelled(materialize(row))
                         for row in asserted.get(p, ())} for p in facts} == \
                 {p: set(held) for p, held in facts.items()}

@@ -6,7 +6,7 @@ rules: after every commit and every rollback the kept strata are None or
 equal to it — the same stratum numbers and predicates, and the same rules
 by identity in the same order — and the maintained database equals a
 fresh workspace built from the same EDB and the same active rules, the
-supported rows of its ground facts and every proof included.  The
+labels of every base row and every proof included.  The
 counts pin where a full stratification still runs: a rule drop, and a
 rule that does not extend the strata (a negative cycle among them).
 """
@@ -45,9 +45,9 @@ def assert_strata_current(ws):
 
 
 def supported(ws):
-    """Each supported row's supporters' labels, sorted."""
+    """Each base row's supporters' labels, sorted."""
     return {(pred, row): sorted(held)
-            for pred, rows in ws._supported.items()
+            for pred, rows in ws._base.items()
             for row, held in rows.items()}
 
 
@@ -58,8 +58,9 @@ def assert_equals_fresh(ws):
     fresh = Workspace("fresh", registry=ws.registry, enable_provenance=True)
     materialize = ws.db.interner.materialize_row
     with fresh.transaction():
-        for pred, relation in sorted(ws._edb.relations.items()):
-            fresh.assert_facts(pred, map(materialize, relation.rows))
+        for pred, rows in sorted(ws._base.items()):
+            fresh.assert_facts(pred, [materialize(row) for row, held
+                                      in rows.items() if "$edb" in held])
     assert ws.active_refs() == fresh.active_refs()
     for pred in ACTIVATION_HEADS + ("s", "e", "active"):
         assert ws.tuples(pred) == fresh.tuples(pred), pred
