@@ -43,21 +43,24 @@ _STRING_BODY = r'"[^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*'
 #: per match; the group that matched names the token kind.  ``unclosed``
 #: and ``quote`` catch a block comment or string literal that is not well
 #: formed, and ``word`` a non-ASCII word, whose first character must be a
-#: letter.
+#: letter.  The commonest kinds are tried first: a ``/`` is punctuation
+#: only where it starts no comment, so no earlier branch takes a later
+#: one's text.
 _TOKEN = re.compile("|".join([
-    r"(?P<skip>[ \t\r\n]+|/\*.*?\*/)",
-    r"(?P<comment>//|%)",
-    r"(?P<unclosed>/\*)",
+    r"(?P<IDENT>[a-z][\w']*)",
+    "(?P<PUNCT>" + "|".join(re.escape(p) + ("(?![/*])" if p == "/" else "")
+                            for p in _PUNCT) + ")",
     f'(?P<STRING>{_STRING_BODY}")',
-    r'(?P<quote>")',
+    r"(?P<VAR>[A-Z_][\w']*)",
     r"(?P<HEX>0x[0-9a-fA-F]+)",
     r"(?P<FLOAT>[0-9]+\.[0-9]+)",
     r"(?P<INT>[0-9]+)",
+    r"(?P<skip>[ \t\r\n]+|/\*.*?\*/)",
+    r"(?P<comment>//|%)",
+    r"(?P<unclosed>/\*)",
+    r'(?P<quote>")',
     r"(?P<REFID>\$r[0-9]+)",
-    r"(?P<VAR>[A-Z_][\w']*)",
-    r"(?P<IDENT>[a-z][\w']*)",
     r"(?P<word>[^\W\d][\w']*)",
-    "(?P<PUNCT>" + "|".join(map(re.escape, _PUNCT)) + ")",
 ]), re.DOTALL)
 
 _STRING_PREFIX = re.compile(_STRING_BODY)
@@ -77,6 +80,7 @@ def tokenize(source: str) -> list[Token]:
     """Convert source text to a token list, ending with an EOF token."""
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__   # a Token without a Python-level constructor call
     match = _TOKEN.match
     length = len(source)
     pos = line_start = 0
@@ -124,7 +128,7 @@ def tokenize(source: str) -> list[Token]:
                              line, pos - line_start + 1)
         elif kind == "quote":
             raise _string_error(source, pos, line, pos - line_start + 1)
-        append(Token(kind, text, line, pos - line_start + 1, glued))
+        append(new(Token, (kind, text, line, pos - line_start + 1, glued)))
         glued = True
         pos = end
     append(Token("EOF", "", line, pos - line_start + 1, False))

@@ -108,12 +108,17 @@ def to_dnf(formula: Formula) -> tuple:
     The empty formula (used for declaration constraints) is represented by
     the caller, not here; this function requires a real formula.
     """
-    formula = push_negations(formula)
-    return _dnf(formula)
+    if isinstance(formula, And) and all(
+            isinstance(part, _LEAVES) for part in formula.parts):
+        return (formula.parts,)   # a conjunction of leaves is its own DNF
+    return _dnf(push_negations(formula))
+
+
+_LEAVES = (Literal, Comparison, BuiltinCall)
 
 
 def _dnf(formula: Formula) -> tuple:
-    if isinstance(formula, (Literal, Comparison, BuiltinCall)):
+    if isinstance(formula, _LEAVES):
         return ((formula,),)
     if isinstance(formula, And):
         # Cartesian product of the alternatives of each conjunct.
@@ -132,10 +137,3 @@ def _dnf(formula: Formula) -> tuple:
             result.extend(_dnf(part))
         return tuple(result)
     raise ParseError(f"unexpected formula node {formula!r}")  # pragma: no cover
-
-
-def dnf_body(formula: Formula | None) -> tuple:
-    """DNF for a rule body; ``None`` (a fact) yields one empty conjunction."""
-    if formula is None:
-        return ((),)
-    return to_dnf(formula)

@@ -27,11 +27,11 @@ Labels (``exp1: …``) are distinguished from qualified predicate names
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ParseError
 from .lexer import Token, tokenize
-from .logic import And, Formula, Not, conj, disj, dnf_body, to_dnf
+from .logic import And, Formula, Not, conj, disj, to_dnf
 from .terms import (
     AGG_FUNCS,
     ME,
@@ -49,6 +49,7 @@ from .terms import (
     Quote,
     Rule,
     RulePattern,
+    RuleRef,
     Span,
     Star,
     StarLits,
@@ -60,9 +61,25 @@ from .terms import (
 
 _COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
+#: the keywords that are terms, and their values
+_KEYWORD_TERMS = {"me": ME, "true": True, "false": False}
+
+#: a literal token's kind -> its value.  ``$r<N>`` is a rule reference,
+#: meaningful only where the producing registry is shared (as in one
+#: LBTrust system); the wire codec documents this limitation.
+_LITERALS: dict[str, Callable[[str], object]] = {
+    "STRING": str, "INT": int, "FLOAT": float,
+    "HEX": lambda text: bytes.fromhex(text[2:]),
+    "REFID": lambda text: RuleRef(int(text[2:])),
+}
+
+#: binary arithmetic operators -> binding power (all left-associative)
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
+
 
 class Parser:
-    """One-pass recursive-descent parser over a token list."""
+    """One-pass recursive-descent parser over a token list: the cursor
+    ``_pos`` indexes ``_tokens``, which the hot paths read in place."""
 
     def __init__(self, tokens: list[Token]) -> None:
         # The cursor stops at the EOF token and looks at most two tokens
@@ -85,18 +102,15 @@ class Parser:
         token = self._tokens[self._pos]
         return token.text == text and token.kind == "PUNCT"
 
-    def at_keyword(self, word: str) -> bool:
-        token = self._tokens[self._pos]
-        return token.text == word and token.kind == "KEYWORD"
-
     def expect(self, text: str) -> Token:
-        if not self.at(text):
-            token = self.peek()
+        token = self._tokens[self._pos]
+        if token.text != text or token.kind != "PUNCT":
             raise ParseError(
                 f"expected {text!r}, found {token.text or 'end of input'!r}",
                 token.line, token.column,
             )
-        return self.advance()
+        self._pos += 1
+        return token
 
     def error(self, message: str) -> ParseError:
         token = self.peek()
@@ -106,45 +120,50 @@ class Parser:
 
     def parse_program(self) -> Program:
         program = Program()
-        while self.peek().kind != "EOF":
+        tokens = self._tokens
+        while tokens[self._pos].kind != "EOF":
             program.statements.extend(self.parse_statement())
         return program
 
     def parse_statement(self) -> list[Statement]:
-        start = self.peek()
+        start = self._tokens[self._pos]
         span = Span(start.line, start.column)
         label = self._try_label()
         lhs = self.parse_formula()
-        if self.at("."):
-            self.advance()
-            return self._make_facts(lhs, label, span)
-        if self.at("<-"):
-            self.advance()
-            agg = self._try_aggregate()
-            body = self.parse_formula()
-            self.expect(".")
-            return self._make_rules(lhs, body, agg, label, span)
-        if self.at("->"):
-            self.advance()
-            rhs: Optional[Formula] = None
-            if not self.at("."):
-                rhs = self.parse_formula()
-            self.expect(".")
-            return [self._make_constraint(lhs, rhs, label, span)]
+        token = self._tokens[self._pos]
+        if token.kind == "PUNCT":
+            if token.text == ".":
+                self._pos += 1
+                return [Rule(self._heads_from_formula(lhs), (), None, label,
+                             span=span)]
+            if token.text == "<-":
+                self._pos += 1
+                agg = self._try_aggregate()
+                body = self.parse_formula()
+                self.expect(".")
+                heads = self._heads_from_formula(lhs)
+                return [Rule(heads, alternative, agg, label, span=span)
+                        for alternative in to_dnf(body)]
+            if token.text == "->":
+                self._pos += 1
+                rhs = None if self.at(".") else self.parse_formula()
+                self.expect(".")
+                return [Constraint(to_dnf(lhs), () if rhs is None
+                                   else to_dnf(rhs), label, span=span)]
         raise self.error("expected '.', '<-' or '->' after formula")
 
     def _try_label(self) -> Optional[str]:
-        token = self.peek()
-        nxt = self.peek(1)
-        after = self.peek(2)
-        if (token.kind == "IDENT" and nxt.kind == "PUNCT" and nxt.text == ":"
-                and not after.glued):
-            self.advance()
-            self.advance()
+        pos = self._pos
+        token, nxt = self._tokens[pos], self._tokens[pos + 1]
+        if (token.kind == "IDENT" and nxt.text == ":" and nxt.kind == "PUNCT"
+                and not self._tokens[pos + 2].glued):
+            self._pos = pos + 2
             return token.text
         return None
 
     def _heads_from_formula(self, formula: Formula) -> tuple:
+        if isinstance(formula, Literal) and not formula.negated:
+            return (formula.atom,)
         items = formula.parts if isinstance(formula, And) else (formula,)
         heads = []
         for item in items:
@@ -154,31 +173,13 @@ class Parser:
                 raise self.error(f"rule head must be positive atoms, found {item!r}")
         return tuple(heads)
 
-    def _make_facts(self, formula: Formula, label: Optional[str],
-                    span: Optional[Span] = None) -> list[Statement]:
-        heads = self._heads_from_formula(formula)
-        return [Rule(heads, (), None, label, span=span)]
-
-    def _make_rules(self, head_formula: Formula, body: Formula,
-                    agg: Optional[Aggregate], label: Optional[str],
-                    span: Optional[Span] = None) -> list[Statement]:
-        heads = self._heads_from_formula(head_formula)
-        alternatives = dnf_body(body)
-        return [Rule(heads, alt, agg, label, span=span) for alt in alternatives]
-
-    def _make_constraint(self, lhs: Formula, rhs: Optional[Formula],
-                         label: Optional[str],
-                         span: Optional[Span] = None) -> Constraint:
-        lhs_dnf = to_dnf(lhs)
-        rhs_dnf = to_dnf(rhs) if rhs is not None else ()
-        return Constraint(lhs_dnf, rhs_dnf, label, span=span)
-
     # -- aggregation -------------------------------------------------------------
 
     def _try_aggregate(self) -> Optional[Aggregate]:
-        if not self.at_keyword("agg"):
+        token = self._tokens[self._pos]
+        if token.text != "agg" or token.kind != "KEYWORD":
             return None
-        self.advance()
+        self._pos += 1
         self.expect("<<")
         result_token = self.advance()
         if result_token.kind != "VAR":
@@ -196,28 +197,35 @@ class Parser:
     # -- formulas --------------------------------------------------------------
 
     def parse_formula(self) -> Formula:
-        parts = [self._parse_disjunct()]
-        while self.at(";"):
-            self.advance()
-            parts.append(self._parse_disjunct())
-        return disj(parts)
+        """Disjuncts of conjuncts; a lone part is returned as it is."""
+        disjuncts: list = []
+        while True:
+            parts = self._separated(self._parse_conjunct)
+            disjuncts.append(parts[0] if len(parts) == 1 else conj(parts))
+            if not self.at(";"):
+                return disjuncts[0] if len(disjuncts) == 1 else disj(disjuncts)
+            self._pos += 1
 
-    def _parse_disjunct(self) -> Formula:
-        parts = [self._parse_conjunct()]
-        while self.at(","):
-            self.advance()
-            parts.append(self._parse_conjunct())
-        return conj(parts)
+    def _separated(self, item: Callable[[], object]) -> list:
+        """One or more ``item()`` separated by ``,``."""
+        items = [item()]
+        tokens = self._tokens
+        while tokens[self._pos].text == "," and tokens[self._pos].kind == "PUNCT":
+            self._pos += 1
+            items.append(item())
+        return items
 
     def _parse_conjunct(self) -> Formula:
-        if self.at("!"):
-            self.advance()
-            return Not(self._parse_conjunct())
-        if self.at("(") and not self._at_parenthesised_term():
-            self.advance()
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
+        token = self._tokens[self._pos]
+        if token.kind == "PUNCT":
+            if token.text == "!":
+                self._pos += 1
+                return Not(self._parse_conjunct())
+            if token.text == "(" and not self._at_parenthesised_term():
+                self._pos += 1
+                inner = self.parse_formula()
+                self.expect(")")
+                return inner
         return self._parse_basic()
 
     def _at_parenthesised_term(self) -> bool:
@@ -225,29 +233,34 @@ class Parser:
         ``(X + 1) * 2 = Y``, which is how the printer writes an
         arithmetic left side — rather than a group of literals: the
         token after its matching ``)`` is an operator."""
-        depth, offset = 0, 0
-        while True:
-            token = self.peek(offset)
-            if token.kind == "EOF":
-                return False
-            if token.kind == "PUNCT" and token.text in ("(", ")"):
-                depth += 1 if token.text == "(" else -1
+        end = self._closed(self._pos, "(", ")")
+        after = self._tokens[end]
+        return end > 0 and after.kind == "PUNCT" and (
+            after.text in _COMPARE_OPS or after.text in _BINARY)
+
+    def _closed(self, at: int, opener: str, closer: str) -> int:
+        """The index past the ``closer`` matching the ``opener`` at
+        ``at``; 0 if the input ends first."""
+        tokens, depth = self._tokens, 0
+        while tokens[at].kind != "EOF":
+            token = tokens[at]
+            at += 1
+            if token.kind == "PUNCT" and token.text in (opener, closer):
+                depth += 1 if token.text == opener else -1
                 if depth == 0:
-                    after = self.peek(offset + 1)
-                    return after.kind == "PUNCT" and after.text in (
-                        *_COMPARE_OPS, "+", "-", "*", "/", "%")
-            offset += 1
+                    return at
+        return 0
 
     def _parse_basic(self) -> Formula:
         """An atom, or a comparison between two terms."""
         if self._at_atom_start():
             atom = self.parse_atom()
             return Literal(atom, span=atom.span)
-        start = self.peek()
+        start = self._tokens[self._pos]
         left = self.parse_term()
-        op_token = self.peek()
+        op_token = self._tokens[self._pos]
         if op_token.kind == "PUNCT" and op_token.text in _COMPARE_OPS:
-            self.advance()
+            self._pos += 1
             right = self.parse_term()
             return Comparison(op_token.text, left, right,
                               span=Span(start.line, start.column))
@@ -255,166 +268,128 @@ class Parser:
 
     def _at_atom_start(self) -> bool:
         """True when the next tokens begin a relational atom ``name(...)``."""
-        token = self.peek()
-        if token.kind != "IDENT":
+        tokens = self._tokens
+        at = self._pos
+        if tokens[at].kind != "IDENT":
             return False
-        offset = 1
-        # Qualified name segments: glued ':' IDENT pairs.
-        while (self.peek(offset).kind == "PUNCT" and self.peek(offset).text == ":"
-               and self.peek(offset).glued
-               and self.peek(offset + 1).kind == "IDENT"
-               and self.peek(offset + 1).glued):
-            offset += 2
-        nxt = self.peek(offset)
+        at = self._after_predname(at)
+        nxt = tokens[at]
         if nxt.kind == "PUNCT" and nxt.text == "[" and nxt.glued:
             # Partitioned atom head: name[keys](args).  Scan past the keys.
-            depth = 1
-            offset += 1
-            while depth > 0:
-                token_k = self.peek(offset)
-                if token_k.kind == "EOF":
-                    return False
-                if token_k.kind == "PUNCT" and token_k.text == "[":
-                    depth += 1
-                elif token_k.kind == "PUNCT" and token_k.text == "]":
-                    depth -= 1
-                offset += 1
-            nxt = self.peek(offset)
-            return nxt.kind == "PUNCT" and nxt.text == "("
+            at = self._closed(at, "[", "]")
+            nxt = tokens[at]
+            return at > 0 and nxt.kind == "PUNCT" and nxt.text == "("
         return nxt.kind == "PUNCT" and nxt.text == "(" and nxt.glued
+
+    def _after_predname(self, at: int) -> int:
+        """The index past the (qualified) name whose first IDENT is at
+        ``at``: its segments are glued ``:`` IDENT pairs."""
+        tokens = self._tokens
+        at += 1
+        colon = tokens[at]
+        while (colon.text == ":" and colon.kind == "PUNCT" and colon.glued
+               and tokens[at + 1].kind == "IDENT" and tokens[at + 1].glued):
+            at += 2
+            colon = tokens[at]
+        return at
 
     def _parse_predname(self) -> str:
         token = self.advance()
         if token.kind != "IDENT":
             raise self.error(f"expected predicate name, found {token.text!r}")
-        name = token.text
-        while (self.peek().kind == "PUNCT" and self.peek().text == ":"
-               and self.peek().glued
-               and self.peek(1).kind == "IDENT" and self.peek(1).glued):
-            self.advance()
-            name += ":" + self.advance().text
+        end = self._after_predname(self._pos - 1)
+        if end == self._pos:
+            return token.text
+        name = ":".join([t.text for t in self._tokens[self._pos - 1:end:2]])
+        self._pos = end
         return name
 
     def parse_atom(self) -> Atom:
-        start = self.peek()
+        start = self._tokens[self._pos]
         name = self._parse_predname()
         keys: tuple = ()
-        if self.at("[") and self.peek().glued:
-            self.advance()
-            keys = tuple(self._parse_term_list("]"))
+        token = self._tokens[self._pos]
+        if token.text == "[" and token.kind == "PUNCT" and token.glued:
+            self._pos += 1
+            keys = tuple(self._separated(self.parse_term))
             self.expect("]")
         self.expect("(")
-        args: tuple = ()
-        if not self.at(")"):
-            args = tuple(self._parse_term_list(")"))
+        args = () if self.at(")") else tuple(self._separated(self.parse_term))
         self.expect(")")
         return Atom(name, args, keys, span=Span(start.line, start.column))
 
-    def _parse_term_list(self, closer: str) -> list[Term]:
-        terms = [self.parse_term()]
-        while self.at(","):
-            self.advance()
-            terms.append(self.parse_term())
-        return terms
-
     # -- terms -----------------------------------------------------------------
 
-    def parse_term(self) -> Term:
-        return self._parse_additive()
-
-    def _parse_additive(self) -> Term:
-        left = self._parse_multiplicative()
-        while self.at("+") or self.at("-"):
-            op = self.advance().text
-            right = self._parse_multiplicative()
-            left = Expr(op, left, right)
-        return left
-
-    def _parse_multiplicative(self) -> Term:
+    def parse_term(self, floor: int = 1) -> Term:
+        """A term whose binary operators bind at least ``floor`` tightly
+        (precedence climbing: ``*`` ``/`` ``%`` over ``+`` ``-``, each
+        left-associative, unary ``-`` tightest)."""
         left = self._parse_unary()
-        while self.at("*") or self.at("/") or self.at("%"):
-            op = self.advance().text
-            right = self._parse_unary()
-            left = Expr(op, left, right)
-        return left
+        tokens = self._tokens
+        while True:
+            token = tokens[self._pos]
+            power = _BINARY.get(token.text) if token.kind == "PUNCT" else None
+            if power is None or power < floor:
+                return left
+            self._pos += 1
+            left = Expr(token.text, left, self.parse_term(power + 1))
 
     def _parse_unary(self) -> Term:
-        if self.at("-"):
-            self.advance()
+        token = self._tokens[self._pos]
+        if token.text == "-" and token.kind == "PUNCT":
+            self._pos += 1
             inner = self._parse_unary()
             if isinstance(inner, Constant) and isinstance(inner.value, (int, float)):
                 return Constant(-inner.value)
             return Expr("-", Constant(0), inner)
-        return self._parse_primary()
-
-    def _parse_primary(self) -> Term:
-        token = self.peek()
-        if token.kind == "INT":
-            self.advance()
-            return Constant(int(token.text))
-        if token.kind == "FLOAT":
-            self.advance()
-            return Constant(float(token.text))
-        if token.kind == "STRING":
-            self.advance()
-            return Constant(token.text)
-        if token.kind == "HEX":
-            self.advance()
-            return Constant(bytes.fromhex(token.text[2:]))
-        if token.kind == "REFID":
-            # $r<N>: a rule reference.  Registry-scoped — meaningful only
-            # where the producing registry is shared (as in one LBTrust
-            # system); the wire codec documents this limitation.
-            from .terms import RuleRef
-            self.advance()
-            return Constant(RuleRef(int(token.text[2:])))
-        if token.kind == "KEYWORD":
-            if token.text == "me":
-                self.advance()
-                return Constant(ME)
-            if token.text == "true":
-                self.advance()
-                return Constant(True)
-            if token.text == "false":
-                self.advance()
-                return Constant(False)
-            raise self.error(f"keyword {token.text!r} cannot be a term")
-        if token.kind == "VAR":
-            self.advance()
+        kind = token.kind
+        value = _LITERALS.get(kind)
+        if value is not None:
+            self._pos += 1
+            return Constant(value(token.text))
+        if kind == "VAR":
+            self._pos += 1
             if token.text == "_":
                 return fresh_var("_Anon")
             return Variable(token.text)
-        if token.kind == "IDENT":
+        if kind == "KEYWORD":
+            if token.text in _KEYWORD_TERMS:
+                self._pos += 1
+                return Constant(_KEYWORD_TERMS[token.text])
+            raise self.error(f"keyword {token.text!r} cannot be a term")
+        if kind == "IDENT":
             name = self._parse_predname()
-            if self.at("[") and self.peek().glued:
-                self.advance()
-                keys = tuple(self._parse_term_list("]"))
+            token = self._tokens[self._pos]
+            if token.text == "[" and token.kind == "PUNCT" and token.glued:
+                self._pos += 1
+                keys = tuple(self._separated(self.parse_term))
                 self.expect("]")
                 return PartitionTerm(name, keys)
             return Constant(name)
-        if self.at("[|"):
-            return self.parse_quote()
-        if self.at("{"):
-            # A ground list value: {v1,v2,...} (how tuples print).
-            self.advance()
-            values = []
-            if not self.at("}"):
-                while True:
-                    element = self.parse_term()
-                    if not isinstance(element, Constant):
-                        raise self.error("list values must be ground")
-                    values.append(element.value)
-                    if not self.at(","):
-                        break
-                    self.advance()
-            self.expect("}")
-            return Constant(tuple(values))
-        if self.at("("):
-            self.advance()
-            inner = self.parse_term()
-            self.expect(")")
-            return inner
+        if kind == "PUNCT":
+            if token.text == "[|":
+                return self.parse_quote()
+            if token.text == "{":
+                return self._parse_list()
+            if token.text == "(":
+                self._pos += 1
+                inner = self.parse_term()
+                self.expect(")")
+                return inner
         raise self.error(f"expected a term, found {token.text or 'end of input'!r}")
+
+    def _parse_list(self) -> Constant:
+        """A ground list value: ``{v1,v2,...}`` (how tuples print)."""
+        self._pos += 1
+        values = () if self.at("}") else self._separated(self._list_value)
+        self.expect("}")
+        return Constant(tuple(values))
+
+    def _list_value(self):
+        element = self.parse_term()
+        if not isinstance(element, Constant):
+            raise self.error("list values must be ground")
+        return element.value
 
     # -- quoted code ---------------------------------------------------------------
 
@@ -425,34 +400,36 @@ class Parser:
         return Quote(pattern)
 
     def _parse_pattern(self) -> RulePattern:
-        heads = [self._parse_pattern_atom()]
-        while self.at(","):
-            self.advance()
-            heads.append(self._parse_pattern_atom())
-        has_arrow = False
+        heads = self._separated(self._parse_pattern_atom)
+        has_arrow = self.at("<-")
         body: list = []
-        if self.at("<-"):
-            has_arrow = True
-            self.advance()
-            body.append(self._parse_pattern_literal())
-            while self.at(","):
-                self.advance()
-                body.append(self._parse_pattern_literal())
+        if has_arrow:
+            self._pos += 1
+            body = self._separated(self._parse_pattern_literal)
         if self.at("."):
-            self.advance()
+            self._pos += 1
         return RulePattern(tuple(heads), tuple(body), has_arrow)
 
-    def _parse_pattern_literal(self):
-        token = self.peek()
+    def _star(self) -> Optional[tuple]:
+        """``(name,)`` for a star ahead — ``*`` (name None) or a glued
+        ``V*`` — consumed; else None."""
+        token, nxt = self.peek(), self.peek(1)
         if self.at("*"):
-            self.advance()
-            return StarLits(None)
+            self._pos += 1
+            return (None,)
+        if token.kind == "VAR" and nxt.text == "*" and nxt.kind == "PUNCT" \
+                and nxt.glued:
+            self._pos += 2
+            return (token.text,)
+        return None
+
+    def _parse_pattern_literal(self):
+        star = self._star()
+        if star is not None:
+            return StarLits(*star)
+        token = self.peek()
         if token.kind == "VAR":
             nxt = self.peek(1)
-            if nxt.kind == "PUNCT" and nxt.text == "*" and nxt.glued:
-                self.advance()
-                self.advance()
-                return StarLits(token.text)
             if nxt.kind == "PUNCT" and nxt.text == "=":
                 self.advance()
                 self.advance()
@@ -486,63 +463,57 @@ class Parser:
         raise self.error(f"expected an atom pattern, found {token.text!r}")
 
     def _parse_pattern_args(self) -> tuple:
-        if self.at(")"):
-            return ()
-        args = [self._parse_pattern_arg()]
-        while self.at(","):
-            self.advance()
-            args.append(self._parse_pattern_arg())
-        return tuple(args)
+        return () if self.at(")") \
+            else tuple(self._separated(self._parse_pattern_arg))
 
     def _parse_pattern_arg(self):
-        token = self.peek()
-        if token.kind == "VAR":
-            nxt = self.peek(1)
-            if nxt.kind == "PUNCT" and nxt.text == "*" and nxt.glued:
-                self.advance()
-                self.advance()
-                return Star(token.text)
-        if self.at("*"):
-            self.advance()
-            return Star(None)
-        return self.parse_term()
+        star = self._star()
+        return self.parse_term() if star is None else Star(*star)
 
 
 # ---------------------------------------------------------------------------
 # Convenience entry points
 # ---------------------------------------------------------------------------
 
-def _with_excerpt(exc: ParseError, source: str) -> ParseError:
-    """Enrich a ParseError with the offending source line (see errors.py)."""
-    return exc.with_source(source)
+def _read(source: str, method: Callable, trailing: Optional[str] = None):
+    """What the :class:`Parser` method ``method`` reads from ``source``.
+    A :class:`ParseError` names the offending source line (see
+    errors.py); with ``trailing``, text left over is
+    ``ParseError(trailing)``."""
+    try:
+        parser = Parser(tokenize(source))
+        result = method(parser)
+    except ParseError as exc:
+        enriched = exc.with_source(source)
+        if enriched is exc:
+            raise
+        raise enriched from None
+    if trailing is not None and parser.peek().kind != "EOF":
+        raise ParseError(trailing)
+    return result
 
 
 def parse_program(source: str) -> Program:
     """Parse a multi-statement source string into a :class:`Program`."""
-    try:
-        return Parser(tokenize(source)).parse_program()
-    except ParseError as exc:
-        enriched = _with_excerpt(exc, source)
-        if enriched is exc:
-            raise
-        raise enriched from None
+    return _read(source, Parser.parse_program)
 
 
 def parse_statements(source: str) -> list[Statement]:
     """Parse source and return the flat statement list."""
-    return parse_program(source).statements
+    return _read(source, Parser.parse_program).statements
 
 
 def parse_rule(source: str) -> Rule:
     """Parse exactly one rule (raises if the source is not a single rule)."""
-    statements = parse_statements(source)
+    statements = _read(source, Parser.parse_program).statements
     if len(statements) != 1 or not isinstance(statements[0], Rule):
         raise ParseError(f"expected a single rule, got {len(statements)} statements")
     return statements[0]
 
+
 def parse_constraint(source: str) -> Constraint:
     """Parse exactly one constraint."""
-    statements = parse_statements(source)
+    statements = _read(source, Parser.parse_program).statements
     if len(statements) != 1 or not isinstance(statements[0], Constraint):
         raise ParseError("expected a single constraint")
     constraint = statements[0]
@@ -556,29 +527,9 @@ TRAILING_ATOM_INPUT = "trailing input after atom"
 
 def parse_atom(source: str) -> Atom:
     """Parse a single atom, e.g. ``"access(P,O,read)"``."""
-    try:
-        parser = Parser(tokenize(source))
-        atom = parser.parse_atom()
-    except ParseError as exc:
-        enriched = _with_excerpt(exc, source)
-        if enriched is exc:
-            raise
-        raise enriched from None
-    if parser.peek().kind != "EOF":
-        raise ParseError(TRAILING_ATOM_INPUT)
-    return atom
+    return _read(source, Parser.parse_atom, TRAILING_ATOM_INPUT)
 
 
 def parse_term(source: str) -> Term:
     """Parse a single term."""
-    try:
-        parser = Parser(tokenize(source))
-        term = parser.parse_term()
-    except ParseError as exc:
-        enriched = _with_excerpt(exc, source)
-        if enriched is exc:
-            raise
-        raise enriched from None
-    if parser.peek().kind != "EOF":
-        raise ParseError("trailing input after term")
-    return term
+    return _read(source, Parser.parse_term, "trailing input after term")

@@ -15,10 +15,10 @@ Two jobs:
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from .errors import SafetyError
 from .terms import (
-    Aggregate,
     Atom,
     AtomPattern,
     BuiltinCall,
@@ -82,22 +82,6 @@ def format_value(value) -> str:
     raise TypeError(f"cannot format value of type {type(value).__name__}: {value!r}")
 
 
-def format_term(term: Term) -> str:
-    if isinstance(term, Variable):
-        return term.name
-    if isinstance(term, Constant):
-        return format_value(term.value)
-    if isinstance(term, Expr):
-        return _format_expr(format_term(term.left), term.op,
-                            format_term(term.right))
-    if isinstance(term, PartitionTerm):
-        keys = ",".join(format_term(k) for k in term.keys)
-        return f"{term.pred}[{keys}]"
-    if isinstance(term, Quote):
-        return f"[| {format_pattern(term.pattern)} |]"
-    raise TypeError(f"cannot format term {term!r}")
-
-
 def _format_expr(left: str, op: str, right: str) -> str:
     # modulo is glued: the lexer reads an unglued ``%`` as a line comment
     if op == "%":
@@ -105,79 +89,115 @@ def _format_expr(left: str, op: str, right: str) -> str:
     return f"({left} {op} {right})"
 
 
-def format_atom(atom: Atom) -> str:
-    keys = ""
-    if atom.keys:
-        keys = "[" + ",".join(format_term(k) for k in atom.keys) + "]"
-    args = ",".join(format_term(a) for a in atom.args)
-    return f"{atom.pred}{keys}({args})"
+class _Printer:
+    """One walk that prints a rule, a body item or a pattern: as written,
+    or canonical — variables renamed ``V0``, ``V1``, … in the order the
+    walk visits them, star names dropped, ``me`` and non-finite floats
+    refused (:func:`canonical_rule`)."""
 
+    def __init__(self, canonical: bool = False) -> None:
+        self.names: Optional[dict] = {} if canonical else None
 
-def format_body_item(item) -> str:
-    if isinstance(item, Literal):
-        return ("!" if item.negated else "") + format_atom(item.atom)
-    if isinstance(item, Comparison):
-        return f"{format_term(item.left)} {item.op} {format_term(item.right)}"
-    if isinstance(item, BuiltinCall):
-        args = ",".join(format_term(a) for a in item.args)
-        return f"{item.name}({args})"
-    raise TypeError(f"cannot format body item {item!r}")
+    def var(self, variable: Variable) -> str:
+        names = self.names
+        if names is None:
+            return variable.name
+        name = names.get(variable.name)
+        if name is None:
+            name = names[variable.name] = f"V{len(names)}"
+        return name
 
+    def term(self, t: Term) -> str:
+        if isinstance(t, Variable):
+            return self.var(t)
+        if isinstance(t, Constant):
+            if isinstance(t.value, PatternValue):
+                # Pattern values print as quotes; renaming their variables
+                # too keeps the canonical text identical whether the
+                # pattern is a parsed quote term or a first-class value.
+                return f"[| {self.pattern(t.value.pattern)} |]"
+            if self.names is None:
+                return format_value(t.value)
+            return _canonical_value(t.value)
+        if isinstance(t, Expr):
+            return _format_expr(self.term(t.left), t.op, self.term(t.right))
+        if isinstance(t, PartitionTerm):
+            return f"{t.pred}[{','.join(map(self.term, t.keys))}]"
+        if isinstance(t, Quote):
+            return f"[| {self.pattern(t.pattern)} |]"
+        raise TypeError(f"cannot format term {t!r}")
 
-def format_aggregate(agg: Aggregate) -> str:
-    return f"agg<<{agg.result.name} = {agg.func}({format_term(agg.over)})>>"
+    def atom(self, a: Atom) -> str:
+        args = ",".join(map(self.term, a.args))   # numbered before the keys
+        if a.keys:
+            return f"{a.pred}[{','.join(map(self.term, a.keys))}]({args})"
+        return f"{a.pred}({args})"
 
+    def item(self, i) -> str:
+        if isinstance(i, Literal):
+            return ("!" if i.negated else "") + self.atom(i.atom)
+        if isinstance(i, Comparison):
+            return f"{self.term(i.left)} {i.op} {self.term(i.right)}"
+        if isinstance(i, BuiltinCall):
+            return f"{i.name}({','.join(map(self.term, i.args))})"
+        raise TypeError(f"cannot format body item {i!r}")
 
-def format_pattern_atom(pat: AtomPattern) -> str:
-    neg = "!" if pat.negated else ""
-    if pat.args is None:
-        return f"{neg}{pat.functor.name}"
-    name = pat.functor if isinstance(pat.functor, str) else pat.functor.name
-    parts = []
-    for arg in pat.args:
-        if isinstance(arg, Star):
-            parts.append(f"{arg.var or ''}*")
-        else:
-            parts.append(format_term(arg))
-    return f"{neg}{name}({','.join(parts)})"
+    def star(self, name: Optional[str]) -> str:
+        return "*" if self.names is not None else f"{name or ''}*"
+
+    def pattern_atom(self, p: AtomPattern) -> str:
+        neg = "!" if p.negated else ""
+        functor = p.functor if isinstance(p.functor, str) else self.var(p.functor)
+        if p.args is None:
+            return neg + functor
+        args = ",".join(self.star(a.var) if isinstance(a, Star) else self.term(a)
+                        for a in p.args)
+        return f"{neg}{functor}({args})"
+
+    def pattern_lit(self, lit) -> str:
+        if isinstance(lit, AtomPattern):
+            return self.pattern_atom(lit)
+        if isinstance(lit, StarLits):
+            return self.star(lit.var)
+        if isinstance(lit, EqPattern):
+            return f"{self.var(lit.var)} = [| {self.pattern(lit.quote.pattern)} |]"
+        raise TypeError(f"cannot format pattern literal {lit!r}")
+
+    def pattern(self, p: RulePattern) -> str:
+        heads = ", ".join(map(self.pattern_atom, p.heads))
+        if not p.has_arrow and not p.body:
+            return f"{heads}."
+        return f"{heads} <- {', '.join(map(self.pattern_lit, p.body))}."
+
+    def rule(self, rule: Rule) -> str:
+        agg = rule.agg
+        if agg is not None:   # numbered first
+            agg_text = (f"agg<<{self.var(agg.result)} = "
+                        f"{agg.func}({self.term(agg.over)})>>")
+        heads = ", ".join(map(self.atom, rule.heads))
+        if not rule.body and agg is None:
+            return f"{heads}."
+        body = ", ".join(map(self.item, rule.body))
+        if agg is not None:
+            body = f"{agg_text} {body}" if body else agg_text
+        return f"{heads} <- {body}."
 
 
 def format_pattern(pattern: RulePattern) -> str:
-    heads = ", ".join(format_pattern_atom(h) for h in pattern.heads)
-    if not pattern.has_arrow and not pattern.body:
-        return f"{heads}."
-    body_parts = []
-    for lit in pattern.body:
-        if isinstance(lit, AtomPattern):
-            body_parts.append(format_pattern_atom(lit))
-        elif isinstance(lit, StarLits):
-            body_parts.append(f"{lit.var or ''}*")
-        elif isinstance(lit, EqPattern):
-            body_parts.append(f"{lit.var.name} = [| {format_pattern(lit.quote.pattern)} |]")
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"cannot format pattern literal {lit!r}")
-    return f"{heads} <- {', '.join(body_parts)}."
+    return _Printer().pattern(pattern)
 
 
 def format_rule(rule: Rule) -> str:
-    heads = ", ".join(format_atom(h) for h in rule.heads)
-    if rule.is_fact():
-        return f"{heads}."
-    body = ", ".join(format_body_item(item) for item in rule.body)
-    if rule.agg is not None:
-        body = f"{format_aggregate(rule.agg)} {body}" if body else format_aggregate(rule.agg)
-    return f"{heads} <- {body}."
+    return _Printer().rule(rule)
 
 
 def format_constraint(constraint: Constraint) -> str:
     if constraint.source:
         return constraint.source
+    item = _Printer().item
 
     def fmt_dnf(alternatives: tuple) -> str:
-        conjs = [
-            ", ".join(format_body_item(item) for item in alt)
-            for alt in alternatives
-        ]
+        conjs = [", ".join(map(item, alt)) for alt in alternatives]
         if len(conjs) == 1:
             return conjs[0]
         return "; ".join(f"({c})" for c in conjs)
@@ -213,81 +233,7 @@ def canonical_rule(rule: Rule) -> str:
     data), or one holding a non-finite float, which prints as a name that
     reads back as a different value.
     """
-    names: dict[str, str] = {}
-
-    def var(variable: Variable) -> str:
-        name = names.get(variable.name)
-        if name is None:
-            name = names[variable.name] = f"V{len(names)}"
-        return name
-
-    def term(t: Term) -> str:
-        if isinstance(t, Variable):
-            return var(t)
-        if isinstance(t, Constant):
-            if isinstance(t.value, PatternValue):
-                # Pattern values print as quotes; renaming their variables
-                # too keeps the canonical text identical whether the
-                # pattern is a parsed quote term or a first-class value.
-                return f"[| {pattern(t.value.pattern)} |]"
-            return _canonical_value(t.value)
-        if isinstance(t, Expr):
-            return _format_expr(term(t.left), t.op, term(t.right))
-        if isinstance(t, PartitionTerm):
-            return f"{t.pred}[{','.join(map(term, t.keys))}]"
-        if isinstance(t, Quote):
-            return f"[| {pattern(t.pattern)} |]"
-        raise TypeError(f"cannot format term {t!r}")
-
-    def atom(a: Atom) -> str:
-        args = ",".join(map(term, a.args))
-        if a.keys:
-            return f"{a.pred}[{','.join(map(term, a.keys))}]({args})"
-        return f"{a.pred}({args})"
-
-    def item(i) -> str:
-        if isinstance(i, Literal):
-            return ("!" if i.negated else "") + atom(i.atom)
-        if isinstance(i, Comparison):
-            return f"{term(i.left)} {i.op} {term(i.right)}"
-        if isinstance(i, BuiltinCall):
-            return f"{i.name}({','.join(map(term, i.args))})"
-        raise TypeError(f"cannot format body item {i!r}")
-
-    def pattern_atom(p: AtomPattern) -> str:
-        neg = "!" if p.negated else ""
-        functor = p.functor if isinstance(p.functor, str) else var(p.functor)
-        if p.args is None:
-            return neg + functor
-        # star names are irrelevant
-        args = ",".join("*" if isinstance(a, Star) else term(a) for a in p.args)
-        return f"{neg}{functor}({args})"
-
-    def pattern_lit(lit) -> str:
-        if isinstance(lit, AtomPattern):
-            return pattern_atom(lit)
-        if isinstance(lit, StarLits):
-            return "*"
-        if isinstance(lit, EqPattern):
-            return f"{var(lit.var)} = [| {pattern(lit.quote.pattern)} |]"
-        raise TypeError(f"cannot format pattern literal {lit!r}")
-
-    def pattern(p: RulePattern) -> str:
-        heads = ", ".join(map(pattern_atom, p.heads))
-        if not p.has_arrow and not p.body:
-            return f"{heads}."
-        return f"{heads} <- {', '.join(map(pattern_lit, p.body))}."
-
-    agg = rule.agg
-    if agg is not None:
-        agg_text = f"agg<<{var(agg.result)} = {agg.func}({term(agg.over)})>>"
-    heads = ", ".join(map(atom, rule.heads))
-    if not rule.body and agg is None:
-        return f"{heads}."
-    body = ", ".join(map(item, rule.body))
-    if agg is not None:
-        body = f"{agg_text} {body}" if body else agg_text
-    return f"{heads} <- {body}."
+    return _Printer(canonical=True).rule(rule)
 
 
 def _canonical_value(value) -> str:

@@ -138,7 +138,7 @@ def _parse_block(tokens: list[Token], context) -> list[Statement]:
 
 
 def _compile_rule(heads, body_formula, label, context) -> list[Rule]:
-    from ..datalog.logic import dnf_body
+    from ..datalog.logic import to_dnf
 
     substitution = None
     if isinstance(context, Variable):
@@ -173,7 +173,8 @@ def _compile_rule(heads, body_formula, label, context) -> list[Rule]:
                     span=atom.span)
 
     rules = []
-    for alternative in dnf_body(body_formula):
+    for alternative in (to_dnf(body_formula) if body_formula is not None
+                        else ((),)):
         body_items = []
         for item in alternative:
             if isinstance(item, Literal):

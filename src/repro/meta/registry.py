@@ -18,9 +18,11 @@ LogicBlox instance).  It provides:
   printer and the parser to it), so the shortcut returns the ref a
   parse would;
 * **reification** — the meta-model facts (Figure 1) describing a rule,
-  computed once per rule with the relations they populate and the other
-  refs they name; a workspace that encounters the ref asserts those of
-  the relations something in it reads;
+  computed at the rule's first read (:meth:`RuleRegistry.reflection`)
+  with the relations they populate, and kept; the other refs they name
+  are found at interning, from the rule's constants.  A workspace that
+  encounters the ref asserts those of the relations something in it
+  reads, so a rule no workspace reads is interned and never reified;
 * **template instantiation** — code generation: a head-position quote plus
   bindings becomes a new interned rule (paper section 3.3: "if the
   evaluation of a rule puts new facts into the meta-model, then those new
@@ -76,11 +78,12 @@ class InternedRule:
     ref: RuleRef
     rule: Rule
     canonical: str
-    meta_facts: list = field(default_factory=list)
-    #: the relations ``meta_facts`` populate (one shared set per shape)
-    relations: frozenset = frozenset()
     #: the other refs ``meta_facts`` name, reified together with this one
     nested: tuple = ()
+    #: the Figure 1 facts (None until the first :meth:`~RuleRegistry.reflection`)
+    meta_facts: Optional[list] = None
+    #: the relations ``meta_facts`` populate (one shared set per shape)
+    relations: Optional[frozenset] = None
     #: builtins signature -> the rule compiled and checked safe under it
     compiled: dict = field(default_factory=dict)
 
@@ -155,14 +158,17 @@ class RuleRegistry:
             ref = RuleRef(self._next_id)
             self._next_id += 1
             entry = InternedRule(ref, rule, canonical)
-            entry.meta_facts = facts = _reify(ref, rule)
-            relations = frozenset([pred for pred, _fact in facts])
-            entry.relations = self._relation_sets.setdefault(relations,
-                                                             relations)
-            # a constant's value is the only place another ref can be
-            nested = {other for pred, fact in facts if pred == "value"
-                      for other in self.refs_in_value(fact[1])
-                      if other != ref}
+            # a constant argument's value is the only place another ref
+            # can be (the ``value`` facts reification makes of it)
+            atoms = rule.heads + tuple([item.atom for item in rule.body
+                                        if isinstance(item, Literal)])
+            nested = set()
+            for atom in atoms:
+                for term in atom.all_args:
+                    if isinstance(term, Constant) and isinstance(
+                            term.value, (RuleRef, tuple)):
+                        nested.update(self.refs_in_value(term.value))
+            nested.discard(ref)
             if nested:
                 entry.nested = tuple(nested)
             self._by_text[canonical] = entry
@@ -194,13 +200,23 @@ class RuleRegistry:
         return self._entry(ref).canonical
 
     def meta_facts(self, ref: RuleRef) -> list[MetaFact]:
-        return self._entry(ref).meta_facts
+        return self.reflection(ref)[0]
 
     def reflection(self, ref: RuleRef) -> tuple[list, frozenset, tuple]:
         """``ref``'s meta facts, the relations they populate, and the
-        other refs they name."""
+        other refs they name: reified here at the first call."""
         entry = self._entry(ref)
+        if entry.meta_facts is None:
+            facts = _reify(ref, entry.rule)
+            relations = frozenset([pred for pred, _fact in facts])
+            entry.relations = self._relation_sets.setdefault(relations,
+                                                             relations)
+            entry.meta_facts = facts
         return entry.meta_facts, entry.relations, entry.nested
+
+    def nested(self, ref: RuleRef) -> tuple:
+        """The other refs ``ref``'s meta facts name, without reifying it."""
+        return self._entry(ref).nested
 
     def refs_in_value(self, value) -> Iterable[RuleRef]:
         """Every RuleRef reachable inside a ground value (tuples nest)."""
@@ -209,9 +225,6 @@ class RuleRegistry:
         elif isinstance(value, tuple):
             for element in value:
                 yield from self.refs_in_value(element)
-
-    def known(self, ref: RuleRef) -> bool:
-        return ref in self._by_ref
 
     def __len__(self) -> int:
         return len(self._by_ref)

@@ -15,7 +15,8 @@ section 3.3:
 * every rule is interned in the shared :class:`RuleRegistry` and reflected
   into the local meta-model relations (Figure 1) on demand: a relation is
   materialized once something here reads it — a rule body, a constraint,
-  a query — and maintained from then on;
+  a query — and maintained from then on, and a rule is reified at that
+  first read, not when it is met;
 * a program text is installed from the registry's image of it
   (:mod:`repro.meta.image`): parsed once per system, its gate verdict
   reused under an equal catalog, and each ref compiled once for every
@@ -139,8 +140,10 @@ class _EdbView(Mapping):
                        [row for row, held in base.items() if EDB in held]))
 
     def __contains__(self, pred) -> bool:
-        return pred in self._workspace._base \
-            or pred in self._workspace._populated
+        workspace = self._workspace
+        if pred in ALL_META_PREDS and pred not in workspace._base:
+            workspace._settle()
+        return pred in workspace._base or pred in workspace._populated
 
     def __iter__(self):
         return iter(list(self._workspace._base))
@@ -149,11 +152,18 @@ class _EdbView(Mapping):
         return len(self._workspace._base)
 
 
-def _unhold(logged: tuple) -> None:
-    """Undo :meth:`Workspace._hold`'s bulk entry: its new rows leave."""
-    base, rows = logged
-    for row in rows:
-        del base[row]
+class _Changes:
+    """What one transaction changed in a workspace's base store and its
+    reified refs, logged once, as it begins (as a :class:`Relation` logs
+    its change list): per predicate, the rows that entered the store and
+    the labels each other touched row held before, and the refs reified."""
+
+    __slots__ = ("entered", "prior", "reified")
+
+    def __init__(self) -> None:
+        self.entered: dict[str, set] = {}
+        self.prior: dict[str, dict] = {}
+        self.reified: list[RuleRef] = []
 
 
 class Workspace:
@@ -175,6 +185,8 @@ class Workspace:
         #: proofs: ``EDB`` if asserted, ``r<rid>`` per head of an active
         #: ground fact stating it (journaled: :meth:`_hold`, :meth:`_release`)
         self._base: dict[str, dict[tuple, tuple]] = {}
+        #: what the open transaction changed in ``_base`` and ``_reified``
+        self._changes = _Changes()
         #: the predicates a ground fact stated a row of: only there is a
         #: row held but not asserted
         self._stating: set[str] = set()
@@ -208,7 +220,12 @@ class Workspace:
         #: the Figure 1 relations something here has read (``_demanded``)
         self._reified: set[RuleRef] = set()
         self._demanded: set[str] = set()
-        #: the Figure 1 relations the refs of ``_reified`` populate
+        #: the refs of ``_reified`` not yet reified while nothing here was
+        #: demanded, in order, and how many of them the last commit's
+        #: mirror sync saw (:meth:`_settle`)
+        self._unsettled: list[RuleRef] = []
+        self._synced = 0
+        #: the Figure 1 relations the settled refs of ``_reified`` populate
         self._populated: set[str] = set()
         #: the names ``predicate`` / ``pname`` mirror from the catalog
         #: (:meth:`_sync_predicate_facts`)
@@ -618,7 +635,7 @@ class Workspace:
         Figure 1 relation).
         """
         if self._txn_depth == 0:
-            self.journal.begin()
+            self._begin()
             self._txn_fresh = {}
             self._txn_deleted = {}
         self._txn_depth += 1
@@ -668,6 +685,7 @@ class Workspace:
             self.on_commit(delta)
         self._unchecked.clear()
         self.journal.commit()
+        self._changes = _Changes()   # its record is nothing to undo now
 
     # ------------------------------------------------------------------
     # Internals: assertion, reification, activation
@@ -696,9 +714,9 @@ class Workspace:
     def _hold(self, pred: str, rows: set, label: str) -> set:
         """The one way a base row gains a supporter: each of ``rows`` takes
         ``label`` and its proof — an assertion once, a ground fact once per
-        head stating the row.  Rows new to the store enter in bulk, under
-        one journal entry that keeps the set returned: the rows that took
-        the label."""
+        head stating the row.  Rows new to the store enter in bulk.
+        Returns the rows that took the label, to read at once: the
+        transaction's record may hold the set and grow it."""
         base = self._base.get(pred)
         if base is None:
             base = self._base[pred] = {}
@@ -706,7 +724,11 @@ class Workspace:
         new = rows.difference(base)
         if new:
             base.update(dict.fromkeys(new, (label,)))
-            self.journal.log(_unhold, (base, new))
+            entered = self._changes.entered
+            if pred in entered:
+                entered[pred].update(new)
+            else:   # ``new`` is no caller's to keep
+                entered[pred] = new
         if label != EDB and pred not in self._stating:
             self._stating.add(pred)
             self.journal.log(self._stating.discard, pred)
@@ -714,7 +736,7 @@ class Workspace:
             again = [row for row in rows - new
                      if label != EDB or EDB not in base[row]]
             for row in again:
-                self._relabel((base, row, base[row] + (label,)))
+                self._relabel(pred, row, base[row] + (label,))
             new = new.union(again)
         if self.provenance is not None:
             for row in new:
@@ -731,21 +753,45 @@ class Workspace:
             held = base[row]
             at = held.index(label)
             rest = held[:at] + held[at + 1:]
-            self._relabel((base, row, rest))
+            self._relabel(pred, row, rest)
             if not rest:
                 unheld.append(row)
             elif self.provenance is not None and label not in rest:
                 self.provenance.discard(pred, row, label)
         return unheld
 
-    def _relabel(self, change: tuple) -> None:
-        """Set ``(base, row, labels)`` (none: unheld), logging it back."""
-        base, row, held = change
-        self.journal.log(self._relabel, (base, row, base.get(row, ())))
+    def _relabel(self, pred: str, row: tuple, held: tuple) -> None:
+        """Set a held ``row``'s labels (none: unheld)."""
+        base = self._base[pred]
+        changes = self._changes
+        if row not in changes.entered.get(pred, ()):
+            changes.prior.setdefault(pred, {}).setdefault(row, base[row])
         if held:
             base[row] = held
         else:
             del base[row]
+
+    def _begin(self) -> None:
+        """Open a transaction on the journal, with its :class:`_Changes`."""
+        self.journal.begin()
+        self._changes = _Changes()
+        self.journal.log(self._undo_changes, self._changes)
+
+    def _undo_changes(self, changes: _Changes) -> None:
+        """Roll back, last of all: the rows that entered leave, then each
+        other touched row takes back its labels (a row that left and
+        entered again among them)."""
+        for pred, rows in changes.entered.items():
+            base = self._base.get(pred, {})
+            for row in rows:
+                base.pop(row, None)
+        for pred, prior in changes.prior.items():
+            self._base[pred].update(prior)
+        if changes.reified:
+            gone = set(changes.reified)
+            self._reified -= gone
+            self._unsettled = [ref for ref in self._unsettled
+                               if ref not in gone]
 
     def _reify_named(self, rows: Iterable[tuple]) -> None:
         """Reify every rule a term of ``rows`` names: one look per
@@ -763,28 +809,56 @@ class Workspace:
                 self._ensure_reified(ref)
 
     def _ensure_reified(self, ref: RuleRef) -> None:
-        """Reflect ``ref`` here: its meta facts go into the Figure 1
-        relations already read (the rest wait in ``_reified`` for their
-        first read, :meth:`_read`), and the refs they name are reified
-        with it."""
+        """Reflect ``ref`` here with the refs it names.  While nothing
+        here is demanded it waits in ``_unsettled`` and the registry
+        reifies nothing (:meth:`_settle`); else its meta facts go into
+        the Figure 1 relations already read (the rest wait for their
+        first read, :meth:`_read`)."""
         if ref in self._reified:
             return
         self._reified.add(ref)
-        self.journal.log(self._reified.discard, ref)
-        facts, relations, nested = self.registry.reflection(ref)
-        if not relations <= self._populated:
-            grown = relations - self._populated
-            self._populated |= grown
-            self.journal.log(self._populated.difference_update, grown)
+        self._changes.reified.append(ref)
+        demanded = self._demanded
+        if demanded:
+            facts, relations, _nested = self.registry.reflection(ref)
+            self._populate(relations)
+        else:
+            self._unsettled.append(ref)
+        for other in self.registry.nested(ref):
+            self._ensure_reified(other)
+        if demanded and not demanded.isdisjoint(relations):
+            self._reflect([meta for meta in facts if meta[0] in demanded],
+                          fresh=True)
+
+    def _populate(self, relations: frozenset, listed: bool = False) -> None:
+        """Note the Figure 1 relations a reified ref populates: one new
+        here is listed by the mirror's next sync, or at once."""
+        grown = relations - self._populated
+        if not grown:
+            return
+        self._populated |= grown
+        self.journal.log(self._populated.difference_update, grown)
+        if listed:
+            new = grown - self._listed
+            self._listed |= new
+            self.journal.log(self._listed.difference_update, new)
+        else:
             self.journal.log(self._unlisted.__delitem__,
                              slice(len(self._unlisted), None))
             self._unlisted.extend(grown)
-        for other in nested:
-            self._ensure_reified(other)
-        demanded = self._demanded
-        if not demanded.isdisjoint(relations):
-            self._reflect([meta for meta in facts if meta[0] in demanded],
-                          fresh=True)
+
+    def _settle(self) -> None:
+        """Reify the refs of ``_unsettled`` in order, as eager reflection
+        did as each came: a relation one populates first is listed at
+        once if the last mirror sync saw the ref (nothing reads the
+        mirror while a ref waits, so no row is due)."""
+        unsettled, synced = self._unsettled, self._synced
+        if unsettled:
+            self._log_rebind("_unsettled")
+            self._log_rebind("_synced")
+            self._unsettled, self._synced = [], 0
+            for at, ref in enumerate(unsettled):
+                self._populate(self.registry.reflection(ref)[1], at < synced)
 
     def _read(self, preds: Iterable[str]) -> None:
         """Materialize the Figure 1 relations among ``preds`` nothing here
@@ -807,15 +881,17 @@ class Workspace:
         if journal.entries is not None:
             self._backfill(wanted)
             return
-        journal.begin()
+        self._begin()
         try:
             self._backfill(wanted)
         except BaseException:
             journal.rollback()
             raise
         journal.commit()
+        self._changes = _Changes()
 
     def _backfill(self, preds: list) -> None:
+        self._settle()
         wanted = set(preds)
         self._demanded |= wanted
         self.journal.log(self._demanded.difference_update, wanted)
@@ -947,6 +1023,9 @@ class Workspace:
         additions past :attr:`_cataloged` and from :attr:`_unlisted`, so
         a commit pays for the names it added, not for every name.
         """
+        if self._synced != len(self._unsettled):
+            self._log_rebind("_synced")
+            self._synced = len(self._unsettled)
         new = set(_MIRROR) if not self._listed else set()
         added = self.catalog.added
         if len(added) > self._cataloged:

@@ -11,7 +11,8 @@ supported base row and compiled to no rule: the receiver's rules and
 strata do not grow with it, and no semi-naive round, over-delete or
 re-derivation visits it; taking one back copies nothing bob holds, and
 two arriving at once are ordered without reading his other ``active``
-rows.  Counts, not wall time.
+rows.  A said fact no one reads the Figure 1 relations of is never
+reified.  Counts, not wall time.
 """
 
 import pytest
@@ -23,6 +24,8 @@ from repro.datalog import constraints
 from repro.datalog.database import TermInterner
 from repro.datalog.engine import EngineRule
 from repro.datalog.stratify import Stratum
+from repro.meta import registry as registry_module
+from repro.meta.model import ALL_META_PREDS
 from repro.workspace.workspace import Workspace
 
 
@@ -299,3 +302,54 @@ def test_two_credentials_entering_at_once_walk_no_held_row():
         assert {(-1,), (-2,)} <= bob.tuples("gotA")
         counts.append(_CountingRows.walked)
     assert counts[0] == counts[1] == counts[2]
+
+
+def fig2_pair(said: int, eager: bool, registry=None):
+    """alice says ``said`` facts to bob in one transaction, as a Figure 2
+    round does; the ``eager`` twin reads every Figure 1 relation first."""
+    system = LBTrustSystem(auth="hmac", seed=1)
+    if registry is not None:
+        system.registry = registry
+    alice = system.create_principal("alice")
+    bob = system.create_principal("bob")
+    alice.load("gotB(X) <- pong(X).")
+    bob.load("gotA(X) <- ping(X).")
+    if eager:
+        for principal in (alice, bob):
+            for pred in sorted(ALL_META_PREDS):
+                principal.tuples(pred)
+    return system, alice, bob
+
+
+def exchange(system, alice, said: int) -> None:
+    with alice.workspace.transaction():
+        for k in range(said):
+            ref = alice.intern(f'ping("{k:08x}").')
+            alice.workspace.assert_fact("says", ("alice", "bob", ref))
+    report = system.run()
+    assert report.delivered == said and report.rejected == 0
+
+
+@pytest.mark.parametrize("said", [0, 200, 2000])
+def test_a_fig2_exchange_reifies_no_said_fact(monkeypatch, said):
+    """After the principals are loaded, a Figure 2 exchange of ``said``
+    facts reifies none of them: a ref is recorded where it is named and
+    reified at the first read of a Figure 1 relation, which no Figure 2
+    workspace makes (reifying at interning made ``said`` calls).  Read
+    afterwards, ``rule`` and ``factrule`` answer what eager reflection
+    does."""
+    system, alice, bob = fig2_pair(said, eager=False)
+    calls = []
+    reify = registry_module._reify
+    monkeypatch.setattr(registry_module, "_reify",
+                        lambda ref, rule: calls.append(ref) or reify(ref, rule))
+    exchange(system, alice, said)
+    assert bob.tuples("gotA") == {(f"{k:08x}",) for k in range(said)}
+    assert calls == []
+    twin, twin_alice, twin_bob = fig2_pair(said, eager=True,
+                                           registry=system.registry)
+    exchange(twin, twin_alice, said)
+    for pred in ("rule", "factrule"):
+        assert bob.tuples(pred) == twin_bob.tuples(pred)
+        assert alice.tuples(pred) == twin_alice.tuples(pred)
+    assert len(bob.tuples("factrule")) >= said

@@ -1,5 +1,7 @@
 """Pretty-printer round-trips and canonicalization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,8 @@ from repro.datalog.pretty import (
     format_statement,
     format_value,
 )
-from repro.datalog.terms import RuleRef
+from repro.datalog.terms import RuleRef, Star, StarLits, Variable
+from repro.meta.quote import resolve_me_rule
 
 ROUND_TRIP_SOURCES = [
     'good("carol").',
@@ -138,21 +141,78 @@ class TestCanonical:
         assert canonical_constraint(one) == canonical_constraint(two)
 
 
+#: every kind of constant the lexer reads: string escapes, negative and
+#: hex numbers (hex is a byte string), floats, booleans, names and lists
+CONSTANTS = st.one_of(
+    st.sampled_from(['"a"', r'"q\"uote"', r'"back\\slash"', r'"new\nline"',
+                     r'"tab\tstop"', "true", "false", "alice", "{1,\"b\"}"]),
+    st.integers(-40, 40).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(0, 99)).map(
+        lambda whole: f"{whole[0]}.{whole[1]:02d}"),
+    st.binary(min_size=1, max_size=3).map(lambda raw: "0x" + raw.hex()))
+TERMS = st.one_of(st.sampled_from(["X", "Y", "Z", "_"]), CONSTANTS)
+#: plain, qualified and partitioned predicate names
+PREDS = ("p", "q", "r", "msg:id", "export[me]", "cell[1,X]")
+#: quoted patterns, some with starred arguments and starred literals
+QUOTES = ("[| p(X). |]", "[| P(T*) <- A*. |]", "[| q(X,*) <- r(X), *. |]",
+          "[| A <- says(U,me,R), A*. |]")
+
+
 @st.composite
 def simple_rules(draw):
-    """Random small rules over a fixed vocabulary."""
-    preds = st.sampled_from(["p", "q", "r", "s"])
-    variables = st.sampled_from(["X", "Y", "Z"])
-    constants = st.sampled_from(['"a"', '"b"', "1", "2"])
+    """Random small statements over a fixed vocabulary: every kind of
+    constant, qualified names, ``export[me](…)``, labels, aggregates,
+    starred quoted patterns, negation, comparisons and ``;``."""
     def atom():
-        name = draw(preds)
-        args = draw(st.lists(st.one_of(variables, constants),
-                             min_size=1, max_size=3))
-        return f"{name}({','.join(args)})"
-    head = atom()
-    body = [atom() for _ in range(draw(st.integers(1, 3)))]
-    # keep it safe: reuse head vars in the first body atom
-    return f"{head} <- {', '.join(body + [head])}."
+        args = [draw(TERMS) for _ in range(draw(st.integers(1, 3)))]
+        return f"{draw(st.sampled_from(PREDS))}({','.join(args)})"
+
+    def literal():
+        shape = draw(st.sampled_from(("atom", "atom", "negated", "compare",
+                                      "quote")))
+        if shape == "negated":
+            return "!" + atom()
+        if shape == "compare":
+            return f"X {draw(st.sampled_from(['<', '>=', '!=']))} {draw(TERMS)}"
+        if shape == "quote":
+            return f"heard(U, {draw(st.sampled_from(QUOTES))})"
+        return atom()
+
+    label = draw(st.sampled_from(["", "r1: ", "exp3: "]))
+    heads = ", ".join(atom() for _ in range(draw(st.integers(1, 2))))
+    shape = draw(st.sampled_from(("fact", "rule", "rule", "agg", "or")))
+    if shape == "fact":
+        return f"{label}{heads}."
+    body = ", ".join(literal() for _ in range(draw(st.integers(1, 3))))
+    if shape == "agg":
+        func = draw(st.sampled_from(["count", "total", "min", "max"]))
+        return f"{label}{heads} <- agg<<N = {func}(X)>> {body}."
+    if shape == "or":
+        body += "; " + ", ".join(literal() for _ in range(
+            draw(st.integers(1, 2))))
+    return f"{label}{heads} <- {body}."
+
+
+def alpha_equal(one, other, names=None) -> bool:
+    """``one`` and ``other`` are one AST up to a renaming of variables,
+    labels and star names (canonical text keeps neither)."""
+    names = {} if names is None else names
+    if isinstance(one, Variable) and isinstance(other, Variable):
+        return names.setdefault(one.name, other.name) == other.name \
+            and names.setdefault(("back", other.name), one.name) == one.name
+    if type(one) is not type(other):
+        return False
+    if isinstance(one, (Star, StarLits)):
+        return True
+    if isinstance(one, tuple):
+        return len(one) == len(other) and all(
+            alpha_equal(a, b, names) for a, b in zip(one, other))
+    if dataclasses.is_dataclass(one):
+        return all(alpha_equal(getattr(one, f.name), getattr(other, f.name),
+                               names)
+                   for f in dataclasses.fields(one)
+                   if f.compare and f.name != "label")
+    return one == other
 
 
 @given(simple_rules())
@@ -167,6 +227,23 @@ def test_property_round_trip(source):
 @given(simple_rules())
 @settings(max_examples=60, deadline=None)
 def test_property_canonical_idempotent(source):
-    rule = parse_statements(source)[0]
+    rule = resolve_me_rule(parse_statements(source)[0], "alice")
     text = canonical_rule(rule)
     assert canonical_rule(parse_rule(text)) == text
+
+
+@given(simple_rules())
+@settings(max_examples=200, deadline=None)
+def test_property_canonical_text_reads_back_as_the_statement(source):
+    """Each statement of a source reads back from its printed text as
+    itself (its label aside: no printer writes one), and from its
+    canonical text as itself up to variable names; the canonical text
+    of what reads back is that text again."""
+    for statement in parse_statements(source):
+        unlabeled = dataclasses.replace(statement, label=None)
+        assert parse_statements(format_statement(statement)) == [unlabeled]
+        rule = resolve_me_rule(statement, "alice")
+        text = canonical_rule(rule)
+        [again] = parse_statements(text)
+        assert alpha_equal(again, rule), (text, again, rule)
+        assert canonical_rule(again) == text

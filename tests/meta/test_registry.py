@@ -1,12 +1,15 @@
 """Rule interning and Figure 1 reification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog.errors import ReproError, SafetyError
 from repro.datalog.parser import parse_rule
 from repro.datalog.terms import PatternValue, RuleRef
 from repro.meta.model import ALL_META_PREDS, PAPER_META_PREDS
-from repro.meta.registry import RuleRegistry, is_open_fact_pattern
+from repro.meta.registry import RuleRegistry, _reify, is_open_fact_pattern
+from strategies import reflected_rules
 
 
 class TestInterning:
@@ -164,3 +167,29 @@ class TestTemplates:
         substituted = _substitute_pattern(closed_quote.pattern, {"X": 1},
                                           self.eval_term)
         assert not is_open_fact_pattern(substituted)
+
+
+@given(st.lists(reflected_rules(), min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_property_on_demand_reflection_equals_eager(texts):
+    """A ref is reified at its first read, not at interning: what that
+    read answers — the meta facts, the relations they populate and the
+    other refs they name — is what reifying at interning gave, and the
+    named refs are known before the first read."""
+    registry = RuleRegistry()
+    for text in ("p(X) <- q(X).", "r(1)."):     # $r1 and $r2
+        registry.intern_text(text)
+    for text in texts:
+        held = len(registry)
+        ref = registry.intern_text(text)
+        if len(registry) > held:    # new: interning reified nothing
+            assert registry._by_ref[ref].meta_facts is None
+        nested = set(registry.nested(ref))
+        facts = _reify(ref, registry.rule_of(ref))
+        assert registry.meta_facts(ref) == facts
+        got, relations, named = registry.reflection(ref)
+        assert got is registry.meta_facts(ref)
+        assert relations == frozenset(pred for pred, _fact in facts)
+        assert set(named) == nested == {
+            other for pred, fact in facts if pred == "value"
+            for other in registry.refs_in_value(fact[1]) if other != ref}

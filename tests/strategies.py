@@ -385,3 +385,42 @@ def activation_streams(draw, max_steps: int = 12) -> ActivationStream:
             lambda fact: ("retract", *fact))),
         min_size=1, max_size=max_steps))
     return ActivationStream(tuple(steps))
+
+
+# ---------------------------------------------------------------------------
+# Reflection: rules of every shape reification describes
+# ---------------------------------------------------------------------------
+
+#: constant arguments of every value type a meta fact can hold; ``$r1``
+#: and ``$r2`` name rules interned before any drawn one
+REFLECTED_VALUES = ('"a"', "7", "-2.5", "true", "$r1", '{1,"b",$r2}', "0x0f")
+#: bodies over a quoted pattern (starred or not), a negation, a
+#: comparison (invisible to reflection) and a partitioned atom
+REFLECTED_BODIES = (
+    'says(U,"bob",[| P(T*) <- A*. |])',
+    'says(U,"bob",[| creditOK(X). |])',
+    "!q(X,Y)",
+    "X > 1",
+    'cell["k"](X)',
+)
+
+
+@st.composite
+def reflected_rules(draw) -> str:
+    """A rule text of a shape reification describes: a ground fact of one
+    or two heads over str / int / float / bool / rule-ref / tuple values,
+    or a rule of one or two heads (one partitioned, ``cell["k"]``) over
+    positive atoms, quoted patterns, negation and comparisons."""
+    value = st.sampled_from(REFLECTED_VALUES)
+    preds = st.sampled_from(["p", "msg:id", 'cell["k"]'])
+
+    def atom(args) -> str:
+        return f"{draw(preds)}({','.join(draw(st.lists(args, min_size=1, max_size=3)))})"
+
+    heads = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        return ", ".join(atom(value) for _ in range(heads)) + "."
+    term = st.one_of(value, st.sampled_from(["X", "Y"]))
+    body = draw(st.lists(st.sampled_from(REFLECTED_BODIES), max_size=3))
+    return (", ".join(atom(term) for _ in range(heads)) + " <- "
+            + ", ".join(["r(X,Y)"] + body) + ".")
