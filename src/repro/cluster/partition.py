@@ -15,6 +15,8 @@ Explicit ``predNode``-style pins (:meth:`Partitioner.place`) override the
 hash/range rule for individual key values, which is exactly how the
 paper's ``predNode(export[P],N) <- loc(P,N)`` placement behaves: the
 ``loc`` table, not a hash function, decides where P's exports live.
+A key with several ``predNode`` rows is owned by the smallest node name
+(:class:`PlacementMap`): its rows decide, not the order a set yields them.
 
 A placement is what its caller declared, fixed once data lands: after
 its :class:`~repro.cluster.runtime.Cluster` routes a fact or commits a
@@ -58,35 +60,43 @@ def stable_hash(value) -> int:
 
 
 class PlacementMap:
-    """Explicit ``predNode``-style pins: ``(pred, key) -> node``."""
+    """A workspace's ``predNode`` relation as ``(pred, key) -> owner``,
+    kept by each commit's delta (:meth:`apply`).  A key placed on several
+    nodes is owned by the smallest node name."""
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, tuple], str] = {}
-
-    def place(self, pred: str, key: tuple, node: str) -> None:
-        self._entries[(pred, tuple(key))] = node
+        self._nodes: dict[tuple[str, tuple], set] = {}
 
     def owner(self, pred: str, key: tuple) -> Optional[str]:
-        return self._entries.get((pred, tuple(key)))
+        nodes = self._nodes.get((pred, tuple(key)))
+        return min(nodes) if nodes else None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._nodes)
 
-    @classmethod
-    def from_prednode_facts(cls, rows: Iterable[tuple]) -> "PlacementMap":
-        """Build from ``predNode`` tuples ``(PredPartition, node)``.
-
-        Rows of any other shape are ignored (the relation is open to
-        user rules deriving other placements).
-        """
+    def apply(self, deleted: Iterable[tuple],
+              inserted: Iterable[tuple]) -> list:
+        """Take out the ``predNode`` tuples ``(PredPartition, node)`` a
+        commit deleted, then add those it inserted, ignoring rows of any
+        other shape (user rules may derive other placements); returns
+        the ``(pred, key)`` pairs whose owner changed."""
         from ..datalog.terms import PredPartition
 
-        placement = cls()
-        for row in rows:
-            if len(row) == 2 and isinstance(row[0], PredPartition) \
-                    and isinstance(row[1], str):
-                placement.place(row[0].pred, row[0].keys, row[1])
-        return placement
+        owners: dict = {}
+        for rows, change in ((deleted, set.discard), (inserted, set.add)):
+            for row in rows:
+                if len(row) == 2 and isinstance(row[0], PredPartition) \
+                        and isinstance(row[1], str):
+                    slot = (row[0].pred, row[0].keys)
+                    owners.setdefault(slot, self.owner(*slot))
+                    change(self._nodes.setdefault(slot, set()), row[1])
+        moved = []
+        for slot, owner in owners.items():
+            if not self._nodes[slot]:
+                del self._nodes[slot]
+            if self.owner(*slot) != owner:
+                moved.append(slot)
+        return moved
 
 
 class _Rule:
@@ -111,7 +121,8 @@ class Partitioner:
         if len(set(self.nodes)) != len(self.nodes):
             raise ClusterError("duplicate node names in partitioner")
         self._rules: dict[str, _Rule] = {}
-        self.pins = PlacementMap()
+        #: explicit pins, ``(pred, (key,)) -> node``
+        self.pins: dict[tuple[str, tuple], str] = {}
         #: set by the cluster once data lands; no declaration after it
         self.frozen = False
 
@@ -160,7 +171,7 @@ class Partitioner:
             raise ClusterError(
                 f"cannot pin {pred!r}: it is replicated to every node")
         self._declare(pred, rule)
-        self.pins.place(pred, key, node)
+        self.pins[(pred, key)] = node
 
     def _declare(self, pred: str, rule: _Rule) -> None:
         if self.frozen:
@@ -198,11 +209,8 @@ class Partitioner:
         """
         rule = self._rules.get(pred)
         boundaries = rule.boundaries if rule is not None else None
-        pins = tuple(sorted(
-            (key, node)
-            for (pinned_pred, key), node in self.pins._entries.items()
-            if pinned_pred == pred
-        ))
+        pins = tuple(sorted((key, node) for (pinned, key), node
+                            in self.pins.items() if pinned == pred))
         strategy = "range" if boundaries is not None else "hash"
         return (strategy, boundaries, pins)
 
@@ -253,7 +261,7 @@ class Partitioner:
         return by_owner
 
     def _owner_of_value(self, rule, pred: str, value) -> str:
-        pinned = self.pins.owner(pred, (value,))
+        pinned = self.pins.get((pred, (value,)))
         if pinned is not None:
             return pinned
         if rule.boundaries is not None:

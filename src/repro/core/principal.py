@@ -60,19 +60,20 @@ class Principal:
 
     def _ship(self, delta) -> None:
         """Queue the keyed rows a commit added for another known
-        principal, and unqueue those it took back.  A commit that moves
-        ``predNode`` (a principal created later, a ``loc`` change)
-        routes every held row again."""
+        principal, and unqueue those it took back.  A ``predNode`` change
+        (a join, a ``loc`` change) updates the placement and queues the
+        held rows of each key whose owner it moved."""
         keyed = self._keyed(delta.touched)
         for pred, _ in keyed:
             self.outbox.discard(pred, delta.deleted(pred))
-        if delta.inserted("predNode") or delta.deleted("predNode"):
-            self.placement = PlacementMap.from_prednode_facts(
-                self.workspace.tuples("predNode"))
-            self.route()
-        else:
-            for pred, width in keyed:
-                self._route(pred, width, delta.inserted(pred))
+        materialize = self.system.registry.terms.materialize_row
+        moved = self.placement.apply(
+            map(materialize, delta.deleted("predNode")),
+            map(materialize, delta.inserted("predNode")))
+        for pred, width in keyed:
+            self._route(pred, width, delta.inserted(pred))
+        for pred, key in moved:
+            self._route_key(pred, key)
 
     def route(self, to: Optional[set] = None) -> None:
         """Queue every held keyed row addressed to a principal of ``to``
@@ -86,6 +87,15 @@ class Principal:
         infos = [(pred, self.workspace.catalog.get(pred)) for pred in preds]
         return [(pred, info.key_arity) for pred, info in infos
                 if info is not None and info.key_arity]
+
+    def _route_key(self, pred: str, key: tuple) -> None:
+        """Queue the held rows of keyed ``pred`` whose key is ``key``."""
+        relation = self.workspace.db.get(pred)
+        ids = self.system.registry.terms.row_of(key)
+        for _, width in self._keyed([pred]) if relation and ids else ():
+            if width == len(ids):
+                self._route(pred, width, relation.bucket_rows(
+                    tuple(range(width)), ids if width > 1 else ids[0]))
 
     def _route(self, pred: str, width: int, rows: Iterable[tuple],
                to: Optional[set] = None) -> None:

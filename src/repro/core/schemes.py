@@ -31,7 +31,6 @@ from typing import Callable, Optional
 
 from ..crypto import rsa
 from ..crypto.keystore import (
-    KeyStore,
     generate_shared_secret,
     rsa_private_id,
     rsa_public_id,
@@ -86,94 +85,66 @@ exp3m: says(U,me,R) -> U = me ;
 
 @dataclass
 class SchemeDef:
-    """One pluggable authentication scheme."""
+    """One pluggable authentication scheme.  ``provision(system, holder,
+    rng, peers=None)`` writes ``holder``'s keystore and workspace and no
+    other: its own keys and its key rows about every principal or, given
+    ``peers`` (a join), about those."""
 
     name: str
     exp1_text: str
     exp3_text: Optional[str]
-    provision: Callable[["object", "object", random.Random], None]
+    provision: Callable[..., None]
 
 
 # --------------------------------------------------------------------------
 # Provisioning
 # --------------------------------------------------------------------------
 
-def _provision_rsa(system, principal, rng: random.Random) -> None:
-    """Own keypair; everyone's public key + pubkey facts (certificates)."""
-    name = principal.name
-    if name not in system.rsa_keys:
-        system.rsa_keys[name] = rsa.generate_keypair(system.rsa_bits, rng)
-    # Distribute: every principal learns every public key.
-    for other in system.principals.values():
-        other_key = system.rsa_keys.get(other.name)
-        if other_key is None:
-            system.rsa_keys[other.name] = rsa.generate_keypair(system.rsa_bits, rng)
-            other_key = system.rsa_keys[other.name]
-        principal.keystore.install_rsa_public(
-            rsa_public_id(other.name), other_key.public())
-        principal.workspace.assert_fact(
-            "rsapubkey", (other.name, rsa_public_id(other.name)))
-        other.keystore.install_rsa_public(
-            rsa_public_id(name), system.rsa_keys[name].public())
-        other.workspace.assert_fact(
-            "rsapubkey", (name, rsa_public_id(name)))
-    principal.keystore.install_rsa_private(
-        rsa_private_id(name), system.rsa_keys[name])
-    principal.workspace.assert_fact(
-        "rsaprivkey", (name, rsa_private_id(name)))
+def _provision_rsa(system, holder, rng: random.Random, peers=None) -> None:
+    """The holder's keypair, and each peer's public key (certificates)."""
+    keys, everyone = system.rsa_keys, peers is None
+    peers = list(system.principals.values()) if everyone else peers
+    for name in [holder.name] + [peer.name for peer in peers]:
+        if name not in keys:
+            keys[name] = rsa.generate_keypair(system.rsa_bits, rng)
+    if everyone:
+        private_id = rsa_private_id(holder.name)
+        holder.keystore.install_rsa_private(private_id, keys[holder.name])
+        holder.workspace.assert_fact("rsaprivkey", (holder.name, private_id))
+    for peer in peers:
+        public_id = rsa_public_id(peer.name)
+        holder.keystore.install_rsa_public(public_id, keys[peer.name].public())
+        holder.workspace.assert_fact("rsapubkey", (peer.name, public_id))
 
 
-def _provision_hmac(system, principal, rng: random.Random) -> None:
-    """Pairwise shared secrets with every other principal (and itself)."""
-    name = principal.name
-    for other in system.principals.values():
-        key_id = shared_secret_id(name, other.name)
+def _provision_hmac(system, holder, rng: random.Random, peers=None) -> None:
+    """A shared secret with each peer."""
+    name = holder.name
+    for peer in system.principals.values() if peers is None else peers:
+        key_id = shared_secret_id(name, peer.name)
         secret = system.shared_secrets.get(key_id)
         if secret is None:
-            secret = generate_shared_secret(name, other.name, rng)
-            system.shared_secrets[key_id] = secret
-        for side in (principal, other):
-            if not side.keystore.has_secret(key_id):
-                side.keystore.install_secret(key_id, secret)
-        principal.workspace.assert_fact("sharedsecret", (name, other.name, key_id))
-        other.workspace.assert_fact("sharedsecret", (other.name, name, key_id))
+            secret = system.shared_secrets[key_id] = generate_shared_secret(
+                name, peer.name, rng)
+        holder.keystore.install_secret(key_id, secret)
+        holder.workspace.assert_fact("sharedsecret", (name, peer.name, key_id))
 
 
-def _provision_plaintext(system, principal, rng: random.Random) -> None:
+def _provision_plaintext(system, holder, rng, peers=None) -> None:
     """Nothing to provision — that is the point."""
 
 
-def _provision_mixed(system, principal, rng: random.Random) -> None:
-    _provision_rsa(system, principal, rng)
-    _provision_hmac(system, principal, rng)
+def _provision_mixed(system, holder, rng: random.Random, peers=None) -> None:
+    _provision_rsa(system, holder, rng, peers)
+    _provision_hmac(system, holder, rng, peers)
 
 
-SCHEMES: dict[str, SchemeDef] = {
-    "rsa": SchemeDef(
-        name="rsa",
-        exp1_text=RSA_EXP1,
-        exp3_text=RSA_EXP3,
-        provision=_provision_rsa,
-    ),
-    "hmac": SchemeDef(
-        name="hmac",
-        exp1_text=HMAC_EXP1,
-        exp3_text=HMAC_EXP3,
-        provision=_provision_hmac,
-    ),
-    "plaintext": SchemeDef(
-        name="plaintext",
-        exp1_text=PLAINTEXT_EXP1,
-        exp3_text=None,
-        provision=_provision_plaintext,
-    ),
-    "mixed": SchemeDef(
-        name="mixed",
-        exp1_text=MIXED_EXP1,
-        exp3_text=MIXED_EXP3,
-        provision=_provision_mixed,
-    ),
-}
+SCHEMES: dict[str, SchemeDef] = {definition.name: definition for definition in (
+    SchemeDef("rsa", RSA_EXP1, RSA_EXP3, _provision_rsa),
+    SchemeDef("hmac", HMAC_EXP1, HMAC_EXP3, _provision_hmac),
+    SchemeDef("plaintext", PLAINTEXT_EXP1, None, _provision_plaintext),
+    SchemeDef("mixed", MIXED_EXP1, MIXED_EXP3, _provision_mixed),
+)}
 
 
 def scheme(name: str) -> SchemeDef:

@@ -2,15 +2,18 @@
 
 Ties every substrate together: a shared rule registry (whose term
 interner is the system's one id space), one workspace per principal, the
-simulated network, key provisioning, and the global fixpoint loop:
+simulated network, key provisioning, and the global fixpoint loop.  A
+principal joins in one transaction per workspace: each other one learns
+where it is (``node``, ``prin``, ``loc``) and the key rows the scheme
+gives that holder about it, and its own learns the same of everyone.
 
 1. each principal's workspace runs its local fixpoint (this happens
    eagerly inside its transactions);
 2. each principal's commits queue the facts of keyed predicates whose
-   ``predNode`` placement maps them to another principal's partition
-   (paper section 3.5 — the ld1/ld2 placement rules are installed
-   verbatim), which each physical node's :class:`WorkspaceNode` drains
-   as id rows over the system's interner, the block form of every host;
+   ``predNode`` placement (paper section 3.5's ld1/ld2 rules, verbatim,
+   followed by each commit's delta) maps them to another principal,
+   which each physical node's :class:`WorkspaceNode` drains as id rows
+   over the system's interner, the block form of every host;
 3. messages are serialized, sent through the network (FIFO + latency),
    and imported at the destination in a transaction — where the scheme's
    verification constraint (exp3) and any authorization meta-constraints
@@ -37,7 +40,7 @@ Usage::
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ..cluster.scheduler import (MODE_BSP, ExecutionRuntime, NodeReport,
                                  RunReport)
@@ -188,7 +191,9 @@ class LBTrustSystem:
     # ------------------------------------------------------------------
 
     def create_principal(self, name: str, node: Optional[str] = None) -> Principal:
-        """Add a principal; provisions keys and installs all machinery."""
+        """Add a principal.  Its workspace gets the machinery, the scheme
+        and where everyone is; every other workspace, in one transaction,
+        where it is and the scheme's key rows about it."""
         if name in self.principals:
             raise WorkspaceError(f"principal {name!r} already exists")
         node = node if node is not None else name
@@ -204,20 +209,15 @@ class LBTrustSystem:
         if self.authorization:
             install_says_authorization(principal.workspace)
         self._install_scheme(principal)
-
-        # Location facts: everyone learns where everyone is (paper: "users
-        # can easily enforce various distribution plans by modifying the
-        # loc table").
+        with principal.workspace.transaction():
+            for other in self.principals.values():
+                _enroll(principal, other)
         for other in self.principals.values():
-            with other.workspace.transaction():
-                other.workspace.assert_fact("node", (node,))
-                other.workspace.assert_fact("prin", (name,))
-                other.workspace.assert_fact("loc", (name, node))
-            if other.name != name:
-                with principal.workspace.transaction():
-                    principal.workspace.assert_fact("node", (other.node,))
-                    principal.workspace.assert_fact("prin", (other.name,))
-                    principal.workspace.assert_fact("loc", (other.name, other.node))
+            if other is not principal:
+                with other.workspace.transaction():
+                    _enroll(other, principal)
+                    self._scheme.provision(self, other, self.rng,
+                                           peers=[principal])
         return principal
 
     def principal(self, name: str) -> Principal:
@@ -389,6 +389,14 @@ class LBTrustSystem:
 IMPORT_REFUSALS = (ConstraintViolation, WorkspaceError, SafetyError,
                    StratificationError, ActivationLimitError, BuiltinError,
                    CryptoError)
+
+
+def _enroll(holder: Principal, principal: Principal) -> None:
+    """``holder`` learns where ``principal`` is (paper: "users can easily
+    enforce various distribution plans by modifying the loc table")."""
+    holder.assert_fact("node", (principal.node,))
+    holder.assert_fact("prin", (principal.name,))
+    holder.assert_fact("loc", (principal.name, principal.node))
 
 
 def _import(workspace, blocks: list) -> None:

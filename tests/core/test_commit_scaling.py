@@ -12,13 +12,17 @@ strata do not grow with it, and no semi-naive round, over-delete or
 re-derivation visits it; taking one back copies nothing bob holds, and
 two arriving at once are ordered without reading his other ``active``
 rows.  A said fact no one reads the Figure 1 relations of is never
-reified.  Counts, not wall time.
+reified.  A principal's join commits once to each existing workspace
+and rebuilds no placement map.  Counts, not wall time.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro import LBTrustSystem
 from repro.cluster.partition import PlacementMap
+from repro.core.principal import Principal
 from repro.crypto import datalog_builtins
 from repro.datalog import constraints
 from repro.datalog.database import TermInterner
@@ -353,3 +357,44 @@ def test_a_fig2_exchange_reifies_no_said_fact(monkeypatch, said):
         assert bob.tuples(pred) == twin_bob.tuples(pred)
         assert alice.tuples(pred) == twin_alice.tuples(pred)
     assert len(bob.tuples("factrule")) >= said
+
+
+@pytest.mark.parametrize("n", [10, 50, 100])
+def test_a_join_commits_once_to_each_workspace(monkeypatch, n):
+    """The n-th HMAC principal's creation commits once to each of the
+    n−1 existing workspaces (its roster rows and its shared secret
+    there) and as often to its own at every n, and rebuilds no
+    placement: no workspace reads its whole ``predNode`` relation and no
+    principal routes every row it holds.  While every roster row and
+    every shared secret was its own commit and each ``predNode`` change
+    rebuilt the map, the n-th made 3n+2 commits and 2n−1 rebuilds."""
+    system = LBTrustSystem(auth="hmac", seed=1)
+    for k in range(n - 1):
+        system.create_principal(f"p{k}")
+    commits, rebuilds = Counter(), []
+    commit, tuples, route = Workspace._commit, Workspace.tuples, Principal.route
+
+    def counting_commit(self):
+        commits[self.name] += 1
+        return commit(self)
+
+    def counting_tuples(self, pred):
+        if pred == "predNode":
+            rebuilds.append(self.name)
+        return tuples(self, pred)
+
+    def counting_route(self, to=None):
+        rebuilds.append(self.name)
+        return route(self, to)
+
+    monkeypatch.setattr(Workspace, "_commit", counting_commit)
+    monkeypatch.setattr(Workspace, "tuples", counting_tuples)
+    monkeypatch.setattr(Principal, "route", counting_route)
+    newcomer = system.create_principal("new")
+    monkeypatch.undo()
+    assert commits.pop("new") == 5
+    assert commits == {f"p{k}": 1 for k in range(n - 1)}
+    assert rebuilds == []
+    assert ("new", newcomer.node) in system.principal("p0").tuples("loc")
+    assert ("p0", "new", "hmac:new:p0") in system.principal(
+        "p0").tuples("sharedsecret")

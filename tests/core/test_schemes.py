@@ -231,7 +231,8 @@ class TestReconfiguration:
         his exp3 constraints and his received exports.  (At PR 18 the
         teardown had committed before any install began.)  The swap is
         all or nothing: alice, switched before bob failed, is put back
-        under rsa."""
+        under rsa.  Every relation of bob's, key rows included, is as it
+        was: alice's install writes only her own workspace."""
         from dataclasses import replace
 
         from repro.core.schemes import SCHEMES
@@ -240,6 +241,7 @@ class TestReconfiguration:
         alice.says(bob, 'msg("one").')
         system.run()
         workspace = bob.workspace
+        held = {pred: bob.tuples(pred) for pred in workspace.db.preds()}
         before = (list(bob.scheme_rule_refs),
                   list(bob.scheme_constraint_labels), bob.auth_scheme,
                   workspace.active_refs(), list(workspace.constraints),
@@ -261,6 +263,8 @@ class TestReconfiguration:
             bob.scheme_rule_refs, bob.scheme_constraint_labels,
             bob.auth_scheme, workspace.active_refs(), workspace.constraints,
             workspace.edb["export"], bob.tuples("seen"))
+        # every relation, key rows included: alice's install wrote none
+        assert held == {pred: bob.tuples(pred) for pred in workspace.db.preds()}
         # and bob still verifies under the scheme he was left with
         with pytest.raises(ConstraintViolation):
             bob.assert_fact("export", ("bob", "alice",

@@ -155,8 +155,11 @@ def test_fig2_hmac():
       looks up the plans of a constraint whose relations it did not
       change.  It is 7/17 since a ground said fact is never planned:
       the received credentials' 400 plan builds are gone (14 hits over
-      434 lookups became 14 over 34).  fs_demo's ratio is not pinned:
-      it drifts in the fourth decimal with run length.
+      434 lookups became 14 over 34).  It is 11/31 since a join writes
+      each workspace in one transaction: bob's creation commits twice
+      fewer, so his commits look up cached plans three times fewer (the
+      20 plan builds did not move).  fs_demo's ratio is not pinned: it
+      drifts in the fourth decimal with run length.
     * ``crypto.verify_calls`` is one verify per delivered credential.
     """
     assert_pinned("fig2_hmac", {
@@ -164,5 +167,5 @@ def test_fig2_hmac():
         "core.delivered": 400, "core.rejected": 0,
         "datalog.derivations": 1604, "datalog.calls": 458,
         "datalog.index_builds": 14,
-        "datalog.plan_cache_hit_ratio": 0.4117647058823529,
+        "datalog.plan_cache_hit_ratio": 0.3548387096774194,
         "crypto.verify_calls": 400})
