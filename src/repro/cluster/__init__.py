@@ -23,7 +23,6 @@ from .partition import (
     MODE_PARTITIONED,
     MODE_REPLICATED,
     Partitioner,
-    PlacementMap,
     stable_hash,
 )
 from .placement_check import (
@@ -54,7 +53,6 @@ __all__ = [
     "NodeReport",
     "Partitioner",
     "PlacementIssue",
-    "PlacementMap",
     "RoundRecord",
     "RunReport",
     "SCHEDULER_MODES",

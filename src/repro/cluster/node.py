@@ -50,23 +50,34 @@ class Outbox:
                 per_pred[pred] -= gone
                 self.sent[dst][pred] -= gone
 
-    def drain(self, sink: Callable) -> int:
+    def drain(self, sink: Callable, place: Optional[Callable] = None) -> int:
         """``sink(dst, pred, id_rows)`` per block, sorted by destination,
-        predicate and row; empties the queue."""
+        predicate and row, and unqueue it.  ``place(dst, pred, rows)``,
+        if given, names a queued block's destinations instead, as
+        ``{destination: rows}``; the rows it leaves out stay queued."""
+        blocks, self.queue = self.queue, {}
+        if place is not None:
+            queued, blocks = blocks, {}
+            for dst, per_pred in queued.items():
+                for pred, rows in per_pred.items():
+                    for to, placed in place(dst, pred, rows).items():
+                        blocks.setdefault(to, {})[pred] = placed
+                        rows -= placed
+                    if rows:
+                        self.queue.setdefault(dst, {})[pred] = rows
         drained = 0
-        for dst, per_pred in sorted(self.queue.items()):
+        for dst, per_pred in sorted(blocks.items()):
             for pred, rows in sorted(per_pred.items()):
                 if rows:
                     sink(dst, pred, sorted(rows))
                     drained += len(rows)
-        self.queue = {}
         return drained
 
-    def forget(self, which: Optional[Callable] = None) -> int:
-        """Drop the queue and markers of each destination ``which`` holds
-        of (all, if None); returns how many markers went."""
+    def forget(self, dsts: Optional[set] = None) -> int:
+        """Drop the queue and markers of each destination of ``dsts``
+        (all, if None); returns how many markers went."""
         dropped = 0
-        for dst in [d for d in self.sent if which is None or which(d)]:
+        for dst in [d for d in self.sent if dsts is None or d in dsts]:
             self.queue.pop(dst, None)
             dropped += sum(map(len, self.sent.pop(dst).values()))
         return dropped

@@ -15,8 +15,9 @@ Explicit ``predNode``-style pins (:meth:`Partitioner.place`) override the
 hash/range rule for individual key values, which is exactly how the
 paper's ``predNode(export[P],N) <- loc(P,N)`` placement behaves: the
 ``loc`` table, not a hash function, decides where P's exports live.
-A key with several ``predNode`` rows is owned by the smallest node name
-(:class:`PlacementMap`): its rows decide, not the order a set yields them.
+A principal reads its own ``predNode`` relation as it sends
+(:meth:`repro.core.principal.Principal.owner`): a key with several rows
+is owned by the smallest node name, not the first a set yields.
 
 A placement is what its caller declared, fixed once data lands: after
 its :class:`~repro.cluster.runtime.Cluster` routes a fact or commits a
@@ -57,46 +58,6 @@ def stable_hash(value) -> int:
     else:
         blob = repr(value).encode("utf-8")
     return zlib.crc32(blob)
-
-
-class PlacementMap:
-    """A workspace's ``predNode`` relation as ``(pred, key) -> owner``,
-    kept by each commit's delta (:meth:`apply`).  A key placed on several
-    nodes is owned by the smallest node name."""
-
-    def __init__(self) -> None:
-        self._nodes: dict[tuple[str, tuple], set] = {}
-
-    def owner(self, pred: str, key: tuple) -> Optional[str]:
-        nodes = self._nodes.get((pred, tuple(key)))
-        return min(nodes) if nodes else None
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def apply(self, deleted: Iterable[tuple],
-              inserted: Iterable[tuple]) -> list:
-        """Take out the ``predNode`` tuples ``(PredPartition, node)`` a
-        commit deleted, then add those it inserted, ignoring rows of any
-        other shape (user rules may derive other placements); returns
-        the ``(pred, key)`` pairs whose owner changed."""
-        from ..datalog.terms import PredPartition
-
-        owners: dict = {}
-        for rows, change in ((deleted, set.discard), (inserted, set.add)):
-            for row in rows:
-                if len(row) == 2 and isinstance(row[0], PredPartition) \
-                        and isinstance(row[1], str):
-                    slot = (row[0].pred, row[0].keys)
-                    owners.setdefault(slot, self.owner(*slot))
-                    change(self._nodes.setdefault(slot, set()), row[1])
-        moved = []
-        for slot, owner in owners.items():
-            if not self._nodes[slot]:
-                del self._nodes[slot]
-            if self.owner(*slot) != owner:
-                moved.append(slot)
-        return moved
 
 
 class _Rule:
@@ -163,7 +124,7 @@ class Partitioner:
             # owner() probes pins with the single partition-column value;
             # a wider key could never match and would be silently ignored
             # (multi-column pins belong to the workspace predNode path,
-            # which looks up full key_arity prefixes via PlacementMap).
+            # which looks up full key_arity prefixes at send time).
             raise ClusterError(
                 f"partitioner pins take a single-column key, got {key!r}")
         rule = self._rules.get(pred) or _Rule(MODE_PARTITIONED, 0)

@@ -10,8 +10,10 @@ its rules reside."*  Here a principal owns:
 * a :class:`repro.crypto.keystore.KeyStore` holding its private material;
 * a home *node* in the simulated network (several principals may share
   one node — location transparency, paper section 3.5);
-* an :class:`~repro.cluster.node.Outbox` its commits feed by the
-  ``predNode`` placement (paper section 3.5).
+* an :class:`~repro.cluster.node.Outbox` its commits feed, keyed by
+  the principal each row is for; a row leaves for the node its
+  ``predNode`` relation names when it is drained (paper section 3.5:
+  the ``loc`` table decides where facts go, read at send time).
 
 The high-level verbs — :meth:`says`, :meth:`delegate`, :meth:`grant_read`
 — are thin sugar over asserting the corresponding facts; everything
@@ -23,8 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from ..cluster.node import Outbox
-from ..cluster.partition import PlacementMap
-from ..datalog.terms import Rule, RuleRef
+from ..datalog.terms import PredPartition, Rule, RuleRef
 from ..meta.quote import resolve_me_rule
 from ..workspace.workspace import Workspace
 
@@ -52,65 +53,75 @@ class Principal:
         self.scheme_rule_refs: list[RuleRef] = []
         self.scheme_constraint_labels: list[str] = []
         self.auth_scheme: Optional[str] = None
-        #: what its commits added for others, per (node, principal):
-        #: shipped once per scheme epoch, a workspace keeping its rows
+        #: what its commits added for others, per principal: shipped
+        #: once per scheme epoch, a workspace keeping its rows
         self.outbox = Outbox()
-        self.placement = PlacementMap()
         self.workspace.on_commit = self._ship
 
     def _ship(self, delta) -> None:
-        """Queue the keyed rows a commit added for another known
-        principal, and unqueue those it took back.  A ``predNode`` change
-        (a join, a ``loc`` change) updates the placement and queues the
-        held rows of each key whose owner it moved."""
-        keyed = self._keyed(delta.touched)
-        for pred, _ in keyed:
+        """Queue the keyed rows a commit added for another principal,
+        under that principal, and unqueue those it took back."""
+        for pred in self._keyed(delta.touched):
             self.outbox.discard(pred, delta.deleted(pred))
-        materialize = self.system.registry.terms.materialize_row
-        moved = self.placement.apply(
-            map(materialize, delta.deleted("predNode")),
-            map(materialize, delta.inserted("predNode")))
-        for pred, width in keyed:
-            self._route(pred, width, delta.inserted(pred))
-        for pred, key in moved:
-            self._route_key(pred, key)
+            self._queue(pred, delta.inserted(pred))
 
     def route(self, to: Optional[set] = None) -> None:
         """Queue every held keyed row addressed to a principal of ``to``
-        (any known one, if None) that its destination has not had."""
+        (any other one, if None) that it has not had."""
         relations = self.workspace.db.relations
-        for pred, width in self._keyed(list(relations)):
-            self._route(pred, width, relations[pred].rows, to)
+        for pred in self._keyed(list(relations)):
+            self._queue(pred, relations[pred].rows, to)
 
     def _keyed(self, preds) -> list:
-        """``(pred, key arity)`` of each keyed predicate of ``preds``."""
+        """The keyed predicates of ``preds``."""
         infos = [(pred, self.workspace.catalog.get(pred)) for pred in preds]
-        return [(pred, info.key_arity) for pred, info in infos
+        return [pred for pred, info in infos
                 if info is not None and info.key_arity]
 
-    def _route_key(self, pred: str, key: tuple) -> None:
-        """Queue the held rows of keyed ``pred`` whose key is ``key``."""
-        relation = self.workspace.db.get(pred)
-        ids = self.system.registry.terms.row_of(key)
-        for _, width in self._keyed([pred]) if relation and ids else ():
-            if width == len(ids):
-                self._route(pred, width, relation.bucket_rows(
-                    tuple(range(width)), ids if width > 1 else ids[0]))
-
-    def _route(self, pred: str, width: int, rows: Iterable[tuple],
+    def _queue(self, pred: str, rows: Iterable[tuple],
                to: Optional[set] = None) -> None:
         values = self.system.registry.terms.values
-        known = self.system.principals if to is None else to
-        owner = self.placement.owner
-        blocks: dict[tuple, set] = {}
+        blocks: dict[str, set] = {}
         for row in rows:
             target = values[row[0]]
-            if target != self.name and target in known:
-                node = owner(pred, tuple([values[t] for t in row[:width]]))
-                if node is not None:
-                    blocks.setdefault((node, target), set()).add(row)
-        for dst, block in blocks.items():
-            self.outbox.put(dst, pred, block)
+            if target != self.name and (to is None or target in to):
+                blocks.setdefault(target, set()).add(row)
+        for target, block in blocks.items():
+            self.outbox.put(target, pred, block)
+
+    def place(self, to: str, pred: str, rows: set) -> dict:
+        """The queued ``rows`` of ``pred`` for ``to`` as ``{(node, to):
+        rows}``, one :meth:`owner` read per distinct key: none while
+        ``to`` is not a known principal, nor those of a key placed
+        nowhere (they stay queued)."""
+        if to not in self.system.principals:
+            return {}
+        width = self.workspace.catalog.get(pred).key_arity
+        by_key: dict[tuple, list] = {}
+        for row in rows:
+            by_key.setdefault(row[:width], []).append(row)
+        values = self.system.registry.terms.values
+        placed: dict[tuple, set] = {}
+        for key, keyed in by_key.items():
+            node = self.owner(pred, tuple([values[i] for i in key]))
+            if node is not None:
+                placed.setdefault((node, to), set()).update(keyed)
+        return placed
+
+    def owner(self, pred: str, key: tuple) -> Optional[str]:
+        """The node this workspace's ``predNode`` relation places
+        partition ``pred[key]`` on (paper section 3.5): the smallest node
+        name of its rows, ignoring rows of any other shape; None if no
+        row places it.  One index probe."""
+        relation = self.workspace.db.get("predNode")
+        terms = self.system.registry.terms
+        partition = terms.id_of(PredPartition(pred, key))
+        if relation is None or partition is None:
+            return None
+        nodes = [terms.values[row[1]]
+                 for row in relation.bucket_rows((0,), partition)]
+        return min([node for node in nodes if isinstance(node, str)],
+                   default=None)
 
     # ------------------------------------------------------------------
     # Policy loading (delegates to the workspace)

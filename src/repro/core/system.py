@@ -9,11 +9,13 @@ gives that holder about it, and its own learns the same of everyone.
 
 1. each principal's workspace runs its local fixpoint (this happens
    eagerly inside its transactions);
-2. each principal's commits queue the facts of keyed predicates whose
-   ``predNode`` placement (paper section 3.5's ld1/ld2 rules, verbatim,
-   followed by each commit's delta) maps them to another principal,
-   which each physical node's :class:`WorkspaceNode` drains as id rows
-   over the system's interner, the block form of every host;
+2. each principal's commits queue the facts of keyed predicates under
+   the other principal each one names; each physical node's
+   :class:`WorkspaceNode` drains them as id rows over the system's
+   interner, the block form of every host, to the node the sender's
+   ``predNode`` relation (paper section 3.5's ld1/ld2 rules, verbatim)
+   names at that moment — a row no ``predNode`` row places stays
+   queued until one does;
 3. messages are serialized, sent through the network (FIFO + latency),
    and imported at the destination in a transaction — where the scheme's
    verification constraint (exp3) and any authorization meta-constraints
@@ -75,8 +77,9 @@ class WorkspaceNode:
     workspace that ships what it does not own), it hosts workspaces that
     ship through an :class:`~repro.cluster.node.Outbox`; what differs is
     what feeds it and how facts come in.  A principal's commits feed its
-    own by its ``predNode`` table (paper section 3.5 — the ``loc`` table,
-    not the scheduler, decides where facts go), and integration runs the
+    own, and a drain reads where each block goes from the principal's
+    ``predNode`` table (paper section 3.5 — the ``loc`` table, not the
+    scheduler, decides where facts go), and integration runs the
     full import pipeline — scheme verification constraints,
     authorization meta-constraints, audited rollback — inside each
     principal's transaction.
@@ -105,9 +108,12 @@ class WorkspaceNode:
 
     def drain_outbox(self, sink) -> int:
         """Ship what the hosted principals' commits queued: one
-        ``sink(node, pred, id_rows, to=principal)`` call per block."""
+        ``sink(node, pred, id_rows, to=principal)`` call per block, to
+        the node the sender's ``predNode`` relation places it on now
+        (:meth:`Principal.place`)."""
         drained = sum(principal.outbox.drain(
-            lambda dst, pred, rows: sink(dst[0], pred, rows, to=dst[1]))
+            lambda dst, pred, rows: sink(dst[0], pred, rows, to=dst[1]),
+            principal.place)
             for principal in self.principals)
         self.sent_facts += drained
         return drained
@@ -193,14 +199,23 @@ class LBTrustSystem:
     def create_principal(self, name: str, node: Optional[str] = None) -> Principal:
         """Add a principal.  Its workspace gets the machinery, the scheme
         and where everyone is; every other workspace, in one transaction,
-        where it is and the scheme's key rows about it."""
+        where it is and the scheme's key rows about it.  If that raises,
+        the principal is not added (the other workspaces' transactions
+        that committed before stay), so the name can be created again."""
         if name in self.principals:
             raise WorkspaceError(f"principal {name!r} already exists")
         node = node if node is not None else name
         self.network.add_node(node)
         principal = Principal(self, name, node)
         self.principals[name] = principal
+        try:
+            self._join(principal)
+        except BaseException:
+            del self.principals[name]
+            raise
+        return principal
 
+    def _join(self, principal: Principal) -> None:
         install_says_machinery(principal.workspace)
         principal.workspace.load(PLACEMENT_RULES)
         if self.delegation:
@@ -218,7 +233,6 @@ class LBTrustSystem:
                     _enroll(other, principal)
                     self._scheme.provision(self, other, self.rng,
                                            peers=[principal])
-        return principal
 
     def principal(self, name: str) -> Principal:
         principal = self.principals.get(name)
@@ -298,7 +312,7 @@ class LBTrustSystem:
         self._scheme, self.auth_name = previous
         names = {principal.name for principal in switched}
         for principal in self.principals.values():
-            principal.outbox.forget(lambda dst: dst[1] in names)
+            principal.outbox.forget(names)
             principal.route(names)
         stuck = None
         for principal in switched:

@@ -11,12 +11,10 @@ from repro.cluster.partition import (
     MODE_PARTITIONED,
     MODE_REPLICATED,
     Partitioner,
-    PlacementMap,
     stable_hash,
 )
 from repro.datalog.database import TermInterner
 from repro.datalog.errors import ClusterError
-from repro.datalog.terms import PredPartition
 
 NODES = ("a", "b", "c")
 
@@ -240,43 +238,6 @@ class TestPartitioner:
             Partitioner([])
         with pytest.raises(ClusterError):
             Partitioner(["a", "a"])
-
-
-class TestPlacementMap:
-    def test_apply(self):
-        rows = {
-            (PredPartition("export", ("alice",)), "n1"),
-            (PredPartition("export", ("bob",)), "n2"),
-            ("not-a-partition", "n3"),       # ignored
-            (PredPartition("export", ("x",)),),  # wrong arity: ignored
-        }
-        placement = PlacementMap()
-        moved = placement.apply((), rows)
-        assert sorted(moved) == [("export", ("alice",)), ("export", ("bob",))]
-        assert len(placement) == 2
-        assert placement.owner("export", ("alice",)) == "n1"
-        assert placement.owner("export", ("bob",)) == "n2"
-        assert placement.owner("export", ("carol",)) is None
-
-    def test_the_smallest_node_owns_a_key_placed_twice(self):
-        """The owner is a function of the key's rows: the smallest node
-        name, whatever order the rows came in."""
-        bob = PredPartition("export", ("bob",))
-        placement = PlacementMap()
-        assert placement.apply((), [(bob, "r2")]) == [("export", ("bob",))]
-        assert placement.apply((), [(bob, "r3")]) == []
-        assert placement.apply((), [(bob, "r1")]) == [("export", ("bob",))]
-        assert placement.owner("export", ("bob",)) == "r1"
-        # deletes first: a relocation in one commit moves the owner once
-        assert placement.apply([(bob, "r1")], [(bob, "b")]) == [
-            ("export", ("bob",))]
-        assert placement.owner("export", ("bob",)) == "b"
-        assert placement.apply([(bob, "r3")], ()) == []
-        assert placement.apply([(bob, "b")], ()) == [("export", ("bob",))]
-        assert placement.owner("export", ("bob",)) == "r2"
-        assert placement.apply([(bob, "r2")], ()) == [("export", ("bob",))]
-        assert placement.owner("export", ("bob",)) is None
-        assert len(placement) == 0
 
 
 class TestPinKeyValidation:

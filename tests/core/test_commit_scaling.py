@@ -5,15 +5,15 @@ exp3 (paper section 4.1.2) checks every imported ``says`` at the commit
 that imports it.  A later commit that changes nothing exp3 reads must
 neither verify a held credential again nor visit a constraint whose
 relations it did not change.  A speaker's outbox takes what a commit
-added, so shipping one more credential looks up the placement of its
-own rows only.  A held credential is a ground fact, held as a
+added, so shipping one more credential reads the placement of its own
+block only.  A held credential is a ground fact, held as a
 supported base row and compiled to no rule: the receiver's rules and
 strata do not grow with it, and no semi-naive round, over-delete or
 re-derivation visits it; taking one back copies nothing bob holds, and
 two arriving at once are ordered without reading his other ``active``
 rows.  A said fact no one reads the Figure 1 relations of is never
 reified.  A principal's join commits once to each existing workspace
-and rebuilds no placement map.  Counts, not wall time.
+and routes no row it holds again.  Counts, not wall time.
 """
 
 from collections import Counter
@@ -21,7 +21,6 @@ from collections import Counter
 import pytest
 
 from repro import LBTrustSystem
-from repro.cluster.partition import PlacementMap
 from repro.core.principal import Principal
 from repro.crypto import datalog_builtins
 from repro.datalog import constraints
@@ -101,27 +100,28 @@ def test_a_scheme_swap_verifies_each_redelivered_credential_once(traced):
 
 
 def test_shipping_one_credential_looks_up_only_its_own_rows(monkeypatch):
-    """``alice.says`` one more credential and ``run()``, twice: the
-    placement lookups do not grow with what alice has said to bob
-    before.  A drain that re-read every held row made 9 at 0 held and
+    """``alice.says`` one more credential and ``run()``, twice: alice
+    reads the owner of each drained block from her ``predNode`` relation
+    once (:meth:`Principal.owner`), whatever she has said to bob before.
+    A drain that re-read every held row made 9 lookups at 0 held and
     3,009 at 500."""
-    owner, calls = PlacementMap.owner, []
+    owner, calls = Principal.owner, []
 
     def counting_owner(self, pred, key):
-        calls.append(pred)
+        calls.append((self.name, pred, key))
         return owner(self, pred, key)
 
     lookups = []
     for held in (0, 500, 2000):
         system, alice, bob = bob_holding(held)
-        monkeypatch.setattr(PlacementMap, "owner", counting_owner)
+        monkeypatch.setattr(Principal, "owner", counting_owner)
         calls.clear()
         for k in range(2):
             alice.says(bob, f"ping({-1 - k}).")
             assert system.run().delivered == 1
-        lookups.append(len(calls))
-        monkeypatch.setattr(PlacementMap, "owner", owner)
-    assert lookups[0] == lookups[1] == lookups[2] > 0
+        lookups.append(list(calls))
+        monkeypatch.setattr(Principal, "owner", owner)
+    assert lookups == [[("alice", "export", ("bob",))] * 2] * 3
 
 
 def test_a_held_credential_costs_a_later_import_nothing(monkeypatch):

@@ -1,5 +1,6 @@
-"""A join writes each workspace once, and placement follows ``predNode``
-by delta (paper section 3.5: every principal holds the ``loc`` table).
+"""A join writes each workspace once, and a row leaves for the node the
+sender's ``predNode`` relation names when it is sent (paper section
+3.5: every principal holds the ``loc`` table).
 
 A stream of principals created on random nodes, ``says``, ``run()``,
 relocations (a ``loc`` row retracted and another asserted in one
@@ -7,28 +8,31 @@ transaction) and extra ``loc`` rows runs in two systems: one creates
 each batch of principals in the order drawn, the other in reverse.
 After every step:
 
-* each principal's placement is the one a reference builds from its
-  ``predNode`` relation alone: the smallest node of each key's rows;
+* each principal's owner read (:meth:`Principal.owner`) names, for each
+  placed key, what a reference builds from its ``predNode`` relation
+  alone: the smallest node of the key's rows;
 * both systems hold equal relations at every principal (key ids, not
   key bytes, which depend on the order keys were drawn in);
 * every ``export`` row a speaker holds for a known principal is queued
-  or sent to that principal at its owner node, and after a run it is
-  held there too.
+  or sent to that principal, and after a run it is held there too.
 
-Placement that missed a relocation's deleted rows, or an owner picked
-by set order, fails the first check; a join that wrote another
-principal's keys or roster rows in the wrong workspace, the second; a
-commit that did not route the held rows under a key whose owner moved,
-the third.
+An owner picked by set order, or one that missed a relocation's deleted
+rows, fails the first check; a join that wrote another principal's keys
+or roster rows in the wrong workspace, the second; a commit that did not
+queue a row for the principal it names, the third.  A relocation sends
+nothing again (:func:`test_a_relocation_resends_nothing`): a principal's
+markers are keyed by the principal, not by its node.
 """
 
 from collections import Counter, defaultdict
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import LBTrustSystem
-from repro.datalog.terms import RuleRef
+from repro.core.schemes import SchemeDef, scheme
+from repro.datalog.terms import PredPartition, RuleRef
 from repro.meta.model import ALL_META_PREDS
 
 NAMES = ("alice", "bob", "carol", "dave")
@@ -99,15 +103,14 @@ def apply(system, op, reverse: bool) -> None:
 
 def check_routed(system) -> None:
     """Every ``export`` row a principal holds for another known one is
-    queued or sent to that principal at its owner node."""
+    queued or sent to that principal."""
     values = system.registry.terms.values
     for principal in system.principals.values():
         relation = principal.workspace.db.get("export")
         for row in relation.rows if relation is not None else ():
             listener = values[row[0]]
             if listener != principal.name and listener in system.principals:
-                node = principal.placement.owner("export", (listener,))
-                sent = principal.outbox.sent.get((node, listener), {})
+                sent = principal.outbox.sent.get(listener, {})
                 assert row in sent.get("export", ())
 
 
@@ -119,29 +122,151 @@ def check_delivered(system) -> None:
                 assert fact in listener.tuples("export")
 
 
+#: bob holds three credentials from alice, then alice moves bob's ``loc``
+#: row from ``bob`` to ``r1`` and says one more
+RELOCATION = [("create", [("alice", "alice"), ("bob", "bob")]),
+              ("says", 0, "bob", 0), ("says", 0, "bob", 1),
+              ("says", 0, "bob", 2), ("run",), ("relocate", 0, 1, "r1"),
+              ("run",), ("says", 0, "bob", 3), ("run",)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(auth=st.sampled_from(["hmac", "plaintext"]),
        stream=st.lists(ops, max_size=12))
+@example(auth="hmac", stream=RELOCATION)
 def test_placement_and_relations_follow_the_loc_table(auth, stream):
     systems = []
     for _ in range(2):
         system = LBTrustSystem(auth=auth, seed=3)
-        for node in NODES:
+        for node in (*NODES, "r1"):
             system.network.add_node(node)
         systems.append(system)
     for op in stream:
         for reverse, system in enumerate(systems):
             apply(system, op, bool(reverse))
             for principal in system.principals.values():
-                placement = principal.placement
                 expected = reference(principal)
-                assert len(placement) == len(expected)
-                assert {slot: placement.owner(*slot)
+                assert {slot: principal.owner(*slot)
                         for slot in expected} == expected
             check_routed(system)
             if op[0] == "run":
                 check_delivered(system)
         assert relations(systems[0]) == relations(systems[1])
+
+
+def test_a_relocation_resends_nothing():
+    """bob holds three credentials from alice; alice moves bob's ``loc``
+    row to ``r1`` in one transaction.  The next run sends nothing (3
+    rows in 355 bytes while the markers were keyed by node and
+    principal), and a credential said after the move reaches bob through
+    ``r1``."""
+    system = LBTrustSystem(auth="hmac", seed=3)
+    system.network.add_node("r1")
+    for op in RELOCATION[:6]:
+        apply(system, op, False)
+    moved = system.run()
+    assert (moved.delivered, moved.bytes, moved.messages) == (0, 0, 0)
+    alice, bob = system.principal("alice"), system.principal("bob")
+    assert alice.owner("export", ("bob",)) == "r1"
+    alice.says(bob, 'msg("3").')
+    after = system.run()
+    assert after.delivered == 1 and after.rejected == 0
+    assert {row.name: row.received_facts for row in after.per_node} == {
+        "alice": 0, "bob": 0, "r1": 1}
+    assert {("0",), ("1",), ("2",), ("3",)} == bob.tuples("msg")
+
+
+class TestOwnerRead:
+    """A drain reads a block's node from the sender's ``predNode`` rows."""
+
+    @staticmethod
+    def alice():
+        system = LBTrustSystem(auth="plaintext")
+        return system.create_principal("alice")
+
+    def test_rows_of_other_shapes_are_ignored(self):
+        alice = self.alice()
+        bob = PredPartition("export", ("bob",))
+        alice.assert_facts("predNode", [
+            ("not-a-partition", "n0"),       # not a partition name
+            (bob, 5),                         # not a node name
+            (PredPartition("export", ("carol",)), "n2")])
+        assert alice.owner("export", ("bob",)) is None
+        assert alice.owner("export", ("carol",)) == "n2"
+        assert alice.owner("export", ("alice",)) == "alice"
+        assert alice.owner("export", ("dave",)) is None
+        alice.assert_fact("predNode", (bob, "n1"))
+        assert alice.owner("export", ("bob",)) == "n1"
+
+    def test_the_smallest_node_owns_a_key_placed_twice(self):
+        """The owner is a function of the key's rows: the smallest node
+        name, whatever order the rows came in."""
+        bob = PredPartition("export", ("bob",))
+        for order in (("r2", "r3", "r1"), ("r1", "r3", "r2"),
+                      ("r3", "r1", "r2")):
+            alice = self.alice()
+            for node in order:
+                alice.assert_fact("predNode", (bob, node))
+            assert alice.owner("export", ("bob",)) == "r1"
+            alice.retract_fact("predNode", (bob, "r1"))
+            assert alice.owner("export", ("bob",)) == "r2"
+
+    def test_a_relocation_in_one_commit_moves_the_owner_once(self):
+        """Deletes and inserts of one commit are read together: a
+        relocation names the new node, and the queued block goes there
+        alone."""
+        alice = self.alice()
+        system = alice.system
+        for node in ("r1", "b"):
+            system.network.add_node(node)
+        system.create_principal("bob", node="r1")
+        alice.says("bob", 'msg("x").')
+        assert alice.owner("export", ("bob",)) == "r1"
+        with alice.workspace.transaction():
+            alice.assert_fact("node", ("b",))
+            alice.retract_fact("loc", ("bob", "r1"))
+            alice.assert_fact("loc", ("bob", "b"))
+        assert alice.owner("export", ("bob",)) == "b"
+        shipped = []
+        alice.outbox.drain(lambda dst, pred, rows: shipped.append(
+            (dst, pred, len(rows))), alice.place)
+        assert shipped == [(("b", "bob"), "export", 1)]
+        assert alice.outbox.queue == {}
+
+
+@pytest.mark.parametrize("failing", ["carol", "bob"])
+def test_a_failed_creation_can_be_retried(monkeypatch, failing):
+    """A ``create_principal`` whose scheme provisioning raises, in its
+    own workspace or in a peer's, adds no principal: a retry succeeds
+    and leaves the relations a creation that never failed leaves."""
+    def build(fail: bool):
+        system = LBTrustSystem(auth="hmac", seed=3)
+        for name in ("alice", "bob"):
+            system.create_principal(name)
+        hmac, calls = scheme("hmac"), []
+
+        def flaky(system, holder, rng, peers=None):
+            calls.append(holder.name)
+            if holder.name == failing and calls.count(failing) == 1:
+                raise RuntimeError("provisioning failed")
+            hmac.provision(system, holder, rng, peers)
+
+        if fail:
+            monkeypatch.setattr(system, "_scheme", SchemeDef(
+                "hmac", hmac.exp1_text, hmac.exp3_text, flaky))
+            before = dict(system.principals)
+            with pytest.raises(RuntimeError, match="provisioning failed"):
+                system.create_principal("carol")
+            after_failure = dict(system.principals)
+        system.create_principal("carol")
+        if fail:
+            assert after_failure == before
+        monkeypatch.undo()
+        system.principal("alice").says("carol", 'msg("hi").')
+        assert system.run().delivered == 1
+        return relations(system)
+
+    assert build(fail=True) == build(fail=False)
 
 
 @settings(max_examples=10, deadline=None)
