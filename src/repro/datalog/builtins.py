@@ -20,6 +20,7 @@ context object) and return:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Optional
 
 from .errors import BuiltinError
@@ -42,11 +43,12 @@ class BuiltinDef:
     def arity(self) -> int:
         return len(self.mode)
 
-    @property
+    # read per call, so cached; not fields: equality and hashing stay
+    @cached_property
     def output_positions(self) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.mode) if m == "o")
 
-    @property
+    @cached_property
     def input_positions(self) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.mode) if m == "i")
 
@@ -104,7 +106,8 @@ def invoke_builtin(definition: BuiltinDef, inputs: tuple, context: Any = None) -
     """
     args = (context, *inputs) if definition.needs_context else inputs
     result = definition.func(*args)
-    if not definition.output_positions:
+    width = len(definition.output_positions)
+    if not width:
         return [()] if result else []
     if result is None:
         return []
@@ -112,10 +115,10 @@ def invoke_builtin(definition: BuiltinDef, inputs: tuple, context: Any = None) -
     for row in result:
         if not isinstance(row, tuple):
             row = (row,)
-        if len(row) != len(definition.output_positions):
+        if len(row) != width:
             raise BuiltinError(
                 f"builtin {definition.name!r} returned a row of width {len(row)}, "
-                f"expected {len(definition.output_positions)}"
+                f"expected {width}"
             )
         rows.append(row)
     return rows

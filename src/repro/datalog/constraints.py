@@ -9,10 +9,12 @@ existentially quantified — exactly what rules like exp3 need::
 
 (the witness S, K may be any signature/key pair that verifies).
 
-The checker enumerates LHS witnesses with the shared join core and probes
-each RHS alternative as a seeded sub-query, so builtins and negation work
-on both sides.  Violations are returned (not raised) — the workspace
-decides whether to abort a transaction or reject an imported message.
+The checker solves each LHS alternative into id-row witnesses with the
+shared join core, then tests each RHS alternative against every open
+witness in one prepared walk (:func:`repro.datalog.runtime.unsatisfied`),
+so builtins and negation work on both sides.  Only violations become
+bindings, returned (not raised) — the workspace decides whether to abort
+a transaction or reject an imported message.
 
 **A commit checks what it changed.**  Given the open transaction's
 :class:`TransactionDelta` — per relation, the rows it inserted and
@@ -62,8 +64,8 @@ from .runtime import (
     bindable_vars,
     body_relations,
     order_body,
-    satisfiable,
-    solve,
+    run_flat,
+    unsatisfied,
 )
 from .terms import Constraint, Literal
 
@@ -188,10 +190,10 @@ def check_constraint(constraint: Constraint, db: Database,
     each conjunction's :class:`~repro.datalog.runtime.BodyAnalysis`
     beside it, keyed by the conjunction, and each constraint's
     :class:`_Reads`, by instance.  Every witness of one LHS
-    solve binds the same variable names, so the RHS plans are resolved
-    once per solve, not once per witness.  Caller-supplied caches (the
-    workspace passes long-lived ones) amortize analysis and compilation
-    across commits.
+    solve binds the same variable names, so the RHS plans are resolved,
+    and each walked, once per solve, not once per witness.
+    Caller-supplied caches (the workspace passes long-lived ones)
+    amortize analysis and compilation across commits.
     """
     if constraint.is_declaration():
         return []
@@ -203,6 +205,7 @@ def check_constraint(constraint: Constraint, db: Database,
     violations: list[Violation] = []
     seen: Optional[set] = set() if len(runs) > 1 and delta is not None \
         else None
+    values = db.interner.values
     for alternative, position, pinned in runs:
         try:
             plan = _plan(plan_cache, analyses, alternative, frozenset(), db,
@@ -213,35 +216,43 @@ def check_constraint(constraint: Constraint, db: Database,
                 # the plain order leads elsewhere: plan one led by the pin
                 plan = _plan(plan_cache, analyses, alternative, frozenset(),
                              db, context, position)
-            witnesses = solve(alternative, db, context, plan=plan,
-                              delta=pinned, delta_position=position)
+            # id rows by sorted name: the seeds of every RHS plan
+            names = sorted(plan.slot_of)
+            picks = [plan.slot_of[name] for name in names]
+            witnesses: list = []
+            run_flat(plan, db, context, pinned, position, None, None, None,
+                     None, lambda registers: witnesses.append(
+                         tuple([registers[slot] for slot in picks])))
         except SafetyError as exc:
             raise SafetyError(
                 f"constraint {constraint!r} has an unsafe left-hand side: {exc}"
             ) from exc
-        rhs_plans = None
-        for witness in witnesses:
-            if seen is not None:
-                key = frozenset(witness.items())
-                if key in seen:
-                    continue
-                seen.add(key)
-            if rhs_plans is None:
-                shape = frozenset(witness)
-                try:
-                    rhs_plans = [
-                        (rhs, plan) for rhs in constraint.rhs
-                        if (plan := _plan(plan_cache, analyses, rhs, shape,
-                                          db, context)) is not None]
-                except SafetyError as exc:
-                    raise SafetyError(
-                        f"constraint {constraint!r} has an unsafe right-hand "
-                        f"side: {exc}"
-                    ) from exc
-            if any(satisfiable(rhs, db, context, witness, plan)
-                   for rhs, plan in rhs_plans):
-                continue
-            violations.append(Violation(constraint, witness))
+        if seen is not None:    # names are sorted: (names, row) is a key
+            key = tuple(names)
+            witnesses = [row for row in dict.fromkeys(witnesses)
+                         if (key, row) not in seen]
+            seen.update((key, row) for row in witnesses)
+        if not witnesses:
+            continue
+        shape = frozenset(names)
+        try:
+            rhs_plans = [rhs_plan for rhs in constraint.rhs
+                         if (rhs_plan := _plan(plan_cache, analyses, rhs,
+                                               shape, db, context))
+                         is not None]
+        except SafetyError as exc:
+            raise SafetyError(
+                f"constraint {constraint!r} has an unsafe right-hand "
+                f"side: {exc}"
+            ) from exc
+        for rhs_plan in rhs_plans:
+            if not witnesses:
+                break
+            witnesses = unsatisfied(rhs_plan, db, context, witnesses)
+        for row in witnesses:
+            bindings = dict(zip(names, [values[term] for term in row]))
+            violations.append(Violation(constraint, {
+                name: bindings[name] for name in plan.slot_of}))
             if limit is not None and len(violations) >= limit:
                 return violations
     return violations

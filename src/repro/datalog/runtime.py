@@ -25,8 +25,9 @@ step, which argument positions are index-probe keys, which bind fresh
 registers, and which need an intra-tuple equality check, so the per-row
 inner loop does no term classification at all.  Variables the caller
 binds up front (:attr:`FlatPlan.assumes` — e.g. a constraint's LHS witness
-seeding its RHS probe) get the first registers; :func:`solve` plans
-again when handed bindings with a different shape.
+seeding its RHS probe) get the first registers, by sorted name, so a
+seed is an id row and one prepared walk tests many (:func:`unsatisfied`);
+:func:`solve` plans again when handed bindings with a different shape.
 
 Planning costs what it decides: a conjunction is *analysed* once per
 owner (:class:`BodyAnalysis`), *ordered* once per cardinality-band
@@ -39,6 +40,7 @@ conjunction: :func:`banded_plan`, bounded by a FIFO alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse, product
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .builtins import (
@@ -474,7 +476,7 @@ _SKIP_ENTRY = (_P_SKIP, None, None)
 def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
              delta, delta_position, id_spec: Optional[tuple],
              head_rows: Optional[set], produced: Optional[set],
-             seed: Optional[Bindings] = None,
+             seeds: Optional[Iterable[tuple]] = None,
              on_solution: Optional[Callable] = None) -> int:
     """Run a flat plan in id space; returns the number of solutions.
 
@@ -488,8 +490,10 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
     read what it needs before returning (registers are reused across
     branches) and may raise to stop the walk — that is how bindings
     dicts, existence checks, computed heads and provenance ride the same
-    walker.  ``seed`` binds the plan's :attr:`FlatPlan.assumes` variables
-    before the first step.
+    walker.  ``seeds`` are id rows binding the plan's
+    :attr:`FlatPlan.assumes` variables (its first registers, by sorted
+    name): the prepared plan is walked once per seed, and a
+    :class:`_Found` the callback raises ends only that seed's walk.
 
     The plan was compiled for ``db.interner`` (its constants are ids
     there), so a prepare pass only picks each literal step's source —
@@ -512,7 +516,7 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
     # on a register the first literal binds (transitive closure, and most
     # EDB joins, compile to exactly this).  The shape analysis is cached
     # on the plan; only the sources and the index resolve per call.
-    if nsteps == 2 and on_solution is None:
+    if nsteps == 2 and on_solution is None and seeds is None:
         join2 = flat.join2
         if join2 is None:
             join2 = flat.join2 = _compile_join2(steps, id_spec)
@@ -546,10 +550,6 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
                                 step.key_template)
 
     registers = flat.nslots * [None]
-    if seed:
-        slot_of = flat.slot_of
-        for name, value in seed.items():
-            registers[slot_of[name]] = intern(value)
     fired = 0
 
     def run(number: int) -> None:
@@ -695,7 +695,16 @@ def run_flat(flat: FlatPlan, db: Database, context: EvalContext,
                 run(following)
 
     try:
-        run(0)
+        if seeds is None:
+            run(0)
+        else:
+            width = len(flat.assumes)
+            for seed in seeds:
+                registers[:width] = seed
+                try:
+                    run(0)
+                except _Found:
+                    pass
     finally:
         # ``run`` refers to itself through its own closure cell: clear it
         # so each walk's frame state is freed by reference count instead
@@ -714,8 +723,8 @@ def _compile_join2(steps: tuple, id_spec: tuple):
     the probe; ``emit_struct`` entries are ``(0, pos)``/``(1, pos)``
     (head term from the outer/probed row) or ``(2, id)`` (a head
     constant, from the plan's ``id_spec``); ``simple`` is ``(mirrored,
-    left_pos, right_pos)`` for the dominant one-term-from-each-side
-    binary head, else None.
+    outer_pos, inner_pos)`` for the dominant one-term-from-each-side
+    binary head (mirrored: the inner row's term first), else None.
     """
     step0, step1 = steps
     if not (step0.kind == 0 and step1.kind == 0
@@ -745,7 +754,7 @@ def _compile_join2(steps: tuple, id_spec: tuple):
         if src_a == 0 and src_b == 1:
             simple = (0, pos_a, pos_b)   # (row0[a], row1[b])
         elif src_a == 1 and src_b == 0:
-            simple = (1, pos_a, pos_b)   # (row1[a], row0[b])
+            simple = (1, pos_b, pos_a)   # (row1[a], row0[b])
     return key0_pos, tuple(emit_struct), simple
 
 
@@ -756,9 +765,12 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database,
     """The two-literal id-join inner loop (see :func:`run_flat`).
 
     Solutions flow outer row → index bucket → head row with no register
-    list, no recursion and no per-solution frames.  Stats are batched:
-    one scan/probe for the outer literal, one probe per outer row that
-    reaches the inner literal — identical totals to the general walk.
+    list, no recursion and no per-solution frames; a binary head with one
+    term from each side is emitted a probe key at a time, the ``product``
+    of the key's outer and inner head terms flowing through
+    ``filterfalse(head_rows.__contains__)`` into ``produced``.  Stats are
+    batched: one scan/probe for the outer literal, one probe per outer row
+    that reaches the inner literal — identical totals to the general walk.
     """
     key0_pos, emit_struct, simple = join2
     step0, step1 = steps
@@ -792,43 +804,28 @@ def _run_flat_join2(join2: tuple, steps: tuple, db: Database,
     fired = 0
     outer_rows = 0
     if simple is not None:
-        # Binary head with one term from each side: build the out tuple
-        # inline, hoisting the outer row's term out of the bucket loop.
-        mirrored, pos_a, pos_b = simple
-        if mirrored:
-            for row0 in rows0:
-                if len(row0) != arity0:
-                    continue
-                outer_rows += 1
-                bucket = bucket_get(row0[key0_pos])
-                if bucket is None:
-                    continue
-                right = row0[pos_b]
-                for row1 in bucket:
-                    if len(row1) != arity1:
-                        continue
-                    fired += 1
-                    out = (row1[pos_a], right)
-                    if out in head_rows or out in produced:
-                        continue
-                    produced.add(out)
-        else:
-            for row0 in rows0:
-                if len(row0) != arity0:
-                    continue
-                outer_rows += 1
-                bucket = bucket_get(row0[key0_pos])
-                if bucket is None:
-                    continue
-                left = row0[pos_a]
-                for row1 in bucket:
-                    if len(row1) != arity1:
-                        continue
-                    fired += 1
-                    out = (left, row1[pos_b])
-                    if out in head_rows or out in produced:
-                        continue
-                    produced.add(out)
+        mirrored, pos0, pos1 = simple
+        groups: dict = {}
+        group = groups.get
+        for row0 in rows0:
+            if len(row0) == arity0:
+                key = row0[key0_pos]
+                terms0 = group(key)
+                if terms0 is None:
+                    groups[key] = [row0[pos0]]
+                else:
+                    terms0.append(row0[pos0])
+        outer_rows = sum(map(len, groups.values()))
+        known = head_rows.__contains__
+        for key, terms0 in groups.items():
+            bucket = bucket_get(key)
+            if bucket is None:
+                continue
+            terms1 = [row1[pos1] for row1 in bucket if len(row1) == arity1]
+            fired += len(terms0) * len(terms1)
+            produced.update(filterfalse(known, product(terms1, terms0)
+                                        if mirrored
+                                        else product(terms0, terms1)))
     else:
         for row0 in rows0:
             if len(row0) != arity0:
@@ -1285,6 +1282,10 @@ def _usable_plan(items: tuple, db: Database, context: EvalContext,
                        context, db.interner, frozenset(seed), first)
 
 
+def _seed_row(seed: Bindings, db: Database) -> tuple:
+    return tuple([db.interner.intern(seed[name]) for name in sorted(seed)])
+
+
 def solve(items: tuple, db: Database, context: EvalContext,
           bindings: Optional[Bindings] = None,
           plan: Optional[FlatPlan] = None,
@@ -1305,33 +1306,41 @@ def solve(items: tuple, db: Database, context: EvalContext,
     slots = tuple(flat.slot_of.items())
     values = db.interner.values
     solutions: list[Bindings] = []
-    run_flat(flat, db, context, delta, delta_position, None, None, None, seed,
+    run_flat(flat, db, context, delta, delta_position, None, None, None,
+             [_seed_row(seed, db)] if seed else None,
              lambda registers: solutions.append(
                  {name: values[registers[slot]] for name, slot in slots}))
     return iter(solutions)
 
 
 class _Found(Exception):
-    """Internal signal: an existence check met its first solution."""
+    """Internal signal: a seed's walk met its first solution."""
 
 
-def _stop_at_first(registers: list) -> None:
-    raise _Found
+def unsatisfied(flat: FlatPlan, db: Database, context: EvalContext,
+                seeds: list) -> list:
+    """The ``seeds`` no solution of ``flat`` extends, in order: one
+    prepared walk (sources and indexes resolve once), each seed's
+    stopping at its first solution, whose registers still hold it."""
+    width = len(flat.assumes)
+    met: set = set()
+
+    def stop(registers: list) -> None:
+        met.add(tuple(registers[:width]))
+        raise _Found
+
+    run_flat(flat, db, context, None, None, None, None, None, seeds, stop)
+    return [seed for seed in seeds if seed not in met] if met else seeds
 
 
 def satisfiable(items: tuple, db: Database, context: EvalContext,
                 bindings: Optional[Bindings] = None,
                 plan: Optional[FlatPlan] = None) -> bool:
-    """True iff the conjunction has a solution extending ``bindings``;
-    the walk stops at the first one."""
+    """True iff the conjunction has a solution extending ``bindings``:
+    the one-seed case of :func:`unsatisfied`."""
     seed = bindings or {}
     flat = _usable_plan(items, db, context, seed, plan, None)
-    try:
-        run_flat(flat, db, context, None, None, None, None, None, seed,
-                 _stop_at_first)
-    except _Found:
-        return True
-    return False
+    return not unsatisfied(flat, db, context, [_seed_row(seed, db)])
 
 
 def bindable_vars(items: tuple, builtins: Optional[BuiltinRegistry] = None) -> set:

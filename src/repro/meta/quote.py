@@ -28,7 +28,7 @@ Two halves:
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from ..datalog.builtins import BuiltinRegistry
 from ..datalog.errors import SafetyError

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datalog.builtins import (
+    BuiltinDef,
     BuiltinRegistry,
     apply_arith,
     apply_comparison,
@@ -66,6 +67,18 @@ class TestRegistry:
         assert registry.lookup("f") is definition
         assert definition.input_positions == (0,)
         assert definition.output_positions == (1,)
+
+    def test_positions_are_computed_once_and_do_not_change_identity(self):
+        def func(x, y):
+            return [(x + y,)]
+
+        definition = BuiltinRegistry().register("add", "iio", func)
+        assert definition.output_positions is definition.output_positions
+        assert definition.input_positions is definition.input_positions
+        # equality, hashing and repr read the declared fields alone
+        assert definition == BuiltinDef("add", "iio", func)
+        assert hash(definition) == hash(("add", "iio", func, False, False))
+        assert repr(definition) == repr(BuiltinDef("add", "iio", func))
 
     def test_bad_mode_string(self):
         with pytest.raises(BuiltinError):

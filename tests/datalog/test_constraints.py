@@ -1,13 +1,28 @@
-"""Constraint checking: fail() semantics, positive form, existential RHS."""
+"""Constraint checking: fail() semantics, positive form, existential RHS,
+and the batched witness check against a per-witness reference."""
+
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
 
-from repro.datalog.constraints import check_constraint, check_constraints
+from repro.datalog import constraints
+from repro.datalog.builtins import BuiltinRegistry, standard_registry
+from repro.datalog.constraints import (
+    Violation,
+    check_constraint,
+    check_constraints,
+)
 from repro.datalog.database import Database
-from repro.datalog.errors import SafetyError
+from repro.datalog.errors import ConstraintViolation, SafetyError
 from repro.datalog.parser import parse_statements
-from repro.datalog.runtime import EvalContext
+from repro.datalog.runtime import EvalContext, satisfiable, solve
 from repro.datalog.terms import Constraint
+from repro.meta.quote import compile_constraint
+from repro.workspace import workspace as workspace_module
+from repro.workspace.workspace import Workspace
+
+from strategies import CheckStream, check_streams
 
 
 def constraint_of(source):
@@ -217,3 +232,170 @@ class TestDeltaCheck:
         db.add("r", (1,))         # p(1) lost its extension, p is unchanged
         delta, swept = self.both(constraint, db)
         assert len(swept) == 1 and delta == swept
+
+
+def register_checks(registry):
+    """``odd(X)`` and ``half(X, H)``: builtins that fail on some values."""
+    registry.register("odd", "i",
+                      lambda x: isinstance(x, int) and x % 2 == 1)
+    registry.register("half", "io", lambda x: [(x // 2,)]
+                      if isinstance(x, int) and x % 2 == 0 else [])
+    return registry
+
+
+def checking(text):
+    """A context knowing ``odd`` and ``half``, and ``text`` compiled to
+    call them."""
+    context = EvalContext(builtins=register_checks(
+        BuiltinRegistry(standard_registry())))
+    return context, compile_constraint(constraint_of(text), None,
+                                       context.builtins)
+
+
+def per_witness(constraint, db, context, limit=None, plan_cache=None,
+                analyses=None, delta=None):
+    """The reference checker: the same LHS runs, each witness a bindings
+    dict from ``solve``, each RHS alternative a ``satisfiable`` call on
+    it, stopping at ``limit`` violations."""
+    plan_cache = {} if plan_cache is None else plan_cache
+    analyses = {} if analyses is None else analyses
+    runs = constraints._runs(constraint, db, context, analyses, delta)
+    seen = set() if len(runs) > 1 and delta is not None else None
+    violations = []
+    for alternative, position, pinned in runs:
+        plan = constraints._plan(plan_cache, analyses, alternative,
+                                 frozenset(), db, context)
+        if plan is None:
+            continue
+        if position is not None and plan.order[0] != position:
+            plan = constraints._plan(plan_cache, analyses, alternative,
+                                     frozenset(), db, context, position)
+        for witness in solve(alternative, db, context, plan=plan,
+                             delta=pinned, delta_position=position):
+            if seen is not None:
+                if frozenset(witness.items()) in seen:
+                    continue
+                seen.add(frozenset(witness.items()))
+            plans = [(rhs, constraints._plan(plan_cache, analyses, rhs,
+                                             frozenset(witness), db,
+                                             context))
+                     for rhs in constraint.rhs]
+            if any(satisfiable(rhs, db, context, witness, rhs_plan)
+                   for rhs, rhs_plan in plans if rhs_plan is not None):
+                continue
+            violations.append(Violation(constraint, witness))
+            if limit is not None and len(violations) >= limit:
+                return violations
+    return violations
+
+
+def per_witness_all(constraint_list, db, context, limit=None, **caches):
+    """:func:`check_constraints` over :func:`per_witness`."""
+    violations = []
+    for constraint in constraint_list:
+        remaining = None if limit is None else limit - len(violations)
+        if remaining is not None and remaining <= 0:
+            break
+        violations.extend(per_witness(constraint, db, context, remaining,
+                                      **caches))
+    return violations
+
+
+def exactly(violations):
+    """Violations with their bindings' order, which the audit prints."""
+    return [(violation.constraint, list(violation.bindings.items()))
+            for violation in violations]
+
+
+@contextmanager
+def checked_by(check):
+    """Every workspace commit checks its constraints with ``check``."""
+    production = workspace_module.check_constraints
+    workspace_module.check_constraints = check
+    try:
+        yield
+    finally:
+        workspace_module.check_constraints = production
+
+
+def stream_workspace(stream: CheckStream, check) -> Workspace:
+    """``stream`` run on a fresh workspace whose commits check with
+    ``check``; refused installs and commits are skipped."""
+    workspace = Workspace("w")
+    register_checks(workspace.builtins)
+    with checked_by(check):
+        for pred, fact in stream.facts:
+            workspace.assert_fact(pred, fact)
+        for text in stream.constraints:
+            try:
+                workspace.add_constraint(text)
+            except ConstraintViolation:
+                pass
+        for ops in stream.transactions:
+            try:
+                with workspace.transaction():
+                    for kind, pred, fact in ops:
+                        if kind == "assert":
+                            workspace.assert_fact(pred, fact)
+                        elif fact in workspace.tuples(pred):
+                            workspace.retract_fact(pred, fact)
+            except ConstraintViolation:
+                pass
+    return workspace
+
+
+class TestBatchedWitnesses:
+    """The checker tests all of an LHS run's witnesses against each RHS
+    alternative in one walk: it finds what a per-witness check finds, in
+    the same order, with the same bindings, up to the same limit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(check_streams())
+    def test_a_sweep_finds_what_the_per_witness_check_finds(self, stream):
+        db = Database()
+        for pred, fact in stream.facts:
+            db.add(pred, fact)
+        for text in stream.constraints:
+            context, constraint = checking(text)
+            for limit in (None, stream.limit):
+                assert exactly(check_constraint(
+                    constraint, db, context, limit)) == exactly(
+                    per_witness(constraint, db, context, limit))
+
+    @settings(max_examples=150, deadline=None)
+    @given(check_streams())
+    def test_every_commit_and_the_audit_agree(self, stream):
+        """Each commit's delta check (pinned runs included) agrees with
+        the reference on the same delta and caches; and a workspace
+        checked by the reference audits the same refusals."""
+        def compared(constraint_list, db, context, **caches):
+            found = check_constraints(constraint_list, db, context,
+                                      **caches)
+            assert exactly(found) == exactly(per_witness_all(
+                constraint_list, db, context, **caches))
+            limited = check_constraints(constraint_list, db, context,
+                                        stream.limit, **caches)
+            assert exactly(limited) == exactly(per_witness_all(
+                constraint_list, db, context, stream.limit, **caches))
+            return found
+
+        batched = stream_workspace(stream, compared)
+        reference = stream_workspace(stream, per_witness_all)
+        assert list(map(repr, batched.audit)) \
+            == list(map(repr, reference.audit))
+
+    def test_several_alternatives_each_side(self):
+        """Witnesses of two LHS alternatives, closed by either RHS
+        alternative or by neither; a failing builtin on each side."""
+        text = ("c: (p(X,Y), !q(X)) ; (r(X,Y), odd(X)) -> "
+                "(half(Y,H), q(H)) ; (r(Y,Z), !q(Z)).")
+        context, constraint = checking(text)
+        db = db_with({"p": [(1, 2), (3, 4), (5, 5), (0, 1)],
+                      "q": [(0,), (1,), (2,)],
+                      "r": [(1, 3), (5, 0), (3, 4), (4, 1), (7, 5)]})
+        found = check_constraint(constraint, db, context)
+        assert exactly(found) == exactly(
+            per_witness(constraint, db, context))
+        assert [violation.bindings for violation in found] == [
+            {"X": 5, "Y": 5}, {"X": 7, "Y": 5}]
+        assert check_constraint(constraint, db, context, 1) == found[:1]

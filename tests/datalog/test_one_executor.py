@@ -9,10 +9,11 @@ head terms, provenance, and the unbound-head ``SafetyError``.
 """
 
 import pytest
+from hypothesis import example, given, settings
 
 from repro.apps.filesystem import AccessDenied, DistributedFileSystem
 from repro.datalog import runtime
-from repro.datalog.database import Database
+from repro.datalog.database import Database, Relation
 from repro.datalog.engine import (
     EvalStats,
     ProvenanceStore,
@@ -27,10 +28,14 @@ from repro.datalog.runtime import (
     EvalContext,
     FlatPlan,
     build_plan,
+    compile_head,
+    run_flat,
     satisfiable,
     solve,
 )
 from repro.datalog.terms import Rule
+
+from strategies import JoinCase, join_cases
 
 STEP_CLASSES = (runtime._LiteralStep, runtime._CompareStep,
                 runtime._BuiltinStep)
@@ -312,3 +317,63 @@ class TestConstantNoRowCarries:
         assert plan.join2       # the fast join ran, no general walk
         assert db.tuples("h") == set()
         assert stats.literal_scans == 1 and stats.id_joins == 1
+
+
+def join_application(case, join2):
+    """One application of ``case``'s rule through its plan, the kernel
+    left to decide (``join2`` None) or switched off (False): the rows it
+    produces, its firings and its scan counters."""
+    (rule,) = rules_of(case.rule)
+    db = Database()
+    for pred, row in case.rows:
+        db.add(pred, row)
+    plan = build_plan(rule.body, db.interner, first=case.lead)
+    plan.join2 = join2
+    delta = None
+    if case.delta_position is not None:
+        pred = rule.body[case.delta_position].atom.pred
+        delta = {pred: Relation.wrap_rows(
+            pred, {db.interner.intern_row(row) for row in case.delta},
+            db.interner)}
+    head = rule.heads[0]
+    head_rows = db.rel(head.pred).rows if case.known else ()
+    produced = {db.interner.intern_row(row) for row in case.produced}
+    stats = EvalStats()
+    fired = run_flat(plan, db, EvalContext(stats=stats), delta,
+                     case.delta_position, compile_head(head, plan),
+                     head_rows, produced)
+    return plan, (produced, fired, stats.literal_scans, stats.id_joins,
+                  stats.full_scans)
+
+
+#: One probe key shared by two outer rows, a wrong-arity row on each
+#: side, a known head row: the grouped loop's plain and mirrored heads
+GROUPED = {
+    mirrored: JoinCase(
+        f"h({head}) <- p(X,Y), q(Y,Z).",
+        (("p", (0, 1)), ("p", (2, 1)), ("p", (3, 1, 1)), ("q", (1, 2)),
+         ("q", (1, 3)), ("q", (1, 0, 0)), ("h", (0, 2)), ("h", (2, 0))),
+        0, 0, ((0, 1), (2, 1)), True, ())
+    for mirrored, head in ((False, "X,Z"), (True, "Z,X"))}
+
+
+class TestTheJoinKernel:
+    """The two-literal kernel is the general walk's fast path: on every
+    rule of its shape it produces the same rows and counts the same
+    firings and scans, whether a key's rows arrive grouped or not."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(join_cases())
+    @example(GROUPED[False])
+    @example(GROUPED[True])
+    def test_the_grouped_kernel_equals_the_general_walk(self, case):
+        _, kernel = join_application(case, None)
+        _, walked = join_application(case, False)
+        assert kernel == walked
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_the_examples_take_the_grouped_loop(self, mirrored):
+        plan, (produced, fired, *_) = join_application(GROUPED[mirrored],
+                                                        None)
+        assert plan.join2[2][0] == mirrored
+        assert (len(produced), fired) == (3, 4)

@@ -9,6 +9,9 @@ hostile deliveries: honest says between principals, interleaved with
 injected blocks and said rules no receiver can activate.  The fourth is
 transaction streams under constraints: asserts, retracts and says,
 rollbacks, and constraints installed, removed and reinstalled mid-stream.
+The last two drive the join core directly: two-literal rules in the
+join kernel's shape, and constraints of several alternatives per side
+over fact streams.
 """
 
 from __future__ import annotations
@@ -424,3 +427,118 @@ def reflected_rules(draw) -> str:
     body = draw(st.lists(st.sampled_from(REFLECTED_BODIES), max_size=3))
     return (", ".join(atom(term) for _ in range(heads)) + " <- "
             + ", ".join(["r(X,Y)"] + body) + ".")
+
+
+# ---------------------------------------------------------------------------
+# Two-literal joins
+# ---------------------------------------------------------------------------
+
+#: Bodies of the two-literal join kernel's shape: an outer literal,
+#: scanned or keyed on a constant, and an inner one probed on the
+#: variable they share (``e`` twice is the closure's own join)
+JOIN_BODIES = ("p(X,Y), q(Y,Z)", 'k("a",X,Y), q(Y,Z)', "e(X,Y), e(Y,Z)")
+#: Binary heads with one term from each literal, plain and mirrored, and
+#: heads the kernel emits term by term
+JOIN_HEADS = ("h(X,Z)", "h(Z,X)", "h(Y,Z)", "h(X,Y)", 'h(X,"c")',
+              "h3(X,Y,Z)")
+JOIN_VALUES = (0, 1, 2, 3)
+
+
+@dataclass(frozen=True)
+class JoinCase:
+    """A two-literal rule over a database, and how one application of it
+    runs: ``lead`` is the body literal the plan puts first, ``delta``
+    the rows of the literal at ``delta_position`` (None: no delta),
+    ``known`` whether the head relation's rows are the dedup set (else
+    ``()``, as DRed passes), ``produced`` the rows already produced."""
+
+    rule: str
+    rows: tuple
+    lead: int
+    delta_position: object
+    delta: tuple
+    known: bool
+    produced: tuple
+
+
+@st.composite
+def join_cases(draw) -> JoinCase:
+    body = draw(st.sampled_from(JOIN_BODIES))
+    head = draw(st.sampled_from(JOIN_HEADS))
+    value = st.sampled_from(JOIN_VALUES)
+    pair = st.tuples(value, value)
+    # a few rows of the wrong arity in every body relation: longer ones,
+    # since an index on a column a row lacks is no join's business
+    binary = st.lists(st.one_of(pair, pair, pair,
+                                st.tuples(value, value, value)), max_size=12)
+    keyed = st.lists(st.one_of(
+        st.tuples(st.sampled_from(("a", "a", "b")), value, value),
+        st.tuples(st.just("a"), value, value, value)), max_size=8)
+    relations = {"p": binary, "q": binary, "e": binary, "k": keyed,
+                 "h": st.lists(pair, max_size=6),
+                 "h3": st.lists(st.tuples(value, value, value), max_size=4)}
+    rows = tuple((pred, row) for pred, strategy in relations.items()
+                 for row in draw(strategy))
+    delta_position = draw(st.sampled_from((None, 0, 1)))
+    delta: tuple = ()
+    if delta_position is not None:
+        pred = body.split(", ")[delta_position].split("(")[0]
+        delta = tuple(draw(relations[pred]))
+    head_pred = head.split("(")[0]
+    return JoinCase(f"{head} <- {body}.", rows, draw(st.sampled_from((0, 1))),
+                    delta_position, delta, draw(st.booleans()),
+                    tuple(draw(relations[head_pred])))
+
+
+# ---------------------------------------------------------------------------
+# Constraint checks
+# ---------------------------------------------------------------------------
+
+#: LHS alternatives, each binding X and Y; ``odd`` and ``half`` fail on
+#: some values, and a negation may sit on either side
+CHECK_LHS = ("p(X,Y)", "p(X,Y), !q(X)", "r(X,Y), odd(X)",
+             "q(X), q(Y), X < Y", "p(X,Y), half(X,H)", "r(Y,X), !r(X,Y)")
+#: RHS alternatives over X and Y, some with existential variables
+CHECK_RHS = ("q(X)", "r(Y,Z)", "p(Y,X)", "!r(X,Y)", "odd(Y)",
+             "half(Y,H2), q(H2)", "r(X,Z), !q(Z)", "X = Y")
+CHECK_VALUES = (0, 1, 2, 3, 4)
+
+
+@dataclass(frozen=True)
+class CheckStream:
+    """Constraints of several alternatives on each side, the facts they
+    start over, then transactions of ``("assert" | "retract", pred,
+    fact)`` ops, and the ``limit`` a direct check is run with."""
+
+    constraints: tuple
+    facts: tuple
+    transactions: tuple
+    limit: object
+
+
+def _check_fact(pred: str, value):
+    return st.tuples(value) if pred == "q" else st.tuples(value, value)
+
+
+@st.composite
+def check_streams(draw, max_transactions: int = 6) -> CheckStream:
+    value = st.sampled_from(CHECK_VALUES)
+
+    def side(pool) -> str:
+        return " ; ".join(f"({alternative})" for alternative in draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                     unique=True)))
+
+    constraints = tuple(
+        f"c{number}: {side(CHECK_LHS)} -> {side(CHECK_RHS)}."
+        for number in range(draw(st.integers(1, 2))))
+    pred = st.sampled_from(("p", "q", "r"))
+    fact = pred.flatmap(lambda name: _check_fact(name, value).map(
+        lambda row: (name, row)))
+    facts = tuple(draw(st.lists(fact, max_size=10)))
+    op = st.tuples(st.sampled_from(("assert", "assert", "retract")),
+                   fact).map(lambda step: (step[0], *step[1]))
+    transactions = tuple(tuple(ops) for ops in draw(st.lists(
+        st.lists(op, min_size=1, max_size=3), max_size=max_transactions)))
+    return CheckStream(constraints, facts, transactions,
+                       draw(st.sampled_from((None, 1, 2, 3))))
