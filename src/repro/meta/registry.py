@@ -33,7 +33,10 @@ LogicBlox instance).  It provides:
   report with the catalog it was checked against;
 * **compiled rules** — :meth:`RuleRegistry.compiled`, a ref's rule
   compiled and checked safe once per builtins registry for every
-  workspace that activates it, kept with the ref's other derived data.
+  workspace that activates it, kept with the ref's other derived data;
+* **term texts** — :attr:`RuleRegistry.term_texts`, each term's wire
+  entry text, encoded the first time any wire ships the term
+  (:func:`repro.net.transport.term_texts`).
 """
 
 from __future__ import annotations
@@ -100,6 +103,10 @@ class RuleRegistry:
         self._relation_sets: dict[frozenset, frozenset] = {}
         self._next_id = 1
         self.terms = TermInterner()
+        #: {id of :attr:`terms`: its wire entry text}, filled by
+        #: :func:`repro.net.transport.term_texts`; append-only like the
+        #: interner it mirrors, and bounded by it
+        self.term_texts: dict[int, str] = {}
         #: source text -> the image of a text installed here (:meth:`keep`)
         self._images: dict[str, ProgramImage] = {}
 

@@ -17,7 +17,8 @@ holds: the unit of handoff is the **block** — the id rows of one
 predicate bound for one link (:meth:`MessageBatcher.add`), over the
 registry's ``terms``, the one interner of the system or cluster process;
 a shard and a node of principal workspaces hand over the same thing.
-The batcher keeps the dictionary text of every term it has shipped, and
+The registry keeps the dictionary text of every term any wire has
+shipped (:func:`~repro.net.transport.term_texts`), and the batcher keeps
 per pending batch the dictionary slot of every term in it, so a block
 costs C-level passes over its *distinct* terms, size arithmetic, and one
 ``array.extend`` over its rows — ``encode_entry`` runs once per term,
@@ -31,7 +32,7 @@ from array import array
 from itertools import chain, count, filterfalse, groupby
 from typing import Iterable, Optional
 
-from .transport import encode_batch_message_compressed, encode_entry
+from .transport import encode_batch_message_compressed, term_texts
 
 #: Default size cap per batch message, in encoded-payload bytes.  Small
 #: enough that a pathological round still produces bounded messages,
@@ -79,17 +80,14 @@ class MessageBatcher:
         self.sent_messages = 0
         self.sent_items = 0
         self._links: dict[tuple[str, str], _LinkBuffer] = {}
-        #: {term id of ``registry.terms``: dictionary entry text};
-        #: append-only like the interner it mirrors and bounded by it
-        self._term_texts: dict[int, str] = {}
 
     def add(self, src: str, dst: str, pred: str, rows: Iterable[tuple],
             to: str = "", round_stamp: int = 0) -> None:
         """Queue one block — id ``rows`` of ``pred`` over the registry's
         interner — for the ``src -> dst`` link.  Nothing is materialized:
-        a term's text is encoded on its first shipment and looked up ever
-        after.  Rows of mixed arity go out as one wire block per run of
-        equal arity, in order.
+        a term's text is encoded on its first shipment by any wire and
+        looked up ever after.  Rows of mixed arity go out as one wire
+        block per run of equal arity, in order.
 
         A row that would push the pending batch past ``max_bytes``
         flushes it first (stamped with ``round_stamp``), so no message
@@ -125,7 +123,7 @@ class MessageBatcher:
         # has no entry for (distinct values may print alike, e.g. NaNs).
         missing = list(filterfalse(
             slots.__contains__, dict.fromkeys(chain.from_iterable(keys))))
-        texts = self._texts(missing)
+        texts = term_texts(missing, self.registry)
         new_texts = list(dict.fromkeys(
             filterfalse(values.__contains__, texts)))
         grown += sum(map(len, map(json.dumps, new_names))) + len(new_names) \
@@ -157,19 +155,6 @@ class MessageBatcher:
         buffer.body.extend(map(slots.__getitem__, chain.from_iterable(keys)))
         buffer.rows += len(keys)
         buffer.size += grown
-
-    def _texts(self, term_ids: list) -> list:
-        """Dictionary entry texts of ``term_ids``, encoding the first
-        time a term is shipped."""
-        known = self._term_texts
-        try:
-            return list(map(known.__getitem__, term_ids))
-        except KeyError:
-            term_values = self.registry.terms.values
-            for term_id in filterfalse(known.__contains__, term_ids):
-                known[term_id] = encode_entry(term_values[term_id],
-                                              self.registry)
-            return list(map(known.__getitem__, term_ids))
 
     def pending_items(self) -> int:
         return sum(buffer.rows for buffer in self._links.values())

@@ -24,7 +24,10 @@ apart), anything else as :func:`encode_value`'s tagged object
 it to one dictionary entry, :func:`encode_facts` / :func:`decode_facts`
 to a list of fact rows; a decoder checks a whole list at once and hands
 only tagged objects to :func:`decode_value`, which still reads every
-tagged scalar an older peer sends.
+tagged scalar an older peer sends.  A term held as an id is encoded once
+per registry (:func:`term_texts`): the batcher's dictionaries and a
+served answer (:func:`encode_answers`, rows in the order of their texts)
+splice the same cached text.
 
 Facts travel in **one** envelope, the packed batch
 (:func:`encode_batch_message_dict` is its canonical encoder,
@@ -61,9 +64,9 @@ import json
 import struct
 import sys
 from array import array
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, filterfalse, repeat
 from operator import mul
-from typing import Any, Iterable, Optional
+from typing import Any, Collection, Iterable, Optional
 
 from ..datalog.errors import NetworkError, ReproError
 from ..datalog.parser import parse_term
@@ -188,15 +191,51 @@ def encode_entry(value: Any, registry) -> str:
     return _compact(value)
 
 
+def term_texts(term_ids: Collection[int], registry) -> list:
+    """The :func:`encode_entry` texts of ``term_ids`` (ids of
+    ``registry.terms``), from the registry's one id → text cache
+    (``registry.term_texts``): a term is encoded the first time any wire
+    ships it, a batch or a served answer, and looked up ever after."""
+    known = registry.term_texts
+    try:
+        return list(map(known.__getitem__, term_ids))
+    except KeyError:
+        values = registry.terms.values
+        for term_id in filterfalse(known.__contains__, term_ids):
+            known[term_id] = encode_entry(values[term_id], registry)
+        return list(map(known.__getitem__, term_ids))
+
+
+def encode_answers(rows: Collection[tuple], registry) -> str:
+    """The JSON text of a served query's reply body, ``{"answers": [...]}``,
+    straight from id ``rows`` over ``registry.terms``: no value is
+    materialized, each term's text comes from :func:`term_texts`, and the
+    rows are in the order of their texts (:func:`encode_facts`'s order).
+    Byte for byte the compact ``json.dumps`` of the same body."""
+    text_of = registry.term_texts.__getitem__
+    try:
+        texts = [f"[{','.join(map(text_of, row))}]" for row in rows]
+    except KeyError:   # a term no wire has shipped yet
+        term_texts(set(chain.from_iterable(rows)), registry)
+        return encode_answers(rows, registry)
+    texts.sort()
+    return f'{{"answers":[{",".join(texts)}]}}'
+
+
 def encode_facts(facts: Iterable[tuple], registry) -> list:
-    """Answer rows for a serve reply or the launcher's result pipe:
-    sorted by ``repr``, each value by :func:`encode_entry`'s rule (a
-    JSON-native scalar bare, anything else tagged)."""
-    rows = sorted(facts, key=repr)
-    if set(map(type, chain.from_iterable(rows))) <= _BARE:
-        return list(map(list, rows))
-    return [[value if type(value) in _BARE else encode_value(value, registry)
-             for value in row] for row in rows]
+    """Fact rows for a serve request or the launcher's result pipe, each
+    value by :func:`encode_entry`'s rule (a JSON-native scalar bare,
+    anything else tagged), in the order of their compact JSON texts — the
+    order :func:`encode_answers` gives a served answer."""
+    facts = list(facts)
+    if set(map(type, chain.from_iterable(facts))) <= _BARE:
+        rows = list(map(list, facts))
+    else:
+        rows = [[value if type(value) in _BARE
+                 else encode_value(value, registry) for value in row]
+                for row in facts]
+    rows.sort(key=_compact)
+    return rows
 
 
 def decode_facts(rows: Any, registry) -> list:
@@ -441,11 +480,18 @@ def request_frame_id(blob: bytes) -> Optional[int]:
 
 
 def encode_reply_frame(request_id: int, ok: bool = True,
-                       body: Optional[dict] = None, error: str = "") -> bytes:
-    """Serialize one serve-plane reply, echoing the request's id."""
-    payload = {"kind": REPLY_KIND, "id": int(request_id), "ok": bool(ok),
-               "body": body if body is not None else {}, "error": error}
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+                       body: dict | str | None = None,
+                       error: str = "") -> bytes:
+    """Serialize one serve-plane reply, echoing the request's id.
+
+    ``body`` is a JSON-safe dict, or the JSON text of one, which is
+    spliced as it is (a served answer, :func:`encode_answers`); either way
+    the bytes are the compact ``json.dumps`` of the whole reply."""
+    if type(body) is not str:
+        body = _compact(body if body is not None else {})
+    return (f'{{"kind":"{REPLY_KIND}","id":{int(request_id)},'
+            f'"ok":{"true" if ok else "false"},"body":{body},'
+            f'"error":{_compact(error)}}}').encode("utf-8")
 
 
 def decode_reply_frame(blob: bytes) -> tuple[int, bool, dict, str]:

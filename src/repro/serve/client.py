@@ -15,8 +15,12 @@ Two wiring shapes, matching the two transports:
   ``hello`` (the cluster rendezvous idiom), and blocks on
   ``network.receive`` for replies.
 
-Replies are matched by request id; per-link FIFO makes an id mismatch a
-protocol error rather than something to buffer around.
+Replies are matched by request id, and per-link FIFO means nothing is
+buffered around.  A call that timed out is abandoned, but its reply may
+still come: a reply whose id is below the awaited one answers such a
+call, so it is dropped (counted in ``stale_replies``) and the wait goes
+on.  A reply whose id is above the awaited one answers a request never
+sent, a protocol error.
 """
 
 from __future__ import annotations
@@ -100,6 +104,8 @@ class ServeClient:
         self.timeout = timeout
         self.registry = RuleRegistry()
         self.requests_sent = 0
+        #: replies to calls that had timed out, dropped on arrival
+        self.stale_replies = 0
         self._next_id = 1
         if name not in network.nodes():
             network.add_node(name)
@@ -162,14 +168,19 @@ class ServeClient:
 
     def call(self, op: str, body: Optional[dict] = None) -> dict:
         """One request/reply round trip; raises :class:`ServeError` on a
-        server-side failure or a protocol violation."""
+        server-side failure, a timeout or a protocol violation."""
         request_id = self._next_id
         self._next_id += 1
         frame = encode_request_frame(request_id, op, body)
         self.network.send(self.name, self.server, frame)
         self.requests_sent += 1
-        blob = self._await_reply()
-        reply_id, ok, reply_body, error = decode_reply_frame(blob)
+        deadline = time.monotonic() + self.timeout
+        while True:
+            blob = self._await_reply(deadline)
+            reply_id, ok, reply_body, error = decode_reply_frame(blob)
+            if reply_id >= request_id:
+                break
+            self.stale_replies += 1   # answers an abandoned call
         if reply_id != request_id:
             raise ServeError(
                 f"reply id {reply_id} for request {request_id} (FIFO broken?)")
@@ -182,10 +193,14 @@ class ServeClient:
         return {"principal": principal or self.principal, "pred": pred,
                 "fact": encode_facts([fact], self.registry)[0]}
 
-    def _await_reply(self) -> bytes:
+    def _await_reply(self, deadline: Optional[float] = None) -> bytes:
+        """The next reply frame, waiting until ``deadline`` (a
+        ``time.monotonic`` reading; ``timeout`` from now by default)."""
+        if deadline is None:
+            deadline = time.monotonic() + self.timeout
         if self.router is not None:
-            return self.router.wait_reply(self.name, self.timeout)
-        deadline = time.monotonic() + self.timeout
+            return self.router.wait_reply(self.name,
+                                          deadline - time.monotonic())
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:

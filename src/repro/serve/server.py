@@ -8,10 +8,16 @@ kind) over any transport with the standard duck type:
   workspace transaction machinery — semi-naive insertion deltas and DRed
   deletions — so each update is incremental maintenance, never a
   from-scratch fixpoint;
-* **queries** (``query``) go through :meth:`Workspace.point_query`, an
-  index probe of the maintained fixpoint on the query's bound columns:
-  the updates above validated the policy once, and every request is
-  answered from that result without deriving anything.
+* **queries** (``query``) are answered in id space:
+  :meth:`Workspace.point_rows` parses the atom and probes the maintained
+  fixpoint on its bound columns for id rows, interning nothing, and
+  :func:`~repro.net.transport.encode_answers` writes them out from the
+  registry's one text per term, rows in the order of their texts, with
+  no value materialized; the reply frame splices that text as it is.
+  The updates above validated the policy once, and every request is
+  answered from that result without deriving anything.  Rows that differ
+  only in the type of equal values (``1``, ``1.0``, ``true``) are
+  distinct ids, so each is its own answer.
 
 The server is deliberately transport-agnostic: :meth:`handle` consumes one
 frame and sends one reply.  For real sockets, :meth:`serve_forever` polls
@@ -31,7 +37,7 @@ from ..datalog.errors import NetworkError, ReproError, ServeError
 from ..net.transport import (
     decode_facts,
     decode_request_frame,
-    encode_facts,
+    encode_answers,
     encode_reply_frame,
     request_frame_id,
 )
@@ -130,7 +136,8 @@ class TrustServer:
 
     # -- operations --------------------------------------------------------
 
-    def _dispatch(self, src: str, op: str, body: dict) -> dict:
+    def _dispatch(self, src: str, op: str, body: dict) -> dict | str:
+        """The reply body: a dict, or a query's JSON text."""
         if op == "hello":
             return self._op_hello(src, body)
         if op == "ping":
@@ -195,13 +202,14 @@ class TrustServer:
         return {"node": self.node,
                 "principals": sorted(self.system.principals)}
 
-    def _op_query(self, body: dict) -> dict:
+    def _op_query(self, body: dict) -> str:
+        """The reply body's JSON text, encoded from the id rows."""
         workspace = self._principal(body).workspace
         source = body.get("query")
         if not isinstance(source, str):
             raise ServeError("query needs an atom string")
-        return {"answers": encode_facts(workspace.point_query(source),
-                                        self.system.registry)}
+        return encode_answers(workspace.point_rows(source),
+                              self.system.registry)
 
     def _principal(self, body: dict):
         name = body.get("principal")

@@ -537,18 +537,22 @@ class Workspace:
     def holds(self, source: str) -> bool:
         return bool(self.query(source))
 
-    def point_query(self, query: Union[str, Atom]) -> set:
-        """Answer one atom query from the maintained fixpoint.
+    def point_rows(self, query: Union[str, Atom]) -> Collection[tuple]:
+        """The id rows (over ``registry.terms``) answering one atom query
+        from the maintained fixpoint: the one read core of
+        :meth:`point_query` and the serve plane, which encodes these rows
+        without materializing a value.
 
         ``query`` is a single atom whose constant arguments are the bound
-        ones (e.g. ``'access("carol","f1",M)'``); the result is the set of
-        matching fact tuples.  This is the online-serving entry point, and
-        it derives nothing: every commit leaves ``self.db`` at fixpoint,
-        so the answer is a read of the predicate's relation — all of it
-        for an unbound query, one row-membership test for a fully bound
-        one, otherwise :meth:`Relation.lookup` on the bound columns, whose
-        per-``(positions, key)`` memo serves a repeated query until the
-        relation next changes.
+        ones (e.g. ``'access("carol","f1",M)'``).  Nothing is derived:
+        every commit leaves ``self.db`` at fixpoint, so the answer is a
+        read of the predicate's relation — all its rows for an unbound
+        query, one row-membership test for a fully bound one, otherwise
+        the index bucket of the bound columns.  A variable named twice
+        (``X``, ``_X``; never a bare ``_``) keeps the rows whose columns
+        hold one id.  Nothing is interned: a constant the system never
+        saw matches nothing.  The rows may be the relation's own, so a
+        caller reads them before the next commit and never mutates them.
 
         Inside an open transaction it reads what :meth:`tuples` reads: the
         facts asserted so far, not yet their consequences.  An atom whose
@@ -572,28 +576,37 @@ class Workspace:
         self.catalog.check_fact_arity(resolved.pred, args)
         relation = self.relation(resolved.pred)
         if relation is None:
-            return set()
+            return ()
         positions = tuple(i for i, term in enumerate(args)
                           if isinstance(term, Constant))
         if not positions:
-            answers = set(relation.tuples)
+            rows = relation.rows
         else:
-            key = tuple(args[i].value for i in positions)
+            key = relation.interner.row_of(
+                tuple([args[i].value for i in positions]))
+            if key is None:
+                return ()
             if len(positions) == len(args):
-                return {key} if key in relation else set()
-            answers = set(relation.lookup(positions, key))
-        # A variable named twice (``X``, ``_X``; never a bare ``_``) asks
-        # for equal columns: each later position against its first.
+                return (key,) if key in relation.rows else ()
+            rows = relation.bucket_rows(
+                positions, key[0] if len(positions) == 1 else key)
         first_of: dict = {}
         checks = [(i, first_of.setdefault(term.name, i))
                   for i, term in enumerate(args) if isinstance(term, Variable)]
         checks = [(i, first) for i, first in checks if i != first]
-        if checks:   # equal as one fact: by interned id, as a join is
-            id_of = relation.interner.id_of
-            answers = {fact for fact in answers
-                       if all(id_of(fact[i]) == id_of(fact[first])
-                              for i, first in checks)}
-        return answers
+        if checks:
+            rows = [row for row in rows
+                    if all(row[i] == row[first] for i, first in checks)]
+        return rows
+
+    def point_query(self, query: Union[str, Atom]) -> set:
+        """The set of fact tuples answering one atom query: the values of
+        :meth:`point_rows`, which says what is read and what is refused.
+        Like :meth:`tuples` it is a set of values, so rows that differ only
+        in the type of equal values (``(1,)``, ``(True,)``) read back as
+        one; :meth:`point_rows` keeps them apart."""
+        return set(map(self.db.interner.materialize_row,
+                       self.point_rows(query)))
 
     def active_refs(self) -> set:
         return set(self._activated)

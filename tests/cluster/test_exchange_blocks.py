@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-import repro.net.batch as batch_module
+import repro.net.transport as transport_module
 from repro.cluster import Cluster, Partitioner
 from repro.net import SimulatedNetwork, SocketNetwork
 from repro.net.batch import MessageBatcher
@@ -120,7 +120,7 @@ class TestTermsAreEncodedOncePerSender:
 
     def _closure(self, degree, monkeypatch):
         encoded = []
-        encode_entry = batch_module.encode_entry
+        encode_entry = transport_module.encode_entry
 
         def counting(value, registry):
             encoded.append(value)
@@ -135,7 +135,7 @@ class TestTermsAreEncodedOncePerSender:
             shipped.update(values[term_id] for row in rows for term_id in row)
             return add(self, src, dst, pred, rows, **kwargs)
 
-        monkeypatch.setattr(batch_module, "encode_entry", counting)
+        monkeypatch.setattr(transport_module, "encode_entry", counting)
         monkeypatch.setattr(MessageBatcher, "add", spy)
         cluster = build(4, edges=graph(self.VERTICES, degree, seed=3))
         report = cluster.run()

@@ -77,7 +77,7 @@ class TestIdentity:
             assert all(rows.keys() <= workspace.db.rel(pred).rows
                        for pred, rows in workspace._base.items())
         assert built and all(b.registry.terms is terms for b in built)
-        texts = built[-1]._term_texts
+        texts = system.registry.term_texts
         assert texts and all(
             text == encode_entry(terms.values[term_id], system.registry)
             for term_id, text in texts.items())
@@ -95,7 +95,7 @@ class TestIdentity:
         assert all(node.db.interner is terms
                    for node in cluster.nodes.values())
         assert cluster.batcher.registry.terms is terms
-        assert cluster.batcher._term_texts
+        assert cluster.registry.term_texts
         assert len(cluster.tuples("reach")) == 81
 
     def test_a_launcher_built_shard_and_host(self):

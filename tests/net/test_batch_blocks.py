@@ -171,7 +171,7 @@ class TestBlockProperty:
         for link in (("a", "c"), ("b", "c")):
             assert decoded_items(batcher.network.sent[link][0], registry) \
                 == [("", "p", ("x",))]
-        assert batcher._term_texts == {row[0]: compact("x")}
+        assert registry.term_texts == {row[0]: compact("x")}
 
     def test_an_empty_block_queues_nothing(self):
         batcher = MessageBatcher(_Wire(), RuleRegistry())

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.datalog.database import term_key
 from repro.datalog.errors import ParseError, SafetyError
 from repro.datalog.parser import parse_rule, parse_statements
 from repro.datalog.pretty import canonical_rule, format_rule
@@ -560,6 +561,38 @@ class TestServedRoundtrip:
                 spelling(fact, client.registry)
         finally:
             client.retract_fact("held", fact)
+
+    @given(drawn=st.lists(engine_values, min_size=1, max_size=8))
+    @example(drawn=[1, 1.0, True, "1", 0, 0.0, -0.0, False, b"1", "x"])
+    @settings(max_examples=60, deadline=None)
+    def test_several_served_rows_read_back_apart(self, served, drawn):
+        """Rows that differ only in the type of equal values are each an
+        answer: a relation holding ``1``, ``1.0``, ``True`` and ``"1"``
+        answers all four, each as sent, rows in the order of their
+        texts."""
+        system, client = served
+        facts = {}
+        for value in drawn:
+            if isinstance(value, Rule):
+                value = client.registry.intern(value)
+            facts.setdefault(term_key(value), (value,))
+        for fact in facts.values():
+            client.assert_fact("many", fact)
+        try:
+            reply = client.call("query", {"principal": "srv",
+                                          "query": "many(X)"})
+            sent = sorted(f"[{encode_entry(value, client.registry)}]"
+                          for (value,) in facts.values())
+            assert list(map(entry_text, reply["answers"])) == sent
+            answers = client.query("many(X)", principal="srv")
+            assert len(answers) == len(facts)
+            assert sorted(spelling(answer, client.registry)
+                          for answer in answers) == \
+                sorted(spelling(fact, client.registry)
+                       for fact in facts.values())
+        finally:
+            for fact in facts.values():
+                client.retract_fact("many", fact)
 
 
 # JSON-safe request/reply bodies: the serve layer runs fact values through

@@ -20,7 +20,11 @@ from repro.core.system import LBTrustSystem
 from repro.datalog.errors import NetworkError, ServeError
 from repro.net.network import SimulatedNetwork
 from repro.net.socket_transport import SocketNetwork
-from repro.net.transport import decode_reply_frame, encode_request_frame
+from repro.net.transport import (
+    decode_reply_frame,
+    encode_reply_frame,
+    encode_request_frame,
+)
 from repro.serve import SERVE_OPS, ServeClient, ServeRouter, TrustServer
 
 POLICY = """
@@ -505,6 +509,62 @@ def test_a_served_assert_into_a_figure_1_relation_is_refused():
         thread.join(timeout=10.0)
         client.network.close()
         network.close()
+
+
+def test_a_late_reply_to_a_timed_out_call_is_dropped():
+    """The server answers request 2 after 0.6 s; the client gave up at
+    0.3 s.  That late reply used to meet the next call and break every
+    call after it (``reply id 2 for request 3``); it is dropped and
+    counted, and the calls after it are answered."""
+    system = LBTrustSystem(auth="plaintext")
+    system.create_principal("srv")
+    network = SocketNetwork()
+    server = TrustServer(system, network, poll_interval=0.01)
+    dispatch = server._dispatch
+    delayed = []
+
+    def slow_first_ping(src, op, body):
+        if op == "ping" and not delayed:
+            delayed.append(op)
+            time.sleep(0.6)
+        return dispatch(src, op, body)
+
+    server._dispatch = slow_first_ping
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServeClient(SocketNetwork(), "c1", timeout=10.0)
+    try:
+        client.connect(server_host="127.0.0.1",
+                       server_port=network.port_of(server.node))
+        client.timeout = 0.3
+        with pytest.raises(ServeError, match="timed out"):
+            client.ping()
+        client.timeout = 10.0
+        for _ in range(3):
+            assert isinstance(client.ping(), float)
+        assert client.stale_replies == 1
+        assert client.requests_sent == 5
+    finally:
+        server.stop()
+        thread.join(timeout=10.0)
+        client.network.close()
+        network.close()
+
+
+def test_a_reply_ahead_of_the_awaited_call_is_a_protocol_error():
+    """An id below the awaited one answers an abandoned call; an id above
+    it answers a request never sent."""
+    harness = ServeHarness("simulated")
+    try:
+        client = harness.client("c1")
+        harness.router.inboxes["c1"].append(encode_reply_frame(1))
+        assert isinstance(client.ping(), float)
+        assert client.stale_replies == 1
+        harness.router.inboxes["c1"].append(encode_reply_frame(99))
+        with pytest.raises(ServeError, match="reply id 99 for request 3"):
+            client.ping()
+    finally:
+        harness.close()
 
 
 class TestRouter:
