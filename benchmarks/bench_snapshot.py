@@ -36,7 +36,7 @@ def wide_database(relations: int, facts: int) -> Database:
         name = f"rel{r}"
         for i in range(facts):
             db.add(name, (i, i + 1))
-        db.rel(name).lookup((0,), (0,))  # a maintained index per relation
+        db.rel(name).index_for((0,))  # a maintained index per relation
     return db
 
 

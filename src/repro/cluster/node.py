@@ -73,13 +73,11 @@ class Outbox:
                     drained += len(rows)
         return drained
 
-    def forget(self, dsts: Optional[set] = None) -> int:
-        """Drop the queue and markers of each destination of ``dsts``
-        (all, if None); returns how many markers went."""
-        dropped = 0
-        for dst in [d for d in self.sent if dsts is None or d in dsts]:
-            self.queue.pop(dst, None)
-            dropped += sum(map(len, self.sent.pop(dst).values()))
+    def forget(self) -> int:
+        """Drop the queue and every marker; returns how many markers went."""
+        dropped = sum(len(rows) for per_pred in self.sent.values()
+                      for rows in per_pred.values())
+        self.queue, self.sent = {}, {}
         return dropped
 
 

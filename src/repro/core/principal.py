@@ -65,12 +65,12 @@ class Principal:
             self.outbox.discard(pred, delta.deleted(pred))
             self._queue(pred, delta.inserted(pred))
 
-    def route(self, to: Optional[set] = None) -> None:
-        """Queue every held keyed row addressed to a principal of ``to``
-        (any other one, if None) that it has not had."""
+    def route(self) -> None:
+        """Queue every held keyed row addressed to another principal that
+        it has not had."""
         relations = self.workspace.db.relations
         for pred in self._keyed(list(relations)):
-            self._queue(pred, relations[pred].rows, to)
+            self._queue(pred, relations[pred].rows)
 
     def _keyed(self, preds) -> list:
         """The keyed predicates of ``preds``."""
@@ -78,13 +78,12 @@ class Principal:
         return [pred for pred, info in infos
                 if info is not None and info.key_arity]
 
-    def _queue(self, pred: str, rows: Iterable[tuple],
-               to: Optional[set] = None) -> None:
+    def _queue(self, pred: str, rows: Iterable[tuple]) -> None:
         values = self.system.registry.terms.values
         blocks: dict[str, set] = {}
         for row in rows:
             target = values[row[0]]
-            if target != self.name and (to is None or target in to):
+            if target != self.name:
                 blocks.setdefault(target, set()).add(row)
         for target, block in blocks.items():
             self.outbox.put(target, pred, block)

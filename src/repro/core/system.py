@@ -3,9 +3,9 @@
 Ties every substrate together: a shared rule registry (whose term
 interner is the system's one id space), one workspace per principal, the
 simulated network, key provisioning, and the global fixpoint loop.  A
-principal joins in one transaction per workspace: each other one learns
-where it is (``node``, ``prin``, ``loc``) and the key rows the scheme
-gives that holder about it, and its own learns the same of everyone.
+join, in which each other workspace learns where the newcomer is
+(``node``, ``prin``, ``loc``) and the key rows the scheme gives that
+holder about it, and a scheme swap are each one system transaction.
 
 1. each principal's workspace runs its local fixpoint (this happens
    eagerly inside its transactions);
@@ -42,19 +42,21 @@ Usage::
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from typing import Iterable, Optional
 
 from ..cluster.scheduler import (MODE_BSP, ExecutionRuntime, NodeReport,
                                  RunReport)
 from ..crypto.datalog_builtins import register_crypto_builtins
 from ..datalog.builtins import standard_registry
+from ..datalog.database import Journal
 from ..datalog.errors import (ActivationLimitError, BuiltinError,
                               ConstraintViolation, CryptoError, SafetyError,
                               StratificationError, WorkspaceError)
 from ..meta.registry import RuleRegistry
 from ..net.batch import DEFAULT_MAX_BATCH_BYTES
 from ..net.network import SimulatedNetwork
-from ..workspace.workspace import AuditEvent
+from ..workspace.workspace import AuditEvent, Transaction
 from .authorization import install_says_authorization
 from .delegation import install_delegation, install_depth_restriction
 from .principal import Principal
@@ -191,6 +193,32 @@ class LBTrustSystem:
         self.auth_name = auth
         self.mode = mode
         self._scheme: SchemeDef = scheme(auth)
+        #: the undo log of what a system transaction changes outside the
+        #: workspaces: ``principals``, the scheme, scheme bookkeeping
+        self.journal = Journal()
+
+    @contextmanager
+    def transaction(self):
+        """One transaction over every principal's workspace (one
+        :class:`~repro.workspace.workspace.Transaction`) and the system
+        state :attr:`journal` logs: the body's writes commit everywhere,
+        or, if anything raises, nowhere.  A principal registered in the
+        body is not a member: its workspace commits on its own."""
+        self.journal.begin()
+        try:
+            with Transaction([principal.workspace
+                              for principal in self.principals.values()]):
+                yield self
+        except BaseException:
+            self.journal.rollback()
+            raise
+        self.journal.commit()
+
+    def _assign(self, holder, **values) -> None:
+        """Set attributes of ``holder``, logging their old values."""
+        self.journal.log(vars(holder).update,
+                         {name: getattr(holder, name) for name in values})
+        vars(holder).update(values)
 
     # ------------------------------------------------------------------
     # Principals
@@ -198,21 +226,18 @@ class LBTrustSystem:
 
     def create_principal(self, name: str, node: Optional[str] = None) -> Principal:
         """Add a principal.  Its workspace gets the machinery, the scheme
-        and where everyone is; every other workspace, in one transaction,
-        where it is and the scheme's key rows about it.  If that raises,
-        the principal is not added (the other workspaces' transactions
-        that committed before stay), so the name can be created again."""
+        and where everyone is; every other workspace, in one system
+        transaction, where it is and the scheme's key rows about it.  If
+        anything raises, none of it is added, so the name can be created
+        again; its network node is added once the join has committed."""
         if name in self.principals:
             raise WorkspaceError(f"principal {name!r} already exists")
-        node = node if node is not None else name
-        self.network.add_node(node)
-        principal = Principal(self, name, node)
-        self.principals[name] = principal
-        try:
+        principal = Principal(self, name, name if node is None else node)
+        with self.transaction():
+            self.principals[name] = principal
+            self.journal.log(self.principals.pop, name)
             self._join(principal)
-        except BaseException:
-            del self.principals[name]
-            raise
+        self.network.add_node(principal.node)
         return principal
 
     def _join(self, principal: Principal) -> None:
@@ -229,10 +254,9 @@ class LBTrustSystem:
                 _enroll(principal, other)
         for other in self.principals.values():
             if other is not principal:
-                with other.workspace.transaction():
-                    _enroll(other, principal)
-                    self._scheme.provision(self, other, self.rng,
-                                           peers=[principal])
+                _enroll(other, principal)
+                self._scheme.provision(self, other, self.rng,
+                                       peers=[principal])
 
     def principal(self, name: str) -> Principal:
         principal = self.principals.get(name)
@@ -249,7 +273,7 @@ class LBTrustSystem:
         the scheme it had (none, at creation) goes — exp3 constraints, exp1
         rules, received ``export`` history — and the new one comes in, so no
         committed state lacks a verification constraint and a failure
-        leaves the principal, bookkeeping included, as it was."""
+        leaves the principal, journaled bookkeeping included, as it was."""
         definition = self._scheme
         workspace = principal.workspace
         labels = []
@@ -266,12 +290,13 @@ class LBTrustSystem:
                 labels = [statement.label for statement in self.registry.image(
                     definition.exp3_text).statements if statement.label]
             definition.provision(self, principal, self.rng)
-        principal.scheme_rule_refs = refs
-        principal.scheme_constraint_labels = labels
-        principal.auth_scheme = definition.name
+        self._assign(principal, scheme_rule_refs=refs,
+                     scheme_constraint_labels=labels,
+                     auth_scheme=definition.name)
 
     def reconfigure_auth(self, auth: str) -> None:
-        """Swap the authentication scheme system-wide.
+        """Swap the authentication scheme system-wide, in one system
+        transaction: a failure at any principal switches none.
 
         Exactly the paper's section 4.1.2 move: the exp1 rules and exp3
         constraints are replaced; every trust policy using ``says`` stays
@@ -284,44 +309,15 @@ class LBTrustSystem:
         policy state, and the next :meth:`run` re-signs and re-delivers
         everything under the new scheme — received knowledge reconverges.
         """
-        previous = self._scheme, self.auth_name
-        self._scheme, self.auth_name = scheme(auth), auth
-        switched: list[Principal] = []
-        try:
+        definition = scheme(auth)
+        with self.transaction():
+            self._assign(self, _scheme=definition, auth_name=auth)
             for principal in self.principals.values():
                 self._install_scheme(principal)
-                switched.append(principal)
-        except Exception as refused:
-            self._switch_back(previous, switched, refused)
-            raise
         # Everything re-exports under the new regime: a new epoch.
         for principal in self.principals.values():
             principal.outbox.forget()
             principal.route()
-
-    def _switch_back(self, previous: tuple, switched: list,
-                     refused: Exception) -> None:
-        """Undo a swap that ``refused`` stopped: the system's scheme and
-        name go back to ``previous`` and every principal of ``switched``
-        is reinstalled under it (the one that failed is as it was: each
-        install is one transaction).  Going back flushed what they had
-        received, so the rows shipped to them are shipped again at the
-        next run.  A principal whose reinstall fails too is left under
-        the new scheme (its ``auth_scheme`` says so), the others are
-        still put back, and ``refused`` is raised from that failure."""
-        self._scheme, self.auth_name = previous
-        names = {principal.name for principal in switched}
-        for principal in self.principals.values():
-            principal.outbox.forget(names)
-            principal.route(names)
-        stuck = None
-        for principal in switched:
-            try:
-                self._install_scheme(principal)
-            except Exception as failure:
-                stuck = stuck or failure
-        if stuck is not None:
-            raise refused from stuck
 
     # ------------------------------------------------------------------
     # The global fixpoint

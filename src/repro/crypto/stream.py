@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterator
 
 from ..datalog.errors import CryptoError
 

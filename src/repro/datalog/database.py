@@ -7,7 +7,7 @@ are ``tuple[int, ...]`` and every hash index maps id-keys to id-row
 buckets.  The join core (:mod:`repro.datalog.runtime`) probes and binds in
 id space; boxed Python values are materialized only at output boundaries
 — builtins, comparisons, aggregation, wire encoding, and user-facing
-reads through the value-level API (``tuples``, ``lookup``, iteration).
+reads through the value-level API (``tuples``, iteration).
 
 Why ids win: equality of interned values is equality of small ints, so
 row hashing, index probes and duplicate checks stop touching the boxed
@@ -242,15 +242,15 @@ class Relation:
     added/removed, so toggling that list newest first through the same
     mutators *is* the rollback, indexes included.
 
-    The value-level API (``tuples``, ``add``, ``discard``, ``lookup``,
-    iteration, membership) interns/materializes at the boundary; the
+    The value-level API (``tuples``, ``add``, ``discard``, iteration,
+    membership) interns/materializes at the boundary; the
     id-level API (``rows``, ``add_row``, ``discard_row``,
     ``bucket_rows``) is the join core's hot path.
     """
 
     __slots__ = ("name", "rows", "interner", "journal", "_indexes",
                  "_changed", "_changed_epoch",
-                 "_version", "_col_stats", "_values", "_buckets")
+                 "_version", "_col_stats", "_values")
 
     def __init__(self, name: str, tuples: Optional[Iterable[tuple]] = None,
                  interner: Optional[TermInterner] = None,
@@ -267,7 +267,6 @@ class Relation:
         self._version = 0
         self._col_stats: dict[int, tuple[int, int]] = {}
         self._values: Optional[tuple[int, set]] = None
-        self._buckets: Optional[tuple[int, dict]] = None
 
     @classmethod
     def wrap_rows(cls, name: str, rows: set,
@@ -287,7 +286,6 @@ class Relation:
         relation._version = 0
         relation._col_stats = {}
         relation._values = None
-        relation._buckets = None
         return relation
 
     def _undo_changes(self, changed: list) -> None:
@@ -341,50 +339,6 @@ class Relation:
         if row is None:
             return False
         return self.discard_row(row)
-
-    def lookup(self, positions: tuple, key: tuple) -> list[tuple]:
-        """All value tuples whose ``positions`` columns equal ``key``.
-
-        Probes the id-space index (the key is interned without ever
-        growing the table — unknown values simply match nothing) and
-        materializes the hits in one pass.  The result is immutable —
-        callers must not mutate it: it is cached per (positions, key)
-        until the relation's next mutation, so repeated probes of a
-        quiescent relation (negation checks, constraint sweeps) pay one
-        materialization.  It is independent of the live bucket by
-        construction — later mutations of the relation do not affect
-        it, so callers may interleave iteration with insertions into
-        this very relation.
-        """
-        id_key = self.interner.row_of(key)
-        if id_key is None:
-            return []
-        if len(positions) == 1:
-            id_key = id_key[0]
-        cache = self._buckets
-        version = self._version
-        if cache is None or cache[0] != version:
-            cache = (version, {})
-            self._buckets = cache
-        cache_key = (positions, id_key)
-        hit = cache[1].get(cache_key)
-        if hit is not None:
-            # A memoized probe still counts as an index hit: the bucket
-            # was answered from index-derived state, just without paying
-            # re-materialization.
-            if _index_stats is not None:
-                _index_stats.index_hits += 1
-            return hit
-        bucket = self.bucket_rows(positions, id_key)
-        if bucket:
-            values = self.interner.values
-            if _index_stats is not None:
-                _index_stats.value_materializations += len(bucket)
-            result = [tuple([values[i] for i in row]) for row in bucket]
-        else:
-            result = []
-        cache[1][cache_key] = result
-        return result
 
     # ------------------------------------------------------------------
     # Id-level API (the join core's hot path)
@@ -511,7 +465,7 @@ class Relation:
         method call per probe; counts one ``index_builds`` or
         ``index_hits`` per call, so the flat join core's prefetch counts
         index traffic per rule application while per-probe callers
-        (:meth:`bucket_rows`, :meth:`lookup`) keep per-probe counts.
+        (:meth:`bucket_rows`) keep per-probe counts.
         Keys are bare ids for single-column indexes, id tuples otherwise.
         """
         index = self._indexes.get(positions)

@@ -55,7 +55,7 @@ class EvalStats:
       so long-lived accumulators like ``Workspace.stats`` stay small);
       ``strata_recorded`` counts every record ever appended, which is how
       :meth:`diff` finds a region's records in a full trail;
-    * ``index_builds`` / ``index_hits`` — :meth:`Relation.lookup` activity
+    * ``index_builds`` / ``index_hits`` — :meth:`Relation.index_for` activity
       while this instance is installed via :meth:`capture_indexes` (the
       engine installs it for the duration of each stratum pass);
     * ``terms_interned`` / ``intern_hits`` — :class:`TermInterner` traffic
@@ -68,7 +68,7 @@ class EvalStats:
       runs too, not only plain rule application;
     * ``value_materializations`` — id rows (or whole relations' worth of
       rows, counted per row) converted back to boxed value tuples at an
-      output boundary: ``Relation.tuples`` / ``lookup`` reads;
+      output boundary: ``Relation.tuples`` reads;
     * ``literal_scans`` / ``full_scans`` — positive-literal matches issued
       by the join core, and how many of those had no bound column and had
       to scan the whole relation;
@@ -150,7 +150,7 @@ class EvalStats:
 
     @contextmanager
     def capture_indexes(self) -> Iterator["EvalStats"]:
-        """Route :meth:`Relation.lookup` counters here while the block runs."""
+        """Route :meth:`Relation.index_for` counters here while the block runs."""
         previous = set_index_stats(self)
         try:
             yield self

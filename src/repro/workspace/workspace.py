@@ -40,7 +40,9 @@ section 3.3:
   violation rolls the whole transaction back and raises
   :class:`ConstraintViolation`, leaving an audit record.  Everything a
   transaction can change logs to one undo journal (``Workspace.journal``),
-  so a rollback costs what the transaction changed.
+  so a rollback costs what the transaction changed.  A
+  :class:`Transaction` over several workspaces checks them all before
+  any commits.
 
 ``me`` appearing in loaded source resolves to the owning principal before
 interning, so rules-as-data are always context-independent.
@@ -637,7 +639,6 @@ class Workspace:
     # Transactions
     # ------------------------------------------------------------------
 
-    @contextmanager
     def transaction(self):
         """Group mutations; fixpoint + constraint check happen at exit.
 
@@ -645,40 +646,19 @@ class Workspace:
         constraint violation (or any error) the workspace state rolls back
         to the transaction start; the audit log keeps the rejection event
         (a constraint violation, or an assert or retraction refused in a
-        Figure 1 relation).
+        Figure 1 relation).  The one-member case of :class:`Transaction`.
         """
-        if self._txn_depth == 0:
-            self._begin()
-            self._txn_fresh = {}
-            self._txn_deleted = {}
-        self._txn_depth += 1
-        try:
-            try:
-                yield self
-            finally:
-                self._txn_depth -= 1
-            if self._txn_depth == 0:
-                self._commit()
-        except BaseException as exc:
-            # Interrupts and exits too: a transaction left open would make
-            # every later one nested, never committed and never checked.
-            if self._txn_depth == 0:
-                self.journal.rollback()
-                self._pending_template_refs = []
-                if isinstance(exc, ReflectedWriteError):
-                    self.audit.append(AuditEvent("meta_write_refused", {
-                        "workspace": self.name, "relation": exc.pred}))
-            raise
+        return Transaction((self,))
 
     def _log_rebind(self, name: str) -> None:
         """Log the container ``self.<name>`` holds, about to be replaced:
         a rollback rebinds it, so its order comes back exactly."""
         self.journal.log(vars(self).update, {name: getattr(self, name)})
 
-    def _commit(self) -> None:
-        """Maintain, then check every constraint over what the
-        transaction changed (a constraint installed in it, in full), then
-        hand the change to :attr:`on_commit`."""
+    def _commit(self) -> TransactionDelta:
+        """Prepare: maintain, then check every constraint over what the
+        transaction changed (a constraint installed in it, in full).
+        Returns the change, for :meth:`_finish`."""
         self._run_loop()
         delta = TransactionDelta(self.db, self._unchecked)
         violations = check_constraints(
@@ -694,11 +674,23 @@ class Workspace:
                 "total": len(violations),
             }))
             raise ConstraintViolation(violation.constraint, violation.bindings)
+        return delta
+
+    def _finish(self, delta: TransactionDelta) -> None:
+        """Hand a prepared change to :attr:`on_commit`, then commit."""
         if self.on_commit is not None:
             self.on_commit(delta)
         self._unchecked.clear()
         self.journal.commit()
         self._changes = _Changes()   # its record is nothing to undo now
+
+    def _abort(self, refused: BaseException) -> None:
+        """Roll the open transaction back; audit a refused Figure 1 write."""
+        self.journal.rollback()
+        self._pending_template_refs = []
+        if isinstance(refused, ReflectedWriteError):
+            self.audit.append(AuditEvent("meta_write_refused", {
+                "workspace": self.name, "relation": refused.pred}))
 
     # ------------------------------------------------------------------
     # Internals: assertion, reification, activation
@@ -785,8 +777,10 @@ class Workspace:
             del base[row]
 
     def _begin(self) -> None:
-        """Open a transaction on the journal, with its :class:`_Changes`."""
+        """Open a transaction on the journal, with its :class:`_Changes`
+        and no pending insertion or deletion."""
         self.journal.begin()
+        self._txn_fresh, self._txn_deleted = {}, {}
         self._changes = _Changes()
         self.journal.log(self._undo_changes, self._changes)
 
@@ -1263,3 +1257,51 @@ class Workspace:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Workspace({self.name!r}, {self.db.total_facts()} facts, "
                 f"{len(self._activated)} active rules)")
+
+
+class Transaction:
+    """One transaction over ``workspaces``: the body's writes to them
+    commit together or not at all.
+
+    A member with a transaction open takes the body into it (a nested
+    transaction flattens into the outermost one); each other one opens
+    its own.  At exit every member opened here prepares — maintains and
+    checks (:meth:`Workspace._commit`) — and only once all have does
+    each finish (:meth:`Workspace._finish`).  Any error before that rolls
+    every one of them back; the audit keeps the rejection event.
+    """
+
+    __slots__ = ("workspaces", "opened")
+
+    def __init__(self, workspaces: Collection[Workspace]) -> None:
+        self.workspaces = workspaces
+        self.opened: list[Workspace] = []
+
+    def __enter__(self) -> None:
+        for workspace in self.workspaces:
+            if not workspace._txn_depth:
+                workspace._begin()
+                self.opened.append(workspace)
+            workspace._txn_depth += 1
+
+    def __exit__(self, kind, refused, traceback) -> None:
+        for workspace in self.workspaces:
+            workspace._txn_depth -= 1
+        if kind is not None:
+            self._abort(refused)
+            return
+        try:
+            prepared = [(workspace, workspace._commit())
+                        for workspace in self.opened]
+            for workspace, delta in prepared:
+                workspace._finish(delta)
+        except BaseException as failure:
+            self._abort(failure)
+            raise
+
+    def _abort(self, refused: BaseException) -> None:
+        # Interrupts and exits too: a transaction left open would make
+        # every later one nested, never committed and never checked.
+        for workspace in self.opened:
+            if workspace.journal.entries is not None:
+                workspace._abort(refused)

@@ -183,7 +183,7 @@ class TestWatch:
 
         @benchmark("w", warmup=0, repeats=1)
         def w(case):
-            relation.lookup((0,), (1,))          # untimed setup lookup
+            relation.index_for((0,))             # untimed setup probe
             with case.measure():
                 pass
 

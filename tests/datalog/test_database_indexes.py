@@ -1,19 +1,20 @@
 """Property tests: relation hash indexes and the undo journal agree.
 
-Indexes are built lazily by ``lookup`` and maintained incrementally by
-``add``/``discard``/``add_rows``; a transaction's ``rollback`` toggles
-the rows it changed back through those same mutators.  The invariant
-under any interleaving of mutations, lookups and transactions: ``lookup``,
-``tuples`` and ``distinct_count`` agree with a brute-force scan of a
-value-space model, every maintained index contains exactly the rows of
-its relation under the right keys, a rollback lands on the model saved at
-``begin``, and a commit leaves nothing logged.
+Indexes are built lazily by a probe (``bucket_rows``) and maintained
+incrementally by ``add``/``discard``/``add_rows``; a transaction's
+``rollback`` toggles the rows it changed back through those same
+mutators.  The invariant under any interleaving of mutations, probes and
+transactions: a probe, ``tuples`` and ``distinct_count`` agree with a
+brute-force scan of a value-space model, every maintained index contains
+exactly the rows of its relation under the right keys, a rollback lands
+on the model saved at ``begin``, and a commit leaves nothing logged.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.database import Database, Journal, Relation, _row_key
+from test_database import probe
 
 VALUES = st.integers(0, 3)
 ROWS = st.tuples(VALUES, VALUES)
@@ -28,7 +29,7 @@ def ops(*targets):
             st.tuples(st.sampled_from(["add", "discard"]), target, ROWS),
             st.tuples(st.just("add_rows"), target,
                       st.frozensets(ROWS, max_size=4)),
-            st.tuples(st.just("lookup"), target,
+            st.tuples(st.just("probe"), target,
                       st.tuples(st.sampled_from(INDEXED), ROWS)),
             st.tuples(st.sampled_from(["begin", "commit", "rollback"]),
                       st.none(), st.none()),
@@ -54,7 +55,7 @@ def assert_matches_model(relation: Relation, model: set) -> None:
     for positions in INDEXED:
         for row in model | {(0, 0), (3, 3)}:
             key = tuple(row[p] for p in positions)
-            assert sorted(relation.lookup(positions, key)) == \
+            assert probe(relation, positions, key) == \
                 brute_lookup(model, positions, key)
     for positions, index in relation._indexes.items():
         rebuilt: dict = {}
@@ -120,7 +121,7 @@ def drive(journal: Journal, relation_of, exists, stream, eager=()):
             else:
                 positions, row = arg
                 key = tuple(row[p] for p in positions)
-                assert sorted(relation.lookup(positions, key)) == \
+                assert probe(relation, positions, key) == \
                     brute_lookup(model, positions, key)
         for n, model in models.items():
             assert_matches_model(exists(n), model)

@@ -449,9 +449,9 @@ class TestStatsPlumbing:
         relation = database.Relation("e", {(1, 2), (3, 4)})
         with outer.capture_indexes():
             with inner.capture_indexes():
-                relation.lookup((0,), (1,))
-            relation.lookup((0,), (3,))
-        relation.lookup((0,), (1,))  # no sink installed: uncounted
+                relation.index_for((0,))
+            relation.index_for((0,))
+        relation.index_for((0,))  # no sink installed: uncounted
         assert (inner.index_builds, inner.index_hits) == (1, 0)
         assert (outer.index_builds, outer.index_hits) == (0, 1)
 
