@@ -24,52 +24,43 @@ from .scheduler import NodeReport
 
 
 class Outbox:
-    """Id rows awaiting exchange, ``dst -> pred -> set``, and the rows
-    queued since their destination was last forgotten (``sent``, same
-    shape), which are not queued again.  A destination is any sortable
-    key."""
+    """Id rows awaiting exchange, ``(node, to) -> pred -> set`` (``to``
+    names the principal a block is for, "" at a shard; a row at no node
+    waits, undrained), and the rows queued since their recipient (``to``,
+    else the node) was last forgotten (``sent``, ``recipient -> pred ->
+    set``), which are not queued again."""
 
     def __init__(self) -> None:
         self.queue: dict = {}
         self.sent: dict = {}
 
-    def put(self, dst, pred: str, rows: set) -> None:
-        sent = self.sent.setdefault(dst, {}).setdefault(pred, set())
+    def put(self, node: Optional[str], pred: str, rows: set, to: str = "") -> None:
+        """Queue for ``to`` at ``node`` the ``rows`` of ``pred`` not
+        marked for their recipient, and mark them."""
+        sent = self.sent.setdefault(to or node, {}).setdefault(pred, set())
         fresh = rows - sent
         if fresh:
             sent |= fresh
-            self.queue.setdefault(dst, {}).setdefault(pred, set()) \
+            self.queue.setdefault((node, to), {}).setdefault(pred, set()) \
                 .update(fresh)
 
     def discard(self, pred: str, rows: set) -> None:
         """Unqueue ``rows`` of ``pred`` and drop their markers: what
         never shipped may be queued again."""
-        for dst, per_pred in self.queue.items():
+        for (node, to), per_pred in self.queue.items():
             if pred in per_pred:
                 gone = per_pred[pred] & rows
                 per_pred[pred] -= gone
-                self.sent[dst][pred] -= gone
+                self.sent[to or node][pred] -= gone
 
-    def drain(self, sink: Callable, place: Optional[Callable] = None) -> int:
-        """``sink(dst, pred, id_rows)`` per block, sorted by destination,
-        predicate and row, and unqueue it.  ``place(dst, pred, rows)``,
-        if given, names a queued block's destinations instead, as
-        ``{destination: rows}``; the rows it leaves out stay queued."""
-        blocks, self.queue = self.queue, {}
-        if place is not None:
-            queued, blocks = blocks, {}
-            for dst, per_pred in queued.items():
-                for pred, rows in per_pred.items():
-                    for to, placed in place(dst, pred, rows).items():
-                        blocks.setdefault(to, {})[pred] = placed
-                        rows -= placed
-                    if rows:
-                        self.queue.setdefault(dst, {})[pred] = rows
+    def drain(self, sink: Callable) -> int:
+        """``sink(node, pred, id_rows, to=to)`` per block with a node,
+        sorted by node, principal, predicate and row, and unqueue it."""
         drained = 0
-        for dst, per_pred in sorted(blocks.items()):
-            for pred, rows in sorted(per_pred.items()):
+        for node, to in sorted(dst for dst in self.queue if dst[0] is not None):
+            for pred, rows in sorted(self.queue.pop((node, to)).items()):
                 if rows:
-                    sink(dst, pred, sorted(rows))
+                    sink(node, pred, sorted(rows), to=to)
                     drained += len(rows)
         return drained
 
@@ -171,7 +162,7 @@ class ClusterNode:
         return received + self.stats.new_facts - before
 
     def drain_outbox(self, sink: Callable) -> int:
-        """``sink(dst, pred, id_rows)`` per block, sorted; clears it."""
+        """``sink(dst, pred, id_rows, to="")`` per block, sorted; clears it."""
         drained = self._outbox.drain(sink)
         self.sent_facts += drained
         return drained

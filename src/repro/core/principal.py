@@ -10,10 +10,11 @@ its rules reside."*  Here a principal owns:
 * a :class:`repro.crypto.keystore.KeyStore` holding its private material;
 * a home *node* in the simulated network (several principals may share
   one node — location transparency, paper section 3.5);
-* an :class:`~repro.cluster.node.Outbox` its commits feed, keyed by
-  the principal each row is for; a row leaves for the node its
-  ``predNode`` relation names when it is drained (paper section 3.5:
-  the ``loc`` table decides where facts go, read at send time).
+* an :class:`~repro.cluster.node.Outbox` its commits feed: a keyed row
+  for another principal is queued at the node its ``predNode`` relation
+  names for the row's key as it commits, and again when a ``predNode``
+  change names the key (paper section 3.5: the ``loc`` table decides
+  where facts go); a row no node takes waits, unread by any drain.
 
 The high-level verbs — :meth:`says`, :meth:`delegate`, :meth:`grant_read`
 — are thin sugar over asserting the corresponding facts; everything
@@ -45,7 +46,7 @@ class Principal:
             builtins=system.builtins,
             enable_provenance=system.enable_provenance,
         )
-        self.keystore = KeyStore()
+        self.keystore = KeyStore(system.journal)
         # Crypto builtins reach the keystore through the workspace, which
         # is the evaluation-context payload.
         self.workspace.keystore = self.keystore
@@ -53,14 +54,21 @@ class Principal:
         self.scheme_rule_refs: list[RuleRef] = []
         self.scheme_constraint_labels: list[str] = []
         self.auth_scheme: Optional[str] = None
-        #: what its commits added for others, per principal: shipped
-        #: once per scheme epoch, a workspace keeping its rows
+        #: what its commits added for others, by (node, principal):
+        #: shipped once per scheme epoch, a workspace keeping its rows
         self.outbox = Outbox()
         self.workspace.on_commit = self._ship
 
     def _ship(self, delta) -> None:
-        """Queue the keyed rows a commit added for another principal,
-        under that principal, and unqueue those it took back."""
+        """Queue again the rows of each partition a ``predNode`` change
+        names, then the keyed rows a commit added for another principal,
+        and unqueue those it took back."""
+        terms = self.system.registry.terms
+        for partition in {terms.values[row[0]] for row in (
+                delta.inserted("predNode") | delta.deleted("predNode"))}:
+            key = isinstance(partition, PredPartition) and terms.row_of(partition.keys)
+            if key:
+                self._requeue(partition.pred, lambda _, row: row[:len(key)] == key)
         for pred in self._keyed(delta.touched):
             self.outbox.discard(pred, delta.deleted(pred))
             self._queue(pred, delta.inserted(pred))
@@ -72,40 +80,39 @@ class Principal:
         for pred in self._keyed(list(relations)):
             self._queue(pred, relations[pred].rows)
 
+    def release(self, name: str) -> None:
+        """Queue the rows waiting for ``name``, a principal now, again."""
+        for pred in list(self.outbox.queue.get((None, name), ())):
+            self._requeue(pred, lambda dst, _: dst == (None, name))
+
     def _keyed(self, preds) -> list:
         """The keyed predicates of ``preds``."""
-        infos = [(pred, self.workspace.catalog.get(pred)) for pred in preds]
-        return [pred for pred, info in infos
-                if info is not None and info.key_arity]
+        catalog = self.workspace.catalog
+        return [pred for pred in preds if getattr(catalog.get(pred), "key_arity", 0)]
+
+    def _requeue(self, pred: str, taken) -> None:
+        """Unqueue the rows of ``pred`` that ``taken(dst, row)`` names
+        and queue them again."""
+        rows = {row for dst, per_pred in self.outbox.queue.items()
+                for row in per_pred.get(pred, ()) if taken(dst, row)}
+        if rows:
+            self.outbox.discard(pred, rows)
+            self._queue(pred, rows)
 
     def _queue(self, pred: str, rows: Iterable[tuple]) -> None:
-        values = self.system.registry.terms.values
-        blocks: dict[str, set] = {}
+        """Queue the ``rows`` of ``pred`` for other principals at the node
+        owning their key, one :meth:`owner` read per key: at no node while
+        no ``predNode`` row places it or it names no principal."""
+        terms = self.system.registry.terms
+        width, me = self.workspace.catalog.get(pred).key_arity, terms.id_of(self.name)
+        by_key: dict[tuple, set] = {}
         for row in rows:
-            target = values[row[0]]
-            if target != self.name:
-                blocks.setdefault(target, set()).add(row)
-        for target, block in blocks.items():
-            self.outbox.put(target, pred, block)
-
-    def place(self, to: str, pred: str, rows: set) -> dict:
-        """The queued ``rows`` of ``pred`` for ``to`` as ``{(node, to):
-        rows}``, one :meth:`owner` read per distinct key: none while
-        ``to`` is not a known principal, nor those of a key placed
-        nowhere (they stay queued)."""
-        if to not in self.system.principals:
-            return {}
-        width = self.workspace.catalog.get(pred).key_arity
-        by_key: dict[tuple, list] = {}
-        for row in rows:
-            by_key.setdefault(row[:width], []).append(row)
-        values = self.system.registry.terms.values
-        placed: dict[tuple, set] = {}
+            if row[0] != me:
+                by_key.setdefault(row[:width], set()).add(row)
         for key, keyed in by_key.items():
-            node = self.owner(pred, tuple([values[i] for i in key]))
-            if node is not None:
-                placed.setdefault((node, to), set()).update(keyed)
-        return placed
+            key = tuple([terms.values[i] for i in key])
+            node = self.owner(pred, key) if key[0] in self.system.principals else None
+            self.outbox.put(node, pred, keyed, key[0])
 
     def owner(self, pred: str, key: tuple) -> Optional[str]:
         """The node this workspace's ``predNode`` relation places

@@ -107,6 +107,7 @@ def _provision_rsa(system, holder, rng: random.Random, peers=None) -> None:
     for name in [holder.name] + [peer.name for peer in peers]:
         if name not in keys:
             keys[name] = rsa.generate_keypair(system.rsa_bits, rng)
+            system.journal.log(keys.pop, name)
     if everyone:
         private_id = rsa_private_id(holder.name)
         holder.keystore.install_rsa_private(private_id, keys[holder.name])
@@ -126,6 +127,7 @@ def _provision_hmac(system, holder, rng: random.Random, peers=None) -> None:
         if secret is None:
             secret = system.shared_secrets[key_id] = generate_shared_secret(
                 name, peer.name, rng)
+            system.journal.log(system.shared_secrets.pop, key_id)
         holder.keystore.install_secret(key_id, secret)
         holder.workspace.assert_fact("sharedsecret", (name, peer.name, key_id))
 

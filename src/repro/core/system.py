@@ -9,13 +9,11 @@ holder about it, and a scheme swap are each one system transaction.
 
 1. each principal's workspace runs its local fixpoint (this happens
    eagerly inside its transactions);
-2. each principal's commits queue the facts of keyed predicates under
-   the other principal each one names; each physical node's
-   :class:`WorkspaceNode` drains them as id rows over the system's
-   interner, the block form of every host, to the node the sender's
-   ``predNode`` relation (paper section 3.5's ld1/ld2 rules, verbatim)
-   names at that moment — a row no ``predNode`` row places stays
-   queued until one does;
+2. each principal's commits queue the facts of keyed predicates for the
+   other principal each one names, at the node the sender's ``predNode``
+   relation (paper section 3.5's ld1/ld2 rules, verbatim) names for its
+   key, and each physical node's :class:`WorkspaceNode` drains them as
+   id rows over the system's one interner, the block form of every host;
 3. messages are serialized, sent through the network (FIFO + latency),
    and imported at the destination in a transaction — where the scheme's
    verification constraint (exp3) and any authorization meta-constraints
@@ -79,12 +77,11 @@ class WorkspaceNode:
     workspace that ships what it does not own), it hosts workspaces that
     ship through an :class:`~repro.cluster.node.Outbox`; what differs is
     what feeds it and how facts come in.  A principal's commits feed its
-    own, and a drain reads where each block goes from the principal's
-    ``predNode`` table (paper section 3.5 — the ``loc`` table, not the
-    scheduler, decides where facts go), and integration runs the
-    full import pipeline — scheme verification constraints,
-    authorization meta-constraints, audited rollback — inside each
-    principal's transaction.
+    own, at the node its ``predNode`` table names (paper section 3.5 —
+    the ``loc`` table, not the scheduler, decides where facts go), and
+    integration runs the full import pipeline — scheme verification
+    constraints, authorization meta-constraints, audited rollback —
+    inside each principal's transaction.
     ``says``-attribution therefore survives the exchange path unchanged:
     what travels are the same ``export`` facts, whatever the scheduling
     mode.
@@ -109,14 +106,10 @@ class WorkspaceNode:
         return 0
 
     def drain_outbox(self, sink) -> int:
-        """Ship what the hosted principals' commits queued: one
-        ``sink(node, pred, id_rows, to=principal)`` call per block, to
-        the node the sender's ``predNode`` relation places it on now
-        (:meth:`Principal.place`)."""
-        drained = sum(principal.outbox.drain(
-            lambda dst, pred, rows: sink(dst[0], pred, rows, to=dst[1]),
-            principal.place)
-            for principal in self.principals)
+        """Ship what the hosted principals' commits queued at a node: one
+        ``sink(node, pred, id_rows, to=principal)`` call per block."""
+        drained = sum(principal.outbox.drain(sink)
+                      for principal in self.principals)
         self.sent_facts += drained
         return drained
 
@@ -238,6 +231,8 @@ class LBTrustSystem:
             self.journal.log(self.principals.pop, name)
             self._join(principal)
         self.network.add_node(principal.node)
+        for other in self.principals.values():
+            other.release(name)
         return principal
 
     def _join(self, principal: Principal) -> None:

@@ -7,9 +7,10 @@ that is what makes the paper's schemes ordinary Datalog.  The actual key
 cryptographic builtins resolve ids through this store.
 
 A key id is bound **once**: installing other material under an id already
-bound raises :class:`CryptoError`, and installing the same material again
-does nothing.  ``hmacverify`` / ``rsaverify`` read this store, not a
-relation, so a credential that verified when it entered verifies for as
+bound raises :class:`CryptoError`, installing the same material again
+does nothing, and a transaction that rolls back unbinds what it bound.
+``hmacverify`` / ``rsaverify`` read this store, not a relation, so a
+credential that verified when it entered verifies for as
 long as it is held — which is what lets a commit check the ``says`` it
 imports and never re-verify the ones it holds
 (:mod:`repro.datalog.constraints`).  Key rotation is a scheme change
@@ -22,6 +23,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from ..datalog.database import Journal
 from ..datalog.errors import CryptoError
 from . import rsa
 
@@ -29,18 +31,20 @@ from . import rsa
 class KeyStore:
     """Per-principal key material, addressed by string key ids."""
 
-    def __init__(self) -> None:
+    def __init__(self, journal: Optional[Journal] = None) -> None:
         self._rsa_private: dict[str, rsa.RSAPrivateKey] = {}
         self._rsa_public: dict[str, rsa.RSAPublicKey] = {}
         self._secrets: dict[str, bytes] = {}
+        #: logs the undo of each new binding (a principal's: the system's)
+        self.journal = journal
 
     # -- RSA -----------------------------------------------------------------
 
     def install_rsa_private(self, key_id: str, key: rsa.RSAPrivateKey) -> None:
-        _bind(self._rsa_private, key_id, key, "RSA private key")
+        self._bind(self._rsa_private, key_id, key, "RSA private key")
 
     def install_rsa_public(self, key_id: str, key: rsa.RSAPublicKey) -> None:
-        _bind(self._rsa_public, key_id, key, "RSA public key")
+        self._bind(self._rsa_public, key_id, key, "RSA public key")
 
     def rsa_private(self, key_id: str) -> rsa.RSAPrivateKey:
         key = self._rsa_private.get(key_id)
@@ -57,7 +61,7 @@ class KeyStore:
     # -- shared secrets ---------------------------------------------------------
 
     def install_secret(self, key_id: str, secret: bytes) -> None:
-        _bind(self._secrets, key_id, secret, "shared secret")
+        self._bind(self._secrets, key_id, secret, "shared secret")
 
     def secret(self, key_id: str) -> bytes:
         secret = self._secrets.get(key_id)
@@ -68,13 +72,13 @@ class KeyStore:
     def has_secret(self, key_id: str) -> bool:
         return key_id in self._secrets
 
-
-def _bind(table: dict, key_id: str, material, kind: str) -> None:
-    """Bind ``key_id`` to ``material`` in ``table``, once."""
-    held = table.setdefault(key_id, material)
-    if held != material:
-        raise CryptoError(f"{kind} id {key_id!r} is already bound to other "
-                          f"material")
+    def _bind(self, table: dict, key_id: str, material, kind: str) -> None:
+        """Bind ``key_id`` to ``material`` in ``table``, once."""
+        if self.journal is not None and key_id not in table:
+            self.journal.log(table.pop, key_id)
+        if table.setdefault(key_id, material) != material:
+            raise CryptoError(f"{kind} id {key_id!r} is already bound to "
+                              f"other material")
 
 
 # -- conventional key-id naming -------------------------------------------------

@@ -236,7 +236,7 @@ class TestNodeMechanics:
         assert kept == set()
         assert node._emit_rows("p", {remote_row}) == set()
         drained = []
-        node.drain_outbox(lambda dst, pred, rows: drained.append(
+        node.drain_outbox(lambda dst, pred, rows, to="": drained.append(
             (dst, pred, [terms.materialize_row(row) for row in rows])))
         assert drained == [("b", "p", [remote])]
         # re-offered after drain: still deduplicated

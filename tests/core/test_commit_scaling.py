@@ -6,7 +6,8 @@ that imports it.  A later commit that changes nothing exp3 reads must
 neither verify a held credential again nor visit a constraint whose
 relations it did not change.  A speaker's outbox takes what a commit
 added, so shipping one more credential reads the placement of its own
-block only.  A held credential is a ground fact, held as a
+block only, and a run reads none of the rows no ``predNode`` row
+places.  A held credential is a ground fact, held as a
 supported base row and compiled to no rule: the receiver's rules and
 strata do not grow with it, and no semi-naive round, over-delete or
 re-derivation visits it; taking one back copies nothing bob holds, and
@@ -27,8 +28,10 @@ from repro.datalog import constraints
 from repro.datalog.database import TermInterner
 from repro.datalog.engine import EngineRule
 from repro.datalog.stratify import Stratum
+from repro.datalog.terms import PredPartition
 from repro.meta import registry as registry_module
 from repro.meta.model import ALL_META_PREDS
+from repro.net.batch import MessageBatcher
 from repro.workspace.workspace import Workspace
 
 
@@ -122,6 +125,45 @@ def test_shipping_one_credential_looks_up_only_its_own_rows(monkeypatch):
         lookups.append(list(calls))
         monkeypatch.setattr(Principal, "owner", owner)
     assert lookups == [[("alice", "export", ("bob",))] * 2] * 3
+
+
+@pytest.mark.parametrize("unplaced", [0, 2000])
+def test_rows_no_predNode_places_cost_a_run_nothing(monkeypatch, unplaced):
+    """alice derives ``unplaced`` ``tag[bob]`` rows that no ``predNode``
+    row places: they wait, and a ``run()`` reads no owner and hands no
+    row to the sink (while every drain regrouped the queued rows by key,
+    each run read the owner of ``tag[bob]`` again, at 2,000 rows for
+    0.3–0.6 ms).  A ``predNode`` insert for ``tag[bob]`` places them as
+    it commits, and the next run ships exactly those rows to bob."""
+    system = LBTrustSystem(auth="plaintext", seed=1)
+    alice = system.create_principal("alice")
+    bob = system.create_principal("bob")
+    alice.load("tag[P](Y) <- item(P,Y).")
+    alice.assert_facts("item", [("bob", k) for k in range(unplaced)])
+    owner, add = Principal.owner, MessageBatcher.add
+    reads, shipped = [], []
+
+    def counting_owner(self, pred, key):
+        reads.append((self.name, pred, key))
+        return owner(self, pred, key)
+
+    def counting_add(self, src, dst, pred, rows, to="", round_stamp=0):
+        rows = list(rows)
+        shipped.append((dst, pred, to, len(rows)))
+        return add(self, src, dst, pred, rows, to, round_stamp)
+
+    monkeypatch.setattr(Principal, "owner", counting_owner)
+    monkeypatch.setattr(MessageBatcher, "add", counting_add)
+    for _ in range(2):
+        assert system.run().delivered == 0
+    assert (reads, shipped) == ([], [])
+    alice.assert_fact("predNode", (PredPartition("tag", ("bob",)), "bob"))
+    reads.clear()
+    report = system.run()
+    assert reads == []
+    assert shipped == ([("bob", "tag", "bob", unplaced)] if unplaced else [])
+    assert report.delivered == unplaced and report.rejected == 0
+    assert len(bob.tuples("tag")) == unplaced
 
 
 def test_a_held_credential_costs_a_later_import_nothing(monkeypatch):

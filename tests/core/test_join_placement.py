@@ -1,12 +1,15 @@
 """A join writes each workspace once, and a row leaves for the node the
 sender's ``predNode`` relation names when it is sent (paper section
-3.5: every principal holds the ``loc`` table).
+3.5: every principal holds the ``loc`` table).  A commit queues a row at
+the node its key's owner names then, and a commit that changes
+``predNode`` queues the rows of the keys it names again.
 
 A stream of principals created on random nodes, ``says``, ``run()``,
 relocations (a ``loc`` row retracted and another asserted in one
-transaction) and extra ``loc`` rows runs in two systems: one creates
-each batch of principals in the order drawn, the other in reverse.
-After every step:
+transaction), extra ``loc`` rows, and a principal's only ``loc`` row
+retracted and later restored runs in two systems: one creates each
+batch of principals in the order drawn, the other in reverse.  After
+every step:
 
 * each principal's owner read (:meth:`Principal.owner`) names, for each
   placed key, what a reference builds from its ``predNode`` relation
@@ -14,14 +17,20 @@ After every step:
 * both systems hold equal relations at every principal (key ids, not
   key bytes, which depend on the order keys were drawn in);
 * every ``export`` row a speaker holds for a known principal is queued
-  or sent to that principal, and after a run it is held there too.
+  or sent to that principal;
+* every queued row's node is its key's owner now, a row waits (queued
+  at no node) exactly when its key has no owner or names no principal,
+  and a held row not queued is held by the principal it names; after a
+  run no row is queued at a node.
 
 An owner picked by set order, or one that missed a relocation's deleted
 rows, fails the first check; a join that wrote another principal's keys
 or roster rows in the wrong workspace, the second; a commit that did not
-queue a row for the principal it names, the third.  A relocation sends
-nothing again (:func:`test_a_relocation_resends_nothing`): a principal's
-markers are keyed by the principal, not by its node.
+queue a row for the principal it names, the third; a ``predNode`` delete
+that does not queue its key's rows again, or a drain that ships waiting
+rows, the fourth.  A relocation sends nothing again
+(:func:`test_a_relocation_resends_nothing`): a principal's markers are
+keyed by the principal, not by its node.
 """
 
 from collections import Counter, defaultdict
@@ -50,6 +59,8 @@ ops = st.one_of(
     st.tuples(st.just("run")),
     st.tuples(st.just("relocate"), created, created, nodes),
     st.tuples(st.just("extra"), created, created, nodes),
+    st.tuples(st.just("unloc"), created, created),
+    st.tuples(st.just("restore"), created, created),
 )
 
 
@@ -92,13 +103,21 @@ def apply(system, op, reverse: bool) -> None:
     if op[0] == "says":
         principal.says(op[2], f'msg("{op[3]}").')
         return
-    holder, name, node = principal, order[op[2] % len(order)], op[3]
+    holder, name = principal, order[op[2] % len(order)]
+    located = sorted(row for row in holder.tuples("loc") if row[0] == name)
+    if op[0] == "unloc":        # the key of ``name`` is placed nowhere
+        if len(located) == 1:
+            holder.retract_fact("loc", located[0])
+        return
+    if op[0] == "restore":      # and is placed again, at its home node
+        if not located:
+            holder.assert_fact("loc", (name, known[name].node))
+        return
     with holder.workspace.transaction():
-        holder.assert_fact("node", (node,))
-        if op[0] == "relocate":
-            _, old = min(row for row in holder.tuples("loc") if row[0] == name)
-            holder.retract_fact("loc", (name, old))
-        holder.assert_fact("loc", (name, node))
+        holder.assert_fact("node", (op[3],))
+        if op[0] == "relocate" and located:
+            holder.retract_fact("loc", located[0])
+        holder.assert_fact("loc", (name, op[3]))
 
 
 def check_routed(system) -> None:
@@ -114,12 +133,34 @@ def check_routed(system) -> None:
                 assert row in sent.get("export", ())
 
 
-def check_delivered(system) -> None:
+def check_placed(system) -> None:
+    """Every queued ``export`` row is queued for the principal it names,
+    at the node its sender's :meth:`Principal.owner` names for its key
+    now; a row waits (is queued at no node) exactly when its key has no
+    owner or names no principal; and a held row not queued is held by
+    the principal it names."""
+    values = system.registry.terms.values
     for principal in system.principals.values():
-        for fact in principal.tuples("export"):
-            listener = system.principals.get(fact[0])
-            if listener is not None and listener is not principal:
-                assert fact in listener.tuples("export")
+        queued = {row: (node, to)
+                  for (node, to), per_pred in principal.outbox.queue.items()
+                  for row in per_pred.get("export", ())}
+        for row, (node, to) in queued.items():
+            owner = to in system.principals and principal.owner("export", (to,))
+            assert (values[row[0]], owner or None) == (to, node)
+        relation = principal.workspace.db.get("export")
+        for row in relation.rows if relation is not None else ():
+            listener = system.principals.get(values[row[0]])
+            if listener is not principal and row not in queued:
+                assert row in listener.workspace.db.get("export").rows
+
+
+def check_delivered(system) -> None:
+    """After a run no row is queued at a node: with
+    :func:`check_placed`, every ``export`` row that does not wait is
+    held by the principal it names."""
+    for principal in system.principals.values():
+        assert not any(rows for (node, _), per_pred in principal.outbox.queue.items()
+                       if node is not None for rows in per_pred.values())
 
 
 #: bob holds three credentials from alice, then alice moves bob's ``loc``
@@ -130,10 +171,18 @@ RELOCATION = [("create", [("alice", "alice"), ("bob", "bob")]),
               ("run",), ("says", 0, "bob", 3), ("run",)]
 
 
+#: alice takes bob off her ``loc`` table, says to him, puts him back at
+#: his home node, and says again
+UNPLACED = [("create", [("alice", "n0"), ("bob", "n1")]),
+            ("says", 0, "bob", 0), ("unloc", 0, 1), ("says", 0, "bob", 1),
+            ("run",), ("restore", 0, 1), ("says", 0, "bob", 2), ("run",)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(auth=st.sampled_from(["hmac", "plaintext"]),
        stream=st.lists(ops, max_size=12))
 @example(auth="hmac", stream=RELOCATION)
+@example(auth="plaintext", stream=UNPLACED)
 def test_placement_and_relations_follow_the_loc_table(auth, stream):
     systems = []
     for _ in range(2):
@@ -149,6 +198,7 @@ def test_placement_and_relations_follow_the_loc_table(auth, stream):
                 assert {slot: principal.owner(*slot)
                         for slot in expected} == expected
             check_routed(system)
+            check_placed(system)
             if op[0] == "run":
                 check_delivered(system)
         assert relations(systems[0]) == relations(systems[1])
@@ -176,8 +226,25 @@ def test_a_relocation_resends_nothing():
     assert {("0",), ("1",), ("2",), ("3",)} == bob.tuples("msg")
 
 
+def test_a_join_releases_the_rows_waiting_for_the_newcomer():
+    """alice places ``tag[ghost]`` on her own node before ghost exists,
+    so her ``tag`` rows for ghost wait (they name no principal).  ghost's
+    join changes no ``predNode`` row of ``tag`` at alice, yet the rows
+    ship on the next run: a join queues the rows waiting for the
+    newcomer again."""
+    system = LBTrustSystem(auth="plaintext")
+    alice = system.create_principal("alice")
+    alice.load("tag[P](Y) <- item(P,Y).")
+    alice.assert_fact("predNode", (PredPartition("tag", ("ghost",)), "alice"))
+    alice.assert_facts("item", [("ghost", 1), ("ghost", 2)])
+    assert system.run().delivered == 0
+    ghost = system.create_principal("ghost")
+    assert system.run().delivered == 2
+    assert ghost.tuples("tag") == {("ghost", 1), ("ghost", 2)}
+
+
 class TestOwnerRead:
-    """A drain reads a block's node from the sender's ``predNode`` rows."""
+    """A block's node is read from the sender's ``predNode`` rows."""
 
     @staticmethod
     def alice():
@@ -228,8 +295,8 @@ class TestOwnerRead:
             alice.assert_fact("loc", ("bob", "b"))
         assert alice.owner("export", ("bob",)) == "b"
         shipped = []
-        alice.outbox.drain(lambda dst, pred, rows: shipped.append(
-            (dst, pred, len(rows))), alice.place)
+        alice.outbox.drain(lambda node, pred, rows, to: shipped.append(
+            ((node, to), pred, len(rows))))
         assert shipped == [(("b", "bob"), "export", 1)]
         assert alice.outbox.queue == {}
 

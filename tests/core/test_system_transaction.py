@@ -14,10 +14,11 @@ principal, a constraint violation at a random principal, or an interrupt
 at the k-th workspace commit — and checks that everything the system
 held before is held again, to the row: every workspace's relations,
 labels, catalog, constraints, active rules and outbox, the principals,
-the scheme, the bookkeeping and the network's nodes.  The audit gains
-the refusal event alone.  Key material (``shared_secrets``, ``rsa_keys``,
-keystores) is a bound-once cache a retry reuses, so it is not rolled
-back; no relation names material of a principal that does not exist.
+the scheme, the bookkeeping, the key material (``shared_secrets``,
+``rsa_keys`` and every keystore's bindings: each one a transaction
+creates is logged on the system's journal) and the network's nodes.  The audit gains the refusal event alone, no relation
+names material of a principal that does not exist, and a retry of the
+same join or swap goes through.
 """
 
 from dataclasses import replace
@@ -61,13 +62,19 @@ def held(system) -> dict:
                 ws.catalog.entries(), list(ws.catalog.added),
                 list(ws.constraints), ws.active_refs(), set(ws._activated))
 
+    def keys(store) -> tuple:
+        return (dict(store._rsa_private), dict(store._rsa_public),
+                dict(store._secrets))
+
     return {
         "principals": dict(system.principals),
         "scheme": (system._scheme, system.auth_name),
         "nodes": system.network.nodes(),
+        "keys": (dict(system.shared_secrets), dict(system.rsa_keys)),
         "each": {name: (list(p.scheme_rule_refs),
                         list(p.scheme_constraint_labels), p.auth_scheme,
-                        workspace(p.workspace), outbox(p.outbox))
+                        workspace(p.workspace), outbox(p.outbox),
+                        keys(p.keystore))
                  for name, p in system.principals.items()},
     }
 
@@ -180,10 +187,12 @@ def test_a_failure_anywhere_in_a_join_or_swap_changes_nothing(data):
 
 def test_a_failed_join_is_not_applied_anywhere(monkeypatch):
     """A ``provision`` raising at dave during carol's join: alice and bob
-    hold no roster or key row for carol, and carol is neither a principal
-    nor a network node.  (While each workspace was its own transaction,
-    both kept ``prin("carol")`` and a ``sharedsecret`` row for her, and
-    node ``carol`` stayed.)"""
+    hold no roster or key row for carol, nor a shared secret with her,
+    and carol is neither a principal nor a network node.  (While each
+    workspace was its own transaction, both kept ``prin("carol")`` and a
+    ``sharedsecret`` row for her, and node ``carol`` stayed; until key
+    material was journaled, ``shared_secrets`` and both keystores kept
+    their secrets with her.)"""
     system = LBTrustSystem(auth="hmac", seed=5)
     for name in PEERS:
         system.create_principal(name)
@@ -198,3 +207,6 @@ def test_a_failed_join_is_not_applied_anywhere(monkeypatch):
                         if "carol" in fact[:2]], (name, pred)
     assert "carol" not in system.principals
     assert "carol" not in system.network.nodes()
+    for key_ids in (system.shared_secrets, *(system.principal(name).keystore._secrets
+                                             for name in PEERS)):
+        assert not [key_id for key_id in key_ids if "carol" in key_id]
