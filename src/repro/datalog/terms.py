@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
+
+from .errors import SafetyError
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +596,134 @@ def is_anonymous(var: Variable) -> bool:
     return var.name.startswith("_")
 
 
-def walk_terms(term: Term) -> Iterator[Term]:
-    """Yield ``term`` and every sub-term, depth-first."""
-    yield term
-    if isinstance(term, Expr):
-        yield from walk_terms(term.left)
-        yield from walk_terms(term.right)
-    elif isinstance(term, PartitionTerm):
-        for key in term.keys:
-            yield from walk_terms(key)
+def substitute(node, rewrite: Callable[[Term], Term]):
+    """``node`` with ``rewrite`` applied to each of its terms, bottom up.
+
+    The one walk over the terms of a rule as data: ``me`` resolution,
+    template filling and SeNDlog's context variable all go through it.
+    It enters a term's parts (an expression's operands, a partition's
+    keys, a quote's pattern) before handing the term to ``rewrite``; an
+    atom's keys and arguments; literals, comparisons and builtin calls;
+    a rule's heads and body (its aggregate is kept as is); both sides of
+    a constraint; and a pattern's atoms and nested ``V = [| … |]`` quotes
+    (stars and the ``V`` stay).  A predicate variable of a pattern that
+    ``rewrite`` turns into a constant takes the constant's value, which
+    must be a name.  A node none of whose parts changed comes back as the
+    very same object, so a rewrite that finds nothing to do allocates
+    nothing.
+    """
+    return _WALKS[type(node)](node, rewrite)
+
+
+def _each(items: tuple, rewrite) -> tuple:
+    changed = None
+    for index, item in enumerate(items):
+        kind = type(item)
+        new = rewrite(item) if kind is Variable or kind is Constant \
+            else _WALKS[kind](item, rewrite)
+        if new is not item:
+            if changed is None:
+                changed = list(items)
+            changed[index] = new
+    return items if changed is None else tuple(changed)
+
+
+def _expr(term: Expr, rewrite) -> Term:
+    left, right = substitute(term.left, rewrite), substitute(term.right, rewrite)
+    if left is not term.left or right is not term.right:
+        term = Expr(term.op, left, right)
+    return rewrite(term)
+
+
+def _partition(term: PartitionTerm, rewrite) -> Term:
+    keys = _each(term.keys, rewrite)
+    return rewrite(term if keys is term.keys else PartitionTerm(term.pred, keys))
+
+
+def _quote(term: Quote, rewrite) -> Term:
+    pattern = _pattern(term.pattern, rewrite)
+    return rewrite(term if pattern is term.pattern else Quote(pattern))
+
+
+def _atom_pattern(atom: AtomPattern, rewrite) -> AtomPattern:
+    functor = atom.functor
+    if isinstance(functor, Variable):
+        functor = rewrite(functor)
+        if isinstance(functor, Constant):
+            if not isinstance(functor.value, str):
+                raise SafetyError(
+                    f"pattern functor {atom.functor.name} bound to "
+                    f"non-predicate value {functor.value!r}")
+            functor = functor.value
+    args = atom.args if atom.args is None else _each(atom.args, rewrite)
+    if functor is atom.functor and args is atom.args:
+        return atom
+    return AtomPattern(functor, args, atom.negated)
+
+
+def _eq_pattern(lit: EqPattern, rewrite) -> EqPattern:
+    quote = _quote(lit.quote, rewrite)
+    return lit if quote is lit.quote else EqPattern(lit.var, quote)
+
+
+def _pattern(pattern: RulePattern, rewrite) -> RulePattern:
+    heads, body = _each(pattern.heads, rewrite), _each(pattern.body, rewrite)
+    if heads is pattern.heads and body is pattern.body:
+        return pattern
+    return RulePattern(heads, body, pattern.has_arrow)
+
+
+def _atom(atom: Atom, rewrite) -> Atom:
+    args, keys = _each(atom.args, rewrite), _each(atom.keys, rewrite)
+    if args is atom.args and keys is atom.keys:
+        return atom
+    return Atom(atom.pred, args, keys, span=atom.span)
+
+
+def _literal(lit: Literal, rewrite) -> Literal:
+    atom = _atom(lit.atom, rewrite)
+    return lit if atom is lit.atom else Literal(atom, lit.negated, span=lit.span)
+
+
+def _comparison(item: Comparison, rewrite) -> Comparison:
+    left, right = substitute(item.left, rewrite), substitute(item.right, rewrite)
+    if left is item.left and right is item.right:
+        return item
+    return Comparison(item.op, left, right, span=item.span)
+
+
+def _builtin(item: BuiltinCall, rewrite) -> BuiltinCall:
+    args = _each(item.args, rewrite)
+    return item if args is item.args else BuiltinCall(item.name, args)
+
+
+def _rule(rule: Rule, rewrite) -> Rule:
+    heads, body = _each(rule.heads, rewrite), _each(rule.body, rewrite)
+    if heads is rule.heads and body is rule.body:
+        return rule
+    return Rule(heads, body, rule.agg, rule.label, span=rule.span)
+
+
+def _constraint(constraint: Constraint, rewrite) -> Constraint:
+    lhs, rhs = _each(constraint.lhs, rewrite), _each(constraint.rhs, rewrite)
+    if lhs is constraint.lhs and rhs is constraint.rhs:
+        return constraint
+    return Constraint(lhs, rhs, constraint.label, constraint.source,
+                      span=constraint.span)
+
+
+def _leaf(node, rewrite):
+    return rewrite(node)
+
+
+def _kept(node, rewrite):
+    return node
+
+
+_WALKS = {
+    Variable: _leaf, Constant: _leaf, Expr: _expr, PartitionTerm: _partition,
+    Quote: _quote, Star: _kept, StarLits: _kept, AtomPattern: _atom_pattern,
+    EqPattern: _eq_pattern, RulePattern: _pattern, Atom: _atom,
+    Literal: _literal, Comparison: _comparison, BuiltinCall: _builtin,
+    Rule: _rule, Constraint: _constraint, tuple: _each,
+}

@@ -41,7 +41,6 @@ from ..datalog.terms import (
     ME,
     Atom,
     AtomPattern,
-    Comparison,
     Constant,
     Literal,
     PatternValue,

@@ -29,15 +29,17 @@ from ..datalog.lexer import Token, tokenize
 from ..datalog.terms import (
     ME,
     Atom,
+    AtomPattern,
     Constant,
-    Literal,
     Quote,
     Rule,
+    RulePattern,
     Statement,
     Term,
     Variable,
+    substitute,
 )
-from .binder import BinderParser, _says_import
+from .binder import BinderParser
 
 
 @dataclass
@@ -140,75 +142,24 @@ def _parse_block(tokens: list[Token], context) -> list[Statement]:
 def _compile_rule(heads, body_formula, label, context) -> list[Rule]:
     from ..datalog.logic import to_dnf
 
-    substitution = None
-    if isinstance(context, Variable):
-        substitution = context.name
+    # p(args)@Z  →  says(me, Z, [| p(args). |])   (paper ls2)
+    head_atoms = tuple(
+        atom if dest is None else Atom("says", (
+            Constant(ME), dest,
+            Quote(RulePattern((AtomPattern(atom.pred, atom.all_args),)))),
+            span=atom.span)
+        for atom, dest in heads)
+    here = Constant(ME)
 
-    def localize_term(term: Term) -> Term:
-        if substitution and isinstance(term, Variable) and term.name == substitution:
-            return Constant(ME)
-        if isinstance(term, Quote):
-            from ..datalog.terms import AtomPattern, RulePattern, Star
+    def localize(term: Term) -> Term:
+        # a named context is a str, which no term equals
+        return here if term == context else term
 
-            def localize_pattern(pattern: RulePattern) -> RulePattern:
-                new_heads = []
-                for head in pattern.heads:
-                    args = head.args
-                    if args is not None:
-                        args = tuple(
-                            a if isinstance(a, Star) else localize_term(a)
-                            for a in args
-                        )
-                    new_heads.append(AtomPattern(head.functor, args, head.negated))
-                return RulePattern(tuple(new_heads), pattern.body,
-                                   pattern.has_arrow)
-
-            return Quote(localize_pattern(term.pattern))
-        return term
-
-    def localize_atom(atom: Atom) -> Atom:
-        return Atom(atom.pred,
-                    tuple(localize_term(t) for t in atom.args),
-                    tuple(localize_term(t) for t in atom.keys),
-                    span=atom.span)
-
-    rules = []
-    for alternative in (to_dnf(body_formula) if body_formula is not None
-                        else ((),)):
-        body_items = []
-        for item in alternative:
-            if isinstance(item, Literal):
-                body_items.append(Literal(localize_atom(item.atom),
-                                          item.negated, span=item.span))
-            else:
-                item_type = type(item)
-                if hasattr(item, "left"):
-                    body_items.append(item_type(item.op,
-                                                localize_term(item.left),
-                                                localize_term(item.right)))
-                else:
-                    body_items.append(item_type(
-                        item.name, tuple(localize_term(t) for t in item.args)))
-        head_atoms = []
-        for atom, dest in heads:
-            atom = localize_atom(atom)
-            if dest is None:
-                head_atoms.append(atom)
-            else:
-                # p(args)@Z  →  says(me, Z, [| p(args). |])   (paper ls2)
-                from ..datalog.terms import AtomPattern, RulePattern
-
-                pattern = RulePattern(
-                    heads=(AtomPattern(atom.pred, tuple(atom.all_args)),),
-                    body=(), has_arrow=False,
-                )
-                head_atoms.append(Atom("says", (
-                    Constant(ME), localize_term(dest), Quote(pattern)),
-                    span=atom.span))
-        span = head_atoms[0].span if head_atoms else None
-        rules.append(Rule(tuple(head_atoms), tuple(body_items), None, label,
-                          span=span))
-    return rules
+    return [
+        substitute(Rule(head_atoms, tuple(alternative), None, label,
+                        span=head_atoms[0].span), localize)
+        for alternative in (to_dnf(body_formula) if body_formula is not None
+                            else ((),))]
 
 
 def install_sendlog(system_or_principals, source: str) -> None:

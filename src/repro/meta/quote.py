@@ -17,10 +17,12 @@ Two halves:
    positions; argument lists without a star constrain ``arity``; a quoted
    fact (no ``<-``) additionally requires ``factrule``.
 
-2. :func:`compile_statement` — the full normalization a workspace applies
-   when loading source: resolve ``me`` to the owning principal, replace
-   body quotes by fresh variables plus their compiled meta-atoms, and turn
-   body literals whose functor is a registered builtin into
+2. :func:`compile_rule` / :func:`compile_constraint` — the full
+   normalization a workspace applies when loading source: resolve ``me``
+   to the owning principal (:func:`resolve_me`, one
+   :func:`~repro.datalog.terms.substitute` walk), replace body quotes by
+   fresh variables plus their compiled meta-atoms, and turn body literals
+   whose functor is a registered builtin into
    :class:`repro.datalog.terms.BuiltinCall` items.  Head-position quotes
    survive as templates — they are code generation and run inside the
    engine.
@@ -33,6 +35,7 @@ from typing import Optional
 from ..datalog.builtins import BuiltinRegistry
 from ..datalog.errors import SafetyError
 from ..datalog.terms import (
+    ME,
     Atom,
     AtomPattern,
     BuiltinCall,
@@ -40,10 +43,7 @@ from ..datalog.terms import (
     Constant,
     Constraint,
     EqPattern,
-    Expr,
     Literal,
-    MeToken,
-    PartitionTerm,
     Quote,
     Rule,
     RulePattern,
@@ -53,6 +53,7 @@ from ..datalog.terms import (
     Variable,
     fresh_var,
     is_anonymous,
+    substitute,
 )
 
 
@@ -60,93 +61,16 @@ from ..datalog.terms import (
 # me resolution
 # ---------------------------------------------------------------------------
 
-def resolve_me_term(term: Term, principal: str) -> Term:
-    if isinstance(term, Constant) and isinstance(term.value, MeToken):
-        return Constant(principal)
-    if isinstance(term, Expr):
-        return Expr(term.op,
-                    resolve_me_term(term.left, principal),
-                    resolve_me_term(term.right, principal))
-    if isinstance(term, PartitionTerm):
-        return PartitionTerm(term.pred,
-                             tuple(resolve_me_term(k, principal) for k in term.keys))
-    if isinstance(term, Quote):
-        return Quote(resolve_me_pattern(term.pattern, principal))
-    return term
+def resolve_me(node, principal: str):
+    """``node`` (a rule, constraint, atom, term or pattern) with every
+    ``me`` the owning principal's name: one :func:`substitute` walk, so a
+    node with no ``me`` comes back as it is."""
+    here = Constant(principal)
 
+    def rewrite(term: Term) -> Term:
+        return here if isinstance(term, Constant) and term.value is ME else term
 
-def resolve_me_pattern(pattern: RulePattern, principal: str) -> RulePattern:
-    def resolve_atom(atom_pattern: AtomPattern) -> AtomPattern:
-        if atom_pattern.args is None:
-            return atom_pattern
-        args = tuple(
-            arg if isinstance(arg, Star) else resolve_me_term(arg, principal)
-            for arg in atom_pattern.args
-        )
-        return AtomPattern(atom_pattern.functor, args, atom_pattern.negated)
-
-    heads = tuple(resolve_atom(h) for h in pattern.heads)
-    body: list = []
-    for lit in pattern.body:
-        if isinstance(lit, AtomPattern):
-            body.append(resolve_atom(lit))
-        elif isinstance(lit, EqPattern):
-            body.append(EqPattern(lit.var,
-                                  Quote(resolve_me_pattern(lit.quote.pattern, principal))))
-        else:
-            body.append(lit)
-    return RulePattern(heads, tuple(body), pattern.has_arrow)
-
-
-def _term_holds_me(term: Term) -> bool:
-    if isinstance(term, Constant):
-        return isinstance(term.value, MeToken)
-    if isinstance(term, Expr):
-        return _term_holds_me(term.left) or _term_holds_me(term.right)
-    if isinstance(term, PartitionTerm):
-        return any(map(_term_holds_me, term.keys))
-    if isinstance(term, Quote):
-        return _pattern_holds_me(term.pattern)
-    return False
-
-
-def _pattern_holds_me(pattern: RulePattern) -> bool:
-    for lit in pattern.heads + pattern.body:
-        if isinstance(lit, AtomPattern):
-            if any(map(_term_holds_me, lit.args or ())):
-                return True
-        elif isinstance(lit, EqPattern) and _pattern_holds_me(lit.quote.pattern):
-            return True
-    return False
-
-
-def _rule_holds_me(rule: Rule) -> bool:
-    """True when ``me`` occurs where :func:`resolve_me_rule` resolves it
-    (or the body holds an item it cannot resolve)."""
-    for head in rule.heads:
-        if any(map(_term_holds_me, head.all_args)):
-            return True
-    for item in rule.body:
-        if isinstance(item, Literal):
-            terms = item.atom.all_args
-        elif isinstance(item, Comparison):
-            terms = (item.left, item.right)
-        elif isinstance(item, BuiltinCall):
-            terms = item.args
-        else:
-            return True
-        if any(map(_term_holds_me, terms)):
-            return True
-    return False
-
-
-def resolve_me_atom(atom: Atom, principal: str) -> Atom:
-    return Atom(
-        atom.pred,
-        tuple(resolve_me_term(t, principal) for t in atom.args),
-        tuple(resolve_me_term(t, principal) for t in atom.keys),
-        span=atom.span,
-    )
+    return substitute(node, rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +152,7 @@ def resolve_me_rule(rule: Rule, principal: str) -> Rule:
     them in the receiving context.  A rule with no ``me`` comes back
     as it is.
     """
-    if not _rule_holds_me(rule):
-        return rule
-    heads = tuple(resolve_me_atom(h, principal) for h in rule.heads)
-    body: list = []
-    for item in rule.body:
-        if isinstance(item, Literal):
-            body.append(Literal(resolve_me_atom(item.atom, principal),
-                                item.negated, span=item.span))
-        elif isinstance(item, Comparison):
-            body.append(Comparison(item.op,
-                                   resolve_me_term(item.left, principal),
-                                   resolve_me_term(item.right, principal),
-                                   span=item.span))
-        elif isinstance(item, BuiltinCall):
-            body.append(BuiltinCall(item.name, tuple(
-                resolve_me_term(t, principal) for t in item.args)))
-        else:  # pragma: no cover - defensive
-            raise SafetyError(f"unexpected body item {item!r}")
-    return Rule(heads, tuple(body), rule.agg, rule.label, span=rule.span)
+    return resolve_me(rule, principal)
 
 
 def compile_rule(rule: Rule, principal: Optional[str],
@@ -256,38 +162,31 @@ def compile_rule(rule: Rule, principal: Optional[str],
     Resolves ``me``, compiles body quotes to meta-atom joins, and converts
     builtin functors.  Head quotes remain as instantiation templates.
     """
-    heads = tuple(
-        resolve_me_atom(h, principal) if principal is not None else h
-        for h in rule.heads
-    )
-    body = compile_body_items(rule.body, principal, builtins)
-    return Rule(heads, tuple(body), rule.agg, rule.label, span=rule.span)
+    if principal is not None:
+        rule = resolve_me(rule, principal)
+    body = compile_body_items(rule.body, builtins)
+    return Rule(rule.heads, tuple(body), rule.agg, rule.label, span=rule.span)
 
 
 def compile_constraint(constraint: Constraint, principal: Optional[str],
                        builtins: Optional[BuiltinRegistry] = None) -> Constraint:
     """Normalize a constraint: both DNF sides get the body treatment."""
-    lhs = tuple(
-        tuple(compile_body_items(alternative, principal, builtins))
-        for alternative in constraint.lhs
-    )
-    rhs = tuple(
-        tuple(compile_body_items(alternative, principal, builtins))
-        for alternative in constraint.rhs
-    )
+    if principal is not None:
+        constraint = resolve_me(constraint, principal)
+    lhs, rhs = (
+        tuple(tuple(compile_body_items(alternative, builtins))
+              for alternative in side)
+        for side in (constraint.lhs, constraint.rhs))
     return Constraint(lhs, rhs, constraint.label, constraint.source,
                       span=constraint.span)
 
 
-def compile_body_items(items: tuple, principal: Optional[str],
+def compile_body_items(items: tuple,
                        builtins: Optional[BuiltinRegistry]) -> list:
     compiled: list = []
     for item in items:
         if isinstance(item, Literal):
-            atom = item.atom
-            if principal is not None:
-                atom = resolve_me_atom(atom, principal)
-            atom, extra = _extract_quotes(atom)
+            atom, extra = _extract_quotes(item.atom)
             if extra and item.negated:
                 raise SafetyError(
                     f"negated literal {item!r} cannot contain a quoted "
@@ -304,8 +203,7 @@ def compile_body_items(items: tuple, principal: Optional[str],
                 compiled.append(Literal(atom, item.negated, span=item.span))
             compiled.extend(extra)
         elif isinstance(item, Comparison):
-            left = resolve_me_term(item.left, principal) if principal else item.left
-            right = resolve_me_term(item.right, principal) if principal else item.right
+            left, right = item.left, item.right
             if item.op == "=" and isinstance(right, Quote) and isinstance(left, Variable):
                 compiled.extend(compile_pattern(right.pattern, left))
             elif item.op == "=" and isinstance(left, Quote) and isinstance(right, Variable):
@@ -316,36 +214,26 @@ def compile_body_items(items: tuple, principal: Optional[str],
                     f"atom arguments, not in {item!r}"
                 )
             else:
-                compiled.append(Comparison(item.op, left, right,
-                                           span=item.span))
+                compiled.append(item)
         elif isinstance(item, BuiltinCall):
-            args = tuple(
-                resolve_me_term(t, principal) if principal else t
-                for t in item.args
-            )
-            compiled.append(BuiltinCall(item.name, args))
+            compiled.append(item)
         else:  # pragma: no cover - defensive
             raise SafetyError(f"unexpected body item {item!r}")
     return compiled
 
 
 def _extract_quotes(atom: Atom) -> tuple:
-    """Replace quote args of a body atom by fresh vars + pattern atoms."""
+    """Replace quote args and keys of a body atom by fresh vars + pattern
+    atoms."""
     extra: list = []
-    new_args: list = []
-    for term in atom.args:
-        if isinstance(term, Quote):
-            quote_var = fresh_var("_Q")
-            new_args.append(quote_var)
-            extra.extend(compile_pattern(term.pattern, quote_var))
-        else:
-            new_args.append(term)
-    new_keys: list = []
-    for term in atom.keys:
-        if isinstance(term, Quote):
-            quote_var = fresh_var("_Q")
-            new_keys.append(quote_var)
-            extra.extend(compile_pattern(term.pattern, quote_var))
-        else:
-            new_keys.append(term)
-    return Atom(atom.pred, tuple(new_args), tuple(new_keys)), extra
+    args_keys: list = []
+    for terms in (atom.args, atom.keys):
+        unquoted = []
+        for term in terms:
+            if isinstance(term, Quote):
+                quote_var = fresh_var("_Q")
+                extra.extend(compile_pattern(term.pattern, quote_var))
+                term = quote_var
+            unquoted.append(term)
+        args_keys.append(tuple(unquoted))
+    return Atom(atom.pred, *args_keys), extra

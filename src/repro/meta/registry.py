@@ -23,10 +23,12 @@ LogicBlox instance).  It provides:
   are found at interning, from the rule's constants.  A workspace that
   encounters the ref asserts those of the relations something in it
   reads, so a rule no workspace reads is interned and never reified;
-* **template instantiation** — code generation: a head-position quote plus
-  bindings becomes a new interned rule (paper section 3.3: "if the
-  evaluation of a rule puts new facts into the meta-model, then those new
-  facts turn into a new rule which must itself be evaluated");
+* **template instantiation** — code generation: a head-position quote is
+  filled with its bindings (:func:`substitute_bindings`, the same
+  :func:`~repro.datalog.terms.substitute` walk that resolves ``me``) and
+  becomes a new interned rule (paper section 3.3: "if the evaluation of a
+  rule puts new facts into the meta-model, then those new facts turn into
+  a new rule which must itself be evaluated");
 * **program images** — one :class:`~repro.meta.image.ProgramImage` per
   program text its workspaces have installed (:meth:`image`,
   :meth:`keep`, a bounded table): the text parsed once, the gate's last
@@ -57,16 +59,15 @@ from ..datalog.terms import (
     EqPattern,
     Expr,
     Literal,
-    PartitionTerm,
     PatternValue,
     Quote,
     Rule,
     RulePattern,
     RuleRef,
     Star,
-    StarLits,
     Term,
     Variable,
+    substitute,
 )
 from .image import MAX_IMAGES, ProgramImage
 from .quote import compile_rule, resolve_me_rule
@@ -148,7 +149,7 @@ class RuleRegistry:
         if len(statements) != 1 or not isinstance(statements[0], Rule):
             raise WorkspaceError("expected exactly one rule or fact statement")
         rule = statements[0]
-        if me is not None:
+        if me is not None and "me" in text:    # no keyword without the word
             rule = resolve_me_rule(rule, me)
         return self.intern(rule)
 
@@ -253,8 +254,8 @@ class RuleRegistry:
         rule.  Nested ``V = [| … |]`` patterns survive substitution as
         patterns — they compile when the generated rule is activated.
         """
-        rule = instantiate_pattern(quote.pattern, bindings, eval_term)
-        return self.intern(rule)
+        filled = substitute_bindings(quote.pattern, bindings, eval_term)
+        return self.intern(instantiate_pattern(filled, bindings))
 
 
 # ---------------------------------------------------------------------------
@@ -361,124 +362,59 @@ def is_open_fact_pattern(pattern: RulePattern) -> bool:
     return False
 
 
-def instantiate_pattern(pattern: RulePattern, bindings: dict,
-                        eval_term: Callable[[Term, dict], object]) -> Rule:
-    """Substitute ``bindings`` into a quoted template, yielding a rule."""
-    heads = tuple(
-        _instantiate_atom(atom_pattern, bindings, eval_term)
-        for atom_pattern in pattern.heads
-    )
+def substitute_bindings(pattern: RulePattern, bindings: dict,
+                        eval_term: Callable[[Term, dict], object]) -> RulePattern:
+    """A template filled in: each variable ``bindings`` names becomes a
+    constant and each expression that is left ground is evaluated.
+    Unbound variables, stars and ``V = [| … |]`` variables stay, so the
+    result may still be a pattern."""
+
+    def rewrite(term: Term) -> Term:
+        if isinstance(term, Variable):
+            if term.name in bindings:
+                return Constant(bindings[term.name])
+        elif isinstance(term, Expr) and next(term.variables(), None) is None:
+            return Constant(eval_term(term, bindings))
+        return term
+
+    return substitute(pattern, rewrite)
+
+
+def instantiate_pattern(pattern: RulePattern, bindings: dict) -> Rule:
+    """The rule a filled template (:func:`substitute_bindings`) generates;
+    a star or a predicate variable still in it is a ``SafetyError``.  A
+    body ``V = [| … |]`` becomes a comparison, ``V`` its value if bound."""
     body: list = []
     for lit in pattern.body:
         if isinstance(lit, AtomPattern):
-            atom = _instantiate_atom(lit, bindings, eval_term)
-            body.append(Literal(atom, lit.negated))
+            body.append(Literal(_template_atom(lit), lit.negated))
         elif isinstance(lit, EqPattern):
-            quote = Quote(_substitute_pattern(lit.quote.pattern, bindings, eval_term))
-            left: Term = Variable(lit.var.name)
-            if lit.var.name in bindings:
-                left = Constant(bindings[lit.var.name])
-            body.append(Comparison("=", left, quote))
-        elif isinstance(lit, StarLits):
+            var = lit.var
+            left = Constant(bindings[var.name]) if var.name in bindings else var
+            body.append(Comparison("=", left, lit.quote))
+        else:
             raise SafetyError(
                 "a Kleene star over body literals cannot appear in a "
                 "generated rule template"
             )
-    return Rule(heads, tuple(body), None, None)
+    return Rule(tuple(map(_template_atom, pattern.heads)), tuple(body))
 
 
-def _instantiate_atom(atom_pattern: AtomPattern, bindings: dict,
-                      eval_term: Callable[[Term, dict], object]) -> Atom:
+def _template_atom(atom_pattern: AtomPattern) -> Atom:
     functor = atom_pattern.functor
     if isinstance(functor, Variable):
-        if functor.name not in bindings:
-            raise SafetyError(
-                f"template functor {functor.name} is unbound; cannot "
-                f"generate a rule with an unknown predicate"
-            )
-        functor_value = bindings[functor.name]
-        if not isinstance(functor_value, str):
-            raise SafetyError(
-                f"template functor {functor.name} bound to non-predicate "
-                f"value {functor_value!r}"
-            )
-        functor = functor_value
+        raise SafetyError(
+            f"template functor {functor.name} is unbound; cannot "
+            f"generate a rule with an unknown predicate"
+        )
     if atom_pattern.args is None:
         raise SafetyError(
             f"bare meta-variable atom {atom_pattern!r} cannot appear in a "
             f"generated rule template"
         )
-    args = []
-    for arg in atom_pattern.args:
-        if isinstance(arg, Star):
-            raise SafetyError(
-                "a Kleene star argument cannot appear in a generated rule "
-                "template"
-            )
-        args.append(_instantiate_term(arg, bindings, eval_term))
-    return Atom(functor, tuple(args))
-
-
-def _instantiate_term(term: Term, bindings: dict,
-                      eval_term: Callable[[Term, dict], object]) -> Term:
-    if isinstance(term, Variable):
-        if term.name in bindings:
-            return Constant(bindings[term.name])
-        return term
-    if isinstance(term, Constant):
-        return term
-    if isinstance(term, Expr):
-        names = {v.name for v in term.variables()}
-        if names <= set(bindings):
-            return Constant(eval_term(term, bindings))
-        return Expr(term.op,
-                    _instantiate_term(term.left, bindings, eval_term),
-                    _instantiate_term(term.right, bindings, eval_term))
-    if isinstance(term, Quote):
-        return Quote(_substitute_pattern(term.pattern, bindings, eval_term))
-    if isinstance(term, PartitionTerm):
-        return PartitionTerm(
-            term.pred,
-            tuple(_instantiate_term(k, bindings, eval_term) for k in term.keys),
+    if Star in map(type, atom_pattern.args):
+        raise SafetyError(
+            "a Kleene star argument cannot appear in a generated rule "
+            "template"
         )
-    raise SafetyError(f"cannot instantiate template term {term!r}")
-
-
-def _substitute_pattern(pattern: RulePattern, bindings: dict,
-                        eval_term: Callable[[Term, dict], object]) -> RulePattern:
-    """Apply bindings inside a nested pattern, keeping stars and metavars."""
-
-    def sub_atom(atom_pattern: AtomPattern) -> AtomPattern:
-        functor = atom_pattern.functor
-        if isinstance(functor, Variable) and functor.name in bindings:
-            value = bindings[functor.name]
-            if not isinstance(value, str):
-                raise SafetyError(
-                    f"pattern functor {functor.name} bound to non-predicate "
-                    f"value {value!r}"
-                )
-            functor = value
-        args = None
-        if atom_pattern.args is not None:
-            new_args = []
-            for arg in atom_pattern.args:
-                if isinstance(arg, Star):
-                    new_args.append(arg)
-                else:
-                    new_args.append(_instantiate_term(arg, bindings, eval_term))
-            args = tuple(new_args)
-        return AtomPattern(functor, args, atom_pattern.negated)
-
-    heads = tuple(sub_atom(h) for h in pattern.heads)
-    body: list = []
-    for lit in pattern.body:
-        if isinstance(lit, AtomPattern):
-            body.append(sub_atom(lit))
-        elif isinstance(lit, EqPattern):
-            body.append(EqPattern(
-                lit.var,
-                Quote(_substitute_pattern(lit.quote.pattern, bindings, eval_term)),
-            ))
-        else:
-            body.append(lit)
-    return RulePattern(heads, tuple(body), pattern.has_arrow)
+    return Atom(functor, atom_pattern.args)

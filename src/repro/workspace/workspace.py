@@ -96,7 +96,7 @@ from ..datalog.terms import (
 )
 from ..meta.model import ACTIVE_PRED, ALL_META_PREDS
 from ..meta.image import ProgramImage
-from ..meta.quote import compile_constraint, compile_rule, resolve_me_rule
+from ..meta.quote import compile_constraint, compile_rule, resolve_me, resolve_me_rule
 from ..meta.registry import RuleRegistry
 from .catalog import Catalog, ReflectedWriteError
 
@@ -427,7 +427,7 @@ class Workspace:
 
     def assert_atom(self, atom: Atom) -> None:
         """Assert a ground fact given as an atom (quotes become rule refs)."""
-        resolved = compile_rule(Rule((atom,)), self.me, builtins=None).head
+        resolved = resolve_me(atom, self.me)
         values = tuple(
             eval_term(term, {}, self.context) for term in resolved.all_args
         )
@@ -573,7 +573,7 @@ class Workspace:
                     "point_query expects a single atom") from None
         else:
             atom = query
-        resolved = resolve_me_rule(Rule((atom,)), self.me).heads[0]
+        resolved = resolve_me(atom, self.me)
         args = resolved.all_args
         self.catalog.check_fact_arity(resolved.pred, args)
         relation = self.relation(resolved.pred)
@@ -922,12 +922,12 @@ class Workspace:
 
     def _instantiate_quote(self, quote: Quote, bindings: dict):
         from ..datalog.terms import PatternValue
-        from ..meta.registry import _substitute_pattern, is_open_fact_pattern
+        from ..meta.registry import is_open_fact_pattern, substitute_bindings
 
         def eval_with_context(term, local_bindings):
             return eval_term(term, local_bindings, self.context)
 
-        substituted = _substitute_pattern(quote.pattern, bindings,
+        substituted = substitute_bindings(quote.pattern, bindings,
                                           eval_with_context)
         if is_open_fact_pattern(substituted):
             # Still a pattern after substitution: yield it as a value

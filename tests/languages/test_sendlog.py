@@ -75,6 +75,27 @@ class TestTranslation:
             install_sendlog(system, "At ghost:\np(X) :- q(X).")
 
 
+class TestContextVariable:
+    """The context variable becomes ``me`` wherever it occurs, partition
+    keys and quoted bodies included."""
+
+    def test_a_partition_key_is_the_local_principal(self, make_system):
+        system = make_system("plaintext")
+        principals = {name: system.create_principal(name, node=node)
+                      for name, node in (("alice", "n1"), ("bob", "n2"))}
+        install_sendlog(system, "At S:\nhome(S,N) :- predNode(export[S],N).")
+        system.run(max_rounds=10)
+        assert principals["alice"].tuples("home") == {("alice", "n1")}
+        assert principals["bob"].tuples("home") == {("bob", "n2")}
+
+    def test_a_quoted_body_is_localised(self):
+        (block,) = parse_sendlog(
+            "At S:\nkeep([| p(S) <- q(S). |]) :- link(S,D).")
+        (rule,) = block.statements
+        assert format_statement(rule) == \
+            "keep([| p(me) <- q(me). |]) <- link(me,D)."
+
+
 class TestReachability:
     def build(self, make_system, edges, auth="hmac"):
         system = make_system(auth)

@@ -163,8 +163,8 @@ class TestTemplates:
         closed_quote = parse_rule("h(T) <- b(X), T = [| p(X). |].").body[1].right
         assert is_open_fact_pattern(open_quote.pattern)
         # after substituting X the closed one is ground
-        from repro.meta.registry import _substitute_pattern
-        substituted = _substitute_pattern(closed_quote.pattern, {"X": 1},
+        from repro.meta.registry import substitute_bindings
+        substituted = substitute_bindings(closed_quote.pattern, {"X": 1},
                                           self.eval_term)
         assert not is_open_fact_pattern(substituted)
 

@@ -19,14 +19,15 @@ as the start of a comment.  The same rules hold the one-walk
 """
 
 import json
+import string
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.database import term_key
-from repro.datalog.errors import ParseError, SafetyError
-from repro.datalog.parser import parse_rule, parse_statements
+from repro.datalog.errors import SafetyError
+from repro.datalog.parser import parse_rule
 from repro.datalog.pretty import canonical_rule, format_rule
 from repro.datalog.terms import (
     Aggregate,
@@ -64,16 +65,9 @@ from repro.net.transport import (
     encode_value,
     frame_kind,
 )
+from strategies import identifiers, names, rule_texts, the_statement, var_names
 
 # -- strategies -------------------------------------------------------------
-
-# Lexer keywords can never be functors/predicates (the parser rejects
-# them in every position), so they are outside the codec's value domain.
-_KEYWORDS = {"me", "true", "false", "agg"}
-identifiers = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,8}",
-                            fullmatch=True).filter(
-                                lambda name: name not in _KEYWORDS)
-var_names = st.from_regex(r"[A-Z][a-zA-Z0-9_]{0,6}", fullmatch=True)
 
 # Scalars the codec tags directly.  Floats: NaN can never satisfy an
 # equality round-trip (NaN != NaN) and infinities are not valid strict
@@ -131,125 +125,6 @@ rule_patterns = st.builds(
 )
 
 pattern_values = rule_patterns.map(PatternValue)
-
-
-# Rule *source texts*, the form a speaker says: bodies with negation,
-# comparisons over arithmetic, aggregates, partitioned atoms, quotes,
-# labels, and every literal kind the lexer reads.  Built as text (like
-# tests/analysis/test_dataflow_property.py) so the printer under test
-# never writes its own input.
-def string_literal(text):
-    """``text`` as a string literal, escaped exactly as the lexer reads."""
-    escaped = (text.replace("\\", "\\\\").replace('"', '\\"')
-               .replace("\n", "\\n").replace("\t", "\\t"))
-    return f'"{escaped}"'
-
-
-constant_texts = st.one_of(
-    st.integers(min_value=-10 ** 12, max_value=10 ** 12).map(str),
-    # positional floats of any magnitude: 0.00001 and 12345678901234567.5
-    # print with an exponent under repr
-    st.from_regex(r"[0-9]{1,18}\.[0-9]{1,18}", fullmatch=True),
-    st.text(max_size=12).map(string_literal),
-    st.binary(min_size=1, max_size=6).map(lambda raw: "0x" + raw.hex()),
-    st.sampled_from(["true", "false"]),
-    identifiers,                       # a bare name is a string constant
-)
-arith_ops = st.sampled_from(["+", "-", "*", "/", "%"])
-compare_ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
-
-
-@st.composite
-def term_texts(draw, depth=2):
-    kind = draw(st.integers(min_value=0, max_value=7 if depth else 2))
-    if kind == 0:
-        return draw(var_names)
-    if kind == 1:
-        return draw(constant_texts)
-    if kind == 2:
-        return "_"
-    inner = term_texts(depth - 1)
-    if kind == 3:
-        left, op, right = draw(inner), draw(arith_ops), draw(inner)
-        if op == "%":   # modulo is glued: an unglued '%' starts a comment
-            return f"{left}%{right}"
-        return f"{left} {op} {right}"
-    if kind == 4:
-        return f"({draw(inner)})"
-    if kind == 5:
-        return f"-{draw(inner)}"
-    if kind == 6:
-        keys = draw(st.lists(inner, min_size=1, max_size=2))
-        return f"{draw(identifiers)}[{', '.join(keys)}]"
-    return f"[| {draw(pattern_texts())} |]"
-
-
-@st.composite
-def pattern_atom_texts(draw, negatable=False):
-    args = draw(st.lists(st.one_of(var_names, constant_texts, st.just("*"),
-                                   var_names.map(lambda name: name + "*")),
-                         max_size=3))
-    functor = draw(st.one_of(identifiers, var_names))
-    negation = draw(st.sampled_from(["", "!"])) if negatable else ""
-    return f"{negation}{functor}({', '.join(args)})"
-
-
-@st.composite
-def pattern_texts(draw):
-    heads = ", ".join(draw(st.lists(pattern_atom_texts(), min_size=1,
-                                    max_size=2)))
-    body = draw(st.lists(st.one_of(
-        pattern_atom_texts(negatable=True), st.just("*"), var_names,
-        var_names.map(lambda name: f"{name} = [| q({name}). |]")),
-        max_size=2))
-    return f"{heads} <- {', '.join(body)}." if body else f"{heads}."
-
-
-@st.composite
-def atom_texts(draw):
-    name = draw(st.one_of(identifiers, st.builds(
-        "{}:{}".format, identifiers, identifiers)))     # qualified name
-    keys = draw(st.lists(term_texts(1), max_size=2))
-    args = draw(st.lists(term_texts(), max_size=3))
-    prefix = f"{name}[{', '.join(keys)}]" if keys else name
-    return f"{prefix}({', '.join(args)})"
-
-
-@st.composite
-def literal_texts(draw):
-    kind = draw(st.integers(min_value=0, max_value=4))
-    if kind == 0:
-        return "!" + draw(atom_texts())
-    if kind == 1:
-        return f"{draw(term_texts())} {draw(compare_ops)} {draw(term_texts())}"
-    if kind == 2:
-        return f"!({draw(var_names)} {draw(compare_ops)} {draw(term_texts())})"
-    return draw(atom_texts())
-
-
-@st.composite
-def rule_texts(draw):
-    heads = ", ".join(draw(st.lists(atom_texts(), min_size=1, max_size=2)))
-    label = draw(st.one_of(st.just(""), identifiers.map(lambda name: name + ": ")))
-    if draw(st.booleans()):
-        return f"{label}{heads}."
-    body = ", ".join(draw(st.lists(literal_texts(), min_size=1, max_size=3)))
-    if draw(st.booleans()):
-        result, over = draw(var_names), draw(term_texts(1))
-        func = draw(st.sampled_from(["count", "total", "min", "max"]))
-        body = f"agg<<{result} = {func}({over})>> {body}"
-    return f"{label}{heads} <- {body}."
-
-
-def the_rule(text):
-    """The one rule ``text`` parses to (a generated text that is not
-    exactly one rule — ``me``-free by construction — is discarded)."""
-    try:
-        statements = parse_statements(text)
-    except ParseError:
-        assume(False)
-    assume(len(statements) == 1 and isinstance(statements[0], Rule))
-    return statements[0]
 
 
 #: values a rule can hold that no canonical text reads back as
@@ -382,7 +257,7 @@ class TestValueRoundtrip:
         parses back to a rule with that same canonical text, so the
         sender's registry (a dict hit) and a fresh one (a parse) decode a
         rule value to the same rule."""
-        rule = the_rule(text)
+        rule = the_statement(text)
         canonical = canonical_rule(rule)
         assert canonical_rule(parse_rule(canonical)) == canonical
         sender, receiver = RuleRegistry(), RuleRegistry()
@@ -395,7 +270,7 @@ class TestValueRoundtrip:
     @given(text=rule_texts())
     @settings(max_examples=300, deadline=None)
     def test_one_walk_canonical_text_matches_the_renamed_copy(self, text):
-        rule = the_rule(text)
+        rule = the_statement(text)
         assert canonical_rule(rule) == copy_then_format(rule)
         valued = with_pattern_values(rule)
         assert canonical_rule(valued) == copy_then_format(valued)
@@ -407,7 +282,7 @@ class TestValueRoundtrip:
         """``inf`` and ``nan`` print as names that read back as strings,
         so a rule holding one is refused rather than signed and content
         addressed under text meaning something else."""
-        rule = the_rule(text)
+        rule = the_statement(text)
         head = rule.heads[0]
         held = Rule((Atom(head.pred, head.args + (Constant(value),),
                           head.keys),) + rule.heads[1:], rule.body, rule.agg)
@@ -623,7 +498,7 @@ request_ids = st.integers(min_value=0, max_value=2 ** 62)
 
 class TestServeFrameRoundtrip:
     @given(request_id=request_ids,
-           op=st.from_regex(r"[a-z][a-z_]{0,15}", fullmatch=True),
+           op=names(string.ascii_lowercase, 15, string.ascii_lowercase + "_"),
            body=json_bodies)
     @settings(max_examples=150, deadline=None)
     def test_request_frames_roundtrip(self, request_id, op, body):

@@ -9,16 +9,23 @@ hostile deliveries: honest says between principals, interleaved with
 injected blocks and said rules no receiver can activate.  The fourth is
 transaction streams under constraints: asserts, retracts and says,
 rollbacks, and constraints installed, removed and reinstalled mid-stream.
-The last two drive the join core directly: two-literal rules in the
+The next two drive the join core directly: two-literal rules in the
 join kernel's shape, and constraints of several alternatives per side
-over fact streams.
+over fact streams.  The last is rule source texts: every term, literal
+and quote kind the lexer reads, ``me`` included on request.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
+from hypothesis import assume
 from hypothesis import strategies as st
+
+from repro.datalog.errors import ParseError
+from repro.datalog.parser import parse_statements
+from repro.datalog.terms import Rule
 
 #: builtin type predicates (``int(N)`` compiles to a builtin call)
 PRIMITIVES = ("int", "string", "float", "number", "any")
@@ -542,3 +549,167 @@ def check_streams(draw, max_transactions: int = 6) -> CheckStream:
         st.lists(op, min_size=1, max_size=3), max_size=max_transactions)))
     return CheckStream(constraints, facts, transactions,
                        draw(st.sampled_from((None, 1, 2, 3))))
+
+
+# ---------------------------------------------------------------------------
+# Rule source texts
+# ---------------------------------------------------------------------------
+
+# Rule *source texts*, the form a speaker says: bodies with negation,
+# comparisons over arithmetic, aggregates, partitioned atoms, quotes,
+# labels, and every literal kind the lexer reads.  Built as text (like
+# tests/analysis/test_dataflow_property.py) so the printer under test
+# never writes its own input.  Names are drawn as a first character and
+# a rest, not from a regex: the same language, generated several times
+# faster.
+
+#: lexer keywords, which are never a functor or a predicate
+KEYWORDS = {"me", "true", "false", "agg"}
+_NAME_CHARS = string.ascii_letters + string.digits + "_"
+
+
+def names(first: str, max_rest: int, rest: str = _NAME_CHARS):
+    """``[first][rest]{0,max_rest}``."""
+    return st.builds(str.__add__, st.sampled_from(first),
+                     st.text(rest, max_size=max_rest))
+
+
+identifiers = names(string.ascii_lowercase, 8).filter(
+    lambda name: name not in KEYWORDS)
+var_names = names(string.ascii_uppercase, 6)
+_digits = st.text(string.digits, min_size=1, max_size=18)
+
+
+def string_literal(text):
+    """``text`` as a string literal, escaped exactly as the lexer reads."""
+    escaped = (text.replace("\\", "\\\\").replace('"', '\\"')
+               .replace("\n", "\\n").replace("\t", "\\t"))
+    return f'"{escaped}"'
+
+
+constant_texts = st.one_of(
+    st.integers(min_value=-10 ** 12, max_value=10 ** 12).map(str),
+    # positional floats of any magnitude: 0.00001 and 12345678901234567.5
+    # print with an exponent under repr
+    st.builds("{}.{}".format, _digits, _digits),
+    st.text(max_size=12).map(string_literal),
+    st.binary(min_size=1, max_size=6).map(lambda raw: "0x" + raw.hex()),
+    st.sampled_from(["true", "false"]),
+    identifiers,                       # a bare name is a string constant
+)
+arith_ops = st.sampled_from(["+", "-", "*", "/", "%"])
+compare_ops = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+
+
+@st.composite
+def term_texts(draw, depth=2, me=False):
+    """A term; ``me`` among them when ``me`` is set."""
+    kind = draw(st.integers(min_value=-1 if me else 0,
+                            max_value=7 if depth else 2))
+    if kind == -1:
+        return "me"
+    if kind == 0:
+        return draw(var_names)
+    if kind == 1:
+        return draw(constant_texts)
+    if kind == 2:
+        return "_"
+    inner = term_texts(depth - 1, me)
+    if kind == 3:
+        left, op, right = draw(inner), draw(arith_ops), draw(inner)
+        if op == "%":   # modulo is glued: an unglued '%' starts a comment
+            return f"{left}%{right}"
+        return f"{left} {op} {right}"
+    if kind == 4:
+        return f"({draw(inner)})"
+    if kind == 5:
+        return f"-{draw(inner)}"
+    if kind == 6:
+        keys = draw(st.lists(inner, min_size=1, max_size=2))
+        return f"{draw(identifiers)}[{', '.join(keys)}]"
+    return f"[| {draw(pattern_texts(me))} |]"
+
+
+@st.composite
+def pattern_atom_texts(draw, negatable=False, me=False):
+    arg = st.one_of(var_names, constant_texts, st.just("*"),
+                    var_names.map(lambda name: name + "*"),
+                    st.builds("{} - {}".format, var_names,
+                              st.one_of(var_names, constant_texts)))
+    args = draw(st.lists(st.one_of(arg, st.just("me")) if me else arg,
+                         max_size=3))
+    functor = draw(st.one_of(identifiers, var_names))
+    negation = draw(st.sampled_from(["", "!"])) if negatable else ""
+    return f"{negation}{functor}({', '.join(args)})"
+
+
+@st.composite
+def pattern_texts(draw, me=False):
+    heads = ", ".join(draw(st.lists(pattern_atom_texts(me=me), min_size=1,
+                                    max_size=2)))
+    body = draw(st.lists(st.one_of(
+        pattern_atom_texts(negatable=True, me=me), st.just("*"), var_names,
+        var_names.map(lambda name: f"{name} = [| q({name}). |]")),
+        max_size=2))
+    return f"{heads} <- {', '.join(body)}." if body else f"{heads}."
+
+
+@st.composite
+def atom_texts(draw, me=False):
+    name = draw(st.one_of(identifiers, st.builds(
+        "{}:{}".format, identifiers, identifiers)))     # qualified name
+    keys = draw(st.lists(term_texts(1, me), max_size=2))
+    args = draw(st.lists(term_texts(me=me), max_size=3))
+    prefix = f"{name}[{', '.join(keys)}]" if keys else name
+    return f"{prefix}({', '.join(args)})"
+
+
+@st.composite
+def literal_texts(draw, me=False):
+    kind = draw(st.integers(min_value=0, max_value=4))
+    if kind == 0:
+        return "!" + draw(atom_texts(me))
+    if kind == 1:
+        return (f"{draw(term_texts(me=me))} {draw(compare_ops)} "
+                f"{draw(term_texts(me=me))}")
+    if kind == 2:
+        return (f"!({draw(var_names)} {draw(compare_ops)} "
+                f"{draw(term_texts(me=me))})")
+    return draw(atom_texts(me))
+
+
+@st.composite
+def rule_texts(draw, me=False):
+    """A rule; ``me`` may stand for a term anywhere but in an aggregate
+    when ``me`` is set."""
+    heads = ", ".join(draw(st.lists(atom_texts(me), min_size=1, max_size=2)))
+    label = draw(st.one_of(st.just(""), identifiers.map(lambda name: name + ": ")))
+    if draw(st.booleans()):
+        return f"{label}{heads}."
+    body = ", ".join(draw(st.lists(literal_texts(me), min_size=1,
+                                   max_size=3)))
+    if draw(st.booleans()):
+        result, over = draw(var_names), draw(term_texts(1))
+        func = draw(st.sampled_from(["count", "total", "min", "max"]))
+        body = f"agg<<{result} = {func}({over})>> {body}"
+    return f"{label}{heads} <- {body}."
+
+
+@st.composite
+def constraint_texts(draw, me=False):
+    """A constraint ``F1 -> F2.``, its right side possibly empty."""
+    lhs, rhs = (", ".join(draw(st.lists(literal_texts(me), min_size=low,
+                                        max_size=3)))
+                for low in (1, 0))
+    return f"{lhs} -> {rhs}."
+
+
+def the_statement(text, kind=Rule):
+    """The one statement of ``kind`` that ``text`` parses to (a generated
+    text that is not exactly one is discarded)."""
+    try:
+        statements = parse_statements(text)
+    except ParseError:
+        assume(False)
+    assume(len(statements) == 1 and isinstance(statements[0], kind))
+    return statements[0]
