@@ -31,26 +31,16 @@ Topology::
   wire), and confirms ``ready``.
 
 * **Workers run the shared runtime** — ``ExecutionRuntime({node},
-  network=link, ledger=link).run(max_rounds)``.  The :class:`_Link` is
-  the one worker-side object: as the runtime's *network* it sends the
-  usual wire batches straight to the peer's :class:`SocketNetwork`
-  endpoint and hands back the frames the schedule is due (``bsp``:
-  exactly the counted frames of this barrier, a fast peer's surplus
-  parked; ``async``: the next arrival, until told to stop); as its
-  *ledger* it tallies tickets issued and retired and ships each tally
-  down its control pipe.
+  network=link, ledger=link).run(max_rounds)``, and refuse a faulted run
+  as ``Cluster.run`` does; the :class:`_Link` is the worker's end of
+  both planes, peer-to-peer frames and its control pipe.
 
 * **The control plane is a ledger service** — the coordinator owns the
   real :class:`~repro.cluster.quiescence.TicketLedger` and applies every
-  tally to it (issues before retires; a retire that overtook its issue
-  on another pipe is deferred and retried).  ``bsp``: one
-  ``close_round`` per barrier, answered with the verdict and the
-  per-source frame counts the next barrier awaits.  ``async``: the run
-  is over once every worker has bootstrapped, nothing is deferred and
-  no ticket is outstanding — a stall detector bounds the wait — and
-  the workers are told to ``stop``.  A retire and the issues it caused
-  always travel in **one** tally, so the balance can never reach zero
-  while consequences are unreported.
+  worker's tally to it (``_apply``): once per barrier in ``bsp``, until
+  nothing is outstanding in ``async``.  A retire and the issues it
+  caused always travel in **one** tally, so the balance can never reach
+  zero while consequences are unreported.
 
 Job kinds: ``cluster`` (Datalog shards: node names, placement ops, the
 rule program, EDB facts) and ``system`` (an ``LBTrustSystem``:
@@ -96,7 +86,7 @@ from ..net.socket_transport import SocketNetwork
 from ..net.transport import decode_facts, encode_facts
 from .quiescence import RoundRecord, TicketLedger
 from .scheduler import (MODE_ASYNC, MODE_BSP, SCHEDULER_MODES,
-                        ExecutionRuntime, RunReport)
+                        ExecutionRuntime, RunReport, refuse_faults)
 
 #: Default per-control-message timeout; a worker that stays silent this
 #: long is presumed dead and the launch aborts.
@@ -382,6 +372,17 @@ class _Link(TicketLedger):
                sender: Optional[Hashable] = None) -> None:
         self._retired += [[sender, round_stamp]] * count
 
+    def retire_guarded(self, round_stamp: int,
+                       sender: Optional[Hashable] = None) -> bool:
+        """Tally the retire: the coordinator's ledger validates it."""
+        self.retire(round_stamp, sender=sender)
+        return True
+
+    def retire_any(self, sender: Optional[Hashable] = None) -> bool:
+        """A frame this worker cannot read is fatal on a closed link."""
+        raise ClusterError(
+            f"undecodable delta batch from {sender!r} on a closed link")
+
     def _tally(self, new_facts: int) -> None:
         self.control.send({
             "type": "tally", "new_facts": new_facts,
@@ -428,9 +429,9 @@ def _worker_entry(control: Connection, my_node: str, spec: dict, mode: str,
         link = _Link(network, control, timeout)
         runtime = ExecutionRuntime(
             {my_node: node}, link, registry, mode=mode,
-            max_batch_bytes=max_batch_bytes, ledger=link, strict=True)
+            max_batch_bytes=max_batch_bytes, ledger=link)
         control.send({"type": "ready"})
-        report = runtime.run(max_rounds, report)
+        report = refuse_faults(runtime.run(max_rounds, report))
         control.send({"type": "report", "report": report.as_dict(),
                       "relations": _encode_relations(sources, spec,
                                                      registry)})
@@ -509,6 +510,7 @@ class _Coordinator:
                 self._serve_bsp()
             report = self._collect()
             report.virtual_time = self._clock()
+            report.quiescent = self.ledger.quiescent()
             report.convergence_time = self.ledger.convergence_clock()
             return report
         finally:

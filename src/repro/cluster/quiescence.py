@@ -82,11 +82,7 @@ class TicketLedger:
         """
         slot = self._vector.get((sender, round_stamp))
         if slot is None or slot[1] + count > slot[0]:
-            raise ClusterError(
-                f"ticket ledger: sender {sender!r} round {round_stamp} "
-                f"retired {(slot[1] + count) if slot else count} > issued "
-                f"{slot[0] if slot else 0}"
-            )
+            raise ClusterError(self.overdrawn(round_stamp, count, sender))
         slot[1] += count
         self.retired += count
 
@@ -94,16 +90,23 @@ class TicketLedger:
                        sender: Optional[Hashable] = None) -> bool:
         """Retire one ticket iff ``(sender, round_stamp)`` has one in flight.
 
-        For *open* transports (the LBTrust system's network, where tests
-        and adversaries inject raw messages no batcher ever ticketed):
-        foreign traffic retires nothing instead of crashing the ledger.
-        Returns True when a real ticket was retired.
+        The runtime's retire: a duplicated or foreign batch retires
+        nothing, and the False it returns is the run's ``unticketed``
+        fault.  Returns True when a real ticket was retired.
         """
         slot = self._vector.get((sender, round_stamp))
         if slot is None or slot[1] >= slot[0]:
             return False
-        self.retire(round_stamp, sender=sender)
+        slot[1] += 1
+        self.retired += 1
         return True
+
+    def overdrawn(self, round_stamp: int, count: int = 1,
+                  sender: Optional[Hashable] = None) -> str:
+        """What over-retiring ``(sender, round_stamp)`` is called."""
+        issued, retired = self._vector.get((sender, round_stamp), (0, 0))
+        return (f"ticket ledger: sender {sender!r} round {round_stamp} "
+                f"retired {retired + count} > issued {issued}")
 
     def retire_any(self, sender: Optional[Hashable] = None) -> bool:
         """Retire ``sender``'s oldest outstanding ticket, whatever round.
@@ -135,8 +138,7 @@ class TicketLedger:
         long-lived ledger compacts them at each quiescence instead of
         growing with every run.  The ``rounds`` trail is kept — it is
         the run history callers diff — and the global totals carry the
-        invariant forward.  A no-op while tickets are outstanding (an
-        open transport's capped best-effort run may stop early).
+        invariant forward.  A no-op while tickets are outstanding.
         """
         if self.outstanding():
             return
@@ -161,34 +163,22 @@ class TicketLedger:
 
     def close_round(self, number: int, new_facts: int, clock: float) -> RoundRecord:
         """Record one completed round's activity and the virtual clock."""
-        record = RoundRecord(
-            number=number,
-            issued=self._per_round_issued.get(number, 0),
-            retired=self.retired - self._retired_recorded,
-            new_facts=new_facts,
-            clock=clock,
-        )
-        self._retired_recorded = self.retired
-        self.rounds.append(record)
-        return record
+        return self._close(number, self._per_round_issued.get(number, 0),
+                           new_facts, clock)
 
     def close_quiet(self, clock: float) -> RoundRecord:
-        """Append a quiet closing record (no facts, no sends).
-
-        The async scheduler proves quiescence directly — queue drained,
-        outboxes empty, zero outstanding — rather than via barrier
-        bookkeeping; this records that state so :meth:`quiescent` holds
-        afterwards.  Depth stamps share the per-round counter space with
-        barrier round numbers, so the record is built directly instead
-        of through :meth:`close_round`'s stamp lookup.
+        """Append a quiet closing record (no facts, no sends): the end of
+        an async run, after which :meth:`quiescent` holds iff nothing is
+        outstanding.  Depth stamps share the per-round counter space with
+        barrier round numbers, so its ``issued`` is 0, not a stamp lookup.
         """
-        record = RoundRecord(
-            number=len(self.rounds),
-            issued=0,
-            retired=self.retired - self._retired_recorded,
-            new_facts=0,
-            clock=clock,
-        )
+        return self._close(len(self.rounds), 0, 0, clock)
+
+    def _close(self, number: int, issued: int, new_facts: int,
+               clock: float) -> RoundRecord:
+        record = RoundRecord(number, issued,
+                             self.retired - self._retired_recorded,
+                             new_facts, clock)
         self._retired_recorded = self.retired
         self.rounds.append(record)
         return record

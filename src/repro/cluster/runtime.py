@@ -37,7 +37,7 @@ from .node import ClusterNode
 from .partition import Partitioner
 from .placement_check import check_join_compatibility, nonmonotone_exchanges
 from .quiescence import TicketLedger
-from .scheduler import MODE_BSP, ExecutionRuntime, RunReport
+from .scheduler import MODE_BSP, ExecutionRuntime, RunReport, refuse_faults
 
 
 class Cluster:
@@ -77,7 +77,7 @@ class Cluster:
         self.last_check_suppressed: list = []
         self.runtime = ExecutionRuntime(
             self.nodes, self.network, self.registry, mode=mode,
-            max_batch_bytes=max_batch_bytes, ledger=self.ledger, strict=True)
+            max_batch_bytes=max_batch_bytes, ledger=self.ledger)
         self.batcher = self.runtime.batcher
         self._rules: list[EngineRule] = []
         #: the schema every load and fact declares through: a fact of
@@ -216,8 +216,9 @@ class Cluster:
 
     def run(self, max_rounds: int = 500) -> RunReport:
         """Drive the scheduler until the ticket ledger proves quiescence;
-        returns the run's :class:`~repro.cluster.scheduler.RunReport`."""
-        return self.runtime.run(max_rounds)
+        returns the run's :class:`~repro.cluster.scheduler.RunReport`, or
+        raises the :class:`ClusterError` naming its first fault."""
+        return refuse_faults(self.runtime.run(max_rounds))
 
     # ------------------------------------------------------------------
     # Results

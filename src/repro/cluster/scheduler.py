@@ -65,10 +65,11 @@ protocol is the same for all three.
 **What the loop asks of its surroundings** (also duck-typed): of the
 ``network``, ``send`` (through the batcher), ``deliver_all`` /
 ``deliver_next`` / ``pending``, ``clock`` and ``total``; of the
-``ledger``, ``issue`` (through the batcher) / ``retire``,
-``close_round`` / ``close_quiet``, ``quiescent`` / ``outstanding``,
-``compact``, the ``rounds`` trail and ``convergence_clock`` (open
-transports also ``retire_guarded`` / ``retire_any``).
+``ledger``, ``issue`` (through the batcher) / ``retire_guarded`` (False:
+no ticket accounts for the arrival) / ``retire_any`` (its stamp is
+unreadable) / ``overdrawn``, ``close_round`` / ``close_quiet``,
+``quiescent`` / ``outstanding``, ``compact``, the ``rounds`` trail and
+``convergence_clock``.
 
 **Scheduling modes**:
 
@@ -85,10 +86,13 @@ transports also ``retire_guarded`` / ``retire_any``).
   how long its longest message chain was — the async analog of BSP's
   round count.
 
-Both modes terminate with the same guarantee: zero tickets outstanding
-and no node holding unflushed work, i.e. the distributed fixpoint is
-complete.  Union-of-node state equals the single-node fixpoint whenever
-the placement is join-compatible — which
+Both modes end in the verdict the run's report carries: quiescent
+(zero tickets outstanding and no node holding unflushed work, i.e. the
+distributed fixpoint is complete) or not, with each transport fault
+named; the loop never raises for one, and a closed host refuses a
+faulted run (:func:`refuse_faults`).  Union-of-node state equals the
+single-node fixpoint whenever the run is quiescent and the placement
+join-compatible — which
 :func:`~repro.cluster.placement_check.check_join_compatibility`
 verifies statically at ``load()``.
 """
@@ -144,11 +148,18 @@ class RunReport:
     that import (workspace hosts; shards leave them 0): a fact whose
     import transaction committed, or one refused — a verification or
     authorization constraint failed, or the destination principal is
-    unknown.  The open transport adds one ``rejected`` per **blob** it
+    unknown.  The runtime adds one ``rejected`` per **blob** it
     could not decode or route, whatever the blob claimed to carry.
     ``rejected_detail`` names each refusal ``(source, reason)``: the
     importing principal and the violated constraint, ``"<decode>"`` and
     the wire error, or the unknown node or principal.
+
+    ``quiescent`` is the verdict: the ledger proved the fixpoint
+    complete.  ``outstanding`` counts the tickets in flight when the run
+    stopped.  ``faults`` names each transport fault ``(name, message)``
+    as it happened: ``"decode"``, ``"unknown node"``, ``"unticketed"``
+    (an arrival no ticket accounts for), ``"cap"`` (``max_rounds``) and
+    ``"outstanding"``; a run without one is quiescent.
 
     ``per_node`` has one :class:`NodeReport` per node, in name order.
     ``relations`` (``owner → pred → facts``; owner ``""`` is a
@@ -169,6 +180,9 @@ class RunReport:
     delivered: int = 0
     rejected: int = 0
     rejected_detail: list = field(default_factory=list)
+    quiescent: bool = False
+    outstanding: int = 0
+    faults: list = field(default_factory=list)
     virtual_time: float = 0.0
     convergence_time: float = 0.0
     per_node: list = field(default_factory=list)
@@ -180,6 +194,7 @@ class RunReport:
         self.per_node = [row if isinstance(row, NodeReport)
                          else NodeReport(**row) for row in self.per_node]
         self.rejected_detail = [tuple(item) for item in self.rejected_detail]
+        self.faults = [tuple(item) for item in self.faults]
 
     #: Read-only alias of ``messages``, kept only while ``e2e_bench``
     #: reads it off :meth:`LBTrustSystem.run`'s report.
@@ -199,20 +214,14 @@ class RunReport:
 class ExecutionRuntime:
     """Drives a set of protocol nodes to a distributed fixpoint.
 
-    ``strict`` selects the transport contract: a closed transport (the
-    cluster owns its network exclusively) treats undecodable blobs,
-    unticketed traffic, unknown destinations and an exhausted
-    ``max_rounds`` as fatal; an open one (the LBTrust system's network,
-    where tests and adversaries inject raw messages) counts them into
-    the report's ``rejected`` / ``rejected_detail`` and returns a
-    best-effort report when the round cap is hit.
+    One receive path for every host: a transport fault is named in the
+    run's report and the run goes on to quiescence or the round cap.
     """
 
     def __init__(self, nodes: dict, network, registry,
                  mode: str = MODE_BSP,
                  max_batch_bytes: int = DEFAULT_MAX_BATCH_BYTES,
-                 ledger: Optional[TicketLedger] = None,
-                 strict: bool = True) -> None:
+                 ledger: Optional[TicketLedger] = None) -> None:
         if mode not in SCHEDULER_MODES:
             raise ClusterError(
                 f"unknown scheduler mode {mode!r}; pick one of "
@@ -225,7 +234,6 @@ class ExecutionRuntime:
         self.batcher = MessageBatcher(network, registry,
                                       max_bytes=max_batch_bytes,
                                       ledger=self.ledger)
-        self.strict = strict
 
     # ------------------------------------------------------------------
     # Entry point
@@ -242,14 +250,25 @@ class ExecutionRuntime:
         messages_before = self.batcher.sent_messages
         items_before = self.batcher.sent_items
         bytes_before = self.network.total.bytes
+        bootstrapped = sum(self.nodes[name].bootstrap()
+                           for name in sorted(self.nodes))
+        report.new_facts += bootstrapped
         if self.mode == MODE_ASYNC:
-            self._run_async(report, max_rounds)
+            self._run_async(report, max_rounds, bootstrapped)
         else:
-            self._run_bsp(report, max_rounds)
-        for name in sorted(self.nodes):
-            quiesce = getattr(self.nodes[name], "quiesce", None)
-            if quiesce is not None:
-                quiesce()
+            self._run_bsp(report, max_rounds, bootstrapped)
+        report.outstanding = self.ledger.outstanding()
+        if report.outstanding:
+            report.faults.append(("outstanding", f"{self.mode} runtime "
+                                  f"stopped with {report.outstanding} "
+                                  f"ticket(s) outstanding"))
+        report.quiescent = (self.ledger.quiescent()
+                            and not self.network.pending())
+        if report.quiescent:
+            for name in sorted(self.nodes):
+                quiesce = getattr(self.nodes[name], "quiesce", None)
+                if quiesce is not None:
+                    quiesce()
         # Quiescence is also the safe point to compact the ledger's
         # per-slot bookkeeping (kept: the rounds trail and totals).
         self.ledger.compact()
@@ -276,18 +295,14 @@ class ExecutionRuntime:
     # BSP: barrier rounds
     # ------------------------------------------------------------------
 
-    def _run_bsp(self, report: RunReport, max_rounds: int) -> None:
+    def _run_bsp(self, report: RunReport, max_rounds: int,
+                 bootstrapped: int) -> None:
         ledger = self.ledger
         rounds_before = len(ledger.rounds)
         round_number = rounds_before
-
-        new_facts = 0
-        for name in sorted(self.nodes):
-            new_facts += self.nodes[name].bootstrap()
-        report.new_facts += new_facts
         if self._flush_all(round_number):
             report.depth += 1
-        ledger.close_round(round_number, new_facts, self.network.clock)
+        ledger.close_round(round_number, bootstrapped, self.network.clock)
 
         rounds_run = 0
         # Unticketed traffic (an open network's foreign messages, queued
@@ -296,26 +311,21 @@ class ExecutionRuntime:
         while not ledger.quiescent() or self.network.pending():
             rounds_run += 1
             if rounds_run > max_rounds:
-                if not self.strict:
-                    # Open transports are best-effort: stop at the cap
-                    # and report what landed.
-                    break
-                raise ClusterError(
-                    f"runtime did not quiesce within {max_rounds} rounds")
+                report.faults.append(("cap", f"runtime did not quiesce "
+                                      f"within {max_rounds} rounds"))
+                break
             round_number += 1
-            incoming = self._receive_all(report)
+            incoming: dict[str, list] = {}
+            for src, dst, blob in self.network.deliver_all():
+                batch = self._decode(report, src, dst, blob)
+                if batch is not None:
+                    incoming.setdefault(dst, []).append(batch)
             new_facts = 0
             delivered = 0
             for name in sorted(incoming):
-                node = self.nodes.get(name)
-                if node is None:
-                    if self.strict:
-                        raise ClusterError(f"delivery to unknown node {name!r}")
-                    self._reject(report, name, "unknown node")
-                    continue
                 batches = incoming[name]
                 delivered += sum(map(len, batches))
-                new_facts += node.integrate(batches)
+                new_facts += self.nodes[name].integrate(batches)
             report.new_facts += new_facts
             report.delivered_facts += delivered
             if incoming:
@@ -339,32 +349,17 @@ class ExecutionRuntime:
         self.batcher.flush(round_stamp)
         return self.batcher.sent_messages - before
 
-    def _receive_all(self, report: RunReport) -> dict:
-        """Deliver the whole queue; group decoded batches per destination."""
-        incoming: dict[str, list] = {}
-        for src, dst, blob in self.network.deliver_all():
-            batch = self._decode(report, src, blob)
-            if batch is not None:
-                incoming.setdefault(dst, []).append(batch)
-        return incoming
-
     # ------------------------------------------------------------------
     # Async: overlapped rounds
     # ------------------------------------------------------------------
 
-    def _run_async(self, report: RunReport, max_rounds: int) -> None:
+    def _run_async(self, report: RunReport, max_rounds: int,
+                   bootstrapped: int) -> None:
         network = self.network
         ledger = self.ledger
         #: causal depth stamp each node's next outgoing batch will carry
         next_stamp = {name: 1 for name in self.nodes}
-        productive_clock = 0.0
-
-        new_facts = 0
-        for name in sorted(self.nodes):
-            new_facts += self.nodes[name].bootstrap()
-        report.new_facts += new_facts
-        if new_facts:
-            productive_clock = network.clock
+        productive_clock = network.clock if bootstrapped else 0.0
         for name in sorted(self.nodes):
             report.depth = max(report.depth, self._drain_one(name, 1))
 
@@ -374,27 +369,21 @@ class ExecutionRuntime:
             # events: a run that never quiesces has unbounded depth, so
             # this still terminates it.
             if report.depth > max_rounds:
-                if not self.strict:
-                    break
-                raise ClusterError(
-                    f"async runtime did not quiesce within causal depth "
-                    f"{max_rounds}")
+                report.faults.append(("cap", f"async runtime did not "
+                                      f"quiesce within causal depth "
+                                      f"{max_rounds}"))
+                break
             delivered = network.deliver_next()
             if delivered is None:
                 break
             report.events += 1
             src, dst, blob = delivered
-            batch = self._decode(report, src, blob)
+            batch = self._decode(report, src, dst, blob)
             if batch is None:
                 continue
             report.delivered_facts += len(batch)
             stamp = batch.stamp
-            node = self.nodes.get(dst)
-            if node is None:
-                if self.strict:
-                    raise ClusterError(f"delivery to unknown node {dst!r}")
-                self._reject(report, dst, "unknown node")
-                continue
+            node = self.nodes[dst]
             # The heart of overlap: integrate *now*, re-entering the
             # node's semi-naive propagation, and ship its consequent
             # deltas immediately — no barrier, no waiting on peers.
@@ -421,11 +410,8 @@ class ExecutionRuntime:
                     productive_clock = network.clock
                     report.depth = max(report.depth, flushed)
 
-        if self.strict and ledger.outstanding():
-            raise ClusterError(
-                f"async runtime stopped with {ledger.outstanding()} "
-                f"ticket(s) outstanding")
-        # One closing record so ledger.quiescent() holds after the run.
+        # One closing record: ledger.quiescent() holds after the run iff
+        # nothing is outstanding.
         ledger.close_quiet(network.clock)
         report.rounds = report.depth
         report.productive_rounds = report.events
@@ -443,34 +429,45 @@ class ExecutionRuntime:
     # Shared receive path
     # ------------------------------------------------------------------
 
-    def _decode(self, report: RunReport, src: str,
+    def _decode(self, report: RunReport, src: str, dst: str,
                 blob: bytes) -> Optional[Batch]:
-        """Decode one wire blob and retire its ticket; None on a
-        tolerated decode failure or an empty batch."""
+        """Decode one wire blob for ``dst`` and retire its ticket (an
+        unreadable one: its sender's oldest); None for an undecodable
+        blob, one no node takes, or an empty batch.  An arrival no ticket
+        accounts for is still handed on: the importing host judges it."""
         try:
             batch = decode_batch_message(blob, self.registry)
         except NetworkError as exc:
-            if self.strict:
-                raise ClusterError(f"undecodable delta batch: {exc}") from exc
-            self._reject(report, "<decode>", str(exc))
-            # an undecodable blob may still be a ticketed batch whose
-            # payload (round stamp included) was corrupted in transit —
-            # the arrival itself proves a ticket of this sender landed,
-            # so retire the sender's oldest outstanding slot rather than
-            # wedging quiescence on an unreadable stamp.
+            self._reject(report, "<decode>", str(exc), "decode",
+                         f"undecodable delta batch: {exc}")
             self.ledger.retire_any(sender=src)
             return None
-        if self.strict:
-            self.ledger.retire(batch.stamp, sender=src)
-        else:
-            self.ledger.retire_guarded(batch.stamp, sender=src)
+        if not self.ledger.retire_guarded(batch.stamp, sender=src):
+            report.faults.append(
+                ("unticketed", self.ledger.overdrawn(batch.stamp, sender=src)))
+        if dst not in self.nodes:
+            self._reject(report, dst, "unknown node", "unknown node",
+                         f"delivery to unknown node {dst!r}")
+            return None
         return batch if batch.blocks else None
 
     @staticmethod
-    def _reject(report: RunReport, source: str, reason: str) -> None:
+    def _reject(report: RunReport, source: str, reason: str,
+                fault: str, message: str) -> None:
+        """A blob no node can take: a ``rejected`` one and a fault."""
         report.rejected += 1
         report.rejected_detail.append((source, reason))
+        report.faults.append((fault, message))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ExecutionRuntime(mode={self.mode!r}, "
                 f"nodes={sorted(self.nodes)})")
+
+
+def refuse_faults(report: RunReport) -> RunReport:
+    """The report of a run with no transport fault, else a
+    :class:`ClusterError` with the first fault's message: what a closed
+    host (``Cluster.run``, a launcher worker) makes of its run."""
+    if report.faults:
+        raise ClusterError(report.faults[0][1])
+    return report

@@ -330,6 +330,8 @@ class LBTrustSystem:
         audited, never fatal.  The hosts tally ``delivered`` /
         ``rejected`` imports into the report the runtime then completes;
         its ``productive_rounds`` are the rounds that delivered messages.
+        Whatever the verdict, the report is returned: a frame lost in
+        transit reads ``quiescent`` False, its ticket ``outstanding``.
         """
         report = RunReport()
         # Every network node gets a host — including nodes no principal
@@ -347,7 +349,7 @@ class LBTrustSystem:
         runtime = ExecutionRuntime(
             nodes, self.network, self.registry,
             mode=mode if mode is not None else self.mode,
-            max_batch_bytes=self.max_batch_bytes, strict=False)
+            max_batch_bytes=self.max_batch_bytes)
         return runtime.run(max_rounds, report)
 
     def _import_batch(self, principal: Principal, blocks: list,

@@ -44,7 +44,7 @@ LogicBlox instance).  It provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from ..datalog.database import TermInterner
 from ..datalog.errors import ReproError, SafetyError, WorkspaceError
@@ -246,15 +246,20 @@ class RuleRegistry:
     # -- template instantiation (code generation) ------------------------------
 
     def instantiate_template(self, quote: Quote, bindings: dict,
-                             eval_term: Callable[[Term, dict], object]) -> RuleRef:
+                             eval_term: Callable[[Term, dict], object]
+                             ) -> Union[RuleRef, PatternValue]:
         """Turn a head-position quote into a concrete rule and intern it.
 
         Bound variables are substituted with their values (becoming
         constants); unbound variables remain variables of the generated
         rule.  Nested ``V = [| … |]`` patterns survive substitution as
         patterns — they compile when the generated rule is activated.
+        A fact template still open once filled (a pull request's payload,
+        a delegated permission pattern) is returned as a pattern value.
         """
         filled = substitute_bindings(quote.pattern, bindings, eval_term)
+        if is_open_fact_pattern(filled):
+            return PatternValue(filled)
         return self.intern(instantiate_pattern(filled, bindings))
 
 

@@ -174,7 +174,9 @@ class TrustServer:
             report = self.system.run(max_rounds=max_rounds)
             return {"rounds": report.productive_rounds,
                     "delivered": report.delivered,
-                    "rejected": report.rejected}
+                    "rejected": report.rejected,
+                    "quiescent": report.quiescent,
+                    "outstanding": report.outstanding}
         if op == "stats":
             stats = self._principal(body).workspace.stats
             registry = self.system.registry

@@ -921,22 +921,14 @@ class Workspace:
             self._write_rows(pred, rows, fresh)
 
     def _instantiate_quote(self, quote: Quote, bindings: dict):
-        from ..datalog.terms import PatternValue
-        from ..meta.registry import is_open_fact_pattern, substitute_bindings
-
         def eval_with_context(term, local_bindings):
             return eval_term(term, local_bindings, self.context)
 
-        substituted = substitute_bindings(quote.pattern, bindings,
-                                          eval_with_context)
-        if is_open_fact_pattern(substituted):
-            # Still a pattern after substitution: yield it as a value
-            # (pull requests, delegated permission patterns) rather than
-            # generating a non-ground rule.
-            return PatternValue(substituted)
-        ref = self.registry.instantiate_template(quote, bindings, eval_with_context)
-        self._pending_template_refs.append(ref)
-        return ref
+        value = self.registry.instantiate_template(quote, bindings,
+                                                   eval_with_context)
+        if isinstance(value, RuleRef):
+            self._pending_template_refs.append(value)
+        return value
 
     def _compile_ref(self, ref: RuleRef, fresh: FactSet) -> list[EngineRule]:
         """``ref``'s engine rules: none for a ground fact, whose rows take

@@ -159,6 +159,23 @@ class TestLinkBarrier:
         assert link.quiescent() and not link.outstanding()
 
 
+class TestClosedLink:
+    """The runtime retires every arrival through ``retire_guarded`` and
+    an unreadable one through ``retire_any``; the link only tallies."""
+
+    def test_retire_guarded_tallies_and_answers_true(self, wired):
+        link, coordinator, _peers = wired
+        # no ticket was issued here: the coordinator's ledger judges it
+        assert link.retire_guarded(7, sender="b") is True
+        assert close_round(link, coordinator, 0, {})["retired"] == [["b", 7]]
+
+    def test_retire_any_is_fatal_and_names_the_sender(self, wired):
+        link, coordinator, _peers = wired
+        with pytest.raises(ClusterError, match="from 'c' on a closed link"):
+            link.retire_any(sender="c")
+        assert close_round(link, coordinator, 0, {})["retired"] == []
+
+
 class TestHostedImportGuard:
     def host(self):
         system = LBTrustSystem(auth="plaintext")

@@ -82,6 +82,23 @@ class TestALaunchedRunSaysWhatItRefused:
         assert launched.relations["a"]["ok"] == {("y",)}
 
 
+class TestTheVerdict:
+    def test_a_launched_run_carries_the_verdict_of_an_in_process_one(
+            self, launched):
+        local = refusing_system().run()
+        for report in (local, launched):
+            assert (report.quiescent, report.outstanding, report.faults) \
+                == (True, 0, [])
+
+    def test_a_faulted_report_survives_the_control_channel(self):
+        network = SimulatedNetwork()
+        network.add_node("a")
+        network.send("a", "a", b"not a batch")
+        report = ExecutionRuntime({}, network, RuleRegistry()).run()
+        assert [name for name, _message in report.faults] == ["decode"]
+        assert report.quiescent and rebuilt(report) == report
+
+
 class TestOneShape:
     def test_every_host_returns_the_same_type(self, launched):
         network = SimulatedNetwork()

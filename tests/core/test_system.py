@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import LBTrustSystem
-from repro.cluster.scheduler import ExecutionRuntime
+from repro.cluster.scheduler import ExecutionRuntime, refuse_faults
 from repro.datalog.errors import ClusterError, WorkspaceError
 from repro.datalog.terms import PredPartition
 from repro.meta.registry import RuleRegistry
@@ -412,9 +412,9 @@ class TestOpenNetworkRobustness:
         network.add_node("a")
         network.add_node("b")
         network.send("a", "b", shape)
-        runtime = ExecutionRuntime({}, network, RuleRegistry(), strict=True)
+        runtime = ExecutionRuntime({}, network, RuleRegistry())
         with pytest.raises(ClusterError, match="malformed batch payload"):
-            runtime.run()
+            refuse_faults(runtime.run())
 
     def test_batches_count_includes_early_size_capped_flushes(
             self, make_system):

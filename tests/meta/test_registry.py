@@ -169,6 +169,35 @@ class TestTemplates:
         assert not is_open_fact_pattern(substituted)
 
 
+@pytest.mark.parametrize("program, kind", [
+    ("made([| p(X). |]) <- trigger(X).", RuleRef),
+    ("made([| p(Y). |]) <- trigger(X).", PatternValue),
+])
+def test_a_head_quote_is_filled_once_per_instantiation(monkeypatch, program,
+                                                       kind):
+    """``instantiate_template`` fills the template once and answers an
+    open fact template with its pattern value; the workspace does not
+    fill it again to find out (a closed quote was filled twice)."""
+    from repro.meta import registry as registry_module
+    from repro.workspace.workspace import Workspace
+
+    fills = []
+    fill = registry_module.substitute_bindings
+
+    def counting(*args):
+        fills.append(args[0])
+        return fill(*args)
+
+    monkeypatch.setattr(registry_module, "substitute_bindings", counting)
+    workspace = Workspace("w")
+    workspace.load(program)
+    workspace.assert_fact("trigger", (1,))
+    workspace.assert_fact("trigger", (2,))
+    made = [value for (value,) in workspace.tuples("made")]
+    assert all(isinstance(value, kind) for value in made) and made
+    assert len(fills) == 2, len(fills)
+
+
 @given(st.lists(reflected_rules(), min_size=1, max_size=6))
 @settings(max_examples=80, deadline=None)
 def test_property_on_demand_reflection_equals_eager(texts):

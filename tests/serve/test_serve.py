@@ -323,7 +323,8 @@ class TestProtocol:
     def test_sync_runs_the_exchange(self, harness):
         client = harness.client("c1")
         body = client.sync(max_rounds=5)
-        assert set(body) == {"rounds", "delivered", "rejected"}
+        assert set(body) == {"rounds", "delivered", "rejected", "quiescent",
+                             "outstanding"}
 
     def test_shutdown_is_clean(self, harness):
         client = harness.client("c1")
@@ -337,6 +338,41 @@ class TestProtocol:
         assert set(SERVE_OPS) == {"hello", "ping", "assert", "retract",
                                   "load", "query", "sync", "stats",
                                   "shutdown"}
+
+
+class _LosingNetwork(SimulatedNetwork):
+    """Loses the first frame sent, as a broken link would."""
+    lost = 0
+
+    def send(self, src, dst, payload, at=None):
+        if not self.lost:
+            self.lost = 1
+            return
+        super().send(src, dst, payload, at=at)
+
+
+@pytest.mark.parametrize("network, verdict", [
+    (SimulatedNetwork, (1, True, 0)),
+    (_LosingNetwork, (0, False, 1)),
+])
+def test_a_served_sync_carries_the_runs_verdict(network, verdict):
+    """The ``sync`` reply says whether the exchange finished: a healthy
+    one delivers carol's fact and reads ``quiescent`` with nothing
+    ``outstanding``; one whose frame was lost says so instead of
+    reading like a quiet run."""
+    system = LBTrustSystem(auth="hmac", seed=3, network=network())
+    carol = system.create_principal("carol", node="n1")
+    system.create_principal("srv", node="n2")
+    carol.says("srv", 'ping("ok").')
+    serve_network = SimulatedNetwork()
+    server = TrustServer(system, serve_network)
+    client = ServeClient(serve_network, "c1",
+                         router=ServeRouter(serve_network, server),
+                         timeout=10.0)
+    client.connect()
+    reply = client.sync(max_rounds=5)
+    assert (reply["delivered"], reply["quiescent"],
+            reply["outstanding"]) == verdict, reply
 
 
 def test_a_hello_advertising_a_dead_port_does_not_stop_the_server():
