@@ -8,7 +8,14 @@ RSA directly:
   division, then Miller-Rabin (deterministic witness set below 3.3e24,
   40 random rounds above — error probability < 2^-80);
 * signatures: hash-then-modexp (SHA-256 digest as the message
-  representative), i.e. ``s = H(m)^d mod n``;
+  representative), i.e. ``s = H(m)^d mod n``, computed through the
+  Chinese remainder theorem (RFC 8017 §5.2.1, RSASP1 with Garner's
+  formula): two half-size powers with ``d mod (p-1)`` and ``d mod (q-1)``,
+  joined with ``q^-1 mod p``, all three derived once per key.  The result
+  is the same integer, at about a third of the cost.  Each signature is
+  checked with the public exponent before it is returned: a fault in one
+  half of a CRT signature would otherwise leak a factor of ``n`` (Boneh,
+  DeMillo & Lipton, EUROCRYPT 1997), so ``sign`` raises instead;
 * encryption: hybrid — RSA encrypts a random session key; the payload is
   XORed with a SHA-256 counter-mode keystream (see
   :mod:`repro.crypto.stream`).
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..datalog.errors import CryptoError
@@ -86,23 +93,6 @@ def generate_prime(bits: int, rng: random.Random) -> int:
             return candidate
 
 
-def _modinv(a: int, m: int) -> int:
-    g, x = _egcd(a, m)
-    if g != 1:
-        raise CryptoError("modular inverse does not exist")
-    return x % m
-
-
-def _egcd(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_x, x = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-    return old_r, old_x
-
-
 @dataclass(frozen=True)
 class RSAPublicKey:
     n: int
@@ -124,6 +114,15 @@ class RSAPrivateKey:
     d: int
     p: int
     q: int
+    # RFC 8017's CRT exponents and coefficient, derived from the five above.
+    dp: int = field(init=False, repr=False, compare=False)
+    dq: int = field(init=False, repr=False, compare=False)
+    qinv: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dp", self.d % (self.p - 1))
+        object.__setattr__(self, "dq", self.d % (self.q - 1))
+        object.__setattr__(self, "qinv", pow(self.q, -1, self.p))
 
     def public(self) -> RSAPublicKey:
         return RSAPublicKey(self.n, self.e)
@@ -148,7 +147,7 @@ def generate_keypair(bits: int = 1024,
         phi = (p - 1) * (q - 1)
         if phi % e == 0:
             continue
-        d = _modinv(e, phi)
+        d = pow(e, -1, phi)
         return RSAPrivateKey(n, e, d, p, q)
 
 
@@ -156,9 +155,19 @@ def _digest_int(message: bytes, n: int) -> int:
     return int.from_bytes(hashlib.sha256(message).digest(), "big") % n
 
 
+def _private_power(x: int, key: RSAPrivateKey) -> int:
+    """``x^d mod n`` through the CRT (Garner's formula)."""
+    low = pow(x, key.dq, key.q)
+    return low + key.q * ((pow(x, key.dp, key.p) - low) * key.qinv % key.p)
+
+
 def sign(message: bytes, key: RSAPrivateKey) -> int:
-    """Hash-then-modexp signature: ``H(m)^d mod n``."""
-    return pow(_digest_int(message, key.n), key.d, key.n)
+    """Hash-then-modexp signature ``H(m)^d mod n``, checked before release."""
+    digest = _digest_int(message, key.n)
+    signature = _private_power(digest, key)
+    if pow(signature, key.e, key.n) != digest:
+        raise CryptoError("RSA signature failed its check; not released")
+    return signature
 
 
 def verify(message: bytes, signature: int, key: RSAPublicKey) -> bool:
@@ -178,4 +187,4 @@ def encrypt_int(plaintext: int, key: RSAPublicKey) -> int:
 def decrypt_int(ciphertext: int, key: RSAPrivateKey) -> int:
     if not 0 <= ciphertext < key.n:
         raise CryptoError("ciphertext out of range for modulus")
-    return pow(ciphertext, key.d, key.n)
+    return _private_power(ciphertext, key)

@@ -105,3 +105,38 @@ class TestEncryption:
     def test_property_encrypt_decrypt(self, plaintext):
         ciphertext = rsa.encrypt_int(plaintext, self.KEY.public())
         assert rsa.decrypt_int(ciphertext, self.KEY) == plaintext
+
+
+class TestChineseRemainderSigning:
+    """``sign`` and ``decrypt_int`` take the private power through the CRT
+    (RFC 8017 §5.2.1); the result must be the integer the whole-modulus
+    power gives, and a faulty one must never leave ``sign``."""
+
+    @given(st.integers(64, 256), st.integers(0, 2 ** 32), st.binary(max_size=64),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_property_same_integer_as_the_whole_modulus_power(
+            self, bits, seed, message, data):
+        key = rsa.generate_keypair(bits, seed=seed)
+        assert rsa.sign(message, key) == \
+            pow(rsa._digest_int(message, key.n), key.d, key.n)
+        ciphertext = data.draw(st.integers(0, key.n - 1))
+        assert rsa.decrypt_int(ciphertext, key) == pow(ciphertext, key.d, key.n)
+
+    def test_a_faulty_signature_is_not_released(self):
+        """A wrong private exponent (bit 1 of ``d`` flipped) stands in for a
+        fault in one CRT half: the check before release raises, where a
+        sign without it returns a signature that does not verify and, under
+        the CRT, would leak a factor of ``n``."""
+        key = rsa.generate_keypair(256, seed=3)
+        faulty = rsa.RSAPrivateKey(key.n, key.e, key.d ^ 2, key.p, key.q)
+        with pytest.raises(CryptoError):
+            rsa.sign(b"hello", faulty)
+
+    def test_derived_fields_stay_out_of_equality_and_repr(self):
+        key = rsa.generate_keypair(128, seed=8)
+        twin = rsa.RSAPrivateKey(key.n, key.e, key.d, key.p, key.q)
+        assert twin == key and hash(twin) == hash(key)
+        assert "dp" not in repr(key) and "qinv" not in repr(key)
+        assert (key.dp, key.dq) == (key.d % (key.p - 1), key.d % (key.q - 1))
+        assert key.q * key.qinv % key.p == 1

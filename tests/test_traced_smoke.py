@@ -191,3 +191,25 @@ def test_fig2_hmac():
         "datalog.index_builds": 14,
         "datalog.plan_cache_hit_ratio": 0.3548387096774194,
         "crypto.verify_calls": 400})
+
+
+def test_fig2_rsa():
+    """fig2_rsa is the same exchange under RSA-1024, 50 messages a round:
+    one ``crypto.rsa.sign`` per said fact at the sender and one
+    ``crypto.rsa.verify`` per credential at the receiver.
+
+    * ``crypto.sign_calls`` / ``crypto.verify_calls`` 50 / 50 since
+      signing went through the CRT: ``sign`` checks each signature with
+      an inline power of the public exponent before it releases it, not
+      through ``verify``, so the check is no verify call.  A check routed
+      through ``verify`` moves ``verify_calls`` to 100.
+    * ``core.delivered`` 50 over ``net.messages`` 2 (one block each way),
+      ``datalog.derivations`` 204 and ``datalog.calls`` 108: the shape
+      of the exchange, which a crypto change must not move.  ``net.bytes``
+      is not pinned: signatures vary in length, so it is a mean over a
+      time-bounded number of rounds, not an integer.
+    """
+    assert_pinned("fig2_rsa", {
+        "crypto.sign_calls": 50, "crypto.verify_calls": 50,
+        "core.delivered": 50, "net.messages": 2,
+        "datalog.derivations": 204, "datalog.calls": 108})
