@@ -32,11 +32,11 @@ def rsa_key(bits: int = 1024):
 @benchmark("crypto_primitives", group="crypto",
            quick=[{"op": "hmac_sign", "iterations": 200},
                   {"op": "hmac_verify", "iterations": 200},
-                  {"op": "rsa_sign", "rsa_bits": 512, "iterations": 5},
+                  {"op": "rsa_sign", "rsa_bits": 512, "iterations": 50},
                   {"op": "rsa_verify", "rsa_bits": 512, "iterations": 20}],
            full=[{"op": "hmac_sign", "iterations": 2000},
                  {"op": "hmac_verify", "iterations": 2000},
-                 {"op": "rsa_sign", "rsa_bits": 1024, "iterations": 10},
+                 {"op": "rsa_sign", "rsa_bits": 1024, "iterations": 40},
                  {"op": "rsa_verify", "rsa_bits": 1024, "iterations": 50}])
 def crypto_primitives(case, op, iterations, rsa_bits=1024):
     """Per-operation sign/verify cost under each authentication scheme."""

@@ -40,7 +40,9 @@ Topology::
   worker's tally to it (``_apply``): once per barrier in ``bsp``, until
   nothing is outstanding in ``async``.  A retire and the issues it
   caused always travel in **one** tally, so the balance can never reach
-  zero while consequences are unreported.
+  zero while consequences are unreported.  A tally also carries the
+  faults its worker's run has named since the last one (``decode``,
+  ``unknown node``), and the coordinator fails the launch on the first.
 
 Job kinds: ``cluster`` (Datalog shards: node names, placement ops, the
 rule program, EDB facts) and ``system`` (an ``LBTrustSystem``:
@@ -174,8 +176,8 @@ def _encode_relations(sources: dict, spec: dict, registry) -> dict:
 
 def _build_cluster_job(spec: dict, my_node: str) -> tuple:
     """This worker's shard of a ``cluster`` job: ``(node, registry,
-    report, sources)`` — the report its node tallies into (none, for a
-    shard) and what :func:`_encode_relations` collects from."""
+    report, sources)`` — the report its run fills in and what
+    :func:`_encode_relations` collects from."""
     from .partition import Partitioner
     from .runtime import Cluster
 
@@ -201,7 +203,7 @@ def _build_cluster_job(spec: dict, my_node: str) -> tuple:
     for pred, values in spec.get("facts", ()):
         cluster.assert_fact(pred, tuple(values))
     node = cluster.nodes[my_node]
-    return node, cluster.registry, None, {"": node.db.tuples}
+    return node, cluster.registry, RunReport(), {"": node.db.tuples}
 
 
 def _build_system_job(spec: dict, my_node: str) -> tuple:
@@ -288,15 +290,19 @@ class _Link(TicketLedger):
     batches retired per ``(sender, stamp)`` — and ships each tally to
     the coordinator, whose real :class:`TicketLedger` decides
     quiescence; a retire and the issues it caused always leave in one
-    message.  The ``rounds`` trail it keeps is this worker's own share.
+    message, with the ``faults`` the run has named since the last.  The
+    ``rounds`` trail it keeps is this worker's own share, so whether a
+    round was :meth:`quiet` is the coordinator's answer, never its own.
     """
 
     def __init__(self, network: SocketNetwork, control: Connection,
-                 timeout: float) -> None:
+                 timeout: float, faults: list) -> None:
         super().__init__()
         self.network = network
         self.control = control
         self.timeout = timeout
+        self.faults = faults       # the run's RunReport.faults
+        self._reported = 0         # how many of them were tallied
         self._dst = ""             # where the send being ticketed went
         self._sent: dict = {}      # (dst, stamp) -> batches since last tally
         self._retired: list = []   # [sender, stamp] per batch since then
@@ -378,17 +384,15 @@ class _Link(TicketLedger):
         self.retire(round_stamp, sender=sender)
         return True
 
-    def retire_any(self, sender: Optional[Hashable] = None) -> bool:
-        """A frame this worker cannot read is fatal on a closed link."""
-        raise ClusterError(
-            f"undecodable delta batch from {sender!r} on a closed link")
-
     def _tally(self, new_facts: int) -> None:
-        self.control.send({
-            "type": "tally", "new_facts": new_facts,
-            "sent": [[dst, stamp, count]
-                     for (dst, stamp), count in self._sent.items()],
-            "retired": self._retired})
+        tally = {"type": "tally", "new_facts": new_facts,
+                 "sent": [[dst, stamp, count]
+                          for (dst, stamp), count in self._sent.items()],
+                 "retired": self._retired}
+        if len(self.faults) > self._reported:
+            tally["faults"] = self.faults[self._reported:]
+            self._reported = len(self.faults)
+        self.control.send(tally)
         self._sent, self._retired = {}, []
 
     def close_round(self, number: int, new_facts: int,
@@ -404,7 +408,10 @@ class _Link(TicketLedger):
         self.rounds.append(record)
         return record
 
-    def quiescent(self) -> bool:
+    def quiet(self) -> bool:
+        """The coordinator's verdict: a worker's own quiet round is not
+        a global one.  (The link's own ticket balance is always zero, so
+        :meth:`quiescent` is this verdict too.)"""
         return self._verdict
 
 
@@ -426,7 +433,7 @@ def _worker_entry(control: Connection, my_node: str, spec: dict, mode: str,
         if build is None:
             raise ClusterError(f"unknown job kind {spec['kind']!r}")
         node, registry, report, sources = build(spec, my_node)
-        link = _Link(network, control, timeout)
+        link = _Link(network, control, timeout, report.faults)
         runtime = ExecutionRuntime(
             {my_node: node}, link, registry, mode=mode,
             max_batch_bytes=max_batch_bytes, ledger=link)
@@ -590,7 +597,11 @@ class _Coordinator:
         """Apply one tally to the ledger, issues strictly before retires:
         a tally is atomic, and its retires may reference its own sends'
         predecessors.  Retires still unmatched stay deferred and are
-        retried with every later tally."""
+        retried with every later tally.  A tally that names a fault
+        fails the launch with the worker's name and the fault's text."""
+        faults = tally.get("faults")
+        if faults:
+            raise ClusterError(f"worker {name} failed: {faults[0][1]}")
         for _dst, stamp, count in tally["sent"]:
             self.ledger.issue(stamp, count=count, sender=name)
         self.deferred = [
@@ -602,7 +613,10 @@ class _Coordinator:
         close the round, answer each worker with the verdict and the
         frames its next barrier awaits — counted per **source**, since a
         fast peer's round-N frames can be on the wire before a slow
-        peer's round-N-1 ones and only per-link FIFO counts are exact."""
+        peer's round-N-1 ones and only per-link FIFO counts are exact.
+        The verdict is each worker's ``quiet()``: here a quiet round is
+        a quiescent one, since a frame that never lands stops its
+        receiver's barrier and an unreadable one fails the launch."""
         while True:
             expect: dict[str, dict] = {name: {} for name in self.nodes}
             new_facts = 0

@@ -48,8 +48,9 @@ class TicketLedger:
     ``issued``/``retired`` stay as global totals (cheap outstanding
     check); ``_vector`` holds the per-``(sender, round)`` split that
     makes over-retirement detection exact.  ``sender`` is any hashable
-    node identity; callers that predate the round-vector generalization
-    simply leave it ``None`` and share one anonymous sender slot.
+    node identity.  A ticket is retired only by the arrival that names
+    its slot: a batch whose stamp cannot be read retires nothing, and
+    its ticket stays outstanding.
     """
 
     issued: int = 0
@@ -108,26 +109,6 @@ class TicketLedger:
         return (f"ticket ledger: sender {sender!r} round {round_stamp} "
                 f"retired {retired + count} > issued {issued}")
 
-    def retire_any(self, sender: Optional[Hashable] = None) -> bool:
-        """Retire ``sender``'s oldest outstanding ticket, whatever round.
-
-        For a ticketed batch whose *payload* was corrupted in transit:
-        the receiver cannot read the round stamp, but the message
-        arriving at all proves some ticket of that sender is in flight.
-        Retiring the oldest outstanding slot keeps the ledger's totals
-        truthful without wedging quiescence on an unreadable stamp.
-        Returns False (retiring nothing) when the sender has no ticket
-        outstanding — i.e. the corrupt blob was foreign traffic.
-        """
-        candidates = sorted(
-            stamp for (who, stamp), slot in self._vector.items()
-            if who == sender and slot[1] < slot[0]
-        )
-        if not candidates:
-            return False
-        self.retire(candidates[0], sender=sender)
-        return True
-
     def compact(self) -> None:
         """Drop per-slot bookkeeping once nothing is in flight.
 
@@ -148,18 +129,6 @@ class TicketLedger:
     def outstanding(self) -> int:
         """Tickets issued but not yet retired (messages in flight)."""
         return self.issued - self.retired
-
-    def outstanding_of(self, sender: Optional[Hashable] = None,
-                       round_stamp: Optional[int] = None) -> int:
-        """In-flight tickets of one sender (optionally one round)."""
-        total = 0
-        for (who, stamp), slot in self._vector.items():
-            if who != sender:
-                continue
-            if round_stamp is not None and stamp != round_stamp:
-                continue
-            total += slot[0] - slot[1]
-        return total
 
     def close_round(self, number: int, new_facts: int, clock: float) -> RoundRecord:
         """Record one completed round's activity and the virtual clock."""
@@ -183,19 +152,21 @@ class TicketLedger:
         self.rounds.append(record)
         return record
 
-    def quiescent(self) -> bool:
-        """True when the system has provably converged.
-
-        All tickets retired (nothing in flight) *and* the last closed
-        round neither derived new facts nor issued messages — so no node
-        holds work that could restart the exchange.
+    def quiet(self) -> bool:
+        """True when the last closed round neither derived new facts nor
+        issued messages: nothing more can arrive, so a run stops here.
         """
-        if self.outstanding():
-            return False
         if not self.rounds:
             return False
         last = self.rounds[-1]
         return last.new_facts == 0 and last.issued == 0
+
+    def quiescent(self) -> bool:
+        """True when the system has provably converged: the last round
+        was :meth:`quiet` *and* every ticket was retired (nothing is in
+        flight), so no node holds work that could restart the exchange.
+        """
+        return not self.outstanding() and self.quiet()
 
     def convergence_clock(self) -> float:
         """Virtual time at which the last productive round closed."""

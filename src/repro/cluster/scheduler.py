@@ -66,10 +66,9 @@ protocol is the same for all three.
 ``network``, ``send`` (through the batcher), ``deliver_all`` /
 ``deliver_next`` / ``pending``, ``clock`` and ``total``; of the
 ``ledger``, ``issue`` (through the batcher) / ``retire_guarded`` (False:
-no ticket accounts for the arrival) / ``retire_any`` (its stamp is
-unreadable) / ``overdrawn``, ``close_round`` / ``close_quiet``,
-``quiescent`` / ``outstanding``, ``compact``, the ``rounds`` trail and
-``convergence_clock``.
+no ticket accounts for the arrival) / ``overdrawn``, ``close_round`` /
+``close_quiet``, ``quiet`` / ``quiescent`` / ``outstanding``,
+``compact``, the ``rounds`` trail and ``convergence_clock``.
 
 **Scheduling modes**:
 
@@ -86,13 +85,16 @@ unreadable) / ``overdrawn``, ``close_round`` / ``close_quiet``,
   how long its longest message chain was — the async analog of BSP's
   round count.
 
-Both modes end in the verdict the run's report carries: quiescent
-(zero tickets outstanding and no node holding unflushed work, i.e. the
-distributed fixpoint is complete) or not, with each transport fault
-named; the loop never raises for one, and a closed host refuses a
-faulted run (:func:`refuse_faults`).  Union-of-node state equals the
-single-node fixpoint whenever the run is quiescent and the placement
-join-compatible — which
+Both modes stop at the first point where nothing more can arrive — a
+barrier that derived and sent nothing (``bsp``) or an empty network
+(``async``) — whether or not tickets are outstanding; the round cap
+stops only a run still working.  The run then ends in the verdict its
+report carries: quiescent (zero tickets outstanding and no node holding
+unflushed work, i.e. the distributed fixpoint is complete) or not, with
+each transport fault named; the loop never raises for one, and a closed
+host refuses a faulted run (:func:`refuse_faults`).  Union-of-node
+state equals the single-node fixpoint whenever the run is quiescent and
+the placement join-compatible — which
 :func:`~repro.cluster.placement_check.check_join_compatibility`
 verifies statically at ``load()``.
 """
@@ -158,8 +160,9 @@ class RunReport:
     complete.  ``outstanding`` counts the tickets in flight when the run
     stopped.  ``faults`` names each transport fault ``(name, message)``
     as it happened: ``"decode"``, ``"unknown node"``, ``"unticketed"``
-    (an arrival no ticket accounts for), ``"cap"`` (``max_rounds``) and
-    ``"outstanding"``; a run without one is quiescent.
+    (an arrival no ticket accounts for), ``"cap"`` (still working at
+    ``max_rounds``) and ``"outstanding"``; a run without one is
+    quiescent.
 
     ``per_node`` has one :class:`NodeReport` per node, in name order.
     ``relations`` (``owner → pred → facts``; owner ``""`` is a
@@ -215,7 +218,8 @@ class ExecutionRuntime:
     """Drives a set of protocol nodes to a distributed fixpoint.
 
     One receive path for every host: a transport fault is named in the
-    run's report and the run goes on to quiescence or the round cap.
+    run's report and the run goes on until nothing more can arrive, or
+    to the round cap if it is still working there.
     """
 
     def __init__(self, nodes: dict, network, registry,
@@ -305,10 +309,12 @@ class ExecutionRuntime:
         ledger.close_round(round_number, bootstrapped, self.network.clock)
 
         rounds_run = 0
-        # Unticketed traffic (an open network's foreign messages, queued
-        # before the run) never shows in the ledger; the queue must also
-        # be empty before quiescence is real.
-        while not ledger.quiescent() or self.network.pending():
+        # Stop after a barrier that derived and sent nothing, with the
+        # queue empty (an open network's foreign messages, queued before
+        # the run, never show in the ledger): nothing more can arrive.
+        # A ticket still outstanding here is a lost or unreadable batch,
+        # and the verdict names it; waiting longer cannot retire it.
+        while not ledger.quiet() or self.network.pending():
             rounds_run += 1
             if rounds_run > max_rounds:
                 report.faults.append(("cap", f"runtime did not quiesce "
@@ -431,16 +437,16 @@ class ExecutionRuntime:
 
     def _decode(self, report: RunReport, src: str, dst: str,
                 blob: bytes) -> Optional[Batch]:
-        """Decode one wire blob for ``dst`` and retire its ticket (an
-        unreadable one: its sender's oldest); None for an undecodable
-        blob, one no node takes, or an empty batch.  An arrival no ticket
-        accounts for is still handed on: the importing host judges it."""
+        """Decode one wire blob for ``dst`` and retire its ticket; None for
+        an undecodable blob (it retires nothing: which ticket it carried
+        is unreadable), one no node takes, or an empty batch.  An arrival
+        no ticket accounts for is still handed on: the importing host
+        judges it."""
         try:
             batch = decode_batch_message(blob, self.registry)
         except NetworkError as exc:
             self._reject(report, "<decode>", str(exc), "decode",
                          f"undecodable delta batch: {exc}")
-            self.ledger.retire_any(sender=src)
             return None
         if not self.ledger.retire_guarded(batch.stamp, sender=src):
             report.faults.append(

@@ -96,7 +96,7 @@ def wired(pipe_pair):
             network.add_remote(name, peers.host, peers.port_of(name))
         peers.add_remote("a", network.host, network.port_of("a"))
         control, coordinator = pipe_pair
-        yield _Link(network, control, 0.3), coordinator, peers
+        yield _Link(network, control, 0.3, []), coordinator, peers
 
 
 def close_round(link, coordinator, number, expect, quiescent=False):
@@ -122,6 +122,18 @@ class TestLinkBarrier:
         assert close_round(link, coordinator, 1, {}, quiescent=True) \
             == {"type": "tally", "new_facts": 0, "sent": [], "retired": []}
         assert link.quiescent() and len(link.rounds) == 2
+
+    def test_quiet_is_the_coordinators_verdict_not_the_workers_round(
+            self, wired):
+        """A worker's round that derived and sent nothing is not a quiet
+        round of the run: only the coordinator's reply says so."""
+        link, coordinator, _peers = wired
+        close_round(link, coordinator, 0, {})
+        assert link.rounds[-1].new_facts == 0
+        assert link.rounds[-1].issued == 0
+        assert not link.quiet() and not link.quiescent()
+        close_round(link, coordinator, 1, {}, quiescent=True)
+        assert link.quiet() and link.quiescent()
 
     def test_early_next_round_frame_is_parked_not_delivered(self, wired):
         link, coordinator, peers = wired
@@ -160,8 +172,8 @@ class TestLinkBarrier:
 
 
 class TestClosedLink:
-    """The runtime retires every arrival through ``retire_guarded`` and
-    an unreadable one through ``retire_any``; the link only tallies."""
+    """The runtime retires every arrival through ``retire_guarded``; the
+    link only tallies, the faults its run names included."""
 
     def test_retire_guarded_tallies_and_answers_true(self, wired):
         link, coordinator, _peers = wired
@@ -169,11 +181,19 @@ class TestClosedLink:
         assert link.retire_guarded(7, sender="b") is True
         assert close_round(link, coordinator, 0, {})["retired"] == [["b", 7]]
 
-    def test_retire_any_is_fatal_and_names_the_sender(self, wired):
+    def test_a_tallied_fault_is_refused_with_the_worker_and_its_text(
+            self, wired):
         link, coordinator, _peers = wired
-        with pytest.raises(ClusterError, match="from 'c' on a closed link"):
-            link.retire_any(sender="c")
-        assert close_round(link, coordinator, 0, {})["retired"] == []
+        link.faults.append(("decode", "undecodable delta batch: bad body"))
+        tally = close_round(link, coordinator, 0, {})
+        assert tally["faults"] == [("decode",
+                                    "undecodable delta batch: bad body")]
+        served = _Coordinator(cluster_spec(["a"], [], ""), timeout=1.0)
+        with pytest.raises(ClusterError, match=(
+                "^worker a failed: undecodable delta batch: bad body$")):
+            served._apply("a", tally)
+        # a fault rides one tally only
+        assert "faults" not in close_round(link, coordinator, 1, {})
 
 
 class TestHostedImportGuard:

@@ -33,6 +33,20 @@ class TestTicketLedger:
         ledger.close_round(1, new_facts=0, clock=0.0)
         assert ledger.quiescent()
 
+    def test_a_quiet_round_with_a_ticket_outstanding_is_not_quiescent(self):
+        """``quiet`` reads the last round alone; ``quiescent`` also needs
+        every ticket retired, so a lost batch stops a run unconverged."""
+        ledger = TicketLedger()
+        assert not ledger.quiet()
+        ledger.issue(0, sender="a")
+        ledger.close_round(0, new_facts=1, clock=0.0)
+        assert not ledger.quiet()
+        ledger.close_round(1, new_facts=0, clock=1.0)
+        assert ledger.quiet() and not ledger.quiescent()
+        assert ledger.outstanding() == 1
+        ledger.retire(0, sender="a")
+        assert ledger.quiet() and ledger.quiescent()
+
     def test_retiring_more_than_issued_is_loud(self):
         ledger = TicketLedger()
         ledger.issue(0)
@@ -88,27 +102,6 @@ class TestRoundVectors:
         assert ledger.retire_guarded(1, sender="a") is True
         assert ledger.retire_guarded(1, sender="a") is False
         assert ledger.outstanding() == 0
-
-    def test_retire_any_drains_oldest_outstanding_slot(self):
-        ledger = TicketLedger()
-        ledger.issue(2, sender="a")
-        ledger.issue(5, sender="a")
-        assert ledger.retire_any(sender="a") is True
-        assert ledger.outstanding_of("a", round_stamp=2) == 0
-        assert ledger.outstanding_of("a", round_stamp=5) == 1
-        assert ledger.retire_any(sender="a") is True
-        assert ledger.retire_any(sender="a") is False   # nothing left
-        assert ledger.retire_any(sender="stranger") is False
-
-    def test_outstanding_of_tracks_one_sender(self):
-        ledger = TicketLedger()
-        ledger.issue(0, count=2, sender="a")
-        ledger.issue(1, sender="b")
-        assert ledger.outstanding_of("a") == 2
-        assert ledger.outstanding_of("b") == 1
-        assert ledger.outstanding_of("a", round_stamp=1) == 0
-        ledger.retire(0, sender="a")
-        assert ledger.outstanding_of("a") == 1
 
     def test_an_unticketed_envelope_in_a_cluster_run_is_a_cluster_error(self):
         """A batch no batcher ticketed, injected into a strict cluster's

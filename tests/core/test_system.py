@@ -384,11 +384,11 @@ class TestOpenNetworkRobustness:
             ("<decode>", "batch body does not match its blocks")]
 
     @pytest.mark.parametrize("shape", LEGACY_SHAPES)
-    def test_legacy_shape_in_place_of_a_ticketed_batch_still_quiesces(
+    def test_legacy_shape_in_place_of_a_ticketed_batch_stays_outstanding(
             self, make_system, shape):
         """A ticketed batch replaced in transit by a legacy-shaped
-        payload retires its sender's oldest slot (``retire_any``): the
-        run ends with nothing outstanding instead of at the round cap."""
+        payload retires nothing: the run stops at its first quiet round,
+        not at the round cap, with the lost batch's ticket outstanding."""
         class ReplacingNetwork(SimulatedNetwork):
             replaced = 0
 
@@ -405,6 +405,7 @@ class TestOpenNetworkRobustness:
         assert not b.tuples("msg")
         assert report.rejected == 1 and report.delivered == 0
         assert report.rounds < 5 and not system.network.pending()
+        assert report.quiescent is False and report.outstanding == 1
 
     @pytest.mark.parametrize("shape", LEGACY_SHAPES)
     def test_legacy_shape_on_a_closed_transport_is_fatal(self, shape):
