@@ -1,11 +1,15 @@
-"""Benchmark scripts for the LBTrust reproduction.
+"""Micro benchmarks for the LBTrust reproduction.
 
-Each module registers its workloads with :mod:`repro.bench` at import
-time (the ``repro bench`` CLI imports this whole package to discover
-them) and stays runnable standalone::
+Each ``bench_*`` module (and ``workloads``) registers its workloads with
+:func:`benchmarks.harness.benchmark` at import time.  There is one way
+to run them: ``python -m benchmarks`` from the repository root, which
+imports every script of this package and then runs, records or compares
+the workloads it selects::
 
-    python benchmarks/bench_fig2_auth_overhead.py --quick
+    python -m benchmarks --quick --filter fig2_auth_overhead
 
-The ``@benchmark`` registry is the one microbenchmark entry point; it
-needs nothing beyond a bare ``pip install -e .`` environment.
+:mod:`benchmarks.harness` is the harness; :mod:`benchmarks.oracles`
+holds the two reference evaluators (naive bottom-up and tabled top-down)
+that the ablations and the differential tests compare the engine with.
+Nothing here is part of the ``repro`` package.
 """

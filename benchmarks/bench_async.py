@@ -19,16 +19,10 @@ Figures of merit:
 * ``fixpoint_equal`` — bit-identical union-of-shards, every time.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
 import random
 from time import perf_counter
 
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
 from repro.cluster import Cluster, Partitioner
 from repro.net.network import SimulatedNetwork
 
@@ -95,8 +89,3 @@ def async_overlap(case, nodes, vertices):
         overlap_clock_win=bsp_report.convergence_time
         - async_report.convergence_time,
     )
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -14,15 +14,9 @@ merit besides wall time:
 * ``virtual_time`` — convergence time on the simulated network's clock.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
 import random
 
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
 from repro.cluster import Cluster, Partitioner
 
 REACHABILITY = """
@@ -71,8 +65,3 @@ def cluster_shard_scaling(case, nodes, vertices):
         max_node_derivations=report.max_node_derivations(),
         per_node_derivations=[n.derivations for n in report.per_node],
     )
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

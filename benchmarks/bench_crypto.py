@@ -5,13 +5,7 @@ canonical rule text.  The RSA/HMAC per-message gap here should account
 for (most of) the scheme gap measured in E1.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
 from repro.crypto import rsa
 from repro.crypto.hmac_sha1 import hmac_sha1, verify_hmac_sha1
 
@@ -62,8 +56,3 @@ def crypto_primitives(case, op, iterations, rsa_bits=1024):
         for _ in range(iterations):
             step()
     case.record(per_op_us=case.elapsed / iterations * 1e6)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -5,14 +5,8 @@ every hop triggers del1 code generation, dd2b budget inference, and a
 says-propagated budget message — the full meta-programming path.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
+from benchmarks.harness import benchmark
 from repro import LBTrustSystem
-from repro.bench import benchmark
 
 CHAIN = 6
 
@@ -46,8 +40,3 @@ def delegation_chain(case, length):
     with case.measure():
         run_chain(system, principals)
     case.record(hops=length)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -6,16 +6,10 @@ Semi-naive avoids re-deriving old facts each round, turning the quadratic
 re-derivation blowup into work linear in the output.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
+from benchmarks.oracles import evaluate_naive
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate
-from repro.datalog.naive import evaluate_naive
 from repro.datalog.parser import parse_statements
 from repro.datalog.runtime import EvalContext
 from repro.datalog.terms import Rule
@@ -61,8 +55,3 @@ def eval_strategies(case, strategy, graph, size):
     with case.measure():
         evaluator(RULES, db, context)
     case.record(closure_size=len(db.tuples("r")))
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -14,18 +14,12 @@ workload is the series over k.  The *shape* claims under test:
 * time grows linearly in the number of messages.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
+from benchmarks.harness import benchmark as bench_workload
 from benchmarks.workloads import (
     BENCH_MESSAGES,
     make_fig2_system,
     run_fig2_exchange,
 )
-from repro.bench import benchmark as bench_workload
 
 
 @bench_workload("fig2_auth_overhead", group="fig2-auth-overhead",
@@ -54,8 +48,3 @@ def fig2_auth_overhead(case, auth, k, rsa_bits=None):
 def fig2_sweep(case, auth, k):
     """One point of the Figure 2 series: time vs number of messages."""
     fig2_auth_overhead(case, auth, k, rsa_bits=512)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -13,13 +13,7 @@ time alike however many unrelated facts there are; a pass over the whole
 stratum would scale with them.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate, normalize_rules, propagate_insertions
 from repro.datalog.incremental import propagate_deletions
@@ -139,8 +133,3 @@ def incremental_maintenance(case, mode, base, stream, unrelated=0):
                 evaluate(RULES, db, context)
         case.record(closure_size=len(db.tuples("r")))
         check_against_scratch(db, edges)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -31,15 +31,9 @@ selectivity)``, so small values mean fat buckets (many matches per
 probe) and large values mean selective probes that mostly miss.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
 import random
 
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate
 from repro.datalog.parser import parse_statements
@@ -159,8 +153,3 @@ def join_micro(case, mode, n, selectivity):
         raise ValueError(f"unknown mode {mode!r}")
     case.record(result_size=out_size,
                 distinct_keys=max(1, int(n * selectivity)))
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -9,22 +9,16 @@ everything; magic-sets and tabled top-down only touch what the query
 needs.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
 import random
 
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
+from benchmarks.oracles import query_topdown
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate
 from repro.datalog.magic import query_magic
 from repro.datalog.parser import parse_atom, parse_statements
 from repro.datalog.runtime import EvalContext
 from repro.datalog.terms import Rule
-from repro.datalog.topdown import query_topdown
 
 TC = "r(X,Y) <- e(X,Y). r(X,Z) <- e(X,Y), r(Y,Z)."
 RULES = [s for s in parse_statements(TC) if isinstance(s, Rule)]
@@ -69,8 +63,3 @@ def magic_point_query(case, strategy, relevant, irrelevant):
         else:
             answers = query_topdown(RULES, db, QUERY)
     case.record(answers=len(answers))
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -5,14 +5,8 @@ The section 5.2 reachability protocol on rings of growing size; the
 rounds/messages/bytes/virtual-time scaling.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
+from benchmarks.harness import benchmark
 from repro import LBTrustSystem
-from repro.bench import benchmark
 from repro.languages.sendlog import install_sendlog
 
 REACHABILITY = """
@@ -74,8 +68,3 @@ def sendlog_convergence(case, size):
                 messages=system.network.total.messages,
                 bytes=system.network.total.bytes,
                 virtual_time=report.virtual_time)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -23,16 +23,10 @@ clients" are N live connections with interleaved traffic, not N OS
 threads; that keeps the measurement free of GIL scheduling noise.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
 import threading
 import time
 
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
 from repro.core.system import LBTrustSystem
 from repro.net import SimulatedNetwork, SocketNetwork
 from repro.serve import ServeClient, ServeRouter, TrustServer
@@ -162,8 +156,3 @@ def serve_latency(case, transport, clients, qps, mix, requests):
         updates=summary["updates"],
         queries=summary["queries"],
     )
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

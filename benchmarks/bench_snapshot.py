@@ -14,13 +14,7 @@ overhead stays flat as the fact base grows.  Two modes:
   bad batch should pay for the batch, not for the base.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
 from repro.datalog.database import Database
 from repro.datalog.errors import ConstraintViolation
 from repro.workspace.workspace import Workspace
@@ -84,8 +78,3 @@ def snapshot_rollback(case, mode, facts, txns, relations=None):
         edb_facts = len(ws.edb["edge"])
         assert rejected == txns and edb_facts == facts
         case.record(rejected=rejected, edb_facts=edb_facts)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

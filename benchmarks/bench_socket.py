@@ -19,15 +19,9 @@ The multiprocess launcher is exercised by the test suite and the
 swamp a timing measurement.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
 import random
 
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
 from repro.cluster import Cluster, Partitioner
 from repro.net import SimulatedNetwork, SocketNetwork
 
@@ -87,8 +81,3 @@ def socket_transport(case, transport, mode, nodes, vertices):
     finally:
         if transport == "socket":
             network.close()
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -4,13 +4,7 @@ Cost of the wd2 count as the bureau group grows: n bureaus each vouch for
 m subjects; the bank's aggregate recomputes per batch.
 """
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
-from repro.bench import benchmark
+from benchmarks.harness import benchmark
 from repro.core.delegation import install_threshold
 from repro.datalog.parser import parse_rule
 from repro.meta.registry import RuleRegistry
@@ -51,8 +45,3 @@ def threshold_scaling(case, bureaus):
     with case.measure():
         vote_all(workspace, refs, n)
     case.record(subjects=SUBJECTS)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

@@ -1,15 +1,13 @@
-"""The benchmark-orchestration subsystem.
+"""The micro-benchmark harness.
 
-Gives every perf-sensitive PR a shared measurement substrate, in the
-spirit of SAFE's reproducible latency/throughput evaluations: a registry
-of named workloads (:func:`benchmark`), a calibrated timer
-(:mod:`~repro.bench.timer`), schema-versioned JSON artifacts
-(:mod:`~repro.bench.report`), and a regression-flagging compare mode
-(:mod:`~repro.bench.compare`), all fronted by the ``repro bench`` CLI
-(:mod:`~repro.bench.cli`).
+A registry of named workloads (:func:`benchmark`), a calibrated timer
+(:mod:`~benchmarks.harness.timer`), schema-versioned JSON artifacts
+(:mod:`~benchmarks.harness.report`), and a regression-flagging compare
+mode (:mod:`~benchmarks.harness.compare`), all fronted by
+``python -m benchmarks`` (:mod:`~benchmarks.harness.cli`).
 """
 
-from .cli import main, standalone
+from .cli import main
 from .compare import Comparison, PointDelta, compare_artifacts
 from .registry import (
     BenchError,
@@ -28,6 +26,5 @@ __all__ = [
     "BenchCase", "BenchError", "Comparison", "Measurement", "PointDelta",
     "SCHEMA", "Workload", "benchmark", "compare_artifacts", "get",
     "load_artifact", "load_artifacts", "load_scripts", "main", "registered",
-    "run_workloads", "select", "standalone", "time_workload",
-    "write_artifact",
+    "run_workloads", "select", "time_workload", "write_artifact",
 ]

@@ -1,12 +1,12 @@
-"""``repro bench`` — run, record, and compare benchmark workloads.
+"""``python -m benchmarks`` — run, record, and compare benchmark workloads.
 
-Examples::
+Run from the repository root, with ``repro`` importable::
 
-    repro bench --list
-    repro bench --quick --json bench-artifacts/
-    repro bench --full --filter 'fig2*'
-    repro bench --quick --compare baseline-artifacts/
-    repro bench --compare baseline/ --json current/     # diff two artifact sets
+    python -m benchmarks --list
+    python -m benchmarks --quick --json bench-artifacts/
+    python -m benchmarks --full --filter 'fig2*'
+    python -m benchmarks --quick --compare baseline-artifacts/
+    python -m benchmarks --compare baseline/ --json current/   # diff two artifact sets
 
 Exit status: 0 on success, 1 when ``--compare`` finds a regression beyond
 ``--threshold``, 2 on usage errors.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, TextIO
 
 from .compare import compare_artifacts, format_comparison
@@ -27,7 +26,7 @@ from .runner import run_workloads
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro bench",
+        prog="python -m benchmarks",
         description="Benchmark harness for the LBTrust reproduction",
     )
     mode = parser.add_mutually_exclusive_group()
@@ -47,16 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="regression threshold as a fraction "
                              "(default 0.25 = 25%%)")
-    parser.add_argument("--dir", default="benchmarks", metavar="DIR",
-                        help="benchmark-script directory to discover "
-                             "workloads from (default: ./benchmarks)")
     parser.add_argument("--list", action="store_true",
                         help="list registered workloads and exit")
     return parser
 
 
 def main(argv: Optional[list] = None, *, discover: bool = True,
-         restrict_source: Optional[str] = None,
          out: Optional[TextIO] = None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
@@ -66,9 +61,9 @@ def main(argv: Optional[list] = None, *, discover: bool = True,
         print(line, file=out)
 
     try:
-        if discover and restrict_source is None:
-            load_scripts(args.dir)
-        workloads = select(pattern=args.filter, source=restrict_source)
+        if discover:
+            load_scripts()
+        workloads = select(pattern=args.filter)
         if not workloads:
             emit("no workloads matched")
             return 2
@@ -115,14 +110,3 @@ def main(argv: Optional[list] = None, *, discover: bool = True,
     except BenchError as exc:
         emit(f"error: {exc}")
         return 2
-
-
-def standalone(script_path: str, argv: Optional[list] = None) -> int:
-    """Run the workloads a benchmark script registered about itself.
-
-    Scripts call this from their ``__main__`` guard; discovery is skipped
-    because importing the script already registered its workloads.
-    """
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    return main(argv, discover=False,
-                restrict_source=str(Path(script_path).resolve()))

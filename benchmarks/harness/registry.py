@@ -1,7 +1,7 @@
 """The workload registry: named benchmarks with parameter sweeps.
 
 A *workload* is a function decorated with :func:`benchmark`.  It receives a
-:class:`~repro.bench.timer.BenchCase` as its first argument plus one sweep
+:class:`~benchmarks.harness.timer.BenchCase` as its first argument plus one sweep
 point's parameters as keyword arguments; setup outside ``case.measure()``
 is untimed:
 
@@ -17,9 +17,8 @@ is untimed:
         case.record(messages=2 * k)                   # extra metrics
 
 Workloads register at import time; the CLI discovers them by importing
-every module of a benchmark-script directory (see :func:`load_scripts`).
-Re-registering a name replaces the previous entry (the same script may be
-imported both as ``__main__`` and as ``benchmarks.<stem>``).
+every script of the ``benchmarks`` package (see :func:`load_scripts`).
+Re-registering a name replaces the previous entry.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ import fnmatch
 import importlib
 import inspect
 import os
-import sys
+import pkgutil
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from ..datalog.errors import ReproError
+from repro.datalog.errors import ReproError
 
 
 class BenchError(ReproError):
@@ -52,7 +50,6 @@ class Workload:
     full: list = field(default_factory=list)
     warmup: int = 1
     repeats: int = 3
-    source: str = ""
 
     def points(self, mode: str) -> list:
         if mode == "quick":
@@ -79,10 +76,6 @@ def benchmark(name: str, *, group: Optional[str] = None,
 
     def decorate(func: Callable) -> Callable:
         doc = inspect.getdoc(func) or ""
-        try:
-            source = os.path.abspath(inspect.getfile(func))
-        except TypeError:  # pragma: no cover - builtins/partials
-            source = ""
         quick_points = [dict(p) for p in (quick if quick is not None else [{}])]
         full_points = [dict(p) for p in full] if full is not None else \
                       [dict(p) for p in quick_points]
@@ -95,7 +88,6 @@ def benchmark(name: str, *, group: Optional[str] = None,
             full=full_points,
             warmup=warmup,
             repeats=repeats,
-            source=source,
         )
         func.workload_name = name
         return func
@@ -117,20 +109,13 @@ def get(name: str) -> Workload:
 
 
 def select(pattern: Optional[str] = None,
-           source: Optional[str] = None,
            names: Optional[Iterable[str]] = None) -> list[Workload]:
-    """Workloads matching an fnmatch ``pattern`` (name or group), a
-    defining ``source`` file, and/or an explicit name list."""
+    """Workloads matching an fnmatch ``pattern`` (name or group) and/or
+    an explicit name list."""
     chosen = registered()
     if names is not None:
         wanted = set(names)
         chosen = [w for w in chosen if w.name in wanted]
-    if source is not None:
-        # resolve() both sides: registration stores inspect.getfile paths,
-        # callers may hand in symlinked ones (macOS /tmp, linked homes).
-        resolved = Path(source).resolve()
-        chosen = [w for w in chosen if w.source and
-                  Path(w.source).resolve() == resolved]
     if pattern:
         chosen = [w for w in chosen
                   if fnmatch.fnmatch(w.name, pattern)
@@ -151,26 +136,16 @@ def restore(entries: dict[str, Workload]) -> None:
     _REGISTRY.update(entries)
 
 
-def load_scripts(directory: str = "benchmarks") -> list[str]:
-    """Import every benchmark script under ``directory``, registering its
-    workloads.  Returns the imported module names.
-
-    The directory must be an importable package (contain ``__init__.py``);
-    its parent — and a sibling ``src/`` layout if present — are put on
-    ``sys.path`` so scripts resolve both ``benchmarks.*`` and ``repro``.
-    """
-    path = Path(directory).resolve()
-    if not path.is_dir():
-        raise BenchError(f"benchmark directory {str(path)!r} does not exist")
-    root = path.parent
-    for entry in (str(root / "src"), str(root)):
-        if entry not in sys.path and Path(entry).is_dir():
-            sys.path.insert(0, entry)
+def load_scripts() -> list[str]:
+    """Import every script of the ``benchmarks`` package (the package
+    this harness lives in), registering its workloads.  Returns the
+    imported module names."""
+    package = importlib.import_module(__name__.split(".")[0])
     imported = []
-    for script in sorted(path.glob("*.py")):
-        if script.name.startswith("_"):
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.ispkg or info.name.startswith("_"):
             continue
-        module = f"{path.name}.{script.stem}"
+        module = f"{package.__name__}.{info.name}"
         importlib.import_module(module)
         imported.append(module)
     return imported

@@ -12,7 +12,6 @@ import json
 import os
 import platform
 import subprocess
-import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Optional

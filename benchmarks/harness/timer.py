@@ -16,7 +16,7 @@ from statistics import mean
 from time import perf_counter
 from typing import Iterator, Optional
 
-from ..datalog.engine import EvalStats
+from repro.datalog.engine import EvalStats
 from .registry import BenchError, Workload
 
 

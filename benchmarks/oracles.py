@@ -1,32 +1,83 @@
-"""Tabled top-down (backward-chaining) evaluation.
+"""Reference evaluators: naive bottom-up and tabled top-down.
 
-Paper section 5.1: *"Most practical access control languages, including
-Binder, utilize a top-down (or backward-chaining) evaluation strategy.
-Specific requests are made as goals … minimizing the disclosure of
-sensitive information."*  And section 7 proposes an optimizer choosing
-between top-down and bottom-up.  This module supplies the top-down side:
+Neither is on a trust-manager path.  They are the independent oracles
+the engine is compared against — the differential tests hold the
+semi-naive engine and the register walker to them — and the two
+ablations that show what the engine's strategies buy:
+``bench_eval_strategies.py`` (A1, naive vs semi-naive, section 3.1) and
+``bench_magic.py`` (magic sets vs top-down, sections 5.1 and 7).
+
+:func:`evaluate_naive` has the engine's stratified semantics, but every
+round re-applies every rule against the *full* database instead of
+restricting one body literal to the delta.
+
+:class:`TopDownEngine` is the paper's section 5.1 strategy: *"Most
+practical access control languages, including Binder, utilize a top-down
+(or backward-chaining) evaluation strategy.  Specific requests are made
+as goals … minimizing the disclosure of sensitive information."*  It is
 OLDT-style resolution with answer tables, iterated to fixpoint (naive
-tabling), so recursive policies terminate.
-
-Scope: positive rules, builtins and comparisons everywhere; negation only
-over goals that are fully ground at call time (ample for access-control
-queries; the bottom-up engine remains the general evaluator).  Aggregates
-are not supported — the engine raises so callers can fall back.
-
-The companion :mod:`repro.datalog.magic` gets the same goal-directedness
-on the bottom-up engine; ``benchmarks/bench_magic.py`` compares all three.
+tabling), so recursive policies terminate.  Its scope: positive rules,
+builtins and comparisons everywhere; negation only over goals that are
+fully ground at call time.  Aggregates are not supported — the engine
+raises so callers can fall back.  It shares no join code with
+:mod:`repro.datalog.runtime`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
 
-from .builtins import apply_comparison
-from .database import Database
-from .engine import EngineRule, normalize_rules
-from .errors import SafetyError
-from .runtime import Bindings, EvalContext, Unbound, eval_term
-from .terms import Atom, BuiltinCall, Comparison, Literal, Rule, Variable
+from repro.datalog.builtins import apply_comparison, invoke_builtin
+from repro.datalog.database import Database
+from repro.datalog.engine import (
+    EngineRule,
+    apply_aggregate_rule,
+    apply_rule,
+    normalize_rules,
+)
+from repro.datalog.errors import SafetyError
+from repro.datalog.runtime import Bindings, EvalContext, Unbound, eval_term
+from repro.datalog.stratify import stratify
+from repro.datalog.terms import Atom, BuiltinCall, Comparison, Literal, Rule, Variable
+
+
+def _engine_rules(rules: Iterable[Rule]) -> list:
+    rule_list = list(rules)
+    if all(isinstance(r, EngineRule) for r in rule_list):
+        return rule_list
+    return normalize_rules(rule_list)
+
+
+def evaluate_naive(rules: Iterable[Rule], db: Database,
+                   context: Optional[EvalContext] = None) -> dict:
+    """Run a program to fixpoint naively; returns the id rows added per
+    predicate (the engine's currency, like :func:`~repro.datalog.engine.evaluate`)."""
+    context = context or EvalContext()
+    strata = stratify(_engine_rules(rules))
+    stats = context.stats
+    added_rows: dict[str, set] = {}
+
+    def merge(pred: str, new_rows: set) -> bool:
+        fresh = db.rel(pred).add_rows(new_rows)
+        if not fresh:
+            return False
+        added_rows.setdefault(pred, set()).update(fresh)
+        stats.new_facts += len(fresh)
+        return True
+
+    for stratum in strata:
+        for rule in stratum.agg_rules:
+            merge(rule.head.pred,
+                  apply_aggregate_rule(rule, db, context))
+        changed = True
+        while changed:
+            changed = False
+            stats.rounds += 1
+            for rule in stratum.rules:
+                if merge(rule.head.pred,
+                         apply_rule(rule, db, context)):
+                    changed = True
+    return added_rows
 
 
 class TopDownEngine:
@@ -34,11 +85,8 @@ class TopDownEngine:
 
     def __init__(self, rules: Iterable[Rule], db: Database,
                  context: Optional[EvalContext] = None) -> None:
-        rule_list = list(rules)
-        if not all(isinstance(r, EngineRule) for r in rule_list):
-            rule_list = normalize_rules(rule_list)
         self.rules_by_pred: dict[str, list[EngineRule]] = {}
-        for rule in rule_list:
+        for rule in _engine_rules(rules):
             if rule.agg is not None:
                 raise SafetyError("top-down evaluation does not support aggregates")
             self.rules_by_pred.setdefault(rule.head.pred, []).append(rule)
@@ -199,7 +247,6 @@ class TopDownEngine:
             yield from self._solve_comparison(item, body, index, bindings)
             return
         if isinstance(item, BuiltinCall):
-            from .builtins import invoke_builtin
             definition = self.context.builtins.lookup(item.name)
             if definition is None:
                 raise SafetyError(f"unknown builtin {item.name!r}")

@@ -17,14 +17,8 @@ from __future__ import annotations
 
 import os
 
-if __package__ in (None, ""):  # running as a script
-    import sys
-    from pathlib import Path
-    _root = Path(__file__).resolve().parent.parent
-    sys.path[:0] = [str(_root), str(_root / "src")]
-
+from benchmarks.harness import benchmark
 from repro import LBTrustSystem
-from repro.bench import benchmark
 
 BENCH_MESSAGES = int(os.environ.get("LBTRUST_BENCH_MESSAGES", "100"))
 BENCH_RSA_BITS = int(os.environ.get("LBTRUST_BENCH_RSA_BITS", "1024"))
@@ -73,8 +67,3 @@ def fig2_single_message(case, auth, rsa_bits=None):
     with case.measure():
         run_fig2_exchange(system, alice, bob, 1)
     case.record(messages=2)
-
-
-if __name__ == "__main__":
-    from repro.bench import standalone
-    raise SystemExit(standalone(__file__))

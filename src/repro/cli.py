@@ -145,11 +145,6 @@ class Shell:
 
 def main(argv: Optional[list] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "bench":
-        # `repro bench ...` — the benchmark harness subcommand.  Imported
-        # lazily so the interactive shell stays import-light.
-        from .bench.cli import main as bench_main
-        return bench_main(argv[1:])
     if argv and argv[0] == "cluster":
         # `repro cluster ...` — the sharded-evaluation demo (simulated
         # network, in-process sockets, or one OS process per node).
@@ -168,12 +163,12 @@ def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Interactive LBTrust shell (CIDR 2009 reproduction); "
-                    "use `repro bench --help` for the benchmark harness, "
-                    "`repro cluster --help` for the sharded-evaluation demo "
+                    "use `repro cluster --help` for the sharded-evaluation demo "
                     "(--transport socket --procs N deploys one OS process "
                     "per node), `repro serve --help` for the online "
                     "authorization service, `repro check --help` for the "
-                    "static program analyzer",
+                    "static program analyzer (micro benchmarks run as "
+                    "`python -m benchmarks` from a source checkout)",
     )
     parser.add_argument("--auth", default="hmac",
                         choices=["plaintext", "hmac", "rsa", "mixed"])

@@ -42,9 +42,12 @@ def explain(workspace: Workspace, pred: str, fact: tuple,
             max_depth: int = 32) -> Optional[Explanation]:
     """A derivation tree for ``fact``, or None if it has no provenance.
 
-    One derivation is chosen per node (the store may hold several); cycles
-    through recursive rules are cut by ``max_depth`` and by never
-    revisiting a fact on the current path.
+    One derivation is chosen per node (the store may hold several): one
+    that starts a shortest well-founded proof, an asserted row first.
+    A derivation that needs a fact with no such proof — one that holds
+    only through itself — is passed over, so no fact repeats on a
+    root-to-leaf path and every leaf is an asserted row or a stated
+    ground fact, unless ``max_depth`` cuts the walk first.
     """
     store = workspace.provenance
     if store is None:
@@ -54,32 +57,49 @@ def explain(workspace: Workspace, pred: str, fact: tuple,
         )
     # a read: a Figure 1 relation nothing read yet has no proofs stored
     workspace.relation(pred)
+    chosen = _shortest_proofs(store, (pred, fact))
 
-    def build(p: str, f: tuple, depth: int, path: frozenset) -> Optional[Explanation]:
-        derivations = store.of(p, f)
-        if not derivations:
-            return None
-        if depth <= 0 or (p, f) in path:
-            rule_label, _ = next(iter(derivations))
+    def build(p: str, f: tuple, depth: int) -> Explanation:
+        rule_label, supports = chosen[(p, f)]
+        if depth <= 0:
             return Explanation(p, f, rule_label)
-        # Prefer an EDB justification (shortest proof) when available.
-        chosen = None
-        for rule_label, supports in sorted(derivations, key=lambda d: (d[0] != "$edb", d[0])):
-            children = []
-            ok = True
-            for child_pred, child_fact in supports:
-                child = build(child_pred, child_fact, depth - 1,
-                              path | {(p, f)})
-                if child is None:
-                    ok = False
-                    break
-                children.append(child)
-            if ok:
-                chosen = Explanation(p, f, rule_label, children)
-                break
-        return chosen
+        return Explanation(p, f, rule_label, [
+            build(child_pred, child_fact, depth - 1)
+            for child_pred, child_fact in supports])
 
-    return build(pred, fact, max_depth, frozenset())
+    return build(pred, fact, max_depth) if (pred, fact) in chosen else None
+
+
+def _shortest_proofs(store, root: tuple) -> dict:
+    """``(pred, fact) -> (rule label, supports)`` for every fact reachable
+    from ``root`` through the store that has a well-founded proof.
+
+    Round k picks the facts whose shortest proof has height k, so each
+    chosen derivation's supports were all chosen in an earlier round.
+    """
+    derivations: dict = {}
+    pending = [root]
+    while pending:
+        key = pending.pop()
+        if key in derivations:
+            continue
+        derivations[key] = sorted(store.of(*key),
+                                  key=lambda d: (d[0] != "$edb", d[0]))
+        for _label, supports in derivations[key]:
+            pending.extend(supports)
+    chosen: dict = {}
+    while True:
+        fresh = {}
+        for key, options in derivations.items():
+            if key in chosen:
+                continue
+            for rule_label, supports in options:
+                if all(support in chosen for support in supports):
+                    fresh[key] = (rule_label, supports)
+                    break
+        if not fresh:
+            return chosen
+        chosen.update(fresh)
 
 
 def format_explanation(node: Explanation, indent: int = 0) -> str:

@@ -5,9 +5,9 @@ bottom-up rule application, semi-naive deltas, DRed over-deletion,
 aggregation, constraint checking, workspace queries — runs on one
 executor: :func:`build_plan` compiles the conjunction to a
 :class:`FlatPlan` and :func:`run_flat` walks it, so correctness fixes and
-index use land in one place.  (:mod:`repro.datalog.topdown` keeps its own
-SLD resolver and shares no join code: it is the independent oracle the
-tests compare this walker against.)
+index use land in one place.  (``benchmarks/oracles.py``'s top-down
+evaluator has its own SLD resolver and shares no join code: it is the
+independent oracle the tests compare this walker against.)
 
 Plans order body items so that every comparison, builtin call and
 negated literal runs as soon as its inputs are bound (they are cheap

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.bench import registry
+from benchmarks.harness import registry
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import BenchError, benchmark, get, registered, select
+from benchmarks.harness import BenchError, benchmark, get, registered, select
 
 
 class TestRegistration:
@@ -16,7 +16,6 @@ class TestRegistration:
         assert workload.quick == [{"n": 1}]
         assert workload.full == [{"n": 1}, {"n": 10}]
         assert workload.description.startswith("Docstring first line")
-        assert workload.source.endswith("test_bench_registry.py")
 
     def test_full_defaults_to_quick(self, clean_registry):
         @benchmark("w2", quick=[{"n": 5}])
@@ -81,19 +80,6 @@ class TestSelection:
     def test_select_by_group_pattern(self, three):
         assert [w.name for w in select(pattern="crypto")] == ["crypto"]
 
-    def test_select_by_source(self, three):
-        assert [w.name for w in select(source=__file__)] == \
-            ["crypto", "fig2_auth", "fig2_sweep"]
-        assert select(source="/nonexistent.py") == []
-
     def test_select_by_names(self, three):
         assert [w.name for w in select(names={"crypto", "fig2_sweep"})] == \
             ["crypto", "fig2_sweep"]
-
-    def test_select_by_source_through_symlink(self, three, tmp_path):
-        from repro.bench import select
-
-        link = tmp_path / "linked.py"
-        link.symlink_to(__file__)
-        assert [w.name for w in select(source=str(link))] == \
-            ["crypto", "fig2_auth", "fig2_sweep"]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import (
+from benchmarks.harness import (
     BenchError,
     SCHEMA,
     benchmark,
@@ -15,8 +15,8 @@ from repro.bench import (
     time_workload,
     write_artifact,
 )
-from repro.bench.compare import format_comparison
-from repro.bench.report import make_artifact
+from benchmarks.harness.compare import format_comparison
+from benchmarks.harness.report import make_artifact
 
 
 def build_artifact(clean, name="w", best=0.001, params=None, metrics=None):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import BenchError, benchmark, get, time_workload
+from benchmarks.harness import BenchError, benchmark, get, time_workload
 
 
 class TestTimeWorkload:

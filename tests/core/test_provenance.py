@@ -80,6 +80,46 @@ class TestExplain:
                        "r(X,Y) <- e(X,Y). r(X,Z) <- r(X,Y), e(Y,Z).")
         node = explain(workspace, "r", ("a", "a"))
         assert node is not None
+        assert_well_founded(workspace, node)
+
+    def test_a_cycle_is_passed_over_for_a_founded_proof(self):
+        """q(1) has a derivation through p(1), whose only derivation is
+        through q(1) again; the proof explain returns is c <- e(1)."""
+        workspace = Workspace("w", enable_provenance=True)
+        workspace.load("a: p(X) <- q(X). b: q(X) <- p(X). "
+                       "c: q(X) <- e(X). e(1).")
+        node = explain(workspace, "q", (1,))
+        assert_well_founded(workspace, node)
+        assert node.rule == "c"
+        assert [(c.pred, c.fact) for c in node.children] == [("e", (1,))]
+        assert_well_founded(workspace, explain(workspace, "p", (1,)))
+
+    def test_a_proof_is_a_shortest_one(self):
+        """A non-linear closure over a complete graph: r(0,0) is proved
+        from two edges, however many longer cyclic proofs the store
+        holds (walking the first derivation at each node built a tree
+        of 2**max_depth nodes)."""
+        workspace = Workspace("w", enable_provenance=True)
+        edges = " ".join(f"e({i},{j})." for i in range(6) for j in range(6)
+                         if i != j)
+        workspace.load(edges + " a: r(X,Z) <- r(X,Y), r(Y,Z). "
+                               "b: r(X,Y) <- e(X,Y).")
+        node = explain(workspace, "r", (0, 0))
+        assert_well_founded(workspace, node)
+        assert node.rule == "a"
+        assert [child.rule for child in node.children] == ["b", "b"]
+
+
+def assert_well_founded(workspace, node, path=()):
+    """Every leaf is a derivation with no supports (an asserted row or a
+    stated ground fact), and no fact repeats on a root-to-leaf path."""
+    key = (node.pred, node.fact)
+    assert key not in path, f"{key} repeats on the path {path}"
+    if not node.children:
+        assert (node.rule, ()) in workspace.provenance.of(*key), (
+            f"leaf {key} by {node.rule} has supports")
+    for child in node.children:
+        assert_well_founded(workspace, child, path + (key,))
 
 
 class TestTypedFacts:

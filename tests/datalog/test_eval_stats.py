@@ -812,7 +812,7 @@ class TestOneRoute:
                 stats.index_builds) == (494, 29, 465, 5, 526, 495, 1)
 
     def test_evaluate_naive(self):
-        from repro.datalog.naive import evaluate_naive
+        from benchmarks.oracles import evaluate_naive
 
         stats = EvalStats()
         evaluate_naive(self.rules(), self.chain(), EvalContext(stats=stats))

@@ -3,11 +3,12 @@
 Bodies containing comparisons, builtin calls or expression-valued literal
 keys all compile to :class:`FlatPlan` steps.  Every mixed body below must
 produce exactly (a) the explicit expected set and (b) what the top-down
-resolver (:mod:`repro.datalog.topdown` — its own SLD resolution, sharing
+resolver (:mod:`benchmarks.oracles` — its own SLD resolution, sharing
 no join code with the walker) answers for the same rule and facts, with
 the provenance store attached or not.
 """
 
+from benchmarks.oracles import query_topdown
 from repro.datalog.builtins import standard_registry
 from repro.datalog.database import Database
 from repro.datalog.engine import (
@@ -19,7 +20,6 @@ from repro.datalog.engine import (
 from repro.datalog.parser import parse_statements
 from repro.datalog.runtime import EvalContext, eval_term
 from repro.datalog.terms import Rule
-from repro.datalog.topdown import query_topdown
 from repro.meta.quote import compile_rule
 
 

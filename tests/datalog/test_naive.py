@@ -4,9 +4,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.oracles import evaluate_naive
 from repro.datalog.database import Database
 from repro.datalog.engine import EvalStats, evaluate
-from repro.datalog.naive import evaluate_naive
 from repro.datalog.parser import parse_statements
 from repro.datalog.runtime import EvalContext
 from repro.datalog.terms import Rule

@@ -5,13 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchmarks.oracles import TopDownEngine, query_topdown
 from repro.datalog.database import Database
 from repro.datalog.engine import evaluate
 from repro.datalog.errors import SafetyError
 from repro.datalog.parser import parse_atom, parse_statements
 from repro.datalog.runtime import EvalContext
 from repro.datalog.terms import Rule
-from repro.datalog.topdown import TopDownEngine, query_topdown
 
 TC = "r(X,Y) <- e(X,Y). r(X,Z) <- e(X,Y), r(Y,Z)."
 LEFT_TC = "r(X,Y) <- e(X,Y). r(X,Z) <- r(X,Y), e(Y,Z)."
